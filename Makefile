@@ -8,7 +8,7 @@
 GO ?= go
 COVER_FLOOR ?= 75
 
-.PHONY: build test race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
+.PHONY: build test check-bench race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
 
 build:
 	$(GO) build ./...
@@ -16,8 +16,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
+# ../), so the root ./... patterns skip it: build, vet, and test it here so
+# an engine API change that breaks the harness fails CI (~10 s).
+check-bench:
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
 race:
-	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/deploy/... ./internal/shard/... ./internal/cluster/... ./internal/obs/... ./internal/wal/... ./internal/loadgen/...
+	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/deploy/... ./internal/shard/... ./internal/cluster/... ./internal/peer/... ./internal/obs/... ./internal/wal/... ./internal/loadgen/...
 
 vet:
 	$(GO) vet ./...

@@ -432,8 +432,8 @@ func BenchmarkAblationStayThresholds(b *testing.B) {
 // BenchmarkServeQueries measures the engine-backed HTTP service's query
 // throughput under concurrent load (the Section V-F deployment: one query
 // per dispatched waybill) across shard counts. Every engine serves a
-// restored store-only state — shards=1 restores the legacy single-engine
-// snapshot directly, the sharded runs migrate the same document through the
+// restored store-only state — shards=1 restores the version-1 snapshot
+// directly, the multi-shard runs split the same document through the
 // geohash router — so the benchmark isolates the serving/routing path from
 // training cost.
 func BenchmarkServeQueries(b *testing.B) {
@@ -566,18 +566,13 @@ func storeSnapshotDoc(b *testing.B, p *eval.Prepared) []byte {
 
 // benchEngine restores the snapshot into a fresh engine of the given shard
 // count.
-func benchEngine(b *testing.B, shards int, doc []byte) engine.Runtime {
+func benchEngine(b *testing.B, shards int, doc []byte) *engine.Engine {
 	b.Helper()
-	var e engine.Runtime
-	if shards == 1 {
-		e = engine.New(engine.DefaultConfig())
-	} else {
-		r, err := shard.NewRouter(shards, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e = engine.NewSharded(engine.DefaultConfig(), r)
+	r, err := shard.NewRouter(shards, 8)
+	if err != nil {
+		b.Fatal(err)
 	}
+	e := engine.NewSharded(engine.DefaultConfig(), r)
 	if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
 		b.Fatal(err)
 	}

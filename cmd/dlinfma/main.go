@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"dlinfma/internal/cluster"
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/eval"
@@ -31,6 +30,7 @@ import (
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs"
 	"dlinfma/internal/obs/trace"
+	"dlinfma/internal/peer"
 	"dlinfma/internal/shard"
 	"dlinfma/internal/synth"
 	"dlinfma/internal/wal"
@@ -135,26 +135,23 @@ func splitPeers(s string) []string {
 
 // shardFlags adds the shard topology flags shared by infer, eval, and serve.
 func shardFlags(fs *flag.FlagSet) (shards, precision *int) {
-	shards = fs.Int("shards", 1, "geographic shards (1 = single global engine)")
+	shards = fs.Int("shards", 1, "geographic shards the engine coordinates (1 = one shard holding everything, nothing routed)")
 	precision = fs.Int("shard-precision", 0,
 		fmt.Sprintf("geohash precision of the shard routing key (0 = default %d)", shard.DefaultPrecision))
 	return shards, precision
 }
 
-// newEngine picks the engine shape from the shard flags: one global engine,
-// or N regional shards behind a geohash router. Both satisfy engine.Runtime,
-// so every subcommand drives them identically. log and tracer may be nil
-// (batch subcommands report through stdout and don't trace).
-func newEngine(workers, shards, precision, maxPending, swapHistory int, lowConf float64, log *obs.Logger, tracer *trace.Tracer) (engine.Runtime, error) {
+// newEngine builds the engine over the shard flags' topology: N >= 1
+// regional shards behind a geohash router, -shards 1 being the one-shard
+// case of the same code. log and tracer may be nil (batch subcommands report
+// through stdout and don't trace).
+func newEngine(workers, shards, precision, maxPending, swapHistory int, lowConf float64, log *obs.Logger, tracer *trace.Tracer) (*engine.Engine, error) {
 	cfg := engineConfig(workers)
 	cfg.Logger = log
 	cfg.Tracer = tracer
 	cfg.MaxPendingTrips = maxPending
 	cfg.SwapHistory = swapHistory
 	cfg.LowConfidence = lowConf
-	if shards <= 1 {
-		return engine.New(cfg), nil
-	}
 	r, err := shard.NewRouter(shards, precision)
 	if err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func newEngine(workers, shards, precision, maxPending, swapHistory int, lowConf 
 // runPipeline feeds the dataset through the engine in incremental windows
 // and runs one full re-inference — the same path the serve subcommand's
 // background jobs take, so batch and online runs cannot drift apart.
-func runPipeline(ctx context.Context, ds *model.Dataset, workers, shards, precision int) (engine.Runtime, error) {
+func runPipeline(ctx context.Context, ds *model.Dataset, workers, shards, precision int) (*engine.Engine, error) {
 	e, err := newEngine(workers, shards, precision, 0, 0, 0, nil, nil)
 	if err != nil {
 		return nil, err
@@ -277,7 +274,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		"comma-separated peer base URLs (http://host:port); turns this process into a cluster frontend that routes every shard to its ring owner in the peer set instead of running engines in-process")
 	replication := fs.Int("replication", 1,
 		"with -peers: distinct peers serving each shard (owner + replicas); writes go to all, reads fail over in ring order")
-	peerTimeout := fs.Duration("peer-timeout", cluster.DefaultTimeout, "with -peers: per-call timeout of one peer RPC")
+	peerTimeout := fs.Duration("peer-timeout", peer.DefaultTimeout, "with -peers: per-call timeout of one peer RPC")
 	peerRetries := fs.Int("peer-retries", 1, "with -peers: extra retry rounds over a shard's replica list after the first pass")
 	swapHistory := fs.Int("swap-history", 0,
 		"hot-swap churn reports kept per engine shard behind GET /v1/debug/swaps (0 = default 32)")
@@ -305,7 +302,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		})
 	}
 
-	var e engine.Runtime
+	var e *engine.Engine
 	if *peers != "" {
 		// Frontend mode: shards live in the peer processes; this process
 		// routes, replicates, and aggregates. Durability (snapshots, WAL)
@@ -326,7 +323,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		cfg.Tracer = tracer
 		cfg.SwapHistory = *swapHistory
 		cfg.LowConfidence = *lowConfidence
-		backends, ring, berr := cluster.NewFrontendBackends(r, cluster.FrontendOptions{
+		backends, ring, berr := peer.NewFrontendBackends(r, peer.FrontendOptions{
 			Peers:       peerList,
 			Replication: *replication,
 			Timeout:     *peerTimeout,
@@ -342,7 +339,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		// The frontend's own registry has no model quality (its shards live in
 		// the peers), so re-export each peer's quality families under
 		// dlinfma_peer_* with a peer label.
-		qp, qerr := cluster.StartQualityPoller(cluster.QualityOptions{
+		qp, qerr := peer.StartQualityPoller(peer.QualityOptions{
 			Peers:   peerList,
 			Timeout: *peerTimeout,
 			Logger:  log.With("component", "cluster_quality"),
@@ -429,8 +426,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	fmt.Printf("serving %d inferred locations on %s (GET /v1/locations/{key}, POST /v1/locations:batch, POST /v1/ingest, POST /v1/trajectories:stream, POST /v1/reinfer, GET /v1/snapshot, GET /v1/metrics)\n",
 		st.Inferred, *listen)
 	if *debugListen != "" {
-		sw, _ := e.(deploy.SwapReporter)
-		dsrv := deploy.NewServer(*debugListen, deploy.DebugHandler(tracer, sw))
+		dsrv := deploy.NewServer(*debugListen, deploy.DebugHandler(tracer, e))
 		go func() {
 			if derr := deploy.Serve(ctx, dsrv); derr != nil {
 				log.Error("debug listener failed", "addr", *debugListen, "err", derr)

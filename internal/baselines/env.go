@@ -12,7 +12,6 @@ import (
 	"context"
 
 	"dlinfma/internal/core"
-	"dlinfma/internal/engine"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 )
@@ -57,10 +56,10 @@ type annotation struct {
 	T   float64
 }
 
-// NewEnv builds the environment, constructing the main DLInfMA pipeline
-// through the engine layer. Cancelling ctx aborts the pool build.
+// NewEnv builds the environment, constructing the main DLInfMA pipeline.
+// Cancelling ctx aborts the pool build.
 func NewEnv(ctx context.Context, ds *model.Dataset, cfg core.Config) (*Env, error) {
-	pipe, err := engine.BuildPipeline(ctx, ds, cfg)
+	pipe, err := core.NewPipeline(ctx, ds, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +93,7 @@ func (e *Env) GridPipe(ctx context.Context) (*core.Pipeline, error) {
 	if e.gridPipe == nil {
 		cfg := e.Pipe.Cfg
 		cfg.UseGridMerge = true
-		pipe, err := engine.BuildPipeline(ctx, e.DS, cfg)
+		pipe, err := core.NewPipeline(ctx, e.DS, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,7 @@
 // compares against for candidate pool construction — centroid-linkage
 // hierarchical clustering with a distance cutoff (the paper's choice,
 // Section III-B), DBSCAN (the GeoCloud baseline), grid merging (the
-// DLInfMA-Grid variant) and k-means (a comparison utility) — and, in its
-// second role, the process-cluster transport of the serving system: the
-// ShardBackend seam engine.ShardedEngine fans out through, its HTTP
-// implementation speaking the /v1 wire schema (backend.go, httpbackend.go),
-// and the ring-routed query frontend (frontend.go).
+// DLInfMA-Grid variant), k-means (a comparison utility), and OPTICS.
 package cluster
 
 import (

@@ -268,25 +268,24 @@ func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 	return p
 }
 
-// BuildPoolIncrementally splits the dataset's trips into windows of the
-// configured length and runs the builder over them — functionally comparable
-// to BuildPool with PoolWindowSeconds set, exposed for the production
-// append-only pattern and its tests.
-func BuildPoolIncrementally(ctx context.Context, ds *model.Dataset, cfg Config) (*Pool, error) {
-	window := cfg.PoolWindowSeconds
+// ForEachWindow splits trips into window-second batches anchored at the
+// first trip's start (window <= 0: the paper's bi-weekly 14 days) and feeds
+// each non-empty batch to fn, stopping at fn's first error. It is the one
+// window grid of the batch path: BuildPoolIncrementally and the serving
+// engine's dataset ingest both cut here, so their pools cannot drift apart.
+func ForEachWindow(trips []model.Trip, window float64, fn func([]model.Trip) error) error {
 	if window <= 0 {
 		window = 14 * 86400
 	}
-	b := NewIncrementalPoolBuilder(cfg)
 	var batch []model.Trip
 	var windowEnd float64
-	for i, tr := range ds.Trips {
+	for i, tr := range trips {
 		if i == 0 {
 			windowEnd = tr.StartT + window
 		}
 		if tr.StartT >= windowEnd {
-			if err := b.AddWindow(ctx, batch); err != nil {
-				return nil, err
+			if err := fn(batch); err != nil {
+				return err
 			}
 			batch = nil
 			for tr.StartT >= windowEnd {
@@ -296,9 +295,22 @@ func BuildPoolIncrementally(ctx context.Context, ds *model.Dataset, cfg Config) 
 		batch = append(batch, tr)
 	}
 	if len(batch) > 0 {
-		if err := b.AddWindow(ctx, batch); err != nil {
-			return nil, err
-		}
+		return fn(batch)
+	}
+	return nil
+}
+
+// BuildPoolIncrementally splits the dataset's trips into windows of the
+// configured length and runs the builder over them — functionally comparable
+// to BuildPool with PoolWindowSeconds set, exposed for the production
+// append-only pattern and its tests.
+func BuildPoolIncrementally(ctx context.Context, ds *model.Dataset, cfg Config) (*Pool, error) {
+	b := NewIncrementalPoolBuilder(cfg)
+	err := ForEachWindow(ds.Trips, cfg.PoolWindowSeconds, func(batch []model.Trip) error {
+		return b.AddWindow(ctx, batch)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b.FinalizeCtx(ctx), nil
 }

@@ -64,7 +64,7 @@ type ContextQuerier interface {
 }
 
 // StreamIngestor is the optional point-streaming ingest surface. Engines
-// that implement it (both shapes in internal/engine do) accept trajectory
+// that implement it (internal/engine does) accept trajectory
 // fixes one at a time per courier and assemble trips server-side: a trip
 // closes on an explicit CloseStream or when the courier's inter-fix gap
 // exceeds the engine's trip-gap bound. POST /v1/trajectories:stream feeds

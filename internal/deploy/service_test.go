@@ -234,7 +234,7 @@ func TestServiceErrorPaths(t *testing.T) {
 	check(resp, http.StatusNotFound, api.CodeNotFound, "unmatched path")
 }
 
-// TestServiceShardedHealthz serves a ShardedEngine through the same handler:
+// TestServiceShardedHealthz serves a multi-shard engine through the same handler:
 // /v1/healthz carries the per-shard breakdown, queries route to the owning
 // shard, and /v1/snapshot streams a manifest a fresh sharded engine restores.
 func TestServiceShardedHealthz(t *testing.T) {
@@ -245,7 +245,7 @@ func TestServiceShardedHealthz(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.Matcher.MaxEpochs = 2
 	cfg.Matcher.LR = 1e-3
-	newSharded := func() *engine.ShardedEngine {
+	newSharded := func() *engine.Engine {
 		r, err := shard.NewRouter(3, 8)
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // SwapReporter is the optional hot-swap observability surface. Engines that
-// keep a churn-report ring (both shapes in internal/engine do) implement it;
+// keep a churn-report ring (internal/engine does) implement it;
 // GET /v1/debug/swaps serves the reports. Engines without it — or remote
 // frontends whose shards live in other processes — answer an empty list, so
 // the endpoint is always mounted and probing it always works.

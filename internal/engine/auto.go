@@ -12,8 +12,7 @@ import (
 // re-inference is fired without an operator asking for one. Both thresholds
 // read the engine's own status — PendingTrips (backlog size) and
 // PendingAgeSeconds (how long the oldest un-served trip has waited) — so the
-// monitor drives a sharded or remote-sharded engine exactly like a single
-// one.
+// monitor drives any topology, in-process or remote, the same way.
 type AutoReinferConfig struct {
 	// MaxPending fires once the pending-trip backlog reaches this size
 	// (0 disables the size condition).

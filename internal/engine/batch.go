@@ -7,7 +7,7 @@ import (
 	"dlinfma/internal/model"
 )
 
-// scatter is the recycled grouping scratch of one ShardedEngine.QueryBatch
+// scatter is the recycled grouping scratch of one multi-shard Engine.QueryBatch
 // call: per-shard index lists plus a per-shard error slot, pooled so the
 // steady-state batch path reuses its backing arrays instead of reallocating
 // them per request.

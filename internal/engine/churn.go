@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 // Model-quality metrics: how much the served answers changed at each
 // hot-swap, how confident the matcher is in what it serves, and how often
 // the read path answers from a low-confidence address. All families carry a
-// shard label ("global" for an unsharded engine) so a sharded process shows
+// shard label ("global" for a one-shard engine) so a sharded process shows
 // per-shard churn without scrape-side aggregation.
 var (
 	reinferChurnRatio = obs.Default.GaugeVec("dlinfma_reinfer_churn_ratio",
@@ -63,7 +62,7 @@ func newSwapRing(capacity int) *swapRing {
 	return &swapRing{cap: capacity}
 }
 
-// push appends a report, assigning its per-engine sequence number, and
+// push appends a report, assigning its per-shard sequence number, and
 // evicts the oldest past capacity.
 func (r *swapRing) push(rep api.SwapReport) api.SwapReport {
 	r.mu.Lock()
@@ -94,19 +93,19 @@ func (r *swapRing) list(limit int) []api.SwapReport {
 }
 
 // churnReport diffs the outgoing frozen store against the incoming one,
-// records the churn metrics under the engine's shard label, and pushes a
+// records the churn metrics under the shard's label, and pushes a
 // report onto the swap ring. Runs after the swap published — the serving
 // path never waits on the diff.
-func (e *Engine) churnReport(old, incoming *deploy.FrozenStore, kind string) {
-	movedHist := reinferMovedDistance.With(e.shardLabel)
-	c := deploy.DiffFrozen(old, incoming, float64(e.lowConf), func(meters float64) {
+func (s *Shard) churnReport(old, incoming *deploy.FrozenStore, kind string) {
+	movedHist := reinferMovedDistance.With(s.label)
+	c := deploy.DiffFrozen(old, incoming, float64(s.lowConf), func(meters float64) {
 		movedHist.Observe(meters)
 	})
-	reinferChurnRatio.With(e.shardLabel).Set(c.Ratio())
-	lowConfAddresses.With(e.shardLabel).Set(float64(c.LowConfidence))
+	reinferChurnRatio.With(s.label).Set(c.Ratio())
+	lowConfAddresses.With(s.label).Set(float64(c.LowConfidence))
 
 	rep := api.SwapReport{
-		Shard:           e.shardLabel,
+		Shard:           s.label,
 		Time:            time.Now().UTC(),
 		Kind:            kind,
 		Before:          c.Before,
@@ -135,35 +134,10 @@ func (e *Engine) churnReport(old, incoming *deploy.FrozenStore, kind string) {
 			rep.MovedDistance = append(rep.MovedDistance, b)
 		}
 	}
-	rep = e.swaps.push(rep)
-	e.log.Info("hot-swap churn",
-		"shard", e.shardLabel, "kind", kind, "seq", rep.Seq,
+	rep = s.swaps.push(rep)
+	s.log.Info("hot-swap churn",
+		"shard", s.label, "kind", kind, "seq", rep.Seq,
 		"before", rep.Before, "after", rep.After,
 		"added", rep.Added, "dropped", rep.Dropped, "moved", rep.Moved,
 		"churn_ratio", rep.ChurnRatio, "low_confidence", rep.LowConfidence)
-}
-
-// SwapReports returns up to limit hot-swap churn reports, newest first
-// (limit <= 0: everything retained). It implements deploy.SwapReporter.
-func (e *Engine) SwapReports(limit int) []api.SwapReport {
-	return e.swaps.list(limit)
-}
-
-// SwapReports aggregates the in-process shards' rings, interleaved newest
-// first. Remote shard backends report through their own process's
-// /v1/debug/swaps (and the frontend's peer metric re-export); a pure
-// frontend answers an empty list.
-func (s *ShardedEngine) SwapReports(limit int) []api.SwapReport {
-	var out []api.SwapReport
-	for _, sh := range s.shards {
-		if sh == nil {
-			continue
-		}
-		out = append(out, sh.swaps.list(0)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.After(out[j].Time) })
-	if limit > 0 && limit < len(out) {
-		out = out[:limit]
-	}
-	return out
 }

@@ -14,7 +14,7 @@ import (
 	"dlinfma/internal/synth"
 )
 
-// querier is the read surface both engine shapes share.
+// querier is the read surface the brute-force diff needs.
 type querier interface {
 	Query(addr model.AddressID) (geo.Point, deploy.Source)
 }

@@ -4,15 +4,18 @@
 // full re-inference, snapshot persistence, and atomic hot-swap of the
 // (pool, model, store) triple so queries never block on retraining.
 //
-// Concurrency contract: three small lock domains, never held across model
-// compute.
+// There is one engine shape: an Engine coordinating N >= 1 shards. The
+// Engine owns every lifecycle decision — courier streams and the streamed
+// window grid, WAL order, backpressure, the background re-inference job,
+// LC pinning, and the snapshot layout; a Shard is pool builder + dataset +
+// model + frozen store behind peer.ShardBackend. New(cfg) is the one-shard
+// case of the same code: with a single shard there is nothing to route, so
+// no routing tables exist and reads go straight to that shard's store.
 //
-//   - mu guards the accumulating dataset (trips, addresses, truth, the
-//     IncrementalPoolBuilder). Ingest mutates it; Reinfer snapshots it.
-//   - stateMu guards the immutable serving triple. Reinfer builds a fresh
-//     state off-lock and swaps the pointer under a brief write lock;
-//     Query takes a read lock only to load the pointer.
-//   - jobMu guards background re-inference bookkeeping.
+// Lock order: ingestMu (serializes every mutating ingest operation so WAL
+// append order equals apply order) outside mu (routing state and counters)
+// outside the shards' own locks; jobMu guards the background job alone. No
+// lock is held across model compute, and the query path takes none.
 //
 // Cancellation contract: every long-running stage (pool build, sample
 // featurization, training, batch inference) threads context.Context into
@@ -24,16 +27,22 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs"
 	"dlinfma/internal/obs/trace"
+	"dlinfma/internal/peer"
+	"dlinfma/internal/shard"
 	"dlinfma/internal/wal"
 )
 
@@ -79,106 +88,179 @@ func DefaultConfig() Config {
 	}
 }
 
-// state is one immutable serving snapshot: everything a query or snapshot
-// write needs. Fields are never mutated after the swap; a restored snapshot
-// has pipe == nil (the pool cannot be reconstructed from inferred locations
-// alone).
-type state struct {
-	pipe    *core.Pipeline
-	matcher *core.LocMatcher
-	store   *deploy.Store
-	locs    map[model.AddressID]geo.Point
-}
-
-// Engine owns the DLInfMA lifecycle. The zero value is not usable; call New.
+// Engine coordinates N >= 1 shards. With several, addresses and ground truth
+// are routed by the router's address key and each trip is replicated to
+// every shard owning one of its waybill addresses, so a shard always holds
+// the complete trajectory evidence for its own addresses even when stay
+// points straddle routing-cell edges. Re-inference runs per shard in
+// parallel (bounded by the Workers knob) and each shard hot-swaps its own
+// (pool, model, store) triple independently — one shard's failed retrain
+// never touches the others' served state. Location commonality (Equation 2)
+// is normalized by the global distinct trip count, not the shard-local one,
+// so per-shard features match what one shard over all the data computes.
+//
+// The zero value is not usable; call New, NewSharded, or NewShardedBackends.
 type Engine struct {
 	cfg Config
-	log *obs.Logger
+	// router places addresses and trips; nil when there is one shard.
+	router *shard.Router
+	// backends is what every fan-out path talks to — the transport seam. In
+	// the in-process topology each entry is the matching shards[i]; in the
+	// remote topology (NewShardedBackends) entries are peer HTTP clients and
+	// the shards slots stay nil.
+	backends []peer.ShardBackend
+	shards   []*Shard
+	// remote is true when the shards live out of process. The local-only
+	// paths — streaming ingest, the WAL, snapshot restore and snapshot files —
+	// refuse to run then, because they reach into Shard internals no wire
+	// protocol carries.
+	remote bool
+	// lcAuto: several in-process shards and the caller left
+	// Core.LCTotalTrips at 0, so Reinfer pins the global trip universe on
+	// each shard. (One shard's own trip count already is the global one.)
+	lcAuto bool
 
 	// rootCtx bounds background jobs; Close cancels it.
 	rootCtx context.Context
 	cancel  context.CancelFunc
 
-	// mu guards the accumulating ingest state.
-	mu       sync.Mutex
-	name     string
-	builder  *core.IncrementalPoolBuilder
-	trips    []model.Trip
-	addrs    []model.AddressInfo
-	addrSeen map[model.AddressID]bool
-	truth    map[model.AddressID]geo.Point
-	// pending counts trips ingested after the served state was built;
-	// pendingSince is when the current backlog started accumulating (zero
-	// while it is empty) — the age the auto-reinfer trigger watches.
-	pending      int
-	pendingSince time.Time
-	// ss tracks open courier streams and the streamed pool window.
-	ss *streamSet
-	// wal, when attached, logs every accepted ingest operation for crash
-	// recovery; reinferSeq is the WAL position the last completed
-	// re-inference covered, safe to truncate through once a snapshot of
-	// that state reaches durable storage.
-	wal        *wal.WAL
+	// ingestMu serializes every mutating ingest operation (batch windows,
+	// streamed points, end markers, WAL replay). ss and wal live under it.
+	ingestMu sync.Mutex
+	ss       *streamSet
+	wal      *wal.WAL
+
+	// mu guards the counters below and, with several shards, the mutable
+	// routing state (writers: ingest, restore).
+	mu        sync.RWMutex
+	name      string
+	addrShard map[model.AddressID]int
+	nTrips    int
+	reinfers  int
+	// reinferSeq is the WAL position the last fully successful re-inference
+	// covered (safe to truncate through after a durable snapshot).
 	reinferSeq uint64
+	// shardTrips accumulates per-shard routed trip counts; tripGauges and
+	// the skew gauge publish them so a hot geographic shard is visible
+	// before it becomes a slow reinfer.
+	shardTrips []int64
+	tripGauges []*obs.Gauge
 
-	// stateMu guards the hot-swapped serving state and the health record of
-	// the last re-inference attempt.
-	stateMu  sync.RWMutex
-	st       *state
-	reinfers int
-	// frozen is the lock-free read path: the served store's fallback chain
-	// precomputed into an immutable deploy.FrozenStore, republished atomically
-	// at every hot-swap. Query loads the pointer and does one map lookup —
-	// no locks, no allocations. nil until the first swap.
-	frozen atomic.Pointer[deploy.FrozenStore]
-	// failed is set when the most recent re-inference attempt errored (not
-	// counting cancellation, which is an orderly shutdown, not ill health);
-	// lastErr keeps the message for /healthz and /v1/reinfer status.
-	failed  bool
-	lastErr string
+	// routes is the lock-free read path's routing table: an immutable copy
+	// of addrShard republished after every mutation (ingest windows and
+	// snapshot restores — rare next to queries). nil with one shard.
+	routes atomic.Pointer[map[model.AddressID]int32]
+	// routeCounters pre-resolves one routed-query counter per shard so the
+	// query path adds one atomic op, not a label lookup.
+	routeCounters []*obs.Counter
 
-	// jobMu guards the background re-inference job.
+	// jobMu guards the background re-inference job; jobWG tracks the
+	// goroutine itself so Close can join it — cancellation alone would let a
+	// snapshot save race a mid-swap state.
 	jobMu  sync.Mutex
 	jobSeq int
 	job    *deploy.JobStatus
-	// jobWG tracks the background goroutine itself so Close can join it:
-	// cancellation alone would let a snapshot save race a mid-swap state.
-	jobWG sync.WaitGroup
-
-	// shardLabel tags this engine's quality metrics and swap reports:
-	// "global" standalone, the shard index when owned by a ShardedEngine
-	// (set before any ingest or serving starts).
-	shardLabel string
-	// lowConf is the resolved Config.LowConfidence threshold the read path
-	// compares answer confidence against.
-	lowConf float32
-	// swaps rings the last Config.SwapHistory hot-swap churn reports.
-	swaps *swapRing
+	jobWG  sync.WaitGroup
 }
 
-// New returns an empty engine. Close it to cancel background work.
-func New(cfg Config) *Engine {
+// New returns an empty engine over one in-process shard. Close it to cancel
+// and join background work.
+func New(cfg Config) *Engine { return newLocal(cfg, nil, 1) }
+
+// NewSharded returns an empty engine over r.N() in-process shards, each with
+// cfg. Close it to cancel and join background work.
+func NewSharded(cfg Config, r *shard.Router) *Engine { return newLocal(cfg, r, r.N()) }
+
+func newLocal(cfg Config, r *shard.Router, n int) *Engine {
+	e := newEngine(cfg, r, make([]peer.ShardBackend, n))
+	e.lcAuto = e.routed() && cfg.Core.LCTotalTrips == 0
+	for i := range e.shards {
+		// The only shard of a one-shard engine is the whole model: its
+		// quality metrics and swap reports say "global", not a shard index.
+		label, log := "global", cfg.Logger
+		if e.routed() {
+			label, log = strconv.Itoa(i), cfg.Logger.With("shard", i)
+		}
+		e.shards[i] = newShard(cfg, label, log)
+		e.backends[i] = e.shards[i]
+	}
+	return e
+}
+
+// NewShardedBackends returns an engine whose shards live behind the given
+// backends — typically peer HTTP clients pointing at other processes —
+// instead of in-process shards. backends[i] serves shard i of r's routing
+// space, so len(backends) must equal r.N().
+//
+// The remote topology keeps the full fan-out semantics (routed ingest,
+// parallel re-inference, scatter/gather reads, aggregated status, manifest
+// snapshots) but refuses the local-only paths: streaming ingest, WAL
+// attach/replay, snapshot restore, and snapshot files all reach into shard
+// internals that have no wire form, and each remote process owns its own.
+// Two caveats follow from the same boundary: automatic LC-normalization
+// pinning cannot cross the wire (pin cfg.Core.LCTotalTrips in every shard
+// process for bit-identical features), and backpressure is each shard
+// process's own MaxPendingTrips — a remote reject still surfaces here as
+// deploy.ErrBackpressure.
+func NewShardedBackends(cfg Config, r *shard.Router, backends []peer.ShardBackend) (*Engine, error) {
+	if len(backends) != r.N() {
+		return nil, fmt.Errorf("engine: %d backends for %d shards", len(backends), r.N())
+	}
+	for i, b := range backends {
+		if b == nil {
+			return nil, fmt.Errorf("engine: nil backend for shard %d", i)
+		}
+	}
+	e := newEngine(cfg, r, append([]peer.ShardBackend(nil), backends...))
+	e.remote = true
+	return e, nil
+}
+
+func newEngine(cfg Config, r *shard.Router, backends []peer.ShardBackend) *Engine {
 	ctx, cancel := context.WithCancel(context.Background())
-	lowConf := cfg.LowConfidence
-	if lowConf <= 0 {
-		lowConf = defaultLowConfidence
+	n := len(backends)
+	e := &Engine{
+		cfg:      cfg,
+		router:   r,
+		backends: backends,
+		shards:   make([]*Shard, n),
+		rootCtx:  ctx,
+		cancel:   cancel,
+		ss:       newStreamSet(cfg.Stream, cfg.Core),
 	}
-	return &Engine{
-		cfg:        cfg,
-		log:        cfg.Logger,
-		rootCtx:    ctx,
-		cancel:     cancel,
-		builder:    core.NewIncrementalPoolBuilder(cfg.Core),
-		addrSeen:   make(map[model.AddressID]bool),
-		truth:      make(map[model.AddressID]geo.Point),
-		ss:         newStreamSet(cfg.Stream, cfg.Core),
-		shardLabel: "global",
-		lowConf:    float32(lowConf),
-		swaps:      newSwapRing(cfg.SwapHistory),
+	if e.routed() {
+		e.addrShard = make(map[model.AddressID]int)
+		e.shardTrips = make([]int64, n)
+		e.tripGauges = make([]*obs.Gauge, n)
+		e.routeCounters = make([]*obs.Counter, n)
+		for i := range e.backends {
+			e.tripGauges[i] = ingestShardTrips.With(strconv.Itoa(i))
+			e.routeCounters[i] = shardRoutedQueries.With(strconv.Itoa(i))
+		}
 	}
+	return e
 }
 
-// Close cancels the engine's root context and joins any in-flight background
+// routed reports whether there is anything to route. With one shard every
+// key, window, and trip belongs to shard 0: no routing tables are built, and
+// errors and status carry no shard breakdown.
+func (e *Engine) routed() bool { return len(e.backends) > 1 }
+
+// shardErr names the failing shard in err when there are several.
+func (e *Engine) shardErr(i int, err error) error {
+	if !e.routed() {
+		return err
+	}
+	return fmt.Errorf("engine: shard %d: %w", i, err)
+}
+
+// NumShards returns the shard count.
+func (e *Engine) NumShards() int { return len(e.shards) }
+
+// Shard returns in-process shard i (for tests and diagnostics).
+func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
+
+// Close cancels the root context and joins any in-flight background
 // re-inference, so after Close returns no goroutine can swap serving state —
 // a subsequent SaveSnapshotFile observes a settled engine. The served state
 // stays queryable.
@@ -187,301 +269,243 @@ func (e *Engine) Close() {
 	e.jobWG.Wait()
 }
 
-// SetName labels the accumulating dataset (used in status and snapshots).
+// SetName labels the dataset (used in status and snapshots). Remote shard
+// processes keep their own dataset labels.
 func (e *Engine) SetName(name string) {
 	e.mu.Lock()
 	e.name = name
 	e.mu.Unlock()
+	for _, sh := range e.shards {
+		if sh != nil {
+			sh.setName(name)
+		}
+	}
 }
 
 // Ingest appends one window of trips plus any new addresses and ground
-// truth. The window is clustered and merged into the candidate pool
-// immediately (the paper's bi-weekly pool maintenance); the served state is
-// not touched until the next Reinfer. Cancelling ctx mid-window returns
-// ctx.Err() with the pool unchanged.
+// truth, routed across the shards: addresses and truth by the router's
+// address key, trips replicated to every shard owning one of their waybill
+// addresses (address-less trips by trajectory key). Each shard clusters its
+// part into its candidate pool immediately; the served state is not touched
+// until the next Reinfer. Cancelling ctx mid-window leaves already-ingested
+// shards with the window and the rest without; re-inference tolerates the
+// imbalance, but callers wanting a clean window boundary should retry the
+// whole window.
 func (e *Engine) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
 	return e.ingest(ctx, trips, addrs, truth, true)
 }
 
-// ingest is the shared live/replay core of Ingest. A live window is rejected
-// under backpressure before any state changes, and appended to the WAL only
-// after the whole window applied — a rejected or cancelled window never
-// enters the log. (A WAL append that itself fails leaves the window applied
-// but unacknowledged; the caller's retry then duplicates it, the same
-// at-least-once edge every acknowledge-after-apply log has.)
+// ingest is the shared live/replay core of Ingest. It holds ingestMu across
+// the whole window — including the per-shard fan-out — so the WAL's append
+// order equals the apply order even with streamed points racing batch
+// windows. Live windows are rejected under backpressure before any state
+// changes and logged only after every shard applied: a rejected, cancelled,
+// or partially applied window never enters the log. (A WAL append that
+// itself fails leaves the window applied but unacknowledged; the caller's
+// retry then duplicates it, the same at-least-once edge every
+// acknowledge-after-apply log has.)
 func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point, live bool) error {
-	ctx, tsp := trace.Start(ctx, "engine.ingest")
-	tsp.SetAttr("trips", len(trips))
-	defer tsp.End()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if live && len(trips) > 0 && e.cfg.MaxPendingTrips > 0 && e.pending >= e.cfg.MaxPendingTrips {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	if live && len(trips) > 0 && e.overloaded() {
 		backpressureRejects.Inc()
 		return deploy.ErrBackpressure
 	}
-	newAddrs := 0
-	for _, a := range addrs {
-		if !e.addrSeen[a.ID] {
-			e.addrSeen[a.ID] = true
-			e.addrs = append(e.addrs, a)
-			newAddrs++
-		}
-	}
-	ingestAddrs.Add(int64(newAddrs))
-	for id, p := range truth {
-		e.truth[id] = p
-	}
 	if len(trips) > 0 {
-		// Seal any pending streamed trips first so the batch window clusters
+		// Seal pending streamed trips first so the batch window clusters
 		// exactly the trips it was handed — streamed and batch windows stay
 		// distinct pool windows.
-		e.sealStreamWindowLocked(ctx)
-		if err := e.builder.AddWindow(ctx, trips); err != nil {
-			tsp.RecordError(err)
+		e.sealStreamWindowsLocked(ctx)
+	}
+	for i, p := range e.partition(trips, addrs, truth) {
+		if p.Empty() {
+			continue
+		}
+		sctx, ssp := trace.Start(ctx, "engine.shard_ingest")
+		ssp.SetAttr("shard", i)
+		err := e.backends[i].Ingest(sctx, p.Trips, p.Addrs, p.Truth)
+		if err != nil {
+			err = e.shardErr(i, err)
+			ssp.RecordError(err)
+		}
+		ssp.End()
+		if err != nil {
 			return err
 		}
-		e.trips = append(e.trips, trips...)
-		e.addPendingLocked(len(trips))
-		ingestTrips.Add(int64(len(trips)))
-		ingestWindows.Inc()
-	} else if len(addrs) == 0 && len(truth) == 0 {
-		return nil
 	}
-	if live && e.wal != nil {
+	e.mu.Lock()
+	e.nTrips += len(trips)
+	e.mu.Unlock()
+	if live && e.wal != nil && (len(trips) > 0 || len(addrs) > 0 || len(truth) > 0) {
 		if _, err := e.wal.Append(encodeWALIngest(trips, addrs, truth)); err != nil {
-			tsp.RecordError(err)
 			return err
 		}
 	}
-	e.log.WithTrace(ctx).Debug("ingest window",
-		"trips", len(trips), "new_addrs", newAddrs, "total_trips", len(e.trips))
 	return nil
+}
+
+// partition splits one window by owning shard, pinning each new address to
+// its shard in the routing table. One shard takes the window whole.
+func (e *Engine) partition(trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) []core.WindowPartition {
+	if !e.routed() {
+		return []core.WindowPartition{{Trips: trips, Addrs: addrs, Truth: truth}}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	added := 0
+	for _, a := range addrs {
+		if _, ok := e.addrShard[a.ID]; !ok {
+			e.addrShard[a.ID] = e.router.AddressShard(a)
+			added++
+		}
+	}
+	lookup := func(id model.AddressID) (int, bool) {
+		sh, ok := e.addrShard[id]
+		return sh, ok
+	}
+	parts := core.PartitionWindow(len(e.backends), trips, addrs, truth, lookup, e.router.TripShard)
+	if added > 0 {
+		e.publishRoutesLocked()
+	}
+	if len(trips) > 0 {
+		e.recordIngestSkewLocked(parts)
+	}
+	return parts
+}
+
+// recordIngestSkewLocked folds one routed window into the cumulative
+// per-shard trip counts and republishes the skew gauge: max over mean of the
+// per-shard totals (1 = perfectly balanced, len(shards) = everything on one
+// shard). Callers hold mu.
+func (e *Engine) recordIngestSkewLocked(parts []core.WindowPartition) {
+	var total int64
+	var max int64
+	for i, p := range parts {
+		e.shardTrips[i] += int64(len(p.Trips))
+		e.tripGauges[i].Set(float64(e.shardTrips[i]))
+		total += e.shardTrips[i]
+		if e.shardTrips[i] > max {
+			max = e.shardTrips[i]
+		}
+	}
+	if total > 0 {
+		mean := float64(total) / float64(len(e.shardTrips))
+		ingestSkew.Set(float64(max) / mean)
+	}
 }
 
 // IngestDataset feeds a whole dataset through Ingest in PoolWindowSeconds
 // windows — the offline path (cmd infer/eval) and the serve subcommand's
-// initial load use it so batch and online runs share one code path.
+// initial load use it so batch and online runs share one code path. Window
+// boundaries are computed before routing, so every shard sees the same
+// window grid one shard over all the data would.
 func (e *Engine) IngestDataset(ctx context.Context, ds *model.Dataset) error {
-	e.mu.Lock()
-	if e.name == "" {
-		e.name = ds.Name
+	e.mu.RLock()
+	name := e.name
+	e.mu.RUnlock()
+	if name == "" {
+		e.SetName(ds.Name)
 	}
-	e.mu.Unlock()
 	if err := e.Ingest(ctx, nil, ds.Addresses, ds.Truth); err != nil {
 		return err
 	}
-	return forEachWindow(ds.Trips, e.cfg.Core.PoolWindowSeconds, func(batch []model.Trip) error {
+	return core.ForEachWindow(ds.Trips, e.cfg.Core.PoolWindowSeconds, func(batch []model.Trip) error {
 		return e.Ingest(ctx, batch, nil, nil)
 	})
 }
 
-// forEachWindow splits trips into PoolWindowSeconds batches anchored at the
-// first trip's start and feeds each batch to ingest. The sharded engine uses
-// the same splitter before routing, so window boundaries are global — a
-// shard's windows never drift from the windows one global engine would see.
-func forEachWindow(trips []model.Trip, window float64, ingest func([]model.Trip) error) error {
-	if window <= 0 {
-		window = 14 * 86400
-	}
-	var batch []model.Trip
-	var windowEnd float64
-	for i, tr := range trips {
-		if i == 0 {
-			windowEnd = tr.StartT + window
-		}
-		if tr.StartT >= windowEnd {
-			if err := ingest(batch); err != nil {
-				return err
-			}
-			batch = nil
-			for tr.StartT >= windowEnd {
-				windowEnd += window
-			}
-		}
-		batch = append(batch, tr)
-	}
-	if len(batch) > 0 {
-		return ingest(batch)
-	}
-	return nil
-}
-
-// Reinfer runs the full second stage over everything ingested so far:
-// finalize the incremental pool, featurize every address, train a fresh
-// LocMatcher, predict every address, and atomically swap the new
-// (pool, model, store) triple into service. Queries keep hitting the old
-// state until the swap. Cancelling ctx aborts at the next cooperative
-// check and leaves the served state untouched.
+// Reinfer retrains and re-infers every non-empty shard concurrently, at most
+// Workers shards at a time (0 = GOMAXPROCS). Each shard that succeeds swaps
+// its serving state independently; failures are joined into the returned
+// error (naming their shard when there are several) and do not disturb the
+// other shards' swaps or the failing shard's previously served state.
 func (e *Engine) Reinfer(ctx context.Context) error {
-	ctx, tsp := trace.Start(ctx, "engine.reinfer")
-	sp := obs.StartSpan("reinfer", reinferDuration)
-	err := e.reinfer(ctx)
-	tsp.RecordError(err)
-	tsp.End()
-	d := sp.End()
-	log := e.log.WithTrace(ctx)
-	switch {
-	case err == nil:
-		reinferSuccess.Inc()
-		e.setHealth(false, "")
-		log.Info("reinfer done", "dur", d)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Shutdown or deadline, not ill health: the served state is intact
-		// and the engine is as healthy as it was before the attempt.
-		reinferCanceled.Inc()
-		log.Warn("reinfer canceled", "dur", d, "err", err)
-	default:
-		reinferFailure.Inc()
-		e.setHealth(true, err.Error())
-		log.Error("reinfer failed", "dur", d, "err", err)
-	}
-	return err
-}
-
-// setHealth records the outcome of the last consequential re-inference
-// attempt (success or failure; cancellations don't touch it).
-func (e *Engine) setHealth(failed bool, msg string) {
-	e.stateMu.Lock()
-	e.failed = failed
-	e.lastErr = msg
-	e.stateMu.Unlock()
-}
-
-func (e *Engine) reinfer(ctx context.Context) error {
-	// Snapshot the ingest state under mu; all compute happens off-lock on
-	// the snapshot (builder.Finalize itself is cheap relative to training
-	// and must run under mu since Ingest mutates the builder).
-	e.mu.Lock()
-	if len(e.trips) == 0 {
-		e.mu.Unlock()
-		return errors.New("engine: no trips ingested")
-	}
-	// Everything logged up to here (minus still-open streams) is about to be
-	// folded into the new serving state; once that state is snapshotted, the
-	// WAL below this boundary is dead weight.
+	// Seal every shard's open streamed window so this retrain sees whole
+	// windows, and fix the WAL position the retrain will cover (held back
+	// below any still-open stream's first point).
+	e.ingestMu.Lock()
+	e.sealStreamWindowsLocked(ctx)
 	boundary := e.walBoundaryLocked()
-	e.sealStreamWindowLocked(ctx)
-	pool := e.builder.FinalizeCtx(ctx)
-	ds := &model.Dataset{
-		Name:      e.name,
-		Trips:     e.trips[:len(e.trips):len(e.trips)],
-		Addresses: append([]model.AddressInfo(nil), e.addrs...),
-		Truth:     make(map[model.AddressID]geo.Point, len(e.truth)),
-	}
-	for id, p := range e.truth {
-		ds.Truth[id] = p
-	}
-	nTrips := len(e.trips)
-	// Snapshot the config under mu: a sharded owner may adjust the LC
-	// normalization (setLCTotalTrips) between re-inferences.
-	cfg := e.cfg
-	e.mu.Unlock()
+	e.ingestMu.Unlock()
 
-	pipe := core.NewPipelineWithPool(ds, cfg.Core, pool)
-	ids := make([]model.AddressID, len(ds.Addresses))
-	for i, a := range ds.Addresses {
-		ids[i] = a.ID
-	}
-	samples, err := pipe.BuildSamplesCtx(ctx, ids, cfg.Sample)
-	if err != nil {
-		return err
-	}
-	core.LabelSamples(samples, ds.Truth)
-
-	var labelled []*core.Sample
-	for _, s := range samples {
-		if s.Label >= 0 {
-			labelled = append(labelled, s)
+	if e.lcAuto {
+		// The per-shard trip universe for LC normalization is the global
+		// distinct trip count: replicas exist on several shards, but each is
+		// one trip of one global dataset. Only in-process shards can be
+		// pinned; remote topologies pin LCTotalTrips in each shard process's
+		// own config instead (see NewShardedBackends).
+		e.mu.RLock()
+		total := e.nTrips
+		e.mu.RUnlock()
+		for _, sh := range e.shards {
+			sh.setLCTotalTrips(total)
 		}
 	}
-	nVal := int(float64(len(labelled)) * cfg.ValFraction)
-	mcfg := cfg.Matcher
-	if mcfg.Workers == 0 {
-		mcfg.Workers = cfg.Core.Workers
+
+	workers := e.cfg.Core.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	matcher := core.NewLocMatcher(mcfg)
-	if _, err := matcher.Fit(ctx, labelled[nVal:], labelled[:nVal]); err != nil {
-		return err
-	}
-	// The full probability distributions, not just argmax indices: the top-1
-	// probability is the confidence stamp behind each served answer. The
-	// local argmax below replicates Predict exactly (nil distribution for a
-	// candidate-less sample, strict > tie-breaking toward the lower index),
-	// so predictions are bit-identical to the PredictAll path.
-	probs, err := matcher.ProbabilitiesAll(ctx, samples)
-	if err != nil {
-		return err
-	}
-	confHist := reinferConfidence.With(e.shardLabel)
-	store := deploy.NewStore()
-	store.LoadDataset(ds)
-	locs := make(map[model.AddressID]geo.Point, len(samples))
-	for i, s := range samples {
-		pred, conf := argmaxProb(probs[i])
-		loc := s.PredictedLocation(pred)
-		store.Put(s.Addr, loc)
-		if pred >= 0 {
-			store.SetConfidence(s.Addr, float32(conf))
-			confHist.Observe(conf)
+	sem := make(chan struct{}, workers)
+	errs := make([]error, len(e.backends))
+	ran := make([]bool, len(e.backends))
+	var wg sync.WaitGroup
+	for i, b := range e.backends {
+		// Empty region among several: nothing to train, keep any served
+		// state. (A lone shard always runs, so an empty engine's failure
+		// lands in its health record.)
+		if e.routed() && b.Status().Trips == 0 {
+			continue
 		}
-		locs[s.Addr] = loc
+		ran[i] = true
+		wg.Add(1)
+		go func(i int, b peer.ShardBackend) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			sctx, ssp := trace.Start(ctx, "engine.shard_reinfer")
+			ssp.SetAttr("shard", i)
+			if err := b.Reinfer(sctx); err != nil {
+				errs[i] = e.shardErr(i, err)
+				ssp.RecordError(errs[i])
+			}
+			ssp.End()
+		}(i, b)
 	}
+	wg.Wait()
 
-	_, swapSp := trace.Start(ctx, "engine.hot_swap")
-	e.publish(&state{pipe: pipe, matcher: matcher, store: store, locs: locs}, swapKindReinfer)
-	e.stateMu.Lock()
-	e.reinfers++
-	e.stateMu.Unlock()
-	swapSp.End()
-
-	e.mu.Lock()
-	e.pending = len(e.trips) - nTrips
-	// Trips that raced the retrain arrived somewhere during it; restarting
-	// their age at the swap slightly underestimates, which only delays the
-	// age-based auto-reinfer trigger by at most one training run.
-	if e.pending > 0 {
-		e.pendingSince = time.Now()
-	} else {
-		e.pendingSince = time.Time{}
-	}
-	if boundary > e.reinferSeq {
-		e.reinferSeq = boundary
-	}
-	e.mu.Unlock()
-	return nil
-}
-
-// argmaxProb reduces one candidate distribution to (predicted index, top-1
-// probability): -1 for a candidate-less sample (nil distribution), otherwise
-// the strict-> argmax — the same inference rule as LocMatcher.Predict.
-func argmaxProb(probs []float64) (int, float64) {
-	if len(probs) == 0 {
-		return -1, 0
-	}
-	best := 0
-	for i, p := range probs {
-		if p > probs[best] {
-			best = i
+	any, swapped := false, false
+	var failed []error
+	for i := range e.backends {
+		if !ran[i] {
+			continue
+		}
+		any = true
+		if errs[i] != nil {
+			failed = append(failed, errs[i])
+		} else {
+			swapped = true
 		}
 	}
-	return best, probs[best]
+	if !any {
+		return errNoTrips
+	}
+	if swapped {
+		e.mu.Lock()
+		e.reinfers++
+		// Advance the truncation boundary only when every shard that ran
+		// succeeded: a failed shard's trips live nowhere but the WAL.
+		if len(failed) == 0 && boundary > e.reinferSeq {
+			e.reinferSeq = boundary
+		}
+		e.mu.Unlock()
+	}
+	return errors.Join(failed...)
 }
 
-// addPendingLocked grows the pending-trip backlog, stamping the backlog's
-// start time when it goes from empty to non-empty. Callers hold mu.
-func (e *Engine) addPendingLocked(n int) {
-	if n <= 0 {
-		return
-	}
-	if e.pending == 0 {
-		e.pendingSince = time.Now()
-	}
-	e.pending += n
-}
-
-// StartReinfer launches Reinfer on the engine's root context in a
-// background goroutine. While a job is running it returns that job's
-// status with deploy.ErrReinferRunning.
+// StartReinfer launches Reinfer on the engine's root context in a background
+// goroutine. While a job is running it returns that job's status with
+// deploy.ErrReinferRunning.
 func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 	e.jobMu.Lock()
 	if e.job != nil && e.job.State == deploy.JobRunning {
@@ -508,6 +532,12 @@ func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 		err := e.Reinfer(ctx)
 		root.RecordError(err)
 		root.End()
+		inferred := 0
+		if err == nil {
+			for _, b := range e.backends {
+				inferred += b.Status().Inferred
+			}
+		}
 		e.jobMu.Lock()
 		defer e.jobMu.Unlock()
 		if err != nil {
@@ -516,7 +546,7 @@ func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 			return
 		}
 		job.State = deploy.JobDone
-		job.Inferred = len(e.InferredLocations())
+		job.Inferred = inferred
 	}()
 	return js, nil
 }
@@ -532,183 +562,246 @@ func (e *Engine) ReinferStatus() (deploy.JobStatus, bool) {
 	return *e.job, true
 }
 
-// publish swaps a fully built serving state in: the store's fallback chain
-// is frozen off-lock first, then the state pointer and the frozen read path
-// flip together. Readers racing the swap see either the old chain or the new
-// one in full, never a mix — a FrozenStore is immutable once published.
-// After the swap, the outgoing frozen store is diffed against the incoming
-// one into a churn report (kind: reinfer or restore) — off the serving path,
-// which has already moved on.
-func (e *Engine) publish(st *state, kind string) {
-	frozen := st.store.Freeze()
-	e.stateMu.Lock()
-	e.st = st
-	e.stateMu.Unlock()
-	old := e.frozen.Load()
-	e.frozen.Store(frozen)
-	hotSwaps.Inc()
-	e.churnReport(old, frozen, kind)
-}
-
-// Query answers from the currently served frozen store: one atomic pointer
-// load plus one map lookup, no locks and zero allocations. It returns
-// SourceNone before the first completed re-inference or snapshot restore —
-// queries never wait on retraining.
-func (e *Engine) Query(addr model.AddressID) (geo.Point, deploy.Source) {
-	a, _ := e.frozen.Load().Lookup(addr)
-	countQuery(a.Src)
-	if a.Conf > 0 && a.Conf < e.lowConf {
-		lowConfQueries.Inc()
+// publishRoutesLocked snapshots addrShard into a fresh immutable table for
+// the lock-free query path. Callers must hold mu; routing mutations are rare
+// (ingest windows, restores) so the copy never rides a query.
+func (e *Engine) publishRoutesLocked() {
+	rt := make(map[model.AddressID]int32, len(e.addrShard))
+	for id, sh := range e.addrShard {
+		rt[id] = int32(sh)
 	}
-	return a.Loc, a.Src
+	e.routes.Store(&rt)
 }
 
-// QueryBatch answers every key of addrs into out (input order preserved),
-// loading the frozen store once for the whole batch. It checks ctx between
-// chunks so a caller that gave up mid-batch stops paying for the rest.
+// route returns the shard serving addr: one atomic load of the routing
+// table and one lookup, no locks. -1 means no shard owns the address — never
+// ingested and absent from any restored manifest. One shard owns everything.
+func (e *Engine) route(addr model.AddressID) int {
+	if !e.routed() {
+		return 0
+	}
+	if rt := e.routes.Load(); rt != nil {
+		if sh, ok := (*rt)[addr]; ok {
+			e.routeCounters[sh].Inc()
+			return int(sh)
+		}
+	}
+	shardUnroutedQueries.Inc()
+	return -1
+}
+
+// Query answers from the owning shard's served store: a routing-table lookup
+// (skipped with one shard) and then the shard's own lock-free frozen-store
+// read — no locks and zero allocations anywhere on the path. It returns
+// SourceNone for unknown addresses and before the first completed
+// re-inference or snapshot restore; queries never wait on retraining.
+func (e *Engine) Query(addr model.AddressID) (geo.Point, deploy.Source) {
+	sh := e.route(addr)
+	if sh < 0 {
+		return geo.Point{}, deploy.SourceNone
+	}
+	return e.backends[sh].Query(addr)
+}
+
+// QueryCtx is Query carrying the request context (deploy.ContextQuerier), so
+// a remote shard hop propagates the caller's trace and request id.
+// In-process shards, whose Query is the lock-free frozen path, have nothing
+// to propagate and answer exactly like Query.
+func (e *Engine) QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source) {
+	sh := e.route(addr)
+	if sh < 0 {
+		return geo.Point{}, deploy.SourceNone
+	}
+	if e.remote {
+		if cq, ok := e.backends[sh].(interface {
+			QueryOne(context.Context, model.AddressID) (geo.Point, deploy.Source, error)
+		}); ok {
+			p, src, _ := cq.QueryOne(ctx, addr)
+			return p, src
+		}
+	}
+	return e.backends[sh].Query(addr)
+}
+
+// QueryBatch answers every key of addrs into out, input order preserved. One
+// shard answers the whole batch from a single frozen-store load. Several
+// scatter/gather: keys are grouped by owning shard from one routing-table
+// load, the per-shard groups fan out to at most GOMAXPROCS workers, and
+// every worker writes results straight into the caller-visible positions —
+// out[i] always answers addrs[i], so reassembly is free. Small batches and
+// single-shard groups run inline rather than paying goroutine handoff.
+// Cancelling ctx stops the remaining chunks and returns ctx's error.
 func (e *Engine) QueryBatch(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) ([]deploy.BatchAnswer, error) {
 	out = deploy.GrowAnswers(out, len(addrs))
-	err := e.queryBatchIdx(ctx, addrs, nil, out)
-	return out, err
-}
-
-// queryBatchChunk is how many keys a batch worker answers between
-// cooperative ctx checks: large enough to amortize the check, small enough
-// that cancellation lands promptly.
-const queryBatchChunk = 512
-
-// QueryBatchIdx is the shard-backend form of the bulk read path: it answers
-// addrs[i] into out[i] for each position i in idx (idx nil: all of addrs),
-// leaving every other slot of out untouched. It is what a sharded fan-out
-// calls per backend so workers can write disjoint slots of one shared result
-// slice — see cluster.ShardBackend.
-func (e *Engine) QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx []int32, out []deploy.BatchAnswer) error {
-	return e.queryBatchIdx(ctx, addrs, idx, out)
-}
-
-// queryBatchIdx answers addrs[i] into out[i] for each i in idx (idx nil: all
-// of addrs) from a single frozen-store load. Per-source metrics are tallied
-// locally and flushed in bulk so the per-key cost stays one map lookup.
-func (e *Engine) queryBatchIdx(ctx context.Context, addrs []model.AddressID, idx []int32, out []deploy.BatchAnswer) error {
-	f := e.frozen.Load()
-	var tally [deploy.SourceNone + 1]int64
-	var lowConf int64
-	n := len(addrs)
-	if idx != nil {
-		n = len(idx)
+	if !e.routed() {
+		return out, e.backends[0].QueryBatchIdx(ctx, addrs, nil, out)
 	}
-	for base := 0; base < n; base += queryBatchChunk {
-		if err := ctx.Err(); err != nil {
-			flushQueryTally(&tally)
-			lowConfQueries.Add(lowConf)
+	return out, e.scatterGather(ctx, addrs, out)
+}
+
+// scatterGather is QueryBatch's routed path. It is its own function so the
+// worker closures' captured variables are heap-allocated here only, keeping
+// the one-shard path allocation-free.
+func (e *Engine) scatterGather(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) error {
+	rt := e.routes.Load()
+	if rt == nil {
+		shardUnroutedQueries.Add(int64(len(addrs)))
+		for i := range out {
+			out[i] = deploy.BatchAnswer{Src: deploy.SourceNone}
+		}
+		return ctx.Err()
+	}
+
+	sc := scatterPool.Get().(*scatter)
+	defer sc.release()
+	groups := sc.group(len(e.backends), *rt, addrs, out)
+
+	active := 0
+	last := -1
+	for sh, idx := range groups {
+		if len(idx) > 0 {
+			active++
+			last = sh
+			e.routeCounters[sh].Add(int64(len(idx)))
+		}
+	}
+	if active == 0 {
+		return ctx.Err()
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if workers > active {
+		workers = active
+	}
+	// One worker (or one populated shard, or a batch too small to amortize a
+	// goroutine handoff): answer inline on the caller's goroutine.
+	if workers == 1 || len(addrs) < 2*queryBatchChunk {
+		for sh, idx := range groups {
+			if len(idx) == 0 {
+				continue
+			}
+			if err := e.backends[sh].QueryBatchIdx(ctx, addrs, idx, out); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers-1)
+	for sh, idx := range groups {
+		if len(idx) == 0 || sh == last {
+			continue // the last group runs on the caller's goroutine below
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(sh int, idx []int32) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			sc.errs[sh] = e.backends[sh].QueryBatchIdx(ctx, addrs, idx, out)
+		}(sh, idx)
+	}
+	sc.errs[last] = e.backends[last].QueryBatchIdx(ctx, addrs, groups[last], out)
+	wg.Wait()
+	for _, err := range sc.errs {
+		if err != nil {
 			return err
 		}
-		end := base + queryBatchChunk
-		if end > n {
-			end = n
-		}
-		if idx == nil {
-			for i := base; i < end; i++ {
-				a, _ := f.Lookup(addrs[i])
-				out[i].Loc, out[i].Src = a.Loc, a.Src
-				tally[a.Src]++
-				if a.Conf > 0 && a.Conf < e.lowConf {
-					lowConf++
-				}
-			}
-		} else {
-			for _, i := range idx[base:end] {
-				a, _ := f.Lookup(addrs[i])
-				out[i].Loc, out[i].Src = a.Loc, a.Src
-				tally[a.Src]++
-				if a.Conf > 0 && a.Conf < e.lowConf {
-					lowConf++
-				}
-			}
-		}
 	}
-	flushQueryTally(&tally)
-	lowConfQueries.Add(lowConf)
 	return nil
 }
 
-// InferredLocations returns the served address->location map (nil before
-// the first re-inference or restore). The map is part of an immutable
-// snapshot; callers must not mutate it.
+// InferredLocations merges every in-process shard's served address->location
+// map into a fresh map (nil before any shard serves, and nil for remote
+// shards — the wire carries per-key queries and snapshots, not bulk dumps).
+// Shards own disjoint addresses, so the merge is a disjoint union.
 func (e *Engine) InferredLocations() map[model.AddressID]geo.Point {
-	e.stateMu.RLock()
-	st := e.st
-	e.stateMu.RUnlock()
-	if st == nil {
-		return nil
+	var out map[model.AddressID]geo.Point
+	for _, sh := range e.shards {
+		if sh == nil {
+			continue
+		}
+		locs := sh.InferredLocations()
+		if len(locs) == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[model.AddressID]geo.Point, len(locs)*len(e.shards))
+		}
+		for id, p := range locs {
+			out[id] = p
+		}
 	}
-	return st.locs
+	return out
 }
 
-// Matcher returns the served trained model (nil before the first
-// re-inference or restore without a saved model).
-func (e *Engine) Matcher() *core.LocMatcher {
-	e.stateMu.RLock()
-	st := e.st
-	e.stateMu.RUnlock()
-	if st == nil {
-		return nil
-	}
-	return st.matcher
-}
-
-// Status implements the deploy.Engine health summary.
+// Status aggregates the shard statuses through the backend seam: counters
+// are sums, Ready is true as soon as any shard serves, and — when there is
+// more than one in-process shard to tell apart — the per-shard breakdown
+// rides along for /healthz, remote shards carrying their owner's endpoint in
+// Peer and an unreachable one surfacing as a Failed shard rather than an
+// error.
 func (e *Engine) Status() deploy.EngineStatus {
-	e.stateMu.RLock()
-	st := e.st
-	reinfers := e.reinfers
-	failed, lastErr := e.failed, e.lastErr
-	e.stateMu.RUnlock()
-	e.mu.Lock()
-	s := deploy.EngineStatus{
-		Dataset:      e.name,
-		Addresses:    len(e.addrs),
-		PendingTrips: e.pending,
-		Trips:        len(e.trips),
-		OpenStreams:  e.ss.open(),
-		Reinfers:     reinfers,
-		Failed:       failed,
-		LastError:    lastErr,
-	}
-	if e.pending > 0 && !e.pendingSince.IsZero() {
-		s.PendingAgeSeconds = time.Since(e.pendingSince).Seconds()
-	}
-	e.mu.Unlock()
-	if st != nil {
-		s.Ready = true
-		s.Inferred = len(st.locs)
-		if st.pipe != nil {
-			s.PoolLocations = len(st.pipe.Pool.Locations)
+	e.mu.RLock()
+	out := deploy.EngineStatus{Dataset: e.name, Trips: e.nTrips, Reinfers: e.reinfers}
+	e.mu.RUnlock()
+	breakdown := e.routed() || e.remote
+	for i, b := range e.backends {
+		st := b.Status()
+		out.Addresses += st.Addresses
+		out.Inferred += st.Inferred
+		out.PoolLocations += st.PoolLocations
+		out.PendingTrips += st.PendingTrips
+		if st.PendingAgeSeconds > out.PendingAgeSeconds {
+			out.PendingAgeSeconds = st.PendingAgeSeconds
+		}
+		if st.Ready {
+			out.Ready = true
+		}
+		if st.Failed && !out.Failed {
+			out.Failed = true
+			out.LastError = st.LastError
+			if breakdown {
+				out.LastError = fmt.Sprintf("shard %d: %s", i, st.LastError)
+			}
+		}
+		if breakdown {
+			shardSt := deploy.ShardStatus{Shard: i, EngineStatus: st}
+			if ep, ok := b.(interface{ Endpoint() string }); ok {
+				shardSt.Peer = ep.Endpoint()
+			}
+			out.Shards = append(out.Shards, shardSt)
 		}
 	}
 	e.jobMu.Lock()
-	s.ReinferRunning = e.job != nil && e.job.State == deploy.JobRunning
+	out.ReinferRunning = e.job != nil && e.job.State == deploy.JobRunning
 	e.jobMu.Unlock()
-	return s
+	out.OpenStreams = e.ss.open()
+	return out
 }
 
-// tripCount reports how many trips have been ingested so far; the sharded
-// engine uses it to skip re-inference on shards with nothing to train on.
-func (e *Engine) tripCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.trips)
+// SwapReports merges the in-process shards' swap rings, newest first, up to
+// limit (limit <= 0: everything retained). It implements
+// deploy.SwapReporter. Remote shard backends report through their own
+// process's /v1/debug/swaps (and the frontend's peer metric re-export); a
+// pure frontend answers an empty list.
+func (e *Engine) SwapReports(limit int) []api.SwapReport {
+	var out []api.SwapReport
+	for _, sh := range e.shards {
+		if sh != nil {
+			out = append(out, sh.swaps.list(0)...)
+		}
+	}
+	// Stable: each ring is already newest-first, and two swaps of one shard
+	// may share a timestamp.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.After(out[j].Time) })
+	if limit > 0 && limit < len(out) {
+		out = out[:limit]
+	}
+	return out
 }
 
-// setLCTotalTrips overrides the location-commonality trip universe for the
-// next Reinfer. The sharded engine sets the global distinct-trip count here
-// so each shard's pipeline normalizes Equation (2) exactly like one global
-// pipeline over all shards would.
-func (e *Engine) setLCTotalTrips(n int) {
-	e.mu.Lock()
-	e.cfg.Core.LCTotalTrips = n
-	e.mu.Unlock()
-}
-
-// statically assert that Engine satisfies deploy's interface.
-var _ deploy.Engine = (*Engine)(nil)
+// statically assert that Engine satisfies deploy's interfaces.
+var (
+	_ deploy.Engine         = (*Engine)(nil)
+	_ deploy.ContextQuerier = (*Engine)(nil)
+	_ deploy.SwapReporter   = (*Engine)(nil)
+)

@@ -115,8 +115,8 @@ func TestFrozenSwapNeverTearsFallbackChain(t *testing.T) {
 	}
 }
 
-// TestFrozenQueryZeroAllocs guards the steady-state read path of both engine
-// shapes: zero allocations per query.
+// TestFrozenQueryZeroAllocs guards the steady-state read path, unrouted (one
+// shard) and routed (four): zero allocations per query.
 func TestFrozenQueryZeroAllocs(t *testing.T) {
 	addrs := []model.AddressInfo{
 		{ID: 1, Building: 10, Geocode: geo.Point{X: 11, Y: 11}},
@@ -136,7 +136,14 @@ func TestFrozenQueryZeroAllocs(t *testing.T) {
 		e.Query(keys[i%len(keys)])
 		i++
 	}); n != 0 {
-		t.Errorf("Engine.Query allocates %.1f/op, want 0", n)
+		t.Errorf("1-shard Engine.Query allocates %.1f/op, want 0", n)
+	}
+	// One shard answers a batch without the scatter scratch or its closures.
+	out := make([]deploy.BatchAnswer, len(keys))
+	if n := testing.AllocsPerRun(1000, func() {
+		e.QueryBatch(context.Background(), keys, out)
+	}); n != 0 {
+		t.Errorf("1-shard Engine.QueryBatch allocates %.1f/op, want 0", n)
 	}
 
 	r, err := shard.NewRouter(4, 8)
@@ -153,7 +160,7 @@ func TestFrozenQueryZeroAllocs(t *testing.T) {
 		s.Query(keys[i%len(keys)])
 		i++
 	}); n != 0 {
-		t.Errorf("ShardedEngine.Query allocates %.1f/op, want 0", n)
+		t.Errorf("4-shard Engine.Query allocates %.1f/op, want 0", n)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Engine-lifecycle metrics. Everything is process-global (the obs default
-// registry); a sharded engine's shards share the families, with per-shard
+// registry); an engine's shards share the families, with per-shard
 // breakdowns carried by the shard label where cardinality is bounded by the
 // shard count.
 var (

@@ -10,18 +10,18 @@ import (
 	"dlinfma/internal/wal"
 )
 
-// Runtime is the full lifecycle surface shared by the single Engine and the
-// ShardedEngine: everything deploy.Engine serves over HTTP plus the batch /
-// persistence operations cmd/dlinfma drives directly. Callers pick the shape
-// at startup (-shards) and use the rest of the lifecycle identically.
+// Runtime is the full lifecycle surface of *Engine as an interface:
+// everything deploy.Engine serves over HTTP plus the batch / persistence
+// operations cmd/dlinfma drives directly. It exists so callers can decorate
+// an engine (the benchmark's tracing wrapper does); the shard count is
+// picked at startup (-shards) and everything after is the same code.
 type Runtime interface {
 	deploy.Engine
-	// Both engine shapes serve the native bulk read path: the sharded form
-	// scatter/gathers across shards, the single form answers from one
-	// frozen-store load.
+	// The native bulk read path: several shards scatter/gather, one shard
+	// answers from a single frozen-store load.
 	deploy.BatchQuerier
-	// Both shapes accept point-by-point trajectory streaming with WAL-backed
-	// durability and backpressure.
+	// Point-by-point trajectory streaming with WAL-backed durability and
+	// backpressure.
 	deploy.StreamIngestor
 
 	SetName(name string)
@@ -40,7 +40,4 @@ type Runtime interface {
 	Close()
 }
 
-var (
-	_ Runtime = (*Engine)(nil)
-	_ Runtime = (*ShardedEngine)(nil)
-)
+var _ Runtime = (*Engine)(nil)

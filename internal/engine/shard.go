@@ -1,0 +1,501 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dlinfma/internal/core"
+	"dlinfma/internal/deploy"
+	"dlinfma/internal/geo"
+	"dlinfma/internal/model"
+	"dlinfma/internal/obs"
+	"dlinfma/internal/obs/trace"
+)
+
+// state is one immutable serving snapshot: everything a query or snapshot
+// write needs. Fields are never mutated after the swap; a restored snapshot
+// has pipe == nil (the pool cannot be reconstructed from inferred locations
+// alone).
+type state struct {
+	pipe    *core.Pipeline
+	matcher *core.LocMatcher
+	store   *deploy.Store
+	locs    map[model.AddressID]geo.Point
+}
+
+// Shard is the in-process peer.ShardBackend: one region's pool builder,
+// accumulated dataset, trained model, frozen store, and swap ring. It makes
+// no lifecycle decisions — courier streams, the WAL, backpressure, the
+// background job, and the snapshot layout all belong to the Engine that owns
+// it — and is only ever constructed by one.
+//
+// Two small lock domains, never held across model compute: mu guards the
+// accumulating dataset (Ingest mutates it; Reinfer snapshots it), stateMu
+// the immutable serving triple and the health record of the last
+// re-inference. Queries touch neither — they read the atomic frozen store.
+type Shard struct {
+	cfg Config
+	log *obs.Logger
+
+	// mu guards the accumulating ingest state.
+	mu       sync.Mutex
+	name     string
+	builder  *core.IncrementalPoolBuilder
+	trips    []model.Trip
+	addrs    []model.AddressInfo
+	addrSeen map[model.AddressID]bool
+	truth    map[model.AddressID]geo.Point
+	// pending counts trips ingested after the served state was built;
+	// pendingSince is when the current backlog started accumulating (zero
+	// while it is empty) — the age the auto-reinfer trigger watches.
+	pending      int
+	pendingSince time.Time
+
+	// stateMu guards the hot-swapped serving state and the health record of
+	// the last re-inference attempt.
+	stateMu  sync.RWMutex
+	st       *state
+	reinfers int
+	// frozen is the lock-free read path: the served store's fallback chain
+	// precomputed into an immutable deploy.FrozenStore, republished atomically
+	// at every hot-swap. Query loads the pointer and does one map lookup —
+	// no locks, no allocations. nil until the first swap.
+	frozen atomic.Pointer[deploy.FrozenStore]
+	// failed is set when the most recent re-inference attempt errored (not
+	// counting cancellation, which is an orderly shutdown, not ill health);
+	// lastErr keeps the message for /healthz and /v1/reinfer status.
+	failed  bool
+	lastErr string
+
+	// label tags this shard's quality metrics and swap reports: "global" for
+	// the only shard of a one-shard engine, the shard index otherwise.
+	label string
+	// lowConf is the resolved Config.LowConfidence threshold the read path
+	// compares answer confidence against.
+	lowConf float32
+	// swaps rings the last Config.SwapHistory hot-swap churn reports.
+	swaps *swapRing
+}
+
+func newShard(cfg Config, label string, log *obs.Logger) *Shard {
+	lowConf := cfg.LowConfidence
+	if lowConf <= 0 {
+		lowConf = defaultLowConfidence
+	}
+	return &Shard{
+		cfg:      cfg,
+		log:      log,
+		builder:  core.NewIncrementalPoolBuilder(cfg.Core),
+		addrSeen: make(map[model.AddressID]bool),
+		truth:    make(map[model.AddressID]geo.Point),
+		label:    label,
+		lowConf:  float32(lowConf),
+		swaps:    newSwapRing(cfg.SwapHistory),
+	}
+}
+
+// Ingest applies one already-partitioned window: new addresses and ground
+// truth are registered, and the trips are clustered and merged into the
+// candidate pool immediately (the paper's bi-weekly pool maintenance). The
+// served state is not touched until the next Reinfer. Cancelling ctx
+// mid-window returns ctx.Err() with the pool unchanged.
+func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
+	ctx, tsp := trace.Start(ctx, "engine.ingest")
+	tsp.SetAttr("trips", len(trips))
+	defer tsp.End()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	newAddrs := s.addAddressesLocked(addrs)
+	ingestAddrs.Add(int64(newAddrs))
+	for id, p := range truth {
+		s.truth[id] = p
+	}
+	if len(trips) > 0 {
+		if err := s.builder.AddWindow(ctx, trips); err != nil {
+			tsp.RecordError(err)
+			return err
+		}
+		s.trips = append(s.trips, trips...)
+		s.addPendingLocked(len(trips))
+		ingestTrips.Add(int64(len(trips)))
+		ingestWindows.Inc()
+	}
+	s.log.WithTrace(ctx).Debug("ingest window",
+		"trips", len(trips), "new_addrs", newAddrs, "total_trips", len(s.trips))
+	return nil
+}
+
+// addAddressesLocked registers the addresses not seen before and reports how
+// many were new. Callers hold mu.
+func (s *Shard) addAddressesLocked(addrs []model.AddressInfo) int {
+	added := 0
+	for _, a := range addrs {
+		if !s.addrSeen[a.ID] {
+			s.addrSeen[a.ID] = true
+			s.addrs = append(s.addrs, a)
+			added++
+		}
+	}
+	return added
+}
+
+// Reinfer runs the full second stage over everything ingested so far:
+// finalize the incremental pool, featurize every address, train a fresh
+// LocMatcher, predict every address, and atomically swap the new
+// (pool, model, store) triple into service. Queries keep hitting the old
+// state until the swap. Cancelling ctx aborts at the next cooperative
+// check and leaves the served state untouched.
+func (s *Shard) Reinfer(ctx context.Context) error {
+	ctx, tsp := trace.Start(ctx, "engine.reinfer")
+	sp := obs.StartSpan("reinfer", reinferDuration)
+	err := s.reinfer(ctx)
+	tsp.RecordError(err)
+	tsp.End()
+	d := sp.End()
+	log := s.log.WithTrace(ctx)
+	switch {
+	case err == nil:
+		reinferSuccess.Inc()
+		s.setHealth(false, "")
+		log.Info("reinfer done", "dur", d)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// Shutdown or deadline, not ill health: the served state is intact
+		// and the shard is as healthy as it was before the attempt.
+		reinferCanceled.Inc()
+		log.Warn("reinfer canceled", "dur", d, "err", err)
+	default:
+		reinferFailure.Inc()
+		s.setHealth(true, err.Error())
+		log.Error("reinfer failed", "dur", d, "err", err)
+	}
+	return err
+}
+
+// setHealth records the outcome of the last consequential re-inference
+// attempt (success or failure; cancellations don't touch it).
+func (s *Shard) setHealth(failed bool, msg string) {
+	s.stateMu.Lock()
+	s.failed = failed
+	s.lastErr = msg
+	s.stateMu.Unlock()
+}
+
+// errNoTrips fails a re-inference with nothing to train on.
+var errNoTrips = errors.New("engine: no trips ingested")
+
+func (s *Shard) reinfer(ctx context.Context) error {
+	// Snapshot the ingest state under mu; all compute happens off-lock on
+	// the snapshot (builder.Finalize itself is cheap relative to training
+	// and must run under mu since Ingest mutates the builder). Finalize
+	// folds any streamed trips still awaiting a window seal into one final
+	// window, so the pool always covers exactly the snapshotted trips.
+	s.mu.Lock()
+	if len(s.trips) == 0 {
+		s.mu.Unlock()
+		return errNoTrips
+	}
+	pool := s.builder.FinalizeCtx(ctx)
+	ds := &model.Dataset{
+		Name:      s.name,
+		Trips:     s.trips[:len(s.trips):len(s.trips)],
+		Addresses: append([]model.AddressInfo(nil), s.addrs...),
+		Truth:     make(map[model.AddressID]geo.Point, len(s.truth)),
+	}
+	for id, p := range s.truth {
+		ds.Truth[id] = p
+	}
+	nTrips := len(s.trips)
+	// Snapshot the config under mu: the engine may adjust the LC
+	// normalization (setLCTotalTrips) between re-inferences.
+	cfg := s.cfg
+	s.mu.Unlock()
+
+	pipe := core.NewPipelineWithPool(ds, cfg.Core, pool)
+	ids := make([]model.AddressID, len(ds.Addresses))
+	for i, a := range ds.Addresses {
+		ids[i] = a.ID
+	}
+	samples, err := pipe.BuildSamplesCtx(ctx, ids, cfg.Sample)
+	if err != nil {
+		return err
+	}
+	core.LabelSamples(samples, ds.Truth)
+
+	var labelled []*core.Sample
+	for _, sm := range samples {
+		if sm.Label >= 0 {
+			labelled = append(labelled, sm)
+		}
+	}
+	nVal := int(float64(len(labelled)) * cfg.ValFraction)
+	mcfg := cfg.Matcher
+	if mcfg.Workers == 0 {
+		mcfg.Workers = cfg.Core.Workers
+	}
+	matcher := core.NewLocMatcher(mcfg)
+	if _, err := matcher.Fit(ctx, labelled[nVal:], labelled[:nVal]); err != nil {
+		return err
+	}
+	// The full probability distributions, not just argmax indices: the top-1
+	// probability is the confidence stamp behind each served answer. The
+	// local argmax below replicates Predict exactly (nil distribution for a
+	// candidate-less sample, strict > tie-breaking toward the lower index),
+	// so predictions are bit-identical to the PredictAll path.
+	probs, err := matcher.ProbabilitiesAll(ctx, samples)
+	if err != nil {
+		return err
+	}
+	confHist := reinferConfidence.With(s.label)
+	store := deploy.NewStore()
+	store.LoadDataset(ds)
+	locs := make(map[model.AddressID]geo.Point, len(samples))
+	for i, sm := range samples {
+		pred, conf := argmaxProb(probs[i])
+		loc := sm.PredictedLocation(pred)
+		store.Put(sm.Addr, loc)
+		if pred >= 0 {
+			store.SetConfidence(sm.Addr, float32(conf))
+			confHist.Observe(conf)
+		}
+		locs[sm.Addr] = loc
+	}
+
+	_, swapSp := trace.Start(ctx, "engine.hot_swap")
+	s.publish(&state{pipe: pipe, matcher: matcher, store: store, locs: locs}, swapKindReinfer)
+	s.stateMu.Lock()
+	s.reinfers++
+	s.stateMu.Unlock()
+	swapSp.End()
+
+	s.mu.Lock()
+	s.pending = len(s.trips) - nTrips
+	// Trips that raced the retrain arrived somewhere during it; restarting
+	// their age at the swap slightly underestimates, which only delays the
+	// age-based auto-reinfer trigger by at most one training run.
+	if s.pending > 0 {
+		s.pendingSince = time.Now()
+	} else {
+		s.pendingSince = time.Time{}
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// argmaxProb reduces one candidate distribution to (predicted index, top-1
+// probability): -1 for a candidate-less sample (nil distribution), otherwise
+// the strict-> argmax — the same inference rule as LocMatcher.Predict.
+func argmaxProb(probs []float64) (int, float64) {
+	if len(probs) == 0 {
+		return -1, 0
+	}
+	best := 0
+	for i, p := range probs {
+		if p > probs[best] {
+			best = i
+		}
+	}
+	return best, probs[best]
+}
+
+// addPendingLocked grows the pending-trip backlog, stamping the backlog's
+// start time when it goes from empty to non-empty. Callers hold mu.
+func (s *Shard) addPendingLocked(n int) {
+	if s.pending == 0 {
+		s.pendingSince = time.Now()
+	}
+	s.pending += n
+}
+
+// publish swaps a fully built serving state in: the store's fallback chain
+// is frozen off-lock first, then the state pointer and the frozen read path
+// flip together. Readers racing the swap see either the old chain or the new
+// one in full, never a mix — a FrozenStore is immutable once published.
+// After the swap, the outgoing frozen store is diffed against the incoming
+// one into a churn report (kind: reinfer or restore) — off the serving path,
+// which has already moved on.
+func (s *Shard) publish(st *state, kind string) {
+	frozen := st.store.Freeze()
+	s.stateMu.Lock()
+	s.st = st
+	s.stateMu.Unlock()
+	old := s.frozen.Load()
+	s.frozen.Store(frozen)
+	hotSwaps.Inc()
+	s.churnReport(old, frozen, kind)
+}
+
+// Query answers from the currently served frozen store: one atomic pointer
+// load plus one map lookup, no locks and zero allocations. It returns
+// SourceNone before the first completed re-inference or snapshot restore —
+// queries never wait on retraining.
+func (s *Shard) Query(addr model.AddressID) (geo.Point, deploy.Source) {
+	a, _ := s.frozen.Load().Lookup(addr)
+	countQuery(a.Src)
+	if a.Conf > 0 && a.Conf < s.lowConf {
+		lowConfQueries.Inc()
+	}
+	return a.Loc, a.Src
+}
+
+// queryBatchChunk is how many keys a batch worker answers between
+// cooperative ctx checks: large enough to amortize the check, small enough
+// that cancellation lands promptly.
+const queryBatchChunk = 512
+
+// QueryBatchIdx answers addrs[i] into out[i] for each position i in idx (idx
+// nil: all of addrs) from a single frozen-store load, leaving every other
+// slot of out untouched — a sharded fan-out hands every backend the same
+// addrs/out pair and disjoint idx sets. Per-source metrics are tallied
+// locally and flushed in bulk so the per-key cost stays one map lookup; ctx
+// is checked between chunks so a caller that gave up stops paying.
+func (s *Shard) QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx []int32, out []deploy.BatchAnswer) error {
+	f := s.frozen.Load()
+	var tally [deploy.SourceNone + 1]int64
+	var lowConf int64
+	n := len(addrs)
+	if idx != nil {
+		n = len(idx)
+	}
+	for base := 0; base < n; base += queryBatchChunk {
+		if err := ctx.Err(); err != nil {
+			flushQueryTally(&tally)
+			lowConfQueries.Add(lowConf)
+			return err
+		}
+		end := base + queryBatchChunk
+		if end > n {
+			end = n
+		}
+		if idx == nil {
+			for i := base; i < end; i++ {
+				a, _ := f.Lookup(addrs[i])
+				out[i].Loc, out[i].Src = a.Loc, a.Src
+				tally[a.Src]++
+				if a.Conf > 0 && a.Conf < s.lowConf {
+					lowConf++
+				}
+			}
+		} else {
+			for _, i := range idx[base:end] {
+				a, _ := f.Lookup(addrs[i])
+				out[i].Loc, out[i].Src = a.Loc, a.Src
+				tally[a.Src]++
+				if a.Conf > 0 && a.Conf < s.lowConf {
+					lowConf++
+				}
+			}
+		}
+	}
+	flushQueryTally(&tally)
+	lowConfQueries.Add(lowConf)
+	return nil
+}
+
+// served returns the current serving state (nil before the first swap).
+func (s *Shard) served() *state {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	return s.st
+}
+
+// InferredLocations returns the served address->location map (nil before
+// the first re-inference or restore). The map is part of an immutable
+// snapshot; callers must not mutate it.
+func (s *Shard) InferredLocations() map[model.AddressID]geo.Point {
+	if st := s.served(); st != nil {
+		return st.locs
+	}
+	return nil
+}
+
+// Matcher returns the served trained model (nil before the first
+// re-inference or restore without a saved model).
+func (s *Shard) Matcher() *core.LocMatcher {
+	if st := s.served(); st != nil {
+		return st.matcher
+	}
+	return nil
+}
+
+// Status summarizes the shard for the engine's health aggregation. Streams
+// and the background job are the engine's; their fields stay zero here.
+func (s *Shard) Status() deploy.EngineStatus {
+	s.stateMu.RLock()
+	st := s.st
+	out := deploy.EngineStatus{Reinfers: s.reinfers, Failed: s.failed, LastError: s.lastErr}
+	s.stateMu.RUnlock()
+	s.mu.Lock()
+	out.Dataset = s.name
+	out.Addresses = len(s.addrs)
+	out.PendingTrips = s.pending
+	out.Trips = len(s.trips)
+	if s.pending > 0 && !s.pendingSince.IsZero() {
+		out.PendingAgeSeconds = time.Since(s.pendingSince).Seconds()
+	}
+	s.mu.Unlock()
+	if st != nil {
+		out.Ready = true
+		out.Inferred = len(st.locs)
+		if st.pipe != nil {
+			out.PoolLocations = len(st.pipe.Pool.Locations)
+		}
+	}
+	return out
+}
+
+// The remaining methods are the in-process hooks the owning engine drives
+// beyond the ShardBackend seam.
+
+func (s *Shard) setName(name string) {
+	s.mu.Lock()
+	s.name = name
+	s.mu.Unlock()
+}
+
+// addStreamedTrip installs one closed streamed trip into the accumulating
+// dataset and queues its stay points for the next window seal. The engine
+// owns the streamed window grid; the shard only holds what is pending.
+func (s *Shard) addStreamedTrip(st *streamedTrip) {
+	s.mu.Lock()
+	s.builder.AppendTripStays(st.trip.Courier, st.stays)
+	s.trips = append(s.trips, st.trip)
+	s.addPendingLocked(1)
+	s.mu.Unlock()
+	ingestTrips.Inc()
+}
+
+// sealStreamWindow clusters the pending streamed trips into the pool as one
+// window. Nothing pending is a no-op, so batch and streamed windows
+// interleave without producing empty pool windows.
+func (s *Shard) sealStreamWindow(ctx context.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.builder.PendingTrips() == 0 {
+		return
+	}
+	// SealWindow only errors on a cancelled context before doing anything;
+	// streamed seals run to completion like the batch path's merge step.
+	_ = s.builder.SealWindow(ctx)
+	ingestWindows.Inc()
+}
+
+// pendingCount reports trips ingested since the served state was built; the
+// engine sums it across shards for its backpressure bound.
+func (s *Shard) pendingCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pending
+}
+
+// setLCTotalTrips overrides the location-commonality trip universe for the
+// next Reinfer. The engine sets the global distinct-trip count here so each
+// shard's pipeline normalizes Equation (2) exactly like one global pipeline
+// over all shards would.
+func (s *Shard) setLCTotalTrips(n int) {
+	s.mu.Lock()
+	s.cfg.Core.LCTotalTrips = n
+	s.mu.Unlock()
+}

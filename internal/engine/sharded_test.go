@@ -3,120 +3,22 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"math"
-	"os"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/peer"
 	"dlinfma/internal/shard"
 	"dlinfma/internal/traj"
 )
-
-// testRouter shards at precision 8 (cells ~38 m x 19 m at the projector's
-// equatorial anchor) so the tiny synthetic world actually spreads across
-// shards instead of collapsing into one coarse cell.
-func testRouter(t *testing.T, n int) *shard.Router {
-	t.Helper()
-	r, err := shard.NewRouter(n, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// shardedShared memoizes one fully re-inferred 3-shard engine over the same
-// dataset tinyEngine trains on, for the read-only sharded tests.
-var shardedShared struct {
-	once sync.Once
-	s    *engine.ShardedEngine
-	err  error
-}
-
-func tinySharded(t *testing.T) (*model.Dataset, *engine.ShardedEngine) {
-	t.Helper()
-	ds, _ := tinyEngine(t)
-	shardedShared.once.Do(func() {
-		r, err := shard.NewRouter(3, 8)
-		if err != nil {
-			shardedShared.err = err
-			return
-		}
-		s := engine.NewSharded(quickConfig(), r)
-		if err := s.IngestDataset(context.Background(), ds); err != nil {
-			shardedShared.err = err
-			return
-		}
-		if err := s.Reinfer(context.Background()); err != nil {
-			shardedShared.err = err
-			return
-		}
-		shardedShared.s = s
-	})
-	if shardedShared.err != nil {
-		t.Fatal(shardedShared.err)
-	}
-	return ds, shardedShared.s
-}
-
-func TestShardedLifecycleParity(t *testing.T) {
-	ds, s := tinySharded(t)
-	single := tinyShared.e
-
-	st := s.Status()
-	if !st.Ready {
-		t.Fatal("sharded engine not ready after re-inference")
-	}
-	if st.Addresses != len(ds.Addresses) {
-		t.Errorf("sharded addresses = %d, want %d", st.Addresses, len(ds.Addresses))
-	}
-	if len(st.Shards) != 3 {
-		t.Fatalf("status lists %d shards, want 3", len(st.Shards))
-	}
-	sum := 0
-	loaded := 0
-	for i, sh := range st.Shards {
-		if sh.Shard != i {
-			t.Errorf("shard %d labelled %d", i, sh.Shard)
-		}
-		sum += sh.Addresses
-		if sh.Addresses > 0 {
-			loaded++
-		}
-	}
-	if sum != st.Addresses {
-		t.Errorf("per-shard addresses sum to %d, top-level says %d", sum, st.Addresses)
-	}
-	if loaded < 2 {
-		t.Fatalf("only %d shards got addresses; routing collapsed", loaded)
-	}
-
-	// Every address the single engine serves is served by exactly one shard,
-	// and the union covers the same address set.
-	orig := single.InferredLocations()
-	locs := s.InferredLocations()
-	if len(locs) != len(orig) {
-		t.Fatalf("sharded inferred %d addresses, single engine %d", len(locs), len(orig))
-	}
-	answered := 0
-	for id := range orig {
-		if _, src := s.Query(id); src != deploy.SourceNone {
-			answered++
-		}
-	}
-	if answered != len(orig) {
-		t.Errorf("sharded engine answered %d/%d addresses", answered, len(orig))
-	}
-	if _, src := s.Query(model.AddressID(1 << 30)); src != deploy.SourceNone {
-		t.Error("unknown address got an answer")
-	}
-}
 
 // TestShardedFailedShardIsolation: a shard whose region has trips but no
 // labelled addresses fails its retrain; the other shard still swaps and
@@ -290,98 +192,9 @@ func TestShardedBoundaryStays(t *testing.T) {
 	}
 }
 
-func TestShardedSnapshotRoundTrip(t *testing.T) {
-	ds, s := tinySharded(t)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// An empty sharded engine has nothing to snapshot.
-	empty := engine.NewSharded(quickConfig(), testRouter(t, 3))
-	defer empty.Close()
-	if err := empty.WriteSnapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("snapshot of an empty sharded engine must fail")
-	}
-
-	restored := engine.NewSharded(quickConfig(), testRouter(t, 3))
-	defer restored.Close()
-	if err := restored.RestoreSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	orig, rest := s.InferredLocations(), restored.InferredLocations()
-	if len(rest) != len(orig) {
-		t.Fatalf("restored %d locations, want %d", len(rest), len(orig))
-	}
-	for id, p := range orig {
-		if rest[id] != p {
-			t.Fatalf("address %d restored at %v, want %v", id, rest[id], p)
-		}
-	}
-	addr := deliveredAddr(t, ds)
-	a, asrc := s.Query(addr)
-	b, bsrc := restored.Query(addr)
-	if a != b || asrc != bsrc {
-		t.Errorf("query diverges after restore: %v/%v vs %v/%v", a, asrc, b, bsrc)
-	}
-
-	// Topology and version guards.
-	wrongN := engine.NewSharded(quickConfig(), testRouter(t, 2))
-	defer wrongN.Close()
-	if err := wrongN.RestoreSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("3-shard manifest accepted by a 2-shard engine")
-	}
-	single := engine.New(quickConfig())
-	defer single.Close()
-	if err := single.RestoreSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("sharded manifest accepted by a single engine")
-	}
-	if err := restored.RestoreSnapshot(strings.NewReader(`{"version":9}`)); err == nil {
-		t.Error("unknown snapshot version accepted")
-	}
-}
-
-func TestShardedSnapshotFile(t *testing.T) {
-	ds, s := tinySharded(t)
-	dir := t.TempDir()
-	path := dir + "/state.json"
-	if err := s.SaveSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	// The manifest sits next to one file per ready shard.
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardFiles := 0
-	for _, f := range names {
-		if strings.Contains(f.Name(), ".shard") {
-			shardFiles++
-		}
-	}
-	if shardFiles == 0 {
-		t.Fatal("no per-shard snapshot files written")
-	}
-
-	restored := engine.NewSharded(quickConfig(), testRouter(t, 3))
-	defer restored.Close()
-	if err := restored.LoadSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	addr := deliveredAddr(t, ds)
-	a, _ := s.Query(addr)
-	b, _ := restored.Query(addr)
-	if a != b {
-		t.Errorf("file round trip: %v vs %v", a, b)
-	}
-	if err := restored.LoadSnapshotFile(path + ".missing"); err == nil {
-		t.Error("missing manifest accepted")
-	}
-}
-
-// TestShardedLegacyMigration: a version-1 single-engine snapshot restores
-// into a sharded engine by routing its addresses across the shards; every
-// previously served answer survives.
+// TestShardedLegacyMigration: a version-1 snapshot written by a one-shard
+// engine restores into several shards by routing its addresses across them;
+// every previously served answer survives.
 func TestShardedLegacyMigration(t *testing.T) {
 	ds, e := tinyEngine(t)
 	var buf bytes.Buffer
@@ -416,35 +229,57 @@ func TestShardedLegacyMigration(t *testing.T) {
 	_ = ds
 }
 
-func TestShardedBackgroundReinferAndClose(t *testing.T) {
-	ds, _ := tinyEngine(t)
-	s := engine.NewSharded(quickConfig(), testRouter(t, 3))
-	if err := s.IngestDataset(context.Background(), ds); err != nil {
-		t.Fatal(err)
+// snapshotStub is a shard backend whose only behaviour is WriteSnapshot.
+type snapshotStub struct {
+	peer.ShardBackend
+	doc string
+	err error
+}
+
+func (s snapshotStub) WriteSnapshot(w io.Writer) error {
+	if s.err != nil {
+		return s.err
 	}
-	if _, ok := s.ReinferStatus(); ok {
-		t.Fatal("job status before any job")
-	}
-	job, err := s.StartReinfer()
+	_, err := io.WriteString(w, s.doc)
+	return err
+}
+
+// TestWriteSnapshotSurfacesShardErrors: the manifest stream skips a shard
+// only on peer.ErrNotReady (its entry is null); any other shard error fails
+// the snapshot instead of silently dropping that shard's state.
+func TestWriteSnapshotSurfacesShardErrors(t *testing.T) {
+	ready := snapshotStub{doc: `{"version":1,"name":"stub","addresses":null,"locations":{}}`}
+	cold := snapshotStub{err: fmt.Errorf("remote says: %w", peer.ErrNotReady)}
+	broken := snapshotStub{err: errors.New("connection reset")}
+
+	e, err := engine.NewShardedBackends(quickConfig(), testRouter(t, 2), []peer.ShardBackend{cold, ready})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != deploy.JobRunning {
-		t.Fatalf("started job %+v", job)
+	defer e.Close()
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
-	// Close joins the in-flight job before returning: afterwards the job is
-	// settled and no goroutine can swap state anymore.
-	s.Close()
-	js, ok := s.ReinferStatus()
-	if !ok || js.State == deploy.JobRunning {
-		t.Fatalf("job still running after Close: %+v", js)
+	if !strings.Contains(buf.String(), `"shards":[null,{"version":1,`) {
+		t.Fatalf("manifest does not skip exactly the cold shard: %s", buf.String())
 	}
-	// Idempotent enough for deferred cleanup paths.
-	done := make(chan struct{})
-	go func() { s.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("second Close hung")
+
+	e, err = engine.NewShardedBackends(quickConfig(), testRouter(t, 2), []peer.ShardBackend{broken, ready})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.WriteSnapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("broken shard's error was swallowed: %v", err)
+	}
+
+	e, err = engine.NewShardedBackends(quickConfig(), testRouter(t, 2), []peer.ShardBackend{cold, cold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.WriteSnapshot(io.Discard); !errors.Is(err, peer.ErrNotReady) {
+		t.Fatalf("all-cold snapshot: %v, want peer.ErrNotReady", err)
 	}
 }

@@ -13,19 +13,29 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/peer"
 )
 
-// snapshot is the serialized serving state: address metadata, inferred
-// locations (string-keyed like the dataset file format), and the trained
-// matcher via core's own serialization. The candidate pool is not included
-// — it is derived from trips, which a snapshot deliberately omits; after a
-// restore the engine serves queries immediately but needs fresh ingest
-// before the next re-inference.
+// Snapshot layout. A one-shard engine's snapshot is its shard's version-1
+// document, as a stream and as a file. An engine with several shards writes
+// a version-2 manifest — the routing state plus one version-1 document per
+// shard, inline (the streaming /v1/snapshot form) or as sibling files (the
+// on-disk form, each file written atomically). Restore decodes a document
+// once and dispatches on its version; a version-1 document restores into
+// several shards by routing its addresses.
+const (
+	snapshotVersionSingle  = 1
+	snapshotVersionSharded = 2
+)
+
+// snapshot is the version-1 document, one shard's serialized serving state:
+// address metadata, inferred locations (string-keyed like the dataset file
+// format), and the trained matcher via core's own serialization. The
+// candidate pool is not included — it is derived from trips, which a
+// snapshot deliberately omits; after a restore the engine serves queries
+// immediately but needs fresh ingest before the next re-inference.
 type snapshot struct {
-	// Version identifies the snapshot format. Version 1 (and 0, the
-	// pre-versioning legacy encoding) is the single-engine snapshot below;
-	// version 2 is the sharded manifest (sharded_snapshot.go). Restore
-	// rejects anything else instead of silently mis-decoding.
+	// Version 0 is the pre-versioning legacy encoding of version 1.
 	Version   int                   `json:"version"`
 	Name      string                `json:"name"`
 	Addresses []model.AddressInfo   `json:"addresses"`
@@ -33,15 +43,45 @@ type snapshot struct {
 	Matcher   json.RawMessage       `json:"matcher,omitempty"`
 }
 
-// Snapshot format versions.
-const (
-	snapshotVersionSingle  = 1
-	snapshotVersionSharded = 2
-)
+// shardManifest is the version-2 document as written. A shard that has never
+// served has a null / empty entry and simply stays cold after restore.
+type shardManifest struct {
+	Version    int    `json:"version"`
+	Name       string `json:"name,omitempty"`
+	ShardCount int    `json:"shard_count"`
+	// Precision records the router's geohash precision for operators;
+	// restored addresses keep their pinned shard from AddrShards either way.
+	Precision  int               `json:"precision,omitempty"`
+	AddrShards map[string]int    `json:"addr_shards"`
+	Shards     []json.RawMessage `json:"shards,omitempty"`
+	Files      []string          `json:"files,omitempty"`
+}
 
-// WriteSnapshot streams the current serving state to w. It fails before the
-// first completed re-inference or restore.
-func (e *Engine) WriteSnapshot(w io.Writer) (err error) {
+// snapshotDoc is what a restore decodes into: the union of both versions'
+// fields, so the document is parsed exactly once — inline shard documents
+// included — whatever its version turns out to be.
+type snapshotDoc struct {
+	snapshot
+	ShardCount int            `json:"shard_count"`
+	AddrShards map[string]int `json:"addr_shards"`
+	Shards     []*snapshot    `json:"shards"`
+	Files      []string       `json:"files"`
+}
+
+// errNothingToSnapshot is peer.ErrNotReady with the engine's wording: the
+// one error a snapshot fan-out skips a shard on.
+var errNothingToSnapshot = fmt.Errorf("engine: nothing to snapshot before the first re-inference: %w", peer.ErrNotReady)
+
+// errRemoteSnapshotFiles rejects restore and snapshot-file paths in the
+// remote topology: those install serving state into Shard structs this
+// process does not own. Each shard process restores its own snapshot;
+// WriteSnapshot (the read side) still works everywhere through the seam.
+var errRemoteSnapshotFiles = errors.New("engine: snapshot restore requires in-process shards; restore each shard process from its own snapshot")
+
+// WriteSnapshot streams the shard's serving state to w as a version-1
+// document. It fails with peer.ErrNotReady before the first completed
+// re-inference or restore.
+func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 	defer func() {
 		if err != nil {
 			snapshotSaveErr.Inc()
@@ -49,20 +89,18 @@ func (e *Engine) WriteSnapshot(w io.Writer) (err error) {
 			snapshotSaveOK.Inc()
 		}
 	}()
-	e.stateMu.RLock()
-	st := e.st
-	e.stateMu.RUnlock()
+	st := s.served()
 	if st == nil {
-		return errors.New("engine: nothing to snapshot before the first re-inference")
+		return errNothingToSnapshot
 	}
-	e.mu.Lock()
+	s.mu.Lock()
 	sn := snapshot{
 		Version:   snapshotVersionSingle,
-		Name:      e.name,
-		Addresses: append([]model.AddressInfo(nil), e.addrs...),
+		Name:      s.name,
+		Addresses: append([]model.AddressInfo(nil), s.addrs...),
 		Locations: make(map[string][2]float64, len(st.locs)),
 	}
-	e.mu.Unlock()
+	s.mu.Unlock()
 	for id, p := range st.locs {
 		sn.Locations[fmt.Sprint(id)] = [2]float64{p.X, p.Y}
 	}
@@ -76,13 +114,13 @@ func (e *Engine) WriteSnapshot(w io.Writer) (err error) {
 	return json.NewEncoder(w).Encode(&sn)
 }
 
-// RestoreSnapshot loads a snapshot written by WriteSnapshot and swaps a
-// store-only serving state into place: queries are answered from the
-// restored locations (with the building/geocode fallback chain rebuilt from
-// the address metadata), and the trained matcher is available again. The
-// restored addresses also seed the ingest state so later windows extend the
-// same address universe.
-func (e *Engine) RestoreSnapshot(r io.Reader) (err error) {
+// restore swaps a store-only serving state built from a decoded version-1
+// document into place: queries are answered from the restored locations
+// (with the building/geocode fallback chain rebuilt from the address
+// metadata), and the trained matcher is available again. The restored
+// addresses also seed the ingest state so later windows extend the same
+// address universe.
+func (s *Shard) restore(sn *snapshot) (err error) {
 	defer func() {
 		if err != nil {
 			snapshotRestoreErr.Inc()
@@ -90,16 +128,8 @@ func (e *Engine) RestoreSnapshot(r io.Reader) (err error) {
 			snapshotRestoreOK.Inc()
 		}
 	}()
-	var sn snapshot
-	if err := json.NewDecoder(r).Decode(&sn); err != nil {
-		return fmt.Errorf("engine: decode snapshot: %w", err)
-	}
-	switch sn.Version {
-	case 0, snapshotVersionSingle: // 0 = legacy pre-versioning snapshots
-	case snapshotVersionSharded:
-		return errors.New("engine: snapshot version 2 is a sharded manifest; restore it with a sharded engine")
-	default:
-		return fmt.Errorf("engine: unsupported snapshot version %d (max %d)", sn.Version, snapshotVersionSharded)
+	if sn.Version > snapshotVersionSingle {
+		return fmt.Errorf("engine: shard snapshot has version %d, want %d", sn.Version, snapshotVersionSingle)
 	}
 	store := deploy.NewStore()
 	locs := make(map[model.AddressID]geo.Point, len(sn.Locations))
@@ -107,9 +137,9 @@ func (e *Engine) RestoreSnapshot(r io.Reader) (err error) {
 		store.RegisterAddress(a.ID, a.Building, a.Geocode)
 	}
 	for k, v := range sn.Locations {
-		var id model.AddressID
-		if _, err := fmt.Sscan(k, &id); err != nil {
-			return fmt.Errorf("engine: bad snapshot location key %q", k)
+		id, err := parseAddressKey(k)
+		if err != nil {
+			return err
 		}
 		p := geo.Point{X: v[0], Y: v[1]}
 		store.Put(id, p)
@@ -124,35 +154,126 @@ func (e *Engine) RestoreSnapshot(r io.Reader) (err error) {
 		matcher = m
 	}
 
-	e.mu.Lock()
-	if e.name == "" {
-		e.name = sn.Name
+	s.mu.Lock()
+	if s.name == "" {
+		s.name = sn.Name
 	}
-	for _, a := range sn.Addresses {
-		if !e.addrSeen[a.ID] {
-			e.addrSeen[a.ID] = true
-			e.addrs = append(e.addrs, a)
-		}
-	}
-	e.mu.Unlock()
+	s.addAddressesLocked(sn.Addresses)
+	s.mu.Unlock()
 
-	e.publish(&state{matcher: matcher, store: store, locs: locs}, swapKindRestore)
-	e.log.Info("snapshot restored",
+	s.publish(&state{matcher: matcher, store: store, locs: locs}, swapKindRestore)
+	s.log.Info("snapshot restored",
 		"dataset", sn.Name, "addresses", len(sn.Addresses), "locations", len(locs))
 	return nil
 }
 
-// SaveSnapshotFile writes the snapshot to path atomically and durably
-// (temp file + fsync + rename), so a crash mid-write never corrupts the
-// previous snapshot and a completed save survives power loss. Once the
-// snapshot is durable, WAL segments wholly covered by the snapshotted state
-// are dropped.
+// parseAddressKey decodes one of a snapshot's stringified address keys.
+func parseAddressKey(k string) (model.AddressID, error) {
+	var id model.AddressID
+	if _, err := fmt.Sscan(k, &id); err != nil {
+		return 0, fmt.Errorf("engine: bad snapshot address key %q", k)
+	}
+	return id, nil
+}
+
+// WriteSnapshot streams the serving state to w: the one shard's version-1
+// document, or a version-2 manifest with every ready shard's document inline
+// — fetched through the backend seam, so a remote topology assembles the
+// same manifest from its shard processes' /v1/snapshot streams. A shard with
+// nothing to serve yet is skipped; any other shard error fails the snapshot.
+// It fails with peer.ErrNotReady while no shard has anything to serve.
+func (e *Engine) WriteSnapshot(w io.Writer) error {
+	if !e.routed() {
+		return e.backends[0].WriteSnapshot(w)
+	}
+	m := e.newManifest()
+	m.Shards = make([]json.RawMessage, len(e.backends))
+	ready := false
+	for i, b := range e.backends {
+		var buf bytes.Buffer
+		err := b.WriteSnapshot(&buf)
+		if errors.Is(err, peer.ErrNotReady) {
+			m.Shards[i] = json.RawMessage("null")
+			continue
+		}
+		if err != nil {
+			return e.shardErr(i, err)
+		}
+		ready = true
+		m.Shards[i] = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
+	}
+	if !ready {
+		return errNothingToSnapshot
+	}
+	return json.NewEncoder(w).Encode(m)
+}
+
+// newManifest captures the routing state common to both manifest forms.
+func (e *Engine) newManifest() *shardManifest {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	m := &shardManifest{
+		Version:    snapshotVersionSharded,
+		Name:       e.name,
+		ShardCount: len(e.backends),
+		Precision:  e.router.Precision(),
+		AddrShards: make(map[string]int, len(e.addrShard)),
+	}
+	for id, sh := range e.addrShard {
+		m.AddrShards[fmt.Sprint(id)] = sh
+	}
+	return m
+}
+
+// SaveSnapshotFile writes the snapshot to path atomically and durably (temp
+// file + fsync + rename), so a crash mid-write never corrupts the previous
+// snapshot and a completed save survives power loss. Several shards write
+// one file per ready shard next to path (path.shardN, each atomic) and then
+// the manifest at path, so a crash at any point leaves the previous
+// generation loadable. Only once everything is durable are the WAL segments
+// the snapshotted state covers dropped; a failed save truncates nothing.
 func (e *Engine) SaveSnapshotFile(path string) error {
-	if err := writeFileAtomic(path, e.WriteSnapshot); err != nil {
+	if e.remote {
+		return errRemoteSnapshotFiles
+	}
+	if err := e.saveSnapshotFiles(path); err != nil {
 		return err
 	}
 	e.maybeTruncateWAL()
 	return nil
+}
+
+func (e *Engine) saveSnapshotFiles(path string) error {
+	if !e.routed() {
+		return writeFileAtomic(path, e.shards[0].WriteSnapshot)
+	}
+	m := e.newManifest()
+	dir, base := filepath.Split(path)
+	m.Files = make([]string, len(e.shards))
+	ready := false
+	for i, sh := range e.shards {
+		name := fmt.Sprintf("%s.shard%d", base, i)
+		err := writeFileAtomic(filepath.Join(dir, name), sh.WriteSnapshot)
+		if errors.Is(err, peer.ErrNotReady) {
+			continue // never served: leave its entry empty
+		}
+		if err != nil {
+			return e.shardErr(i, err)
+		}
+		ready = true
+		m.Files[i] = name
+	}
+	if !ready {
+		return errNothingToSnapshot
+	}
+	doc, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(path, func(w io.Writer) error {
+		_, werr := w.Write(append(doc, '\n'))
+		return werr
+	})
 }
 
 // writeFileAtomic streams write's output into a temp file in path's
@@ -190,13 +311,167 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// LoadSnapshotFile restores from a snapshot file written by
-// SaveSnapshotFile.
+// RestoreSnapshot loads a snapshot stream written by WriteSnapshot (either
+// version) and swaps store-only serving states into place.
+func (e *Engine) RestoreSnapshot(r io.Reader) error { return e.restoreFrom(r, "") }
+
+// LoadSnapshotFile restores from a file written by SaveSnapshotFile (or any
+// snapshot stream saved to disk).
 func (e *Engine) LoadSnapshotFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return e.RestoreSnapshot(f)
+	return e.restoreFrom(f, filepath.Dir(path))
+}
+
+// restoreFrom decodes the document once and dispatches on its version. dir
+// is where a file manifest's sibling shard files live ("" for a stream,
+// which cannot reference files). Unknown versions are rejected instead of
+// silently mis-decoded.
+func (e *Engine) restoreFrom(r io.Reader, dir string) error {
+	if e.remote {
+		return errRemoteSnapshotFiles
+	}
+	var doc snapshotDoc
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		snapshotRestoreErr.Inc()
+		return fmt.Errorf("engine: decode snapshot: %w", err)
+	}
+	switch doc.Version {
+	case 0, snapshotVersionSingle:
+		return e.restoreSingle(&doc.snapshot)
+	case snapshotVersionSharded:
+		return e.restoreManifest(&doc, dir)
+	default:
+		return fmt.Errorf("engine: unsupported snapshot version %d (max %d)", doc.Version, snapshotVersionSharded)
+	}
+}
+
+// restoreSingle installs a version-1 document. One shard takes it as is — it
+// is that shard's own format. Several shards split it by routing its
+// addresses through the router; every shard then serves its slice of the old
+// state (sharing the old model) until its next retrain.
+func (e *Engine) restoreSingle(sn *snapshot) error {
+	if !e.routed() {
+		if err := e.shards[0].restore(sn); err != nil {
+			return err
+		}
+		e.adoptName(sn.Name)
+		return nil
+	}
+	parts := make([]snapshot, len(e.shards))
+	for i := range parts {
+		parts[i] = snapshot{Name: sn.Name, Locations: make(map[string][2]float64), Matcher: sn.Matcher}
+	}
+	route := make(map[model.AddressID]int, len(sn.Addresses))
+	for _, a := range sn.Addresses {
+		sh := e.router.AddressShard(a)
+		route[a.ID] = sh
+		parts[sh].Addresses = append(parts[sh].Addresses, a)
+	}
+	for k, v := range sn.Locations {
+		id, err := parseAddressKey(k)
+		if err != nil {
+			return err
+		}
+		sh, ok := route[id]
+		if !ok {
+			// Location without address metadata: route by the point itself.
+			sh = e.router.ShardOfPoint(geo.Point{X: v[0], Y: v[1]})
+			route[id] = sh
+		}
+		parts[sh].Locations[k] = v
+	}
+	for i := range parts {
+		if len(parts[i].Addresses) == 0 && len(parts[i].Locations) == 0 {
+			continue
+		}
+		if err := e.shards[i].restore(&parts[i]); err != nil {
+			return e.shardErr(i, err)
+		}
+	}
+	e.adoptName(sn.Name)
+	e.mu.Lock()
+	for id, sh := range route {
+		e.addrShard[id] = sh
+	}
+	e.publishRoutesLocked()
+	e.mu.Unlock()
+	return nil
+}
+
+// adoptName labels a still-unnamed engine after the restored dataset.
+func (e *Engine) adoptName(name string) {
+	e.mu.Lock()
+	if e.name == "" {
+		e.name = name
+	}
+	e.mu.Unlock()
+}
+
+// restoreManifest validates a version-2 manifest against the engine's
+// topology, installs its routing state, and restores every shard document it
+// carries inline or — when loaded from a file — names as a sibling file.
+func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
+	if doc.ShardCount != len(e.shards) {
+		return fmt.Errorf("engine: manifest has %d shards, engine is configured with %d (restart with -shards %d)",
+			doc.ShardCount, len(e.shards), doc.ShardCount)
+	}
+	if len(doc.Files) > 0 && len(doc.Shards) == 0 && dir == "" {
+		return errors.New("engine: manifest references shard files; restore it with LoadSnapshotFile")
+	}
+	if e.routed() {
+		route := make(map[model.AddressID]int, len(doc.AddrShards))
+		for k, sh := range doc.AddrShards {
+			id, err := parseAddressKey(k)
+			if err != nil {
+				return err
+			}
+			if sh < 0 || sh >= len(e.shards) {
+				return fmt.Errorf("engine: manifest routes address %s to shard %d of %d", k, sh, len(e.shards))
+			}
+			route[id] = sh
+		}
+		e.mu.Lock()
+		for id, sh := range route {
+			e.addrShard[id] = sh
+		}
+		e.publishRoutesLocked()
+		e.mu.Unlock()
+	}
+	e.adoptName(doc.Name)
+	for i, sh := range e.shards {
+		var sn *snapshot
+		switch {
+		case i < len(doc.Shards) && doc.Shards[i] != nil:
+			sn = doc.Shards[i]
+		case dir != "" && i < len(doc.Files) && doc.Files[i] != "":
+			var err error
+			if sn, err = readShardFile(filepath.Join(dir, doc.Files[i])); err != nil {
+				return e.shardErr(i, err)
+			}
+		default:
+			continue // the shard had never served when the manifest was written
+		}
+		if err := sh.restore(sn); err != nil {
+			return e.shardErr(i, err)
+		}
+	}
+	return nil
+}
+
+// readShardFile decodes one shard's version-1 document from path.
+func readShardFile(path string) (*snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	sn := new(snapshot)
+	if err := json.NewDecoder(f).Decode(sn); err != nil {
+		return nil, fmt.Errorf("engine: decode %s: %w", path, err)
+	}
+	return sn, nil
 }

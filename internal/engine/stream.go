@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
@@ -60,19 +62,18 @@ type courierStream struct {
 }
 
 // streamedTrip is one closed trip leaving the stream layer: the assembled
-// model.Trip (full raw trajectory, no waybills — streamed fixes carry none),
-// its extracted stay points, and the WAL sequence of its first point.
+// model.Trip (full raw trajectory, no waybills — streamed fixes carry none)
+// and its extracted stay points.
 type streamedTrip struct {
-	trip     model.Trip
-	stays    []traj.StayPoint
-	firstSeq uint64
+	trip  model.Trip
+	stays []traj.StayPoint
 }
 
 // streamSet tracks every courier's open trajectory stream plus the open
-// streamed pool window. Both engine shapes embed exactly one: the single
-// Engine's lives under its ingest mutex, the sharded engine keeps one global
-// set so trip cutting and window boundaries match what one unsharded engine
-// would compute. Not safe for concurrent use; the owner's lock serializes.
+// streamed pool window. The Engine keeps exactly one, above its shards: trip
+// cutting (the gap rule) and pool-window boundaries are global decisions — a
+// shard must see the same trips and the same window grid one shard over all
+// the data would. Not safe for concurrent use; ingestMu serializes.
 type streamSet struct {
 	cfg     StreamConfig
 	noise   traj.NoiseFilterConfig
@@ -83,6 +84,9 @@ type streamSet struct {
 	// delivered into it so far.
 	winEnd   float64
 	winStays int
+	// nOpen mirrors len(streams) for Status, which must not queue behind a
+	// long ingest holding the owner's lock (and runs on every batch lookup).
+	nOpen atomic.Int64
 }
 
 // newStreamSet builds a stream set whose extraction parameters come from the
@@ -110,7 +114,7 @@ func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint) *streamedT
 	if cs == nil {
 		cs = &courierStream{courier: courier, ex: traj.NewStreamExtractor(ss.noise, ss.stay)}
 		ss.streams[courier] = cs
-		openStreamsGauge.Set(float64(len(ss.streams)))
+		ss.noteOpen()
 	}
 	cs.pts = append(cs.pts, pt)
 	cs.stays = append(cs.stays, cs.ex.Push(pt)...)
@@ -141,8 +145,15 @@ func (ss *streamSet) noteSeq(courier model.CourierID, seq uint64) {
 	}
 }
 
-// open reports how many courier streams are currently open.
-func (ss *streamSet) open() int { return len(ss.streams) }
+// open reports how many courier streams are currently open. Unlike the rest
+// of the set it is safe to call without the owner's lock.
+func (ss *streamSet) open() int { return int(ss.nOpen.Load()) }
+
+// noteOpen publishes the open-stream count after the set changed.
+func (ss *streamSet) noteOpen() {
+	ss.nOpen.Store(int64(len(ss.streams)))
+	openStreamsGauge.Set(float64(len(ss.streams)))
+}
 
 // minOpenSeq returns the smallest WAL firstSeq across open streams, and
 // whether any open stream has points not yet covered by a sequence (which
@@ -163,7 +174,7 @@ func (ss *streamSet) minOpenSeq() (min uint64, ok bool) {
 // finish removes the stream from the set and assembles its closed trip.
 func (ss *streamSet) finish(cs *courierStream, reason *obs.Counter) *streamedTrip {
 	delete(ss.streams, cs.courier)
-	openStreamsGauge.Set(float64(len(ss.streams)))
+	ss.noteOpen()
 	accepted := cs.ex.Accepted() // Flush resets the trip's counter
 	cs.stays = append(cs.stays, cs.ex.Flush()...)
 	reason.Inc()
@@ -175,27 +186,38 @@ func (ss *streamSet) finish(cs *courierStream, reason *obs.Counter) *streamedTri
 			EndT:    cs.pts[len(cs.pts)-1].T,
 			Traj:    cs.pts,
 		},
-		stays:    cs.stays,
-		firstSeq: cs.firstSeq,
+		stays: cs.stays,
 	}
 }
 
+// errRemoteStreaming rejects the local-only ingest surfaces in the remote
+// topology: streamed trips enter shard pools through the window-less
+// addStreamedTrip hook, which has no wire form. Stream into each shard
+// process directly instead.
+var errRemoteStreaming = errors.New("engine: streaming ingest requires in-process shards; stream to the shard processes directly")
+
 // IngestPoint accepts one streamed GPS fix for a courier, durably logging it
-// (when a WAL is attached) before it can close a trip or touch the candidate
+// (when a WAL is attached) before it can close a trip or touch any shard's
 // pool. It returns deploy.ErrBackpressure when the pending-trip backlog has
 // reached Config.MaxPendingTrips — producers should back off until the next
 // re-inference drains it. Implements deploy.StreamIngestor.
 func (e *Engine) IngestPoint(ctx context.Context, courier model.CourierID, pt traj.GPSPoint) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	if e.remote {
+		return errRemoteStreaming
+	}
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
 	return e.ingestPointLocked(ctx, courier, pt, 0, true)
 }
 
 // CloseStream explicitly ends a courier's open trip (deploy.StreamIngestor).
 // Closing a courier with no open stream is a no-op.
 func (e *Engine) CloseStream(ctx context.Context, courier model.CourierID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	if e.remote {
+		return errRemoteStreaming
+	}
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
 	return e.closeStreamLocked(ctx, courier, true)
 }
 
@@ -206,7 +228,7 @@ func (e *Engine) CloseStream(ctx context.Context, courier model.CourierID) error
 // original sequence in seq and skip both.
 func (e *Engine) ingestPointLocked(ctx context.Context, courier model.CourierID, pt traj.GPSPoint, seq uint64, live bool) error {
 	if live {
-		if e.cfg.MaxPendingTrips > 0 && e.pending >= e.cfg.MaxPendingTrips {
+		if e.overloaded() {
 			backpressureRejects.Inc()
 			return deploy.ErrBackpressure
 		}
@@ -246,74 +268,65 @@ func (e *Engine) closeStreamLocked(ctx context.Context, courier model.CourierID,
 	return nil
 }
 
-// deliverStreamedTripLocked hands a closed trip to the ingest state, sealing
-// the open streamed window first when the trip starts past the window grid
-// (mirroring forEachWindow's time boundary) and after when the stay-point
-// size bound trips.
+// deliverStreamedTripLocked hands one closed trip to its shard (by
+// trajectory — streamed fixes carry no waybills), driving the streamed
+// window grid: a trip starting past the grid boundary (mirroring
+// core.ForEachWindow's time boundary) or the stay-point size bound seals every
+// shard's pending streamed trips together, so shard pools see the same
+// window cuts one shard over all the data would.
 func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip) {
 	ss := e.ss
 	if ss.winEnd == 0 {
 		ss.winEnd = st.trip.StartT + ss.cfg.WindowSeconds
 	}
 	if st.trip.StartT >= ss.winEnd {
-		e.sealStreamWindowLocked(ctx)
+		e.sealStreamWindowsLocked(ctx)
 		for st.trip.StartT >= ss.winEnd {
 			ss.winEnd += ss.cfg.WindowSeconds
 		}
 	}
-	e.appendStreamedTripLocked(st)
+	sh := 0
+	if e.routed() {
+		sh = e.router.TripShard(st.trip)
+	}
+	e.shards[sh].addStreamedTrip(st)
+	ss.winStays += len(st.stays)
+	e.mu.Lock()
+	e.nTrips++
+	e.mu.Unlock()
 	if ss.winStays >= ss.cfg.MaxWindowStays {
-		e.sealStreamWindowLocked(ctx)
+		e.sealStreamWindowsLocked(ctx)
 	}
 }
 
-// appendStreamedTripLocked installs one closed trip into the accumulating
-// dataset and queues its stay points for the next window seal. No window
-// logic: the single engine drives boundaries in deliverStreamedTripLocked,
-// the sharded engine globally.
-func (e *Engine) appendStreamedTripLocked(st *streamedTrip) {
-	e.builder.AppendTripStays(st.trip.Courier, st.stays)
-	e.trips = append(e.trips, st.trip)
-	e.addPendingLocked(1)
-	e.ss.winStays += len(st.stays)
-	ingestTrips.Inc()
-}
-
-// sealStreamWindowLocked clusters the pending streamed trips into the pool
-// as one window. Nothing pending is a no-op, so batch and streamed windows
-// interleave without producing empty pool windows.
-func (e *Engine) sealStreamWindowLocked(ctx context.Context) {
+// sealStreamWindowsLocked seals the streamed window on every in-process
+// shard (no-op on shards with nothing pending) and resets the size counter.
+// Remote shard processes seal their own streamed windows.
+func (e *Engine) sealStreamWindowsLocked(ctx context.Context) {
 	e.ss.winStays = 0
-	if e.builder.PendingTrips() == 0 {
-		return
+	for _, sh := range e.shards {
+		if sh != nil {
+			sh.sealStreamWindow(ctx)
+		}
 	}
-	// SealWindow only errors on a cancelled context before doing anything;
-	// streamed seals run to completion like the batch path's merge step.
-	_ = e.builder.SealWindow(ctx)
-	ingestWindows.Inc()
 }
 
-// addStreamedTrip appends one already-closed streamed trip without any
-// window bookkeeping — the sharded engine's delivery path, which owns the
-// global window grid itself.
-func (e *Engine) addStreamedTrip(st *streamedTrip) {
-	e.mu.Lock()
-	e.appendStreamedTripLocked(st)
-	e.mu.Unlock()
-}
-
-// sealStreamWindow is the lock-acquiring form of sealStreamWindowLocked for
-// the sharded engine's global window boundaries.
-func (e *Engine) sealStreamWindow(ctx context.Context) {
-	e.mu.Lock()
-	e.sealStreamWindowLocked(ctx)
-	e.mu.Unlock()
-}
-
-// pendingCount reports trips ingested since the served state was built; the
-// sharded engine sums it across shards for its backpressure bound.
-func (e *Engine) pendingCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pending
+// overloaded reports whether the summed pending-trip backlog across the
+// in-process shards has reached MaxPendingTrips. Remote shard processes
+// enforce their own bounds and answer 429 through the backend seam instead.
+func (e *Engine) overloaded() bool {
+	if e.cfg.MaxPendingTrips <= 0 {
+		return false
+	}
+	total := 0
+	for _, sh := range e.shards {
+		if sh == nil {
+			continue
+		}
+		total += sh.pendingCount()
+		if total >= e.cfg.MaxPendingTrips {
+			return true
+		}
+	}
+	return false
 }

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -58,20 +60,12 @@ func streamTrip(t *testing.T, si deploy.StreamIngestor, tr model.Trip) {
 	}
 }
 
-// requireSameIngestState asserts two single engines accumulated identical
-// ingest state: same trips, same addresses and truth, same candidate pool
-// (locations and visit logs), same open streams.
+// requireSameIngestState asserts two engines of one topology accumulated
+// identical ingest state: same open streams on top, and shard by shard the
+// same trips, the same addresses and truth, and the same candidate pool
+// (locations and visit logs).
 func requireSameIngestState(t *testing.T, want, got *Engine) {
 	t.Helper()
-	if !reflect.DeepEqual(want.trips, got.trips) {
-		t.Fatalf("trips differ: %d vs %d", len(want.trips), len(got.trips))
-	}
-	if !reflect.DeepEqual(want.addrs, got.addrs) {
-		t.Fatalf("addresses differ:\nwant %+v\ngot  %+v", want.addrs, got.addrs)
-	}
-	if !reflect.DeepEqual(want.truth, got.truth) {
-		t.Fatalf("truth differs")
-	}
 	if want.ss.open() != got.ss.open() {
 		t.Fatalf("open streams: want %d, got %d", want.ss.open(), got.ss.open())
 	}
@@ -81,13 +75,34 @@ func requireSameIngestState(t *testing.T, want, got *Engine) {
 			t.Fatalf("open stream for courier %d differs", c)
 		}
 	}
-	pw, pg := want.builder.Finalize(), got.builder.Finalize()
-	if !reflect.DeepEqual(pw.Locations, pg.Locations) {
-		t.Fatalf("pool locations differ:\nwant %+v\ngot  %+v", pw.Locations, pg.Locations)
+	for i := range want.shards {
+		w, g := want.shards[i], got.shards[i]
+		if !reflect.DeepEqual(w.trips, g.trips) {
+			t.Fatalf("shard %d: trips differ: %d vs %d", i, len(w.trips), len(g.trips))
+		}
+		if !reflect.DeepEqual(w.addrs, g.addrs) {
+			t.Fatalf("shard %d: addresses differ:\nwant %+v\ngot  %+v", i, w.addrs, g.addrs)
+		}
+		if !reflect.DeepEqual(w.truth, g.truth) {
+			t.Fatalf("shard %d: truth differs", i)
+		}
+		pw, pg := w.builder.Finalize(), g.builder.Finalize()
+		if !reflect.DeepEqual(pw.Locations, pg.Locations) {
+			t.Fatalf("shard %d: pool locations differ:\nwant %+v\ngot  %+v", i, pw.Locations, pg.Locations)
+		}
+		if !reflect.DeepEqual(pw.Visits, pg.Visits) {
+			t.Fatalf("shard %d: pool visit logs differ", i)
+		}
 	}
-	if !reflect.DeepEqual(pw.Visits, pg.Visits) {
-		t.Fatalf("pool visit logs differ")
+}
+
+// allTrips flattens the trips every shard of e holds, in shard order.
+func allTrips(e *Engine) []model.Trip {
+	var out []model.Trip
+	for _, sh := range e.shards {
+		out = append(out, sh.trips...)
 	}
+	return out
 }
 
 // TestStreamedIngestMatchesBatch is the engine half of the streaming
@@ -139,8 +154,8 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := e.Status(); st.OpenStreams != 1 || len(e.trips) != 0 {
-		t.Fatalf("before gap: open=%d trips=%d", st.OpenStreams, len(e.trips))
+	if st := e.Status(); st.OpenStreams != 1 || len(e.shards[0].trips) != 0 {
+		t.Fatalf("before gap: open=%d trips=%d", st.OpenStreams, len(e.shards[0].trips))
 	}
 	// Next fix lands 900 s after the last one: the gap rule closes trip one.
 	second := genTrip(rng, 7, first.EndT+900, geo.Point{X: 300, Y: 50})
@@ -149,21 +164,21 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(e.trips) != 1 {
-		t.Fatalf("gap did not close the first trip: %d trips", len(e.trips))
+	if len(e.shards[0].trips) != 1 {
+		t.Fatalf("gap did not close the first trip: %d trips", len(e.shards[0].trips))
 	}
-	if tr := e.trips[0]; tr.StartT != first.StartT || tr.EndT != first.EndT || !reflect.DeepEqual(tr.Traj, first.Traj) {
+	if tr := e.shards[0].trips[0]; tr.StartT != first.StartT || tr.EndT != first.EndT || !reflect.DeepEqual(tr.Traj, first.Traj) {
 		t.Fatalf("gap-closed trip differs from its fixes: %+v", tr)
 	}
 	if err := e.CloseStream(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.trips) != 2 || e.Status().OpenStreams != 0 {
-		t.Fatalf("after close: %d trips, %d open", len(e.trips), e.Status().OpenStreams)
+	if len(e.shards[0].trips) != 2 || e.Status().OpenStreams != 0 {
+		t.Fatalf("after close: %d trips, %d open", len(e.shards[0].trips), e.Status().OpenStreams)
 	}
 	// Closing again is a no-op, not an error.
-	if err := e.CloseStream(ctx, 7); err != nil || len(e.trips) != 2 {
-		t.Fatalf("idempotent close: err=%v trips=%d", err, len(e.trips))
+	if err := e.CloseStream(ctx, 7); err != nil || len(e.shards[0].trips) != 2 {
+		t.Fatalf("idempotent close: err=%v trips=%d", err, len(e.shards[0].trips))
 	}
 }
 
@@ -205,30 +220,51 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestEngineWALCrashRecovery is the end-to-end durability contract: kill the
-// process mid-session (simulated by abandoning the engine and its WAL
-// without any orderly shutdown) and a fresh engine replaying the WAL holds
-// exactly the state the dead one had — including the still-open stream.
-func TestEngineWALCrashRecovery(t *testing.T) {
+// TestWALCrashRecovery is the end-to-end durability contract, for one shard
+// and for several under the one WAL and stream set on top: kill the process
+// mid-session (simulated by abandoning the engine and its WAL without any
+// orderly shutdown) and a fresh engine replaying the WAL holds exactly the
+// state the dead one had, shard by shard — including the still-open stream.
+func TestWALCrashRecovery(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testWALCrashRecovery(t, n) })
+	}
+}
+
+func testWALCrashRecovery(t *testing.T, n int) {
+	newEngine := func() *Engine {
+		if n == 1 {
+			return New(streamTestConfig())
+		}
+		r, err := shard.NewRouter(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSharded(streamTestConfig(), r)
+	}
 	rng := rand.New(rand.NewSource(24))
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := New(streamTestConfig())
+	live := newEngine()
 	defer live.Close()
 	live.AttachWAL(w)
 	ctx := context.Background()
 
-	siteA, siteB := geo.Point{X: 100, Y: 100}, geo.Point{X: 400, Y: 250}
+	// Two far-apart regions so several shards see work.
+	siteA, siteB := geo.Point{X: 50, Y: 50}, geo.Point{X: 90000, Y: 90000}
 	batchWin := []model.Trip{genTrip(rng, 0, 0, siteA), genTrip(rng, 1, 500, siteB)}
-	addrs := []model.AddressInfo{{ID: 1}, {ID: 2}}
+	addrs := []model.AddressInfo{{ID: 1, Geocode: siteA}, {ID: 2, Geocode: siteB}}
 	truth := map[model.AddressID]geo.Point{1: siteA}
 	if err := live.Ingest(ctx, batchWin, addrs, truth); err != nil {
 		t.Fatal(err)
 	}
-	// Two interleaved courier streams; courier 5 closes, courier 6 stays open.
+	// One whole streamed trip, then two interleaved courier streams; courier
+	// 5 closes, courier 6 stays open.
+	t4 := genTrip(rng, 4, 2000, siteB)
+	streamTrip(t, live, t4)
 	t5, t6 := genTrip(rng, 5, 3000, siteA, siteB), genTrip(rng, 6, 3100, siteB)
 	for i := 0; i < len(t5.Traj) || i < len(t6.Traj); i++ {
 		if i < len(t5.Traj) {
@@ -245,9 +281,12 @@ func TestEngineWALCrashRecovery(t *testing.T) {
 	if err := live.CloseStream(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords := 1 + len(t5.Traj) + len(t6.Traj) + 1 // ingest + points + end
+	wantRecords := 1 + len(t4.Traj) + 1 + len(t5.Traj) + len(t6.Traj) + 1 // ingest + points + ends
 	if got := w.LastSeq(); got != uint64(wantRecords) {
 		t.Fatalf("WAL holds %d records, want %d", got, wantRecords)
+	}
+	if st := live.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
+		t.Fatalf("live status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
 	}
 	// Crash: no Close on the engine or the WAL.
 
@@ -256,19 +295,19 @@ func TestEngineWALCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	recovered := New(streamTestConfig())
+	recovered := newEngine()
 	defer recovered.Close()
-	n, err := recovered.ReplayWAL(ctx, w2)
+	replayed, err := recovered.ReplayWAL(ctx, w2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != wantRecords {
-		t.Fatalf("replayed %d records, want %d", n, wantRecords)
+	if replayed != wantRecords {
+		t.Fatalf("replayed %d records, want %d", replayed, wantRecords)
 	}
 	recovered.AttachWAL(w2)
 	requireSameIngestState(t, live, recovered)
-	if st := recovered.Status(); st.OpenStreams != 1 || st.PendingTrips != 3 {
-		t.Fatalf("recovered status: open=%d pending=%d, want 1/3", st.OpenStreams, st.PendingTrips)
+	if st := recovered.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
+		t.Fatalf("recovered status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
 	}
 	// The recovered engine keeps streaming where the dead one left off:
 	// closing courier 6 yields the identical trip on both engines.
@@ -278,7 +317,7 @@ func TestEngineWALCrashRecovery(t *testing.T) {
 	if err := recovered.CloseStream(ctx, 6); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live.trips, recovered.trips) {
+	if !reflect.DeepEqual(allTrips(live), allTrips(recovered)) {
 		t.Fatal("post-recovery stream close diverged from the never-crashed engine")
 	}
 }
@@ -336,60 +375,90 @@ func TestWALTruncationAfterSnapshot(t *testing.T) {
 	}
 }
 
-// TestShardedStreamingCrashRecovery runs the same kill-and-replay contract
-// through the sharded engine: one global WAL and stream set on top, shards
-// fed deterministically, so a replayed sharded engine matches shard by
-// shard.
-func TestShardedStreamingCrashRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
+// TestFailedShardSnapshotFailsSave: when one shard's snapshot file cannot be
+// written, SaveSnapshotFile reports it instead of treating the shard as "not
+// ready yet" — no manifest missing that shard is written (the previous
+// generation still loads), and the WAL, which still backs that shard's
+// state, is not truncated.
+func TestFailedShardSnapshotFailsSave(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncAlways})
+	w, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: 4096, Policy: wal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewSharded(streamTestConfig(), r)
-	defer live.Close()
-	live.AttachWAL(w)
-	ctx := context.Background()
-
-	// Two far-apart regions so both shards see work.
-	east, west := geo.Point{X: 50, Y: 50}, geo.Point{X: 90000, Y: 90000}
-	addrs := []model.AddressInfo{{ID: 1, Geocode: east}, {ID: 2, Geocode: west}}
-	if err := live.Ingest(ctx, []model.Trip{genTrip(rng, 0, 0, east), genTrip(rng, 1, 300, west)}, addrs, nil); err != nil {
-		t.Fatal(err)
-	}
-	streamTrip(t, live, genTrip(rng, 5, 2000, east))
-	streamTrip(t, live, genTrip(rng, 6, 2500, west))
-	open := genTrip(rng, 7, 3000, east)
-	for _, p := range open.Traj {
-		if err := live.IngestPoint(ctx, 7, p); err != nil {
+	defer w.Close()
+	newEngine := func() *Engine {
+		r, err := shard.NewRouter(2, 8)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return NewSharded(streamTestConfig(), r)
 	}
-	if st := live.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
-		t.Fatalf("live status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
-	}
-	// Crash without any orderly shutdown.
+	e := newEngine()
+	defer e.Close()
+	e.AttachWAL(w)
+	ctx := context.Background()
+	snap := filepath.Join(dir, "snap.json")
 
-	w2, err := wal.Open(dir, wal.Options{})
-	if err != nil {
+	// Generation one: half the dataset, re-inferred and saved.
+	half := *ds
+	half.Trips = ds.Trips[:len(ds.Trips)/2]
+	if err := e.IngestDataset(ctx, &half); err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	recovered := NewSharded(streamTestConfig(), r)
-	defer recovered.Close()
-	if _, err := recovered.ReplayWAL(ctx, w2); err != nil {
+	if err := e.Reinfer(ctx); err != nil {
 		t.Fatal(err)
 	}
-	recovered.AttachWAL(w2)
-	if st := recovered.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
-		t.Fatalf("recovered status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
+	if err := e.SaveSnapshotFile(snap); err != nil {
+		t.Fatal(err)
 	}
-	for i := range live.shards {
-		requireSameIngestState(t, live.shards[i], recovered.shards[i])
+	probe := deliveredAddrOf(t, &half)
+
+	// Generation two covers more of the WAL, but shard 1's temp-file path is
+	// taken by a directory, so its file cannot be written.
+	if err := e.Ingest(ctx, ds.Trips[len(ds.Trips)/2:], nil, nil); err != nil {
+		t.Fatal(err)
 	}
+	if err := e.Reinfer(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(snap+".shard1.tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segsBefore := w.SegmentCount()
+	if segsBefore < 2 {
+		t.Fatalf("need several WAL segments for a truncation to show, got %d", segsBefore)
+	}
+	if err := e.SaveSnapshotFile(snap); err == nil {
+		t.Fatal("SaveSnapshotFile succeeded although shard 1's file could not be written")
+	}
+	if got := w.SegmentCount(); got != segsBefore {
+		t.Fatalf("failed save truncated the WAL: %d segments before, %d after", segsBefore, got)
+	}
+
+	// The manifest on disk is still generation one's, and it still loads.
+	restored := newEngine()
+	defer restored.Close()
+	if err := restored.LoadSnapshotFile(snap); err != nil {
+		t.Fatalf("previous manifest no longer loads: %v", err)
+	}
+	if _, src := restored.Query(probe); src == deploy.SourceNone {
+		t.Fatal("engine restored from the previous manifest does not answer")
+	}
+}
+
+// deliveredAddrOf returns an address some trip of ds delivers to.
+func deliveredAddrOf(t *testing.T, ds *model.Dataset) model.AddressID {
+	t.Helper()
+	for _, tr := range ds.Trips {
+		if len(tr.Waybills) > 0 {
+			return tr.Waybills[0].Addr
+		}
+	}
+	t.Fatal("no delivered address")
+	return 0
 }

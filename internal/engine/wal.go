@@ -59,10 +59,31 @@ func mustEncodeWAL(rec *walRecord) []byte {
 	return b
 }
 
-// replayWAL drives one full WAL replay through apply, decoding each record
-// and bubbling the first failure with its sequence number. Both engine
-// shapes share it.
-func replayWAL(ctx context.Context, w *wal.WAL, apply func(ctx context.Context, seq uint64, rec *walRecord) error) (int, error) {
+// AttachWAL makes w the engine's write-ahead log: from now on every accepted
+// ingest operation is appended (points and stream ends before they mutate
+// state, batch windows after they apply so a rejected or cancelled window
+// never pollutes the log). Attach after ReplayWAL so replayed records are
+// not re-appended. The remote topology refuses a WAL: durability belongs to
+// each shard process.
+func (e *Engine) AttachWAL(w *wal.WAL) {
+	if e.remote {
+		panic("engine: a remote-sharded engine cannot own a WAL")
+	}
+	e.ingestMu.Lock()
+	e.wal = w
+	e.ingestMu.Unlock()
+}
+
+// ReplayWAL re-applies every record of w through the live ingest paths on
+// top of whatever the engine already holds (typically a restored snapshot's
+// serving state), rebuilding the ingest state — routing, accumulated trips,
+// candidate pool windows, open courier streams — that snapshots deliberately
+// omit. It returns the number of records applied. Replayed operations bypass
+// backpressure and are not re-logged.
+func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
+	if e.remote {
+		return 0, errRemoteStreaming
+	}
 	ctx, tsp := trace.Start(ctx, "engine.wal_replay")
 	defer tsp.End()
 	n := 0
@@ -71,7 +92,7 @@ func replayWAL(ctx context.Context, w *wal.WAL, apply func(ctx context.Context, 
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("engine: wal record %d: %w", seq, err)
 		}
-		if err := apply(ctx, seq, &rec); err != nil {
+		if err := e.applyWALRecord(ctx, seq, &rec); err != nil {
 			return fmt.Errorf("engine: wal record %d: %w", seq, err)
 		}
 		n++
@@ -84,61 +105,36 @@ func replayWAL(ctx context.Context, w *wal.WAL, apply func(ctx context.Context, 
 	return n, err
 }
 
-// AttachWAL makes w the engine's write-ahead log: from now on every accepted
-// ingest operation is appended (points and stream ends before they mutate
-// state, batch windows after they apply so a rejected or cancelled window
-// never pollutes the log). Attach after ReplayWAL so replayed records are
-// not re-appended.
-func (e *Engine) AttachWAL(w *wal.WAL) {
-	e.mu.Lock()
-	e.wal = w
-	e.mu.Unlock()
-}
-
-// ReplayWAL re-applies every record of w on top of whatever the engine
-// already holds (typically a restored snapshot's serving state), rebuilding
-// the ingest state — accumulated trips, candidate pool windows, open courier
-// streams — that snapshots deliberately omit. It returns the number of
-// records applied. Replayed operations bypass backpressure and are not
-// re-logged.
-func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
-	return replayWAL(ctx, w, e.applyWALRecord)
-}
-
 func (e *Engine) applyWALRecord(ctx context.Context, seq uint64, rec *walRecord) error {
 	switch rec.Kind {
 	case walKindIngest:
 		return e.ingest(ctx, rec.Trips, rec.Addrs, rec.Truth, false)
 	case walKindPoint:
-		e.mu.Lock()
-		defer e.mu.Unlock()
+		e.ingestMu.Lock()
+		defer e.ingestMu.Unlock()
 		return e.ingestPointLocked(ctx, rec.Courier, traj.GPSPoint{P: geo.Point{X: rec.X, Y: rec.Y}, T: rec.T}, seq, false)
 	case walKindEnd:
-		e.mu.Lock()
-		defer e.mu.Unlock()
+		e.ingestMu.Lock()
+		defer e.ingestMu.Unlock()
 		return e.closeStreamLocked(ctx, rec.Courier, false)
 	default:
-		return errUnknownWALKind(rec.Kind)
+		// A log written by a newer build; refusing beats silently dropping
+		// ingest.
+		return fmt.Errorf("unknown wal record kind %q", rec.Kind)
 	}
 }
 
-// errUnknownWALKind rejects a record kind neither engine shape understands —
-// a log written by a newer build; refusing beats silently dropping ingest.
-func errUnknownWALKind(kind string) error {
-	return fmt.Errorf("unknown wal record kind %q", kind)
-}
-
-// walBoundary computes the highest WAL sequence a re-inference starting now
-// will cover: everything appended so far, held back below the first point of
-// any still-open courier stream (those points are not in the dataset
-// snapshot and must survive a crash). 0 means nothing may be truncated.
-// Callers hold their ingest lock so no append races the reading.
-func walBoundary(w *wal.WAL, ss *streamSet) uint64 {
-	if w == nil {
+// walBoundaryLocked computes the highest WAL sequence a re-inference
+// starting now will cover: everything appended so far, held back below the
+// first point of any still-open courier stream (those points are not in any
+// shard's dataset and must survive a crash). 0 means nothing may be
+// truncated. Callers hold ingestMu so no append races the reading.
+func (e *Engine) walBoundaryLocked() uint64 {
+	if e.wal == nil {
 		return 0
 	}
-	boundary := w.LastSeq()
-	min, ok := ss.minOpenSeq()
+	boundary := e.wal.LastSeq()
+	min, ok := e.ss.minOpenSeq()
 	if !ok {
 		return 0
 	}
@@ -148,17 +144,16 @@ func walBoundary(w *wal.WAL, ss *streamSet) uint64 {
 	return boundary
 }
 
-// walBoundaryLocked is walBoundary over the single engine's state; the
-// caller holds e.mu.
-func (e *Engine) walBoundaryLocked() uint64 { return walBoundary(e.wal, e.ss) }
-
-// maybeTruncateWAL drops WAL segments wholly covered by the last completed
-// re-inference, after the serving state reached durable storage. Best
-// effort: a failed truncation only delays space reclamation.
+// maybeTruncateWAL drops WAL segments wholly covered by the last fully
+// successful re-inference, once its serving state reached durable storage.
+// Best effort: a failed truncation only delays space reclamation.
 func (e *Engine) maybeTruncateWAL() {
-	e.mu.Lock()
-	w, seq := e.wal, e.reinferSeq
-	e.mu.Unlock()
+	e.ingestMu.Lock()
+	w := e.wal
+	e.ingestMu.Unlock()
+	e.mu.RLock()
+	seq := e.reinferSeq
+	e.mu.RUnlock()
 	if w != nil && seq > 0 {
 		_ = w.TruncateThrough(seq)
 	}

@@ -5,11 +5,13 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"dlinfma/internal/obs"
 )
 
 // histSubCount mirrors the shared histogram's linear sub-bucket count (see
 // internal/obs/hdr.go); the bucket-level invariants are tested there, this
-// file exercises the aliased public surface the load generator depends on.
+// file exercises the public surface the load generator depends on.
 const histSubCount = 32
 
 // TestHistogramQuantileVsSortedReference records a fixed-seed heavy-tailed
@@ -19,7 +21,7 @@ const histSubCount = 32
 // rank effects.
 func TestHistogramQuantileVsSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := NewHistogram()
+	h := obs.NewHDRHistogram()
 	n := 20000
 	vals := make([]float64, n)
 	for i := range vals {
@@ -52,7 +54,7 @@ func TestHistogramQuantileVsSortedReference(t *testing.T) {
 
 // TestHistogramExactLinearRegion checks sub-64µs values land exactly.
 func TestHistogramExactLinearRegion(t *testing.T) {
-	h := NewHistogram()
+	h := obs.NewHDRHistogram()
 	for us := 0; us < 2*histSubCount; us++ {
 		h.Record(time.Duration(us) * time.Microsecond)
 	}
@@ -71,7 +73,7 @@ func TestHistogramExactLinearRegion(t *testing.T) {
 // TestHistogramSubDelta checks interval deltas: the difference of two
 // snapshots sees only the observations recorded in between.
 func TestHistogramSubDelta(t *testing.T) {
-	h := NewHistogram()
+	h := obs.NewHDRHistogram()
 	for i := 0; i < 100; i++ {
 		h.Record(time.Millisecond)
 	}

@@ -46,7 +46,7 @@ type Stats struct {
 }
 
 type epStats struct {
-	hist Histogram
+	hist obs.HDRHistogram
 	ok   atomic.Int64
 	errs atomic.Int64
 	// bp counts backpressure rejections (HTTP 429): the server shedding load
@@ -87,7 +87,7 @@ func (s *Stats) RecordBackpressure(ep Endpoint, d time.Duration) {
 // EndpointSnapshot is the frozen view of one endpoint's counters.
 type EndpointSnapshot struct {
 	Endpoint     Endpoint
-	Hist         *HistSnapshot
+	Hist         *obs.HDRSnapshot
 	OK           int64
 	Errors       int64
 	Backpressure int64
@@ -134,7 +134,7 @@ func (s *StatsSnapshot) Totals() (requests, errors, backpressure int64) {
 
 // Merged returns one histogram snapshot covering every endpoint, for
 // whole-run quantiles.
-func (s *StatsSnapshot) Merged() *HistSnapshot {
+func (s *StatsSnapshot) Merged() *obs.HDRSnapshot {
 	m := obs.NewHDRSnapshot()
 	for _, e := range s.Endpoints {
 		m.Merge(e.Hist)

@@ -1,3 +1,11 @@
+// Package loadgen is the open-loop load generator behind cmd/swarm: it
+// synthesizes realistic request mixes against a live dlinfma server, paces
+// arrivals on an absolute timer schedule (so slow responses never throttle
+// the offered load — the coordinated-omission trap), records latency into
+// the log-linear obs.HDRHistogram the server also uses (so client- and
+// server-side quantiles are directly comparable), and ramps the arrival
+// rate until an SLO breaks to find the maximum sustainable throughput of a
+// configuration.
 package loadgen
 
 import (

@@ -1,4 +1,4 @@
-package cluster
+package peer
 
 import (
 	"bytes"
@@ -240,8 +240,11 @@ func (c *Client) callEndpoint(ctx context.Context, route, method, path string, b
 func apiError(status int, data []byte) error {
 	var env api.ErrorEnvelope
 	if json.Unmarshal(data, &env) == nil && env.Error != nil {
-		if env.Error.Code == api.CodeBackpressure {
+		switch env.Error.Code {
+		case api.CodeBackpressure:
 			return fmt.Errorf("%w (remote: %s)", deploy.ErrBackpressure, env.Error.Message)
+		case api.CodeEngineNotReady:
+			return fmt.Errorf("%w (remote: %s)", ErrNotReady, env.Error.Message)
 		}
 		return fmt.Errorf("cluster: remote %s", env.Error)
 	}

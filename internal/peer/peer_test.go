@@ -1,4 +1,4 @@
-package cluster_test
+package peer_test
 
 import (
 	"context"
@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"dlinfma/internal/cluster"
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
+	"dlinfma/internal/peer"
 	"dlinfma/internal/shard"
 	"dlinfma/internal/synth"
 )
@@ -86,10 +86,10 @@ func TestHTTPBackendShardedEquivalence(t *testing.T) {
 	defer local.Close()
 
 	procs := make([]*shardProc, nShards)
-	backends := make([]cluster.ShardBackend, nShards)
+	backends := make([]peer.ShardBackend, nShards)
 	for i := range procs {
 		procs[i] = newShardProc(t, cfg)
-		c, err := cluster.NewClient(cluster.ClientOptions{Endpoints: []string{procs[i].srv.URL}})
+		c, err := peer.NewClient(peer.ClientOptions{Endpoints: []string{procs[i].srv.URL}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestClientReplicatedWritesAndFailover(t *testing.T) {
 	owner := newShardProc(t, cfg)
 	replica := newShardProc(t, cfg)
 
-	c, err := cluster.NewClient(cluster.ClientOptions{
+	c, err := peer.NewClient(peer.ClientOptions{
 		Endpoints: []string{owner.srv.URL, replica.srv.URL},
 		Timeout:   5 * time.Second,
 	})
@@ -260,7 +260,7 @@ func TestFrontendTraceParenting(t *testing.T) {
 	proc := newShardProc(t, cfg)
 
 	router := newRouter(t, 1)
-	backends, _, err := cluster.NewFrontendBackends(router, cluster.FrontendOptions{
+	backends, _, err := peer.NewFrontendBackends(router, peer.FrontendOptions{
 		Peers: []string{proc.srv.URL},
 	})
 	if err != nil {
@@ -362,7 +362,7 @@ func TestFrontendRingFailover(t *testing.T) {
 	peerB := newShardProc(t, cfg)
 
 	router := newRouter(t, nShards)
-	backends, ring, err := cluster.NewFrontendBackends(router, cluster.FrontendOptions{
+	backends, ring, err := peer.NewFrontendBackends(router, peer.FrontendOptions{
 		Peers:       []string{peerA.srv.URL, peerB.srv.URL},
 		Replication: 2,
 	})

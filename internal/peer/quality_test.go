@@ -1,4 +1,4 @@
-package cluster_test
+package peer_test
 
 import (
 	"bytes"
@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"dlinfma/internal/cluster"
 	"dlinfma/internal/obs"
+	"dlinfma/internal/peer"
 )
 
 // peerMetrics is a minimal /v1/metrics document carrying two whitelisted
@@ -65,7 +65,7 @@ func TestQualityPollerReExportsPeers(t *testing.T) {
 	peerA := servePeerMetrics(t, peerMetrics)
 	peerB := servePeerMetrics(t, strings.ReplaceAll(peerMetrics, "0.25", "0.75"))
 	reg := obs.NewRegistry()
-	p, err := cluster.StartQualityPoller(cluster.QualityOptions{
+	p, err := peer.StartQualityPoller(peer.QualityOptions{
 		Peers:    []string{peerA.URL, peerB.URL},
 		Interval: 10 * time.Millisecond,
 		Registry: reg,
@@ -109,10 +109,10 @@ func TestQualityPollerReExportsPeers(t *testing.T) {
 // TestQualityPollerKeepsLastGood pins the failure behavior: a peer that dies
 // keeps serving its last snapshot instead of vanishing from the exposition.
 func TestQualityPollerKeepsLastGood(t *testing.T) {
-	peer := servePeerMetrics(t, peerMetrics)
+	srv := servePeerMetrics(t, peerMetrics)
 	reg := obs.NewRegistry()
-	p, err := cluster.StartQualityPoller(cluster.QualityOptions{
-		Peers:    []string{peer.URL},
+	p, err := peer.StartQualityPoller(peer.QualityOptions{
+		Peers:    []string{srv.URL},
 		Interval: 10 * time.Millisecond,
 		Timeout:  200 * time.Millisecond,
 		Registry: reg,
@@ -123,7 +123,7 @@ func TestQualityPollerKeepsLastGood(t *testing.T) {
 	defer p.Stop()
 	waitPoll(t, reg, "dlinfma_peer_reinfer_churn_ratio")
 
-	peer.Close() // peer dies; snapshots must survive
+	srv.Close() // peer dies; snapshots must survive
 	time.Sleep(50 * time.Millisecond)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

@@ -5,7 +5,7 @@
 // for it — to one shard with no cross-shard signal lost. The same move
 // appears across last-mile systems (hex-grid spatial indexes for truck
 // matching, per-POI-cell aggregation at JD scale); here it is the contract
-// behind engine.ShardedEngine.
+// behind a multi-shard engine.Engine.
 //
 // Routing contract:
 //
