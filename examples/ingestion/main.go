@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 
+	"dlinfma/examples/ingestion/ststore"
 	"dlinfma/internal/core"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
-	"dlinfma/internal/ststore"
 	"dlinfma/internal/synth"
 	"dlinfma/internal/traj"
 )

@@ -6,10 +6,7 @@
 //
 // Versioning policy: routes live under /v1/...; fields are only ever added
 // (never renamed or repurposed) within a major version, and a breaking
-// change mints /v2 alongside a deprecated /v1. The pre-versioning routes
-// (/location, /ingest, /reinfer, /snapshot) went through the full
-// deprecation cycle — aliases with a Deprecation header first, then 410 Gone
-// tombstones that keep pointing at the /v1 successor via a Link header.
+// change mints /v2 alongside a deprecated /v1.
 package api
 
 import (
@@ -27,10 +24,6 @@ const (
 	CodeNotFound = "not_found"
 	// CodeMethodNotAllowed: the route exists but not for this HTTP method.
 	CodeMethodNotAllowed = "method_not_allowed"
-	// CodeGone: the route existed in a pre-/v1 release and has been retired.
-	// Maps to 410; details name the /v1 successor, which the Link header
-	// also carries as rel="successor-version".
-	CodeGone = "gone"
 	// CodeEngineNotReady: no serving state deployed yet (cold engine) — load
 	// balancers should retry another instance. Maps to 503.
 	CodeEngineNotReady = "engine_not_ready"
@@ -162,7 +155,7 @@ type JobStatus struct {
 // this typed form rather than grepping raw JSON.
 type EngineStatus struct {
 	Dataset string `json:"dataset,omitempty"`
-	// Ready is true once a (pool, model, store) triple is being served —
+	// Ready is true once a serving state (frozen store + model) is published —
 	// after the first completed re-inference or a snapshot restore.
 	Ready bool `json:"ready"`
 	// Failed is true while the latest re-inference ended in error (sharded:

@@ -234,7 +234,7 @@ func TestHTTPQueryAPI(t *testing.T) {
 	s := NewStore()
 	s.RegisterAddress(7, 1, geo.Point{X: 10, Y: 20})
 	s.Put(7, geo.Point{X: 12, Y: 22})
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(Service(storeOnlyEngine{s}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/locations/7")
@@ -253,8 +253,7 @@ func TestHTTPQueryAPI(t *testing.T) {
 		t.Errorf("response %+v", qr)
 	}
 
-	// Unknown address -> 404; bad key -> 400; wrong method -> 405; the
-	// retired pre-/v1 alias -> 410.
+	// Unknown address -> 404; bad key -> 400; wrong method -> 405.
 	if resp, _ := srv.Client().Get(srv.URL + "/v1/locations/999"); resp.StatusCode != 404 {
 		t.Errorf("unknown address status %d", resp.StatusCode)
 	}
@@ -263,9 +262,6 @@ func TestHTTPQueryAPI(t *testing.T) {
 	}
 	if resp, _ := srv.Client().Post(srv.URL+"/v1/locations/7", "", nil); resp.StatusCode != 405 {
 		t.Errorf("POST status %d", resp.StatusCode)
-	}
-	if resp, _ := srv.Client().Get(srv.URL + "/location?addr=7"); resp.StatusCode != 410 {
-		t.Errorf("legacy alias status %d, want 410", resp.StatusCode)
 	}
 	if resp, _ := srv.Client().Get(srv.URL + "/healthz"); resp.StatusCode != 200 {
 		t.Errorf("healthz status %d", resp.StatusCode)

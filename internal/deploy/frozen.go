@@ -18,12 +18,15 @@ type FrozenAnswer struct {
 // FrozenStore is the read-only serving form of a Store: the full
 // address -> building -> geocode fallback chain of Figure 14 is evaluated
 // once at freeze time, so a steady-state query is a single map lookup with
-// no locks and no allocations. A FrozenStore is immutable after Freeze;
-// writers keep mutating the Store they froze and publish a fresh FrozenStore
-// at the next hot-swap (see engine's atomic.Pointer publish).
+// no locks and no allocations. A FrozenStore is immutable after Freeze; it
+// is everything a shard serves, reports, and snapshots, so the Store it was
+// frozen from need not outlive the Freeze call (see engine's atomic.Pointer
+// publish).
 type FrozenStore struct {
 	answers map[model.AddressID]FrozenAnswer
 	byBld   map[model.BuildingID]geo.Point
+	// inferred counts the SourceAddress answers.
+	inferred int
 }
 
 // Freeze evaluates the fallback chain for every address the store knows
@@ -34,8 +37,9 @@ func (s *Store) Freeze() *FrozenStore {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	f := &FrozenStore{
-		answers: make(map[model.AddressID]FrozenAnswer, len(s.buildings)+len(s.byAddress)),
-		byBld:   make(map[model.BuildingID]geo.Point, len(s.byBld)),
+		answers:  make(map[model.AddressID]FrozenAnswer, len(s.buildings)+len(s.byAddress)),
+		byBld:    make(map[model.BuildingID]geo.Point, len(s.byBld)),
+		inferred: len(s.byAddress),
 	}
 	for bld, loc := range s.byBld {
 		f.byBld[bld] = loc
@@ -113,4 +117,23 @@ func (f *FrozenStore) Len() int {
 		return 0
 	}
 	return len(f.answers)
+}
+
+// Inferred returns the number of address-level answers — the addresses the
+// model placed, as opposed to those answered by a fallback.
+func (f *FrozenStore) Inferred() int {
+	if f == nil {
+		return 0
+	}
+	return f.inferred
+}
+
+// Each calls fn once per answerable address, in no particular order.
+func (f *FrozenStore) Each(fn func(model.AddressID, FrozenAnswer)) {
+	if f == nil {
+		return
+	}
+	for addr, a := range f.answers {
+		fn(addr, a)
+	}
 }

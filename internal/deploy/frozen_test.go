@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dlinfma/internal/geo"
@@ -69,9 +70,10 @@ func TestFrozenStoreNilSafe(t *testing.T) {
 	if _, ok := f.QueryBuilding(1); ok {
 		t.Error("nil frozen store answered a building")
 	}
-	if f.Len() != 0 {
+	if f.Len() != 0 || f.Inferred() != 0 {
 		t.Error("nil frozen store has entries")
 	}
+	f.Each(func(model.AddressID, FrozenAnswer) { t.Error("nil frozen store iterated an answer") })
 }
 
 // TestFrozenQueryZeroAllocs guards the tentpole contract: a frozen-store
@@ -103,16 +105,18 @@ func TestStorePutIncrementalMajority(t *testing.T) {
 
 		s.mu.RLock()
 		for bld, votes := range s.bldVotes {
+			// The majority is the most-voted location, equal counts going to
+			// the smaller (X, Y).
+			var want geo.Point
 			bestN := 0
-			for _, n := range votes {
-				if n > bestN {
-					bestN = n
+			for loc, n := range votes {
+				if n > bestN || (n == bestN && pointLess(loc, want)) {
+					want, bestN = loc, n
 				}
 			}
-			got := s.byBld[bld]
-			if votes[got] != bestN {
-				t.Fatalf("step %d: building %d serves %v with %d votes, majority has %d",
-					step, bld, got, votes[got], bestN)
+			if got := s.byBld[bld]; got != want {
+				t.Fatalf("step %d: building %d serves %v (%d votes), recount says %v (%d votes)",
+					step, bld, got, votes[got], want, bestN)
 			}
 			if s.bldBestN[bld] != bestN {
 				t.Fatalf("step %d: building %d tracked best %d, recount %d",
@@ -120,6 +124,65 @@ func TestStorePutIncrementalMajority(t *testing.T) {
 			}
 		}
 		s.mu.RUnlock()
+	}
+}
+
+// TestBuildingMajorityOrderIndependent feeds one set of votes, with every
+// building tied between two locations, in opposite orders: the frozen stores
+// must be equal, down to the building fallbacks. A snapshot restore replays
+// the votes in map order, so anything less lets two replicas of one snapshot
+// disagree.
+func TestBuildingMajorityOrderIndependent(t *testing.T) {
+	const addrs = 40
+	locs := []geo.Point{{X: 7, Y: 1}, {X: 3, Y: 9}, {X: 3, Y: 2}, {X: 8, Y: 8}}
+	build := func(order []int) *FrozenStore {
+		s := NewStore()
+		for i := 0; i < addrs+8; i++ { // the last 8 addresses answer by building
+			s.RegisterAddress(model.AddressID(i), model.BuildingID(i%4), geo.Point{X: float64(i)})
+		}
+		for _, i := range order {
+			// Each building's ten voters split 5/5 between two locations.
+			s.Put(model.AddressID(i), locs[(i%4+i/4%2)%len(locs)])
+			s.SetConfidence(model.AddressID(i), float32(i+1)/addrs)
+		}
+		return s.Freeze()
+	}
+	forward := make([]int, addrs)
+	for i := range forward {
+		forward[i] = i
+	}
+	backward := make([]int, addrs)
+	for i := range backward {
+		backward[i] = addrs - 1 - i
+	}
+	a, b := build(forward), build(backward)
+	if !reflect.DeepEqual(a, b) {
+		c := DiffFrozen(a, b, 0, nil)
+		t.Fatalf("put order changed the frozen store: %d answers moved, %d added, %d dropped",
+			c.Moved, c.Added, c.Dropped)
+	}
+	for bld := model.BuildingID(0); bld < 4; bld++ {
+		x, y := locs[bld], locs[(int(bld)+1)%len(locs)]
+		want := x
+		if pointLess(y, x) {
+			want = y
+		}
+		if got, _ := a.QueryBuilding(bld); got != want {
+			t.Errorf("building %d tied between %v and %v serves %v, want %v", bld, x, y, got, want)
+		}
+	}
+	if a.Inferred() != addrs || a.Len() != addrs+8 {
+		t.Errorf("Inferred = %d, Len = %d, want %d and %d", a.Inferred(), a.Len(), addrs, addrs+8)
+	}
+	n := 0
+	a.Each(func(id model.AddressID, ans FrozenAnswer) {
+		if got, _ := a.Lookup(id); got != ans {
+			t.Errorf("Each handed address %d %+v, Lookup says %+v", id, ans, got)
+		}
+		n++
+	})
+	if n != a.Len() {
+		t.Errorf("Each visited %d answers, Len says %d", n, a.Len())
 	}
 }
 
@@ -149,7 +212,7 @@ func (e storeOnlyEngine) Query(addr model.AddressID) (geo.Point, Source) { retur
 func (e storeOnlyEngine) Ingest(context.Context, []model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) error {
 	return nil
 }
-func (e storeOnlyEngine) StartReinfer() (JobStatus, error)  { return JobStatus{}, nil }
-func (e storeOnlyEngine) ReinferStatus() (JobStatus, bool)  { return JobStatus{}, false }
-func (e storeOnlyEngine) Status() EngineStatus              { return EngineStatus{Ready: true} }
-func (e storeOnlyEngine) WriteSnapshot(io.Writer) error { return nil }
+func (e storeOnlyEngine) StartReinfer() (JobStatus, error) { return JobStatus{}, nil }
+func (e storeOnlyEngine) ReinferStatus() (JobStatus, bool) { return JobStatus{}, false }
+func (e storeOnlyEngine) Status() EngineStatus             { return EngineStatus{Ready: true} }
+func (e storeOnlyEngine) WriteSnapshot(io.Writer) error    { return nil }

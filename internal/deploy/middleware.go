@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/obs"
 	"dlinfma/internal/obs/trace"
 )
@@ -155,24 +154,6 @@ func Instrument(route string, log *obs.Logger, tracer *trace.Tracer, h http.Hand
 			)
 		}
 	})
-}
-
-// gone serves a retired pre-/v1 route's tombstone: 410 with the uniform
-// error envelope (code "gone") and a successor-version Link, so a stale
-// client sees both the machine-readable code and where the endpoint moved.
-// The routes went through a deprecation-header release cycle first; keeping
-// the tombstone (rather than letting the path fall through to 404) preserves
-// the distinction between "never existed" and "removed, use the successor".
-func gone(successor string) http.HandlerFunc {
-	// The header value never varies per request, so share one backing slice
-	// across responses (net/http only reads header value slices).
-	link := []string{"<" + successor + `>; rel="successor-version"`}
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header()["Link"] = link
-		writeError(w, http.StatusGone, api.CodeGone,
-			"this pre-/v1 endpoint has been removed; use its /v1 successor",
-			map[string]any{"successor": successor})
-	}
 }
 
 // metricsExposition serves the process-wide obs registry in Prometheus text

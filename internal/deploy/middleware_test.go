@@ -93,32 +93,6 @@ func TestStatusRecorderFlushForwards(t *testing.T) {
 	}
 }
 
-// TestGoneTombstoneCounter checks residual legacy traffic stays observable
-// after alias removal: each tombstone hit lands one increment on the
-// route's request counter with code 410, so operators can still watch
-// stragglers without dedicated deprecated-traffic plumbing.
-func TestGoneTombstoneCounter(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
-	defer srv.Close()
-	c := srv.Client()
-	labels := map[string]string{"route": "/location", "code": "410"}
-	before := scrapeCounter(t, "dlinfma_http_requests_total", labels)
-	for i := 0; i < 3; i++ {
-		resp, err := c.Get(srv.URL + "/location?addr=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("tombstone status %d, want 410", resp.StatusCode)
-		}
-	}
-	after := scrapeCounter(t, "dlinfma_http_requests_total", labels)
-	if after-before != 3 {
-		t.Fatalf("410 counter moved %v, want 3", after-before)
-	}
-}
-
 // TestRequestIDEcho checks the correlation-id contract: an incoming
 // X-Request-ID is echoed verbatim, a missing one is minted, and error
 // envelopes carry it too.

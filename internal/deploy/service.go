@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"dlinfma/internal/deploy/api"
@@ -152,13 +151,9 @@ func Service(e Engine) http.Handler { return NewService(e, Options{}) }
 //	GET  /v1/healthz           EngineStatus; 503 before readiness or while a shard is failed
 //	GET  /healthz              thin alias of /v1/healthz for load-balancer and kubelet probes
 //
-// The pre-versioning routes /location, /ingest, /reinfer, and /snapshot were
-// deprecated aliases for several releases and are now retired: they answer
-// 410 Gone with the uniform error envelope (code "gone") and a Link header
-// naming the /v1 successor, so a stale client learns where to go from the
-// response alone. Every handler emits the api.ErrorEnvelope on failure, and
-// every route is wrapped in the request-logging + metrics middleware
-// (status, latency, in-flight).
+// Every handler emits the api.ErrorEnvelope on failure, and every route is
+// wrapped in the request-logging + metrics middleware (status, latency,
+// in-flight).
 func NewService(e Engine, opts Options) http.Handler {
 	s := &service{e: e, log: opts.Logger, tracer: opts.Tracer}
 	mux := http.NewServeMux()
@@ -179,11 +174,6 @@ func NewService(e Engine, opts Options) http.Handler {
 	handle("/v1/debug/swaps", "/v1/debug/swaps", methodsOnly(swapListHandler(sw), http.MethodGet))
 	handle("/v1/healthz", "/v1/healthz", methodsOnly(s.handleHealthz, http.MethodGet))
 	handle("/healthz", "/healthz", methodsOnly(s.handleHealthz, http.MethodGet))
-
-	handle("/location", "/location", gone("/v1/locations/{key}"))
-	handle("/ingest", "/ingest", gone("/v1/ingest"))
-	handle("/reinfer", "/reinfer", gone("/v1/reinfer"))
-	handle("/snapshot", "/snapshot", gone("/v1/snapshot"))
 
 	// Everything else answers the envelope, grouped under one metric label
 	// so unmatched paths cannot blow up route cardinality.
@@ -218,7 +208,7 @@ func methodsOnly(h http.HandlerFunc, allowed ...string) http.HandlerFunc {
 // parseAddrKey resolves the address key from the v1 path wildcard.
 func parseAddrKey(r *http.Request) (model.AddressID, *api.Error) {
 	key := r.PathValue("key")
-	id, err := strconv.ParseInt(key, 10, 32)
+	id, err := model.ParseAddressID(key)
 	if err != nil {
 		return 0, &api.Error{
 			Code:    api.CodeInvalidArgument,
@@ -226,7 +216,7 @@ func parseAddrKey(r *http.Request) (model.AddressID, *api.Error) {
 			Details: map[string]any{"key": key},
 		}
 	}
-	return model.AddressID(id), nil
+	return id, nil
 }
 
 // resolve answers one address against the engine, mapping the miss to the
@@ -285,8 +275,8 @@ func (s *service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	truth := make(map[model.AddressID]geo.Point, len(req.Truth))
 	for k, v := range req.Truth {
-		var id model.AddressID
-		if _, err := fmt.Sscan(k, &id); err != nil {
+		id, err := model.ParseAddressID(k)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
 				"truth keys must be decimal address ids", map[string]any{"key": k})
 			return

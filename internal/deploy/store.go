@@ -54,8 +54,10 @@ func ParseSource(s string) Source {
 	}
 }
 
-// Store is the key-value delivery-location store of Figure 14. It is safe
-// for concurrent readers and writers.
+// Store is the key-value delivery-location store of Figure 14 in its
+// writable form: what a re-inference or a snapshot restore fills, freezes
+// into the FrozenStore a shard serves, and then drops. It is safe for
+// concurrent readers and writers.
 type Store struct {
 	mu        sync.RWMutex
 	byAddress map[model.AddressID]geo.Point
@@ -124,11 +126,20 @@ func (s *Store) Put(addr model.AddressID, loc geo.Point) {
 	votes[loc]++
 	// Incremental argmax: only this location's count changed, so the
 	// majority moves only if loc now beats the tracked best (or is the
-	// best, whose count just grew).
-	if n := votes[loc]; loc == s.byBld[bld] || n > s.bldBestN[bld] {
+	// best, whose count just grew). Equal counts go to the smaller (X, Y),
+	// so the majority depends on the votes cast and not on their order: a
+	// snapshot restore, which replays them in map order, freezes to the
+	// same building answers as the re-inference that wrote it.
+	best, bestN := s.byBld[bld], s.bldBestN[bld]
+	if n := votes[loc]; loc == best || n > bestN || (n == bestN && pointLess(loc, best)) {
 		s.byBld[bld] = loc
 		s.bldBestN[bld] = n
 	}
+}
+
+// pointLess orders points by X, then Y.
+func pointLess(a, b geo.Point) bool {
+	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
 }
 
 // Query answers a delivery-location request with the paper's fallback chain:

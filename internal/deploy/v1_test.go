@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -281,68 +282,6 @@ func TestV1IngestAndReinfer(t *testing.T) {
 	}
 }
 
-// TestLegacyGoneContract pins the tombstones of the retired pre-/v1 routes:
-// every legacy path answers 410 with the uniform envelope (code "gone"), the
-// /v1 successor in the details, and a successor-version Link header — for
-// any method, since the whole route is gone, not one verb of it.
-func TestLegacyGoneContract(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
-	defer srv.Close()
-	c := srv.Client()
-
-	cases := []struct {
-		method, path, successor string
-	}{
-		{http.MethodGet, "/location?addr=1", "/v1/locations/{key}"},
-		{http.MethodPost, "/ingest", "/v1/ingest"},
-		{http.MethodPost, "/reinfer", "/v1/reinfer"},
-		{http.MethodGet, "/reinfer", "/v1/reinfer"},
-		{http.MethodGet, "/snapshot", "/v1/snapshot"},
-	}
-	for _, tc := range cases {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := c.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("%s %s: status %d, want 410", tc.method, tc.path, resp.StatusCode)
-		}
-		var eb api.ErrorEnvelope
-		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == nil {
-			t.Fatalf("%s %s: body %q is not an envelope", tc.method, tc.path, body)
-		}
-		if eb.Error.Code != api.CodeGone {
-			t.Fatalf("%s %s: code %q, want %q", tc.method, tc.path, eb.Error.Code, api.CodeGone)
-		}
-		if got := eb.Error.Details["successor"]; got != tc.successor {
-			t.Fatalf("%s %s: successor detail %v, want %q", tc.method, tc.path, got, tc.successor)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, tc.successor) ||
-			!strings.Contains(link, `rel="successor-version"`) {
-			t.Fatalf("%s %s: Link header %q", tc.method, tc.path, link)
-		}
-	}
-
-	// The v1 successors stay clean: no tombstone headers, still serving.
-	resp, err := c.Get(srv.URL + "/v1/locations/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/locations/1 status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("v1 route must not be marked deprecated")
-	}
-}
-
 // TestHealthzAliasEquivalence proves /healthz is a thin probe alias of the
 // typed GET /v1/healthz: identical status and body.
 func TestHealthzAliasEquivalence(t *testing.T) {
@@ -400,6 +339,11 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 			name: "unmatched route", method: http.MethodGet, path: "/nope",
 			want: `{"error":{"code":"not_found","message":"no such route","details":{"path":"/nope"}}}`,
 		},
+		{
+			// The pre-/v1 paths are ordinary unmatched routes now.
+			name: "retired route", method: http.MethodGet, path: "/location?addr=1",
+			want: `{"error":{"code":"not_found","message":"no such route","details":{"path":"/location"}}}`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -417,6 +361,35 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 				t.Errorf("%s %s:\n got  %s\n want %s", tc.method, tc.path, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestIngestTruthKeysAreStrict: a truth key must be one whole decimal int32.
+// fmt.Sscan used to stop at the first non-digit and report success, so
+// "12abc" was ingested as ground truth for address 12.
+func TestIngestTruthKeysAreStrict(t *testing.T) {
+	srv := httptest.NewServer(deploy.Service(readyStub()))
+	defer srv.Close()
+	for _, tc := range []struct {
+		key string
+		ok  bool
+	}{
+		{"7", true}, {"-3", true},
+		{"12abc", false}, {"12 7", false}, {" 5", false}, {"0x10", false}, {"2147483648", false},
+	} {
+		resp := postJSON(t, srv.Client(), srv.URL+"/v1/ingest", api.IngestRequest{Truth: map[string][2]float64{tc.key: {1, 2}}})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if tc.ok {
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("truth key %q: status %d, body %s", tc.key, resp.StatusCode, body)
+			}
+			continue
+		}
+		want := fmt.Sprintf(`{"error":{"code":"invalid_argument","message":"truth keys must be decimal address ids","details":{"key":%q}}}`, tc.key)
+		if got := strings.TrimSpace(string(body)); resp.StatusCode != http.StatusBadRequest || got != want {
+			t.Errorf("truth key %q: status %d\n got  %s\n want %s", tc.key, resp.StatusCode, got, want)
+		}
 	}
 }
 
@@ -464,7 +437,8 @@ func TestV1MetricsExposition(t *testing.T) {
 	defer srv.Close()
 	c := srv.Client()
 
-	// Drive one v1 hit and one tombstone hit so both routes have samples.
+	// Drive one v1 hit and one unmatched path (a retired pre-/v1 route) so
+	// both labels have samples.
 	getJSON(t, c, srv.URL+"/v1/locations/1", http.StatusOK, nil)
 	if resp, err := c.Get(srv.URL + "/location?addr=1"); err == nil {
 		resp.Body.Close()
@@ -494,20 +468,20 @@ func TestV1MetricsExposition(t *testing.T) {
 			t.Errorf("family %s missing from /v1/metrics", want)
 		}
 	}
-	var v1Hits, goneHits float64
+	var v1Hits, otherHits float64
 	for _, s := range fams["dlinfma_http_requests_total"].Samples {
 		if s.Labels["route"] == "/v1/locations/{key}" && s.Labels["code"] == "200" {
 			v1Hits = s.Value
 		}
-		if s.Labels["route"] == "/location" && s.Labels["code"] == "410" {
-			goneHits = s.Value
+		if s.Labels["route"] == "other" && s.Labels["code"] == "404" {
+			otherHits = s.Value
 		}
 	}
 	if v1Hits < 1 {
 		t.Errorf("no counted 200 for /v1/locations/{key}: %+v", fams["dlinfma_http_requests_total"].Samples)
 	}
-	if goneHits < 1 {
-		t.Error("tombstone 410 for /location not counted")
+	if otherHits < 1 {
+		t.Error(`404 for /location not counted under route="other"`)
 	}
 }
 
@@ -533,41 +507,5 @@ func TestDebugHandler(t *testing.T) {
 	defer resp.Body.Close()
 	if _, err := obs.ParseExposition(resp.Body); err != nil {
 		t.Fatalf("debug /metrics does not parse: %v", err)
-	}
-}
-
-// TestStoreHandlerV1 covers the store-only Handler's v1 surface.
-func TestStoreHandlerV1(t *testing.T) {
-	st := deploy.NewStore()
-	st.Put(5, geo.Point{X: 1, Y: 2})
-	srv := httptest.NewServer(deploy.Handler(st))
-	defer srv.Close()
-	c := srv.Client()
-
-	var loc api.Location
-	getJSON(t, c, srv.URL+"/v1/locations/5", http.StatusOK, &loc)
-	if loc.Addr != 5 || loc.Source != "address" {
-		t.Fatalf("store handler location %+v", loc)
-	}
-	resp := postJSON(t, c, srv.URL+"/v1/locations:batch", api.BatchLocationsRequest{Addrs: []int64{5, 6}})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("store batch status %d", resp.StatusCode)
-	}
-	var br api.BatchLocationsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Found != 1 || br.Missing != 1 {
-		t.Fatalf("store batch counts %+v", br)
-	}
-	// A bare store is deployed by construction: misses are 404s.
-	r2, err := c.Get(srv.URL + "/v1/locations/6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	if r2.StatusCode != http.StatusNotFound {
-		t.Fatalf("store miss status %d, want 404", r2.StatusCode)
 	}
 }

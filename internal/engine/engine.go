@@ -2,7 +2,7 @@
 // Figure 14: incremental dataset ingest (bi-weekly trip windows appended to
 // the candidate pool without reprocessing history), LocMatcher training,
 // full re-inference, snapshot persistence, and atomic hot-swap of the
-// (pool, model, store) triple so queries never block on retraining.
+// serving state (frozen store + model) so queries never block on retraining.
 //
 // There is one engine shape: an Engine coordinating N >= 1 shards. The
 // Engine owns every lifecycle decision — courier streams and the streamed
@@ -94,7 +94,7 @@ func DefaultConfig() Config {
 // the complete trajectory evidence for its own addresses even when stay
 // points straddle routing-cell edges. Re-inference runs per shard in
 // parallel (bounded by the Workers knob) and each shard hot-swaps its own
-// (pool, model, store) triple independently — one shard's failed retrain
+// serving state independently — one shard's failed retrain
 // never touches the others' served state. Location commonality (Equation 2)
 // is normalized by the global distinct trip count, not the shard-local one,
 // so per-shard features match what one shard over all the data computes.
@@ -709,26 +709,28 @@ func (e *Engine) scatterGather(ctx context.Context, addrs []model.AddressID, out
 	return nil
 }
 
-// InferredLocations merges every in-process shard's served address->location
-// map into a fresh map (nil before any shard serves, and nil for remote
-// shards — the wire carries per-key queries and snapshots, not bulk dumps).
-// Shards own disjoint addresses, so the merge is a disjoint union.
+// InferredLocations collects every in-process shard's address-level answers
+// into a fresh map (nil before any shard serves, and nil for remote shards —
+// the wire carries per-key queries and snapshots, not bulk dumps). Shards own
+// disjoint addresses, so the result is a disjoint union.
 func (e *Engine) InferredLocations() map[model.AddressID]geo.Point {
 	var out map[model.AddressID]geo.Point
 	for _, sh := range e.shards {
 		if sh == nil {
 			continue
 		}
-		locs := sh.InferredLocations()
-		if len(locs) == 0 {
+		f := sh.frozen()
+		if f == nil {
 			continue
 		}
 		if out == nil {
-			out = make(map[model.AddressID]geo.Point, len(locs)*len(e.shards))
+			out = make(map[model.AddressID]geo.Point, f.Inferred()*len(e.shards))
 		}
-		for id, p := range locs {
-			out[id] = p
-		}
+		f.Each(func(id model.AddressID, a deploy.FrozenAnswer) {
+			if a.Src == deploy.SourceAddress {
+				out[id] = a.Loc
+			}
+		})
 	}
 	return out
 }

@@ -29,18 +29,25 @@ const (
 )
 
 // snapshot is the version-1 document, one shard's serialized serving state:
-// address metadata, inferred locations (string-keyed like the dataset file
-// format), and the trained matcher via core's own serialization. The
-// candidate pool is not included — it is derived from trips, which a
-// snapshot deliberately omits; after a restore the engine serves queries
-// immediately but needs fresh ingest before the next re-inference.
+// the address-level answers of its frozen store (string-keyed like the
+// dataset file format) with their confidence stamps, the address metadata
+// the building and geocode fallbacks are a pure function of, and the trained
+// matcher via core's own serialization. Restoring it rebuilds the frozen
+// store it was written from, answer for answer. The candidate pool is not
+// included — it is derived from trips, which a snapshot deliberately omits;
+// after a restore the engine serves queries immediately but needs fresh
+// ingest before the next re-inference.
 type snapshot struct {
 	// Version 0 is the pre-versioning legacy encoding of version 1.
 	Version   int                   `json:"version"`
 	Name      string                `json:"name"`
 	Addresses []model.AddressInfo   `json:"addresses"`
 	Locations map[string][2]float64 `json:"locations"`
-	Matcher   json.RawMessage       `json:"matcher,omitempty"`
+	// Confidences holds the non-zero top-1 probabilities behind Locations.
+	// Documents written before the field existed restore with confidence 0
+	// (unknown) everywhere.
+	Confidences map[string]float32 `json:"confidences,omitempty"`
+	Matcher     json.RawMessage    `json:"matcher,omitempty"`
 }
 
 // shardManifest is the version-2 document as written. A shard that has never
@@ -89,24 +96,35 @@ func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 			snapshotSaveOK.Inc()
 		}
 	}()
-	st := s.served()
-	if st == nil {
+	sv := s.sv.Load()
+	if sv == nil {
 		return errNothingToSnapshot
 	}
+	n := sv.frozen.Inferred()
 	s.mu.Lock()
 	sn := snapshot{
 		Version:   snapshotVersionSingle,
 		Name:      s.name,
 		Addresses: append([]model.AddressInfo(nil), s.addrs...),
-		Locations: make(map[string][2]float64, len(st.locs)),
+		Locations: make(map[string][2]float64, n),
 	}
 	s.mu.Unlock()
-	for id, p := range st.locs {
-		sn.Locations[fmt.Sprint(id)] = [2]float64{p.X, p.Y}
-	}
-	if st.matcher != nil {
+	sv.frozen.Each(func(id model.AddressID, a deploy.FrozenAnswer) {
+		if a.Src != deploy.SourceAddress {
+			return
+		}
+		k := fmt.Sprint(id)
+		sn.Locations[k] = [2]float64{a.Loc.X, a.Loc.Y}
+		if a.Conf > 0 {
+			if sn.Confidences == nil {
+				sn.Confidences = make(map[string]float32, n)
+			}
+			sn.Confidences[k] = a.Conf
+		}
+	})
+	if sv.matcher != nil {
 		var buf bytes.Buffer
-		if err := st.matcher.Save(&buf); err != nil {
+		if err := sv.matcher.Save(&buf); err != nil {
 			return err
 		}
 		sn.Matcher = json.RawMessage(buf.Bytes())
@@ -114,10 +132,10 @@ func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 	return json.NewEncoder(w).Encode(&sn)
 }
 
-// restore swaps a store-only serving state built from a decoded version-1
-// document into place: queries are answered from the restored locations
-// (with the building/geocode fallback chain rebuilt from the address
-// metadata), and the trained matcher is available again. The restored
+// restore freezes a decoded version-1 document back into the serving state
+// it was written from and swaps it in: the address-level answers and their
+// confidences as stored, the building/geocode fallbacks recomputed from the
+// address metadata, the trained matcher available again. The restored
 // addresses also seed the ingest state so later windows extend the same
 // address universe.
 func (s *Shard) restore(sn *snapshot) (err error) {
@@ -132,7 +150,6 @@ func (s *Shard) restore(sn *snapshot) (err error) {
 		return fmt.Errorf("engine: shard snapshot has version %d, want %d", sn.Version, snapshotVersionSingle)
 	}
 	store := deploy.NewStore()
-	locs := make(map[model.AddressID]geo.Point, len(sn.Locations))
 	for _, a := range sn.Addresses {
 		store.RegisterAddress(a.ID, a.Building, a.Geocode)
 	}
@@ -141,9 +158,14 @@ func (s *Shard) restore(sn *snapshot) (err error) {
 		if err != nil {
 			return err
 		}
-		p := geo.Point{X: v[0], Y: v[1]}
-		store.Put(id, p)
-		locs[id] = p
+		store.Put(id, geo.Point{X: v[0], Y: v[1]})
+	}
+	for k, c := range sn.Confidences {
+		id, err := parseAddressKey(k)
+		if err != nil {
+			return err
+		}
+		store.SetConfidence(id, c)
 	}
 	var matcher *core.LocMatcher
 	if len(sn.Matcher) > 0 {
@@ -161,16 +183,16 @@ func (s *Shard) restore(sn *snapshot) (err error) {
 	s.addAddressesLocked(sn.Addresses)
 	s.mu.Unlock()
 
-	s.publish(&state{matcher: matcher, store: store, locs: locs}, swapKindRestore)
+	s.publish(&serving{frozen: store.Freeze(), matcher: matcher}, swapKindRestore)
 	s.log.Info("snapshot restored",
-		"dataset", sn.Name, "addresses", len(sn.Addresses), "locations", len(locs))
+		"dataset", sn.Name, "addresses", len(sn.Addresses), "locations", len(sn.Locations))
 	return nil
 }
 
 // parseAddressKey decodes one of a snapshot's stringified address keys.
 func parseAddressKey(k string) (model.AddressID, error) {
-	var id model.AddressID
-	if _, err := fmt.Sscan(k, &id); err != nil {
+	id, err := model.ParseAddressID(k)
+	if err != nil {
 		return 0, fmt.Errorf("engine: bad snapshot address key %q", k)
 	}
 	return id, nil
@@ -312,7 +334,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // RestoreSnapshot loads a snapshot stream written by WriteSnapshot (either
-// version) and swaps store-only serving states into place.
+// version) and swaps the serving states it describes into place.
 func (e *Engine) RestoreSnapshot(r io.Reader) error { return e.restoreFrom(r, "") }
 
 // LoadSnapshotFile restores from a file written by SaveSnapshotFile (or any
@@ -363,7 +385,12 @@ func (e *Engine) restoreSingle(sn *snapshot) error {
 	}
 	parts := make([]snapshot, len(e.shards))
 	for i := range parts {
-		parts[i] = snapshot{Name: sn.Name, Locations: make(map[string][2]float64), Matcher: sn.Matcher}
+		parts[i] = snapshot{
+			Name:        sn.Name,
+			Locations:   make(map[string][2]float64),
+			Confidences: make(map[string]float32),
+			Matcher:     sn.Matcher,
+		}
 	}
 	route := make(map[model.AddressID]int, len(sn.Addresses))
 	for _, a := range sn.Addresses {
@@ -383,6 +410,15 @@ func (e *Engine) restoreSingle(sn *snapshot) error {
 			route[id] = sh
 		}
 		parts[sh].Locations[k] = v
+	}
+	for k, c := range sn.Confidences {
+		id, err := parseAddressKey(k)
+		if err != nil {
+			return err
+		}
+		if sh, ok := route[id]; ok { // else a stamp with no answer to ride
+			parts[sh].Confidences[k] = c
+		}
 	}
 	for i := range parts {
 		if len(parts[i].Addresses) == 0 && len(parts[i].Locations) == 0 {

@@ -1,0 +1,121 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dlinfma/internal/deploy"
+	"dlinfma/internal/model"
+	"dlinfma/internal/shard"
+	"dlinfma/internal/synth"
+)
+
+// TestSnapshotRoundTripIsIdentity pins the snapshot as the serialized serving
+// state: restoring what WriteSnapshot wrote reproduces every shard's frozen
+// store exactly — address-level answers with their confidence stamps,
+// building and geocode fallbacks, and the per-building majorities — so two
+// replicas booted from one snapshot serve, and report, the same thing.
+func TestSnapshotRoundTripIsIdentity(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			fresh := func() *Engine {
+				if n == 1 {
+					return New(streamTestConfig())
+				}
+				r, err := shard.NewRouter(n, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewSharded(streamTestConfig(), r)
+			}
+			e := fresh()
+			defer e.Close()
+			ctx := context.Background()
+			if err := e.IngestDataset(ctx, ds); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Reinfer(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var doc bytes.Buffer
+			if err := e.WriteSnapshot(&doc); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(doc.String(), `"confidences":{`) {
+				t.Fatal("snapshot of a re-inferred engine carries no confidences")
+			}
+			restored := fresh()
+			defer restored.Close()
+			if err := restored.RestoreSnapshot(&doc); err != nil {
+				t.Fatal(err)
+			}
+
+			// A threshold above every probability counts each stamped answer.
+			const everyStamp = 2
+			stamped := int64(0)
+			for i := range e.shards {
+				before, after := e.shards[i].frozen(), restored.shards[i].frozen()
+				c := deploy.DiffFrozen(before, after, everyStamp, nil)
+				if c.Moved != 0 || c.Added != 0 || c.Dropped != 0 {
+					t.Errorf("shard %d: restore moved %d, added %d, dropped %d answers", i, c.Moved, c.Added, c.Dropped)
+				}
+				if want := deploy.DiffFrozen(nil, before, everyStamp, nil).LowConfidence; c.LowConfidence != want {
+					t.Errorf("shard %d: %d confidence stamps after the restore, %d before", i, c.LowConfidence, want)
+				}
+				stamped += c.LowConfidence
+				before.Each(func(id model.AddressID, a deploy.FrozenAnswer) {
+					if got, _ := after.Lookup(id); got != a {
+						t.Errorf("shard %d address %d: restored %+v, served %+v", i, id, got, a)
+					}
+				})
+				if !reflect.DeepEqual(before, after) {
+					t.Errorf("shard %d: restored frozen store differs from the one snapshotted", i)
+				}
+			}
+			if stamped == 0 {
+				t.Fatal("no answer carried a confidence stamp; the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// TestSnapshotAddressKeysAreStrict: a snapshot key must be one whole decimal
+// int32. fmt.Sscan used to stop at the first non-digit and report success, so
+// "12abc" and "12 7" both loaded as address 12.
+func TestSnapshotAddressKeysAreStrict(t *testing.T) {
+	for _, tc := range []struct {
+		key string
+		ok  bool
+	}{
+		{"7", true}, {"-3", true},
+		{"12abc", false}, {"12 7", false}, {" 5", false}, {"0x10", false}, {"2147483648", false}, {"", false},
+	} {
+		for _, doc := range []string{
+			`{"version":1,"locations":{%q:[1,2]}}`,
+			`{"version":1,"locations":{"1":[1,2]},"confidences":{%q:0.5}}`,
+			`{"version":2,"shard_count":2,"addr_shards":{%q:0},"shards":[null,null]}`,
+		} {
+			r, err := shard.NewRouter(2, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewSharded(streamTestConfig(), r)
+			err = e.RestoreSnapshot(strings.NewReader(fmt.Sprintf(doc, tc.key)))
+			e.Close()
+			if tc.ok && err != nil {
+				t.Errorf("key %q in %s: %v", tc.key, doc, err)
+			}
+			if want := fmt.Sprintf("engine: bad snapshot address key %q", tc.key); !tc.ok && (err == nil || err.Error() != want) {
+				t.Errorf("key %q in %s: error %v, want %q", tc.key, doc, err, want)
+			}
+		}
+	}
+}

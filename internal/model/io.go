@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"dlinfma/internal/geo"
@@ -18,6 +19,16 @@ type jsonDataset struct {
 	Trips     []Trip                `json:"trips"`
 	Addresses []AddressInfo         `json:"addresses"`
 	Truth     map[string][2]float64 `json:"truth"`
+}
+
+// ParseAddressID decodes the decimal form fmt.Sprint gives an AddressID: the
+// key of every string-keyed address map read from disk or the network
+// (dataset truth, ingest truth, snapshot locations, manifest routes) and the
+// /v1/locations/{key} path segment. The whole string must be one base-10
+// int32 — no surrounding space, no trailing bytes, no other base.
+func ParseAddressID(s string) (AddressID, error) {
+	id, err := strconv.ParseInt(s, 10, 32)
+	return AddressID(id), err
 }
 
 // WriteJSON serializes the dataset to w as JSON.
@@ -40,8 +51,8 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	d := &Dataset{Name: jd.Name, Trips: jd.Trips, Addresses: jd.Addresses,
 		Truth: make(map[AddressID]geo.Point, len(jd.Truth))}
 	for k, v := range jd.Truth {
-		var id AddressID
-		if _, err := fmt.Sscan(k, &id); err != nil {
+		id, err := ParseAddressID(k)
+		if err != nil {
 			return nil, fmt.Errorf("model: bad truth key %q", k)
 		}
 		d.Truth[id] = geo.Point{X: v[0], Y: v[1]}

@@ -2,7 +2,9 @@ package model
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dlinfma/internal/geo"
@@ -144,5 +146,29 @@ func TestReadJSONBadInput(t *testing.T) {
 	}
 	if _, err := ReadJSON(bytes.NewReader([]byte(`{"truth":{"abc":[1,2]}}`))); err == nil {
 		t.Error("bad truth key accepted")
+	}
+}
+
+// TestParseAddressID: the whole key must be one decimal int32. (fmt.Sscan,
+// which every reader of string-keyed address maps used to call, stops at the
+// first byte it cannot use and reports success.)
+func TestParseAddressID(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		want AddressID
+		ok   bool
+	}{
+		{"7", 7, true}, {"-3", -3, true}, {"2147483647", 2147483647, true},
+		{"12abc", 0, false}, {"12 7", 0, false}, {" 5", 0, false}, {"5\n", 0, false},
+		{"0x10", 0, false}, {"2147483648", 0, false}, {"", 0, false},
+	} {
+		got, err := ParseAddressID(tc.key)
+		if tc.ok != (err == nil) || (tc.ok && got != tc.want) {
+			t.Errorf("ParseAddressID(%q) = %d, %v; want %d, ok=%v", tc.key, got, err, tc.want, tc.ok)
+		}
+		_, err = ReadJSON(strings.NewReader(fmt.Sprintf(`{"truth":{%q:[1,2]}}`, tc.key)))
+		if tc.ok != (err == nil) {
+			t.Errorf("ReadJSON with truth key %q: %v, want ok=%v", tc.key, err, tc.ok)
+		}
 	}
 }

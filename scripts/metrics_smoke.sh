@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Boots a dlinfma server with no dataset (instant cold start), drives a few
-# requests through the /v1 surface (plus a retired legacy alias, which must
-# answer 410), then scrapes /v1/metrics with
-# metricscheck: the build fails if the exposition doesn't parse or a required
-# family is missing. Also sends one traced request (synthetic traceparent +
+# requests through the /v1 surface (plus a retired pre-/v1 path, which must
+# answer the 404 envelope and count under route="other"), then scrapes
+# /v1/metrics with metricscheck: the build fails if the exposition doesn't
+# parse or a required family is missing. Also sends one traced request (synthetic traceparent +
 # X-Request-ID) and asserts the correlation headers echo back and the trace
 # lands in /v1/debug/traces. Run via `make smoke-metrics`.
 set -euo pipefail
@@ -30,14 +30,28 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 
-# Drive traffic: v1 query (503/404 paths count too), batch, tombstoned
-# legacy alias, health, an unmatched route — enough to populate every HTTP
+# other404 prints the request counter of unmatched paths answered 404 (0
+# before the first one).
+other404() {
+  curl -fsS "http://127.0.0.1:$PORT/v1/metrics" |
+    awk '/^dlinfma_http_requests_total\{/ && /route="other"/ && /code="404"/ { n = $NF } END { print n + 0 }'
+}
+
+# Drive traffic: v1 query (503/404 paths count too), batch, a retired
+# pre-/v1 path, health, an unmatched route — enough to populate every HTTP
 # family.
 curl -sS -o /dev/null "http://127.0.0.1:$PORT/v1/locations/1" || true
 curl -sS -o /dev/null -X POST -d '{"addrs":[1,2,3]}' "http://127.0.0.1:$PORT/v1/locations:batch" || true
-GONE_CODE="$(curl -sS -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/location?addr=1")"
-if [ "$GONE_CODE" != "410" ]; then
-  echo "metrics smoke: retired /location answered $GONE_CODE, want 410" >&2
+OTHER_BEFORE="$(other404)"
+RETIRED_CODE="$(curl -sS -o "$BIN_DIR/retired.json" -w '%{http_code}' "http://127.0.0.1:$PORT/location?addr=1")"
+RETIRED_BODY="$(cat "$BIN_DIR/retired.json")"
+if [ "$RETIRED_CODE" != "404" ] ||
+  [ "$RETIRED_BODY" != '{"error":{"code":"not_found","message":"no such route","details":{"path":"/location"}}}' ]; then
+  echo "metrics smoke: retired /location answered $RETIRED_CODE $RETIRED_BODY, want the 404 envelope" >&2
+  exit 1
+fi
+if [ "$(other404)" -le "$OTHER_BEFORE" ]; then
+  echo "metrics smoke: 404 for /location did not move dlinfma_http_requests_total{route=\"other\",code=\"404\"}" >&2
   exit 1
 fi
 curl -sS -o /dev/null "http://127.0.0.1:$PORT/v1/healthz" || true
