@@ -8,13 +8,22 @@
 GO ?= go
 COVER_FLOOR ?= 75
 
-.PHONY: build test check-bench race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
+.PHONY: build test fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Ten seconds of native fuzzing per target (-fuzz takes one target per run),
+# starting from the checked-in corpora under testdata/fuzz. Each target holds
+# a hand-written parser or encoder to the encoding/json behaviour it replaces.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchRequestDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so
@@ -87,8 +96,9 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Re-run the parallel read benchmark and fail on a >15% single-shard
-# queries/sec regression against the committed BENCH_locmatcher.json.
+# Re-run the parallel and batched read benchmarks and fail on a >15%
+# single-shard queries/sec regression of either against the committed
+# BENCH_locmatcher.json.
 bench-regress:
 	bash scripts/bench_regress.sh
 

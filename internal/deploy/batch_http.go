@@ -1,78 +1,116 @@
 package deploy
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"sync"
 
 	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/model"
 )
 
-// errUnknownAddress is the shared per-item miss error of a batch response.
-// Every miss carries the same code and message (the offending key is already
-// the result's Addr field), so one immutable value serves all of them.
-var errUnknownAddress = &api.Error{Code: api.CodeNotFound, Message: "unknown address"}
-
-// batchCall carries every buffer and slice one POST /v1/locations:batch
-// needs: the request body, the decoded keys, the engine answers, and the
-// response encoding. Calls recycle it through batchPool so the steady-state
-// batch path reuses its backing arrays instead of reallocating ~2·MaxBatchKeys
-// entries per request.
+// batchCall carries every buffer one POST /v1/locations:batch needs: the
+// body bytes (the request, then — once the keys are decoded out of them — the
+// response), the decoded keys, their engine ids and the engine answers. Calls
+// recycle it through batchPool, so a steady-state batch allocates nothing
+// that grows with its key count. None of it holds a pointer, so there is
+// nothing to clear between requests.
 type batchCall struct {
-	body    bytes.Buffer
-	req     api.BatchLocationsRequest
+	body    []byte
+	keys    []int64
 	ids     []model.AddressID
 	answers []BatchAnswer
-	results []api.BatchResult
-	locs    []api.Location
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchCall) }}
 
-// release zeroes the references the next request must not see and returns
-// the call to the pool. Slice capacities are kept — that is the point.
-func (c *batchCall) release() {
-	c.req.Addrs = c.req.Addrs[:0]
-	for i := range c.results {
-		c.results[i] = api.BatchResult{}
+// errBodyTooLarge is readBody's verdict on a body past its limit.
+var errBodyTooLarge = errors.New("deploy: request body too large")
+
+// readBody reads r to its end into buf[:0], giving up with errBodyTooLarge
+// once more than limit bytes have arrived — one byte past the limit is read
+// so that an oversized body is told apart from one that just fits, not
+// silently truncated into a JSON syntax error.
+func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if cap(buf)-len(buf) < 512 {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return buf, errBodyTooLarge
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	batchPool.Put(c)
 }
 
 // handleBatch answers POST /v1/locations:batch through the engine's bulk
 // read path (BatchQuerier when implemented, a per-key loop otherwise) with
-// pooled request/response buffers. The response preserves request order and
-// reports per-item misses while the batch stays 200 (partial-failure
-// semantics); only a cold engine fails the batch as a whole.
+// pooled buffers and the append codec of batch_codec.go. The response
+// preserves request order and reports per-item misses while the batch stays
+// 200 (partial-failure semantics); only a cold engine fails the batch as a
+// whole.
 func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c := batchPool.Get().(*batchCall)
-	defer c.release()
+	defer batchPool.Put(c)
 
-	c.body.Reset()
-	if _, err := c.body.ReadFrom(io.LimitReader(r.Body, maxBatchBytes)); err != nil {
+	var err error
+	if c.body, err = readBody(r.Body, c.body, maxBatchBytes); err != nil {
+		if errors.Is(err, errBodyTooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, api.CodeInvalidArgument,
+				fmt.Sprintf("batch body exceeds %d bytes", maxBatchBytes), map[string]any{"max_bytes": maxBatchBytes})
+			return
+		}
 		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
 			fmt.Sprintf("read batch request: %v", err), nil)
 		return
 	}
-	c.req.Addrs = c.req.Addrs[:0]
-	if err := json.Unmarshal(c.body.Bytes(), &c.req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
-			fmt.Sprintf("decode batch request: %v", err), nil)
-		return
+	var ok bool
+	if c.keys, ok = scanBatchRequest(c.body, c.keys); !ok {
+		// Not the canonical form: encoding/json decides whether it is a
+		// request at all, and words the 400 when it is not. It decodes into a
+		// fresh slice, not the pooled one: a null element leaves its slot as
+		// it finds it, which in a recycled array is an earlier request's key.
+		var req api.BatchLocationsRequest
+		if err := json.Unmarshal(c.body, &req); err != nil {
+			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
+				fmt.Sprintf("decode batch request: %v", err), nil)
+			return
+		}
+		c.keys = req.Addrs
 	}
-	if len(c.req.Addrs) == 0 {
+	if len(c.keys) == 0 {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
 			"addrs must be non-empty", nil)
 		return
 	}
-	if len(c.req.Addrs) > api.MaxBatchKeys {
+	if len(c.keys) > api.MaxBatchKeys {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
-			"too many address keys", map[string]any{"max": api.MaxBatchKeys, "got": len(c.req.Addrs)})
+			"too many address keys", map[string]any{"max": api.MaxBatchKeys, "got": len(c.keys)})
 		return
+	}
+	c.ids = c.ids[:0]
+	for i, k := range c.keys {
+		// Address ids are 32-bit; an unchecked conversion would answer
+		// another address's location under this key.
+		if k < math.MinInt32 || k > math.MaxInt32 {
+			writeError(w, http.StatusBadRequest, api.CodeInvalidArgument,
+				"address key out of range", map[string]any{"index": i, "key": k})
+			return
+		}
+		c.ids = append(c.ids, model.AddressID(k))
 	}
 	if !s.e.Status().Ready {
 		// A cold engine fails the whole batch: every key would miss, and 503
@@ -83,43 +121,15 @@ func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	c.ids = c.ids[:0]
-	for _, a := range c.req.Addrs {
-		c.ids = append(c.ids, model.AddressID(a))
-	}
-	var err error
 	c.answers, err = QueryBatch(r.Context(), s.e, c.ids, c.answers)
 	if err != nil {
 		// The only batch error is the caller's own cancellation; there is
 		// nobody left to read an envelope, so just drop the connection.
 		return
 	}
-
-	c.results = c.results[:0]
-	if cap(c.locs) < len(c.req.Addrs) {
-		c.locs = make([]api.Location, len(c.req.Addrs))
-	}
-	c.locs = c.locs[:len(c.req.Addrs)]
-	resp := api.BatchLocationsResponse{}
-	for i, a := range c.req.Addrs {
-		res := api.BatchResult{Addr: a}
-		if ans := c.answers[i]; ans.Src == SourceNone {
-			res.Error = errUnknownAddress
-			resp.Missing++
-		} else {
-			c.locs[i] = api.Location{Addr: a, X: ans.Loc.X, Y: ans.Loc.Y, Source: ans.Src.String()}
-			res.Location = &c.locs[i]
-			resp.Found++
-		}
-		c.results = append(c.results, res)
-	}
-	resp.Results = c.results
-
-	c.body.Reset()
-	if err := json.NewEncoder(&c.body).Encode(&resp); err != nil {
+	if c.body, err = appendBatchResponse(c.body[:0], c.keys, c.answers); err != nil {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error(), nil)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(c.body.Bytes())
+	writeJSONBytes(w, c.body)
 }

@@ -109,6 +109,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeJSONBytes answers 200 with an already encoded JSON body.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
 // writeError writes the uniform error envelope
 // {"error":{"code","message","details"}} every handler uses.
 func writeError(w http.ResponseWriter, status int, code, msg string, details map[string]any) {
@@ -219,50 +225,44 @@ func parseAddrKey(r *http.Request) (model.AddressID, *api.Error) {
 	return id, nil
 }
 
-// resolve answers one address against the engine, mapping the miss to the
-// right envelope: 503 engine_not_ready on a cold engine, 404 not_found once
-// a store is deployed. The Status() call happens only on misses, keeping the
-// hot path to a single store lookup. Engines with a request-scoped read path
+// handleLocation answers GET /v1/locations/{key}. A miss maps to the right
+// envelope: 503 engine_not_ready on a cold engine, 404 not_found once a store
+// is deployed; the Status() call happens only on misses, keeping the hot path
+// to a single store lookup. Engines with a request-scoped read path
 // (ContextQuerier) get the request context so a remote hop inherits the
-// deadline and trace.
-func (s *service) resolve(ctx context.Context, addr model.AddressID) (api.Location, *api.Error, int) {
-	var (
-		loc geo.Point
-		src Source
-	)
-	if cq, ok := s.e.(ContextQuerier); ok {
-		loc, src = cq.QueryCtx(ctx, addr)
-	} else {
-		loc, src = s.e.Query(addr)
-	}
-	if src == SourceNone {
-		if !s.e.Status().Ready {
-			return api.Location{}, &api.Error{
-				Code:    api.CodeEngineNotReady,
-				Message: "no serving state deployed yet",
-			}, http.StatusServiceUnavailable
-		}
-		return api.Location{}, &api.Error{
-			Code:    api.CodeNotFound,
-			Message: "unknown address",
-			Details: map[string]any{"addr": int64(addr)},
-		}, http.StatusNotFound
-	}
-	return api.Location{Addr: int64(addr), X: loc.X, Y: loc.Y, Source: src.String()}, nil, http.StatusOK
-}
-
+// deadline and trace. A hit is written by the batch route's Location encoder,
+// so both read routes have one.
 func (s *service) handleLocation(w http.ResponseWriter, r *http.Request) {
 	addr, aerr := parseAddrKey(r)
 	if aerr != nil {
 		writeJSON(w, http.StatusBadRequest, api.ErrorEnvelope{Error: aerr})
 		return
 	}
-	loc, aerr, code := s.resolve(r.Context(), addr)
-	if aerr != nil {
-		writeJSON(w, code, api.ErrorEnvelope{Error: aerr})
+	var (
+		loc geo.Point
+		src Source
+	)
+	if cq, ok := s.e.(ContextQuerier); ok {
+		loc, src = cq.QueryCtx(r.Context(), addr)
+	} else {
+		loc, src = s.e.Query(addr)
+	}
+	if src == SourceNone {
+		if !s.e.Status().Ready {
+			writeError(w, http.StatusServiceUnavailable, api.CodeEngineNotReady,
+				"no serving state deployed yet", nil)
+			return
+		}
+		writeError(w, http.StatusNotFound, api.CodeNotFound,
+			"unknown address", map[string]any{"addr": int64(addr)})
 		return
 	}
-	writeJSON(w, http.StatusOK, loc)
+	body, err := appendLocation(make([]byte, 0, 128), int64(addr), loc, src)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error(), nil)
+		return
+	}
+	writeJSONBytes(w, append(body, '\n'))
 }
 
 func (s *service) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -11,9 +11,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"dlinfma/internal/deploy"
@@ -190,6 +192,48 @@ func TestV1BatchInputOrder(t *testing.T) {
 	}
 }
 
+// postBatch posts a raw batch body and returns the status and the body
+// answered; unlike postJSON it sends exactly the bytes given, so a test
+// chooses between the canonical form and one left to encoding/json.
+func postBatch(srv *httptest.Server, body string) (int, string, error) {
+	resp, err := srv.Client().Post(srv.URL+"/v1/locations:batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(got), err
+}
+
+// TestV1BatchConcurrent posts distinct batches from several goroutines at
+// once: every response must be the bytes its own keys produce, so a pooled
+// buffer shared between two in-flight requests shows as a foreign key (and
+// under -race as a data race).
+func TestV1BatchConcurrent(t *testing.T) {
+	srv := httptest.NewServer(deploy.Service(readyStub()))
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				miss := 1000*(g+1) + round
+				body := fmt.Sprintf(`{"addrs":[%d,1,2]}`, miss)
+				want := fmt.Sprintf(`{"results":[{"addr":%d,"error":{"code":"not_found","message":"unknown address"}},`+
+					`{"addr":1,"location":{"addr":1,"x":10,"y":20,"source":"address"}},`+
+					`{"addr":2,"location":{"addr":2,"x":30,"y":40,"source":"address"}}],"found":2,"missing":1}`+"\n", miss)
+				if _, got, err := postBatch(srv, body); err != nil || got != want {
+					t.Errorf("goroutine %d round %d: %v\n got  %s\n want %s", g, round, err, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestV1BatchUsesNativeBulkPath pins that an engine implementing
 // deploy.BatchQuerier serves the endpoint through it, with an identical wire
 // contract to the per-key fallback.
@@ -321,8 +365,14 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 	c := srv.Client()
 
 	cases := []struct {
-		name, method, path, want string
+		name, method, path, body, want string
 	}{
+		{
+			// A 32-bit wrap would answer address 1 under this key.
+			name: "batch key out of range", method: http.MethodPost, path: "/v1/locations:batch",
+			body: `{"addrs":[1,4294967297]}`,
+			want: `{"error":{"code":"invalid_argument","message":"address key out of range","details":{"index":1,"key":4294967297}}}`,
+		},
 		{
 			name: "bad key", method: http.MethodGet, path: "/v1/locations/abc",
 			want: `{"error":{"code":"invalid_argument","message":"address key must be a decimal integer","details":{"key":"abc"}}}`,
@@ -347,7 +397,7 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+			req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,6 +411,66 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 				t.Errorf("%s %s:\n got  %s\n want %s", tc.method, tc.path, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestV1BatchKeyRange: address ids are 32-bit, and a batch key outside them
+// fails the whole batch with a 400 — on the canonical body the scanner
+// decodes and on one encoding/json decodes (the leading space) alike. The
+// unchecked conversion used to answer address 1 for 1<<32+1.
+func TestV1BatchKeyRange(t *testing.T) {
+	srv := httptest.NewServer(deploy.Service(readyStub()))
+	defer srv.Close()
+	for _, tc := range []struct {
+		key int64
+		ok  bool
+	}{
+		{math.MaxInt32, true}, {math.MinInt32, true},
+		{math.MaxInt32 + 1, false}, {math.MinInt32 - 1, false}, {1<<32 + 1, false},
+	} {
+		for _, lead := range []string{"", " "} {
+			body := fmt.Sprintf(`%s{"addrs":[2,%d]}`, lead, tc.key)
+			code, got, err := postBatch(srv, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCode := http.StatusOK
+			want := fmt.Sprintf(`{"results":[{"addr":2,"location":{"addr":2,"x":30,"y":40,"source":"address"}},{"addr":%d,"error":{"code":"not_found","message":"unknown address"}}],"found":1,"missing":1}`, tc.key)
+			if !tc.ok {
+				wantCode = http.StatusBadRequest
+				want = fmt.Sprintf(`{"error":{"code":"invalid_argument","message":"address key out of range","details":{"index":1,"key":%d}}}`, tc.key)
+			}
+			if code != wantCode || strings.TrimSpace(got) != want {
+				t.Errorf("body %q: status %d\n got  %s\n want %s", body, code, got, want)
+			}
+		}
+	}
+}
+
+// TestV1BatchBodyLimit drives both sides of the 1 MiB body limit with a valid
+// one-key request padded inside: at the limit it is answered, one byte over
+// it is a 413 that says so — not the "unexpected end of JSON input" a
+// silently truncated read used to produce.
+func TestV1BatchBodyLimit(t *testing.T) {
+	const limit = 1 << 20
+	srv := httptest.NewServer(deploy.Service(readyStub()))
+	defer srv.Close()
+	for _, tc := range []struct {
+		size, code int
+		want       string
+	}{
+		{limit, http.StatusOK, `{"results":[{"addr":1,"location":{"addr":1,"x":10,"y":20,"source":"address"}}],"found":1,"missing":0}`},
+		{limit + 1, http.StatusRequestEntityTooLarge, `{"error":{"code":"invalid_argument","message":"batch body exceeds 1048576 bytes","details":{"max_bytes":1048576}}}`},
+	} {
+		const head, tail = `{"addrs":[1`, `]}`
+		body := head + strings.Repeat(" ", tc.size-len(head)-len(tail)) + tail
+		code, got, err := postBatch(srv, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.code || strings.TrimSpace(got) != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d\n got  %s\n want %s", tc.size, code, tc.code, got, tc.want)
+		}
 	}
 }
 
