@@ -8,13 +8,18 @@
 GO ?= go
 COVER_FLOOR ?= 75
 
-.PHONY: build test fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
+.PHONY: build test experiments-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# cmd/experiments has no test files: run one quick table so the evaluated
+# path (core.NewPipeline -> baselines -> eval) executes in CI, not just builds.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -quick -exp table2
 
 # Ten seconds of native fuzzing per target (-fuzz takes one target per run),
 # starting from the checked-in corpora under testdata/fuzz. Each target holds

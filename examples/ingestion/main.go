@@ -47,26 +47,17 @@ func main() {
 	// 4. Incremental pool maintenance: feed trips to the builder in weekly
 	//    windows, exactly as the deployed bi-weekly job would.
 	builder := core.NewIncrementalPoolBuilder(core.DefaultConfig())
-	const window = 7 * 86400
-	var batch []model.Trip
-	windowEnd := ds.Trips[0].StartT + window
 	flushed := 0
-	for _, tr := range ds.Trips {
-		if tr.StartT >= windowEnd {
-			if err := builder.AddWindow(context.Background(), batch); err != nil {
-				log.Fatal(err)
-			}
-			flushed++
-			fmt.Printf("  window %d: pool now has %d locations\n",
-				flushed, len(builder.Finalize().Locations))
-			batch = nil
-			for tr.StartT >= windowEnd {
-				windowEnd += window
-			}
+	err = core.ForEachWindow(ds.Trips, 7*86400, func(batch []model.Trip) error {
+		if err := builder.AddWindow(context.Background(), batch); err != nil {
+			return err
 		}
-		batch = append(batch, tr)
-	}
-	if err := builder.AddWindow(context.Background(), batch); err != nil {
+		flushed++
+		fmt.Printf("  window %d: pool now has %d locations\n",
+			flushed, len(builder.Finalize().Locations))
+		return nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	pool := builder.Finalize()

@@ -15,12 +15,14 @@ import (
 // IncrementalPoolBuilder maintains the candidate pool the way the deployed
 // system does (Sections III-B and V-F): each new time window's stay points
 // are clustered on their own, then the window's candidates are merged with
-// the existing pool by re-clustering weighted centroids. Profiles (duration,
-// couriers, time distribution) merge additively.
+// the existing pool — by re-clustering weighted centroids, or by grid cell
+// under Config.UseGridMerge. Profiles (duration, couriers, time
+// distribution) merge additively.
 //
-// The one-shot BuildPool is equivalent for offline experiments; this builder
-// exists for the production pattern of appending a new bi-weekly batch of
-// trips without reprocessing history.
+// It is the only pool construction: BuildPool drives it over a whole
+// dataset, the serving engine window by window as trips arrive, so a new
+// bi-weekly batch never reprocesses history and offline experiments evaluate
+// the pool that is served.
 type IncrementalPoolBuilder struct {
 	cfg Config
 
@@ -45,6 +47,10 @@ type pendingTrip struct {
 
 type incrementalItem struct {
 	centroid geo.Point
+	// anchor is one of the stay points behind the item. Grid merging groups
+	// items by their anchors' cells: a centroid is only as exact as its
+	// floating-point sum, a member point is in the cell by definition.
+	anchor   geo.Point
 	weight   float64
 	dur      float64
 	hist     [24]float64
@@ -142,6 +148,7 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	for _, c := range windowClusters {
 		item := incrementalItem{
 			centroid: c.Centroid,
+			anchor:   pts[c.Members[0]],
 			weight:   float64(len(c.Members)),
 			couriers: make(map[model.CourierID]struct{}, 2),
 			succ:     -1,
@@ -172,24 +179,51 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	return nil
 }
 
-// mergeAlive re-clusters all alive item centroids (weighted) and merges any
-// that fall together, preserving additive profiles.
+// mergeAlive merges the alive items that fall together, preserving additive
+// profiles: under grid merging those sharing a cell — so the pool is
+// cluster.GridMerge over every stay point seen, whatever the windows — and
+// otherwise those the weighted re-clustering of their centroids joins.
 func (b *IncrementalPoolBuilder) mergeAlive() {
 	var aliveIdx []int
-	var wpts []cluster.WeightedPoint
 	for i := range b.items {
 		if b.items[i].succ == -1 {
 			aliveIdx = append(aliveIdx, i)
-			wpts = append(wpts, cluster.WeightedPoint{P: b.items[i].centroid, W: b.items[i].weight})
 		}
 	}
-	for _, c := range cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance) {
+	var groups []cluster.Cluster
+	if b.cfg.UseGridMerge {
+		anchors := make([]geo.Point, len(aliveIdx))
+		for i, idx := range aliveIdx {
+			anchors[i] = b.items[idx].anchor
+		}
+		groups = cluster.GridMerge(anchors, b.cfg.ClusterDistance)
+		// GridMerge averaged the anchors; a cell's centroid is the
+		// weight-averaged centroids of its items.
+		for gi := range groups {
+			var sx, sy, w float64
+			for _, m := range groups[gi].Members {
+				it := &b.items[aliveIdx[m]]
+				sx += it.centroid.X * it.weight
+				sy += it.centroid.Y * it.weight
+				w += it.weight
+			}
+			groups[gi].Centroid = geo.Point{X: sx / w, Y: sy / w}
+		}
+	} else {
+		wpts := make([]cluster.WeightedPoint, len(aliveIdx))
+		for i, idx := range aliveIdx {
+			wpts[i] = cluster.WeightedPoint{P: b.items[idx].centroid, W: b.items[idx].weight}
+		}
+		groups = cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance)
+	}
+	for _, c := range groups {
 		if len(c.Members) < 2 {
 			continue
 		}
 		// Merge into a fresh item.
 		merged := incrementalItem{
 			centroid: c.Centroid,
+			anchor:   b.items[aliveIdx[c.Members[0]]].anchor,
 			couriers: make(map[model.CourierID]struct{}, 4),
 			succ:     -1,
 		}
@@ -228,8 +262,8 @@ func (b *IncrementalPoolBuilder) Finalize() *Pool {
 // span lands in the request or job trace carrying the builder.
 func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 	// Trips still awaiting a window seal (streamed in but not yet bounded by
-	// time or size) form one final window, mirroring BuildPoolIncrementally's
-	// trailing partial batch.
+	// time or size) form one final window, mirroring ForEachWindow's trailing
+	// partial batch.
 	_ = b.SealWindow(ctx)
 	defer obs.StartSpanCtx(ctx, "pool_finalize", stagePoolFinalize).End()
 	// Assign dense ids to alive items.
@@ -268,14 +302,15 @@ func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 	return p
 }
 
-// ForEachWindow splits trips into window-second batches anchored at the
-// first trip's start (window <= 0: the paper's bi-weekly 14 days) and feeds
-// each non-empty batch to fn, stopping at fn's first error. It is the one
-// window grid of the batch path: BuildPoolIncrementally and the serving
-// engine's dataset ingest both cut here, so their pools cannot drift apart.
+// ForEachWindow splits trips into window-second batches by trip start,
+// anchored at the first trip's start (window <= 0:
+// DefaultPoolWindowSeconds), and feeds each non-empty batch to fn, stopping
+// at fn's first error. It is the one window grid of the batch path:
+// BuildPool and the serving engine's dataset ingest both cut here, so their
+// pools cannot drift apart.
 func ForEachWindow(trips []model.Trip, window float64, fn func([]model.Trip) error) error {
 	if window <= 0 {
-		window = 14 * 86400
+		window = DefaultPoolWindowSeconds
 	}
 	var batch []model.Trip
 	var windowEnd float64
@@ -298,19 +333,4 @@ func ForEachWindow(trips []model.Trip, window float64, fn func([]model.Trip) err
 		return fn(batch)
 	}
 	return nil
-}
-
-// BuildPoolIncrementally splits the dataset's trips into windows of the
-// configured length and runs the builder over them — functionally comparable
-// to BuildPool with PoolWindowSeconds set, exposed for the production
-// append-only pattern and its tests.
-func BuildPoolIncrementally(ctx context.Context, ds *model.Dataset, cfg Config) (*Pool, error) {
-	b := NewIncrementalPoolBuilder(cfg)
-	err := ForEachWindow(ds.Trips, cfg.PoolWindowSeconds, func(batch []model.Trip) error {
-		return b.AddWindow(ctx, batch)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.FinalizeCtx(ctx), nil
 }

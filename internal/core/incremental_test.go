@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"dlinfma/internal/cluster"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/traj"
@@ -89,14 +92,18 @@ func TestIncrementalBuilderCourierProfileMerges(t *testing.T) {
 	}
 }
 
-func TestBuildPoolIncrementallyMatchesOneShot(t *testing.T) {
-	// The incremental builder must stay equivalent to the one-shot build
-	// whatever the window size: the same per-trip visit counts exactly, and
-	// a pool of comparable size (merge order differs, so only approximately).
+// oneWindow is a pool window longer than any test dataset: the whole dataset
+// clusters as a single window, the one-shot reference of these tests.
+const oneWindow = 3650 * 86400
+
+func TestBuildPoolMatchesHandDrivenBuilder(t *testing.T) {
+	// BuildPool is the window loop and nothing else: whatever the window
+	// size, it returns exactly the pool of a builder fed by hand over
+	// ForEachWindow — the way the engine's dataset ingest drives its own.
 	ds, _, _ := tiny(t)
 	ctx := context.Background()
 	cfgOne := DefaultConfig()
-	cfgOne.PoolWindowSeconds = 0
+	cfgOne.PoolWindowSeconds = oneWindow
 	one, err := BuildPool(ctx, ds, cfgOne)
 	if err != nil {
 		t.Fatal(err)
@@ -105,28 +112,25 @@ func TestBuildPoolIncrementallyMatchesOneShot(t *testing.T) {
 	for _, windowDays := range []float64{3, 7, 14, 60} {
 		cfg := DefaultConfig()
 		cfg.PoolWindowSeconds = windowDays * 86400
-		inc, err := BuildPoolIncrementally(ctx, ds, cfg)
+		pool, err := BuildPool(ctx, ds, cfg)
 		if err != nil {
 			t.Fatalf("window %.0fd: %v", windowDays, err)
 		}
+		requireSamePool(t, handDrivenPool(t, ds, cfg), pool)
 
-		if len(inc.Visits) != len(one.Visits) {
-			t.Fatalf("window %.0fd: visit lists %d vs %d", windowDays, len(inc.Visits), len(one.Visits))
+		// Windowing moves merges, never stays: every trip keeps its visits.
+		if len(pool.Visits) != len(one.Visits) {
+			t.Fatalf("window %.0fd: visit lists %d vs %d", windowDays, len(pool.Visits), len(one.Visits))
 		}
-		for ti := range inc.Visits {
-			if len(inc.Visits[ti]) != len(one.Visits[ti]) {
+		for ti := range pool.Visits {
+			if len(pool.Visits[ti]) != len(one.Visits[ti]) {
 				t.Fatalf("window %.0fd trip %d: %d vs %d visits",
-					windowDays, ti, len(inc.Visits[ti]), len(one.Visits[ti]))
+					windowDays, ti, len(pool.Visits[ti]), len(one.Visits[ti]))
 			}
 		}
-		ratio := float64(len(inc.Locations)) / float64(len(one.Locations))
-		if ratio < 0.7 || ratio > 1.4 {
-			t.Errorf("window %.0fd: incremental pool %d vs one-shot %d",
-				windowDays, len(inc.Locations), len(one.Locations))
-		}
 
-		// The pipeline works end to end on the incremental pool.
-		pipe := NewPipelineWithPool(ds, cfg, inc)
+		// The pipeline works end to end on the windowed pool.
+		pipe := NewPipelineWithPool(ds, cfg, pool)
 		found := false
 		for _, a := range ds.Addresses {
 			if len(pipe.RetrieveCandidates(a.ID)) > 0 {
@@ -135,16 +139,64 @@ func TestBuildPoolIncrementallyMatchesOneShot(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("window %.0fd: no candidates retrievable from the incremental pool", windowDays)
+			t.Errorf("window %.0fd: no candidates retrievable from the windowed pool", windowDays)
 		}
 	}
 }
 
-func TestBuildPoolIncrementallyCancel(t *testing.T) {
+// handDrivenPool feeds a builder window by window over ForEachWindow, as the
+// engine's dataset ingest does.
+func handDrivenPool(t *testing.T, ds *model.Dataset, cfg Config) *Pool {
+	t.Helper()
+	b := NewIncrementalPoolBuilder(cfg)
+	err := ForEachWindow(ds.Trips, cfg.PoolWindowSeconds, func(batch []model.Trip) error {
+		return b.AddWindow(context.Background(), batch)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Finalize()
+}
+
+func TestBuildPoolZeroWindowIsTheDefault(t *testing.T) {
+	// PoolWindowSeconds <= 0 has one meaning everywhere: the paper's 14 days.
+	ds := dowbj(t)
+	zero := DefaultConfig()
+	zero.PoolWindowSeconds = 0
+	pz, err := BuildPool(context.Background(), ds, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := BuildPool(context.Background(), ds, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePool(t, pd, pz)
+}
+
+func TestBuildPoolIsDeterministic(t *testing.T) {
+	// Location ids are part of the result: experiment runs are diffed by id
+	// and Nearest breaks ties by it. Several builds, because the order this
+	// pins used to come from a map iteration that only sometimes differed.
+	ds := dowbj(t)
+	first, err := BuildPool(context.Background(), ds, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		again, err := BuildPool(context.Background(), ds, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSamePool(t, first, again)
+	}
+}
+
+func TestBuildPoolCancel(t *testing.T) {
 	ds, _, _ := tiny(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildPoolIncrementally(ctx, ds, DefaultConfig()); err != context.Canceled {
+	if _, err := BuildPool(ctx, ds, DefaultConfig()); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	b := NewIncrementalPoolBuilder(DefaultConfig())
@@ -154,6 +206,123 @@ func TestBuildPoolIncrementallyCancel(t *testing.T) {
 	// The builder is untouched by the failed window.
 	if pool := b.Finalize(); len(pool.Locations) != 0 {
 		t.Errorf("cancelled window leaked %d locations into the builder", len(pool.Locations))
+	}
+}
+
+func TestOneWindowPoolIsHierarchicalOverAllStays(t *testing.T) {
+	// A single window is the paper's one-shot construction: centroid-linkage
+	// clustering of every stay point (Section III-B).
+	small, _, _ := tiny(t)
+	for _, ds := range []*model.Dataset{small, dowbj(t)} {
+		cfg := DefaultConfig()
+		cfg.PoolWindowSeconds = oneWindow
+		pool, err := BuildPool(context.Background(), ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stays, pts := allStays(t, ds, cfg)
+		requirePoolPartition(t, ds.Name, pool, stays, cluster.Hierarchical(pts, cfg.ClusterDistance))
+	}
+}
+
+func TestGridPoolIsGridMergeOverAllStays(t *testing.T) {
+	// DLInfMA-Grid merges by cell, so windowing cannot change its pool: at
+	// every window size the builder — driven by hand or by BuildPool — yields
+	// cluster.GridMerge over all stay points.
+	small, _, _ := tiny(t)
+	for _, ds := range []*model.Dataset{small, dowbj(t)} {
+		for _, windowDays := range []float64{3, 7, 14} {
+			cfg := DefaultConfig()
+			cfg.UseGridMerge = true
+			cfg.PoolWindowSeconds = windowDays * 86400
+			pool := handDrivenPool(t, ds, cfg)
+			stays, pts := allStays(t, ds, cfg)
+			requirePoolPartition(t, fmt.Sprintf("%s window %.0fd", ds.Name, windowDays),
+				pool, stays, cluster.GridMerge(pts, cfg.ClusterDistance))
+			built, err := BuildPool(context.Background(), ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSamePool(t, pool, built)
+		}
+	}
+}
+
+// requireSamePool asserts two pools are identical: ids, centroids, profiles
+// and every trip's visit log.
+func requireSamePool(t *testing.T, want, got *Pool) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Locations, got.Locations) {
+		t.Fatalf("pool locations differ: %d vs %d", len(want.Locations), len(got.Locations))
+	}
+	if !reflect.DeepEqual(want.Visits, got.Visits) {
+		t.Fatal("pool visit logs differ")
+	}
+}
+
+// allStays extracts every trip's stay points and flattens their locations in
+// trip order — the input a one-shot clustering of the dataset sees.
+func allStays(t *testing.T, ds *model.Dataset, cfg Config) ([][]traj.StayPoint, []geo.Point) {
+	t.Helper()
+	stays, err := ExtractAllStayPoints(context.Background(), ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []geo.Point
+	for _, sps := range stays {
+		for _, sp := range sps {
+			pts = append(pts, sp.Loc)
+		}
+	}
+	return stays, pts
+}
+
+// requirePoolPartition asserts the pool groups the stay points exactly as the
+// reference clustering of the flattened points does: as many locations as
+// clusters, stay k of trip t visiting location l exactly when its point is in
+// the cluster l stands for, and centroids within 1e-9 m (the builder sums
+// window by window, the reference in one pass).
+func requirePoolPartition(t *testing.T, name string, pool *Pool, stays [][]traj.StayPoint, want []cluster.Cluster) {
+	t.Helper()
+	if len(pool.Locations) != len(want) {
+		t.Fatalf("%s: %d pool locations, reference clustering has %d", name, len(pool.Locations), len(want))
+	}
+	clusterOf := make(map[int]int)
+	for c, cl := range want {
+		for _, m := range cl.Members {
+			clusterOf[m] = c
+		}
+	}
+	locOf := make(map[int]int, len(want)) // cluster -> location
+	seen := make(map[int]bool, len(want)) // locations already standing for a cluster
+	flat := 0
+	for ti, sps := range stays {
+		if len(pool.Visits[ti]) != len(sps) {
+			t.Fatalf("%s trip %d: %d visits for %d stay points", name, ti, len(pool.Visits[ti]), len(sps))
+		}
+		for k := range sps {
+			c, l := clusterOf[flat], pool.Visits[ti][k].LocID
+			flat++
+			if prev, ok := locOf[c]; ok {
+				if prev != l {
+					t.Fatalf("%s: cluster %d is split over locations %d and %d", name, c, prev, l)
+				}
+				continue
+			}
+			if seen[l] {
+				t.Fatalf("%s: location %d joins cluster %d with another", name, l, c)
+			}
+			locOf[c], seen[l] = l, true
+		}
+	}
+	for c, cl := range want {
+		loc := pool.Locations[locOf[c]]
+		if d := geo.Dist(loc.Loc, cl.Centroid); d > 1e-9 {
+			t.Fatalf("%s: location %d is %.3g m from its cluster's centroid", name, loc.ID, d)
+		}
+		if loc.NStays != len(cl.Members) {
+			t.Fatalf("%s: location %d has %d stays, its cluster %d", name, loc.ID, loc.NStays, len(cl.Members))
+		}
 	}
 }
 

@@ -18,11 +18,10 @@ var StaysPerTripBuckets = []float64{0, 1, 2, 3, 5, 8, 13, 21, 50}
 // of work), pool_window per ingested window, and the rest per batch call.
 var (
 	stageDuration = obs.Default.HistogramVec("dlinfma_pipeline_stage_duration_seconds",
-		"Latency of each DLInfMA pipeline stage (noise_filter and stay_detect per trip, pool_window per window, cluster/pool_finalize/feature_build/fit/predict per call).",
+		"Latency of each DLInfMA pipeline stage (noise_filter and stay_detect per trip, pool_window per window, pool_finalize/feature_build/fit/predict per call).",
 		obs.JobDurationBuckets, "stage")
 	stageNoise        = stageDuration.With("noise_filter")
 	stageStayDetect   = stageDuration.With("stay_detect")
-	stageCluster      = stageDuration.With("cluster")
 	stagePoolWindow   = stageDuration.With("pool_window")
 	stagePoolFinalize = stageDuration.With("pool_finalize")
 	stageFeatures     = stageDuration.With("feature_build")
@@ -52,8 +51,8 @@ var (
 
 // extractStayPoints is the instrumented per-trip extraction step: it splits
 // traj.ExtractStayPoints into its two stages so each gets its own timing,
-// and counts the stay points produced. Both one-shot pool construction and
-// the incremental builder funnel through it.
+// and counts the stay points produced. ExtractAllStayPoints and the pool
+// builder's AddWindow both funnel through it.
 func extractStayPoints(tr traj.Trajectory, cfg Config) []traj.StayPoint {
 	t0 := time.Now()
 	filtered := traj.FilterNoise(tr, cfg.Noise)

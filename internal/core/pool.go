@@ -11,11 +11,9 @@ import (
 	"runtime"
 	"sync"
 
-	"dlinfma/internal/cluster"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/nn"
-	"dlinfma/internal/obs"
 	"dlinfma/internal/traj"
 )
 
@@ -27,13 +25,15 @@ type Config struct {
 	// ClusterDistance is the hierarchical-clustering cutoff D (Section
 	// III-B; 40 m at the paper's Figure 10(a) optimum).
 	ClusterDistance float64
-	// PoolWindowSeconds enables the paper's bi-weekly incremental pool
-	// maintenance: stay points are clustered per window, then windows are
-	// merged by re-clustering weighted centroids. Zero clusters everything
-	// at once.
+	// PoolWindowSeconds is the length of one pool-maintenance window
+	// (Section V-F): trips are grouped by start time on a grid anchored at
+	// the first trip, each window's stay points are clustered on their own,
+	// and the window's candidates are merged into the pool. Zero or negative
+	// means DefaultPoolWindowSeconds.
 	PoolWindowSeconds float64
 	// UseGridMerge switches candidate generation to grid merging (the
-	// DLInfMA-Grid variant).
+	// DLInfMA-Grid variant): stay points, and window candidates across
+	// windows, merge exactly when they share a ClusterDistance grid cell.
 	UseGridMerge bool
 	// Workers bounds stay-point extraction parallelism; 0 means GOMAXPROCS.
 	Workers int
@@ -44,6 +44,9 @@ type Config struct {
 	LCTotalTrips int
 }
 
+// DefaultPoolWindowSeconds is the paper's bi-weekly pool-maintenance period.
+const DefaultPoolWindowSeconds = 14 * 86400
+
 // DefaultConfig returns the paper's settings: D_max = 20 m, T_min = 30 s,
 // D = 40 m, bi-weekly pool windows.
 func DefaultConfig() Config {
@@ -51,7 +54,7 @@ func DefaultConfig() Config {
 		Noise:             traj.DefaultNoiseFilter(),
 		Stay:              traj.DefaultStayPointConfig(),
 		ClusterDistance:   40,
-		PoolWindowSeconds: 14 * 86400,
+		PoolWindowSeconds: DefaultPoolWindowSeconds,
 	}
 }
 
@@ -91,13 +94,6 @@ type Pool struct {
 	indexOnce sync.Once
 }
 
-// stayRecord tags an extracted stay point with its trip and courier.
-type stayRecord struct {
-	sp      traj.StayPoint
-	trip    int
-	courier model.CourierID
-}
-
 // ExtractAllStayPoints runs noise filtering and stay-point detection over
 // every trip in parallel (the paper's trajectory-level parallelization,
 // Section V-F). Cancelling ctx stops the fan-out between trips and returns
@@ -121,157 +117,21 @@ func (cfg Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// BuildPool constructs the candidate pool from a dataset: stay-point
-// extraction, clustering (hierarchical with cutoff D, optionally per time
-// window with incremental merging, or grid merging for the variant), and
-// profile computation. Cancelling ctx aborts between trips during
-// extraction and between windows during clustering, returning ctx.Err().
+// BuildPool constructs the candidate pool of a dataset the way the engine
+// maintains the served one: ForEachWindow cuts the trips into
+// PoolWindowSeconds windows, each window goes through
+// IncrementalPoolBuilder.AddWindow, and the builder is finalized. Cancelling
+// ctx aborts between trips during a window's extraction and between windows,
+// returning ctx.Err().
 func BuildPool(ctx context.Context, ds *model.Dataset, cfg Config) (*Pool, error) {
-	if cfg.ClusterDistance <= 0 {
-		cfg.ClusterDistance = 40
-	}
-	stays, err := ExtractAllStayPoints(ctx, ds, cfg)
+	b := NewIncrementalPoolBuilder(cfg)
+	err := ForEachWindow(ds.Trips, cfg.PoolWindowSeconds, func(batch []model.Trip) error {
+		return b.AddWindow(ctx, batch)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var records []stayRecord
-	for t, sps := range stays {
-		for _, sp := range sps {
-			records = append(records, stayRecord{sp: sp, trip: t, courier: ds.Trips[t].Courier})
-		}
-	}
-	sp := obs.StartSpanCtx(ctx, "cluster", stageCluster)
-	assign, err := clusterStays(ctx, records, cfg)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return assemblePool(ds, records, assign), nil
-}
-
-// clusterStays returns, for each stay record, the id of its pool location.
-func clusterStays(ctx context.Context, records []stayRecord, cfg Config) ([]int, error) {
-	pts := make([]geo.Point, len(records))
-	for i, r := range records {
-		pts[i] = r.sp.Loc
-	}
-	if cfg.UseGridMerge {
-		return labelsFromClusters(cluster.GridMerge(pts, cfg.ClusterDistance), len(records)), nil
-	}
-	if cfg.PoolWindowSeconds <= 0 {
-		return labelsFromClusters(cluster.Hierarchical(pts, cfg.ClusterDistance), len(records)), nil
-	}
-	// Incremental mode: cluster each time window independently, then merge
-	// window-level candidates by re-clustering their weighted centroids —
-	// the paper's bi-weekly pool maintenance.
-	minT := 0.0
-	for i, r := range records {
-		if i == 0 || r.sp.ArriveT < minT {
-			minT = r.sp.ArriveT
-		}
-	}
-	byWindow := make(map[int][]int)
-	for i, r := range records {
-		wdx := int((r.sp.ArriveT - minT) / cfg.PoolWindowSeconds)
-		byWindow[wdx] = append(byWindow[wdx], i)
-	}
-	var wpts []cluster.WeightedPoint
-	var wmembers [][]int // stay indices behind each window-level candidate
-	for _, idxs := range byWindow {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sub := make([]geo.Point, len(idxs))
-		for j, i := range idxs {
-			sub[j] = records[i].sp.Loc
-		}
-		for _, c := range cluster.Hierarchical(sub, cfg.ClusterDistance) {
-			stayIdxs := make([]int, len(c.Members))
-			for j, m := range c.Members {
-				stayIdxs[j] = idxs[m]
-			}
-			wpts = append(wpts, cluster.WeightedPoint{P: c.Centroid, W: c.Weight})
-			wmembers = append(wmembers, stayIdxs)
-		}
-	}
-	assign := make([]int, len(records))
-	for id, c := range cluster.HierarchicalWeighted(wpts, cfg.ClusterDistance) {
-		for _, wi := range c.Members {
-			for _, si := range wmembers[wi] {
-				assign[si] = id
-			}
-		}
-	}
-	return assign, nil
-}
-
-func labelsFromClusters(cs []cluster.Cluster, n int) []int {
-	assign := make([]int, n)
-	for id, c := range cs {
-		for _, m := range c.Members {
-			assign[m] = id
-		}
-	}
-	return assign
-}
-
-// assemblePool computes location centroids, profiles, and per-trip visit
-// lists from the stay-to-location assignment.
-func assemblePool(ds *model.Dataset, records []stayRecord, assign []int) *Pool {
-	nLoc := 0
-	for _, a := range assign {
-		if a+1 > nLoc {
-			nLoc = a + 1
-		}
-	}
-	p := &Pool{
-		Locations: make([]Location, nLoc),
-		Visits:    make([][]StayVisit, len(ds.Trips)),
-	}
-	type acc struct {
-		sx, sy, dur float64
-		hist        [24]float64
-		couriers    map[model.CourierID]struct{}
-		n           int
-	}
-	accs := make([]acc, nLoc)
-	for i, r := range records {
-		id := assign[i]
-		a := &accs[id]
-		if a.couriers == nil {
-			a.couriers = make(map[model.CourierID]struct{}, 2)
-		}
-		a.sx += r.sp.Loc.X
-		a.sy += r.sp.Loc.Y
-		a.dur += r.sp.Duration()
-		hour := int(r.sp.MidT()/3600) % 24
-		if hour < 0 {
-			hour += 24
-		}
-		a.hist[hour]++
-		a.couriers[r.courier] = struct{}{}
-		a.n++
-		p.Visits[r.trip] = append(p.Visits[r.trip], StayVisit{
-			LocID: id, ArriveT: r.sp.ArriveT, LeaveT: r.sp.LeaveT, MidT: r.sp.MidT(),
-		})
-	}
-	pts := make([]geo.Point, nLoc)
-	for id := range p.Locations {
-		a := &accs[id]
-		loc := Location{ID: id, NStays: a.n, NCouriers: len(a.couriers)}
-		if a.n > 0 {
-			loc.Loc = geo.Point{X: a.sx / float64(a.n), Y: a.sy / float64(a.n)}
-			loc.AvgDuration = a.dur / float64(a.n)
-			for h, c := range a.hist {
-				loc.TimeDist[h] = c / float64(a.n)
-			}
-		}
-		p.Locations[id] = loc
-		pts[id] = loc.Loc
-	}
-	p.index = geo.NewIndex(pts, 50)
-	poolLocationsGauge.Set(float64(nLoc))
-	return p
+	return b.FinalizeCtx(ctx), nil
 }
 
 // Nearest returns the pool location closest to q and its distance, or

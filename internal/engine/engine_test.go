@@ -576,12 +576,10 @@ func TestSnapshotFile(t *testing.T) {
 }
 
 // TestOneShardMatchesDirectPipeline pins what the one-shard engine computes
-// against an independent reference: the core pipeline driven by hand — pool,
-// BuildSamplesCtx, LabelSamples, Fit, ProbabilitiesAll — with the same config
-// on the same seeded dataset must yield exactly the locations the engine
-// serves. The reference pool is core's own windowed build, the deployed
-// bi-weekly maintenance the engine performs; the one-shot BuildPool sums
-// centroids in another order and differs in the last ulp.
+// against an independent reference: core.NewPipeline — what eval, the
+// baselines and the examples call — then BuildSamplesCtx, LabelSamples, Fit,
+// ProbabilitiesAll by hand, with the same config on the same seeded dataset,
+// must yield exactly the locations the engine serves.
 func TestOneShardMatchesDirectPipeline(t *testing.T) {
 	ds, _, err := synth.Generate(synth.Tiny())
 	if err != nil {
@@ -600,11 +598,10 @@ func TestOneShardMatchesDirectPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := core.BuildPoolIncrementally(ctx, ds, cfg.Core)
+	pipe, err := core.NewPipeline(ctx, ds, cfg.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := core.NewPipelineWithPool(ds, cfg.Core, pool)
 	ids := make([]model.AddressID, len(ds.Addresses))
 	for i, a := range ds.Addresses {
 		ids[i] = a.ID

@@ -40,9 +40,11 @@ type Shard struct {
 	log *obs.Logger
 
 	// mu guards the accumulating ingest state.
-	mu       sync.Mutex
-	name     string
-	builder  *core.IncrementalPoolBuilder
+	mu      sync.Mutex
+	name    string
+	builder *core.IncrementalPoolBuilder
+	// trips holds every ingested trip without its Traj: the builder has the
+	// stay points, and re-inference reads only courier, times and waybills.
 	trips    []model.Trip
 	addrs    []model.AddressInfo
 	addrSeen map[model.AddressID]bool
@@ -117,7 +119,7 @@ func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.Ad
 			tsp.RecordError(err)
 			return err
 		}
-		s.trips = append(s.trips, trips...)
+		s.appendTripsLocked(trips...)
 		s.addPendingLocked(len(trips))
 		ingestTrips.Add(int64(len(trips)))
 		ingestWindows.Inc()
@@ -125,6 +127,17 @@ func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.Ad
 	s.log.WithTrace(ctx).Debug("ingest window",
 		"trips", len(trips), "new_addrs", newAddrs, "total_trips", len(s.trips))
 	return nil
+}
+
+// appendTripsLocked records trips the builder has consumed: courier, times
+// and waybills, without the fixes. Nothing reads a fix after stay-point
+// extraction, and the fixes are most of what a trip weighs. The caller's
+// trips are copied, never modified. Callers hold mu.
+func (s *Shard) appendTripsLocked(trips ...model.Trip) {
+	for _, tr := range trips {
+		tr.Traj = nil
+		s.trips = append(s.trips, tr)
+	}
 }
 
 // addAddressesLocked registers the addresses not seen before and reports how
@@ -444,7 +457,7 @@ func (s *Shard) setName(name string) {
 func (s *Shard) addStreamedTrip(st *streamedTrip) {
 	s.mu.Lock()
 	s.builder.AppendTripStays(st.trip.Courier, st.stays)
-	s.trips = append(s.trips, st.trip)
+	s.appendTripsLocked(st.trip)
 	s.addPendingLocked(1)
 	s.mu.Unlock()
 	ingestTrips.Inc()

@@ -39,7 +39,7 @@ func (c StreamConfig) withDefaults(poolWindow float64) StreamConfig {
 		c.WindowSeconds = poolWindow
 	}
 	if c.WindowSeconds <= 0 {
-		c.WindowSeconds = 14 * 86400
+		c.WindowSeconds = core.DefaultPoolWindowSeconds
 	}
 	if c.MaxWindowStays <= 0 {
 		c.MaxWindowStays = 4096
@@ -62,8 +62,8 @@ type courierStream struct {
 }
 
 // streamedTrip is one closed trip leaving the stream layer: the assembled
-// model.Trip (full raw trajectory, no waybills — streamed fixes carry none)
-// and its extracted stay points.
+// model.Trip (no waybills — streamed fixes carry none; the raw trajectory
+// rides along only until the trip is routed) and its extracted stay points.
 type streamedTrip struct {
 	trip  model.Trip
 	stays []traj.StayPoint

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
@@ -96,15 +97,6 @@ func requireSameIngestState(t *testing.T, want, got *Engine) {
 	}
 }
 
-// allTrips flattens the trips every shard of e holds, in shard order.
-func allTrips(e *Engine) []model.Trip {
-	var out []model.Trip
-	for _, sh := range e.shards {
-		out = append(out, sh.trips...)
-	}
-	return out
-}
-
 // TestStreamedIngestMatchesBatch is the engine half of the streaming
 // bit-identity contract: feeding trips point by point through IngestPoint /
 // CloseStream must leave the engine in exactly the state batch ingest of the
@@ -142,10 +134,12 @@ func TestStreamedIngestMatchesBatch(t *testing.T) {
 
 // TestStreamGapRuleCutsTrips pins the implicit trip boundary: a gap of
 // TripGapSeconds or more between a courier's fixes closes the open trip; an
-// explicit CloseStream closes the rest.
+// explicit CloseStream closes the rest. Each closed trip keeps its times and
+// hands the pool exactly the stay points batch extraction finds in its fixes.
 func TestStreamGapRuleCutsTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	e := New(streamTestConfig())
+	cfg := streamTestConfig()
+	e := New(cfg)
 	defer e.Close()
 	ctx := context.Background()
 	first := genTrip(rng, 7, 0, geo.Point{X: 50, Y: 50})
@@ -167,7 +161,7 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 	if len(e.shards[0].trips) != 1 {
 		t.Fatalf("gap did not close the first trip: %d trips", len(e.shards[0].trips))
 	}
-	if tr := e.shards[0].trips[0]; tr.StartT != first.StartT || tr.EndT != first.EndT || !reflect.DeepEqual(tr.Traj, first.Traj) {
+	if tr := e.shards[0].trips[0]; tr.Courier != 7 || tr.StartT != first.StartT || tr.EndT != first.EndT {
 		t.Fatalf("gap-closed trip differs from its fixes: %+v", tr)
 	}
 	if err := e.CloseStream(ctx, 7); err != nil {
@@ -179,6 +173,15 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 	// Closing again is a no-op, not an error.
 	if err := e.CloseStream(ctx, 7); err != nil || len(e.shards[0].trips) != 2 {
 		t.Fatalf("idempotent close: err=%v trips=%d", err, len(e.shards[0].trips))
+	}
+	ref := core.NewIncrementalPoolBuilder(cfg.Core)
+	for _, tr := range []model.Trip{first, second} {
+		ref.AppendTripStays(tr.Courier, traj.ExtractStayPoints(tr.Traj, cfg.Core.Noise, cfg.Core.Stay))
+	}
+	want, got := ref.Finalize(), e.shards[0].builder.Finalize()
+	if len(want.Locations) == 0 || !reflect.DeepEqual(want.Locations, got.Locations) || !reflect.DeepEqual(want.Visits, got.Visits) {
+		t.Fatalf("streamed trips' stay points differ from batch extraction of their fixes:\nwant %+v\ngot  %+v",
+			want.Locations, got.Locations)
 	}
 }
 
@@ -231,17 +234,21 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 }
 
-func testWALCrashRecovery(t *testing.T, n int) {
-	newEngine := func() *Engine {
-		if n == 1 {
-			return New(streamTestConfig())
-		}
-		r, err := shard.NewRouter(n, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewSharded(streamTestConfig(), r)
+// newStreamTestEngine builds an n-shard engine on streamTestConfig.
+func newStreamTestEngine(t *testing.T, n int) *Engine {
+	t.Helper()
+	if n == 1 {
+		return New(streamTestConfig())
 	}
+	r, err := shard.NewRouter(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewSharded(streamTestConfig(), r)
+}
+
+func testWALCrashRecovery(t *testing.T, n int) {
+	newEngine := func() *Engine { return newStreamTestEngine(t, n) }
 	rng := rand.New(rand.NewSource(24))
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncAlways})
@@ -310,15 +317,63 @@ func testWALCrashRecovery(t *testing.T, n int) {
 		t.Fatalf("recovered status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
 	}
 	// The recovered engine keeps streaming where the dead one left off:
-	// closing courier 6 yields the identical trip on both engines.
+	// closing courier 6 yields the identical trip and pool on both engines.
 	if err := live.CloseStream(ctx, 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := recovered.CloseStream(ctx, 6); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(allTrips(live), allTrips(recovered)) {
-		t.Fatal("post-recovery stream close diverged from the never-crashed engine")
+	requireSameIngestState(t, live, recovered)
+}
+
+// TestShardKeepsNoFixes pins what a shard keeps of a trip once the pool
+// builder has its stay points: courier, times and waybills, never the fixes —
+// whether the trip arrived in a batch window or closed on a stream — and
+// that dropping them never reaches into the caller's trips.
+func TestShardKeepsNoFixes(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			ds, _, err := synth.Generate(synth.Tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixes := make([]traj.Trajectory, len(ds.Trips))
+			for i, tr := range ds.Trips {
+				fixes[i] = append(traj.Trajectory(nil), tr.Traj...)
+			}
+			e := newStreamTestEngine(t, n)
+			defer e.Close()
+			if err := e.IngestDataset(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(26))
+			last := ds.Trips[len(ds.Trips)-1].EndT
+			for c, site := range []geo.Point{{X: 50, Y: 50}, {X: 90000, Y: 90000}} {
+				streamTrip(t, e, genTrip(rng, model.CourierID(100+c), last+1000, site))
+			}
+
+			kept := 0
+			for i, sh := range e.shards {
+				for j, tr := range sh.trips {
+					if tr.Traj != nil {
+						t.Fatalf("shard %d trip %d retains %d fixes", i, j, len(tr.Traj))
+					}
+					if tr.EndT <= tr.StartT {
+						t.Fatalf("shard %d trip %d lost its times: %+v", i, j, tr)
+					}
+					kept++
+				}
+			}
+			if kept < len(ds.Trips)+2 {
+				t.Fatalf("shards hold %d trips, want at least %d", kept, len(ds.Trips)+2)
+			}
+			for i, tr := range ds.Trips {
+				if !reflect.DeepEqual(tr.Traj, fixes[i]) {
+					t.Fatalf("ingest modified the caller's trip %d", i)
+				}
+			}
+		})
 	}
 }
 
