@@ -23,12 +23,15 @@ experiments-smoke:
 
 # Ten seconds of native fuzzing per target (-fuzz takes one target per run),
 # starting from the checked-in corpora under testdata/fuzz. Each target holds
-# a hand-written parser or encoder to the encoding/json behaviour it replaces.
+# a hand-written parser or encoder to the encoding/json behaviour it replaces
+# (the WAL record decoder also to its own binary encoder).
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so
@@ -89,7 +92,7 @@ cover:
 # -> BENCH_locmatcher.json.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
+	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
 
 # Every benchmark (regenerates all paper artefacts; slow).
 bench-all:
@@ -101,9 +104,10 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Re-run the parallel and batched read benchmarks and fail on a >15%
-# single-shard queries/sec regression of either against the committed
-# BENCH_locmatcher.json.
+# Re-run the parallel and batched read benchmarks and the streamed-ingest
+# benchmark and fail on a >15% regression of any gated row (single-shard
+# queries/sec of the reads, two-shard fixes/sec of the ingest) against the
+# committed BENCH_locmatcher.json.
 bench-regress:
 	bash scripts/bench_regress.sh
 

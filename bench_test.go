@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dlinfma/internal/baselines"
@@ -30,6 +31,7 @@ import (
 	"dlinfma/internal/shard"
 	"dlinfma/internal/synth"
 	"dlinfma/internal/traj"
+	"dlinfma/internal/wal"
 )
 
 var benchState struct {
@@ -543,6 +545,69 @@ func BenchmarkServeQueriesBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServeStreamIngest measures the streaming write path end to end in
+// one process: parallel clients each POST one DowBJ trip (about 310 fixes and
+// an end marker, one NDJSON body, a courier id of its own) to
+// /v1/trajectories:stream of a two-shard engine logging to a WAL in
+// b.TempDir() under FsyncInterval — the configuration the repository
+// benchmark's stream_ingest workload runs as a real process. The reported
+// fixes/sec counts GPS fixes, not requests.
+func BenchmarkServeStreamIngest(b *testing.B) {
+	ds, _ := dowDataset(b)
+	bodies := make([][]byte, len(ds.Trips))
+	fixes := make([]int, len(ds.Trips))
+	for i, tr := range ds.Trips {
+		var body []byte
+		for _, pt := range tr.Traj {
+			body = fmt.Appendf(body, "{\"courier\":%d,\"x\":%.2f,\"y\":%.2f,\"t\":%.3f}\n", i+1, pt.P.X, pt.P.Y, pt.T)
+		}
+		bodies[i] = fmt.Appendf(body, "{\"courier\":%d,\"end\":true}\n", i+1)
+		fixes[i] = len(tr.Traj)
+	}
+	b.Run("shards=2", func(b *testing.B) {
+		r, err := shard.NewRouter(2, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := engine.NewSharded(engine.DefaultConfig(), r)
+		defer e.Close()
+		w, err := wal.Open(b.TempDir(), wal.Options{Policy: wal.FsyncInterval})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		e.AttachWAL(w)
+		srv := httptest.NewServer(deploy.NewService(e, deploy.Options{}))
+		defer srv.Close()
+		client := benchClient()
+		var next, streamed atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				// In-flight requests are far fewer than trips, so no two
+				// clients ever stream the same courier at once.
+				i := int(next.Add(1)-1) % len(bodies)
+				resp, err := client.Post(srv.URL+"/v1/trajectories:stream", "application/x-ndjson", bytes.NewReader(bodies[i]))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Errorf("status %d", resp.StatusCode)
+					return
+				}
+				streamed.Add(int64(fixes[i]))
+			}
+		})
+		b.StopTimer()
+		if sec := b.Elapsed().Seconds(); sec > 0 {
+			b.ReportMetric(float64(streamed.Load())/sec, "fixes/sec")
+		}
+	})
 }
 
 // storeSnapshotDoc builds the store-only snapshot document both serve

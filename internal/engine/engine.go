@@ -129,6 +129,7 @@ type Engine struct {
 	ingestMu sync.Mutex
 	ss       *streamSet
 	wal      *wal.WAL
+	burst    burstEncoder
 
 	// mu guards the counters below and, with several shards, the mutable
 	// routing state (writers: ingest, restore).

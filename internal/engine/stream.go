@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
+	"time"
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
@@ -103,8 +105,9 @@ func newStreamSet(cfg StreamConfig, coreCfg core.Config) *streamSet {
 
 // point feeds one fix into the courier's stream, opening one if needed. If
 // the gap rule closes the previous trip, the closed trip is returned (the
-// new fix has already been accepted into a fresh stream).
-func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint) *streamedTrip {
+// new fix has already been accepted into a fresh stream). seq is the fix's
+// WAL sequence (0 = not logged); a stream remembers the one it opened on.
+func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint, seq uint64) *streamedTrip {
 	var closed *streamedTrip
 	cs := ss.streams[courier]
 	if cs != nil && pt.T-cs.lastT >= ss.cfg.TripGapSeconds {
@@ -112,37 +115,14 @@ func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint) *streamedT
 		cs = nil
 	}
 	if cs == nil {
-		cs = &courierStream{courier: courier, ex: traj.NewStreamExtractor(ss.noise, ss.stay)}
+		cs = &courierStream{courier: courier, ex: traj.NewStreamExtractor(ss.noise, ss.stay), firstSeq: seq}
 		ss.streams[courier] = cs
 		ss.noteOpen()
 	}
 	cs.pts = append(cs.pts, pt)
 	cs.stays = append(cs.stays, cs.ex.Push(pt)...)
 	cs.lastT = pt.T
-	streamPoints.Inc()
 	return closed
-}
-
-// end closes the courier's open trip explicitly; nil if none is open (an
-// end marker with no stream is an idempotent no-op).
-func (ss *streamSet) end(courier model.CourierID) *streamedTrip {
-	cs := ss.streams[courier]
-	if cs == nil {
-		return nil
-	}
-	return ss.finish(cs, streamTripsEnd)
-}
-
-// noteSeq records the WAL sequence of the point just accepted on the
-// courier's open stream; only the first point's sequence sticks. seq 0 means
-// "no WAL attached" and is ignored.
-func (ss *streamSet) noteSeq(courier model.CourierID, seq uint64) {
-	if seq == 0 {
-		return
-	}
-	if cs := ss.streams[courier]; cs != nil && cs.firstSeq == 0 {
-		cs.firstSeq = seq
-	}
 }
 
 // open reports how many courier streams are currently open. Unlike the rest
@@ -200,72 +180,155 @@ var errRemoteStreaming = errors.New("engine: streaming ingest requires in-proces
 // (when a WAL is attached) before it can close a trip or touch any shard's
 // pool. It returns deploy.ErrBackpressure when the pending-trip backlog has
 // reached Config.MaxPendingTrips — producers should back off until the next
-// re-inference drains it. Implements deploy.StreamIngestor.
+// re-inference drains it. It is a burst of one. Implements
+// deploy.StreamIngestor.
 func (e *Engine) IngestPoint(ctx context.Context, courier model.CourierID, pt traj.GPSPoint) error {
-	if e.remote {
-		return errRemoteStreaming
-	}
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	return e.ingestPointLocked(ctx, courier, pt, 0, true)
+	op := [1]deploy.StreamOp{{Courier: courier, Pt: pt}}
+	_, err := e.IngestBurst(ctx, op[:])
+	return err
 }
 
-// CloseStream explicitly ends a courier's open trip (deploy.StreamIngestor).
-// Closing a courier with no open stream is a no-op.
+// CloseStream explicitly ends a courier's open trip (deploy.StreamIngestor),
+// as a burst of one. Closing a courier with no open stream is a no-op.
 func (e *Engine) CloseStream(ctx context.Context, courier model.CourierID) error {
+	op := [1]deploy.StreamOp{{Courier: courier, End: true}}
+	_, err := e.IngestBurst(ctx, op[:])
+	return err
+}
+
+// IngestBurst applies a run of streamed ops in order under one hold of
+// ingestMu and one write to the log (deploy.StreamBurstIngestor). Live ops
+// are appended to the WAL before any state changes — one AppendBatch, in op
+// order, so append order equals apply order and a failed append leaves the
+// engine untouched for a clean retry of the whole burst. Backpressure is
+// decided once, before anything is logged: with the pending-trip backlog at
+// Config.MaxPendingTrips the burst is cut at its first fix (end markers only
+// ever close trips, so they still pass) and answers deploy.ErrBackpressure
+// there; a burst admitted below the bound runs to its end, so the backlog
+// overshoots by at most the trips that one burst closes. An end marker for a
+// courier with no open stream is a no-op and is not logged.
+func (e *Engine) IngestBurst(ctx context.Context, ops []deploy.StreamOp) (applied int, err error) {
 	if e.remote {
-		return errRemoteStreaming
+		return 0, errRemoteStreaming
 	}
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	return e.closeStreamLocked(ctx, courier, true)
-}
+	// A lock that was free is a wait of zero, known without reading the
+	// clock — which is most of what a burst of one costs.
+	var waited time.Duration
+	if !e.ingestMu.TryLock() {
+		asked := time.Now()
+		e.ingestMu.Lock()
+		waited = time.Since(asked)
+	}
+	locked, n := time.Now(), len(ops)
+	defer func() {
+		e.ingestMu.Unlock()
+		ingestLockWait.Record(waited)
+		ingestLockHold.Record(time.Since(locked))
+		streamBurstOps.Observe(float64(n))
+	}()
 
-// ingestPointLocked is the shared live/replay core of IngestPoint. Live
-// points are rejected under backpressure and appended to the WAL before any
-// state changes (a failed append leaves the engine untouched, so the
-// unacknowledged point can simply be retried); replayed points pass their
-// original sequence in seq and skip both.
-func (e *Engine) ingestPointLocked(ctx context.Context, courier model.CourierID, pt traj.GPSPoint, seq uint64, live bool) error {
-	if live {
-		if e.overloaded() {
+	if e.overloaded() {
+		ends := 0
+		for ends < len(ops) && ops[ends].End {
+			ends++
+		}
+		if ends < len(ops) {
 			backpressureRejects.Inc()
-			return deploy.ErrBackpressure
+			ops, err = ops[:ends], deploy.ErrBackpressure
 		}
-		if e.wal != nil {
-			s, err := e.wal.Append(encodeWALPoint(courier, pt))
-			if err != nil {
-				return err
+	}
+	var seq uint64
+	if e.wal != nil {
+		if recs := e.burst.encode(e.ss, ops); len(recs) > 0 {
+			first, werr := e.wal.AppendBatch(recs)
+			if werr != nil {
+				return 0, werr
 			}
-			seq = s
+			seq = first
 		}
 	}
-	closed := e.ss.point(courier, pt)
-	e.ss.noteSeq(courier, seq)
-	if closed != nil {
-		e.deliverStreamedTripLocked(ctx, closed)
-	}
-	return nil
+	e.applyStreamOpsLocked(ctx, ops, seq)
+	return len(ops), err
 }
 
-// closeStreamLocked is the shared live/replay core of CloseStream. The end
-// marker hits the WAL before the stream is torn down, so a failed append
-// leaves the trip open for a clean retry.
-func (e *Engine) closeStreamLocked(ctx context.Context, courier model.CourierID, live bool) error {
-	if live {
-		if _, ok := e.ss.streams[courier]; !ok {
-			return nil
-		}
-		if e.wal != nil {
-			if _, err := e.wal.Append(encodeWALEnd(courier)); err != nil {
-				return err
+// applyStreamOpsLocked is the one apply loop of streamed ops, live and
+// replayed: each fix enters its courier's stream, each end marker closes it,
+// and every trip either of them closes is delivered to its shard before the
+// next op runs. seq is the WAL sequence of the first logged op (0 = none is
+// logged); ops take consecutive sequences, except an end marker that finds no
+// open stream, which was never logged.
+func (e *Engine) applyStreamOpsLocked(ctx context.Context, ops []deploy.StreamOp, seq uint64) {
+	points := 0
+	for i := range ops {
+		op := &ops[i]
+		var closed *streamedTrip
+		if op.End {
+			cs := e.ss.streams[op.Courier]
+			if cs == nil {
+				continue
 			}
+			closed = e.ss.finish(cs, streamTripsEnd)
+		} else {
+			closed = e.ss.point(op.Courier, op.Pt, seq)
+			points++
+		}
+		if seq != 0 {
+			seq++
+		}
+		if closed != nil {
+			e.deliverStreamedTripLocked(ctx, closed)
 		}
 	}
-	if closed := e.ss.end(courier); closed != nil {
-		e.deliverStreamedTripLocked(ctx, closed)
+	streamPoints.Add(int64(points))
+}
+
+// burstEncoder holds what IngestBurst reuses from one burst to the next to
+// turn ops into WAL payloads: the byte buffer the records are encoded into,
+// the payload slices over it, and the overlay that tracks which couriers the
+// burst itself has opened or closed so far — whether an end marker is logged
+// depends on the stream set as it will be when the marker is applied, and
+// nothing is applied until the whole burst is in the log.
+type burstEncoder struct {
+	buf  []byte
+	recs [][]byte
+	open map[model.CourierID]bool
+}
+
+// encode returns one WAL payload per op that must be logged, in op order.
+// The payloads alias the encoder's buffer and are valid until the next call.
+func (b *burstEncoder) encode(ss *streamSet, ops []deploy.StreamOp) [][]byte {
+	// Grown once up front: a later growth would move the records already cut.
+	buf := slices.Grow(b.buf[:0], len(ops)*walPointSize)
+	recs := b.recs[:0]
+	if b.open == nil {
+		b.open = make(map[model.CourierID]bool)
 	}
-	return nil
+	clear(b.open)
+	// A run of fixes from one courier writes the overlay once.
+	var run model.CourierID
+	inRun := false
+	for i := range ops {
+		op := &ops[i]
+		if op.End {
+			open, seen := b.open[op.Courier]
+			if !seen {
+				_, open = ss.streams[op.Courier]
+			}
+			if !open {
+				continue
+			}
+			b.open[op.Courier] = false
+			inRun = false
+		} else if !inRun || run != op.Courier {
+			b.open[op.Courier] = true
+			run, inRun = op.Courier, true
+		}
+		start := len(buf)
+		buf = appendWALOp(buf, op)
+		recs = append(recs, buf[start:len(buf):len(buf)])
+	}
+	b.buf, b.recs = buf, recs
+	return recs
 }
 
 // deliverStreamedTripLocked hands one closed trip to its shard (by

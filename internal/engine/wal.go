@@ -2,9 +2,13 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
+	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
@@ -12,20 +16,36 @@ import (
 	"dlinfma/internal/wal"
 )
 
-// WAL record kinds. A record is one acknowledged ingest operation: a batch
-// window, one streamed point, or one explicit stream end. Replaying the
-// records through the same code paths the live operations took reproduces
-// the ingest state deterministically (the stream extractor and the pool
-// builder are both deterministic functions of their input order).
+// A WAL record is one acknowledged ingest operation: a batch window, one
+// streamed fix, or one explicit stream end. Replaying the records through the
+// code paths the live operations took reproduces the ingest state
+// deterministically (the stream extractor and the pool builder are both
+// deterministic functions of their input order).
+//
+// Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
+// little-endian; '{' is a whole JSON walRecord, the form every kind had in
+// earlier builds — still read for all of them, written only for the batch
+// window. Any other tag is a log from a newer build and refuses replay.
+const (
+	walTagPoint byte = 0x01 // tag, int32 courier, float64 x, y, t
+	walTagEnd   byte = 0x02 // tag, int32 courier
+	walTagJSON  byte = '{'
+
+	walPointSize = 1 + 4 + 3*8
+	walEndSize   = 1 + 4
+)
+
+// Kinds of a JSON record.
 const (
 	walKindIngest = "ingest"
 	walKindPoint  = "pt"
 	walKindEnd    = "end"
 )
 
-// walRecord is the JSON payload of one WAL entry. Batch fields and point
-// fields are disjoint by Kind; integer map keys round-trip through JSON's
-// stringified-key encoding exactly like the snapshot format.
+// walRecord is the JSON payload of a batch-window WAL entry, and of every
+// entry in a log written before the streamed kinds went binary. Batch fields
+// and point fields are disjoint by Kind; integer map keys round-trip through
+// JSON's stringified-key encoding exactly like the snapshot format.
 type walRecord struct {
 	Kind    string                        `json:"k"`
 	Trips   []model.Trip                  `json:"trips,omitempty"`
@@ -41,14 +61,6 @@ func encodeWALIngest(trips []model.Trip, addrs []model.AddressInfo, truth map[mo
 	return mustEncodeWAL(&walRecord{Kind: walKindIngest, Trips: trips, Addrs: addrs, Truth: truth})
 }
 
-func encodeWALPoint(courier model.CourierID, pt traj.GPSPoint) []byte {
-	return mustEncodeWAL(&walRecord{Kind: walKindPoint, Courier: courier, X: pt.P.X, Y: pt.P.Y, T: pt.T})
-}
-
-func encodeWALEnd(courier model.CourierID) []byte {
-	return mustEncodeWAL(&walRecord{Kind: walKindEnd, Courier: courier})
-}
-
 // mustEncodeWAL marshals a record; every field is a plain value type, so a
 // marshal error is a programming bug, not a runtime condition.
 func mustEncodeWAL(rec *walRecord) []byte {
@@ -57,6 +69,65 @@ func mustEncodeWAL(rec *walRecord) []byte {
 		panic(fmt.Sprintf("engine: marshal wal record: %v", err))
 	}
 	return b
+}
+
+// appendWALOp appends the binary record of one streamed op.
+func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
+	if op.End {
+		b = append(b, walTagEnd)
+		return binary.LittleEndian.AppendUint32(b, uint32(op.Courier))
+	}
+	b = append(b, walTagPoint)
+	b = binary.LittleEndian.AppendUint32(b, uint32(op.Courier))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op.Pt.P.X))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op.Pt.P.Y))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(op.Pt.T))
+}
+
+// decodeWALRecord reads one payload: a streamed op (binary, or a JSON pt/end
+// record of an earlier build), or — window non-nil — a batch window.
+func decodeWALRecord(payload []byte) (op deploy.StreamOp, window *walRecord, err error) {
+	if len(payload) == 0 {
+		return op, nil, errors.New("empty wal record")
+	}
+	switch tag := payload[0]; tag {
+	case walTagPoint:
+		if len(payload) != walPointSize {
+			return op, nil, fmt.Errorf("wal point record of %d bytes, want %d", len(payload), walPointSize)
+		}
+		op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
+		op.Pt.P.X = math.Float64frombits(binary.LittleEndian.Uint64(payload[5:]))
+		op.Pt.P.Y = math.Float64frombits(binary.LittleEndian.Uint64(payload[13:]))
+		op.Pt.T = math.Float64frombits(binary.LittleEndian.Uint64(payload[21:]))
+		return op, nil, nil
+	case walTagEnd:
+		if len(payload) != walEndSize {
+			return op, nil, fmt.Errorf("wal end record of %d bytes, want %d", len(payload), walEndSize)
+		}
+		op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
+		op.End = true
+		return op, nil, nil
+	case walTagJSON:
+		rec := new(walRecord)
+		if err := json.Unmarshal(payload, rec); err != nil {
+			return op, nil, err
+		}
+		switch rec.Kind {
+		case walKindIngest:
+			return op, rec, nil
+		case walKindPoint:
+			op.Courier, op.Pt = rec.Courier, traj.GPSPoint{P: geo.Point{X: rec.X, Y: rec.Y}, T: rec.T}
+			return op, nil, nil
+		case walKindEnd:
+			op.Courier, op.End = rec.Courier, true
+			return op, nil, nil
+		}
+		// A log written by a newer build; refusing beats silently dropping
+		// ingest.
+		return op, nil, fmt.Errorf("unknown wal record kind %q", rec.Kind)
+	default:
+		return op, nil, fmt.Errorf("unknown wal record tag %#02x", tag)
+	}
 }
 
 // AttachWAL makes w the engine's write-ahead log: from now on every accepted
@@ -88,11 +159,18 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	defer tsp.End()
 	n := 0
 	err := w.Replay(func(seq uint64, payload []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("engine: wal record %d: %w", seq, err)
+		op, window, err := decodeWALRecord(payload)
+		switch {
+		case err != nil:
+		case window != nil:
+			err = e.ingest(ctx, window.Trips, window.Addrs, window.Truth, false)
+		default:
+			ops := [1]deploy.StreamOp{op}
+			e.ingestMu.Lock()
+			e.applyStreamOpsLocked(ctx, ops[:], seq)
+			e.ingestMu.Unlock()
 		}
-		if err := e.applyWALRecord(ctx, seq, &rec); err != nil {
+		if err != nil {
 			return fmt.Errorf("engine: wal record %d: %w", seq, err)
 		}
 		n++
@@ -103,25 +181,6 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 		tsp.RecordError(err)
 	}
 	return n, err
-}
-
-func (e *Engine) applyWALRecord(ctx context.Context, seq uint64, rec *walRecord) error {
-	switch rec.Kind {
-	case walKindIngest:
-		return e.ingest(ctx, rec.Trips, rec.Addrs, rec.Truth, false)
-	case walKindPoint:
-		e.ingestMu.Lock()
-		defer e.ingestMu.Unlock()
-		return e.ingestPointLocked(ctx, rec.Courier, traj.GPSPoint{P: geo.Point{X: rec.X, Y: rec.Y}, T: rec.T}, seq, false)
-	case walKindEnd:
-		e.ingestMu.Lock()
-		defer e.ingestMu.Unlock()
-		return e.closeStreamLocked(ctx, rec.Courier, false)
-	default:
-		// A log written by a newer build; refusing beats silently dropping
-		// ingest.
-		return fmt.Errorf("unknown wal record kind %q", rec.Kind)
-	}
 }
 
 // walBoundaryLocked computes the highest WAL sequence a re-inference

@@ -1,0 +1,109 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"dlinfma/internal/deploy"
+	"dlinfma/internal/geo"
+	"dlinfma/internal/model"
+	"dlinfma/internal/traj"
+)
+
+// walPayloads are one of every record a log can hold, and the damage around
+// each: widths off by one, tags nobody wrote, JSON of an unknown kind.
+var walPayloads = func() [][]byte {
+	point := appendWALOp(nil, &deploy.StreamOp{Courier: -7, Pt: traj.GPSPoint{P: geo.Point{X: 116397.53, Y: -0.0}, T: 1622505600.125}})
+	end := appendWALOp(nil, &deploy.StreamOp{Courier: 1 << 30, End: true})
+	return [][]byte{
+		point, end,
+		point[:len(point)-1], append(bytes.Clone(point), 0), {walTagPoint},
+		end[:len(end)-1], append(bytes.Clone(end), 0), {walTagEnd},
+		{}, {0x00}, {0x03, 1, 2, 3, 4}, {0xff},
+		mustEncodeWAL(&walRecord{Kind: walKindPoint, Courier: 4, X: 1.5, Y: -2, T: 3}),
+		mustEncodeWAL(&walRecord{Kind: walKindEnd, Courier: 4}),
+		encodeWALIngest(
+			[]model.Trip{{Courier: 2, StartT: 1, EndT: 2, Traj: traj.Trajectory{{P: geo.Point{X: 1, Y: 2}, T: 1}}}},
+			[]model.AddressInfo{{ID: 1, Geocode: geo.Point{X: 3, Y: 4}}},
+			map[model.AddressID]geo.Point{1: {X: 5, Y: 6}}),
+		[]byte(`{"k":"waybill","c":3}`),
+		[]byte(`{"k":"pt","c":99999999999}`),
+		[]byte(`{"k":"pt","c":1,"x":1e999}`),
+		[]byte(`{"k":"end","c":1} `),
+		[]byte(`{"k":"end"}{"k":"end"}`),
+		[]byte(`{"k":`),
+		[]byte(`{}`),
+	}
+}()
+
+// checkWALRecord holds decodeWALRecord to its contract on one payload: no
+// panic; a binary record that decodes re-encodes to the same bytes; a payload
+// that starts with '{' decodes to what json.Unmarshal makes of it, and is
+// refused when encoding/json refuses it or its kind is unknown.
+func checkWALRecord(t *testing.T, payload []byte) {
+	t.Helper()
+	op, window, err := decodeWALRecord(payload)
+	if len(payload) == 0 || payload[0] != walTagJSON {
+		if err != nil {
+			return
+		}
+		if window != nil {
+			t.Fatalf("binary payload %x decoded as a batch window", payload)
+		}
+		if again := appendWALOp(nil, &op); !bytes.Equal(again, payload) {
+			t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, op, again)
+		}
+		return
+	}
+	var rec walRecord
+	jsonErr := json.Unmarshal(payload, &rec)
+	known := rec.Kind == walKindIngest || rec.Kind == walKindPoint || rec.Kind == walKindEnd
+	if (err == nil) != (jsonErr == nil && known) {
+		t.Fatalf("payload %q: decode error %v, encoding/json %v with kind %q", payload, err, jsonErr, rec.Kind)
+	}
+	if err != nil {
+		return
+	}
+	switch rec.Kind {
+	case walKindIngest:
+		if window == nil || !reflect.DeepEqual(*window, rec) {
+			t.Fatalf("payload %q: window %+v, encoding/json %+v", payload, window, rec)
+		}
+	case walKindPoint:
+		want := deploy.StreamOp{Courier: rec.Courier, Pt: traj.GPSPoint{P: geo.Point{X: rec.X, Y: rec.Y}, T: rec.T}}
+		if window != nil || op != want {
+			t.Fatalf("payload %q: op %+v, want %+v", payload, op, want)
+		}
+	case walKindEnd:
+		if want := (deploy.StreamOp{Courier: rec.Courier, End: true}); window != nil || op != want {
+			t.Fatalf("payload %q: op %+v, want %+v", payload, op, want)
+		}
+	}
+}
+
+// TestWALRecordCodec runs the table and pins the widths the design document
+// and the ladder's wal.bytes_per_record quote.
+func TestWALRecordCodec(t *testing.T) {
+	for _, p := range walPayloads {
+		checkWALRecord(t, p)
+	}
+	if len(walPayloads[0]) != 29 || len(walPayloads[1]) != 5 {
+		t.Fatalf("point and end records are %d and %d bytes, want 29 and 5", len(walPayloads[0]), len(walPayloads[1]))
+	}
+	for i, p := range walPayloads[:2] {
+		if _, _, err := decodeWALRecord(p); err != nil {
+			t.Fatalf("record %d does not decode: %v", i, err)
+		}
+	}
+}
+
+func FuzzWALRecordDecode(f *testing.F) {
+	for _, p := range walPayloads {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkWALRecord(t, payload)
+	})
+}

@@ -11,7 +11,7 @@ var (
 	appendBytes = obs.Default.Counter("dlinfma_wal_append_bytes_total",
 		"Bytes appended to the write-ahead log, headers included.")
 	appendDuration = obs.Default.Histogram("dlinfma_wal_append_duration_seconds",
-		"Wall time of one WAL append, including any policy-mandated fsync.",
+		"Wall time of one append call, single or batch, including any policy-mandated fsync.",
 		obs.RequestLatencyBuckets)
 	fsyncsTotal = obs.Default.Counter("dlinfma_wal_fsyncs_total",
 		"fsync calls issued by the write-ahead log.")

@@ -35,6 +35,10 @@ import (
 // 4 bytes CRC32-C of the payload.
 const headerSize = 8
 
+// maxFrameScratch bounds the framing buffer a WAL keeps between appends; a
+// streamed burst frames to well under it, a batch-window record may not.
+const maxFrameScratch = 1 << 20
+
 // castagnoli is the CRC32-C table; Castagnoli has hardware support on both
 // amd64 and arm64, so the checksum is nearly free next to the fsync.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -138,7 +142,7 @@ type WAL struct {
 	closed   bool
 	lastSync time.Time // last fsync under FsyncInterval
 
-	head [headerSize]byte // append scratch
+	frames []byte // append scratch: the framed records of one call
 }
 
 func segmentName(firstSeq uint64) string {
@@ -325,8 +329,31 @@ func (w *WAL) openSegment(firstSeq uint64) error {
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	one := [1][]byte{payload}
+	return w.appendLocked(one[:])
+}
+
+// AppendBatch writes payloads as consecutive records — framed exactly as
+// Append frames one, so no reader can tell them apart — with one buffered
+// write and one fsync decision for the whole batch, and returns the sequence
+// of the first (the i-th payload has first+i). A batch never spans segments:
+// rotation is decided before it, never inside it. An error means none of the
+// batch may be acknowledged; a crash mid-write can leave a prefix of its
+// records behind, which Open keeps like any other complete record.
+func (w *WAL) AppendBatch(payloads [][]byte) (first uint64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(payloads)
+}
+
+// appendLocked frames payloads into the reused batch buffer and hands them
+// to the segment writer in one Write. Callers hold w.mu.
+func (w *WAL) appendLocked(payloads [][]byte) (first uint64, err error) {
 	if w.closed {
 		return 0, ErrClosed
+	}
+	if len(payloads) == 0 {
+		return w.seq + 1, nil
 	}
 	if w.size >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -334,24 +361,28 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		}
 	}
 	start := time.Now()
-	binary.LittleEndian.PutUint32(w.head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.head[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.w.Write(w.head[:]); err != nil {
+	b := w.frames[:0]
+	for _, p := range payloads {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, castagnoli))
+		b = append(b, p...)
+	}
+	if w.frames = b; cap(b) > maxFrameScratch {
+		w.frames = nil // one huge ingest record must not pin its size forever
+	}
+	if _, err := w.w.Write(b); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	w.size += headerSize + int64(len(payload))
-	w.seq++
-	seq := w.seq
+	w.size += int64(len(b))
+	first = w.seq + 1
+	w.seq += uint64(len(payloads))
 	if err := w.syncLocked(); err != nil {
 		return 0, err
 	}
-	appendsTotal.Inc()
-	appendBytes.Add(int64(headerSize + len(payload)))
+	appendsTotal.Add(int64(len(payloads)))
+	appendBytes.Add(int64(len(b)))
 	appendDuration.Observe(time.Since(start).Seconds())
-	return seq, nil
+	return first, nil
 }
 
 // syncLocked applies the fsync policy after an append. Callers hold w.mu.

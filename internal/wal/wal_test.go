@@ -354,3 +354,137 @@ func TestFsyncIntervalFlushesToKernel(t *testing.T) {
 		t.Fatalf("survived %d records after abandonment, want 5", len(got))
 	}
 }
+
+// TestAppendBatchFramesLikeAppend: a batch is indistinguishable on disk from
+// the same payloads appended one by one, takes dense consecutive sequences,
+// and is decided into one segment whole — rotation happens before a batch,
+// never inside it.
+func TestAppendBatchFramesLikeAppend(t *testing.T) {
+	payloads := [][]byte{[]byte("a"), {}, []byte("record-two"), bytes.Repeat([]byte{0xAB}, 300)}
+	oneDir, batchDir := t.TempDir(), t.TempDir()
+	one, err := Open(oneDir, Options{Policy: FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	batch, err := Open(batchDir, Options{Policy: FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batch.Close()
+	for round := 0; round < 3; round++ {
+		for _, p := range payloads {
+			if _, err := one.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, err := batch.AppendBatch(payloads)
+		if want := uint64(round*len(payloads) + 1); err != nil || first != want {
+			t.Fatalf("AppendBatch round %d: first=%d err=%v, want %d", round, first, err, want)
+		}
+	}
+	if first, err := batch.AppendBatch(nil); err != nil || first != batch.LastSeq()+1 {
+		t.Fatalf("empty batch: first=%d err=%v", first, err)
+	}
+	onePath, _ := lastSegment(t, oneDir)
+	batchPath, _ := lastSegment(t, batchDir)
+	a, err := os.ReadFile(onePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(batchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("batched log differs from the record-by-record log (%d vs %d bytes)", len(b), len(a))
+	}
+
+	// 20-byte segments: every batch starts a fresh segment and stays in it.
+	small, err := Open(t.TempDir(), Options{SegmentBytes: 20, Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	for round := 1; round <= 3; round++ {
+		if _, err := small.AppendBatch(payloads); err != nil {
+			t.Fatal(err)
+		}
+		if got := small.SegmentCount(); got != round {
+			t.Fatalf("after batch %d: %d segments, want %d (a batch never spans segments)", round, got, round)
+		}
+	}
+	if got := collect(t, small); len(got) != 3*len(payloads) {
+		t.Fatalf("replayed %d records across segments, want %d", len(got), 3*len(payloads))
+	}
+}
+
+// TestTornBatchKeepsCompletePrefix: a crash can cut a batch's single write
+// anywhere. Whatever the offset, Open keeps exactly the records that are
+// whole before the cut, replays nothing that was never appended, and the
+// next append continues the dense sequence.
+func TestTornBatchKeepsCompletePrefix(t *testing.T) {
+	var batch [][]byte
+	for i := 0; i < 6; i++ {
+		batch = append(batch, []byte(fmt.Sprintf("batch-%d-%s", i, bytes.Repeat([]byte{'x'}, i*3))))
+	}
+	src := t.TempDir()
+	fill(t, src, 4, Options{})
+	path, before := lastSegment(t, src)
+	w, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := w.AppendBatch(batch); err != nil || first != 5 {
+		t.Fatalf("AppendBatch: first=%d err=%v", first, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[i] is the offset just past the i-th batch record.
+	var ends []int64
+	off := before
+	for _, p := range batch {
+		off += headerSize + int64(len(p))
+		ends = append(ends, off)
+	}
+	if off != int64(len(whole)) {
+		t.Fatalf("segment is %d bytes, framing says %d", len(whole), off)
+	}
+
+	for cut := before; cut < int64(len(whole)); cut++ {
+		dir := t.TempDir()
+		torn := filepath.Join(dir, filepath.Base(path))
+		if err := os.WriteFile(torn, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for kept < len(ends) && ends[kept] <= cut {
+			kept++
+		}
+		w, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("cut at %d: open: %v", cut, err)
+		}
+		got := collect(t, w) // also checks the sequences are dense from 1
+		if len(got) != 4+kept {
+			t.Fatalf("cut at %d: %d records survive, want %d", cut, len(got), 4+kept)
+		}
+		for i := 0; i < kept; i++ {
+			if !bytes.Equal(got[4+i], batch[i]) {
+				t.Fatalf("cut at %d: surviving record %d = %q, want %q", cut, 4+i, got[4+i], batch[i])
+			}
+		}
+		if first, err := w.AppendBatch(batch[:2]); err != nil || first != uint64(4+kept+1) {
+			t.Fatalf("cut at %d: append after recovery: first=%d err=%v, want %d", cut, first, err, 4+kept+1)
+		}
+		if got := collect(t, w); len(got) != 4+kept+2 {
+			t.Fatalf("cut at %d: %d records after the next append, want %d", cut, len(got), 4+kept+2)
+		}
+		w.Close()
+	}
+}

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Re-runs the parallel-client and batched serving benchmarks once and gates
-# the single-shard queries/sec of each against the committed
-# BENCH_locmatcher.json baseline: benchjson exits non-zero when throughput
-# regressed by more than MAX_REGRESS_PCT (default 15%). The fresh run is
+# Re-runs the parallel-client and batched serving benchmarks and the
+# streamed-ingest benchmark once and gates one row of each — the single-shard
+# queries/sec of the two reads, the two-shard fixes/sec of the ingest —
+# against the committed BENCH_locmatcher.json baseline: benchjson exits
+# non-zero when throughput regressed by more than MAX_REGRESS_PCT (default
+# 15%). A gate is "<benchmark name>@<metric>"; without "@" it takes
+# GATE_METRIC. The fresh run is
 # written to a temp file so the committed baseline is never clobbered by a
 # gating run. Run via `make bench-regress`.
 set -euo pipefail
 
 BASELINE="${BASELINE:-BENCH_locmatcher.json}"
-GATES="${GATES:-BenchmarkServeQueriesParallel/shards=1 BenchmarkServeQueriesBatch/shards=1}"
+GATES="${GATES:-BenchmarkServeQueriesParallel/shards=1 BenchmarkServeQueriesBatch/shards=1 BenchmarkServeStreamIngest/shards=2@fixes/sec}"
 GATE_METRIC="${GATE_METRIC:-queries/sec}"
 MAX_REGRESS_PCT="${MAX_REGRESS_PCT:-15}"
 BENCHTIME="${BENCHTIME:-1s}"
@@ -23,15 +26,20 @@ trap 'rm -rf "$BIN_DIR"' EXIT
 
 go build -o "$BIN_DIR/benchjson" ./cmd/benchjson
 
-go test -run '^$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchtime "$BENCHTIME" . |
+go test -run '^$' -bench 'ServeQueriesParallel|ServeQueriesBatch|ServeStreamIngest' -benchtime "$BENCHTIME" . |
   tee "$BIN_DIR/bench_run.txt"
 
 # One benchjson pass per gate over the same run.
 for gate in $GATES; do
+  metric="$GATE_METRIC"
+  if [[ "$gate" == *@* ]]; then
+    metric="${gate#*@}"
+    gate="${gate%@*}"
+  fi
   "$BIN_DIR/benchjson" \
     -out "$BIN_DIR/bench_run.json" \
     -baseline "$BASELINE" \
     -gate "$gate" \
-    -gate-metric "$GATE_METRIC" \
+    -gate-metric "$metric" \
     -max-regress-pct "$MAX_REGRESS_PCT" <"$BIN_DIR/bench_run.txt" >/dev/null
 done

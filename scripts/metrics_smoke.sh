@@ -3,9 +3,11 @@
 # requests through the /v1 surface (plus a retired pre-/v1 path, which must
 # answer the 404 envelope and count under route="other"), then scrapes
 # /v1/metrics with metricscheck: the build fails if the exposition doesn't
-# parse or a required family is missing. Also sends one traced request (synthetic traceparent +
-# X-Request-ID) and asserts the correlation headers echo back and the trace
-# lands in /v1/debug/traces. Run via `make smoke-metrics`.
+# parse or a required family is missing — the baseline HTTP contract plus the
+# per-burst ingest families one streamed session populates. Also sends one
+# traced request (synthetic traceparent + X-Request-ID) and asserts the
+# correlation headers echo back and the trace lands in /v1/debug/traces. Run
+# via `make smoke-metrics`.
 set -euo pipefail
 
 PORT="${PORT:-18080}"
@@ -56,6 +58,13 @@ if [ "$(other404)" -le "$OTHER_BEFORE" ]; then
 fi
 curl -sS -o /dev/null "http://127.0.0.1:$PORT/v1/healthz" || true
 curl -sS -o /dev/null "http://127.0.0.1:$PORT/no/such/route" || true
+# One streamed session: a burst of two fixes and an end marker.
+STREAM_ACK="$(curl -sS -X POST --data-binary $'{"courier":1,"x":1,"y":2,"t":3}\n{"courier":1,"x":1,"y":2,"t":13}\n{"courier":1,"end":true}\n' \
+  "http://127.0.0.1:$PORT/v1/trajectories:stream")"
+if [ "$STREAM_ACK" != '{"points":2,"ends":1}' ]; then
+  echo "metrics smoke: stream session answered $STREAM_ACK" >&2
+  exit 1
+fi
 
 # Traced request: the server must echo the correlation id, continue the
 # incoming trace id in its Traceparent echo, and (the root span publishes
@@ -94,4 +103,10 @@ fi
 echo "trace smoke: OK"
 
 "$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics"
+"$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics" -require \
+  "dlinfma_engine_ingest_lock_wait_seconds,dlinfma_engine_ingest_lock_hold_seconds,dlinfma_engine_stream_burst_ops" >/dev/null
+if ! curl -fsS "http://127.0.0.1:$PORT/v1/metrics" | grep -q '^dlinfma_engine_stream_burst_ops_count [1-9]'; then
+  echo "metrics smoke: the streamed session left no burst observation" >&2
+  exit 1
+fi
 echo "metrics smoke: OK"

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end durability smoke for the streaming ingest path: boots a server
 # with a write-ahead log, streams two complete courier trips plus one
-# still-open stream over POST /v1/trajectories:stream, kills the server with
-# SIGKILL (no shutdown, no snapshot), restarts it on the same -wal-dir, and
-# asserts the replayed engine still holds every acknowledged point: the same
-# pending trips, the same open stream, and a replay count matching exactly
-# what was acked. Run via `make smoke-stream`.
+# still-open stream over POST /v1/trajectories:stream, then one more trip as
+# a body of over 200 KiB (several reads of the session's 64 KiB buffer, lines
+# split across them), kills the server with SIGKILL (no shutdown, no
+# snapshot), restarts it on the same -wal-dir, and asserts the replayed engine
+# still holds every acknowledged point: the same pending trips, the same open
+# stream, and a replay count matching exactly what was acked. Run via
+# `make smoke-stream`.
 set -euo pipefail
 
 PORT="${PORT:-18081}"
@@ -56,8 +58,25 @@ if ! grep -q '"points":23' <<<"$ACK" || ! grep -q '"ends":2' <<<"$ACK"; then
   exit 1
 fi
 
+# A fourth courier's trip as one big body: 4000 fixes of 55+ bytes and an end
+# marker, > 200 KiB, so the session reads it in several bursts and lines
+# straddle the reads. Every line must be acknowledged, and logged.
+BIG="$BIN_DIR/big.ndjson"
+awk 'BEGIN { for (i = 0; i < 4000; i++) printf "{\"courier\":4,\"x\":700.%04d,\"y\":-12345.678,\"t\":%d.125}\n", i, 2000 + i * 10;
+             print "{\"courier\":4,\"end\":true}" }' >"$BIG"
+if [ "$(wc -c <"$BIG")" -lt 204800 ]; then
+  echo "stream smoke: big body is only $(wc -c <"$BIG") bytes" >&2
+  exit 1
+fi
+BIG_ACK="$(curl -sS -X POST -H 'Expect:' --data-binary "@$BIG" "http://127.0.0.1:$PORT/v1/trajectories:stream")"
+if [ "$BIG_ACK" != '{"points":4000,"ends":1}' ]; then
+  echo "stream smoke: big body ack: $BIG_ACK" >&2
+  exit 1
+fi
+ACKED=$((23 + 2 + 4000 + 1))
+
 BEFORE="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
-if ! grep -q '"pending_trips":2' <<<"$BEFORE" || ! grep -q '"open_streams":1' <<<"$BEFORE"; then
+if ! grep -q '"pending_trips":3' <<<"$BEFORE" || ! grep -q '"open_streams":1' <<<"$BEFORE"; then
   echo "stream smoke: pre-kill status wrong: $BEFORE" >&2
   exit 1
 fi
@@ -68,18 +87,18 @@ while kill -0 "$SERVER_PID" 2>/dev/null; do sleep 0.05; done
 
 start_server "$BIN_DIR/server2.log"
 
-if ! grep -q "replayed 25 WAL records" "$BIN_DIR/server2.log"; then
-  echo "stream smoke: restart did not replay all 25 acked records" >&2
+if ! grep -q "replayed $ACKED WAL records" "$BIN_DIR/server2.log"; then
+  echo "stream smoke: restart did not replay all $ACKED acked records" >&2
   cat "$BIN_DIR/server2.log" >&2
   exit 1
 fi
 AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
-if ! grep -q '"pending_trips":2' <<<"$AFTER" || ! grep -q '"open_streams":1' <<<"$AFTER"; then
+if ! grep -q '"pending_trips":3' <<<"$AFTER" || ! grep -q '"open_streams":1' <<<"$AFTER"; then
   echo "stream smoke: acked state lost across the crash: $AFTER" >&2
   exit 1
 fi
 
-# The recovered stream keeps going: closing courier 3 yields a third trip.
+# The recovered stream keeps going: closing courier 3 yields a fourth trip.
 CLOSE="$(curl -sS -X POST --data-binary '{"courier":3,"end":true}' "http://127.0.0.1:$PORT/v1/trajectories:stream")"
 if ! grep -q '"ends":1' <<<"$CLOSE"; then
   echo "stream smoke: close after recovery failed: $CLOSE" >&2
@@ -87,7 +106,7 @@ if ! grep -q '"ends":1' <<<"$CLOSE"; then
 fi
 FINAL="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
 # open_streams is omitempty: absence means zero.
-if ! grep -q '"pending_trips":3' <<<"$FINAL" || grep -q '"open_streams"' <<<"$FINAL"; then
+if ! grep -q '"pending_trips":4' <<<"$FINAL" || grep -q '"open_streams"' <<<"$FINAL"; then
   echo "stream smoke: post-recovery close not reflected: $FINAL" >&2
   exit 1
 fi
