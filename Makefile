@@ -24,7 +24,9 @@ experiments-smoke:
 # Ten seconds of native fuzzing per target (-fuzz takes one target per run),
 # starting from the checked-in corpora under testdata/fuzz. Each target holds
 # a hand-written parser or encoder to the encoding/json behaviour it replaces
-# (the WAL record decoder also to its own binary encoder).
+# (the WAL record decoder also to its own binary encoder); the last holds
+# internal/nn's matrix-product kernels to the naive loops in the reference
+# order, bit for bit.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -32,6 +34,7 @@ fuzz-smoke:
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so
@@ -104,10 +107,11 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Re-run the parallel and batched read benchmarks and the streamed-ingest
-# benchmark and fail on a >15% regression of any gated row (single-shard
-# queries/sec of the reads, two-shard fixes/sec of the ingest) against the
-# committed BENCH_locmatcher.json.
+# Re-run the parallel and batched read benchmarks, the streamed-ingest
+# benchmark and the LocMatcher training benchmark and fail on a >15%
+# regression of any gated row (single-shard queries/sec of the reads,
+# two-shard fixes/sec of the ingest, serial ns/op of a training epoch)
+# against the committed BENCH_locmatcher.json.
 bench-regress:
 	bash scripts/bench_regress.sh
 

@@ -182,7 +182,7 @@ func cmdInfer(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("infer", flag.ExitOnError)
 	data := fs.String("data", "data.json.gz", "dataset path")
 	out := fs.String("out", "locations.json", "output path for inferred locations")
-	workers := fs.Int("workers", 0, "parallel workers (0 = all cores; >1 also parallelizes training)")
+	workers := fs.Int("workers", 0, "parallel workers for pool builds, featurization and inference (0 = all cores); LocMatcher training is serial at 0 and 1, data-parallel only when >1")
 	shards, precision := shardFlags(fs)
 	fs.Parse(args)
 	ds, err := model.LoadFile(*data)
@@ -217,7 +217,7 @@ func cmdInfer(ctx context.Context, args []string) error {
 func cmdEval(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	data := fs.String("data", "data.json.gz", "dataset path")
-	workers := fs.Int("workers", 0, "parallel workers (0 = all cores; >1 also parallelizes training)")
+	workers := fs.Int("workers", 0, "parallel workers for pool builds, featurization and inference (0 = all cores); LocMatcher training is serial at 0 and 1, data-parallel only when >1")
 	shards, precision := shardFlags(fs)
 	fs.Parse(args)
 	ds, err := model.LoadFile(*data)
@@ -246,7 +246,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	data := fs.String("data", "data.json.gz", "dataset path (\"\" to start empty and POST /v1/ingest)")
 	listen := fs.String("listen", ":8080", "HTTP listen address")
-	workers := fs.Int("workers", 0, "parallel workers (0 = all cores; >1 also parallelizes training)")
+	workers := fs.Int("workers", 0, "parallel workers for pool builds, featurization and inference (0 = all cores); LocMatcher training is serial at 0 and 1, data-parallel only when >1")
 	snap := fs.String("snapshot", "", "snapshot path: restored on start if present, saved on shutdown")
 	walDir := fs.String("wal-dir", "",
 		"write-ahead-log directory: existing records are replayed on start, every accepted ingest is logged while serving (\"\" disables durability)")

@@ -31,7 +31,7 @@ func main() {
 		profile  = flag.String("profile", "both", "dataset profile: dowbj|subbj|both")
 		variants = flag.Bool("variants", false, "include Table II variant and ablation rows (slow)")
 		quick    = flag.Bool("quick", false, "use the tiny test profile instead of the full ones")
-		workers  = flag.Int("workers", 0, "pipeline workers (0 = all cores; >1 also parallelizes LocMatcher training)")
+		workers  = flag.Int("workers", 0, "pipeline workers (0 = all cores); LocMatcher training is serial at 0 and 1, data-parallel only when >1")
 	)
 	flag.Parse()
 

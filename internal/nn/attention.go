@@ -42,9 +42,8 @@ func (m *MultiHeadSelfAttention) Forward(x *Tensor) *Tensor {
 		q := m.WQ[h].Forward(x) // [n, dk]
 		k := m.WK[h].Forward(x)
 		v := m.WV[h].Forward(x)
-		scores := Scale(MatMul(q, Transpose(k)), scale) // [n, n]
-		attn := SoftmaxRows(scores)
-		outs[h] = MatMul(attn, v) // [n, dk]
+		scores := ScaledMatMulT(q, k, scale) // q·kᵀ/√dk, [n, n]
+		outs[h] = SoftmaxMatMul(scores, v)   // softmax(scores)·v, [n, dk]
 	}
 	return m.WO.Forward(ConcatCols(outs...))
 }
@@ -89,10 +88,10 @@ func NewTransformerEncoderLayer(rng *rand.Rand, d, heads, dff int, dropout float
 // Forward applies the layer to x of shape [n, d].
 func (l *TransformerEncoderLayer) Forward(x *Tensor, train bool, rng *rand.Rand) *Tensor {
 	a := Dropout(l.Attn.Forward(x), l.Dropout, train, rng)
-	x = l.Norm1.Forward(Add(x, a))
+	x = l.Norm1.ForwardResidual(x, a)
 	f := l.FF2.Forward(ReLU(l.FF1.Forward(x)))
 	f = Dropout(f, l.Dropout, train, rng)
-	return l.Norm2.Forward(Add(x, f))
+	return l.Norm2.ForwardResidual(x, f)
 }
 
 // Params implements Layer.

@@ -41,7 +41,7 @@ func Conv2D(x, w, bias *Tensor) *Tensor {
 			}
 		}
 	}
-	out.setBack(func() {
+	out.setBack(func(out *Tensor) {
 		if bias.needGrad {
 			bias.ensureGrad()
 			for fi := 0; fi < f; fi++ {
@@ -137,7 +137,7 @@ func MaxPool2D(x *Tensor) *Tensor {
 			}
 		}
 	}
-	out.setBack(func() {
+	out.setBack(func(out *Tensor) {
 		x.ensureGrad()
 		for o, idx := range argmax {
 			x.Grad[idx] += out.Grad[o]
@@ -166,7 +166,7 @@ func UpsampleNearest(x *Tensor, H, W int) *Tensor {
 			}
 		}
 	}
-	out.setBack(func() {
+	out.setBack(func(out *Tensor) {
 		x.ensureGrad()
 		for o, s := range src {
 			x.Grad[s] += out.Grad[o]
@@ -194,18 +194,7 @@ func ConcatChannels(ts ...*Tensor) *Tensor {
 		copy(out.Data[off:off+t.Numel()], t.Data)
 		off += t.Numel()
 	}
-	out.setBack(func() {
-		off := 0
-		for _, t := range ts {
-			if t.needGrad {
-				t.ensureGrad()
-				for i := range t.Data {
-					t.Grad[i] += out.Grad[off+i]
-				}
-			}
-			off += t.Numel()
-		}
-	})
+	out.setBack(concatFlatBack)
 	return out
 }
 

@@ -282,3 +282,43 @@ func TestGradientAccumulationAcrossSamples(t *testing.T) {
 		}
 	}
 }
+
+func TestGradLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	// One shape on the eight-wide kernel path, one on four-plus-one.
+	for _, s := range [][3]int{{5, 3, 8}, {4, 6, 5}} {
+		x := randParam(rng, s[0], s[1])
+		w := randParam(rng, s[1], s[2])
+		b := randParam(rng, s[2])
+		checkGrads(t, func() *Tensor { return SumAll(Tanh(Linear(x, w, b))) }, []*Tensor{x, w, b}, 1e-5)
+	}
+}
+
+func TestGradScaledMatMulT(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	// d = 4 takes the unrolled rows, d = 6 the blocked-plus-remainder ones.
+	for _, d := range []int{4, 6} {
+		a := randParam(rng, 5, d)
+		b := randParam(rng, 7, d)
+		checkGrads(t, func() *Tensor { return SumAll(Tanh(ScaledMatMulT(a, b, 0.5))) }, []*Tensor{a, b}, 1e-5)
+	}
+}
+
+func TestGradSoftmaxMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	a := randParam(rng, 5, 6)
+	v := randParam(rng, 6, 4)
+	checkGrads(t, func() *Tensor { return SumAll(Tanh(SoftmaxMatMul(a, v))) }, []*Tensor{a, v}, 1e-5)
+}
+
+func TestGradAddLayerNorm(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	a := randParam(rng, 3, 5)
+	b := randParam(rng, 3, 5)
+	gain := randParam(rng, 5)
+	bias := randParam(rng, 5)
+	w := randParam(rng, 3, 5)
+	checkGrads(t, func() *Tensor {
+		return SumAll(Mul(AddLayerNorm(a, b, gain, bias, 1e-5), w))
+	}, []*Tensor{a, b, gain, bias}, 1e-4)
+}

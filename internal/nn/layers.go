@@ -23,7 +23,7 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 
 // Forward applies the layer to x of shape [n, in].
 func (d *Dense) Forward(x *Tensor) *Tensor {
-	return AddRowVec(MatMul(x, d.W), d.B)
+	return Linear(x, d.W, d.B)
 }
 
 // Params implements Layer.
@@ -44,6 +44,12 @@ func NewLayerNorm(d int) *LayerNormLayer {
 // Forward normalizes each row of x.
 func (l *LayerNormLayer) Forward(x *Tensor) *Tensor {
 	return LayerNorm(x, l.Gain, l.Bias, l.Eps)
+}
+
+// ForwardResidual normalizes each row of x + r: a residual connection and
+// the normalization after it, as one graph node.
+func (l *LayerNormLayer) ForwardResidual(x, r *Tensor) *Tensor {
+	return AddLayerNorm(x, r, l.Gain, l.Bias, l.Eps)
 }
 
 // Params implements Layer.

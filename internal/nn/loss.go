@@ -32,18 +32,22 @@ func CrossEntropy(logits *Tensor, target int) *Tensor {
 		probs[i] /= sum
 	}
 	out.Data[0] = -math.Log(math.Max(probs[target], 1e-300))
-	out.setBack(func() {
-		logits.ensureGrad()
-		g := out.Grad[0]
-		for i := range probs {
-			d := probs[i]
-			if i == target {
-				d -= 1
-			}
-			logits.Grad[i] += g * d
-		}
-	})
+	out.saved[0], out.savedI = probs, target
+	out.setBack(crossEntropyBack)
 	return out
+}
+
+func crossEntropyBack(out *Tensor) {
+	logits, probs, target := out.parents[0], out.saved[0], out.savedI
+	logits.ensureGrad()
+	g := out.Grad[0]
+	for i := range probs {
+		d := probs[i]
+		if i == target {
+			d -= 1
+		}
+		logits.Grad[i] += g * d
+	}
 }
 
 // Softmax1D returns the softmax of a flattened tensor as a probability
@@ -80,7 +84,7 @@ func BCEWithLogits(logit *Tensor, y float64) *Tensor {
 	out := newResult([]int{1}, logit)
 	x := logit.Data[0]
 	out.Data[0] = math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x)))
-	out.setBack(func() {
+	out.setBack(func(out *Tensor) {
 		logit.ensureGrad()
 		p := 1 / (1 + math.Exp(-x))
 		logit.Grad[0] += out.Grad[0] * (p - y)
@@ -108,7 +112,7 @@ func MSE(pred *Tensor, target []float64) *Tensor {
 	}
 	n := float64(len(target))
 	out.Data[0] = s / n
-	out.setBack(func() {
+	out.setBack(func(out *Tensor) {
 		pred.ensureGrad()
 		g := out.Grad[0]
 		for i, v := range pred.Data {

@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 )
+
+// Every op below builds its result with newResult and, when the result is
+// differentiable, installs its backward step with setBack. The steps are
+// plain functions of the result (see Tensor.back): out.parents are the
+// operands in the order the op took them, and anything else the step needs
+// was saved on the result by the forward.
 
 func sameShape(a, b *Tensor) {
 	if len(a.Shape) != len(b.Shape) {
@@ -18,6 +23,20 @@ func sameShape(a, b *Tensor) {
 	}
 }
 
+// accumulate adds g into t's gradient elementwise if t is differentiable —
+// the backward of every op that passes its result's gradient straight
+// through to an operand.
+func accumulate(t *Tensor, g []float64) {
+	if !t.needGrad {
+		return
+	}
+	t.ensureGrad()
+	tg := t.Grad[:len(g)]
+	for i, v := range g {
+		tg[i] += v
+	}
+}
+
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	sameShape(a, b)
@@ -25,21 +44,13 @@ func Add(a, b *Tensor) *Tensor {
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
-	out.setBack(func() {
-		if a.needGrad {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += g
-			}
-		}
-		if b.needGrad {
-			b.ensureGrad()
-			for i, g := range out.Grad {
-				b.Grad[i] += g
-			}
-		}
-	})
+	out.setBack(addBack)
 	return out
+}
+
+func addBack(out *Tensor) {
+	accumulate(out.parents[0], out.Grad)
+	accumulate(out.parents[1], out.Grad)
 }
 
 // Sub returns a - b elementwise.
@@ -49,21 +60,18 @@ func Sub(a, b *Tensor) *Tensor {
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
-	out.setBack(func() {
-		if a.needGrad {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += g
-			}
-		}
-		if b.needGrad {
-			b.ensureGrad()
-			for i, g := range out.Grad {
-				b.Grad[i] -= g
-			}
-		}
-	})
+	out.setBack(subBack)
 	return out
+}
+
+func subBack(out *Tensor) {
+	accumulate(out.parents[0], out.Grad)
+	if b := out.parents[1]; b.needGrad {
+		b.ensureGrad()
+		for i, g := range out.Grad {
+			b.Grad[i] -= g
+		}
+	}
 }
 
 // Mul returns a * b elementwise (Hadamard product).
@@ -73,21 +81,24 @@ func Mul(a, b *Tensor) *Tensor {
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
-	out.setBack(func() {
-		if a.needGrad {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += g * b.Data[i]
-			}
-		}
-		if b.needGrad {
-			b.ensureGrad()
-			for i, g := range out.Grad {
-				b.Grad[i] += g * a.Data[i]
-			}
-		}
-	})
+	out.setBack(mulBack)
 	return out
+}
+
+func mulBack(out *Tensor) {
+	a, b := out.parents[0], out.parents[1]
+	if a.needGrad {
+		a.ensureGrad()
+		for i, g := range out.Grad {
+			a.Grad[i] += g * b.Data[i]
+		}
+	}
+	if b.needGrad {
+		b.ensureGrad()
+		for i, g := range out.Grad {
+			b.Grad[i] += g * a.Data[i]
+		}
+	}
 }
 
 // Scale returns a * s for a constant scalar s.
@@ -96,13 +107,17 @@ func Scale(a *Tensor, s float64) *Tensor {
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * s
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			a.Grad[i] += g * s
-		}
-	})
+	out.savedF = s
+	out.setBack(scaleBack)
 	return out
+}
+
+func scaleBack(out *Tensor) {
+	a, s := out.parents[0], out.savedF
+	a.ensureGrad()
+	for i, g := range out.Grad {
+		a.Grad[i] += g * s
+	}
 }
 
 // AddRowVec adds the row vector b (shape [n] or [1,n]) to every row of the
@@ -119,96 +134,113 @@ func AddRowVec(a, b *Tensor) *Tensor {
 			out.Data[i*n+j] = a.Data[i*n+j] + b.Data[j]
 		}
 	}
-	out.setBack(func() {
-		if a.needGrad {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += g
-			}
-		}
-		if b.needGrad {
-			b.ensureGrad()
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					b.Grad[j] += out.Grad[i*n+j]
-				}
-			}
-		}
-	})
+	out.setBack(addRowVecBack)
 	return out
 }
 
-// matMulParallelFlops is the m*k*n product above which MatMul splits its
-// row blocks across cores. The threshold sits far above LocMatcher's
-// per-sample matrix sizes on purpose: data-parallel training already
-// saturates the cores with sample-level workers, and nesting goroutines
-// under them would only add scheduling overhead. Large single-graph models
-// (the UNet baseline's im2col products) do cross it.
-var matMulParallelFlops = 1 << 17
+func addRowVecBack(out *Tensor) {
+	a, b := out.parents[0], out.parents[1]
+	accumulate(a, out.Grad)
+	if b.needGrad {
+		b.ensureGrad()
+		n := b.Numel()
+		m := out.Numel() / n
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				b.Grad[j] += out.Grad[i*n+j]
+			}
+		}
+	}
+}
 
-// MatMul returns the matrix product of a [m,k] and b [k,n]. Products whose
-// m*k*n exceeds matMulParallelFlops are computed with their independent row
-// blocks spread over GOMAXPROCS workers; because each output (and gradient)
-// row is written by exactly one worker in the serial per-row order, the
-// result is bit-identical to the serial computation.
+// MatMul returns the matrix product of a [m,k] and b [k,n]. Forward, dA and
+// dB run on the three kernels of kernels.go; products whose m*k*n exceeds
+// matMulParallelFlops run the same kernels over row blocks spread across
+// GOMAXPROCS workers, which is bit-identical to the serial computation.
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("nn: MatMul %v x %v", a.Shape, b.Shape))
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := newResult([]int{m, n}, a, b)
-	workers := 1
-	if m*k*n >= matMulParallelFlops {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ParallelFor(workers, m, func(i int) {
-		arow := a.Data[i*k : i*k+k]
-		orow := out.Data[i*n : i*n+n]
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[kk*n : kk*n+n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	})
-	out.setBack(func() {
-		if a.needGrad {
-			a.ensureGrad()
-			// dA = dOut * B^T; rows of dA are independent.
-			ParallelFor(workers, m, func(i int) {
-				grow := out.Grad[i*n : i*n+n]
-				for kk := 0; kk < k; kk++ {
-					var s float64
-					brow := b.Data[kk*n : kk*n+n]
-					for j := range grow {
-						s += grow[j] * brow[j]
-					}
-					a.Grad[i*k+kk] += s
-				}
-			})
-		}
-		if b.needGrad {
-			b.ensureGrad()
-			// dB = A^T * dOut; rows of dB (indexed by kk) are independent.
-			ParallelFor(workers, k, func(kk int) {
-				brow := b.Grad[kk*n : kk*n+n]
-				for i := 0; i < m; i++ {
-					av := a.Data[i*k+kk]
-					if av == 0 {
-						continue
-					}
-					grow := out.Grad[i*n : i*n+n]
-					for j := range grow {
-						brow[j] += av * grow[j]
-					}
-				}
-			})
-		}
-	})
+	matMulForward(out.Data, a.Data, b.Data, nil, m, k, n)
+	out.setBack(matMulBack)
 	return out
+}
+
+func matMulBack(out *Tensor) {
+	a, b := out.parents[0], out.parents[1]
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	if a.needGrad {
+		a.ensureGrad()
+		matMulBackA(a.Grad, out.Grad, b.Data, m, k, n)
+	}
+	if b.needGrad {
+		b.ensureGrad()
+		matMulBackB(b.Grad, a.Data, out.Grad, m, k, n)
+	}
+}
+
+// Linear returns x·w + bias, x [m,k], w [k,n], bias [n] or [1,n], as one
+// node: AddRowVec(MatMul(x, w), bias) without the intermediate product
+// tensor, bit-identical to that composition in its value and in every
+// gradient. The backward runs in the composition's order: bias gradient
+// (rows ascending, each added into bias.Grad in turn), then dX, then dW.
+func Linear(x, w, bias *Tensor) *Tensor {
+	if len(x.Shape) != 2 || len(w.Shape) != 2 || x.Shape[1] != w.Shape[0] || bias.Numel() != w.Shape[1] {
+		panic(fmt.Sprintf("nn: Linear %v x %v + %v", x.Shape, w.Shape, bias.Shape))
+	}
+	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
+	out := newResult([]int{m, n}, x, w, bias)
+	matMulForward(out.Data, x.Data, w.Data, bias.Data, m, k, n)
+	out.setBack(linearBack)
+	return out
+}
+
+func linearBack(out *Tensor) {
+	x, w, bias := out.parents[0], out.parents[1], out.parents[2]
+	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
+	if bias.needGrad {
+		bias.ensureGrad()
+		addRowsInto(bias.Grad, out.Grad, n)
+	}
+	if x.needGrad {
+		x.ensureGrad()
+		matMulBackA(x.Grad, out.Grad, w.Data, m, k, n)
+	}
+	if w.needGrad {
+		w.ensureGrad()
+		matMulBackB(w.Grad, x.Data, out.Grad, m, k, n)
+	}
+}
+
+// ScaledMatMulT returns (a·bᵀ)·s for a [m,d], b [n,d] and a constant s, as
+// one node: Scale(MatMul(a, Transpose(b)), s) — attention's q·kᵀ/√d —
+// without materialising the transpose or the unscaled product,
+// bit-identical to that composition in its value and in both gradients.
+func ScaledMatMulT(a, b *Tensor, s float64) *Tensor {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("nn: ScaledMatMulT %v x %v^T", a.Shape, b.Shape))
+	}
+	m, d, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	out := newResult([]int{m, n}, a, b)
+	scaledMatMulT(out.Data, a.Data, b.Data, s, m, d, n)
+	out.savedF = s
+	out.setBack(scaledMatMulTBack)
+	return out
+}
+
+func scaledMatMulTBack(out *Tensor) {
+	a, b, s := out.parents[0], out.parents[1], out.savedF
+	m, d, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	if a.needGrad {
+		a.ensureGrad()
+		scaledMatMulTGradA(a.Grad, out.Grad, b.Data, s, m, d, n)
+	}
+	if b.needGrad {
+		b.ensureGrad()
+		scaledMatMulTGradB(b.Grad, a.Data, out.Grad, s, m, d, n)
+	}
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -223,15 +255,19 @@ func Transpose(a *Tensor) *Tensor {
 			out.Data[j*m+i] = a.Data[i*n+j]
 		}
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				a.Grad[i*n+j] += out.Grad[j*m+i]
-			}
-		}
-	})
+	out.setBack(transposeBack)
 	return out
+}
+
+func transposeBack(out *Tensor) {
+	a := out.parents[0]
+	m, n := a.Shape[0], a.Shape[1]
+	a.ensureGrad()
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			a.Grad[i*n+j] += out.Grad[j*m+i]
+		}
+	}
 }
 
 // Tanh applies tanh elementwise.
@@ -240,14 +276,17 @@ func Tanh(a *Tensor) *Tensor {
 	for i, v := range a.Data {
 		out.Data[i] = math.Tanh(v)
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			y := out.Data[i]
-			a.Grad[i] += g * (1 - y*y)
-		}
-	})
+	out.setBack(tanhBack)
 	return out
+}
+
+func tanhBack(out *Tensor) {
+	a := out.parents[0]
+	a.ensureGrad()
+	for i, g := range out.Grad {
+		y := out.Data[i]
+		a.Grad[i] += g * (1 - y*y)
+	}
 }
 
 // ReLU applies max(0, x) elementwise.
@@ -256,17 +295,22 @@ func ReLU(a *Tensor) *Tensor {
 	for i, v := range a.Data {
 		if v > 0 {
 			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
 		}
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			if a.Data[i] > 0 {
-				a.Grad[i] += g
-			}
-		}
-	})
+	out.setBack(reluBack)
 	return out
+}
+
+func reluBack(out *Tensor) {
+	a := out.parents[0]
+	a.ensureGrad()
+	for i, g := range out.Grad {
+		if a.Data[i] > 0 {
+			a.Grad[i] += g
+		}
+	}
 }
 
 // Sigmoid applies the logistic function elementwise.
@@ -275,14 +319,51 @@ func Sigmoid(a *Tensor) *Tensor {
 	for i, v := range a.Data {
 		out.Data[i] = 1 / (1 + math.Exp(-v))
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			y := out.Data[i]
-			a.Grad[i] += g * y * (1 - y)
-		}
-	})
+	out.setBack(sigmoidBack)
 	return out
+}
+
+func sigmoidBack(out *Tensor) {
+	a := out.parents[0]
+	a.ensureGrad()
+	for i, g := range out.Grad {
+		y := out.Data[i]
+		a.Grad[i] += g * y * (1 - y)
+	}
+}
+
+// softmaxRow writes softmax(row) into orow (same length): subtract the
+// maximum, exponentiate and sum left to right, divide by the sum.
+func softmaxRow(orow, row []float64) {
+	maxv := row[0]
+	for _, v := range row[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	orow = orow[:len(row)]
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(v - maxv)
+		orow[j] = e
+		sum += e
+	}
+	for j := range orow {
+		orow[j] /= sum
+	}
+}
+
+// softmaxRowBack adds into arow the gradient of a softmax row with output
+// orow and upstream gradient grow.
+func softmaxRowBack(arow, orow, grow []float64) {
+	orow, arow = orow[:len(grow)], arow[:len(grow)]
+	var dot float64
+	for j, g := range grow {
+		dot += g * orow[j]
+	}
+	for j, g := range grow {
+		arow[j] += orow[j] * (g - dot)
+	}
 }
 
 // SoftmaxRows applies softmax independently to each row of a 2-D tensor.
@@ -293,40 +374,63 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
 	out := newResult(a.Shape, a)
 	for i := 0; i < m; i++ {
-		row := a.Data[i*n : i*n+n]
-		orow := out.Data[i*n : i*n+n]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
+		softmaxRow(out.Data[i*n:i*n+n], a.Data[i*n:i*n+n])
+	}
+	out.setBack(softmaxRowsBack)
+	return out
+}
+
+func softmaxRowsBack(out *Tensor) {
+	a := out.parents[0]
+	m, n := a.Shape[0], a.Shape[1]
+	a.ensureGrad()
+	for i := 0; i < m; i++ {
+		softmaxRowBack(a.Grad[i*n:i*n+n], out.Data[i*n:i*n+n], out.Grad[i*n:i*n+n])
+	}
+}
+
+// SoftmaxMatMul returns softmax(a)·v, the softmax taken over each row of
+// a [m,n] and v [n,d], as one node: MatMul(SoftmaxRows(a), v) — attention's
+// weighted sum of values — keeping the probabilities as graph scratch and
+// never giving them a gradient buffer. It is bit-identical to that
+// composition in its value and in both gradients; the backward adds v's
+// gradient before a's, as the composition does. (The one graph shape where
+// the two differ is a v computed from a: there the composition adds v's
+// downstream contribution into a.Grad first.)
+func SoftmaxMatMul(a, v *Tensor) *Tensor {
+	if len(a.Shape) != 2 || len(v.Shape) != 2 || a.Shape[1] != v.Shape[0] {
+		panic(fmt.Sprintf("nn: SoftmaxMatMul softmax(%v) x %v", a.Shape, v.Shape))
+	}
+	m, n, d := a.Shape[0], a.Shape[1], v.Shape[1]
+	out := newResult([]int{m, d}, a, v)
+	probs := graphScratch(out, m*n)
+	for i := 0; i < m; i++ {
+		softmaxRow(probs[i*n:i*n+n], a.Data[i*n:i*n+n])
+	}
+	matMulForward(out.Data, probs, v.Data, nil, m, n, d)
+	out.saved[0] = probs
+	out.setBack(softmaxMatMulBack)
+	return out
+}
+
+func softmaxMatMulBack(out *Tensor) {
+	a, v, probs := out.parents[0], out.parents[1], out.saved[0]
+	m, n, d := a.Shape[0], a.Shape[1], v.Shape[1]
+	if v.needGrad {
+		v.ensureGrad()
+		matMulBackB(v.Grad, probs, out.Grad, m, n, d)
+	}
+	if a.needGrad {
+		a.ensureGrad()
+		// One row of the probabilities' gradient at a time: the dA sums
+		// from zero, then the softmax backward of that row.
+		dp := graphScratch(out, n)
+		for i := 0; i < m; i++ {
+			clear(dp)
+			matMulGradA(dp, out.Grad[i*d:i*d+d], v.Data, n, d, 0, 1)
+			softmaxRowBack(a.Grad[i*n:i*n+n], probs[i*n:i*n+n], dp)
 		}
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i := 0; i < m; i++ {
-			grow := out.Grad[i*n : i*n+n]
-			orow := out.Data[i*n : i*n+n]
-			var dot float64
-			for j := range grow {
-				dot += grow[j] * orow[j]
-			}
-			arow := a.Grad[i*n : i*n+n]
-			for j := range grow {
-				arow[j] += orow[j] * (grow[j] - dot)
-			}
-		}
-	})
-	return out
 }
 
 // SumAll reduces a tensor to the scalar sum of its elements.
@@ -337,13 +441,8 @@ func SumAll(a *Tensor) *Tensor {
 		s += v
 	}
 	out.Data[0] = s
-	out.setBack(func() {
-		a.ensureGrad()
-		g := out.Grad[0]
-		for i := range a.Grad {
-			a.Grad[i] += g
-		}
-	})
+	out.savedF = 1
+	out.setBack(sumAllBack)
 	return out
 }
 
@@ -356,14 +455,20 @@ func MeanAll(a *Tensor) *Tensor {
 	}
 	n := float64(a.Numel())
 	out.Data[0] = s / n
-	out.setBack(func() {
-		a.ensureGrad()
-		g := out.Grad[0] / n
-		for i := range a.Grad {
-			a.Grad[i] += g
-		}
-	})
+	out.savedF = n
+	out.setBack(sumAllBack)
 	return out
+}
+
+// sumAllBack spreads the scalar's gradient, divided by the saved element
+// count (1 for SumAll, and g/1 is g), over the operand.
+func sumAllBack(out *Tensor) {
+	a := out.parents[0]
+	a.ensureGrad()
+	g := out.Grad[0] / out.savedF
+	for i := range a.Grad {
+		a.Grad[i] += g
+	}
 }
 
 // ConcatCols concatenates 2-D tensors with equal row counts along columns.
@@ -388,22 +493,26 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		off += n
 	}
-	out.setBack(func() {
-		off := 0
-		for _, t := range ts {
-			n := t.Shape[1]
-			if t.needGrad {
-				t.ensureGrad()
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						t.Grad[i*n+j] += out.Grad[i*total+off+j]
-					}
+	out.setBack(concatColsBack)
+	return out
+}
+
+func concatColsBack(out *Tensor) {
+	m, total := out.Shape[0], out.Shape[1]
+	off := 0
+	for _, t := range out.parents {
+		n := t.Shape[1]
+		if t.needGrad {
+			t.ensureGrad()
+			for i := 0; i < m; i++ {
+				trow := t.Grad[i*n : i*n+n]
+				for j, g := range out.Grad[i*total+off : i*total+off+n] {
+					trow[j] += g
 				}
 			}
-			off += n
 		}
-	})
-	return out
+		off += n
+	}
 }
 
 // Rows selects the given rows of a 2-D tensor (gather along dim 0). Used for
@@ -417,7 +526,7 @@ func Rows(a *Tensor, idx []int) *Tensor {
 	for i, r := range idx {
 		copy(out.Data[i*n:i*n+n], a.Data[r*n:r*n+n])
 	}
-	out.setBack(func() {
+	out.setBack(func(out *Tensor) {
 		a.ensureGrad()
 		for i, r := range idx {
 			for j := 0; j < n; j++ {
@@ -444,35 +553,33 @@ func Dropout(a *Tensor, p float64, train bool, rng *rand.Rand) *Tensor {
 	for i := range mask {
 		if rng.Float64() >= p {
 			mask[i] = scale
+		} else {
+			mask[i] = 0
 		}
 	}
 	for i, v := range a.Data {
 		out.Data[i] = v * mask[i]
 	}
-	out.setBack(func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			a.Grad[i] += g * mask[i]
-		}
-	})
+	out.saved[0] = mask
+	out.setBack(dropoutBack)
 	return out
 }
 
-// LayerNorm normalizes each row of a 2-D tensor to zero mean and unit
-// variance, then applies a learned per-column gain and bias.
-func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("nn: LayerNorm requires 2-D, got %v", a.Shape))
+func dropoutBack(out *Tensor) {
+	a, mask := out.parents[0], out.saved[0]
+	a.ensureGrad()
+	for i, g := range out.Grad {
+		a.Grad[i] += g * mask[i]
 	}
-	m, n := a.Shape[0], a.Shape[1]
-	if gain.Numel() != n || bias.Numel() != n {
-		panic("nn: LayerNorm gain/bias size mismatch")
-	}
-	out := newResult(a.Shape, a, gain, bias)
-	xhat := graphScratch(out, m*n)
-	invStd := graphScratch(out, m)
+}
+
+// layerNormRows normalizes each row of x [m,n] to zero mean and unit
+// variance and writes gain·x̂ + bias into out, saving x̂ and 1/σ for the
+// backward.
+func layerNormRows(out, xhat, invStd, x, gain, bias []float64, m, n int, eps float64) {
+	gain, bias = gain[:n], bias[:n]
 	for i := 0; i < m; i++ {
-		row := a.Data[i*n : i*n+n]
+		row := x[i*n : i*n+n]
 		var mu float64
 		for _, v := range row {
 			mu += v
@@ -486,46 +593,144 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 		va /= float64(n)
 		is := 1 / math.Sqrt(va+eps)
 		invStd[i] = is
+		hrow, orow := xhat[i*n:i*n+n], out[i*n:i*n+n]
 		for j, v := range row {
 			h := (v - mu) * is
-			xhat[i*n+j] = h
-			out.Data[i*n+j] = gain.Data[j]*h + bias.Data[j]
+			hrow[j] = h
+			orow[j] = gain[j]*h + bias[j]
 		}
 	}
-	out.setBack(func() {
-		dh := graphScratch(out, n)
-		for i := 0; i < m; i++ {
-			grow := out.Grad[i*n : i*n+n]
-			hrow := xhat[i*n : i*n+n]
-			if gain.needGrad {
-				gain.ensureGrad()
-				for j := range grow {
-					gain.Grad[j] += grow[j] * hrow[j]
-				}
-			}
-			if bias.needGrad {
-				bias.ensureGrad()
-				for j := range grow {
-					bias.Grad[j] += grow[j]
-				}
-			}
-			if a.needGrad {
-				a.ensureGrad()
-				// dL/dxhat_j = g_j * gain_j; standard layer-norm backward.
-				var sumDh, sumDhH float64
-				for j := range grow {
-					dh[j] = grow[j] * gain.Data[j]
-					sumDh += dh[j]
-					sumDhH += dh[j] * hrow[j]
-				}
-				nf := float64(n)
-				for j := range grow {
-					a.Grad[i*n+j] += invStd[i] * (dh[j] - sumDh/nf - hrow[j]*sumDhH/nf)
-				}
+}
+
+// layerNormRowBack is the backward of one layer-norm row: it adds the row's
+// terms into the gain and bias gradients (when those are non-nil) and, when
+// dx is non-nil, writes the gradient with respect to the row's input there.
+func layerNormRowBack(dx, gainGrad, biasGrad, grow, hrow, gain []float64, invStd float64) {
+	n := len(grow)
+	hrow, gain = hrow[:n], gain[:n]
+	if gainGrad != nil {
+		gainGrad = gainGrad[:n]
+		for j, g := range grow {
+			gainGrad[j] += g * hrow[j]
+		}
+	}
+	if biasGrad != nil {
+		biasGrad = biasGrad[:n]
+		for j, g := range grow {
+			biasGrad[j] += g
+		}
+	}
+	if dx != nil {
+		// dL/dxhat_j = g_j * gain_j; standard layer-norm backward.
+		dx = dx[:n]
+		var sumDh, sumDhH float64
+		for j, g := range grow {
+			dh := g * gain[j]
+			dx[j] = dh
+			sumDh += dh
+			sumDhH += dh * hrow[j]
+		}
+		nf := float64(n)
+		for j, dh := range dx {
+			dx[j] = invStd * (dh - sumDh/nf - hrow[j]*sumDhH/nf)
+		}
+	}
+}
+
+// LayerNorm normalizes each row of a 2-D tensor to zero mean and unit
+// variance, then applies a learned per-column gain and bias.
+func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
+	if len(a.Shape) != 2 {
+		panic(fmt.Sprintf("nn: LayerNorm requires 2-D, got %v", a.Shape))
+	}
+	m, n := a.Shape[0], a.Shape[1]
+	if gain.Numel() != n || bias.Numel() != n {
+		panic("nn: LayerNorm gain/bias size mismatch")
+	}
+	out := newResult(a.Shape, a, gain, bias)
+	xhat, invStd := graphScratch(out, m*n), graphScratch(out, m)
+	layerNormRows(out.Data, xhat, invStd, a.Data, gain.Data, bias.Data, m, n, eps)
+	out.saved = [2][]float64{xhat, invStd}
+	out.setBack(layerNormBack)
+	return out
+}
+
+func layerNormBack(out *Tensor) {
+	layerNormBackInto(out, out.parents[0], nil, out.parents[1], out.parents[2])
+}
+
+// layerNormBackInto runs the layer-norm backward of out row by row, adding
+// each row's input gradient into a and, when b is non-nil (the fused
+// residual form), into b after it.
+func layerNormBackInto(out, a, b, gain, bias *Tensor) {
+	m, n := out.Shape[0], out.Shape[1]
+	xhat, invStd := out.saved[0], out.saved[1]
+	var gainGrad, biasGrad, dx []float64
+	if gain.needGrad {
+		gain.ensureGrad()
+		gainGrad = gain.Grad
+	}
+	if bias.needGrad {
+		bias.ensureGrad()
+		biasGrad = bias.Grad
+	}
+	needA, needB := a.needGrad, b != nil && b.needGrad
+	if needA {
+		a.ensureGrad()
+	}
+	if needB {
+		b.ensureGrad()
+	}
+	if needA || needB {
+		dx = graphScratch(out, n)
+	}
+	for i := 0; i < m; i++ {
+		layerNormRowBack(dx, gainGrad, biasGrad, out.Grad[i*n:i*n+n], xhat[i*n:i*n+n], gain.Data, invStd[i])
+		if needA {
+			arow := a.Grad[i*n : i*n+n]
+			for j, d := range dx {
+				arow[j] += d
 			}
 		}
-	})
+		if needB {
+			brow := b.Grad[i*n : i*n+n]
+			for j, d := range dx {
+				brow[j] += d
+			}
+		}
+	}
+}
+
+// AddLayerNorm returns LayerNorm(a + b, gain, bias, eps) as one node — a
+// transformer's residual connection and the normalization after it —
+// without the sum's tensor or its gradient buffer, bit-identical to
+// LayerNorm(Add(a, b), gain, bias, eps) in its value and in all four
+// gradients.
+func AddLayerNorm(a, b, gain, bias *Tensor, eps float64) *Tensor {
+	sameShape(a, b)
+	if len(a.Shape) != 2 {
+		panic(fmt.Sprintf("nn: AddLayerNorm requires 2-D, got %v", a.Shape))
+	}
+	m, n := a.Shape[0], a.Shape[1]
+	if gain.Numel() != n || bias.Numel() != n {
+		panic("nn: AddLayerNorm gain/bias size mismatch")
+	}
+	out := newResult(a.Shape, a, b, gain, bias)
+	xhat, invStd := graphScratch(out, m*n), graphScratch(out, m)
+	// x̂'s buffer holds the sum until layerNormRows, which reads each row
+	// before it overwrites it, replaces it.
+	bd := b.Data[:len(xhat)]
+	for i, v := range a.Data[:len(xhat)] {
+		xhat[i] = v + bd[i]
+	}
+	layerNormRows(out.Data, xhat, invStd, xhat, gain.Data, bias.Data, m, n, eps)
+	out.saved = [2][]float64{xhat, invStd}
+	out.setBack(addLayerNormBack)
 	return out
+}
+
+func addLayerNormBack(out *Tensor) {
+	layerNormBackInto(out, out.parents[0], out.parents[1], out.parents[2], out.parents[3])
 }
 
 // ConcatRows concatenates 2-D tensors with equal column counts along rows.
@@ -547,19 +752,19 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 		copy(out.Data[off:off+t.Numel()], t.Data)
 		off += t.Numel()
 	}
-	out.setBack(func() {
-		off := 0
-		for _, t := range ts {
-			if t.needGrad {
-				t.ensureGrad()
-				for i := range t.Data {
-					t.Grad[i] += out.Grad[off+i]
-				}
-			}
-			off += t.Numel()
-		}
-	})
+	out.setBack(concatFlatBack)
 	return out
+}
+
+// concatFlatBack is the backward of a concatenation whose operands lie one
+// after another in the result (ConcatRows, ConcatChannels): each operand
+// takes its stretch of the result's gradient.
+func concatFlatBack(out *Tensor) {
+	off := 0
+	for _, t := range out.parents {
+		accumulate(t, out.Grad[off:off+t.Numel()])
+		off += t.Numel()
+	}
 }
 
 // Reshape returns a view-like tensor with the same data in a new shape. The
@@ -570,11 +775,8 @@ func Reshape(a *Tensor, shape ...int) *Tensor {
 	}
 	out := newResult(shape, a)
 	copy(out.Data, a.Data)
-	out.setBack(func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			a.Grad[i] += g
-		}
-	})
+	out.setBack(reshapeBack)
 	return out
 }
+
+func reshapeBack(out *Tensor) { accumulate(out.parents[0], out.Grad) }

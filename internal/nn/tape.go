@@ -1,13 +1,13 @@
 package nn
 
-// Tape is an arena and free-list for the tensors of one computation graph.
+// Tape is an arena for the tensors of one computation graph.
 // LocMatcher-style training builds and discards a fresh graph per sample;
 // without a tape every op allocates a Tensor struct plus data (and later
 // gradient) buffers that become garbage as soon as the optimizer step runs.
 // A tape hands out recycled structs and buffers instead: after Backward has
-// run and the caller has read everything it needs, Reset returns all storage
-// handed out since the previous Reset to the free lists, so the next
-// sample's graph of the same shapes allocates (almost) nothing.
+// run and the caller has read everything it needs, Reset rewinds the arena,
+// so the next sample's graph is cut from the same memory and allocates
+// (almost) nothing.
 //
 // Usage: create leaf input tensors with NewLeaf (or NewConst) and fill them.
 // Every op whose inputs include a tape-resident tensor allocates its result
@@ -20,61 +20,61 @@ package nn
 // slices and Shape slices obtained from a tape are invalid after Reset;
 // copy anything that must outlive the graph.
 type Tape struct {
-	freeBufs   map[int][][]float64 // recycled float64 buffers by exact length
-	liveBufs   [][]float64         // buffers handed out since the last Reset
-	freeTs     []*Tensor           // recycled Tensor structs
-	liveTs     []*Tensor           // structs handed out since the last Reset
-	freeShapes map[int][][]int     // recycled shape slices by length
-	order      []*Tensor           // Backward's topological-order scratch
+	// slabs are the arena's float64 chunks; buffers are cut from
+	// slabs[slab][off:] in the order they are asked for, and Reset rewinds
+	// to the start of the first. A graph that outgrows one chunk moves on
+	// to the next (allocating it the first time), so after a tape has seen
+	// its largest graph a pass allocates nothing.
+	slabs [][]float64
+	slab  int
+	off   int
+	// ts are the Tensor structs handed out so far, ts[:used] since the last
+	// Reset.
+	ts    []*Tensor
+	used  int
+	order []*Tensor // Backward's topological-order scratch
 }
+
+// tapeSlabLen is the length of a tape's chunks (a request larger than this
+// gets a chunk of its own size): 512 KiB, a few LocMatcher graphs' worth.
+const tapeSlabLen = 1 << 16
 
 // NewTape returns an empty tape.
-func NewTape() *Tape {
-	return &Tape{
-		freeBufs:   make(map[int][][]float64),
-		freeShapes: make(map[int][][]int),
-	}
-}
+func NewTape() *Tape { return &Tape{} }
 
-// buf returns a zeroed float64 buffer of length n, recycled when possible.
-func (tp *Tape) buf(n int) []float64 {
-	var b []float64
-	if l := tp.freeBufs[n]; len(l) > 0 {
-		b = l[len(l)-1]
-		tp.freeBufs[n] = l[:len(l)-1]
-		for i := range b {
-			b[i] = 0
+// alloc returns a float64 buffer of length n (and capacity n, so an append
+// cannot run into its neighbour) with unspecified contents: for storage
+// whose every element the caller writes before reading.
+func (tp *Tape) alloc(n int) []float64 {
+	for tp.slab < len(tp.slabs) {
+		if s := tp.slabs[tp.slab]; tp.off+n <= len(s) {
+			b := s[tp.off : tp.off+n : tp.off+n]
+			tp.off += n
+			return b
 		}
-	} else {
-		b = make([]float64, n)
+		tp.slab++
+		tp.off = 0
 	}
-	tp.liveBufs = append(tp.liveBufs, b)
-	return b
+	tp.slabs = append(tp.slabs, make([]float64, max(n, tapeSlabLen)))
+	tp.off = n
+	return tp.slabs[tp.slab][:n:n]
 }
 
-// newShape copies shape into a recycled slice.
-func (tp *Tape) newShape(shape []int) []int {
-	n := len(shape)
-	if l := tp.freeShapes[n]; len(l) > 0 {
-		s := l[len(l)-1]
-		tp.freeShapes[n] = l[:len(l)-1]
-		copy(s, shape)
-		return s
-	}
-	return append([]int(nil), shape...)
+// zeros returns a zeroed float64 buffer of length n.
+func (tp *Tape) zeros(n int) []float64 {
+	b := tp.alloc(n)
+	clear(b)
+	return b
 }
 
 // tensor returns a zeroed Tensor struct bound to the tape.
 func (tp *Tape) tensor() *Tensor {
-	var t *Tensor
-	if n := len(tp.freeTs); n > 0 {
-		t = tp.freeTs[n-1]
-		tp.freeTs = tp.freeTs[:n-1]
-	} else {
-		t = &Tensor{}
+	if tp.used == len(tp.ts) {
+		tp.ts = append(tp.ts, &Tensor{})
 	}
+	t := tp.ts[tp.used]
+	tp.used++
 	t.tape = tp
-	tp.liveTs = append(tp.liveTs, t)
 	return t
 }
 
@@ -84,8 +84,8 @@ func (tp *Tape) tensor() *Tensor {
 // arena.
 func (tp *Tape) NewLeaf(shape ...int) *Tensor {
 	t := tp.tensor()
-	t.Shape = tp.newShape(shape)
-	t.Data = tp.buf(numel(shape))
+	t.setShape(shape)
+	t.Data = tp.zeros(numel(shape))
 	return t
 }
 
@@ -96,30 +96,24 @@ func (tp *Tape) NewConst(data []float64, shape ...int) *Tensor {
 	return t
 }
 
-// Reset recycles every tensor, buffer and shape handed out since the last
-// Reset. The caller must be done reading all of them.
+// Reset recycles every tensor and buffer handed out since the last Reset.
+// The caller must be done reading all of them.
 func (tp *Tape) Reset() {
-	for _, b := range tp.liveBufs {
-		tp.freeBufs[len(b)] = append(tp.freeBufs[len(b)], b)
-	}
-	tp.liveBufs = tp.liveBufs[:0]
-	for _, t := range tp.liveTs {
-		if t.Shape != nil {
-			tp.freeShapes[len(t.Shape)] = append(tp.freeShapes[len(t.Shape)], t.Shape)
-		}
+	tp.slab, tp.off = 0, 0
+	for _, t := range tp.ts[:tp.used] {
 		*t = Tensor{}
-		tp.freeTs = append(tp.freeTs, t)
 	}
-	tp.liveTs = tp.liveTs[:0]
+	tp.used = 0
 }
 
-// graphScratch returns a zeroed scratch buffer tied to t's graph: arena
-// storage when t lives on a tape, a plain allocation otherwise. Ops use it
-// for forward/backward working memory (dropout masks, saved activations)
-// that must live exactly as long as the graph.
+// graphScratch returns a scratch buffer tied to t's graph, contents
+// unspecified on a tape: arena storage when t lives on one, a plain
+// allocation otherwise. Ops use it for forward/backward working memory
+// (dropout masks, saved activations) that must live exactly as long as the
+// graph, and write every element before reading it.
 func graphScratch(t *Tensor, n int) []float64 {
 	if t.tape != nil {
-		return t.tape.buf(n)
+		return t.tape.alloc(n)
 	}
 	return make([]float64, n)
 }

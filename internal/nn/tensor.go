@@ -36,19 +36,36 @@ type Tensor struct {
 
 	needGrad bool
 	parents  []*Tensor
-	backFn   func()
+	// back is the op's backward step, called with the op's own result. The
+	// ops of ops.go install plain functions — everything they need is
+	// reachable from the result: its parents, its Grad and what the forward
+	// saved below — so a graph node costs no closure; an op with more state
+	// than that (the convolutions) installs a closure over it.
+	back func(out *Tensor)
+	// saved is what the op's forward leaves for its backward: scratch
+	// buffers with the graph's lifetime (a dropout mask, layer norm's x̂ and
+	// 1/σ, softmax probabilities), a scalar and an index.
+	saved  [2][]float64
+	savedF float64
+	savedI int
 	// tape, when non-nil, is the arena this tensor's storage came from; op
 	// results inherit it from their parents (see Tape).
 	tape *Tape
 	// visited is Backward's traversal mark; always false outside Backward.
 	visited bool
+	// Backing arrays of Shape and parents for the usual ranks and arities,
+	// so that a result is one allocation (none on a tape), not three.
+	shapeArr   [4]int
+	parentsArr [4]*Tensor
 }
 
 func numel(shape []int) int {
 	n := 1
 	for _, s := range shape {
 		if s <= 0 {
-			panic(fmt.Sprintf("nn: non-positive dimension in shape %v", shape))
+			// The message gets a copy, so that shape itself does not escape
+			// and an op's []int{m, n} literal stays on its stack.
+			panic(fmt.Sprintf("nn: non-positive dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= s
 	}
@@ -114,12 +131,12 @@ func (t *Tensor) Cols() int { return t.Shape[1] }
 // At returns the element at row i, column j of a 2-D tensor.
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Shape[1]+j] }
 
-// ensureGrad allocates the gradient buffer if needed, from the tensor's tape
-// when it has one.
+// ensureGrad allocates the zeroed gradient buffer if needed, from the
+// tensor's tape when it has one.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
 		if t.tape != nil {
-			t.Grad = t.tape.buf(len(t.Data))
+			t.Grad = t.tape.zeros(len(t.Data))
 		} else {
 			t.Grad = make([]float64, len(t.Data))
 		}
@@ -134,11 +151,14 @@ func (t *Tensor) ZeroGrad() {
 }
 
 // newResult allocates the output tensor of an op over the given parents. It
-// propagates needGrad (wiring the backward closure only when some parent is
+// propagates needGrad (recording the parents only when one of them is
 // differentiable) and the tape: when any parent lives on an arena, the
 // result does too, so one NewLeaf at the graph's inputs routes the whole
 // forward/backward pass through recycled storage. Graphs must not mix
 // tensors from different tapes.
+//
+// On a tape the result's Data is NOT zeroed: every op's forward writes every
+// element of its result.
 func newResult(shape []int, parents ...*Tensor) *Tensor {
 	var tp *Tape
 	need := false
@@ -153,22 +173,29 @@ func newResult(shape []int, parents ...*Tensor) *Tensor {
 	var out *Tensor
 	if tp != nil {
 		out = tp.tensor()
-		out.Shape = tp.newShape(shape)
-		out.Data = tp.buf(numel(shape))
+		out.setShape(shape)
+		out.Data = tp.alloc(numel(shape))
 	} else {
-		out = &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, numel(shape))}
+		out = &Tensor{}
+		out.setShape(shape)
+		out.Data = make([]float64, numel(shape))
 	}
 	if need {
 		out.needGrad = true
-		out.parents = parents
+		out.parents = append(out.parentsArr[:0], parents...)
 	}
 	return out
 }
 
+// setShape copies shape into the tensor's own backing array.
+func (t *Tensor) setShape(shape []int) {
+	t.Shape = append(t.shapeArr[:0], shape...)
+}
+
 // setBack installs fn as the backward step if the output is differentiable.
-func (t *Tensor) setBack(fn func()) {
+func (t *Tensor) setBack(fn func(out *Tensor)) {
 	if t.needGrad {
-		t.backFn = fn
+		t.back = fn
 	}
 }
 
@@ -194,25 +221,14 @@ func Backward(t *Tensor) {
 	if t.tape != nil {
 		order = t.tape.order[:0]
 	}
-	var visit func(n *Tensor)
-	visit = func(n *Tensor) {
-		if n.visited || !n.needGrad {
-			return
-		}
-		n.visited = true
-		for _, p := range n.parents {
-			visit(p)
-		}
-		order = append(order, n)
-	}
-	visit(t)
+	order = visit(t, order)
 	for _, n := range order {
 		n.ensureGrad()
 	}
 	t.Grad[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
-		if order[i].backFn != nil {
-			order[i].backFn()
+		if n := order[i]; n.back != nil {
+			n.back(n)
 		}
 	}
 	for _, n := range order {
@@ -221,6 +237,19 @@ func Backward(t *Tensor) {
 	if t.tape != nil {
 		t.tape.order = order
 	}
+}
+
+// visit appends the differentiable tensors reachable from n that are not yet
+// marked to order, parents before children, marking them.
+func visit(n *Tensor, order []*Tensor) []*Tensor {
+	if n.visited || !n.needGrad {
+		return order
+	}
+	n.visited = true
+	for _, p := range n.parents {
+		order = visit(p, order)
+	}
+	return append(order, n)
 }
 
 // Value returns the single element of a scalar tensor.
