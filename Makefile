@@ -1,14 +1,15 @@
 # Build/test/bench entry points. The race target covers the packages with
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, the
-# obs metrics/logging layer, and the load generator); bench regenerates the LocMatcher + serving
-# performance numbers and their machine-readable BENCH_locmatcher.json; cover
-# enforces a coverage floor; smoke-metrics boots a server and validates the
-# /v1/metrics exposition end to end.
+# obs metrics/logging layer, and the load generator); bench regenerates the
+# LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json; cover
+# enforces a coverage floor; the smoke-* targets each boot a real server and
+# check one surface end to end. End-to-end performance numbers come from
+# bench/run.sh (BENCHMARK.json), not from a target here.
 
 GO ?= go
 COVER_FLOOR ?= 75
 
-.PHONY: build test experiments-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress bench-capacity smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
+.PHONY: build test experiments-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
 
 build:
 	$(GO) build ./...
@@ -72,9 +73,9 @@ smoke-stream:
 smoke-cluster:
 	bash scripts/cluster_smoke.sh
 
-# Boot a server, drive a short fixed-rate open-loop swarm (zero errors
-# required), then a mini-ramp whose verdict must land in a populated
-# capacity report.
+# Boot a server and drive a short fixed-rate open-loop swarm: zero errors,
+# zero dropped arrivals, and a stage p99_ms that is a loopback latency in
+# milliseconds.
 smoke-swarm:
 	bash scripts/swarm_smoke.sh
 
@@ -114,9 +115,3 @@ bench-read:
 # against the committed BENCH_locmatcher.json.
 bench-regress:
 	bash scripts/bench_regress.sh
-
-# Capacity model: ramp the open-loop swarm against shards=1/2/4 in-process
-# plus a two-peer cluster until the SLO breaks -> BENCH_capacity.json.
-# Tune with STAGE/RAMP_START/RAMP_GROWTH/SLO_P99/MIX env knobs.
-bench-capacity:
-	bash scripts/bench_capacity.sh

@@ -25,7 +25,6 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/eval"
-	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/shard"
@@ -376,25 +375,6 @@ func BenchmarkNoiseFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		traj.FilterNoise(tr, cfg)
-	}
-}
-
-// BenchmarkRoutePlanning measures the Application-1 TSP heuristic on a
-// realistic 25-stop tour.
-func BenchmarkRoutePlanning(b *testing.B) {
-	ds, w := dowDataset(b)
-	var stops []geo.Point
-	seen := map[geo.Point]bool{}
-	for _, wb := range ds.Trips[0].Waybills {
-		p := w.Truth[wb.Addr]
-		if !seen[p] {
-			seen[p] = true
-			stops = append(stops, p)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		deploy.PlanRoute(geo.Point{}, stops)
 	}
 }
 

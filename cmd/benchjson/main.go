@@ -5,11 +5,6 @@
 //
 // Each benchmark result line becomes one record with ns/op, B/op and
 // allocs/op (when -benchmem is on) plus any custom ReportMetric units.
-//
-// With -capacity it instead collects cmd/swarm capacity rows from stdin
-// into BENCH_capacity.json (see capacity.go):
-//
-//	cat rows.ndjson | benchjson -capacity -out BENCH_capacity.json
 package main
 
 import (
@@ -62,13 +57,7 @@ func main() {
 	gate := flag.String("gate", "", "benchmark name prefix to gate, e.g. BenchmarkServeQueriesParallel/shards=1")
 	gateMetric := flag.String("gate-metric", "queries/sec", "metric to compare: ns/op (lower is better) or a ReportMetric unit (higher is better)")
 	maxRegress := flag.Float64("max-regress-pct", 15, "fail when the gated metric regresses by more than this percentage")
-	capacity := flag.Bool("capacity", false, "capacity mode: collect swarm CapacityRow JSON from stdin into -out instead of parsing go test -bench output; -gate then names a config label")
 	flag.Parse()
-
-	if *capacity {
-		capacityMain(*out, *baseline, *gate, *maxRegress)
-		return
-	}
 
 	var rep Report
 	sc := bufio.NewScanner(os.Stdin)

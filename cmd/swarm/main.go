@@ -5,17 +5,13 @@
 // responses, so slow servers get measured instead of accidentally throttling
 // the load (coordinated omission).
 //
-// Two modes:
-//
 //	swarm -target http://host:port -rate 200 -duration 30s
-//	    holds a fixed arrival rate and reports the stage summary.
 //
-//	swarm -target http://host:port -ramp-start 50 -ramp-growth 1.5 -stage 10s
-//	    ramps the rate until the SLO (p99, error rate) breaks and reports
-//	    the capacity verdict as a loadgen.CapacityRow.
-//
-// Machine-readable JSON goes to stdout; progress and the optional -tui
-// dashboard go to stderr, so output pipes cleanly into benchjson -capacity.
+// holds a fixed arrival rate for the duration and prints the stage summary,
+// per-endpoint percentiles and the interval timeseries as JSON on stdout
+// (every latency in fractional milliseconds); the optional -tui dashboard
+// goes to stderr. End-to-end performance numbers come from bench/run.sh;
+// swarm is the traffic source for smokes and fault drills.
 package main
 
 import (
@@ -23,12 +19,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -38,9 +32,9 @@ import (
 func main() {
 	var (
 		target   = flag.String("target", "", "base URL of the server under test (required)")
-		config   = flag.String("config", "", "configuration label for the capacity row, e.g. shards=2")
-		shards   = flag.Int("shards", 0, "in-process shard count of the target (report metadata)")
-		peers    = flag.Int("peers", 0, "remote cluster peer count of the target (report metadata)")
+		rate     = flag.Float64("rate", 0, "arrival rate in qps (required)")
+		duration = flag.Duration("duration", 10*time.Second, "run duration")
+		config   = flag.String("config", "", "configuration label copied into the report, e.g. shards=2")
 		mix      = flag.String("mix", "lookup=80,batch=10,stream=10", "endpoint weights, name=weight comma-separated (lookup, batch, stream, reinfer), or a preset: default, read-heavy, ingest-heavy")
 		seed     = flag.Int64("seed", 1, "seed for address sampling, bodies, and Poisson arrivals")
 		poisson  = flag.Bool("poisson", false, "Poisson arrivals instead of uniform pacing")
@@ -50,24 +44,10 @@ func main() {
 		interval = flag.Duration("interval", time.Second, "timeseries sampling interval")
 		tui      = flag.Bool("tui", false, "live terminal dashboard on stderr")
 		out      = flag.String("out", "", "also write the JSON verdict to this file")
-
-		rate     = flag.Float64("rate", 0, "fixed arrival rate (qps); selects fixed mode")
-		duration = flag.Duration("duration", 10*time.Second, "fixed-mode run duration")
-
-		rampStart  = flag.Float64("ramp-start", 0, "first ramp stage rate (qps); selects ramp mode")
-		rampStep   = flag.Float64("ramp-step", 0, "additive rate increase per stage")
-		rampGrowth = flag.Float64("ramp-growth", 0, "multiplicative rate increase per stage (overrides -ramp-step)")
-		rampMax    = flag.Float64("ramp-max", 0, "stop ramping past this rate even if the SLO holds (0: unbounded)")
-		stage      = flag.Duration("stage", 10*time.Second, "ramp stage duration")
-		sloP99     = flag.Duration("slo-p99", 250*time.Millisecond, "p99 latency SLO")
-		sloErrors  = flag.Float64("slo-errors", 0.01, "error-rate SLO (fraction)")
 	)
 	flag.Parse()
-	if *target == "" {
-		fatal("swarm: -target is required")
-	}
-	if (*rate > 0) == (*rampStart > 0) {
-		fatal("swarm: pick exactly one of -rate (fixed) or -ramp-start (ramp)")
+	if *target == "" || *rate <= 0 {
+		fatal("swarm: -target and a positive -rate are required\nusage: swarm -target http://host:port -rate QPS [-duration 10s] [flags]")
 	}
 	m, err := parseMix(*mix)
 	if err != nil {
@@ -82,12 +62,6 @@ func main() {
 		fatal("swarm: %v", err)
 	}
 
-	// The sampler sees the currently offered rate through an atomic cell the
-	// stage loop updates; float bits through a uint64.
-	var targetRate atomic.Uint64
-	setRate := func(r float64) { targetRate.Store(math.Float64bits(r)) }
-	getRate := func() float64 { return math.Float64frombits(targetRate.Load()) }
-
 	ts := loadgen.NewTimeseries()
 	var onSample func(loadgen.SeriesPoint)
 	if *tui {
@@ -98,50 +72,19 @@ func main() {
 	samplerDone := make(chan struct{})
 	go func() {
 		defer close(samplerDone)
-		loadgen.Sample(sampleCtx, w.Stats(), ts, *interval, time.Now(), getRate, onSample)
+		loadgen.Sample(sampleCtx, w.Stats(), ts, *interval, time.Now(), *rate, onSample)
 	}()
 
-	opts := loadgen.StageOptions{Poisson: *poisson, Seed: *seed, MaxInFlight: *inFlight}
-	var verdict any
-	if *rate > 0 {
-		setRate(*rate)
-		res := loadgen.RunStage(ctx, w, *rate, *duration, opts)
-		verdict = fixedReport{
-			Config: *config, Stage: res,
-			Endpoints: endpointSummaries(w.Stats()),
-			Series:    ts.Points(),
-		}
-	} else {
-		stageN := 0
-		outcome, err := loadgen.Ramp(ctx, loadgen.RampConfig{
-			StartQPS:      *rampStart,
-			StepQPS:       *rampStep,
-			Growth:        *rampGrowth,
-			MaxQPS:        *rampMax,
-			StageDuration: *stage,
-			SLO:           loadgen.SLO{P99: *sloP99, MaxErrorRate: *sloErrors},
-		}, func(ctx context.Context, r float64, d time.Duration) (loadgen.StageResult, error) {
-			stageN++
-			setRate(r)
-			fmt.Fprintf(os.Stderr, "swarm: stage %d at %.0f qps for %s\n", stageN, r, d)
-			res := loadgen.RunStage(ctx, w, r, d, opts)
-			fmt.Fprintf(os.Stderr, "swarm:   achieved %.0f qps, p99 %s, errors %d, backpressure %d, dropped %d\n",
-				res.AchievedQPS, res.P99, res.Errors, res.Backpressure, res.Dropped)
-			return res, nil
-		})
-		if err != nil {
-			fatal("swarm: ramp: %v", err)
-		}
-		label := *config
-		if label == "" {
-			label = fmt.Sprintf("shards=%d", *shards)
-		}
-		verdict = outcome.Row(label, *shards, *peers)
-	}
+	res := loadgen.RunStage(ctx, w, *rate, *duration,
+		loadgen.StageOptions{Poisson: *poisson, Seed: *seed, MaxInFlight: *inFlight})
 	stopSampler()
 	<-samplerDone
 
-	data, err := json.MarshalIndent(verdict, "", "  ")
+	data, err := json.MarshalIndent(fixedReport{
+		Config: *config, Stage: res,
+		Endpoints: endpointSummaries(w.Stats()),
+		Series:    ts.Points(),
+	}, "", "  ")
 	if err != nil {
 		fatal("swarm: %v", err)
 	}

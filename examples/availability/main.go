@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"dlinfma/internal/core"
-	"dlinfma/internal/deploy"
 	"dlinfma/internal/eval"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
@@ -52,9 +51,9 @@ func main() {
 	}
 
 	// Availability from recorded times vs from recovered actual times.
-	recorded := deploy.NewAvailabilityModel()
+	recorded := NewAvailabilityModel()
 	recorded.ObserveDataset(ds, nil, traj.DefaultNoiseFilter(), traj.DefaultStayPointConfig(), 50)
-	actual := deploy.NewAvailabilityModel()
+	actual := NewAvailabilityModel()
 	actual.ObserveDataset(ds, inferred, traj.DefaultNoiseFilter(), traj.DefaultStayPointConfig(), 50)
 
 	// Pick the busiest addresses and show their weekday windows.
@@ -84,7 +83,7 @@ func main() {
 	fmt.Println("true morning delivery pattern.")
 }
 
-func windows(m *deploy.AvailabilityModel, addr model.AddressID) string {
+func windows(m *AvailabilityModel, addr model.AddressID) string {
 	var parts []string
 	for _, w := range m.Windows(addr, 0.08) {
 		if w.Weekend {

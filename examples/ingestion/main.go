@@ -14,7 +14,6 @@ import (
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/synth"
-	"dlinfma/internal/traj"
 )
 
 func main() {
@@ -39,7 +38,7 @@ func main() {
 	for _, id := range ids[:10] {
 		tr, _ := store.Trajectory(id)
 		before += len(tr)
-		after += len(traj.Simplify(tr, 5))
+		after += len(Simplify(tr, 5))
 	}
 	fmt.Printf("archival compression on 10 trips: %d -> %d points (%.0f%%)\n",
 		before, after, 100*float64(after)/float64(before))

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"dlinfma/internal/core"
-	"dlinfma/internal/deploy"
 	"dlinfma/internal/eval"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
@@ -92,8 +91,8 @@ func main() {
 			for i, a := range addrs {
 				planned[i] = src.locOf(a)
 			}
-			order := deploy.PlanRoute(start, planned)
-			walkedTotal[src.name] += deploy.RouteLength(start, actual, order)
+			order := PlanRoute(start, planned)
+			walkedTotal[src.name] += RouteLength(start, actual, order)
 		}
 	}
 	fmt.Printf("mean executed tour length over %d trips:\n", nTrips)

@@ -1,8 +1,8 @@
 // Package cluster implements the clustering algorithms the paper uses or
 // compares against for candidate pool construction — centroid-linkage
 // hierarchical clustering with a distance cutoff (the paper's choice,
-// Section III-B), DBSCAN (the GeoCloud baseline), grid merging (the
-// DLInfMA-Grid variant), k-means (a comparison utility), and OPTICS.
+// Section III-B), DBSCAN (the GeoCloud baseline), and grid merging (the
+// DLInfMA-Grid variant).
 package cluster
 
 import (

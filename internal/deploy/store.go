@@ -1,8 +1,10 @@
-// Package deploy reproduces the deployed system of Section VI: a
-// delivery-location store with the paper's three-level query fallback
-// (address -> building majority -> geocode), an HTTP query API, and the two
-// applications built on top — route planning over inferred locations and
-// customer availability inference from actual delivery times.
+// Package deploy is the serving package of the deployed system of Section
+// VI: the delivery-location store with the paper's three-level query
+// fallback (address -> building majority -> geocode), writable while a
+// re-inference fills it and frozen to serve, and the /v1 HTTP service every
+// read and write request runs through. The two applications the paper builds
+// on the store live with the examples that run them (examples/routeplanning,
+// examples/availability).
 package deploy
 
 import (

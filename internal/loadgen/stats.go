@@ -50,8 +50,8 @@ type epStats struct {
 	ok   atomic.Int64
 	errs atomic.Int64
 	// bp counts backpressure rejections (HTTP 429): the server shedding load
-	// by design, not a failure — kept out of the error rate so an SLO ramp
-	// reports "saturated" rather than "broken".
+	// by design, not a failure — kept out of the error rate so a saturated
+	// ingest path reads "saturated" rather than "broken".
 	bp atomic.Int64
 	// lastErr keeps one representative error message for diagnostics.
 	lastErr atomic.Pointer[string]

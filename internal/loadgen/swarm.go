@@ -3,9 +3,9 @@
 // arrivals on an absolute timer schedule (so slow responses never throttle
 // the offered load — the coordinated-omission trap), records latency into
 // the log-linear obs.HDRHistogram the server also uses (so client- and
-// server-side quantiles are directly comparable), and ramps the arrival
-// rate until an SLO breaks to find the maximum sustainable throughput of a
-// configuration.
+// server-side quantiles are directly comparable), and reports one fixed-rate
+// stage per run. It is the traffic source for the smokes and fault drills;
+// end-to-end performance numbers come from bench/run.sh, not from here.
 package loadgen
 
 import (
@@ -13,7 +13,41 @@ import (
 	"time"
 )
 
-// StageOptions tunes the fixed-rate stages the orchestrator runs.
+// StageResult is the measured outcome of one stage: a fixed arrival rate
+// held for a fixed duration. Latencies are fractional milliseconds, the
+// unit every latency in cmd/swarm's report uses.
+type StageResult struct {
+	// TargetQPS is the offered arrival rate.
+	TargetQPS float64 `json:"target_qps"`
+	// AchievedQPS counts completed operations per second of stage wall time.
+	AchievedQPS float64 `json:"achieved_qps"`
+	Requests    int64   `json:"requests"`
+	Errors      int64   `json:"errors"`
+	// Backpressure counts 429 rejections — the server shedding load by
+	// design. Excluded from ErrorRate: a saturated ingest path that says so
+	// is meeting its contract, not breaking it.
+	Backpressure int64   `json:"backpressure,omitempty"`
+	Dropped      int64   `json:"dropped"`
+	P50MS        float64 `json:"p50_ms"`
+	P95MS        float64 `json:"p95_ms"`
+	P99MS        float64 `json:"p99_ms"`
+	MaxMS        float64 `json:"max_ms"`
+}
+
+// ErrorRate returns errors/requests (0 when no requests completed).
+func (r StageResult) ErrorRate() float64 {
+	if r.Requests == 0 {
+		return 0
+	}
+	return float64(r.Errors) / float64(r.Requests)
+}
+
+// durToMS renders a duration as fractional milliseconds.
+func durToMS(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
+}
+
+// StageOptions tunes a fixed-rate stage.
 type StageOptions struct {
 	// Poisson switches arrivals from exact 1/rate pacing to a seeded
 	// Poisson process.
@@ -48,10 +82,10 @@ func RunStage(ctx context.Context, w *Workload, rate float64, d time.Duration, o
 		Errors:       errs,
 		Backpressure: bp,
 		Dropped:      res.Dropped,
-		P50:          merged.Quantile(0.50),
-		P95:          merged.Quantile(0.95),
-		P99:          merged.Quantile(0.99),
-		Max:          merged.Max(),
+		P50MS:        durToMS(merged.Quantile(0.50)),
+		P95MS:        durToMS(merged.Quantile(0.95)),
+		P99MS:        durToMS(merged.Quantile(0.99)),
+		MaxMS:        durToMS(merged.Max()),
 	}
 	if res.Elapsed > 0 {
 		out.AchievedQPS = float64(reqs) / res.Elapsed.Seconds()

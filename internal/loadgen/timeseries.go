@@ -10,15 +10,15 @@ import (
 // and the latency percentiles of just that interval (delta histograms, not
 // cumulative — a cumulative p99 hides when things went bad).
 type SeriesPoint struct {
-	// Offset is the interval's end, measured from the start of the run.
-	Offset time.Duration `json:"offset_ms"`
+	// OffsetMS is the interval's end, measured from the start of the run.
+	OffsetMS float64 `json:"offset_ms"`
 	// TargetQPS is the arrival rate the schedule offered in this interval.
 	TargetQPS float64 `json:"target_qps"`
 	// AchievedQPS counts completed operations (any outcome) per second.
 	AchievedQPS float64 `json:"achieved_qps"`
-	P50    time.Duration `json:"p50_us"`
-	P99    time.Duration `json:"p99_us"`
-	Errors int64         `json:"errors"`
+	P50MS       float64 `json:"p50_ms"`
+	P99MS       float64 `json:"p99_ms"`
+	Errors      int64   `json:"errors"`
 	// Backpressure counts 429 rejections in the interval (not errors).
 	Backpressure int64 `json:"backpressure,omitempty"`
 }
@@ -51,10 +51,10 @@ func (ts *Timeseries) Points() []SeriesPoint {
 
 // Sample runs a sampling loop until ctx is done: every interval it takes a
 // stats snapshot, diffs it against the previous one, and appends the
-// interval's qps/percentiles to the series. target reports the currently
-// offered rate (it changes across ramp stages). onSample, when non-nil, is
-// called with each fresh point — the terminal dashboard hangs off this.
-func Sample(ctx context.Context, stats *Stats, ts *Timeseries, interval time.Duration, start time.Time, target func() float64, onSample func(SeriesPoint)) {
+// interval's qps/percentiles to the series. target is the offered rate.
+// onSample, when non-nil, is called with each fresh point — the terminal
+// dashboard hangs off this.
+func Sample(ctx context.Context, stats *Stats, ts *Timeseries, interval time.Duration, start time.Time, target float64, onSample func(SeriesPoint)) {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -73,11 +73,11 @@ func Sample(ctx context.Context, stats *Stats, ts *Timeseries, interval time.Dur
 		merged := delta.Merged()
 		reqs, errs, bp := delta.Totals()
 		p := SeriesPoint{
-			Offset:       time.Since(start),
-			TargetQPS:    target(),
+			OffsetMS:     durToMS(time.Since(start)),
+			TargetQPS:    target,
 			AchievedQPS:  float64(reqs) / interval.Seconds(),
-			P50:          merged.Quantile(0.50),
-			P99:          merged.Quantile(0.99),
+			P50MS:        durToMS(merged.Quantile(0.50)),
+			P99MS:        durToMS(merged.Quantile(0.99)),
 			Errors:       errs,
 			Backpressure: bp,
 		}

@@ -72,8 +72,8 @@ func (d *Dashboard) Render(cur SeriesPoint) {
 		fmt.Fprintf(d.w, "\x1b[2K"+format+"\n", args...) // clear line, write
 		lines++
 	}
-	put("swarm  target %.0f qps  achieved %.0f qps  p50 %s  p99 %s  errs %d",
-		cur.TargetQPS, cur.AchievedQPS, fmtDur(cur.P50), fmtDur(cur.P99), cur.Errors)
+	put("swarm  target %.0f qps  achieved %.0f qps  p50 %.2fms  p99 %.2fms  errs %d",
+		cur.TargetQPS, cur.AchievedQPS, cur.P50MS, cur.P99MS, cur.Errors)
 	put("  qps %s", sparkline(qps, 60))
 	put("  %-8s %10s %8s %10s %10s", "endpoint", "requests", "errors", "p50", "p99")
 	for _, ep := range Endpoints() {

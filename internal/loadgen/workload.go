@@ -30,7 +30,7 @@ type Mix struct {
 	Reinfer int
 }
 
-// DefaultMix is the read-heavy serving shape the capacity model uses:
+// DefaultMix is the read-heavy serving shape:
 // overwhelmingly lookups, a slice of batches, a trickle of trajectory
 // ingest, no reinfer storms (a background retrain would measure the
 // retrainer, not the serving path).
@@ -38,7 +38,7 @@ func DefaultMix() Mix { return Mix{Lookup: 80, Batch: 10, Stream: 10} }
 
 // IngestHeavyMix is the write-dominant shape for exercising the streaming
 // path: mostly trajectory bursts with a thin read mix to keep the serving
-// path honest. Ramped hard enough it drives the engine into
+// path honest. Offered hard enough it drives the engine into
 // -max-pending-trips backpressure, which the collector records as 429
 // rejections rather than errors.
 func IngestHeavyMix() Mix { return Mix{Lookup: 10, Batch: 5, Stream: 85} }

@@ -212,3 +212,75 @@ func TestWorkloadErrorClassification(t *testing.T) {
 		t.Fatalf("last error %q should name the status", e.LastErr)
 	}
 }
+
+// TestReportLatenciesAreMilliseconds marshals the two records cmd/swarm's
+// report embeds and reads back the number each "_ms" key promises: a 170 µs
+// interval percentile must read 0.17, and a stage's p99 must be the stage
+// histogram's p99 in milliseconds.
+func TestReportLatenciesAreMilliseconds(t *testing.T) {
+	readMS := func(v any, keys ...string) map[string]float64 {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]any
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, k := range keys {
+			f, ok := got[k].(float64)
+			if !ok {
+				t.Fatalf("key %q missing from %s", k, data)
+			}
+			out[k] = f
+		}
+		return out
+	}
+
+	// Interval sample: the first tick records, the second holds the delta.
+	stats, ts := NewStats(), NewTimeseries()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	Sample(ctx, stats, ts, 5*time.Millisecond, time.Now(), 40, func(SeriesPoint) {
+		if len(ts.Points()) == 1 {
+			for i := 0; i < 100; i++ {
+				stats.Record(EPLookup, 170*time.Microsecond, nil)
+			}
+			return
+		}
+		cancel()
+	})
+	pt := readMS(ts.Points()[1], "offset_ms", "p50_ms", "p99_ms")
+	for _, k := range []string{"p50_ms", "p99_ms"} {
+		if pt[k] < 0.16 || pt[k] > 0.18 { // HDR buckets are ~3% wide
+			t.Errorf("series %s = %v for a 170µs latency, want ~0.17", k, pt[k])
+		}
+	}
+	if pt["offset_ms"] < 10 || pt["offset_ms"] > 5000 {
+		t.Errorf("series offset_ms = %v after two 5ms ticks", pt["offset_ms"])
+	}
+
+	// Stage summary against the loopback fake.
+	srv := httptest.NewServer((&fakeServer{addresses: 50}).handler())
+	defer srv.Close()
+	w, err := NewWorkload(WorkloadConfig{Target: srv.URL, Mix: Mix{Lookup: 1}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := RunStage(context.Background(), w, 200, 200*time.Millisecond, StageOptions{})
+	hist := w.Stats().Snapshot().Merged()
+	st := readMS(res, "p50_ms", "p95_ms", "p99_ms", "max_ms")
+	for k, q := range map[string]time.Duration{
+		"p50_ms": hist.Quantile(0.50), "p95_ms": hist.Quantile(0.95),
+		"p99_ms": hist.Quantile(0.99), "max_ms": hist.Max(),
+	} {
+		if want := float64(q) / float64(time.Millisecond); st[k] != want || want <= 0 {
+			t.Errorf("stage %s = %v, histogram says %v ms", k, st[k], want)
+		}
+	}
+	if st["p99_ms"] >= 1000 {
+		t.Errorf("stage p99_ms = %v against a loopback server", st["p99_ms"])
+	}
+}

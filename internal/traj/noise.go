@@ -1,10 +1,6 @@
 package traj
 
-import (
-	"sort"
-
-	"dlinfma/internal/geo"
-)
+import "dlinfma/internal/geo"
 
 // NoiseFilterConfig controls the heuristics-based outlier filter of
 // Zheng's trajectory preprocessing chapter (paper ref [8]).
@@ -71,46 +67,4 @@ func FilterNoise(tr Trajectory, cfg NoiseFilterConfig) Trajectory {
 		pending = &cp
 	}
 	return out
-}
-
-// MedianFilter smooths a trajectory by replacing each fix's position with
-// the componentwise median over a centered window of the given (odd) size —
-// the mean/median filter alternative from the trajectory-preprocessing
-// chapter (paper ref [8]). Timestamps are unchanged; windows shrink at the
-// boundaries.
-func MedianFilter(tr Trajectory, window int) Trajectory {
-	if len(tr) == 0 {
-		return nil
-	}
-	if window < 3 {
-		window = 3
-	}
-	if window%2 == 0 {
-		window++
-	}
-	half := window / 2
-	out := make(Trajectory, len(tr))
-	xs := make([]float64, 0, window)
-	ys := make([]float64, 0, window)
-	for i := range tr {
-		lo := max(0, i-half)
-		hi := min(len(tr)-1, i+half)
-		xs, ys = xs[:0], ys[:0]
-		for j := lo; j <= hi; j++ {
-			xs = append(xs, tr[j].P.X)
-			ys = append(ys, tr[j].P.Y)
-		}
-		out[i] = GPSPoint{P: geo.Point{X: medianOf(xs), Y: medianOf(ys)}, T: tr[i].T}
-	}
-	return out
-}
-
-// medianOf returns the median of v, mutating its order.
-func medianOf(v []float64) float64 {
-	sort.Float64s(v)
-	n := len(v)
-	if n%2 == 1 {
-		return v[n/2]
-	}
-	return (v[n/2-1] + v[n/2]) / 2
 }

@@ -321,52 +321,3 @@ func TestExtractStayPointsFiltersNoiseFirst(t *testing.T) {
 		t.Errorf("stay point at %v, want near (100,100)", sps[0].Loc)
 	}
 }
-
-func TestMedianFilterRemovesSpike(t *testing.T) {
-	tr := Trajectory{
-		{P: geo.Point{X: 0, Y: 0}, T: 0},
-		{P: geo.Point{X: 10, Y: 0}, T: 10},
-		{P: geo.Point{X: 500, Y: 0}, T: 20}, // spike
-		{P: geo.Point{X: 30, Y: 0}, T: 30},
-		{P: geo.Point{X: 40, Y: 0}, T: 40},
-	}
-	got := MedianFilter(tr, 3)
-	if len(got) != len(tr) {
-		t.Fatalf("filter changed length: %d", len(got))
-	}
-	if got[2].P.X != 30 { // median of 10, 500, 30
-		t.Errorf("spike smoothed to %v, want 30", got[2].P.X)
-	}
-	if got[2].T != 20 {
-		t.Error("timestamps must be preserved")
-	}
-}
-
-func TestMedianFilterEdges(t *testing.T) {
-	if got := MedianFilter(nil, 3); got != nil {
-		t.Error("empty input")
-	}
-	// Even/too-small windows are normalized; boundaries use shrunk windows.
-	tr := Trajectory{
-		{P: geo.Point{X: 0, Y: 0}, T: 0},
-		{P: geo.Point{X: 10, Y: 10}, T: 10},
-	}
-	got := MedianFilter(tr, 2)
-	if len(got) != 2 {
-		t.Fatalf("length %d", len(got))
-	}
-	// Window at index 0 covers both points: median is their midpoint.
-	if got[0].P.X != 5 || got[0].P.Y != 5 {
-		t.Errorf("boundary median = %v", got[0].P)
-	}
-}
-
-func TestMedianFilterPreservesCleanPath(t *testing.T) {
-	tr := walk(geo.Point{X: 0, Y: 0}, geo.Point{X: 300, Y: 0}, 5, 10, 0)
-	got := MedianFilter(tr, 3)
-	for i := 1; i < len(got)-1; i++ {
-		if math.Abs(got[i].P.X-tr[i].P.X) > 1e-9 {
-			t.Fatalf("monotone path distorted at %d", i)
-		}
-	}
-}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the load-generation swarm: boots a server on the tiny
 # dataset, drives a short fixed-rate open-loop swarm against it and asserts
-# the run completed with zero errors and zero dropped arrivals, then runs a
-# two-stage mini-ramp and asserts benchjson -capacity turns the verdict into
-# a populated capacity report. Run via `make smoke-swarm`.
+# the run completed with zero errors, zero dropped arrivals and a stage p99
+# that is a believable loopback latency in the unit its key names (p99_ms:
+# above 0, under one second). Run via `make smoke-swarm`.
 set -euo pipefail
 
 PORT="${PORT:-18290}"
@@ -14,7 +14,6 @@ trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 go build -o "$TMP/dlinfma" ./cmd/dlinfma
 go build -o "$TMP/swarm" ./cmd/swarm
-go build -o "$TMP/benchjson" ./cmd/benchjson
 
 "$TMP/dlinfma" generate -profile tiny -out "$TMP/data.json.gz" >/dev/null
 "$TMP/dlinfma" serve -data "$TMP/data.json.gz" -listen "127.0.0.1:$PORT" >"$TMP/server.log" 2>&1 &
@@ -40,26 +39,14 @@ if [ "$ERRS" != "0" ] || [ "$DROPS" != "0" ]; then
   exit 1
 fi
 
-# Ramp leg: two tiny stages capped by -ramp-max are enough to prove the
-# orchestrator and the capacity report plumbing end to end.
-if ! "$TMP/swarm" -target "http://127.0.0.1:$PORT" \
-  -ramp-start "$RATE" -ramp-growth 1.5 -ramp-max "$RATE" -stage 2s \
-  -config smoke -shards 1 -mix 'lookup=90,batch=10' >"$TMP/row.json" 2>"$TMP/ramp.log"; then
-  echo "swarm smoke: ramp run failed" >&2
-  cat "$TMP/ramp.log" "$TMP/server.log" >&2
-  exit 1
-fi
-"$TMP/benchjson" -capacity -out "$TMP/capacity.json" <"$TMP/row.json"
-if ! grep -q '"config": "smoke"' "$TMP/capacity.json"; then
-  echo "swarm smoke: capacity report missing the smoke row" >&2
-  cat "$TMP/capacity.json" >&2
-  exit 1
-fi
-QPS="$(grep -o '"max_sustainable_qps": [0-9.]*' "$TMP/capacity.json" | head -1 | grep -o '[0-9.]*$')"
-if [ -z "$QPS" ] || [ "${QPS%%.*}" -eq 0 ]; then
-  echo "swarm smoke: capacity report has no sustainable rate: $(cat "$TMP/capacity.json")" >&2
-  cat "$TMP/ramp.log" >&2
+# Read p99_ms out of the "stage" object only (the per-endpoint summaries carry
+# the same key); a raw time.Duration under it would read in the hundreds of
+# thousands.
+P99="$(sed -n '/"stage": {/,/}/p' "$TMP/fixed.json" | grep -o '"p99_ms": [0-9.e+-]*' | sed 's/.*: //')"
+if [ -z "$P99" ] || ! awk -v p="$P99" 'BEGIN { exit !(p > 0 && p < 1000) }'; then
+  echo "swarm smoke: stage p99_ms=${P99:-missing}, want a loopback latency in (0, 1000) ms" >&2
+  cat "$TMP/fixed.json" >&2
   exit 1
 fi
 
-echo "swarm smoke: OK ($REQS requests, 0 errors, capacity row at $QPS qps)"
+echo "swarm smoke: OK ($REQS requests, 0 errors, p99 ${P99} ms)"
