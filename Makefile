@@ -27,7 +27,9 @@ experiments-smoke:
 # a hand-written parser or encoder to the encoding/json behaviour it replaces
 # (the WAL record decoder also to its own binary encoder); the last holds
 # internal/nn's matrix-product kernels to the naive loops in the reference
-# order, bit for bit.
+# order, bit for bit. FuzzSnapshotDecode restores whole engines, whose
+# coverage is never the same twice, so minimising an input that looks new
+# would otherwise eat the budget: it gets a second per input.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -35,6 +37,7 @@ fuzz-smoke:
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
@@ -92,11 +95,11 @@ cover:
 		'/^total:/ { gsub("%","",$$3); printf "total coverage %.1f%% (floor %d%%)\n", $$3, floor; \
 		 if ($$3+0 < floor+0) exit 1 }'
 
-# LocMatcher training/inference + serving-throughput benchmarks
-# -> BENCH_locmatcher.json.
+# LocMatcher training/inference + serving-throughput + snapshot-restore
+# benchmarks -> BENCH_locmatcher.json.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
+	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
 
 # Every benchmark (regenerates all paper artefacts; slow).
 bench-all:
@@ -109,9 +112,10 @@ bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
 # Re-run the parallel and batched read benchmarks, the streamed-ingest
-# benchmark and the LocMatcher training benchmark and fail on a >15%
-# regression of any gated row (single-shard queries/sec of the reads,
-# two-shard fixes/sec of the ingest, serial ns/op of a training epoch)
-# against the committed BENCH_locmatcher.json.
+# benchmark, the LocMatcher training benchmark and the snapshot-restore
+# benchmark and fail on a >15% regression of any gated row (single-shard
+# queries/sec of the reads, two-shard fixes/sec of the ingest, serial ns/op
+# of a training epoch, addrs/s of a 200k-address restore) against the
+# committed BENCH_locmatcher.json.
 bench-regress:
 	bash scripts/bench_regress.sh

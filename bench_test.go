@@ -13,9 +13,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +28,7 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/eval"
+	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/shard"
@@ -588,6 +592,59 @@ func BenchmarkServeStreamIngest(b *testing.B) {
 			b.ReportMetric(float64(streamed.Load())/sec, "fixes/sec")
 		}
 	})
+}
+
+// BenchmarkRestoreSnapshot is a replica's boot: the version-1 document of a
+// 200,000-address store — the city of the benchmark harness's lookup
+// workloads (buildings of eight; 90 % of the addresses located, 5 % answered
+// by their building, 5 % by their geocode), marshalled as the harness
+// marshals it — restored into a fresh one-shard engine.
+func BenchmarkRestoreSnapshot(b *testing.B) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(1))
+	cm := func(v float64) float64 { return math.Round(v*100) / 100 }
+	near := func(p geo.Point, sd float64) geo.Point {
+		return geo.Point{X: cm(p.X + rng.NormFloat64()*sd), Y: cm(p.Y + rng.NormFloat64()*sd)}
+	}
+	sn := struct {
+		Version   int                   `json:"version"`
+		Name      string                `json:"name"`
+		Addresses []model.AddressInfo   `json:"addresses"`
+		Locations map[string][2]float64 `json:"locations"`
+	}{Version: 1, Name: "city", Addresses: make([]model.AddressInfo, n), Locations: make(map[string][2]float64, n)}
+	for bld := 0; bld*8 < n; bld++ {
+		centre := geo.Point{X: cm(rng.Float64() * 20_000), Y: cm(rng.Float64() * 20_000)}
+		locker := geo.Point{X: cm(centre.X + 30), Y: cm(centre.Y - 20)}
+		for slot := 0; slot < 8 && bld*8+slot < n; slot++ {
+			id := bld*8 + slot
+			sn.Addresses[id] = model.AddressInfo{ID: model.AddressID(id), Building: model.BuildingID(bld), Geocode: near(centre, 25)}
+			if bld%20 == 0 || bld%20 <= 8 && slot == 7 {
+				continue // answered by the geocode, or by the building's majority
+			}
+			loc := locker
+			if slot >= 2 {
+				loc = near(centre, 8)
+			}
+			sn.Locations[strconv.Itoa(id)] = [2]float64{loc.X, loc.Y}
+		}
+	}
+	doc, err := json.Marshal(&sn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := engine.New(engine.DefaultConfig())
+		if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+		if st := e.Status(); st.Addresses != n || st.Inferred != len(sn.Locations) {
+			b.Fatalf("restored %d addresses, %d inferred", st.Addresses, st.Inferred)
+		}
+		e.Close()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/s")
 }
 
 // storeSnapshotDoc builds the store-only snapshot document both serve

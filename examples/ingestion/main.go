@@ -1,7 +1,7 @@
-// Production ingestion (Figure 14's data path): raw all-day GPS streams are
-// stored in the spatio-temporal engine, segmented into delivery trips,
-// compressed for archival, and fed window by window into the incremental
-// candidate-pool builder — the bi-weekly maintenance loop of Section V-F.
+// Production ingestion (Figure 14's data path): delivery trips are stored in
+// the spatio-temporal engine and queried by block and time, compressed for
+// archival, and fed window by window into the incremental candidate-pool
+// builder — the bi-weekly maintenance loop of Section V-F.
 package main
 
 import (

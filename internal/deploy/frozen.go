@@ -34,42 +34,18 @@ type FrozenStore struct {
 // or only a geocode — into an immutable FrozenStore. The store stays usable
 // and mutable; later writes are invisible to the frozen copy.
 func (s *Store) Freeze() *FrozenStore {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	byBld := s.majoritiesLocked()
 	f := &FrozenStore{
-		answers:  make(map[model.AddressID]FrozenAnswer, len(s.buildings)+len(s.byAddress)),
-		byBld:    make(map[model.BuildingID]geo.Point, len(s.byBld)),
-		inferred: len(s.byAddress),
+		answers:  make(map[model.AddressID]FrozenAnswer, len(s.rows)),
+		byBld:    byBld,
+		inferred: s.located,
 	}
-	for bld, loc := range s.byBld {
-		f.byBld[bld] = loc
-	}
-	freeze := func(addr model.AddressID) {
-		if _, done := f.answers[addr]; done {
-			return
+	for i := range s.rows {
+		if a, ok := s.rows[i].answer(byBld); ok {
+			f.answers[s.rows[i].id] = a
 		}
-		if loc, ok := s.byAddress[addr]; ok {
-			f.answers[addr] = FrozenAnswer{Loc: loc, Src: SourceAddress, Conf: s.conf[addr]}
-			return
-		}
-		if bld, ok := s.buildings[addr]; ok {
-			if loc, ok := s.byBld[bld]; ok {
-				f.answers[addr] = FrozenAnswer{Loc: loc, Src: SourceBuilding}
-				return
-			}
-		}
-		if loc, ok := s.geocodes[addr]; ok {
-			f.answers[addr] = FrozenAnswer{Loc: loc, Src: SourceGeocode}
-		}
-	}
-	for addr := range s.byAddress {
-		freeze(addr)
-	}
-	for addr := range s.buildings {
-		freeze(addr)
-	}
-	for addr := range s.geocodes {
-		freeze(addr)
 	}
 	return f
 }

@@ -90,40 +90,103 @@ func TestFrozenQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStorePutIncrementalMajority cross-checks the O(1) running argmax in
-// Put against a brute-force recount of the vote table after every write.
-func TestStorePutIncrementalMajority(t *testing.T) {
+// TestStoreMajorityMatchesRecount cross-checks the building majorities
+// against a brute-force recount of a shadow copy of the current locations
+// after every write, re-Puts included: a replaced location's vote must be
+// gone, not merely outvoted.
+func TestStoreMajorityMatchesRecount(t *testing.T) {
 	s := NewStore()
 	rng := rand.New(rand.NewSource(7))
 	locs := []geo.Point{{X: 1}, {X: 2}, {X: 3}, {X: 4}}
-	for i := 0; i < 64; i++ {
-		s.RegisterAddress(model.AddressID(i), model.BuildingID(i%3), geo.Point{X: float64(i)})
+	const addrs, buildings = 64, 3
+	for i := 0; i < addrs; i++ {
+		s.RegisterAddress(model.AddressID(i), model.BuildingID(i%buildings), geo.Point{X: float64(i)})
 	}
+	current := map[model.AddressID]geo.Point{}
 	for step := 0; step < 500; step++ {
-		addr := model.AddressID(rng.Intn(64))
-		s.Put(addr, locs[rng.Intn(len(locs))])
+		addr := model.AddressID(rng.Intn(addrs))
+		current[addr] = locs[rng.Intn(len(locs))]
+		s.Put(addr, current[addr])
 
-		s.mu.RLock()
-		for bld, votes := range s.bldVotes {
+		votes := [buildings]map[geo.Point]int{}
+		for a, loc := range current {
+			if votes[a%buildings] == nil {
+				votes[a%buildings] = map[geo.Point]int{}
+			}
+			votes[a%buildings][loc]++
+		}
+		for bld, v := range votes {
 			// The majority is the most-voted location, equal counts going to
 			// the smaller (X, Y).
 			var want geo.Point
 			bestN := 0
-			for loc, n := range votes {
+			for loc, n := range v {
 				if n > bestN || (n == bestN && pointLess(loc, want)) {
 					want, bestN = loc, n
 				}
 			}
-			if got := s.byBld[bld]; got != want {
-				t.Fatalf("step %d: building %d serves %v (%d votes), recount says %v (%d votes)",
-					step, bld, got, votes[got], want, bestN)
-			}
-			if s.bldBestN[bld] != bestN {
-				t.Fatalf("step %d: building %d tracked best %d, recount %d",
-					step, bld, s.bldBestN[bld], bestN)
+			got, ok := s.QueryBuilding(model.BuildingID(bld))
+			if ok != (bestN > 0) || got != want {
+				t.Fatalf("step %d: building %d serves %v (%v), recount says %v with %d votes",
+					step, bld, got, ok, want, bestN)
 			}
 		}
-		s.mu.RUnlock()
+	}
+}
+
+// TestStoreMajorityIsOfCurrentRows: the building answer is a function of
+// what the rows hold when it is asked for. Registering after Put must count
+// the vote (Put used to return before voting for an unregistered address),
+// and a second Put must take the first one's vote back (it used to stay
+// counted, so a building could answer with a location none of its addresses
+// had any more).
+func TestStoreMajorityIsOfCurrentRows(t *testing.T) {
+	const bld = 10
+	a, b := geo.Point{X: 1, Y: 1}, geo.Point{X: 2, Y: 2}
+	gc := geo.Point{X: 50, Y: 50}
+	for _, tc := range []struct {
+		name  string
+		write func(s *Store)
+		want  geo.Point
+	}{
+		{"register then put", func(s *Store) {
+			s.RegisterAddress(1, bld, gc)
+			s.Put(1, a)
+		}, a},
+		{"put then register", func(s *Store) {
+			s.Put(1, a)
+			s.RegisterAddress(1, bld, gc)
+		}, a},
+		{"re-put drops the stale vote", func(s *Store) {
+			s.RegisterAddress(1, bld, gc)
+			s.RegisterAddress(2, bld, gc)
+			s.Put(1, a)
+			s.Put(2, a)
+			s.Put(1, b)
+			s.Put(2, b) // a: no voter left, b: two
+		}, b},
+		{"re-put of one voter leaves a tie to the smaller point", func(s *Store) {
+			s.RegisterAddress(1, bld, gc)
+			s.RegisterAddress(2, bld, gc)
+			s.Put(1, b)
+			s.Put(2, b)
+			s.Put(2, a) // one vote each
+		}, a},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			s.RegisterAddress(9, bld, gc) // answered by the building
+			tc.write(s)
+			f := s.Freeze()
+			for name, q := range map[string]func(model.AddressID) (geo.Point, Source){"store": s.Query, "frozen": f.Query} {
+				if loc, src := q(9); src != SourceBuilding || loc != tc.want {
+					t.Errorf("%s: sibling answered %v %v, want %v by building", name, loc, src, tc.want)
+				}
+			}
+			if loc, ok := f.QueryBuilding(bld); !ok || loc != tc.want {
+				t.Errorf("frozen building majority %v %v, want %v", loc, ok, tc.want)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,8 @@
 package deploy
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"dlinfma/internal/geo"
@@ -58,38 +60,64 @@ func ParseSource(s string) Source {
 
 // Store is the key-value delivery-location store of Figure 14 in its
 // writable form: what a re-inference or a snapshot restore fills, freezes
-// into the FrozenStore a shard serves, and then drops. It is safe for
-// concurrent readers and writers.
+// into the FrozenStore a shard serves, and then drops. It holds one row per
+// address behind one id index; the building-level majorities are a function
+// of the rows' current locations, computed when something asks for them and
+// not maintained write by write, so they cannot depend on the order of
+// RegisterAddress and Put or remember a location a later Put replaced. It is
+// safe for concurrent readers and writers.
 type Store struct {
-	mu        sync.RWMutex
-	byAddress map[model.AddressID]geo.Point
-	byBld     map[model.BuildingID]geo.Point
-	geocodes  map[model.AddressID]geo.Point
-	buildings map[model.AddressID]model.BuildingID
-	// bldVotes accumulates per-building location votes so the
-	// building-level answer is the most-used delivery location among the
-	// building's addresses, as the paper describes.
-	bldVotes map[model.BuildingID]map[geo.Point]int
-	// bldBestN tracks the vote count behind byBld's current majority, so Put
-	// maintains the argmax incrementally instead of rescanning every vote —
-	// bulk re-inference writes stay O(1) per address.
-	bldBestN map[model.BuildingID]int
-	// conf holds the model's top-1 probability for each address-level entry.
-	// Zero means "unknown" (legacy snapshots, building/geocode fallbacks).
-	conf map[model.AddressID]float32
+	mu    sync.Mutex
+	rows  []storeRow
+	index map[model.AddressID]int32
+	// located counts the rows holding an inferred location.
+	located int
+	// byBld caches the building majorities of the current rows; any write
+	// that can move one drops it. A computed map is never written again, so
+	// Freeze hands it to the FrozenStore as is.
+	byBld map[model.BuildingID]geo.Point
+}
+
+// storeRow is everything the store knows about one address. registered says
+// RegisterAddress supplied building and geocode (the fallback levels),
+// located that Put supplied loc; conf is the model's top-1 probability behind
+// loc, zero when unknown (legacy snapshots).
+type storeRow struct {
+	id         model.AddressID
+	bld        model.BuildingID
+	geocode    geo.Point
+	loc        geo.Point
+	conf       float32
+	registered bool
+	located    bool
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		byAddress: make(map[model.AddressID]geo.Point),
-		byBld:     make(map[model.BuildingID]geo.Point),
-		geocodes:  make(map[model.AddressID]geo.Point),
-		buildings: make(map[model.AddressID]model.BuildingID),
-		bldVotes:  make(map[model.BuildingID]map[geo.Point]int),
-		bldBestN:  make(map[model.BuildingID]int),
-		conf:      make(map[model.AddressID]float32),
+	return &Store{index: make(map[model.AddressID]int32)}
+}
+
+// Grow makes room for n more addresses, so a bulk load of known size does
+// not pay for growing the rows and their index step by step.
+func (s *Store) Grow(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rows = slices.Grow(s.rows, n)
+	if len(s.index) == 0 {
+		s.index = make(map[model.AddressID]int32, n)
 	}
+}
+
+// rowLocked returns addr's row, adding an empty one the first time addr is
+// named. The pointer is good until the next call.
+func (s *Store) rowLocked(addr model.AddressID) *storeRow {
+	i, ok := s.index[addr]
+	if !ok {
+		i = int32(len(s.rows))
+		s.index[addr] = i
+		s.rows = append(s.rows, storeRow{id: addr})
+	}
+	return &s.rows[i]
 }
 
 // SetConfidence records the model's top-1 probability behind an address's
@@ -97,7 +125,7 @@ func NewStore() *Store {
 // path can flag low-confidence serving without touching the matcher.
 func (s *Store) SetConfidence(addr model.AddressID, conf float32) {
 	s.mu.Lock()
-	s.conf[addr] = conf
+	s.rowLocked(addr).conf = conf
 	s.mu.Unlock()
 }
 
@@ -105,38 +133,24 @@ func (s *Store) SetConfidence(addr model.AddressID, conf float32) {
 // levels). Call before or after Put in any order.
 func (s *Store) RegisterAddress(addr model.AddressID, bld model.BuildingID, geocode geo.Point) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buildings[addr] = bld
-	s.geocodes[addr] = geocode
+	r := s.rowLocked(addr)
+	r.bld, r.geocode, r.registered = bld, geocode, true
+	s.byBld = nil
+	s.mu.Unlock()
 }
 
-// Put stores the inferred delivery location of an address and refreshes the
-// building-level majority.
+// Put stores the inferred delivery location of an address, replacing any
+// earlier one.
 func (s *Store) Put(addr model.AddressID, loc geo.Point) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byAddress[addr] = loc
-	bld, ok := s.buildings[addr]
-	if !ok {
-		return
+	r := s.rowLocked(addr)
+	if !r.located {
+		r.located = true
+		s.located++
 	}
-	votes := s.bldVotes[bld]
-	if votes == nil {
-		votes = make(map[geo.Point]int)
-		s.bldVotes[bld] = votes
-	}
-	votes[loc]++
-	// Incremental argmax: only this location's count changed, so the
-	// majority moves only if loc now beats the tracked best (or is the
-	// best, whose count just grew). Equal counts go to the smaller (X, Y),
-	// so the majority depends on the votes cast and not on their order: a
-	// snapshot restore, which replays them in map order, freezes to the
-	// same building answers as the re-inference that wrote it.
-	best, bestN := s.byBld[bld], s.bldBestN[bld]
-	if n := votes[loc]; loc == best || n > bestN || (n == bestN && pointLess(loc, best)) {
-		s.byBld[bld] = loc
-		s.bldBestN[bld] = n
-	}
+	r.loc = loc
+	s.byBld = nil
+	s.mu.Unlock()
 }
 
 // pointLess orders points by X, then Y.
@@ -144,46 +158,109 @@ func pointLess(a, b geo.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
 }
 
-// Query answers a delivery-location request with the paper's fallback chain:
-// the address-level result, else the building-level majority, else the
-// geocoded location. The paper notes the building fallback also serves
-// addresses never seen in history, as long as the segmentation tool resolves
-// their building.
-func (s *Store) Query(addr model.AddressID) (geo.Point, Source) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if loc, ok := s.byAddress[addr]; ok {
-		return loc, SourceAddress
+// majoritiesLocked returns every building's majority: the location most of
+// the building's located addresses currently have, as the paper describes,
+// equal counts going to the smaller (X, Y) — so the answer depends on the
+// votes and never on the order they were cast in, and a snapshot restore
+// freezes to the same building answers as the re-inference that wrote it.
+// Sorting the votes by (building, X, Y) turns the count into run lengths.
+func (s *Store) majoritiesLocked() map[model.BuildingID]geo.Point {
+	if s.byBld != nil {
+		return s.byBld
 	}
-	if bld, ok := s.buildings[addr]; ok {
-		if loc, ok := s.byBld[bld]; ok {
-			return loc, SourceBuilding
+	type vote struct {
+		bld model.BuildingID
+		loc geo.Point
+	}
+	votes := make([]vote, 0, s.located)
+	for i := range s.rows {
+		if r := &s.rows[i]; r.registered && r.located {
+			votes = append(votes, vote{r.bld, r.loc})
 		}
 	}
-	if loc, ok := s.geocodes[addr]; ok {
-		return loc, SourceGeocode
+	slices.SortFunc(votes, func(a, b vote) int {
+		switch {
+		case a.bld != b.bld:
+			return cmp.Compare(a.bld, b.bld)
+		case a.loc == b.loc:
+			return 0
+		case pointLess(a.loc, b.loc):
+			return -1
+		}
+		return 1
+	})
+	buildings := 0
+	for i := range votes {
+		if i == 0 || votes[i].bld != votes[i-1].bld {
+			buildings++
+		}
 	}
-	return geo.Point{}, SourceNone
+	s.byBld = make(map[model.BuildingID]geo.Point, buildings)
+	for i := 0; i < len(votes); {
+		bld, bestN := votes[i].bld, 0
+		for i < len(votes) && votes[i].bld == bld {
+			run := i
+			for i < len(votes) && votes[i] == votes[run] {
+				i++
+			}
+			if i-run > bestN { // the first of equal runs is the smaller point
+				s.byBld[bld], bestN = votes[run].loc, i-run
+			}
+		}
+	}
+	return s.byBld
+}
+
+// answer evaluates the paper's fallback chain for one row: the address-level
+// result, else the building-level majority, else the geocoded location. The
+// paper notes the building fallback also serves addresses never seen in
+// history, as long as the segmentation tool resolves their building. ok is
+// false for a row with nothing to answer with.
+func (r *storeRow) answer(byBld map[model.BuildingID]geo.Point) (FrozenAnswer, bool) {
+	if r.located {
+		return FrozenAnswer{Loc: r.loc, Src: SourceAddress, Conf: r.conf}, true
+	}
+	if !r.registered {
+		return FrozenAnswer{Src: SourceNone}, false
+	}
+	if loc, ok := byBld[r.bld]; ok {
+		return FrozenAnswer{Loc: loc, Src: SourceBuilding}, true
+	}
+	return FrozenAnswer{Loc: r.geocode, Src: SourceGeocode}, true
+}
+
+// Query answers a delivery-location request from the rows as they stand,
+// with the same fallback chain Freeze evaluates for every address.
+func (s *Store) Query(addr model.AddressID) (geo.Point, Source) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.index[addr]
+	if !ok {
+		return geo.Point{}, SourceNone
+	}
+	a, _ := s.rows[i].answer(s.majoritiesLocked())
+	return a.Loc, a.Src
 }
 
 // QueryBuilding answers at building granularity (used for never-seen
 // addresses whose building is known).
 func (s *Store) QueryBuilding(bld model.BuildingID) (geo.Point, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	loc, ok := s.byBld[bld]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	loc, ok := s.majoritiesLocked()[bld]
 	return loc, ok
 }
 
 // Len returns the number of address-level entries.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byAddress)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.located
 }
 
 // LoadDataset registers every address of a dataset (buildings + geocodes).
 func (s *Store) LoadDataset(ds *model.Dataset) {
+	s.Grow(len(ds.Addresses))
 	for _, a := range ds.Addresses {
 		s.RegisterAddress(a.ID, a.Building, a.Geocode)
 	}

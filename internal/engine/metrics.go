@@ -65,10 +65,14 @@ var (
 	snapshotOps = obs.Default.CounterVec("dlinfma_engine_snapshot_ops_total",
 		"Snapshot operations by kind (save/restore) and outcome (ok/error).",
 		"op", "outcome")
-	snapshotSaveOK     = snapshotOps.With("save", "ok")
-	snapshotSaveErr    = snapshotOps.With("save", "error")
-	snapshotRestoreOK  = snapshotOps.With("restore", "ok")
-	snapshotRestoreErr = snapshotOps.With("restore", "error")
+	snapshotSaveOK          = snapshotOps.With("save", "ok")
+	snapshotSaveErr         = snapshotOps.With("save", "error")
+	snapshotRestoreOK       = snapshotOps.With("restore", "ok")
+	snapshotRestoreErr      = snapshotOps.With("restore", "error")
+	snapshotRestoreDuration = obs.Default.HDRHistogram("dlinfma_engine_snapshot_restore_duration_seconds",
+		"Wall time of one snapshot restore, document read to last shard serving; log-linear HDR buckets.")
+	snapshotDecoderFallbacks = obs.Default.Counter("dlinfma_engine_snapshot_decoder_fallback_total",
+		"Version-1 snapshot documents not in the writers' canonical form (reformatted or hand-edited), restored through encoding/json several times slower.")
 	shardRoutedQueries = obs.Default.CounterVec("dlinfma_engine_shard_queries_total",
 		"Queries routed to each shard of a sharded engine.",
 		"shard")

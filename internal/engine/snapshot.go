@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
@@ -64,15 +65,16 @@ type shardManifest struct {
 	Files      []string          `json:"files,omitempty"`
 }
 
-// snapshotDoc is what a restore decodes into: the union of both versions'
-// fields, so the document is parsed exactly once — inline shard documents
-// included — whatever its version turns out to be.
+// snapshotDoc is what encoding/json decodes a document into: the union of
+// both versions' fields, so the document is parsed once whatever its version
+// turns out to be. A manifest's inline shard documents stay raw: each is a
+// version-1 document of its own and is read like one (decodeSnapshot).
 type snapshotDoc struct {
 	snapshot
-	ShardCount int            `json:"shard_count"`
-	AddrShards map[string]int `json:"addr_shards"`
-	Shards     []*snapshot    `json:"shards"`
-	Files      []string       `json:"files"`
+	ShardCount int               `json:"shard_count"`
+	AddrShards map[string]int    `json:"addr_shards"`
+	Shards     []json.RawMessage `json:"shards"`
+	Files      []string          `json:"files"`
 }
 
 // errNothingToSnapshot is peer.ErrNotReady with the engine's wording: the
@@ -132,13 +134,147 @@ func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 	return json.NewEncoder(w).Encode(&sn)
 }
 
-// restore freezes a decoded version-1 document back into the serving state
-// it was written from and swaps it in: the address-level answers and their
-// confidences as stored, the building/geocode fallbacks recomputed from the
-// address metadata, the trained matcher available again. The restored
-// addresses also seed the ingest state so later windows extend the same
-// address universe.
-func (s *Shard) restore(sn *snapshot) (err error) {
+// snapshotLoad is one version-1 document on its way into the engine: its rows
+// filed, as they are decoded, in the writable store of the shard that will
+// serve them. Whichever decoder reads the document feeds address, location
+// and confidence in that order; nothing is installed until install.
+type snapshotLoad struct {
+	e *Engine
+	// only is the shard whose own document this is (a manifest entry, or the
+	// one shard of an unrouted engine); -1 routes every row through the
+	// router, so each shard serves its slice of the old state (sharing the
+	// old model) until its next retrain.
+	only  int
+	parts []shardLoad
+	// route pins every routed address to its shard; nil unless only is -1.
+	route   map[model.AddressID]int
+	name    string
+	matcher []byte
+	// decoder and start label the "snapshot restored" log line.
+	decoder string
+	start   time.Time
+}
+
+// shardLoad is one shard's share of a snapshotLoad: the store to freeze and
+// the addresses that seed the shard's ingest state.
+type shardLoad struct {
+	store *deploy.Store
+	addrs []model.AddressInfo
+}
+
+// newLoad readies a load for about hint addresses.
+func (e *Engine) newLoad(only, hint int) *snapshotLoad {
+	l := &snapshotLoad{e: e, only: only, parts: make([]shardLoad, len(e.shards)), decoder: "scan", start: time.Now()}
+	into := l.parts
+	if only >= 0 {
+		into = l.parts[only : only+1]
+	} else {
+		l.route = make(map[model.AddressID]int, hint)
+		hint /= len(into)
+	}
+	for i := range into {
+		into[i] = shardLoad{store: deploy.NewStore(), addrs: make([]model.AddressInfo, 0, hint)}
+		into[i].store.Grow(hint)
+	}
+	return l
+}
+
+func (l *snapshotLoad) address(a model.AddressInfo) {
+	sh := l.only
+	if sh < 0 {
+		sh = l.e.router.AddressShard(a)
+		l.route[a.ID] = sh
+	}
+	p := &l.parts[sh]
+	p.addrs = append(p.addrs, a)
+	p.store.RegisterAddress(a.ID, a.Building, a.Geocode)
+}
+
+func (l *snapshotLoad) location(id model.AddressID, loc geo.Point) {
+	sh := l.only
+	if sh < 0 {
+		var ok bool
+		if sh, ok = l.route[id]; !ok {
+			// Location without address metadata: route by the point itself.
+			sh = l.e.router.ShardOfPoint(loc)
+			l.route[id] = sh
+		}
+	}
+	l.parts[sh].store.Put(id, loc)
+}
+
+func (l *snapshotLoad) confidence(id model.AddressID, conf float32) {
+	sh := l.only
+	if sh < 0 {
+		var ok bool
+		if sh, ok = l.route[id]; !ok {
+			return // a stamp with no answer to ride
+		}
+	}
+	l.parts[sh].store.SetConfidence(id, conf)
+}
+
+// fill feeds a document encoding/json decoded.
+func (l *snapshotLoad) fill(sn *snapshot) error {
+	l.name, l.matcher, l.decoder = sn.Name, sn.Matcher, "json"
+	for _, a := range sn.Addresses {
+		l.address(a)
+	}
+	for k, v := range sn.Locations {
+		id, err := parseAddressKey(k)
+		if err != nil {
+			return err
+		}
+		l.location(id, geo.Point{X: v[0], Y: v[1]})
+	}
+	for k, c := range sn.Confidences {
+		id, err := parseAddressKey(k)
+		if err != nil {
+			return err
+		}
+		l.confidence(id, c)
+	}
+	return nil
+}
+
+// install freezes every share into its shard and, for a routed document,
+// publishes where each address went. The one shard of an unrouted engine and
+// the owner of a manifest entry take their document even when it is empty;
+// a routed document leaves a shard that got nothing as it was.
+func (l *snapshotLoad) install() error {
+	e := l.e
+	for i := range l.parts {
+		p := &l.parts[i]
+		if p.store == nil || l.only < 0 && len(p.addrs) == 0 && p.store.Len() == 0 {
+			continue
+		}
+		if err := e.shards[i].restore(l, p); err != nil {
+			return e.shardErr(i, err)
+		}
+	}
+	if l.route != nil {
+		e.pinRoutes(l.route)
+	}
+	return nil
+}
+
+// pinRoutes adds restored address → shard pins to the routing table.
+func (e *Engine) pinRoutes(route map[model.AddressID]int) {
+	e.mu.Lock()
+	for id, sh := range route {
+		e.addrShard[id] = sh
+	}
+	e.publishRoutesLocked()
+	e.mu.Unlock()
+}
+
+// restore freezes the shard's share of a decoded version-1 document back
+// into the serving state it was written from and swaps it in: the
+// address-level answers and their confidences as stored, the
+// building/geocode fallbacks recomputed from the address metadata, the
+// trained matcher available again. The restored addresses also seed the
+// ingest state so later windows extend the same address universe.
+func (s *Shard) restore(l *snapshotLoad, p *shardLoad) (err error) {
 	defer func() {
 		if err != nil {
 			snapshotRestoreErr.Inc()
@@ -146,46 +282,33 @@ func (s *Shard) restore(sn *snapshot) (err error) {
 			snapshotRestoreOK.Inc()
 		}
 	}()
-	if sn.Version > snapshotVersionSingle {
-		return fmt.Errorf("engine: shard snapshot has version %d, want %d", sn.Version, snapshotVersionSingle)
-	}
-	store := deploy.NewStore()
-	for _, a := range sn.Addresses {
-		store.RegisterAddress(a.ID, a.Building, a.Geocode)
-	}
-	for k, v := range sn.Locations {
-		id, err := parseAddressKey(k)
-		if err != nil {
-			return err
-		}
-		store.Put(id, geo.Point{X: v[0], Y: v[1]})
-	}
-	for k, c := range sn.Confidences {
-		id, err := parseAddressKey(k)
-		if err != nil {
-			return err
-		}
-		store.SetConfidence(id, c)
-	}
 	var matcher *core.LocMatcher
-	if len(sn.Matcher) > 0 {
-		m, err := core.LoadLocMatcher(bytes.NewReader(sn.Matcher))
-		if err != nil {
+	if len(l.matcher) > 0 {
+		if matcher, err = core.LoadLocMatcher(bytes.NewReader(l.matcher)); err != nil {
 			return err
 		}
-		matcher = m
 	}
 
 	s.mu.Lock()
 	if s.name == "" {
-		s.name = sn.Name
+		s.name = l.name
 	}
-	s.addAddressesLocked(sn.Addresses)
+	if len(s.addrs) == 0 {
+		// Nothing registered yet: the decoded slice, which nobody else
+		// holds, becomes the registry instead of being copied into one.
+		// Registering it into itself compacts it in place should the
+		// document name an address twice (first wins, as on ingest): the
+		// write position never passes the read position.
+		s.addrSeen = make(map[model.AddressID]bool, len(p.addrs))
+		s.addrs = p.addrs[:0]
+	}
+	s.addAddressesLocked(p.addrs)
 	s.mu.Unlock()
 
-	s.publish(&serving{frozen: store.Freeze(), matcher: matcher}, swapKindRestore)
+	s.publish(&serving{frozen: p.store.Freeze(), matcher: matcher}, swapKindRestore)
 	s.log.Info("snapshot restored",
-		"dataset", sn.Name, "addresses", len(sn.Addresses), "locations", len(sn.Locations))
+		"dataset", l.name, "addresses", len(p.addrs), "locations", p.store.Len(),
+		"decoder", l.decoder, "dur", time.Since(l.start))
 	return nil
 }
 
@@ -335,107 +458,94 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 
 // RestoreSnapshot loads a snapshot stream written by WriteSnapshot (either
 // version) and swaps the serving states it describes into place.
-func (e *Engine) RestoreSnapshot(r io.Reader) error { return e.restoreFrom(r, "") }
+func (e *Engine) RestoreSnapshot(r io.Reader) error {
+	var data []byte
+	var err error
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// An in-memory reader says how much it holds: one buffer of that
+		// size, not io.ReadAll's growing series of them.
+		data = make([]byte, sized.Len())
+		_, err = io.ReadFull(r, data)
+	} else {
+		data, err = io.ReadAll(r)
+	}
+	if err != nil {
+		snapshotRestoreErr.Inc()
+		return fmt.Errorf("engine: read snapshot: %w", err)
+	}
+	return e.restoreFrom(data, "")
+}
 
 // LoadSnapshotFile restores from a file written by SaveSnapshotFile (or any
 // snapshot stream saved to disk).
 func (e *Engine) LoadSnapshotFile(path string) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return e.restoreFrom(f, filepath.Dir(path))
+	return e.restoreFrom(data, filepath.Dir(path))
 }
 
-// restoreFrom decodes the document once and dispatches on its version. dir
-// is where a file manifest's sibling shard files live ("" for a stream,
-// which cannot reference files). Unknown versions are rejected instead of
-// silently mis-decoded.
-func (e *Engine) restoreFrom(r io.Reader, dir string) error {
+// decodeSnapshot reads one document. A version-1 document (or its
+// pre-versioning form, version 0) comes back as a filled load for shard only
+// (-1: routed); anything else encoding/json accepts comes back as the decoded
+// union for the caller to dispatch on.
+//
+// The strict reader goes first and takes exactly the documents the writers
+// produce. What it declines — a manifest, but also a version-1 document
+// somebody reformatted or edited — is decoded by encoding/json as every
+// document used to be, so json remains what says which documents are valid
+// and how an invalid one is reported; a version-1 document that needed it is
+// counted, because it restores several times slower.
+func (e *Engine) decodeSnapshot(data []byte, only int) (*snapshotLoad, *snapshotDoc, error) {
+	if bytes.HasPrefix(data, []byte(snapshotHead)) { // else not worth sizing a load for
+		hint := bytes.Count(data, []byte(snapshotAddressHead))
+		if l := e.newLoad(only, hint); scanSnapshot(data, l) {
+			return l, nil, nil
+		}
+	}
+	var doc snapshotDoc
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+		return nil, nil, fmt.Errorf("engine: decode snapshot: %w", err)
+	}
+	if doc.Version != 0 && doc.Version != snapshotVersionSingle {
+		return nil, &doc, nil
+	}
+	snapshotDecoderFallbacks.Inc()
+	l := e.newLoad(only, len(doc.Addresses))
+	return l, nil, l.fill(&doc.snapshot)
+}
+
+// restoreFrom decodes the document and dispatches on its version. dir is
+// where a file manifest's sibling shard files live ("" for a stream, which
+// cannot reference files). Unknown versions are rejected instead of silently
+// mis-decoded.
+func (e *Engine) restoreFrom(data []byte, dir string) error {
 	if e.remote {
 		return errRemoteSnapshotFiles
 	}
-	var doc snapshotDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		snapshotRestoreErr.Inc()
-		return fmt.Errorf("engine: decode snapshot: %w", err)
+	start := time.Now()
+	defer func() { snapshotRestoreDuration.Record(time.Since(start)) }()
+	all := -1 // a version-1 document restores into several shards by routing its addresses
+	if !e.routed() {
+		all = 0 // one shard takes it as is: it is that shard's own format
 	}
-	switch doc.Version {
-	case 0, snapshotVersionSingle:
-		return e.restoreSingle(&doc.snapshot)
-	case snapshotVersionSharded:
-		return e.restoreManifest(&doc, dir)
+	l, doc, err := e.decodeSnapshot(data, all)
+	switch {
+	case err != nil:
+		snapshotRestoreErr.Inc()
+		return err
+	case l != nil:
+		if err := l.install(); err != nil {
+			return err
+		}
+		e.adoptName(l.name)
+		return nil
+	case doc.Version == snapshotVersionSharded:
+		return e.restoreManifest(doc, dir)
 	default:
 		return fmt.Errorf("engine: unsupported snapshot version %d (max %d)", doc.Version, snapshotVersionSharded)
 	}
-}
-
-// restoreSingle installs a version-1 document. One shard takes it as is — it
-// is that shard's own format. Several shards split it by routing its
-// addresses through the router; every shard then serves its slice of the old
-// state (sharing the old model) until its next retrain.
-func (e *Engine) restoreSingle(sn *snapshot) error {
-	if !e.routed() {
-		if err := e.shards[0].restore(sn); err != nil {
-			return err
-		}
-		e.adoptName(sn.Name)
-		return nil
-	}
-	parts := make([]snapshot, len(e.shards))
-	for i := range parts {
-		parts[i] = snapshot{
-			Name:        sn.Name,
-			Locations:   make(map[string][2]float64),
-			Confidences: make(map[string]float32),
-			Matcher:     sn.Matcher,
-		}
-	}
-	route := make(map[model.AddressID]int, len(sn.Addresses))
-	for _, a := range sn.Addresses {
-		sh := e.router.AddressShard(a)
-		route[a.ID] = sh
-		parts[sh].Addresses = append(parts[sh].Addresses, a)
-	}
-	for k, v := range sn.Locations {
-		id, err := parseAddressKey(k)
-		if err != nil {
-			return err
-		}
-		sh, ok := route[id]
-		if !ok {
-			// Location without address metadata: route by the point itself.
-			sh = e.router.ShardOfPoint(geo.Point{X: v[0], Y: v[1]})
-			route[id] = sh
-		}
-		parts[sh].Locations[k] = v
-	}
-	for k, c := range sn.Confidences {
-		id, err := parseAddressKey(k)
-		if err != nil {
-			return err
-		}
-		if sh, ok := route[id]; ok { // else a stamp with no answer to ride
-			parts[sh].Confidences[k] = c
-		}
-	}
-	for i := range parts {
-		if len(parts[i].Addresses) == 0 && len(parts[i].Locations) == 0 {
-			continue
-		}
-		if err := e.shards[i].restore(&parts[i]); err != nil {
-			return e.shardErr(i, err)
-		}
-	}
-	e.adoptName(sn.Name)
-	e.mu.Lock()
-	for id, sh := range route {
-		e.addrShard[id] = sh
-	}
-	e.publishRoutesLocked()
-	e.mu.Unlock()
-	return nil
 }
 
 // adoptName labels a still-unnamed engine after the restored dataset.
@@ -448,8 +558,9 @@ func (e *Engine) adoptName(name string) {
 }
 
 // restoreManifest validates a version-2 manifest against the engine's
-// topology, installs its routing state, and restores every shard document it
-// carries inline or — when loaded from a file — names as a sibling file.
+// topology, decodes every shard document it carries inline or — when loaded
+// from a file — names as a sibling file, and only then installs its routing
+// state and the shards' serving states.
 func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 	if doc.ShardCount != len(e.shards) {
 		return fmt.Errorf("engine: manifest has %d shards, engine is configured with %d (restart with -shards %d)",
@@ -458,8 +569,9 @@ func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 	if len(doc.Files) > 0 && len(doc.Shards) == 0 && dir == "" {
 		return errors.New("engine: manifest references shard files; restore it with LoadSnapshotFile")
 	}
+	var route map[model.AddressID]int
 	if e.routed() {
-		route := make(map[model.AddressID]int, len(doc.AddrShards))
+		route = make(map[model.AddressID]int, len(doc.AddrShards))
 		for k, sh := range doc.AddrShards {
 			id, err := parseAddressKey(k)
 			if err != nil {
@@ -470,44 +582,41 @@ func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 			}
 			route[id] = sh
 		}
-		e.mu.Lock()
-		for id, sh := range route {
-			e.addrShard[id] = sh
-		}
-		e.publishRoutesLocked()
-		e.mu.Unlock()
 	}
-	e.adoptName(doc.Name)
-	for i, sh := range e.shards {
-		var sn *snapshot
+	loads := make([]*snapshotLoad, len(e.shards))
+	for i := range e.shards {
+		var data []byte
 		switch {
-		case i < len(doc.Shards) && doc.Shards[i] != nil:
-			sn = doc.Shards[i]
+		case i < len(doc.Shards) && string(doc.Shards[i]) != "null":
+			data = doc.Shards[i]
 		case dir != "" && i < len(doc.Files) && doc.Files[i] != "":
 			var err error
-			if sn, err = readShardFile(filepath.Join(dir, doc.Files[i])); err != nil {
+			if data, err = os.ReadFile(filepath.Join(dir, doc.Files[i])); err != nil {
 				return e.shardErr(i, err)
 			}
 		default:
 			continue // the shard had never served when the manifest was written
 		}
-		if err := sh.restore(sn); err != nil {
+		l, other, err := e.decodeSnapshot(data, i)
+		if other != nil {
+			err = fmt.Errorf("engine: shard snapshot has version %d, want %d", other.Version, snapshotVersionSingle)
+		}
+		if err != nil {
+			snapshotRestoreErr.Inc()
 			return e.shardErr(i, err)
+		}
+		loads[i] = l
+	}
+	if e.routed() {
+		e.pinRoutes(route)
+	}
+	e.adoptName(doc.Name)
+	for _, l := range loads {
+		if l != nil {
+			if err := l.install(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
-}
-
-// readShardFile decodes one shard's version-1 document from path.
-func readShardFile(path string) (*snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sn := new(snapshot)
-	if err := json.NewDecoder(f).Decode(sn); err != nil {
-		return nil, fmt.Errorf("engine: decode %s: %w", path, err)
-	}
-	return sn, nil
 }

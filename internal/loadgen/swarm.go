@@ -24,22 +24,14 @@ type StageResult struct {
 	Requests    int64   `json:"requests"`
 	Errors      int64   `json:"errors"`
 	// Backpressure counts 429 rejections — the server shedding load by
-	// design. Excluded from ErrorRate: a saturated ingest path that says so
-	// is meeting its contract, not breaking it.
+	// design. Not counted in Errors: a saturated ingest path that says so is
+	// meeting its contract, not breaking it.
 	Backpressure int64   `json:"backpressure,omitempty"`
 	Dropped      int64   `json:"dropped"`
 	P50MS        float64 `json:"p50_ms"`
 	P95MS        float64 `json:"p95_ms"`
 	P99MS        float64 `json:"p99_ms"`
 	MaxMS        float64 `json:"max_ms"`
-}
-
-// ErrorRate returns errors/requests (0 when no requests completed).
-func (r StageResult) ErrorRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Errors) / float64(r.Requests)
 }
 
 // durToMS renders a duration as fractional milliseconds.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Re-runs the parallel-client and batched serving benchmarks, the
-# streamed-ingest benchmark and the LocMatcher training benchmark once and
-# gates one row of each — the single-shard queries/sec of the two reads, the
-# two-shard fixes/sec of the ingest, the serial (workers=1) ns/op of one
-# training epoch — against the committed BENCH_locmatcher.json baseline:
+# streamed-ingest benchmark, the LocMatcher training benchmark and the
+# snapshot-restore benchmark once and gates one row of each — the single-shard
+# queries/sec of the two reads, the two-shard fixes/sec of the ingest, the
+# serial (workers=1) ns/op of one training epoch, the addrs/s of a
+# 200k-address restore — against the committed BENCH_locmatcher.json baseline:
 # benchjson exits non-zero when a gated row regressed by more than
 # MAX_REGRESS_PCT (default 15%; ns/op is lower-is-better, the ReportMetric
 # units higher-is-better). A gate is "<benchmark name>@<metric>"; without "@"
@@ -13,7 +14,7 @@
 set -euo pipefail
 
 BASELINE="${BASELINE:-BENCH_locmatcher.json}"
-GATES="${GATES:-BenchmarkServeQueriesParallel/shards=1 BenchmarkServeQueriesBatch/shards=1 BenchmarkServeStreamIngest/shards=2@fixes/sec BenchmarkFitParallel/workers=1@ns/op}"
+GATES="${GATES:-BenchmarkServeQueriesParallel/shards=1 BenchmarkServeQueriesBatch/shards=1 BenchmarkServeStreamIngest/shards=2@fixes/sec BenchmarkFitParallel/workers=1@ns/op BenchmarkRestoreSnapshot@addrs/s}"
 GATE_METRIC="${GATE_METRIC:-queries/sec}"
 MAX_REGRESS_PCT="${MAX_REGRESS_PCT:-15}"
 BENCHTIME="${BENCHTIME:-1s}"
@@ -28,7 +29,7 @@ trap 'rm -rf "$BIN_DIR"' EXIT
 
 go build -o "$BIN_DIR/benchjson" ./cmd/benchjson
 
-go test -run '^$' -bench 'ServeQueriesParallel|ServeQueriesBatch|ServeStreamIngest|FitParallel' -benchtime "$BENCHTIME" . |
+go test -run '^$' -bench 'ServeQueriesParallel|ServeQueriesBatch|ServeStreamIngest|FitParallel|RestoreSnapshot' -benchtime "$BENCHTIME" . |
   tee "$BIN_DIR/bench_run.txt"
 
 # One benchjson pass per gate over the same run.

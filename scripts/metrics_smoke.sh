@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Boots a dlinfma server with no dataset (instant cold start), drives a few
-# requests through the /v1 surface (plus a retired pre-/v1 path, which must
+# Boots a dlinfma server with no dataset, from a one-address snapshot somebody
+# reformatted (the restore families must say encoding/json read it), drives a
+# few requests through the /v1 surface (plus a retired pre-/v1 path, which must
 # answer the 404 envelope and count under route="other"), then scrapes
 # /v1/metrics with metricscheck: the build fails if the exposition doesn't
 # parse or a required family is missing — the baseline HTTP contract plus the
@@ -17,8 +18,12 @@ trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$BIN_DIR"' EXIT
 go build -o "$BIN_DIR/dlinfma" ./cmd/dlinfma
 go build -o "$BIN_DIR/metricscheck" ./cmd/metricscheck
 
-"$BIN_DIR/dlinfma" serve -data "" -listen "127.0.0.1:$PORT" -log-level debug \
-  -trace-sample 1 -trace-buffer 64 &
+# A version-1 snapshot that is not in the writers' form (the space): the
+# strict reader declines it and encoding/json restores it.
+printf '%s\n' '{ "version":1,"name":"smoke","addresses":[{"ID":1,"Building":1,"Geocode":{"X":1,"Y":2},"POI":0,"GeocodeMode":0}],"locations":{"1":[3,4]}}' >"$BIN_DIR/state.json"
+
+"$BIN_DIR/dlinfma" serve -data "" -snapshot "$BIN_DIR/state.json" -listen "127.0.0.1:$PORT" -log-level debug \
+  -trace-sample 1 -trace-buffer 64 2>"$BIN_DIR/server.log" &
 SERVER_PID=$!
 
 # Wait for the listener (cold start with -data "" is immediate, but be safe).
@@ -107,6 +112,19 @@ echo "trace smoke: OK"
   "dlinfma_engine_ingest_lock_wait_seconds,dlinfma_engine_ingest_lock_hold_seconds,dlinfma_engine_stream_burst_ops" >/dev/null
 if ! curl -fsS "http://127.0.0.1:$PORT/v1/metrics" | grep -q '^dlinfma_engine_stream_burst_ops_count [1-9]'; then
   echo "metrics smoke: the streamed session left no burst observation" >&2
+  exit 1
+fi
+# The boot restore: one timed restore, through the fallback decoder, and the
+# log line that names it.
+METRICS="$(curl -fsS "http://127.0.0.1:$PORT/v1/metrics")"
+if ! grep -q '^dlinfma_engine_snapshot_restore_duration_seconds_count 1$' <<<"$METRICS" ||
+  ! grep -q '^dlinfma_engine_snapshot_decoder_fallback_total 1$' <<<"$METRICS"; then
+  echo "metrics smoke: the reformatted snapshot's restore is not in the restore families:" >&2
+  grep '^dlinfma_engine_snapshot_' <<<"$METRICS" >&2 || true
+  exit 1
+fi
+if ! grep 'snapshot restored' "$BIN_DIR/server.log" | grep -q 'decoder=json.*dur='; then
+  echo "metrics smoke: no 'snapshot restored' log line with decoder=json and dur" >&2
   exit 1
 fi
 echo "metrics smoke: OK"
