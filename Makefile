@@ -23,16 +23,27 @@ experiments-smoke:
 	$(GO) run ./cmd/experiments -quick -exp table2
 
 # Ten seconds of native fuzzing per target (-fuzz takes one target per run),
-# starting from the checked-in corpora under testdata/fuzz. Each target holds
-# a hand-written parser or encoder to the encoding/json behaviour it replaces
-# (the WAL record decoder also to its own binary encoder); the last holds
-# internal/nn's matrix-product kernels to the naive loops in the reference
-# order, bit for bit. FuzzSnapshotDecode restores whole engines, whose
-# coverage is never the same twice, so minimising an input that looks new
-# would otherwise eat the budget: it gets a second per input.
+# starting from the checked-in corpora under testdata/fuzz and the f.Add
+# seeds. Which target holds which parser:
+#   FuzzJSONNumber          internal/jsonscan: the number grammar the three
+#                           strict readers share (Int, Float) vs json.Unmarshal
+#   FuzzBatchRequestDecode  the POST /v1/locations:batch body reader, and the
+#                           whole route vs the pure encoding/json route
+#   FuzzBatchResponseEncode the batch/point response writer vs json.Marshal
+#   FuzzStreamLineDecode    the POST /v1/trajectories:stream line reader
+#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder and
+#                           json.Unmarshal
+#   FuzzSnapshotDecode      the version-1 snapshot reader: whole-engine
+#                           restores vs encoding/json alone
+#   FuzzMatMulKernels       internal/nn's matrix-product kernels vs the naive
+#                           loops in the reference order, bit for bit
+# FuzzSnapshotDecode restores whole engines, whose coverage is never the same
+# twice, so minimising an input that looks new would otherwise eat the
+# budget: it gets a second per input.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
+	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzJSONNumber$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
@@ -49,8 +60,16 @@ check-bench:
 race:
 	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/deploy/... ./internal/shard/... ./internal/cluster/... ./internal/peer/... ./internal/obs/... ./internal/wal/... ./internal/loadgen/...
 
+# vet also fails on unformatted code: gofmt -l from the root walks both
+# modules (bench/ included).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: files not gofmt-formatted:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	@# Library code must log through internal/obs, never the stdlib printers:
 	@# fmt.Print*/log.Print* bypass levels, formats, and the component fields.
 	@bad=$$(grep -rnE '\b(fmt|log)\.Print(f|ln)?\(' internal/ --include='*.go' | grep -v '_test.go' || true); \

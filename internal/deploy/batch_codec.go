@@ -7,6 +7,7 @@ import (
 
 	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
+	"dlinfma/internal/jsonscan"
 )
 
 // The wire codec of the two read routes. encoding/json over the api structs
@@ -14,52 +15,34 @@ import (
 // reader of exactly those bytes, pinned to it by the byte-identity table test
 // and the two fuzz targets in batch_codec_test.go.
 
-const (
-	batchRequestHead = `{"addrs":[`
-	batchRequestTail = `]}`
-	// maxKeyDigits keeps the scanner's accumulation inside int64 without an
-	// overflow check; longer literals take the encoding/json path.
-	maxKeyDigits = 18
-)
-
 // scanBatchRequest decodes the canonical batch body — what json.Marshal
 // writes for api.BatchLocationsRequest: {"addrs":[<int>,...]} with no
-// whitespace — appending the keys to keys[:0]. ok is false for every other
-// body, valid or not; the caller then hands it to json.Unmarshal, so which
-// bodies are accepted and what a rejected one answers stays encoding/json's
-// decision.
+// whitespace, every key a jsonscan canonical decimal — appending the keys to
+// keys[:0]. ok is false for every other body, valid or not; the caller then
+// hands it to json.Unmarshal, so which bodies are accepted and what a
+// rejected one answers stays encoding/json's decision.
 func scanBatchRequest(body []byte, keys []int64) (_ []int64, ok bool) {
 	keys = keys[:0]
-	if len(body) < len(batchRequestHead)+len(batchRequestTail) ||
-		string(body[:len(batchRequestHead)]) != batchRequestHead {
+	c := jsonscan.Cursor{B: body}
+	if !c.Lit(`{"addrs":[`) {
 		return keys, false
 	}
-	i := len(batchRequestHead)
-	if body[i] == ']' { // the empty list; everything else has a literal per comma
-		return keys, string(body[i:]) == batchRequestTail
-	}
-	for {
-		neg := i < len(body) && body[i] == '-'
-		if neg {
-			i++
+	if !c.Lit("]") { // the empty list; everything else has a literal per comma
+		for {
+			k, ok := c.Int(64)
+			if !ok {
+				return keys, false
+			}
+			keys = append(keys, k)
+			if !c.Lit(",") {
+				break
+			}
 		}
-		start := i
-		var v int64
-		for ; i < len(body) && body[i]-'0' <= 9; i++ {
-			v = v*10 + int64(body[i]-'0')
-		}
-		if n := i - start; n == 0 || n > maxKeyDigits || n > 1 && body[start] == '0' || i == len(body) {
+		if !c.Lit("]") {
 			return keys, false
 		}
-		if neg {
-			v = -v
-		}
-		keys = append(keys, v)
-		if body[i] != ',' {
-			return keys, string(body[i:]) == batchRequestTail
-		}
-		i++
 	}
+	return keys, c.Lit("}") && c.I == len(body)
 }
 
 // batchMissTail closes the result of an unknown key. Every miss carries the

@@ -60,8 +60,8 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 // read path (BatchQuerier when implemented, a per-key loop otherwise) with
 // pooled buffers and the append codec of batch_codec.go. The response
 // preserves request order and reports per-item misses while the batch stays
-// 200 (partial-failure semantics); only a cold engine fails the batch as a
-// whole.
+// 200 (partial-failure semantics); only a cold engine (503) or a backend
+// that cannot answer (502) fails the batch as a whole.
 func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c := batchPool.Get().(*batchCall)
 	defer batchPool.Put(c)
@@ -123,8 +123,12 @@ func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	c.answers, err = QueryBatch(r.Context(), s.e, c.ids, c.answers)
 	if err != nil {
-		// The only batch error is the caller's own cancellation; there is
-		// nobody left to read an envelope, so just drop the connection.
+		// A caller that cancelled has nobody left to read an envelope. Any
+		// other error is a backend that could not answer — a cluster
+		// frontend's shard with no live peer — and a 200 would hide it.
+		if r.Context().Err() == nil {
+			writeError(w, http.StatusBadGateway, api.CodeInternal, err.Error(), nil)
+		}
 		return
 	}
 	if c.body, err = appendBatchResponse(c.body[:0], c.keys, c.answers); err != nil {

@@ -157,11 +157,14 @@ type Engine struct {
 
 	// jobMu guards the background re-inference job; jobWG tracks the
 	// goroutine itself so Close can join it — cancellation alone would let a
-	// snapshot save race a mid-swap state.
-	jobMu  sync.Mutex
-	jobSeq int
-	job    *deploy.JobStatus
-	jobWG  sync.WaitGroup
+	// snapshot save race a mid-swap state. jobRunning mirrors "the job is
+	// running" for Status, which the read path calls and so takes no
+	// exclusive lock.
+	jobMu      sync.Mutex
+	jobSeq     int
+	job        *deploy.JobStatus
+	jobWG      sync.WaitGroup
+	jobRunning atomic.Bool
 }
 
 // New returns an empty engine over one in-process shard. Close it to cancel
@@ -517,6 +520,7 @@ func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 	e.jobSeq++
 	job := &deploy.JobStatus{ID: e.jobSeq, State: deploy.JobRunning}
 	e.job = job
+	e.jobRunning.Store(true)
 	// Snapshot before the goroutine exists: a fast job could finish (and
 	// rewrite *job under jobMu) before this function returns.
 	js := *job
@@ -541,6 +545,7 @@ func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 		}
 		e.jobMu.Lock()
 		defer e.jobMu.Unlock()
+		e.jobRunning.Store(false)
 		if err != nil {
 			job.State = deploy.JobFailed
 			job.Error = err.Error()
@@ -774,9 +779,7 @@ func (e *Engine) Status() deploy.EngineStatus {
 			out.Shards = append(out.Shards, shardSt)
 		}
 	}
-	e.jobMu.Lock()
-	out.ReinferRunning = e.job != nil && e.job.State == deploy.JobRunning
-	e.jobMu.Unlock()
+	out.ReinferRunning = e.jobRunning.Load()
 	out.OpenStreams = e.ss.open()
 	return out
 }

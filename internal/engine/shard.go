@@ -31,10 +31,11 @@ type serving struct {
 // background job, and the snapshot layout all belong to the Engine that owns
 // it — and is only ever constructed by one.
 //
-// Two small lock domains, never held across model compute: mu guards the
-// accumulating dataset (Ingest mutates it; Reinfer snapshots it), healthMu
-// the record of the last re-inference attempt. Everything served hangs off
-// one atomic pointer, so queries touch neither lock.
+// Two small lock domains: mu guards the accumulating dataset (Ingest mutates
+// it and holds it across a window's clustering; Reinfer snapshots it),
+// healthMu the record of the last re-inference attempt. Everything served
+// hangs off one atomic pointer, and what Status reports of the dataset off
+// another, so queries and status reads never wait for mu.
 type Shard struct {
 	cfg Config
 	log *obs.Logger
@@ -54,6 +55,10 @@ type Shard struct {
 	// while it is empty) — the age the auto-reinfer trigger watches.
 	pending      int
 	pendingSince time.Time
+	// counts is what Status reports of the fields above, republished by every
+	// writer before it releases mu: the HTTP layer asks for Status on every
+	// batch lookup and every miss, and must not queue behind a window.
+	counts atomic.Pointer[ingestCounts]
 
 	// sv is the served state, republished whole at every hot swap. Query
 	// loads the pointer and does one map lookup — no locks, no allocations.
@@ -81,12 +86,19 @@ type Shard struct {
 	swaps *swapRing
 }
 
+// ingestCounts is the part of a shard's Status that lives under mu.
+type ingestCounts struct {
+	name                      string
+	addresses, trips, pending int
+	pendingSince              time.Time
+}
+
 func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 	lowConf := cfg.LowConfidence
 	if lowConf <= 0 {
 		lowConf = defaultLowConfidence
 	}
-	return &Shard{
+	s := &Shard{
 		cfg:      cfg,
 		log:      log,
 		builder:  core.NewIncrementalPoolBuilder(cfg.Core),
@@ -96,6 +108,15 @@ func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 		lowConf:  float32(lowConf),
 		swaps:    newSwapRing(cfg.SwapHistory),
 	}
+	s.counts.Store(&ingestCounts{})
+	return s
+}
+
+// publishCountsLocked republishes what Status reports of the ingest state.
+// Callers hold mu and have just changed it.
+func (s *Shard) publishCountsLocked() {
+	s.counts.Store(&ingestCounts{name: s.name, addresses: len(s.addrs), trips: len(s.trips),
+		pending: s.pending, pendingSince: s.pendingSince})
 }
 
 // Ingest applies one already-partitioned window: new addresses and ground
@@ -109,6 +130,7 @@ func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.Ad
 	defer tsp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publishCountsLocked()
 	newAddrs := s.addAddressesLocked(addrs)
 	ingestAddrs.Add(int64(newAddrs))
 	for id, p := range truth {
@@ -291,6 +313,7 @@ func (s *Shard) reinfer(ctx context.Context) error {
 	} else {
 		s.pendingSince = time.Time{}
 	}
+	s.publishCountsLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -420,20 +443,17 @@ func (s *Shard) Matcher() *core.LocMatcher {
 }
 
 // Status summarizes the shard for the engine's health aggregation. Streams
-// and the background job are the engine's; their fields stay zero here.
+// and the background job are the engine's; their fields stay zero here. It
+// takes no exclusive lock: the read path calls it.
 func (s *Shard) Status() deploy.EngineStatus {
 	s.healthMu.RLock()
 	out := deploy.EngineStatus{Reinfers: s.reinfers, Failed: s.failed, LastError: s.lastErr}
 	s.healthMu.RUnlock()
-	s.mu.Lock()
-	out.Dataset = s.name
-	out.Addresses = len(s.addrs)
-	out.PendingTrips = s.pending
-	out.Trips = len(s.trips)
-	if s.pending > 0 && !s.pendingSince.IsZero() {
-		out.PendingAgeSeconds = time.Since(s.pendingSince).Seconds()
+	c := s.counts.Load()
+	out.Dataset, out.Addresses, out.Trips, out.PendingTrips = c.name, c.addresses, c.trips, c.pending
+	if c.pending > 0 && !c.pendingSince.IsZero() {
+		out.PendingAgeSeconds = time.Since(c.pendingSince).Seconds()
 	}
-	s.mu.Unlock()
 	if sv := s.sv.Load(); sv != nil {
 		out.Ready = true
 		out.Inferred = sv.frozen.Inferred()
@@ -448,6 +468,7 @@ func (s *Shard) Status() deploy.EngineStatus {
 func (s *Shard) setName(name string) {
 	s.mu.Lock()
 	s.name = name
+	s.publishCountsLocked()
 	s.mu.Unlock()
 }
 
@@ -459,6 +480,7 @@ func (s *Shard) addStreamedTrip(st *streamedTrip) {
 	s.builder.AppendTripStays(st.trip.Courier, st.stays)
 	s.appendTripsLocked(st.trip)
 	s.addPendingLocked(1)
+	s.publishCountsLocked()
 	s.mu.Unlock()
 	ingestTrips.Inc()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"dlinfma/internal/core"
@@ -220,21 +221,36 @@ func (l *snapshotLoad) fill(sn *snapshot) error {
 	for _, a := range sn.Addresses {
 		l.address(a)
 	}
-	for k, v := range sn.Locations {
+	for _, k := range sortedKeys(sn.Locations) {
 		id, err := parseAddressKey(k)
 		if err != nil {
 			return err
 		}
+		v := sn.Locations[k]
 		l.location(id, geo.Point{X: v[0], Y: v[1]})
 	}
-	for k, c := range sn.Confidences {
+	for _, k := range sortedKeys(sn.Confidences) {
 		id, err := parseAddressKey(k)
 		if err != nil {
 			return err
 		}
-		l.confidence(id, c)
+		l.confidence(id, sn.Confidences[k])
 	}
 	return nil
+}
+
+// sortedKeys returns a decoded map's keys in byte order, the order
+// encoding/json writes them in. Two keys can name one address ("7" and
+// "07"); taken in map order, which of them a restore kept would differ from
+// one restore of the same document to the next. In byte order the later
+// one wins, as a later Put does.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // install freezes every share into its shard and, for a routed document,
@@ -303,6 +319,7 @@ func (s *Shard) restore(l *snapshotLoad, p *shardLoad) (err error) {
 		s.addrs = p.addrs[:0]
 	}
 	s.addAddressesLocked(p.addrs)
+	s.publishCountsLocked()
 	s.mu.Unlock()
 
 	s.publish(&serving{frozen: p.store.Freeze(), matcher: matcher}, swapKindRestore)
@@ -572,11 +589,12 @@ func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 	var route map[model.AddressID]int
 	if e.routed() {
 		route = make(map[model.AddressID]int, len(doc.AddrShards))
-		for k, sh := range doc.AddrShards {
+		for _, k := range sortedKeys(doc.AddrShards) {
 			id, err := parseAddressKey(k)
 			if err != nil {
 				return err
 			}
+			sh := doc.AddrShards[k]
 			if sh < 0 || sh >= len(e.shards) {
 				return fmt.Errorf("engine: manifest routes address %s to shard %d of %d", k, sh, len(e.shards))
 			}

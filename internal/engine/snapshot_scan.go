@@ -3,11 +3,11 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"unicode/utf8"
 
 	"dlinfma/internal/geo"
 	"dlinfma/internal/geocode"
+	"dlinfma/internal/jsonscan"
 	"dlinfma/internal/model"
 )
 
@@ -21,10 +21,10 @@ import (
 //	A = null | [] | [{"ID":i,"Building":i,"Geocode":{"X":f,"Y":f},"POI":i,"GeocodeMode":i},...]
 //	L, C = null | {} | {"<address id>":[f,f],...} and {"<address id>":f,...}
 //
-// with no whitespace, S free of escapes, every i a canonical decimal of its
-// type, every f a JSON number in float range, object keys canonical address
-// ids in strictly ascending byte order (the order encoding/json writes a
-// map in, which also excludes a key seen twice), M one JSON value and
+// with no whitespace, S free of escapes, every i and f a number in
+// jsonscan's grammar for its type, object keys canonical address ids other
+// than "-0" in strictly ascending byte order (the order encoding/json writes
+// a map in, which also excludes a key seen twice), M one JSON value and
 // nothing after it. Any other byte sequence — valid JSON or not — is "not
 // mine": the caller hands the document to encoding/json, which decides
 // whether it is accepted and what a rejected one answers.
@@ -38,162 +38,80 @@ const (
 	snapshotAddressHead = `{"ID":`
 )
 
-// snapshotScanner is a cursor over a document; each method consumes what it
-// names and reports false, position undefined, at the first byte that is not
-// canonical.
-type snapshotScanner struct {
-	b []byte
-	i int
-}
-
-// lit consumes the literal t.
-func (s *snapshotScanner) lit(t string) bool {
-	if len(s.b)-s.i < len(t) || string(s.b[s.i:s.i+len(t)]) != t {
-		return false
-	}
-	s.i += len(t)
-	return true
-}
-
-// integer consumes a canonical decimal — no plus sign, no leading zero, no
-// "-0" — that fits a signed integer of the given width.
-func (s *snapshotScanner) integer(bits uint) (int64, bool) {
-	neg := s.lit("-")
-	digits := s.i
-	var v int64
-	for ; s.i < len(s.b) && s.b[s.i]-'0' <= 9 && s.i-digits < 11; s.i++ {
-		v = v*10 + int64(s.b[s.i]-'0')
-	}
-	if n := s.i - digits; n == 0 || n > 10 || s.b[digits] == '0' && (n > 1 || neg) {
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, v >= -1<<(bits-1) && v < 1<<(bits-1)
-}
-
-// pow10 holds the powers of ten a 15-digit literal can be scaled by, each
-// exact in a float64.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15}
-
-// float consumes a number of JSON's grammar and converts it the way
-// encoding/json does, strconv.ParseFloat at the target's width; out of range
-// is not mine. A float64 literal of at most 15 digits with no exponent — a
-// coordinate in centimetres — is an exact integer over an exact power of ten,
-// whose quotient is the correctly rounded value ParseFloat's own fast path
-// returns.
-func (s *snapshotScanner) float(bits int) (float64, bool) {
-	start := s.i
-	neg := s.lit("-")
-	var mant uint64
-	digits := s.i
-	for ; s.i < len(s.b) && s.b[s.i]-'0' <= 9; s.i++ {
-		mant = mant*10 + uint64(s.b[s.i]-'0')
-	}
-	n, frac := s.i-digits, 0
-	if n == 0 || n > 1 && s.b[digits] == '0' {
-		return 0, false
-	}
-	if s.lit(".") {
-		digits = s.i
-		for ; s.i < len(s.b) && s.b[s.i]-'0' <= 9; s.i++ {
-			mant = mant*10 + uint64(s.b[s.i]-'0')
-		}
-		if frac = s.i - digits; frac == 0 {
-			return 0, false
-		}
-	}
-	if s.i < len(s.b) && s.b[s.i]|0x20 == 'e' {
-		s.i++
-		if !s.lit("+") {
-			s.lit("-")
-		}
-		digits = s.i
-		for ; s.i < len(s.b) && s.b[s.i]-'0' <= 9; s.i++ {
-		}
-		if s.i == digits {
-			return 0, false
-		}
-	} else if bits == 64 && n+frac <= 15 {
-		v := float64(mant) / pow10[frac]
-		if neg {
-			v = -v
-		}
-		return v, true
-	}
-	v, err := strconv.ParseFloat(string(s.b[start:s.i]), bits)
-	return v, err == nil
-}
+// snapshotScanner reads the document through the shared number grammar;
+// each method consumes what it names and reports false, position undefined,
+// at the first byte that is not canonical.
+type snapshotScanner struct{ jsonscan.Cursor }
 
 // point consumes open, a float, a comma or the literal between the
 // coordinates, a float, and close.
 func (s *snapshotScanner) point(open, mid, close string) (p geo.Point, ok bool) {
-	if !s.lit(open) {
+	if !s.Lit(open) {
 		return p, false
 	}
-	if p.X, ok = s.float(64); !ok || !s.lit(mid) {
+	if p.X, ok = s.Float(64); !ok || !s.Lit(mid) {
 		return p, false
 	}
-	if p.Y, ok = s.float(64); !ok {
+	if p.Y, ok = s.Float(64); !ok {
 		return p, false
 	}
-	return p, s.lit(close)
+	return p, s.Lit(close)
 }
 
 // address consumes one AddressInfo object.
 func (s *snapshotScanner) address() (a model.AddressInfo, ok bool) {
 	var id, bld, poi, mode int64
-	if !s.lit(snapshotAddressHead) {
+	if !s.Lit(snapshotAddressHead) {
 		return a, false
 	}
-	if id, ok = s.integer(32); !ok || !s.lit(`,"Building":`) {
+	if id, ok = s.Int(32); !ok || !s.Lit(`,"Building":`) {
 		return a, false
 	}
-	if bld, ok = s.integer(32); !ok {
+	if bld, ok = s.Int(32); !ok {
 		return a, false
 	}
 	if a.Geocode, ok = s.point(`,"Geocode":{"X":`, `,"Y":`, `},"POI":`); !ok {
 		return a, false
 	}
-	if poi, ok = s.integer(8); !ok || !s.lit(`,"GeocodeMode":`) {
+	if poi, ok = s.Int(8); !ok || !s.Lit(`,"GeocodeMode":`) {
 		return a, false
 	}
-	if mode, ok = s.integer(8); !ok {
+	if mode, ok = s.Int(8); !ok {
 		return a, false
 	}
 	a.ID, a.Building = model.AddressID(id), model.BuildingID(bld)
 	a.POI, a.GeocodeMode = geocode.POICategory(poi), geocode.ErrorMode(mode)
-	return a, s.lit("}")
+	return a, s.Lit("}")
 }
 
 // keyed consumes an object keyed by address id (or null), calling value to
 // consume what follows each `"id":`.
 func (s *snapshotScanner) keyed(value func(id model.AddressID) bool) bool {
-	if s.lit("null") || s.lit("{}") {
+	if s.Lit("null") || s.Lit("{}") {
 		return true
 	}
-	if !s.lit("{") {
+	if !s.Lit("{") {
 		return false
 	}
 	var prev []byte
 	for {
-		if !s.lit(`"`) {
+		if !s.Lit(`"`) {
 			return false
 		}
-		start := s.i
-		id, ok := s.integer(32)
-		key := s.b[start:s.i]
-		if !ok || !s.lit(`":`) || prev != nil && bytes.Compare(prev, key) >= 0 {
+		start := s.I
+		id, ok := s.Int(32)
+		key := s.B[start:s.I]
+		// "-0" and "0" are two keys to encoding/json and one address here;
+		// the byte-order check cannot see that.
+		if !ok || string(key) == "-0" || !s.Lit(`":`) || prev != nil && bytes.Compare(prev, key) >= 0 {
 			return false
 		}
 		prev = key
 		if !value(model.AddressID(id)) {
 			return false
 		}
-		if !s.lit(",") {
-			return s.lit("}")
+		if !s.Lit(",") {
+			return s.Lit("}")
 		}
 	}
 }
@@ -201,26 +119,26 @@ func (s *snapshotScanner) keyed(value func(id model.AddressID) bool) bool {
 // scanSnapshot feeds l the rows of doc if doc is a canonical version-1
 // document. On false, l may hold some of the rows and is to be discarded.
 func scanSnapshot(doc []byte, l *snapshotLoad) bool {
-	s := snapshotScanner{b: doc}
-	if !s.lit(snapshotHead) {
+	s := snapshotScanner{jsonscan.Cursor{B: doc}}
+	if !s.Lit(snapshotHead) {
 		return false
 	}
 	// The name is taken as written: no escape to undo, nothing the decoder
 	// would replace.
-	start := s.i
-	for ; s.i < len(doc) && doc[s.i] != '"'; s.i++ {
-		if doc[s.i] < ' ' || doc[s.i] == '\\' {
+	start := s.I
+	for ; s.I < len(doc) && doc[s.I] != '"'; s.I++ {
+		if doc[s.I] < ' ' || doc[s.I] == '\\' {
 			return false
 		}
 	}
-	name := doc[start:s.i]
-	if !utf8.Valid(name) || !s.lit(`","addresses":`) {
+	name := doc[start:s.I]
+	if !utf8.Valid(name) || !s.Lit(`","addresses":`) {
 		return false
 	}
 	l.name = string(name)
 
-	if !s.lit("null") && !s.lit("[]") {
-		if !s.lit("[") {
+	if !s.Lit("null") && !s.Lit("[]") {
+		if !s.Lit("[") {
 			return false
 		}
 		for {
@@ -229,16 +147,16 @@ func scanSnapshot(doc []byte, l *snapshotLoad) bool {
 				return false
 			}
 			l.address(a)
-			if !s.lit(",") {
+			if !s.Lit(",") {
 				break
 			}
 		}
-		if !s.lit("]") {
+		if !s.Lit("]") {
 			return false
 		}
 	}
 
-	if !s.lit(`,"locations":`) || !s.keyed(func(id model.AddressID) bool {
+	if !s.Lit(`,"locations":`) || !s.keyed(func(id model.AddressID) bool {
 		p, ok := s.point("[", ",", "]")
 		if ok {
 			l.location(id, p)
@@ -247,8 +165,8 @@ func scanSnapshot(doc []byte, l *snapshotLoad) bool {
 	}) {
 		return false
 	}
-	if s.lit(`,"confidences":`) && !s.keyed(func(id model.AddressID) bool {
-		c, ok := s.float(32)
+	if s.Lit(`,"confidences":`) && !s.keyed(func(id model.AddressID) bool {
+		c, ok := s.Float(32)
 		if ok {
 			l.confidence(id, float32(c))
 		}
@@ -261,15 +179,15 @@ func scanSnapshot(doc []byte, l *snapshotLoad) bool {
 	if end > 0 && doc[end-1] == '\n' { // json.Encoder ends the document with one
 		end--
 	}
-	if s.lit(`,"matcher":`) {
+	if s.Lit(`,"matcher":`) {
 		// Everything up to the closing brace must be the one raw value,
 		// unpadded: the decoder would hand LoadLocMatcher the same bytes.
-		raw := doc[s.i:max(s.i, end-1)]
+		raw := doc[s.I:max(s.I, end-1)]
 		if len(bytes.TrimSpace(raw)) != len(raw) || !json.Valid(raw) {
 			return false
 		}
 		l.matcher = raw
-		s.i = end - 1
+		s.I = end - 1
 	}
-	return s.lit("}") && s.i == end
+	return s.Lit("}") && s.I == end
 }

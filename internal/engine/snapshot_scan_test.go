@@ -357,3 +357,25 @@ func TestSnapshotRestoreAllocs(t *testing.T) {
 		t.Errorf("restoring %d addresses allocates %.0f times, want under one per twenty addresses", n, allocs)
 	}
 }
+
+// TestSnapshotScanMinusZero pins the reader's one rule of its own on top of
+// jsonscan's grammar: a map key "-0" is encoding/json's to read — "-0" and
+// "0" are two keys there and one address here — while an integer field of
+// -0, which jsonscan and encoding/json both read as 0, takes the reader.
+// Either way the restored state is encoding/json's.
+func TestSnapshotScanMinusZero(t *testing.T) {
+	for _, tc := range []struct {
+		doc     string
+		scanned bool
+	}{
+		{`{"version":1,"name":"n","addresses":[],"locations":{"0":[1,2]}}`, true},
+		{`{"version":1,"name":"n","addresses":[],"locations":{"-0":[1,2]}}`, false},
+		{`{"version":1,"name":"n","addresses":[],"locations":{"0":[1,2]},"confidences":{"-0":0.5}}`, false},
+		{`{"version":1,"name":"n","addresses":[{"ID":-0,"Building":-0,"Geocode":{"X":-0,"Y":1},"POI":-0,"GeocodeMode":-0}],"locations":{"0":[1,2]}}`, true},
+	} {
+		if _, scanned, err := restoreState(t, 1, []byte(tc.doc)); err != nil || scanned != tc.scanned {
+			t.Errorf("%s: err %v, took the strict reader %v, want %v", tc.doc, err, scanned, tc.scanned)
+		}
+		checkSnapshotDecode(t, []byte(tc.doc))
+	}
+}

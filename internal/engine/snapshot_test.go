@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/shard"
 	"dlinfma/internal/synth"
@@ -117,5 +118,31 @@ func TestSnapshotAddressKeysAreStrict(t *testing.T) {
 				t.Errorf("key %q in %s: error %v, want %q", tc.key, doc, err, want)
 			}
 		}
+	}
+}
+
+// TestSnapshotKeysNamingOneAddress: "0" and "00" (or "7" and "07") are two
+// keys to encoding/json and one address to the engine. A restore resolves
+// them in byte order — the later key wins, as a later Put does — so the same
+// document restores to the same store every time; in map order it kept
+// either value at random (FuzzSnapshotDecode found it).
+func TestSnapshotKeysNamingOneAddress(t *testing.T) {
+	doc := `{"version":1,"name":"n","addresses":null,` +
+		`"locations":{"0":[1,2],"00":[3,4],"7":[5,6],"07":[7,8]},"confidences":{"0":0.25,"00":0.75}}`
+	want := map[model.AddressID]deploy.FrozenAnswer{
+		0: {Loc: geo.Point{X: 3, Y: 4}, Src: deploy.SourceAddress, Conf: 0.75},
+		7: {Loc: geo.Point{X: 5, Y: 6}, Src: deploy.SourceAddress},
+	}
+	for i := 0; i < 20; i++ {
+		e := New(streamTestConfig())
+		if err := e.RestoreSnapshot(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+		for id, a := range want {
+			if got, _ := e.shards[0].frozen().Lookup(id); got != a {
+				t.Fatalf("restore %d: address %d answers %+v, want %+v", i, id, got, a)
+			}
+		}
+		e.Close()
 	}
 }

@@ -163,14 +163,14 @@ func TestDuplicateNamePanics(t *testing.T) {
 
 func TestParseExpositionRejects(t *testing.T) {
 	bad := []string{
-		"name 1.2.3",                      // malformed value
-		"1name 7",                         // bad metric name
-		"# TYPE x wat\nx 1",               // unknown type
-		`m{l="unterminated} 1`,            // unterminated label
-		"x 1\n# TYPE x counter",           // TYPE after samples
-		"# TYPE h histogram\nh 3",         // bare histogram sample
-		"# TYPE h histogram\nh_sum 3",     // histogram family sample but no bucket/count is fine...
-		"m{=\"v\"} 1",                     // empty label name
+		"name 1.2.3",                  // malformed value
+		"1name 7",                     // bad metric name
+		"# TYPE x wat\nx 1",           // unknown type
+		`m{l="unterminated} 1`,        // unterminated label
+		"x 1\n# TYPE x counter",       // TYPE after samples
+		"# TYPE h histogram\nh 3",     // bare histogram sample
+		"# TYPE h histogram\nh_sum 3", // histogram family sample but no bucket/count is fine...
+		"m{=\"v\"} 1",                 // empty label name
 	}
 	for i, in := range bad {
 		if i == 6 {

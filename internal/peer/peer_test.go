@@ -1,14 +1,18 @@
 package peer_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
@@ -435,4 +439,65 @@ func TestFrontendRingFailover(t *testing.T) {
 // addrKey renders an address id the way the /v1 path wildcard expects it.
 func addrKey(id model.AddressID) string {
 	return strconv.Itoa(int(id))
+}
+
+// TestFrontendBatchWithDeadShard: when every peer of one shard is down, a
+// frontend batch that needs that shard fails as a whole with the error
+// envelope — 502, code internal, the backend's message — instead of a 200
+// with an empty body.
+func TestFrontendBatchWithDeadShard(t *testing.T) {
+	const nShards = 2
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	cfg := quickCfg(len(ds.Trips))
+	procs := make([]*shardProc, nShards)
+	backends := make([]peer.ShardBackend, nShards)
+	for i := range procs {
+		procs[i] = newShardProc(t, cfg)
+		c, err := peer.NewClient(peer.ClientOptions{Endpoints: []string{procs[i].srv.URL}, Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = c
+	}
+	fe, err := engine.NewShardedBackends(cfg, newRouter(t, nShards), backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	if err := fe.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Reinfer(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := fe.Status(); len(st.Shards) != nShards || st.Shards[1].Addresses == 0 {
+		t.Fatalf("shard 1 owns no address, so the batch would never reach it: %+v", st)
+	}
+	feSrv := httptest.NewServer(deploy.NewService(fe, deploy.Options{}))
+	defer feSrv.Close()
+
+	keys := make([]int64, 0, len(ds.Addresses))
+	for _, a := range ds.Addresses {
+		keys = append(keys, int64(a.ID))
+	}
+	body, err := json.Marshal(api.BatchLocationsRequest{Addrs: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs[1].srv.Close() // shard 1's only peer dies; shard 0 still serves
+
+	resp, err := http.Post(feSrv.URL+"/v1/locations:batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env api.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("status %d, body is no error envelope: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || env.Error == nil || env.Error.Code != api.CodeInternal ||
+		!strings.Contains(env.Error.Message, procs[1].srv.URL) {
+		t.Fatalf("status %d, envelope %+v; want 502 %s naming %s", resp.StatusCode, env.Error, api.CodeInternal, procs[1].srv.URL)
+	}
 }
