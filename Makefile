@@ -37,6 +37,9 @@ experiments-smoke:
 #                           restores vs encoding/json alone
 #   FuzzMatMulKernels       internal/nn's matrix-product kernels vs the naive
 #                           loops in the reference order, bit for bit
+#   FuzzMergeNear           internal/cluster's window-by-window merge around
+#                           the new centroids vs HierarchicalWeighted over
+#                           everything alive, bit for bit
 # FuzzSnapshotDecode restores whole engines, whose coverage is never the same
 # twice, so minimising an input that looks new would otherwise eat the
 # budget: it gets a second per input.
@@ -50,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMergeNear$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so
@@ -114,11 +118,11 @@ cover:
 		'/^total:/ { gsub("%","",$$3); printf "total coverage %.1f%% (floor %d%%)\n", $$3, floor; \
 		 if ($$3+0 < floor+0) exit 1 }'
 
-# LocMatcher training/inference + serving-throughput + snapshot-restore
-# benchmarks -> BENCH_locmatcher.json.
+# LocMatcher training/inference + serving-throughput + snapshot-restore +
+# WAL-replay + pool-seal benchmarks -> BENCH_locmatcher.json.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
+	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot|ReplayWAL|PoolSealGrowth' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
 
 # Every benchmark (regenerates all paper artefacts; slow).
 bench-all:

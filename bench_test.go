@@ -18,10 +18,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dlinfma/internal/baselines"
 	"dlinfma/internal/core"
@@ -592,6 +594,124 @@ func BenchmarkServeStreamIngest(b *testing.B) {
 			b.ReportMetric(float64(streamed.Load())/sec, "fixes/sec")
 		}
 	})
+}
+
+// BenchmarkReplayWAL is a restart of the streaming write path: the WAL of
+// every DowBJ trip streamed as fixes and an end marker (a courier id per
+// trip) into a two-shard engine, replayed into a fresh two-shard engine —
+// stream extraction, routing and every pool-window seal included. The
+// reported ns/record is per WAL record.
+func BenchmarkReplayWAL(b *testing.B) {
+	ctx := context.Background()
+	ds, _ := dowDataset(b)
+	engineFor := func() *engine.Engine {
+		r, err := shard.NewRouter(2, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return engine.NewSharded(engine.DefaultConfig(), r)
+	}
+	dir := b.TempDir()
+	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := engineFor()
+	src.AttachWAL(w)
+	var ops []deploy.StreamOp
+	for i, tr := range ds.Trips {
+		ops = ops[:0]
+		for _, pt := range tr.Traj {
+			ops = append(ops, deploy.StreamOp{Courier: model.CourierID(i + 1), Pt: pt})
+		}
+		ops = append(ops, deploy.StreamOp{Courier: model.CourierID(i + 1), End: true})
+		if _, err := src.IngestBurst(ctx, ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	src.Close()
+	records := int(w.LastSeq())
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if w, err = wal.Open(dir, wal.Options{Policy: wal.FsyncNever}); err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := engineFor()
+		n, err := e.ReplayWAL(ctx, w)
+		if err != nil || n != records {
+			b.Fatalf("replayed %d of %d records: %v", n, records, err)
+		}
+		b.StopTimer()
+		e.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+}
+
+// BenchmarkPoolSealGrowth seals 50 windows into one pool builder and reports
+// the wall time of the first seal and of the fiftieth. Each window brings
+// 1,000 stay points: five visits (3 m of jitter) to each of 200 locations in
+// a 20 km square — after the first window, 100 seen in earlier windows and
+// 100 new — so the pool grows by about 100 candidates a window. A seal that costs its window, not
+// the pool's history, reads the same at both.
+func BenchmarkPoolSealGrowth(b *testing.B) {
+	const windows, perWindow, visits = 50, 100, 5
+	rng := rand.New(rand.NewSource(1))
+	var sites []geo.Point
+	stays := make([][][]traj.StayPoint, windows) // window → trip → stays
+	for w := range stays {
+		var locs []geo.Point
+		for i := 0; i < perWindow && len(sites) > 0; i++ {
+			locs = append(locs, sites[rng.Intn(len(sites))])
+		}
+		for len(locs) < 2*perWindow {
+			p := geo.Point{X: rng.Float64() * 20_000, Y: rng.Float64() * 20_000}
+			sites = append(sites, p)
+			locs = append(locs, p)
+		}
+		t0 := float64(w) * core.DefaultPoolWindowSeconds
+		for v := 0; v < visits; v++ {
+			trip := make([]traj.StayPoint, len(locs))
+			for i, p := range locs {
+				at := t0 + float64(v*len(locs)+i)*60
+				trip[i] = traj.StayPoint{
+					Loc:     geo.Point{X: p.X + rng.NormFloat64()*3, Y: p.Y + rng.NormFloat64()*3},
+					ArriveT: at, LeaveT: at + 45, NPoints: 5,
+				}
+			}
+			stays[w] = append(stays[w], trip)
+		}
+	}
+	ctx := context.Background()
+	var first, last time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb := core.NewIncrementalPoolBuilder(core.DefaultConfig())
+		for w, trips := range stays {
+			for c, tr := range trips {
+				// The builder owns what it is handed.
+				pb.AppendTripStays(model.CourierID(c), slices.Clone(tr))
+			}
+			start := time.Now()
+			if err := pb.SealWindow(ctx); err != nil {
+				b.Fatal(err)
+			}
+			switch w {
+			case 0:
+				first += time.Since(start)
+			case windows - 1:
+				last += time.Since(start)
+			}
+		}
+	}
+	b.ReportMetric(float64(first.Nanoseconds())/float64(b.N), "ns/seal-w1")
+	b.ReportMetric(float64(last.Nanoseconds())/float64(b.N), "ns/seal-w50")
 }
 
 // BenchmarkRestoreSnapshot is a replica's boot: the version-1 document of a

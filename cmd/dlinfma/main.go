@@ -381,12 +381,13 @@ func cmdServe(ctx context.Context, args []string) error {
 			return fmt.Errorf("open wal %s: %w", *walDir, werr)
 		}
 		defer w.Close()
+		start := time.Now()
 		if replayed, err = e.ReplayWAL(ctx, w); err != nil {
 			return fmt.Errorf("replay wal %s: %w", *walDir, err)
 		}
 		e.AttachWAL(w)
 		if replayed > 0 {
-			fmt.Printf("replayed %d WAL records from %s\n", replayed, *walDir)
+			fmt.Printf("replayed %d WAL records from %s in %s\n", replayed, *walDir, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if *data != "" && replayed > 0 {

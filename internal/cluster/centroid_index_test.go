@@ -1,0 +1,276 @@
+package cluster
+
+import (
+	"container/heap"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dlinfma/internal/geo"
+)
+
+// refHeap is the container/heap min-heap on dist that pairHeap replaces:
+// the oracle for the order tied pairs leave in.
+type refHeap []pairEntry
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(pairEntry)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func TestPairHeapPopsInContainerHeapOrder(t *testing.T) {
+	// Each script pushes its distances in order (a counts the pushes, so
+	// equal distances are told apart by it); -1 pops one entry. Whatever is
+	// left is drained at the end.
+	nan := math.NaN()
+	cases := []struct {
+		name   string
+		script []float64
+	}{
+		{"all equal", []float64{5, 5, 5, 5, 5, 5, 5, 5, 5}},
+		{"all equal, pops between", []float64{3, 3, 3, -1, 3, 3, -1, -1, 3, 3, 3, -1}},
+		{"two values alternating", []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, -1, 1, 2, -1, -1}},
+		{"descending runs of ties", []float64{9, 9, 8, 8, 7, 7, 6, 6, -1, 5, 5, -1, 9, 8}},
+		{"ascending with ties", []float64{0, 0, 1, 1, 1, 2, 2, 3, -1, -1, 0, 0}},
+		{"zero distances", []float64{0, 0, 0, -1, 0, -1, 0, 0}},
+		{"NaN compares false", []float64{4, nan, 4, 2, nan, -1, 2, 4, -1}},
+		{"single", []float64{7}},
+		{"empty", nil},
+	}
+	// Plus seeded scripts over three distinct distances.
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 20; i++ {
+		var s []float64
+		for j := 0; j < 200; j++ {
+			if r.Intn(3) == 0 {
+				s = append(s, -1)
+			} else {
+				s = append(s, float64(r.Intn(3)))
+			}
+		}
+		cases = append(cases, struct {
+			name   string
+			script []float64
+		}{"seeded", s})
+	}
+	for _, tc := range cases {
+		var got pairHeap
+		want := &refHeap{}
+		var gotOrder, wantOrder []int
+		for i, v := range tc.script {
+			if v == -1 {
+				if len(got) > 0 {
+					gotOrder = append(gotOrder, got.pop().a)
+					wantOrder = append(wantOrder, heap.Pop(want).(pairEntry).a)
+				}
+				continue
+			}
+			e := pairEntry{dist: v, a: i, b: -i}
+			got.push(e)
+			heap.Push(want, e)
+		}
+		for len(got) > 0 {
+			gotOrder = append(gotOrder, got.pop().a)
+			wantOrder = append(wantOrder, heap.Pop(want).(pairEntry).a)
+		}
+		if want.Len() != 0 || !slices.Equal(gotOrder, wantOrder) {
+			t.Errorf("%s: popped %v, container/heap pops %v", tc.name, gotOrder, wantOrder)
+		}
+	}
+}
+
+// mergeWindows generates the windows of weighted points a fuzz input
+// stands for: 1-8 windows of 1-30 points in a square a few cutoffs wide, so
+// windows land on each other's candidates. mode bit 0 snaps every
+// coordinate to a quarter of the cutoff (tied distances everywhere), bit 1
+// opens with a triangular lattice of points just over the cutoff apart
+// (merging any two of them brings their centroid within the cutoff of
+// their common neighbours), bit 2 draws fractional weights, and bit 3
+// opens with a zigzag of ten points just over the cutoff apart, each four
+// times heavier than the last, followed by a window of one point near the
+// light end: each merge drags the centroid within the cutoff of the next
+// point, so the chain runs 4.6 cutoffs along, past the new point's 3×3
+// cell block.
+func mergeWindows(seed int64, windows, mode uint8) (float64, [][]WeightedPoint) {
+	r := rand.New(rand.NewSource(seed))
+	d := 10 + 50*r.Float64()
+	side := d * float64(3+r.Intn(6))
+	point := func(x, y float64) WeightedPoint {
+		if mode&1 != 0 {
+			q := d / 4
+			x, y = math.Round(x/q)*q, math.Round(y/q)*q
+		}
+		w := float64(1 + r.Intn(4))
+		if mode&4 != 0 {
+			w = 0.25 + 3*r.Float64()
+		}
+		return WeightedPoint{P: geo.Point{X: x, Y: y}, W: w}
+	}
+	var out [][]WeightedPoint
+	if mode&2 != 0 {
+		s := d * (1.01 + 0.1*r.Float64())
+		var lattice []WeightedPoint
+		for row := 0; float64(row)*s*0.87 < side; row++ {
+			for col := 0; float64(col)*s < side; col++ {
+				x := float64(col)*s + float64(row%2)*s/2
+				lattice = append(lattice, point(x, float64(row)*s*math.Sqrt(3)/2))
+			}
+		}
+		out = append(out, lattice)
+	}
+	if mode&8 != 0 {
+		x0, y0 := r.Float64()*side, r.Float64()*side
+		zigzag := make([]WeightedPoint, 10)
+		for i := range zigzag {
+			zigzag[i] = WeightedPoint{P: geo.Point{X: x0 + float64(i)*0.51*d, Y: y0 + float64(i%2)*0.9*d}, W: math.Pow(4, float64(i))}
+		}
+		out = append(out, zigzag, []WeightedPoint{{P: geo.Point{X: x0 + 0.2*d, Y: y0 + 0.3*d}, W: 1}})
+	}
+	for w := 0; w < 1+int(windows%8); w++ {
+		win := make([]WeightedPoint, 1+r.Intn(30))
+		for i := range win {
+			win[i] = point(r.Float64()*side, r.Float64()*side)
+		}
+		out = append(out, win)
+	}
+	return d, out
+}
+
+// mergeWindow adds win to x, merges it, and holds the outcome to
+// HierarchicalWeighted over the alive set (ascending ids alive, before the
+// window) plus the window: the same merged clusters, bit for bit and in the
+// same order, and the same singletons. It returns the alive ids after the
+// merge and whether a merge reached an item outside every new point's 3×3
+// cell block.
+func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoint) ([]int, bool) {
+	t.Helper()
+	pts := make([]WeightedPoint, 0, len(alive)+len(win))
+	for _, id := range alive {
+		pts = append(pts, WeightedPoint{P: x.items[id].centroid, W: x.items[id].weight})
+	}
+	pts = append(pts, win...)
+	ids := slices.Clone(alive)
+	first := x.Len()
+	for _, p := range win {
+		ids = append(ids, x.Add(p))
+	}
+	blocks := map[[2]int32]bool{}
+	for id := first; id < x.Len(); id++ {
+		k := x.key(x.items[id].centroid)
+		for dy := int32(-1); dy <= 1; dy++ {
+			for dx := int32(-1); dx <= 1; dx++ {
+				blocks[[2]int32{k[0] + dx, k[1] + dy}] = true
+			}
+		}
+	}
+	got := x.MergeNew(first)
+	want := HierarchicalWeighted(pts, x.d)
+
+	var wantAlive []int
+	var wantMerged []Cluster
+	for _, c := range want {
+		if len(c.Members) == 1 {
+			wantAlive = append(wantAlive, ids[c.Members[0]])
+		} else {
+			wantMerged = append(wantMerged, c)
+		}
+	}
+	if len(got) != len(wantMerged) {
+		t.Fatalf("MergeNew created %d clusters, the full run %d", len(got), len(wantMerged))
+	}
+	far := false
+	for j, m := range got {
+		w := wantMerged[j]
+		members := make([]int, len(w.Members))
+		for i, l := range w.Members {
+			members[i] = ids[l]
+			if l < len(alive) && !blocks[x.key(pts[l].P)] {
+				far = true
+			}
+		}
+		if m.Centroid != w.Centroid || m.Weight != w.Weight || !slices.Equal(m.Members, members) {
+			t.Fatalf("merged cluster %d: %+v, the full run %+v (members %v)", j, m, w, members)
+		}
+		wantAlive = append(wantAlive, m.ID)
+	}
+	var gotAlive []int
+	for id, it := range x.items {
+		if it.alive {
+			gotAlive = append(gotAlive, id)
+		}
+	}
+	if !slices.Equal(gotAlive, wantAlive) {
+		t.Fatalf("alive ids %v, the full run leaves %v", gotAlive, wantAlive)
+	}
+	// Every alive id sits in its own cell, and every cell is ascending.
+	n := 0
+	for k, cell := range x.cells {
+		if !slices.IsSorted(cell) {
+			t.Fatalf("cell %v not ascending: %v", k, cell)
+		}
+		for _, id := range cell {
+			if !x.items[id].alive || x.key(x.items[id].centroid) != k {
+				t.Fatalf("cell %v holds id %d (alive %v)", k, id, x.items[id].alive)
+			}
+		}
+		n += len(cell)
+	}
+	if n != len(gotAlive) {
+		t.Fatalf("cells hold %d ids, %d are alive", n, len(gotAlive))
+	}
+	return gotAlive, far
+}
+
+// FuzzMergeNear holds CentroidIndex.MergeNew, window after window, to
+// HierarchicalWeighted over everything alive.
+func FuzzMergeNear(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed, uint8(seed), uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, windows, mode uint8) {
+		d, wins := mergeWindows(seed, windows, mode)
+		x := NewCentroidIndex(d)
+		var alive []int
+		for _, win := range wins {
+			alive, _ = mergeWindow(t, x, alive, win)
+		}
+	})
+}
+
+func TestMergeNearReachesPastTheBlock(t *testing.T) {
+	// The generator must produce what the seeding argument is about: merge
+	// chains that take in old items no new point's 3×3 block holds.
+	far := 0
+	for seed := int64(0); seed < 40; seed++ {
+		d, wins := mergeWindows(seed, 3, 8|uint8(seed)&7)
+		x := NewCentroidIndex(d)
+		var alive []int
+		for _, win := range wins {
+			var reached bool
+			alive, reached = mergeWindow(t, x, alive, win)
+			if reached {
+				far++
+			}
+		}
+	}
+	if far == 0 {
+		t.Fatal("no window merged an item outside its new points' 3×3 blocks")
+	}
+	t.Logf("%d windows reached past the block", far)
+}
+
+func TestMergeNewNonPositiveCutoff(t *testing.T) {
+	x := NewCentroidIndex(0)
+	x.Add(WeightedPoint{P: geo.Point{}, W: 1})
+	x.Add(WeightedPoint{P: geo.Point{}, W: 1})
+	if got := x.MergeNew(0); got != nil {
+		t.Fatalf("d=0 merged %+v", got)
+	}
+}

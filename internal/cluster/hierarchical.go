@@ -5,80 +5,13 @@
 // DLInfMA-Grid variant).
 package cluster
 
-import (
-	"container/heap"
-	"math"
-
-	"dlinfma/internal/geo"
-)
+import "dlinfma/internal/geo"
 
 // Cluster is a group of input points represented by its centroid.
 type Cluster struct {
 	Centroid geo.Point
 	Members  []int   // indices into the input point slice
 	Weight   float64 // number of underlying points (> len(Members) after pool merges)
-}
-
-// mergeItem is one active cluster during agglomeration.
-type mergeItem struct {
-	centroid geo.Point
-	members  []int
-	weight   float64
-	version  int  // bumped on every merge so heap entries can detect staleness
-	alive    bool // false once merged into another cluster
-}
-
-// pairEntry is a candidate merge in the lazy priority queue.
-type pairEntry struct {
-	dist   float64
-	a, b   int
-	av, bv int // versions of a and b at push time
-}
-
-type pairHeap []pairEntry
-
-func (h pairHeap) Len() int            { return len(h) }
-func (h pairHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(pairEntry)) }
-func (h *pairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// cellGrid tracks alive cluster ids by spatial cell for neighbor discovery.
-// Entries are append-only; readers filter out dead or moved clusters.
-type cellGrid struct {
-	cell  float64
-	cells map[[2]int32][]int
-}
-
-func newCellGrid(cell float64) *cellGrid {
-	return &cellGrid{cell: cell, cells: make(map[[2]int32][]int)}
-}
-
-func (g *cellGrid) key(p geo.Point) [2]int32 {
-	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
-}
-
-func (g *cellGrid) add(id int, p geo.Point) {
-	k := g.key(p)
-	g.cells[k] = append(g.cells[k], id)
-}
-
-// neighbors appends to dst the ids stored in the 3x3 cell block around p.
-// The result may contain dead or moved clusters; callers must verify.
-func (g *cellGrid) neighbors(p geo.Point, dst []int) []int {
-	k := g.key(p)
-	for dy := int32(-1); dy <= 1; dy++ {
-		for dx := int32(-1); dx <= 1; dx++ {
-			dst = append(dst, g.cells[[2]int32{k[0] + dx, k[1] + dy}]...)
-		}
-	}
-	return dst
 }
 
 // Hierarchical performs centroid-linkage agglomerative clustering with
@@ -107,9 +40,8 @@ type WeightedPoint struct {
 }
 
 // HierarchicalWeighted is Hierarchical over weighted points: merged centroids
-// are weight-averaged. It powers the paper's bi-weekly incremental pool
-// maintenance, where previously generated candidates (carrying their stay
-// point counts as weights) are re-clustered together with the new batch.
+// are weight-averaged. It is a CentroidIndex that merges every point as new,
+// so the pool builder's window-by-window merges run the same loop.
 func HierarchicalWeighted(pts []WeightedPoint, d float64) []Cluster {
 	n := len(pts)
 	if n == 0 {
@@ -122,75 +54,20 @@ func HierarchicalWeighted(pts []WeightedPoint, d float64) []Cluster {
 		}
 		return out
 	}
-	items := make([]mergeItem, n)
-	grid := newCellGrid(d)
-	for i, p := range pts {
-		w := p.W
-		if w <= 0 {
-			w = 1
-		}
-		items[i] = mergeItem{centroid: p.P, members: []int{i}, weight: w, alive: true}
-		grid.add(i, p.P)
+	x := NewCentroidIndex(d)
+	x.items = make([]mergeItem, 0, n)
+	for _, p := range pts {
+		x.Add(p)
 	}
-
-	h := &pairHeap{}
-	var scratch []int
-	pushPairs := func(id int) {
-		scratch = grid.neighbors(items[id].centroid, scratch[:0])
-		for _, o := range scratch {
-			if o == id || !items[o].alive {
-				continue
-			}
-			dist := geo.Dist(items[id].centroid, items[o].centroid)
-			if dist <= d {
-				a, b := id, o
-				heap.Push(h, pairEntry{dist: dist, a: a, b: b, av: items[a].version, bv: items[b].version})
-			}
-		}
-	}
-	for i := range items {
-		// Push each pair once by ordering on id.
-		scratch = grid.neighbors(items[i].centroid, scratch[:0])
-		for _, o := range scratch {
-			if o <= i {
-				continue
-			}
-			dist := geo.Dist(items[i].centroid, items[o].centroid)
-			if dist <= d {
-				heap.Push(h, pairEntry{dist: dist, a: i, b: o, av: 0, bv: 0})
-			}
-		}
-	}
-
-	next := n // ids for newly created clusters
-	for h.Len() > 0 {
-		e := heap.Pop(h).(pairEntry)
-		ia, ib := &items[e.a], &items[e.b]
-		if !ia.alive || !ib.alive || ia.version != e.av || ib.version != e.bv {
-			continue // stale entry
-		}
-		// Merge b into a new cluster.
-		ia.alive = false
-		ib.alive = false
-		w := ia.weight + ib.weight
-		c := geo.Point{
-			X: (ia.centroid.X*ia.weight + ib.centroid.X*ib.weight) / w,
-			Y: (ia.centroid.Y*ia.weight + ib.centroid.Y*ib.weight) / w,
-		}
-		members := make([]int, 0, len(ia.members)+len(ib.members))
-		members = append(members, ia.members...)
-		members = append(members, ib.members...)
-		items = append(items, mergeItem{centroid: c, members: members, weight: w, alive: true})
-		grid.add(next, c)
-		pushPairs(next)
-		next++
-	}
-
+	merged := x.MergeNew(0)
 	var out []Cluster
-	for _, it := range items {
-		if it.alive {
-			out = append(out, Cluster{Centroid: it.centroid, Members: it.members, Weight: it.weight})
+	for i := 0; i < n; i++ {
+		if it := &x.items[i]; it.alive {
+			out = append(out, Cluster{Centroid: it.centroid, Members: []int{i}, Weight: it.weight})
 		}
+	}
+	for _, m := range merged {
+		out = append(out, m.Cluster)
 	}
 	return out
 }

@@ -15,9 +15,9 @@ import (
 // IncrementalPoolBuilder maintains the candidate pool the way the deployed
 // system does (Sections III-B and V-F): each new time window's stay points
 // are clustered on their own, then the window's candidates are merged with
-// the existing pool — by re-clustering weighted centroids, or by grid cell
-// under Config.UseGridMerge. Profiles (duration, couriers, time
-// distribution) merge additively.
+// the existing pool — by centroid-linkage merging of weighted centroids
+// around the new candidates, or by grid cell under Config.UseGridMerge.
+// Profiles (duration, couriers, time distribution) merge additively.
 //
 // It is the only pool construction: BuildPool drives it over a whole
 // dataset, the serving engine window by window as trips arrive, so a new
@@ -36,6 +36,11 @@ type IncrementalPoolBuilder struct {
 	// already owns a reserved slot in visits so trip order is fixed at
 	// append time.
 	pending []pendingTrip
+	// index holds the alive items' weighted centroids across seals (not
+	// under UseGridMerge), under ids of its own; ref maps an index id to
+	// its item (-1 for a centroid the index merged on within one seal).
+	index *cluster.CentroidIndex
+	ref   []int
 }
 
 // pendingTrip is one streamed trip awaiting its window seal.
@@ -72,7 +77,11 @@ func NewIncrementalPoolBuilder(cfg Config) *IncrementalPoolBuilder {
 	if cfg.ClusterDistance <= 0 {
 		cfg.ClusterDistance = 40
 	}
-	return &IncrementalPoolBuilder{cfg: cfg}
+	b := &IncrementalPoolBuilder{cfg: cfg}
+	if !cfg.UseGridMerge {
+		b.index = cluster.NewCentroidIndex(cfg.ClusterDistance)
+	}
+	return b
 }
 
 // AddWindow ingests one window of trips: extracts stay points (in parallel,
@@ -145,6 +154,10 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 
 	// Install the window's candidates as new items and record visits.
 	windowVisits := make([][]rawVisit, len(b.pending))
+	var firstNew int
+	if b.index != nil {
+		firstNew = b.index.Len()
+	}
 	for _, c := range windowClusters {
 		item := incrementalItem{
 			centroid: c.Centroid,
@@ -168,6 +181,9 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 			})
 		}
 		b.items = append(b.items, item)
+		if b.index != nil {
+			b.link(b.index.Add(cluster.WeightedPoint{P: item.centroid, W: item.weight}), id)
+		}
 	}
 	for ti, vs := range windowVisits {
 		sort.Slice(vs, func(i, j int) bool { return vs[i].arriveT < vs[j].arriveT })
@@ -175,73 +191,95 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	}
 	b.pending = nil
 
-	b.mergeAlive()
+	if b.index != nil {
+		b.mergeNew(firstNew)
+	} else {
+		b.mergeGrid()
+	}
 	return nil
 }
 
-// mergeAlive merges the alive items that fall together, preserving additive
-// profiles: under grid merging those sharing a cell — so the pool is
-// cluster.GridMerge over every stay point seen, whatever the windows — and
-// otherwise those the weighted re-clustering of their centroids joins.
-func (b *IncrementalPoolBuilder) mergeAlive() {
+// mergeNew merges the window's candidates — index ids from first on — with
+// each other and with the alive items around them. The pool is
+// cluster.HierarchicalWeighted over every alive item's centroid, without
+// re-clustering the items the window cannot reach (cluster.CentroidIndex).
+func (b *IncrementalPoolBuilder) mergeNew(first int) {
+	var ids []int
+	for _, m := range b.index.MergeNew(first) {
+		ids = ids[:0]
+		for _, ix := range m.Members {
+			ids = append(ids, b.ref[ix])
+		}
+		b.link(m.ID, b.absorb(m.Centroid, ids))
+	}
+}
+
+// link records that index id ix stands for item id.
+func (b *IncrementalPoolBuilder) link(ix, id int) {
+	for len(b.ref) <= ix {
+		b.ref = append(b.ref, -1)
+	}
+	b.ref[ix] = id
+}
+
+// mergeGrid merges the alive items whose anchors share a grid cell,
+// preserving additive profiles, so the pool is cluster.GridMerge over every
+// stay point seen, whatever the windows.
+func (b *IncrementalPoolBuilder) mergeGrid() {
 	var aliveIdx []int
 	for i := range b.items {
 		if b.items[i].succ == -1 {
 			aliveIdx = append(aliveIdx, i)
 		}
 	}
-	var groups []cluster.Cluster
-	if b.cfg.UseGridMerge {
-		anchors := make([]geo.Point, len(aliveIdx))
-		for i, idx := range aliveIdx {
-			anchors[i] = b.items[idx].anchor
-		}
-		groups = cluster.GridMerge(anchors, b.cfg.ClusterDistance)
-		// GridMerge averaged the anchors; a cell's centroid is the
-		// weight-averaged centroids of its items.
-		for gi := range groups {
-			var sx, sy, w float64
-			for _, m := range groups[gi].Members {
-				it := &b.items[aliveIdx[m]]
-				sx += it.centroid.X * it.weight
-				sy += it.centroid.Y * it.weight
-				w += it.weight
-			}
-			groups[gi].Centroid = geo.Point{X: sx / w, Y: sy / w}
-		}
-	} else {
-		wpts := make([]cluster.WeightedPoint, len(aliveIdx))
-		for i, idx := range aliveIdx {
-			wpts[i] = cluster.WeightedPoint{P: b.items[idx].centroid, W: b.items[idx].weight}
-		}
-		groups = cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance)
+	anchors := make([]geo.Point, len(aliveIdx))
+	for i, idx := range aliveIdx {
+		anchors[i] = b.items[idx].anchor
 	}
-	for _, c := range groups {
+	var ids []int
+	for _, c := range cluster.GridMerge(anchors, b.cfg.ClusterDistance) {
 		if len(c.Members) < 2 {
 			continue
 		}
-		// Merge into a fresh item.
-		merged := incrementalItem{
-			centroid: c.Centroid,
-			anchor:   b.items[aliveIdx[c.Members[0]]].anchor,
-			couriers: make(map[model.CourierID]struct{}, 4),
-			succ:     -1,
-		}
-		id := len(b.items)
+		// GridMerge averaged the anchors; a cell's centroid is the
+		// weight-averaged centroids of its items.
+		ids = ids[:0]
+		var sx, sy, w float64
 		for _, m := range c.Members {
 			it := &b.items[aliveIdx[m]]
-			merged.weight += it.weight
-			merged.dur += it.dur
-			for h := range it.hist {
-				merged.hist[h] += it.hist[h]
-			}
-			for cr := range it.couriers {
-				merged.couriers[cr] = struct{}{}
-			}
-			it.succ = id
+			sx += it.centroid.X * it.weight
+			sy += it.centroid.Y * it.weight
+			w += it.weight
+			ids = append(ids, aliveIdx[m])
 		}
-		b.items = append(b.items, merged)
+		b.absorb(geo.Point{X: sx / w, Y: sy / w}, ids)
 	}
+}
+
+// absorb merges the alive items ids, in order, into a fresh item at
+// centroid and returns its id.
+func (b *IncrementalPoolBuilder) absorb(centroid geo.Point, ids []int) int {
+	merged := incrementalItem{
+		centroid: centroid,
+		anchor:   b.items[ids[0]].anchor,
+		couriers: make(map[model.CourierID]struct{}, 4),
+		succ:     -1,
+	}
+	id := len(b.items)
+	for _, i := range ids {
+		it := &b.items[i]
+		merged.weight += it.weight
+		merged.dur += it.dur
+		for h := range it.hist {
+			merged.hist[h] += it.hist[h]
+		}
+		for cr := range it.couriers {
+			merged.couriers[cr] = struct{}{}
+		}
+		it.succ = id
+	}
+	b.items = append(b.items, merged)
+	return id
 }
 
 // resolve chases succ pointers to the current representative of an item.

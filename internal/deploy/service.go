@@ -228,7 +228,8 @@ func parseAddrKey(r *http.Request) (model.AddressID, *api.Error) {
 // handleLocation answers GET /v1/locations/{key}. A miss maps to the right
 // envelope: 503 engine_not_ready on a cold engine, 404 not_found once a store
 // is deployed; the Status() call happens only on misses, keeping the hot path
-// to a single store lookup. Engines with a request-scoped read path
+// to a single store lookup. A shard that could not answer (SourceUnavailable)
+// is a 502, as it is for a batch. Engines with a request-scoped read path
 // (ContextQuerier) get the request context so a remote hop inherits the
 // deadline and trace. A hit is written by the batch route's Location encoder,
 // so both read routes have one.
@@ -246,6 +247,11 @@ func (s *service) handleLocation(w http.ResponseWriter, r *http.Request) {
 		loc, src = cq.QueryCtx(r.Context(), addr)
 	} else {
 		loc, src = s.e.Query(addr)
+	}
+	if src == SourceUnavailable {
+		writeError(w, http.StatusBadGateway, api.CodeInternal,
+			"the address's shard did not answer", map[string]any{"addr": int64(addr)})
+		return
 	}
 	if src == SourceNone {
 		if !s.e.Status().Ready {

@@ -25,6 +25,11 @@ const (
 	SourceBuilding
 	SourceGeocode
 	SourceNone
+	// SourceUnavailable answers a lookup whose owning shard could not answer
+	// at all — a cluster frontend's shard with no live peer — while the
+	// request is still live. No store holds it and no wire carries it: the
+	// HTTP layer turns it into a 502.
+	SourceUnavailable
 )
 
 // String returns the source label.
@@ -36,6 +41,8 @@ func (s Source) String() string {
 		return "building"
 	case SourceGeocode:
 		return "geocode"
+	case SourceUnavailable:
+		return "unavailable"
 	default:
 		return "none"
 	}

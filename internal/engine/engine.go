@@ -610,9 +610,11 @@ func (e *Engine) Query(addr model.AddressID) (geo.Point, deploy.Source) {
 }
 
 // QueryCtx is Query carrying the request context (deploy.ContextQuerier), so
-// a remote shard hop propagates the caller's trace and request id.
-// In-process shards, whose Query is the lock-free frozen path, have nothing
-// to propagate and answer exactly like Query.
+// a remote shard hop propagates the caller's trace and request id. A remote
+// shard that cannot answer while ctx is live (every peer down) answers
+// SourceUnavailable, not a miss. In-process shards, whose Query is the
+// lock-free frozen path, have nothing to propagate and answer exactly like
+// Query.
 func (e *Engine) QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source) {
 	sh := e.route(addr)
 	if sh < 0 {
@@ -622,7 +624,10 @@ func (e *Engine) QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point,
 		if cq, ok := e.backends[sh].(interface {
 			QueryOne(context.Context, model.AddressID) (geo.Point, deploy.Source, error)
 		}); ok {
-			p, src, _ := cq.QueryOne(ctx, addr)
+			p, src, err := cq.QueryOne(ctx, addr)
+			if err != nil && ctx.Err() == nil {
+				return geo.Point{}, deploy.SourceUnavailable
+			}
 			return p, src
 		}
 	}

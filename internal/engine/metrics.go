@@ -56,6 +56,11 @@ var (
 	ingestSkew = obs.Default.Gauge("dlinfma_engine_ingest_skew",
 		"Max/mean ratio of cumulative per-shard ingested trips (1 = perfectly balanced).")
 
+	walReplaySeconds = obs.Default.Gauge("dlinfma_engine_wal_replay_seconds",
+		"Wall time of the last write-ahead-log replay: every record re-applied, window seals included.")
+	walReplayedRecords = obs.Default.Gauge("dlinfma_engine_wal_replayed_records",
+		"Records the last write-ahead-log replay applied.")
+
 	autoReinferTriggers = obs.Default.CounterVec("dlinfma_engine_auto_reinfer_triggers_total",
 		"Re-inferences fired by the auto-reinfer monitor, by tripping condition (backlog size vs backlog age).",
 		"reason")

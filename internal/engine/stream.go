@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -364,14 +365,32 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 
 // sealStreamWindowsLocked seals the streamed window on every in-process
 // shard (no-op on shards with nothing pending) and resets the size counter.
-// Remote shard processes seal their own streamed windows.
+// The shards seal side by side, each under its own mu and into its own
+// builder, and the call returns when all have: a window's cut is the same
+// whichever shard finishes first. The last shard seals on the calling
+// goroutine, so a one-shard engine starts none. Remote shard processes seal
+// their own streamed windows.
 func (e *Engine) sealStreamWindowsLocked(ctx context.Context) {
 	e.ss.winStays = 0
+	var wg sync.WaitGroup
+	var prev *Shard
 	for _, sh := range e.shards {
-		if sh != nil {
-			sh.sealStreamWindow(ctx)
+		if sh == nil {
+			continue
 		}
+		if prev != nil {
+			wg.Add(1)
+			go func(s *Shard) {
+				defer wg.Done()
+				s.sealStreamWindow(ctx)
+			}(prev)
+		}
+		prev = sh
 	}
+	if prev != nil {
+		prev.sealStreamWindow(ctx)
+	}
+	wg.Wait()
 }
 
 // overloaded reports whether the summed pending-trip backlog across the

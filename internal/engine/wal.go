@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
@@ -149,7 +150,8 @@ func (e *Engine) AttachWAL(w *wal.WAL) {
 // top of whatever the engine already holds (typically a restored snapshot's
 // serving state), rebuilding the ingest state — routing, accumulated trips,
 // candidate pool windows, open courier streams — that snapshots deliberately
-// omit. It returns the number of records applied. Replayed operations bypass
+// omit. It returns the number of records applied, which with the replay's
+// wall time it also publishes as gauges. Replayed operations bypass
 // backpressure and are not re-logged.
 func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	if e.remote {
@@ -157,6 +159,7 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	}
 	ctx, tsp := trace.Start(ctx, "engine.wal_replay")
 	defer tsp.End()
+	start := time.Now()
 	n := 0
 	err := w.Replay(func(seq uint64, payload []byte) error {
 		op, window, err := decodeWALRecord(payload)
@@ -176,6 +179,8 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 		n++
 		return nil
 	})
+	walReplaySeconds.Set(time.Since(start).Seconds())
+	walReplayedRecords.Set(float64(n))
 	tsp.SetAttr("records", n)
 	if err != nil {
 		tsp.RecordError(err)

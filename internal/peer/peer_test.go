@@ -501,3 +501,74 @@ func TestFrontendBatchWithDeadShard(t *testing.T) {
 		t.Fatalf("status %d, envelope %+v; want 502 %s naming %s", resp.StatusCode, env.Error, api.CodeInternal, procs[1].srv.URL)
 	}
 }
+
+// TestFrontendLookupWithDeadShard: with every peer of one shard down, a
+// frontend point lookup of an address that shard owns answers the same 502
+// envelope a batch does — not a 404 that claims the address is unknown —
+// and the live shard's addresses keep answering 200.
+func TestFrontendLookupWithDeadShard(t *testing.T) {
+	const nShards = 2
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	cfg := quickCfg(len(ds.Trips))
+	procs := make([]*shardProc, nShards)
+	backends := make([]peer.ShardBackend, nShards)
+	for i := range procs {
+		procs[i] = newShardProc(t, cfg)
+		c, err := peer.NewClient(peer.ClientOptions{Endpoints: []string{procs[i].srv.URL}, Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = c
+	}
+	router := newRouter(t, nShards)
+	fe, err := engine.NewShardedBackends(cfg, router, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	if err := fe.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Reinfer(ctx); err != nil {
+		t.Fatal(err)
+	}
+	feSrv := httptest.NewServer(deploy.NewService(fe, deploy.Options{}))
+	defer feSrv.Close()
+	get := func(a model.AddressInfo) (int, *api.Error) {
+		t.Helper()
+		resp, err := http.Get(feSrv.URL + "/v1/locations/" + strconv.Itoa(int(a.ID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env api.ErrorEnvelope
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatalf("status %d, body is no error envelope: %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, env.Error
+	}
+	// One address each shard answers while both are up.
+	var owned [nShards]*model.AddressInfo
+	for i := range ds.Addresses {
+		a := &ds.Addresses[i]
+		if sh := router.AddressShard(*a); owned[sh] == nil {
+			if code, _ := get(*a); code == http.StatusOK {
+				owned[sh] = a
+			}
+		}
+	}
+	if owned[0] == nil || owned[1] == nil {
+		t.Fatalf("no address answered on each shard: %v", owned)
+	}
+	procs[1].srv.Close() // shard 1's only peer dies; shard 0 still serves
+
+	if code, e := get(*owned[1]); code != http.StatusBadGateway || e == nil || e.Code != api.CodeInternal {
+		t.Fatalf("dead shard's address: status %d, envelope %+v; want 502 %s", code, e, api.CodeInternal)
+	}
+	if code, e := get(*owned[0]); code != http.StatusOK {
+		t.Fatalf("live shard's address: status %d, envelope %+v; want 200", code, e)
+	}
+}

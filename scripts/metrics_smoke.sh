@@ -91,7 +91,7 @@ fi
 
 FOUND=""
 for _ in $(seq 1 50); do
-  if curl -fsS "http://127.0.0.1:$PORT/v1/debug/traces" | grep -q "$TRACE_ID"; then
+  if grep -q "$TRACE_ID" <<<"$(curl -fsS "http://127.0.0.1:$PORT/v1/debug/traces")"; then
     FOUND=1
     break
   fi
@@ -101,7 +101,7 @@ if [ -z "$FOUND" ]; then
   echo "trace smoke: trace $TRACE_ID never reached /v1/debug/traces" >&2
   exit 1
 fi
-if ! curl -fsS "http://127.0.0.1:$PORT/v1/debug/traces/$TRACE_ID" | grep -q "/v1/locations/{key}"; then
+if ! grep -q "/v1/locations/{key}" <<<"$(curl -fsS "http://127.0.0.1:$PORT/v1/debug/traces/$TRACE_ID")"; then
   echo "trace smoke: span tree missing the route's root span" >&2
   exit 1
 fi
@@ -110,13 +110,15 @@ echo "trace smoke: OK"
 "$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics"
 "$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics" -require \
   "dlinfma_engine_ingest_lock_wait_seconds,dlinfma_engine_ingest_lock_hold_seconds,dlinfma_engine_stream_burst_ops" >/dev/null
-if ! curl -fsS "http://127.0.0.1:$PORT/v1/metrics" | grep -q '^dlinfma_engine_stream_burst_ops_count [1-9]'; then
+# Each check reads a whole scrape first: grep -q stops reading at its first
+# match, and a curl still writing into the closed pipe fails the pipeline.
+METRICS="$(curl -fsS "http://127.0.0.1:$PORT/v1/metrics")"
+if ! grep -q '^dlinfma_engine_stream_burst_ops_count [1-9]' <<<"$METRICS"; then
   echo "metrics smoke: the streamed session left no burst observation" >&2
   exit 1
 fi
 # The boot restore: one timed restore, through the fallback decoder, and the
 # log line that names it.
-METRICS="$(curl -fsS "http://127.0.0.1:$PORT/v1/metrics")"
 if ! grep -q '^dlinfma_engine_snapshot_restore_duration_seconds_count 1$' <<<"$METRICS" ||
   ! grep -q '^dlinfma_engine_snapshot_decoder_fallback_total 1$' <<<"$METRICS"; then
   echo "metrics smoke: the reformatted snapshot's restore is not in the restore families:" >&2

@@ -92,6 +92,18 @@ if ! grep -q "replayed $ACKED WAL records" "$BIN_DIR/server2.log"; then
   cat "$BIN_DIR/server2.log" >&2
   exit 1
 fi
+if ! grep -Eq "replayed $ACKED WAL records from .* in [0-9.]+m?s" "$BIN_DIR/server2.log"; then
+  echo "stream smoke: the replay line does not say how long the replay took" >&2
+  exit 1
+fi
+# The replay publishes its record count and wall time.
+REPLAY_METRICS="$(curl -fsS "http://127.0.0.1:$PORT/v1/metrics")"
+if ! grep -q "^dlinfma_engine_wal_replayed_records $ACKED\$" <<<"$REPLAY_METRICS" ||
+  ! grep -Eq '^dlinfma_engine_wal_replay_seconds [0-9]' <<<"$REPLAY_METRICS"; then
+  echo "stream smoke: replay gauges missing or wrong:" >&2
+  grep '^dlinfma_engine_wal_replay' <<<"$REPLAY_METRICS" >&2 || true
+  exit 1
+fi
 AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
 if ! grep -q '"pending_trips":3' <<<"$AFTER" || ! grep -q '"open_streams":1' <<<"$AFTER"; then
   echo "stream smoke: acked state lost across the crash: $AFTER" >&2
