@@ -27,6 +27,8 @@ experiments-smoke:
 # seeds. Which target holds which parser:
 #   FuzzJSONNumber          internal/jsonscan: the number grammar the three
 #                           strict readers share (Int, Float) vs json.Unmarshal
+#   FuzzAppendFloat         internal/jsonscan: the read routes' exact float
+#                           printer vs strconv, taken and declined sides
 #   FuzzBatchRequestDecode  the POST /v1/locations:batch body reader, and the
 #                           whole route vs the pure encoding/json route
 #   FuzzBatchResponseEncode the batch/point response writer vs json.Marshal
@@ -47,6 +49,7 @@ FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzJSONNumber$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
@@ -119,10 +122,12 @@ cover:
 		 if ($$3+0 < floor+0) exit 1 }'
 
 # LocMatcher training/inference + serving-throughput + snapshot-restore +
-# WAL-replay + pool-seal benchmarks -> BENCH_locmatcher.json.
+# WAL-replay + pool-seal + in-process batch handler benchmarks, and the read
+# routes' float printer beside strconv -> BENCH_locmatcher.json. -p 1: the two
+# packages' benchmarks must not share the processors.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot|ReplayWAL|PoolSealGrowth' -benchmem . | bin/benchjson -out BENCH_locmatcher.json
+	$(GO) test -p 1 -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot|ReplayWAL|PoolSealGrowth|BatchHandler|AppendFloat' -benchmem ./internal/jsonscan . | bin/benchjson -out BENCH_locmatcher.json
 
 # Every benchmark (regenerates all paper artefacts; slow).
 bench-all:

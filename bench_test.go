@@ -714,12 +714,87 @@ func BenchmarkPoolSealGrowth(b *testing.B) {
 	b.ReportMetric(float64(last.Nanoseconds())/float64(b.N), "ns/seal-w50")
 }
 
-// BenchmarkRestoreSnapshot is a replica's boot: the version-1 document of a
-// 200,000-address store — the city of the benchmark harness's lookup
-// workloads (buildings of eight; 90 % of the addresses located, 5 % answered
-// by their building, 5 % by their geocode), marshalled as the harness
-// marshals it — restored into a fresh one-shard engine.
+// BenchmarkRestoreSnapshot is a replica's boot: cityDoc's 200,000-address
+// store restored into a fresh one-shard engine.
 func BenchmarkRestoreSnapshot(b *testing.B) {
+	doc, n, located := cityDoc(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := engine.New(engine.DefaultConfig())
+		if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+		if st := e.Status(); st.Addresses != n || st.Inferred != located {
+			b.Fatalf("restored %d addresses, %d inferred", st.Addresses, st.Inferred)
+		}
+		e.Close()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/s")
+}
+
+// BenchmarkBatchHandler is the batch route in this process with no socket:
+// cityDoc's store restored into a one-shard engine, deploy.NewService over
+// it, 512 uniform keys a request, a writer that keeps nothing — the shape of
+// the benchmark ladder's deploy.batch_handler_ns_per_key. Its coordinates are
+// centimetres, as a geocoder or a GPS fix carries them, so all but the few
+// below 1 m take the response codec's exact printer; BenchmarkServeQueriesBatch
+// serves Tiny's full-precision truth, which the printer mostly declines.
+func BenchmarkBatchHandler(b *testing.B) {
+	const batchKeys = 512
+	doc, n, _ := cityDoc(b)
+	e := engine.New(engine.DefaultConfig())
+	defer e.Close()
+	if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
+		b.Fatal(err)
+	}
+	doc = nil
+	svc := deploy.NewService(e, deploy.Options{})
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 8)
+	for r := range bodies {
+		keys := make([]int64, batchKeys)
+		for i := range keys {
+			keys[i] = int64(rng.Intn(n))
+		}
+		var err error
+		if bodies[r], err = json.Marshal(map[string][]int64{"addrs": keys}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rd := bytes.NewReader(bodies[0])
+	req := httptest.NewRequest(http.MethodPost, "/v1/locations:batch", nil)
+	req.Body = io.NopCloser(rd)
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	w := &discardWriter{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(bodies[i%len(bodies)])
+		clear(w.h)
+		svc.ServeHTTP(w, req)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchKeys), "ns/key")
+}
+
+// discardWriter is a ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// cityDoc is the version-1 document of a 200,000-address store — the city of
+// the benchmark harness's lookup workloads (buildings of eight; 90 % of the
+// addresses located, 5 % answered by their building, 5 % by their geocode;
+// every coordinate rounded to the centimetre), marshalled as the harness
+// marshals it — with its address count and how many of them are located.
+func cityDoc(b *testing.B) (doc []byte, addrs, located int) {
+	b.Helper()
 	const n = 200_000
 	rng := rand.New(rand.NewSource(1))
 	cm := func(v float64) float64 { return math.Round(v*100) / 100 }
@@ -752,19 +827,7 @@ func BenchmarkRestoreSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := engine.New(engine.DefaultConfig())
-		if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
-			b.Fatal(err)
-		}
-		if st := e.Status(); st.Addresses != n || st.Inferred != len(sn.Locations) {
-			b.Fatalf("restored %d addresses, %d inferred", st.Addresses, st.Inferred)
-		}
-		e.Close()
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/s")
+	return doc, n, len(sn.Locations)
 }
 
 // storeSnapshotDoc builds the store-only snapshot document both serve

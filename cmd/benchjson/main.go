@@ -5,6 +5,13 @@
 //
 // Each benchmark result line becomes one record with ns/op, B/op and
 // allocs/op (when -benchmem is on) plus any custom ReportMetric units.
+//
+// With -pairs it reads no benchmark output: it summarises a directory of
+// alternating parent/change bench/run.sh reports (scripts/pairs.sh) against
+// the BENCHMARK.json of the directory it runs in, and exits 1 when a gated
+// metric is worse than its bound in at least nine pairs of ten:
+//
+//	benchjson -pairs .bench_build/pairs/batch_lookup-5401
 package main
 
 import (
@@ -57,7 +64,16 @@ func main() {
 	gate := flag.String("gate", "", "benchmark name prefix to gate, e.g. BenchmarkServeQueriesParallel/shards=1")
 	gateMetric := flag.String("gate-metric", "queries/sec", "metric to compare: ns/op (lower is better) or a ReportMetric unit (higher is better)")
 	maxRegress := flag.Float64("max-regress-pct", 15, "fail when the gated metric regresses by more than this percentage")
+	pairsDir := flag.String("pairs", "", "summarise the parent/change run reports in this directory instead")
 	flag.Parse()
+
+	if *pairsDir != "" {
+		if err := runPairs(*pairsDir); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	var rep Report
 	sc := bufio.NewScanner(os.Stdin)

@@ -23,12 +23,19 @@ import (
 )
 
 // defaultRequired is the exposition contract: families every serving binary
-// must expose once traffic has flowed.
+// must expose once traffic has flowed, and the process's own health, which it
+// exposes from the first scrape.
 var defaultRequired = []string{
 	"dlinfma_http_requests_total",
 	"dlinfma_http_request_duration_seconds",
 	"dlinfma_http_in_flight_requests",
 	"dlinfma_engine_queries_total",
+	"dlinfma_go_goroutines",
+	"dlinfma_go_heap_live_bytes",
+	"dlinfma_go_gc_cycles_total",
+	"dlinfma_go_gc_pause_cpu_seconds_total",
+	"dlinfma_go_mutex_wait_seconds_total",
+	"dlinfma_build_info",
 }
 
 func main() {

@@ -68,15 +68,20 @@ func appendBatchResponse(b []byte, keys []int64, answers []BatchAnswer) ([]byte,
 			b = append(b, ',')
 		}
 		b = append(b, `{"addr":`...)
+		key := len(b)
 		b = strconv.AppendInt(b, k, 10)
 		a := answers[i]
 		if a.Src == SourceNone {
 			b = append(b, batchMissTail...)
 			continue
 		}
-		b = append(b, `,"location":`...)
+		// The location repeats the key: copy its bytes rather than format it
+		// twice.
+		keyEnd := len(b)
+		b = append(b, `,"location":{"addr":`...)
+		b = append(b, b[key:keyEnd]...)
 		var err error
-		if b, err = appendLocation(b, k, a.Loc, a.Src); err != nil {
+		if b, err = appendLocationRest(b, a.Loc, a.Src); err != nil {
 			return b, err
 		}
 		b = append(b, '}')
@@ -89,11 +94,16 @@ func appendBatchResponse(b []byte, keys []int64, answers []BatchAnswer) ([]byte,
 	return append(b, "}\n"...), nil
 }
 
-// appendLocation appends the api.Location object of one answered key. The
-// source labels are plain ASCII, so they need no escaping.
+// appendLocation appends the api.Location object of one answered key.
 func appendLocation(b []byte, addr int64, loc geo.Point, src Source) ([]byte, error) {
 	b = append(b, `{"addr":`...)
 	b = strconv.AppendInt(b, addr, 10)
+	return appendLocationRest(b, loc, src)
+}
+
+// appendLocationRest appends what follows the addr of an api.Location and
+// closes it. The source labels are plain ASCII, so they need no escaping.
+func appendLocationRest(b []byte, loc geo.Point, src Source) ([]byte, error) {
 	b = append(b, `,"x":`...)
 	b, err := appendFloat(b, loc.X)
 	if err != nil {
@@ -112,7 +122,14 @@ func appendLocation(b []byte, addr int64, loc geo.Point, src Source) ([]byte, er
 // that round-trips, in exponent form below 1e-6 and from 1e21 with a
 // two-digit negative exponent trimmed to one ("e-07" -> "e-7"), and the same
 // UnsupportedValueError for NaN and the infinities, which JSON cannot hold.
+// It is the one float printer of both read routes. A value from 1 up to
+// 1e15 of at most 15 significant digits — a centimetre coordinate, a
+// geocoder's output — takes jsonscan.AppendFloat, which needs no
+// shortest-digit search; what that declines goes to strconv.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	if out, ok := jsonscan.AppendFloat(b, f); ok {
+		return out, nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}

@@ -5,12 +5,18 @@
 // without reflection and answers "not mine" for anything else, so that
 // encoding/json — the definition of every format — decides what a declined
 // input means. What they share is the question this package answers once:
-// which literal would encoding/json decode to which value.
+// which literal would encoding/json decode to which value. AppendFloat asks
+// it backwards for the one writer, the read routes' response codec: which
+// literal encoding/json would print for a value.
 //
-// FuzzJSONNumber holds Int and Float to json.Unmarshal.
+// FuzzJSONNumber holds Int and Float to json.Unmarshal, FuzzAppendFloat holds
+// AppendFloat to strconv.
 package jsonscan
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // Cursor is a position I in B. Each method consumes what it names and
 // reports false — the position then undefined — at the first byte that is not
@@ -135,3 +141,112 @@ func scanFloat(b []byte, i int, bits int) (float64, int, bool) {
 	v, err := strconv.ParseFloat(string(b[start:i]), bits)
 	return v, i, err == nil
 }
+
+// AppendFloat appends the shortest decimal that reads back as v — what
+// strconv.AppendFloat(b, v, 'f', -1, 64) appends, and so what encoding/json
+// prints in this range — for a v of 1 ≤ |v| < 1e15 that is the float64 of a
+// decimal of at most 15 significant digits: a coordinate in centimetres, a
+// GPS fix as a producer prints it. For every other value it reports false
+// and leaves b untouched; the caller then formats it the general way.
+//
+// It is Float's exact path run backwards. With n integer digits and
+// k = 15 − n, m = round(|v|·10^k) is the only 15-digit candidate, and it is
+// v's digits exactly when m / 10^k == |v|: m and 10^k are exact in a float64,
+// so the quotient is the correctly rounded value of the decimal m·10^−k, and
+// no other decimal of at most 15 significant digits rounds to the same
+// float64 (DBL_DIG is 15), so strconv's shortest digits are m's with the
+// trailing zeros dropped. The comparison is the proof; a value it rejects is
+// declined. Before it, |v|·10^k − m > 0.25 declines most full-precision
+// values without the division: for an accepted value that residual is under
+// 0.18 (|m|·2^−53 from reading the decimal, plus half an ulp of a product
+// below 2^50).
+func AppendFloat(b []byte, v float64) ([]byte, bool) {
+	a := math.Abs(v)
+	if !(a >= 1 && a < 1e15) { // NaN fails both
+		return b, false
+	}
+	// The integer digits n from the binary exponent e: a ∈ [2^e, 2^(e+1)), so
+	// n is ⌊e·log10 2⌋ + 1 or one more, and one comparison tells which. A loop
+	// over the powers of ten mispredicts when magnitudes vary, and that was
+	// most of a declined value's cost.
+	n := int(math.Float64bits(a)>>52-1023)*1233>>12 + 1
+	if a >= pow10[n] {
+		n++
+	}
+	k := 15 - n
+	r := a * pow10[k]
+	m := math.RoundToEven(r)
+	if d := r - m; d > 0.25 || d < -0.25 || m/pow10[k] != a {
+		return b, false
+	}
+	// Rounding is monotone and integers below 1e15 are exact, so m·10^−k lies
+	// in [⌊a⌋, ⌊a⌋+1) — below ⌊a⌋ it would round up across a gap of 10^−k,
+	// over twice a's half ulp — and the fraction's k digits are m − ⌊a⌋·10^k.
+	ip := uint64(a)
+	frac := uint64(m) - ip*uint64(pow10[k])
+	var buf [24]byte // sign, 15 digits and a point
+	i := len(buf)
+	if frac != 0 {
+		// At most 13 trailing zeros, dropped 8, 4, 2 and 1 at a time (a
+		// digit a time was the printer's largest cost). Every divisor is a
+		// constant, so every division is a multiplication.
+		if frac%1e8 == 0 {
+			frac /= 1e8
+			k -= 8
+		}
+		if frac%1e4 == 0 {
+			frac /= 1e4
+			k -= 4
+		}
+		if frac%100 == 0 {
+			frac /= 100
+			k -= 2
+		}
+		if frac%10 == 0 {
+			frac /= 10
+			k--
+		}
+		for ; k >= 2; k -= 2 {
+			i -= 2
+			d := frac % 100 * 2
+			buf[i], buf[i+1] = digitPairs[d], digitPairs[d+1]
+			frac /= 100
+		}
+		if k == 1 {
+			i--
+			buf[i] = byte('0' + frac)
+		}
+		i--
+		buf[i] = '.'
+	}
+	for ip >= 100 {
+		i -= 2
+		d := ip % 100 * 2
+		buf[i], buf[i+1] = digitPairs[d], digitPairs[d+1]
+		ip /= 100
+	}
+	if ip >= 10 {
+		i -= 2
+		buf[i], buf[i+1] = digitPairs[ip*2], digitPairs[ip*2+1]
+	} else {
+		i--
+		buf[i] = byte('0' + ip)
+	}
+	if v < 0 {
+		i--
+		buf[i] = '-'
+	}
+	return append(b, buf[i:]...), true
+}
+
+// digitPairs holds "00" through "99": two digits per division by 100.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
