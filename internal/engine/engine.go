@@ -14,8 +14,8 @@
 //
 // Lock order: ingestMu (serializes every mutating ingest operation so WAL
 // append order equals apply order) outside mu (routing state and counters)
-// outside the shards' own locks; jobMu guards the background job alone. No
-// lock is held across model compute, and the query path takes none.
+// outside each shard's evidence lock; jobMu guards the background job alone.
+// No lock is held across model compute, and the query path takes none.
 //
 // Cancellation contract: every long-running stage (pool build, sample
 // featurization, training, batch inference) threads context.Context into
@@ -281,7 +281,7 @@ func (e *Engine) SetName(name string) {
 	e.mu.Unlock()
 	for _, sh := range e.shards {
 		if sh != nil {
-			sh.setName(name)
+			sh.ev.setName(name)
 		}
 	}
 }
@@ -442,7 +442,7 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 		total := e.nTrips
 		e.mu.RUnlock()
 		for _, sh := range e.shards {
-			sh.setLCTotalTrips(total)
+			sh.lcTotalTrips.Store(int64(total))
 		}
 	}
 

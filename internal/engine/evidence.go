@@ -1,0 +1,194 @@
+package engine
+
+import (
+	"context"
+	"maps"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dlinfma/internal/core"
+	"dlinfma/internal/geo"
+	"dlinfma/internal/model"
+)
+
+// evidence is what one shard has accumulated to infer from: the pool
+// builder, every ingested trip, the address registry, ground truth, and the
+// backlog the served state does not cover yet. Its methods are the only code
+// that takes mu or writes a field, and every mutator republishes counts as it
+// unlocks — so Status, backpressure and the snapshot writer never wait for a
+// window's clustering, which addWindow and seal hold mu across.
+type evidence struct {
+	mu      sync.Mutex
+	name    string
+	builder *core.IncrementalPoolBuilder
+	// trips holds every ingested trip without its Traj: the builder has the
+	// stay points, and re-inference reads only courier, times and waybills.
+	trips    []model.Trip
+	addrs    []model.AddressInfo
+	addrSeen map[model.AddressID]bool
+	truth    map[model.AddressID]geo.Point
+	// pending counts trips the served state does not cover; pendingSince is
+	// when that backlog started (zero while empty), the age auto-reinfer watches.
+	pending      int
+	pendingSince time.Time
+	counts       atomic.Pointer[ingestCounts]
+}
+
+// ingestCounts is the evidence as last published, immutable once stored.
+// addrs is the address registry capped at its length: later registrations
+// append past it or into a new array, never into it.
+type ingestCounts struct {
+	name           string
+	addrs          []model.AddressInfo
+	trips, pending int
+	pendingSince   time.Time
+}
+
+func newEvidence(cfg core.Config) *evidence {
+	ev := &evidence{
+		builder:  core.NewIncrementalPoolBuilder(cfg),
+		addrSeen: make(map[model.AddressID]bool),
+		truth:    make(map[model.AddressID]geo.Point),
+	}
+	ev.mu.Lock()
+	ev.unlock() // readers never find counts unset
+	return ev
+}
+
+// unlock publishes counts for the evidence as it now is and releases mu.
+func (ev *evidence) unlock() {
+	ev.counts.Store(&ingestCounts{name: ev.name, addrs: ev.addrs[:len(ev.addrs):len(ev.addrs)],
+		trips: len(ev.trips), pending: ev.pending, pendingSince: ev.pendingSince})
+	ev.mu.Unlock()
+}
+
+// addWindow registers a batch window's new addresses and truth and clusters
+// its trips into the pool, reporting how many addresses were new. Cancelling
+// ctx mid-window returns ctx.Err() with the pool and the trips unchanged.
+func (ev *evidence) addWindow(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) (int, error) {
+	ev.mu.Lock()
+	defer ev.unlock()
+	added := ev.addAddrsLocked(addrs)
+	ingestAddrs.Add(int64(added))
+	maps.Copy(ev.truth, truth)
+	if len(trips) > 0 {
+		if err := ev.builder.AddWindow(ctx, trips); err != nil {
+			return added, err
+		}
+		ev.appendLocked(trips...)
+		ingestWindows.Inc()
+	}
+	return added, nil
+}
+
+// addStreamed installs one closed streamed trip and queues its stay points
+// for the next seal. The engine owns the streamed window grid.
+func (ev *evidence) addStreamed(st *streamedTrip) {
+	ev.mu.Lock()
+	defer ev.unlock()
+	ev.builder.AppendTripStays(st.trip.Courier, st.stays)
+	ev.appendLocked(st.trip)
+}
+
+// seal clusters the pending streamed trips into the pool as one window.
+// Nothing pending is a no-op, so batch and streamed windows interleave
+// without producing empty pool windows.
+func (ev *evidence) seal(ctx context.Context) {
+	ev.mu.Lock()
+	defer ev.unlock()
+	if ev.builder.PendingTrips() == 0 {
+		return
+	}
+	// SealWindow only errors on a cancelled context before doing anything;
+	// streamed seals run to completion like the batch path's merge step.
+	_ = ev.builder.SealWindow(ctx)
+	ingestWindows.Inc()
+}
+
+// register seeds the evidence from a restored snapshot: its name, unless one
+// is set, and its addresses. With nothing registered yet the decoded slice,
+// which nobody else holds, becomes the registry instead of being copied into
+// one; registering it into itself compacts it in place should the document
+// name an address twice (first wins): writes never pass the read position.
+func (ev *evidence) register(name string, addrs []model.AddressInfo) {
+	ev.mu.Lock()
+	defer ev.unlock()
+	if ev.name == "" {
+		ev.name = name
+	}
+	if len(ev.addrs) == 0 && len(addrs) > 0 {
+		ev.addrSeen = make(map[model.AddressID]bool, len(addrs))
+		ev.addrs = addrs[:0]
+	}
+	ev.addAddrsLocked(addrs)
+}
+
+func (ev *evidence) setName(name string) {
+	ev.mu.Lock()
+	defer ev.unlock()
+	ev.name = name
+}
+
+// served restarts the backlog after a swap that covered the first n trips.
+// Trips that raced the retrain arrived somewhere during it; restarting their
+// age at the swap slightly underestimates, which only delays the age-based
+// auto-reinfer trigger by at most one training run.
+func (ev *evidence) served(n int) {
+	ev.mu.Lock()
+	defer ev.unlock()
+	ev.pending, ev.pendingSince = len(ev.trips)-n, time.Time{}
+	if ev.pending > 0 {
+		ev.pendingSince = time.Now()
+	}
+}
+
+// view is the evidence as a re-inference reads it: trips and addresses as
+// capped slices of their append-only registries, a copy of the truth, the
+// pool finalized over exactly those trips (streamed ones awaiting a seal fold
+// into one last window), and the trip count for served. Without trips it
+// fails with errNoTrips.
+func (ev *evidence) view(ctx context.Context) (*model.Dataset, *core.Pool, int, error) {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	n := len(ev.trips)
+	if n == 0 {
+		return nil, nil, 0, errNoTrips
+	}
+	ds := &model.Dataset{
+		Name:      ev.name,
+		Trips:     ev.trips[:n:n],
+		Addresses: ev.addrs[:len(ev.addrs):len(ev.addrs)],
+		Truth:     maps.Clone(ev.truth),
+	}
+	return ds, ev.builder.FinalizeCtx(ctx), n, nil
+}
+
+// appendLocked records trips the builder has consumed, copied without their
+// fixes (most of what a trip weighs), and grows the backlog, stamping its
+// start when it was empty. Callers hold mu and pass at least one trip.
+func (ev *evidence) appendLocked(trips ...model.Trip) {
+	if ev.pending == 0 {
+		ev.pendingSince = time.Now()
+	}
+	ev.pending += len(trips)
+	for _, tr := range trips {
+		tr.Traj = nil
+		ev.trips = append(ev.trips, tr)
+	}
+	ingestTrips.Add(int64(len(trips)))
+}
+
+// addAddrsLocked registers the addresses not seen before and reports how
+// many were new. Callers hold mu.
+func (ev *evidence) addAddrsLocked(addrs []model.AddressInfo) int {
+	added := 0
+	for _, a := range addrs {
+		if !ev.addrSeen[a.ID] {
+			ev.addrSeen[a.ID] = true
+			ev.addrs = append(ev.addrs, a)
+			added++
+		}
+	}
+	return added
+}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,56 +24,37 @@ type serving struct {
 	poolLocs int
 }
 
-// Shard is the in-process peer.ShardBackend: one region's pool builder,
-// accumulated dataset, trained model, frozen store, and swap ring. It makes
-// no lifecycle decisions — courier streams, the WAL, backpressure, the
-// background job, and the snapshot layout all belong to the Engine that owns
-// it — and is only ever constructed by one.
+// Shard is the in-process peer.ShardBackend: one region's evidence, trained
+// model, frozen store, and swap ring. It makes no lifecycle decisions —
+// courier streams, the WAL, backpressure, the background job, and the
+// snapshot layout all belong to the Engine that owns it — and is only ever
+// constructed by one.
 //
-// Two small lock domains: mu guards the accumulating dataset (Ingest mutates
-// it and holds it across a window's clustering; Reinfer snapshots it),
-// healthMu the record of the last re-inference attempt. Everything served
-// hangs off one atomic pointer, and what Status reports of the dataset off
-// another, so queries and status reads never wait for mu.
+// Its one lock is its evidence's, which an ingest holds across a window's
+// clustering and a re-inference across finalizing the pool. Everything else
+// is read with one atomic load: the served state, the counts the evidence
+// publishes on every change, and the record of the last re-inference — so
+// queries, Status, backpressure and snapshot writes never wait for a window.
 type Shard struct {
 	cfg Config
 	log *obs.Logger
-
-	// mu guards the accumulating ingest state.
-	mu      sync.Mutex
-	name    string
-	builder *core.IncrementalPoolBuilder
-	// trips holds every ingested trip without its Traj: the builder has the
-	// stay points, and re-inference reads only courier, times and waybills.
-	trips    []model.Trip
-	addrs    []model.AddressInfo
-	addrSeen map[model.AddressID]bool
-	truth    map[model.AddressID]geo.Point
-	// pending counts trips ingested after the served state was built;
-	// pendingSince is when the current backlog started accumulating (zero
-	// while it is empty) — the age the auto-reinfer trigger watches.
-	pending      int
-	pendingSince time.Time
-	// counts is what Status reports of the fields above, republished by every
-	// writer before it releases mu: the HTTP layer asks for Status on every
-	// batch lookup and every miss, and must not queue behind a window.
-	counts atomic.Pointer[ingestCounts]
+	// ev is everything ingested so far: trips, addresses, truth and pool.
+	ev *evidence
+	// lcTotalTrips is the trip universe the next Reinfer normalizes Equation
+	// (2) by: cfg's own, or the global distinct trip count the engine pins so
+	// that every shard normalizes like one global pipeline would.
+	lcTotalTrips atomic.Int64
 
 	// sv is the served state, republished whole at every hot swap. Query
 	// loads the pointer and does one map lookup — no locks, no allocations.
 	// nil until the first swap.
 	sv atomic.Pointer[serving]
 
-	// healthMu guards the record of re-inference attempts. failed is set when
-	// the most recent attempt errored (not counting cancellation, which is an
-	// orderly shutdown, not ill health); lastErr keeps the message for
-	// /healthz and /v1/reinfer status. A read-write lock because Status reads
-	// it on every batch request and every miss, from all connections at once:
-	// an exclusive lock here cost batch lookups 16 % more CPU per key.
-	healthMu sync.RWMutex
-	reinfers int
-	failed   bool
-	lastErr  string
+	// reinfers counts the re-inferences that swapped. lastErr is the message
+	// of the most recent attempt when it errored, nil after a success; a
+	// cancellation is an orderly shutdown, not ill health, and leaves it be.
+	reinfers atomic.Int64
+	lastErr  atomic.Pointer[string]
 
 	// label tags this shard's quality metrics and swap reports: "global" for
 	// the only shard of a one-shard engine, the shard index otherwise.
@@ -86,94 +66,41 @@ type Shard struct {
 	swaps *swapRing
 }
 
-// ingestCounts is the part of a shard's Status that lives under mu.
-type ingestCounts struct {
-	name                      string
-	addresses, trips, pending int
-	pendingSince              time.Time
-}
-
 func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 	lowConf := cfg.LowConfidence
 	if lowConf <= 0 {
 		lowConf = defaultLowConfidence
 	}
 	s := &Shard{
-		cfg:      cfg,
-		log:      log,
-		builder:  core.NewIncrementalPoolBuilder(cfg.Core),
-		addrSeen: make(map[model.AddressID]bool),
-		truth:    make(map[model.AddressID]geo.Point),
-		label:    label,
-		lowConf:  float32(lowConf),
-		swaps:    newSwapRing(cfg.SwapHistory),
+		cfg:     cfg,
+		log:     log,
+		ev:      newEvidence(cfg.Core),
+		label:   label,
+		lowConf: float32(lowConf),
+		swaps:   newSwapRing(cfg.SwapHistory),
 	}
-	s.counts.Store(&ingestCounts{})
+	s.lcTotalTrips.Store(int64(cfg.Core.LCTotalTrips))
 	return s
 }
 
-// publishCountsLocked republishes what Status reports of the ingest state.
-// Callers hold mu and have just changed it.
-func (s *Shard) publishCountsLocked() {
-	s.counts.Store(&ingestCounts{name: s.name, addresses: len(s.addrs), trips: len(s.trips),
-		pending: s.pending, pendingSince: s.pendingSince})
-}
-
-// Ingest applies one already-partitioned window: new addresses and ground
-// truth are registered, and the trips are clustered and merged into the
-// candidate pool immediately (the paper's bi-weekly pool maintenance). The
-// served state is not touched until the next Reinfer. Cancelling ctx
-// mid-window returns ctx.Err() with the pool unchanged.
+// Ingest applies one already-partitioned window to the shard's evidence:
+// new addresses and ground truth are registered, and the trips are
+// clustered and merged into the candidate pool immediately (the paper's
+// bi-weekly pool maintenance). The served state is not touched until the
+// next Reinfer. Cancelling ctx mid-window returns ctx.Err() with the pool
+// unchanged.
 func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
 	ctx, tsp := trace.Start(ctx, "engine.ingest")
 	tsp.SetAttr("trips", len(trips))
 	defer tsp.End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.publishCountsLocked()
-	newAddrs := s.addAddressesLocked(addrs)
-	ingestAddrs.Add(int64(newAddrs))
-	for id, p := range truth {
-		s.truth[id] = p
-	}
-	if len(trips) > 0 {
-		if err := s.builder.AddWindow(ctx, trips); err != nil {
-			tsp.RecordError(err)
-			return err
-		}
-		s.appendTripsLocked(trips...)
-		s.addPendingLocked(len(trips))
-		ingestTrips.Add(int64(len(trips)))
-		ingestWindows.Inc()
+	added, err := s.ev.addWindow(ctx, trips, addrs, truth)
+	if err != nil {
+		tsp.RecordError(err)
+		return err
 	}
 	s.log.WithTrace(ctx).Debug("ingest window",
-		"trips", len(trips), "new_addrs", newAddrs, "total_trips", len(s.trips))
+		"trips", len(trips), "new_addrs", added, "total_trips", s.ev.counts.Load().trips)
 	return nil
-}
-
-// appendTripsLocked records trips the builder has consumed: courier, times
-// and waybills, without the fixes. Nothing reads a fix after stay-point
-// extraction, and the fixes are most of what a trip weighs. The caller's
-// trips are copied, never modified. Callers hold mu.
-func (s *Shard) appendTripsLocked(trips ...model.Trip) {
-	for _, tr := range trips {
-		tr.Traj = nil
-		s.trips = append(s.trips, tr)
-	}
-}
-
-// addAddressesLocked registers the addresses not seen before and reports how
-// many were new. Callers hold mu.
-func (s *Shard) addAddressesLocked(addrs []model.AddressInfo) int {
-	added := 0
-	for _, a := range addrs {
-		if !s.addrSeen[a.ID] {
-			s.addrSeen[a.ID] = true
-			s.addrs = append(s.addrs, a)
-			added++
-		}
-	}
-	return added
 }
 
 // Reinfer runs the full second stage over everything ingested so far:
@@ -193,7 +120,7 @@ func (s *Shard) Reinfer(ctx context.Context) error {
 	switch {
 	case err == nil:
 		reinferSuccess.Inc()
-		s.setHealth(false, "")
+		s.lastErr.Store(nil)
 		log.Info("reinfer done", "dur", d)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Shutdown or deadline, not ill health: the served state is intact
@@ -202,50 +129,23 @@ func (s *Shard) Reinfer(ctx context.Context) error {
 		log.Warn("reinfer canceled", "dur", d, "err", err)
 	default:
 		reinferFailure.Inc()
-		s.setHealth(true, err.Error())
+		msg := err.Error()
+		s.lastErr.Store(&msg)
 		log.Error("reinfer failed", "dur", d, "err", err)
 	}
 	return err
-}
-
-// setHealth records the outcome of the last consequential re-inference
-// attempt (success or failure; cancellations don't touch it).
-func (s *Shard) setHealth(failed bool, msg string) {
-	s.healthMu.Lock()
-	s.failed = failed
-	s.lastErr = msg
-	s.healthMu.Unlock()
 }
 
 // errNoTrips fails a re-inference with nothing to train on.
 var errNoTrips = errors.New("engine: no trips ingested")
 
 func (s *Shard) reinfer(ctx context.Context) error {
-	// Snapshot the ingest state under mu; all compute happens off-lock on
-	// the snapshot (builder.Finalize itself is cheap relative to training
-	// and must run under mu since Ingest mutates the builder). Finalize
-	// folds any streamed trips still awaiting a window seal into one final
-	// window, so the pool always covers exactly the snapshotted trips.
-	s.mu.Lock()
-	if len(s.trips) == 0 {
-		s.mu.Unlock()
-		return errNoTrips
+	ds, pool, nTrips, err := s.ev.view(ctx)
+	if err != nil {
+		return err
 	}
-	pool := s.builder.FinalizeCtx(ctx)
-	ds := &model.Dataset{
-		Name:      s.name,
-		Trips:     s.trips[:len(s.trips):len(s.trips)],
-		Addresses: append([]model.AddressInfo(nil), s.addrs...),
-		Truth:     make(map[model.AddressID]geo.Point, len(s.truth)),
-	}
-	for id, p := range s.truth {
-		ds.Truth[id] = p
-	}
-	nTrips := len(s.trips)
-	// Snapshot the config under mu: the engine may adjust the LC
-	// normalization (setLCTotalTrips) between re-inferences.
 	cfg := s.cfg
-	s.mu.Unlock()
+	cfg.Core.LCTotalTrips = int(s.lcTotalTrips.Load())
 
 	pipe := core.NewPipelineWithPool(ds, cfg.Core, pool)
 	ids := make([]model.AddressID, len(ds.Addresses))
@@ -298,23 +198,9 @@ func (s *Shard) reinfer(ctx context.Context) error {
 
 	_, swapSp := trace.Start(ctx, "engine.hot_swap")
 	s.publish(&serving{frozen: store.Freeze(), matcher: matcher, poolLocs: len(pool.Locations)}, swapKindReinfer)
-	s.healthMu.Lock()
-	s.reinfers++
-	s.healthMu.Unlock()
+	s.reinfers.Add(1)
 	swapSp.End()
-
-	s.mu.Lock()
-	s.pending = len(s.trips) - nTrips
-	// Trips that raced the retrain arrived somewhere during it; restarting
-	// their age at the swap slightly underestimates, which only delays the
-	// age-based auto-reinfer trigger by at most one training run.
-	if s.pending > 0 {
-		s.pendingSince = time.Now()
-	} else {
-		s.pendingSince = time.Time{}
-	}
-	s.publishCountsLocked()
-	s.mu.Unlock()
+	s.ev.served(nTrips)
 	return nil
 }
 
@@ -332,15 +218,6 @@ func argmaxProb(probs []float64) (int, float64) {
 		}
 	}
 	return best, probs[best]
-}
-
-// addPendingLocked grows the pending-trip backlog, stamping the backlog's
-// start time when it goes from empty to non-empty. Callers hold mu.
-func (s *Shard) addPendingLocked(n int) {
-	if s.pending == 0 {
-		s.pendingSince = time.Now()
-	}
-	s.pending += n
 }
 
 // publish swaps a fully built serving state in with one pointer store.
@@ -444,13 +321,14 @@ func (s *Shard) Matcher() *core.LocMatcher {
 
 // Status summarizes the shard for the engine's health aggregation. Streams
 // and the background job are the engine's; their fields stay zero here. It
-// takes no exclusive lock: the read path calls it.
+// takes no lock: the read path calls it.
 func (s *Shard) Status() deploy.EngineStatus {
-	s.healthMu.RLock()
-	out := deploy.EngineStatus{Reinfers: s.reinfers, Failed: s.failed, LastError: s.lastErr}
-	s.healthMu.RUnlock()
-	c := s.counts.Load()
-	out.Dataset, out.Addresses, out.Trips, out.PendingTrips = c.name, c.addresses, c.trips, c.pending
+	c := s.ev.counts.Load()
+	out := deploy.EngineStatus{Dataset: c.name, Addresses: len(c.addrs), Trips: c.trips,
+		PendingTrips: c.pending, Reinfers: int(s.reinfers.Load())}
+	if msg := s.lastErr.Load(); msg != nil {
+		out.Failed, out.LastError = true, *msg
+	}
 	if c.pending > 0 && !c.pendingSince.IsZero() {
 		out.PendingAgeSeconds = time.Since(c.pendingSince).Seconds()
 	}
@@ -460,60 +338,4 @@ func (s *Shard) Status() deploy.EngineStatus {
 		out.PoolLocations = sv.poolLocs
 	}
 	return out
-}
-
-// The remaining methods are the in-process hooks the owning engine drives
-// beyond the ShardBackend seam.
-
-func (s *Shard) setName(name string) {
-	s.mu.Lock()
-	s.name = name
-	s.publishCountsLocked()
-	s.mu.Unlock()
-}
-
-// addStreamedTrip installs one closed streamed trip into the accumulating
-// dataset and queues its stay points for the next window seal. The engine
-// owns the streamed window grid; the shard only holds what is pending.
-func (s *Shard) addStreamedTrip(st *streamedTrip) {
-	s.mu.Lock()
-	s.builder.AppendTripStays(st.trip.Courier, st.stays)
-	s.appendTripsLocked(st.trip)
-	s.addPendingLocked(1)
-	s.publishCountsLocked()
-	s.mu.Unlock()
-	ingestTrips.Inc()
-}
-
-// sealStreamWindow clusters the pending streamed trips into the pool as one
-// window. Nothing pending is a no-op, so batch and streamed windows
-// interleave without producing empty pool windows.
-func (s *Shard) sealStreamWindow(ctx context.Context) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.builder.PendingTrips() == 0 {
-		return
-	}
-	// SealWindow only errors on a cancelled context before doing anything;
-	// streamed seals run to completion like the batch path's merge step.
-	_ = s.builder.SealWindow(ctx)
-	ingestWindows.Inc()
-}
-
-// pendingCount reports trips ingested since the served state was built; the
-// engine sums it across shards for its backpressure bound.
-func (s *Shard) pendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pending
-}
-
-// setLCTotalTrips overrides the location-commonality trip universe for the
-// next Reinfer. The engine sets the global distinct-trip count here so each
-// shard's pipeline normalizes Equation (2) exactly like one global pipeline
-// over all shards would.
-func (s *Shard) setLCTotalTrips(n int) {
-	s.mu.Lock()
-	s.cfg.Core.LCTotalTrips = n
-	s.mu.Unlock()
 }

@@ -104,14 +104,13 @@ func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 		return errNothingToSnapshot
 	}
 	n := sv.frozen.Inferred()
-	s.mu.Lock()
+	c := s.ev.counts.Load()
 	sn := snapshot{
 		Version:   snapshotVersionSingle,
-		Name:      s.name,
-		Addresses: append([]model.AddressInfo(nil), s.addrs...),
+		Name:      c.name,
+		Addresses: c.addrs,
 		Locations: make(map[string][2]float64, n),
 	}
-	s.mu.Unlock()
 	sv.frozen.Each(func(id model.AddressID, a deploy.FrozenAnswer) {
 		if a.Src != deploy.SourceAddress {
 			return
@@ -289,7 +288,7 @@ func (e *Engine) pinRoutes(route map[model.AddressID]int) {
 // address-level answers and their confidences as stored, the
 // building/geocode fallbacks recomputed from the address metadata, the
 // trained matcher available again. The restored addresses also seed the
-// ingest state so later windows extend the same address universe.
+// shard's evidence so later windows extend the same address universe.
 func (s *Shard) restore(l *snapshotLoad, p *shardLoad) (err error) {
 	defer func() {
 		if err != nil {
@@ -305,23 +304,7 @@ func (s *Shard) restore(l *snapshotLoad, p *shardLoad) (err error) {
 		}
 	}
 
-	s.mu.Lock()
-	if s.name == "" {
-		s.name = l.name
-	}
-	if len(s.addrs) == 0 {
-		// Nothing registered yet: the decoded slice, which nobody else
-		// holds, becomes the registry instead of being copied into one.
-		// Registering it into itself compacts it in place should the
-		// document name an address twice (first wins, as on ingest): the
-		// write position never passes the read position.
-		s.addrSeen = make(map[model.AddressID]bool, len(p.addrs))
-		s.addrs = p.addrs[:0]
-	}
-	s.addAddressesLocked(p.addrs)
-	s.publishCountsLocked()
-	s.mu.Unlock()
-
+	s.ev.register(l.name, p.addrs)
 	s.publish(&serving{frozen: p.store.Freeze(), matcher: matcher}, swapKindRestore)
 	s.log.Info("snapshot restored",
 		"dataset", l.name, "addresses", len(p.addrs), "locations", p.store.Len(),

@@ -173,7 +173,7 @@ func (ss *streamSet) finish(cs *courierStream, reason *obs.Counter) *streamedTri
 
 // errRemoteStreaming rejects the local-only ingest surfaces in the remote
 // topology: streamed trips enter shard pools through the window-less
-// addStreamedTrip hook, which has no wire form. Stream into each shard
+// evidence.addStreamed hook, which has no wire form. Stream into each shard
 // process directly instead.
 var errRemoteStreaming = errors.New("engine: streaming ingest requires in-process shards; stream to the shard processes directly")
 
@@ -353,7 +353,7 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	if e.routed() {
 		sh = e.router.TripShard(st.trip)
 	}
-	e.shards[sh].addStreamedTrip(st)
+	e.shards[sh].ev.addStreamed(st)
 	ss.winStays += len(st.stays)
 	e.mu.Lock()
 	e.nTrips++
@@ -365,9 +365,9 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 
 // sealStreamWindowsLocked seals the streamed window on every in-process
 // shard (no-op on shards with nothing pending) and resets the size counter.
-// The shards seal side by side, each under its own mu and into its own
-// builder, and the call returns when all have: a window's cut is the same
-// whichever shard finishes first. The last shard seals on the calling
+// The shards seal side by side, each under its own evidence lock and into
+// its own builder, and the call returns when all have: a window's cut is the
+// same whichever shard finishes first. The last shard seals on the calling
 // goroutine, so a one-shard engine starts none. Remote shard processes seal
 // their own streamed windows.
 func (e *Engine) sealStreamWindowsLocked(ctx context.Context) {
@@ -382,13 +382,13 @@ func (e *Engine) sealStreamWindowsLocked(ctx context.Context) {
 			wg.Add(1)
 			go func(s *Shard) {
 				defer wg.Done()
-				s.sealStreamWindow(ctx)
+				s.ev.seal(ctx)
 			}(prev)
 		}
 		prev = sh
 	}
 	if prev != nil {
-		prev.sealStreamWindow(ctx)
+		prev.ev.seal(ctx)
 	}
 	wg.Wait()
 }
@@ -405,7 +405,7 @@ func (e *Engine) overloaded() bool {
 		if sh == nil {
 			continue
 		}
-		total += sh.pendingCount()
+		total += sh.ev.counts.Load().pending
 		if total >= e.cfg.MaxPendingTrips {
 			return true
 		}

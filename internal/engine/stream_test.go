@@ -63,8 +63,8 @@ func streamTrip(t *testing.T, si deploy.StreamIngestor, tr model.Trip) {
 
 // requireSameIngestState asserts two engines of one topology accumulated
 // identical ingest state: same open streams on top, and shard by shard the
-// same trips, the same addresses and truth, and the same candidate pool
-// (locations and visit logs).
+// same view of the evidence — the same trips, the same addresses and truth,
+// and the same candidate pool (locations and visit logs).
 func requireSameIngestState(t *testing.T, want, got *Engine) {
 	t.Helper()
 	if want.ss.open() != got.ss.open() {
@@ -77,17 +77,17 @@ func requireSameIngestState(t *testing.T, want, got *Engine) {
 		}
 	}
 	for i := range want.shards {
-		w, g := want.shards[i], got.shards[i]
-		if !reflect.DeepEqual(w.trips, g.trips) {
-			t.Fatalf("shard %d: trips differ: %d vs %d", i, len(w.trips), len(g.trips))
+		w, pw := viewEvidence(t, want.shards[i])
+		g, pg := viewEvidence(t, got.shards[i])
+		if !reflect.DeepEqual(w.Trips, g.Trips) {
+			t.Fatalf("shard %d: trips differ: %d vs %d", i, len(w.Trips), len(g.Trips))
 		}
-		if !reflect.DeepEqual(w.addrs, g.addrs) {
-			t.Fatalf("shard %d: addresses differ:\nwant %+v\ngot  %+v", i, w.addrs, g.addrs)
+		if !reflect.DeepEqual(w.Addresses, g.Addresses) {
+			t.Fatalf("shard %d: addresses differ:\nwant %+v\ngot  %+v", i, w.Addresses, g.Addresses)
 		}
-		if !reflect.DeepEqual(w.truth, g.truth) {
+		if !reflect.DeepEqual(w.Truth, g.Truth) {
 			t.Fatalf("shard %d: truth differs", i)
 		}
-		pw, pg := w.builder.Finalize(), g.builder.Finalize()
 		if !reflect.DeepEqual(pw.Locations, pg.Locations) {
 			t.Fatalf("shard %d: pool locations differ:\nwant %+v\ngot  %+v", i, pw.Locations, pg.Locations)
 		}
@@ -95,6 +95,20 @@ func requireSameIngestState(t *testing.T, want, got *Engine) {
 			t.Fatalf("shard %d: pool visit logs differ", i)
 		}
 	}
+}
+
+// viewEvidence is sh's evidence as a re-inference reads it. A shard without
+// trips has nothing to view and reads as an empty dataset and pool.
+func viewEvidence(t *testing.T, sh *Shard) (*model.Dataset, *core.Pool) {
+	t.Helper()
+	ds, pool, _, err := sh.ev.view(context.Background())
+	if errors.Is(err, errNoTrips) {
+		return &model.Dataset{}, &core.Pool{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, pool
 }
 
 // TestStreamedIngestMatchesBatch is the engine half of the streaming
@@ -141,6 +155,10 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 	cfg := streamTestConfig()
 	e := New(cfg)
 	defer e.Close()
+	trips := func() []model.Trip {
+		ds, _ := viewEvidence(t, e.shards[0])
+		return ds.Trips
+	}
 	ctx := context.Background()
 	first := genTrip(rng, 7, 0, geo.Point{X: 50, Y: 50})
 	for _, p := range first.Traj {
@@ -148,8 +166,8 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := e.Status(); st.OpenStreams != 1 || len(e.shards[0].trips) != 0 {
-		t.Fatalf("before gap: open=%d trips=%d", st.OpenStreams, len(e.shards[0].trips))
+	if st := e.Status(); st.OpenStreams != 1 || len(trips()) != 0 {
+		t.Fatalf("before gap: open=%d trips=%d", st.OpenStreams, len(trips()))
 	}
 	// Next fix lands 900 s after the last one: the gap rule closes trip one.
 	second := genTrip(rng, 7, first.EndT+900, geo.Point{X: 300, Y: 50})
@@ -158,27 +176,28 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(e.shards[0].trips) != 1 {
-		t.Fatalf("gap did not close the first trip: %d trips", len(e.shards[0].trips))
+	if len(trips()) != 1 {
+		t.Fatalf("gap did not close the first trip: %d trips", len(trips()))
 	}
-	if tr := e.shards[0].trips[0]; tr.Courier != 7 || tr.StartT != first.StartT || tr.EndT != first.EndT {
+	if tr := trips()[0]; tr.Courier != 7 || tr.StartT != first.StartT || tr.EndT != first.EndT {
 		t.Fatalf("gap-closed trip differs from its fixes: %+v", tr)
 	}
 	if err := e.CloseStream(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.shards[0].trips) != 2 || e.Status().OpenStreams != 0 {
-		t.Fatalf("after close: %d trips, %d open", len(e.shards[0].trips), e.Status().OpenStreams)
+	if len(trips()) != 2 || e.Status().OpenStreams != 0 {
+		t.Fatalf("after close: %d trips, %d open", len(trips()), e.Status().OpenStreams)
 	}
 	// Closing again is a no-op, not an error.
-	if err := e.CloseStream(ctx, 7); err != nil || len(e.shards[0].trips) != 2 {
-		t.Fatalf("idempotent close: err=%v trips=%d", err, len(e.shards[0].trips))
+	if err := e.CloseStream(ctx, 7); err != nil || len(trips()) != 2 {
+		t.Fatalf("idempotent close: err=%v trips=%d", err, len(trips()))
 	}
 	ref := core.NewIncrementalPoolBuilder(cfg.Core)
 	for _, tr := range []model.Trip{first, second} {
 		ref.AppendTripStays(tr.Courier, traj.ExtractStayPoints(tr.Traj, cfg.Core.Noise, cfg.Core.Stay))
 	}
-	want, got := ref.Finalize(), e.shards[0].builder.Finalize()
+	want := ref.Finalize()
+	_, got := viewEvidence(t, e.shards[0])
 	if len(want.Locations) == 0 || !reflect.DeepEqual(want.Locations, got.Locations) || !reflect.DeepEqual(want.Visits, got.Visits) {
 		t.Fatalf("streamed trips' stay points differ from batch extraction of their fixes:\nwant %+v\ngot  %+v",
 			want.Locations, got.Locations)
@@ -355,7 +374,8 @@ func TestShardKeepsNoFixes(t *testing.T) {
 
 			kept := 0
 			for i, sh := range e.shards {
-				for j, tr := range sh.trips {
+				ds, _ := viewEvidence(t, sh)
+				for j, tr := range ds.Trips {
 					if tr.Traj != nil {
 						t.Fatalf("shard %d trip %d retains %d fixes", i, j, len(tr.Traj))
 					}
