@@ -42,9 +42,12 @@ experiments-smoke:
 #   FuzzMergeNear           internal/cluster's window-by-window merge around
 #                           the new centroids vs HierarchicalWeighted over
 #                           everything alive, bit for bit
+#   FuzzParseExposition     internal/obs's Prometheus text parser, which a
+#                           cluster frontend runs on its peers' /v1/metrics
 # FuzzSnapshotDecode restores whole engines, whose coverage is never the same
-# twice, so minimising an input that looks new would otherwise eat the
-# budget: it gets a second per input.
+# twice, and FuzzParseExposition starts from a whole server scrape, so
+# minimising an input that looks new would otherwise eat the budget: each gets
+# a second per input.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -57,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMergeNear$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so

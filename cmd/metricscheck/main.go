@@ -1,7 +1,8 @@
 // Command metricscheck scrapes a Prometheus text exposition from a URL (or
-// stdin with -url "-"), validates that it parses, and asserts a required set
-// of metric families is present. CI boots a dlinfma server and runs it
-// against /v1/metrics so a malformed exposition or a silently dropped family
+// stdin with -url "-"), validates that it parses and that every histogram in
+// it is well shaped, and asserts a required set of metric families is
+// present. CI boots a dlinfma server and runs it against /v1/metrics so a
+// malformed exposition, a broken bucket sequence or a silently dropped family
 // fails the build instead of the first real scrape in production.
 //
 // Usage:
@@ -13,9 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -100,8 +103,84 @@ func run(url, require string, timeout time.Duration) error {
 	for _, name := range names {
 		fmt.Printf("  %-55s %s (%d samples)\n", name, fams[name].Type, len(fams[name].Samples))
 	}
+	if err := checkHistograms(fams); err != nil {
+		return err
+	}
 	if len(missing) > 0 {
 		return fmt.Errorf("required families missing: %s", strings.Join(missing, ", "))
 	}
 	return nil
+}
+
+// checkHistograms checks every histogram series (one per label set, le
+// aside): its le edges ascend strictly, its cumulative counts never
+// decrease, and its last edge is le="+Inf" with the same count as _count.
+// The server's sparse exposition writes only the non-empty buckets, so the
+// edges differ from series to series and scrape to scrape; these are the
+// invariants that hold whatever they are.
+func checkHistograms(fams map[string]*obs.Family) error {
+	type series struct {
+		le, cum  float64 // the last edge seen and its cumulative count
+		count    float64
+		hasCount bool
+	}
+	for name, f := range fams {
+		if f.Type != "histogram" {
+			continue
+		}
+		bySet := map[string]*series{}
+		for _, s := range f.Samples {
+			key := seriesLabels(s.Labels)
+			sr := bySet[key]
+			if sr == nil {
+				sr = &series{le: math.Inf(-1)}
+				bySet[key] = sr
+			}
+			switch s.Name {
+			case name + "_bucket":
+				le, err := strconv.ParseFloat(s.Labels["le"], 64)
+				if err != nil || math.IsNaN(le) {
+					return fmt.Errorf("histogram %s%s: bad le %q", name, key, s.Labels["le"])
+				}
+				if le <= sr.le {
+					return fmt.Errorf("histogram %s%s: le edges do not ascend (%v then %v)", name, key, sr.le, le)
+				}
+				if s.Value < sr.cum {
+					return fmt.Errorf("histogram %s%s: cumulative count falls from %v to %v at le=%v", name, key, sr.cum, s.Value, le)
+				}
+				sr.le, sr.cum = le, s.Value
+			case name + "_count":
+				sr.count, sr.hasCount = s.Value, true
+			}
+		}
+		for key, sr := range bySet {
+			if !math.IsInf(sr.le, 1) {
+				return fmt.Errorf("histogram %s%s: no le=\"+Inf\" bucket", name, key)
+			}
+			if !sr.hasCount || sr.cum != sr.count {
+				return fmt.Errorf("histogram %s%s: le=\"+Inf\" is %v but _count is %v", name, key, sr.cum, sr.count)
+			}
+		}
+	}
+	return nil
+}
+
+// seriesLabels renders a sample's labels other than le, sorted, as the key of
+// the series it belongs to.
+func seriesLabels(labels map[string]string) string {
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		if k != "le" {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", k, labels[k])
+	}
+	return "{" + b.String() + "}"
 }

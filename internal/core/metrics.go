@@ -7,19 +7,14 @@ import (
 	"dlinfma/internal/traj"
 )
 
-// StaysPerTripBuckets are the upper edges of the stays-per-trip histogram.
-// A delivery trip yields a handful of stays (one per stop); zero is the
-// interesting edge (trip too short or too noisy to anchor any).
-var StaysPerTripBuckets = []float64{0, 1, 2, 3, 5, 8, 13, 21, 50}
-
 // Pipeline-stage metrics. One histogram family carries every stage's
 // latency; granularity differs by stage and is part of the contract:
 // noise_filter and stay_detect observe per trip (the parallel fan-out's unit
 // of work), pool_window per ingested window, and the rest per batch call.
 var (
-	stageDuration = obs.Default.HistogramVec("dlinfma_pipeline_stage_duration_seconds",
+	stageDuration = obs.Default.HDRHistogramVec("dlinfma_pipeline_stage_duration_seconds",
 		"Latency of each DLInfMA pipeline stage (noise_filter and stay_detect per trip, pool_window per window, pool_finalize/feature_build/fit/predict per call).",
-		obs.JobDurationBuckets, "stage")
+		"stage")
 	stageNoise        = stageDuration.With("noise_filter")
 	stageStayDetect   = stageDuration.With("stay_detect")
 	stagePoolWindow   = stageDuration.With("pool_window")
@@ -35,9 +30,8 @@ var (
 		"result")
 	noiseAccepted = noisePoints.With("accepted")
 	noiseDropped  = noisePoints.With("dropped")
-	staysPerTrip  = obs.Default.Histogram("dlinfma_pipeline_stays_per_trip",
-		"Stay points detected per trip. A mass at zero means trajectories too short or too noisy to anchor a stay.",
-		StaysPerTripBuckets)
+	staysPerTrip  = obs.Default.HDRHistogram("dlinfma_pipeline_stays_per_trip",
+		"Stay points detected per trip. A mass at zero means trajectories too short or too noisy to anchor a stay.")
 	poolLocationsGauge = obs.Default.Gauge("dlinfma_pipeline_pool_locations",
 		"Candidate locations in the most recently built pool.")
 	candidatesTotal = obs.Default.Counter("dlinfma_pipeline_candidates_total",
@@ -59,8 +53,8 @@ func extractStayPoints(tr traj.Trajectory, cfg Config) []traj.StayPoint {
 	t1 := time.Now()
 	sps := traj.DetectStayPoints(filtered, cfg.Stay)
 	t2 := time.Now()
-	stageNoise.Observe(t1.Sub(t0).Seconds())
-	stageStayDetect.Observe(t2.Sub(t1).Seconds())
+	stageNoise.Record(t1.Sub(t0))
+	stageStayDetect.Record(t2.Sub(t1))
 	stayPointsTotal.Add(int64(len(sps)))
 	noiseAccepted.Add(int64(len(filtered)))
 	noiseDropped.Add(int64(len(tr) - len(filtered)))

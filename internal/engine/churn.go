@@ -18,22 +18,18 @@ var (
 	reinferChurnRatio = obs.Default.GaugeVec("dlinfma_reinfer_churn_ratio",
 		"Fraction of addresses answerable before and after the last hot-swap whose location moved.",
 		"shard")
-	reinferMovedDistance = obs.Default.HistogramVec("dlinfma_reinfer_moved_distance_meters",
+	reinferMovedDistance = obs.Default.HDRHistogramVec("dlinfma_reinfer_moved_distance_meters",
 		"Distance a served address location moved across a hot-swap, in meters.",
-		deploy.ChurnDistanceBounds, "shard")
-	reinferConfidence = obs.Default.HistogramVec("dlinfma_reinfer_confidence",
+		"shard")
+	reinferConfidence = obs.Default.HDRHistogramVec("dlinfma_reinfer_confidence",
 		"Top-1 probability of each address-level inference produced by a re-inference.",
-		confidenceBounds, "shard")
+		"shard")
 	lowConfAddresses = obs.Default.GaugeVec("dlinfma_serving_low_confidence_addresses",
 		"Address-level answers in the served store whose top-1 probability sits below the low-confidence threshold.",
 		"shard")
 	lowConfQueries = obs.Default.Counter("dlinfma_engine_low_confidence_queries_total",
 		"Serving queries answered from an address whose inference confidence sits below the threshold.")
 )
-
-// confidenceBounds bucket a probability in [0,1]; dense near 1 where a
-// well-trained matcher should live.
-var confidenceBounds = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}
 
 // defaultSwapHistory is the ring size when Config.SwapHistory is unset.
 const defaultSwapHistory = 32

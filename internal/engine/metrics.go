@@ -46,9 +46,8 @@ var (
 		"Time one streamed burst waited for the engine's ingest lock; log-linear HDR buckets.")
 	ingestLockHold = obs.Default.HDRHistogram("dlinfma_engine_ingest_lock_hold_seconds",
 		"Time one streamed burst held the engine's ingest lock (encode, WAL append, apply); log-linear HDR buckets.")
-	streamBurstOps = obs.Default.Histogram("dlinfma_engine_stream_burst_ops",
-		"Ops (fixes and end markers) per streamed burst: the lines one read of a stream body delivered, or 1 for a per-op call.",
-		[]float64{1, 4, 16, 64, 256, 1024, 4096})
+	streamBurstOps = obs.Default.HDRHistogram("dlinfma_engine_stream_burst_ops",
+		"Ops (fixes and end markers) per streamed burst: the lines one read of a stream body delivered, or 1 for a per-op call.")
 
 	ingestShardTrips = obs.Default.GaugeVec("dlinfma_engine_ingest_shard_trips",
 		"Cumulative trips routed to each shard of a sharded engine.",

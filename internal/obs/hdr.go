@@ -9,13 +9,15 @@ import (
 	"time"
 )
 
-// HDRHistogram is an HdrHistogram-shaped log-linear latency histogram: values
-// bucket into power-of-two major buckets, each split into 2^hdrSubBits linear
-// sub-buckets, giving a bounded relative error of 1/2^hdrSubBits (~3%) at
-// every magnitude with a fixed, small footprint. Values are recorded in
-// microseconds, so the same layout resolves 1µs RTTs and multi-second stalls —
-// the fixed-bucket Histogram cannot answer a meaningful p99 on a
-// sub-millisecond read path, this type can.
+// HDRHistogram is the repo's one histogram: an HdrHistogram-shaped
+// log-linear collector. Values bucket into power-of-two major buckets, each
+// split into 2^hdrSubBits linear sub-buckets, giving a bounded relative error
+// of 1/2^hdrSubBits (~3%) at every magnitude with a fixed, small footprint.
+// Values are stored in millionths of their unit — microseconds for a
+// duration (Record), millionths of a meter, a probability or a count for a
+// plain value (Observe) — so one layout resolves 1µs RTTs and multi-second
+// stalls, 20 m building moves and 2 km geocode corrections, and a confidence
+// of 0.53 next to one of 0.99, without a bucket set to pick per family.
 //
 // Record/Observe are lock-free (two atomic adds plus a CAS max) and safe from
 // any number of goroutines. The zero value is usable but not registered; use
@@ -69,8 +71,8 @@ func hdrUpperUS(i int) int64 {
 	return int64((m+1)<<exp) - 1
 }
 
-// HDRHistogram is the concurrent collector. See the package comment above the
-// bucket constants for the layout.
+// HDRHistogram is the concurrent collector. See the comment above the bucket
+// constants for the layout.
 type HDRHistogram struct {
 	name   string
 	labels string // pre-rendered {k="v",...} or "" (vec children)
@@ -100,20 +102,27 @@ func (h *HDRHistogram) Record(d time.Duration) {
 	}
 }
 
-// Observe records one value in seconds — the same contract as
-// Histogram.Observe, so an HDRHistogram drops into any Observer slot
-// (obs.StartSpan in particular).
-func (h *HDRHistogram) Observe(seconds float64) {
-	if seconds < 0 || math.IsNaN(seconds) {
-		seconds = 0
+// Observe records one plain value in the family's unit — seconds for a
+// duration family, meters, a probability or a count otherwise — at 1e-6
+// resolution. Zero, negatives and NaN record as zero; a value too large for
+// a Duration's nanoseconds (about 9.2e9, and +Inf) saturates into the top
+// bucket instead of wrapping.
+func (h *HDRHistogram) Observe(v float64) {
+	d := time.Duration(math.MaxInt64)
+	switch ns := v * float64(time.Second); {
+	case !(ns > 0):
+		d = 0
+	case ns < 1<<63:
+		d = time.Duration(math.Round(ns))
 	}
-	h.Record(time.Duration(seconds * float64(time.Second)))
+	h.Record(d)
 }
 
 // Count returns the number of recorded observations.
 func (h *HDRHistogram) Count() int64 { return h.total.Load() }
 
-// Sum returns the sum of observations in seconds.
+// Sum returns the sum of observations in the family's unit (seconds for
+// Record).
 func (h *HDRHistogram) Sum() float64 { return float64(h.sum.Load()) / 1e6 }
 
 // HDRSnapshot is a point-in-time copy of an HDRHistogram, safe to read at
@@ -226,9 +235,9 @@ func (s *HDRSnapshot) Merge(other *HDRSnapshot) {
 
 // exposeHDR renders an HDRHistogram as a standard Prometheus histogram with
 // sparse cumulative buckets: one `le` edge per non-empty bucket (upper bound
-// converted to seconds) plus +Inf. Sparse cumulative buckets are valid
-// exposition — quantile estimation only needs the edges that hold data — and
-// keep the ~2k-bucket layout from bloating the scrape.
+// converted back to the family's unit) plus +Inf. Sparse cumulative buckets
+// are valid exposition — quantile estimation only needs the edges that hold
+// data — and keep the ~2k-bucket layout from bloating the scrape.
 func exposeHDR(w *bufio.Writer, h *HDRHistogram) {
 	cum := int64(0)
 	for i := 0; i < hdrBuckets; i++ {
@@ -246,8 +255,8 @@ func exposeHDR(w *bufio.Writer, h *HDRHistogram) {
 }
 
 // HDRHistogram registers and returns a new unlabelled log-linear histogram.
-// It exposes as TYPE histogram, indistinguishable to a scraper from the
-// fixed-bucket kind apart from its data-driven bucket edges.
+// It exposes as an ordinary TYPE histogram whose bucket edges are the
+// non-empty buckets.
 func (r *Registry) HDRHistogram(name, help string) *HDRHistogram {
 	h := &HDRHistogram{name: name}
 	r.register(name, &singleMetric{name: name, help: help, typ: "histogram", m: h})

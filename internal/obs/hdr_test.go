@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -213,8 +214,69 @@ func TestHDRSnapshotMerge(t *testing.T) {
 	}
 }
 
-// TestHDRObserveSeconds checks the Observer-compat entry point records
-// seconds, so an HDRHistogram drops into obs.StartSpan.
+// TestHDRObserveValues exposes one Observe per row and reads back its
+// bucket edge and sum: a value lands in a bucket whose edge sits at most
+// 1/32 above it, zero, negatives and NaN land at zero, and a value past a
+// Duration's range saturates into the top bucket rather than wrapping to 0.
+func TestHDRObserveValues(t *testing.T) {
+	top := time.Duration(math.MaxInt64).Microseconds()
+	topLE := float64(hdrUpperUS(hdrIndex(top))) / 1e6
+	for _, tc := range []struct {
+		v, wantSum float64
+		saturated  bool
+	}{
+		{v: 0},
+		{v: 0.53, wantSum: 0.53},
+		{v: 0.999, wantSum: 0.999},
+		{v: 3, wantSum: 3},
+		{v: 2500, wantSum: 2500},
+		{v: 4096, wantSum: 4096},
+		{v: 1e10, wantSum: float64(top) / 1e6, saturated: true},
+		{v: math.Inf(1), wantSum: float64(top) / 1e6, saturated: true},
+		{v: math.NaN()},
+		{v: -1},
+	} {
+		reg := NewRegistry()
+		reg.HDRHistogram("v", "").Observe(tc.v)
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseExposition(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var le, sum float64
+		for _, s := range fams["v"].Samples {
+			switch {
+			case s.Name == "v_bucket" && s.Labels["le"] != "+Inf":
+				if le, err = strconv.ParseFloat(s.Labels["le"], 64); err != nil {
+					t.Fatal(err)
+				}
+			case s.Name == "v_sum":
+				sum = s.Value
+			}
+		}
+		switch {
+		case tc.saturated:
+			if le != topLE {
+				t.Errorf("Observe(%v): le=%v, want the top bucket %v", tc.v, le, topLE)
+			}
+		case tc.wantSum == 0:
+			if le != 0 {
+				t.Errorf("Observe(%v): le=%v, want 0", tc.v, le)
+			}
+		case le < tc.v || le > tc.v*(1+1.0/hdrSubCount):
+			t.Errorf("Observe(%v): le=%v, not within 1/%d above it", tc.v, le, hdrSubCount)
+		}
+		if math.Abs(sum-tc.wantSum) > 1e-6*math.Max(1, tc.wantSum) {
+			t.Errorf("Observe(%v): sum=%v, want %v", tc.v, sum, tc.wantSum)
+		}
+	}
+}
+
+// TestHDRObserveSeconds checks Observe records seconds on the same scale as
+// Record, and that obs.StartSpan records into the histogram.
 func TestHDRObserveSeconds(t *testing.T) {
 	h := NewHDRHistogram()
 	h.Observe(0.005)

@@ -1,11 +1,12 @@
 // Package obs is the repo's dependency-free observability layer: atomic
-// counters, gauges, and fixed-bucket latency histograms registered in a
-// Registry with hand-rolled Prometheus text exposition, a leveled structured
-// logger (logfmt or JSON), and a lightweight Span helper for per-stage
-// timings. Everything is stdlib-only and safe for concurrent use; the hot
-// paths (Counter.Inc, Histogram.Observe, resolved Vec children) are single
-// atomic operations so instrumentation can sit inside the serving and
-// training loops without measurable cost.
+// counters, gauges, and one histogram type — the log-linear HDRHistogram,
+// which records durations and plain values (meters, probabilities, counts)
+// alike — registered in a Registry with hand-rolled Prometheus text
+// exposition, a leveled structured logger (logfmt or JSON), and a lightweight
+// Span helper for per-stage timings. Everything is stdlib-only and safe for
+// concurrent use; the hot paths (Counter.Inc, HDRHistogram.Record, resolved
+// Vec children) are a few atomic operations so instrumentation can sit inside
+// the serving and training loops without measurable cost.
 package obs
 
 import (
@@ -18,29 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// LatencyBuckets are the default histogram bounds, in seconds, spanning
-// sub-millisecond HTTP handlers through multi-minute re-inference jobs.
-var LatencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-	1, 2.5, 5, 10, 30, 60, 120, 300,
-}
-
-// RequestLatencyBuckets are histogram bounds, in seconds, tuned for
-// interactive HTTP handlers: dense below 100ms where queries live, topping
-// out at 10s where anything slower is an outage, not a tail.
-var RequestLatencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-	1, 2.5, 5, 10,
-}
-
-// JobDurationBuckets are histogram bounds, in seconds, tuned for pipeline
-// stages and background jobs: sub-millisecond incremental window updates
-// through half-hour full re-inference runs.
-var JobDurationBuckets = []float64{
-	0.0001, 0.00025, 0.001, 0.005, 0.025, 0.1, 0.5,
-	1, 2.5, 5, 10, 30, 60, 120, 300, 600, 1800,
-}
 
 // metric is anything the registry can expose in Prometheus text format.
 type metric interface {
@@ -90,13 +68,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		m.expose(bw)
 	}
 	return bw.Flush()
-}
-
-// Observer is anything that can record a single observation in seconds —
-// both histogram kinds implement it, so span timings and instrumented stages
-// accept either without caring about bucket layout.
-type Observer interface {
-	Observe(v float64)
 }
 
 // funcMetric adapts a callback into the registry's metric interface, for
@@ -164,37 +135,6 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket cumulative histogram. Observe is a binary
-// search plus two atomic adds, safe from any number of goroutines.
-type Histogram struct {
-	name   string
-	labels string
-	bounds []float64      // upper bounds, strictly increasing
-	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	sum    atomic.Uint64  // float64 bits, CAS
-	count  atomic.Int64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
 // Counter registers and returns a new unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{name: name}
@@ -207,26 +147,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{name: name}
 	r.register(name, &singleMetric{name: name, help: help, typ: "gauge", m: g})
 	return g
-}
-
-// Histogram registers and returns a new unlabelled histogram with the given
-// upper bounds (nil means LatencyBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(name, "", bounds)
-	r.register(name, &singleMetric{name: name, help: help, typ: "histogram", m: h})
-	return h
-}
-
-func newHistogram(name, labels string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = LatencyBuckets
-	}
-	return &Histogram{
-		name:   name,
-		labels: labels,
-		bounds: bounds,
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
 }
 
 // singleMetric is the exposition wrapper of one unlabelled metric.
@@ -242,8 +162,6 @@ func (s *singleMetric) expose(w *bufio.Writer) {
 		fmt.Fprintf(w, "%s %d\n", s.name, m.Value())
 	case *Gauge:
 		fmt.Fprintf(w, "%s %s\n", s.name, formatFloat(m.Value()))
-	case *Histogram:
-		exposeHistogram(w, m)
 	case *HDRHistogram:
 		exposeHDR(w, m)
 	}
@@ -254,18 +172,6 @@ func writeHeader(w *bufio.Writer, name, help, typ string) {
 		fmt.Fprintf(w, "# HELP %s %s\n", name, strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(help))
 	}
 	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-}
-
-func exposeHistogram(w *bufio.Writer, h *Histogram) {
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, mergeLabels(h.labels, `le="`+formatFloat(b)+`"`), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, mergeLabels(h.labels, `le="+Inf"`), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", h.name, h.labels, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", h.name, h.labels, h.count.Load())
 }
 
 // mergeLabels appends extra to a pre-rendered {..} label set.
@@ -365,8 +271,6 @@ func (v *vec) expose(w *bufio.Writer) {
 			fmt.Fprintf(w, "%s%s %d\n", v.name, c.labels, m.Value())
 		case *Gauge:
 			fmt.Fprintf(w, "%s%s %s\n", v.name, c.labels, formatFloat(m.Value()))
-		case *Histogram:
-			exposeHistogram(w, m)
 		case *HDRHistogram:
 			exposeHDR(w, m)
 		}
@@ -409,28 +313,4 @@ func (g *GaugeVec) With(values ...string) *Gauge {
 	return g.v.child(values, func(labels string) any {
 		return &Gauge{name: g.v.name, labels: labels}
 	}).(*Gauge)
-}
-
-// HistogramVec is a histogram family with a fixed label-key set.
-type HistogramVec struct {
-	v      *vec
-	bounds []float64
-}
-
-// HistogramVec registers a labelled histogram family with the given upper
-// bounds (nil means LatencyBuckets).
-func (r *Registry) HistogramVec(name, help string, bounds []float64, keys ...string) *HistogramVec {
-	hv := &HistogramVec{
-		v:      &vec{name: name, help: help, typ: "histogram", keys: keys, children: make(map[string]metricChild)},
-		bounds: bounds,
-	}
-	r.register(name, hv.v)
-	return hv
-}
-
-// With returns (creating if needed) the child histogram for the label values.
-func (h *HistogramVec) With(values ...string) *Histogram {
-	return h.v.child(values, func(labels string) any {
-		return newHistogram(h.v.name, labels, h.bounds)
-	}).(*Histogram)
 }

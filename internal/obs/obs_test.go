@@ -49,7 +49,7 @@ func TestCounterGaugeRace(t *testing.T) {
 // and cumulative bucket invariants.
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_seconds", "test histogram", []float64{0.01, 0.1, 1})
+	h := r.HDRHistogram("h_seconds", "test histogram")
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -75,11 +75,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	// 0.05 s and 2 s land in the buckets ending at 50175 µs and 2031615 µs.
 	for _, line := range []string{
-		`h_seconds_bucket{le="0.01"} 0`,
-		`h_seconds_bucket{le="0.1"} 4000`,
-		`h_seconds_bucket{le="1"} 4000`,
+		`h_seconds_bucket{le="0.050175"} 4000`,
+		`h_seconds_bucket{le="2.031615"} 8000`,
 		`h_seconds_bucket{le="+Inf"} 8000`,
+		`h_seconds_sum 8200`,
 		`h_seconds_count 8000`,
 	} {
 		if !strings.Contains(out, line) {
@@ -95,7 +96,7 @@ func TestExpositionGolden(t *testing.T) {
 	c.Add(3)
 	g := r.Gauge("in_flight", "In-flight requests.")
 	g.Set(2.5)
-	hv := r.HistogramVec("lat_seconds", "Latency.", []float64{0.5}, "route")
+	hv := r.HDRHistogramVec("lat_seconds", "Latency.", "route")
 	hv.With("/v1/x").Observe(0.25)
 	cv := r.CounterVec("hits_total", "Hits.", "shard", "kind")
 	cv.With("0", `quo"te`).Inc()
@@ -112,7 +113,7 @@ requests_total 3
 in_flight 2.5
 # HELP lat_seconds Latency.
 # TYPE lat_seconds histogram
-lat_seconds_bucket{route="/v1/x",le="0.5"} 1
+lat_seconds_bucket{route="/v1/x",le="0.253951"} 1
 lat_seconds_bucket{route="/v1/x",le="+Inf"} 1
 lat_seconds_sum{route="/v1/x"} 0.25
 lat_seconds_count{route="/v1/x"} 1
@@ -271,7 +272,7 @@ func TestLoggerNilAndLevels(t *testing.T) {
 
 func TestSpan(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("stage_seconds", "", []float64{10})
+	h := r.HDRHistogram("stage_seconds", "")
 	sp := StartSpan("stage", h)
 	time.Sleep(time.Millisecond)
 	d := sp.End()

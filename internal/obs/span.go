@@ -20,12 +20,12 @@ import (
 type Span struct {
 	name  string
 	start time.Time
-	hist  Observer
+	hist  *HDRHistogram
 }
 
-// StartSpan starts a span that will observe its duration, in seconds, into
-// hist (nil hist: timing only). Either histogram kind satisfies Observer.
-func StartSpan(name string, hist Observer) Span {
+// StartSpan starts a span that will record its duration into hist (nil hist:
+// timing only).
+func StartSpan(name string, hist *HDRHistogram) Span {
 	return Span{name: name, start: time.Now(), hist: hist}
 }
 
@@ -36,7 +36,7 @@ func (s Span) Name() string { return s.name }
 func (s Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.hist != nil {
-		s.hist.Observe(d.Seconds())
+		s.hist.Record(d)
 	}
 	return d
 }
@@ -51,7 +51,7 @@ func (s Span) EndLog(l *Logger, pairs ...any) time.Duration {
 }
 
 // SpanCtx is a Span that additionally participates in the request trace
-// carried by the context it was started with. End observes the histogram
+// carried by the context it was started with. End records into the histogram
 // exactly as Span.End does, so metric behaviour is identical whether or not
 // a trace is active.
 type SpanCtx struct {
@@ -60,11 +60,11 @@ type SpanCtx struct {
 	tsp *trace.Span
 }
 
-// StartSpanCtx starts a stage span that both observes hist and, when ctx
+// StartSpanCtx starts a stage span that both records into hist and, when ctx
 // carries an active trace span, records a child span of the same name in the
 // trace. With no active trace the trace side is a nil-span no-op and the
 // call degrades to StartSpan.
-func StartSpanCtx(ctx context.Context, name string, hist Observer) SpanCtx {
+func StartSpanCtx(ctx context.Context, name string, hist *HDRHistogram) SpanCtx {
 	tctx, tsp := trace.Start(ctx, name)
 	return SpanCtx{Span: StartSpan(name, hist), ctx: tctx, tsp: tsp}
 }
@@ -77,7 +77,7 @@ func (s SpanCtx) Context() context.Context { return s.ctx }
 // for attaching attributes or errors.
 func (s SpanCtx) TraceSpan() *trace.Span { return s.tsp }
 
-// End finishes both sides: the trace span and the histogram observation.
+// End finishes both sides: the trace span and the histogram record.
 func (s SpanCtx) End() time.Duration {
 	s.tsp.End()
 	return s.Span.End()

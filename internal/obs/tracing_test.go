@@ -13,7 +13,7 @@ import (
 // paths: metric behaviour identical to StartSpan, nil trace side.
 func TestStartSpanCtxNoTrace(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("stage_seconds", "", []float64{10})
+	h := r.HDRHistogram("stage_seconds", "")
 	sp := StartSpanCtx(context.Background(), "stage", h)
 	if sp.TraceSpan() != nil {
 		t.Fatal("untraced SpanCtx carries a trace span")
@@ -26,7 +26,7 @@ func TestStartSpanCtxNoTrace(t *testing.T) {
 
 func TestStartSpanCtxTraced(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("stage_seconds", "", []float64{10})
+	h := r.HDRHistogram("stage_seconds", "")
 	st := trace.NewStore(4)
 	tr := trace.NewTracer(trace.Options{SampleProb: 1, Store: st})
 	ctx, root := tr.StartRoot(context.Background(), "job", trace.SpanContext{})

@@ -10,11 +10,12 @@ var (
 		"Records appended to the write-ahead log.")
 	appendBytes = obs.Default.Counter("dlinfma_wal_append_bytes_total",
 		"Bytes appended to the write-ahead log, headers included.")
-	appendDuration = obs.Default.Histogram("dlinfma_wal_append_duration_seconds",
-		"Wall time of one append call, single or batch, including any policy-mandated fsync.",
-		obs.RequestLatencyBuckets)
+	appendDuration = obs.Default.HDRHistogram("dlinfma_wal_append_duration_seconds",
+		"Wall time of one append call, single or batch, including any policy-mandated fsync.")
 	fsyncsTotal = obs.Default.Counter("dlinfma_wal_fsyncs_total",
-		"fsync calls issued by the write-ahead log.")
+		"fsync calls issued by the write-ahead log: policy syncs, rotations, Sync and Close.")
+	fsyncDuration = obs.Default.HDRHistogram("dlinfma_wal_fsync_duration_seconds",
+		"Wall time of one fsync of the active segment.")
 	rotationsTotal = obs.Default.Counter("dlinfma_wal_rotations_total",
 		"Segment rotations (active segment sealed, fresh one opened).")
 	segmentsDeleted = obs.Default.Counter("dlinfma_wal_segments_deleted_total",

@@ -381,7 +381,7 @@ func (w *WAL) appendLocked(payloads [][]byte) (first uint64, err error) {
 	}
 	appendsTotal.Add(int64(len(payloads)))
 	appendBytes.Add(int64(len(b)))
-	appendDuration.Observe(time.Since(start).Seconds())
+	appendDuration.Record(time.Since(start))
 	return first, nil
 }
 
@@ -392,10 +392,9 @@ func (w *WAL) syncLocked() error {
 		if err := w.w.Flush(); err != nil {
 			return fmt.Errorf("wal: flush: %w", err)
 		}
-		if err := w.f.Sync(); err != nil {
+		if err := w.fsync(); err != nil {
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
-		fsyncsTotal.Inc()
 	case FsyncInterval:
 		// Flush to the kernel on every append (surviving process death),
 		// fsync at most once per interval (bounding power-loss exposure).
@@ -403,11 +402,10 @@ func (w *WAL) syncLocked() error {
 			return fmt.Errorf("wal: flush: %w", err)
 		}
 		if now := time.Now(); now.Sub(w.lastSync) >= w.opts.Interval {
-			if err := w.f.Sync(); err != nil {
+			if err := w.fsync(); err != nil {
 				return fmt.Errorf("wal: fsync: %w", err)
 			}
 			w.lastSync = now
-			fsyncsTotal.Inc()
 		}
 	case FsyncNever:
 		// Leave records in the bufio buffer until it spills; rotation and
@@ -416,12 +414,23 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
+// fsync syncs the active segment to disk. It is the log's only call to
+// File.Sync, so dlinfma_wal_fsyncs_total and the fsync duration family see
+// every sync: the policy's, rotation's, Sync's and Close's. Callers hold w.mu.
+func (w *WAL) fsync() error {
+	start := time.Now()
+	err := w.f.Sync()
+	fsyncDuration.Record(time.Since(start))
+	fsyncsTotal.Inc()
+	return err
+}
+
 // rotateLocked seals the active segment and opens a fresh one.
 func (w *WAL) rotateLocked() error {
 	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("wal: rotate flush: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.fsync(); err != nil {
 		return fmt.Errorf("wal: rotate fsync: %w", err)
 	}
 	if err := w.f.Close(); err != nil {
@@ -446,10 +455,9 @@ func (w *WAL) Sync() error {
 	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.fsync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	fsyncsTotal.Inc()
 	return nil
 }
 
@@ -579,7 +587,7 @@ func (w *WAL) Close() error {
 		w.f.Close()
 		return fmt.Errorf("wal: close flush: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.fsync(); err != nil {
 		w.f.Close()
 		return fmt.Errorf("wal: close fsync: %w", err)
 	}

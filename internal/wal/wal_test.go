@@ -355,6 +355,38 @@ func TestFsyncIntervalFlushesToKernel(t *testing.T) {
 	}
 }
 
+// TestEveryFsyncCounted: under FsyncNever the appends themselves never sync,
+// but each rotation seals its segment with an fsync and so does Close; the
+// counter and the fsync duration family must see every one of them.
+func TestEveryFsyncCounted(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 1, Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs, timed, rotations := fsyncsTotal.Value(), fsyncDuration.Count(), rotationsTotal.Value()
+	const n = 4
+	for i := 0; i <= n; i++ { // every append after the first rotates
+		if _, err := w.Append([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rotationsTotal.Value() - rotations; got != n {
+		t.Fatalf("%d rotations, want %d", got, n)
+	}
+	if got := fsyncsTotal.Value() - syncs; got != n {
+		t.Errorf("fsyncs_total moved by %d over %d rotations, want %d", got, n, n)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncsTotal.Value() - syncs; got != n+1 {
+		t.Errorf("fsyncs_total moved by %d after Close, want %d", got, n+1)
+	}
+	if got := fsyncDuration.Count() - timed; got != n+1 {
+		t.Errorf("fsync duration recorded %d syncs, want %d", got, n+1)
+	}
+}
+
 // TestAppendBatchFramesLikeAppend: a batch is indistinguishable on disk from
 // the same payloads appended one by one, takes dense consecutive sequences,
 // and is decided into one segment whole — rotation happens before a batch,
