@@ -1,6 +1,6 @@
 # Build/test/bench entry points. The race target covers the packages with
-# concurrency (tensor engine, pipeline, serving engine, HTTP service, the
-# obs metrics/logging layer, and the load generator); bench regenerates the
+# concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
+# obs metrics/logging layer); bench regenerates the
 # LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
@@ -9,7 +9,7 @@
 GO ?= go
 COVER_FLOOR ?= 75
 
-.PHONY: build test experiments-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress smoke-metrics smoke-stream smoke-cluster smoke-swarm smoke-quality
+.PHONY: build test experiments-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress smoke-metrics smoke-stream smoke-cluster smoke-quality
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,10 @@ experiments-smoke:
 #                           everything alive, bit for bit
 #   FuzzParseExposition     internal/obs's Prometheus text parser, which a
 #                           cluster frontend runs on its peers' /v1/metrics
+#   FuzzWALSegment          internal/wal's frame reader: a damaged segment is
+#                           refused as ErrCorrupt or replays a clean prefix
+#   FuzzTraceparent         internal/obs/trace's W3C traceparent reader: what
+#                           it accepts is valid and re-renders to itself
 # FuzzSnapshotDecode restores whole engines, whose coverage is never the same
 # twice, and FuzzParseExposition starts from a whole server scrape, so
 # minimising an input that looks new would otherwise eat the budget: each gets
@@ -61,6 +65,8 @@ fuzz-smoke:
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMergeNear$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/trace -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so
@@ -69,7 +75,7 @@ check-bench:
 	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/deploy/... ./internal/shard/... ./internal/cluster/... ./internal/peer/... ./internal/obs/... ./internal/wal/... ./internal/loadgen/...
+	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/deploy/... ./internal/shard/... ./internal/cluster/... ./internal/peer/... ./internal/obs/... ./internal/wal/...
 
 # vet also fails on unformatted code: gofmt -l from the root walks both
 # modules (bench/ included).
@@ -105,12 +111,6 @@ smoke-stream:
 # ring-ordered replica failover.
 smoke-cluster:
 	bash scripts/cluster_smoke.sh
-
-# Boot a server and drive a short fixed-rate open-loop swarm: zero errors,
-# zero dropped arrivals, and a stage p99_ms that is a loopback latency in
-# milliseconds.
-smoke-swarm:
-	bash scripts/swarm_smoke.sh
 
 # Boot a server on the tiny dataset, run two re-inferences, and assert the
 # model-quality surface end to end: /v1/debug/swaps churn reports plus the

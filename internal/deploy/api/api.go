@@ -151,7 +151,7 @@ type JobStatus struct {
 
 // EngineStatus is the GET /v1/healthz payload (bare /healthz serves the same
 // body as a probe alias): a summary of the engine's serving and ingest state.
-// Machine consumers — the load swarm, smoke scripts, cluster peers — parse
+// Machine consumers — the benchmark harness, smoke scripts, cluster peers — parse
 // this typed form rather than grepping raw JSON.
 type EngineStatus struct {
 	Dataset string `json:"dataset,omitempty"`

@@ -16,19 +16,25 @@ import (
 	"dlinfma/internal/obs/trace"
 )
 
-// scrapeCounter returns the value of one sample of family matching the given
-// labels in the process-wide registry (0 when absent).
-func scrapeCounter(t *testing.T, family string, labels map[string]string) float64 {
+// families renders reg and parses it back.
+func families(t *testing.T, reg *obs.Registry) map[string]*obs.Family {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := obs.Default.WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := obs.ParseExposition(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam, ok := fams[family]
+	return fams
+}
+
+// scrapeCounter returns the value of one sample of family matching the given
+// labels in the process-wide registry (0 when absent).
+func scrapeCounter(t *testing.T, family string, labels map[string]string) float64 {
+	t.Helper()
+	fam, ok := families(t, obs.Default)[family]
 	if !ok {
 		return 0
 	}

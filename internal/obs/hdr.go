@@ -19,10 +19,10 @@ import (
 // stalls, 20 m building moves and 2 km geocode corrections, and a confidence
 // of 0.53 next to one of 0.99, without a bucket set to pick per family.
 //
-// Record/Observe are lock-free (two atomic adds plus a CAS max) and safe from
-// any number of goroutines. The zero value is usable but not registered; use
+// Record/Observe are lock-free (three atomic adds) and safe from any number of
+// goroutines. The zero value is usable but not registered; use
 // Registry.HDRHistogram for an exposed metric or NewHDRHistogram for a
-// standalone collector (the load generator does the latter).
+// standalone collector.
 const (
 	hdrSubBits  = 5
 	hdrSubCount = 1 << hdrSubBits
@@ -78,8 +78,7 @@ type HDRHistogram struct {
 	labels string // pre-rendered {k="v",...} or "" (vec children)
 	counts [hdrBuckets]atomic.Int64
 	total  atomic.Int64
-	sum    atomic.Int64 // microseconds, for Mean/Sum
-	max    atomic.Int64 // microseconds, exact
+	sum    atomic.Int64 // microseconds, for Sum
 }
 
 // NewHDRHistogram returns an empty standalone (unregistered) histogram.
@@ -94,12 +93,6 @@ func (h *HDRHistogram) Record(d time.Duration) {
 	h.counts[hdrIndex(us)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(us)
-	for {
-		cur := h.max.Load()
-		if us <= cur || h.max.CompareAndSwap(cur, us) {
-			return
-		}
-	}
 }
 
 // Observe records one plain value in the family's unit — seconds for a
@@ -130,44 +123,22 @@ func (h *HDRHistogram) Sum() float64 { return float64(h.sum.Load()) / 1e6 }
 type HDRSnapshot struct {
 	counts []int64
 	total  int64
-	sumUS  int64
-	maxUS  int64
-}
-
-// NewHDRSnapshot returns an empty snapshot, ready to Merge into.
-func NewHDRSnapshot() *HDRSnapshot {
-	return &HDRSnapshot{counts: make([]int64, hdrBuckets)}
 }
 
 // Snapshot copies the current counts. Concurrent Records may straddle the
 // copy; the snapshot is consistent enough for monitoring (each observation
 // appears at most once).
 func (h *HDRHistogram) Snapshot() *HDRSnapshot {
-	s := NewHDRSnapshot()
+	s := &HDRSnapshot{counts: make([]int64, hdrBuckets)}
 	for i := range h.counts {
 		s.counts[i] = h.counts[i].Load()
 		s.total += s.counts[i]
 	}
-	s.sumUS = h.sum.Load()
-	s.maxUS = h.max.Load()
 	return s
 }
 
 // Count returns the number of recorded observations.
 func (s *HDRSnapshot) Count() int64 { return s.total }
-
-// Mean returns the arithmetic mean of the recorded durations.
-func (s *HDRSnapshot) Mean() time.Duration {
-	if s.total == 0 {
-		return 0
-	}
-	return time.Duration(s.sumUS/s.total) * time.Microsecond
-}
-
-// Max returns the largest recorded duration (exact, not bucketed).
-func (s *HDRSnapshot) Max() time.Duration {
-	return time.Duration(s.maxUS) * time.Microsecond
-}
 
 // Quantile returns the value at quantile q in [0,1], with the histogram's
 // bounded relative error. An empty snapshot answers 0.
@@ -181,55 +152,15 @@ func (s *HDRSnapshot) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	// rank is the 1-based index of the sought observation in sorted order.
+	// rank is the 1-based index of the sought observation in sorted order;
+	// rank <= total, the sum of counts, so the walk always stops.
 	rank := int64(q*float64(s.total-1)) + 1
 	var seen int64
-	for i, c := range s.counts {
-		seen += c
+	for i := 0; ; i++ {
+		seen += s.counts[i]
 		if seen >= rank {
 			return time.Duration(hdrValue(i)) * time.Microsecond
 		}
-	}
-	return s.Max()
-}
-
-// Sub returns the delta snapshot s minus prev — the observations recorded
-// between the two snapshots, for per-interval timeseries sampling. prev may
-// be nil (treated as empty). Max carries s's max (maxima don't subtract).
-func (s *HDRSnapshot) Sub(prev *HDRSnapshot) *HDRSnapshot {
-	if prev == nil {
-		return s
-	}
-	d := NewHDRSnapshot()
-	d.maxUS = s.maxUS
-	for i := range s.counts {
-		c := s.counts[i] - prev.counts[i]
-		if c < 0 {
-			c = 0
-		}
-		d.counts[i] = c
-		d.total += c
-	}
-	d.sumUS = s.sumUS - prev.sumUS
-	if d.sumUS < 0 {
-		d.sumUS = 0
-	}
-	return d
-}
-
-// Merge adds other's observations into s, for cross-endpoint whole-run
-// quantiles. A nil other is a no-op.
-func (s *HDRSnapshot) Merge(other *HDRSnapshot) {
-	if other == nil {
-		return
-	}
-	for i, c := range other.counts {
-		s.counts[i] += c
-	}
-	s.total += other.total
-	s.sumUS += other.sumUS
-	if other.maxUS > s.maxUS {
-		s.maxUS = other.maxUS
 	}
 }
 

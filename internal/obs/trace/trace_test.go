@@ -398,3 +398,28 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("store len = %d, want capacity 4", st.Len())
 	}
 }
+
+// FuzzTraceparent holds ParseTraceparent to three properties on any header:
+// it never panics, what it accepts is a valid span context, and the accepted
+// context renders back to a header that parses to itself.
+func FuzzTraceparent(f *testing.F) {
+	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
+	const sid = "00f067aa0ba902b7"
+	f.Add(SpanContext{TraceID: TraceID{0: 0x4b, 15: 0x36}, SpanID: SpanID{7: 0xb7}, Sampled: true}.Traceparent())
+	f.Add("00-" + strings.Repeat("0", 32) + "-" + sid + "-01")
+	f.Add("ff-" + tid + "-" + sid + "-01")
+	f.Add("cc-" + tid + "-" + sid + "-09-extra-fields")
+	f.Add("00-" + strings.ToUpper(tid) + "-" + strings.ToUpper(sid) + "-0A")
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !sc.IsValid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid %+v", h, sc)
+		}
+		if got, ok := ParseTraceparent(sc.Traceparent()); !ok || got != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q parses to %+v, %v", h, sc, sc.Traceparent(), got, ok)
+		}
+	})
+}

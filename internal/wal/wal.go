@@ -126,6 +126,14 @@ type segmentInfo struct {
 	lastSeq  uint64 // sequence of its last record (0 if empty)
 }
 
+// records is the number of records the segment held when seg was taken.
+func (seg segmentInfo) records() int {
+	if seg.lastSeq < seg.firstSeq {
+		return 0
+	}
+	return int(seg.lastSeq - seg.firstSeq + 1)
+}
+
 // WAL is a segmented write-ahead log. All methods are safe for concurrent
 // use, though the engine serializes appends under its ingest lock anyway.
 type WAL struct {
@@ -167,8 +175,9 @@ func parseSegmentName(name string) (uint64, bool) {
 // Open opens (or creates) the WAL in dir. Existing segments are scanned in
 // sequence order; a torn record at the tail of the last segment — the
 // signature of a crash mid-append — is truncated away, while damage anywhere
-// else returns an error wrapping ErrCorrupt. After Open, Replay iterates the
-// surviving records and Append continues the sequence.
+// else, a sealed segment cut short at a record boundary included, returns an
+// error wrapping ErrCorrupt. After Open, Replay iterates the surviving records
+// and Append continues the sequence.
 func Open(dir string, opts Options) (*WAL, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -195,7 +204,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	// a rotation, after which nothing ever wrote to them again.
 	for i := range segs {
 		last := i == len(segs)-1
-		n, validBytes, err := scanSegment(segs[i].path, last)
+		n, validBytes, err := scanSegment(segs[i].path, last, -1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -203,6 +212,11 @@ func Open(dir string, opts Options) (*WAL, error) {
 			segs[i].lastSeq = 0
 		} else {
 			segs[i].lastSeq = segs[i].firstSeq + uint64(n) - 1
+		}
+		// Sequences are dense, so a sealed segment ends where the next begins.
+		if !last && segs[i].firstSeq+uint64(n) != segs[i+1].firstSeq {
+			return nil, fmt.Errorf("%w: %s: %d records, but the next segment starts at sequence %d",
+				ErrCorrupt, segs[i].path, n, segs[i+1].firstSeq)
 		}
 		if last {
 			if fi, err := os.Stat(segs[i].path); err == nil && fi.Size() > validBytes {
@@ -241,12 +255,16 @@ func Open(dir string, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// scanSegment reads a segment, returning the number of valid records and the
-// byte offset just past the last valid one. With tolerateTail set, a partial
-// or checksum-failing record at the very end of the file is treated as a
-// torn write (the scan stops cleanly before it); any other damage, and any
-// damage at all with tolerateTail unset, returns ErrCorrupt.
-func scanSegment(path string, tolerateTail bool) (records int, validBytes int64, err error) {
+// scanSegment is the log's one frame reader. It reads a segment's records in
+// order, returning how many are valid and the byte offset just past the last
+// one. It stops after limit records (a negative limit reads to the end of the
+// file) and, when fn is non-nil, hands it each record's ordinal in the
+// segment and its payload; the payload slice is reused between calls, and
+// fn's first error stops the scan and is returned as is. With tolerateTail
+// set, a partial or checksum-failing record at the very end of the file is
+// treated as a torn write (the scan stops cleanly before it); any other
+// damage, and any damage at all with tolerateTail unset, returns ErrCorrupt.
+func scanSegment(path string, tolerateTail bool, limit int, fn func(i int, payload []byte) error) (records int, validBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
@@ -263,7 +281,7 @@ func scanSegment(path string, tolerateTail bool) (records int, validBytes int64,
 		buf  []byte
 		off  int64
 	)
-	for {
+	for records != limit {
 		if _, err := io.ReadFull(br, head[:]); err != nil {
 			if err == io.EOF {
 				return records, off, nil // clean end
@@ -302,9 +320,15 @@ func scanSegment(path string, tolerateTail bool) (records int, validBytes int64,
 			}
 			return 0, 0, fmt.Errorf("%w: %s: checksum mismatch at offset %d", ErrCorrupt, path, off)
 		}
+		if fn != nil {
+			if err := fn(records, buf); err != nil {
+				return records, off, err
+			}
+		}
 		records++
 		off = end
 	}
+	return records, off, nil
 }
 
 // openSegment creates a fresh active segment whose first record will carry
@@ -480,9 +504,11 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) error {
 		return ErrClosed
 	}
 	// Flush so the active segment's tail is visible to the read below; the
-	// segment list is snapshotted under the lock, then the files are read
-	// without it (segments never change once written, and Append only adds
-	// past the point we will read).
+	// segment list and record counts are snapshotted under the lock, then the
+	// files are read without it, each only up to its snapshotted count:
+	// segments never change once written, and Append only adds past that
+	// point, so records appended during the replay (fn's own included) are
+	// not replayed.
 	if err := w.w.Flush(); err != nil {
 		w.mu.Unlock()
 		return fmt.Errorf("wal: replay flush: %w", err)
@@ -493,55 +519,22 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) error {
 	w.mu.Unlock()
 
 	for _, seg := range segs {
-		if err := replaySegment(seg, fn); err != nil {
+		_, _, err := scanSegment(seg.path, false, seg.records(), func(i int, payload []byte) error {
+			replayRecords.Inc()
+			return fn(seg.firstSeq+uint64(i), payload)
+		})
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func replaySegment(seg segmentInfo, fn func(uint64, []byte) error) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: replay open: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var (
-		head [headerSize]byte
-		buf  []byte
-	)
-	seq := seg.firstSeq
-	for {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("%w: %s: replay header", ErrCorrupt, seg.path)
-		}
-		length := binary.LittleEndian.Uint32(head[0:4])
-		want := binary.LittleEndian.Uint32(head[4:8])
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("%w: %s: replay payload", ErrCorrupt, seg.path)
-		}
-		if crc32.Checksum(buf, castagnoli) != want {
-			return fmt.Errorf("%w: %s: replay checksum", ErrCorrupt, seg.path)
-		}
-		replayRecords.Inc()
-		if err := fn(seq, buf); err != nil {
-			return err
-		}
-		seq++
-	}
-}
-
 // TruncateThrough deletes sealed segments whose every record has sequence
 // <= seq — called after a snapshot has durably captured state through seq.
-// The active segment is never deleted, so truncation can leave already
+// It deletes oldest first and stops at the first segment it keeps, or fails
+// to delete (a later truncate retries it), so the retained segments stay
+// dense. The active segment is never deleted, so truncation can leave already
 // snapshotted records in place; they are re-applied harmlessly on replay
 // only if the caller replays from a snapshot older than they are.
 func (w *WAL) TruncateThrough(seq uint64) error {
@@ -550,20 +543,13 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 	if w.closed {
 		return ErrClosed
 	}
-	kept := w.sealed[:0]
-	for _, seg := range w.sealed {
-		if seg.lastSeq != 0 && seg.lastSeq <= seq {
-			if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) {
-				// Keep the entry so a later truncate retries the delete.
-				kept = append(kept, seg)
-				continue
-			}
-			segmentsDeleted.Inc()
-			continue
+	for len(w.sealed) > 0 && w.sealed[0].lastSeq != 0 && w.sealed[0].lastSeq <= seq {
+		if err := os.Remove(w.sealed[0].path); err != nil && !os.IsNotExist(err) {
+			break
 		}
-		kept = append(kept, seg)
+		segmentsDeleted.Inc()
+		w.sealed = w.sealed[1:]
 	}
-	w.sealed = kept
 	return nil
 }
 

@@ -520,3 +520,128 @@ func TestTornBatchKeepsCompletePrefix(t *testing.T) {
 		w.Close()
 	}
 }
+
+// TestReplayStopsAtSnapshottedSeq: Replay reads each segment only up to the
+// record count it saw when it started, so a record appended while it runs —
+// here by the replay callback itself — is not replayed.
+func TestReplayStopsAtSnapshottedSeq(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{Policy: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seqs []uint64
+	err = w.Replay(func(seq uint64, _ []byte) error {
+		seqs = append(seqs, seq)
+		if seq == 1 {
+			_, err := w.Append([]byte("during replay"))
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seqs) != "[1 2 3]" {
+		t.Fatalf("replayed seqs %v, want [1 2 3]", seqs)
+	}
+	if w.LastSeq() != 4 {
+		t.Fatalf("LastSeq = %d, want 4", w.LastSeq())
+	}
+}
+
+// FuzzWALSegment damages one segment of a multi-segment log — one byte XORed
+// with a mask, then optionally a cut — and reopens it. Open must either refuse
+// with ErrCorrupt or recover a log whose replay is a byte-equal prefix of what
+// was appended, with dense sequences from 1. A cut of 0 leaves the segment's
+// length alone; any other cut keeps its first (cut-1) mod (len+1) bytes.
+func FuzzWALSegment(f *testing.F) {
+	payloads := make([][]byte, 12)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte('a' + i)}, i*7%19)
+	}
+	src := f.TempDir()
+	w, err := Open(src, Options{SegmentBytes: 40, Policy: FsyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := w.AppendBatch(payloads[:3]); err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range payloads[3:] {
+		if _, err := w.Append(p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var names []string
+	var segs [][]byte
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		names, segs = append(names, e.Name()), append(segs, b)
+	}
+	if len(segs) < 2 {
+		f.Fatalf("log has %d segments, want >= 2", len(segs))
+	}
+	last := len(segs) - 1
+	f.Add(uint8(0), uint16(0), byte(0), uint16(0))                      // the clean log
+	f.Add(uint8(last), uint16(0), byte(0), uint16(len(segs[last])-3+1)) // a torn tail
+	f.Add(uint8(0), uint16(headerSize+1), byte(0x10), uint16(0))        // a flipped sealed-segment byte
+	f.Fuzz(func(t *testing.T, seg uint8, off uint16, mask byte, cut uint16) {
+		dir := t.TempDir()
+		target := int(seg) % len(segs)
+		for i, b := range segs {
+			if i == target {
+				b = append([]byte(nil), b...)
+				if len(b) > 0 {
+					b[int(off)%len(b)] ^= mask
+				}
+				if cut > 0 {
+					b = b[:int(cut-1)%(len(b)+1)]
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, names[i]), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, err := Open(dir, Options{})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: %v, want nil or ErrCorrupt", err)
+			}
+			return
+		}
+		defer w.Close()
+		n := 0
+		err = w.Replay(func(seq uint64, p []byte) error {
+			if seq != uint64(n+1) {
+				return fmt.Errorf("replayed seq %d after %d records", seq, n)
+			}
+			if n == len(payloads) || !bytes.Equal(p, payloads[n]) {
+				return fmt.Errorf("record %d = %q, not the payload appended there", seq, p)
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.LastSeq(); got != uint64(n) {
+			t.Fatalf("LastSeq %d after replaying %d records", got, n)
+		}
+	})
+}
