@@ -1,6 +1,6 @@
 # Build/test/bench entry points. The race target covers the packages with
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
-# obs metrics/logging layer); bench regenerates the
+# obs metrics/logging layer), the HTTP service twice over; bench regenerates the
 # LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
@@ -74,8 +74,12 @@ fuzz-smoke:
 check-bench:
 	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
+# internal/deploy runs twice in one process (-count=2): its tests read the
+# process-wide obs.Default registry, so one that reads a counter absolutely
+# instead of by its change across the request fails on the second run.
 race:
-	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/deploy/... ./internal/shard/... ./internal/cluster/... ./internal/peer/... ./internal/obs/... ./internal/wal/...
+	$(GO) test -race ./internal/core/... ./internal/nn/... ./internal/engine/... ./internal/shard/... ./internal/cluster/... ./internal/peer/... ./internal/obs/... ./internal/wal/...
+	$(GO) test -race -count=2 ./internal/deploy/...
 
 # vet also fails on unformatted code: gofmt -l from the root walks both
 # modules (bench/ included).

@@ -145,12 +145,11 @@ func shardFlags(fs *flag.FlagSet) (shards, precision *int) {
 // regional shards behind a geohash router, -shards 1 being the one-shard
 // case of the same code. log and tracer may be nil (batch subcommands report
 // through stdout and don't trace).
-func newEngine(workers, shards, precision, maxPending, swapHistory int, lowConf float64, log *obs.Logger, tracer *trace.Tracer) (*engine.Engine, error) {
+func newEngine(workers, shards, precision, maxPending int, lowConf float64, log *obs.Logger, tracer *trace.Tracer) (*engine.Engine, error) {
 	cfg := engineConfig(workers)
 	cfg.Logger = log
 	cfg.Tracer = tracer
 	cfg.MaxPendingTrips = maxPending
-	cfg.SwapHistory = swapHistory
 	cfg.LowConfidence = lowConf
 	r, err := shard.NewRouter(shards, precision)
 	if err != nil {
@@ -163,7 +162,7 @@ func newEngine(workers, shards, precision, maxPending, swapHistory int, lowConf 
 // and runs one full re-inference — the same path the serve subcommand's
 // background jobs take, so batch and online runs cannot drift apart.
 func runPipeline(ctx context.Context, ds *model.Dataset, workers, shards, precision int) (*engine.Engine, error) {
-	e, err := newEngine(workers, shards, precision, 0, 0, 0, nil, nil)
+	e, err := newEngine(workers, shards, precision, 0, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -276,8 +275,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		"with -peers: distinct peers serving each shard (owner + replicas); writes go to all, reads fail over in ring order")
 	peerTimeout := fs.Duration("peer-timeout", peer.DefaultTimeout, "with -peers: per-call timeout of one peer RPC")
 	peerRetries := fs.Int("peer-retries", 1, "with -peers: extra retry rounds over a shard's replica list after the first pass")
-	swapHistory := fs.Int("swap-history", 0,
-		"hot-swap churn reports kept per engine shard behind GET /v1/debug/swaps (0 = default 32)")
 	lowConfidence := fs.Float64("low-confidence", 0,
 		"top-1 probability below which a re-inferred address counts as low-confidence in churn reports and metrics (0 = default 0.5)")
 	shards, precision := shardFlags(fs)
@@ -321,7 +318,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		cfg := engineConfig(*workers)
 		cfg.Logger = log.With("component", "engine")
 		cfg.Tracer = tracer
-		cfg.SwapHistory = *swapHistory
 		cfg.LowConfidence = *lowConfidence
 		backends, ring, berr := peer.NewFrontendBackends(r, peer.FrontendOptions{
 			Peers:       peerList,
@@ -351,7 +347,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		fmt.Printf("cluster frontend: %d shards over %d peers (replication %d)\n",
 			r.N(), ring.NumPeers(), *replication)
 	} else {
-		if e, err = newEngine(*workers, *shards, *precision, *maxPending, *swapHistory, *lowConfidence, log.With("component", "engine"), tracer); err != nil {
+		if e, err = newEngine(*workers, *shards, *precision, *maxPending, *lowConfidence, log.With("component", "engine"), tracer); err != nil {
 			return err
 		}
 	}

@@ -327,16 +327,3 @@ func TestEnvSampleCaching(t *testing.T) {
 		break
 	}
 }
-
-func TestAllBaselinesList(t *testing.T) {
-	ms := AllBaselines()
-	if len(ms) != 9 {
-		t.Fatalf("got %d baselines, want 9", len(ms))
-	}
-	want := []string{"Geocoding", "Annotation", "GeoCloud", "GeoRank", "UNet-based", "MinDist", "MaxTC", "MaxTC-ILC", "DLInfMA"}
-	for i, m := range ms {
-		if m.Name() != want[i] {
-			t.Errorf("baseline %d = %q, want %q", i, m.Name(), want[i])
-		}
-	}
-}

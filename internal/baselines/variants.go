@@ -384,21 +384,6 @@ func Variant(name string) (Method, error) {
 	}
 }
 
-// AllBaselines returns the nine baseline methods of Table II in paper order.
-func AllBaselines() []Method {
-	return []Method{
-		Geocoding{},
-		Annotation{},
-		GeoCloud{},
-		&GeoRank{},
-		&UNetBased{},
-		MinDist{},
-		MaxTC{},
-		MaxTCILC{},
-		NewDLInfMA(),
-	}
-}
-
 // AllVariantNames lists the variant and ablation rows of Table II.
 func AllVariantNames() []string {
 	return []string{

@@ -220,12 +220,6 @@ type TraceListResponse struct {
 	Count  int            `json:"count"`
 }
 
-// TraceEvent is one timestamped annotation on a span.
-type TraceEvent struct {
-	Time time.Time `json:"time"`
-	Msg  string    `json:"msg"`
-}
-
 // TraceSpan is one node of the span tree in GET /v1/debug/traces/{id}.
 type TraceSpan struct {
 	SpanID     string         `json:"span_id"`
@@ -234,7 +228,6 @@ type TraceSpan struct {
 	Start      time.Time      `json:"start"`
 	DurationMS float64        `json:"duration_ms"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
-	Events     []TraceEvent   `json:"events,omitempty"`
 	Error      string         `json:"error,omitempty"`
 	Children   []*TraceSpan   `json:"children,omitempty"`
 }

@@ -16,28 +16,13 @@ type BatchAnswer struct {
 	Src Source
 }
 
-// BatchQuerier is the optional bulk read path of an engine. QueryBatch
-// answers addrs[i] into out[i] (out is grown from the caller's slice so hot
-// paths can recycle it), preserving input order. Implementations may fan out
-// across shards in parallel; the only error is ctx's, returned when the
-// caller gave up mid-batch. Engines that do not implement it are served by a
-// per-key Query loop instead.
+// BatchQuerier is the bulk read path of an engine. QueryBatch answers
+// addrs[i] into out[i] (out is grown from the caller's slice so hot paths can
+// recycle it, reusing its backing array when it fits), preserving input
+// order. Implementations may fan out across shards in parallel; the only
+// error is ctx's, returned when the caller gave up mid-batch.
 type BatchQuerier interface {
 	QueryBatch(ctx context.Context, addrs []model.AddressID, out []BatchAnswer) ([]BatchAnswer, error)
-}
-
-// QueryBatch resolves a batch against e, using its native bulk path when it
-// has one and a sequential per-key loop otherwise. The returned slice reuses
-// out's backing array when it fits.
-func QueryBatch(ctx context.Context, e Engine, addrs []model.AddressID, out []BatchAnswer) ([]BatchAnswer, error) {
-	if bq, ok := e.(BatchQuerier); ok {
-		return bq.QueryBatch(ctx, addrs, out)
-	}
-	out = GrowAnswers(out, len(addrs))
-	for i, addr := range addrs {
-		out[i].Loc, out[i].Src = e.Query(addr)
-	}
-	return out, ctx.Err()
 }
 
 // GrowAnswers returns out resized to n entries, reallocating only when the

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -68,7 +69,7 @@ func refBatch(e Engine, body []byte) (int, []byte) {
 			return fail(http.StatusBadRequest, api.CodeInvalidArgument, "address key out of range",
 				map[string]any{"index": i, "key": k})
 		}
-		answers[i].Loc, answers[i].Src = e.Query(model.AddressID(k))
+		answers[i].Loc, answers[i].Src = e.QueryCtx(context.Background(), model.AddressID(k))
 	}
 	out, err := refBatchResponse(req.Addrs, answers)
 	if err != nil {
@@ -163,7 +164,7 @@ var batchBodies = []string{
 
 func TestBatchRequestMatchesEncodingJSON(t *testing.T) {
 	e := codecEngine()
-	svc := Service(e)
+	svc := NewService(e, Options{})
 	for _, body := range batchBodies {
 		checkBatchBody(t, svc, e, []byte(body))
 	}
@@ -179,7 +180,7 @@ func FuzzBatchRequestDecode(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	e := codecEngine()
-	svc := Service(e)
+	svc := NewService(e, Options{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkBatchBody(t, svc, e, body)
 	})
@@ -279,7 +280,7 @@ func TestBatchHandlerAllocs(t *testing.T) {
 	for id := 0; id < 512; id += 2 { // odd keys miss
 		st.Put(model.AddressID(id), geo.Point{X: float64(id) + 0.25, Y: -float64(id) / 3})
 	}
-	svc := Service(storeOnlyEngine{st})
+	svc := NewService(storeOnlyEngine{st}, Options{})
 	var perKeys []float64
 	for _, n := range []int{64, 512} {
 		keys := make([]int64, n)

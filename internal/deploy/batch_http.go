@@ -57,11 +57,11 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 }
 
 // handleBatch answers POST /v1/locations:batch through the engine's bulk
-// read path (BatchQuerier when implemented, a per-key loop otherwise) with
-// pooled buffers and the append codec of batch_codec.go. The response
-// preserves request order and reports per-item misses while the batch stays
-// 200 (partial-failure semantics); only a cold engine (503) or a backend
-// that cannot answer (502) fails the batch as a whole.
+// read path (BatchQuerier) with pooled buffers and the append codec of
+// batch_codec.go. The response preserves request order and reports per-item
+// misses while the batch stays 200 (partial-failure semantics); only a cold
+// engine (503) or a backend that cannot answer (502) fails the batch as a
+// whole.
 func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c := batchPool.Get().(*batchCall)
 	defer batchPool.Put(c)
@@ -121,7 +121,7 @@ func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	c.answers, err = QueryBatch(r.Context(), s.e, c.ids, c.answers)
+	c.answers, err = s.e.QueryBatch(r.Context(), c.ids, c.answers)
 	if err != nil {
 		// A caller that cancelled has nobody left to read an envelope. Any
 		// other error is a backend that could not answer — a cluster

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 )
@@ -51,9 +52,9 @@ func TestStoreBuildingMajority(t *testing.T) {
 	s.Put(1, geo.Point{X: 1, Y: 1})
 	s.Put(2, geo.Point{X: 2, Y: 2})
 	s.Put(3, geo.Point{X: 1, Y: 1}) // majority at (1,1)
-	loc, ok := s.QueryBuilding(7)
-	if !ok || loc != (geo.Point{X: 1, Y: 1}) {
-		t.Errorf("building majority = %v %v", loc, ok)
+	s.RegisterAddress(4, 7, geo.Point{X: 9, Y: 9})
+	if loc, src := s.Query(4); src != SourceBuilding || loc != (geo.Point{X: 1, Y: 1}) {
+		t.Errorf("unlocated address of building 7 = %v %v, want the majority", loc, src)
 	}
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
@@ -85,7 +86,7 @@ func TestHTTPQueryAPI(t *testing.T) {
 	s := NewStore()
 	s.RegisterAddress(7, 1, geo.Point{X: 10, Y: 20})
 	s.Put(7, geo.Point{X: 12, Y: 22})
-	srv := httptest.NewServer(Service(storeOnlyEngine{s}))
+	srv := httptest.NewServer(NewService(storeOnlyEngine{s}, Options{}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/locations/7")
@@ -96,7 +97,7 @@ func TestHTTPQueryAPI(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var qr QueryResponse
+	var qr api.Location
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ type FrozenAnswer struct {
 // publish).
 type FrozenStore struct {
 	answers map[model.AddressID]FrozenAnswer
-	byBld   map[model.BuildingID]geo.Point
 	// inferred counts the SourceAddress answers.
 	inferred int
 }
@@ -39,7 +38,6 @@ func (s *Store) Freeze() *FrozenStore {
 	byBld := s.majoritiesLocked()
 	f := &FrozenStore{
 		answers:  make(map[model.AddressID]FrozenAnswer, len(s.rows)),
-		byBld:    byBld,
 		inferred: s.located,
 	}
 	for i := range s.rows {
@@ -76,15 +74,6 @@ func (f *FrozenStore) Lookup(addr model.AddressID) (FrozenAnswer, bool) {
 		return FrozenAnswer{Src: SourceNone}, false
 	}
 	return a, true
-}
-
-// QueryBuilding answers at building granularity from the frozen majority.
-func (f *FrozenStore) QueryBuilding(bld model.BuildingID) (geo.Point, bool) {
-	if f == nil {
-		return geo.Point{}, false
-	}
-	loc, ok := f.byBld[bld]
-	return loc, ok
 }
 
 // Len returns the number of answerable addresses (any fallback level).

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 )
@@ -36,11 +37,13 @@ func TestFrozenStoreMatchesStore(t *testing.T) {
 	if f.Len() != 3 {
 		t.Errorf("frozen Len = %d, want 3 (every answerable address)", f.Len())
 	}
-	if loc, ok := f.QueryBuilding(10); !ok || loc != (geo.Point{X: 102, Y: 101}) {
-		t.Errorf("frozen QueryBuilding(10) = %v %v", loc, ok)
+	// Address 2 answers by building 10's majority; building 11 has none, so
+	// address 3 falls through to its geocode.
+	if loc, src := f.Query(2); src != SourceBuilding || loc != (geo.Point{X: 102, Y: 101}) {
+		t.Errorf("frozen addr 2 = %v %v, want building 10's majority", loc, src)
 	}
-	if _, ok := f.QueryBuilding(11); ok {
-		t.Error("building 11 has no majority, QueryBuilding must miss")
+	if loc, src := f.Query(3); src != SourceGeocode || loc != (geo.Point{X: 500, Y: 500}) {
+		t.Errorf("frozen addr 3 = %v %v, want its geocode", loc, src)
 	}
 }
 
@@ -66,9 +69,6 @@ func TestFrozenStoreNilSafe(t *testing.T) {
 	var f *FrozenStore
 	if _, src := f.Query(1); src != SourceNone {
 		t.Errorf("nil frozen store source = %v", src)
-	}
-	if _, ok := f.QueryBuilding(1); ok {
-		t.Error("nil frozen store answered a building")
 	}
 	if f.Len() != 0 || f.Inferred() != 0 {
 		t.Error("nil frozen store has entries")
@@ -102,6 +102,12 @@ func TestStoreMajorityMatchesRecount(t *testing.T) {
 	for i := 0; i < addrs; i++ {
 		s.RegisterAddress(model.AddressID(i), model.BuildingID(i%buildings), geo.Point{X: float64(i)})
 	}
+	// One more address per building is never located, so it answers with
+	// its building's majority once the building has one.
+	probe := func(bld int) model.AddressID { return model.AddressID(addrs + bld) }
+	for bld := 0; bld < buildings; bld++ {
+		s.RegisterAddress(probe(bld), model.BuildingID(bld), geo.Point{X: -1})
+	}
 	current := map[model.AddressID]geo.Point{}
 	for step := 0; step < 500; step++ {
 		addr := model.AddressID(rng.Intn(addrs))
@@ -125,8 +131,8 @@ func TestStoreMajorityMatchesRecount(t *testing.T) {
 					want, bestN = loc, n
 				}
 			}
-			got, ok := s.QueryBuilding(model.BuildingID(bld))
-			if ok != (bestN > 0) || got != want {
+			got, src := s.Query(probe(bld))
+			if ok := src == SourceBuilding; ok != (bestN > 0) || (ok && got != want) {
 				t.Fatalf("step %d: building %d serves %v (%v), recount says %v with %d votes",
 					step, bld, got, ok, want, bestN)
 			}
@@ -183,9 +189,6 @@ func TestStoreMajorityIsOfCurrentRows(t *testing.T) {
 					t.Errorf("%s: sibling answered %v %v, want %v by building", name, loc, src, tc.want)
 				}
 			}
-			if loc, ok := f.QueryBuilding(bld); !ok || loc != tc.want {
-				t.Errorf("frozen building majority %v %v, want %v", loc, ok, tc.want)
-			}
 		})
 	}
 }
@@ -230,7 +233,7 @@ func TestBuildingMajorityOrderIndependent(t *testing.T) {
 		if pointLess(y, x) {
 			want = y
 		}
-		if got, _ := a.QueryBuilding(bld); got != want {
+		if got, _ := a.Query(model.AddressID(addrs) + model.AddressID(bld)); got != want {
 			t.Errorf("building %d tied between %v and %v serves %v, want %v", bld, x, y, got, want)
 		}
 	}
@@ -249,29 +252,20 @@ func TestBuildingMajorityOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestQueryBatchFallbackLoop covers the per-key fallback used for engines
-// without a native bulk path, including slice recycling.
-func TestQueryBatchFallbackLoop(t *testing.T) {
-	st := populatedStore()
-	e := storeOnlyEngine{st}
-	scratch := make([]BatchAnswer, 0, 8)
-	out, err := QueryBatch(context.Background(), e, []model.AddressID{2, 99, 1}, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || cap(out) != 8 {
-		t.Fatalf("out len=%d cap=%d, want len 3 reusing cap-8 scratch", len(out), cap(out))
-	}
-	if out[0].Src != SourceBuilding || out[1].Src != SourceNone || out[2].Src != SourceAddress {
-		t.Fatalf("sources %v %v %v", out[0].Src, out[1].Src, out[2].Src)
-	}
-}
-
-// storeOnlyEngine adapts a bare Store to the Engine interface without
-// implementing BatchQuerier, pinning the fallback path.
+// storeOnlyEngine adapts a bare Store to the Engine interface.
 type storeOnlyEngine struct{ st *Store }
 
-func (e storeOnlyEngine) Query(addr model.AddressID) (geo.Point, Source) { return e.st.Query(addr) }
+func (e storeOnlyEngine) QueryCtx(_ context.Context, addr model.AddressID) (geo.Point, Source) {
+	return e.st.Query(addr)
+}
+func (e storeOnlyEngine) QueryBatch(ctx context.Context, addrs []model.AddressID, out []BatchAnswer) ([]BatchAnswer, error) {
+	out = GrowAnswers(out, len(addrs))
+	for i, addr := range addrs {
+		out[i].Loc, out[i].Src = e.st.Query(addr)
+	}
+	return out, ctx.Err()
+}
+func (e storeOnlyEngine) SwapReports(int) []api.SwapReport { return nil }
 func (e storeOnlyEngine) Ingest(context.Context, []model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) error {
 	return nil
 }

@@ -52,8 +52,14 @@ sample:
 
 // TestStatusRecorderImplicit200 drives a handler that writes the body
 // without ever calling WriteHeader; the route counter must record 200, not 0.
+// The counters are process-wide, so the test reads their change across the
+// request: a repeated run (go test -count=N) starts from the last one's.
 func TestStatusRecorderImplicit200(t *testing.T) {
 	const route = "/test/implicit-200"
+	ok200 := map[string]string{"route": route, "method": "GET", "code": "200"}
+	code0 := map[string]string{"route": route, "code": "0"}
+	before200 := scrapeCounter(t, "dlinfma_http_requests_total", ok200)
+	before0 := scrapeCounter(t, "dlinfma_http_requests_total", code0)
 	h := deploy.Instrument(route, nil, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("ok")) // implicit 200
 	}))
@@ -62,13 +68,10 @@ func TestStatusRecorderImplicit200(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("recorder code %d", rec.Code)
 	}
-	got := scrapeCounter(t, "dlinfma_http_requests_total",
-		map[string]string{"route": route, "method": "GET", "code": "200"})
-	if got != 1 {
+	if got := scrapeCounter(t, "dlinfma_http_requests_total", ok200) - before200; got != 1 {
 		t.Fatalf("implicit-200 counted %v times, want 1", got)
 	}
-	if zero := scrapeCounter(t, "dlinfma_http_requests_total",
-		map[string]string{"route": route, "code": "0"}); zero != 0 {
+	if zero := scrapeCounter(t, "dlinfma_http_requests_total", code0) - before0; zero != 0 {
 		t.Fatalf("status 0 recorded %v times", zero)
 	}
 }
@@ -103,7 +106,7 @@ func TestStatusRecorderFlushForwards(t *testing.T) {
 // X-Request-ID is echoed verbatim, a missing one is minted, and error
 // envelopes carry it too.
 func TestRequestIDEcho(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 

@@ -22,9 +22,11 @@ import (
 // query / snapshot endpoints. deploy defines the interface rather than
 // importing the engine so the dependency points engine -> deploy.
 type Engine interface {
-	// Query answers a delivery-location request from the currently served
-	// store snapshot; SourceNone before the first re-inference or restore.
-	Query(addr model.AddressID) (geo.Point, Source)
+	// The two read paths: one key with the request's context, and a batch.
+	ContextQuerier
+	BatchQuerier
+	// SwapReports backs GET /v1/debug/swaps.
+	SwapReporter
 	// Ingest appends a window of trips (plus any new addresses and ground
 	// truth) to the accumulating dataset.
 	Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error
@@ -50,15 +52,14 @@ var ErrReinferRunning = errors.New("deploy: re-inference already running")
 // drains the queue.
 var ErrBackpressure = errors.New("deploy: ingest backlog full, retry after reinfer")
 
-// ContextQuerier is the optional request-scoped single-key read path. Engines
-// whose Query crosses a process boundary (the cluster frontend proxying to
-// ring owners) implement it so the outbound hop can carry the request's
-// deadline, trace context, and correlation id; the service prefers it over
-// the plain Query when present. In-process engines stay on Query — their
-// lock-free read path has nothing to propagate.
+// ContextQuerier is the request-scoped single-key read path. A query that
+// crosses a process boundary (the cluster frontend proxying to ring owners)
+// carries the request's deadline, trace context, and correlation id on the
+// outbound hop; an in-process lookup has nothing to propagate.
 type ContextQuerier interface {
-	// QueryCtx answers one address like Engine.Query, bounded and annotated
-	// by ctx.
+	// QueryCtx answers a delivery-location request from the currently
+	// served store snapshot, bounded and annotated by ctx; SourceNone
+	// before the first re-inference or restore.
 	QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point, Source)
 }
 
@@ -91,8 +92,6 @@ type (
 	JobStatus = api.JobStatus
 	// IngestRequest is the POST /v1/ingest payload.
 	IngestRequest = api.IngestRequest
-	// QueryResponse is the payload of a location query (api.Location).
-	QueryResponse = api.Location
 )
 
 // Job states of a background re-inference (api.Job*).
@@ -139,10 +138,6 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// Service returns the engine-backed HTTP API with default options — see
-// NewService for the route table.
-func Service(e Engine) http.Handler { return NewService(e, Options{}) }
-
 // NewService returns the versioned HTTP API of the deployed system
 // (Section VI, Figure 14, grown to the full online lifecycle):
 //
@@ -176,8 +171,7 @@ func NewService(e Engine, opts Options) http.Handler {
 	handle("/v1/metrics", "/v1/metrics", methodsOnly(metricsExposition, http.MethodGet))
 	handle("/v1/debug/traces", "/v1/debug/traces", methodsOnly(traceListHandler(s.tracer), http.MethodGet))
 	handle("/v1/debug/traces/{id}", "/v1/debug/traces/{id}", methodsOnly(traceGetHandler(s.tracer), http.MethodGet))
-	sw, _ := e.(SwapReporter)
-	handle("/v1/debug/swaps", "/v1/debug/swaps", methodsOnly(swapListHandler(sw), http.MethodGet))
+	handle("/v1/debug/swaps", "/v1/debug/swaps", methodsOnly(swapListHandler(e), http.MethodGet))
 	handle("/v1/healthz", "/v1/healthz", methodsOnly(s.handleHealthz, http.MethodGet))
 	handle("/healthz", "/healthz", methodsOnly(s.handleHealthz, http.MethodGet))
 
@@ -229,25 +223,16 @@ func parseAddrKey(r *http.Request) (model.AddressID, *api.Error) {
 // envelope: 503 engine_not_ready on a cold engine, 404 not_found once a store
 // is deployed; the Status() call happens only on misses, keeping the hot path
 // to a single store lookup. A shard that could not answer (SourceUnavailable)
-// is a 502, as it is for a batch. Engines with a request-scoped read path
-// (ContextQuerier) get the request context so a remote hop inherits the
-// deadline and trace. A hit is written by the batch route's Location encoder,
-// so both read routes have one.
+// is a 502, as it is for a batch. The engine gets the request context so a
+// remote hop inherits the deadline and trace. A hit is written by the batch
+// route's Location encoder, so both read routes have one.
 func (s *service) handleLocation(w http.ResponseWriter, r *http.Request) {
 	addr, aerr := parseAddrKey(r)
 	if aerr != nil {
 		writeJSON(w, http.StatusBadRequest, api.ErrorEnvelope{Error: aerr})
 		return
 	}
-	var (
-		loc geo.Point
-		src Source
-	)
-	if cq, ok := s.e.(ContextQuerier); ok {
-		loc, src = cq.QueryCtx(r.Context(), addr)
-	} else {
-		loc, src = s.e.Query(addr)
-	}
+	loc, src := s.e.QueryCtx(r.Context(), addr)
 	if src == SourceUnavailable {
 		writeError(w, http.StatusBadGateway, api.CodeInternal,
 			"the address's shard did not answer", map[string]any{"addr": int64(addr)})

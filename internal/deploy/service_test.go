@@ -32,7 +32,7 @@ func serviceFixture(t *testing.T) (*model.Dataset, *engine.Engine, *httptest.Ser
 	cfg.Matcher.LR = 1e-3
 	e := engine.New(cfg)
 	t.Cleanup(e.Close)
-	srv := httptest.NewServer(deploy.Service(e))
+	srv := httptest.NewServer(deploy.NewService(e, deploy.Options{}))
 	t.Cleanup(srv.Close)
 	return ds, e, srv
 }
@@ -160,7 +160,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 		t.Fatalf("ready status %+v", st)
 	}
 	addr := ds.Trips[0].Waybills[0].Addr
-	var qr deploy.QueryResponse
+	var qr api.Location
 	getJSON(t, c, fmt.Sprintf("%s/v1/locations/%d", srv.URL, addr), http.StatusOK, &qr)
 	if qr.Addr != int64(addr) || qr.Source == "none" {
 		t.Fatalf("query response %+v", qr)
@@ -261,7 +261,7 @@ func TestServiceShardedHealthz(t *testing.T) {
 	if err := s.Reinfer(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(deploy.Service(s))
+	srv := httptest.NewServer(deploy.NewService(s, deploy.Options{}))
 	t.Cleanup(srv.Close)
 	c := srv.Client()
 
@@ -286,7 +286,7 @@ func TestServiceShardedHealthz(t *testing.T) {
 	}
 
 	addr := ds.Trips[0].Waybills[0].Addr
-	var qr deploy.QueryResponse
+	var qr api.Location
 	getJSON(t, c, fmt.Sprintf("%s/v1/locations/%d", srv.URL, addr), http.StatusOK, &qr)
 	if qr.Source == "none" {
 		t.Fatalf("sharded query %+v", qr)

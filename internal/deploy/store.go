@@ -249,15 +249,6 @@ func (s *Store) Query(addr model.AddressID) (geo.Point, Source) {
 	return a.Loc, a.Src
 }
 
-// QueryBuilding answers at building granularity (used for never-seen
-// addresses whose building is known).
-func (s *Store) QueryBuilding(bld model.BuildingID) (geo.Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	loc, ok := s.majoritiesLocked()[bld]
-	return loc, ok
-}
-
 // Len returns the number of address-level entries.
 func (s *Store) Len() int {
 	s.mu.Lock()

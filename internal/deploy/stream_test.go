@@ -66,7 +66,7 @@ func decodeStreamErr(t *testing.T, resp *http.Response) *api.Error {
 
 func TestStreamEndpointAcksInOrder(t *testing.T) {
 	stub := &streamStub{stubEngine: *readyStub()}
-	srv := httptest.NewServer(deploy.Service(stub))
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
 	defer srv.Close()
 
 	resp := postStream(t, srv, `
@@ -95,7 +95,7 @@ func TestStreamEndpointAcksInOrder(t *testing.T) {
 
 func TestStreamEndpointRejectsBadLineWithProgress(t *testing.T) {
 	stub := &streamStub{stubEngine: *readyStub()}
-	srv := httptest.NewServer(deploy.Service(stub))
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
 	defer srv.Close()
 
 	resp := postStream(t, srv, "{\"courier\":5,\"x\":1,\"y\":2,\"t\":100}\nnot json\n")
@@ -117,7 +117,7 @@ func TestStreamEndpointRejectsBadLineWithProgress(t *testing.T) {
 
 func TestStreamEndpointBackpressureMapsTo429(t *testing.T) {
 	stub := &streamStub{stubEngine: *readyStub(), failAfter: 2, failWith: deploy.ErrBackpressure}
-	srv := httptest.NewServer(deploy.Service(stub))
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
 	defer srv.Close()
 
 	body := `{"courier":1,"x":0,"y":0,"t":1}
@@ -138,7 +138,7 @@ func TestStreamEndpointBackpressureMapsTo429(t *testing.T) {
 }
 
 func TestStreamEndpointUnimplementedWithoutStreaming(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub())) // no StreamIngestor
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{})) // no StreamIngestor
 	defer srv.Close()
 
 	resp := postStream(t, srv, `{"courier":1,"x":0,"y":0,"t":1}`)
@@ -152,7 +152,7 @@ func TestStreamEndpointUnimplementedWithoutStreaming(t *testing.T) {
 
 func TestStreamEndpointRejectsOutOfRangeCourier(t *testing.T) {
 	stub := &streamStub{stubEngine: *readyStub()}
-	srv := httptest.NewServer(deploy.Service(stub))
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
 	defer srv.Close()
 
 	resp := postStream(t, srv, `{"courier":5000000000,"x":0,"y":0,"t":1}`)
@@ -295,8 +295,8 @@ func TestStreamEndpointIsReadBoundaryBlind(t *testing.T) {
 					h      http.Handler
 					events *[]string
 				}{
-					"per-op engine": {deploy.Service(perOp), &perOp.events},
-					"burst engine":  {deploy.Service(burst), &burst.events},
+					"per-op engine": {deploy.NewService(perOp, deploy.Options{}), &perOp.events},
+					"burst engine":  {deploy.NewService(burst, deploy.Options{}), &burst.events},
 				} {
 					status, answer := serveStream(run.h, reader(tc.body))
 					if status != tc.status || answer != tc.answer {
@@ -392,7 +392,7 @@ func TestStreamEndpointBodyCap(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			stub := &countStub{stubEngine: *readyStub()}
 			body := io.MultiReader(strings.NewReader(tc.lead), &lineRepeater{line: line, total: tc.total - len(tc.lead)})
-			status, answer := serveStream(deploy.Service(stub), body)
+			status, answer := serveStream(deploy.NewService(stub, deploy.Options{}), body)
 			if status != tc.status || answer != tc.answer {
 				t.Fatalf("answered %d %s\nwant %d %s", status, answer, tc.status, tc.answer)
 			}

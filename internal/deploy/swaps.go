@@ -8,11 +8,11 @@ import (
 	"dlinfma/internal/deploy/api"
 )
 
-// SwapReporter is the optional hot-swap observability surface. Engines that
-// keep a churn-report ring (internal/engine does) implement it;
-// GET /v1/debug/swaps serves the reports. Engines without it — or remote
-// frontends whose shards live in other processes — answer an empty list, so
-// the endpoint is always mounted and probing it always works.
+// SwapReporter is the hot-swap observability surface: the engine's
+// churn-report rings, which GET /v1/debug/swaps serves. An engine with no
+// reports — a remote frontend whose shards live in other processes — answers
+// an empty list, so the endpoint is always mounted and probing it always
+// works.
 type SwapReporter interface {
 	// SwapReports returns up to limit churn reports, newest first.
 	SwapReports(limit int) []api.SwapReport
@@ -31,7 +31,7 @@ const maxSwapListLimit = 1024
 var swapListParams = []string{"limit"}
 
 // swapListHandler serves GET /v1/debug/swaps: recent hot-swap churn reports,
-// newest first, bounded by ?limit=. A nil reporter answers an empty list.
+// newest first, bounded by ?limit=. No reports answer an empty list.
 func swapListHandler(sw SwapReporter) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		limit := maxSwapList
@@ -53,10 +53,8 @@ func swapListHandler(sw SwapReporter) http.HandlerFunc {
 			limit = n
 		}
 		resp := api.SwapsResponse{Swaps: []api.SwapReport{}}
-		if sw != nil {
-			if reps := sw.SwapReports(limit); len(reps) > 0 {
-				resp.Swaps = reps
-			}
+		if reps := sw.SwapReports(limit); len(reps) > 0 {
+			resp.Swaps = reps
 		}
 		resp.Count = len(resp.Swaps)
 		writeJSON(w, http.StatusOK, resp)

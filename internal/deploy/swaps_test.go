@@ -1,6 +1,6 @@
-// Tests for GET /v1/debug/swaps: the optional SwapReporter surface, the
+// Tests for GET /v1/debug/swaps: the SwapReporter surface, the
 // limit/parameter validation, and the always-mounted empty answer for
-// engines without a churn ring.
+// engines with no reports.
 package deploy_test
 
 import (
@@ -61,7 +61,7 @@ func getSwaps(t *testing.T, srv *httptest.Server, query string) (*http.Response,
 }
 
 func TestDebugSwapsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(swapStub()))
+	srv := httptest.NewServer(deploy.NewService(swapStub(), deploy.Options{}))
 	defer srv.Close()
 
 	resp, out := getSwaps(t, srv, "")
@@ -85,7 +85,7 @@ func TestDebugSwapsEndpoint(t *testing.T) {
 }
 
 func TestDebugSwapsValidation(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(swapStub()))
+	srv := httptest.NewServer(deploy.NewService(swapStub(), deploy.Options{}))
 	defer srv.Close()
 
 	for _, query := range []string{"?limit=0", "?limit=-1", "?limit=nope", "?limit=99999", "?shard=3"} {
@@ -106,9 +106,9 @@ func TestDebugSwapsValidation(t *testing.T) {
 }
 
 // TestDebugSwapsWithoutReporter pins the always-mounted contract: an engine
-// without a churn ring answers an empty list, not a 404.
+// with no reports answers an empty list, not a 404.
 func TestDebugSwapsWithoutReporter(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	resp, out := getSwaps(t, srv, "")
 	if resp.StatusCode != http.StatusOK || out.Count != 0 || out.Swaps == nil {

@@ -125,9 +125,6 @@ func traceResponse(tr *trace.Trace) api.TraceResponse {
 				n.Attrs[a.Key] = a.Value
 			}
 		}
-		for _, ev := range sd.Events {
-			n.Events = append(n.Events, api.TraceEvent{Time: ev.Time, Msg: ev.Msg})
-		}
 		nodes[sd.SpanID] = n
 	}
 	resp := api.TraceResponse{

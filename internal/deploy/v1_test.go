@@ -33,12 +33,23 @@ type stubEngine struct {
 	ingested [][]model.Trip
 }
 
-func (s *stubEngine) Query(addr model.AddressID) (geo.Point, deploy.Source) {
+func (s *stubEngine) QueryCtx(_ context.Context, addr model.AddressID) (geo.Point, deploy.Source) {
 	if s.store == nil {
 		return geo.Point{}, deploy.SourceNone
 	}
 	return s.store.Query(addr)
 }
+
+func (s *stubEngine) QueryBatch(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) ([]deploy.BatchAnswer, error) {
+	out = deploy.GrowAnswers(out, len(addrs))
+	for i, addr := range addrs {
+		out[i].Loc, out[i].Src = s.QueryCtx(ctx, addr)
+	}
+	return out, ctx.Err()
+}
+
+// SwapReports answers none: the stub keeps no churn ring.
+func (s *stubEngine) SwapReports(int) []api.SwapReport { return nil }
 
 func (s *stubEngine) Ingest(_ context.Context, trips []model.Trip, _ []model.AddressInfo, _ map[model.AddressID]geo.Point) error {
 	s.ingested = append(s.ingested, trips)
@@ -76,7 +87,7 @@ func readyStub() *stubEngine {
 }
 
 func TestV1LocationAndBatch(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 
@@ -123,8 +134,7 @@ func TestV1LocationAndBatch(t *testing.T) {
 	resp.Body.Close()
 }
 
-// batchStub is a stubEngine with a native bulk path, recording that the
-// handler routed the batch through QueryBatch rather than the per-key loop.
+// batchStub is a stubEngine that counts its QueryBatch calls.
 type batchStub struct {
 	*stubEngine
 	batchCalls int
@@ -132,11 +142,7 @@ type batchStub struct {
 
 func (s *batchStub) QueryBatch(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) ([]deploy.BatchAnswer, error) {
 	s.batchCalls++
-	out = deploy.GrowAnswers(out, len(addrs))
-	for i, addr := range addrs {
-		out[i].Loc, out[i].Src = s.Query(addr)
-	}
-	return out, ctx.Err()
+	return s.stubEngine.QueryBatch(ctx, addrs, out)
 }
 
 // TestV1BatchInputOrder hammers the batch endpoint with shuffled key mixes
@@ -144,7 +150,7 @@ func (s *batchStub) QueryBatch(ctx context.Context, addrs []model.AddressID, out
 // buffers are recycled across calls: any stale entry from a previous
 // (larger) batch would surface as a wrong Addr, count, or result.
 func TestV1BatchInputOrder(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 
@@ -210,7 +216,7 @@ func postBatch(srv *httptest.Server, body string) (int, string, error) {
 // buffer shared between two in-flight requests shows as a foreign key (and
 // under -race as a data race).
 func TestV1BatchConcurrent(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -234,12 +240,11 @@ func TestV1BatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestV1BatchUsesNativeBulkPath pins that an engine implementing
-// deploy.BatchQuerier serves the endpoint through it, with an identical wire
-// contract to the per-key fallback.
+// TestV1BatchUsesNativeBulkPath pins that the endpoint answers a whole batch
+// from one call of the engine's bulk path, in input order.
 func TestV1BatchUsesNativeBulkPath(t *testing.T) {
 	stub := &batchStub{stubEngine: readyStub()}
-	srv := httptest.NewServer(deploy.Service(stub))
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
 	defer srv.Close()
 
 	resp := postJSON(t, srv.Client(), srv.URL+"/v1/locations:batch", api.BatchLocationsRequest{Addrs: []int64{2, 404, 1}})
@@ -262,7 +267,7 @@ func TestV1BatchUsesNativeBulkPath(t *testing.T) {
 }
 
 func TestV1BatchColdEngine(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(&stubEngine{}))
+	srv := httptest.NewServer(deploy.NewService(&stubEngine{}, deploy.Options{}))
 	defer srv.Close()
 	resp := postJSON(t, srv.Client(), srv.URL+"/v1/locations:batch", api.BatchLocationsRequest{Addrs: []int64{1}})
 	defer resp.Body.Close()
@@ -277,7 +282,7 @@ func TestV1BatchColdEngine(t *testing.T) {
 
 func TestV1IngestAndReinfer(t *testing.T) {
 	stub := readyStub()
-	srv := httptest.NewServer(deploy.Service(stub))
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 
@@ -329,7 +334,7 @@ func TestV1IngestAndReinfer(t *testing.T) {
 // TestHealthzAliasEquivalence proves /healthz is a thin probe alias of the
 // typed GET /v1/healthz: identical status and body.
 func TestHealthzAliasEquivalence(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 
@@ -360,7 +365,7 @@ func TestHealthzAliasEquivalence(t *testing.T) {
 // TestErrorEnvelopeGoldens pins the exact wire bytes of representative error
 // responses; encoding/json sorts map keys, so the envelope is deterministic.
 func TestErrorEnvelopeGoldens(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 
@@ -419,7 +424,7 @@ func TestErrorEnvelopeGoldens(t *testing.T) {
 // decodes and on one encoding/json decodes (the leading space) alike. The
 // unchecked conversion used to answer address 1 for 1<<32+1.
 func TestV1BatchKeyRange(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	for _, tc := range []struct {
 		key int64
@@ -453,7 +458,7 @@ func TestV1BatchKeyRange(t *testing.T) {
 // silently truncated read used to produce.
 func TestV1BatchBodyLimit(t *testing.T) {
 	const limit = 1 << 20
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	for _, tc := range []struct {
 		size, code int
@@ -478,7 +483,7 @@ func TestV1BatchBodyLimit(t *testing.T) {
 // fmt.Sscan used to stop at the first non-digit and report success, so
 // "12abc" was ingested as ground truth for address 12.
 func TestIngestTruthKeysAreStrict(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	for _, tc := range []struct {
 		key string
@@ -518,7 +523,7 @@ func TestHealthzMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(deploy.Service(&stubEngine{status: tc.status}))
+			srv := httptest.NewServer(deploy.NewService(&stubEngine{status: tc.status}, deploy.Options{}))
 			defer srv.Close()
 			resp, err := srv.Client().Get(srv.URL + "/healthz")
 			if err != nil {
@@ -543,7 +548,7 @@ func TestHealthzMatrix(t *testing.T) {
 // checks the output parses as Prometheus text format with the HTTP families
 // present and counting.
 func TestV1MetricsExposition(t *testing.T) {
-	srv := httptest.NewServer(deploy.Service(readyStub()))
+	srv := httptest.NewServer(deploy.NewService(readyStub(), deploy.Options{}))
 	defer srv.Close()
 	c := srv.Client()
 

@@ -2,20 +2,20 @@ package engine_test
 
 import (
 	"context"
-	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/engine"
-	"dlinfma/internal/geo"
-	"dlinfma/internal/model"
 	"dlinfma/internal/synth"
 )
 
-// autoStub is a minimal deploy.Engine whose status the test scripts.
+// autoStub is a deploy.Engine whose status the test scripts. The monitor
+// calls only Status and StartReinfer; every other method is the nil
+// embedded interface's.
 type autoStub struct {
+	deploy.Engine
 	mu     sync.Mutex
 	status deploy.EngineStatus
 	starts int
@@ -33,14 +33,6 @@ func (s *autoStub) startCount() int {
 	return s.starts
 }
 
-func (s *autoStub) Query(model.AddressID) (geo.Point, deploy.Source) {
-	return geo.Point{}, deploy.SourceNone
-}
-
-func (s *autoStub) Ingest(context.Context, []model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) error {
-	return nil
-}
-
 func (s *autoStub) StartReinfer() (deploy.JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -51,15 +43,11 @@ func (s *autoStub) StartReinfer() (deploy.JobStatus, error) {
 	return deploy.JobStatus{ID: s.starts, State: deploy.JobRunning}, nil
 }
 
-func (s *autoStub) ReinferStatus() (deploy.JobStatus, bool) { return deploy.JobStatus{}, false }
-
 func (s *autoStub) Status() deploy.EngineStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.status
 }
-
-func (s *autoStub) WriteSnapshot(io.Writer) error { return nil }
 
 func waitStarts(t *testing.T, s *autoStub, want int) {
 	t.Helper()

@@ -27,7 +27,7 @@ import (
 // closes its first; courier 3 streams a trip sixteen days later, past the
 // pool-window grid, and ends it; courier 4 is left open. Courier 9 sends an
 // end marker without ever having sent a fix. With newBurstTestEngine's
-// MaxWindowStays the stay-count bound seals windows too.
+// lowered stay bound the stay-count rule seals windows too.
 func burstScript() []deploy.StreamOp {
 	rng := rand.New(rand.NewSource(41))
 	a, b := geo.Point{X: 50, Y: 50}, geo.Point{X: 90000, Y: 90000}
@@ -67,15 +67,18 @@ func burstScript() []deploy.StreamOp {
 func newBurstTestEngine(t *testing.T, n int) *Engine {
 	t.Helper()
 	cfg := streamTestConfig()
-	cfg.Stream.MaxWindowStays = 3
+	var e *Engine
 	if n == 1 {
-		return New(cfg)
+		e = New(cfg)
+	} else {
+		r, err := shard.NewRouter(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = NewSharded(cfg, r)
 	}
-	r, err := shard.NewRouter(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewSharded(cfg, r)
+	e.ss.maxStays = 3
+	return e
 }
 
 // feedPerOp applies ops through the per-op methods.

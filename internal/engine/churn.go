@@ -31,8 +31,9 @@ var (
 		"Serving queries answered from an address whose inference confidence sits below the threshold.")
 )
 
-// defaultSwapHistory is the ring size when Config.SwapHistory is unset.
-const defaultSwapHistory = 32
+// swapHistory is the number of hot-swap churn reports each shard keeps for
+// GET /v1/debug/swaps.
+const swapHistory = 32
 
 // defaultLowConfidence is the threshold when Config.LowConfidence is unset.
 const defaultLowConfidence = 0.5
@@ -51,12 +52,7 @@ type swapRing struct {
 	reps []api.SwapReport // oldest..newest, len <= cap
 }
 
-func newSwapRing(capacity int) *swapRing {
-	if capacity <= 0 {
-		capacity = defaultSwapHistory
-	}
-	return &swapRing{cap: capacity}
-}
+func newSwapRing(capacity int) *swapRing { return &swapRing{cap: capacity} }
 
 // push appends a report, assigning its per-shard sequence number, and
 // evicts the oldest past capacity.

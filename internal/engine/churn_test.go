@@ -221,35 +221,3 @@ func TestShardedSwapReportsMatchBruteDiff(t *testing.T) {
 	}
 	checkReportAgainstBrute(t, added, dropped, moved, retained, before, after, m1, m2)
 }
-
-// TestSwapReportLimit pins the ring semantics: history is bounded by
-// Config.SwapHistory and list limits apply newest-first.
-func TestSwapReportLimit(t *testing.T) {
-	ds, _, err := synth.Generate(synth.Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := quickConfig()
-	cfg.SwapHistory = 2
-	e := engine.New(cfg)
-	defer e.Close()
-	ctx := context.Background()
-	if err := e.IngestDataset(ctx, ds); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := e.Reinfer(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reps := e.SwapReports(0)
-	if len(reps) != 2 {
-		t.Fatalf("ring kept %d reports, want 2", len(reps))
-	}
-	if reps[0].Seq != 3 || reps[1].Seq != 2 {
-		t.Errorf("kept seqs %d,%d, want 3,2 (newest first, oldest evicted)", reps[0].Seq, reps[1].Seq)
-	}
-	if got := e.SwapReports(1); len(got) != 1 || got[0].Seq != 3 {
-		t.Errorf("SwapReports(1) = %+v, want just seq 3", got)
-	}
-}

@@ -51,9 +51,6 @@ type Config struct {
 	Core    core.Config
 	Matcher core.LocMatcherConfig
 	Sample  core.SampleOptions
-	// Stream bounds the online point-by-point ingest path (stream.go). The
-	// zero value inherits the batch path's window grid and sane gap bounds.
-	Stream StreamConfig
 	// MaxPendingTrips bounds the ingest backlog: once this many trips have
 	// accumulated since the served state was built, live ingest (batch and
 	// streamed) answers deploy.ErrBackpressure until a re-inference drains
@@ -62,9 +59,6 @@ type Config struct {
 	// ValFraction is the share of labelled samples held out for early
 	// stopping during re-inference training (0 trains on everything).
 	ValFraction float64
-	// SwapHistory sizes the ring of hot-swap churn reports kept for
-	// GET /v1/debug/swaps (0 = 32).
-	SwapHistory int
 	// LowConfidence is the top-1 probability below which an address-level
 	// answer counts as low-confidence in the churn report, the
 	// low-confidence-address gauge, and the serving-query counter (0 = 0.5).
@@ -230,7 +224,7 @@ func newEngine(cfg Config, r *shard.Router, backends []peer.ShardBackend) *Engin
 		shards:   make([]*Shard, n),
 		rootCtx:  ctx,
 		cancel:   cancel,
-		ss:       newStreamSet(cfg.Stream, cfg.Core),
+		ss:       newStreamSet(cfg.Core),
 	}
 	if e.routed() {
 		e.addrShard = make(map[model.AddressID]int)
@@ -609,12 +603,11 @@ func (e *Engine) Query(addr model.AddressID) (geo.Point, deploy.Source) {
 	return e.backends[sh].Query(addr)
 }
 
-// QueryCtx is Query carrying the request context (deploy.ContextQuerier), so
-// a remote shard hop propagates the caller's trace and request id. A remote
-// shard that cannot answer while ctx is live (every peer down) answers
-// SourceUnavailable, not a miss. In-process shards, whose Query is the
-// lock-free frozen path, have nothing to propagate and answer exactly like
-// Query.
+// QueryCtx is Query carrying the request context, so a remote shard hop
+// propagates the caller's trace and request id. A remote shard that cannot
+// answer while ctx is live (every peer down) answers SourceUnavailable, not a
+// miss. In-process shards, whose Query is the lock-free frozen path, have
+// nothing to propagate and answer exactly like Query.
 func (e *Engine) QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source) {
 	sh := e.route(addr)
 	if sh < 0 {
@@ -790,10 +783,9 @@ func (e *Engine) Status() deploy.EngineStatus {
 }
 
 // SwapReports merges the in-process shards' swap rings, newest first, up to
-// limit (limit <= 0: everything retained). It implements
-// deploy.SwapReporter. Remote shard backends report through their own
-// process's /v1/debug/swaps (and the frontend's peer metric re-export); a
-// pure frontend answers an empty list.
+// limit (limit <= 0: everything retained). Remote shard backends report
+// through their own process's /v1/debug/swaps (and the frontend's peer metric
+// re-export); a pure frontend answers an empty list.
 func (e *Engine) SwapReports(limit int) []api.SwapReport {
 	var out []api.SwapReport
 	for _, sh := range e.shards {
@@ -810,9 +802,5 @@ func (e *Engine) SwapReports(limit int) []api.SwapReport {
 	return out
 }
 
-// statically assert that Engine satisfies deploy's interfaces.
-var (
-	_ deploy.Engine         = (*Engine)(nil)
-	_ deploy.ContextQuerier = (*Engine)(nil)
-	_ deploy.SwapReporter   = (*Engine)(nil)
-)
+// statically assert that Engine satisfies deploy's interface.
+var _ deploy.Engine = (*Engine)(nil)

@@ -17,9 +17,8 @@ import (
 // picked at startup (-shards) and everything after is the same code.
 type Runtime interface {
 	deploy.Engine
-	// The native bulk read path: several shards scatter/gather, one shard
-	// answers from a single frozen-store load.
-	deploy.BatchQuerier
+	// Query is QueryCtx without a request: the lock-free single-key read.
+	Query(addr model.AddressID) (geo.Point, deploy.Source)
 	// Point-by-point trajectory streaming with WAL-backed durability and
 	// backpressure.
 	deploy.StreamIngestor

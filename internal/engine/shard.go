@@ -62,7 +62,7 @@ type Shard struct {
 	// lowConf is the resolved Config.LowConfidence threshold the read path
 	// compares answer confidence against.
 	lowConf float32
-	// swaps rings the last Config.SwapHistory hot-swap churn reports.
+	// swaps rings the last swapHistory hot-swap churn reports.
 	swaps *swapRing
 }
 
@@ -77,7 +77,7 @@ func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 		ev:      newEvidence(cfg.Core),
 		label:   label,
 		lowConf: float32(lowConf),
-		swaps:   newSwapRing(cfg.SwapHistory),
+		swaps:   newSwapRing(swapHistory),
 	}
 	s.lcTotalTrips.Store(int64(cfg.Core.LCTotalTrips))
 	return s

@@ -15,40 +15,15 @@ import (
 	"dlinfma/internal/traj"
 )
 
-// StreamConfig bounds the online point-by-point ingest path: how a courier's
-// open trajectory is cut into trips and how streamed trips are grouped into
-// pool windows. The zero value means "use the defaults" everywhere.
-type StreamConfig struct {
-	// TripGapSeconds closes a courier's open trip when the gap between two
-	// consecutive fixes reaches it (0 = 600, ten minutes — longer than any
-	// in-trip sampling gap, shorter than the break between delivery trips).
-	TripGapSeconds float64
-	// WindowSeconds is the streamed pool-window length. 0 inherits
-	// Core.PoolWindowSeconds (itself defaulting to the paper's bi-weekly 14
-	// days), so streamed and batch ingest seal on the same grid.
-	WindowSeconds float64
-	// MaxWindowStays additionally seals the open window once it holds this
-	// many stay points, bounding the memory and clustering cost of one seal
-	// regardless of wall time (0 = 4096).
-	MaxWindowStays int
-}
+// tripGapSeconds closes a courier's open trip when the gap between two
+// consecutive fixes reaches it: ten minutes, longer than any in-trip sampling
+// gap and shorter than the break between delivery trips.
+const tripGapSeconds = 600
 
-// withDefaults resolves the zero values against the engine's core config.
-func (c StreamConfig) withDefaults(poolWindow float64) StreamConfig {
-	if c.TripGapSeconds <= 0 {
-		c.TripGapSeconds = 600
-	}
-	if c.WindowSeconds <= 0 {
-		c.WindowSeconds = poolWindow
-	}
-	if c.WindowSeconds <= 0 {
-		c.WindowSeconds = core.DefaultPoolWindowSeconds
-	}
-	if c.MaxWindowStays <= 0 {
-		c.MaxWindowStays = 4096
-	}
-	return c
-}
+// maxWindowStays additionally seals the open streamed window once it holds
+// this many stay points, bounding the memory and clustering cost of one seal
+// regardless of wall time.
+const maxWindowStays = 4096
 
 // courierStream is one courier's open trip: the raw fixes accepted so far,
 // the incremental stay-point extractor consuming them, and the stay points
@@ -78,10 +53,15 @@ type streamedTrip struct {
 // shard must see the same trips and the same window grid one shard over all
 // the data would. Not safe for concurrent use; ingestMu serializes.
 type streamSet struct {
-	cfg     StreamConfig
-	noise   traj.NoiseFilterConfig
-	stay    traj.StayPointConfig
-	streams map[model.CourierID]*courierStream
+	// window is the streamed pool-window length: Core.PoolWindowSeconds
+	// (itself defaulting to the paper's bi-weekly 14 days), so streamed and
+	// batch ingest seal on the same grid.
+	window float64
+	// maxStays is maxWindowStays; tests lower it to seal on size.
+	maxStays int
+	noise    traj.NoiseFilterConfig
+	stay     traj.StayPointConfig
+	streams  map[model.CourierID]*courierStream
 	// winEnd / winStays track the open streamed window: end of the current
 	// window grid cell (0 before the first streamed trip) and stay points
 	// delivered into it so far.
@@ -95,12 +75,17 @@ type streamSet struct {
 // newStreamSet builds a stream set whose extraction parameters come from the
 // same core config the batch path uses — the bit-identity contract between
 // streamed and batch ingest starts here.
-func newStreamSet(cfg StreamConfig, coreCfg core.Config) *streamSet {
+func newStreamSet(coreCfg core.Config) *streamSet {
+	window := coreCfg.PoolWindowSeconds
+	if window <= 0 {
+		window = core.DefaultPoolWindowSeconds
+	}
 	return &streamSet{
-		cfg:     cfg.withDefaults(coreCfg.PoolWindowSeconds),
-		noise:   coreCfg.Noise,
-		stay:    coreCfg.Stay,
-		streams: make(map[model.CourierID]*courierStream),
+		window:   window,
+		maxStays: maxWindowStays,
+		noise:    coreCfg.Noise,
+		stay:     coreCfg.Stay,
+		streams:  make(map[model.CourierID]*courierStream),
 	}
 }
 
@@ -111,7 +96,7 @@ func newStreamSet(cfg StreamConfig, coreCfg core.Config) *streamSet {
 func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint, seq uint64) *streamedTrip {
 	var closed *streamedTrip
 	cs := ss.streams[courier]
-	if cs != nil && pt.T-cs.lastT >= ss.cfg.TripGapSeconds {
+	if cs != nil && pt.T-cs.lastT >= tripGapSeconds {
 		closed = ss.finish(cs, streamTripsGap)
 		cs = nil
 	}
@@ -341,12 +326,12 @@ func (b *burstEncoder) encode(ss *streamSet, ops []deploy.StreamOp) [][]byte {
 func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip) {
 	ss := e.ss
 	if ss.winEnd == 0 {
-		ss.winEnd = st.trip.StartT + ss.cfg.WindowSeconds
+		ss.winEnd = st.trip.StartT + ss.window
 	}
 	if st.trip.StartT >= ss.winEnd {
 		e.sealStreamWindowsLocked(ctx)
 		for st.trip.StartT >= ss.winEnd {
-			ss.winEnd += ss.cfg.WindowSeconds
+			ss.winEnd += ss.window
 		}
 	}
 	sh := 0
@@ -358,7 +343,7 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	e.mu.Lock()
 	e.nTrips++
 	e.mu.Unlock()
-	if ss.winStays >= ss.cfg.MaxWindowStays {
+	if ss.winStays >= ss.maxStays {
 		e.sealStreamWindowsLocked(ctx)
 	}
 }

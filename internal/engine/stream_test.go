@@ -147,7 +147,7 @@ func TestStreamedIngestMatchesBatch(t *testing.T) {
 }
 
 // TestStreamGapRuleCutsTrips pins the implicit trip boundary: a gap of
-// TripGapSeconds or more between a courier's fixes closes the open trip; an
+// tripGapSeconds or more between a courier's fixes closes the open trip; an
 // explicit CloseStream closes the rest. Each closed trip keeps its times and
 // hands the pool exactly the stay points batch extraction finds in its fixes.
 func TestStreamGapRuleCutsTrips(t *testing.T) {

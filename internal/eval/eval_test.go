@@ -353,7 +353,7 @@ func TestMethodResultCI(t *testing.T) {
 	if len(r.Errors) != r.N {
 		t.Fatalf("retained %d errors, metrics over %d", len(r.Errors), r.N)
 	}
-	lo, hi := r.MAECI()
+	lo, hi := BootstrapCI(r.Errors, 1000, 0.95, 1)
 	if !(lo <= r.MAE && r.MAE <= hi) {
 		t.Errorf("CI [%v,%v] should contain MAE %v", lo, hi, r.MAE)
 	}

@@ -21,11 +21,6 @@ type MethodResult struct {
 	InferTime time.Duration // total over all test addresses
 }
 
-// MAECI returns the 95% bootstrap confidence interval of the MAE.
-func (r MethodResult) MAECI() (lo, hi float64) {
-	return BootstrapCI(r.Errors, 1000, 0.95, 1)
-}
-
 // AddrPerSecond returns inference throughput.
 func (r MethodResult) AddrPerSecond() float64 {
 	if r.InferTime <= 0 {

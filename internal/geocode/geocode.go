@@ -1,14 +1,11 @@
-// Package geocode models the commercial geocoding service and address
-// segmentation tool the paper depends on. Since those services are
-// proprietary, this package provides (a) the POI category taxonomy the
-// paper's address features use (21 categories), and (b) a simulated geocoder
-// exhibiting the paper's three documented failure modes: plain imprecision,
-// coarse POI databases that collapse several buildings onto one point, and
-// wrong address parsing that resolves to a similarly named sibling community
-// (the Figure 12 case studies).
+// Package geocode models the commercial geocoding service the paper depends
+// on. Since that service is proprietary, this package provides the POI
+// category taxonomy the paper's address features use (21 categories) and the
+// labels of its three documented failure modes: plain imprecision, coarse POI
+// databases that collapse several buildings onto one point, and wrong address
+// parsing that resolves to a similarly named sibling community (the Figure 12
+// case studies). internal/synth draws the geocodes themselves.
 package geocode
-
-import "dlinfma/internal/geo"
 
 // POICategory is the category the geocoder returns with each address. The
 // paper reports 21 categories; the taxonomy below follows common Chinese POI
@@ -90,35 +87,3 @@ func (m ErrorMode) String() string {
 		return "invalid"
 	}
 }
-
-// Result is what the geocoder returns for an address.
-type Result struct {
-	Loc      geo.Point
-	Category POICategory
-	Mode     ErrorMode
-}
-
-// Geocoder resolves an address id to a geocoded location. Implementations
-// must be safe for concurrent use after construction.
-type Geocoder interface {
-	Geocode(addr int32) (Result, bool)
-}
-
-// Static is a Geocoder backed by a fixed table, as produced by the synthetic
-// world generator (and, in the deployed system, by the batch geocoding job).
-type Static struct {
-	table map[int32]Result
-}
-
-// NewStatic returns a Static geocoder over the given table. The map is used
-// directly, not copied.
-func NewStatic(table map[int32]Result) *Static { return &Static{table: table} }
-
-// Geocode implements Geocoder.
-func (s *Static) Geocode(addr int32) (Result, bool) {
-	r, ok := s.table[addr]
-	return r, ok
-}
-
-// Len returns the number of known addresses.
-func (s *Static) Len() int { return len(s.table) }

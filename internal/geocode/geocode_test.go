@@ -1,10 +1,6 @@
 package geocode
 
-import (
-	"testing"
-
-	"dlinfma/internal/geo"
-)
+import "testing"
 
 func TestPOICategories(t *testing.T) {
 	if NumPOICategories != 21 {
@@ -44,24 +40,4 @@ func TestErrorModeStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", m, got, want)
 		}
 	}
-}
-
-func TestStaticGeocoder(t *testing.T) {
-	table := map[int32]Result{
-		1: {Loc: geo.Point{X: 10, Y: 20}, Category: POIResidence, Mode: ErrAccurate},
-		2: {Loc: geo.Point{X: 30, Y: 40}, Category: POIMall, Mode: ErrCoarsePOI},
-	}
-	g := NewStatic(table)
-	if g.Len() != 2 {
-		t.Errorf("Len = %d", g.Len())
-	}
-	r, ok := g.Geocode(1)
-	if !ok || r.Loc != (geo.Point{X: 10, Y: 20}) || r.Category != POIResidence {
-		t.Errorf("Geocode(1) = %+v, %v", r, ok)
-	}
-	if _, ok := g.Geocode(99); ok {
-		t.Error("unknown address should not geocode")
-	}
-	// Static satisfies the Geocoder interface.
-	var _ Geocoder = g
 }

@@ -141,17 +141,3 @@ func (d *Dataset) TrajectoryPoints() int {
 	}
 	return n
 }
-
-// TripsOf returns the indices of trips that include a waybill for addr.
-func (d *Dataset) TripsOf(addr AddressID) []int {
-	var out []int
-	for i, tr := range d.Trips {
-		for _, w := range tr.Waybills {
-			if w.Addr == addr {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}

@@ -79,19 +79,13 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestCountsAndTripsOf(t *testing.T) {
+func TestCounts(t *testing.T) {
 	ds := sampleDataset()
 	if ds.Deliveries() != 2 {
 		t.Errorf("Deliveries = %d", ds.Deliveries())
 	}
 	if ds.TrajectoryPoints() != 2 {
 		t.Errorf("TrajectoryPoints = %d", ds.TrajectoryPoints())
-	}
-	if got := ds.TripsOf(0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("TripsOf(0) = %v", got)
-	}
-	if got := ds.TripsOf(42); got != nil {
-		t.Errorf("TripsOf(42) = %v", got)
 	}
 }
 

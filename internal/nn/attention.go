@@ -48,7 +48,7 @@ func (m *MultiHeadSelfAttention) Forward(x *Tensor) *Tensor {
 	return m.WO.Forward(ConcatCols(outs...))
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (m *MultiHeadSelfAttention) Params() []*Tensor {
 	ps := m.WO.Params()
 	for h := 0; h < m.Heads; h++ {
@@ -94,7 +94,7 @@ func (l *TransformerEncoderLayer) Forward(x *Tensor, train bool, rng *rand.Rand)
 	return l.Norm2.ForwardResidual(x, f)
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (l *TransformerEncoderLayer) Params() []*Tensor {
 	ps := l.Attn.Params()
 	ps = append(ps, l.FF1.Params()...)
@@ -127,7 +127,7 @@ func (e *TransformerEncoder) Forward(x *Tensor, train bool, rng *rand.Rand) *Ten
 	return x
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (e *TransformerEncoder) Params() []*Tensor {
 	var ps []*Tensor
 	for _, l := range e.Layers {
@@ -167,7 +167,7 @@ func (a *AdditiveAttention) Scores(z, c *Tensor) *Tensor {
 	return MatMul(Tanh(h), a.V) // [n, 1]
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (a *AdditiveAttention) Params() []*Tensor {
 	return append(a.W.Params(), a.U, a.V)
 }

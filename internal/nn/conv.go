@@ -217,5 +217,5 @@ func NewConvLayer(rng *rand.Rand, c, f, k int) *ConvLayer {
 // Forward applies the convolution to x [C,H,W].
 func (l *ConvLayer) Forward(x *Tensor) *Tensor { return Conv2D(x, l.W, l.B) }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (l *ConvLayer) Params() []*Tensor { return []*Tensor{l.W, l.B} }

@@ -2,11 +2,6 @@ package nn
 
 import "math/rand"
 
-// Layer is anything holding trainable parameters.
-type Layer interface {
-	Params() []*Tensor
-}
-
 // Dense is a fully connected layer: y = xW + b.
 type Dense struct {
 	W *Tensor // [in, out]
@@ -26,7 +21,7 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 	return Linear(x, d.W, d.B)
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (d *Dense) Params() []*Tensor { return []*Tensor{d.W, d.B} }
 
 // LayerNormLayer is layer normalization with learned gain and bias.
@@ -52,7 +47,7 @@ func (l *LayerNormLayer) ForwardResidual(x, r *Tensor) *Tensor {
 	return AddLayerNorm(x, r, l.Gain, l.Bias, l.Eps)
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (l *LayerNormLayer) Params() []*Tensor { return []*Tensor{l.Gain, l.Bias} }
 
 // Embedding maps integer ids to dense vectors.
@@ -72,7 +67,7 @@ func NewEmbedding(rng *rand.Rand, vocab, dim int) *Embedding {
 // Forward looks up the embeddings of ids, returning [len(ids), dim].
 func (e *Embedding) Forward(ids []int) *Tensor { return Rows(e.Table, ids) }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (e *Embedding) Params() []*Tensor { return []*Tensor{e.Table} }
 
 // MLP is a stack of Dense layers with ReLU activations between them (none
@@ -106,7 +101,7 @@ func (m *MLP) Forward(x *Tensor) *Tensor {
 	return x
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (m *MLP) Params() []*Tensor {
 	var ps []*Tensor
 	for _, l := range m.Layers {

@@ -48,7 +48,7 @@ func (l *LSTM) Forward(x *Tensor) *Tensor {
 	return ConcatRows(outs...)
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (l *LSTM) Params() []*Tensor {
 	var ps []*Tensor
 	for _, d := range []*Dense{l.GateI, l.GateF, l.GateO, l.GateG} {

@@ -68,42 +68,6 @@ func (a *Adam) Step(params []*Tensor, scale float64) {
 	}
 }
 
-// SGD implements plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Tensor][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Tensor][]float64)}
-}
-
-// Step applies one SGD update; see Adam.Step for the scale convention.
-func (s *SGD) Step(params []*Tensor, scale float64) {
-	if scale <= 0 {
-		scale = 1
-	}
-	for _, p := range params {
-		if s.Momentum > 0 {
-			v, ok := s.vel[p]
-			if !ok {
-				v = make([]float64, len(p.Data))
-				s.vel[p] = v
-			}
-			for i := range p.Data {
-				v[i] = s.Momentum*v[i] + p.Grad[i]/scale
-				p.Data[i] -= s.LR * v[i]
-			}
-			continue
-		}
-		for i := range p.Data {
-			p.Data[i] -= s.LR * p.Grad[i] / scale
-		}
-	}
-}
-
 // StepLR halves (or scales by Gamma) the learning rate every StepEpochs
 // epochs — the paper reduces LocMatcher's rate by half every 5 epochs.
 type StepLR struct {
@@ -154,9 +118,6 @@ func (e *EarlyStopper) Observe(loss float64) (stop, improved bool) {
 	e.bad++
 	return e.bad >= e.Patience, false
 }
-
-// Best returns the best validation loss observed.
-func (e *EarlyStopper) Best() float64 { return e.best }
 
 // ZeroGrads clears the gradients of all params.
 func ZeroGrads(params []*Tensor) {

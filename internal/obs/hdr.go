@@ -44,17 +44,6 @@ func hdrIndex(us int64) int {
 	return exp*hdrSubCount + int(u>>exp)
 }
 
-// hdrValue is the inverse: a representative (midpoint) microsecond value for
-// bucket i, used when reading quantiles back out.
-func hdrValue(i int) int64 {
-	if i < 2*hdrSubCount {
-		return int64(i)
-	}
-	exp := i/hdrSubCount - 1
-	m := uint64(i - exp*hdrSubCount)
-	return int64(m<<exp | 1<<(exp-1))
-}
-
 // hdrUpperUS is the largest microsecond value that lands in bucket i — the
 // inclusive upper bound used as the cumulative `le` edge in the exposition.
 func hdrUpperUS(i int) int64 {
@@ -117,52 +106,6 @@ func (h *HDRHistogram) Count() int64 { return h.total.Load() }
 // Sum returns the sum of observations in the family's unit (seconds for
 // Record).
 func (h *HDRHistogram) Sum() float64 { return float64(h.sum.Load()) / 1e6 }
-
-// HDRSnapshot is a point-in-time copy of an HDRHistogram, safe to read at
-// leisure while writers keep recording into the source.
-type HDRSnapshot struct {
-	counts []int64
-	total  int64
-}
-
-// Snapshot copies the current counts. Concurrent Records may straddle the
-// copy; the snapshot is consistent enough for monitoring (each observation
-// appears at most once).
-func (h *HDRHistogram) Snapshot() *HDRSnapshot {
-	s := &HDRSnapshot{counts: make([]int64, hdrBuckets)}
-	for i := range h.counts {
-		s.counts[i] = h.counts[i].Load()
-		s.total += s.counts[i]
-	}
-	return s
-}
-
-// Count returns the number of recorded observations.
-func (s *HDRSnapshot) Count() int64 { return s.total }
-
-// Quantile returns the value at quantile q in [0,1], with the histogram's
-// bounded relative error. An empty snapshot answers 0.
-func (s *HDRSnapshot) Quantile(q float64) time.Duration {
-	if s.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// rank is the 1-based index of the sought observation in sorted order;
-	// rank <= total, the sum of counts, so the walk always stops.
-	rank := int64(q*float64(s.total-1)) + 1
-	var seen int64
-	for i := 0; ; i++ {
-		seen += s.counts[i]
-		if seen >= rank {
-			return time.Duration(hdrValue(i)) * time.Microsecond
-		}
-	}
-}
 
 // exposeHDR renders an HDRHistogram as a standard Prometheus histogram with
 // sparse cumulative buckets: one `le` edge per non-empty bucket (upper bound

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dlinfma/internal/obs/trace"
@@ -77,11 +76,11 @@ func ParseFormat(s string) (Format, error) {
 // Logger writes leveled structured lines (key=value or JSON) to one writer.
 // All methods are safe on a nil *Logger, which drops everything — callers
 // can thread an optional logger without nil checks. Derived loggers from
-// With share the writer, mutex, and level.
+// With share the writer and mutex, and copy the level.
 type Logger struct {
 	w      io.Writer
 	mu     *sync.Mutex
-	level  *atomic.Int32
+	level  Level
 	format Format
 	fields []kv
 	// now is the clock, swappable in tests.
@@ -95,21 +94,12 @@ type kv struct {
 
 // NewLogger returns a logger writing to w at the given level and format.
 func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	l := &Logger{w: w, mu: &sync.Mutex{}, level: &atomic.Int32{}, format: format, now: time.Now}
-	l.level.Store(int32(level))
-	return l
-}
-
-// SetLevel changes the level of this logger and everything derived from it.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.level.Store(int32(level))
-	}
+	return &Logger{w: w, mu: &sync.Mutex{}, level: level, format: format, now: time.Now}
 }
 
 // Enabled reports whether a message at level would be written.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= Level(l.level.Load())
+	return l != nil && level >= l.level
 }
 
 // With returns a logger that adds the given alternating key/value pairs to

@@ -252,9 +252,8 @@ func TestLoggerNilAndLevels(t *testing.T) {
 	if n := strings.Count(sb.String(), "\n"); n != 1 {
 		t.Errorf("level filter wrote %d lines: %q", n, sb.String())
 	}
-	real.SetLevel(LevelDebug)
-	if !real.Enabled(LevelDebug) {
-		t.Error("SetLevel did not lower the threshold")
+	if !real.With("k", "v").Enabled(LevelWarn) || real.With("k", "v").Enabled(LevelInfo) {
+		t.Error("With did not carry the level")
 	}
 	if _, err := ParseLevel("nope"); err == nil {
 		t.Error("ParseLevel accepted garbage")
@@ -278,12 +277,6 @@ func TestSpan(t *testing.T) {
 	d := sp.End()
 	if d <= 0 || h.Count() != 1 || h.Sum() <= 0 {
 		t.Errorf("span end: d=%v count=%d sum=%v", d, h.Count(), h.Sum())
-	}
-	var sb strings.Builder
-	l := NewLogger(&sb, LevelDebug, FormatLogfmt)
-	StartSpan("logged", h).EndLog(l, "rows", 3)
-	if !strings.Contains(sb.String(), "msg=logged") || !strings.Contains(sb.String(), "rows=3") {
-		t.Errorf("EndLog line %q", sb.String())
 	}
 	if StartSpan("bare", nil).End() < 0 {
 		t.Error("nil-histogram span")

@@ -41,15 +41,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// EndLog is End plus a debug line on l with the duration and extra pairs.
-func (s Span) EndLog(l *Logger, pairs ...any) time.Duration {
-	d := s.End()
-	if l.Enabled(LevelDebug) {
-		l.Debug(s.name, append([]any{"dur", d}, pairs...)...)
-	}
-	return d
-}
-
 // SpanCtx is a Span that additionally participates in the request trace
 // carried by the context it was started with. End records into the histogram
 // exactly as Span.End does, so metric behaviour is identical whether or not

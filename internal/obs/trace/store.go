@@ -11,12 +11,6 @@ type Attr struct {
 	Value any    `json:"value"`
 }
 
-// Event is a timestamped point annotation on a span.
-type Event struct {
-	Time time.Time `json:"time"`
-	Msg  string    `json:"msg"`
-}
-
 // SpanData is the immutable record of one finished span. Ids are rendered as
 // hex strings so the struct marshals straight into the debug API.
 type SpanData struct {
@@ -27,7 +21,6 @@ type SpanData struct {
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
-	Events   []Event       `json:"events,omitempty"`
 	Error    string        `json:"error,omitempty"`
 }
 
@@ -39,7 +32,7 @@ type Trace struct {
 	Start    time.Time
 	Duration time.Duration
 	Error    bool
-	// Dropped counts spans discarded past the MaxSpans cap.
+	// Dropped counts spans discarded past the maxSpans cap.
 	Dropped int
 	Spans   []SpanData
 }

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// DefaultMaxSpans bounds the spans recorded per trace when Options.MaxSpans
-// is zero: enough for a sharded fan-out with per-stage children, small
-// enough that a runaway loop cannot hold the heap hostage.
-const DefaultMaxSpans = 512
+// maxSpans bounds the spans recorded per trace: enough for a sharded fan-out
+// with per-stage children, small enough that a runaway loop cannot hold the
+// heap hostage. Spans past the cap still time and propagate, they just count
+// as dropped.
+const maxSpans = 512
 
 // Options configures a Tracer.
 type Options struct {
@@ -21,9 +22,6 @@ type Options struct {
 	// SlowThreshold is the tail rule: a trace whose root ran at least this
 	// long is kept even when head sampling passed on it. 0 disables the rule.
 	SlowThreshold time.Duration
-	// MaxSpans bounds recorded spans per trace (0 = DefaultMaxSpans); spans
-	// past the cap still time and propagate, they just count as dropped.
-	MaxSpans int
 	// Store receives completed kept traces; nil discards them (spans then
 	// only feed histograms and log correlation).
 	Store *Store
@@ -32,18 +30,14 @@ type Options struct {
 // Tracer starts root spans, carries the sampling policy, and publishes
 // finished traces into its store. A nil *Tracer is a valid no-op.
 type Tracer struct {
-	prob     float64
-	slow     time.Duration
-	maxSpans int
-	store    *Store
+	prob  float64
+	slow  time.Duration
+	store *Store
 }
 
 // NewTracer returns a tracer with the given options.
 func NewTracer(o Options) *Tracer {
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = DefaultMaxSpans
-	}
-	return &Tracer{prob: o.SampleProb, slow: o.SlowThreshold, maxSpans: o.MaxSpans, store: o.Store}
+	return &Tracer{prob: o.SampleProb, slow: o.SlowThreshold, store: o.Store}
 }
 
 // Store returns the tracer's trace buffer (nil on a nil tracer or when none
@@ -70,7 +64,7 @@ type state struct {
 }
 
 // Span is one timed operation inside a trace. A span is owned by the
-// goroutine that started it (attributes and events are not synchronized);
+// goroutine that started it (its attributes are not synchronized);
 // sibling spans on other goroutines are fine — the shared trace record is.
 // All methods are safe on a nil *Span.
 type Span struct {
@@ -81,7 +75,6 @@ type Span struct {
 	start  time.Time
 	root   bool
 	attrs  []Attr
-	events []Event
 	err    string
 	ended  bool
 }
@@ -177,14 +170,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// AddEvent records a timestamped point event on the span.
-func (s *Span) AddEvent(msg string) {
-	if s == nil || s.ended {
-		return
-	}
-	s.events = append(s.events, Event{Time: time.Now(), Msg: msg})
-}
-
 // RecordError marks the span errored. Any errored span makes the whole
 // trace eligible for the tail keep rule.
 func (s *Span) RecordError(err error) {
@@ -213,7 +198,6 @@ func (s *Span) End() {
 		Start:    s.start,
 		Duration: end.Sub(s.start),
 		Attrs:    s.attrs,
-		Events:   s.events,
 		Error:    s.err,
 	}
 	if !s.parent.IsZero() {
@@ -221,7 +205,7 @@ func (s *Span) End() {
 	}
 	st.mu.Lock()
 	if !st.done {
-		if len(st.spans) < st.tracer.maxSpans {
+		if len(st.spans) < maxSpans {
 			st.spans = append(st.spans, sd)
 		} else {
 			st.dropped++

@@ -19,15 +19,12 @@ type FrontendOptions struct {
 	// replicas, clamped to the peer count; 0 = 1). Writes go to all of them;
 	// reads try them in ring order.
 	Replication int
-	// VirtualNodes per peer on the ring (0 = shard.DefaultVirtualNodes).
-	VirtualNodes int
-	// Timeout, Retries, PollInterval, HTTPClient, Logger configure each
-	// backend client; see ClientOptions.
-	Timeout      time.Duration
-	Retries      int
-	PollInterval time.Duration
-	HTTPClient   *http.Client
-	Logger       *obs.Logger
+	// Timeout, Retries, HTTPClient, Logger configure each backend client;
+	// see ClientOptions.
+	Timeout    time.Duration
+	Retries    int
+	HTTPClient *http.Client
+	Logger     *obs.Logger
 }
 
 // NewFrontendBackends builds one HTTP shard backend per shard of r, each
@@ -39,7 +36,7 @@ type FrontendOptions struct {
 // fan-out re-inference, aggregated health, manifest snapshots) rides the
 // existing deploy stack.
 func NewFrontendBackends(r *shard.Router, o FrontendOptions) ([]ShardBackend, *shard.Ring, error) {
-	ring, err := shard.NewRing(o.Peers, o.VirtualNodes)
+	ring, err := shard.NewRing(o.Peers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,12 +47,11 @@ func NewFrontendBackends(r *shard.Router, o FrontendOptions) ([]ShardBackend, *s
 	backends := make([]ShardBackend, r.N())
 	for sh := range backends {
 		c, err := NewClient(ClientOptions{
-			Endpoints:    ring.ShardOwners(sh, repl),
-			Timeout:      o.Timeout,
-			Retries:      o.Retries,
-			PollInterval: o.PollInterval,
-			HTTPClient:   o.HTTPClient,
-			Logger:       o.Logger,
+			Endpoints:  ring.ShardOwners(sh, repl),
+			Timeout:    o.Timeout,
+			Retries:    o.Retries,
+			HTTPClient: o.HTTPClient,
+			Logger:     o.Logger,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: shard %d: %w", sh, err)

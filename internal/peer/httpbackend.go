@@ -35,9 +35,8 @@ const (
 // is network headroom, not a latency target.
 const DefaultTimeout = 5 * time.Second
 
-// DefaultPollInterval is how often Reinfer polls the remote job when
-// ClientOptions leaves PollInterval zero.
-const DefaultPollInterval = 250 * time.Millisecond
+// pollInterval is how often Reinfer polls the remote job.
+const pollInterval = 250 * time.Millisecond
 
 // snapshotTimeoutFactor scales the per-call timeout for snapshot downloads,
 // which stream megabytes where every other route moves kilobytes.
@@ -56,8 +55,6 @@ type ClientOptions struct {
 	// makes after the first (<0 = 0). The total attempt budget per call is
 	// (1+Retries) * len(Endpoints).
 	Retries int
-	// PollInterval is the Reinfer job polling cadence (0 = DefaultPollInterval).
-	PollInterval time.Duration
 	// HTTPClient, when set, replaces the default transport (tests inject
 	// httptest clients here). Per-call timeouts still come from Timeout.
 	HTTPClient *http.Client
@@ -74,7 +71,6 @@ type Client struct {
 	endpoints []string
 	timeout   time.Duration
 	rounds    int
-	poll      time.Duration
 	hc        *http.Client
 	log       *obs.Logger
 	// frontend marks clients built by NewFrontendBackends so ring-owner
@@ -101,7 +97,6 @@ func NewClient(o ClientOptions) (*Client, error) {
 		endpoints: eps,
 		timeout:   o.Timeout,
 		rounds:    1 + o.Retries,
-		poll:      o.PollInterval,
 		hc:        o.HTTPClient,
 		log:       o.Logger,
 	}
@@ -110,9 +105,6 @@ func NewClient(o ClientOptions) (*Client, error) {
 	}
 	if c.rounds < 1 {
 		c.rounds = 1
-	}
-	if c.poll <= 0 {
-		c.poll = DefaultPollInterval
 	}
 	if c.hc == nil {
 		c.hc = &http.Client{}
@@ -414,7 +406,7 @@ func (c *Client) reinferEndpoint(ctx context.Context, ep string) error {
 	if status != http.StatusAccepted && status != http.StatusConflict {
 		return apiError(status, data)
 	}
-	t := time.NewTicker(c.poll)
+	t := time.NewTicker(pollInterval)
 	defer t.Stop()
 	for {
 		select {

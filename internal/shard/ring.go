@@ -7,13 +7,13 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is how many ring positions each peer takes when
-// NewRing is given 0. 128 keeps the per-peer load spread within a few
-// percent for small clusters while the ring stays a few KB.
-const DefaultVirtualNodes = 128
+// virtualNodes is how many ring positions each peer takes. 128 keeps the
+// per-peer load spread within a few percent for small clusters while the
+// ring stays a few KB.
+const virtualNodes = 128
 
 // Ring is a consistent-hash ring assigning string keys (shard indices,
-// routing cells) to peers. Each peer owns VirtualNodes pseudo-random
+// routing cells) to peers. Each peer owns virtualNodes pseudo-random
 // positions on a 64-bit circle; a key belongs to the first peer position at
 // or after its own hash, and its replicas are the next distinct peers
 // clockwise. The properties the cluster frontend leans on:
@@ -29,24 +29,16 @@ const DefaultVirtualNodes = 128
 //
 // A Ring is immutable after construction; rebuild it to change membership.
 type Ring struct {
-	peers  []string
-	vnodes int
+	peers []string
 	// points and owners are parallel: points is the sorted circle, owners[i]
 	// indexes peers for the peer owning points[i].
 	points []uint64
 	owners []int32
 }
 
-// NewRing builds a ring over the given peer names with the given number of
-// virtual nodes per peer (0 = DefaultVirtualNodes). Order and duplicates in
+// NewRing builds a ring over the given peer names. Order and duplicates in
 // peers do not matter; names must be non-empty.
-func NewRing(peers []string, virtualNodes int) (*Ring, error) {
-	if virtualNodes == 0 {
-		virtualNodes = DefaultVirtualNodes
-	}
-	if virtualNodes < 1 {
-		return nil, fmt.Errorf("shard: virtual node count %d < 1", virtualNodes)
-	}
+func NewRing(peers []string) (*Ring, error) {
 	uniq := append([]string(nil), peers...)
 	sort.Strings(uniq)
 	n := 0
@@ -65,7 +57,6 @@ func NewRing(peers []string, virtualNodes int) (*Ring, error) {
 	}
 	r := &Ring{
 		peers:  uniq,
-		vnodes: virtualNodes,
 		points: make([]uint64, 0, len(uniq)*virtualNodes),
 		owners: make([]int32, 0, len(uniq)*virtualNodes),
 	}
@@ -124,11 +115,6 @@ func (r *Ring) find(h uint64) int {
 		return 0 // wrap past the top of the circle
 	}
 	return i
-}
-
-// Owner returns the peer owning key.
-func (r *Ring) Owner(key string) string {
-	return r.peers[r.owners[r.find(ringHash(key))]]
 }
 
 // Owners returns the n distinct peers responsible for key: the owner first,

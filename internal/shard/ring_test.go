@@ -25,7 +25,7 @@ func testKeys(n int) []string {
 
 func TestRingDeterministicUnderPeerReordering(t *testing.T) {
 	peers := testPeers(7)
-	a, err := NewRing(peers, 0)
+	a, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRingDeterministicUnderPeerReordering(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		// Duplicates must not disturb the assignment either.
 		withDup := append(append([]string(nil), shuffled...), shuffled[0])
-		b, err := NewRing(withDup, 0)
+		b, err := NewRing(withDup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +53,11 @@ func TestRingDeterministicUnderPeerReordering(t *testing.T) {
 func TestRingKeyMovementOnMembershipChange(t *testing.T) {
 	const nPeers, nKeys = 10, 4000
 	peers := testPeers(nPeers)
-	full, err := NewRing(peers, 0)
+	full, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smaller, err := NewRing(peers[:nPeers-1], 0)
+	smaller, err := NewRing(peers[:nPeers-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRingKeyMovementOnMembershipChange(t *testing.T) {
 	// peers that already existed (never shuffling keys between survivors).
 	moved := 0
 	for _, k := range keys {
-		fo, so := full.Owner(k), smaller.Owner(k)
+		fo, so := full.Owners(k, 1)[0], smaller.Owners(k, 1)[0]
 		if fo == so {
 			continue
 		}
@@ -86,7 +86,7 @@ func TestRingKeyMovementOnMembershipChange(t *testing.T) {
 	// Adding a peer is the same bound from the other side.
 	added := 0
 	for _, k := range keys {
-		if full.Owner(k) != smaller.Owner(k) {
+		if full.Owners(k, 1)[0] != smaller.Owners(k, 1)[0] {
 			added++
 		}
 	}
@@ -96,7 +96,7 @@ func TestRingKeyMovementOnMembershipChange(t *testing.T) {
 }
 
 func TestRingOwnersAreDistinctAndOrdered(t *testing.T) {
-	r, err := NewRing(testPeers(5), 0)
+	r, err := NewRing(testPeers(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +112,12 @@ func TestRingOwnersAreDistinctAndOrdered(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("key %q: Owners[0]=%s but Owner=%s", k, owners[0], r.Owner(k))
-		}
 		// Prefixes agree: the replica list is a stable walk, so asking for
 		// fewer replicas returns a prefix of asking for more.
-		if two := r.Owners(k, 2); !reflect.DeepEqual(two, owners[:2]) {
-			t.Fatalf("key %q: Owners(2)=%v is not a prefix of Owners(3)=%v", k, two, owners)
+		for n := 1; n < 3; n++ {
+			if fewer := r.Owners(k, n); !reflect.DeepEqual(fewer, owners[:n]) {
+				t.Fatalf("key %q: Owners(%d)=%v is not a prefix of Owners(3)=%v", k, n, fewer, owners)
+			}
 		}
 	}
 }
@@ -128,7 +127,7 @@ func TestRingFailoverIsNextReplicaInRingOrder(t *testing.T) {
 	// agree on next is exactly Owners(key, 2)[1] — equivalently, the key's
 	// owner in a ring built without the dead peer.
 	peers := testPeers(6)
-	full, err := NewRing(peers, 0)
+	full, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +139,11 @@ func TestRingFailoverIsNextReplicaInRingOrder(t *testing.T) {
 				survivors = append(survivors, p)
 			}
 		}
-		reduced, err := NewRing(survivors, 0)
+		reduced, err := NewRing(survivors)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := reduced.Owner(k); got != owners[1] {
+		if got := reduced.Owners(k, 1)[0]; got != owners[1] {
 			t.Fatalf("key %q: after losing %s the ring owner is %s, but the replica list promised %s",
 				k, owners[0], got, owners[1])
 		}
@@ -153,7 +152,7 @@ func TestRingFailoverIsNextReplicaInRingOrder(t *testing.T) {
 
 func TestRingOwnersClampAndSpread(t *testing.T) {
 	peers := testPeers(3)
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +175,10 @@ func TestRingOwnersClampAndSpread(t *testing.T) {
 }
 
 func TestRingRejectsBadInput(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty peer list accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Fatal("empty peer name accepted")
-	}
-	if _, err := NewRing([]string{"a"}, -1); err == nil {
-		t.Fatal("negative virtual node count accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"dlinfma/internal/addrtext"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/traj"
@@ -417,30 +416,6 @@ func TestGPSNoiseMagnitude(t *testing.T) {
 		t.Errorf("median dwell deviation %.1f m too large", med)
 	}
 	_ = math.Pi
-}
-
-func TestAddressTextsParseBackToCommunity(t *testing.T) {
-	w, err := BuildWorld(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := addrtext.NewGazetteer(w.CommunityNames())
-	for _, a := range w.Addresses[:60] {
-		raw, ok := w.AddressText(a.ID)
-		if !ok {
-			t.Fatalf("no text for address %d", a.ID)
-		}
-		_, community, err := addrtext.Parse(raw, g)
-		if err != nil {
-			t.Fatalf("address %d text %q: %v", a.ID, raw, err)
-		}
-		if want := w.Buildings[a.Building].Community; community != want {
-			t.Errorf("address %d resolved to community %d, want %d (%q)", a.ID, community, want, raw)
-		}
-	}
-	if _, ok := w.AddressText(model.AddressID(999999)); ok {
-		t.Error("unknown address should have no text")
-	}
 }
 
 func TestZoneAccessors(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"dlinfma/internal/addrtext"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/geocode"
 	"dlinfma/internal/model"
@@ -329,53 +328,4 @@ func (w *World) Station(z int) (geo.Point, bool) {
 		return geo.Point{}, false
 	}
 	return w.stations[z], true
-}
-
-// GeocoderTable returns the address -> geocode table as a geocode.Static.
-func (w *World) GeocoderTable() *geocode.Static {
-	t := make(map[int32]geocode.Result, len(w.Addresses))
-	for _, a := range w.Addresses {
-		t[int32(a.ID)] = geocode.Result{Loc: a.Geocode, Category: a.POI, Mode: a.GeocodeMode}
-	}
-	return geocode.NewStatic(t)
-}
-
-// CommunityNames returns the pinyin-style names of all communities, indexed
-// by community id (see addrtext.CommunityName for the confusable-sibling
-// structure).
-func (w *World) CommunityNames() []string {
-	names := make([]string, len(w.Communities))
-	for i := range names {
-		names[i] = addrtext.CommunityName(i)
-	}
-	return names
-}
-
-// AddressText renders the textual shipping address of id: community name,
-// building number within the community, and unit number within the
-// building. It returns false for unknown addresses.
-func (w *World) AddressText(id model.AddressID) (string, bool) {
-	if int(id) < 0 || int(id) >= len(w.Addresses) {
-		return "", false
-	}
-	info := w.Addresses[id]
-	b := w.Buildings[info.Building]
-	// Building number = 1-based position within its community.
-	bNum := 1
-	for i, bi := range w.Communities[b.Community].Buildings {
-		if model.BuildingID(bi) == info.Building {
-			bNum = i + 1
-			break
-		}
-	}
-	// Unit number = 1-based position within the building, in the 101, 102…
-	// style.
-	unit := 101
-	for i, a := range w.addrsOfBld[info.Building] {
-		if a == id {
-			unit = 101 + i
-			break
-		}
-	}
-	return addrtext.Format(b.Community, bNum, unit), true
 }

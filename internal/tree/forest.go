@@ -67,14 +67,3 @@ func (f *Forest) Predict(x []float64) float64 {
 	}
 	return s / float64(len(f.Trees))
 }
-
-// FeatureImportance returns normalized split-gain importances across the
-// forest (see GBDT.FeatureImportance).
-func (f *Forest) FeatureImportance(nFeatures int) []float64 {
-	imp := make([]float64, nFeatures)
-	for _, t := range f.Trees {
-		t.accumulateImportance(imp)
-	}
-	normalize(imp)
-	return imp
-}

@@ -111,15 +111,3 @@ func (g *GBDT) Decision(x []float64) float64 {
 func (g *GBDT) Predict(x []float64) float64 { return sigmoid(g.Decision(x)) }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// FeatureImportance returns per-feature importances: the total squared-error
-// gain attributed to splits on each feature across all boosting stages,
-// normalized to sum to 1 (zero vector when no splits exist).
-func (g *GBDT) FeatureImportance(nFeatures int) []float64 {
-	imp := make([]float64, nFeatures)
-	for _, t := range g.trees {
-		t.accumulateImportance(imp)
-	}
-	normalize(imp)
-	return imp
-}

@@ -13,7 +13,6 @@ package tree
 
 import (
 	"container/heap"
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -43,7 +42,6 @@ type node struct {
 	left      int
 	right     int
 	value     float64
-	gain      float64 // split gain, for feature importances
 	leaf      bool
 }
 
@@ -149,7 +147,6 @@ func Fit(x [][]float64, y []float64, w []float64, cfg Config) *Tree {
 		t.nodes[it.nodeID].leaf = false
 		t.nodes[it.nodeID].feature = it.feature
 		t.nodes[it.nodeID].threshold = it.threshold
-		t.nodes[it.nodeID].gain = it.gain
 		t.nodes[it.nodeID].left = l
 		t.nodes[it.nodeID].right = r
 		leaves++ // one leaf became two
@@ -340,62 +337,4 @@ func (t *Tree) Predict(x []float64) float64 {
 		}
 	}
 	return t.nodes[i].value
-}
-
-// Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int {
-	c := 0
-	for _, n := range t.nodes {
-		if n.leaf {
-			c++
-		}
-	}
-	return c
-}
-
-// Depth returns the maximum depth of the tree (a lone root has depth 0).
-func (t *Tree) Depth() int {
-	var rec func(i, d int) int
-	rec = func(i, d int) int {
-		if t.nodes[i].leaf {
-			return d
-		}
-		l := rec(t.nodes[i].left, d+1)
-		r := rec(t.nodes[i].right, d+1)
-		return int(math.Max(float64(l), float64(r)))
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return rec(0, 0)
-}
-
-// accumulateImportance adds each split's recorded gain to imp[feature].
-func (t *Tree) accumulateImportance(imp []float64) {
-	for _, n := range t.nodes {
-		if !n.leaf && n.feature < len(imp) {
-			imp[n.feature] += n.gain
-		}
-	}
-}
-
-// FeatureImportance returns the tree's normalized split-gain importances.
-func (t *Tree) FeatureImportance(nFeatures int) []float64 {
-	imp := make([]float64, nFeatures)
-	t.accumulateImportance(imp)
-	normalize(imp)
-	return imp
-}
-
-func normalize(v []float64) {
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	if sum <= 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= sum
-	}
 }

