@@ -33,10 +33,14 @@ experiments-smoke:
 #                           whole route vs the pure encoding/json route
 #   FuzzBatchResponseEncode the batch/point response writer vs json.Marshal
 #   FuzzStreamLineDecode    the POST /v1/trajectories:stream line reader
-#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder and
-#                           json.Unmarshal
-#   FuzzSnapshotDecode      the version-1 snapshot reader: whole-engine
-#                           restores vs encoding/json alone
+#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder and,
+#                           for the JSON batch window, json.Unmarshal; every
+#                           other JSON kind is refused
+#   FuzzSnapshotDecode      the snapshot reader: whole-engine restores of
+#                           version-1 documents and version-2 manifests vs
+#                           encoding/json alone; other versions, and a
+#                           manifest listing neither 0 nor shard_count
+#                           shard documents, are refused
 #   FuzzMatMulKernels       internal/nn's matrix-product kernels vs the naive
 #                           loops in the reference order, bit for bit
 #   FuzzMergeNear           internal/cluster's window-by-window merge around

@@ -835,10 +835,11 @@ func cityDoc(b *testing.B) (doc []byte, addrs, located int) {
 func storeSnapshotDoc(b *testing.B, p *eval.Prepared) []byte {
 	b.Helper()
 	sn := struct {
+		Version   int                   `json:"version"`
 		Name      string                `json:"name"`
 		Addresses []model.AddressInfo   `json:"addresses"`
 		Locations map[string][2]float64 `json:"locations"`
-	}{Name: "bench", Addresses: p.DS.Addresses, Locations: map[string][2]float64{}}
+	}{Version: 1, Name: "bench", Addresses: p.DS.Addresses, Locations: map[string][2]float64{}}
 	for id, pt := range p.DS.Truth {
 		sn.Locations[fmt.Sprint(id)] = [2]float64{pt.X, pt.Y}
 	}

@@ -1,9 +1,8 @@
 // Package ststore is a compact spatio-temporal data engine standing in for
 // JUST, the platform the deployed system uses to store and query couriers'
-// raw trajectories and waybills (Section VI-A, Figure 14). It offers
-// bulk ingestion, per-trajectory time slicing, and spatio-temporal window
-// queries over an in-memory grid/time index. Reads and writes are safe for
-// concurrent use.
+// raw trajectories (Section VI-A, Figure 14). It offers bulk ingestion and
+// spatio-temporal window queries over an in-memory grid/time index. Reads
+// and writes are safe for concurrent use.
 package ststore
 
 import (
@@ -25,12 +24,6 @@ type PointRef struct {
 	Index int
 }
 
-// WaybillRef pairs a waybill with the trajectory of its trip.
-type WaybillRef struct {
-	Traj    TrajectoryID
-	Waybill model.Waybill
-}
-
 // Store is the engine. The zero value is not usable; call New.
 type Store struct {
 	mu sync.RWMutex
@@ -41,7 +34,6 @@ type Store struct {
 	trajs    []traj.Trajectory
 	couriers []model.CourierID
 	index    map[[3]int32][]PointRef
-	waybills map[model.AddressID][]WaybillRef
 }
 
 // New returns an empty store with the given spatial cell size (meters) and
@@ -58,7 +50,6 @@ func New(cellSize, timeBucket float64) *Store {
 		cell:       cellSize,
 		timeBucket: timeBucket,
 		index:      make(map[[3]int32][]PointRef),
-		waybills:   make(map[model.AddressID][]WaybillRef),
 	}
 }
 
@@ -83,13 +74,6 @@ func (s *Store) AddTrajectory(courier model.CourierID, tr traj.Trajectory) Traje
 		s.index[k] = append(s.index[k], PointRef{Traj: id, Index: i})
 	}
 	return id
-}
-
-// AddWaybill attaches a waybill to an ingested trajectory.
-func (s *Store) AddWaybill(id TrajectoryID, w model.Waybill) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.waybills[w.Addr] = append(s.waybills[w.Addr], WaybillRef{Traj: id, Waybill: w})
 }
 
 // Len returns the number of stored trajectories.
@@ -119,25 +103,6 @@ func (s *Store) Trajectory(id TrajectoryID) (traj.Trajectory, bool) {
 		return nil, false
 	}
 	return s.trajs[id], true
-}
-
-// Courier returns the courier of a trajectory.
-func (s *Store) Courier(id TrajectoryID) (model.CourierID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if id < 0 || int(id) >= len(s.couriers) {
-		return 0, false
-	}
-	return s.couriers[id], true
-}
-
-// Slice returns the [t0, t1] time slice of a stored trajectory.
-func (s *Store) Slice(id TrajectoryID, t0, t1 float64) traj.Trajectory {
-	tr, ok := s.Trajectory(id)
-	if !ok {
-		return nil
-	}
-	return tr.Slice(t0, t1)
 }
 
 // QueryWindow returns references to every stored fix inside the spatial
@@ -194,34 +159,12 @@ func (s *Store) VisitingCouriers(r geo.Rect, t0, t1 float64) []model.CourierID {
 	return out
 }
 
-// WaybillsOf returns the historical deliveries of an address.
-func (s *Store) WaybillsOf(addr model.AddressID) []WaybillRef {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]WaybillRef(nil), s.waybills[addr]...)
-}
-
 // IngestDataset bulk-loads a dataset's trips. It returns the trajectory ids
 // in trip order.
 func (s *Store) IngestDataset(ds *model.Dataset) []TrajectoryID {
 	ids := make([]TrajectoryID, len(ds.Trips))
 	for i, tr := range ds.Trips {
-		id := s.AddTrajectory(tr.Courier, tr.Traj)
-		ids[i] = id
-		for _, w := range tr.Waybills {
-			s.AddWaybill(id, w)
-		}
+		ids[i] = s.AddTrajectory(tr.Courier, tr.Traj)
 	}
 	return ids
-}
-
-// AnnotatedLocation returns the courier's position at a waybill's recorded
-// delivery time — the store-side primitive behind the annotation-based
-// related work and the Env.Annotations computation.
-func (s *Store) AnnotatedLocation(ref WaybillRef) (geo.Point, bool) {
-	tr, ok := s.Trajectory(ref.Traj)
-	if !ok || len(tr) == 0 {
-		return geo.Point{}, false
-	}
-	return tr.At(ref.Waybill.RecordedDeliveryT), true
 }

@@ -27,29 +27,14 @@ func TestAddAndRetrieve(t *testing.T) {
 	if !ok || len(got) != 3 {
 		t.Fatalf("Trajectory: %v %v", got, ok)
 	}
-	if c, ok := s.Courier(id); !ok || c != 3 {
-		t.Errorf("Courier = %v %v", c, ok)
-	}
 	if _, ok := s.Trajectory(99); ok {
 		t.Error("unknown id found")
 	}
-	if _, ok := s.Courier(-1); ok {
+	if _, ok := s.Trajectory(-1); ok {
 		t.Error("negative id found")
 	}
 	if s.Len() != 1 || s.Points() != 3 {
 		t.Errorf("Len=%d Points=%d", s.Len(), s.Points())
-	}
-}
-
-func TestSlice(t *testing.T) {
-	s := New(50, 600)
-	id := s.AddTrajectory(0, lineTraj(0, geo.Point{}, geo.Point{X: 10}, geo.Point{X: 20}, geo.Point{X: 30}))
-	got := s.Slice(id, 5, 25)
-	if len(got) != 2 {
-		t.Errorf("slice has %d points, want 2", len(got))
-	}
-	if got := s.Slice(99, 0, 100); got != nil {
-		t.Error("unknown id slice should be nil")
 	}
 }
 
@@ -133,31 +118,6 @@ func TestVisitingCouriers(t *testing.T) {
 	}
 }
 
-func TestWaybillsAndAnnotatedLocation(t *testing.T) {
-	s := New(50, 600)
-	id := s.AddTrajectory(0, lineTraj(0, geo.Point{X: 0, Y: 0}, geo.Point{X: 100, Y: 0}))
-	w := model.Waybill{Addr: 7, RecordedDeliveryT: 5, ActualDeliveryT: 5}
-	s.AddWaybill(id, w)
-	refs := s.WaybillsOf(7)
-	if len(refs) != 1 {
-		t.Fatalf("WaybillsOf = %v", refs)
-	}
-	loc, ok := s.AnnotatedLocation(refs[0])
-	if !ok {
-		t.Fatal("no annotated location")
-	}
-	// Interpolated midpoint of the first segment at t=5.
-	if geo.Dist(loc, geo.Point{X: 50, Y: 0}) > 1e-9 {
-		t.Errorf("annotated location %v, want (50,0)", loc)
-	}
-	if _, ok := s.AnnotatedLocation(WaybillRef{Traj: 55}); ok {
-		t.Error("bad ref should fail")
-	}
-	if got := s.WaybillsOf(99); len(got) != 0 {
-		t.Errorf("unknown address waybills: %v", got)
-	}
-}
-
 func TestIngestDataset(t *testing.T) {
 	ds, _, err := synth.GenerateClean(synth.Tiny())
 	if err != nil {
@@ -171,29 +131,11 @@ func TestIngestDataset(t *testing.T) {
 	if s.Points() != ds.TrajectoryPoints() {
 		t.Errorf("Points = %d, want %d", s.Points(), ds.TrajectoryPoints())
 	}
-	// Every address's waybills are retrievable and their annotated location
-	// is close to the courier's position at the recorded time.
-	checked := 0
-	for _, tr := range ds.Trips[:3] {
-		for _, w := range tr.Waybills {
-			refs := s.WaybillsOf(w.Addr)
-			if len(refs) == 0 {
-				t.Fatalf("no waybills for address %d", w.Addr)
-			}
-			loc, ok := s.AnnotatedLocation(refs[0])
-			if !ok {
-				t.Fatal("no annotated location")
-			}
-			trj, _ := s.Trajectory(refs[0].Traj)
-			want := trj.At(refs[0].Waybill.RecordedDeliveryT)
-			if geo.Dist(loc, want) > 1e-9 {
-				t.Fatal("annotated location mismatch")
-			}
-			checked++
+	for i, tr := range ds.Trips {
+		got, ok := s.Trajectory(ids[i])
+		if !ok || len(got) != len(tr.Traj) || (len(got) > 0 && &got[0] != &tr.Traj[0]) {
+			t.Fatalf("trip %d is not stored under its id", i)
 		}
-	}
-	if checked == 0 {
-		t.Fatal("nothing checked")
 	}
 }
 
@@ -208,9 +150,8 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tr := lineTraj(float64(i)*100, geo.Point{X: rng.Float64() * 500, Y: rng.Float64() * 500})
 				id := s.AddTrajectory(model.CourierID(g), tr)
-				s.AddWaybill(id, model.Waybill{Addr: model.AddressID(g)})
 				s.QueryWindow(geo.Rect{MinX: 0, MinY: 0, MaxX: 500, MaxY: 500}, 0, 1e6)
-				s.WaybillsOf(model.AddressID(g))
+				s.Trajectory(id)
 			}
 		}(g)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dlinfma/internal/geo"
@@ -111,7 +112,7 @@ func TestPoolCoversGroundTruth(t *testing.T) {
 			continue
 		}
 		total++
-		if _, d := pipe.Pool.Nearest(truth); d < 30 {
+		if _, d := nearestLocation(pipe.Pool, truth); d < 30 {
 			covered++
 		}
 	}
@@ -244,7 +245,7 @@ func TestLocationCommonalityStationHigh(t *testing.T) {
 	// station of courier 0.
 	ds, w, pipe := tiny(t)
 	_ = w
-	stationLoc, _ := pipe.Pool.Nearest(geo.Point{X: 300, Y: -120})
+	stationLoc, _ := nearestLocation(pipe.Pool, geo.Point{X: 300, Y: -120})
 	var someAddr model.AddressID = -1
 	for _, a := range ds.Addresses {
 		if len(pipe.tripsOfAddr[a.ID]) >= 2 {
@@ -355,7 +356,7 @@ func TestLocMatcherTrainsAndPredicts(t *testing.T) {
 	inSet := func(ids []model.AddressID) []*Sample {
 		var out []*Sample
 		for _, s := range samples {
-			if synth.Contains(ids, s.Addr) {
+			if slices.Contains(ids, s.Addr) {
 				out = append(out, s)
 			}
 		}
@@ -515,4 +516,16 @@ func TestLocMatcherPermutationInvariance(t *testing.T) {
 			t.Fatalf("address %d: prediction changed under permutation (%d vs %d)", s.Addr, got, want)
 		}
 	}
+}
+
+// nearestLocation returns the pool location closest to q and its distance,
+// the lower id on a tie, or (-1, +Inf) for an empty pool.
+func nearestLocation(p *Pool, q geo.Point) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	for i, l := range p.Locations {
+		if d := geo.Dist(l.Loc, q); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
 }

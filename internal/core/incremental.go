@@ -334,8 +334,6 @@ func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 		}
 		p.Visits[t] = out
 	}
-	pts := locPoints(p.Locations)
-	p.index = geo.NewIndex(pts, 50)
 	poolLocationsGauge.Set(float64(len(p.Locations)))
 	return p
 }

@@ -53,7 +53,7 @@ func TestIncrementalBuilderMergesAcrossWindows(t *testing.T) {
 		t.Fatalf("got %d locations, want 2 (site merged across windows)", len(pool.Locations))
 	}
 	// The merged site has two stays and the other one.
-	id, d := pool.Nearest(site)
+	id, d := nearestLocation(pool, site)
 	if d > 20 {
 		t.Fatalf("no location near site (%.1f m)", d)
 	}
@@ -86,7 +86,7 @@ func TestIncrementalBuilderCourierProfileMerges(t *testing.T) {
 	addWindow(t, b, []model.Trip{dwellTrip(rng, 0, 0, site)})
 	addWindow(t, b, []model.Trip{dwellTrip(rng, 1, 14*86400, site)})
 	pool := b.Finalize()
-	id, _ := pool.Nearest(site)
+	id, _ := nearestLocation(pool, site)
 	if pool.Locations[id].NCouriers != 2 {
 		t.Errorf("merged location has %d couriers, want 2", pool.Locations[id].NCouriers)
 	}
@@ -176,7 +176,7 @@ func TestBuildPoolZeroWindowIsTheDefault(t *testing.T) {
 
 func TestBuildPoolIsDeterministic(t *testing.T) {
 	// Location ids are part of the result: experiment runs are diffed by id
-	// and Nearest breaks ties by it. Several builds, because the order this
+	// and nearest-location lookups break ties by it. Several builds, because the order this
 	// pins used to come from a map iteration that only sometimes differed.
 	ds := dowbj(t)
 	first, err := BuildPool(context.Background(), ds, DefaultConfig())

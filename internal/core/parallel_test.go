@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 
-	"dlinfma/internal/geo"
 	"dlinfma/internal/nn"
 )
 
@@ -204,29 +202,4 @@ func TestFitAndInferenceCancelled(t *testing.T) {
 			t.Fatalf("ProbabilitiesAll workers=%d: got %v, want context.Canceled", workers, err)
 		}
 	}
-}
-
-// Nearest's lazy index build must be safe under concurrent first use (the
-// pre-sync.Once code raced here).
-func TestPoolNearestConcurrent(t *testing.T) {
-	ds, _, pipe := tiny(t)
-	fresh := &Pool{Locations: pipe.Pool.Locations, Visits: pipe.Pool.Visits}
-	truths := make([]geo.Point, 0, len(ds.Truth))
-	for _, p := range ds.Truth {
-		truths = append(truths, p)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, q := range truths {
-				id, d := fresh.Nearest(q)
-				if id < 0 || math.IsInf(d, 1) {
-					panic("Nearest failed on non-empty pool")
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
@@ -87,11 +86,6 @@ type Pool struct {
 	Locations []Location
 	// Visits[t] lists the trip t's stays in chronological order.
 	Visits [][]StayVisit
-
-	index *geo.Index
-	// indexOnce guards the lazy index build in Nearest, which may be called
-	// from many goroutines at once (parallel feature extraction).
-	indexOnce sync.Once
 }
 
 // ExtractAllStayPoints runs noise filtering and stay-point detection over
@@ -132,23 +126,4 @@ func BuildPool(ctx context.Context, ds *model.Dataset, cfg Config) (*Pool, error
 		return nil, err
 	}
 	return b.FinalizeCtx(ctx), nil
-}
-
-// Nearest returns the pool location closest to q and its distance, or
-// (-1, +Inf) for an empty pool.
-func (p *Pool) Nearest(q geo.Point) (int, float64) {
-	p.indexOnce.Do(func() {
-		if p.index == nil {
-			p.index = geo.NewIndex(locPoints(p.Locations), 50)
-		}
-	})
-	return p.index.Nearest(q)
-}
-
-func locPoints(ls []Location) []geo.Point {
-	pts := make([]geo.Point, len(ls))
-	for i, l := range ls {
-		pts[i] = l.Loc
-	}
-	return pts
 }

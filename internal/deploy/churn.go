@@ -1,65 +1,32 @@
 package deploy
 
-import "dlinfma/internal/geo"
+import (
+	"dlinfma/internal/deploy/api"
+	"dlinfma/internal/geo"
+)
 
-// ChurnDistanceBounds are the upper edges, in meters, of the distance-moved
+// churnDistanceBounds are the upper edges, in meters, of the distance-moved
 // histogram a hot-swap churn diff produces. Delivery-location moves under a
 // meter or two are re-inference jitter; tens of meters are a different
 // building; hundreds are the mis-annotation-scale corrections the paper is
 // about. The final implicit bucket is +Inf.
-var ChurnDistanceBounds = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
+var churnDistanceBounds = [...]float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 
-// Churn summarizes how the served answers changed across one hot-swap: the
-// diff of the outgoing FrozenStore against the incoming one. A swap that
-// moves a large fraction of addresses is exactly the mis-annotation-discovery
-// signal the system exists to produce — and the one an operator most needs to
-// see when it happens unexpectedly.
-type Churn struct {
-	// Before and After count answerable addresses in each store.
-	Before int
-	After  int
-	// Added counts addresses answerable only after the swap; Dropped only
-	// before. Moved counts addresses answered in both whose location
-	// changed; Retained those whose location is identical.
-	Added    int64
-	Dropped  int64
-	Moved    int64
-	Retained int64
-	// MovedDist buckets the moved distances (meters) by ChurnDistanceBounds;
-	// the last slot counts moves past the largest bound.
-	MovedDist []int64
-	// MeanMovedMeters and MaxMovedMeters summarize the moved distances.
-	MeanMovedMeters float64
-	MaxMovedMeters  float64
-	// LowConfidence counts incoming address-level answers whose confidence
-	// stamp sits below the threshold the diff was computed with (0 when no
-	// threshold was supplied).
-	LowConfidence int64
-}
-
-// Ratio returns moved/(moved+retained) — the fraction of stable addresses
-// whose answer changed. 0 when nothing was answerable in both stores.
-func (c *Churn) Ratio() float64 {
-	den := c.Moved + c.Retained
-	if den == 0 {
-		return 0
-	}
-	return float64(c.Moved) / float64(den)
-}
-
-// DiffFrozen computes the churn of swapping old out for new. Either store
+// DiffFrozen computes the churn of swapping old out for new: how the served
+// answers changed across one hot-swap. A swap that moves a large fraction of
+// addresses is exactly the mis-annotation-discovery signal the system exists
+// to produce — and the one an operator most needs to see when it happens
+// unexpectedly. The report's counts, ratio, distances and low-confidence
+// count are filled; the caller stamps its shard, time and kind. Either store
 // may be nil (a cold boot has no outgoing store: everything counts as
 // Added). lowConf, when > 0, also counts incoming answers below that
 // confidence; onMove, when non-nil, is called with each moved distance in
 // meters (the engine feeds its distance histogram through it). The diff
 // walks both answer maps once — O(|old|+|new|) — and runs off the serving
 // path, after the swap has already published.
-func DiffFrozen(old, new *FrozenStore, lowConf float64, onMove func(meters float64)) *Churn {
-	c := &Churn{
-		Before:    old.Len(),
-		After:     new.Len(),
-		MovedDist: make([]int64, len(ChurnDistanceBounds)+1),
-	}
+func DiffFrozen(old, new *FrozenStore, lowConf float64, onMove func(meters float64)) api.SwapReport {
+	c := api.SwapReport{Before: old.Len(), After: new.Len()}
+	var movedDist [len(churnDistanceBounds) + 1]int64
 	var sumMoved float64
 	if new != nil {
 		for addr, na := range new.answers {
@@ -85,7 +52,7 @@ func DiffFrozen(old, new *FrozenStore, lowConf float64, onMove func(meters float
 			if d > c.MaxMovedMeters {
 				c.MaxMovedMeters = d
 			}
-			c.MovedDist[churnBucket(d)]++
+			movedDist[churnBucket(d)]++
 			if onMove != nil {
 				onMove(d)
 			}
@@ -103,17 +70,30 @@ func DiffFrozen(old, new *FrozenStore, lowConf float64, onMove func(meters float
 		}
 	}
 	if c.Moved > 0 {
+		c.ChurnRatio = float64(c.Moved) / float64(c.Moved+c.Retained)
 		c.MeanMovedMeters = sumMoved / float64(c.Moved)
+		for i, n := range movedDist {
+			if n == 0 {
+				continue
+			}
+			b := api.SwapDistanceBucket{Count: n}
+			if i < len(churnDistanceBounds) {
+				b.LEMeters = churnDistanceBounds[i]
+			} else {
+				b.Inf = true
+			}
+			c.MovedDistance = append(c.MovedDistance, b)
+		}
 	}
 	return c
 }
 
-// churnBucket maps a moved distance to its ChurnDistanceBounds slot.
+// churnBucket maps a moved distance to its churnDistanceBounds slot.
 func churnBucket(d float64) int {
-	for i, b := range ChurnDistanceBounds {
+	for i, b := range churnDistanceBounds {
 		if d <= b {
 			return i
 		}
 	}
-	return len(ChurnDistanceBounds)
+	return len(churnDistanceBounds)
 }

@@ -269,7 +269,42 @@ func (e storeOnlyEngine) SwapReports(int) []api.SwapReport { return nil }
 func (e storeOnlyEngine) Ingest(context.Context, []model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) error {
 	return nil
 }
-func (e storeOnlyEngine) StartReinfer() (JobStatus, error) { return JobStatus{}, nil }
-func (e storeOnlyEngine) ReinferStatus() (JobStatus, bool) { return JobStatus{}, false }
-func (e storeOnlyEngine) Status() EngineStatus             { return EngineStatus{Ready: true} }
-func (e storeOnlyEngine) WriteSnapshot(io.Writer) error    { return nil }
+func (e storeOnlyEngine) StartReinfer() (api.JobStatus, error) { return api.JobStatus{}, nil }
+func (e storeOnlyEngine) ReinferStatus() (api.JobStatus, bool) { return api.JobStatus{}, false }
+func (e storeOnlyEngine) Status() api.EngineStatus             { return api.EngineStatus{Ready: true} }
+func (e storeOnlyEngine) WriteSnapshot(io.Writer) error        { return nil }
+
+// TestDiffFrozenReport pins the swap report DiffFrozen fills: the address
+// partition, the ratio over the stable set, the moved distances summarised
+// and bucketed sparsely with +Inf last, and the low-confidence count of the
+// incoming side.
+func TestDiffFrozenReport(t *testing.T) {
+	old, incoming := NewStore(), NewStore()
+	for id := model.AddressID(1); id <= 5; id++ {
+		old.Put(id, geo.Point{})
+	}
+	incoming.Put(1, geo.Point{})                 // retained
+	incoming.Put(2, geo.Point{X: 0.6, Y: 0.8})   // moved 1 m
+	incoming.Put(3, geo.Point{X: 30, Y: 40})     // moved 50 m
+	incoming.Put(4, geo.Point{X: 3000, Y: 4000}) // moved 5 km
+	incoming.Put(6, geo.Point{X: 7})             // added; 5 is dropped
+	incoming.SetConfidence(6, 0.25)
+	incoming.SetConfidence(1, 0.75)
+	var moves []float64
+	got := DiffFrozen(old.Freeze(), incoming.Freeze(), 0.5, func(m float64) { moves = append(moves, m) })
+	want := api.SwapReport{
+		Before: 5, After: 5, Added: 1, Dropped: 1, Moved: 3, Retained: 1,
+		ChurnRatio: 0.75, MeanMovedMeters: 5051.0 / 3, MaxMovedMeters: 5000,
+		MovedDistance: []api.SwapDistanceBucket{{LEMeters: 1, Count: 1}, {LEMeters: 50, Count: 1}, {Inf: true, Count: 1}},
+		LowConfidence: 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("report\n%+v\nwant\n%+v", got, want)
+	}
+	if len(moves) != 3 {
+		t.Fatalf("onMove saw %v, want the three moved distances", moves)
+	}
+	if cold := DiffFrozen(nil, nil, 0.5, nil); !reflect.DeepEqual(cold, api.SwapReport{}) {
+		t.Fatalf("diff of two nil stores: %+v", cold)
+	}
+}

@@ -118,7 +118,7 @@ func Instrument(route string, log *obs.Logger, tracer *trace.Tracer, h http.Hand
 		}
 		r = r.WithContext(ctx)
 
-		sp := obs.StartSpan(route, hist)
+		sp := obs.StartSpan(hist)
 		rec := recorderPool.Get().(*statusRecorder)
 		*rec = statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h.ServeHTTP(rec, r)

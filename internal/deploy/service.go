@@ -32,11 +32,11 @@ type Engine interface {
 	Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error
 	// StartReinfer launches a background retrain + re-infer job. It returns
 	// ErrReinferRunning (with the running job's status) when one is active.
-	StartReinfer() (JobStatus, error)
+	StartReinfer() (api.JobStatus, error)
 	// ReinferStatus reports the latest job; ok is false before the first.
-	ReinferStatus() (JobStatus, bool)
+	ReinferStatus() (api.JobStatus, bool)
 	// Status summarizes engine state for health checks.
-	Status() EngineStatus
+	Status() api.EngineStatus
 	// WriteSnapshot streams the serving state (addresses, inferred
 	// locations, trained model) to w.
 	WriteSnapshot(w io.Writer) error
@@ -80,26 +80,6 @@ type StreamIngestor interface {
 	// pool. Closing a courier without an open stream is a no-op.
 	CloseStream(ctx context.Context, courier model.CourierID) error
 }
-
-// The wire schema lives in internal/deploy/api; deploy re-exports the types
-// the engine and long-standing callers use so the move is source-compatible.
-type (
-	// EngineStatus is the /v1/healthz payload (api.EngineStatus).
-	EngineStatus = api.EngineStatus
-	// ShardStatus is one shard's status inside EngineStatus.
-	ShardStatus = api.ShardStatus
-	// JobStatus describes one background re-inference job.
-	JobStatus = api.JobStatus
-	// IngestRequest is the POST /v1/ingest payload.
-	IngestRequest = api.IngestRequest
-)
-
-// Job states of a background re-inference (api.Job*).
-const (
-	JobRunning = api.JobRunning
-	JobDone    = api.JobDone
-	JobFailed  = api.JobFailed
-)
 
 // writeJSON writes v with the given status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -81,7 +81,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 	c := srv.Client()
 
 	// Cold engine: not ready, no job yet, nothing to snapshot or query.
-	var st deploy.EngineStatus
+	var st api.EngineStatus
 	getJSON(t, c, srv.URL+"/v1/healthz", http.StatusServiceUnavailable, &st)
 	if st.Ready || st.Addresses != 0 {
 		t.Fatalf("cold status %+v", st)
@@ -90,7 +90,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 	getJSON(t, c, srv.URL+"/v1/snapshot", http.StatusServiceUnavailable, nil)
 
 	// Ingest the whole tiny dataset as one window.
-	req := deploy.IngestRequest{
+	req := api.IngestRequest{
 		Trips:     ds.Trips,
 		Addresses: ds.Addresses,
 		Truth:     make(map[string][2]float64, len(ds.Truth)),
@@ -113,7 +113,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 	// Start the background job; a duplicate start conflicts with the running
 	// job's status as the body.
 	resp = postJSON(t, c, srv.URL+"/v1/reinfer", nil)
-	var job deploy.JobStatus
+	var job api.JobStatus
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("reinfer start status %d", resp.StatusCode)
 	}
@@ -121,7 +121,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if job.State != deploy.JobRunning {
+	if job.State != api.JobRunning {
 		t.Fatalf("started job %+v", job)
 	}
 	resp = postJSON(t, c, srv.URL+"/v1/reinfer", nil)
@@ -142,7 +142,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 
 	// Poll until done.
 	deadline := time.After(2 * time.Minute)
-	for job.State == deploy.JobRunning {
+	for job.State == api.JobRunning {
 		select {
 		case <-deadline:
 			t.Fatal("re-inference job did not finish")
@@ -150,7 +150,7 @@ func TestServiceIngestReinferQuery(t *testing.T) {
 		}
 		getJSON(t, c, srv.URL+"/v1/reinfer", http.StatusOK, &job)
 	}
-	if job.State != deploy.JobDone {
+	if job.State != api.JobDone {
 		t.Fatalf("job ended %+v", job)
 	}
 
@@ -265,7 +265,7 @@ func TestServiceShardedHealthz(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := srv.Client()
 
-	var st deploy.EngineStatus
+	var st api.EngineStatus
 	getJSON(t, c, srv.URL+"/v1/healthz", http.StatusOK, &st)
 	if !st.Ready {
 		t.Fatalf("sharded healthz %+v", st)

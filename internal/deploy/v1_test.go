@@ -28,8 +28,8 @@ import (
 // stubEngine implements deploy.Engine with directly settable state.
 type stubEngine struct {
 	store    *deploy.Store
-	status   deploy.EngineStatus
-	job      *deploy.JobStatus
+	status   api.EngineStatus
+	job      *api.JobStatus
 	ingested [][]model.Trip
 }
 
@@ -56,22 +56,22 @@ func (s *stubEngine) Ingest(_ context.Context, trips []model.Trip, _ []model.Add
 	return nil
 }
 
-func (s *stubEngine) StartReinfer() (deploy.JobStatus, error) {
-	if s.job != nil && s.job.State == deploy.JobRunning {
+func (s *stubEngine) StartReinfer() (api.JobStatus, error) {
+	if s.job != nil && s.job.State == api.JobRunning {
 		return *s.job, deploy.ErrReinferRunning
 	}
-	s.job = &deploy.JobStatus{ID: 1, State: deploy.JobRunning}
+	s.job = &api.JobStatus{ID: 1, State: api.JobRunning}
 	return *s.job, nil
 }
 
-func (s *stubEngine) ReinferStatus() (deploy.JobStatus, bool) {
+func (s *stubEngine) ReinferStatus() (api.JobStatus, bool) {
 	if s.job == nil {
-		return deploy.JobStatus{}, false
+		return api.JobStatus{}, false
 	}
 	return *s.job, true
 }
 
-func (s *stubEngine) Status() deploy.EngineStatus { return s.status }
+func (s *stubEngine) Status() api.EngineStatus { return s.status }
 
 func (s *stubEngine) WriteSnapshot(w io.Writer) error {
 	_, err := io.WriteString(w, `{"version":1,"locations":{}}`)
@@ -83,7 +83,7 @@ func readyStub() *stubEngine {
 	st := deploy.NewStore()
 	st.Put(1, geo.Point{X: 10, Y: 20})
 	st.Put(2, geo.Point{X: 30, Y: 40})
-	return &stubEngine{store: st, status: deploy.EngineStatus{Ready: true, Inferred: 2}}
+	return &stubEngine{store: st, status: api.EngineStatus{Ready: true, Inferred: 2}}
 }
 
 func TestV1LocationAndBatch(t *testing.T) {
@@ -311,9 +311,9 @@ func TestV1IngestAndReinfer(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var job deploy.JobStatus
+	var job api.JobStatus
 	getJSON(t, c, srv.URL+"/v1/reinfer", http.StatusOK, &job)
-	if job.ID != 1 || job.State != deploy.JobRunning {
+	if job.ID != 1 || job.State != api.JobRunning {
 		t.Fatalf("v1 reinfer poll %+v", job)
 	}
 
@@ -513,13 +513,13 @@ func TestIngestTruthKeysAreStrict(t *testing.T) {
 func TestHealthzMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
-		status deploy.EngineStatus
+		status api.EngineStatus
 		want   int
 	}{
-		{"cold", deploy.EngineStatus{}, http.StatusServiceUnavailable},
-		{"ready", deploy.EngineStatus{Ready: true}, http.StatusOK},
-		{"ready but failed", deploy.EngineStatus{Ready: true, Failed: true, LastError: "shard 1: boom"}, http.StatusServiceUnavailable},
-		{"failed before ready", deploy.EngineStatus{Failed: true}, http.StatusServiceUnavailable},
+		{"cold", api.EngineStatus{}, http.StatusServiceUnavailable},
+		{"ready", api.EngineStatus{Ready: true}, http.StatusOK},
+		{"ready but failed", api.EngineStatus{Ready: true, Failed: true, LastError: "shard 1: boom"}, http.StatusServiceUnavailable},
+		{"failed before ready", api.EngineStatus{Failed: true}, http.StatusServiceUnavailable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -533,7 +533,7 @@ func TestHealthzMatrix(t *testing.T) {
 			if resp.StatusCode != tc.want {
 				t.Fatalf("healthz %d, want %d", resp.StatusCode, tc.want)
 			}
-			var st deploy.EngineStatus
+			var st api.EngineStatus
 			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/synth"
 )
@@ -17,11 +18,11 @@ import (
 type autoStub struct {
 	deploy.Engine
 	mu     sync.Mutex
-	status deploy.EngineStatus
+	status api.EngineStatus
 	starts int
 }
 
-func (s *autoStub) setStatus(st deploy.EngineStatus) {
+func (s *autoStub) setStatus(st api.EngineStatus) {
 	s.mu.Lock()
 	s.status = st
 	s.mu.Unlock()
@@ -33,17 +34,17 @@ func (s *autoStub) startCount() int {
 	return s.starts
 }
 
-func (s *autoStub) StartReinfer() (deploy.JobStatus, error) {
+func (s *autoStub) StartReinfer() (api.JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.starts++
 	// Once fired, the stub reports the job as running so the monitor must
 	// not stack another start on the next ticks.
 	s.status.ReinferRunning = true
-	return deploy.JobStatus{ID: s.starts, State: deploy.JobRunning}, nil
+	return api.JobStatus{ID: s.starts, State: api.JobRunning}, nil
 }
 
-func (s *autoStub) Status() deploy.EngineStatus {
+func (s *autoStub) Status() api.EngineStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.status
@@ -67,13 +68,13 @@ func TestAutoReinferBacklogTrigger(t *testing.T) {
 	defer a.Stop()
 
 	// Below threshold: no fire.
-	s.setStatus(deploy.EngineStatus{PendingTrips: 9})
+	s.setStatus(api.EngineStatus{PendingTrips: 9})
 	time.Sleep(20 * time.Millisecond)
 	if got := s.startCount(); got != 0 {
 		t.Fatalf("fired %d times below threshold", got)
 	}
 
-	s.setStatus(deploy.EngineStatus{PendingTrips: 10})
+	s.setStatus(api.EngineStatus{PendingTrips: 10})
 	waitStarts(t, s, 1)
 
 	// While the job runs the monitor keeps watching without stacking.
@@ -83,14 +84,14 @@ func TestAutoReinferBacklogTrigger(t *testing.T) {
 	}
 
 	// Job done, backlog drained: still quiet.
-	s.setStatus(deploy.EngineStatus{PendingTrips: 0})
+	s.setStatus(api.EngineStatus{PendingTrips: 0})
 	time.Sleep(20 * time.Millisecond)
 	if got := s.startCount(); got != 1 {
 		t.Fatalf("fired %d times with an empty backlog", got)
 	}
 
 	// Backlog crosses again: second fire.
-	s.setStatus(deploy.EngineStatus{PendingTrips: 25})
+	s.setStatus(api.EngineStatus{PendingTrips: 25})
 	waitStarts(t, s, 2)
 }
 
@@ -101,13 +102,13 @@ func TestAutoReinferAgeTrigger(t *testing.T) {
 
 	// Young backlog: no fire regardless of size (only the age condition is
 	// configured).
-	s.setStatus(deploy.EngineStatus{PendingTrips: 1000, PendingAgeSeconds: 9})
+	s.setStatus(api.EngineStatus{PendingTrips: 1000, PendingAgeSeconds: 9})
 	time.Sleep(20 * time.Millisecond)
 	if got := s.startCount(); got != 0 {
 		t.Fatalf("fired %d times below the age threshold", got)
 	}
 
-	s.setStatus(deploy.EngineStatus{PendingTrips: 1, PendingAgeSeconds: 10.5})
+	s.setStatus(api.EngineStatus{PendingTrips: 1, PendingAgeSeconds: 10.5})
 	waitStarts(t, s, 1)
 }
 

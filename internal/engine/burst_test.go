@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -258,24 +259,32 @@ func TestPerOpIngestDoesNotAllocateABurst(t *testing.T) {
 }
 
 // transcodeToJSON rewrites the log in src as the JSON records earlier builds
-// wrote for the same operations, into a fresh log in dst.
+// wrote for the same operations, into a fresh log in dst: the batch window
+// as it is, each streamed fix and end as a JSON pt or end record.
 func transcodeToJSON(t *testing.T, src, dst string) {
 	t.Helper()
+	type legacyRecord struct {
+		Kind    string          `json:"k"`
+		Courier model.CourierID `json:"c,omitempty"`
+		X       float64         `json:"x,omitempty"`
+		Y       float64         `json:"y,omitempty"`
+		T       float64         `json:"t,omitempty"`
+	}
 	out := openBurstWAL(t, dst)
 	err := openBurstWAL(t, src).Replay(func(_ uint64, payload []byte) error {
 		op, window, err := decodeWALRecord(payload)
-		if err != nil {
+		if err != nil || window != nil {
+			_, err = out.Append(payload)
 			return err
 		}
-		rec := window
-		switch {
-		case window != nil:
-		case op.End:
-			rec = &walRecord{Kind: walKindEnd, Courier: op.Courier}
-		default:
-			rec = &walRecord{Kind: walKindPoint, Courier: op.Courier, X: op.Pt.P.X, Y: op.Pt.P.Y, T: op.Pt.T}
+		rec := legacyRecord{Kind: "pt", Courier: op.Courier, X: op.Pt.P.X, Y: op.Pt.P.Y, T: op.Pt.T}
+		if op.End {
+			rec = legacyRecord{Kind: "end", Courier: op.Courier}
 		}
-		_, err = out.Append(mustEncodeWAL(rec))
+		b, err := json.Marshal(&rec)
+		if err == nil {
+			_, err = out.Append(b)
+		}
 		return err
 	})
 	if err != nil {
@@ -284,7 +293,7 @@ func transcodeToJSON(t *testing.T, src, dst string) {
 }
 
 // legacyWindow is the batch window that precedes burstScript in the legacy
-// log tests (and in testdata/wal_parent.log).
+// log test.
 func legacyWindow() ([]model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) {
 	rng := rand.New(rand.NewSource(42))
 	a, b := geo.Point{X: 50, Y: 50}, geo.Point{X: 90000, Y: 90000}
@@ -293,11 +302,11 @@ func legacyWindow() ([]model.Trip, []model.AddressInfo, map[model.AddressID]geo.
 		map[model.AddressID]geo.Point{1: a}
 }
 
-// TestLegacyJSONLogReplays: a log of JSON pt/end/ingest records — transcoded
-// here, and one written by the parent commit's binary and checked in —
-// replays to the state its binary twin replays to, and so does a log that
-// starts in JSON and continues in binary, as the log of a server upgraded in
-// place does.
+// TestLegacyJSONLogReplays: a log in the form earlier builds wrote — the
+// batch window, then every streamed fix and end as a JSON pt or end record —
+// replays its batch window, the one JSON record still written, and then
+// refuses the first JSON fix or end by its sequence instead of reading or
+// skipping it; the engine holds exactly the window.
 func TestLegacyJSONLogReplays(t *testing.T) {
 	ops := burstScript()
 	trips, addrs, truth := legacyWindow()
@@ -315,63 +324,30 @@ func TestLegacyJSONLogReplays(t *testing.T) {
 
 			jsonDir := t.TempDir()
 			transcodeToJSON(t, binDir, jsonDir)
-			fromJSON, records := replayInto(t, n, jsonDir)
-			if want := 1 + len(ops) - 2; records != want {
-				t.Fatalf("replayed %d JSON records, want %d", records, want)
+			legacy := newBurstTestEngine(t, n)
+			defer legacy.Close()
+			records, err := legacy.ReplayWAL(ctx, openBurstWAL(t, jsonDir))
+			if err == nil || !strings.Contains(err.Error(), "wal record 2: unknown wal record kind") {
+				t.Fatalf("replay error = %v, want one refusing record 2's kind", err)
 			}
-			requireSameIngestState(t, live, fromJSON)
-
-			// The parent's own bytes. The file is one segment, so it replays
-			// under the name of a log's first.
-			parentDir := t.TempDir()
-			seg, err := os.ReadFile(filepath.Join("testdata", "wal_parent.log"))
-			if err != nil {
+			if records != 1 {
+				t.Fatalf("replayed %d records before refusing, want the window alone", records)
+			}
+			window := newBurstTestEngine(t, n)
+			defer window.Close()
+			if err := window.Ingest(ctx, trips, addrs, truth); err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []string{walKindIngest, walKindPoint, walKindEnd} {
-				if !bytes.Contains(seg, []byte(`{"k":"`+kind+`"`)) {
-					t.Fatalf("testdata/wal_parent.log holds no JSON %s record", kind)
-				}
-			}
-			if err := os.WriteFile(filepath.Join(parentDir, "wal-0000000000000001.log"), seg, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fromParent, records := replayInto(t, n, parentDir)
-			if want := 1 + len(ops) - 2; records != want {
-				t.Fatalf("replayed %d parent records, want %d", records, want)
-			}
-			requireSameIngestState(t, live, fromParent)
-
-			// Mixed: the JSON log of the first half, continued in binary by
-			// this build.
-			half := len(ops) / 2
-			firstDir := t.TempDir()
-			first := newBurstTestEngine(t, n)
-			defer first.Close()
-			first.AttachWAL(openBurstWAL(t, firstDir))
-			if err := first.Ingest(ctx, trips, addrs, truth); err != nil {
-				t.Fatal(err)
-			}
-			feedPerOp(t, first, ops[:half])
-			mixedDir := t.TempDir()
-			transcodeToJSON(t, firstDir, mixedDir)
-			upgraded, _ := replayInto(t, n, mixedDir)
-			upgraded.AttachWAL(openBurstWAL(t, mixedDir))
-			feedBursts(t, upgraded, ops[half:], func(remaining int) int { return remaining })
-			requireSameIngestState(t, live, upgraded)
-			mixed := readSegments(t, mixedDir)["wal-0000000000000001.log"]
-			if !bytes.HasPrefix(mixed[8:], []byte(`{"k":"ingest"`)) || mixed[len(mixed)-1] == '}' {
-				t.Fatal("mixed log is not JSON records followed by binary ones")
-			}
-			fromMixed, _ := replayInto(t, n, mixedDir)
-			requireSameIngestState(t, live, fromMixed)
+			requireSameIngestState(t, window, legacy)
 		})
 	}
 }
 
-// TestMalformedWALRecordRefusesReplay: a tag no build wrote, and a binary
-// record of the wrong width, stop replay with the record's sequence in the
-// error instead of being skipped or misread.
+// TestMalformedWALRecordRefusesReplay: a tag no build wrote, a binary record
+// of the wrong width, and a JSON record of any kind but the batch window —
+// the JSON pt and end records earlier builds wrote among them — stop replay
+// with the record's sequence in the error instead of being skipped or
+// misread.
 func TestMalformedWALRecordRefusesReplay(t *testing.T) {
 	point := appendWALOp(nil, &deploy.StreamOp{Courier: 3, Pt: traj.GPSPoint{P: geo.Point{X: 1, Y: 2}, T: 3}})
 	end := appendWALOp(nil, &deploy.StreamOp{Courier: 3, End: true})
@@ -383,6 +359,8 @@ func TestMalformedWALRecordRefusesReplay(t *testing.T) {
 		"long end":         append(append([]byte{}, end...), 0),
 		"empty":            {},
 		"unknown JSON":     []byte(`{"k":"waybill","c":3}`),
+		"JSON point":       []byte(`{"k":"pt","c":3,"x":1,"y":2,"t":3}`),
+		"JSON end":         []byte(`{"k":"end","c":3}`),
 		"not JSON at all":  []byte(`{"k":`),
 		"tag zero":         {0x00},
 		"tag only (point)": {walTagPoint},

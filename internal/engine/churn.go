@@ -90,42 +90,12 @@ func (r *swapRing) list(limit int) []api.SwapReport {
 // path never waits on the diff.
 func (s *Shard) churnReport(old, incoming *deploy.FrozenStore, kind string) {
 	movedHist := reinferMovedDistance.With(s.label)
-	c := deploy.DiffFrozen(old, incoming, float64(s.lowConf), func(meters float64) {
+	rep := deploy.DiffFrozen(old, incoming, float64(s.lowConf), func(meters float64) {
 		movedHist.Observe(meters)
 	})
-	reinferChurnRatio.With(s.label).Set(c.Ratio())
-	lowConfAddresses.With(s.label).Set(float64(c.LowConfidence))
-
-	rep := api.SwapReport{
-		Shard:           s.label,
-		Time:            time.Now().UTC(),
-		Kind:            kind,
-		Before:          c.Before,
-		After:           c.After,
-		Added:           c.Added,
-		Dropped:         c.Dropped,
-		Moved:           c.Moved,
-		Retained:        c.Retained,
-		ChurnRatio:      c.Ratio(),
-		MeanMovedMeters: c.MeanMovedMeters,
-		MaxMovedMeters:  c.MaxMovedMeters,
-		LowConfidence:   c.LowConfidence,
-	}
-	if c.Moved > 0 {
-		rep.MovedDistance = make([]api.SwapDistanceBucket, 0, len(c.MovedDist))
-		for i, n := range c.MovedDist {
-			if n == 0 {
-				continue
-			}
-			b := api.SwapDistanceBucket{Count: n}
-			if i < len(deploy.ChurnDistanceBounds) {
-				b.LEMeters = deploy.ChurnDistanceBounds[i]
-			} else {
-				b.Inf = true
-			}
-			rep.MovedDistance = append(rep.MovedDistance, b)
-		}
-	}
+	reinferChurnRatio.With(s.label).Set(rep.ChurnRatio)
+	lowConfAddresses.With(s.label).Set(float64(rep.LowConfidence))
+	rep.Shard, rep.Time, rep.Kind = s.label, time.Now().UTC(), kind
 	rep = s.swaps.push(rep)
 	s.log.Info("hot-swap churn",
 		"shard", s.label, "kind", kind, "seq", rep.Seq,

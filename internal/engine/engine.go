@@ -156,7 +156,7 @@ type Engine struct {
 	// exclusive lock.
 	jobMu      sync.Mutex
 	jobSeq     int
-	job        *deploy.JobStatus
+	job        *api.JobStatus
 	jobWG      sync.WaitGroup
 	jobRunning atomic.Bool
 }
@@ -251,12 +251,6 @@ func (e *Engine) shardErr(i int, err error) error {
 	}
 	return fmt.Errorf("engine: shard %d: %w", i, err)
 }
-
-// NumShards returns the shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// Shard returns in-process shard i (for tests and diagnostics).
-func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
 // Close cancels the root context and joins any in-flight background
 // re-inference, so after Close returns no goroutine can swap serving state —
@@ -504,15 +498,15 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 // StartReinfer launches Reinfer on the engine's root context in a background
 // goroutine. While a job is running it returns that job's status with
 // deploy.ErrReinferRunning.
-func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
+func (e *Engine) StartReinfer() (api.JobStatus, error) {
 	e.jobMu.Lock()
-	if e.job != nil && e.job.State == deploy.JobRunning {
+	if e.job != nil && e.job.State == api.JobRunning {
 		js := *e.job
 		e.jobMu.Unlock()
 		return js, deploy.ErrReinferRunning
 	}
 	e.jobSeq++
-	job := &deploy.JobStatus{ID: e.jobSeq, State: deploy.JobRunning}
+	job := &api.JobStatus{ID: e.jobSeq, State: api.JobRunning}
 	e.job = job
 	e.jobRunning.Store(true)
 	// Snapshot before the goroutine exists: a fast job could finish (and
@@ -541,11 +535,11 @@ func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 		defer e.jobMu.Unlock()
 		e.jobRunning.Store(false)
 		if err != nil {
-			job.State = deploy.JobFailed
+			job.State = api.JobFailed
 			job.Error = err.Error()
 			return
 		}
-		job.State = deploy.JobDone
+		job.State = api.JobDone
 		job.Inferred = inferred
 	}()
 	return js, nil
@@ -553,11 +547,11 @@ func (e *Engine) StartReinfer() (deploy.JobStatus, error) {
 
 // ReinferStatus reports the latest background job; ok is false before the
 // first StartReinfer.
-func (e *Engine) ReinferStatus() (deploy.JobStatus, bool) {
+func (e *Engine) ReinferStatus() (api.JobStatus, bool) {
 	e.jobMu.Lock()
 	defer e.jobMu.Unlock()
 	if e.job == nil {
-		return deploy.JobStatus{}, false
+		return api.JobStatus{}, false
 	}
 	return *e.job, true
 }
@@ -590,41 +584,30 @@ func (e *Engine) route(addr model.AddressID) int {
 	return -1
 }
 
-// Query answers from the owning shard's served store: a routing-table lookup
-// (skipped with one shard) and then the shard's own lock-free frozen-store
-// read — no locks and zero allocations anywhere on the path. It returns
-// SourceNone for unknown addresses and before the first completed
-// re-inference or snapshot restore; queries never wait on retraining.
+// Query is QueryCtx without a request: from in-process shards, a
+// routing-table lookup (skipped with one shard) and then the shard's own
+// lock-free frozen-store read — no locks and zero allocations anywhere on
+// the path.
 func (e *Engine) Query(addr model.AddressID) (geo.Point, deploy.Source) {
-	sh := e.route(addr)
-	if sh < 0 {
-		return geo.Point{}, deploy.SourceNone
-	}
-	return e.backends[sh].Query(addr)
+	return e.QueryCtx(context.Background(), addr)
 }
 
-// QueryCtx is Query carrying the request context, so a remote shard hop
-// propagates the caller's trace and request id. A remote shard that cannot
-// answer while ctx is live (every peer down) answers SourceUnavailable, not a
-// miss. In-process shards, whose Query is the lock-free frozen path, have
-// nothing to propagate and answer exactly like Query.
+// QueryCtx answers from the owning shard's served store, carrying the
+// request context so a remote shard hop propagates the caller's trace and
+// request id. It returns SourceNone for unknown addresses and before the
+// first completed re-inference or snapshot restore; queries never wait on
+// retraining. A shard that cannot answer while ctx is live (a remote one
+// with every peer down) answers SourceUnavailable, not a miss.
 func (e *Engine) QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source) {
 	sh := e.route(addr)
 	if sh < 0 {
 		return geo.Point{}, deploy.SourceNone
 	}
-	if e.remote {
-		if cq, ok := e.backends[sh].(interface {
-			QueryOne(context.Context, model.AddressID) (geo.Point, deploy.Source, error)
-		}); ok {
-			p, src, err := cq.QueryOne(ctx, addr)
-			if err != nil && ctx.Err() == nil {
-				return geo.Point{}, deploy.SourceUnavailable
-			}
-			return p, src
-		}
+	p, src, err := e.backends[sh].Query(ctx, addr)
+	if err != nil && ctx.Err() == nil {
+		return geo.Point{}, deploy.SourceUnavailable
 	}
-	return e.backends[sh].Query(addr)
+	return p, src
 }
 
 // QueryBatch answers every key of addrs into out, input order preserved. One
@@ -745,9 +728,9 @@ func (e *Engine) InferredLocations() map[model.AddressID]geo.Point {
 // rides along for /healthz, remote shards carrying their owner's endpoint in
 // Peer and an unreachable one surfacing as a Failed shard rather than an
 // error.
-func (e *Engine) Status() deploy.EngineStatus {
+func (e *Engine) Status() api.EngineStatus {
 	e.mu.RLock()
-	out := deploy.EngineStatus{Dataset: e.name, Trips: e.nTrips, Reinfers: e.reinfers}
+	out := api.EngineStatus{Dataset: e.name, Trips: e.nTrips, Reinfers: e.reinfers}
 	e.mu.RUnlock()
 	breakdown := e.routed() || e.remote
 	for i, b := range e.backends {
@@ -770,7 +753,7 @@ func (e *Engine) Status() deploy.EngineStatus {
 			}
 		}
 		if breakdown {
-			shardSt := deploy.ShardStatus{Shard: i, EngineStatus: st}
+			shardSt := api.ShardStatus{Shard: i, EngineStatus: st}
 			if ep, ok := b.(interface{ Endpoint() string }); ok {
 				shardSt.Peer = ep.Endpoint()
 			}

@@ -14,6 +14,7 @@ import (
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/engine"
 	"dlinfma/internal/model"
 	"dlinfma/internal/shard"
@@ -92,11 +93,29 @@ func tinyEngine(t *testing.T) (*model.Dataset, *engine.Engine) {
 	return tinyEngineN(t, 1)
 }
 
-// servedMatcher returns a trained matcher some shard of e serves, or nil.
+// servedMatcher returns a trained matcher some shard of e serves, or nil:
+// the first one e's snapshot carries, as a restore would load it.
 func servedMatcher(e *engine.Engine) *core.LocMatcher {
-	for i := 0; i < e.NumShards(); i++ {
-		if m := e.Shard(i).Matcher(); m != nil {
-			return m
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		return nil
+	}
+	var doc struct {
+		Matcher json.RawMessage
+		Shards  []struct{ Matcher json.RawMessage }
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		return nil
+	}
+	raws := []json.RawMessage{doc.Matcher}
+	for _, sh := range doc.Shards {
+		raws = append(raws, sh.Matcher)
+	}
+	for _, raw := range raws {
+		if len(raw) > 0 && string(raw) != "null" {
+			if m, err := core.LoadLocMatcher(bytes.NewReader(raw)); err == nil {
+				return m
+			}
 		}
 	}
 	return nil
@@ -395,7 +414,7 @@ func TestBackgroundReinfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.State != deploy.JobRunning || job.ID != 1 {
+		if job.State != api.JobRunning || job.ID != 1 {
 			t.Fatalf("started job %+v", job)
 		}
 		// A second start while the first is in flight reports the running job.
@@ -411,13 +430,13 @@ func TestBackgroundReinfer(t *testing.T) {
 			if !ok {
 				t.Fatal("job status vanished")
 			}
-			if js.State == deploy.JobDone {
+			if js.State == api.JobDone {
 				if js.Inferred == 0 {
 					t.Errorf("finished job inferred nothing: %+v", js)
 				}
 				break
 			}
-			if js.State == deploy.JobFailed {
+			if js.State == api.JobFailed {
 				t.Fatalf("background job failed: %s", js.Error)
 			}
 			select {
@@ -447,12 +466,12 @@ func TestCloseJoinsBackgroundJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.State != deploy.JobRunning {
+		if job.State != api.JobRunning {
 			t.Fatalf("started job %+v", job)
 		}
 		e.Close()
 		js, ok := e.ReinferStatus()
-		if !ok || js.State == deploy.JobRunning {
+		if !ok || js.State == api.JobRunning {
 			t.Fatalf("job still running after Close: %+v", js)
 		}
 		// Idempotent enough for deferred cleanup paths.

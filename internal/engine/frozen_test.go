@@ -17,15 +17,16 @@ import (
 	"dlinfma/internal/shard"
 )
 
-// snapshotDoc marshals a store-only single-engine snapshot for restore-based
+// snapshotDoc marshals a store-only version-1 snapshot for restore-based
 // read-path tests (no training needed).
 func snapshotDoc(t testing.TB, addrs []model.AddressInfo, locs map[model.AddressID]geo.Point) []byte {
 	t.Helper()
 	sn := struct {
+		Version   int                   `json:"version"`
 		Name      string                `json:"name"`
 		Addresses []model.AddressInfo   `json:"addresses"`
 		Locations map[string][2]float64 `json:"locations"`
-	}{Name: "frozen-test", Addresses: addrs, Locations: map[string][2]float64{}}
+	}{Version: 1, Name: "frozen-test", Addresses: addrs, Locations: map[string][2]float64{}}
 	for id, p := range locs {
 		sn.Locations[fmt.Sprint(id)] = [2]float64{p.X, p.Y}
 	}

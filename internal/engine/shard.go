@@ -8,6 +8,7 @@ import (
 
 	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs"
@@ -111,7 +112,7 @@ func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.Ad
 // check and leaves the served state untouched.
 func (s *Shard) Reinfer(ctx context.Context) error {
 	ctx, tsp := trace.Start(ctx, "engine.reinfer")
-	sp := obs.StartSpan("reinfer", reinferDuration)
+	sp := obs.StartSpan(reinferDuration)
 	err := s.reinfer(ctx)
 	tsp.RecordError(err)
 	tsp.End()
@@ -244,16 +245,17 @@ func (s *Shard) frozen() *deploy.FrozenStore {
 }
 
 // Query answers from the currently served frozen store: one atomic pointer
-// load plus one map lookup, no locks and zero allocations. It returns
-// SourceNone before the first completed re-inference or snapshot restore —
-// queries never wait on retraining.
-func (s *Shard) Query(addr model.AddressID) (geo.Point, deploy.Source) {
+// load plus one map lookup, no locks and zero allocations, and never an
+// error — an in-process shard has no hop to fail. It returns SourceNone
+// before the first completed re-inference or snapshot restore — queries
+// never wait on retraining.
+func (s *Shard) Query(_ context.Context, addr model.AddressID) (geo.Point, deploy.Source, error) {
 	a, _ := s.frozen().Lookup(addr)
 	countQuery(a.Src)
 	if a.Conf > 0 && a.Conf < s.lowConf {
 		lowConfQueries.Inc()
 	}
-	return a.Loc, a.Src
+	return a.Loc, a.Src, nil
 }
 
 // queryBatchChunk is how many keys a batch worker answers between
@@ -310,21 +312,12 @@ func (s *Shard) QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx 
 	return nil
 }
 
-// Matcher returns the served trained model (nil before the first
-// re-inference or restore without a saved model).
-func (s *Shard) Matcher() *core.LocMatcher {
-	if sv := s.sv.Load(); sv != nil {
-		return sv.matcher
-	}
-	return nil
-}
-
 // Status summarizes the shard for the engine's health aggregation. Streams
 // and the background job are the engine's; their fields stay zero here. It
 // takes no lock: the read path calls it.
-func (s *Shard) Status() deploy.EngineStatus {
+func (s *Shard) Status() api.EngineStatus {
 	c := s.ev.counts.Load()
-	out := deploy.EngineStatus{Dataset: c.name, Addresses: len(c.addrs), Trips: c.trips,
+	out := api.EngineStatus{Dataset: c.name, Addresses: len(c.addrs), Trips: c.trips,
 		PendingTrips: c.pending, Reinfers: int(s.reinfers.Load())}
 	if msg := s.lastErr.Load(); msg != nil {
 		out.Failed, out.LastError = true, *msg

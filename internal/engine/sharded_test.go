@@ -128,9 +128,6 @@ func TestShardedBoundaryStays(t *testing.T) {
 		Addresses: []model.AddressInfo{addr},
 		Truth:     truth,
 	}
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Pick a shard count where the address's cell and the trajectory
 	// midpoint's cell land on different shards, so per-point routing would

@@ -40,7 +40,6 @@ const (
 // after a restore the engine serves queries immediately but needs fresh
 // ingest before the next re-inference.
 type snapshot struct {
-	// Version 0 is the pre-versioning legacy encoding of version 1.
 	Version   int                   `json:"version"`
 	Name      string                `json:"name"`
 	Addresses []model.AddressInfo   `json:"addresses"`
@@ -486,10 +485,9 @@ func (e *Engine) LoadSnapshotFile(path string) error {
 	return e.restoreFrom(data, filepath.Dir(path))
 }
 
-// decodeSnapshot reads one document. A version-1 document (or its
-// pre-versioning form, version 0) comes back as a filled load for shard only
-// (-1: routed); anything else encoding/json accepts comes back as the decoded
-// union for the caller to dispatch on.
+// decodeSnapshot reads one document. A version-1 document comes back as a
+// filled load for shard only (-1: routed); anything else encoding/json
+// accepts comes back as the decoded union for the caller to dispatch on.
 //
 // The strict reader goes first and takes exactly the documents the writers
 // produce. What it declines — a manifest, but also a version-1 document
@@ -508,7 +506,7 @@ func (e *Engine) decodeSnapshot(data []byte, only int) (*snapshotLoad, *snapshot
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
 		return nil, nil, fmt.Errorf("engine: decode snapshot: %w", err)
 	}
-	if doc.Version != 0 && doc.Version != snapshotVersionSingle {
+	if doc.Version != snapshotVersionSingle {
 		return nil, &doc, nil
 	}
 	snapshotDecoderFallbacks.Inc()
@@ -565,6 +563,14 @@ func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 	if doc.ShardCount != len(e.shards) {
 		return fmt.Errorf("engine: manifest has %d shards, engine is configured with %d (restart with -shards %d)",
 			doc.ShardCount, len(e.shards), doc.ShardCount)
+	}
+	// The writers list every shard or none; a list of any other length
+	// would restore some of its documents and silently drop the rest.
+	if n := len(doc.Shards); n != 0 && n != doc.ShardCount {
+		return fmt.Errorf("engine: manifest carries %d shard documents for %d shards", n, doc.ShardCount)
+	}
+	if n := len(doc.Files); n != 0 && n != doc.ShardCount {
+		return fmt.Errorf("engine: manifest names %d shard files for %d shards", n, doc.ShardCount)
 	}
 	if len(doc.Files) > 0 && len(doc.Shards) == 0 && dir == "" {
 		return errors.New("engine: manifest references shard files; restore it with LoadSnapshotFile")

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/shard"
@@ -108,7 +109,7 @@ func viaJSON(doc []byte) []byte {
 // operators can see.
 type restoredState struct {
 	frozen   []*deploy.FrozenStore
-	status   deploy.EngineStatus
+	status   api.EngineStatus
 	matchers [][]byte
 }
 
@@ -126,8 +127,8 @@ func restoreState(t testing.TB, shards int, doc []byte) (st restoredState, scann
 	for _, sh := range e.shards {
 		st.frozen = append(st.frozen, sh.frozen())
 		var m bytes.Buffer
-		if sh.Matcher() != nil {
-			if err := sh.Matcher().Save(&m); err != nil {
+		if sv := sh.sv.Load(); sv != nil && sv.matcher != nil {
+			if err := sv.matcher.Save(&m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -226,6 +227,7 @@ func snapshotSeeds(t testing.TB) [][]byte {
 		harness, full, fixture,
 		[]byte(`{"version":2,"name":"m","shard_count":3,"addr_shards":{"0":0,"9":2},"shards":[` + line + `,null,` + line + `]}`),
 		[]byte(`{"version":2,"shard_count":1,"addr_shards":{},"shards":[` + line + `]}`),
+		[]byte(`{"version":2,"shard_count":1,"addr_shards":{},"shards":[` + line + `,` + line + `]}`),
 		[]byte(strings.Replace(line, `,"addresses"`, ` , "addresses"`, 1)),
 		[]byte(`{"name":"n","version":1,"addresses":[],"locations":{"1":[1,2]}}`),
 		[]byte(`{"version":1,"name":"n","addresses":null,"locations":{"1":[1,2],"1":[3,4]}}`),

@@ -146,3 +146,47 @@ func TestSnapshotKeysNamingOneAddress(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestRestoreRefusesUnwrittenForms: documents no writer produces are refused
+// loudly, and the engine stays as it was. A version-0 document — the form
+// before snapshots carried a version — is an unsupported version, alone and
+// inside a manifest. A manifest's shard list holds one entry per shard or
+// none; a longer one used to restore its first entries and drop the rest,
+// so a one-shard engine loaded the document below without error and then
+// answered SourceNone for address 7.
+func TestRestoreRefusesUnwrittenForms(t *testing.T) {
+	doc := func(id int) string {
+		return fmt.Sprintf(`{"version":1,"name":"n","addresses":[],"locations":{"%d":[1,2]}}`, id)
+	}
+	v0 := `{"version":0,"name":"n","addresses":[],"locations":{"1":[1,2]}}`
+	for _, tc := range []struct {
+		shards int
+		doc    string
+		want   string
+	}{
+		{1, v0, "unsupported snapshot version 0"},
+		{3, v0, "unsupported snapshot version 0"},
+		{1, `{"version":2,"shard_count":1,"addr_shards":{},"shards":[` + v0 + `]}`, "shard snapshot has version 0"},
+		{1, `{"version":2,"shard_count":1,"addr_shards":{},"shards":[` + doc(1) + `,` + doc(7) + `]}`, "manifest carries 2 shard documents for 1 shards"},
+		{2, `{"version":2,"shard_count":2,"addr_shards":{},"shards":[` + doc(1) + `,null,` + doc(7) + `]}`, "manifest carries 3 shard documents for 2 shards"},
+		{2, `{"version":2,"shard_count":2,"addr_shards":{},"shards":[` + doc(1) + `]}`, "manifest carries 1 shard documents for 2 shards"},
+		{2, `{"version":2,"shard_count":2,"addr_shards":{},"files":["a","b","c"]}`, "manifest names 3 shard files for 2 shards"},
+	} {
+		e := New(streamTestConfig())
+		if tc.shards > 1 {
+			r, err := shard.NewRouter(tc.shards, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e = NewSharded(streamTestConfig(), r)
+		}
+		err := e.RestoreSnapshot(strings.NewReader(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("shards=%d %s: restore error %v, want one saying %q", tc.shards, tc.doc, err, tc.want)
+		}
+		if e.Status().Ready {
+			t.Errorf("shards=%d %s: a refused document left the engine ready", tc.shards, tc.doc)
+		}
+		e.Close()
+	}
+}

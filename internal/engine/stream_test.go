@@ -420,18 +420,18 @@ func TestWALTruncationAfterSnapshot(t *testing.T) {
 	if err := e.IngestDataset(ctx, ds); err != nil {
 		t.Fatal(err)
 	}
-	if w.SegmentCount() < 2 {
-		t.Fatalf("need several segments to observe truncation, got %d", w.SegmentCount())
+	if walSegments(t, dir) < 2 {
+		t.Fatalf("need several segments to observe truncation, got %d", walSegments(t, dir))
 	}
 	if err := e.Reinfer(ctx); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore := w.SegmentCount()
+	segsBefore := walSegments(t, dir)
 	snap := filepath.Join(dir, "snap.json")
 	if err := e.SaveSnapshotFile(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.SegmentCount(); got >= segsBefore {
+	if got := walSegments(t, dir); got >= segsBefore {
 		t.Fatalf("snapshot did not truncate the WAL: %d segments before, %d after", segsBefore, got)
 	}
 
@@ -504,14 +504,14 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	if err := os.Mkdir(snap+".shard1.tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore := w.SegmentCount()
+	segsBefore := walSegments(t, filepath.Join(dir, "wal"))
 	if segsBefore < 2 {
 		t.Fatalf("need several WAL segments for a truncation to show, got %d", segsBefore)
 	}
 	if err := e.SaveSnapshotFile(snap); err == nil {
 		t.Fatal("SaveSnapshotFile succeeded although shard 1's file could not be written")
 	}
-	if got := w.SegmentCount(); got != segsBefore {
+	if got := walSegments(t, filepath.Join(dir, "wal")); got != segsBefore {
 		t.Fatalf("failed save truncated the WAL: %d segments before, %d after", segsBefore, got)
 	}
 
@@ -536,4 +536,14 @@ func deliveredAddrOf(t *testing.T, ds *model.Dataset) model.AddressID {
 	}
 	t.Fatal("no delivered address")
 	return 0
+}
+
+// walSegments counts the log's segment files in dir.
+func walSegments(t *testing.T, dir string) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(segs)
 }

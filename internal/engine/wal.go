@@ -13,7 +13,6 @@ import (
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
-	"dlinfma/internal/traj"
 	"dlinfma/internal/wal"
 )
 
@@ -24,9 +23,9 @@ import (
 // deterministic functions of their input order).
 //
 // Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
-// little-endian; '{' is a whole JSON walRecord, the form every kind had in
-// earlier builds — still read for all of them, written only for the batch
-// window. Any other tag is a log from a newer build and refuses replay.
+// little-endian; '{' is a JSON walRecord, the batch window. Any other tag,
+// and any JSON kind but the window, refuses replay: it is a log from another
+// build, and refusing beats silently dropping ingest.
 const (
 	walTagPoint byte = 0x01 // tag, int32 courier, float64 x, y, t
 	walTagEnd   byte = 0x02 // tag, int32 courier
@@ -36,36 +35,23 @@ const (
 	walEndSize   = 1 + 4
 )
 
-// Kinds of a JSON record.
-const (
-	walKindIngest = "ingest"
-	walKindPoint  = "pt"
-	walKindEnd    = "end"
-)
+// walKindIngest is the kind of a batch-window record.
+const walKindIngest = "ingest"
 
-// walRecord is the JSON payload of a batch-window WAL entry, and of every
-// entry in a log written before the streamed kinds went binary. Batch fields
-// and point fields are disjoint by Kind; integer map keys round-trip through
-// JSON's stringified-key encoding exactly like the snapshot format.
+// walRecord is the JSON payload of a batch-window WAL entry. Integer map keys
+// round-trip through JSON's stringified-key encoding exactly like the
+// snapshot format.
 type walRecord struct {
-	Kind    string                        `json:"k"`
-	Trips   []model.Trip                  `json:"trips,omitempty"`
-	Addrs   []model.AddressInfo           `json:"addrs,omitempty"`
-	Truth   map[model.AddressID]geo.Point `json:"truth,omitempty"`
-	Courier model.CourierID               `json:"c,omitempty"`
-	X       float64                       `json:"x,omitempty"`
-	Y       float64                       `json:"y,omitempty"`
-	T       float64                       `json:"t,omitempty"`
+	Kind  string                        `json:"k"`
+	Trips []model.Trip                  `json:"trips,omitempty"`
+	Addrs []model.AddressInfo           `json:"addrs,omitempty"`
+	Truth map[model.AddressID]geo.Point `json:"truth,omitempty"`
 }
 
+// encodeWALIngest marshals a batch window; every field is a plain value
+// type, so a marshal error is a programming bug, not a runtime condition.
 func encodeWALIngest(trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) []byte {
-	return mustEncodeWAL(&walRecord{Kind: walKindIngest, Trips: trips, Addrs: addrs, Truth: truth})
-}
-
-// mustEncodeWAL marshals a record; every field is a plain value type, so a
-// marshal error is a programming bug, not a runtime condition.
-func mustEncodeWAL(rec *walRecord) []byte {
-	b, err := json.Marshal(rec)
+	b, err := json.Marshal(&walRecord{Kind: walKindIngest, Trips: trips, Addrs: addrs, Truth: truth})
 	if err != nil {
 		panic(fmt.Sprintf("engine: marshal wal record: %v", err))
 	}
@@ -85,8 +71,8 @@ func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(op.Pt.T))
 }
 
-// decodeWALRecord reads one payload: a streamed op (binary, or a JSON pt/end
-// record of an earlier build), or — window non-nil — a batch window.
+// decodeWALRecord reads one payload: a binary streamed op, or — window
+// non-nil — a batch window.
 func decodeWALRecord(payload []byte) (op deploy.StreamOp, window *walRecord, err error) {
 	if len(payload) == 0 {
 		return op, nil, errors.New("empty wal record")
@@ -113,19 +99,10 @@ func decodeWALRecord(payload []byte) (op deploy.StreamOp, window *walRecord, err
 		if err := json.Unmarshal(payload, rec); err != nil {
 			return op, nil, err
 		}
-		switch rec.Kind {
-		case walKindIngest:
-			return op, rec, nil
-		case walKindPoint:
-			op.Courier, op.Pt = rec.Courier, traj.GPSPoint{P: geo.Point{X: rec.X, Y: rec.Y}, T: rec.T}
-			return op, nil, nil
-		case walKindEnd:
-			op.Courier, op.End = rec.Courier, true
-			return op, nil, nil
+		if rec.Kind != walKindIngest {
+			return op, nil, fmt.Errorf("unknown wal record kind %q", rec.Kind)
 		}
-		// A log written by a newer build; refusing beats silently dropping
-		// ingest.
-		return op, nil, fmt.Errorf("unknown wal record kind %q", rec.Kind)
+		return op, rec, nil
 	default:
 		return op, nil, fmt.Errorf("unknown wal record tag %#02x", tag)
 	}

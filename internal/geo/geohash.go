@@ -1,23 +1,9 @@
 package geo
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // geohashBase32 is the standard GeoHash alphabet.
 const geohashBase32 = "0123456789bcdefghjkmnpqrstuvwxyz"
-
-var geohashDecode = func() [256]int8 {
-	var t [256]int8
-	for i := range t {
-		t[i] = -1
-	}
-	for i := 0; i < len(geohashBase32); i++ {
-		t[geohashBase32[i]] = int8(i)
-	}
-	return t
-}()
 
 // GeoHashEncode returns the GeoHash string of ll at the given character
 // precision (1..12). The UNet-based baseline of the paper rasterizes
@@ -63,47 +49,4 @@ func GeoHashEncode(ll LatLng, precision int) string {
 		}
 	}
 	return sb.String()
-}
-
-// GeoHashDecode returns the cell bounds of hash as south-west and north-east
-// corners. It returns an error for characters outside the GeoHash alphabet.
-func GeoHashDecode(hash string) (sw, ne LatLng, err error) {
-	latMin, latMax := -90.0, 90.0
-	lngMin, lngMax := -180.0, 180.0
-	even := true
-	for i := 0; i < len(hash); i++ {
-		d := geohashDecode[hash[i]]
-		if d < 0 {
-			return LatLng{}, LatLng{}, fmt.Errorf("geo: invalid geohash character %q in %q", hash[i], hash)
-		}
-		for b := 4; b >= 0; b-- {
-			bit := (d >> uint(b)) & 1
-			if even {
-				mid := (lngMin + lngMax) / 2
-				if bit == 1 {
-					lngMin = mid
-				} else {
-					lngMax = mid
-				}
-			} else {
-				mid := (latMin + latMax) / 2
-				if bit == 1 {
-					latMin = mid
-				} else {
-					latMax = mid
-				}
-			}
-			even = !even
-		}
-	}
-	return LatLng{latMin, lngMin}, LatLng{latMax, lngMax}, nil
-}
-
-// GeoHashCenter returns the center of the cell identified by hash.
-func GeoHashCenter(hash string) (LatLng, error) {
-	sw, ne, err := GeoHashDecode(hash)
-	if err != nil {
-		return LatLng{}, err
-	}
-	return LatLng{(sw.Lat + ne.Lat) / 2, (sw.Lng + ne.Lng) / 2}, nil
 }

@@ -41,11 +41,7 @@ func TestGeoHashEncodeDecodeRoundTrip(t *testing.T) {
 			Lat: float64(latRaw%9000) / 100,  // [-90, 90)
 			Lng: float64(lngRaw%18000) / 100, // [-180, 180)
 		}
-		h := GeoHashEncode(ll, 9)
-		sw, ne, err := GeoHashDecode(h)
-		if err != nil {
-			return false
-		}
+		sw, ne := geoHashCell(GeoHashEncode(ll, 9))
 		return ll.Lat >= sw.Lat && ll.Lat <= ne.Lat && ll.Lng >= sw.Lng && ll.Lng <= ne.Lng
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -63,40 +59,58 @@ func TestGeoHashPrefixProperty(t *testing.T) {
 	}
 }
 
-func TestGeoHashDecodeInvalid(t *testing.T) {
-	if _, _, err := GeoHashDecode("abc!"); err == nil {
-		t.Error("expected error for invalid geohash character")
-	}
-	// 'a', 'i', 'l', 'o' are not in the geohash alphabet.
-	for _, bad := range []string{"a", "i", "l", "o"} {
-		if _, _, err := GeoHashDecode(bad); err == nil {
-			t.Errorf("expected error for %q", bad)
-		}
-	}
-}
-
+// TestGeoHashCenterInsideCell: the centre of a hash's cell encodes back to
+// that hash.
 func TestGeoHashCenterInsideCell(t *testing.T) {
 	h := GeoHashEncode(LatLng{39.9, 116.4}, 8)
-	c, err := GeoHashCenter(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, ne, _ := GeoHashDecode(h)
-	if c.Lat < sw.Lat || c.Lat > ne.Lat || c.Lng < sw.Lng || c.Lng > ne.Lng {
-		t.Errorf("center %v outside cell [%v, %v]", c, sw, ne)
+	sw, ne := geoHashCell(h)
+	c := LatLng{(sw.Lat + ne.Lat) / 2, (sw.Lng + ne.Lng) / 2}
+	if got := GeoHashEncode(c, 8); got != h {
+		t.Errorf("centre %v of cell %q encodes to %q", c, h, got)
 	}
 }
 
 func TestGeoHash8CellSize(t *testing.T) {
 	// The paper states GeoHash-8 cells are roughly 32m x 19m at Beijing's
 	// latitude (38m x 19m at the equator).
-	sw, ne, _ := GeoHashDecode(GeoHashEncode(LatLng{39.9, 116.4}, 8))
-	w := HaversineMeters(LatLng{sw.Lat, sw.Lng}, LatLng{sw.Lat, ne.Lng})
-	h := HaversineMeters(LatLng{sw.Lat, sw.Lng}, LatLng{ne.Lat, sw.Lng})
+	sw, ne := geoHashCell(GeoHashEncode(LatLng{39.9, 116.4}, 8))
+	w := haversineMeters(LatLng{sw.Lat, sw.Lng}, LatLng{sw.Lat, ne.Lng})
+	h := haversineMeters(LatLng{sw.Lat, sw.Lng}, LatLng{ne.Lat, sw.Lng})
 	if w < 20 || w > 45 {
 		t.Errorf("geohash-8 cell width = %v, want ~29-38", w)
 	}
 	if h < 10 || h > 25 {
 		t.Errorf("geohash-8 cell height = %v, want ~19", h)
 	}
+}
+
+// geoHashCell returns the bounds of a valid hash's cell as south-west and
+// north-east corners: the decoder GeoHashEncode is checked against.
+func geoHashCell(hash string) (sw, ne LatLng) {
+	latMin, latMax := -90.0, 90.0
+	lngMin, lngMax := -180.0, 180.0
+	even := true
+	for i := 0; i < len(hash); i++ {
+		d := strings.IndexByte(geohashBase32, hash[i])
+		for b := 4; b >= 0; b-- {
+			bit := (d >> uint(b)) & 1
+			if even {
+				mid := (lngMin + lngMax) / 2
+				if bit == 1 {
+					lngMin = mid
+				} else {
+					lngMax = mid
+				}
+			} else {
+				mid := (latMin + latMax) / 2
+				if bit == 1 {
+					latMin = mid
+				} else {
+					latMax = mid
+				}
+			}
+			even = !even
+		}
+	}
+	return LatLng{latMin, lngMin}, LatLng{latMax, lngMax}
 }

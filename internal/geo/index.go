@@ -1,10 +1,7 @@
 package geo
 
-import "math"
-
-// Index is a uniform-grid spatial index over a fixed set of points. It
-// supports nearest-neighbor and radius queries and is the workhorse behind
-// candidate retrieval and ground-truth labeling. Build once, query many
+// Index is a uniform-grid spatial index over a fixed set of points that
+// answers radius queries (DBSCAN's neighbourhoods). Build once, query many
 // times; the index does not support mutation.
 type Index struct {
 	cell   float64
@@ -41,64 +38,12 @@ func NewIndex(pts []Point, cellSize float64) *Index {
 	return idx
 }
 
-// Len returns the number of indexed points.
-func (idx *Index) Len() int { return len(idx.pts) }
-
-// Point returns the indexed point with the given id.
-func (idx *Index) Point(id int) Point { return idx.pts[id] }
-
 func (idx *Index) cellOf(p Point) int {
 	cx := int((p.X - idx.minX) / idx.cell)
 	cy := int((p.Y - idx.minY) / idx.cell)
 	cx = max(0, min(cx, idx.nx-1))
 	cy = max(0, min(cy, idx.ny-1))
 	return cy*idx.nx + cx
-}
-
-// Nearest returns the id of the indexed point closest to q and its distance.
-// It returns (-1, +Inf) when the index is empty.
-func (idx *Index) Nearest(q Point) (int, float64) {
-	if len(idx.pts) == 0 {
-		return -1, math.Inf(1)
-	}
-	qx := int((q.X - idx.minX) / idx.cell)
-	qy := int((q.Y - idx.minY) / idx.cell)
-	qx = max(0, min(qx, idx.nx-1))
-	qy = max(0, min(qy, idx.ny-1))
-	best := -1
-	bestSq := math.Inf(1)
-	// Expand rings of cells until the best distance cannot improve.
-	maxRing := max(idx.nx, idx.ny)
-	for ring := 0; ring <= maxRing; ring++ {
-		if best >= 0 {
-			// Points in farther rings are at least (ring-1)*cell away.
-			minPossible := float64(ring-1) * idx.cell
-			if minPossible > 0 && minPossible*minPossible > bestSq {
-				break
-			}
-		}
-		for cy := qy - ring; cy <= qy+ring; cy++ {
-			if cy < 0 || cy >= idx.ny {
-				continue
-			}
-			for cx := qx - ring; cx <= qx+ring; cx++ {
-				if cx < 0 || cx >= idx.nx {
-					continue
-				}
-				// Only the ring's border cells are new.
-				if ring > 0 && cx != qx-ring && cx != qx+ring && cy != qy-ring && cy != qy+ring {
-					continue
-				}
-				for _, id := range idx.cells[cy*idx.nx+cx] {
-					if d := SqDist(q, idx.pts[id]); d < bestSq {
-						bestSq = d
-						best = int(id)
-					}
-				}
-			}
-		}
-	}
-	return best, math.Sqrt(bestSq)
 }
 
 // Within returns the ids of all indexed points within radius r of q, in

@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,30 +12,6 @@ func randomPoints(r *rand.Rand, n int, extent float64) []Point {
 		pts[i] = Point{r.Float64() * extent, r.Float64() * extent}
 	}
 	return pts
-}
-
-func bruteNearest(pts []Point, q Point) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	for i, p := range pts {
-		if d := Dist(p, q); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
-func TestIndexNearestMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	pts := randomPoints(r, 500, 1000)
-	idx := NewIndex(pts, 50)
-	for trial := 0; trial < 200; trial++ {
-		q := Point{r.Float64()*1200 - 100, r.Float64()*1200 - 100}
-		gotID, gotD := idx.Nearest(q)
-		_, wantD := bruteNearest(pts, q)
-		if !almostEqual(gotD, wantD, 1e-9) {
-			t.Fatalf("Nearest(%v): got dist %v (id %d), want %v", q, gotD, gotID, wantD)
-		}
-	}
 }
 
 func TestIndexWithinMatchesBruteForce(t *testing.T) {
@@ -67,25 +42,18 @@ func TestIndexWithinMatchesBruteForce(t *testing.T) {
 
 func TestIndexEmpty(t *testing.T) {
 	idx := NewIndex(nil, 50)
-	if id, d := idx.Nearest(Point{1, 1}); id != -1 || !math.IsInf(d, 1) {
-		t.Errorf("Nearest on empty index = (%d, %v), want (-1, +Inf)", id, d)
-	}
 	if got := idx.Within(Point{1, 1}, 100); got != nil {
 		t.Errorf("Within on empty index = %v, want nil", got)
-	}
-	if idx.Len() != 0 {
-		t.Errorf("Len = %d, want 0", idx.Len())
 	}
 }
 
 func TestIndexSinglePoint(t *testing.T) {
 	idx := NewIndex([]Point{{10, 10}}, 50)
-	id, d := idx.Nearest(Point{13, 14})
-	if id != 0 || !almostEqual(d, 5, 1e-12) {
-		t.Errorf("Nearest = (%d, %v), want (0, 5)", id, d)
+	if got := idx.Within(Point{13, 14}, 5); len(got) != 1 || got[0] != 0 {
+		t.Errorf("Within(5) = %v, want [0]", got)
 	}
-	if got := idx.Point(0); got != (Point{10, 10}) {
-		t.Errorf("Point(0) = %v", got)
+	if got := idx.Within(Point{13, 14}, 4.99); got != nil {
+		t.Errorf("Within(4.99) = %v, want nil", got)
 	}
 }
 
@@ -100,19 +68,23 @@ func TestIndexDefaultCellSize(t *testing.T) {
 	// Non-positive cell size falls back to a sane default rather than
 	// dividing by zero.
 	idx := NewIndex([]Point{{0, 0}, {100, 100}}, 0)
-	id, _ := idx.Nearest(Point{90, 90})
-	if id != 1 {
-		t.Errorf("Nearest = %d, want 1", id)
+	if got := idx.Within(Point{90, 90}, 20); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Within = %v, want [1]", got)
 	}
 }
 
 func TestIndexFarQuery(t *testing.T) {
-	// Query far outside the indexed extent must still find the true nearest.
+	// A query far outside the indexed extent still finds every point in
+	// reach, and only those.
 	pts := []Point{{0, 0}, {100, 0}, {200, 0}}
 	idx := NewIndex(pts, 10)
-	id, d := idx.Nearest(Point{10000, 10000})
-	wantID, wantD := bruteNearest(pts, Point{10000, 10000})
-	if id != wantID || !almostEqual(d, wantD, 1e-9) {
-		t.Errorf("far Nearest = (%d, %v), want (%d, %v)", id, d, wantID, wantD)
+	q := Point{10000, 10000}
+	got := idx.Within(q, Dist(q, pts[2])+1e-9)
+	sort.Ints(got)
+	if len(got) != 1 || got[0] != 2 {
+		t.Errorf("far Within = %v, want [2]", got)
+	}
+	if got := idx.Within(q, Dist(q, pts[0])+1e-9); len(got) != 3 {
+		t.Errorf("far Within reaching every point = %v, want all three", got)
 	}
 }

@@ -11,47 +11,14 @@ type LatLng struct {
 	Lng float64
 }
 
-// HaversineMeters returns the great-circle distance between a and b.
-func HaversineMeters(a, b LatLng) float64 {
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
-	dla := (b.Lat - a.Lat) * math.Pi / 180
-	dlo := (b.Lng - a.Lng) * math.Pi / 180
-	s1 := math.Sin(dla / 2)
-	s2 := math.Sin(dlo / 2)
-	h := s1*s1 + math.Cos(la1)*math.Cos(la2)*s2*s2
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
-// EquirectMeters returns the equirectangular approximation of the distance
-// between a and b. It is accurate to well under 0.1% at city scale and is
-// several times faster than HaversineMeters.
-func EquirectMeters(a, b LatLng) float64 {
-	mlat := (a.Lat + b.Lat) / 2 * math.Pi / 180
-	dx := (b.Lng - a.Lng) * math.Pi / 180 * math.Cos(mlat)
-	dy := (b.Lat - a.Lat) * math.Pi / 180
-	return EarthRadiusMeters * math.Sqrt(dx*dx+dy*dy)
-}
-
-// Projector converts between geodetic coordinates and the local planar frame
-// using an equirectangular projection anchored at Origin. The zero value is
-// anchored at (0, 0) on the equator.
+// Projector maps the local planar frame onto geodetic coordinates with an
+// equirectangular projection anchored at Origin. The zero value is anchored
+// at (0, 0) on the equator.
 type Projector struct {
 	Origin LatLng
 }
 
-// NewProjector returns a Projector anchored at origin.
-func NewProjector(origin LatLng) *Projector { return &Projector{Origin: origin} }
-
-// ToPoint projects ll into the local planar frame.
-func (pr *Projector) ToPoint(ll LatLng) Point {
-	clat := math.Cos(pr.Origin.Lat * math.Pi / 180)
-	x := (ll.Lng - pr.Origin.Lng) * math.Pi / 180 * clat * EarthRadiusMeters
-	y := (ll.Lat - pr.Origin.Lat) * math.Pi / 180 * EarthRadiusMeters
-	return Point{x, y}
-}
-
-// ToLatLng inverts ToPoint.
+// ToLatLng returns the geodetic coordinate of the planar point p.
 func (pr *Projector) ToLatLng(p Point) LatLng {
 	clat := math.Cos(pr.Origin.Lat * math.Pi / 180)
 	lng := pr.Origin.Lng + p.X/(clat*EarthRadiusMeters)*180/math.Pi

@@ -1,12 +1,9 @@
 // Package geo provides the geospatial primitives shared by every other
-// module: planar points in a local metric frame, geodetic coordinates with a
-// local equirectangular projection, rectangles, GeoHash encoding, and a
-// uniform-grid spatial index.
+// module: planar points in a local metric frame, rectangles, a uniform-grid
+// spatial index, and the geodetic side the shard keys need — an
+// equirectangular projection onto latitude/longitude and GeoHash encoding.
 //
 // The delivery-location pipeline operates on planar coordinates in meters.
-// Raw GPS fixes in latitude/longitude are converted once, at ingestion, with
-// a Projector anchored near the courier station; at city scale the projection
-// error is far below GPS noise.
 package geo
 
 import "math"
@@ -33,12 +30,6 @@ func SqDist(p, q Point) float64 {
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Centroid returns the arithmetic mean of pts. It returns the zero Point for
 // an empty slice.
 func Centroid(pts []Point) Point {
@@ -52,22 +43,4 @@ func Centroid(pts []Point) Point {
 	}
 	n := float64(len(pts))
 	return Point{sx / n, sy / n}
-}
-
-// WeightedCentroid returns the centroid of pts with the given non-negative
-// weights. Entries beyond the shorter of the two slices are ignored. If the
-// total weight is zero it falls back to the unweighted centroid.
-func WeightedCentroid(pts []Point, weights []float64) Point {
-	n := min(len(pts), len(weights))
-	var sx, sy, sw float64
-	for i := 0; i < n; i++ {
-		w := weights[i]
-		sx += pts[i].X * w
-		sy += pts[i].Y * w
-		sw += w
-	}
-	if sw == 0 {
-		return Centroid(pts)
-	}
-	return Point{sx / sw, sy / sw}
 }

@@ -46,24 +46,8 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Intersects reports whether r and o overlap (boundary contact counts).
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinX <= o.MaxX && o.MinX <= r.MaxX && r.MinY <= o.MaxY && o.MinY <= r.MaxY
-}
-
-// Expand returns r grown by m meters on every side.
-func (r Rect) Expand(m float64) Rect {
-	return Rect{r.MinX - m, r.MinY - m, r.MaxX + m, r.MaxY + m}
-}
-
-// Center returns the center point of r.
-func (r Rect) Center() Point { return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2} }
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }

@@ -28,30 +28,10 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	if !a.Intersects(Rect{MinX: 5, MinY: 5, MaxX: 15, MaxY: 15}) {
-		t.Error("overlapping rects should intersect")
-	}
-	if !a.Intersects(Rect{MinX: 10, MinY: 0, MaxX: 20, MaxY: 10}) {
-		t.Error("edge contact counts as intersection")
-	}
-	if a.Intersects(Rect{MinX: 11, MinY: 11, MaxX: 20, MaxY: 20}) {
-		t.Error("disjoint rects should not intersect")
-	}
-}
-
 func TestRectGeometry(t *testing.T) {
 	r := Rect{MinX: 1, MinY: 2, MaxX: 5, MaxY: 10}
-	if r.Width() != 4 || r.Height() != 8 || r.Area() != 32 {
-		t.Errorf("geometry: w=%v h=%v a=%v", r.Width(), r.Height(), r.Area())
-	}
-	if r.Center() != (Point{X: 3, Y: 6}) {
-		t.Errorf("Center = %v", r.Center())
-	}
-	e := r.Expand(1)
-	if e.MinX != 0 || e.MaxY != 11 {
-		t.Errorf("Expand = %+v", e)
+	if r.Width() != 4 || r.Height() != 8 {
+		t.Errorf("geometry: w=%v h=%v", r.Width(), r.Height())
 	}
 }
 

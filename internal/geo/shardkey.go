@@ -8,9 +8,6 @@ import "math"
 // engine (internal/shard).
 type ShardKey string
 
-// Precision returns the character precision the key was derived at.
-func (k ShardKey) Precision() int { return len(k) }
-
 // NormalizeLatLng maps an arbitrary geodetic coordinate onto the canonical
 // domain geohashing expects: latitude clamped to [-90, 90] and longitude
 // wrapped into [-180, 180). Wrapping makes +180 and -180 — the antimeridian

@@ -68,8 +68,8 @@ func TestShardKeyPrefixProperty(t *testing.T) {
 	k8 := ShardKeyOf(p, 8)
 	for prec := 1; prec < 8; prec++ {
 		k := ShardKeyOf(p, prec)
-		if k.Precision() != prec {
-			t.Fatalf("precision %d: key %q has precision %d", prec, k, k.Precision())
+		if len(k) != prec {
+			t.Fatalf("precision %d: key %q has %d characters", prec, k, len(k))
 		}
 		if !strings.HasPrefix(string(k8), string(k)) {
 			t.Errorf("key %q at precision %d is not a prefix of %q", k, prec, k8)

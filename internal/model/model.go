@@ -4,8 +4,6 @@
 package model
 
 import (
-	"fmt"
-
 	"dlinfma/internal/geo"
 	"dlinfma/internal/geocode"
 	"dlinfma/internal/traj"
@@ -40,12 +38,6 @@ type Waybill struct {
 	// courier walks away. Simulation ground truth; delay injection preserves
 	// it when resetting recorded times.
 	ConfirmLag float64
-}
-
-// Delayed reports whether the recorded confirmation is later than the actual
-// delivery by more than tol seconds.
-func (w Waybill) Delayed(tol float64) bool {
-	return w.RecordedDeliveryT-w.ActualDeliveryT > tol
 }
 
 // Trip is Definition 5: one courier's delivery trip with its trajectory and
@@ -96,32 +88,6 @@ func (d *Dataset) AddressByID(id AddressID) (AddressInfo, bool) {
 		}
 	}
 	return AddressInfo{}, false
-}
-
-// Validate checks structural invariants: ordered trajectories, waybill times
-// inside trips, known addresses.
-func (d *Dataset) Validate() error {
-	known := make(map[AddressID]bool, len(d.Addresses))
-	for _, a := range d.Addresses {
-		known[a.ID] = true
-	}
-	for ti, tr := range d.Trips {
-		if err := tr.Traj.Validate(); err != nil {
-			return fmt.Errorf("trip %d: %w", ti, err)
-		}
-		if tr.EndT < tr.StartT {
-			return fmt.Errorf("trip %d: end %v before start %v", ti, tr.EndT, tr.StartT)
-		}
-		for wi, w := range tr.Waybills {
-			if !known[w.Addr] {
-				return fmt.Errorf("trip %d waybill %d: unknown address %d", ti, wi, w.Addr)
-			}
-			if w.RecordedDeliveryT < w.ActualDeliveryT {
-				return fmt.Errorf("trip %d waybill %d: recorded delivery before actual", ti, wi)
-			}
-		}
-	}
-	return nil
 }
 
 // Deliveries returns the number of waybills across all trips.

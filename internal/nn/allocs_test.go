@@ -23,8 +23,8 @@ func TestTrainingStepAllocations(t *testing.T) {
 	ctx := []float64{0.1, -0.2, 0.3, 0.4}
 	tape := NewTape()
 	step := func() {
-		x := tape.NewConst(in, 28, 8)
-		c := tape.NewConst(ctx, 1, 4)
+		x := tapeConst(tape, in, 28, 8)
+		c := tapeConst(tape, ctx, 1, 4)
 		Backward(CrossEntropy(att.Scores(enc.Forward(x, true, rng), c), 3))
 		tape.Reset()
 	}

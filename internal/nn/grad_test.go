@@ -49,65 +49,65 @@ func TestGradAddSubMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randParam(rng, 3, 4)
 	b := randParam(rng, 3, 4)
-	checkGrads(t, func() *Tensor { return SumAll(Mul(Add(a, b), Sub(a, b))) }, []*Tensor{a, b}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Mul(Add(a, b), Sub(a, b))) }, []*Tensor{a, b}, 1e-5)
 }
 
 func TestGradScaleAndMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randParam(rng, 2, 5)
-	checkGrads(t, func() *Tensor { return MeanAll(Scale(a, 3.5)) }, []*Tensor{a}, 1e-6)
+	checkGrads(t, func() *Tensor { return meanAll(Scale(a, 3.5)) }, []*Tensor{a}, 1e-6)
 }
 
 func TestGradMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randParam(rng, 4, 3)
 	b := randParam(rng, 3, 5)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(MatMul(a, b))) }, []*Tensor{a, b}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(MatMul(a, b))) }, []*Tensor{a, b}, 1e-5)
 }
 
 func TestGradTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randParam(rng, 3, 4)
 	b := randParam(rng, 3, 4)
-	checkGrads(t, func() *Tensor { return SumAll(MatMul(Transpose(a), b)) }, []*Tensor{a, b}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(MatMul(transpose(a), b)) }, []*Tensor{a, b}, 1e-5)
 }
 
 func TestGradAddRowVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randParam(rng, 4, 3)
 	b := randParam(rng, 3)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(AddRowVec(a, b))) }, []*Tensor{a, b}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(AddRowVec(a, b))) }, []*Tensor{a, b}, 1e-5)
 }
 
 func TestGradActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randParam(rng, 2, 6)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(a)) }, []*Tensor{a}, 1e-5)
-	checkGrads(t, func() *Tensor { return SumAll(Sigmoid(a)) }, []*Tensor{a}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(a)) }, []*Tensor{a}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Sigmoid(a)) }, []*Tensor{a}, 1e-5)
 	// ReLU: keep inputs away from the kink.
 	for i := range a.Data {
 		if math.Abs(a.Data[i]) < 0.05 {
 			a.Data[i] = 0.1
 		}
 	}
-	checkGrads(t, func() *Tensor { return SumAll(Mul(ReLU(a), a)) }, []*Tensor{a}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Mul(ReLU(a), a)) }, []*Tensor{a}, 1e-5)
 }
 
 func TestGradSoftmaxRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randParam(rng, 3, 4)
 	w := randParam(rng, 3, 4)
-	checkGrads(t, func() *Tensor { return SumAll(Mul(SoftmaxRows(a), w)) }, []*Tensor{a, w}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Mul(softmaxRows(a), w)) }, []*Tensor{a, w}, 1e-5)
 }
 
 func TestGradConcat(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randParam(rng, 3, 2)
 	b := randParam(rng, 3, 4)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(ConcatCols(a, b))) }, []*Tensor{a, b}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(ConcatCols(a, b))) }, []*Tensor{a, b}, 1e-5)
 	c := randParam(rng, 2, 3)
 	d := randParam(rng, 4, 3)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(ConcatRows(c, d))) }, []*Tensor{c, d}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(ConcatRows(c, d))) }, []*Tensor{c, d}, 1e-5)
 }
 
 func TestGradRowsGather(t *testing.T) {
@@ -115,13 +115,13 @@ func TestGradRowsGather(t *testing.T) {
 	table := randParam(rng, 5, 3)
 	// Repeated index exercises gradient accumulation in the scatter.
 	idx := []int{1, 3, 1}
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(Rows(table, idx))) }, []*Tensor{table}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(Rows(table, idx))) }, []*Tensor{table}, 1e-5)
 }
 
 func TestGradReshape(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randParam(rng, 2, 6)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(Reshape(a, 3, 4))) }, []*Tensor{a}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(Reshape(a, 3, 4))) }, []*Tensor{a}, 1e-5)
 }
 
 func TestGradLayerNorm(t *testing.T) {
@@ -131,7 +131,7 @@ func TestGradLayerNorm(t *testing.T) {
 	bias := randParam(rng, 6)
 	w := randParam(rng, 3, 6)
 	checkGrads(t, func() *Tensor {
-		return SumAll(Mul(LayerNorm(a, gain, bias, 1e-5), w))
+		return sumAll(Mul(layerNorm(a, gain, bias, 1e-5), w))
 	}, []*Tensor{a, gain, bias, w}, 1e-4)
 }
 
@@ -151,17 +151,11 @@ func TestGradBCEWithLogits(t *testing.T) {
 	checkGrads(t, func() *Tensor { return WeightedBCEWithLogits(MatMul(x, w), 1, 0.8) }, []*Tensor{w}, 1e-5)
 }
 
-func TestGradMSE(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := randParam(rng, 4)
-	checkGrads(t, func() *Tensor { return MSE(a, []float64{1, -1, 0.5, 2}) }, []*Tensor{a}, 1e-5)
-}
-
 func TestGradDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	d := NewDense(rng, 4, 3)
 	x := NewTensor([]float64{1, 0.5, -0.3, 0.2, -1, 2, 0.1, 0.7}, 2, 4)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(d.Forward(x))) }, d.Params(), 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(d.Forward(x))) }, d.Params(), 1e-5)
 }
 
 func TestGradMLP(t *testing.T) {
@@ -176,7 +170,7 @@ func TestGradMultiHeadAttention(t *testing.T) {
 	mha := NewMultiHeadSelfAttention(rng, 8, 2)
 	x := randParam(rng, 5, 8)
 	params := append(mha.Params(), x)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(mha.Forward(x))) }, params, 1e-4)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(mha.Forward(x))) }, params, 1e-4)
 }
 
 func TestGradTransformerEncoderLayer(t *testing.T) {
@@ -184,7 +178,7 @@ func TestGradTransformerEncoderLayer(t *testing.T) {
 	l := NewTransformerEncoderLayer(rng, 8, 2, 16, 0) // no dropout for determinism
 	x := randParam(rng, 4, 8)
 	params := append(l.Params(), x)
-	checkGrads(t, func() *Tensor { return SumAll(l.Forward(x, false, rng)) }, params, 2e-4)
+	checkGrads(t, func() *Tensor { return sumAll(l.Forward(x, false, rng)) }, params, 2e-4)
 }
 
 func TestGradAdditiveAttention(t *testing.T) {
@@ -203,7 +197,7 @@ func TestGradLSTM(t *testing.T) {
 	l := NewLSTM(rng, 3, 4)
 	x := randParam(rng, 5, 3)
 	params := append(l.Params(), x)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(l.Forward(x))) }, params, 1e-4)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(l.Forward(x))) }, params, 1e-4)
 }
 
 func TestGradConv2D(t *testing.T) {
@@ -211,22 +205,22 @@ func TestGradConv2D(t *testing.T) {
 	l := NewConvLayer(rng, 2, 3, 3)
 	x := randParam(rng, 2, 5, 5)
 	params := append(l.Params(), x)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(l.Forward(x))) }, params, 1e-4)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(l.Forward(x))) }, params, 1e-4)
 }
 
 func TestGradMaxPoolAndUpsample(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	x := randParam(rng, 1, 5, 5) // odd size exercises ceil pooling
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(MaxPool2D(x))) }, []*Tensor{x}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(MaxPool2D(x))) }, []*Tensor{x}, 1e-5)
 	small := randParam(rng, 2, 3, 3)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(UpsampleNearest(small, 7, 7))) }, []*Tensor{small}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(UpsampleNearest(small, 7, 7))) }, []*Tensor{small}, 1e-5)
 }
 
 func TestGradConcatChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randParam(rng, 1, 3, 3)
 	b := randParam(rng, 2, 3, 3)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(ConcatChannels(a, b))) }, []*Tensor{a, b}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(ConcatChannels(a, b))) }, []*Tensor{a, b}, 1e-5)
 }
 
 func TestGradDropoutMaskIsConsistent(t *testing.T) {
@@ -236,7 +230,7 @@ func TestGradDropoutMaskIsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := randParam(rng, 1, 10)
 	out := Dropout(a, 0.5, true, rng)
-	loss := SumAll(out)
+	loss := sumAll(out)
 	Backward(loss)
 	for i := range a.Data {
 		var wantGrad float64
@@ -290,7 +284,7 @@ func TestGradLinear(t *testing.T) {
 		x := randParam(rng, s[0], s[1])
 		w := randParam(rng, s[1], s[2])
 		b := randParam(rng, s[2])
-		checkGrads(t, func() *Tensor { return SumAll(Tanh(Linear(x, w, b))) }, []*Tensor{x, w, b}, 1e-5)
+		checkGrads(t, func() *Tensor { return sumAll(Tanh(Linear(x, w, b))) }, []*Tensor{x, w, b}, 1e-5)
 	}
 }
 
@@ -300,7 +294,7 @@ func TestGradScaledMatMulT(t *testing.T) {
 	for _, d := range []int{4, 6} {
 		a := randParam(rng, 5, d)
 		b := randParam(rng, 7, d)
-		checkGrads(t, func() *Tensor { return SumAll(Tanh(ScaledMatMulT(a, b, 0.5))) }, []*Tensor{a, b}, 1e-5)
+		checkGrads(t, func() *Tensor { return sumAll(Tanh(ScaledMatMulT(a, b, 0.5))) }, []*Tensor{a, b}, 1e-5)
 	}
 }
 
@@ -308,7 +302,7 @@ func TestGradSoftmaxMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := randParam(rng, 5, 6)
 	v := randParam(rng, 6, 4)
-	checkGrads(t, func() *Tensor { return SumAll(Tanh(SoftmaxMatMul(a, v))) }, []*Tensor{a, v}, 1e-5)
+	checkGrads(t, func() *Tensor { return sumAll(Tanh(SoftmaxMatMul(a, v))) }, []*Tensor{a, v}, 1e-5)
 }
 
 func TestGradAddLayerNorm(t *testing.T) {
@@ -319,6 +313,6 @@ func TestGradAddLayerNorm(t *testing.T) {
 	bias := randParam(rng, 5)
 	w := randParam(rng, 3, 5)
 	checkGrads(t, func() *Tensor {
-		return SumAll(Mul(AddLayerNorm(a, b, gain, bias, 1e-5), w))
+		return sumAll(Mul(AddLayerNorm(a, b, gain, bias, 1e-5), w))
 	}, []*Tensor{a, b, gain, bias}, 1e-4)
 }

@@ -210,20 +210,20 @@ var fusedCases = func() []fusedCase {
 			operands: func(m, k, n int) [][]int { return [][]int{{m, k}, {n, k}} },
 			fused:    func(in []*Tensor) *Tensor { return ScaledMatMulT(in[0], in[1], 1/math.Sqrt(float64(in[0].Shape[1]))) },
 			composed: func(in []*Tensor) *Tensor {
-				return Scale(MatMul(in[0], Transpose(in[1])), 1/math.Sqrt(float64(in[0].Shape[1])))
+				return Scale(MatMul(in[0], transpose(in[1])), 1/math.Sqrt(float64(in[0].Shape[1])))
 			},
 		},
 		{
 			name:     "SoftmaxMatMul",
 			operands: func(m, k, n int) [][]int { return [][]int{{m, k}, {k, n}} },
 			fused:    func(in []*Tensor) *Tensor { return SoftmaxMatMul(in[0], in[1]) },
-			composed: func(in []*Tensor) *Tensor { return MatMul(SoftmaxRows(in[0]), in[1]) },
+			composed: func(in []*Tensor) *Tensor { return MatMul(softmaxRows(in[0]), in[1]) },
 		},
 		{
 			name:     "AddLayerNorm",
 			operands: func(m, k, n int) [][]int { return [][]int{{m, n}, {m, n}, {n}, {n}} },
 			fused:    func(in []*Tensor) *Tensor { return AddLayerNorm(in[0], in[1], in[2], in[3], 1e-5) },
-			composed: func(in []*Tensor) *Tensor { return LayerNorm(Add(in[0], in[1]), in[2], in[3], 1e-5) },
+			composed: func(in []*Tensor) *Tensor { return layerNorm(Add(in[0], in[1]), in[2], in[3], 1e-5) },
 		},
 	}
 	// The two-operand nodes again with one tensor as both operands (square,
@@ -255,7 +255,7 @@ func graphInput(tp *Tape, data []float64, need bool, shape []int) *Tensor {
 	case need:
 		return NewParam(data, shape...)
 	case tp != nil:
-		return tp.NewConst(data, shape...)
+		return tapeConst(tp, data, shape...)
 	}
 	return NewTensor(data, shape...)
 }
@@ -274,7 +274,7 @@ func runGraph(tp *Tape, op func([]*Tensor) *Tensor, data [][]float64, shapes [][
 	}
 	y := op(in)
 	w := awkward(rand.New(rand.NewSource(wseed)), y.Numel(), y.Shape[len(y.Shape)-1])
-	Backward(SumAll(Mul(y, NewTensor(w, y.Shape...))))
+	Backward(sumAll(Mul(y, NewTensor(w, y.Shape...))))
 	grads := make([][]float64, len(in))
 	for i, t := range in {
 		grads[i] = append([]float64(nil), t.Grad...)
@@ -336,7 +336,7 @@ func TestFusedNodesMatchComposition(t *testing.T) {
 // and AddLayerNorm — over the same parameters.
 func composedEncoder(e *TransformerEncoder, x *Tensor, train bool, rng *rand.Rand) *Tensor {
 	dense := func(d *Dense, x *Tensor) *Tensor { return AddRowVec(MatMul(x, d.W), d.B) }
-	norm := func(l *LayerNormLayer, x *Tensor) *Tensor { return LayerNorm(x, l.Gain, l.Bias, l.Eps) }
+	norm := func(l *LayerNormLayer, x *Tensor) *Tensor { return layerNorm(x, l.Gain, l.Bias, l.Eps) }
 	for _, l := range e.Layers {
 		m := l.Attn
 		outs := make([]*Tensor, m.Heads)
@@ -345,7 +345,7 @@ func composedEncoder(e *TransformerEncoder, x *Tensor, train bool, rng *rand.Ran
 			q := dense(m.WQ[h], x)
 			k := dense(m.WK[h], x)
 			v := dense(m.WV[h], x)
-			outs[h] = MatMul(SoftmaxRows(Scale(MatMul(q, Transpose(k)), scale)), v)
+			outs[h] = MatMul(softmaxRows(Scale(MatMul(q, transpose(k)), scale)), v)
 		}
 		a := Dropout(dense(m.WO, ConcatCols(outs...)), l.Dropout, train, rng)
 		x = norm(l.Norm1, Add(x, a))
@@ -375,7 +375,7 @@ func TestEncoderMatchesComposedOracle(t *testing.T) {
 					ZeroGrads(params)
 					x := graphInput(tp, xs, true, []int{rows, 8})
 					y := forward(x, rand.New(rand.NewSource(7)))
-					Backward(SumAll(Mul(y, NewTensor(w, rows, 8))))
+					Backward(sumAll(Mul(y, NewTensor(w, rows, 8))))
 					grads := [][]float64{append([]float64(nil), x.Grad...)}
 					for _, p := range params {
 						grads = append(grads, append([]float64(nil), p.Grad...))

@@ -36,11 +36,6 @@ func NewLayerNorm(d int) *LayerNormLayer {
 	return &LayerNormLayer{Gain: OnesParam(d), Bias: ZeroParam(d), Eps: 1e-5}
 }
 
-// Forward normalizes each row of x.
-func (l *LayerNormLayer) Forward(x *Tensor) *Tensor {
-	return LayerNorm(x, l.Gain, l.Bias, l.Eps)
-}
-
 // ForwardResidual normalizes each row of x + r: a residual connection and
 // the normalization after it, as one graph node.
 func (l *LayerNormLayer) ForwardResidual(x, r *Tensor) *Tensor {

@@ -98,30 +98,6 @@ func WeightedBCEWithLogits(logit *Tensor, y, weight float64) *Tensor {
 	return Scale(BCEWithLogits(logit, y), weight)
 }
 
-// MSE computes the mean squared error between a tensor and a constant
-// target of the same length.
-func MSE(pred *Tensor, target []float64) *Tensor {
-	if pred.Numel() != len(target) {
-		panic(fmt.Sprintf("nn: MSE size mismatch %d vs %d", pred.Numel(), len(target)))
-	}
-	out := newResult([]int{1}, pred)
-	var s float64
-	for i, v := range pred.Data {
-		d := v - target[i]
-		s += d * d
-	}
-	n := float64(len(target))
-	out.Data[0] = s / n
-	out.setBack(func(out *Tensor) {
-		pred.ensureGrad()
-		g := out.Grad[0]
-		for i, v := range pred.Data {
-			pred.Grad[i] += g * 2 * (v - target[i]) / n
-		}
-	})
-	return out
-}
-
 // PixelCrossEntropy computes -log softmax(logits over all elements)[target]
 // where logits is a [1,H,W] or [H,W] map and target is a flat pixel index.
 // This is the UNet-based baseline's training loss: the ground-truth pixel's

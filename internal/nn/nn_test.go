@@ -6,13 +6,16 @@ import (
 	"testing"
 )
 
+// at reads element (i, j) of a 2-D tensor.
+func at(t *Tensor, i, j int) float64 { return t.Data[i*t.Shape[1]+j] }
+
 func TestTensorConstruction(t *testing.T) {
 	x := NewTensor([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if x.Rows() != 2 || x.Cols() != 3 || x.Numel() != 6 {
-		t.Errorf("shape accessors wrong: %v", x.Shape)
+	if x.Shape[0] != 2 || x.Shape[1] != 3 || x.Numel() != 6 {
+		t.Errorf("shape wrong: %v", x.Shape)
 	}
-	if x.At(1, 2) != 6 {
-		t.Errorf("At(1,2) = %v, want 6", x.At(1, 2))
+	if at(x, 1, 2) != 6 {
+		t.Errorf("element (1,2) = %v, want 6", at(x, 1, 2))
 	}
 	z := Zeros(3, 3)
 	for _, v := range z.Data {
@@ -112,7 +115,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	opt := NewAdam(0.1)
 	for i := 0; i < 500; i++ {
 		w.ZeroGrad()
-		loss := SumAll(Mul(w, w))
+		loss := sumAll(Mul(w, w))
 		Backward(loss)
 		opt.Step([]*Tensor{w}, 1)
 	}
@@ -194,11 +197,11 @@ func TestEmbeddingForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := NewEmbedding(rng, 10, 4)
 	out := e.Forward([]int{3, 7})
-	if out.Rows() != 2 || out.Cols() != 4 {
+	if out.Shape[0] != 2 || out.Shape[1] != 4 {
 		t.Fatalf("embedding shape %v", out.Shape)
 	}
 	for j := 0; j < 4; j++ {
-		if out.At(0, j) != e.Table.At(3, j) {
+		if at(out, 0, j) != at(e.Table, 3, j) {
 			t.Error("embedding row mismatch")
 		}
 	}
@@ -221,7 +224,7 @@ func TestTransformerEncoderPermutationEquivariance(t *testing.T) {
 	outPerm := enc.Forward(NewTensor(permData, 5, 8), false, rng)
 	for i, p := range perm {
 		for j := 0; j < 8; j++ {
-			if math.Abs(outPerm.At(i, j)-out.At(p, j)) > 1e-9 {
+			if math.Abs(at(outPerm, i, j)-at(out, p, j)) > 1e-9 {
 				t.Fatalf("not permutation-equivariant at (%d,%d)", i, j)
 			}
 		}

@@ -215,9 +215,10 @@ func linearBack(out *Tensor) {
 }
 
 // ScaledMatMulT returns (a·bᵀ)·s for a [m,d], b [n,d] and a constant s, as
-// one node: Scale(MatMul(a, Transpose(b)), s) — attention's q·kᵀ/√d —
+// one node: Scale(MatMul(a, transpose(b)), s) — attention's q·kᵀ/√d —
 // without materialising the transpose or the unscaled product,
-// bit-identical to that composition in its value and in both gradients.
+// bit-identical to that composition (its generic ops live with the tests,
+// oracles_test.go) in its value and in both gradients.
 func ScaledMatMulT(a, b *Tensor, s float64) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("nn: ScaledMatMulT %v x %v^T", a.Shape, b.Shape))
@@ -240,33 +241,6 @@ func scaledMatMulTBack(out *Tensor) {
 	if b.needGrad {
 		b.ensureGrad()
 		scaledMatMulTGradB(b.Grad, a.Data, out.Grad, s, m, d, n)
-	}
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("nn: Transpose requires 2-D, got %v", a.Shape))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := newResult([]int{n, m}, a)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	out.setBack(transposeBack)
-	return out
-}
-
-func transposeBack(out *Tensor) {
-	a := out.parents[0]
-	m, n := a.Shape[0], a.Shape[1]
-	a.ensureGrad()
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a.Grad[i*n+j] += out.Grad[j*m+i]
-		}
 	}
 }
 
@@ -366,31 +340,8 @@ func softmaxRowBack(arow, orow, grow []float64) {
 	}
 }
 
-// SoftmaxRows applies softmax independently to each row of a 2-D tensor.
-func SoftmaxRows(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("nn: SoftmaxRows requires 2-D, got %v", a.Shape))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := newResult(a.Shape, a)
-	for i := 0; i < m; i++ {
-		softmaxRow(out.Data[i*n:i*n+n], a.Data[i*n:i*n+n])
-	}
-	out.setBack(softmaxRowsBack)
-	return out
-}
-
-func softmaxRowsBack(out *Tensor) {
-	a := out.parents[0]
-	m, n := a.Shape[0], a.Shape[1]
-	a.ensureGrad()
-	for i := 0; i < m; i++ {
-		softmaxRowBack(a.Grad[i*n:i*n+n], out.Data[i*n:i*n+n], out.Grad[i*n:i*n+n])
-	}
-}
-
 // SoftmaxMatMul returns softmax(a)·v, the softmax taken over each row of
-// a [m,n] and v [n,d], as one node: MatMul(SoftmaxRows(a), v) — attention's
+// a [m,n] and v [n,d], as one node: MatMul(softmaxRows(a), v) — attention's
 // weighted sum of values — keeping the probabilities as graph scratch and
 // never giving them a gradient buffer. It is bit-identical to that
 // composition in its value and in both gradients; the backward adds v's
@@ -430,44 +381,6 @@ func softmaxMatMulBack(out *Tensor) {
 			matMulGradA(dp, out.Grad[i*d:i*d+d], v.Data, n, d, 0, 1)
 			softmaxRowBack(a.Grad[i*n:i*n+n], probs[i*n:i*n+n], dp)
 		}
-	}
-}
-
-// SumAll reduces a tensor to the scalar sum of its elements.
-func SumAll(a *Tensor) *Tensor {
-	out := newResult([]int{1}, a)
-	var s float64
-	for _, v := range a.Data {
-		s += v
-	}
-	out.Data[0] = s
-	out.savedF = 1
-	out.setBack(sumAllBack)
-	return out
-}
-
-// MeanAll reduces a tensor to the scalar mean of its elements.
-func MeanAll(a *Tensor) *Tensor {
-	out := newResult([]int{1}, a)
-	var s float64
-	for _, v := range a.Data {
-		s += v
-	}
-	n := float64(a.Numel())
-	out.Data[0] = s / n
-	out.savedF = n
-	out.setBack(sumAllBack)
-	return out
-}
-
-// sumAllBack spreads the scalar's gradient, divided by the saved element
-// count (1 for SumAll, and g/1 is g), over the operand.
-func sumAllBack(out *Tensor) {
-	a := out.parents[0]
-	a.ensureGrad()
-	g := out.Grad[0] / out.savedF
-	for i := range a.Grad {
-		a.Grad[i] += g
 	}
 }
 
@@ -637,28 +550,6 @@ func layerNormRowBack(dx, gainGrad, biasGrad, grow, hrow, gain []float64, invStd
 	}
 }
 
-// LayerNorm normalizes each row of a 2-D tensor to zero mean and unit
-// variance, then applies a learned per-column gain and bias.
-func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("nn: LayerNorm requires 2-D, got %v", a.Shape))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	if gain.Numel() != n || bias.Numel() != n {
-		panic("nn: LayerNorm gain/bias size mismatch")
-	}
-	out := newResult(a.Shape, a, gain, bias)
-	xhat, invStd := graphScratch(out, m*n), graphScratch(out, m)
-	layerNormRows(out.Data, xhat, invStd, a.Data, gain.Data, bias.Data, m, n, eps)
-	out.saved = [2][]float64{xhat, invStd}
-	out.setBack(layerNormBack)
-	return out
-}
-
-func layerNormBack(out *Tensor) {
-	layerNormBackInto(out, out.parents[0], nil, out.parents[1], out.parents[2])
-}
-
 // layerNormBackInto runs the layer-norm backward of out row by row, adding
 // each row's input gradient into a and, when b is non-nil (the fused
 // residual form), into b after it.
@@ -701,10 +592,10 @@ func layerNormBackInto(out, a, b, gain, bias *Tensor) {
 	}
 }
 
-// AddLayerNorm returns LayerNorm(a + b, gain, bias, eps) as one node — a
+// AddLayerNorm returns layerNorm(a + b, gain, bias, eps) as one node — a
 // transformer's residual connection and the normalization after it —
 // without the sum's tensor or its gradient buffer, bit-identical to
-// LayerNorm(Add(a, b), gain, bias, eps) in its value and in all four
+// layerNorm(Add(a, b), gain, bias, eps) in its value and in all four
 // gradients.
 func AddLayerNorm(a, b, gain, bias *Tensor, eps float64) *Tensor {
 	sameShape(a, b)

@@ -78,7 +78,7 @@ func ParallelForCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 // master parameters in worker order — a deterministic reduction — and Sync
 // re-broadcasts the master data after the optimizer step.
 //
-// Combined with Run's static sample sharding and per-worker seeded RNGs,
+// Combined with RunCtx's static sample sharding and per-worker seeded RNGs,
 // training with a fixed worker count is reproducible run to run; only the
 // floating-point summation order differs from the serial path.
 type DataParallel struct {
@@ -103,9 +103,6 @@ func NewDataParallel(master []*Tensor, replicas ...[]*Tensor) *DataParallel {
 	}
 	return &DataParallel{master: master, replicas: replicas}
 }
-
-// Workers returns the number of replicas.
-func (dp *DataParallel) Workers() int { return len(dp.replicas) }
 
 // Sync copies the master parameter data into every replica. Call after each
 // optimizer step (and once before training starts).
@@ -138,20 +135,15 @@ func (dp *DataParallel) Reduce() {
 	}
 }
 
-// Run shards the indices [0, n) statically across the workers — worker w
+// RunCtx shards the indices [0, n) statically across the workers — worker w
 // handles i = w, w+W, w+2W, ... — and executes fn(worker, i) concurrently,
 // one goroutine per worker. The static assignment keeps each worker's
 // sample set (and therefore its RNG consumption and gradient sum) fixed for
 // a given worker count, which is what makes parallel training reproducible.
-// It is RunCtx with a background context.
-func (dp *DataParallel) Run(n int, fn func(worker, i int)) {
-	_ = dp.RunCtx(context.Background(), n, fn)
-}
-
-// RunCtx is Run with cooperative cancellation: every worker checks ctx
-// before each index and abandons its remaining shard once ctx is done.
-// Returns ctx.Err() when cancelled — the accumulated gradients are then
-// incomplete and the caller must not step the optimizer with them.
+// Every worker checks ctx before each index and abandons its remaining
+// shard once ctx is done; RunCtx then returns ctx.Err() — the accumulated
+// gradients are incomplete and the caller must not step the optimizer with
+// them.
 func (dp *DataParallel) RunCtx(ctx context.Context, n int, fn func(worker, i int)) error {
 	w := len(dp.replicas)
 	done := ctx.Done()

@@ -69,16 +69,16 @@ func TestDataParallelRunCtxCancelled(t *testing.T) {
 		var n int64
 		err := dp.RunCtx(ctx, 500, func(worker, i int) { atomic.AddInt64(&n, 1) })
 		if err != context.Canceled {
-			t.Fatalf("%d replicas: got %v, want context.Canceled", dp.Workers(), err)
+			t.Fatalf("%d replicas: got %v, want context.Canceled", len(dp.replicas), err)
 		}
 		if n != 0 {
-			t.Fatalf("%d replicas: %d iterations ran on a pre-cancelled context", dp.Workers(), n)
+			t.Fatalf("%d replicas: %d iterations ran on a pre-cancelled context", len(dp.replicas), n)
 		}
 		if err := dp.RunCtx(context.Background(), 500, func(worker, i int) { atomic.AddInt64(&n, 1) }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 500 {
-			t.Fatalf("%d replicas: ran %d of 500 after un-cancelled rerun", dp.Workers(), n)
+			t.Fatalf("%d replicas: ran %d of 500 after un-cancelled rerun", len(dp.replicas), n)
 		}
 	}
 }

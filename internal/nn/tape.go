@@ -9,7 +9,7 @@ package nn
 // so the next sample's graph is cut from the same memory and allocates
 // (almost) nothing.
 //
-// Usage: create leaf input tensors with NewLeaf (or NewConst) and fill them.
+// Usage: create leaf input tensors with NewLeaf and fill them.
 // Every op whose inputs include a tape-resident tensor allocates its result
 // from the same tape, so the arena propagates through the graph exactly like
 // needGrad does. Trainable parameters stay heap-allocated and are never
@@ -86,13 +86,6 @@ func (tp *Tape) NewLeaf(shape ...int) *Tensor {
 	t := tp.tensor()
 	t.setShape(shape)
 	t.Data = tp.zeros(numel(shape))
-	return t
-}
-
-// NewConst is NewLeaf followed by copying data in; data is not retained.
-func (tp *Tape) NewConst(data []float64, shape ...int) *Tensor {
-	t := tp.NewLeaf(shape...)
-	copy(t.Data, data)
 	return t
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +10,15 @@ import (
 // CrossEntropy, with x as the (already filled) input tensor.
 func buildLoss(d *Dense, ln *LayerNormLayer, x *Tensor) *Tensor {
 	h := Tanh(d.Forward(x))
-	h = ln.Forward(h)
+	h = layerNorm(h, ln.Gain, ln.Bias, ln.Eps)
 	return CrossEntropy(h, 1)
+}
+
+// tapeConst is a tape leaf holding a copy of data.
+func tapeConst(tp *Tape, data []float64, shape ...int) *Tensor {
+	t := tp.NewLeaf(shape...)
+	copy(t.Data, data)
+	return t
 }
 
 func fillInput(rng *rand.Rand, data []float64) {
@@ -38,7 +46,7 @@ func TestTapeGraphMatchesHeapBitExact(t *testing.T) {
 
 	// Tape run.
 	tape := NewTape()
-	lossTape := buildLoss(d, ln, tape.NewConst(in, 1, 6))
+	lossTape := buildLoss(d, ln, tapeConst(tape, in, 1, 6))
 	if lossTape.Value() != lossHeap.Value() {
 		t.Fatalf("tape loss %v != heap loss %v", lossTape.Value(), lossHeap.Value())
 	}
@@ -63,7 +71,7 @@ func TestTapeResetReuseBitExact(t *testing.T) {
 
 	tape := NewTape()
 	run := func() (float64, [][]float64) {
-		loss := buildLoss(d, ln, tape.NewConst(in, 1, 6))
+		loss := buildLoss(d, ln, tapeConst(tape, in, 1, 6))
 		Backward(loss)
 		v := loss.Value()
 		grads := make([][]float64, len(params))
@@ -102,7 +110,7 @@ func TestTapeReducesAllocations(t *testing.T) {
 	})
 	tape := NewTape()
 	taped := testing.AllocsPerRun(50, func() {
-		Backward(buildLoss(d, ln, tape.NewConst(in, 1, 6)))
+		Backward(buildLoss(d, ln, tapeConst(tape, in, 1, 6)))
 		ZeroGrads(params)
 		tape.Reset()
 	})
@@ -120,7 +128,7 @@ func TestParallelMatMulMatchesSerialBitExact(t *testing.T) {
 	b := randParam(rng, 11, 13)
 	run := func() ([]float64, []float64, []float64) {
 		out := MatMul(a, b)
-		loss := SumAll(out)
+		loss := sumAll(out)
 		Backward(loss)
 		data := append([]float64(nil), out.Data...)
 		ga := append([]float64(nil), a.Grad...)
@@ -185,7 +193,7 @@ func TestDataParallelRunShardsStatically(t *testing.T) {
 	reps := [][]*Tensor{{ZeroParam(1)}, {ZeroParam(1)}, {ZeroParam(1)}}
 	dp := NewDataParallel(master, reps...)
 	owner := make([]int, 10)
-	dp.Run(len(owner), func(w, i int) { owner[i] = w })
+	_ = dp.RunCtx(context.Background(), len(owner), func(w, i int) { owner[i] = w })
 	for i, w := range owner {
 		if w != i%3 {
 			t.Fatalf("index %d ran on worker %d, want %d", i, w, i%3)

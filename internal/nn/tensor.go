@@ -122,15 +122,6 @@ func OnesParam(shape ...int) *Tensor {
 // Numel returns the number of elements.
 func (t *Tensor) Numel() int { return len(t.Data) }
 
-// Rows returns the first dimension of a 2-D tensor.
-func (t *Tensor) Rows() int { return t.Shape[0] }
-
-// Cols returns the second dimension of a 2-D tensor.
-func (t *Tensor) Cols() int { return t.Shape[1] }
-
-// At returns the element at row i, column j of a 2-D tensor.
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Shape[1]+j] }
-
 // ensureGrad allocates the zeroed gradient buffer if needed, from the
 // tensor's tape when it has one.
 func (t *Tensor) ensureGrad() {

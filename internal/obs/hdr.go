@@ -100,9 +100,6 @@ func (h *HDRHistogram) Observe(v float64) {
 	h.Record(d)
 }
 
-// Count returns the number of recorded observations.
-func (h *HDRHistogram) Count() int64 { return h.total.Load() }
-
 // Sum returns the sum of observations in the family's unit (seconds for
 // Record).
 func (h *HDRHistogram) Sum() float64 { return float64(h.sum.Load()) / 1e6 }

@@ -76,16 +76,6 @@ func (s *Store) Add(t *Trace) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of traces currently buffered.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Get returns the buffered trace with the given id, newest first when an id
 // somehow recurs, or nil when absent.
 func (s *Store) Get(id TraceID) *Trace {

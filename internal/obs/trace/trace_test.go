@@ -100,16 +100,16 @@ func TestHeadSampling(t *testing.T) {
 	tr := NewTracer(Options{SampleProb: 1, Store: st})
 	_, sp := tr.StartRoot(context.Background(), "root", SpanContext{})
 	sp.End()
-	if st.Len() != 1 {
-		t.Fatalf("prob=1: store has %d traces, want 1", st.Len())
+	if storeLen(st) != 1 {
+		t.Fatalf("prob=1: store has %d traces, want 1", storeLen(st))
 	}
 	// prob 0 → fast clean trace dropped.
 	st = NewStore(16)
 	tr = NewTracer(Options{SampleProb: 0, SlowThreshold: time.Hour, Store: st})
 	_, sp = tr.StartRoot(context.Background(), "root", SpanContext{})
 	sp.End()
-	if st.Len() != 0 {
-		t.Fatalf("prob=0: store has %d traces, want 0", st.Len())
+	if storeLen(st) != 0 {
+		t.Fatalf("prob=0: store has %d traces, want 0", storeLen(st))
 	}
 }
 
@@ -177,7 +177,7 @@ func TestRemoteUnsampledDropped(t *testing.T) {
 	parent := SpanContext{TraceID: randTraceID(), SpanID: randSpanID(), Sampled: false}
 	_, root := tr.StartRoot(context.Background(), "root", parent)
 	root.End()
-	if st.Len() != 0 {
+	if storeLen(st) != 0 {
 		t.Fatal("remote-unsampled trace kept despite local prob=1")
 	}
 }
@@ -253,8 +253,8 @@ func TestEndIdempotentAndStragglers(t *testing.T) {
 	root.End() // idempotent: no second publish
 	straggler.End()
 	straggler.SetAttr("late", true) // no-op after End
-	if st.Len() != 1 {
-		t.Fatalf("store has %d traces, want 1", st.Len())
+	if storeLen(st) != 1 {
+		t.Fatalf("store has %d traces, want 1", storeLen(st))
 	}
 	got := st.Get(root.TraceID())
 	if len(got.Spans) != 1 || got.Spans[0].Name != "root" {
@@ -289,7 +289,7 @@ func TestNilSafety(t *testing.T) {
 	// Nil store absorbs everything.
 	var s *Store
 	s.Add(&Trace{})
-	if s.Len() != 0 || s.Get(TraceID{}) != nil || s.List(Filter{}) != nil {
+	if storeLen(s) != 0 || s.Get(TraceID{}) != nil || s.List(Filter{}) != nil {
 		t.Fatal("nil store not inert")
 	}
 }
@@ -302,8 +302,8 @@ func TestStoreRingEviction(t *testing.T) {
 		ids = append(ids, id)
 		s.Add(&Trace{ID: id, Start: time.Unix(int64(i), 0)})
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if storeLen(s) != 3 {
+		t.Fatalf("Len = %d, want 3", storeLen(s))
 	}
 	for _, old := range ids[:2] {
 		if s.Get(old) != nil {
@@ -390,8 +390,8 @@ func TestConcurrentSpans(t *testing.T) {
 		}()
 	}
 	wg2.Wait()
-	if st.Len() != 4 {
-		t.Fatalf("store len = %d, want capacity 4", st.Len())
+	if storeLen(st) != 4 {
+		t.Fatalf("store len = %d, want capacity 4", storeLen(st))
 	}
 }
 
@@ -418,4 +418,14 @@ func FuzzTraceparent(f *testing.F) {
 			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q parses to %+v, %v", h, sc, sc.Traceparent(), got, ok)
 		}
 	})
+}
+
+// storeLen returns the number of traces s holds.
+func storeLen(s *Store) int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"dlinfma/internal/deploy"
+	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 )
@@ -31,8 +32,9 @@ import (
 //
 //   - Query never blocks on ingest or retraining and answers
 //     deploy.SourceNone for unknown addresses and cold shards. The
-//     in-process form is lock-free and allocation-free; remote forms bound
-//     the hop with their own timeout.
+//     in-process form is lock-free and allocation-free and never fails;
+//     remote forms bound the hop by ctx and their own timeout, and fail
+//     only when no endpoint delivered an answer.
 //   - QueryBatchIdx answers addrs[i] into out[i] for each position i in idx
 //     (idx nil: every position), touching no other slot of out — a sharded
 //     scatter/gather hands every backend the same addrs/out pair and
@@ -49,8 +51,9 @@ import (
 //     has no serving state, and only then — a snapshot fan-out skips a shard
 //     on that error and fails on any other.
 type ShardBackend interface {
-	// Query answers one address from the shard's served state.
-	Query(addr model.AddressID) (geo.Point, deploy.Source)
+	// Query answers one address from the shard's served state; the error
+	// is non-nil only when the shard could not be asked at all.
+	Query(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source, error)
 	// QueryBatchIdx answers the idx positions of addrs into the same
 	// positions of out (idx nil: all of addrs).
 	QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx []int32, out []deploy.BatchAnswer) error
@@ -59,7 +62,7 @@ type ShardBackend interface {
 	// Reinfer retrains the shard and swaps its serving state, synchronously.
 	Reinfer(ctx context.Context) error
 	// Status summarizes the shard's health for /healthz aggregation.
-	Status() deploy.EngineStatus
+	Status() api.EngineStatus
 	// WriteSnapshot streams the shard's serving snapshot to w.
 	WriteSnapshot(w io.Writer) error
 }

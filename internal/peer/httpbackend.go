@@ -247,19 +247,11 @@ func apiError(status int, data []byte) error {
 	return fmt.Errorf("cluster: remote http %d: %s", status, body)
 }
 
-// Query answers one address (ShardBackend). The plain form has no context —
-// it sits behind the engine's lock-free Query signature — so the hop runs
-// under the client's own timeout; total transport failure answers
-// SourceNone, matching a cold local shard.
-func (c *Client) Query(addr model.AddressID) (geo.Point, deploy.Source) {
-	p, src, _ := c.QueryOne(context.Background(), addr)
-	return p, src
-}
-
-// QueryOne is the context-carrying single-key read: the error is non-nil
-// only when every endpoint failed to deliver any answer — a served "unknown
-// address" (404) or cold shard (503) is a nil-error SourceNone.
-func (c *Client) QueryOne(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source, error) {
+// Query answers one address (ShardBackend) under ctx and the client's own
+// timeout. The error is non-nil only when every endpoint failed to deliver
+// any answer — a served "unknown address" (404) or cold shard (503) is a
+// nil-error SourceNone.
+func (c *Client) Query(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source, error) {
 	path := "/v1/locations/" + strconv.FormatInt(int64(addr), 10)
 	status, data, err := c.call(ctx, routeLocation, http.MethodGet, path, nil)
 	if err != nil {
@@ -440,14 +432,14 @@ func (c *Client) reinferEndpoint(ctx context.Context, ep string) error {
 // Status fetches the shard's typed /v1/healthz summary (ShardBackend). An unreachable
 // shard reports Failed with the transport error, never panics or blocks past
 // the retry budget — Status has no error channel by design.
-func (c *Client) Status() deploy.EngineStatus {
+func (c *Client) Status() api.EngineStatus {
 	status, data, err := c.call(context.Background(), routeHealthz, http.MethodGet, "/v1/healthz", nil)
 	if err != nil {
-		return deploy.EngineStatus{Failed: true, LastError: "backend unreachable: " + err.Error()}
+		return api.EngineStatus{Failed: true, LastError: "backend unreachable: " + err.Error()}
 	}
-	var st deploy.EngineStatus
+	var st api.EngineStatus
 	if err := json.Unmarshal(data, &st); err != nil {
-		return deploy.EngineStatus{Failed: true, LastError: fmt.Sprintf("backend sent bad healthz (http %d): %v", status, err)}
+		return api.EngineStatus{Failed: true, LastError: fmt.Sprintf("backend sent bad healthz (http %d): %v", status, err)}
 	}
 	return st
 }

@@ -217,7 +217,10 @@ func TestClientReplicatedWritesAndFailover(t *testing.T) {
 	}{}
 	served := 0
 	for _, a := range ds.Addresses {
-		p, src := c.Query(a.ID)
+		p, src, err := c.Query(ctx, a.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
 		answers[a.ID] = struct {
 			p   [2]float64
 			src deploy.Source
@@ -233,7 +236,10 @@ func TestClientReplicatedWritesAndFailover(t *testing.T) {
 	owner.srv.Close() // the shard owner dies
 
 	for _, a := range ds.Addresses {
-		p, src := c.Query(a.ID)
+		p, src, err := c.Query(ctx, a.ID)
+		if err != nil {
+			t.Fatalf("addr %d after failover: %v", a.ID, err)
+		}
 		want := answers[a.ID]
 		if [2]float64{p.X, p.Y} != want.p || src != want.src {
 			t.Fatalf("addr %d after failover: (%v, %v), want (%v, %v)", a.ID, p, src, want.p, want.src)
@@ -248,8 +254,8 @@ func TestClientReplicatedWritesAndFailover(t *testing.T) {
 	if st := c.Status(); !st.Failed || st.LastError == "" {
 		t.Fatalf("status with no endpoints alive should report failure, got %+v", st)
 	}
-	if _, src := c.Query(ds.Addresses[0].ID); src != deploy.SourceNone {
-		t.Fatalf("query with no endpoints alive answered source %v", src)
+	if _, src, err := c.Query(ctx, ds.Addresses[0].ID); err == nil || src != deploy.SourceNone {
+		t.Fatalf("query with no endpoints alive answered source %v, error %v; want SourceNone and an error", src, err)
 	}
 }
 

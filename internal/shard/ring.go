@@ -102,9 +102,6 @@ func ringHash(s string) uint64 {
 	return x
 }
 
-// Peers returns the ring's members, sorted and deduplicated.
-func (r *Ring) Peers() []string { return append([]string(nil), r.peers...) }
-
 // NumPeers returns the member count.
 func (r *Ring) NumPeers() int { return len(r.peers) }
 

@@ -39,8 +39,8 @@ func TestRingDeterministicUnderPeerReordering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.Peers(), b.Peers()) {
-			t.Fatalf("trial %d: member sets differ: %v vs %v", trial, a.Peers(), b.Peers())
+		if !reflect.DeepEqual(a.peers, b.peers) {
+			t.Fatalf("trial %d: member sets differ: %v vs %v", trial, a.peers, b.peers)
 		}
 		for _, k := range testKeys(500) {
 			if ao, bo := a.Owners(k, 3), b.Owners(k, 3); !reflect.DeepEqual(ao, bo) {

@@ -69,13 +69,3 @@ func SplitSpatial(ds *model.Dataset, w *World, trainFrac, valFrac float64) Split
 	}
 	return s
 }
-
-// Contains reports whether id is in the given slice.
-func Contains(ids []model.AddressID, id model.AddressID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}

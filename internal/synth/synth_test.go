@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -153,7 +154,7 @@ func TestGenerateCleanDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Validate(); err != nil {
+	if err := validDataset(ds); err != nil {
 		t.Fatalf("dataset invalid: %v", err)
 	}
 	if len(ds.Trips) == 0 || ds.Deliveries() == 0 {
@@ -189,13 +190,14 @@ func TestTrajectoriesPassNearDeliveryLocations(t *testing.T) {
 			truth := w.Truth[wb.Addr]
 			// Median fix distance over the dwell window is robust to the
 			// injected GPS outliers.
-			window := tr.Traj.Slice(wb.ActualDeliveryT-35, wb.ActualDeliveryT)
-			if len(window) == 0 {
-				t.Fatalf("no fixes in dwell window of waybill for %d", wb.Addr)
-			}
 			var ds []float64
-			for _, p := range window {
-				ds = append(ds, geo.Dist(p.P, truth))
+			for _, p := range tr.Traj {
+				if p.T >= wb.ActualDeliveryT-35 && p.T <= wb.ActualDeliveryT {
+					ds = append(ds, geo.Dist(p.P, truth))
+				}
+			}
+			if len(ds) == 0 {
+				t.Fatalf("no fixes in dwell window of waybill for %d", wb.Addr)
 			}
 			sort.Float64s(ds)
 			if med := ds[len(ds)/2]; med > 40 {
@@ -243,7 +245,7 @@ func TestInjectDelays(t *testing.T) {
 	}
 	for _, pd := range []float64{0, 0.3, 1.0} {
 		inj := InjectDelays(ds, pd, 2, 99)
-		if err := inj.Validate(); err != nil {
+		if err := validDataset(inj); err != nil {
 			t.Fatalf("pd=%v: %v", pd, err)
 		}
 		st := MeasureDelays(inj)
@@ -401,8 +403,10 @@ func TestGPSNoiseMagnitude(t *testing.T) {
 	wb := tr.Waybills[0]
 	truth := w.Truth[wb.Addr]
 	var devs []float64
-	for _, p := range tr.Traj.Slice(wb.ActualDeliveryT-40, wb.ActualDeliveryT) {
-		devs = append(devs, geo.Dist(p.P, truth))
+	for _, p := range tr.Traj {
+		if p.T >= wb.ActualDeliveryT-40 && p.T <= wb.ActualDeliveryT {
+			devs = append(devs, geo.Dist(p.P, truth))
+		}
 	}
 	if len(devs) == 0 {
 		t.Skip("no fixes in dwell window")
@@ -458,13 +462,8 @@ func TestZoneAccessors(t *testing.T) {
 	if w.ZoneOfBuilding(model.BuildingID(len(w.Buildings))) != -1 {
 		t.Error("unknown building reported a zone")
 	}
-	for z := 0; z < w.NZones(); z++ {
-		if _, ok := w.Station(z); !ok {
-			t.Errorf("no station for zone %d", z)
-		}
-	}
-	if _, ok := w.Station(w.NZones()); ok {
-		t.Error("station for out-of-range zone")
+	if len(w.stations) != w.NZones() {
+		t.Errorf("%d stations for %d zones", len(w.stations), w.NZones())
 	}
 }
 
@@ -496,4 +495,33 @@ func TestAlignZonesToCommunities(t *testing.T) {
 	if base.NZones() != Tiny().NCouriers {
 		t.Fatalf("default NZones = %d", base.NZones())
 	}
+}
+
+// validDataset checks the structural invariants a generated dataset keeps:
+// trajectories strictly ordered in time, trips that end after they start,
+// waybills of known addresses confirmed no earlier than delivered.
+func validDataset(d *model.Dataset) error {
+	known := make(map[model.AddressID]bool, len(d.Addresses))
+	for _, a := range d.Addresses {
+		known[a.ID] = true
+	}
+	for ti, tr := range d.Trips {
+		for i := 1; i < len(tr.Traj); i++ {
+			if tr.Traj[i].T <= tr.Traj[i-1].T {
+				return fmt.Errorf("trip %d: point %d at t=%v not after point %d at t=%v", ti, i, tr.Traj[i].T, i-1, tr.Traj[i-1].T)
+			}
+		}
+		if tr.EndT < tr.StartT {
+			return fmt.Errorf("trip %d: end %v before start %v", ti, tr.EndT, tr.StartT)
+		}
+		for wi, w := range tr.Waybills {
+			if !known[w.Addr] {
+				return fmt.Errorf("trip %d waybill %d: unknown address %d", ti, wi, w.Addr)
+			}
+			if w.RecordedDeliveryT < w.ActualDeliveryT {
+				return fmt.Errorf("trip %d waybill %d: recorded delivery before actual", ti, wi)
+			}
+		}
+	}
+	return nil
 }

@@ -321,11 +321,3 @@ func (w *World) ZoneOfAddress(id model.AddressID) (int, bool) {
 	}
 	return w.ZoneOfBuilding(w.Addresses[id].Building), true
 }
-
-// Station returns zone z's courier station, the trip start/end anchor.
-func (w *World) Station(z int) (geo.Point, bool) {
-	if z < 0 || z >= len(w.stations) {
-		return geo.Point{}, false
-	}
-	return w.stations[z], true
-}

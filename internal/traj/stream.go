@@ -119,10 +119,6 @@ func (x *StreamExtractor) Flush() []StayPoint {
 // also count the fixes they pushed get the trip's noise drop rate for free.
 func (x *StreamExtractor) Accepted() int { return x.accepted }
 
-// PendingPoints reports how many accepted fixes are buffered in the open
-// detection window (diagnostics; bounded by the courier's dwell length).
-func (x *StreamExtractor) PendingPoints() int { return len(x.buf) - x.head }
-
 // accept feeds one noise-accepted fix to the incremental detector.
 func (x *StreamExtractor) accept(p GPSPoint) {
 	x.accepted++

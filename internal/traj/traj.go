@@ -5,7 +5,6 @@
 package traj
 
 import (
-	"fmt"
 	"sort"
 
 	"dlinfma/internal/geo"
@@ -19,50 +18,6 @@ type GPSPoint struct {
 
 // Trajectory is a chronologically ordered sequence of GPS points.
 type Trajectory []GPSPoint
-
-// Validate returns an error if the trajectory is not strictly ordered in
-// time.
-func (tr Trajectory) Validate() error {
-	for i := 1; i < len(tr); i++ {
-		if tr[i].T <= tr[i-1].T {
-			return fmt.Errorf("traj: point %d at t=%v not after point %d at t=%v", i, tr[i].T, i-1, tr[i-1].T)
-		}
-	}
-	return nil
-}
-
-// Sort orders the trajectory by time in place.
-func (tr Trajectory) Sort() {
-	sort.Slice(tr, func(i, j int) bool { return tr[i].T < tr[j].T })
-}
-
-// Duration returns the time span covered by the trajectory in seconds.
-func (tr Trajectory) Duration() float64 {
-	if len(tr) < 2 {
-		return 0
-	}
-	return tr[len(tr)-1].T - tr[0].T
-}
-
-// Length returns the traveled path length in meters.
-func (tr Trajectory) Length() float64 {
-	var sum float64
-	for i := 1; i < len(tr); i++ {
-		sum += geo.Dist(tr[i-1].P, tr[i].P)
-	}
-	return sum
-}
-
-// Slice returns the sub-trajectory with t0 <= T <= t1. The returned slice
-// shares storage with tr.
-func (tr Trajectory) Slice(t0, t1 float64) Trajectory {
-	lo := sort.Search(len(tr), func(i int) bool { return tr[i].T >= t0 })
-	hi := sort.Search(len(tr), func(i int) bool { return tr[i].T > t1 })
-	if lo >= hi {
-		return nil
-	}
-	return tr[lo:hi]
-}
 
 // At returns the interpolated position of the courier at time t. Times
 // outside the trajectory clamp to the first/last fix. It returns the zero

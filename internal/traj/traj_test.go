@@ -46,61 +46,6 @@ func concat(parts ...Trajectory) Trajectory {
 	return out
 }
 
-func TestValidate(t *testing.T) {
-	good := Trajectory{{T: 1}, {T: 2}, {T: 3}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("unexpected error: %v", err)
-	}
-	bad := Trajectory{{T: 1}, {T: 1}}
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for duplicate timestamps")
-	}
-	var empty Trajectory
-	if err := empty.Validate(); err != nil {
-		t.Errorf("empty trajectory should validate: %v", err)
-	}
-}
-
-func TestSort(t *testing.T) {
-	tr := Trajectory{{T: 3}, {T: 1}, {T: 2}}
-	tr.Sort()
-	if err := tr.Validate(); err != nil {
-		t.Errorf("sorted trajectory invalid: %v", err)
-	}
-}
-
-func TestDurationAndLength(t *testing.T) {
-	tr := Trajectory{
-		{P: geo.Point{X: 0, Y: 0}, T: 0},
-		{P: geo.Point{X: 3, Y: 4}, T: 10},
-		{P: geo.Point{X: 3, Y: 10}, T: 20},
-	}
-	if got := tr.Duration(); got != 20 {
-		t.Errorf("Duration = %v, want 20", got)
-	}
-	if got := tr.Length(); !almostEqual(got, 11, 1e-9) {
-		t.Errorf("Length = %v, want 11", got)
-	}
-	var empty Trajectory
-	if empty.Duration() != 0 || empty.Length() != 0 {
-		t.Error("empty trajectory should have zero duration and length")
-	}
-}
-
-func TestSlice(t *testing.T) {
-	tr := Trajectory{{T: 0}, {T: 10}, {T: 20}, {T: 30}}
-	got := tr.Slice(5, 25)
-	if len(got) != 2 || got[0].T != 10 || got[1].T != 20 {
-		t.Errorf("Slice(5,25) = %v", got)
-	}
-	if got := tr.Slice(40, 50); got != nil {
-		t.Errorf("Slice outside range = %v, want nil", got)
-	}
-	if got := tr.Slice(0, 30); len(got) != 4 {
-		t.Errorf("Slice full range has %d points, want 4", len(got))
-	}
-}
-
 func TestAtInterpolates(t *testing.T) {
 	tr := Trajectory{
 		{P: geo.Point{X: 0, Y: 0}, T: 0},

@@ -553,13 +553,6 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 	return nil
 }
 
-// SegmentCount returns the number of on-disk segments (sealed + active).
-func (w *WAL) SegmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sealed) + 1
-}
-
 // Close flushes, fsyncs, and closes the active segment. The WAL cannot be
 // used afterwards.
 func (w *WAL) Close() error {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dlinfma/internal/obs"
 )
 
 // collect replays w and returns every payload (copied) in order.
@@ -87,7 +89,7 @@ func TestRotationAndTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := w.SegmentCount(); n < 5 {
+	if n := segments(w); n < 5 {
 		t.Fatalf("expected many segments, got %d", n)
 	}
 	if got := collect(t, w); len(got) != 10 {
@@ -355,6 +357,27 @@ func TestFsyncIntervalFlushesToKernel(t *testing.T) {
 	}
 }
 
+// fsyncsTimed returns the fsync duration family's _count as the process
+// registry exposes it.
+func fsyncsTimed(t *testing.T) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range fams["dlinfma_wal_fsync_duration_seconds"].Samples {
+		if s.Name == "dlinfma_wal_fsync_duration_seconds_count" {
+			return s.Value
+		}
+	}
+	t.Fatal("no dlinfma_wal_fsync_duration_seconds_count sample")
+	return 0
+}
+
 // TestEveryFsyncCounted: under FsyncNever the appends themselves never sync,
 // but each rotation seals its segment with an fsync and so does Close; the
 // counter and the fsync duration family must see every one of them.
@@ -363,7 +386,7 @@ func TestEveryFsyncCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncs, timed, rotations := fsyncsTotal.Value(), fsyncDuration.Count(), rotationsTotal.Value()
+	syncs, timed, rotations := fsyncsTotal.Value(), fsyncsTimed(t), rotationsTotal.Value()
 	const n = 4
 	for i := 0; i <= n; i++ { // every append after the first rotates
 		if _, err := w.Append([]byte{byte(i)}); err != nil {
@@ -382,8 +405,8 @@ func TestEveryFsyncCounted(t *testing.T) {
 	if got := fsyncsTotal.Value() - syncs; got != n+1 {
 		t.Errorf("fsyncs_total moved by %d after Close, want %d", got, n+1)
 	}
-	if got := fsyncDuration.Count() - timed; got != n+1 {
-		t.Errorf("fsync duration recorded %d syncs, want %d", got, n+1)
+	if got := fsyncsTimed(t) - timed; got != float64(n+1) {
+		t.Errorf("fsync duration recorded %v syncs, want %d", got, n+1)
 	}
 }
 
@@ -442,7 +465,7 @@ func TestAppendBatchFramesLikeAppend(t *testing.T) {
 		if _, err := small.AppendBatch(payloads); err != nil {
 			t.Fatal(err)
 		}
-		if got := small.SegmentCount(); got != round {
+		if got := segments(small); got != round {
 			t.Fatalf("after batch %d: %d segments, want %d (a batch never spans segments)", round, got, round)
 		}
 	}
@@ -644,4 +667,11 @@ func FuzzWALSegment(f *testing.F) {
 			t.Fatalf("LastSeq %d after replaying %d records", got, n)
 		}
 	})
+}
+
+// segments returns the number of w's segments, sealed and active.
+func segments(w *WAL) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.sealed) + 1
 }
