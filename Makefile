@@ -86,9 +86,13 @@ race:
 	$(GO) test -race -count=2 ./internal/deploy/...
 
 # vet also fails on unformatted code: gofmt -l from the root walks both
-# modules (bench/ included).
+# modules (bench/ included). internal/nn's lane kernels are amd64 assembly
+# (go vet's asmdecl checks them against their Go declarations); the arm64 vet
+# and the 386 build keep the fallback file for other architectures compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn
+	GOARCH=386 $(GO) build ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "vet: files not gofmt-formatted:"; \
@@ -134,12 +138,13 @@ cover:
 		 if ($$3+0 < floor+0) exit 1 }'
 
 # LocMatcher training/inference + serving-throughput + snapshot-restore +
-# WAL-replay + pool-seal + in-process batch handler benchmarks, and the read
-# routes' float printer beside strconv -> BENCH_locmatcher.json. -p 1: the two
-# packages' benchmarks must not share the processors.
+# WAL-replay + pool-seal + in-process batch handler benchmarks, the read
+# routes' float printer beside strconv, and internal/nn's kernels at
+# LocMatcher's shapes on the Go and the lane path -> BENCH_locmatcher.json.
+# -p 1: the packages' benchmarks must not share the processors.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -p 1 -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot|ReplayWAL|PoolSealGrowth|BatchHandler|AppendFloat' -benchmem ./internal/jsonscan . | bin/benchjson -out BENCH_locmatcher.json
+	$(GO) test -p 1 -run '^$$' -bench 'FitParallel|PredictBatch|ServeQueries|ServeStreamIngest|RestoreSnapshot|ReplayWAL|PoolSealGrowth|BatchHandler|AppendFloat|Kernels' -benchmem ./internal/jsonscan ./internal/nn . | bin/benchjson -out BENCH_locmatcher.json
 
 # Every benchmark (regenerates all paper artefacts; slow).
 bench-all:

@@ -28,6 +28,7 @@ import (
 	"dlinfma/internal/eval"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/nn"
 	"dlinfma/internal/obs"
 	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/peer"
@@ -420,8 +421,8 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 		fmt.Printf("sharded engine: %d shards at geohash precision %d\n", n, p)
 	}
-	fmt.Printf("serving %d inferred locations on %s (GET /v1/locations/{key}, POST /v1/locations:batch, POST /v1/ingest, POST /v1/trajectories:stream, POST /v1/reinfer, GET /v1/snapshot, GET /v1/metrics)\n",
-		st.Inferred, *listen)
+	fmt.Printf("serving %d inferred locations on %s (GET /v1/locations/{key}, POST /v1/locations:batch, POST /v1/ingest, POST /v1/trajectories:stream, POST /v1/reinfer, GET /v1/snapshot, GET /v1/metrics) nn_kernels=%s\n",
+		st.Inferred, *listen, nn.KernelSet())
 	if *debugListen != "" {
 		dsrv := deploy.NewServer(*debugListen, deploy.DebugHandler(tracer, e))
 		go func() {

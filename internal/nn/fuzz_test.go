@@ -27,10 +27,11 @@ func sameBitsOrNaN(a, b []float64) int {
 	return -1
 }
 
-// FuzzMatMulKernels turns bytes into (m, k, n, values) and holds the three
-// range kernels — over a row split drawn from the input too — to the naive
-// triple loops in the reference order, bit for bit; a kernel that indexed
-// out of range would panic here. The seeds cover every specialised width (1,
+// FuzzMatMulKernels turns bytes into (m, k, n, values) and holds the
+// product kernels — over a row split drawn from the input too — to the naive
+// triple loops in the reference order, bit for bit, on the Go path and on
+// the lane path where the processor has it; a kernel that indexed out of
+// range would panic here. The seeds cover every specialised width (1,
 // 4, 8; k = 4) and the widths either side.
 func FuzzMatMulKernels(f *testing.F) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 31, 32, 33} {
@@ -54,10 +55,15 @@ func FuzzMatMulKernels(f *testing.F) {
 			}
 			return d
 		}
-		checkKernels(t, kernelOperands{
+		o := kernelOperands{
 			m: m, k: k, n: n, split: split, ksplit: ksplit,
 			a: draw(m * k), b: draw(k * n), g: draw(m * n), bias: draw(n),
 			stale: draw(m * n), ga0: draw(m * k), gb0: draw(k * n),
-		}, sameBitsOrNaN)
+		}
+		for _, on := range kernelPaths() {
+			restore := setLanes(on)
+			checkKernels(t, o, sameBitsOrNaN)
+			restore()
+		}
 	})
 }

@@ -60,6 +60,52 @@ func refGradB(gb, a, g []float64, m, k, n int) {
 	}
 }
 
+// refScaledMatMulT, refScaledGradA and refScaledGradB are ScaledMatMulT's
+// three products in the order of the composition Scale(MatMul(a,
+// transpose(b)), s), a [m,d], b [n,d]: the forward sum of MatMul over b's
+// rows, then one multiplication by s; the gradients read g·s, as Scale's
+// backward hands it on, and dB sums from +0 before one add into gb, as
+// transpose's backward does.
+func refScaledMatMulT(out, a, b []float64, s float64, m, d, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var sum float64
+			for kk := 0; kk < d; kk++ {
+				if av := a[i*d+kk]; av != 0 {
+					sum += av * b[j*d+kk]
+				}
+			}
+			out[i*n+j] = sum * s
+		}
+	}
+}
+
+func refScaledGradA(ga, g, b []float64, s float64, m, d, n int) {
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < d; kk++ {
+			var sum float64
+			for j := 0; j < n; j++ {
+				sum += g[i*n+j] * s * b[j*d+kk]
+			}
+			ga[i*d+kk] += sum
+		}
+	}
+}
+
+func refScaledGradB(gb, a, g []float64, s float64, m, d, n int) {
+	for j := 0; j < n; j++ {
+		for kk := 0; kk < d; kk++ {
+			var sum float64
+			for i := 0; i < m; i++ {
+				if av := a[i*d+kk]; av != 0 {
+					sum += av * (g[i*n+j] * s)
+				}
+			}
+			gb[j*d+kk] += sum
+		}
+	}
+}
+
 // sameBits reports the first index at which two slices differ as bit
 // patterns (-1 for none), so that +0 and -0 count as different.
 func sameBits(a, b []float64) int {
@@ -124,8 +170,9 @@ type kernelOperands struct {
 	a, b, g, bias, stale, ga0, gb0 []float64
 }
 
-// checkKernels holds the three kernels to the reference loops on o; differ
-// reports the first differing index of two slices or -1.
+// checkKernels holds the three product kernels, and ScaledMatMulT's three,
+// to the reference loops on o; differ reports the first differing index of
+// two slices or -1.
 func checkKernels(t testing.TB, o kernelOperands, differ func(got, want []float64) int) {
 	t.Helper()
 	m, k, n := o.m, o.k, o.n
@@ -149,8 +196,10 @@ func checkKernels(t testing.TB, o kernelOperands, differ func(got, want []float6
 
 	wantA, gotA := append([]float64(nil), o.ga0...), append([]float64(nil), o.ga0...)
 	refGradA(wantA, o.g, o.b, m, k, n)
-	matMulGradA(gotA, o.g, o.b, k, n, 0, o.split)
-	matMulGradA(gotA, o.g, o.b, k, n, o.split, m)
+	bT := make([]float64, k*n)
+	transposeInto(bT, o.b, k, n)
+	matMulGradA(gotA, o.g, o.b, bT, k, n, 0, o.split)
+	matMulGradA(gotA, o.g, o.b, bT, k, n, o.split, m)
 	fail("dA", differ(gotA, wantA), gotA, wantA)
 
 	wantB, gotB := append([]float64(nil), o.gb0...), append([]float64(nil), o.gb0...)
@@ -158,18 +207,41 @@ func checkKernels(t testing.TB, o kernelOperands, differ func(got, want []float6
 	matMulGradB(gotB, o.a, o.g, m, k, n, 0, o.ksplit)
 	matMulGradB(gotB, o.a, o.g, m, k, n, o.ksplit, k)
 	fail("dB", differ(gotB, wantB), gotB, wantB)
+
+	// ScaledMatMulT's kernels over the same operands, b read as [n,k] and
+	// its gradient gb0 likewise; s is 1/√k as attention uses it.
+	s := 1 / math.Sqrt(float64(k))
+	refScaledMatMulT(want, o.a, o.b, s, m, k, n)
+	copy(got, o.stale)
+	transposeInto(bT, o.b, n, k)
+	scaledMatMulT(got, o.a, o.b, bT, s, m, k, n)
+	fail("q·kᵀ", differ(got, want), got, want)
+
+	copy(wantA, o.ga0)
+	copy(gotA, o.ga0)
+	refScaledGradA(wantA, o.g, o.b, s, m, k, n)
+	scaledMatMulTGradA(gotA, o.g, o.b, s, m, k, n)
+	fail("q·kᵀ dA", differ(gotA, wantA), gotA, wantA)
+
+	copy(wantB, o.gb0)
+	copy(gotB, o.gb0)
+	refScaledGradB(wantB, o.a, o.g, s, m, k, n)
+	scaledMatMulTGradB(gotB, o.a, o.g, s, m, k, n)
+	fail("q·kᵀ dB", differ(gotB, wantB), gotB, wantB)
 }
 
 func TestKernelsMatchReferenceLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, s := range identityShapes(rng) {
-		m, k, n := s[0], s[1], s[2]
-		checkKernels(t, kernelOperands{
-			m: m, k: k, n: n, split: rng.Intn(m + 1), ksplit: rng.Intn(k + 1),
-			a: awkward(rng, m*k, k), b: awkward(rng, k*n, n), g: awkward(rng, m*n, n), bias: awkward(rng, n, n),
-			stale: awkward(rng, m*n, n), ga0: awkward(rng, m*k, k), gb0: awkward(rng, k*n, n),
-		}, sameBits)
-	}
+	runKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, s := range identityShapes(rng) {
+			m, k, n := s[0], s[1], s[2]
+			checkKernels(t, kernelOperands{
+				m: m, k: k, n: n, split: rng.Intn(m + 1), ksplit: rng.Intn(k + 1),
+				a: awkward(rng, m*k, k), b: awkward(rng, k*n, n), g: awkward(rng, m*n, n), bias: awkward(rng, n, n),
+				stale: awkward(rng, m*n, n), ga0: awkward(rng, m*k, k), gb0: awkward(rng, k*n, n),
+			}, sameBits)
+		}
+	})
 }
 
 // fusedCase is one fused node and the composition it must equal. operands
@@ -289,44 +361,46 @@ func runGraph(tp *Tape, op func([]*Tensor) *Tensor, data [][]float64, shapes [][
 func TestFusedNodesMatchComposition(t *testing.T) {
 	for _, fc := range fusedCases {
 		t.Run(fc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			tape := NewTape()
-			for si, s := range identityShapes(rng) {
-				shapes := fc.operands(s[0], s[1], s[2])
-				data := make([][]float64, len(shapes))
-				for i, sh := range shapes {
-					data[i] = awkward(rng, numel(sh), sh[len(sh)-1])
-				}
-				// Every needGrad combination on the first shapes, a drawn
-				// one afterwards.
-				masks := []int{rng.Intn(1 << len(shapes))}
-				if si < 6 {
-					masks = masks[:0]
-					for mask := 0; mask < 1<<len(shapes); mask++ {
-						masks = append(masks, mask)
+			runKernelPaths(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(42))
+				tape := NewTape()
+				for si, s := range identityShapes(rng) {
+					shapes := fc.operands(s[0], s[1], s[2])
+					data := make([][]float64, len(shapes))
+					for i, sh := range shapes {
+						data[i] = awkward(rng, numel(sh), sh[len(sh)-1])
 					}
-				}
-				for _, mask := range masks {
-					need := make([]bool, len(shapes))
-					for i := range need {
-						need[i] = mask&(1<<i) != 0
-					}
-					wseed := rng.Int63()
-					for _, tp := range []*Tape{nil, tape} {
-						gotY, gotG := runGraph(tp, fc.fused, data, shapes, need, fc.alias, wseed)
-						wantY, wantG := runGraph(tp, fc.composed, data, shapes, need, fc.alias, wseed)
-						where := fmt.Sprintf("shapes %v needGrad %v tape %v", shapes, need, tp != nil)
-						if i := sameBits(gotY, wantY); i >= 0 {
-							t.Fatalf("%s: Data[%d] = %v, composition %v", where, i, gotY[i], wantY[i])
+					// Every needGrad combination on the first shapes, a drawn
+					// one afterwards.
+					masks := []int{rng.Intn(1 << len(shapes))}
+					if si < 6 {
+						masks = masks[:0]
+						for mask := 0; mask < 1<<len(shapes); mask++ {
+							masks = append(masks, mask)
 						}
-						for o := range gotG {
-							if i := sameBits(gotG[o], wantG[o]); i >= 0 {
-								t.Fatalf("%s: operand %d Grad[%d] = %v, composition %v", where, o, i, gotG[o][i], wantG[o][i])
+					}
+					for _, mask := range masks {
+						need := make([]bool, len(shapes))
+						for i := range need {
+							need[i] = mask&(1<<i) != 0
+						}
+						wseed := rng.Int63()
+						for _, tp := range []*Tape{nil, tape} {
+							gotY, gotG := runGraph(tp, fc.fused, data, shapes, need, fc.alias, wseed)
+							wantY, wantG := runGraph(tp, fc.composed, data, shapes, need, fc.alias, wseed)
+							where := fmt.Sprintf("shapes %v needGrad %v tape %v", shapes, need, tp != nil)
+							if i := sameBits(gotY, wantY); i >= 0 {
+								t.Fatalf("%s: Data[%d] = %v, composition %v", where, i, gotY[i], wantY[i])
+							}
+							for o := range gotG {
+								if i := sameBits(gotG[o], wantG[o]); i >= 0 {
+									t.Fatalf("%s: operand %d Grad[%d] = %v, composition %v", where, o, i, gotG[o][i], wantG[o][i])
+								}
 							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -362,6 +436,10 @@ func composedEncoder(e *TransformerEncoder, x *Tensor, train bool, rng *rand.Ran
 // shapes, candidate sets from one to 62 rows, dropout on and off, arena on
 // and off.
 func TestEncoderMatchesComposedOracle(t *testing.T) {
+	runKernelPaths(t, testEncoderMatchesComposedOracle)
+}
+
+func testEncoderMatchesComposedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	enc := NewTransformerEncoder(rng, 3, 8, 2, 32, 0.1)
 	params := enc.Params()

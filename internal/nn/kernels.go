@@ -24,15 +24,29 @@ import "runtime"
 // splits or reorders one sum. The zero skip stays because it is observable:
 // 0·Inf is NaN, and ReLU output — exact zeros by the dozen — is the left
 // operand of every encoder layer's second feed-forward product.
+//
+// Each kernel first hands its blocks of four rows by four columns to the
+// lane tile (lanes.go) when the processor has one, then runs its Go loops
+// over what is left: the last columns of those rows, then the last rows.
 
 // matMulRows writes rows [i0,i1) of out = a·b (+ bias per row when bias is
 // non-nil, added after the sum), a [m,k], b [k,n]. Every element of those
 // rows is overwritten; out needs no zeroing.
 func matMulRows(out, a, b, bias []float64, k, n, i0, i1 int) {
+	if i4, n4 := laneBlock(i0, i1, n, k); i4 > i0 {
+		tile(out[i0*n:], a[i0*k:], b, bias, i4-i0, n4, k, n, k, 1, n, 0, tileSkipX)
+		matMulRowsGo(out, a, b, bias, k, n, n4, i0, i4)
+		i0 = i4
+	}
+	matMulRowsGo(out, a, b, bias, k, n, 0, i0, i1)
+}
+
+// matMulRowsGo is matMulRows over the columns [j0,n) of its rows.
+func matMulRowsGo(out, a, b, bias []float64, k, n, j0, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : i*k+k]
 		orow := out[i*n : i*n+n]
-		j := 0
+		j := j0
 		for ; j+8 <= n; j += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			off := j
@@ -96,17 +110,29 @@ func matMulRows(out, a, b, bias []float64, k, n, i0, i1 int) {
 }
 
 // matMulGradA accumulates rows [i0,i1) of ga += g·bᵀ, g [m,n], b [k,n],
-// ga [m,k]. For n = 4 and n = 8 — LocMatcher's head and model widths — the
-// gradient row is held in registers and each dot product is written out;
-// otherwise four of a row's k dot products advance together.
-func matMulGradA(ga, g, b []float64, k, n, i0, i1 int) {
+// ga [m,k]. bT is bᵀ [n,k] (laneTranspose), the tile's lane operand, or nil
+// for the Go kernel alone.
+func matMulGradA(ga, g, b, bT []float64, k, n, i0, i1 int) {
+	if i4, k4 := laneBlock(i0, i1, k, n); i4 > i0 && bT != nil {
+		tile(ga[i0*k:], g[i0*n:], bT, nil, i4-i0, k4, n, k, n, 1, k, 0, tileAddInto)
+		matMulGradAGo(ga, g, b, k, n, k4, i0, i4)
+		i0 = i4
+	}
+	matMulGradAGo(ga, g, b, k, n, 0, i0, i1)
+}
+
+// matMulGradAGo is matMulGradA over the columns [kk0,k) of its rows. For
+// n = 4 and n = 8 — LocMatcher's head and model widths — the gradient row is
+// held in registers and each dot product is written out; otherwise four of a
+// row's dot products advance together.
+func matMulGradAGo(ga, g, b []float64, k, n, kk0, i0, i1 int) {
 	switch n {
 	case 4:
 		for i := i0; i < i1; i++ {
 			gr := (*[4]float64)(g[i*4 : i*4+4])
 			g0, g1, g2, g3 := gr[0], gr[1], gr[2], gr[3]
 			arow := ga[i*k : i*k+k]
-			for kk := range arow {
+			for kk := kk0; kk < len(arow); kk++ {
 				bb := (*[4]float64)(b[kk*4 : kk*4+4])
 				var s float64
 				s += g0 * bb[0]
@@ -122,7 +148,7 @@ func matMulGradA(ga, g, b []float64, k, n, i0, i1 int) {
 			gr := (*[8]float64)(g[i*8 : i*8+8])
 			g0, g1, g2, g3, g4, g5, g6, g7 := gr[0], gr[1], gr[2], gr[3], gr[4], gr[5], gr[6], gr[7]
 			arow := ga[i*k : i*k+k]
-			for kk := range arow {
+			for kk := kk0; kk < len(arow); kk++ {
 				bb := (*[8]float64)(b[kk*8 : kk*8+8])
 				var s float64
 				s += g0 * bb[0]
@@ -141,7 +167,7 @@ func matMulGradA(ga, g, b []float64, k, n, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		grow := g[i*n : i*n+n]
 		arow := ga[i*k : i*k+k]
-		kk := 0
+		kk := kk0
 		for ; kk+4 <= k; kk += 4 {
 			b0 := b[kk*n : kk*n+n][:len(grow)]
 			b1 := b[(kk+1)*n : (kk+1)*n+n][:len(grow)]
@@ -176,9 +202,19 @@ func matMulGradA(ga, g, b []float64, k, n, i0, i1 int) {
 // added into the gradient one by one, not summed first — and are held in
 // registers across the m rows.
 func matMulGradB(gb, a, g []float64, m, k, n, k0, k1 int) {
+	if k4, n4 := laneBlock(k0, k1, n, m); k4 > k0 {
+		tile(gb[k0*n:], a[k0:], g, nil, k4-k0, n4, m, n, 1, k, n, 0, tileFromOut|tileSkipX)
+		matMulGradBGo(gb, a, g, m, k, n, n4, k0, k4)
+		k0 = k4
+	}
+	matMulGradBGo(gb, a, g, m, k, n, 0, k0, k1)
+}
+
+// matMulGradBGo is matMulGradB over the columns [j0,n) of its rows.
+func matMulGradBGo(gb, a, g []float64, m, k, n, j0, k0, k1 int) {
 	for kk := k0; kk < k1; kk++ {
 		brow := gb[kk*n : kk*n+n]
-		j := 0
+		j := j0
 		for ; j+8 <= n; j += 8 {
 			o := (*[8]float64)(brow[j : j+8])
 			s0, s1, s2, s3, s4, s5, s6, s7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
@@ -245,15 +281,28 @@ func addRowsInto(dst, g []float64, n int) {
 
 // scaledMatMulT writes out = (a·bᵀ)·s, a [m,d], b [n,d]: each element is the
 // forward sum of the contract above over b's row instead of a column, then
-// one multiplication by s. Rows of four without a zero — attention's q with
-// two heads over z = 8 — take the unrolled path.
-func scaledMatMulT(out, a, b []float64, s float64, m, d, n int) {
-	for i := 0; i < m; i++ {
+// one multiplication by s. bT is bᵀ [d,n] (laneTranspose), the tile's lane
+// operand, or nil for the Go kernel alone.
+func scaledMatMulT(out, a, b, bT []float64, s float64, m, d, n int) {
+	i0 := 0
+	if i4, n4 := laneBlock(0, m, n, d); i4 > 0 && bT != nil {
+		tile(out, a, bT, nil, i4, n4, d, n, d, 1, n, s, tileSkipX|tileScaleSum)
+		scaledMatMulTGo(out, a, b, s, d, n, n4, 0, i4)
+		i0 = i4
+	}
+	scaledMatMulTGo(out, a, b, s, d, n, 0, i0, m)
+}
+
+// scaledMatMulTGo is scaledMatMulT over rows [i0,i1) and columns [j0,n).
+// Rows of four without a zero — attention's q with two heads over z = 8 —
+// take the unrolled path.
+func scaledMatMulTGo(out, a, b []float64, s float64, d, n, j0, i0, i1 int) {
+	for i := i0; i < i1; i++ {
 		arow := a[i*d : i*d+d]
 		orow := out[i*n : i*n+n]
 		if d == 4 && arow[0] != 0 && arow[1] != 0 && arow[2] != 0 && arow[3] != 0 {
 			a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
-			for j := range orow {
+			for j := j0; j < n; j++ {
 				bb := (*[4]float64)(b[j*4 : j*4+4])
 				var sum float64
 				sum += a0 * bb[0]
@@ -264,7 +313,7 @@ func scaledMatMulT(out, a, b []float64, s float64, m, d, n int) {
 			}
 			continue
 		}
-		for j := range orow {
+		for j := j0; j < n; j++ {
 			brow := b[j*d : j*d+d]
 			var sum float64
 			for kk, av := range arow {
@@ -280,10 +329,22 @@ func scaledMatMulT(out, a, b []float64, s float64, m, d, n int) {
 // scaledMatMulTGradA accumulates ga += (g·s)·b: the dA sum of the contract
 // with g's elements scaled by s as they are read.
 func scaledMatMulTGradA(ga, g, b []float64, s float64, m, d, n int) {
-	for i := 0; i < m; i++ {
+	i0 := 0
+	if i4, d4 := laneBlock(0, m, d, n); i4 > 0 {
+		tile(ga, g, b, nil, i4, d4, n, d, n, 1, d, s, tileScaleX|tileAddInto)
+		scaledMatMulTGradAGo(ga, g, b, s, d, n, d4, 0, i4)
+		i0 = i4
+	}
+	scaledMatMulTGradAGo(ga, g, b, s, d, n, 0, i0, m)
+}
+
+// scaledMatMulTGradAGo is scaledMatMulTGradA over rows [i0,i1) and columns
+// [kk0,d).
+func scaledMatMulTGradAGo(ga, g, b []float64, s float64, d, n, kk0, i0, i1 int) {
+	for i := i0; i < i1; i++ {
 		grow := g[i*n : i*n+n]
 		arow := ga[i*d : i*d+d]
-		kk := 0
+		kk := kk0
 		for ; kk+4 <= d; kk += 4 {
 			var s0, s1, s2, s3 float64
 			off := kk
@@ -318,9 +379,21 @@ func scaledMatMulTGradA(ga, g, b []float64, s float64, m, d, n int) {
 // element of the transposed gradient from +0 (i ascending, a[i][kk] == 0
 // skipped) and then adds that sum into b's gradient once, so this does too.
 func scaledMatMulTGradB(gb, a, g []float64, s float64, m, d, n int) {
-	for j := 0; j < n; j++ {
+	j0 := 0
+	if j4, d4 := laneBlock(0, n, d, m); j4 > 0 {
+		tile(gb, g, a, nil, j4, d4, m, d, 1, n, d, s, tileScaleX|tileSkipY|tileAddInto)
+		scaledMatMulTGradBGo(gb, a, g, s, m, d, n, d4, 0, j4)
+		j0 = j4
+	}
+	scaledMatMulTGradBGo(gb, a, g, s, m, d, n, 0, j0, n)
+}
+
+// scaledMatMulTGradBGo is scaledMatMulTGradB over rows [j0,j1) of gb and
+// columns [kk0,d).
+func scaledMatMulTGradBGo(gb, a, g []float64, s float64, m, d, n, kk0, j0, j1 int) {
+	for j := j0; j < j1; j++ {
 		brow := gb[j*d : j*d+d]
-		kk := 0
+		kk := kk0
 		for ; kk+4 <= d; kk += 4 {
 			var t0, t1, t2, t3 float64
 			ai, gi := kk, j
@@ -385,12 +458,12 @@ func matMulForward(out, a, b, bias []float64, m, k, n int) {
 	rowBlocks(m, func(lo, hi int) { matMulRows(out, a, b, bias, k, n, lo, hi) })
 }
 
-func matMulBackA(ga, g, b []float64, m, k, n int) {
+func matMulBackA(ga, g, b, bT []float64, m, k, n int) {
 	if m*k*n < matMulParallelFlops {
-		matMulGradA(ga, g, b, k, n, 0, m)
+		matMulGradA(ga, g, b, bT, k, n, 0, m)
 		return
 	}
-	rowBlocks(m, func(lo, hi int) { matMulGradA(ga, g, b, k, n, lo, hi) })
+	rowBlocks(m, func(lo, hi int) { matMulGradA(ga, g, b, bT, k, n, lo, hi) })
 }
 
 func matMulBackB(gb, a, g []float64, m, k, n int) {

@@ -21,11 +21,10 @@ func CrossEntropy(logits *Tensor, target int) *Tensor {
 			maxv = v
 		}
 	}
-	var sum float64
 	probs := graphScratch(out, n)
-	for i, v := range logits.Data {
-		e := math.Exp(v - maxv)
-		probs[i] = e
+	expShifted(probs, logits.Data, maxv)
+	var sum float64
+	for _, e := range probs {
 		sum += e
 	}
 	for i := range probs {
@@ -61,10 +60,9 @@ func Softmax1D(logits *Tensor) []float64 {
 			maxv = v
 		}
 	}
+	expShifted(out, logits.Data, maxv)
 	var sum float64
-	for i, v := range logits.Data {
-		e := math.Exp(v - maxv)
-		out[i] = e
+	for _, e := range out {
 		sum += e
 	}
 	for i := range out {

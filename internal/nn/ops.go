@@ -173,7 +173,7 @@ func matMulBack(out *Tensor) {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	if a.needGrad {
 		a.ensureGrad()
-		matMulBackA(a.Grad, out.Grad, b.Data, m, k, n)
+		matMulBackA(a.Grad, out.Grad, b.Data, laneTranspose(out, b.Data, k, n, m), m, k, n)
 	}
 	if b.needGrad {
 		b.ensureGrad()
@@ -206,7 +206,7 @@ func linearBack(out *Tensor) {
 	}
 	if x.needGrad {
 		x.ensureGrad()
-		matMulBackA(x.Grad, out.Grad, w.Data, m, k, n)
+		matMulBackA(x.Grad, out.Grad, w.Data, laneTranspose(out, w.Data, k, n, m), m, k, n)
 	}
 	if w.needGrad {
 		w.ensureGrad()
@@ -225,7 +225,7 @@ func ScaledMatMulT(a, b *Tensor, s float64) *Tensor {
 	}
 	m, d, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	out := newResult([]int{m, n}, a, b)
-	scaledMatMulT(out.Data, a.Data, b.Data, s, m, d, n)
+	scaledMatMulT(out.Data, a.Data, b.Data, laneTranspose(out, b.Data, n, d, m), s, m, d, n)
 	out.savedF = s
 	out.setBack(scaledMatMulTBack)
 	return out
@@ -316,10 +316,9 @@ func softmaxRow(orow, row []float64) {
 		}
 	}
 	orow = orow[:len(row)]
+	expShifted(orow, row, maxv)
 	var sum float64
-	for j, v := range row {
-		e := math.Exp(v - maxv)
-		orow[j] = e
+	for _, e := range orow {
 		sum += e
 	}
 	for j := range orow {
@@ -373,13 +372,13 @@ func softmaxMatMulBack(out *Tensor) {
 	}
 	if a.needGrad {
 		a.ensureGrad()
-		// One row of the probabilities' gradient at a time: the dA sums
-		// from zero, then the softmax backward of that row.
-		dp := graphScratch(out, n)
+		// The probabilities' gradient, MatMul's dA summed into zeros,
+		// then the softmax backward row by row.
+		dp := graphScratch(out, m*n)
+		clear(dp)
+		matMulBackA(dp, out.Grad, v.Data, laneTranspose(out, v.Data, n, d, m), m, n, d)
 		for i := 0; i < m; i++ {
-			clear(dp)
-			matMulGradA(dp, out.Grad[i*d:i*d+d], v.Data, n, d, 0, 1)
-			softmaxRowBack(a.Grad[i*n:i*n+n], probs[i*n:i*n+n], dp)
+			softmaxRowBack(a.Grad[i*n:i*n+n], probs[i*n:i*n+n], dp[i*n:i*n+n])
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The generic ops below are no part of any model: each is the composition a
 // fused node or kernel is held to bit for bit (identity_test.go) and whose
@@ -33,7 +36,11 @@ func transposeBack(out *Tensor) {
 	}
 }
 
-// softmaxRows applies softmax independently to each row of a 2-D tensor.
+// softmaxRows applies softmax independently to each row of a 2-D tensor:
+// the textbook loop over math.Exp, written out here rather than calling the
+// production softmaxRow, so that the fused node is held to an independent
+// definition — subtract the row maximum, exponentiate and sum left to right,
+// divide by the sum.
 func softmaxRows(a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic(fmt.Sprintf("nn: softmaxRows requires 2-D, got %v", a.Shape))
@@ -41,18 +48,39 @@ func softmaxRows(a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
 	out := newResult(a.Shape, a)
 	for i := 0; i < m; i++ {
-		softmaxRow(out.Data[i*n:i*n+n], a.Data[i*n:i*n+n])
+		maxv := a.Data[i*n]
+		for j := 1; j < n; j++ {
+			if a.Data[i*n+j] > maxv {
+				maxv = a.Data[i*n+j]
+			}
+		}
+		var sum float64
+		for j := 0; j < n; j++ {
+			out.Data[i*n+j] = math.Exp(a.Data[i*n+j] - maxv)
+			sum += out.Data[i*n+j]
+		}
+		for j := 0; j < n; j++ {
+			out.Data[i*n+j] /= sum
+		}
 	}
 	out.setBack(softmaxRowsBack)
 	return out
 }
 
+// softmaxRowsBack is the softmax gradient of each row, likewise written
+// out: a.Grad[j] += y[j]·(g[j] − Σ g·y), the dot product left to right.
 func softmaxRowsBack(out *Tensor) {
 	a := out.parents[0]
 	m, n := a.Shape[0], a.Shape[1]
 	a.ensureGrad()
 	for i := 0; i < m; i++ {
-		softmaxRowBack(a.Grad[i*n:i*n+n], out.Data[i*n:i*n+n], out.Grad[i*n:i*n+n])
+		var dot float64
+		for j := 0; j < n; j++ {
+			dot += out.Grad[i*n+j] * out.Data[i*n+j]
+		}
+		for j := 0; j < n; j++ {
+			a.Grad[i*n+j] += out.Data[i*n+j] * (out.Grad[i*n+j] - dot)
+		}
 	}
 }
 
