@@ -1,7 +1,8 @@
 # Build/test/bench entry points. The race target covers the packages with
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
 # obs metrics/logging layer), the HTTP service twice over; bench regenerates the
-# LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json; cover
+# LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json;
+# bench-regress compares five of those rows with the parent commit's; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
 # bench/run.sh (BENCHMARK.json), not from a target here.
@@ -140,7 +141,9 @@ cover:
 # LocMatcher training/inference + serving-throughput + snapshot-restore +
 # WAL-replay + pool-seal + in-process batch handler benchmarks, the read
 # routes' float printer beside strconv, and internal/nn's kernels at
-# LocMatcher's shapes on the Go and the lane path -> BENCH_locmatcher.json.
+# LocMatcher's shapes on the Go and the lane path -> BENCH_locmatcher.json,
+# a record of one machine's numbers that nothing gates against (bench-regress
+# compares two commits on the same machine instead).
 # -p 1: the packages' benchmarks must not share the processors.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
@@ -156,11 +159,13 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Re-run the parallel and batched read benchmarks, the streamed-ingest
-# benchmark, the LocMatcher training benchmark and the snapshot-restore
-# benchmark and fail on a >15% regression of any gated row (single-shard
-# queries/sec of the reads, two-shard fixes/sec of the ingest, serial ns/op
-# of a training epoch, addrs/s of a 200k-address restore) against the
-# committed BENCH_locmatcher.json.
+# Compare this checkout with its parent commit (HEAD~1) on five
+# micro-benchmark rows — single-shard queries/sec of the parallel and batched
+# reads, two-shard fixes/sec of the streamed ingest, serial ns/op of a
+# training epoch, addrs/s of a 200k-address restore — over ten alternating
+# pairs of runs at 1 s benchtime, each side's root test binary built once.
+# Fails when a row's median over this checkout's runs is worse than the
+# parent's by more than 15%, or a row or a run is missing (microGates in
+# cmd/benchjson). About 3.5 minutes on two cores.
 bench-regress:
-	bash scripts/bench_regress.sh
+	bash scripts/pairs.sh HEAD~1 micro 1 10

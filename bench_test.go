@@ -461,7 +461,8 @@ func benchClient() *http.Client {
 // BenchmarkServeQueries: several client goroutines per core over a pooled
 // keep-alive transport, all hammering single-key lookups. With the lock-free
 // frozen-store read path, throughput must not decay as shards are added —
-// this is the row scripts/bench_regress.sh gates on.
+// its shards=1 row is one of the five `make bench-regress` compares with the
+// parent commit's.
 func BenchmarkServeQueriesParallel(b *testing.B) {
 	p := tinyPrepared(b)
 	doc := storeSnapshotDoc(b, p)

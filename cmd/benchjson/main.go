@@ -7,11 +7,14 @@
 // allocs/op (when -benchmem is on) plus any custom ReportMetric units.
 //
 // With -pairs it reads no benchmark output: it summarises a directory of
-// alternating parent/change bench/run.sh reports (scripts/pairs.sh) against
-// the BENCHMARK.json of the directory it runs in, and exits 1 when a gated
-// metric is worse than its bound in at least nine pairs of ten:
+// alternating parent/change runs that scripts/pairs.sh wrote — bench/run.sh
+// reports, gated on the end-to-end metrics of the BENCHMARK.json in the
+// directory it runs in, or `go test -bench` outputs, gated on the rows of
+// microGates — and exits 1 when a gated metric's median over the change's
+// runs is worse than the parent's by more than its bound, or when a run's
+// report or a gated metric is missing:
 //
-//	benchjson -pairs .bench_build/pairs/batch_lookup-5401
+//	benchjson -pairs .bench_build/pairs/micro-1
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,22 +30,8 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name       string `json:"name"`
-	Iterations int64  `json:"iterations"`
-	// Shards is the shard-count dimension parsed from a "shards=N" sub-
-	// benchmark segment (BenchmarkServeQueries/shards=4-8), so per-shard
-	// throughput rows can be charted without re-parsing names. Zero when the
-	// benchmark has no shard dimension.
-	Shards int `json:"shards,omitempty"`
-	// Traced marks rows from a tracing-enabled benchmark variant
-	// (BenchmarkServeQueriesTraced), so trace overhead can be compared
-	// against the untraced row of the same shape.
-	Traced bool `json:"traced,omitempty"`
-	// Batch marks rows from batched-operation benchmarks
-	// (BenchmarkServeQueriesBatch, BenchmarkPredictBatch), where one op
-	// covers many items and the per-item throughput metric is the
-	// comparable number, not ns/op.
-	Batch      bool               `json:"batch,omitempty"`
+	Name       string             `json:"name"`
+	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	BytesPerOp float64            `json:"bytes_per_op,omitempty"`
 	AllocsOp   float64            `json:"allocs_per_op,omitempty"`
@@ -60,10 +50,6 @@ type Report struct {
 
 func main() {
 	out := flag.String("out", "BENCH_locmatcher.json", "output JSON path")
-	baseline := flag.String("baseline", "", "committed report to gate against (empty: no gating)")
-	gate := flag.String("gate", "", "benchmark name prefix to gate, e.g. BenchmarkServeQueriesParallel/shards=1")
-	gateMetric := flag.String("gate-metric", "queries/sec", "metric to compare: ns/op (lower is better) or a ReportMetric unit (higher is better)")
-	maxRegress := flag.Float64("max-regress-pct", 15, "fail when the gated metric regresses by more than this percentage")
 	pairsDir := flag.String("pairs", "", "summarise the parent/change run reports in this directory instead")
 	flag.Parse()
 
@@ -75,12 +61,32 @@ func main() {
 		return
 	}
 
+	rep, err := parseOutput(os.Stdin, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
+		os.Exit(1)
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(rep.Results), *out)
+}
+
+// parseOutput reads `go test -bench` output into a report, copying every
+// line to echo.
+func parseOutput(in io.Reader, echo io.Writer) (Report, error) {
 	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line)
+		fmt.Fprintln(echo, line)
 		switch {
 		case strings.HasPrefix(line, "goos:"):
 			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
@@ -98,100 +104,7 @@ func main() {
 			rep.Failures++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(rep.Results), *out)
-
-	if *baseline != "" && *gate != "" {
-		base, err := loadReport(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
-			os.Exit(1)
-		}
-		if err := gateCheck(rep, base, *gate, *gateMetric, *maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: gate:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: gate %s (%s) within %.0f%% of baseline\n",
-			*gate, *gateMetric, *maxRegress)
-	}
-}
-
-// loadReport reads a previously emitted report file.
-func loadReport(path string) (Report, error) {
-	var rep Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	return rep, json.Unmarshal(data, &rep)
-}
-
-// metricOf pulls the gated metric out of one result; ok is false when the
-// row doesn't carry it.
-func metricOf(r Result, metric string) (float64, bool) {
-	if metric == "ns/op" {
-		return r.NsPerOp, r.NsPerOp > 0
-	}
-	v, ok := r.Extra[metric]
-	return v, ok
-}
-
-// gateRow finds the first result whose name starts with the gate prefix and
-// carries the metric. Prefix matching keeps gates portable across machines:
-// result names end in "-GOMAXPROCS", which differs between runners.
-func gateRow(rep Report, gate, metric string) (Result, bool) {
-	for _, r := range rep.Results {
-		if !strings.HasPrefix(r.Name, gate) {
-			continue
-		}
-		if _, ok := metricOf(r, metric); ok {
-			return r, true
-		}
-	}
-	return Result{}, false
-}
-
-// gateCheck compares the gated metric of the fresh run against the baseline
-// and errors when it regressed by more than maxPct percent. "ns/op" is
-// treated as lower-is-better; every other metric (custom ReportMetric units
-// like "queries/sec") as higher-is-better.
-func gateCheck(cur, base Report, gate, metric string, maxPct float64) error {
-	cr, ok := gateRow(cur, gate, metric)
-	if !ok {
-		return fmt.Errorf("run has no result %q with metric %q", gate, metric)
-	}
-	br, ok := gateRow(base, gate, metric)
-	if !ok {
-		return fmt.Errorf("baseline has no result %q with metric %q", gate, metric)
-	}
-	curV, _ := metricOf(cr, metric)
-	baseV, _ := metricOf(br, metric)
-	if baseV <= 0 {
-		return fmt.Errorf("baseline %s %s is %v, cannot gate", gate, metric, baseV)
-	}
-	var regressPct float64
-	if metric == "ns/op" {
-		regressPct = (curV - baseV) / baseV * 100
-	} else {
-		regressPct = (baseV - curV) / baseV * 100
-	}
-	if regressPct > maxPct {
-		return fmt.Errorf("%s %s regressed %.1f%% (baseline %.1f, got %.1f, limit %.0f%%)",
-			gate, metric, regressPct, baseV, curV, maxPct)
-	}
-	return nil
+	return rep, sc.Err()
 }
 
 // parseBench parses one result line, e.g.
@@ -205,13 +118,7 @@ func parseBench(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{
-		Name:       fields[0],
-		Iterations: iters,
-		Shards:     parseShards(fields[0]),
-		Traced:     strings.Contains(fields[0], "Traced"),
-		Batch:      strings.Contains(fields[0], "Batch"),
-	}
+	r := Result{Name: fields[0], Iterations: iters}
 	// The rest alternate value/unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -233,23 +140,4 @@ func parseBench(line string) (Result, bool) {
 		}
 	}
 	return r, true
-}
-
-// parseShards extracts N from a "shards=N" segment of a benchmark name
-// (segments are separated by '/', with the trailing "-GOMAXPROCS" suffix on
-// the last one). Returns 0 when the name carries no shard dimension.
-func parseShards(name string) int {
-	i := strings.Index(name, "shards=")
-	if i < 0 {
-		return 0
-	}
-	rest := name[i+len("shards="):]
-	if j := strings.IndexAny(rest, "-/"); j >= 0 {
-		rest = rest[:j]
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,27 +15,66 @@ import (
 	"strings"
 )
 
-// The -pairs mode summarises alternating parent/change runs of bench/run.sh
-// (scripts/pairs.sh writes them): every run, then per end-to-end metric of
-// BENCHMARK.json the medians, the delta, how many pairs the change is better
-// in, the parent's interquartile range, and how many pairs it is worse than
-// the metric's bound in.
+// The -pairs mode summarises alternating parent/change runs (scripts/pairs.sh
+// writes them): every run, then per gated metric the medians, the delta, how
+// many pairs the change is better in, the parent's interquartile range, and
+// the verdict of the one regression rule — the change's median is worse than
+// the parent's by more than the metric's bound.
 
-// runReport is the last line bench/run.sh prints for one run.
+// runReport is one run's report: the last line bench/run.sh prints, or a
+// `go test -bench` output read into the same form by benchRun.
 type runReport struct {
-	Attempted int `json:"attempted"`
-	Failed    int `json:"failed"`
-	Metrics   map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Attempted int                    `json:"attempted"`
+	Failed    int                    `json:"failed"`
+	Metrics   map[string]metricValue `json:"metrics"`
 }
 
-// gatedMetric is one end_to_end entry of BENCHMARK.json.
+// metricValue is one metric of a run report.
+type metricValue struct {
+	Value float64 `json:"value"`
+}
+
+// gatedMetric is one metric the verdict covers: an end_to_end entry of
+// BENCHMARK.json, or a row of microGates.
 type gatedMetric struct {
 	Name   string  `json:"name"`
 	Unit   string  `json:"unit"`
 	Better string  `json:"better"`
 	Bound  float64 `json:"bound"`
+}
+
+// microGates are the micro-benchmark rows `make bench-regress` compares the
+// change with its parent on (scripts/pairs.sh's micro workload runs them). A
+// row's metric is named "<benchmark> <unit>", the benchmark's name without
+// its -GOMAXPROCS suffix.
+var microGates = []gatedMetric{
+	{Name: "BenchmarkServeQueriesParallel/shards=1 queries/sec", Unit: "queries/sec", Better: "higher", Bound: 0.15},
+	{Name: "BenchmarkServeQueriesBatch/shards=1 queries/sec", Unit: "queries/sec", Better: "higher", Bound: 0.15},
+	{Name: "BenchmarkServeStreamIngest/shards=2 fixes/sec", Unit: "fixes/sec", Better: "higher", Bound: 0.15},
+	{Name: "BenchmarkFitParallel/workers=1 ns/op", Unit: "ns/op", Better: "lower", Bound: 0.15},
+	{Name: "BenchmarkRestoreSnapshot addrs/s", Unit: "addrs/s", Better: "higher", Bound: 0.15},
+}
+
+// procsSuffix is the -GOMAXPROCS suffix `go test` puts on a benchmark's name.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
+
+// benchRun reads one `go test -bench` output into a run report: every
+// result's ns/op and ReportMetric units, one metric per row and unit. A run
+// with no result has no metrics, the same as a run that printed no report.
+func benchRun(out []byte) (runReport, error) {
+	rep, err := parseOutput(bytes.NewReader(out), io.Discard)
+	r := runReport{Attempted: len(rep.Results), Failed: rep.Failures}
+	if len(rep.Results) > 0 {
+		r.Metrics = map[string]metricValue{}
+	}
+	for _, res := range rep.Results {
+		row := procsSuffix.ReplaceAllString(res.Name, "")
+		r.Metrics[row+" ns/op"] = metricValue{res.NsPerOp}
+		for unit, v := range res.Extra {
+			r.Metrics[row+" "+unit] = metricValue{v}
+		}
+	}
+	return r, err
 }
 
 // pair is one seed's two runs; a side is nil when its run left no report.
@@ -44,8 +85,9 @@ type pair struct {
 	change *runReport
 }
 
-// runFile names one run's report: <seed>.<position>.<side>.json.
-var runFile = regexp.MustCompile(`^(\d+)\.([12])\.(parent|change)\.json$`)
+// runFile names one run's report: <seed>.<position>.<side>.json for a
+// bench/run.sh report, .txt for a `go test -bench` output.
+var runFile = regexp.MustCompile(`^(\d+)\.([12])\.(parent|change)\.(json|txt)$`)
 
 // loadPairs reads every run report in dir, pairs them by seed, in seed order.
 func loadPairs(dir string) ([]pair, error) {
@@ -73,7 +115,12 @@ func loadPairs(dir string) ([]pair, error) {
 			return nil, err
 		}
 		var r runReport
-		if len(strings.TrimSpace(string(b))) > 0 {
+		switch {
+		case m[4] == "txt":
+			if r, err = benchRun(b); err != nil {
+				return nil, fmt.Errorf("%s: %w", e.Name(), err)
+			}
+		case len(strings.TrimSpace(string(b))) > 0:
 			if err := json.Unmarshal(b, &r); err != nil {
 				return nil, fmt.Errorf("%s: %w", e.Name(), err)
 			}
@@ -125,13 +172,13 @@ func quantile(sorted []float64, q float64) float64 {
 
 // verdict is one metric's summary over the complete pairs.
 type verdict struct {
-	metric         gatedMetric
-	parentMed      float64
-	changeMed      float64
-	parentIQR      float64
-	better, worse  int // pairs the change is better in, worse beyond the bound in
-	pairs          int
-	regressedPairs bool // worse beyond the bound in ≥ 9/10 of the pairs
+	metric    gatedMetric
+	parentMed float64
+	changeMed float64
+	parentIQR float64
+	better    int // pairs the change is better in
+	pairs     int
+	regressed bool // the change's median is worse than the parent's by more than the bound
 }
 
 // summarise computes every gated metric's verdict over the pairs with both
@@ -151,15 +198,8 @@ func summarise(pairs []pair, gated []gatedMetric) []verdict {
 				continue
 			}
 			ps, cs = append(ps, pv.Value), append(cs, cv.Value)
-			gain := cv.Value - pv.Value // > 0: the change is higher
-			if g.Better == "lower" {
-				gain = -gain
-			}
-			if gain > 0 {
+			if gain(g, pv.Value, cv.Value) > 0 {
 				v.better++
-			}
-			if pv.Value != 0 && -gain/math.Abs(pv.Value) > g.Bound {
-				v.worse++
 			}
 		}
 		v.pairs = len(ps)
@@ -167,14 +207,24 @@ func summarise(pairs []pair, gated []gatedMetric) []verdict {
 		sort.Float64s(cs)
 		v.parentMed, v.changeMed = quantile(ps, 0.5), quantile(cs, 0.5)
 		v.parentIQR = quantile(ps, 0.75) - quantile(ps, 0.25)
-		v.regressedPairs = v.pairs > 0 && 10*v.worse >= 9*v.pairs
+		v.regressed = v.parentMed != 0 && -gain(g, v.parentMed, v.changeMed)/math.Abs(v.parentMed) > g.Bound
 		out = append(out, v)
 	}
 	return out
 }
 
+// gain is how much better the change's value is than the parent's: > 0 when
+// it is higher for a higher-is-better metric, lower for a lower-is-better one.
+func gain(g gatedMetric, parent, change float64) float64 {
+	if g.Better == "lower" {
+		return parent - change
+	}
+	return change - parent
+}
+
 // writePairs prints every run and the summary table as Markdown, and returns
-// an error when a gated metric regressed beyond its bound in ≥ 9/10 pairs.
+// an error naming every gated metric whose median regressed beyond its bound
+// or that no complete pair carries, and when a run left no report.
 func writePairs(w io.Writer, pairs []pair, gated []gatedMetric) error {
 	fmt.Fprint(w, "| seed | first |")
 	for _, g := range gated {
@@ -198,25 +248,40 @@ func writePairs(w io.Writer, pairs []pair, gated []gatedMetric) error {
 		}
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| metric | parent median | change median | delta | better in | parent IQR | delta beyond IQR | worse than bound in |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
-	var regressed []string
+	fmt.Fprintln(w, "| metric | parent median | change median | delta | better in | parent IQR | delta beyond IQR | bound | verdict |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|")
+	var regressed, absent []string
 	for _, v := range summarise(pairs, gated) {
 		delta := "n/a"
 		if v.parentMed != 0 {
 			delta = fmt.Sprintf("%+.1f %%", 100*(v.changeMed-v.parentMed)/v.parentMed)
 		}
-		fmt.Fprintf(w, "| `%s` | %.6g | %.6g | %s | %d/%d | %.4g | %v | %d/%d |\n", v.metric.Name, v.parentMed,
-			v.changeMed, delta, v.better, v.pairs, v.parentIQR, math.Abs(v.changeMed-v.parentMed) > v.parentIQR, v.worse, v.pairs)
-		if v.regressedPairs {
+		verdict := "ok"
+		switch {
+		case v.pairs == 0:
+			verdict = "missing"
+			absent = append(absent, v.metric.Name)
+		case v.regressed:
+			verdict = "regressed"
 			regressed = append(regressed, v.metric.Name)
 		}
+		fmt.Fprintf(w, "| `%s` | %.6g | %.6g | %s | %d/%d | %.4g | %v | %.0f %% | %s |\n", v.metric.Name, v.parentMed,
+			v.changeMed, delta, v.better, v.pairs, v.parentIQR, math.Abs(v.changeMed-v.parentMed) > v.parentIQR,
+			100*v.metric.Bound, verdict)
 	}
+	var errs []string
 	if missing > 0 {
 		fmt.Fprintf(w, "\n%d of %d pairs lack a run's report and are left out of the summary\n", missing, len(pairs))
+		errs = append(errs, fmt.Sprintf("%d of %d pairs lack a run's report", missing, len(pairs)))
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("worse than the bound in at least 9/10 pairs: %s", strings.Join(regressed, ", "))
+		errs = append(errs, "median worse than the bound: "+strings.Join(regressed, ", "))
+	}
+	if len(absent) > 0 {
+		errs = append(errs, "in no complete pair: "+strings.Join(absent, ", "))
+	}
+	if len(errs) > 0 {
+		return errors.New(strings.Join(errs, "; "))
 	}
 	return nil
 }
@@ -239,18 +304,21 @@ func failed(r *runReport) string {
 	return fmt.Sprintf("%d of %d", r.Failed, r.Attempted)
 }
 
-// runPairs is the -pairs mode, run from the checkout's root.
+// runPairs is the -pairs mode, run from the checkout's root: `go test -bench`
+// outputs are gated on microGates, bench/run.sh reports on BENCHMARK.json.
 func runPairs(dir string) error {
-	gated, err := loadGated("BENCHMARK.json")
-	if err != nil {
-		return err
-	}
 	pairs, err := loadPairs(dir)
 	if err != nil {
 		return err
 	}
 	if len(pairs) == 0 {
 		return fmt.Errorf("no run reports in %s", dir)
+	}
+	gated := microGates
+	if txt, _ := filepath.Glob(filepath.Join(dir, "*.txt")); len(txt) == 0 {
+		if gated, err = loadGated("BENCHMARK.json"); err != nil {
+			return err
+		}
 	}
 	return writePairs(os.Stdout, pairs, gated)
 }

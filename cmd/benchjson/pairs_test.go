@@ -49,7 +49,7 @@ func TestPairsSummary(t *testing.T) {
 		t.Fatalf("pairs %+v", pairs)
 	}
 	vs := summarise(pairs, testGated)
-	if v := vs[0]; v.better != 10 || v.worse != 0 || v.parentMed != 1045 || v.changeMed != 1254 || v.regressedPairs {
+	if v := vs[0]; v.better != 10 || v.parentMed != 1045 || v.changeMed != 1254 || v.regressed {
 		t.Errorf("throughput verdict %+v", v)
 	}
 	if v := vs[1]; v.better != 10 || v.parentIQR != 0 || v.changeMed != 0.8 {
@@ -94,8 +94,118 @@ func TestPairsMissingRun(t *testing.T) {
 		t.Fatalf("an empty report was counted: %+v", pairs[1])
 	}
 	var out bytes.Buffer
-	_ = writePairs(&out, pairs, testGated)
+	err = writePairs(&out, pairs, testGated)
 	if !strings.Contains(out.String(), "1 of 3 pairs lack a run's report") {
 		t.Errorf("summary:\n%s", out.String())
+	}
+	// A missing run fails the gate even when the other pairs are fine.
+	if err == nil || !strings.Contains(err.Error(), "1 of 3 pairs lack a run's report") {
+		t.Errorf("gate: %v", err)
+	}
+}
+
+// microRows are one `go test -bench` output's lines for the rows of
+// microGates, in that order, each with its gated value as the verb.
+var microRows = []string{
+	"BenchmarkServeQueriesParallel/shards=1-8  24963  46939 ns/op  %g queries/sec",
+	"BenchmarkServeQueriesBatch/shards=1-8  5624  221249 ns/op  %g queries/sec",
+	"BenchmarkServeStreamIngest/shards=2-8  2989  370137 ns/op  %g fixes/sec",
+	"BenchmarkFitParallel/workers=1-8  26  %g ns/op  1919970 B/op  2934 allocs/op",
+	"BenchmarkRestoreSnapshot-8  4  277916301 ns/op  %g addrs/s  61684564 B/op  1649 allocs/op",
+}
+
+// writeMicroRuns lays out ten alternating pairs of `go test -bench` outputs
+// the way scripts/pairs.sh's micro workload does: each gated row's change
+// value is the parent's times factor[row] (1 when unset), and the row left
+// out of every run when the factor is 0.
+func writeMicroRuns(t *testing.T, factor map[string]float64) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i := 0; i < 10; i++ {
+		runs := map[string]*strings.Builder{"parent": {}, "change": {}}
+		for _, b := range runs {
+			b.WriteString("goos: linux\ngoarch: amd64\npkg: dlinfma\n")
+		}
+		for r, g := range microGates {
+			f, ok := factor[g.Name]
+			if !ok {
+				f = 1
+			}
+			if f == 0 {
+				continue
+			}
+			base := float64(1000 * (r + 1) * (100 + i))
+			fmt.Fprintf(runs["parent"], microRows[r]+"\n", base)
+			fmt.Fprintf(runs["change"], microRows[r]+"\n", base*f)
+		}
+		first, second := "parent", "change"
+		if i%2 == 1 {
+			first, second = second, first
+		}
+		for pos, side := range []string{first, second} {
+			runs[side].WriteString("PASS\n")
+			name := fmt.Sprintf("%d.%d.%s.txt", 1+i, pos+1, side)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(runs[side].String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dir
+}
+
+// TestPairsMicroGate runs `go test -bench` outputs through the parser and the
+// one regression rule with the gated rows of make bench-regress.
+func TestPairsMicroGate(t *testing.T) {
+	const (
+		parallel = "BenchmarkServeQueriesParallel/shards=1 queries/sec"
+		batch    = "BenchmarkServeQueriesBatch/shards=1 queries/sec"
+		fit      = "BenchmarkFitParallel/workers=1 ns/op"
+		restore  = "BenchmarkRestoreSnapshot addrs/s"
+	)
+	for _, tc := range []struct {
+		name    string
+		factor  map[string]float64
+		fail    []string // named in the error; none: the gate passes
+		notFail []string
+	}{
+		{name: "improvement", factor: map[string]float64{parallel: 2, batch: 1.5, fit: 0.5, restore: 1.3}},
+		{name: "within the bound", factor: map[string]float64{parallel: 0.9, fit: 1.1}},
+		{name: "throughput regression", factor: map[string]float64{batch: 0.8, fit: 0.7},
+			fail: []string{batch}, notFail: []string{fit, parallel}},
+		{name: "ns/op is lower-is-better", factor: map[string]float64{fit: 1.3, parallel: 1.3},
+			fail: []string{fit}, notFail: []string{parallel}},
+		{name: "row absent from every run", factor: map[string]float64{restore: 0},
+			fail: []string{"in no complete pair: " + restore}, notFail: []string{parallel}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pairs, err := loadPairs(writeMicroRuns(t, tc.factor))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pairs) != 10 || pairs[1].first != "change" || pairs[1].parent == nil || pairs[1].change == nil {
+				t.Fatalf("pairs %+v", pairs)
+			}
+			var out bytes.Buffer
+			err = writePairs(&out, pairs, microGates)
+			if len(tc.fail) == 0 {
+				if err != nil {
+					t.Fatalf("gate failed: %v\n%s", err, out.String())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("gate passed:\n%s", out.String())
+			}
+			for _, name := range tc.fail {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not name %s", err, name)
+				}
+			}
+			for _, name := range tc.notFail {
+				if strings.Contains(err.Error(), name) {
+					t.Errorf("error %q names %s", err, name)
+				}
+			}
+		})
 	}
 }

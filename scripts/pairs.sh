@@ -1,23 +1,29 @@
 #!/usr/bin/env bash
-# Compares two commits on workloads of the benchmark (BENCHMARK.json):
-# alternating bench/run.sh runs in a checkout of the parent and in this
-# checkout, one new seed per pair and the order flipped every pair, every
-# run's report kept. Then `benchjson -pairs` prints the table a claim is
-# written from: every run, and per end-to-end metric the medians, the delta,
-# the pairs the change is better in, the parent's interquartile range and the
-# failed operations. Exits non-zero when a gated metric is worse than its
-# bound in at least nine pairs of ten on any workload.
+# Compares this checkout with a parent commit: alternating runs in a checkout
+# of the parent and in this one, one new seed per pair and the order flipped
+# every pair, every run's report kept. A workload is one of BENCHMARK.json's,
+# run by bench/run.sh, or `micro`: the micro-benchmark rows `make
+# bench-regress` gates (microGates in cmd/benchjson), run at 1 s benchtime by
+# each side's root test binary, built once per side. Then `benchjson -pairs`
+# prints the table a claim is written from: every run, and per gated metric
+# the medians, the delta, the pairs the change is better in, the parent's
+# interquartile range and the verdict. Exits non-zero when, on any workload, a
+# gated metric's median is worse than the parent's by more than its bound, a
+# gated metric is in no complete pair, or a run exits non-zero or leaves no
+# report.
 #
 #   scripts/pairs.sh <parent-ref> <workload>[,<workload>...] <first-seed> <pairs>
+#   scripts/pairs.sh HEAD~1 micro 1 10
 #   scripts/pairs.sh HEAD~1 batch_lookup 5401 10
 #   scripts/pairs.sh HEAD~1 stream_ingest,reinfer_refresh 5401 10
 #
 # Several workloads run one after another, in the order given, each with the
-# same seeds and its own table. <parent-ref> is a git revision, checked out
-# with `git worktree add` into a temporary directory that is removed on exit.
-# `scripts/pairs.sh HEAD ...` on a clean tree compares the commit with itself:
-# the A/A noise floor to read a real comparison against. Logs and reports stay
-# in .bench_build/pairs/<workload>-<first-seed>/.
+# same seeds and its own table; the micro rows take no seed, it numbers the
+# pair. <parent-ref> is a git revision, checked out with `git worktree add`
+# into a temporary directory that is removed on exit. `scripts/pairs.sh HEAD
+# ...` on a clean tree compares the commit with itself: the A/A noise floor to
+# read a real comparison against. Logs and reports stay in
+# .bench_build/pairs/<workload>-<first-seed>/.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -28,9 +34,27 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent="$1" first="$3" pairs="$4"
 IFS=, read -ra workloads <<<"$2"
 
-parent_dir="$(mktemp -d)/parent"
-trap 'git -C "$root" worktree remove --force "$parent_dir" || true; rm -rf "$(dirname "$parent_dir")"' EXIT
+tmp="$(mktemp -d)"
+parent_dir="$tmp/parent"
+trap 'git -C "$root" worktree remove --force "$parent_dir" || true; rm -rf "$tmp"' EXIT
 git -C "$root" worktree add --detach "$parent_dir" "$parent" >&2
+
+if [[ ",$2," == *,micro,* ]]; then
+  (cd "$parent_dir" && go test -c -o "$tmp/parent.test" .)
+  (cd "$root" && go test -c -o "$tmp/change.test" .)
+fi
+
+# micro runs the gated rows on one side's test binary, from that side's root.
+# A benchmark without sub-benchmarks runs only under a one-level pattern,
+# hence two runs of the binary.
+micro() {
+  local side="$1" dir="$2"
+  (cd "$dir" &&
+    "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
+      -test.bench '^(BenchmarkServeQueriesParallel|BenchmarkServeQueriesBatch|BenchmarkFitParallel)$/^(shards|workers)=1$' &&
+    "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
+      -test.bench '^(BenchmarkServeStreamIngest|BenchmarkRestoreSnapshot)$')
+}
 
 status=0
 for workload in "${workloads[@]}"; do
@@ -51,12 +75,23 @@ for workload in "${workloads[@]}"; do
       fi
       run="$out/$seed.$pos.$side"
       echo "pairs: $workload $((i + 1))/$pairs seed $seed, $side" >&2
-      if ! bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --trace 0 >"$run.log" 2>&1; then
-        echo "pairs: the $side run of seed $seed exited non-zero (see $run.log)" >&2
+      exit_code=0
+      if [ "$workload" = micro ]; then
+        # The report is the run's whole `go test -bench` output.
+        report="$run.txt"
+        micro "$side" "$dir" >"$run.log" 2>&1 || exit_code=$?
+        cp "$run.log" "$report"
+      else
+        # The report is the run's last JSON line.
+        report="$run.json"
+        bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --trace 0 >"$run.log" 2>&1 || exit_code=$?
+        { grep '^{' "$run.log" || true; } | tail -n 1 >"$report"
       fi
-      # The report is the run's last JSON line; a run that printed none leaves
-      # an empty file, shown as missing.
-      { grep '^{' "$run.log" || true; } | tail -n 1 >"$run.json"
+      if [ "$exit_code" -ne 0 ]; then
+        # An empty report is a missing run, which fails the verdict.
+        echo "pairs: the $side run of seed $seed exited $exit_code (see $run.log)" >&2
+        : >"$report"
+      fi
       pos=$((pos + 1))
     done
   done
