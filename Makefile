@@ -44,6 +44,9 @@ experiments-smoke:
 #                           shard documents, are refused
 #   FuzzMatMulKernels       internal/nn's matrix-product kernels vs the naive
 #                           loops in the reference order, bit for bit
+#   FuzzRowOps              internal/nn's row ops (softmax, layer norm, ReLU,
+#                           tanh, dropout, both directions) vs their textbook
+#                           loops, bit for bit
 #   FuzzMergeNear           internal/cluster's window-by-window merge around
 #                           the new centroids vs HierarchicalWeighted over
 #                           everything alive, bit for bit
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzRowOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMergeNear$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime $(FUZZTIME)

@@ -10,10 +10,13 @@ import (
 // Pipeline-stage metrics. One histogram family carries every stage's
 // latency; granularity differs by stage and is part of the contract:
 // noise_filter and stay_detect observe per trip (the parallel fan-out's unit
-// of work), pool_window per ingested window, and the rest per batch call.
+// of work), pool_window per ingested window, freeze and diff per hot swap
+// (the serving engine records them), and the rest per batch call. A
+// re-inference reads pool_finalize → feature_build → fit → predict → freeze
+// → diff.
 var (
 	stageDuration = obs.Default.HDRHistogramVec("dlinfma_pipeline_stage_duration_seconds",
-		"Latency of each DLInfMA pipeline stage (noise_filter and stay_detect per trip, pool_window per window, pool_finalize/feature_build/fit/predict per call).",
+		"Latency of each DLInfMA pipeline stage (noise_filter and stay_detect per trip, pool_window per window, pool_finalize/feature_build/fit/predict per call, freeze/diff per hot swap).",
 		"stage")
 	stageNoise        = stageDuration.With("noise_filter")
 	stageStayDetect   = stageDuration.With("stay_detect")
@@ -22,6 +25,11 @@ var (
 	stageFeatures     = stageDuration.With("feature_build")
 	stageFit          = stageDuration.With("fit")
 	stagePredict      = stageDuration.With("predict")
+	// StageFreeze and StageDiff time a hot swap's two steps in the serving
+	// engine: freezing the new store, and diffing it against the one it
+	// replaces.
+	StageFreeze = stageDuration.With("freeze")
+	StageDiff   = stageDuration.With("diff")
 
 	stayPointsTotal = obs.Default.Counter("dlinfma_pipeline_stay_points_total",
 		"Stay points extracted from trajectories.")

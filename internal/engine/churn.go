@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"dlinfma/internal/core"
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/obs"
@@ -90,9 +91,11 @@ func (r *swapRing) list(limit int) []api.SwapReport {
 // path never waits on the diff.
 func (s *Shard) churnReport(old, incoming *deploy.FrozenStore, kind string) {
 	movedHist := reinferMovedDistance.With(s.label)
+	t0 := time.Now()
 	rep := deploy.DiffFrozen(old, incoming, float64(s.lowConf), func(meters float64) {
 		movedHist.Observe(meters)
 	})
+	core.StageDiff.Record(time.Since(t0))
 	reinferChurnRatio.With(s.label).Set(rep.ChurnRatio)
 	lowConfAddresses.With(s.label).Set(float64(rep.LowConfidence))
 	rep.Shard, rep.Time, rep.Kind = s.label, time.Now().UTC(), kind

@@ -198,7 +198,7 @@ func (s *Shard) reinfer(ctx context.Context) error {
 	}
 
 	_, swapSp := trace.Start(ctx, "engine.hot_swap")
-	s.publish(&serving{frozen: store.Freeze(), matcher: matcher, poolLocs: len(pool.Locations)}, swapKindReinfer)
+	s.publish(&serving{frozen: freeze(store), matcher: matcher, poolLocs: len(pool.Locations)}, swapKindReinfer)
 	s.reinfers.Add(1)
 	swapSp.End()
 	s.ev.served(nTrips)
@@ -219,6 +219,15 @@ func argmaxProb(probs []float64) (int, float64) {
 		}
 	}
 	return best, probs[best]
+}
+
+// freeze returns the frozen form of the store a swap is about to publish,
+// timed as the freeze stage.
+func freeze(store *deploy.Store) *deploy.FrozenStore {
+	t0 := time.Now()
+	f := store.Freeze()
+	core.StageFreeze.Record(time.Since(t0))
+	return f
 }
 
 // publish swaps a fully built serving state in with one pointer store.

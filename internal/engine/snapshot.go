@@ -304,7 +304,7 @@ func (s *Shard) restore(l *snapshotLoad, p *shardLoad) (err error) {
 	}
 
 	s.ev.register(l.name, p.addrs)
-	s.publish(&serving{frozen: p.store.Freeze(), matcher: matcher}, swapKindRestore)
+	s.publish(&serving{frozen: freeze(p.store), matcher: matcher}, swapKindRestore)
 	s.log.Info("snapshot restored",
 		"dataset", l.name, "addresses", len(p.addrs), "locations", p.store.Len(),
 		"decoder", l.decoder, "dur", time.Since(l.start))

@@ -33,9 +33,24 @@ import "runtime"
 // non-nil, added after the sum), a [m,k], b [k,n]. Every element of those
 // rows is overwritten; out needs no zeroing.
 func matMulRows(out, a, b, bias []float64, k, n, i0, i1 int) {
-	if i4, n4 := laneBlock(i0, i1, n, k); i4 > i0 {
-		tile(out[i0*n:], a[i0*k:], b, bias, i4-i0, n4, k, n, k, 1, n, 0, tileSkipX)
-		matMulRowsGo(out, a, b, bias, k, n, n4, i0, i4)
+	if i4 := laneRows(i0, i1, k); i4 > i0 {
+		n4 := n &^ 3
+		if n4 > 0 {
+			tile(out[i0*n:], a[i0*k:], b, bias, i4-i0, n4, k, n, k, 1, n, 0, tileSkipX)
+		}
+		// The columns a tile cannot take, a row per lane.
+		for i := i0; i < i4; i += 4 {
+			for j := n4; j < n; j++ {
+				var acc [4]float64
+				dot(&acc, a[i*k:], b[j:], k, k, 1, n)
+				for r, s := range acc {
+					if bias != nil {
+						s += bias[j]
+					}
+					out[(i+r)*n+j] = s
+				}
+			}
+		}
 		i0 = i4
 	}
 	matMulRowsGo(out, a, b, bias, k, n, 0, i0, i1)
@@ -202,9 +217,19 @@ func matMulGradAGo(ga, g, b []float64, k, n, kk0, i0, i1 int) {
 // added into the gradient one by one, not summed first — and are held in
 // registers across the m rows.
 func matMulGradB(gb, a, g []float64, m, k, n, k0, k1 int) {
-	if k4, n4 := laneBlock(k0, k1, n, m); k4 > k0 {
-		tile(gb[k0*n:], a[k0:], g, nil, k4-k0, n4, m, n, 1, k, n, 0, tileFromOut|tileSkipX)
-		matMulGradBGo(gb, a, g, m, k, n, n4, k0, k4)
+	if k4 := laneRows(k0, k1, m); k4 > k0 {
+		n4 := n &^ 3
+		if n4 > 0 {
+			tile(gb[k0*n:], a[k0:], g, nil, k4-k0, n4, m, n, 1, k, n, 0, tileFromOut|tileSkipX)
+		}
+		// The columns a tile cannot take, a row of gb per lane.
+		for kk := k0; kk < k4; kk += 4 {
+			for j := n4; j < n; j++ {
+				acc := [4]float64{gb[kk*n+j], gb[(kk+1)*n+j], gb[(kk+2)*n+j], gb[(kk+3)*n+j]}
+				dot(&acc, a[kk:], g[j:], m, 1, k, n)
+				gb[kk*n+j], gb[(kk+1)*n+j], gb[(kk+2)*n+j], gb[(kk+3)*n+j] = acc[0], acc[1], acc[2], acc[3]
+			}
+		}
 		k0 = k4
 	}
 	matMulGradBGo(gb, a, g, m, k, n, 0, k0, k1)

@@ -4,8 +4,8 @@ import "math"
 
 // The lane path. On amd64 processors with AVX2 and FMA (lanes_amd64.s) the
 // kernels of kernels.go hand their blocks of four rows by four columns to
-// one register tile, and softmax's exponentials go four at a time through
-// exp4. Both keep the order contract of kernels.go lane by lane:
+// one register tile, and the row-wise ops run four rows at a time. Both
+// keep the order contract of the Go code they stand for lane by lane:
 //
 //   - a tile row holds four independent sums, one output element per lane,
 //     each advanced over the same index in the same direction from the same
@@ -17,9 +17,21 @@ import "math"
 //     (math/exp_amd64.s), instruction for instruction, and hands any group of
 //     four with a lane off that branch's normal-result path back to math.Exp.
 //
+// The row lanes. softmax and its backward, layer norm and its backward, and
+// the product columns a tile cannot take (fewer than four: the time
+// embedding's 24×3 and the score's 32×1) put one row in each lane. Four
+// rows are interleaved into scratch (interleave4), and each lane runs its
+// row's scalar loop: the same operations in the same order, sums left to
+// right from the same start, a maximum as compare and blend (a NaN never
+// replaces it), divisions and square roots as VDIVPD and VSQRTPD, which
+// round as DIVSD and SQRTSD do, exp4 with one shift per lane, so a row has
+// no tail to hand to math.Exp. tanh4 replays math.tanh, which is pure Go on
+// amd64: both of its formulas in every lane, no product fused, the one its
+// regime returns kept by blend.
+//
 // Tails of fewer than four rows or columns, and empty sums, stay in the Go
-// kernels, which remain the whole path elsewhere and the reference the
-// tests hold the lanes to.
+// code, which remains the whole path elsewhere and the reference the tests
+// hold the lanes to.
 
 // lanes is whether the kernels use the tile and exp4: set once, from the
 // processor; the tests flip it to run both paths.
@@ -29,6 +41,12 @@ var lanes = cpuHasLanes()
 // start-up. exp4 replays one branch of the standard library's assembly; a
 // toolchain that changed that branch fails the check and keeps math.Exp.
 var laneExp = lanes && exp4Agrees(math.Exp)
+
+// laneTanh is whether tanh4 agreed with math.Tanh bit for bit on
+// tanhProbes at start-up. tanh4 replays the standard library's Go code and
+// exp4 under it; a toolchain that changed either fails the check and keeps
+// math.Tanh.
+var laneTanh = laneExp && tanh4Agrees(math.Tanh)
 
 // KernelSet names the kernels this process's models run on: "avx2" for the
 // lane path, "go" for the Go kernels alone.
@@ -69,6 +87,16 @@ func laneBlock(i0, i1, cols, steps int) (i4, c4 int) {
 		return i0, 0
 	}
 	return i0 + (i1-i0)&^3, cols &^ 3
+}
+
+// laneRows returns the end of the rows [i0, i4) that the lanes take four at
+// a time out of rows [i0, i1) whose sums have this many terms, or i0 when
+// none.
+func laneRows(i0, i1, steps int) int {
+	if !lanes || steps <= 0 {
+		return i0
+	}
+	return i0 + (i1-i0)&^3
 }
 
 // tile computes, for the rows r < rows and lanes c < cols of out (both
@@ -112,9 +140,11 @@ func transposeInto(dst, b []float64, r, c int) {
 	}
 }
 
-// expShifted writes dst[j] = math.Exp(src[j] - shift) for every j of src,
-// bit for bit, four at a time through exp4 where it can.
-func expShifted(dst, src []float64, shift float64) {
+// expShifted writes dst[j] = math.Exp(src[j] - shift[j%4]) for every j of
+// src, bit for bit, four at a time through exp4 where it can: one shift in
+// all four for a row, one per lane for four interleaved rows. dst may be
+// src.
+func expShifted(dst, src []float64, shift *[4]float64) {
 	dst = dst[:len(src)]
 	j := 0
 	if lanes && laneExp {
@@ -124,14 +154,79 @@ func expShifted(dst, src []float64, shift float64) {
 				// A group exp4 declined: a lane is non-finite or its
 				// result leaves the normal range.
 				for end := j + 4; j < end; j++ {
-					dst[j] = math.Exp(src[j] - shift)
+					dst[j] = math.Exp(src[j] - shift[j%4])
 				}
 			}
 		}
 	}
 	for ; j < len(src); j++ {
-		dst[j] = math.Exp(src[j] - shift)
+		dst[j] = math.Exp(src[j] - shift[j%4])
 	}
+}
+
+// interleave4 writes the four rows src[r·stride:][:n], r < 4, into p as n
+// groups of four: element j of row r at p[4j+r]. Each group is stored
+// whole: a lane routine's load of a group written as four scalars could not
+// be forwarded from the store buffer and would wait for them.
+func interleave4(p, src []float64, n, stride int) {
+	_ = src[3*stride+n-1]
+	interleave4Rows(p[:4*n], &src[0], stride)
+}
+
+// deinterleave4 writes p's four rows back into dst at the row stride.
+func deinterleave4(dst, p []float64, n, stride int) {
+	_ = dst[3*stride+n-1]
+	deinterleave4Rows(p[:4*n], &dst[0], stride)
+}
+
+// addDeinterleaved4 adds p's four rows into dst's, element by element.
+func addDeinterleaved4(dst, p []float64, n, stride int) {
+	_ = dst[3*stride+n-1]
+	addDeinterleave4Rows(p[:4*n], &dst[0], stride)
+}
+
+// softmaxRowsInto writes softmaxRow of each row of a [m,n] into out, four
+// rows at a time in the row lanes when they are on; buf (4n) is their
+// scratch.
+func softmaxRowsInto(out, a, buf []float64, m, n int) {
+	i := laneRows(0, m, n)
+	p := buf[:4*n]
+	for r := 0; r < i; r += 4 {
+		interleave4(p, a[r*n:], n, n)
+		var shift [4]float64
+		rowMax4(&shift, p)
+		expShifted(p, p, &shift)
+		sumDivide4(p)
+		deinterleave4(out[r*n:], p, n, n)
+	}
+	for ; i < m; i++ {
+		softmaxRow(out[i*n:i*n+n], a[i*n:i*n+n])
+	}
+}
+
+// softmaxRowsBackInto runs softmaxRowBack over each row of the [m,n]
+// operands, four rows at a time in the row lanes when they are on; buf (8n)
+// is their scratch.
+func softmaxRowsBackInto(ga, probs, g, buf []float64, m, n int) {
+	i := laneRows(0, m, n)
+	o, d := buf[:4*n], buf[4*n:8*n]
+	for r := 0; r < i; r += 4 {
+		interleave4(o, probs[r*n:], n, n)
+		interleave4(d, g[r*n:], n, n)
+		softmaxBack4(d, o, d)
+		addDeinterleaved4(ga[r*n:], d, n, n)
+	}
+	for ; i < m; i++ {
+		softmaxRowBack(ga[i*n:i*n+n], probs[i*n:i*n+n], g[i*n:i*n+n])
+	}
+}
+
+// dot runs dot4 after indexing the last element each operand's lanes and
+// steps reach, which puts Go's bounds checks in front of the assembly.
+func dot(acc *[4]float64, x, y []float64, steps, xLane, xStep, yStep int) {
+	_ = x[3*xLane+(steps-1)*xStep]
+	_ = y[(steps-1)*yStep]
+	dot4(acc, &x[0], &y[0], steps, xLane, xStep, yStep)
 }
 
 // expProbes spans exp4's whole normal-result range, from the smallest
@@ -148,11 +243,42 @@ var expProbes = func() []float64 {
 // exactly what exp does.
 func exp4Agrees(exp func(float64) float64) bool {
 	got := make([]float64, len(expProbes))
-	if exp4(got, expProbes, 0) != len(expProbes) {
+	if exp4(got, expProbes, &[4]float64{}) != len(expProbes) {
 		return false
 	}
 	for i, x := range expProbes {
 		if math.Float64bits(got[i]) != math.Float64bits(exp(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// tanhProbes spans all three of math.tanh's regimes and their bounds: the
+// rational form below 0.625 (from the subnormals up, ±0 returned as they
+// are), the exponential form up to 0.5·MAXLOG ≈ 44.01, and ±1 above it,
+// in groups of four.
+var tanhProbes = func() []float64 {
+	big := 0.5 * 8.8029691931113054295988e+01
+	p := []float64{0, math.Copysign(0, -1), 5e-324, -1e-300, 0x1p-30, -0.3,
+		0.625, math.Nextafter(0.625, 0), -0.625, math.Nextafter(-0.625, -1),
+		big, math.Nextafter(big, 100), -big, math.Nextafter(-big, -100),
+		math.Inf(1), math.Inf(-1), 1e300, -1e300}
+	for i := 0; i < 254; i++ {
+		p = append(p, -50+float64(i)*100/253)
+	}
+	return p
+}()
+
+// tanh4Agrees reports whether tanh4 takes every group of tanhProbes and
+// writes exactly what tanh does.
+func tanh4Agrees(tanh func(float64) float64) bool {
+	got := make([]float64, len(tanhProbes))
+	if tanh4(got, tanhProbes) != len(tanhProbes) {
+		return false
+	}
+	for i, x := range tanhProbes {
+		if math.Float64bits(got[i]) != math.Float64bits(tanh(x)) {
 			return false
 		}
 	}

@@ -68,7 +68,7 @@ func TestExp4MatchesMathExp(t *testing.T) {
 	src, got := make([]float64, 1<<16), make([]float64, 1<<16)
 	check := func(xs []float64, shift float64) {
 		t.Helper()
-		expShifted(got, xs, shift)
+		expShifted(got, xs, &[4]float64{shift, shift, shift, shift})
 		for i, x := range xs {
 			if want := math.Exp(x - shift); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("exp(%v − %v) = %v (%#x), math.Exp %v (%#x)",
@@ -85,7 +85,7 @@ func TestExp4MatchesMathExp(t *testing.T) {
 		check(xs, 0)
 		// exp4 itself, not its fallback, takes everything in [−708, 0).
 		if xs[0] >= -708 && xs[len(xs)-1] < 0 {
-			if n := exp4(got, xs, 0); n != len(xs)&^3 {
+			if n := exp4(got, xs, &[4]float64{}); n != len(xs)&^3 {
 				t.Fatalf("exp4 stopped at %v", xs[n])
 			}
 		}
@@ -132,8 +132,11 @@ func TestExp4SelfCheckTurnsItOff(t *testing.T) {
 }
 
 // BenchmarkKernels times each kernel at LocMatcher's shapes (m×k×n: the
-// candidate count 29 by the widths 4, 8 and 32, and attention's 29×29×4
-// probabilities·values) on both paths, and a 29-wide softmax row.
+// candidate count 29 by the widths 4, 8 and 32, attention's 29×29×4
+// probabilities·values, and the two products narrower than a tile, the time
+// embedding's 29×24×3 and the score's 29×32×1) on both paths, a 29-wide
+// softmax row, and the row ops at their shapes (m×n): attention's 29×29
+// softmax, layer norm over z = 8, ReLU and tanh over 32 units.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(45))
 	for _, on := range kernelPaths() {
@@ -142,7 +145,7 @@ func BenchmarkKernels(b *testing.B) {
 			path = "avx2"
 		}
 		restore := setLanes(on)
-		for _, s := range [][3]int{{29, 8, 4}, {29, 8, 8}, {29, 8, 32}, {29, 32, 8}, {29, 29, 4}} {
+		for _, s := range [][3]int{{29, 8, 4}, {29, 8, 8}, {29, 8, 32}, {29, 32, 8}, {29, 29, 4}, {29, 24, 3}, {29, 32, 1}} {
 			m, k, n := s[0], s[1], s[2]
 			a, w, g := awkward(rng, m*k, k), awkward(rng, k*n, n), awkward(rng, m*n, n)
 			out, ga, gw := make([]float64, m*n), make([]float64, m*k), make([]float64, k*n)
@@ -195,6 +198,38 @@ func BenchmarkKernels(b *testing.B) {
 				softmaxRow(probs, row)
 			}
 		})
+		benchRowOps(b, rng, path)
 		restore()
 	}
+}
+
+// benchRowOps runs the row-op rows of BenchmarkKernels on the current path.
+func benchRowOps(b *testing.B, rng *rand.Rand, path string) {
+	run := func(name string, f func()) {
+		b.Run(path+"/"+name, func(b *testing.B) {
+			for range b.N {
+				f()
+			}
+		})
+	}
+	// Attention's scores, 29 candidates by 29.
+	m, n := 29, 29
+	x, g, ga := awkward(rng, m*n, n), awkward(rng, m*n, n), make([]float64, m*n)
+	probs, buf := make([]float64, m*n), make([]float64, 8*n)
+	run("softmax/29x29", func() { softmaxRowsInto(probs, x, buf, m, n) })
+	run("softmax_back/29x29", func() { softmaxRowsBackInto(ga, probs, g, buf, m, n) })
+	// Layer norm over z = 8, both input gradients, gain and bias.
+	m, n = 29, 8
+	ln, xhat, out, invStd := awkward(rng, m*n, n), make([]float64, m*n), make([]float64, m*n), make([]float64, m)
+	gain, bias, gg, gb := awkward(rng, n, n), awkward(rng, n, n), make([]float64, n), make([]float64, n)
+	lg, la, lb := awkward(rng, m*n, n), make([]float64, m*n), make([]float64, m*n)
+	run("layernorm/29x8", func() { layerNormRows(out, xhat, invStd, ln, gain, bias, buf, m, n, 1e-5) })
+	run("layernorm_back/29x8", func() { layerNormRowsBack(la, lb, gg, gb, lg, xhat, invStd, gain, buf, m, n) })
+	// The feed-forward units (ReLU) and the additive attention's (tanh).
+	m, n = 29, 32
+	x, g, ga, out = awkward(rng, m*n, n), awkward(rng, m*n, n), make([]float64, m*n), make([]float64, m*n)
+	run("relu/29x32", func() { reluInto(out, x) })
+	run("relu_back/29x32", func() { reluBackInto(ga, x, g) })
+	run("tanh/29x32", func() { tanhInto(out, x) })
+	run("tanh_back/29x32", func() { tanhBackInto(ga, out, g) })
 }

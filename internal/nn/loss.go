@@ -15,21 +15,8 @@ func CrossEntropy(logits *Tensor, target int) *Tensor {
 		panic(fmt.Sprintf("nn: CrossEntropy target %d out of range [0,%d)", target, n))
 	}
 	out := newResult([]int{1}, logits)
-	maxv := logits.Data[0]
-	for _, v := range logits.Data[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
 	probs := graphScratch(out, n)
-	expShifted(probs, logits.Data, maxv)
-	var sum float64
-	for _, e := range probs {
-		sum += e
-	}
-	for i := range probs {
-		probs[i] /= sum
-	}
+	softmaxRow(probs, logits.Data)
 	out.Data[0] = -math.Log(math.Max(probs[target], 1e-300))
 	out.saved[0], out.savedI = probs, target
 	out.setBack(crossEntropyBack)
@@ -52,22 +39,8 @@ func crossEntropyBack(out *Tensor) {
 // Softmax1D returns the softmax of a flattened tensor as a probability
 // vector of the same shape. Inference-time counterpart of CrossEntropy.
 func Softmax1D(logits *Tensor) []float64 {
-	n := logits.Numel()
-	out := make([]float64, n)
-	maxv := logits.Data[0]
-	for _, v := range logits.Data[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	expShifted(out, logits.Data, maxv)
-	var sum float64
-	for _, e := range out {
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
+	out := make([]float64, logits.Numel())
+	softmaxRow(out, logits.Data)
 	return out
 }
 

@@ -247,43 +247,87 @@ func scaledMatMulTBack(out *Tensor) {
 // Tanh applies tanh elementwise.
 func Tanh(a *Tensor) *Tensor {
 	out := newResult(a.Shape, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
-	}
+	tanhInto(out.Data, a.Data)
 	out.setBack(tanhBack)
 	return out
+}
+
+// tanhInto writes math.Tanh of each element of a into out, four at a time
+// through tanh4 when the lanes are on and it passed its start-up check.
+func tanhInto(out, a []float64) {
+	out = out[:len(a)]
+	i := 0
+	if lanes && laneTanh {
+		i = tanh4(out, a)
+	}
+	for ; i < len(a); i++ {
+		out[i] = math.Tanh(a[i])
+	}
 }
 
 func tanhBack(out *Tensor) {
 	a := out.parents[0]
 	a.ensureGrad()
-	for i, g := range out.Grad {
-		y := out.Data[i]
-		a.Grad[i] += g * (1 - y*y)
+	tanhBackInto(a.Grad, out.Data, out.Grad)
+}
+
+// tanhBackInto adds g·(1 − y²) into ga elementwise, four at a time through
+// tanhBack4 when the lanes are on.
+func tanhBackInto(ga, y, g []float64) {
+	ga, y = ga[:len(g)], y[:len(g)]
+	i := 0
+	if lanes {
+		i = tanhBack4(ga, g, y)
+	}
+	for ; i < len(g); i++ {
+		ga[i] += g[i] * (1 - y[i]*y[i])
 	}
 }
 
 // ReLU applies max(0, x) elementwise.
 func ReLU(a *Tensor) *Tensor {
 	out := newResult(a.Shape, a)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
+	reluInto(out.Data, a.Data)
 	out.setBack(reluBack)
 	return out
+}
+
+// positive reports whether the float64 with bits b is > 0: the patterns 1
+// (the least subnormal) through +Inf, and no NaN, −0 or negative. As a
+// compare on bits it makes ReLU's forward and backward selects (CMOV), not
+// branches taken one time in two.
+func positive(b uint64) bool { return b-1 < 0x7ff0000000000000 }
+
+// reluInto writes max(0, x) of each element of a into out: x where x > 0,
+// +0 for everything else.
+func reluInto(out, a []float64) {
+	out = out[:len(a)]
+	for i, v := range a {
+		var o uint64
+		if b := math.Float64bits(v); positive(b) {
+			o = b
+		}
+		out[i] = math.Float64frombits(o)
+	}
 }
 
 func reluBack(out *Tensor) {
 	a := out.parents[0]
 	a.ensureGrad()
-	for i, g := range out.Grad {
-		if a.Data[i] > 0 {
-			a.Grad[i] += g
+	reluBackInto(a.Grad, a.Data, out.Grad)
+}
+
+// reluBackInto adds g into ga where the input a was positive. The sum is
+// computed everywhere and kept only there, so a dropped term leaves the
+// gradient exactly as it was.
+func reluBackInto(ga, a, g []float64) {
+	ga, a = ga[:len(g)], a[:len(g)]
+	for i, gv := range g {
+		kept, sum := math.Float64bits(ga[i]), math.Float64bits(ga[i]+gv)
+		if positive(math.Float64bits(a[i])) {
+			kept = sum
 		}
+		ga[i] = math.Float64frombits(kept)
 	}
 }
 
@@ -316,7 +360,7 @@ func softmaxRow(orow, row []float64) {
 		}
 	}
 	orow = orow[:len(row)]
-	expShifted(orow, row, maxv)
+	expShifted(orow, row, &[4]float64{maxv, maxv, maxv, maxv})
 	var sum float64
 	for _, e := range orow {
 		sum += e
@@ -354,9 +398,7 @@ func SoftmaxMatMul(a, v *Tensor) *Tensor {
 	m, n, d := a.Shape[0], a.Shape[1], v.Shape[1]
 	out := newResult([]int{m, d}, a, v)
 	probs := graphScratch(out, m*n)
-	for i := 0; i < m; i++ {
-		softmaxRow(probs[i*n:i*n+n], a.Data[i*n:i*n+n])
-	}
+	softmaxRowsInto(probs, a.Data, graphScratch(out, 4*n), m, n)
 	matMulForward(out.Data, probs, v.Data, nil, m, n, d)
 	out.saved[0] = probs
 	out.setBack(softmaxMatMulBack)
@@ -377,9 +419,7 @@ func softmaxMatMulBack(out *Tensor) {
 		dp := graphScratch(out, m*n)
 		clear(dp)
 		matMulBackA(dp, out.Grad, v.Data, laneTranspose(out, v.Data, n, d, m), m, n, d)
-		for i := 0; i < m; i++ {
-			softmaxRowBack(a.Grad[i*n:i*n+n], probs[i*n:i*n+n], dp[i*n:i*n+n])
-		}
+		softmaxRowsBackInto(a.Grad, probs, dp, graphScratch(out, 8*n), m, n)
 	}
 }
 
@@ -461,13 +501,13 @@ func Dropout(a *Tensor, p float64, train bool, rng *rand.Rand) *Tensor {
 	}
 	out := newResult(a.Shape, a)
 	mask := graphScratch(out, a.Numel())
-	scale := 1 / (1 - p)
+	scale := math.Float64bits(1 / (1 - p))
 	for i := range mask {
+		var m uint64
 		if rng.Float64() >= p {
-			mask[i] = scale
-		} else {
-			mask[i] = 0
+			m = scale
 		}
+		mask[i] = math.Float64frombits(m)
 	}
 	for i, v := range a.Data {
 		out.Data[i] = v * mask[i]
@@ -487,10 +527,19 @@ func dropoutBack(out *Tensor) {
 
 // layerNormRows normalizes each row of x [m,n] to zero mean and unit
 // variance and writes gain·x̂ + bias into out, saving x̂ and 1/σ for the
-// backward.
-func layerNormRows(out, xhat, invStd, x, gain, bias []float64, m, n int, eps float64) {
+// backward; x may be x̂. Rows go four at a time through the row lanes when
+// they are on, with buf (8n) as their scratch.
+func layerNormRows(out, xhat, invStd, x, gain, bias, buf []float64, m, n int, eps float64) {
 	gain, bias = gain[:n], bias[:n]
-	for i := 0; i < m; i++ {
+	i := laneRows(0, m, n)
+	p, o := buf[:4*n], buf[4*n:8*n]
+	for r := 0; r < i; r += 4 {
+		interleave4(p, x[r*n:], n, n)
+		layerNorm4(p, o, &gain[0], &bias[0], eps, (*[4]float64)(invStd[r:r+4]))
+		deinterleave4(xhat[r*n:], p, n, n)
+		deinterleave4(out[r*n:], o, n, n)
+	}
+	for ; i < m; i++ {
 		row := x[i*n : i*n+n]
 		var mu float64
 		for _, v := range row {
@@ -549,13 +598,12 @@ func layerNormRowBack(dx, gainGrad, biasGrad, grow, hrow, gain []float64, invStd
 	}
 }
 
-// layerNormBackInto runs the layer-norm backward of out row by row, adding
-// each row's input gradient into a and, when b is non-nil (the fused
-// residual form), into b after it.
+// layerNormBackInto runs the layer-norm backward of out, adding each row's
+// input gradient into a and, when b is non-nil (the fused residual form),
+// into b after it.
 func layerNormBackInto(out, a, b, gain, bias *Tensor) {
 	m, n := out.Shape[0], out.Shape[1]
-	xhat, invStd := out.saved[0], out.saved[1]
-	var gainGrad, biasGrad, dx []float64
+	var ga, gb, gainGrad, biasGrad, buf []float64
 	if gain.needGrad {
 		gain.ensureGrad()
 		gainGrad = gain.Grad
@@ -564,28 +612,57 @@ func layerNormBackInto(out, a, b, gain, bias *Tensor) {
 		bias.ensureGrad()
 		biasGrad = bias.Grad
 	}
-	needA, needB := a.needGrad, b != nil && b.needGrad
-	if needA {
+	if a.needGrad {
 		a.ensureGrad()
+		ga = a.Grad
 	}
-	if needB {
+	if b != nil && b.needGrad {
 		b.ensureGrad()
+		gb = b.Grad
 	}
-	if needA || needB {
-		dx = graphScratch(out, n)
+	if ga != nil || gb != nil {
+		buf = graphScratch(out, 8*n)
 	}
-	for i := 0; i < m; i++ {
-		layerNormRowBack(dx, gainGrad, biasGrad, out.Grad[i*n:i*n+n], xhat[i*n:i*n+n], gain.Data, invStd[i])
-		if needA {
-			arow := a.Grad[i*n : i*n+n]
-			for j, d := range dx {
-				arow[j] += d
+	layerNormRowsBack(ga, gb, gainGrad, biasGrad, out.Grad, out.saved[0], out.saved[1], gain.Data, buf, m, n)
+}
+
+// layerNormRowsBack runs layerNormRowBack over the rows of the upstream
+// gradient g [m,n], with x̂ and 1/σ from the forward: each row's gain and
+// bias terms go into gainGrad and biasGrad, and its input gradient into ga
+// and then gb, each skipped when nil. buf (8n) is scratch when ga or gb is
+// wanted: for dx alone, or for the row lanes, which take four rows at a
+// time — their gain and bias terms in row order first, their input
+// gradients after.
+func layerNormRowsBack(ga, gb, gainGrad, biasGrad, g, xhat, invStd, gain, buf []float64, m, n int) {
+	var dx []float64
+	i := 0
+	if ga != nil || gb != nil {
+		dx = buf[:n]
+		i = laneRows(0, m, n)
+		gl, hl := buf[:4*n], buf[4*n:8*n]
+		for r := 0; r < i; r += 4 {
+			for j := r; j < r+4; j++ {
+				layerNormRowBack(nil, gainGrad, biasGrad, g[j*n:j*n+n], xhat[j*n:j*n+n], gain, invStd[j])
+			}
+			interleave4(gl, g[r*n:], n, n)
+			interleave4(hl, xhat[r*n:], n, n)
+			layerNormBack4(gl, gl, hl, &gain[0], (*[4]float64)(invStd[r:r+4]))
+			if ga != nil {
+				addDeinterleaved4(ga[r*n:], gl, n, n)
+			}
+			if gb != nil {
+				addDeinterleaved4(gb[r*n:], gl, n, n)
 			}
 		}
-		if needB {
-			brow := b.Grad[i*n : i*n+n]
-			for j, d := range dx {
-				brow[j] += d
+	}
+	for ; i < m; i++ {
+		layerNormRowBack(dx, gainGrad, biasGrad, g[i*n:i*n+n], xhat[i*n:i*n+n], gain, invStd[i])
+		for _, into := range [2][]float64{ga, gb} {
+			if into != nil {
+				row := into[i*n : i*n+n]
+				for j, d := range dx {
+					row[j] += d
+				}
 			}
 		}
 	}
@@ -613,7 +690,7 @@ func AddLayerNorm(a, b, gain, bias *Tensor, eps float64) *Tensor {
 	for i, v := range a.Data[:len(xhat)] {
 		xhat[i] = v + bd[i]
 	}
-	layerNormRows(out.Data, xhat, invStd, xhat, gain.Data, bias.Data, m, n, eps)
+	layerNormRows(out.Data, xhat, invStd, xhat, gain.Data, bias.Data, graphScratch(out, 8*n), m, n, eps)
 	out.saved = [2][]float64{xhat, invStd}
 	out.setBack(addLayerNormBack)
 	return out

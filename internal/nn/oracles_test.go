@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/rand"
 )
 
 // The generic ops below are no part of any model: each is the composition a
@@ -36,11 +37,9 @@ func transposeBack(out *Tensor) {
 	}
 }
 
-// softmaxRows applies softmax independently to each row of a 2-D tensor:
-// the textbook loop over math.Exp, written out here rather than calling the
-// production softmaxRow, so that the fused node is held to an independent
-// definition — subtract the row maximum, exponentiate and sum left to right,
-// divide by the sum.
+// softmaxRows applies softmax independently to each row of a 2-D tensor
+// through refSoftmaxRow, so that the fused node is held to an independent
+// definition.
 func softmaxRows(a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic(fmt.Sprintf("nn: softmaxRows requires 2-D, got %v", a.Shape))
@@ -48,38 +47,137 @@ func softmaxRows(a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
 	out := newResult(a.Shape, a)
 	for i := 0; i < m; i++ {
-		maxv := a.Data[i*n]
-		for j := 1; j < n; j++ {
-			if a.Data[i*n+j] > maxv {
-				maxv = a.Data[i*n+j]
-			}
-		}
-		var sum float64
-		for j := 0; j < n; j++ {
-			out.Data[i*n+j] = math.Exp(a.Data[i*n+j] - maxv)
-			sum += out.Data[i*n+j]
-		}
-		for j := 0; j < n; j++ {
-			out.Data[i*n+j] /= sum
-		}
+		refSoftmaxRow(out.Data[i*n:i*n+n], a.Data[i*n:i*n+n])
 	}
 	out.setBack(softmaxRowsBack)
 	return out
 }
 
-// softmaxRowsBack is the softmax gradient of each row, likewise written
-// out: a.Grad[j] += y[j]·(g[j] − Σ g·y), the dot product left to right.
 func softmaxRowsBack(out *Tensor) {
 	a := out.parents[0]
 	m, n := a.Shape[0], a.Shape[1]
 	a.ensureGrad()
 	for i := 0; i < m; i++ {
-		var dot float64
-		for j := 0; j < n; j++ {
-			dot += out.Grad[i*n+j] * out.Data[i*n+j]
+		refSoftmaxRowBack(a.Grad[i*n:i*n+n], out.Data[i*n:i*n+n], out.Grad[i*n:i*n+n])
+	}
+}
+
+// The row ops' references: the textbook one-row (or one-element) loops the
+// production ops — four rows or four elements to a lane group, selects in
+// place of branches — are held to bit for bit (rowops_test.go).
+
+// refSoftmaxRow is softmax over math.Exp: subtract the row maximum,
+// exponentiate and sum left to right, divide by the sum.
+func refSoftmaxRow(out, row []float64) {
+	maxv := row[0]
+	for _, v := range row[1:] {
+		if v > maxv {
+			maxv = v
 		}
-		for j := 0; j < n; j++ {
-			a.Grad[i*n+j] += out.Data[i*n+j] * (out.Grad[i*n+j] - dot)
+	}
+	var sum float64
+	for j, v := range row {
+		out[j] = math.Exp(v - maxv)
+		sum += out[j]
+	}
+	for j := range row {
+		out[j] /= sum
+	}
+}
+
+// refSoftmaxRowBack adds the softmax gradient of a row with output y and
+// upstream gradient g into ga: ga[j] += y[j]·(g[j] − Σ g·y), the dot
+// product left to right.
+func refSoftmaxRowBack(ga, y, g []float64) {
+	var dot float64
+	for j := range g {
+		dot += g[j] * y[j]
+	}
+	for j := range g {
+		ga[j] += y[j] * (g[j] - dot)
+	}
+}
+
+// refLayerNormRow normalizes x to zero mean and unit variance, writes x̂
+// and gain·x̂ + bias, and returns 1/σ.
+func refLayerNormRow(out, xhat, x, gain, bias []float64, eps float64) float64 {
+	var mu float64
+	for _, v := range x {
+		mu += v
+	}
+	mu /= float64(len(x))
+	var va float64
+	for _, v := range x {
+		va += (v - mu) * (v - mu)
+	}
+	va /= float64(len(x))
+	is := 1 / math.Sqrt(va+eps)
+	for j, v := range x {
+		xhat[j] = (v - mu) * is
+		out[j] = gain[j]*xhat[j] + bias[j]
+	}
+	return is
+}
+
+// refLayerNormRowBack adds one row's gain and bias terms into their
+// gradients and writes the row's input gradient into dx.
+func refLayerNormRowBack(dx, gainGrad, biasGrad, g, xhat, gain []float64, invStd float64) {
+	for j := range g {
+		gainGrad[j] += g[j] * xhat[j]
+		biasGrad[j] += g[j]
+	}
+	n := float64(len(g))
+	var sumDh, sumDhH float64
+	for j := range g {
+		sumDh += g[j] * gain[j]
+		sumDhH += g[j] * gain[j] * xhat[j]
+	}
+	for j := range g {
+		dx[j] = invStd * (g[j]*gain[j] - sumDh/n - xhat[j]*sumDhH/n)
+	}
+}
+
+// refReLU and refReLUBack are ReLU with the sign branch.
+func refReLU(out, a []float64) {
+	for i, v := range a {
+		if v > 0 {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+func refReLUBack(ga, a, g []float64) {
+	for i := range g {
+		if a[i] > 0 {
+			ga[i] += g[i]
+		}
+	}
+}
+
+// refTanh and refTanhBack are tanh over math.Tanh and its derivative
+// 1 − y².
+func refTanh(out, a []float64) {
+	for i, v := range a {
+		out[i] = math.Tanh(v)
+	}
+}
+
+func refTanhBack(ga, y, g []float64) {
+	for i := range g {
+		ga[i] += g[i] * (1 - y[i]*y[i])
+	}
+}
+
+// refDropoutMask draws dropout's mask with the branch: 1/(1−p) where the
+// draw is ≥ p, 0 elsewhere.
+func refDropoutMask(mask []float64, p float64, rng *rand.Rand) {
+	for i := range mask {
+		if rng.Float64() >= p {
+			mask[i] = 1 / (1 - p)
+		} else {
+			mask[i] = 0
 		}
 	}
 }
@@ -134,7 +232,7 @@ func layerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 	}
 	out := newResult(a.Shape, a, gain, bias)
 	xhat, invStd := graphScratch(out, m*n), graphScratch(out, m)
-	layerNormRows(out.Data, xhat, invStd, a.Data, gain.Data, bias.Data, m, n, eps)
+	layerNormRows(out.Data, xhat, invStd, a.Data, gain.Data, bias.Data, graphScratch(out, 8*n), m, n, eps)
 	out.saved = [2][]float64{xhat, invStd}
 	out.setBack(layerNormBack)
 	return out

@@ -106,4 +106,12 @@ if ! grep -q '^dlinfma_pipeline_stays_per_trip_count [1-9]' "$TMP/metrics.txt"; 
   echo "quality smoke: stays-per-trip histogram recorded nothing" >&2
   exit 1
 fi
+# The re-inference's swap split: the cold start and the reinfer above each
+# froze a store and diffed it against the one they replaced.
+for stage in freeze diff; do
+  if ! grep -q "^dlinfma_pipeline_stage_duration_seconds_count{stage=\"$stage\"} [1-9]" "$TMP/metrics.txt"; then
+    echo "quality smoke: pipeline stage $stage recorded nothing" >&2
+    exit 1
+  fi
+done
 echo "quality smoke: OK"
