@@ -10,7 +10,7 @@
 GO ?= go
 COVER_FLOOR ?= 75
 
-.PHONY: build test experiments-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress smoke-metrics smoke-stream smoke-cluster smoke-quality
+.PHONY: build test experiments-smoke examples-smoke fuzz-smoke check-bench race vet cover bench bench-all bench-read bench-regress smoke-metrics smoke-stream smoke-cluster smoke-quality
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ test:
 # path (core.NewPipeline -> baselines -> eval) executes in CI, not just builds.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -quick -exp table2
+
+# No test reaches examples/: run each program (quickstart, casestudies,
+# routeplanning and availability call LocMatcher.Predict) and fail on the
+# first non-zero exit. About 20 s on two cores.
+examples-smoke:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Ten seconds of native fuzzing per target (-fuzz takes one target per run),
 # starting from the checked-in corpora under testdata/fuzz and the f.Add

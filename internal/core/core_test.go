@@ -9,6 +9,7 @@ import (
 
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/nn"
 	"dlinfma/internal/synth"
 )
 
@@ -414,6 +415,53 @@ func TestLocMatcherTrainsAndPredicts(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %v", sum)
+	}
+}
+
+// Pick is Section IV-B's rule: the highest probability, ties to the lower
+// index, -1 for no candidates.
+func TestPickTiesGoToTheLowerIndex(t *testing.T) {
+	for _, tc := range []struct {
+		probs []float64
+		idx   int
+		p     float64
+	}{
+		{nil, -1, 0},
+		{[]float64{1}, 0, 1},
+		{[]float64{0.2, 0.5, 0.3}, 1, 0.5},
+		{[]float64{0.4, 0.2, 0.4}, 0, 0.4},
+		{[]float64{0.1, 0.45, 0.45}, 1, 0.45},
+	} {
+		if idx, p := Pick(tc.probs); idx != tc.idx || p != tc.p {
+			t.Errorf("Pick(%v) = %d, %v; want %d, %v", tc.probs, idx, p, tc.idx, tc.p)
+		}
+	}
+}
+
+// Probabilities answers a one-candidate sample with {1} and no forward
+// pass; that must stay exactly what the forward pass and its softmax give.
+func TestOneCandidateProbabilityIsTheSoftmax(t *testing.T) {
+	samples := trainSamples(t)
+	cfg := goldenCfg(1)
+	cfg.MaxEpochs = 1
+	m := NewLocMatcher(cfg)
+	if _, err := m.Fit(context.Background(), samples, nil); err != nil {
+		t.Fatal(err)
+	}
+	tape := nn.NewTape()
+	for _, s := range samples {
+		one := *s
+		one.Cands = s.Cands[:1]
+		got := m.Probabilities(&one)
+		want := nn.Softmax1D(m.forward(&one, false, tape, nil))
+		tape.Reset()
+		if len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(1) ||
+			len(want) != 1 || math.Float64bits(want[0]) != math.Float64bits(got[0]) {
+			t.Fatalf("address %d: Probabilities = %v, softmax of the forward pass = %v, want both [1]", s.Addr, got, want)
+		}
+		if pred := m.Predict(&one); pred != 0 {
+			t.Fatalf("address %d: Predict = %d over one candidate", s.Addr, pred)
+		}
 	}
 }
 

@@ -45,7 +45,8 @@ type LocMatcherConfig struct {
 	LSTMHidden int
 	// Workers bounds the model's parallelism (the paper's Section V-F
 	// trajectory-level parallelization applied to the second stage). For
-	// training, values <= 1 select the deterministic serial reference path;
+	// training, values <= 1 mean one worker, the matcher itself, which runs
+	// each mini-batch's samples in order — the deterministic serial path;
 	// Workers > 1 trains each mini-batch's samples concurrently on
 	// per-worker parameter replicas with ordered gradient reduction —
 	// reproducible for a fixed worker count, but with a different
@@ -265,21 +266,20 @@ type TrainResult struct {
 // early stopping when validation loss stops improving, restoring the best
 // checkpoint.
 //
-// With Cfg.Workers <= 1 the epoch loop is the serial reference path —
-// bit-identical results for a fixed seed. With Workers > 1 each
-// mini-batch's samples are evaluated concurrently: every worker runs
-// forward/backward on its own parameter replica (with its own tape and
-// dropout RNG, seeded from Cfg.Seed and the worker index), gradients are
-// reduced into the shared parameters in worker order, and one optimizer
-// step is taken per batch — the same update schedule as the serial path, so
-// loss trajectories are statistically equivalent and reproducible for a
-// fixed worker count.
+// Every batch runs the same four steps — Sync, RunCtx, Reduce, one
+// optimizer step — over Fit's workers. With Cfg.Workers <= 1 the one worker
+// is the matcher itself: Sync and Reduce have no replicas to touch and the
+// batch's samples run inline in order, bit-identical for a fixed seed. With
+// Workers > 1 every worker runs forward/backward on its own parameter
+// replica (with its own tape and dropout RNG, seeded from Cfg.Seed and the
+// worker index), and gradients are reduced into the shared parameters in
+// worker order — the same update schedule, reproducible for a fixed worker
+// count, with a different floating-point summation order.
 //
-// Cancellation is cooperative: ctx is checked between batches (serial path)
-// or between per-batch parallel runs (data-parallel path) and between
-// epochs; on cancellation Fit returns ctx.Err() promptly without stepping
-// the optimizer on a partial batch, leaving the parameters at the last
-// completed update.
+// Cancellation is cooperative: ctx is checked before each sample and
+// between epochs; on cancellation Fit returns ctx.Err() promptly without
+// stepping the optimizer on a partial batch, leaving the parameters at the
+// last completed update.
 func (m *LocMatcher) Fit(ctx context.Context, train, val []*Sample) (TrainResult, error) {
 	defer obs.StartSpanCtx(ctx, "fit", stageFit).End()
 	train = labelled(train)
@@ -296,83 +296,60 @@ func (m *LocMatcher) Fit(ctx context.Context, train, val []*Sample) (TrainResult
 	stopper := nn.NewEarlyStopper(max(1, m.Cfg.Patience))
 	best := nn.CloneParams(params)
 
-	// Data-parallel setup: worker-local model replicas sharing the scaler,
-	// each with a distinct dropout stream and its own arena.
-	var dp *nn.DataParallel
-	var replicas []*LocMatcher
-	var tapes []*nn.Tape
+	// The workers: the matcher itself, or worker-local model replicas
+	// sharing the scaler, each with a distinct dropout stream. Each has its
+	// own arena.
+	workers := []*LocMatcher{m}
+	var repParams [][]*nn.Tensor
 	if w := m.Cfg.Workers; w > 1 {
-		replicas = make([]*LocMatcher, w)
-		repParams := make([][]*nn.Tensor, w)
-		tapes = make([]*nn.Tape, w)
-		for k := range replicas {
+		workers = make([]*LocMatcher, w)
+		repParams = make([][]*nn.Tensor, w)
+		for k := range workers {
 			rcfg := m.Cfg
 			rcfg.Seed = m.Cfg.Seed + int64(k+1)
 			r := NewLocMatcher(rcfg)
 			r.scaler = m.scaler
-			replicas[k] = r
+			workers[k] = r
 			repParams[k] = r.Params()
-			tapes[k] = nn.NewTape()
 		}
-		dp = nn.NewDataParallel(params, repParams...)
+	}
+	dp := nn.NewDataParallel(params, repParams...)
+	tapes := make([]*nn.Tape, len(workers))
+	for k := range tapes {
+		tapes[k] = nn.NewTape()
 	}
 
-	tape := nn.NewTape()
+	batchSize := m.Cfg.Batch
+	if batchSize <= 0 {
+		batchSize = len(train)
+	}
 	idx := make([]int, len(train))
 	for i := range idx {
 		idx[i] = i
 	}
+	// step trains one sample of the current batch: one closure for the
+	// whole run rather than an allocation per batch.
+	var batch []int
+	step := func(w, j int) {
+		r := workers[w]
+		s := train[batch[j]]
+		nn.Backward(nn.CrossEntropy(r.forward(s, true, tapes[w], r.rng), s.Label))
+		tapes[w].Reset()
+	}
 	res := TrainResult{BestValLoss: math.Inf(1)}
+	nn.ZeroGrads(params)
 	for epoch := 0; epoch < m.Cfg.MaxEpochs; epoch++ {
 		opt.LR = sched.At(epoch)
 		m.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		if dp != nil {
-			batchSize := m.Cfg.Batch
-			if batchSize <= 0 {
-				batchSize = len(idx)
+		for lo := 0; lo < len(idx); lo += batchSize {
+			batch = idx[lo:min(lo+batchSize, len(idx))]
+			dp.Sync()
+			if err := dp.RunCtx(ctx, len(batch), step); err != nil {
+				return res, err
 			}
+			dp.Reduce()
+			opt.Step(params, float64(len(batch)))
 			nn.ZeroGrads(params)
-			for lo := 0; lo < len(idx); lo += batchSize {
-				hi := min(lo+batchSize, len(idx))
-				batch := idx[lo:hi]
-				dp.Sync()
-				err := dp.RunCtx(ctx, len(batch), func(w, j int) {
-					r := replicas[w]
-					s := train[batch[j]]
-					nn.Backward(nn.CrossEntropy(r.forward(s, true, tapes[w], r.rng), s.Label))
-					tapes[w].Reset()
-				})
-				if err != nil {
-					return res, err
-				}
-				dp.Reduce()
-				opt.Step(params, float64(len(batch)))
-				nn.ZeroGrads(params)
-			}
-		} else {
-			nn.ZeroGrads(params)
-			inBatch := 0
-			for _, i := range idx {
-				if inBatch == 0 {
-					if err := ctx.Err(); err != nil {
-						return res, err
-					}
-				}
-				s := train[i]
-				loss := nn.CrossEntropy(m.forward(s, true, tape, m.rng), s.Label)
-				nn.Backward(loss)
-				tape.Reset()
-				inBatch++
-				if inBatch == m.Cfg.Batch {
-					opt.Step(params, float64(inBatch))
-					nn.ZeroGrads(params)
-					inBatch = 0
-				}
-			}
-			if inBatch > 0 {
-				opt.Step(params, float64(inBatch))
-				nn.ZeroGrads(params)
-			}
 		}
 		res.Epochs = epoch + 1
 
@@ -435,22 +412,28 @@ func (m *LocMatcher) meanLoss(ctx context.Context, samples []*Sample) (float64, 
 }
 
 // Predict returns the index of the candidate with maximum predicted
-// probability (the inference rule of Section IV-B).
+// probability (the inference rule of Section IV-B), -1 for a sample with no
+// candidates.
 func (m *LocMatcher) Predict(s *Sample) int {
-	if len(s.Cands) == 0 {
-		return -1
+	idx, _ := Pick(m.Probabilities(s))
+	return idx
+}
+
+// Pick is the inference rule of Section IV-B over one candidate
+// distribution: the index of the highest probability and that probability.
+// The comparison is strict, so ties go to the lower index; an empty
+// distribution gives -1, 0.
+func Pick(probs []float64) (int, float64) {
+	if len(probs) == 0 {
+		return -1, 0
 	}
-	if len(s.Cands) == 1 {
-		return 0
-	}
-	probs := m.Probabilities(s)
 	best := 0
 	for i, p := range probs {
 		if p > probs[best] {
 			best = i
 		}
 	}
-	return best
+	return best, probs[best]
 }
 
 // PredictAll runs Predict over a batch of samples on inferWorkers()
@@ -468,10 +451,15 @@ func (m *LocMatcher) PredictAll(ctx context.Context, samples []*Sample) ([]int, 
 	return out, nil
 }
 
-// Probabilities returns the softmax distribution over candidates.
+// Probabilities returns the softmax distribution over candidates: nil for
+// none, and {1} for one without a forward pass — exactly the softmax of one
+// finite logit.
 func (m *LocMatcher) Probabilities(s *Sample) []float64 {
-	if len(s.Cands) == 0 {
+	switch len(s.Cands) {
+	case 0:
 		return nil
+	case 1:
+		return []float64{1}
 	}
 	tape := m.getTape()
 	probs := nn.Softmax1D(m.forward(s, false, tape, nil))

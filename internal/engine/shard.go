@@ -174,11 +174,9 @@ func (s *Shard) reinfer(ctx context.Context) error {
 	if _, err := matcher.Fit(ctx, labelled[nVal:], labelled[:nVal]); err != nil {
 		return err
 	}
-	// The full probability distributions, not just argmax indices: the top-1
-	// probability is the confidence stamp behind each served answer. The
-	// local argmax below replicates Predict exactly (nil distribution for a
-	// candidate-less sample, strict > tie-breaking toward the lower index),
-	// so predictions are bit-identical to the PredictAll path.
+	// The full probability distributions, not just the picks: the top-1
+	// probability is the confidence stamp behind each served answer, and
+	// core.Pick is Predict's own rule, so the picks are Predict's.
 	probs, err := matcher.ProbabilitiesAll(ctx, samples)
 	if err != nil {
 		return err
@@ -189,12 +187,14 @@ func (s *Shard) reinfer(ctx context.Context) error {
 	store := deploy.NewStore()
 	store.LoadDataset(ds)
 	for i, sm := range samples {
-		pred, conf := argmaxProb(probs[i])
-		store.Put(sm.Addr, sm.PredictedLocation(pred))
-		if pred >= 0 {
-			store.SetConfidence(sm.Addr, float32(conf))
-			confHist.Observe(conf)
+		pred, conf := core.Pick(probs[i])
+		if pred < 0 {
+			// No candidate: the frozen fallback chain answers, and says so.
+			continue
 		}
+		store.Put(sm.Addr, sm.PredictedLocation(pred))
+		store.SetConfidence(sm.Addr, float32(conf))
+		confHist.Observe(conf)
 	}
 
 	_, swapSp := trace.Start(ctx, "engine.hot_swap")
@@ -203,22 +203,6 @@ func (s *Shard) reinfer(ctx context.Context) error {
 	swapSp.End()
 	s.ev.served(nTrips)
 	return nil
-}
-
-// argmaxProb reduces one candidate distribution to (predicted index, top-1
-// probability): -1 for a candidate-less sample (nil distribution), otherwise
-// the strict-> argmax — the same inference rule as LocMatcher.Predict.
-func argmaxProb(probs []float64) (int, float64) {
-	if len(probs) == 0 {
-		return -1, 0
-	}
-	best := 0
-	for i, p := range probs {
-		if p > probs[best] {
-			best = i
-		}
-	}
-	return best, probs[best]
 }
 
 // freeze returns the frozen form of the store a swap is about to publish,

@@ -1,7 +1,5 @@
 package nn
 
-import "runtime"
-
 // The matrix-product kernels under MatMul, Linear, ScaledMatMulT and
 // SoftmaxMatMul. LocMatcher's products are tiny — inner dimensions 4, 8 and
 // 32, a few dozen rows — and run ~350,000 times per training run, so what
@@ -459,51 +457,4 @@ func scaledMatMulTGradBGo(gb, a, g []float64, s float64, m, d, n, kk0, j0, j1 in
 			brow[kk] += t
 		}
 	}
-}
-
-// matMulParallelFlops is the m*k*n product above which a matrix product
-// splits its rows across cores. The threshold sits far above LocMatcher's
-// per-sample matrix sizes on purpose: data-parallel training already
-// saturates the cores with sample-level workers, and nesting goroutines
-// under them would only add scheduling overhead. Large single-graph models
-// do cross it.
-var matMulParallelFlops = 1 << 17
-
-// matMulForward, matMulBackA and matMulBackB run the three kernels over a
-// whole product: in one call below matMulParallelFlops, above it in one
-// contiguous row block per core. Every output row is computed independently
-// by the same kernel either way, so the split changes no bit of the result.
-// (The closures exist only on the parallel branch; the serial one allocates
-// nothing.)
-func matMulForward(out, a, b, bias []float64, m, k, n int) {
-	if m*k*n < matMulParallelFlops {
-		matMulRows(out, a, b, bias, k, n, 0, m)
-		return
-	}
-	rowBlocks(m, func(lo, hi int) { matMulRows(out, a, b, bias, k, n, lo, hi) })
-}
-
-func matMulBackA(ga, g, b, bT []float64, m, k, n int) {
-	if m*k*n < matMulParallelFlops {
-		matMulGradA(ga, g, b, bT, k, n, 0, m)
-		return
-	}
-	rowBlocks(m, func(lo, hi int) { matMulGradA(ga, g, b, bT, k, n, lo, hi) })
-}
-
-func matMulBackB(gb, a, g []float64, m, k, n int) {
-	if m*k*n < matMulParallelFlops {
-		matMulGradB(gb, a, g, m, k, n, 0, k)
-		return
-	}
-	rowBlocks(k, func(lo, hi int) { matMulGradB(gb, a, g, m, k, n, lo, hi) })
-}
-
-// rowBlocks splits [0,rows) into one contiguous block per core and runs
-// kernel on each, concurrently.
-func rowBlocks(rows int, kernel func(lo, hi int)) {
-	workers := min(runtime.GOMAXPROCS(0), rows)
-	ParallelFor(workers, workers, func(w int) {
-		kernel(rows*w/workers, rows*(w+1)/workers)
-	})
 }

@@ -154,16 +154,14 @@ func addRowVecBack(out *Tensor) {
 }
 
 // MatMul returns the matrix product of a [m,k] and b [k,n]. Forward, dA and
-// dB run on the three kernels of kernels.go; products whose m*k*n exceeds
-// matMulParallelFlops run the same kernels over row blocks spread across
-// GOMAXPROCS workers, which is bit-identical to the serial computation.
+// dB run on the three kernels of kernels.go.
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("nn: MatMul %v x %v", a.Shape, b.Shape))
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := newResult([]int{m, n}, a, b)
-	matMulForward(out.Data, a.Data, b.Data, nil, m, k, n)
+	matMulRows(out.Data, a.Data, b.Data, nil, k, n, 0, m)
 	out.setBack(matMulBack)
 	return out
 }
@@ -173,11 +171,11 @@ func matMulBack(out *Tensor) {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	if a.needGrad {
 		a.ensureGrad()
-		matMulBackA(a.Grad, out.Grad, b.Data, laneTranspose(out, b.Data, k, n, m), m, k, n)
+		matMulGradA(a.Grad, out.Grad, b.Data, laneTranspose(out, b.Data, k, n, m), k, n, 0, m)
 	}
 	if b.needGrad {
 		b.ensureGrad()
-		matMulBackB(b.Grad, a.Data, out.Grad, m, k, n)
+		matMulGradB(b.Grad, a.Data, out.Grad, m, k, n, 0, k)
 	}
 }
 
@@ -192,7 +190,7 @@ func Linear(x, w, bias *Tensor) *Tensor {
 	}
 	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
 	out := newResult([]int{m, n}, x, w, bias)
-	matMulForward(out.Data, x.Data, w.Data, bias.Data, m, k, n)
+	matMulRows(out.Data, x.Data, w.Data, bias.Data, k, n, 0, m)
 	out.setBack(linearBack)
 	return out
 }
@@ -206,11 +204,11 @@ func linearBack(out *Tensor) {
 	}
 	if x.needGrad {
 		x.ensureGrad()
-		matMulBackA(x.Grad, out.Grad, w.Data, laneTranspose(out, w.Data, k, n, m), m, k, n)
+		matMulGradA(x.Grad, out.Grad, w.Data, laneTranspose(out, w.Data, k, n, m), k, n, 0, m)
 	}
 	if w.needGrad {
 		w.ensureGrad()
-		matMulBackB(w.Grad, x.Data, out.Grad, m, k, n)
+		matMulGradB(w.Grad, x.Data, out.Grad, m, k, n, 0, k)
 	}
 }
 
@@ -399,7 +397,7 @@ func SoftmaxMatMul(a, v *Tensor) *Tensor {
 	out := newResult([]int{m, d}, a, v)
 	probs := graphScratch(out, m*n)
 	softmaxRowsInto(probs, a.Data, graphScratch(out, 4*n), m, n)
-	matMulForward(out.Data, probs, v.Data, nil, m, n, d)
+	matMulRows(out.Data, probs, v.Data, nil, n, d, 0, m)
 	out.saved[0] = probs
 	out.setBack(softmaxMatMulBack)
 	return out
@@ -410,7 +408,7 @@ func softmaxMatMulBack(out *Tensor) {
 	m, n, d := a.Shape[0], a.Shape[1], v.Shape[1]
 	if v.needGrad {
 		v.ensureGrad()
-		matMulBackB(v.Grad, probs, out.Grad, m, n, d)
+		matMulGradB(v.Grad, probs, out.Grad, m, n, d, 0, n)
 	}
 	if a.needGrad {
 		a.ensureGrad()
@@ -418,7 +416,7 @@ func softmaxMatMulBack(out *Tensor) {
 		// then the softmax backward row by row.
 		dp := graphScratch(out, m*n)
 		clear(dp)
-		matMulBackA(dp, out.Grad, v.Data, laneTranspose(out, v.Data, n, d, m), m, n, d)
+		matMulGradA(dp, out.Grad, v.Data, laneTranspose(out, v.Data, n, d, m), n, d, 0, m)
 		softmaxRowsBackInto(a.Grad, probs, dp, graphScratch(out, 8*n), m, n)
 	}
 }

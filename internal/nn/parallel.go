@@ -6,14 +6,6 @@ import (
 	"sync"
 )
 
-// ParallelFor runs fn(i) for every i in [0, n) on a fixed pool of workers
-// goroutines — the non-cancellable form used by pure compute kernels (matrix
-// multiplication rows) where a context check per index would be dead weight.
-// It is ParallelForCtx with a background context.
-func ParallelFor(workers, n int, fn func(i int)) {
-	_ = ParallelForCtx(context.Background(), workers, n, fn)
-}
-
 // ParallelForCtx runs fn(i) for every i in [0, n) on a fixed pool of workers
 // goroutines pulling indices from a shared channel — a bounded fan-out that
 // never spawns more than workers goroutines no matter how large n is (the
@@ -80,7 +72,9 @@ func ParallelForCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 //
 // Combined with RunCtx's static sample sharding and per-worker seeded RNGs,
 // training with a fixed worker count is reproducible run to run; only the
-// floating-point summation order differs from the serial path.
+// floating-point summation order differs from the serial path. With no
+// replicas the master is the one worker: Sync and Reduce do nothing and
+// RunCtx calls fn(0, i) inline in index order — the serial path itself.
 type DataParallel struct {
 	master   []*Tensor
 	replicas [][]*Tensor

@@ -43,19 +43,27 @@ func TestParallelForCtxCancelled(t *testing.T) {
 }
 
 func TestParallelForCtxCancelMidway(t *testing.T) {
+	const workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
-	var n int64
-	err := ParallelForCtx(ctx, 4, 10000, func(i int) {
+	var n, late int64
+	var cancelled atomic.Bool
+	err := ParallelForCtx(ctx, workers, 10000, func(i int) {
+		if cancelled.Load() {
+			atomic.AddInt64(&late, 1)
+		}
 		if atomic.AddInt64(&n, 1) == 8 {
 			cancel()
+			cancelled.Store(true)
 		}
 	})
 	if err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	// Each worker may have had one fn in flight at cancellation, no more.
-	if got := atomic.LoadInt64(&n); got > 8+4 {
-		t.Errorf("%d iterations ran after mid-flight cancel", got)
+	// Calls already running when cancel() returns may finish, and a worker
+	// that checked ctx just before may start one more; no worker starts a
+	// second. (Calls made while cancel() itself runs are not bounded.)
+	if got := atomic.LoadInt64(&late); got > workers {
+		t.Errorf("%d calls started after cancel() returned, want at most %d", got, workers)
 	}
 }
 

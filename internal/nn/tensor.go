@@ -16,8 +16,7 @@
 // stage): Tape, an arena that recycles one sample's graph tensors for the
 // next sample instead of re-allocating them, and DataParallel, a
 // deterministic data-parallel training harness with per-worker parameter
-// replicas and ordered gradient reduction. Large MatMuls additionally split
-// their row blocks across cores.
+// replicas and ordered gradient reduction.
 package nn
 
 import (
