@@ -338,30 +338,43 @@ func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 	return p
 }
 
-// ForEachWindow splits trips into window-second batches by trip start,
-// anchored at the first trip's start (window <= 0:
-// DefaultPoolWindowSeconds), and feeds each non-empty batch to fn, stopping
-// at fn's first error. It is the one window grid of the batch path:
-// BuildPool and the serving engine's dataset ingest both cut here, so their
-// pools cannot drift apart.
-func ForEachWindow(trips []model.Trip, window float64, fn func([]model.Trip) error) error {
+// NextWindow is the one window-grid rule: it advances a grid whose open
+// window ends at end (0: no window yet, so the grid anchors at t) to a trip
+// starting at t, in window-second steps (window <= 0:
+// DefaultPoolWindowSeconds). It returns the end of the window t falls in and
+// whether t starts past end, which completes the open window.
+func NextWindow(end, t, window float64) (float64, bool) {
 	if window <= 0 {
 		window = DefaultPoolWindowSeconds
 	}
+	if end == 0 {
+		return t + window, false
+	}
+	if t < end {
+		return end, false
+	}
+	for t >= end {
+		end += window
+	}
+	return end, true
+}
+
+// ForEachWindow splits trips into window-second batches by trip start on
+// NextWindow's grid, anchored at the first trip's start, and feeds each
+// non-empty batch to fn, stopping at fn's first error. It is the one window
+// grid of the batch path: BuildPool and the serving engine's dataset ingest
+// both cut here, and the streamed ingest advances the same rule, so their
+// pools cannot drift apart.
+func ForEachWindow(trips []model.Trip, window float64, fn func([]model.Trip) error) error {
 	var batch []model.Trip
-	var windowEnd float64
-	for i, tr := range trips {
-		if i == 0 {
-			windowEnd = tr.StartT + window
-		}
-		if tr.StartT >= windowEnd {
+	var end float64
+	for _, tr := range trips {
+		var cut bool
+		if end, cut = NextWindow(end, tr.StartT, window); cut {
 			if err := fn(batch); err != nil {
 				return err
 			}
 			batch = nil
-			for tr.StartT >= windowEnd {
-				windowEnd += window
-			}
 		}
 		batch = append(batch, tr)
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"dlinfma/internal/core"
@@ -372,10 +374,12 @@ func (e *Engine) newManifest() *shardManifest {
 // SaveSnapshotFile writes the snapshot to path atomically and durably (temp
 // file + fsync + rename), so a crash mid-write never corrupts the previous
 // snapshot and a completed save survives power loss. Several shards write
-// one file per ready shard next to path (path.shardN, each atomic) and then
-// the manifest at path, so a crash at any point leaves the previous
-// generation loadable. Only once everything is durable are the WAL segments
-// the snapshotted state covers dropped; a failed save truncates nothing.
+// one file per ready shard next to path under a name no earlier save used
+// (path.<gen>.shardN, each atomic), then the manifest at path that names
+// them, then remove the shard files the manifest no longer names — so a
+// failure or crash at any point leaves the previous generation whole and
+// loadable. Only once everything is durable are the WAL segments the
+// snapshotted state covers dropped; a failed save truncates nothing.
 func (e *Engine) SaveSnapshotFile(path string) error {
 	if e.remote {
 		return errRemoteSnapshotFiles
@@ -393,10 +397,11 @@ func (e *Engine) saveSnapshotFiles(path string) error {
 	}
 	m := e.newManifest()
 	dir, base := filepath.Split(path)
+	gen := snapshotGeneration()
 	m.Files = make([]string, len(e.shards))
 	ready := false
 	for i, sh := range e.shards {
-		name := fmt.Sprintf("%s.shard%d", base, i)
+		name := fmt.Sprintf("%s.%s.shard%d", base, gen, i)
 		err := writeFileAtomic(filepath.Join(dir, name), sh.WriteSnapshot)
 		if errors.Is(err, peer.ErrNotReady) {
 			continue // never served: leave its entry empty
@@ -414,10 +419,28 @@ func (e *Engine) saveSnapshotFiles(path string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, func(w io.Writer) error {
+	err = writeFileAtomic(path, func(w io.Writer) error {
 		_, werr := w.Write(append(doc, '\n'))
 		return werr
 	})
+	if err != nil {
+		return err
+	}
+	// Best effort: a leftover file of an earlier generation costs disk only.
+	ents, _ := os.ReadDir(filepath.Dir(path))
+	for _, d := range ents {
+		rest, ok := strings.CutPrefix(d.Name(), base+".")
+		if ok && strings.Contains(rest, "shard") && !slices.Contains(m.Files, d.Name()) {
+			os.Remove(filepath.Join(dir, d.Name()))
+		}
+	}
+	return nil
+}
+
+// snapshotGeneration names one save's shard files; a time-based token, so
+// no save writes over the files of the manifest already on disk.
+var snapshotGeneration = func() string {
+	return strconv.FormatInt(time.Now().UnixNano(), 36)
 }
 
 // writeFileAtomic streams write's output into a temp file in path's

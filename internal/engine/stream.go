@@ -53,9 +53,9 @@ type streamedTrip struct {
 // shard must see the same trips and the same window grid one shard over all
 // the data would. Not safe for concurrent use; ingestMu serializes.
 type streamSet struct {
-	// window is the streamed pool-window length: Core.PoolWindowSeconds
-	// (itself defaulting to the paper's bi-weekly 14 days), so streamed and
-	// batch ingest seal on the same grid.
+	// window is the streamed pool-window length: Core.PoolWindowSeconds,
+	// which core.NextWindow defaults as the batch path's grid does, so
+	// streamed and batch ingest seal on the same grid.
 	window float64
 	// maxStays is maxWindowStays; tests lower it to seal on size.
 	maxStays int
@@ -76,12 +76,8 @@ type streamSet struct {
 // same core config the batch path uses — the bit-identity contract between
 // streamed and batch ingest starts here.
 func newStreamSet(coreCfg core.Config) *streamSet {
-	window := coreCfg.PoolWindowSeconds
-	if window <= 0 {
-		window = core.DefaultPoolWindowSeconds
-	}
 	return &streamSet{
-		window:   window,
+		window:   coreCfg.PoolWindowSeconds,
 		maxStays: maxWindowStays,
 		noise:    coreCfg.Noise,
 		stay:     coreCfg.Stay,
@@ -319,20 +315,15 @@ func (b *burstEncoder) encode(ss *streamSet, ops []deploy.StreamOp) [][]byte {
 
 // deliverStreamedTripLocked hands one closed trip to its shard (by
 // trajectory — streamed fixes carry no waybills), driving the streamed
-// window grid: a trip starting past the grid boundary (mirroring
-// core.ForEachWindow's time boundary) or the stay-point size bound seals every
+// window grid: a trip starting past the grid boundary (core.NextWindow, the
+// rule core.ForEachWindow cuts by) or the stay-point size bound seals every
 // shard's pending streamed trips together, so shard pools see the same
 // window cuts one shard over all the data would.
 func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip) {
 	ss := e.ss
-	if ss.winEnd == 0 {
-		ss.winEnd = st.trip.StartT + ss.window
-	}
-	if st.trip.StartT >= ss.winEnd {
+	var cut bool
+	if ss.winEnd, cut = core.NextWindow(ss.winEnd, st.trip.StartT, ss.window); cut {
 		e.sealStreamWindowsLocked(ctx)
-		for st.trip.StartT >= ss.winEnd {
-			ss.winEnd += ss.window
-		}
 	}
 	sh := 0
 	if e.routed() {

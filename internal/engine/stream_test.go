@@ -478,6 +478,9 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	e.AttachWAL(w)
 	ctx := context.Background()
 	snap := filepath.Join(dir, "snap.json")
+	gen := "g1"
+	defer func(orig func() string) { snapshotGeneration = orig }(snapshotGeneration)
+	snapshotGeneration = func() string { return gen }
 
 	// Generation one: half the dataset, re-inferred and saved.
 	half := *ds
@@ -492,6 +495,7 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := deliveredAddrOf(t, &half)
+	genOne := e.InferredLocations()
 
 	// Generation two covers more of the WAL, but shard 1's temp-file path is
 	// taken by a directory, so its file cannot be written.
@@ -501,7 +505,8 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	if err := e.Reinfer(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(snap+".shard1.tmp", 0o755); err != nil {
+	gen = "g2"
+	if err := os.Mkdir(snap+".g2.shard1.tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	segsBefore := walSegments(t, filepath.Join(dir, "wal"))
@@ -523,6 +528,27 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	}
 	if _, src := restored.Query(probe); src == deploy.SourceNone {
 		t.Fatal("engine restored from the previous manifest does not answer")
+	}
+	// The failed save wrote shard 0's generation-two file, but under its
+	// own name: the previous manifest restores generation one exactly.
+	if got := restored.InferredLocations(); !reflect.DeepEqual(got, genOne) {
+		t.Fatalf("previous manifest restored %d answers, generation one served %d (or they differ)", len(got), len(genOne))
+	}
+
+	// The next save that succeeds leaves only the files its manifest names.
+	if err := os.Remove(snap + ".g2.shard1.tmp"); err != nil {
+		t.Fatal(err)
+	}
+	gen = "g3"
+	if err := e.SaveSnapshotFile(snap); err != nil {
+		t.Fatal(err)
+	}
+	left, err := filepath.Glob(snap + ".*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{snap + ".g3.shard0", snap + ".g3.shard1"}; !reflect.DeepEqual(left, want) {
+		t.Fatalf("files next to the manifest after a good save: %v, want %v", left, want)
 	}
 }
 

@@ -56,7 +56,6 @@ func NewFrontendBackends(r *shard.Router, o FrontendOptions) ([]ShardBackend, *s
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: shard %d: %w", sh, err)
 		}
-		c.frontend = true
 		backends[sh] = c
 	}
 	return backends, ring, nil

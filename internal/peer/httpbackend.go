@@ -28,9 +28,10 @@ const (
 	routeReinfer  = "/v1/reinfer"
 	routeSnapshot = "/v1/snapshot"
 	routeHealthz  = "/v1/healthz"
+	routeMetrics  = "/v1/metrics"
 )
 
-// DefaultTimeout bounds one HTTP call of a backend RPC when ClientOptions
+// DefaultTimeout bounds one attempt of a backend RPC when ClientOptions
 // leaves Timeout zero. Reads are sub-millisecond server-side, so five seconds
 // is network headroom, not a latency target.
 const DefaultTimeout = 5 * time.Second
@@ -38,44 +39,45 @@ const DefaultTimeout = 5 * time.Second
 // pollInterval is how often Reinfer polls the remote job.
 const pollInterval = 250 * time.Millisecond
 
-// snapshotTimeoutFactor scales the per-call timeout for snapshot downloads,
+// snapshotTimeoutFactor scales the per-attempt timeout for snapshot downloads,
 // which stream megabytes where every other route moves kilobytes.
 const snapshotTimeoutFactor = 12
 
 // ClientOptions configures an HTTP shard backend.
 type ClientOptions struct {
 	// Endpoints are the base URLs serving the shard, the ring owner first and
-	// its replicas after. Every call walks the list in order until one
-	// endpoint answers; at least one endpoint is required.
+	// its replicas after. A read walks the list in order until one
+	// endpoint answers; a write drives every endpoint on its own. At least
+	// one endpoint is required.
 	Endpoints []string
-	// Timeout bounds each HTTP call (0 = DefaultTimeout). Reinfer applies it
-	// per poll, not to the whole retrain.
+	// Timeout bounds each attempt (0 = DefaultTimeout; a snapshot attempt
+	// gets snapshotTimeoutFactor times it). Reinfer applies it per poll, not
+	// to the whole retrain.
 	Timeout time.Duration
 	// Retries is how many extra passes over the endpoint list a failing call
 	// makes after the first (<0 = 0). The total attempt budget per call is
-	// (1+Retries) * len(Endpoints).
+	// (1+Retries) * len(Endpoints) for a read, 1+Retries per endpoint for a
+	// write.
 	Retries int
 	// HTTPClient, when set, replaces the default transport (tests inject
-	// httptest clients here). Per-call timeouts still come from Timeout.
+	// httptest clients here). Per-attempt timeouts still come from Timeout.
 	HTTPClient *http.Client
 	// Logger receives failover warnings. nil drops them.
 	Logger *obs.Logger
 }
 
 // Client is the HTTP ShardBackend: every operation of the seam mapped onto
-// the existing /v1 wire surface, with per-call timeouts, bounded retry across
-// the owner-then-replicas endpoint list, and W3C traceparent plus
-// X-Request-ID propagation on every hop so the remote server span parents
-// under the caller's trace.
+// the existing /v1 wire surface through one attempt (roundTrip) and one
+// retry loop (call), with per-attempt timeouts, bounded retry across the
+// owner-then-replicas endpoint list, and W3C traceparent plus X-Request-ID
+// propagation on every hop so the remote server span parents under the
+// caller's trace.
 type Client struct {
 	endpoints []string
 	timeout   time.Duration
 	rounds    int
 	hc        *http.Client
 	log       *obs.Logger
-	// frontend marks clients built by NewFrontendBackends so ring-owner
-	// failovers surface on the frontend-facing counters too.
-	frontend bool
 }
 
 // NewClient returns an HTTP backend over o.Endpoints.
@@ -115,15 +117,21 @@ func NewClient(o ClientOptions) (*Client, error) {
 // Endpoint returns the client's primary (owner) endpoint.
 func (c *Client) Endpoint() string { return c.endpoints[0] }
 
-// roundTrip performs one attempt against one endpoint: per-attempt timeout,
-// its own client span (so the remote server span parents under this exact
-// hop), and trace/correlation header injection.
-func (c *Client) roundTrip(ctx context.Context, endpoint, method, path string, body []byte) (int, []byte, error) {
+// roundTrip performs one attempt against one endpoint: per-attempt timeout
+// (snapshotTimeoutFactor times it for a snapshot), its own client span (so
+// the remote server span parents under this exact hop), and trace/correlation
+// header injection. The whole body is read before it returns, so a response
+// cut mid-body is a failed attempt.
+func (c *Client) roundTrip(ctx context.Context, endpoint, route, method, path string, body []byte) (int, []byte, error) {
 	ctx, sp := trace.Start(ctx, "cluster.rpc")
 	sp.SetAttr("endpoint", endpoint)
 	sp.SetAttr("path", path)
 	defer sp.End()
-	cctx, cancel := context.WithTimeout(ctx, c.timeout)
+	timeout := c.timeout
+	if route == routeSnapshot {
+		timeout *= snapshotTimeoutFactor
+	}
+	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -158,23 +166,25 @@ func (c *Client) roundTrip(ctx context.Context, endpoint, method, path string, b
 	return resp.StatusCode, data, nil
 }
 
-// call walks the endpoint list (owner first) up to the retry budget and
-// returns the first delivered response. Transport failures and 5xx statuses
-// other than 503 fail over to the next endpoint; everything else — including
-// 503, which is a meaningful engine_not_ready answer — is the caller's to
-// interpret.
-func (c *Client) call(ctx context.Context, route, method, path string, body []byte) (int, []byte, error) {
+// call walks eps (the owner first) up to the retry budget and returns the
+// first delivered response. Transport failures and 5xx statuses other than
+// 503 fail over to the next attempt; everything else — including 503, which
+// is a meaningful engine_not_ready answer — is the caller's to interpret.
+// Reads pass every endpoint; the replicated writes pass one at a time, so
+// each replica is driven on its own with the same budget.
+func (c *Client) call(ctx context.Context, route, method, path string, body []byte, eps []string) (int, []byte, error) {
 	var lastErr error
 	for round := 0; round < c.rounds; round++ {
-		for i, ep := range c.endpoints {
+		for i, ep := range eps {
 			if err := ctx.Err(); err != nil {
 				countRPC(route, err)
 				return 0, nil, err
 			}
-			if round > 0 || i > 0 {
+			retry := round > 0 || i > 0
+			if retry {
 				rpcFailovers.Inc()
 			}
-			status, data, err := c.roundTrip(ctx, ep, method, path, body)
+			status, data, err := c.roundTrip(ctx, ep, route, method, path, body)
 			if err != nil {
 				lastErr = fmt.Errorf("cluster: %s %s%s: %w", method, ep, path, err)
 				c.log.Warn("backend endpoint failed", "endpoint", ep, "path", path, "err", err)
@@ -185,44 +195,14 @@ func (c *Client) call(ctx context.Context, route, method, path string, body []by
 				c.log.Warn("backend endpoint errored", "endpoint", ep, "path", path, "status", status)
 				continue
 			}
-			if c.frontend && (round > 0 || i > 0) {
+			if retry {
 				frontendFailovers.Inc()
 			}
 			countRPC(route, nil)
 			return status, data, nil
 		}
 	}
-	if c.frontend {
-		frontendPeerErrors.Inc()
-	}
-	countRPC(route, lastErr)
-	return 0, nil, lastErr
-}
-
-// callEndpoint is call pinned to one endpoint: the same retry budget and 5xx
-// semantics, no failover. The replicated write paths use it so every replica
-// is driven individually.
-func (c *Client) callEndpoint(ctx context.Context, route, method, path string, body []byte, ep string) (int, []byte, error) {
-	var lastErr error
-	for round := 0; round < c.rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			countRPC(route, err)
-			return 0, nil, err
-		}
-		status, data, err := c.roundTrip(ctx, ep, method, path, body)
-		if err != nil {
-			lastErr = fmt.Errorf("cluster: %s %s%s: %w", method, ep, path, err)
-			c.log.Warn("backend endpoint failed", "endpoint", ep, "path", path, "err", err)
-			continue
-		}
-		if status >= http.StatusInternalServerError && status != http.StatusServiceUnavailable {
-			lastErr = apiError(status, data)
-			c.log.Warn("backend endpoint errored", "endpoint", ep, "path", path, "status", status)
-			continue
-		}
-		countRPC(route, nil)
-		return status, data, nil
-	}
+	frontendPeerErrors.Inc()
 	countRPC(route, lastErr)
 	return 0, nil, lastErr
 }
@@ -253,7 +233,7 @@ func apiError(status int, data []byte) error {
 // nil-error SourceNone.
 func (c *Client) Query(ctx context.Context, addr model.AddressID) (geo.Point, deploy.Source, error) {
 	path := "/v1/locations/" + strconv.FormatInt(int64(addr), 10)
-	status, data, err := c.call(ctx, routeLocation, http.MethodGet, path, nil)
+	status, data, err := c.call(ctx, routeLocation, http.MethodGet, path, nil, c.endpoints)
 	if err != nil {
 		return geo.Point{}, deploy.SourceNone, err
 	}
@@ -296,7 +276,7 @@ func (c *Client) QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx
 		if err != nil {
 			return err
 		}
-		status, data, err := c.call(ctx, routeBatch, http.MethodPost, "/v1/locations:batch", body)
+		status, data, err := c.call(ctx, routeBatch, http.MethodPost, "/v1/locations:batch", body, c.endpoints)
 		if err != nil {
 			return err
 		}
@@ -353,8 +333,8 @@ func (c *Client) Ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 		return err
 	}
 	var errs []error
-	for _, ep := range c.endpoints {
-		status, data, err := c.callEndpoint(ctx, routeIngest, http.MethodPost, "/v1/ingest", body, ep)
+	for i, ep := range c.endpoints {
+		status, data, err := c.call(ctx, routeIngest, http.MethodPost, "/v1/ingest", body, c.endpoints[i:i+1])
 		if err == nil && status != http.StatusOK {
 			err = apiError(status, data)
 		}
@@ -372,26 +352,23 @@ func (c *Client) Ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 // running on an endpoint (409) is adopted and polled like our own; ctx
 // cancellation stops the polling but not the remote jobs.
 func (c *Client) Reinfer(ctx context.Context) error {
-	if len(c.endpoints) == 1 {
-		return c.reinferEndpoint(ctx, c.endpoints[0])
-	}
 	errs := make([]error, len(c.endpoints))
 	var wg sync.WaitGroup
-	for i, ep := range c.endpoints {
+	for i := range c.endpoints {
 		wg.Add(1)
-		go func(i int, ep string) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = c.reinferEndpoint(ctx, ep)
-		}(i, ep)
+			errs[i] = c.reinferEndpoint(ctx, c.endpoints[i:i+1])
+		}(i)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// reinferEndpoint starts one endpoint's background re-inference job and
-// polls it to completion.
-func (c *Client) reinferEndpoint(ctx context.Context, ep string) error {
-	status, data, err := c.callEndpoint(ctx, routeReinfer, http.MethodPost, "/v1/reinfer", nil, ep)
+// reinferEndpoint starts the background re-inference job of ep's one
+// endpoint and polls it to completion.
+func (c *Client) reinferEndpoint(ctx context.Context, ep []string) error {
+	status, data, err := c.call(ctx, routeReinfer, http.MethodPost, "/v1/reinfer", nil, ep)
 	if err != nil {
 		return err
 	}
@@ -406,7 +383,7 @@ func (c *Client) reinferEndpoint(ctx context.Context, ep string) error {
 			return ctx.Err()
 		case <-t.C:
 		}
-		status, data, err := c.callEndpoint(ctx, routeReinfer, http.MethodGet, "/v1/reinfer", nil, ep)
+		status, data, err := c.call(ctx, routeReinfer, http.MethodGet, "/v1/reinfer", nil, ep)
 		if err != nil {
 			return err
 		}
@@ -422,9 +399,9 @@ func (c *Client) reinferEndpoint(ctx context.Context, ep string) error {
 		case api.JobDone:
 			return nil
 		case api.JobFailed:
-			return fmt.Errorf("cluster: remote reinfer failed on %s: %s", ep, job.Error)
+			return fmt.Errorf("cluster: remote reinfer failed on %s: %s", ep[0], job.Error)
 		default:
-			return fmt.Errorf("cluster: unknown remote job state %q from %s", job.State, ep)
+			return fmt.Errorf("cluster: unknown remote job state %q from %s", job.State, ep[0])
 		}
 	}
 }
@@ -433,7 +410,7 @@ func (c *Client) reinferEndpoint(ctx context.Context, ep string) error {
 // shard reports Failed with the transport error, never panics or blocks past
 // the retry budget — Status has no error channel by design.
 func (c *Client) Status() api.EngineStatus {
-	status, data, err := c.call(context.Background(), routeHealthz, http.MethodGet, "/v1/healthz", nil)
+	status, data, err := c.call(context.Background(), routeHealthz, http.MethodGet, "/v1/healthz", nil, c.endpoints)
 	if err != nil {
 		return api.EngineStatus{Failed: true, LastError: "backend unreachable: " + err.Error()}
 	}
@@ -444,42 +421,20 @@ func (c *Client) Status() api.EngineStatus {
 	return st
 }
 
-// WriteSnapshot streams the shard's /v1/snapshot to w (ShardBackend).
-// Failover applies only until the first body byte lands in w; a download
-// broken mid-stream is the caller's error to handle, like a local write.
+// WriteSnapshot downloads the shard's /v1/snapshot and writes it to w
+// (ShardBackend). Nothing reaches w until one endpoint has delivered the
+// whole body, so a download broken mid-body fails over like any attempt. A
+// 503 ends the call as it does for a lookup, wrapping ErrNotReady.
 func (c *Client) WriteSnapshot(w io.Writer) error {
-	ctx, cancel := context.WithTimeout(context.Background(), snapshotTimeoutFactor*c.timeout)
-	defer cancel()
-	var lastErr error
-	for round := 0; round < c.rounds; round++ {
-		for i, ep := range c.endpoints {
-			if round > 0 || i > 0 {
-				rpcFailovers.Inc()
-			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep+"/v1/snapshot", nil)
-			if err != nil {
-				countRPC(routeSnapshot, err)
-				return err
-			}
-			resp, err := c.hc.Do(req)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if resp.StatusCode != http.StatusOK {
-				data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-				resp.Body.Close()
-				lastErr = apiError(resp.StatusCode, data)
-				continue
-			}
-			_, err = io.Copy(w, resp.Body)
-			resp.Body.Close()
-			countRPC(routeSnapshot, err)
-			return err
-		}
+	status, data, err := c.call(context.Background(), routeSnapshot, http.MethodGet, "/v1/snapshot", nil, c.endpoints)
+	if err != nil {
+		return err
 	}
-	countRPC(routeSnapshot, lastErr)
-	return fmt.Errorf("cluster: snapshot download failed: %w", lastErr)
+	if status != http.StatusOK {
+		return apiError(status, data)
+	}
+	_, err = w.Write(data)
+	return err
 }
 
 // statically assert the client implements the seam.

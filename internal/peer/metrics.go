@@ -11,12 +11,12 @@ var (
 		"Shard-backend RPCs by route and outcome (ok/error). One RPC may try several endpoints.",
 		"route", "outcome")
 	rpcFailovers = obs.Default.Counter("dlinfma_cluster_rpc_failovers_total",
-		"Shard-backend attempts made past the first endpoint (owner down, replica tried).")
+		"Shard-backend attempts made past a call's first (another endpoint or a retry), writes included.")
 
 	frontendFailovers = obs.Default.Counter("dlinfma_cluster_frontend_failovers_total",
-		"Frontend queries answered by a replica because the ring owner failed.")
+		"Shard-backend calls answered by an attempt past their first, writes included.")
 	frontendPeerErrors = obs.Default.Counter("dlinfma_cluster_frontend_peer_errors_total",
-		"Frontend peer calls that failed after exhausting their retry budget.")
+		"Shard-backend calls that failed after exhausting their retry budget, writes included.")
 )
 
 // countRPC records one finished backend RPC.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,7 +15,9 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/deploy/api"
 	"dlinfma/internal/engine"
+	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/obs"
 	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/peer"
 	"dlinfma/internal/shard"
@@ -177,6 +180,26 @@ func TestHTTPBackendShardedEquivalence(t *testing.T) {
 			t.Fatalf("local shard %d unexpectedly reports peer %q", i, l.Peer)
 		}
 	}
+
+	// The remote manifest, assembled from the shard processes' /v1/snapshot
+	// downloads, restores the same served state as the local one.
+	inferred := func(e engine.Runtime) map[model.AddressID]geo.Point {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fresh := engine.NewSharded(cfg, newRouter(t, nShards))
+		defer fresh.Close()
+		if err := fresh.RestoreSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fresh.InferredLocations()
+	}
+	lsnap, rsnap := inferred(local), inferred(remote)
+	if len(lsnap) == 0 || !reflect.DeepEqual(lsnap, rsnap) {
+		t.Fatalf("snapshot restores differ: local %d answers, remote %d", len(lsnap), len(rsnap))
+	}
 }
 
 // TestClientReplicatedWritesAndFailover drives one shard through a
@@ -249,6 +272,10 @@ func TestClientReplicatedWritesAndFailover(t *testing.T) {
 	if st.Failed || !st.Ready {
 		t.Fatalf("replica status after failover: %+v", st)
 	}
+	var snap bytes.Buffer
+	if err := c.WriteSnapshot(&snap); err != nil || snap.Len() == 0 {
+		t.Fatalf("snapshot after failover: %d bytes, error %v", snap.Len(), err)
+	}
 
 	replica.srv.Close() // and then the whole shard is gone
 	if st := c.Status(); !st.Failed || st.LastError == "" {
@@ -256,6 +283,68 @@ func TestClientReplicatedWritesAndFailover(t *testing.T) {
 	}
 	if _, src, err := c.Query(ctx, ds.Addresses[0].ID); err == nil || src != deploy.SourceNone {
 		t.Fatalf("query with no endpoints alive answered source %v, error %v; want SourceNone and an error", src, err)
+	}
+}
+
+// counter reads one unlabelled counter of the process-wide registry; tests
+// compare two reads, never an absolute value.
+func counter(t *testing.T, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fams[name]
+	if f == nil || len(f.Samples) != 1 {
+		t.Fatalf("counter %s: %+v", name, f)
+	}
+	return f.Samples[0].Value
+}
+
+// TestClientFailoverCounters pins the counters to the attempts the one retry
+// loop makes, reads and writes alike: over [dead, live] with one retry, a
+// query's second attempt answers, and an ingest drives the dead endpoint
+// twice before giving it up.
+func TestClientFailoverCounters(t *testing.T) {
+	ctx := context.Background()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	live := newShardProc(t, quickCfg(0))
+	c, err := peer.NewClient(peer.ClientOptions{
+		Endpoints: []string{dead.URL, live.srv.URL},
+		Retries:   1,
+		Timeout:   2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		failovers  = "dlinfma_cluster_rpc_failovers_total"
+		feFailover = "dlinfma_cluster_frontend_failovers_total"
+		peerErrors = "dlinfma_cluster_frontend_peer_errors_total"
+	)
+	read := func() [3]float64 {
+		return [3]float64{counter(t, failovers), counter(t, feFailover), counter(t, peerErrors)}
+	}
+
+	before := read()
+	if _, _, err := c.Query(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := read(), [3]float64{before[0] + 1, before[1] + 1, before[2]}; got != want {
+		t.Fatalf("query over [dead, live]: (failovers, frontend failovers, peer errors) = %v, want %v", got, want)
+	}
+
+	before = read()
+	if err := c.Ingest(ctx, nil, nil, nil); err == nil || !strings.Contains(err.Error(), dead.URL) {
+		t.Fatalf("ingest with a dead replica: error %v, want one naming %s", err, dead.URL)
+	}
+	if got, want := read(), [3]float64{before[0] + 1, before[1], before[2] + 1}; got != want {
+		t.Fatalf("ingest over [dead, live]: (failovers, frontend failovers, peer errors) = %v, want %v", got, want)
 	}
 }
 

@@ -60,11 +60,10 @@ type QualityOptions struct {
 // that fail a round keep their last good snapshot (the scrape that follows a
 // peer restart refreshes it); peers that never answered contribute nothing.
 type QualityPoller struct {
-	peers    []string
+	// c scrapes through the backend client's one attempt, so a peer is
+	// labelled by its trimmed URL.
+	c        *Client
 	interval time.Duration
-	timeout  time.Duration
-	hc       *http.Client
-	log      *obs.Logger
 
 	mu        sync.Mutex
 	perPeer   map[string]map[string]*obs.Family // whitelisted families per peer
@@ -80,19 +79,17 @@ type QualityPoller struct {
 // polling loop. Stop tears the loop down; the exposer stays registered (a
 // registry has no unregister) and keeps serving the last snapshots.
 func StartQualityPoller(o QualityOptions) (*QualityPoller, error) {
-	if len(o.Peers) == 0 {
-		return nil, fmt.Errorf("cluster: quality poller needs at least one peer")
+	c, err := NewClient(ClientOptions{Endpoints: o.Peers, Timeout: o.Timeout, HTTPClient: o.HTTPClient, Logger: o.Logger})
+	if err != nil {
+		return nil, err
 	}
 	reg := o.Registry
 	if reg == nil {
 		reg = obs.Default
 	}
 	p := &QualityPoller{
-		peers:    append([]string(nil), o.Peers...),
+		c:        c,
 		interval: o.Interval,
-		timeout:  o.Timeout,
-		hc:       o.HTTPClient,
-		log:      o.Logger,
 		perPeer:  make(map[string]map[string]*obs.Family),
 		lastErrs: make(map[string]error),
 		stop:     make(chan struct{}),
@@ -100,12 +97,6 @@ func StartQualityPoller(o QualityOptions) (*QualityPoller, error) {
 	}
 	if p.interval <= 0 {
 		p.interval = DefaultQualityInterval
-	}
-	if p.timeout <= 0 {
-		p.timeout = DefaultTimeout
-	}
-	if p.hc == nil {
-		p.hc = &http.Client{}
 	}
 	pollVec := reg.CounterVec("dlinfma_cluster_quality_polls_total",
 		"Peer /v1/metrics quality scrapes by outcome.", "outcome")
@@ -141,14 +132,14 @@ func (p *QualityPoller) loop() {
 // pollAll scrapes every peer once, sequentially — the peer count is small
 // and the fetches are tiny text documents.
 func (p *QualityPoller) pollAll() {
-	for _, peer := range p.peers {
+	for _, peer := range p.c.endpoints {
 		fams, err := p.fetchPeer(peer)
 		p.mu.Lock()
 		if err != nil {
 			p.lastErrs[peer] = err
 			p.mu.Unlock()
 			p.pollsFail.Inc()
-			p.log.Warn("peer quality scrape failed", "peer", peer, "err", err)
+			p.c.log.Warn("peer quality scrape failed", "peer", peer, "err", err)
 			continue
 		}
 		p.lastErrs[peer] = nil
@@ -158,24 +149,17 @@ func (p *QualityPoller) pollAll() {
 	}
 }
 
-// fetchPeer downloads and parses one peer's /v1/metrics and keeps the
-// whitelisted families.
+// fetchPeer downloads and parses one peer's /v1/metrics in one attempt (no
+// retry: the next round is the retry) and keeps the whitelisted families.
 func (p *QualityPoller) fetchPeer(peer string) (map[string]*obs.Family, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(peer, "/")+"/v1/metrics", nil)
+	status, data, err := p.c.roundTrip(context.Background(), peer, routeMetrics, http.MethodGet, "/v1/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return nil, err
+	if status != http.StatusOK {
+		return nil, apiError(status, data)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: peer metrics http %d", resp.StatusCode)
-	}
-	fams, err := obs.ParseExposition(resp.Body)
+	fams, err := obs.ParseExposition(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: parse peer metrics: %w", err)
 	}
@@ -223,7 +207,7 @@ func (p *QualityPoller) expose(w io.Writer) {
 	for _, name := range QualityFamilies {
 		renamed := "dlinfma_peer_" + strings.TrimPrefix(name, "dlinfma_")
 		declared := false
-		for _, peer := range p.peers {
+		for _, peer := range p.c.endpoints {
 			f, ok := p.perPeer[peer][name]
 			if !ok {
 				continue

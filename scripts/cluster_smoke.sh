@@ -4,8 +4,8 @@
 # frontend ingest and retrain the tiny dataset through the cluster (writes
 # replicate to every replica), records every answer, SIGKILLs one peer, and
 # asserts the surviving replica serves byte-identical answers through
-# ring-ordered failover — with the failover visible in /v1/metrics and the
-# cross-process hop visible in /v1/debug/traces. Run via `make smoke-cluster`.
+# ring-ordered failover — and a whole snapshot — with the failover visible in
+# /v1/metrics and the cross-process hop visible in /v1/debug/traces. Run via `make smoke-cluster`.
 set -euo pipefail
 
 FRONT_PORT="${FRONT_PORT:-18200}"
@@ -113,6 +113,15 @@ if ! diff -u "$TMP/before.txt" "$TMP/after.txt" >&2; then
 fi
 if ! curl -fsS "http://127.0.0.1:$FRONT_PORT/v1/healthz" | grep -q '"ready":true'; then
   echo "cluster smoke: frontend lost readiness after a single-peer failure" >&2
+  exit 1
+fi
+
+# The snapshot fails over like a read: every shard still has a live replica,
+# so the frontend's manifest answers 200 with no shard left out (null).
+SNAP_CODE="$(curl -sS -o "$TMP/snapshot.json" -w '%{http_code}' "http://127.0.0.1:$FRONT_PORT/v1/snapshot")"
+if [ "$SNAP_CODE" != 200 ] || grep -qE '[[,]null[],]' "$TMP/snapshot.json"; then
+  echo "cluster smoke: snapshot after the kill answered $SNAP_CODE or left a shard out" >&2
+  head -c 400 "$TMP/snapshot.json" >&2
   exit 1
 fi
 
