@@ -62,6 +62,9 @@ examples-smoke:
 #                           refused as ErrCorrupt or replays a clean prefix
 #   FuzzTraceparent         internal/obs/trace's W3C traceparent reader: what
 #                           it accepts is valid and re-renders to itself
+#   FuzzStayPointExtraction internal/traj's one stay-point extractor vs the
+#                           Definition-4 reference (noise filter, then the
+#                           seek-forward detector), bit for bit
 # FuzzSnapshotDecode restores whole engines, whose coverage is never the same
 # twice, and FuzzParseExposition starts from a whole server scrape, so
 # minimising an input that looks new would otherwise eat the budget: each gets
@@ -82,6 +85,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/trace -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/traj -run '^$$' -fuzz '^FuzzStayPointExtraction$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (bench/go.mod, replace dlinfma =>
 # ../), so the root ./... patterns skip it: build, vet, and test it here so

@@ -373,14 +373,15 @@ func BenchmarkDelayInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkNoiseFilter measures the GPS noise filter on one long trajectory.
-func BenchmarkNoiseFilter(b *testing.B) {
+// BenchmarkExtractStayPoints measures one trip's stay-point extraction,
+// noise filter and detector in one pass, on one long trajectory.
+func BenchmarkExtractStayPoints(b *testing.B) {
 	ds, _ := dowDataset(b)
 	tr := ds.Trips[0].Traj
-	cfg := traj.DefaultNoiseFilter()
+	nf, sp := traj.DefaultNoiseFilter(), traj.DefaultStayPointConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		traj.FilterNoise(tr, cfg)
+		traj.ExtractStayPoints(tr, nf, sp)
 	}
 }
 

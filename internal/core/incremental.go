@@ -7,7 +7,6 @@ import (
 	"dlinfma/internal/cluster"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
-	"dlinfma/internal/nn"
 	"dlinfma/internal/obs"
 	"dlinfma/internal/traj"
 )
@@ -94,10 +93,7 @@ func (b *IncrementalPoolBuilder) AddWindow(ctx context.Context, trips []model.Tr
 	// Extract this window's stay points, then funnel through the same
 	// append/seal path the streaming engine drives point by point, so batch
 	// and streamed ingest produce identical pools.
-	perTrip := make([][]traj.StayPoint, len(trips))
-	err := nn.ParallelForCtx(ctx, b.cfg.workers(), len(trips), func(ti int) {
-		perTrip[ti] = extractStayPoints(trips[ti].Traj, b.cfg)
-	})
+	perTrip, err := ExtractAllStayPoints(ctx, &model.Dataset{Trips: trips}, b.cfg)
 	if err != nil {
 		return err
 	}

@@ -9,17 +9,16 @@ import (
 
 // Pipeline-stage metrics. One histogram family carries every stage's
 // latency; granularity differs by stage and is part of the contract:
-// noise_filter and stay_detect observe per trip (the parallel fan-out's unit
-// of work), pool_window per ingested window, freeze and diff per hot swap
-// (the serving engine records them), and the rest per batch call. A
-// re-inference reads pool_finalize → feature_build → fit → predict → freeze
-// → diff.
+// stay_extract observes per batch-ingested trip (the parallel fan-out's unit
+// of work; one pass of the extractor both filters noise and detects stays),
+// pool_window per ingested window, freeze and diff per hot swap (the serving
+// engine records them), and the rest per batch call. A re-inference reads
+// pool_finalize → feature_build → fit → predict → freeze → diff.
 var (
 	stageDuration = obs.Default.HDRHistogramVec("dlinfma_pipeline_stage_duration_seconds",
-		"Latency of each DLInfMA pipeline stage (noise_filter and stay_detect per trip, pool_window per window, pool_finalize/feature_build/fit/predict per call, freeze/diff per hot swap).",
+		"Latency of each DLInfMA pipeline stage (stay_extract per batch-ingested trip, pool_window per window, pool_finalize/feature_build/fit/predict per call, freeze/diff per hot swap).",
 		"stage")
-	stageNoise        = stageDuration.With("noise_filter")
-	stageStayDetect   = stageDuration.With("stay_detect")
+	stageStayExtract  = stageDuration.With("stay_extract")
 	stagePoolWindow   = stageDuration.With("pool_window")
 	stagePoolFinalize = stageDuration.With("pool_finalize")
 	stageFeatures     = stageDuration.With("feature_build")
@@ -51,31 +50,33 @@ var (
 	samplesEmpty     = samplesBuilt.With("empty")
 )
 
-// extractStayPoints is the instrumented per-trip extraction step: it splits
-// traj.ExtractStayPoints into its two stages so each gets its own timing,
-// and counts the stay points produced. ExtractAllStayPoints and the pool
-// builder's AddWindow both funnel through it.
+// extractStayPoints is the instrumented per-trip extraction step of batch
+// ingest: it pushes the trip through a traj.StreamExtractor, as the engine
+// does fix by fix for a streamed trip, times the pass, and reports the trip
+// through RecordTripQuality. ExtractAllStayPoints and the pool builder's
+// AddWindow funnel through it.
 func extractStayPoints(tr traj.Trajectory, cfg Config) []traj.StayPoint {
-	t0 := time.Now()
-	filtered := traj.FilterNoise(tr, cfg.Noise)
-	t1 := time.Now()
-	sps := traj.DetectStayPoints(filtered, cfg.Stay)
-	t2 := time.Now()
-	stageNoise.Record(t1.Sub(t0))
-	stageStayDetect.Record(t2.Sub(t1))
-	stayPointsTotal.Add(int64(len(sps)))
-	noiseAccepted.Add(int64(len(filtered)))
-	noiseDropped.Add(int64(len(tr) - len(filtered)))
-	staysPerTrip.Observe(float64(len(sps)))
+	start := time.Now()
+	x := traj.NewStreamExtractor(cfg.Noise, cfg.Stay)
+	var sps []traj.StayPoint
+	for _, p := range tr {
+		sps = append(sps, x.Push(p)...)
+	}
+	accepted := x.Accepted() // Flush resets the trip's counter
+	sps = append(sps, x.Flush()...)
+	stageStayExtract.Record(time.Since(start))
+	RecordTripQuality(accepted, len(tr)-accepted, len(sps))
 	return sps
 }
 
-// RecordTripQuality feeds one streamed trip's data-quality counts into the
-// same pipeline families the batch extractor populates, so drop rate and
-// stays-per-trip read identically whichever ingest path a trip took. traj
-// stays dependency-free; the serving engine calls this when it closes a trip.
+// RecordTripQuality feeds one trip's data-quality counts into the pipeline
+// families — the noise filter's accept/drop funnel, stay points extracted,
+// and stays per trip — so they read identically whichever ingest path a
+// trip took. traj stays dependency-free; batch extraction calls this per
+// trip, and the serving engine when it closes a streamed trip.
 func RecordTripQuality(accepted, dropped, stays int) {
 	noiseAccepted.Add(int64(accepted))
 	noiseDropped.Add(int64(dropped))
+	stayPointsTotal.Add(int64(stays))
 	staysPerTrip.Observe(float64(stays))
 }

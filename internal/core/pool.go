@@ -90,8 +90,8 @@ type Pool struct {
 
 // ExtractAllStayPoints runs noise filtering and stay-point detection over
 // every trip in parallel (the paper's trajectory-level parallelization,
-// Section V-F). Cancelling ctx stops the fan-out between trips and returns
-// ctx.Err().
+// Section V-F); IncrementalPoolBuilder.AddWindow runs each window through
+// it. Cancelling ctx stops the fan-out between trips and returns ctx.Err().
 func ExtractAllStayPoints(ctx context.Context, ds *model.Dataset, cfg Config) ([][]traj.StayPoint, error) {
 	out := make([][]traj.StayPoint, len(ds.Trips))
 	err := nn.ParallelForCtx(ctx, cfg.workers(), len(ds.Trips), func(i int) {

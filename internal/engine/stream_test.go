@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/obs"
 	"dlinfma/internal/shard"
 	"dlinfma/internal/synth"
 	"dlinfma/internal/traj"
@@ -143,6 +145,67 @@ func TestStreamedIngestMatchesBatch(t *testing.T) {
 	requireSameIngestState(t, batch, streamed)
 	if got := streamed.Status().PendingTrips; got != len(trips) {
 		t.Fatalf("PendingTrips = %d, want %d", got, len(trips))
+	}
+}
+
+// pipelineSample scrapes the process-wide registry for one sample's value
+// (0 while the family has none).
+func pipelineSample(t *testing.T, family, sample string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fam := fams[family]; fam != nil {
+		for _, s := range fam.Samples {
+			if s.Name == sample {
+				return s.Value
+			}
+		}
+	}
+	return 0
+}
+
+// TestStayPointsCountedOnBothIngestPaths: every stay point a trip yields is
+// counted once in dlinfma_pipeline_stay_points_total and once in the sum of
+// dlinfma_pipeline_stays_per_trip, whether the trip was streamed fix by fix
+// or ingested in a batch window. The registry is process-wide, so both are
+// read as their change across each leg.
+func TestStayPointsCountedOnBothIngestPaths(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := []struct {
+		name  string
+		drive func(e *Engine)
+	}{
+		{"streamed", func(e *Engine) {
+			for _, tr := range ds.Trips[:20] {
+				streamTrip(t, e, tr)
+			}
+		}},
+		{"batch", func(e *Engine) {
+			if err := e.IngestDataset(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, leg := range legs {
+		e := New(streamTestConfig())
+		total0 := pipelineSample(t, "dlinfma_pipeline_stay_points_total", "dlinfma_pipeline_stay_points_total")
+		sum0 := pipelineSample(t, "dlinfma_pipeline_stays_per_trip", "dlinfma_pipeline_stays_per_trip_sum")
+		leg.drive(e)
+		total := pipelineSample(t, "dlinfma_pipeline_stay_points_total", "dlinfma_pipeline_stay_points_total") - total0
+		sum := pipelineSample(t, "dlinfma_pipeline_stays_per_trip", "dlinfma_pipeline_stays_per_trip_sum") - sum0
+		e.Close()
+		if sum == 0 || total != sum {
+			t.Errorf("%s: stay_points_total moved %+g, stays_per_trip_sum %+g; want equal and non-zero", leg.name, total, sum)
+		}
 	}
 }
 

@@ -32,48 +32,16 @@ func DefaultStayPointConfig() StayPointConfig {
 	return StayPointConfig{DMax: 20, TMin: 30}
 }
 
-// DetectStayPoints extracts stay points from tr using the seek-forward
-// algorithm of Li et al. (paper ref [7]): anchor at p_i, extend j while
-// distance(p_i, p_j) <= DMax, and emit a stay point if the accumulated span
-// reaches TMin. The scan resumes after the emitted segment, so stay points
-// never overlap.
-func DetectStayPoints(tr Trajectory, cfg StayPointConfig) []StayPoint {
-	if cfg.DMax <= 0 || cfg.TMin <= 0 {
-		cfg = DefaultStayPointConfig()
-	}
-	var out []StayPoint
-	i := 0
-	n := len(tr)
-	for i < n-1 {
-		j := i + 1
-		for j < n && geo.Dist(tr[i].P, tr[j].P) <= cfg.DMax {
-			j++
-		}
-		// Members are tr[i..j-1].
-		if last := j - 1; last > i && tr[last].T-tr[i].T >= cfg.TMin {
-			var sx, sy float64
-			for k := i; k <= last; k++ {
-				sx += tr[k].P.X
-				sy += tr[k].P.Y
-			}
-			m := float64(last - i + 1)
-			out = append(out, StayPoint{
-				Loc:     geo.Point{X: sx / m, Y: sy / m},
-				ArriveT: tr[i].T,
-				LeaveT:  tr[last].T,
-				NPoints: last - i + 1,
-			})
-			i = j
-			continue
-		}
-		i++
-	}
-	return out
-}
-
 // ExtractStayPoints runs the full stay-point extraction step of the paper's
-// Location Candidate Generation component: noise filtering followed by stay
-// point detection.
+// Location Candidate Generation component, noise filtering followed by stay
+// point detection, over one trip: it pushes every fix of tr through a
+// StreamExtractor and flushes it, so batch and streamed ingest share one
+// implementation of both stages.
 func ExtractStayPoints(tr Trajectory, nf NoiseFilterConfig, sp StayPointConfig) []StayPoint {
-	return DetectStayPoints(FilterNoise(tr, nf), sp)
+	x := NewStreamExtractor(nf, sp)
+	var out []StayPoint
+	for _, p := range tr {
+		out = append(out, x.Push(p)...)
+	}
+	return append(out, x.Flush()...)
 }

@@ -2,27 +2,38 @@ package traj
 
 import "dlinfma/internal/geo"
 
-// StreamExtractor is the incremental form of ExtractStayPoints: it consumes
-// one courier's GPS fixes one at a time and emits each stay point at the
-// moment it closes — when the courier finally leaves the D_max disc around
-// the stay's anchor, or when the trip ends (Flush). The emitted sequence is
-// bit-identical to ExtractStayPoints(tr, nf, sp) over the same fixes in the
-// same order: the noise filter is causal (each accept/reject decision
-// depends only on earlier fixes) and the seek-forward detector of Li et al.
-// only ever looks at fixes up to the first one that breaks the current
-// anchor's disc, so both replay exactly under streaming.
+// StreamExtractor is the stay-point extractor, batch and streamed alike: it
+// consumes one courier's GPS fixes one at a time, noise-filters them, and
+// emits each stay point (Definition 4) at the moment it closes — when the
+// courier finally leaves the D_max disc around the stay's anchor, or when
+// the trip ends (Flush). ExtractStayPoints is a whole trip pushed through
+// one extractor.
+//
+// The noise filter keeps a last-accepted anchor and rejects a fix that
+// repeats the anchor's timestamp (closer than MinInterval) or implies a
+// speed above MaxSpeed from it. A single spike therefore costs one point,
+// while a genuine fast segment re-anchors: when a rejected fix is consistent
+// with the one rejected before it, the anchor itself was the outlier and
+// both rejected fixes are accepted. The filter is causal (each decision
+// depends only on earlier fixes).
+//
+// The detector is the seek-forward algorithm of Li et al. (paper ref [7]):
+// anchor at p_i, extend j while distance(p_i, p_j) <= DMax, and emit a stay
+// point over p_i..p_{j-1} if its span reaches TMin; the scan resumes at p_j,
+// so stay points never overlap. It only ever looks at fixes up to the first
+// one that breaks the current anchor's disc, which is what lets it run one
+// fix at a time.
 //
 // A StreamExtractor holds one open trip. Flush closes it (applying the
 // detector's end-of-input rule) and resets the extractor for the courier's
-// next trip, which matches the batch pipeline's per-trip extraction. It is
-// not safe for concurrent use; the serving engine keeps one per courier
-// behind its ingest lock.
+// next trip. It is not safe for concurrent use; the serving engine keeps one
+// per courier behind its ingest lock.
 type StreamExtractor struct {
 	nf NoiseFilterConfig
 	sp StayPointConfig
 
-	// Noise-filter state: the last accepted fix (the anchor of FilterNoise)
-	// and the last rejected fix awaiting a consistent successor.
+	// Noise-filter state: the last accepted fix (the filter's anchor) and
+	// the last rejected fix awaiting a consistent successor.
 	started    bool
 	last       GPSPoint
 	pending    GPSPoint
@@ -44,8 +55,8 @@ type StreamExtractor struct {
 }
 
 // NewStreamExtractor returns an extractor with the given noise-filter and
-// stay-point thresholds, applying the same defaulting rules as the batch
-// FilterNoise and DetectStayPoints.
+// stay-point thresholds. A non-positive MaxSpeed takes DefaultNoiseFilter's;
+// a non-positive DMax or TMin takes DefaultStayPointConfig whole.
 func NewStreamExtractor(nf NoiseFilterConfig, sp StayPointConfig) *StreamExtractor {
 	if sp.DMax <= 0 || sp.TMin <= 0 {
 		sp = DefaultStayPointConfig()
@@ -62,9 +73,9 @@ func NewStreamExtractor(nf NoiseFilterConfig, sp StayPointConfig) *StreamExtract
 // consume it before pushing again.
 func (x *StreamExtractor) Push(p GPSPoint) []StayPoint {
 	x.emitted = x.emitted[:0]
-	// The streaming replica of FilterNoise: accept, re-anchor via the
-	// pending fix, or reject. Expressions mirror the batch filter exactly so
-	// division edge cases (dt == 0 => +Inf or NaN speed) decide identically.
+	// The noise filter: accept, re-anchor via the pending fix, or reject.
+	// A speed test that divides by dt == 0 (possible when MinInterval <= 0)
+	// reads +Inf or NaN and rejects.
 	if !x.started {
 		x.started = true
 		x.last = p
@@ -131,17 +142,16 @@ func (x *StreamExtractor) accept(p GPSPoint) {
 	x.drain(false)
 }
 
-// drain advances the detector as far as the batch algorithm could with the
-// fixes seen so far: while the current anchor's window is closed by a
-// disc-breaking fix (or by end of input when final), emit or slide exactly
-// as DetectStayPoints would. With final unset it stops as soon as the
-// window is open again — more fixes may still extend it.
+// drain advances the detector as far as the fixes seen so far allow: while
+// the current anchor's window is closed by a disc-breaking fix (or by end of
+// input when final), emit a stay point or slide the anchor. With final unset
+// it stops as soon as the window is open again — more fixes may still
+// extend it.
 func (x *StreamExtractor) drain(final bool) {
 	for {
 		n := len(x.buf) - x.head
 		if n < 2 {
-			// The batch loop runs while i < n-1: a lone trailing fix can
-			// never anchor a stay.
+			// A lone trailing fix can never anchor a stay.
 			break
 		}
 		var last int // head-relative index of the window's last member
@@ -169,9 +179,8 @@ func (x *StreamExtractor) drain(final bool) {
 	}
 }
 
-// emit appends the stay point over buf[lo..hi] (inclusive), accumulating the
-// centroid in the same index order as the batch detector so the float sums
-// are bit-identical.
+// emit appends the stay point over buf[lo..hi] (inclusive), its location the
+// centroid of the members summed in index order.
 func (x *StreamExtractor) emit(lo, hi int) {
 	var sx, sy float64
 	for k := lo; k <= hi; k++ {
@@ -188,8 +197,8 @@ func (x *StreamExtractor) emit(lo, hi int) {
 }
 
 // recomputeBreak rescans the buffer for the new anchor's first disc-breaking
-// fix. The batch algorithm stops its j-scan at the first break, so only the
-// first one matters even when later fixes re-enter the disc.
+// fix. The seek-forward scan stops at the first break, so only the first one
+// matters even when later fixes re-enter the disc.
 func (x *StreamExtractor) recomputeBreak() {
 	x.brk = -1
 	if len(x.buf)-x.head < 2 {

@@ -7,32 +7,37 @@ import (
 	"dlinfma/internal/geo"
 )
 
-// streamAll pushes every fix of tr through a fresh StreamExtractor and
-// returns the concatenation of everything emitted, including the Flush.
-func streamAll(tr Trajectory, nf NoiseFilterConfig, sp StayPointConfig) []StayPoint {
-	x := NewStreamExtractor(nf, sp)
-	var out []StayPoint
+// acceptedCount pushes every fix of tr through a fresh StreamExtractor and
+// returns how many passed its noise filter.
+func acceptedCount(tr Trajectory, nf NoiseFilterConfig) int {
+	x := NewStreamExtractor(nf, DefaultStayPointConfig())
 	for _, p := range tr {
-		out = append(out, x.Push(p)...)
+		x.Push(p)
 	}
-	return append(out, x.Flush()...)
+	return x.Accepted()
 }
 
-// requireBitIdentical fails unless streamed and batch stay points agree on
-// every field with exact float equality — the streaming contract is
-// bit-identity, not approximation.
+// requireBitIdentical fails unless ExtractStayPoints agrees with the
+// Definition-4 reference (detectStayPoints over filterNoise) on every field
+// with exact float equality, and the extractor's Accepted count equals the
+// length of the reference filter's output — the contract is bit-identity,
+// not approximation.
 func requireBitIdentical(t *testing.T, tr Trajectory, nf NoiseFilterConfig, sp StayPointConfig) {
 	t.Helper()
-	want := ExtractStayPoints(tr, nf, sp)
-	got := streamAll(tr, nf, sp)
+	filtered := filterNoise(tr, nf)
+	want := detectStayPoints(filtered, sp)
+	got := ExtractStayPoints(tr, nf, sp)
 	if len(got) != len(want) {
-		t.Fatalf("streamed %d stay points, batch %d\nstreamed: %+v\nbatch: %+v",
+		t.Fatalf("extracted %d stay points, reference %d\nextracted: %+v\nreference: %+v",
 			len(got), len(want), got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("stay %d differs\nstreamed: %+v\nbatch:    %+v", i, got[i], want[i])
+			t.Fatalf("stay %d differs\nextracted: %+v\nreference: %+v", i, got[i], want[i])
 		}
+	}
+	if n := acceptedCount(tr, nf); n != len(filtered) {
+		t.Fatalf("Accepted() = %d, reference filter kept %d", n, len(filtered))
 	}
 }
 
@@ -149,13 +154,16 @@ func TestStreamExtractorReusableAcrossTrips(t *testing.T) {
 		x.Push(p)
 	}
 	x.Flush()
+	if n := x.Accepted(); n != 0 {
+		t.Fatalf("Accepted() = %d after Flush, want 0", n)
+	}
 	var got []StayPoint
 	for _, p := range b {
 		got = append(got, x.Push(p)...)
 	}
 	got = append(got, x.Flush()...)
 
-	want := streamAll(b, DefaultNoiseFilter(), DefaultStayPointConfig())
+	want := ExtractStayPoints(b, DefaultNoiseFilter(), DefaultStayPointConfig())
 	if len(got) != len(want) {
 		t.Fatalf("reused extractor emitted %d stays, fresh %d", len(got), len(want))
 	}
@@ -176,4 +184,95 @@ func TestStreamExtractorCompaction(t *testing.T) {
 	if n := len(x.buf) - x.head; n > 16 {
 		t.Fatalf("open window holds %d points after a long walk, want small", n)
 	}
+}
+
+// fuzzConfigs are the thresholds a fuzz input's first byte selects from: the
+// paper's, the zero configs that take the defaults, tight and loose ones, and
+// MinInterval <= 0, where duplicate and backward timestamps reach the speed
+// test.
+var fuzzConfigs = [...]struct {
+	nf NoiseFilterConfig
+	sp StayPointConfig
+}{
+	{DefaultNoiseFilter(), DefaultStayPointConfig()},
+	{NoiseFilterConfig{}, StayPointConfig{}},
+	{NoiseFilterConfig{MaxSpeed: 5, MinInterval: 1}, StayPointConfig{DMax: 10, TMin: 15}},
+	{NoiseFilterConfig{MaxSpeed: 50, MinInterval: 0}, StayPointConfig{DMax: 60, TMin: 120}},
+	{DefaultNoiseFilter(), StayPointConfig{DMax: 20, TMin: 1}},
+	{NoiseFilterConfig{MaxSpeed: 25, MinInterval: -5}, DefaultStayPointConfig()},
+}
+
+// fuzzFixes decodes four bytes per fix, [op, a, b, c], into a trajectory.
+// The courier sits at a base position; c/8 s is a time step and int8(a),
+// int8(b) an offset. op%8 picks the fix: 0–3 move the base by the offset in
+// quarter metres after c/8 s (dwells and walks, zero and sub-second steps
+// among them), 4 moves it without advancing the clock (a duplicate
+// timestamp), 5 stays put c/8 s back in time, 6 is a spike 100 m per unit
+// off the base that leaves the base where it was, and 7 moves the base that
+// far (a run of consistent outliers, which re-anchors the filter). Every
+// coordinate is finite.
+func fuzzFixes(data []byte) Trajectory {
+	var tr Trajectory
+	var pos geo.Point
+	t := 0.0
+	for ; len(data) >= 4; data = data[4:] {
+		op, a, b, c := data[0]%8, float64(int8(data[1])), float64(int8(data[2])), float64(data[3])/8
+		switch op {
+		case 4:
+			pos.X, pos.Y = pos.X+a/4, pos.Y+b/4
+		case 5:
+			t -= c
+		case 6:
+			t += c
+			tr = append(tr, GPSPoint{P: geo.Point{X: pos.X + a*100, Y: pos.Y + b*100}, T: t})
+			continue
+		case 7:
+			t += c
+			pos.X, pos.Y = pos.X+a*100, pos.Y+b*100
+		default:
+			t += c
+			pos.X, pos.Y = pos.X+a/4, pos.Y+b/4
+		}
+		tr = append(tr, GPSPoint{P: pos, T: t})
+	}
+	return tr
+}
+
+// FuzzStayPointExtraction holds the one stay-point extractor to its
+// definition: on any fix sequence and any of fuzzConfigs, ExtractStayPoints
+// must equal detectStayPoints over filterNoise bit for bit, and Accepted
+// must count exactly the fixes the reference filter keeps.
+func FuzzStayPointExtraction(f *testing.F) {
+	// dwell returns n 10 s steps of sub-metre jitter.
+	dwell := func(n int) []byte {
+		var b []byte
+		for i := 0; i < n; i++ {
+			b = append(b, 0, byte(i%3), byte(-(i % 2)), 80)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	walk := []byte{1, 120, 0, 80, 1, 120, 0, 80, 1, 120, 0, 80}
+	spike := []byte{6, 50, 50, 80}
+	jump := []byte{7, 60, 0, 40, 0, 4, 0, 40, 0, 4, 0, 40}
+	dup := []byte{4, 2, 0, 0, 0, 1, 0, 2, 5, 0, 0, 40}
+	for cfg := byte(0); cfg < byte(len(fuzzConfigs)); cfg++ {
+		f.Add(cat([]byte{cfg}, dwell(12)))
+		f.Add(cat([]byte{cfg}, walk, dwell(8), spike, dwell(8), walk))
+		f.Add(cat([]byte{cfg}, dwell(5), jump, dwell(6), dup, dwell(6)))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1024 {
+			return
+		}
+		cfg := fuzzConfigs[int(data[0])%len(fuzzConfigs)]
+		requireBitIdentical(t, fuzzFixes(data[1:]), cfg.nf, cfg.sp)
+	})
 }

@@ -69,48 +69,44 @@ func TestAtInterpolates(t *testing.T) {
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestFilterNoiseRemovesSpike(t *testing.T) {
-	// A single fix 1 km away implies an impossible speed and must go.
+	// A single fix 1 km away implies an impossible speed and must go. The
+	// other three fixes span 30 s inside a 20 m disc, so they make one stay
+	// exactly when the spike does not break the disc.
 	tr := Trajectory{
 		{P: geo.Point{X: 0, Y: 0}, T: 0},
 		{P: geo.Point{X: 10, Y: 0}, T: 10},
 		{P: geo.Point{X: 1000, Y: 0}, T: 20}, // spike: 99 m/s
 		{P: geo.Point{X: 20, Y: 0}, T: 30},
 	}
-	got := FilterNoise(tr, DefaultNoiseFilter())
-	if len(got) != 3 {
-		t.Fatalf("filtered has %d points, want 3: %v", len(got), got)
+	if n := acceptedCount(tr, DefaultNoiseFilter()); n != 3 {
+		t.Fatalf("Accepted() = %d, want 3", n)
 	}
-	for _, p := range got {
-		if p.P.X == 1000 {
-			t.Error("spike survived the filter")
-		}
+	got := ExtractStayPoints(tr, DefaultNoiseFilter(), DefaultStayPointConfig())
+	want := StayPoint{Loc: geo.Point{X: 10, Y: 0}, ArriveT: 0, LeaveT: 30, NPoints: 3}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("stays = %+v, want [%+v]: the spike survived the filter", got, want)
 	}
 }
 
 func TestFilterNoiseKeepsCleanTrajectory(t *testing.T) {
 	tr := walk(geo.Point{X: 0, Y: 0}, geo.Point{X: 500, Y: 0}, 5, 13.5, 0)
-	got := FilterNoise(tr, DefaultNoiseFilter())
-	if len(got) != len(tr) {
-		t.Errorf("clean trajectory lost points: %d -> %d", len(tr), len(got))
+	if n := acceptedCount(tr, DefaultNoiseFilter()); n != len(tr) {
+		t.Errorf("clean trajectory lost points: %d -> %d", len(tr), n)
 	}
 }
 
 func TestFilterNoiseReanchorsAfterBadStart(t *testing.T) {
 	// The first fix is the outlier; the rest is a consistent cluster. After
-	// one rejection the filter should re-anchor onto the consistent fixes.
+	// one rejection the filter should re-anchor onto the consistent fixes
+	// and keep them all; without re-anchoring only the first fix survives.
 	tr := Trajectory{
 		{P: geo.Point{X: 5000, Y: 5000}, T: 0},
 		{P: geo.Point{X: 0, Y: 0}, T: 10},
 		{P: geo.Point{X: 5, Y: 0}, T: 20},
 		{P: geo.Point{X: 10, Y: 0}, T: 30},
 	}
-	got := FilterNoise(tr, DefaultNoiseFilter())
-	if len(got) < 3 {
-		t.Fatalf("filter dropped the consistent cluster: %v", got)
-	}
-	tail := got[len(got)-1]
-	if tail.P.X != 10 {
-		t.Errorf("expected trailing cluster to survive, got %v", got)
+	if n := acceptedCount(tr, DefaultNoiseFilter()); n != len(tr) {
+		t.Fatalf("Accepted() = %d, want %d: the filter dropped the consistent cluster", n, len(tr))
 	}
 }
 
@@ -120,15 +116,17 @@ func TestFilterNoiseDropsDuplicateTimestamps(t *testing.T) {
 		{P: geo.Point{X: 1, Y: 0}, T: 0.2}, // within MinInterval
 		{P: geo.Point{X: 2, Y: 0}, T: 10},
 	}
-	got := FilterNoise(tr, DefaultNoiseFilter())
-	if len(got) != 2 {
-		t.Errorf("filtered = %v, want 2 points", got)
+	if n := acceptedCount(tr, DefaultNoiseFilter()); n != 2 {
+		t.Errorf("Accepted() = %d, want 2", n)
 	}
 }
 
 func TestFilterNoiseEmpty(t *testing.T) {
-	if got := FilterNoise(nil, DefaultNoiseFilter()); got != nil {
-		t.Errorf("FilterNoise(nil) = %v, want nil", got)
+	if n := acceptedCount(nil, DefaultNoiseFilter()); n != 0 {
+		t.Errorf("Accepted() on an empty trip = %d, want 0", n)
+	}
+	if got := ExtractStayPoints(nil, DefaultNoiseFilter(), DefaultStayPointConfig()); got != nil {
+		t.Errorf("ExtractStayPoints(nil) = %v, want nil", got)
 	}
 }
 
@@ -142,7 +140,7 @@ func TestDetectStayPointsBasic(t *testing.T) {
 	p2 := walk(geo.Point{X: 200, Y: 0}, geo.Point{X: 400, Y: 0}, 5, 10, t2+10)
 	tr := concat(p1, d, p2)
 
-	sps := DetectStayPoints(tr, DefaultStayPointConfig())
+	sps := ExtractStayPoints(tr, DefaultNoiseFilter(), DefaultStayPointConfig())
 	if len(sps) != 1 {
 		t.Fatalf("got %d stay points, want 1: %+v", len(sps), sps)
 	}
@@ -162,14 +160,14 @@ func TestDetectStayPointsTooShort(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	// 20-second dwell is under TMin=30: no stay point.
 	d := dwell(geo.Point{X: 50, Y: 50}, 20, 5, 0, r)
-	if sps := DetectStayPoints(d, DefaultStayPointConfig()); len(sps) != 0 {
+	if sps := ExtractStayPoints(d, DefaultNoiseFilter(), DefaultStayPointConfig()); len(sps) != 0 {
 		t.Errorf("got %d stay points for a 20s dwell, want 0", len(sps))
 	}
 }
 
 func TestDetectStayPointsMovingCourier(t *testing.T) {
 	tr := walk(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 0}, 5, 13.5, 0)
-	if sps := DetectStayPoints(tr, DefaultStayPointConfig()); len(sps) != 0 {
+	if sps := ExtractStayPoints(tr, DefaultNoiseFilter(), DefaultStayPointConfig()); len(sps) != 0 {
 		t.Errorf("moving courier produced %d stay points, want 0", len(sps))
 	}
 }
@@ -189,7 +187,7 @@ func TestDetectStayPointsMultiple(t *testing.T) {
 		prev = s
 	}
 	tr := concat(parts...)
-	sps := DetectStayPoints(tr, DefaultStayPointConfig())
+	sps := ExtractStayPoints(tr, DefaultNoiseFilter(), DefaultStayPointConfig())
 	if len(sps) != len(stops) {
 		t.Fatalf("got %d stay points, want %d", len(sps), len(stops))
 	}
@@ -215,7 +213,7 @@ func TestDetectStayPointsNonOverlappingProperty(t *testing.T) {
 			parts = append(parts, w, d)
 			prev = next
 		}
-		sps := DetectStayPoints(concat(parts...), DefaultStayPointConfig())
+		sps := ExtractStayPoints(concat(parts...), DefaultNoiseFilter(), DefaultStayPointConfig())
 		for i := 1; i < len(sps); i++ {
 			if sps[i].ArriveT < sps[i-1].LeaveT {
 				return false
@@ -239,7 +237,7 @@ func TestDetectStayPointsNonOverlappingProperty(t *testing.T) {
 func TestDetectStayPointsInvalidConfigFallsBack(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	d := dwell(geo.Point{X: 10, Y: 10}, 120, 10, 0, r)
-	sps := DetectStayPoints(d, StayPointConfig{})
+	sps := ExtractStayPoints(d, NoiseFilterConfig{}, StayPointConfig{})
 	if len(sps) != 1 {
 		t.Errorf("zero config should fall back to defaults, got %d stay points", len(sps))
 	}

@@ -89,7 +89,7 @@ curl -sS -o /dev/null -X POST -d '{"addrs":[1,2,3]}' "http://127.0.0.1:$PORT/v1/
 dlinfma_engine_queries_total,dlinfma_engine_reinfer_duration_seconds,\
 dlinfma_reinfer_churn_ratio,dlinfma_reinfer_moved_distance_meters,dlinfma_reinfer_confidence,\
 dlinfma_serving_low_confidence_addresses,dlinfma_engine_low_confidence_queries_total,\
-dlinfma_pipeline_noise_points_total,dlinfma_pipeline_stays_per_trip,\
+dlinfma_pipeline_noise_points_total,dlinfma_pipeline_stay_points_total,dlinfma_pipeline_stays_per_trip,\
 dlinfma_engine_ingest_shard_trips,dlinfma_engine_ingest_skew"
 
 # Registered families is not enough — the swaps must have produced samples.
@@ -106,9 +106,11 @@ if ! grep -q '^dlinfma_pipeline_stays_per_trip_count [1-9]' "$TMP/metrics.txt"; 
   echo "quality smoke: stays-per-trip histogram recorded nothing" >&2
   exit 1
 fi
-# The re-inference's swap split: the cold start and the reinfer above each
-# froze a store and diffed it against the one they replaced.
-for stage in freeze diff; do
+# The boot ingested Tiny in batch windows, so every trip was timed through
+# the stay-point extractor; and the re-inference's swap split: the cold
+# start and the reinfer above each froze a store and diffed it against the
+# one they replaced.
+for stage in stay_extract freeze diff; do
   if ! grep -q "^dlinfma_pipeline_stage_duration_seconds_count{stage=\"$stage\"} [1-9]" "$TMP/metrics.txt"; then
     echo "quality smoke: pipeline stage $stage recorded nothing" >&2
     exit 1
