@@ -293,12 +293,9 @@ func (b *IncrementalPoolBuilder) Finalize() *Pool {
 }
 
 // FinalizeCtx is Finalize with the caller's context, so the finalize stage
-// span lands in the request or job trace carrying the builder.
+// span lands in the request or job trace carrying the builder. It covers the
+// sealed trips only: cutting the pending ones' window is the caller's call.
 func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
-	// Trips still awaiting a window seal (streamed in but not yet bounded by
-	// time or size) form one final window, mirroring ForEachWindow's trailing
-	// partial batch.
-	_ = b.SealWindow(ctx)
 	defer obs.StartSpanCtx(ctx, "pool_finalize", stagePoolFinalize).End()
 	// Assign dense ids to alive items.
 	finalID := make(map[int]int)
@@ -319,8 +316,9 @@ func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 		}
 		p.Locations = append(p.Locations, loc)
 	}
-	p.Visits = make([][]StayVisit, len(b.visits))
-	for t, vs := range b.visits {
+	sealed := b.visits[:len(b.visits)-len(b.pending)]
+	p.Visits = make([][]StayVisit, len(sealed))
+	for t, vs := range sealed {
 		out := make([]StayVisit, len(vs))
 		for i, v := range vs {
 			out[i] = StayVisit{

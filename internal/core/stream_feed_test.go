@@ -71,9 +71,10 @@ func TestStreamedFeedMatchesAddWindow(t *testing.T) {
 	}
 }
 
-// TestFinalizeSealsPending checks that Finalize treats an unsealed tail of
-// appended trips as one last window instead of dropping it.
-func TestFinalizeSealsPending(t *testing.T) {
+// TestFinalizeLeavesPendingOut checks that Finalize covers sealed trips
+// only: an appended trip stays pending, with no visit list in the pool, until
+// SealWindow cuts its window — cutting a window is never the finalizer's call.
+func TestFinalizeLeavesPendingOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cfg := DefaultConfig()
 	b := NewIncrementalPoolBuilder(cfg)
@@ -83,11 +84,22 @@ func TestFinalizeSealsPending(t *testing.T) {
 		t.Fatalf("PendingTrips = %d, want 1", b.PendingTrips())
 	}
 	pool := b.Finalize()
+	if b.PendingTrips() != 1 {
+		t.Fatalf("PendingTrips after Finalize = %d, want 1", b.PendingTrips())
+	}
+	if len(pool.Locations) != 0 || len(pool.Visits) != 0 {
+		t.Fatalf("pending trip in the pool: %d locations, %d visit lists",
+			len(pool.Locations), len(pool.Visits))
+	}
+	if err := b.SealWindow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	pool = b.Finalize()
 	if b.PendingTrips() != 0 {
-		t.Fatalf("PendingTrips after Finalize = %d, want 0", b.PendingTrips())
+		t.Fatalf("PendingTrips after SealWindow = %d, want 0", b.PendingTrips())
 	}
 	if len(pool.Locations) != 1 || len(pool.Visits) != 1 || len(pool.Visits[0]) == 0 {
-		t.Fatalf("pending trip missing from pool: %d locations, %d visit lists",
+		t.Fatalf("sealed trip missing from pool: %d locations, %d visit lists",
 			len(pool.Locations), len(pool.Visits))
 	}
 }

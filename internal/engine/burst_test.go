@@ -173,8 +173,8 @@ func TestBurstPathIsPerOpPath(t *testing.T) {
 			refSegs := readSegments(t, refDir)
 
 			// The script exercises what it says: both window-seal rules
-			// fired, one stream is still open, and the two stray end markers
-			// and nothing else stayed out of the log.
+			// fired, one stream is still open, and every op — the two stray
+			// end markers too — is one record of the log.
 			if got := ingestWindows.Value() - windowsBefore; got < 2 || ref.ss.winEnd < 16*86400 {
 				t.Fatalf("script sealed %d windows with the grid at %.0f s, want the stay-count rule and the time rule both firing",
 					got, ref.ss.winEnd)
@@ -182,12 +182,12 @@ func TestBurstPathIsPerOpPath(t *testing.T) {
 			if ref.ss.open() != 1 {
 				t.Fatalf("open streams = %d, want 1", ref.ss.open())
 			}
-			if got, want := refWAL.LastSeq(), uint64(len(ops)-2); got != want {
-				t.Fatalf("log holds %d records, want %d (every op but the two no-op ends)", got, want)
+			if got, want := refWAL.LastSeq(), uint64(len(ops)); got != want {
+				t.Fatalf("log holds %d records, want %d (one per op)", got, want)
 			}
 			recovered, records := replayInto(t, n, refDir)
-			if records != len(ops)-2 {
-				t.Fatalf("replayed %d records, want %d", records, len(ops)-2)
+			if records != len(ops) {
+				t.Fatalf("replayed %d records, want %d", records, len(ops))
 			}
 			requireSameIngestState(t, ref, recovered)
 
@@ -216,6 +216,46 @@ func TestBurstPathIsPerOpPath(t *testing.T) {
 				}
 				recovered, _ := replayInto(t, n, dir)
 				requireSameIngestState(t, e, recovered)
+			}
+		})
+	}
+}
+
+// TestEveryAcknowledgedPrefixReplays: op k of a stream is record k of the
+// log, stray end markers included, so the log of the first k ops — a byte
+// prefix of the whole log — holds k records and replays to the state the
+// engine that wrote it had after op k. A crash after any acknowledgement
+// loses nothing acknowledged.
+func TestEveryAcknowledgedPrefixReplays(t *testing.T) {
+	ops := burstScript()
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			fullDir := t.TempDir()
+			full := newBurstTestEngine(t, n)
+			defer full.Close()
+			full.AttachWAL(openBurstWAL(t, fullDir))
+			feedPerOp(t, full, ops)
+			fullSegs := readSegments(t, fullDir)
+			for k := 0; k <= len(ops); k++ {
+				dir := t.TempDir()
+				e := newBurstTestEngine(t, n)
+				w := openBurstWAL(t, dir)
+				e.AttachWAL(w)
+				feedPerOp(t, e, ops[:k])
+				if got := w.LastSeq(); got != uint64(k) {
+					t.Fatalf("after %d ops the log holds %d records", k, got)
+				}
+				for file, b := range readSegments(t, dir) {
+					if !bytes.HasPrefix(fullSegs[file], b) {
+						t.Fatalf("after %d ops segment %s is not a prefix of the whole log's", k, file)
+					}
+				}
+				recovered, records := replayInto(t, n, dir)
+				if records != k {
+					t.Fatalf("the log of %d ops replayed %d records", k, records)
+				}
+				requireSameIngestState(t, e, recovered)
+				e.Close()
 			}
 		})
 	}

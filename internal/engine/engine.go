@@ -359,31 +359,31 @@ func (e *Engine) partition(trips []model.Trip, addrs []model.AddressInfo, truth 
 	if added > 0 {
 		e.publishRoutesLocked()
 	}
-	if len(trips) > 0 {
-		e.recordIngestSkewLocked(parts)
+	for i, p := range parts {
+		if len(p.Trips) > 0 {
+			e.countShardTripsLocked(i, len(p.Trips))
+		}
 	}
 	return parts
 }
 
-// recordIngestSkewLocked folds one routed window into the cumulative
-// per-shard trip counts and republishes the skew gauge: max over mean of the
-// per-shard totals (1 = perfectly balanced, len(shards) = everything on one
-// shard). Callers hold mu.
-func (e *Engine) recordIngestSkewLocked(parts []core.WindowPartition) {
-	var total int64
-	var max int64
-	for i, p := range parts {
-		e.shardTrips[i] += int64(len(p.Trips))
-		e.tripGauges[i].Set(float64(e.shardTrips[i]))
-		total += e.shardTrips[i]
-		if e.shardTrips[i] > max {
-			max = e.shardTrips[i]
+// countShardTripsLocked adds n > 0 trips routed to shard sh (a batch
+// window's part or one streamed trip) to the cumulative per-shard counts and
+// republishes the skew gauge: max over mean of the per-shard totals (1 =
+// perfectly balanced, len(shards) = everything on one shard). Callers hold
+// mu, with several shards.
+func (e *Engine) countShardTripsLocked(sh, n int) {
+	e.shardTrips[sh] += int64(n)
+	e.tripGauges[sh].Set(float64(e.shardTrips[sh]))
+	var total, max int64
+	for _, c := range e.shardTrips {
+		total += c
+		if c > max {
+			max = c
 		}
 	}
-	if total > 0 {
-		mean := float64(total) / float64(len(e.shardTrips))
-		ingestSkew.Set(float64(max) / mean)
-	}
+	mean := float64(total) / float64(len(e.shardTrips))
+	ingestSkew.Set(float64(max) / mean)
 }
 
 // IngestDataset feeds a whole dataset through Ingest in PoolWindowSeconds
@@ -412,12 +412,15 @@ func (e *Engine) IngestDataset(ctx context.Context, ds *model.Dataset) error {
 // error (naming their shard when there are several) and do not disturb the
 // other shards' swaps or the failing shard's previously served state.
 func (e *Engine) Reinfer(ctx context.Context) error {
-	// Seal every shard's open streamed window so this retrain sees whole
-	// windows, and fix the WAL position the retrain will cover (held back
-	// below any still-open stream's first point).
+	// Seal every shard's open streamed window (a view covers sealed trips
+	// only) and fix, in the same hold, the trip count and the WAL position
+	// the retrain will cover (held back below any open stream's first point).
 	e.ingestMu.Lock()
 	e.sealStreamWindowsLocked(ctx)
 	boundary := e.walBoundaryLocked()
+	e.mu.RLock()
+	total := e.nTrips
+	e.mu.RUnlock()
 	e.ingestMu.Unlock()
 
 	if e.lcAuto {
@@ -426,9 +429,6 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 		// one trip of one global dataset. Only in-process shards can be
 		// pinned; remote topologies pin LCTotalTrips in each shard process's
 		// own config instead (see NewShardedBackends).
-		e.mu.RLock()
-		total := e.nTrips
-		e.mu.RUnlock()
 		for _, sh := range e.shards {
 			sh.lcTotalTrips.Store(int64(total))
 		}

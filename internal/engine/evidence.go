@@ -143,15 +143,15 @@ func (ev *evidence) served(n int) {
 	}
 }
 
-// view is the evidence as a re-inference reads it: trips and addresses as
-// capped slices of their append-only registries, a copy of the truth, the
-// pool finalized over exactly those trips (streamed ones awaiting a seal fold
-// into one last window), and the trip count for served. Without trips it
-// fails with errNoTrips.
+// view is the evidence as a re-inference reads it: the sealed trips (streamed
+// ones awaiting the engine's seal are the tail of trips, left out) and the
+// addresses as capped slices of their append-only registries, a copy of the
+// truth, the pool finalized over exactly those trips, and the trip count for
+// served. Without sealed trips it fails with errNoTrips.
 func (ev *evidence) view(ctx context.Context) (*model.Dataset, *core.Pool, int, error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	n := len(ev.trips)
+	n := len(ev.trips) - ev.builder.PendingTrips()
 	if n == 0 {
 		return nil, nil, 0, errNoTrips
 	}

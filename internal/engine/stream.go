@@ -171,7 +171,8 @@ func (e *Engine) IngestPoint(ctx context.Context, courier model.CourierID, pt tr
 }
 
 // CloseStream explicitly ends a courier's open trip (deploy.StreamIngestor),
-// as a burst of one. Closing a courier with no open stream is a no-op.
+// as a burst of one. Closing a courier with no open stream changes nothing
+// but is logged like any other accepted op.
 func (e *Engine) CloseStream(ctx context.Context, courier model.CourierID) error {
 	op := [1]deploy.StreamOp{{Courier: courier, End: true}}
 	_, err := e.IngestBurst(ctx, op[:])
@@ -179,16 +180,17 @@ func (e *Engine) CloseStream(ctx context.Context, courier model.CourierID) error
 }
 
 // IngestBurst applies a run of streamed ops in order under one hold of
-// ingestMu and one write to the log (deploy.StreamBurstIngestor). Live ops
-// are appended to the WAL before any state changes — one AppendBatch, in op
-// order, so append order equals apply order and a failed append leaves the
-// engine untouched for a clean retry of the whole burst. Backpressure is
-// decided once, before anything is logged: with the pending-trip backlog at
+// ingestMu and one write to the log (deploy.StreamBurstIngestor). Every op
+// it accepts is one WAL record, appended before any state changes — one
+// AppendBatch, in op order, so op i takes sequence first+i, append order
+// equals apply order, and a failed append leaves the engine untouched for a
+// clean retry of the whole burst. An end marker for a courier with no open
+// stream is logged too, and applied as a no-op. Backpressure is decided
+// once, before anything is logged: with the pending-trip backlog at
 // Config.MaxPendingTrips the burst is cut at its first fix (end markers only
 // ever close trips, so they still pass) and answers deploy.ErrBackpressure
 // there; a burst admitted below the bound runs to its end, so the backlog
-// overshoots by at most the trips that one burst closes. An end marker for a
-// courier with no open stream is a no-op and is not logged.
+// overshoots by at most the trips that one burst closes.
 func (e *Engine) IngestBurst(ctx context.Context, ops []deploy.StreamOp) (applied int, err error) {
 	if e.remote {
 		return 0, errRemoteStreaming
@@ -220,36 +222,31 @@ func (e *Engine) IngestBurst(ctx context.Context, ops []deploy.StreamOp) (applie
 		}
 	}
 	var seq uint64
-	if e.wal != nil {
-		if recs := e.burst.encode(e.ss, ops); len(recs) > 0 {
-			first, werr := e.wal.AppendBatch(recs)
-			if werr != nil {
-				return 0, werr
-			}
-			seq = first
+	if e.wal != nil && len(ops) > 0 {
+		first, werr := e.wal.AppendBatch(e.burst.encode(ops))
+		if werr != nil {
+			return 0, werr
 		}
+		seq = first
 	}
 	e.applyStreamOpsLocked(ctx, ops, seq)
 	return len(ops), err
 }
 
 // applyStreamOpsLocked is the one apply loop of streamed ops, live and
-// replayed: each fix enters its courier's stream, each end marker closes it,
-// and every trip either of them closes is delivered to its shard before the
-// next op runs. seq is the WAL sequence of the first logged op (0 = none is
-// logged); ops take consecutive sequences, except an end marker that finds no
-// open stream, which was never logged.
+// replayed: each fix enters its courier's stream, each end marker closes it
+// (a no-op when none is open), and every trip either of them closes is
+// delivered to its shard before the next op runs. seq is the WAL sequence of
+// the first op (0 = not logged); the ops were logged under consecutive ones.
 func (e *Engine) applyStreamOpsLocked(ctx context.Context, ops []deploy.StreamOp, seq uint64) {
 	points := 0
 	for i := range ops {
 		op := &ops[i]
 		var closed *streamedTrip
 		if op.End {
-			cs := e.ss.streams[op.Courier]
-			if cs == nil {
-				continue
+			if cs := e.ss.streams[op.Courier]; cs != nil {
+				closed = e.ss.finish(cs, streamTripsEnd)
 			}
-			closed = e.ss.finish(cs, streamTripsEnd)
 		} else {
 			closed = e.ss.point(op.Courier, op.Pt, seq)
 			points++
@@ -265,48 +262,22 @@ func (e *Engine) applyStreamOpsLocked(ctx context.Context, ops []deploy.StreamOp
 }
 
 // burstEncoder holds what IngestBurst reuses from one burst to the next to
-// turn ops into WAL payloads: the byte buffer the records are encoded into,
-// the payload slices over it, and the overlay that tracks which couriers the
-// burst itself has opened or closed so far — whether an end marker is logged
-// depends on the stream set as it will be when the marker is applied, and
-// nothing is applied until the whole burst is in the log.
+// turn ops into WAL payloads: the byte buffer the records are encoded into
+// and the payload slices over it.
 type burstEncoder struct {
 	buf  []byte
 	recs [][]byte
-	open map[model.CourierID]bool
 }
 
-// encode returns one WAL payload per op that must be logged, in op order.
-// The payloads alias the encoder's buffer and are valid until the next call.
-func (b *burstEncoder) encode(ss *streamSet, ops []deploy.StreamOp) [][]byte {
+// encode returns one WAL payload per op, in op order. The payloads alias
+// the encoder's buffer and are valid until the next call.
+func (b *burstEncoder) encode(ops []deploy.StreamOp) [][]byte {
 	// Grown once up front: a later growth would move the records already cut.
 	buf := slices.Grow(b.buf[:0], len(ops)*walPointSize)
 	recs := b.recs[:0]
-	if b.open == nil {
-		b.open = make(map[model.CourierID]bool)
-	}
-	clear(b.open)
-	// A run of fixes from one courier writes the overlay once.
-	var run model.CourierID
-	inRun := false
 	for i := range ops {
-		op := &ops[i]
-		if op.End {
-			open, seen := b.open[op.Courier]
-			if !seen {
-				_, open = ss.streams[op.Courier]
-			}
-			if !open {
-				continue
-			}
-			b.open[op.Courier] = false
-			inRun = false
-		} else if !inRun || run != op.Courier {
-			b.open[op.Courier] = true
-			run, inRun = op.Courier, true
-		}
 		start := len(buf)
-		buf = appendWALOp(buf, op)
+		buf = appendWALOp(buf, &ops[i])
 		recs = append(recs, buf[start:len(buf):len(buf)])
 	}
 	b.buf, b.recs = buf, recs
@@ -333,6 +304,9 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	ss.winStays += len(st.stays)
 	e.mu.Lock()
 	e.nTrips++
+	if e.routed() {
+		e.countShardTripsLocked(sh, 1)
+	}
 	e.mu.Unlock()
 	if ss.winStays >= ss.maxStays {
 		e.sealStreamWindowsLocked(ctx)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -79,8 +80,8 @@ func requireSameIngestState(t *testing.T, want, got *Engine) {
 		}
 	}
 	for i := range want.shards {
-		w, pw := viewEvidence(t, want.shards[i])
-		g, pg := viewEvidence(t, got.shards[i])
+		w, pw := viewEvidence(t, want, i)
+		g, pg := viewEvidence(t, got, i)
 		if !reflect.DeepEqual(w.Trips, g.Trips) {
 			t.Fatalf("shard %d: trips differ: %d vs %d", i, len(w.Trips), len(g.Trips))
 		}
@@ -99,11 +100,17 @@ func requireSameIngestState(t *testing.T, want, got *Engine) {
 	}
 }
 
-// viewEvidence is sh's evidence as a re-inference reads it. A shard without
-// trips has nothing to view and reads as an empty dataset and pool.
-func viewEvidence(t *testing.T, sh *Shard) (*model.Dataset, *core.Pool) {
+// viewEvidence is shard i's evidence as a re-inference reads it: the engine
+// first cuts its open streamed window under ingestMu, as Reinfer does. A
+// shard without trips has nothing to view and reads as an empty dataset and
+// pool.
+func viewEvidence(t *testing.T, e *Engine, i int) (*model.Dataset, *core.Pool) {
 	t.Helper()
-	ds, pool, _, err := sh.ev.view(context.Background())
+	ctx := context.Background()
+	e.ingestMu.Lock()
+	e.sealStreamWindowsLocked(ctx)
+	e.ingestMu.Unlock()
+	ds, pool, _, err := e.shards[i].ev.view(ctx)
 	if errors.Is(err, errNoTrips) {
 		return &model.Dataset{}, &core.Pool{}
 	}
@@ -152,6 +159,17 @@ func TestStreamedIngestMatchesBatch(t *testing.T) {
 // (0 while the family has none).
 func pipelineSample(t *testing.T, family, sample string) float64 {
 	t.Helper()
+	for _, s := range familySamples(t, family) {
+		if s.Name == sample {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// familySamples scrapes obs.Default and returns one family's samples.
+func familySamples(t *testing.T, family string) []obs.ExpoSample {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := obs.Default.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -161,13 +179,9 @@ func pipelineSample(t *testing.T, family, sample string) float64 {
 		t.Fatal(err)
 	}
 	if fam := fams[family]; fam != nil {
-		for _, s := range fam.Samples {
-			if s.Name == sample {
-				return s.Value
-			}
-		}
+		return fam.Samples
 	}
-	return 0
+	return nil
 }
 
 // TestStayPointsCountedOnBothIngestPaths: every stay point a trip yields is
@@ -209,6 +223,81 @@ func TestStayPointsCountedOnBothIngestPaths(t *testing.T) {
 	}
 }
 
+// TestStreamedTripsCountPerShard: a streamed trip is counted in
+// dlinfma_engine_ingest_shard_trips and dlinfma_engine_ingest_skew like a
+// batch trip. Those gauges publish the last writing engine's cumulative
+// counts and the registry is process-wide, so a batch load first makes both
+// shards' gauges this engine's, and the stream is read as their change.
+func TestStreamedTripsCountPerShard(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newStreamTestEngine(t, 2)
+	defer e.Close()
+	if err := e.IngestDataset(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range e.shardTrips {
+		if n == 0 {
+			t.Fatalf("the batch load left shard %d without trips, so its gauge is not this engine's", i)
+		}
+	}
+	gauges := func() (per [2]float64, sum float64) {
+		for _, s := range familySamples(t, "dlinfma_engine_ingest_shard_trips") {
+			switch s.Labels["shard"] {
+			case "0":
+				per[0] = s.Value
+			case "1":
+				per[1] = s.Value
+			}
+		}
+		return per, per[0] + per[1]
+	}
+	_, before := gauges()
+	rng := rand.New(rand.NewSource(27))
+	t0 := ds.Trips[len(ds.Trips)-1].EndT + 1000
+	sites := []geo.Point{{X: 50, Y: 50}, {X: 90000, Y: 90000}, {X: 400, Y: 60000}}
+	for c := 0; c < 6; c++ {
+		streamTrip(t, e, genTrip(rng, model.CourierID(100+c), t0+float64(c)*2000, sites[c%len(sites)]))
+	}
+	per, after := gauges()
+	if after-before != 6 {
+		t.Fatalf("dlinfma_engine_ingest_shard_trips moved %+g over six streamed trips, want +6", after-before)
+	}
+	want := max(per[0], per[1]) / (after / 2)
+	if got := pipelineSample(t, "dlinfma_engine_ingest_skew", "dlinfma_engine_ingest_skew"); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("dlinfma_engine_ingest_skew = %g, want %g (max over mean of %v)", got, want, per)
+	}
+}
+
+// TestViewCutsNoWindow: a shard's view, as a Reinfer racing the stream
+// takes it, leaves the pending streamed trips pending. Two engines stream
+// the same trips fix by fix, one of them viewed halfway; once the engine
+// cuts both windows, their pools are equal.
+func TestViewCutsNoWindow(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed, quiet := New(streamTestConfig()), New(streamTestConfig())
+	defer viewed.Close()
+	defer quiet.Close()
+	for i, tr := range ds.Trips[:6] {
+		streamTrip(t, viewed, tr)
+		streamTrip(t, quiet, tr)
+		if i == 2 {
+			if _, _, _, err := viewed.shards[0].ev.view(context.Background()); !errors.Is(err, errNoTrips) {
+				t.Fatalf("a view with only pending trips: err = %v, want errNoTrips", err)
+			}
+		}
+	}
+	requireSameIngestState(t, quiet, viewed)
+	if _, pool := viewEvidence(t, quiet, 0); len(pool.Visits) != 6 {
+		t.Fatalf("the cut pool covers %d trips, want 6", len(pool.Visits))
+	}
+}
+
 // TestStreamGapRuleCutsTrips pins the implicit trip boundary: a gap of
 // tripGapSeconds or more between a courier's fixes closes the open trip; an
 // explicit CloseStream closes the rest. Each closed trip keeps its times and
@@ -219,7 +308,7 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 	e := New(cfg)
 	defer e.Close()
 	trips := func() []model.Trip {
-		ds, _ := viewEvidence(t, e.shards[0])
+		ds, _ := viewEvidence(t, e, 0)
 		return ds.Trips
 	}
 	ctx := context.Background()
@@ -255,12 +344,16 @@ func TestStreamGapRuleCutsTrips(t *testing.T) {
 	if err := e.CloseStream(ctx, 7); err != nil || len(trips()) != 2 {
 		t.Fatalf("idempotent close: err=%v trips=%d", err, len(trips()))
 	}
+	// trips() cut a window after each trip closed; the reference cuts the same.
 	ref := core.NewIncrementalPoolBuilder(cfg.Core)
 	for _, tr := range []model.Trip{first, second} {
 		ref.AppendTripStays(tr.Courier, traj.ExtractStayPoints(tr.Traj, cfg.Core.Noise, cfg.Core.Stay))
+		if err := ref.SealWindow(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := ref.Finalize()
-	_, got := viewEvidence(t, e.shards[0])
+	_, got := viewEvidence(t, e, 0)
 	if len(want.Locations) == 0 || !reflect.DeepEqual(want.Locations, got.Locations) || !reflect.DeepEqual(want.Visits, got.Visits) {
 		t.Fatalf("streamed trips' stay points differ from batch extraction of their fixes:\nwant %+v\ngot  %+v",
 			want.Locations, got.Locations)
@@ -409,6 +502,42 @@ func testWALCrashRecovery(t *testing.T, n int) {
 	requireSameIngestState(t, live, recovered)
 }
 
+// TestReinferWindowCutReplays: Reinfer cuts the open streamed window, and
+// that cut is in no WAL record, so a replay of the log cuts the stream where
+// the live engine did not and holds a different pool. Fixing it needs a
+// logged cut or a re-inference that does not cut (ROADMAP items 1 and 5).
+func TestReinferWindowCutReplays(t *testing.T) {
+	t.Skip("Reinfer's window cut is not logged: skipped until ROADMAP items 1 and 5 land a logged cut or a cut-free re-inference")
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	live := New(streamTestConfig())
+	defer live.Close()
+	live.AttachWAL(w)
+	for i, tr := range ds.Trips[:6] {
+		streamTrip(t, live, tr)
+		if i == 2 {
+			// Only the retrain's cut matters here: streamed trips carry no
+			// waybills, so there is nothing to fit and it fails after it.
+			_ = live.Reinfer(ctx)
+		}
+	}
+	recovered := New(streamTestConfig())
+	defer recovered.Close()
+	if _, err := recovered.ReplayWAL(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	requireSameIngestState(t, live, recovered)
+}
+
 // TestShardKeepsNoFixes pins what a shard keeps of a trip once the pool
 // builder has its stay points: courier, times and waybills, never the fixes —
 // whether the trip arrived in a batch window or closed on a stream — and
@@ -436,8 +565,8 @@ func TestShardKeepsNoFixes(t *testing.T) {
 			}
 
 			kept := 0
-			for i, sh := range e.shards {
-				ds, _ := viewEvidence(t, sh)
+			for i := range e.shards {
+				ds, _ := viewEvidence(t, e, i)
 				for j, tr := range ds.Trips {
 					if tr.Traj != nil {
 						t.Fatalf("shard %d trip %d retains %d fixes", i, j, len(tr.Traj))

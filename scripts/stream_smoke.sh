@@ -37,9 +37,11 @@ start_server() {
 
 start_server "$BIN_DIR/server1.log"
 
-# Two complete trips (10 fixes each, explicit end) and one open stream
-# (3 fixes, no end): 23 points + 2 ends = 25 WAL records.
-BODY=""
+# Two complete trips (10 fixes each, explicit end), one open stream
+# (3 fixes, no end) and a stray end for a courier that never sent a fix:
+# 23 points + 3 ends = 26 WAL records. The stray end changes nothing, but it
+# is acknowledged, so it is logged and replayed like every other line.
+BODY='{"courier":9,"end":true}'$'\n'
 for i in $(seq 0 9); do
   BODY+="{\"courier\":1,\"x\":100,\"y\":100,\"t\":$((i * 10))}"$'\n'
 done
@@ -53,7 +55,7 @@ for i in $(seq 0 2); do
 done
 
 ACK="$(curl -sS -X POST --data-binary "$BODY" "http://127.0.0.1:$PORT/v1/trajectories:stream")"
-if ! grep -q '"points":23' <<<"$ACK" || ! grep -q '"ends":2' <<<"$ACK"; then
+if ! grep -q '"points":23' <<<"$ACK" || ! grep -q '"ends":3' <<<"$ACK"; then
   echo "stream smoke: unexpected ack: $ACK" >&2
   exit 1
 fi
@@ -73,7 +75,7 @@ if [ "$BIG_ACK" != '{"points":4000,"ends":1}' ]; then
   echo "stream smoke: big body ack: $BIG_ACK" >&2
   exit 1
 fi
-ACKED=$((23 + 2 + 4000 + 1))
+ACKED=$((23 + 3 + 4000 + 1))
 
 BEFORE="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
 if ! grep -q '"pending_trips":3' <<<"$BEFORE" || ! grep -q '"open_streams":1' <<<"$BEFORE"; then
