@@ -122,6 +122,15 @@ vet:
 		echo "$$bad"; \
 		exit 1; \
 	fi
+	@# obs.Logger is the one handle on log/slog: a package importing slog
+	@# itself could log through slog.Default, past the level, the format and
+	@# the component fields.
+	@bad=$$(grep -rnE '"log/slog"' --include='*.go' *.go bench cmd examples internal | grep -v '^internal/obs/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "vet: log/slog imported outside internal/obs (log through obs.Logger):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
 
 # Boot a server and verify the Prometheus exposition parses with every
 # required family present.

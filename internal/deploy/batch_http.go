@@ -61,7 +61,9 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 // batch_codec.go. The response preserves request order and reports per-item
 // misses while the batch stays 200 (partial-failure semantics); only a cold
 // engine (503) or a backend that cannot answer (502) fails the batch as a
-// whole.
+// whole. As for a single key, readiness is asked only when no key answered:
+// on a cluster frontend Status is one healthz RPC per shard, which a warm
+// batch has no need of.
 func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c := batchPool.Get().(*batchCall)
 	defer batchPool.Put(c)
@@ -112,15 +114,6 @@ func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		c.ids = append(c.ids, model.AddressID(k))
 	}
-	if !s.e.Status().Ready {
-		// A cold engine fails the whole batch: every key would miss, and 503
-		// tells the bulk consumer to retry elsewhere rather than treat the
-		// world as absent.
-		writeError(w, http.StatusServiceUnavailable, api.CodeEngineNotReady,
-			"no serving state deployed yet", nil)
-		return
-	}
-
 	c.answers, err = s.e.QueryBatch(r.Context(), c.ids, c.answers)
 	if err != nil {
 		// A caller that cancelled has nobody left to read an envelope. Any
@@ -131,9 +124,20 @@ func (s *service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	if !slices.ContainsFunc(c.answers, answered) && !s.e.Status().Ready {
+		// A cold engine fails the whole batch: every key missed, and 503
+		// tells the bulk consumer to retry elsewhere rather than treat the
+		// world as absent.
+		writeError(w, http.StatusServiceUnavailable, api.CodeEngineNotReady,
+			"no serving state deployed yet", nil)
+		return
+	}
 	if c.body, err = appendBatchResponse(c.body[:0], c.keys, c.answers); err != nil {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error(), nil)
 		return
 	}
 	writeJSONBytes(w, c.body)
 }
+
+// answered reports whether a batch key hit the store.
+func answered(a BatchAnswer) bool { return a.Src != SourceNone }

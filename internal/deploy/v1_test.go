@@ -134,15 +134,20 @@ func TestV1LocationAndBatch(t *testing.T) {
 	resp.Body.Close()
 }
 
-// batchStub is a stubEngine that counts its QueryBatch calls.
+// batchStub is a stubEngine that counts its QueryBatch and Status calls.
 type batchStub struct {
 	*stubEngine
-	batchCalls int
+	batchCalls, statusCalls int
 }
 
 func (s *batchStub) QueryBatch(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) ([]deploy.BatchAnswer, error) {
 	s.batchCalls++
 	return s.stubEngine.QueryBatch(ctx, addrs, out)
+}
+
+func (s *batchStub) Status() api.EngineStatus {
+	s.statusCalls++
+	return s.stubEngine.Status()
 }
 
 // TestV1BatchInputOrder hammers the batch endpoint with shuffled key mixes
@@ -263,6 +268,33 @@ func TestV1BatchUsesNativeBulkPath(t *testing.T) {
 		br.Results[0].Location == nil || br.Results[0].Location.X != 30 ||
 		br.Results[1].Error == nil || br.Results[2].Location == nil {
 		t.Fatalf("bulk-path contract drift: %+v", br)
+	}
+}
+
+// TestV1BatchAsksReadinessOnlyOnAllMiss: a batch with a hit is answered
+// without asking the engine for its status — on a cluster frontend that is a
+// healthz RPC per shard — and a batch that found nothing asks once, to tell a
+// cold engine's 503 from a warm engine's misses.
+func TestV1BatchAsksReadinessOnlyOnAllMiss(t *testing.T) {
+	stub := &batchStub{stubEngine: readyStub()}
+	srv := httptest.NewServer(deploy.NewService(stub, deploy.Options{}))
+	defer srv.Close()
+
+	for i := 0; i < 3; i++ {
+		resp := postJSON(t, srv.Client(), srv.URL+"/v1/locations:batch", api.BatchLocationsRequest{Addrs: []int64{1, 404}})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm batch status %d", resp.StatusCode)
+		}
+	}
+	if stub.statusCalls != 0 {
+		t.Fatalf("3 batches with hits asked Status %d times, want 0", stub.statusCalls)
+	}
+	resp := postJSON(t, srv.Client(), srv.URL+"/v1/locations:batch", api.BatchLocationsRequest{Addrs: []int64{404, 405}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || stub.statusCalls != 1 {
+		t.Fatalf("all-miss batch on a warm engine: status %d after %d Status calls, want 200 after 1",
+			resp.StatusCode, stub.statusCalls)
 	}
 }
 

@@ -99,8 +99,10 @@ func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.Ad
 		tsp.RecordError(err)
 		return err
 	}
-	s.log.WithTrace(ctx).Debug("ingest window",
-		"trips", len(trips), "new_addrs", added, "total_trips", s.ev.counts.Load().trips)
+	if s.log.Enabled(obs.LevelDebug) {
+		s.log.WithTrace(ctx).Debug("ingest window",
+			"trips", len(trips), "new_addrs", added, "total_trips", s.ev.counts.Load().trips)
+	}
 	return nil
 }
 

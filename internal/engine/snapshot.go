@@ -137,8 +137,10 @@ func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 
 // snapshotLoad is one version-1 document on its way into the engine: its rows
 // filed, as they are decoded, in the writable store of the shard that will
-// serve them. Whichever decoder reads the document feeds address, location
-// and confidence in that order; nothing is installed until install.
+// serve them, and its matcher decoded once for every shard it goes to.
+// Whichever decoder reads the document feeds address, location and
+// confidence in that order; nothing is installed until install, which
+// cannot fail.
 type snapshotLoad struct {
 	e *Engine
 	// only is the shard whose own document this is (a manifest entry, or the
@@ -148,9 +150,12 @@ type snapshotLoad struct {
 	only  int
 	parts []shardLoad
 	// route pins every routed address to its shard; nil unless only is -1.
-	route   map[model.AddressID]int
-	name    string
-	matcher []byte
+	route map[model.AddressID]int
+	name  string
+	// matcherJSON is the document's matcher as read; matcher is the model
+	// loadMatcher decodes from it.
+	matcherJSON []byte
+	matcher     *core.LocMatcher
 	// decoder and start label the "snapshot restored" log line.
 	decoder string
 	start   time.Time
@@ -217,7 +222,7 @@ func (l *snapshotLoad) confidence(id model.AddressID, conf float32) {
 
 // fill feeds a document encoding/json decoded.
 func (l *snapshotLoad) fill(sn *snapshot) error {
-	l.name, l.matcher, l.decoder = sn.Name, sn.Matcher, "json"
+	l.name, l.matcherJSON, l.decoder = sn.Name, sn.Matcher, "json"
 	for _, a := range sn.Addresses {
 		l.address(a)
 	}
@@ -253,25 +258,29 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// loadMatcher decodes the document's matcher, if it carries one.
+func (l *snapshotLoad) loadMatcher() (err error) {
+	if len(l.matcherJSON) > 0 {
+		l.matcher, err = core.LoadLocMatcher(bytes.NewReader(l.matcherJSON))
+	}
+	return err
+}
+
 // install freezes every share into its shard and, for a routed document,
 // publishes where each address went. The one shard of an unrouted engine and
 // the owner of a manifest entry take their document even when it is empty;
 // a routed document leaves a shard that got nothing as it was.
-func (l *snapshotLoad) install() error {
-	e := l.e
+func (l *snapshotLoad) install() {
 	for i := range l.parts {
 		p := &l.parts[i]
 		if p.store == nil || l.only < 0 && len(p.addrs) == 0 && p.store.Len() == 0 {
 			continue
 		}
-		if err := e.shards[i].restore(l, p); err != nil {
-			return e.shardErr(i, err)
-		}
+		l.e.shards[i].restore(l, p)
 	}
 	if l.route != nil {
-		e.pinRoutes(l.route)
+		l.e.pinRoutes(l.route)
 	}
-	return nil
 }
 
 // pinRoutes adds restored address → shard pins to the routing table.
@@ -290,27 +299,13 @@ func (e *Engine) pinRoutes(route map[model.AddressID]int) {
 // building/geocode fallbacks recomputed from the address metadata, the
 // trained matcher available again. The restored addresses also seed the
 // shard's evidence so later windows extend the same address universe.
-func (s *Shard) restore(l *snapshotLoad, p *shardLoad) (err error) {
-	defer func() {
-		if err != nil {
-			snapshotRestoreErr.Inc()
-		} else {
-			snapshotRestoreOK.Inc()
-		}
-	}()
-	var matcher *core.LocMatcher
-	if len(l.matcher) > 0 {
-		if matcher, err = core.LoadLocMatcher(bytes.NewReader(l.matcher)); err != nil {
-			return err
-		}
-	}
-
+func (s *Shard) restore(l *snapshotLoad, p *shardLoad) {
 	s.ev.register(l.name, p.addrs)
-	s.publish(&serving{frozen: freeze(p.store), matcher: matcher}, swapKindRestore)
+	s.publish(&serving{frozen: freeze(p.store), matcher: l.matcher}, swapKindRestore)
+	snapshotRestoreOK.Inc()
 	s.log.Info("snapshot restored",
 		"dataset", l.name, "addresses", len(p.addrs), "locations", p.store.Len(),
 		"decoder", l.decoder, "dur", time.Since(l.start))
-	return nil
 }
 
 // parseAddressKey decodes one of a snapshot's stringified address keys.
@@ -509,8 +504,9 @@ func (e *Engine) LoadSnapshotFile(path string) error {
 }
 
 // decodeSnapshot reads one document. A version-1 document comes back as a
-// filled load for shard only (-1: routed); anything else encoding/json
-// accepts comes back as the decoded union for the caller to dispatch on.
+// filled load for shard only (-1: routed), its matcher decoded; anything
+// else encoding/json accepts comes back as the decoded union for the caller
+// to dispatch on.
 //
 // The strict reader goes first and takes exactly the documents the writers
 // produce. What it declines — a manifest, but also a version-1 document
@@ -519,22 +515,31 @@ func (e *Engine) LoadSnapshotFile(path string) error {
 // and how an invalid one is reported; a version-1 document that needed it is
 // counted, because it restores several times slower.
 func (e *Engine) decodeSnapshot(data []byte, only int) (*snapshotLoad, *snapshotDoc, error) {
+	var l *snapshotLoad
 	if bytes.HasPrefix(data, []byte(snapshotHead)) { // else not worth sizing a load for
 		hint := bytes.Count(data, []byte(snapshotAddressHead))
-		if l := e.newLoad(only, hint); scanSnapshot(data, l) {
-			return l, nil, nil
+		if l = e.newLoad(only, hint); !scanSnapshot(data, l) {
+			l = nil
 		}
 	}
-	var doc snapshotDoc
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("engine: decode snapshot: %w", err)
+	if l == nil {
+		var doc snapshotDoc
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+			return nil, nil, fmt.Errorf("engine: decode snapshot: %w", err)
+		}
+		if doc.Version != snapshotVersionSingle {
+			return nil, &doc, nil
+		}
+		snapshotDecoderFallbacks.Inc()
+		l = e.newLoad(only, len(doc.Addresses))
+		if err := l.fill(&doc.snapshot); err != nil {
+			return nil, nil, err
+		}
 	}
-	if doc.Version != snapshotVersionSingle {
-		return nil, &doc, nil
+	if err := l.loadMatcher(); err != nil {
+		return nil, nil, err
 	}
-	snapshotDecoderFallbacks.Inc()
-	l := e.newLoad(only, len(doc.Addresses))
-	return l, nil, l.fill(&doc.snapshot)
+	return l, nil, nil
 }
 
 // restoreFrom decodes the document and dispatches on its version. dir is
@@ -557,9 +562,7 @@ func (e *Engine) restoreFrom(data []byte, dir string) error {
 		snapshotRestoreErr.Inc()
 		return err
 	case l != nil:
-		if err := l.install(); err != nil {
-			return err
-		}
+		l.install()
 		e.adoptName(l.name)
 		return nil
 	case doc.Version == snapshotVersionSharded:
@@ -580,8 +583,9 @@ func (e *Engine) adoptName(name string) {
 
 // restoreManifest validates a version-2 manifest against the engine's
 // topology, decodes every shard document it carries inline or — when loaded
-// from a file — names as a sibling file, and only then installs its routing
-// state and the shards' serving states.
+// from a file — names as a sibling file, matcher included, and only then
+// installs its routing state and the shards' serving states. Decoding is all
+// that can fail, so a manifest that fails leaves the engine as it was.
 func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 	if doc.ShardCount != len(e.shards) {
 		return fmt.Errorf("engine: manifest has %d shards, engine is configured with %d (restart with -shards %d)",
@@ -643,9 +647,7 @@ func (e *Engine) restoreManifest(doc *snapshotDoc, dir string) error {
 	e.adoptName(doc.Name)
 	for _, l := range loads {
 		if l != nil {
-			if err := l.install(); err != nil {
-				return err
-			}
+			l.install()
 		}
 	}
 	return nil

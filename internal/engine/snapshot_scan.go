@@ -186,7 +186,7 @@ func scanSnapshot(doc []byte, l *snapshotLoad) bool {
 		if len(bytes.TrimSpace(raw)) != len(raw) || !json.Valid(raw) {
 			return false
 		}
-		l.matcher = raw
+		l.matcherJSON = raw
 		s.I = end - 1
 	}
 	return s.Lit("}") && s.I == end

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -188,5 +189,76 @@ func TestRestoreRefusesUnwrittenForms(t *testing.T) {
 			t.Errorf("shards=%d %s: a refused document left the engine ready", tc.shards, tc.doc)
 		}
 		e.Close()
+	}
+}
+
+// TestFailedManifestRestoreInstallsNothing: a manifest restore is whole or
+// nothing. Its last shard's matcher does not load, which the restore used to
+// find only while installing that shard — after it had published the routing
+// table and installed shard 0, so the engine reported the error and served
+// shard 0 anyway.
+func TestFailedManifestRestoreInstallsNothing(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := func() *Engine {
+		r, err := shard.NewRouter(2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSharded(streamTestConfig(), r)
+	}
+	e := sharded()
+	defer e.Close()
+	ctx := context.Background()
+	if err := e.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reinfer(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m shardManifest
+	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Shards) != 2 || string(m.Shards[0]) == "null" {
+		t.Fatalf("shard 0 wrote no document, so nothing could be installed before shard 1: %d documents", len(m.Shards))
+	}
+	var sn snapshot
+	if err := json.Unmarshal(m.Shards[1], &sn); err != nil {
+		t.Fatal(err)
+	}
+	var matcher map[string]json.RawMessage
+	if err := json.Unmarshal(sn.Matcher, &matcher); err != nil {
+		t.Fatal(err)
+	}
+	matcher["params"] = json.RawMessage("[]") // valid JSON, but no tensors
+	if sn.Matcher, err = json.Marshal(matcher); err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards[1], err = json.Marshal(&sn); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restored := sharded()
+	defer restored.Close()
+	err = restored.RestoreSnapshot(bytes.NewReader(doc))
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "tensors") {
+		t.Fatalf("restore error %v, want shard 1's matcher refused", err)
+	}
+	if st := restored.Status(); st.Ready || st.Inferred != 0 {
+		t.Errorf("failed restore left the engine ready=%v serving %d addresses", st.Ready, st.Inferred)
+	}
+	if rt := restored.routes.Load(); rt != nil && len(*rt) > 0 {
+		t.Errorf("failed restore published a routing table of %d addresses", len(*rt))
 	}
 }

@@ -4,39 +4,25 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dlinfma/internal/obs/trace"
 )
 
 // Level is a log severity. Messages below the logger's level are dropped.
-type Level int32
+type Level = slog.Level
 
 // Severities, least to most severe.
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return "unknown"
-}
 
 // ParseLevel maps a level name to its Level.
 func ParseLevel(s string) (Level, error) {
@@ -73,33 +59,55 @@ func ParseFormat(s string) (Format, error) {
 	return FormatLogfmt, fmt.Errorf("obs: unknown log format %q (logfmt|json)", s)
 }
 
-// Logger writes leveled structured lines (key=value or JSON) to one writer.
-// All methods are safe on a nil *Logger, which drops everything — callers
-// can thread an optional logger without nil checks. Derived loggers from
-// With share the writer and mutex, and copy the level.
+// Logger is a handle on a *slog.Logger whose methods are all safe on a nil
+// *Logger, which drops everything — callers can thread an optional logger
+// without nil checks. Loggers derived with With share their parent's
+// handler: its writer, its lock, its level and its format.
 type Logger struct {
-	w      io.Writer
-	mu     *sync.Mutex
-	level  Level
-	format Format
-	fields []kv
-	// now is the clock, swappable in tests.
-	now func() time.Time
+	s *slog.Logger
 }
 
-type kv struct {
-	k string
-	v any
-}
-
-// NewLogger returns a logger writing to w at the given level and format.
+// NewLogger returns a logger writing to w at the given level and format:
+// slog's text handler for logfmt, its JSON handler for JSON. Either way a
+// line starts ts (UTC, RFC 3339), level (lowercase) and msg, and a duration
+// is written as its String form.
 func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{w: w, mu: &sync.Mutex{}, level: level, format: format, now: time.Now}
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: replaceAttr}
+	var h slog.Handler = slog.NewTextHandler(w, opts)
+	if format == FormatJSON {
+		h = slog.NewJSONHandler(w, opts)
+	}
+	return &Logger{s: slog.New(h)}
+}
+
+// replaceAttr gives both handlers the one line shape: the time key renamed
+// ts and written in UTC, the level in lowercase, durations as "1.5s" rather
+// than JSON's nanosecond count, and non-finite floats as strings, which JSON
+// has no number for.
+func replaceAttr(groups []string, a slog.Attr) slog.Attr {
+	v := a.Value
+	switch v.Kind() {
+	case slog.KindTime:
+		if len(groups) == 0 && a.Key == slog.TimeKey {
+			return slog.String("ts", v.Time().UTC().Format(time.RFC3339Nano))
+		}
+	case slog.KindDuration:
+		return slog.String(a.Key, v.Duration().String())
+	case slog.KindFloat64:
+		if f := v.Float64(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return slog.String(a.Key, strconv.FormatFloat(f, 'g', -1, 64))
+		}
+	case slog.KindAny:
+		if lv, ok := v.Any().(slog.Level); ok && len(groups) == 0 && a.Key == slog.LevelKey {
+			return slog.String(a.Key, strings.ToLower(lv.String()))
+		}
+	}
+	return a
 }
 
 // Enabled reports whether a message at level would be written.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.level
+	return l != nil && l.s.Enabled(context.Background(), level)
 }
 
 // With returns a logger that adds the given alternating key/value pairs to
@@ -108,15 +116,14 @@ func (l *Logger) With(pairs ...any) *Logger {
 	if l == nil {
 		return nil
 	}
-	d := *l
-	d.fields = append(append([]kv(nil), l.fields...), toKVs(pairs)...)
-	return &d
+	return &Logger{s: l.s.With(pairs...)}
 }
 
 // WithTrace returns a logger stamping trace_id and span_id from the span
 // carried by ctx, so log lines correlate with /v1/debug/traces entries. When
-// ctx carries no span (tracing off, background path) it returns l unchanged,
-// so the call is safe to make unconditionally on hot log paths.
+// ctx carries no span (tracing off, background path) it returns l unchanged.
+// The fields are encoded when they are bound, so a hot path guards the call
+// with Enabled.
 func (l *Logger) WithTrace(ctx context.Context) *Logger {
 	if l == nil {
 		return nil
@@ -140,99 +147,8 @@ func (l *Logger) Warn(msg string, pairs ...any) { l.log(LevelWarn, msg, pairs) }
 // Error logs at LevelError.
 func (l *Logger) Error(msg string, pairs ...any) { l.log(LevelError, msg, pairs) }
 
-func toKVs(pairs []any) []kv {
-	out := make([]kv, 0, (len(pairs)+1)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		k, ok := pairs[i].(string)
-		if !ok {
-			k = fmt.Sprint(pairs[i])
-		}
-		var v any = "(MISSING)"
-		if i+1 < len(pairs) {
-			v = pairs[i+1]
-		}
-		out = append(out, kv{k: k, v: v})
-	}
-	return out
-}
-
 func (l *Logger) log(level Level, msg string, pairs []any) {
-	if !l.Enabled(level) {
-		return
+	if l != nil {
+		l.s.Log(context.Background(), level, msg, pairs...)
 	}
-	var b strings.Builder
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	fields := append(append([]kv(nil), l.fields...), toKVs(pairs)...)
-	if l.format == FormatJSON {
-		b.WriteString(`{"ts":`)
-		b.WriteString(strconv.Quote(ts))
-		b.WriteString(`,"level":`)
-		b.WriteString(strconv.Quote(level.String()))
-		b.WriteString(`,"msg":`)
-		b.WriteString(strconv.Quote(msg))
-		for _, f := range fields {
-			b.WriteByte(',')
-			b.WriteString(strconv.Quote(f.k))
-			b.WriteByte(':')
-			b.WriteString(jsonValue(f.v))
-		}
-		b.WriteString("}\n")
-	} else {
-		b.WriteString("ts=")
-		b.WriteString(ts)
-		b.WriteString(" level=")
-		b.WriteString(level.String())
-		b.WriteString(" msg=")
-		b.WriteString(logfmtValue(msg))
-		for _, f := range fields {
-			b.WriteByte(' ')
-			b.WriteString(f.k)
-			b.WriteByte('=')
-			b.WriteString(logfmtValue(fmt.Sprint(f.v)))
-		}
-		b.WriteByte('\n')
-	}
-	l.mu.Lock()
-	_, _ = io.WriteString(l.w, b.String())
-	l.mu.Unlock()
-}
-
-// jsonValue encodes one field value: numbers and bools raw, everything else
-// as a quoted string.
-func jsonValue(v any) string {
-	switch x := v.(type) {
-	case bool:
-		return strconv.FormatBool(x)
-	case int:
-		return strconv.Itoa(x)
-	case int32:
-		return strconv.FormatInt(int64(x), 10)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case uint64:
-		return strconv.FormatUint(x, 10)
-	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 32)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case time.Duration:
-		return strconv.Quote(x.String())
-	case error:
-		return strconv.Quote(x.Error())
-	case string:
-		return strconv.Quote(x)
-	default:
-		return strconv.Quote(fmt.Sprint(x))
-	}
-}
-
-// logfmtValue quotes a value when it contains logfmt-breaking characters.
-func logfmtValue(s string) string {
-	if s == "" {
-		return `""`
-	}
-	if strings.ContainsAny(s, " =\"\n\t") {
-		return strconv.Quote(s)
-	}
-	return s
 }

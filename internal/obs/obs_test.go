@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -207,32 +209,68 @@ func TestParseExpositionBracesInLabelValue(t *testing.T) {
 	}
 }
 
-func fixedClock() func() time.Time {
-	return func() time.Time { return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC) }
-}
-
+// TestLoggerLogfmt pins a logfmt line byte for byte after its ts= value,
+// which has only to be an RFC 3339 time in UTC.
 func TestLoggerLogfmt(t *testing.T) {
 	var sb strings.Builder
 	l := NewLogger(&sb, LevelInfo, FormatLogfmt)
-	l.now = fixedClock()
 	l.Debug("dropped")
 	l.With("component", "engine").Info("reinfer done", "dur", 1.5, "inferred", 42, "note", "has space")
-	want := `ts=2026-08-05T12:00:00Z level=info msg="reinfer done" component=engine dur=1.5 inferred=42 note="has space"` + "\n"
-	if sb.String() != want {
-		t.Errorf("logfmt line:\n got %q\nwant %q", sb.String(), want)
+	ts, rest, _ := strings.Cut(sb.String(), " ")
+	ts, ok := strings.CutPrefix(ts, "ts=")
+	if !ok {
+		t.Fatalf("logfmt line does not start ts=: %q", sb.String())
+	}
+	if at, err := time.Parse(time.RFC3339Nano, ts); err != nil || at.Location() != time.UTC {
+		t.Errorf("ts=%s is not an RFC 3339 UTC time: %v", ts, err)
+	}
+	want := `level=info msg="reinfer done" component=engine dur=1.5 inferred=42 note="has space"` + "\n"
+	if rest != want {
+		t.Errorf("logfmt line after ts:\n got %q\nwant %q", rest, want)
 	}
 }
 
 func TestLoggerJSON(t *testing.T) {
 	var sb strings.Builder
 	l := NewLogger(&sb, LevelDebug, FormatJSON)
-	l.now = fixedClock()
 	l.Warn("boom", "err", strings.NewReader, "n", int64(7), "ok", true)
 	got := sb.String()
 	for _, frag := range []string{`"level":"warn"`, `"msg":"boom"`, `"n":7`, `"ok":true`} {
 		if !strings.Contains(got, frag) {
 			t.Errorf("json line missing %s: %s", frag, got)
 		}
+	}
+}
+
+// addrKey stands for the named integer types (model.AddressID) call sites log.
+type addrKey int32
+
+// TestLoggerJSONLineIsJSON: a JSON line is JSON even when it holds NaN and
+// +Inf, which JSON has no number for; ts, level and msg come first, a named
+// integer stays a number and a duration reads as its String form.
+func TestLoggerJSONLineIsJSON(t *testing.T) {
+	var sb strings.Builder
+	l := NewLogger(&sb, LevelInfo, FormatJSON).With("component", "engine")
+	l.Error("odd values", "nan", math.NaN(), "inf", math.Inf(1), "addr", addrKey(7),
+		"dur", 1500*time.Millisecond, "err", errors.New("disk full"))
+	line := sb.String()
+	var got map[string]any
+	if err := json.Unmarshal([]byte(line), &got); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, line)
+	}
+	want := map[string]any{"level": "error", "msg": "odd values", "component": "engine",
+		"nan": "NaN", "inf": "+Inf", "addr": float64(7), "dur": "1.5s", "err": "disk full"}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %#v, want %#v", k, got[k], v)
+		}
+	}
+	ts, _ := got["ts"].(string)
+	if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Errorf("ts %q: %v", ts, err)
+	}
+	if head := `{"ts":"` + ts + `","level":"error","msg":"odd values",`; !strings.HasPrefix(line, head) {
+		t.Errorf("line does not start %s: %s", head, line)
 	}
 }
 

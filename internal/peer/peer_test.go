@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -665,5 +666,93 @@ func TestFrontendLookupWithDeadShard(t *testing.T) {
 	}
 	if code, e := get(*owned[0]); code != http.StatusOK {
 		t.Fatalf("live shard's address: status %d, envelope %+v; want 200", code, e)
+	}
+}
+
+// TestFrontendBatchSkipsHealthzOnceWarm: a frontend's batch lookup asks its
+// peers for health only when no key answered. Warm, ten lookups cost no
+// peer /v1/healthz RPC; cold, the batch still answers 503 engine_not_ready.
+func TestFrontendBatchSkipsHealthzOnceWarm(t *testing.T) {
+	const nShards = 2
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	cfg := quickCfg(len(ds.Trips))
+	var healthz, batches atomic.Int64
+	peers := make([]string, 2)
+	for i := range peers {
+		eng := engine.New(cfg)
+		svc := deploy.NewService(eng, deploy.Options{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/healthz":
+				healthz.Add(1)
+			case "/v1/locations:batch":
+				batches.Add(1)
+			}
+			svc.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			eng.Close()
+		})
+		peers[i] = srv.URL
+	}
+	backends, _, err := peer.NewFrontendBackends(newRouter(t, nShards), peer.FrontendOptions{Peers: peers, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := engine.NewShardedBackends(cfg, newRouter(t, nShards), backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	feSrv := httptest.NewServer(deploy.NewService(fe, deploy.Options{}))
+	defer feSrv.Close()
+
+	keys := make([]int64, 0, len(ds.Addresses))
+	for _, a := range ds.Addresses {
+		keys = append(keys, int64(a.ID))
+	}
+	body, err := json.Marshal(api.BatchLocationsRequest{Addrs: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := func() (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(feSrv.URL+"/v1/locations:batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp, buf.Bytes()
+	}
+
+	resp, data := lookup()
+	var env api.ErrorEnvelope
+	if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(data, &env) != nil ||
+		env.Error == nil || env.Error.Code != api.CodeEngineNotReady {
+		t.Fatalf("cold frontend batch: status %d, body %s; want 503 %s", resp.StatusCode, data, api.CodeEngineNotReady)
+	}
+
+	if err := fe.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Reinfer(ctx); err != nil {
+		t.Fatal(err)
+	}
+	healthz.Store(0)
+	batches.Store(0)
+	for i := 0; i < 10; i++ {
+		if resp, data := lookup(); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm frontend batch %d: status %d, body %s", i, resp.StatusCode, data)
+		}
+	}
+	if batches.Load() < 10 || healthz.Load() != 0 {
+		t.Fatalf("10 warm batch lookups cost %d peer batch RPCs and %d peer healthz RPCs, want >= 10 and 0",
+			batches.Load(), healthz.Load())
 	}
 }

@@ -13,7 +13,9 @@ set -euo pipefail
 
 PORT="${PORT:-18080}"
 BIN_DIR="$(mktemp -d)"
-trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$BIN_DIR"' EXIT
+# SIGTERM makes the server save its shutdown snapshot into $BIN_DIR: wait for
+# it to exit before removing the directory, or the save can outlive the rm.
+trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; wait "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$BIN_DIR"' EXIT
 
 go build -o "$BIN_DIR/dlinfma" ./cmd/dlinfma
 go build -o "$BIN_DIR/metricscheck" ./cmd/metricscheck
