@@ -40,7 +40,8 @@ examples-smoke:
 #                           whole route vs the pure encoding/json route
 #   FuzzBatchResponseEncode the batch/point response writer vs json.Marshal
 #   FuzzStreamLineDecode    the POST /v1/trajectories:stream line reader
-#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder and,
+#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder (the
+#                           0x06 window cut is exactly its one byte) and,
 #                           for the JSON batch window, json.Unmarshal; every
 #                           other JSON kind is refused
 #   FuzzSnapshotDecode      the snapshot reader: whole-engine restores of

@@ -44,11 +44,21 @@ func main() {
 		before, after, 100*float64(after)/float64(before))
 
 	// 4. Incremental pool maintenance: feed trips to the builder in weekly
-	//    windows, exactly as the deployed bi-weekly job would.
-	builder := core.NewIncrementalPoolBuilder(core.DefaultConfig())
+	//    windows, exactly as the deployed bi-weekly job would — extract each
+	//    window's stay points, queue them, and seal the window.
+	ctx := context.Background()
+	cfg := core.DefaultConfig()
+	builder := core.NewIncrementalPoolBuilder(cfg)
 	flushed := 0
 	err = core.ForEachWindow(ds.Trips, 7*86400, func(batch []model.Trip) error {
-		if err := builder.AddWindow(context.Background(), batch); err != nil {
+		stays, err := core.ExtractAllStayPoints(ctx, &model.Dataset{Trips: batch}, cfg)
+		if err != nil {
+			return err
+		}
+		for i := range batch {
+			builder.AppendTripStays(batch[i].Courier, stays[i])
+		}
+		if err := builder.SealWindow(ctx); err != nil {
 			return err
 		}
 		flushed++
@@ -63,7 +73,7 @@ func main() {
 	fmt.Printf("final pool: %d location candidates\n", len(pool.Locations))
 
 	// 5. The pipeline consumes the incrementally built pool directly.
-	pipe := core.NewPipelineWithPool(ds, core.DefaultConfig(), pool)
+	pipe := core.NewPipelineWithPool(ds, cfg, pool)
 	total, withCands := 0, 0
 	for _, a := range ds.Addresses {
 		total++

@@ -42,7 +42,7 @@ type IncrementalPoolBuilder struct {
 	ref   []int
 }
 
-// pendingTrip is one streamed trip awaiting its window seal.
+// pendingTrip is one appended trip awaiting its window seal.
 type pendingTrip struct {
 	slot    int // index into visits reserved for this trip
 	courier model.CourierID
@@ -83,32 +83,13 @@ func NewIncrementalPoolBuilder(cfg Config) *IncrementalPoolBuilder {
 	return b
 }
 
-// AddWindow ingests one window of trips: extracts stay points (in parallel,
-// bounded by Config.Workers), clusters them within the window, and merges
-// the window's candidates into the pool. Trips must be appended across calls
-// in the same order they will appear in the dataset handed to the pipeline.
-// Cancelling ctx aborts before the builder state is touched, so a cancelled
-// AddWindow leaves the pool exactly as it was.
-func (b *IncrementalPoolBuilder) AddWindow(ctx context.Context, trips []model.Trip) error {
-	// Extract this window's stay points, then funnel through the same
-	// append/seal path the streaming engine drives point by point, so batch
-	// and streamed ingest produce identical pools.
-	perTrip, err := ExtractAllStayPoints(ctx, &model.Dataset{Trips: trips}, b.cfg)
-	if err != nil {
-		return err
-	}
-	for ti := range trips {
-		b.AppendTripStays(trips[ti].Courier, perTrip[ti])
-	}
-	return b.SealWindow(ctx)
-}
-
 // AppendTripStays queues one trip's already-extracted stay points for the
 // next window seal, reserving the trip's slot in the visit log immediately
 // (trip order across the builder's lifetime is append order). The builder
-// takes ownership of stays. This is the streaming entry point: the engine
-// feeds it stay points as its StreamExtractor closes them, then calls
-// SealWindow on the window's time or size bound.
+// takes ownership of stays. It is the builder's one trip intake: a batch
+// window's trips (extracted by ExtractAllStayPoints) and a streamed trip's
+// stay points (closed by the engine's StreamExtractor) both enter here, and
+// the caller decides where the window ends by calling SealWindow.
 func (b *IncrementalPoolBuilder) AppendTripStays(courier model.CourierID, stays []traj.StayPoint) {
 	slot := len(b.visits)
 	b.visits = append(b.visits, nil)
@@ -119,9 +100,10 @@ func (b *IncrementalPoolBuilder) AppendTripStays(courier model.CourierID, stays 
 func (b *IncrementalPoolBuilder) PendingTrips() int { return len(b.pending) }
 
 // SealWindow clusters every pending trip's stay points as one window and
-// merges the window's candidates into the pool, exactly as AddWindow does
-// for a batch. A seal with nothing pending is a no-op. ctx carries the
-// trace span only; the seal always completes once started.
+// merges the window's candidates into the pool: the one window cut, whether
+// the window came as a batch or as a stream. A seal with nothing pending is
+// a no-op. ctx carries the trace span only; the seal always completes once
+// started.
 func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	if len(b.pending) == 0 {
 		return nil

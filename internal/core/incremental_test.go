@@ -13,10 +13,19 @@ import (
 	"dlinfma/internal/traj"
 )
 
-// addWindow feeds one window into the builder, failing the test on error.
+// addWindow feeds one window into the builder as BuildPool does — extract
+// every trip's stay points, append them, seal — failing the test on error.
 func addWindow(t *testing.T, b *IncrementalPoolBuilder, trips []model.Trip) {
 	t.Helper()
-	if err := b.AddWindow(context.Background(), trips); err != nil {
+	ctx := context.Background()
+	stays, err := ExtractAllStayPoints(ctx, &model.Dataset{Trips: trips}, b.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trips {
+		b.AppendTripStays(trips[i].Courier, stays[i])
+	}
+	if err := b.SealWindow(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -150,7 +159,8 @@ func handDrivenPool(t *testing.T, ds *model.Dataset, cfg Config) *Pool {
 	t.Helper()
 	b := NewIncrementalPoolBuilder(cfg)
 	err := ForEachWindow(ds.Trips, cfg.PoolWindowSeconds, func(batch []model.Trip) error {
-		return b.AddWindow(context.Background(), batch)
+		addWindow(t, b, batch)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +209,11 @@ func TestBuildPoolCancel(t *testing.T) {
 	if _, err := BuildPool(ctx, ds, DefaultConfig()); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	b := NewIncrementalPoolBuilder(DefaultConfig())
-	if err := b.AddWindow(ctx, ds.Trips[:1]); err != context.Canceled {
-		t.Fatalf("AddWindow on cancelled ctx: got %v, want context.Canceled", err)
-	}
-	// The builder is untouched by the failed window.
-	if pool := b.Finalize(); len(pool.Locations) != 0 {
-		t.Errorf("cancelled window leaked %d locations into the builder", len(pool.Locations))
+	// A window's extraction stops on the cancelled ctx before any stay
+	// point reaches a builder.
+	stays, err := ExtractAllStayPoints(ctx, &model.Dataset{Trips: ds.Trips[:1]}, DefaultConfig())
+	if err != context.Canceled || stays != nil {
+		t.Fatalf("ExtractAllStayPoints on cancelled ctx: got %d trips' stays, %v; want none, context.Canceled", len(stays), err)
 	}
 }
 

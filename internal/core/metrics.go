@@ -53,8 +53,8 @@ var (
 // extractStayPoints is the instrumented per-trip extraction step of batch
 // ingest: it pushes the trip through a traj.StreamExtractor, as the engine
 // does fix by fix for a streamed trip, times the pass, and reports the trip
-// through RecordTripQuality. ExtractAllStayPoints and the pool builder's
-// AddWindow funnel through it.
+// through RecordTripQuality. Every batch window's extraction
+// (ExtractAllStayPoints) funnels through it.
 func extractStayPoints(tr traj.Trajectory, cfg Config) []traj.StayPoint {
 	start := time.Now()
 	x := traj.NewStreamExtractor(cfg.Noise, cfg.Stay)

@@ -90,8 +90,9 @@ type Pool struct {
 
 // ExtractAllStayPoints runs noise filtering and stay-point detection over
 // every trip in parallel (the paper's trajectory-level parallelization,
-// Section V-F); IncrementalPoolBuilder.AddWindow runs each window through
-// it. Cancelling ctx stops the fan-out between trips and returns ctx.Err().
+// Section V-F); BuildPool and the serving engine's shards run each batch
+// window through it. Cancelling ctx stops the fan-out between trips and
+// returns ctx.Err().
 func ExtractAllStayPoints(ctx context.Context, ds *model.Dataset, cfg Config) ([][]traj.StayPoint, error) {
 	out := make([][]traj.StayPoint, len(ds.Trips))
 	err := nn.ParallelForCtx(ctx, cfg.workers(), len(ds.Trips), func(i int) {
@@ -113,14 +114,21 @@ func (cfg Config) workers() int {
 
 // BuildPool constructs the candidate pool of a dataset the way the engine
 // maintains the served one: ForEachWindow cuts the trips into
-// PoolWindowSeconds windows, each window goes through
-// IncrementalPoolBuilder.AddWindow, and the builder is finalized. Cancelling
-// ctx aborts between trips during a window's extraction and between windows,
-// returning ctx.Err().
+// PoolWindowSeconds windows; each window's stay points are extracted, queued
+// with AppendTripStays and sealed as one window; and the builder is
+// finalized. Cancelling ctx aborts between trips during a window's
+// extraction and between windows, returning ctx.Err().
 func BuildPool(ctx context.Context, ds *model.Dataset, cfg Config) (*Pool, error) {
 	b := NewIncrementalPoolBuilder(cfg)
 	err := ForEachWindow(ds.Trips, cfg.PoolWindowSeconds, func(batch []model.Trip) error {
-		return b.AddWindow(ctx, batch)
+		stays, err := ExtractAllStayPoints(ctx, &model.Dataset{Trips: batch}, cfg)
+		if err != nil {
+			return err
+		}
+		for i := range batch {
+			b.AppendTripStays(batch[i].Courier, stays[i])
+		}
+		return b.SealWindow(ctx)
 	})
 	if err != nil {
 		return nil, err

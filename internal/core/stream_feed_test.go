@@ -22,11 +22,12 @@ func streamTripStays(tr traj.Trajectory, cfg Config) []traj.StayPoint {
 	return append(out, x.Flush()...)
 }
 
-// TestStreamedFeedMatchesAddWindow is the core half of the streaming
+// TestStreamedFeedMatchesBatchWindows is the core half of the streaming
 // bit-identity contract: appending each trip's streamed stay points and
 // sealing at the same window boundaries must produce the same pool as the
-// batch AddWindow path — same locations, same visit logs, same ids.
-func TestStreamedFeedMatchesAddWindow(t *testing.T) {
+// batch path's windows (ExtractAllStayPoints, then append and seal) — same
+// locations, same visit logs, same ids.
+func TestStreamedFeedMatchesBatchWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sites := []geo.Point{{X: 100, Y: 100}, {X: 130, Y: 100}, {X: 500, Y: 400}, {X: 90, Y: 420}}
 	var windows [][]model.Trip
@@ -48,9 +49,7 @@ func TestStreamedFeedMatchesAddWindow(t *testing.T) {
 
 	batch := NewIncrementalPoolBuilder(cfg)
 	for _, w := range windows {
-		if err := batch.AddWindow(context.Background(), w); err != nil {
-			t.Fatal(err)
-		}
+		addWindow(t, batch, w)
 	}
 	streamed := NewIncrementalPoolBuilder(cfg)
 	for _, w := range windows {

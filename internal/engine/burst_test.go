@@ -312,8 +312,8 @@ func transcodeToJSON(t *testing.T, src, dst string) {
 	}
 	out := openBurstWAL(t, dst)
 	err := openBurstWAL(t, src).Replay(func(_ uint64, payload []byte) error {
-		op, window, err := decodeWALRecord(payload)
-		if err != nil || window != nil {
+		op, window, cut, err := decodeWALRecord(payload)
+		if err != nil || window != nil || cut {
 			_, err = out.Append(payload)
 			return err
 		}

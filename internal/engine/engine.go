@@ -6,15 +6,17 @@
 //
 // There is one engine shape: an Engine coordinating N >= 1 shards. The
 // Engine owns every lifecycle decision — courier streams and the streamed
-// window grid, WAL order, backpressure, the background re-inference job,
-// LC pinning, and the snapshot layout; a Shard is pool builder + dataset +
-// model + frozen store behind peer.ShardBackend. New(cfg) is the one-shard
-// case of the same code: with a single shard there is nothing to route, so
-// no routing tables exist and reads go straight to that shard's store.
+// window grid, every pool-window cut, WAL order, backpressure, the
+// background re-inference job, LC pinning, and the snapshot layout; a Shard
+// is pool builder + dataset + model + frozen store behind peer.ShardBackend.
+// New(cfg) is the one-shard case of the same code: with a single shard
+// there is nothing to route, so no routing tables exist and reads go
+// straight to that shard's store.
 //
-// Lock order: ingestMu (serializes every mutating ingest operation so WAL
-// append order equals apply order) outside mu (routing state and counters)
-// outside each shard's evidence lock; jobMu guards the background job alone.
+// Lock order: ingestMu (serializes every mutating ingest operation and
+// every pool-window cut, so WAL append order equals apply order) outside mu
+// (routing state and counters) outside each shard's evidence lock; jobMu
+// guards the background job alone.
 // No lock is held across model compute, and the query path takes none.
 //
 // Cancellation contract: every long-running stage (pool build, sample
@@ -119,7 +121,8 @@ type Engine struct {
 	cancel  context.CancelFunc
 
 	// ingestMu serializes every mutating ingest operation (batch windows,
-	// streamed points, end markers, WAL replay). ss and wal live under it.
+	// streamed points, end markers, window cuts, WAL replay). ss and wal
+	// live under it.
 	ingestMu sync.Mutex
 	ss       *streamSet
 	wal      *wal.WAL
@@ -277,12 +280,12 @@ func (e *Engine) SetName(name string) {
 // Ingest appends one window of trips plus any new addresses and ground
 // truth, routed across the shards: addresses and truth by the router's
 // address key, trips replicated to every shard owning one of their waybill
-// addresses (address-less trips by trajectory key). Each shard clusters its
-// part into its candidate pool immediately; the served state is not touched
-// until the next Reinfer. Cancelling ctx mid-window leaves already-ingested
-// shards with the window and the rest without; re-inference tolerates the
-// imbalance, but callers wanting a clean window boundary should retry the
-// whole window.
+// addresses (address-less trips by trajectory key). Each shard queues its
+// part, and the engine then seals the window into every shard's candidate
+// pool at once; the served state is not touched until the next Reinfer.
+// Cancelling ctx mid-window leaves already-ingested shards with the window
+// (sealed) and the rest without; re-inference tolerates the imbalance, but
+// callers wanting a clean window boundary should retry the whole window.
 func (e *Engine) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
 	return e.ingest(ctx, trips, addrs, truth, true)
 }
@@ -304,10 +307,13 @@ func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 		return deploy.ErrBackpressure
 	}
 	if len(trips) > 0 {
-		// Seal pending streamed trips first so the batch window clusters
+		// Seal queued streamed trips first so the batch window clusters
 		// exactly the trips it was handed — streamed and batch windows stay
-		// distinct pool windows.
-		e.sealStreamWindowsLocked(ctx)
+		// distinct pool windows — and cut this window on the way out, on
+		// every shard that took its part: also when a later shard failed, so
+		// the shards already through end the window all the same.
+		e.sealWindowLocked(ctx)
+		defer e.sealWindowLocked(ctx)
 	}
 	for i, p := range e.partition(trips, addrs, truth) {
 		if p.Empty() {
@@ -412,11 +418,19 @@ func (e *Engine) IngestDataset(ctx context.Context, ds *model.Dataset) error {
 // error (naming their shard when there are several) and do not disturb the
 // other shards' swaps or the failing shard's previously served state.
 func (e *Engine) Reinfer(ctx context.Context) error {
-	// Seal every shard's open streamed window (a view covers sealed trips
-	// only) and fix, in the same hold, the trip count and the WAL position
-	// the retrain will cover (held back below any open stream's first point).
+	// Seal every shard's open window (a view covers sealed trips only) and
+	// fix, in the same hold, the trip count and the WAL position the retrain
+	// will cover (held back below any open stream's first point). The cut is
+	// logged before it is made, so a replay cuts where this engine did; a
+	// failed append fails the re-inference before anything changed.
 	e.ingestMu.Lock()
-	e.sealStreamWindowsLocked(ctx)
+	if e.wal != nil {
+		if _, err := e.wal.Append(walCutRecord[:]); err != nil {
+			e.ingestMu.Unlock()
+			return err
+		}
+	}
+	e.sealWindowLocked(ctx)
 	boundary := e.walBoundaryLocked()
 	e.mu.RLock()
 	total := e.nTrips
@@ -613,10 +627,12 @@ func (e *Engine) QueryCtx(ctx context.Context, addr model.AddressID) (geo.Point,
 // QueryBatch answers every key of addrs into out, input order preserved. One
 // shard answers the whole batch from a single frozen-store load. Several
 // scatter/gather: keys are grouped by owning shard from one routing-table
-// load, the per-shard groups fan out to at most GOMAXPROCS workers, and
+// load, the per-shard groups fan out to at most GOMAXPROCS workers (one per
+// populated shard when the shards are remote: their RPCs overlap), and
 // every worker writes results straight into the caller-visible positions —
-// out[i] always answers addrs[i], so reassembly is free. Small batches and
-// single-shard groups run inline rather than paying goroutine handoff.
+// out[i] always answers addrs[i], so reassembly is free. With in-process
+// shards, small batches and single-shard groups run inline rather than
+// paying goroutine handoff.
 // Cancelling ctx stops the remaining chunks and returns ctx's error.
 func (e *Engine) QueryBatch(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) ([]deploy.BatchAnswer, error) {
 	out = deploy.GrowAnswers(out, len(addrs))
@@ -655,22 +671,26 @@ func (e *Engine) scatterGather(ctx context.Context, addrs []model.AddressID, out
 	if active == 0 {
 		return ctx.Err()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > active {
-		workers = active
-	}
-	// One worker (or one populated shard, or a batch too small to amortize a
-	// goroutine handoff): answer inline on the caller's goroutine.
-	if workers == 1 || len(addrs) < 2*queryBatchChunk {
-		for sh, idx := range groups {
-			if len(idx) == 0 {
-				continue
+	// Remote shards answer over the wire: each populated shard gets its own
+	// goroutine, whatever the batch size, so the RPCs overlap instead of
+	// queueing one behind the other. In-process shards answer from memory.
+	workers := active
+	if !e.remote {
+		workers = min(active, runtime.GOMAXPROCS(0))
+		// One worker (or one populated shard, or a batch too small to
+		// amortize a goroutine handoff): answer inline on the caller's
+		// goroutine.
+		if workers == 1 || len(addrs) < 2*queryBatchChunk {
+			for sh, idx := range groups {
+				if len(idx) == 0 {
+					continue
+				}
+				if err := e.backends[sh].QueryBatchIdx(ctx, addrs, idx, out); err != nil {
+					return err
+				}
 			}
-			if err := e.backends[sh].QueryBatchIdx(ctx, addrs, idx, out); err != nil {
-				return err
-			}
+			return nil
 		}
-		return nil
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers-1)

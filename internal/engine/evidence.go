@@ -10,14 +10,18 @@ import (
 	"dlinfma/internal/core"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/traj"
 )
 
 // evidence is what one shard has accumulated to infer from: the pool
 // builder, every ingested trip, the address registry, ground truth, and the
-// backlog the served state does not cover yet. Its methods are the only code
-// that takes mu or writes a field, and every mutator republishes counts as it
-// unlocks — so Status, backpressure and the snapshot writer never wait for a
-// window's clustering, which addWindow and seal hold mu across.
+// backlog the served state does not cover yet. Trips enter one way, queue,
+// whatever path brought them: a batch window's after the shard extracted
+// their stay points outside mu, a streamed one as the engine's stream closes
+// it; only the engine's seal cuts a pool window. Its methods are the only
+// code that takes mu or writes a field, and every mutator republishes counts
+// as it unlocks — so Status, backpressure and the snapshot writer never wait
+// for a window's clustering, which seal holds mu across.
 type evidence struct {
 	mu      sync.Mutex
 	name    string
@@ -63,45 +67,42 @@ func (ev *evidence) unlock() {
 	ev.mu.Unlock()
 }
 
-// addWindow registers a batch window's new addresses and truth and clusters
-// its trips into the pool, reporting how many addresses were new. Cancelling
-// ctx mid-window returns ctx.Err() with the pool and the trips unchanged.
-func (ev *evidence) addWindow(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) (int, error) {
+// addAddrs registers a window's new addresses and its ground truth,
+// reporting how many addresses were new.
+func (ev *evidence) addAddrs(addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) int {
 	ev.mu.Lock()
 	defer ev.unlock()
 	added := ev.addAddrsLocked(addrs)
 	ingestAddrs.Add(int64(added))
 	maps.Copy(ev.truth, truth)
-	if len(trips) > 0 {
-		if err := ev.builder.AddWindow(ctx, trips); err != nil {
-			return added, err
-		}
-		ev.appendLocked(trips...)
-		ingestWindows.Inc()
-	}
-	return added, nil
+	return added
 }
 
-// addStreamed installs one closed streamed trip and queues its stay points
-// for the next seal. The engine owns the streamed window grid.
-func (ev *evidence) addStreamed(st *streamedTrip) {
+// queue is the one trip intake: it records tr, without its fixes, and
+// queues its stay points for the engine's next seal. The builder takes
+// ownership of stays.
+func (ev *evidence) queue(tr model.Trip, stays []traj.StayPoint) {
 	ev.mu.Lock()
 	defer ev.unlock()
-	ev.builder.AppendTripStays(st.trip.Courier, st.stays)
-	ev.appendLocked(st.trip)
+	ev.builder.AppendTripStays(tr.Courier, stays)
+	if ev.pending == 0 {
+		ev.pendingSince = time.Now()
+	}
+	ev.pending++
+	tr.Traj = nil
+	ev.trips = append(ev.trips, tr)
+	ingestTrips.Inc()
 }
 
-// seal clusters the pending streamed trips into the pool as one window.
-// Nothing pending is a no-op, so batch and streamed windows interleave
-// without producing empty pool windows.
+// seal clusters the queued trips into the pool as one window. Nothing
+// queued is a no-op, so the engine's cuts never produce empty pool windows.
 func (ev *evidence) seal(ctx context.Context) {
 	ev.mu.Lock()
 	defer ev.unlock()
 	if ev.builder.PendingTrips() == 0 {
 		return
 	}
-	// SealWindow only errors on a cancelled context before doing anything;
-	// streamed seals run to completion like the batch path's merge step.
+	// SealWindow's ctx carries the trace span only: a seal runs to the end.
 	_ = ev.builder.SealWindow(ctx)
 	ingestWindows.Inc()
 }
@@ -143,7 +144,7 @@ func (ev *evidence) served(n int) {
 	}
 }
 
-// view is the evidence as a re-inference reads it: the sealed trips (streamed
+// view is the evidence as a re-inference reads it: the sealed trips (queued
 // ones awaiting the engine's seal are the tail of trips, left out) and the
 // addresses as capped slices of their append-only registries, a copy of the
 // truth, the pool finalized over exactly those trips, and the trip count for
@@ -162,21 +163,6 @@ func (ev *evidence) view(ctx context.Context) (*model.Dataset, *core.Pool, int, 
 		Truth:     maps.Clone(ev.truth),
 	}
 	return ds, ev.builder.FinalizeCtx(ctx), n, nil
-}
-
-// appendLocked records trips the builder has consumed, copied without their
-// fixes (most of what a trip weighs), and grows the backlog, stamping its
-// start when it was empty. Callers hold mu and pass at least one trip.
-func (ev *evidence) appendLocked(trips ...model.Trip) {
-	if ev.pending == 0 {
-		ev.pendingSince = time.Now()
-	}
-	ev.pending += len(trips)
-	for _, tr := range trips {
-		tr.Traj = nil
-		ev.trips = append(ev.trips, tr)
-	}
-	ingestTrips.Add(int64(len(trips)))
 }
 
 // addAddrsLocked registers the addresses not seen before and reports how

@@ -31,11 +31,12 @@ type serving struct {
 // snapshot layout all belong to the Engine that owns it — and is only ever
 // constructed by one.
 //
-// Its one lock is its evidence's, which an ingest holds across a window's
-// clustering and a re-inference across finalizing the pool. Everything else
-// is read with one atomic load: the served state, the counts the evidence
-// publishes on every change, and the record of the last re-inference — so
-// queries, Status, backpressure and snapshot writes never wait for a window.
+// Its one lock is its evidence's, which the engine's window seal holds
+// across a window's clustering and a re-inference across finalizing the
+// pool. Everything else is read with one atomic load: the served state, the
+// counts the evidence publishes on every change, and the record of the last
+// re-inference — so queries, Status, backpressure and snapshot writes never
+// wait for a window.
 type Shard struct {
 	cfg Config
 	log *obs.Logger
@@ -85,19 +86,24 @@ func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 }
 
 // Ingest applies one already-partitioned window to the shard's evidence:
-// new addresses and ground truth are registered, and the trips are
-// clustered and merged into the candidate pool immediately (the paper's
-// bi-weekly pool maintenance). The served state is not touched until the
-// next Reinfer. Cancelling ctx mid-window returns ctx.Err() with the pool
-// unchanged.
+// new addresses and ground truth are registered, and each trip's stay
+// points are extracted and queued through the evidence's one trip intake.
+// It clusters nothing: the window becomes a pool window when the owning
+// Engine seals it (the paper's bi-weekly pool maintenance), and the served
+// state is not touched until the next Reinfer. Cancelling ctx mid-window
+// returns ctx.Err() with the evidence unchanged.
 func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
 	ctx, tsp := trace.Start(ctx, "engine.ingest")
 	tsp.SetAttr("trips", len(trips))
 	defer tsp.End()
-	added, err := s.ev.addWindow(ctx, trips, addrs, truth)
+	stays, err := core.ExtractAllStayPoints(ctx, &model.Dataset{Trips: trips}, s.cfg.Core)
 	if err != nil {
 		tsp.RecordError(err)
 		return err
+	}
+	added := s.ev.addAddrs(addrs, truth)
+	for i := range trips {
+		s.ev.queue(trips[i], stays[i])
 	}
 	if s.log.Enabled(obs.LevelDebug) {
 		s.log.WithTrace(ctx).Debug("ingest window",

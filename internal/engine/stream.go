@@ -12,6 +12,7 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs"
+	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/traj"
 )
 
@@ -153,9 +154,9 @@ func (ss *streamSet) finish(cs *courierStream, reason *obs.Counter) *streamedTri
 }
 
 // errRemoteStreaming rejects the local-only ingest surfaces in the remote
-// topology: streamed trips enter shard pools through the window-less
-// evidence.addStreamed hook, which has no wire form. Stream into each shard
-// process directly instead.
+// topology: a streamed trip enters a shard's evidence one trip at a time
+// (evidence.queue), which has no wire form. Stream into each shard process
+// directly instead.
 var errRemoteStreaming = errors.New("engine: streaming ingest requires in-process shards; stream to the shard processes directly")
 
 // IngestPoint accepts one streamed GPS fix for a courier, durably logging it
@@ -294,13 +295,13 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	ss := e.ss
 	var cut bool
 	if ss.winEnd, cut = core.NextWindow(ss.winEnd, st.trip.StartT, ss.window); cut {
-		e.sealStreamWindowsLocked(ctx)
+		e.sealWindowLocked(ctx)
 	}
 	sh := 0
 	if e.routed() {
 		sh = e.router.TripShard(st.trip)
 	}
-	e.shards[sh].ev.addStreamed(st)
+	e.shards[sh].ev.queue(st.trip, st.stays)
 	ss.winStays += len(st.stays)
 	e.mu.Lock()
 	e.nTrips++
@@ -309,18 +310,22 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	}
 	e.mu.Unlock()
 	if ss.winStays >= ss.maxStays {
-		e.sealStreamWindowsLocked(ctx)
+		e.sealWindowLocked(ctx)
 	}
 }
 
-// sealStreamWindowsLocked seals the streamed window on every in-process
-// shard (no-op on shards with nothing pending) and resets the size counter.
-// The shards seal side by side, each under its own evidence lock and into
-// its own builder, and the call returns when all have: a window's cut is the
-// same whichever shard finishes first. The last shard seals on the calling
-// goroutine, so a one-shard engine starts none. Remote shard processes seal
-// their own streamed windows.
-func (e *Engine) sealStreamWindowsLocked(ctx context.Context) {
+// sealWindowLocked is the one pool-window cut: it seals the queued trips of
+// every in-process shard (no-op on shards with nothing queued) as one window
+// and resets the streamed window's size counter. A batch window (after its
+// fan-out), the streamed grid and size bound, Reinfer and WAL replay all cut
+// here. The shards seal side by side, each under its own evidence lock and
+// into its own builder, and the call returns when all have: a window's cut
+// is the same whichever shard finishes first. The last shard seals on the
+// calling goroutine, so a one-shard engine starts none. Remote shard
+// processes cut their own windows. Callers hold ingestMu.
+func (e *Engine) sealWindowLocked(ctx context.Context) {
+	ctx, tsp := trace.Start(ctx, "engine.seal_window")
+	defer tsp.End()
 	e.ss.winStays = 0
 	var wg sync.WaitGroup
 	var prev *Shard

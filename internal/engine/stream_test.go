@@ -108,7 +108,7 @@ func viewEvidence(t *testing.T, e *Engine, i int) (*model.Dataset, *core.Pool) {
 	t.Helper()
 	ctx := context.Background()
 	e.ingestMu.Lock()
-	e.sealStreamWindowsLocked(ctx)
+	e.sealWindowLocked(ctx)
 	e.ingestMu.Unlock()
 	ds, pool, _, err := e.shards[i].ev.view(ctx)
 	if errors.Is(err, errNoTrips) {
@@ -295,6 +295,87 @@ func TestViewCutsNoWindow(t *testing.T) {
 	requireSameIngestState(t, quiet, viewed)
 	if _, pool := viewEvidence(t, quiet, 0); len(pool.Visits) != 6 {
 		t.Fatalf("the cut pool covers %d trips, want 6", len(pool.Visits))
+	}
+}
+
+// TestShardedBatchLoadCutsOncePerShard: a batch load at three shards
+// queues each window's part on its shard and the engine cuts the window
+// once, on every shard that took a part. Each shard's pool equals a
+// reference builder fed that shard's core.PartitionDataset part window by
+// window on the dataset's grid (core.ForEachWindow), and dlinfma_engine_ingest_windows_total
+// (read as its change: the registry is process-wide) moves by exactly one
+// per shard per window the shard took part in.
+func TestShardedBatchLoadCutsOncePerShard(t *testing.T) {
+	const nShards = 3
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := streamTestConfig()
+	cfg.Core.PoolWindowSeconds = 3 * 86400 // several windows over Tiny's two weeks
+	// Precision 7 gives every shard a part of Tiny's trips (the default
+	// leaves one without).
+	r, err := shard.NewRouter(nShards, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewSharded(cfg, r)
+	defer e.Close()
+	ctx := context.Background()
+	windows0 := pipelineSample(t, "dlinfma_engine_ingest_windows_total", "dlinfma_engine_ingest_windows_total")
+	if err := e.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	moved := pipelineSample(t, "dlinfma_engine_ingest_windows_total", "dlinfma_engine_ingest_windows_total") - windows0
+
+	// The dataset's window grid: which window each trip is in, by courier
+	// and start (a part's trips are copies of the dataset's, in its order).
+	type tripKey struct {
+		c model.CourierID
+		t float64
+	}
+	windowOf := map[tripKey]int{}
+	nWindows := 0
+	_ = core.ForEachWindow(ds.Trips, cfg.Core.PoolWindowSeconds, func(batch []model.Trip) error {
+		for _, tr := range batch {
+			windowOf[tripKey{tr.Courier, tr.StartT}] = nWindows
+		}
+		nWindows++
+		return nil
+	})
+	want := 0
+	for i, part := range core.PartitionDataset(ds, nShards, r.AddressShard, r.TripShard) {
+		ref := core.NewIncrementalPoolBuilder(cfg.Core)
+		cut := func() {
+			if ref.PendingTrips() > 0 {
+				want++
+				if err := ref.SealWindow(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		open := 0
+		for _, tr := range part.Trips {
+			if w := windowOf[tripKey{tr.Courier, tr.StartT}]; w != open {
+				cut()
+				open = w
+			}
+			ref.AppendTripStays(tr.Courier, traj.ExtractStayPoints(tr.Traj, cfg.Core.Noise, cfg.Core.Stay))
+		}
+		cut()
+		wantPool := ref.Finalize()
+		_, got := viewEvidence(t, e, i)
+		if len(wantPool.Visits) == 0 {
+			t.Fatalf("shard %d took no trips: the load does not exercise three shards", i)
+		}
+		if !reflect.DeepEqual(wantPool.Locations, got.Locations) || !reflect.DeepEqual(wantPool.Visits, got.Visits) {
+			t.Fatalf("shard %d: pool differs from its part's reference (%d vs %d locations)",
+				i, len(wantPool.Locations), len(got.Locations))
+		}
+	}
+	if len(windowOf) != len(ds.Trips) || nWindows < 2 || want <= nShards || moved != float64(want) {
+		t.Fatalf("dlinfma_engine_ingest_windows_total moved %+g over %d windows of %d trips (%d keys), want %d (one per shard per window it took part in)",
+			moved, nWindows, len(ds.Trips), len(windowOf), want)
 	}
 }
 
@@ -503,11 +584,9 @@ func testWALCrashRecovery(t *testing.T, n int) {
 }
 
 // TestReinferWindowCutReplays: Reinfer cuts the open streamed window, and
-// that cut is in no WAL record, so a replay of the log cuts the stream where
-// the live engine did not and holds a different pool. Fixing it needs a
-// logged cut or a re-inference that does not cut (ROADMAP items 1 and 5).
+// logs the cut before it makes it (a 0x06 record), so a replay of the log
+// cuts the stream where the live engine did and holds the same pool.
 func TestReinferWindowCutReplays(t *testing.T) {
-	t.Skip("Reinfer's window cut is not logged: skipped until ROADMAP items 1 and 5 land a logged cut or a cut-free re-inference")
 	ds, _, err := synth.Generate(synth.Tiny())
 	if err != nil {
 		t.Fatal(err)

@@ -124,7 +124,9 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 	}
 
 	// Walk the span tree: HTTP root -> engine.shard_ingest{shard} ->
-	// engine.ingest -> pool_window (a core pipeline stage span).
+	// engine.ingest for each shard's part, and HTTP root ->
+	// engine.seal_window -> pool_window (a core pipeline stage span) for the
+	// window's cut.
 	byID := map[string]trace.SpanData{}
 	for _, sd := range tr.Spans {
 		byID[sd.SpanID] = sd
@@ -151,9 +153,13 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 			if p := byID[sd.ParentID]; p.Name != "engine.shard_ingest" {
 				t.Errorf("engine.ingest parent is %q, want engine.shard_ingest", p.Name)
 			}
+		case "engine.seal_window":
+			if p := byID[sd.ParentID]; p.Name != "/v1/ingest" {
+				t.Errorf("seal_window parent is %q, want the HTTP root", p.Name)
+			}
 		case "pool_window":
-			if p := byID[sd.ParentID]; p.Name != "engine.ingest" {
-				t.Errorf("pool_window parent is %q, want engine.ingest", p.Name)
+			if p := byID[sd.ParentID]; p.Name != "engine.seal_window" {
+				t.Errorf("pool_window parent is %q, want engine.seal_window", p.Name)
 			}
 		}
 	}

@@ -17,23 +17,30 @@ import (
 )
 
 // A WAL record is one acknowledged ingest operation: a batch window, one
-// streamed fix, or one explicit stream end. Replaying the records through the
-// code paths the live operations took reproduces the ingest state
-// deterministically (the stream extractor and the pool builder are both
-// deterministic functions of their input order).
+// streamed fix, one explicit stream end, or a re-inference's window cut.
+// Replaying the records through the code paths the live operations took
+// reproduces the ingest state deterministically (the stream extractor and
+// the pool builder are both deterministic functions of their input order,
+// and every window cut is either implied by a record or is one).
 //
 // Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
-// little-endian; '{' is a JSON walRecord, the batch window. Any other tag,
-// and any JSON kind but the window, refuses replay: it is a log from another
-// build, and refusing beats silently dropping ingest.
+// little-endian, the cut is the tag alone; '{' is a JSON walRecord, the
+// batch window. 0x03–0x05 are reserved for waybill, address and truth
+// records. Any other tag, and any JSON kind but the window, refuses replay:
+// it is a log from another build, and refusing beats silently dropping
+// ingest.
 const (
 	walTagPoint byte = 0x01 // tag, int32 courier, float64 x, y, t
 	walTagEnd   byte = 0x02 // tag, int32 courier
+	walTagCut   byte = 0x06 // tag
 	walTagJSON  byte = '{'
 
 	walPointSize = 1 + 4 + 3*8
 	walEndSize   = 1 + 4
 )
+
+// walCutRecord is the payload of Reinfer's window cut.
+var walCutRecord = [1]byte{walTagCut}
 
 // walKindIngest is the kind of a batch-window record.
 const walKindIngest = "ingest"
@@ -71,49 +78,54 @@ func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(op.Pt.T))
 }
 
-// decodeWALRecord reads one payload: a binary streamed op, or — window
-// non-nil — a batch window.
-func decodeWALRecord(payload []byte) (op deploy.StreamOp, window *walRecord, err error) {
+// decodeWALRecord reads one payload: a binary streamed op, a window cut
+// (cut true), or — window non-nil — a batch window.
+func decodeWALRecord(payload []byte) (op deploy.StreamOp, window *walRecord, cut bool, err error) {
 	if len(payload) == 0 {
-		return op, nil, errors.New("empty wal record")
+		return op, nil, false, errors.New("empty wal record")
 	}
 	switch tag := payload[0]; tag {
 	case walTagPoint:
 		if len(payload) != walPointSize {
-			return op, nil, fmt.Errorf("wal point record of %d bytes, want %d", len(payload), walPointSize)
+			return op, nil, false, fmt.Errorf("wal point record of %d bytes, want %d", len(payload), walPointSize)
 		}
 		op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
 		op.Pt.P.X = math.Float64frombits(binary.LittleEndian.Uint64(payload[5:]))
 		op.Pt.P.Y = math.Float64frombits(binary.LittleEndian.Uint64(payload[13:]))
 		op.Pt.T = math.Float64frombits(binary.LittleEndian.Uint64(payload[21:]))
-		return op, nil, nil
+		return op, nil, false, nil
 	case walTagEnd:
 		if len(payload) != walEndSize {
-			return op, nil, fmt.Errorf("wal end record of %d bytes, want %d", len(payload), walEndSize)
+			return op, nil, false, fmt.Errorf("wal end record of %d bytes, want %d", len(payload), walEndSize)
 		}
 		op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
 		op.End = true
-		return op, nil, nil
+		return op, nil, false, nil
+	case walTagCut:
+		if len(payload) != len(walCutRecord) {
+			return op, nil, false, fmt.Errorf("wal cut record of %d bytes, want %d", len(payload), len(walCutRecord))
+		}
+		return op, nil, true, nil
 	case walTagJSON:
 		rec := new(walRecord)
 		if err := json.Unmarshal(payload, rec); err != nil {
-			return op, nil, err
+			return op, nil, false, err
 		}
 		if rec.Kind != walKindIngest {
-			return op, nil, fmt.Errorf("unknown wal record kind %q", rec.Kind)
+			return op, nil, false, fmt.Errorf("unknown wal record kind %q", rec.Kind)
 		}
-		return op, rec, nil
+		return op, rec, false, nil
 	default:
-		return op, nil, fmt.Errorf("unknown wal record tag %#02x", tag)
+		return op, nil, false, fmt.Errorf("unknown wal record tag %#02x", tag)
 	}
 }
 
 // AttachWAL makes w the engine's write-ahead log: from now on every accepted
-// ingest operation is appended (points and stream ends before they mutate
-// state, batch windows after they apply so a rejected or cancelled window
-// never pollutes the log). Attach after ReplayWAL so replayed records are
-// not re-appended. The remote topology refuses a WAL: durability belongs to
-// each shard process.
+// ingest operation is appended (points, stream ends and Reinfer's window
+// cuts before they mutate state, batch windows after they apply so a
+// rejected or cancelled window never pollutes the log). Attach after
+// ReplayWAL so replayed records are not re-appended. The remote topology
+// refuses a WAL: durability belongs to each shard process.
 func (e *Engine) AttachWAL(w *wal.WAL) {
 	if e.remote {
 		panic("engine: a remote-sharded engine cannot own a WAL")
@@ -139,11 +151,15 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	start := time.Now()
 	n := 0
 	err := w.Replay(func(seq uint64, payload []byte) error {
-		op, window, err := decodeWALRecord(payload)
+		op, window, cut, err := decodeWALRecord(payload)
 		switch {
 		case err != nil:
 		case window != nil:
 			err = e.ingest(ctx, window.Trips, window.Addrs, window.Truth, false)
+		case cut:
+			e.ingestMu.Lock()
+			e.sealWindowLocked(ctx)
+			e.ingestMu.Unlock()
 		default:
 			ops := [1]deploy.StreamOp{op}
 			e.ingestMu.Lock()

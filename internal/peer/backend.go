@@ -39,10 +39,13 @@ import (
 //     (idx nil: every position), touching no other slot of out — a sharded
 //     scatter/gather hands every backend the same addrs/out pair and
 //     disjoint idx sets.
-//   - Ingest applies one already-partitioned window. A remote shard process
-//     answers deploy.ErrBackpressure (possibly wrapped) when its own backlog
-//     is full; in-process shards never reject — their coordinator bounds the
-//     summed backlog before fanning out.
+//   - Ingest applies one already-partitioned window. An in-process shard
+//     queues the window's trips and its coordinator cuts the pool window
+//     once every shard took its part; a remote shard process's own engine
+//     cuts it. A remote shard process answers deploy.ErrBackpressure
+//     (possibly wrapped) when its own backlog is full; in-process shards
+//     never reject — their coordinator bounds the summed backlog before
+//     fanning out.
 //   - Reinfer blocks until the shard's retrain finished, failed, or ctx
 //     ended.
 //   - Status never fails: a backend that cannot reach its shard reports

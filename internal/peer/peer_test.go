@@ -756,3 +756,65 @@ func TestFrontendBatchSkipsHealthzOnceWarm(t *testing.T) {
 			batches.Load(), healthz.Load())
 	}
 }
+
+// TestFrontendBatchFansOutToPeers: a frontend's batch lookup over two remote
+// shards asks both peers at once, not one after the other — with each peer
+// taking 100 ms to answer its :batch RPC, one Tiny-sized batch has both RPCs
+// in flight together.
+func TestFrontendBatchFansOutToPeers(t *testing.T) {
+	const nShards = 2
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	cfg := quickCfg(len(ds.Trips))
+	var inFlight, maxInFlight, batches atomic.Int64
+	peers := make([]string, nShards)
+	for i := range peers {
+		eng := engine.New(cfg)
+		svc := deploy.NewService(eng, deploy.Options{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/locations:batch" {
+				batches.Add(1)
+				n := inFlight.Add(1)
+				for m := maxInFlight.Load(); n > m && !maxInFlight.CompareAndSwap(m, n); m = maxInFlight.Load() {
+				}
+				time.Sleep(100 * time.Millisecond)
+				defer inFlight.Add(-1)
+			}
+			svc.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			eng.Close()
+		})
+		peers[i] = srv.URL
+	}
+	backends, _, err := peer.NewFrontendBackends(newRouter(t, nShards), peer.FrontendOptions{Peers: peers, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := engine.NewShardedBackends(cfg, newRouter(t, nShards), backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	if err := fe.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Reinfer(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	keys := make([]model.AddressID, 0, len(ds.Addresses))
+	for _, a := range ds.Addresses {
+		keys = append(keys, a.ID)
+	}
+	batches.Store(0)
+	maxInFlight.Store(0)
+	if _, err := fe.QueryBatch(ctx, keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	if batches.Load() != nShards || maxInFlight.Load() != nShards {
+		t.Fatalf("a %d-key batch over %d peers made %d peer batch RPCs, at most %d in flight; want %d and %d",
+			len(keys), nShards, batches.Load(), maxInFlight.Load(), nShards, nShards)
+	}
+}
