@@ -2,7 +2,7 @@
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
 # obs metrics/logging layer), the HTTP service twice over; bench regenerates the
 # LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json;
-# bench-regress compares five of those rows with the parent commit's; cover
+# bench-regress compares six of those rows with the parent commit's; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
 # bench/run.sh (BENCHMARK.json), not from a target here.
@@ -40,6 +40,9 @@ examples-smoke:
 #                           whole route vs the pure encoding/json route
 #   FuzzBatchResponseEncode the batch/point response writer vs json.Marshal
 #   FuzzStreamLineDecode    the POST /v1/trajectories:stream line reader
+#   FuzzFrozenStore         the frozen store's open-addressed table vs a Go
+#                           map of the same answers, and its layout vs the
+#                           same rows frozen in the opposite order
 #   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder (the
 #                           0x06 window cut is exactly its one byte) and,
 #                           for the JSON batch window, json.Unmarshal; every
@@ -78,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchRequestDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzBatchResponseEncode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzFrozenStore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
@@ -183,13 +187,14 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Compare this checkout with its parent commit (HEAD~1) on five
+# Compare this checkout with its parent commit (HEAD~1) on six
 # micro-benchmark rows — single-shard queries/sec of the parallel and batched
-# reads, two-shard fixes/sec of the streamed ingest, serial ns/op of a
-# training epoch, addrs/s of a 200k-address restore — over ten alternating
+# reads, ns/key of the batch handler over a 200k-address store, two-shard
+# fixes/sec of the streamed ingest, serial ns/op of a training epoch, addrs/s
+# of a 200k-address restore — over ten alternating
 # pairs of runs at 1 s benchtime, each side's root test binary built once.
 # Fails when a row's median over this checkout's runs is worse than the
 # parent's by more than 15%, or a row or a run is missing (microGates in
-# cmd/benchjson). About 3.5 minutes on two cores.
+# cmd/benchjson). About 5 minutes on two cores.
 bench-regress:
 	bash scripts/pairs.sh HEAD~1 micro 1 10

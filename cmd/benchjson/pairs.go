@@ -50,6 +50,7 @@ type gatedMetric struct {
 var microGates = []gatedMetric{
 	{Name: "BenchmarkServeQueriesParallel/shards=1 queries/sec", Unit: "queries/sec", Better: "higher", Bound: 0.15},
 	{Name: "BenchmarkServeQueriesBatch/shards=1 queries/sec", Unit: "queries/sec", Better: "higher", Bound: 0.15},
+	{Name: "BenchmarkBatchHandler ns/key", Unit: "ns/key", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkServeStreamIngest/shards=2 fixes/sec", Unit: "fixes/sec", Better: "higher", Bound: 0.15},
 	{Name: "BenchmarkFitParallel/workers=1 ns/op", Unit: "ns/op", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkRestoreSnapshot addrs/s", Unit: "addrs/s", Better: "higher", Bound: 0.15},

@@ -109,6 +109,7 @@ func TestPairsMissingRun(t *testing.T) {
 var microRows = []string{
 	"BenchmarkServeQueriesParallel/shards=1-8  24963  46939 ns/op  %g queries/sec",
 	"BenchmarkServeQueriesBatch/shards=1-8  5624  221249 ns/op  %g queries/sec",
+	"BenchmarkBatchHandler-8  24000  51200 ns/op  %g ns/key  1203 B/op  9 allocs/op",
 	"BenchmarkServeStreamIngest/shards=2-8  2989  370137 ns/op  %g fixes/sec",
 	"BenchmarkFitParallel/workers=1-8  26  %g ns/op  1919970 B/op  2934 allocs/op",
 	"BenchmarkRestoreSnapshot-8  4  277916301 ns/op  %g addrs/s  61684564 B/op  1649 allocs/op",
@@ -161,6 +162,7 @@ func TestPairsMicroGate(t *testing.T) {
 		batch    = "BenchmarkServeQueriesBatch/shards=1 queries/sec"
 		fit      = "BenchmarkFitParallel/workers=1 ns/op"
 		restore  = "BenchmarkRestoreSnapshot addrs/s"
+		handler  = "BenchmarkBatchHandler ns/key"
 	)
 	for _, tc := range []struct {
 		name    string
@@ -174,6 +176,8 @@ func TestPairsMicroGate(t *testing.T) {
 			fail: []string{batch}, notFail: []string{fit, parallel}},
 		{name: "ns/op is lower-is-better", factor: map[string]float64{fit: 1.3, parallel: 1.3},
 			fail: []string{fit}, notFail: []string{parallel}},
+		{name: "ns/key is lower-is-better", factor: map[string]float64{handler: 1.3, batch: 1.3},
+			fail: []string{handler}, notFail: []string{batch}},
 		{name: "row absent from every run", factor: map[string]float64{restore: 0},
 			fail: []string{"in no complete pair: " + restore}, notFail: []string{parallel}},
 	} {

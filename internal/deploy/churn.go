@@ -22,32 +22,32 @@ var churnDistanceBounds = [...]float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 100
 // Added). lowConf, when > 0, also counts incoming answers below that
 // confidence; onMove, when non-nil, is called with each moved distance in
 // meters (the engine feeds its distance histogram through it). The diff
-// walks both answer maps once — O(|old|+|new|) — and runs off the serving
-// path, after the swap has already published.
+// walks the new table once, probing the old one for each answer — O(|new|)
+// — and runs off the serving path, after the swap has already published.
 func DiffFrozen(old, new *FrozenStore, lowConf float64, onMove func(meters float64)) api.SwapReport {
 	c := api.SwapReport{Before: old.Len(), After: new.Len()}
 	var movedDist [len(churnDistanceBounds) + 1]int64
 	var sumMoved float64
 	if new != nil {
-		for addr, na := range new.answers {
-			if lowConf > 0 && na.Src == SourceAddress && na.Conf > 0 && float64(na.Conf) < lowConf {
+		for i := range new.slots {
+			na := &new.slots[i]
+			if na.src == SourceNone {
+				continue
+			}
+			if lowConf > 0 && na.src == SourceAddress && na.conf > 0 && float64(na.conf) < lowConf {
 				c.LowConfidence++
 			}
-			if old == nil {
+			oa := old.find(na.id)
+			if oa == nil {
 				c.Added++
 				continue
 			}
-			oa, ok := old.answers[addr]
-			if !ok {
-				c.Added++
-				continue
-			}
-			if oa.Loc == na.Loc {
+			if oa.loc == na.loc {
 				c.Retained++
 				continue
 			}
 			c.Moved++
-			d := geo.Dist(oa.Loc, na.Loc)
+			d := geo.Dist(oa.loc, na.loc)
 			sumMoved += d
 			if d > c.MaxMovedMeters {
 				c.MaxMovedMeters = d
@@ -58,17 +58,8 @@ func DiffFrozen(old, new *FrozenStore, lowConf float64, onMove func(meters float
 			}
 		}
 	}
-	if old != nil {
-		for addr := range old.answers {
-			if new == nil {
-				c.Dropped++
-				continue
-			}
-			if _, ok := new.answers[addr]; !ok {
-				c.Dropped++
-			}
-		}
-	}
+	// Every old answer new still has is retained or moved.
+	c.Dropped = int64(c.Before) - (c.Retained + c.Moved)
 	if c.Moved > 0 {
 		c.ChurnRatio = float64(c.Moved) / float64(c.Moved+c.Retained)
 		c.MeanMovedMeters = sumMoved / float64(c.Moved)

@@ -77,7 +77,7 @@ func TestFrozenStoreNilSafe(t *testing.T) {
 }
 
 // TestFrozenQueryZeroAllocs guards the tentpole contract: a frozen-store
-// query is one map lookup with zero allocations.
+// query is one table probe with zero allocations.
 func TestFrozenQueryZeroAllocs(t *testing.T) {
 	f := populatedStore().Freeze()
 	addrs := []model.AddressID{1, 2, 3, 99}

@@ -77,11 +77,13 @@ type Store struct {
 	mu    sync.Mutex
 	rows  []storeRow
 	index map[model.AddressID]int32
-	// located counts the rows holding an inferred location.
-	located int
+	// located counts the rows holding an inferred location, answerable the
+	// rows with anything to answer with (registered or located).
+	located    int
+	answerable int
 	// byBld caches the building majorities of the current rows; any write
-	// that can move one drops it. A computed map is never written again, so
-	// Freeze hands it to the FrozenStore as is.
+	// that can move one drops it, so Freeze and Query share one computation
+	// until the next such write.
 	byBld map[model.BuildingID]geo.Point
 }
 
@@ -141,6 +143,9 @@ func (s *Store) SetConfidence(addr model.AddressID, conf float32) {
 func (s *Store) RegisterAddress(addr model.AddressID, bld model.BuildingID, geocode geo.Point) {
 	s.mu.Lock()
 	r := s.rowLocked(addr)
+	if !r.registered && !r.located {
+		s.answerable++
+	}
 	r.bld, r.geocode, r.registered = bld, geocode, true
 	s.byBld = nil
 	s.mu.Unlock()
@@ -152,6 +157,9 @@ func (s *Store) Put(addr model.AddressID, loc geo.Point) {
 	s.mu.Lock()
 	r := s.rowLocked(addr)
 	if !r.located {
+		if !r.registered {
+			s.answerable++
+		}
 		r.located = true
 		s.located++
 	}

@@ -48,7 +48,7 @@ type Shard struct {
 	lcTotalTrips atomic.Int64
 
 	// sv is the served state, republished whole at every hot swap. Query
-	// loads the pointer and does one map lookup — no locks, no allocations.
+	// loads the pointer and probes one table — no locks, no allocations.
 	// nil until the first swap.
 	sv atomic.Pointer[serving]
 
@@ -246,7 +246,7 @@ func (s *Shard) frozen() *deploy.FrozenStore {
 }
 
 // Query answers from the currently served frozen store: one atomic pointer
-// load plus one map lookup, no locks and zero allocations, and never an
+// load plus one table probe, no locks and zero allocations, and never an
 // error — an in-process shard has no hop to fail. It returns SourceNone
 // before the first completed re-inference or snapshot restore — queries
 // never wait on retraining.
@@ -268,7 +268,7 @@ const queryBatchChunk = 512
 // nil: all of addrs) from a single frozen-store load, leaving every other
 // slot of out untouched — a sharded fan-out hands every backend the same
 // addrs/out pair and disjoint idx sets. Per-source metrics are tallied
-// locally and flushed in bulk so the per-key cost stays one map lookup; ctx
+// locally and flushed in bulk so the per-key cost stays one table probe; ctx
 // is checked between chunks so a caller that gave up stops paying.
 func (s *Shard) QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx []int32, out []deploy.BatchAnswer) error {
 	f := s.frozen()

@@ -342,7 +342,7 @@ func TestSnapshotScanAtScale(t *testing.T) {
 }
 
 // TestSnapshotRestoreAllocs bounds what a restore allocates: the document's
-// rows go into presized rows, one index and the frozen maps, so the count
+// rows go into presized rows, one index and the frozen table, so the count
 // does not grow with the address count the way a key string and a vote map
 // per row did (2.07 allocations per address).
 func TestSnapshotRestoreAllocs(t *testing.T) {
