@@ -2,7 +2,7 @@
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
 # obs metrics/logging layer), the HTTP service twice over; bench regenerates the
 # LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json;
-# bench-regress compares six of those rows with the parent commit's; cover
+# bench-regress compares seven of those rows with the parent commit's; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
 # bench/run.sh (BENCHMARK.json), not from a target here.
@@ -60,6 +60,9 @@ examples-smoke:
 #   FuzzMergeNear           internal/cluster's window-by-window merge around
 #                           the new centroids vs HierarchicalWeighted over
 #                           everything alive, bit for bit
+#   FuzzPoolBuilder         internal/core's pool builder vs the map-based
+#                           builder that re-clusters every alive item at each
+#                           seal: the same pool after every random window cut
 #   FuzzParseExposition     internal/obs's Prometheus text parser, which a
 #                           cluster frontend runs on its peers' /v1/metrics
 #   FuzzWALSegment          internal/wal's frame reader: a damaged segment is
@@ -87,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzRowOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMergeNear$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPoolBuilder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/trace -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
@@ -187,14 +191,16 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Compare this checkout with its parent commit (HEAD~1) on six
+# Compare this checkout with its parent commit (HEAD~1) on seven
 # micro-benchmark rows — single-shard queries/sec of the parallel and batched
 # reads, ns/key of the batch handler over a 200k-address store, two-shard
-# fixes/sec of the streamed ingest, serial ns/op of a training epoch, addrs/s
-# of a 200k-address restore — over ten alternating
-# pairs of runs at 1 s benchtime, each side's root test binary built once.
-# Fails when a row's median over this checkout's runs is worse than the
-# parent's by more than 15%, or a row or a run is missing (microGates in
-# cmd/benchjson). About 5 minutes on two cores.
+# fixes/sec of the streamed ingest, the process CPU time of a serial training
+# epoch, addrs/s of a 200k-address restore, the bytes a pool builder holds
+# per alive location after 50 windows — over ten alternating pairs of runs
+# at 1 s benchtime, each side's root test binary built once. Fails when a
+# row's median over this checkout's runs is worse than the parent's by more
+# than 15%, or a row or a run is missing (microGates in cmd/benchjson); a row
+# no parent run reports yet is printed as new and compared from the next
+# commit on. About 6 minutes on two cores.
 bench-regress:
 	bash scripts/pairs.sh HEAD~1 micro 1 10

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -271,12 +272,16 @@ func BenchmarkLocMatcherInference(b *testing.B) {
 // BenchmarkFitParallel measures one LocMatcher training epoch at several
 // worker counts (Workers=1 is the serial reference path; higher counts train
 // each batch's samples on replica parameters). Allocation counts show the
-// tape arena's effect: graph storage is recycled sample to sample.
+// tape arena's effect: graph storage is recycled sample to sample. cpu-ns/op
+// is the process's CPU time per epoch, garbage collection included: what
+// make bench-regress gates, since on a shared machine the wall time also
+// counts the time the machine ran something else.
 func BenchmarkFitParallel(b *testing.B) {
 	ss := tinySamples(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			cpu0, ok := processCPU()
 			for i := 0; i < b.N; i++ {
 				cfg := eval.ExperimentLocMatcherConfig()
 				cfg.MaxEpochs = 1
@@ -286,6 +291,9 @@ func BenchmarkFitParallel(b *testing.B) {
 				if _, err := m.Fit(context.Background(), ss, nil); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if cpu1, ok1 := processCPU(); ok && ok1 {
+				b.ReportMetric(float64(cpu1-cpu0)/float64(b.N), "cpu-ns/op")
 			}
 		})
 	}
@@ -660,7 +668,11 @@ func BenchmarkReplayWAL(b *testing.B) {
 // 1,000 stay points: five visits (3 m of jitter) to each of 200 locations in
 // a 20 km square — after the first window, 100 seen in earlier windows and
 // 100 new — so the pool grows by about 100 candidates a window. A seal that costs its window, not
-// the pool's history, reads the same at both.
+// the pool's history, reads the same at both. B/location is the heap the
+// builder holds after the fiftieth seal (HeapAlloc after a GC with the
+// builder live, less HeapAlloc after a GC before it was made) over its alive
+// locations: the 50,000 stays' visits, the alive profiles and what the
+// merged-away centroids keep.
 func BenchmarkPoolSealGrowth(b *testing.B) {
 	const windows, perWindow, visits = 50, 100, 5
 	rng := rand.New(rand.NewSource(1))
@@ -691,9 +703,18 @@ func BenchmarkPoolSealGrowth(b *testing.B) {
 	}
 	ctx := context.Background()
 	var first, last time.Duration
+	var before uint64
+	var ms runtime.MemStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i == b.N-1 {
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before = ms.HeapAlloc
+			b.StartTimer()
+		}
 		pb := core.NewIncrementalPoolBuilder(core.DefaultConfig())
 		for w, trips := range stays {
 			for c, tr := range trips {
@@ -710,6 +731,14 @@ func BenchmarkPoolSealGrowth(b *testing.B) {
 			case windows - 1:
 				last += time.Since(start)
 			}
+		}
+		if i == b.N-1 {
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			held := float64(ms.HeapAlloc) - float64(before)
+			b.ReportMetric(held/float64(len(pb.Finalize().Locations)), "B/location")
+			b.StartTimer()
 		}
 	}
 	b.ReportMetric(float64(first.Nanoseconds())/float64(b.N), "ns/seal-w1")

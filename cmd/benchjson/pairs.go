@@ -52,8 +52,9 @@ var microGates = []gatedMetric{
 	{Name: "BenchmarkServeQueriesBatch/shards=1 queries/sec", Unit: "queries/sec", Better: "higher", Bound: 0.15},
 	{Name: "BenchmarkBatchHandler ns/key", Unit: "ns/key", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkServeStreamIngest/shards=2 fixes/sec", Unit: "fixes/sec", Better: "higher", Bound: 0.15},
-	{Name: "BenchmarkFitParallel/workers=1 ns/op", Unit: "ns/op", Better: "lower", Bound: 0.15},
+	{Name: "BenchmarkFitParallel/workers=1 cpu-ns/op", Unit: "cpu-ns/op", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkRestoreSnapshot addrs/s", Unit: "addrs/s", Better: "higher", Bound: 0.15},
+	{Name: "BenchmarkPoolSealGrowth B/location", Unit: "B/location", Better: "lower", Bound: 0.15},
 }
 
 // procsSuffix is the -GOMAXPROCS suffix `go test` puts on a benchmark's name.
@@ -180,6 +181,9 @@ type verdict struct {
 	better    int // pairs the change is better in
 	pairs     int
 	regressed bool // the change's median is worse than the parent's by more than the bound
+	// added: no parent run reports the metric and every change run does,
+	// so there is nothing to compare it with yet; changeMed is its median.
+	added bool
 }
 
 // summarise computes every gated metric's verdict over the pairs with both
@@ -188,13 +192,18 @@ func summarise(pairs []pair, gated []gatedMetric) []verdict {
 	var out []verdict
 	for _, g := range gated {
 		v := verdict{metric: g}
-		var ps, cs []float64
+		var ps, cs, added []float64
+		complete := 0
 		for _, p := range pairs {
 			if p.parent == nil || p.change == nil {
 				continue
 			}
+			complete++
 			pv, pok := p.parent.Metrics[g.Name]
 			cv, cok := p.change.Metrics[g.Name]
+			if !pok && cok {
+				added = append(added, cv.Value)
+			}
 			if !pok || !cok {
 				continue
 			}
@@ -209,6 +218,10 @@ func summarise(pairs []pair, gated []gatedMetric) []verdict {
 		v.parentMed, v.changeMed = quantile(ps, 0.5), quantile(cs, 0.5)
 		v.parentIQR = quantile(ps, 0.75) - quantile(ps, 0.25)
 		v.regressed = v.parentMed != 0 && -gain(g, v.parentMed, v.changeMed)/math.Abs(v.parentMed) > g.Bound
+		if v.added = v.pairs == 0 && complete > 0 && len(added) == complete; v.added {
+			sort.Float64s(added)
+			v.changeMed = quantile(added, 0.5)
+		}
 		out = append(out, v)
 	}
 	return out
@@ -259,6 +272,8 @@ func writePairs(w io.Writer, pairs []pair, gated []gatedMetric) error {
 		}
 		verdict := "ok"
 		switch {
+		case v.added:
+			verdict = "new: no parent run reports it"
 		case v.pairs == 0:
 			verdict = "missing"
 			absent = append(absent, v.metric.Name)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,14 +112,16 @@ var microRows = []string{
 	"BenchmarkServeQueriesBatch/shards=1-8  5624  221249 ns/op  %g queries/sec",
 	"BenchmarkBatchHandler-8  24000  51200 ns/op  %g ns/key  1203 B/op  9 allocs/op",
 	"BenchmarkServeStreamIngest/shards=2-8  2989  370137 ns/op  %g fixes/sec",
-	"BenchmarkFitParallel/workers=1-8  26  %g ns/op  1919970 B/op  2934 allocs/op",
+	"BenchmarkFitParallel/workers=1-8  26  28470525 ns/op  %g cpu-ns/op  1919970 B/op  2934 allocs/op",
 	"BenchmarkRestoreSnapshot-8  4  277916301 ns/op  %g addrs/s  61684564 B/op  1649 allocs/op",
+	"BenchmarkPoolSealGrowth-8  5  204849556 ns/op  %g B/location  3144113 ns/seal-w1  3829986 ns/seal-w50",
 }
 
 // writeMicroRuns lays out ten alternating pairs of `go test -bench` outputs
 // the way scripts/pairs.sh's micro workload does: each gated row's change
-// value is the parent's times factor[row] (1 when unset), and the row left
-// out of every run when the factor is 0.
+// value is the parent's times factor[row] (1 when unset), the row left out
+// of every run when the factor is 0 and out of the parent's runs only when
+// it is negative.
 func writeMicroRuns(t *testing.T, factor map[string]float64) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -136,8 +139,10 @@ func writeMicroRuns(t *testing.T, factor map[string]float64) string {
 				continue
 			}
 			base := float64(1000 * (r + 1) * (100 + i))
-			fmt.Fprintf(runs["parent"], microRows[r]+"\n", base)
-			fmt.Fprintf(runs["change"], microRows[r]+"\n", base*f)
+			if f > 0 {
+				fmt.Fprintf(runs["parent"], microRows[r]+"\n", base)
+			}
+			fmt.Fprintf(runs["change"], microRows[r]+"\n", base*math.Abs(f))
 		}
 		first, second := "parent", "change"
 		if i%2 == 1 {
@@ -160,15 +165,17 @@ func TestPairsMicroGate(t *testing.T) {
 	const (
 		parallel = "BenchmarkServeQueriesParallel/shards=1 queries/sec"
 		batch    = "BenchmarkServeQueriesBatch/shards=1 queries/sec"
-		fit      = "BenchmarkFitParallel/workers=1 ns/op"
+		fit      = "BenchmarkFitParallel/workers=1 cpu-ns/op"
 		restore  = "BenchmarkRestoreSnapshot addrs/s"
 		handler  = "BenchmarkBatchHandler ns/key"
+		growth   = "BenchmarkPoolSealGrowth B/location"
 	)
 	for _, tc := range []struct {
 		name    string
 		factor  map[string]float64
 		fail    []string // named in the error; none: the gate passes
 		notFail []string
+		print   string // in the summary
 	}{
 		{name: "improvement", factor: map[string]float64{parallel: 2, batch: 1.5, fit: 0.5, restore: 1.3}},
 		{name: "within the bound", factor: map[string]float64{parallel: 0.9, fit: 1.1}},
@@ -180,6 +187,14 @@ func TestPairsMicroGate(t *testing.T) {
 			fail: []string{handler}, notFail: []string{batch}},
 		{name: "row absent from every run", factor: map[string]float64{restore: 0},
 			fail: []string{"in no complete pair: " + restore}, notFail: []string{parallel}},
+		{name: "B/location is lower-is-better", factor: map[string]float64{growth: 1.3},
+			fail: []string{growth}, notFail: []string{parallel}},
+		// A row the parent's benchmarks do not report yet has nothing to
+		// compare with; a row only the change lacks is missing.
+		{name: "row new in the change", factor: map[string]float64{growth: -1},
+			print: "| `" + growth + "` | 0 | 731500 | n/a | 0/0 | 0 | true | 15 % | new: no parent run reports it |"},
+		{name: "row absent from the change", factor: map[string]float64{growth: 1, restore: -1, handler: 0},
+			fail: []string{"in no complete pair: " + handler}, notFail: []string{restore}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pairs, err := loadPairs(writeMicroRuns(t, tc.factor))
@@ -191,6 +206,9 @@ func TestPairsMicroGate(t *testing.T) {
 			}
 			var out bytes.Buffer
 			err = writePairs(&out, pairs, microGates)
+			if !strings.Contains(out.String(), tc.print) {
+				t.Errorf("summary lacks %q:\n%s", tc.print, out.String())
+			}
 			if len(tc.fail) == 0 {
 				if err != nil {
 					t.Fatalf("gate failed: %v\n%s", err, out.String())

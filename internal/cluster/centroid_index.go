@@ -28,17 +28,13 @@ type CentroidIndex struct {
 	d     float64
 	items []mergeItem
 	cells map[[2]int32][]int
-	heap  pairHeap
-	rows  []int
 }
 
-// mergeItem is one centroid of the index. Alive items sit in their cell;
-// members lists the ids a MergeNew call merged into the item, and is nil for
-// an item that was alive when the call began (it stands for itself).
+// mergeItem is one centroid of the index; alive items sit in their cell. A
+// merged-away id keeps its slot, so ids stay the positions of items.
 type mergeItem struct {
 	centroid geo.Point
 	weight   float64
-	members  []int
 	alive    bool
 }
 
@@ -86,7 +82,7 @@ func (x *CentroidIndex) MergeNew(first int) []Merged {
 	}
 	// The rows that can push a pair: the old items sharing a 3×3 cell block
 	// with a new one, then the new ones, ascending.
-	rows := x.rows[:0]
+	var rows []int
 	for id := first; id < len(x.items); id++ {
 		k := x.key(x.items[id].centroid)
 		for dy := int32(-1); dy <= 1; dy++ {
@@ -107,6 +103,7 @@ func (x *CentroidIndex) MergeNew(first int) []Merged {
 			rows = append(rows, id)
 		}
 	}
+	var h pairHeap
 	for _, i := range rows {
 		c := x.items[i].centroid
 		k := x.key(c)
@@ -117,17 +114,19 @@ func (x *CentroidIndex) MergeNew(first int) []Merged {
 						continue
 					}
 					if dist := geo.Dist(c, x.items[o].centroid); dist <= x.d {
-						x.heap.push(pairEntry{dist: dist, a: i, b: o})
+						h.push(pairEntry{dist: dist, a: i, b: o})
 					}
 				}
 			}
 		}
 	}
-	x.rows = rows
 
-	start := len(x.items) // ids from here on are created by this call
-	for len(x.heap) > 0 {
-		e := x.heap.pop()
+	// Ids from start on are created by this call; members[id-start] lists
+	// the ids, alive when the call began, merged into id.
+	start := len(x.items)
+	var members [][]int
+	for len(h) > 0 {
+		e := h.pop()
 		ia, ib := &x.items[e.a], &x.items[e.b]
 		if !ia.alive || !ib.alive {
 			continue // stale entry
@@ -141,22 +140,27 @@ func (x *CentroidIndex) MergeNew(first int) []Merged {
 			X: (ia.centroid.X*ia.weight + ib.centroid.X*ib.weight) / w,
 			Y: (ia.centroid.Y*ia.weight + ib.centroid.Y*ib.weight) / w,
 		}
-		members := make([]int, 0, x.size(e.a, start)+x.size(e.b, start))
-		members = x.appendMembers(members, e.a, start)
-		members = x.appendMembers(members, e.b, start)
-		ia.members, ib.members = nil, nil
+		m := make([]int, 0, nMembers(members, e.a, start)+nMembers(members, e.b, start))
+		m = appendMembers(m, members, e.a, start)
+		m = appendMembers(m, members, e.b, start)
+		if e.a >= start {
+			members[e.a-start] = nil
+		}
+		if e.b >= start {
+			members[e.b-start] = nil
+		}
 		id := len(x.items)
-		x.items = append(x.items, mergeItem{centroid: c, weight: w, members: members, alive: true})
+		x.items = append(x.items, mergeItem{centroid: c, weight: w, alive: true})
+		members = append(members, m)
 		k := x.key(c)
 		x.cells[k] = append(x.cells[k], id)
-		x.pushPairs(id)
+		x.pushPairs(&h, id)
 	}
 
 	var out []Merged
 	for id := start; id < len(x.items); id++ {
 		if it := &x.items[id]; it.alive {
-			out = append(out, Merged{ID: id, Cluster: Cluster{Centroid: it.centroid, Members: it.members, Weight: it.weight}})
-			it.members = nil // a leaf in the next call
+			out = append(out, Merged{ID: id, Cluster: Cluster{Centroid: it.centroid, Members: members[id-start], Weight: it.weight}})
 		}
 	}
 	return out
@@ -175,24 +179,24 @@ func (x *CentroidIndex) unlink(id int, c geo.Point) {
 	}
 }
 
-// size is how many members item id brings to a merge in the call whose
-// first created id is start.
-func (x *CentroidIndex) size(id, start int) int {
+// nMembers is how many members id brings to a merge in the MergeNew call
+// whose first created id is start.
+func nMembers(members [][]int, id, start int) int {
 	if id < start {
 		return 1
 	}
-	return len(x.items[id].members)
+	return len(members[id-start])
 }
 
-func (x *CentroidIndex) appendMembers(dst []int, id, start int) []int {
+func appendMembers(dst []int, members [][]int, id, start int) []int {
 	if id < start {
 		return append(dst, id)
 	}
-	return append(dst, x.items[id].members...)
+	return append(dst, members[id-start]...)
 }
 
 // pushPairs pushes every alive item within d of the just-created item id.
-func (x *CentroidIndex) pushPairs(id int) {
+func (x *CentroidIndex) pushPairs(h *pairHeap, id int) {
 	c := x.items[id].centroid
 	k := x.key(c)
 	for dy := int32(-1); dy <= 1; dy++ {
@@ -202,7 +206,7 @@ func (x *CentroidIndex) pushPairs(id int) {
 					continue
 				}
 				if dist := geo.Dist(c, x.items[o].centroid); dist <= x.d {
-					x.heap.push(pairEntry{dist: dist, a: id, b: o})
+					h.push(pairEntry{dist: dist, a: id, b: o})
 				}
 			}
 		}

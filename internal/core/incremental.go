@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"dlinfma/internal/cluster"
@@ -25,10 +26,16 @@ import (
 type IncrementalPoolBuilder struct {
 	cfg Config
 
-	// Accumulated pool state: one entry per current candidate.
+	// items holds the alive candidates, ascending by id. Every window
+	// candidate and every merge is issued the next id; succ[id] is -1 while
+	// id is alive and its successor's id once it merged away. That link is
+	// all a merged-away item keeps: its profile leaves items at the end of
+	// the seal that merged it, so between seals items holds the alive pool
+	// and nothing else.
 	items []incrementalItem
+	succ  []int32
 	// visits records, per appended trip, its stay visits tagged with the
-	// *builder-internal* item index; Finalize rewrites them to final ids.
+	// item id they joined; Finalize chases the tags to final locations.
 	visits [][]rawVisit
 	// pending holds trips whose stay points have been appended but not yet
 	// clustered into the pool; SealWindow turns them into one window. Each
@@ -37,9 +44,11 @@ type IncrementalPoolBuilder struct {
 	pending []pendingTrip
 	// index holds the alive items' weighted centroids across seals (not
 	// under UseGridMerge), under ids of its own; ref maps an index id to
-	// its item (-1 for a centroid the index merged on within one seal).
+	// its item id (-1 for a centroid the index merged on within one seal).
 	index *cluster.CentroidIndex
-	ref   []int
+	ref   []int32
+	// couriers is the scratch a courier set is gathered in.
+	couriers []model.CourierID
 }
 
 // pendingTrip is one appended trip awaiting its window seal.
@@ -49,26 +58,27 @@ type pendingTrip struct {
 	stays   []traj.StayPoint
 }
 
+// incrementalItem is the profile of one alive candidate.
 type incrementalItem struct {
+	id       int
 	centroid geo.Point
 	// anchor is one of the stay points behind the item. Grid merging groups
 	// items by their anchors' cells: a centroid is only as exact as its
 	// floating-point sum, a member point is in the cell by definition.
-	anchor   geo.Point
-	weight   float64
-	dur      float64
-	hist     [24]float64
-	couriers map[model.CourierID]struct{}
-	// alive items are current candidates; merged items point to their
-	// successor so old visit tags can be chased to the final location.
-	succ int // -1 while alive
+	anchor geo.Point
+	weight float64
+	dur    float64
+	// hist counts the item's stays by hour of day.
+	hist [24]uint32
+	// couriers is the sorted, distinct set of couriers seen at the item.
+	couriers []model.CourierID
 }
 
+// rawVisit is one stay of a trip, tagged with the item it joined; its
+// midpoint is (arriveT+leaveT)/2, as traj.StayPoint.MidT computes it.
 type rawVisit struct {
-	item    int
-	arriveT float64
-	leaveT  float64
-	midT    float64
+	item            int32
+	arriveT, leaveT float64
 }
 
 // NewIncrementalPoolBuilder returns an empty builder.
@@ -131,20 +141,24 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	}
 
 	// Install the window's candidates as new items and record visits.
+	// Every stay joins one candidate: a trip's visits are its stays.
 	windowVisits := make([][]rawVisit, len(b.pending))
+	for ti := range windowVisits {
+		windowVisits[ti] = make([]rawVisit, 0, len(b.pending[ti].stays))
+	}
 	var firstNew int
 	if b.index != nil {
 		firstNew = b.index.Len()
 	}
 	for _, c := range windowClusters {
+		id := len(b.succ)
 		item := incrementalItem{
+			id:       id,
 			centroid: c.Centroid,
 			anchor:   pts[c.Members[0]],
 			weight:   float64(len(c.Members)),
-			couriers: make(map[model.CourierID]struct{}, 2),
-			succ:     -1,
 		}
-		id := len(b.items)
+		cs := b.couriers[:0]
 		for _, m := range c.Members {
 			s := stays[m]
 			item.dur += s.sp.Duration()
@@ -153,12 +167,14 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 				hour += 24
 			}
 			item.hist[hour]++
-			item.couriers[b.pending[s.trip].courier] = struct{}{}
+			cs = append(cs, b.pending[s.trip].courier)
 			windowVisits[s.trip] = append(windowVisits[s.trip], rawVisit{
-				item: id, arriveT: s.sp.ArriveT, leaveT: s.sp.LeaveT, midT: s.sp.MidT(),
+				item: int32(id), arriveT: s.sp.ArriveT, leaveT: s.sp.LeaveT,
 			})
 		}
+		item.couriers, b.couriers = courierSet(cs), cs
 		b.items = append(b.items, item)
+		b.succ = append(b.succ, -1)
 		if b.index != nil {
 			b.link(b.index.Add(cluster.WeightedPoint{P: item.centroid, W: item.weight}), id)
 		}
@@ -174,7 +190,16 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	} else {
 		b.mergeGrid()
 	}
+	// Drop the merged-away profiles, keeping the alive ones in id order.
+	b.items = slices.DeleteFunc(b.items, func(it incrementalItem) bool { return b.succ[it.id] != -1 })
 	return nil
+}
+
+// courierSet returns the sorted, distinct couriers of cs in a slice of its
+// own, reordering cs.
+func courierSet(cs []model.CourierID) []model.CourierID {
+	slices.Sort(cs)
+	return slices.Clone(slices.Compact(cs))
 }
 
 // mergeNew merges the window's candidates — index ids from first on — with
@@ -186,7 +211,7 @@ func (b *IncrementalPoolBuilder) mergeNew(first int) {
 	for _, m := range b.index.MergeNew(first) {
 		ids = ids[:0]
 		for _, ix := range m.Members {
-			ids = append(ids, b.ref[ix])
+			ids = append(ids, int(b.ref[ix]))
 		}
 		b.link(m.ID, b.absorb(m.Centroid, ids))
 	}
@@ -197,22 +222,17 @@ func (b *IncrementalPoolBuilder) link(ix, id int) {
 	for len(b.ref) <= ix {
 		b.ref = append(b.ref, -1)
 	}
-	b.ref[ix] = id
+	b.ref[ix] = int32(id)
 }
 
 // mergeGrid merges the alive items whose anchors share a grid cell,
 // preserving additive profiles, so the pool is cluster.GridMerge over every
 // stay point seen, whatever the windows.
 func (b *IncrementalPoolBuilder) mergeGrid() {
-	var aliveIdx []int
-	for i := range b.items {
-		if b.items[i].succ == -1 {
-			aliveIdx = append(aliveIdx, i)
-		}
-	}
-	anchors := make([]geo.Point, len(aliveIdx))
-	for i, idx := range aliveIdx {
-		anchors[i] = b.items[idx].anchor
+	// Every item is alive until the first absorb.
+	anchors := make([]geo.Point, len(b.items))
+	for i := range anchors {
+		anchors[i] = b.items[i].anchor
 	}
 	var ids []int
 	for _, c := range cluster.GridMerge(anchors, b.cfg.ClusterDistance) {
@@ -224,48 +244,39 @@ func (b *IncrementalPoolBuilder) mergeGrid() {
 		ids = ids[:0]
 		var sx, sy, w float64
 		for _, m := range c.Members {
-			it := &b.items[aliveIdx[m]]
+			it := &b.items[m]
 			sx += it.centroid.X * it.weight
 			sy += it.centroid.Y * it.weight
 			w += it.weight
-			ids = append(ids, aliveIdx[m])
+			ids = append(ids, it.id)
 		}
 		b.absorb(geo.Point{X: sx / w, Y: sy / w}, ids)
 	}
 }
 
 // absorb merges the alive items ids, in order, into a fresh item at
-// centroid and returns its id.
+// centroid and returns its id. The merged items keep their place in items
+// until the seal ends.
 func (b *IncrementalPoolBuilder) absorb(centroid geo.Point, ids []int) int {
-	merged := incrementalItem{
-		centroid: centroid,
-		anchor:   b.items[ids[0]].anchor,
-		couriers: make(map[model.CourierID]struct{}, 4),
-		succ:     -1,
-	}
-	id := len(b.items)
-	for _, i := range ids {
-		it := &b.items[i]
+	merged := incrementalItem{id: len(b.succ), centroid: centroid}
+	cs := b.couriers[:0]
+	for k, id := range ids {
+		it := &b.items[sort.Search(len(b.items), func(i int) bool { return b.items[i].id >= id })]
+		if k == 0 {
+			merged.anchor = it.anchor
+		}
 		merged.weight += it.weight
 		merged.dur += it.dur
-		for h := range it.hist {
-			merged.hist[h] += it.hist[h]
+		for h, n := range it.hist {
+			merged.hist[h] += n
 		}
-		for cr := range it.couriers {
-			merged.couriers[cr] = struct{}{}
-		}
-		it.succ = id
+		cs = append(cs, it.couriers...)
+		b.succ[id] = int32(merged.id)
 	}
+	merged.couriers, b.couriers = courierSet(cs), cs
 	b.items = append(b.items, merged)
-	return id
-}
-
-// resolve chases succ pointers to the current representative of an item.
-func (b *IncrementalPoolBuilder) resolve(i int) int {
-	for b.items[i].succ != -1 {
-		i = b.items[i].succ
-	}
-	return i
+	b.succ = append(b.succ, -1)
+	return merged.id
 }
 
 // Finalize produces the Pool. The builder can keep accepting windows after
@@ -279,24 +290,26 @@ func (b *IncrementalPoolBuilder) Finalize() *Pool {
 // sealed trips only: cutting the pending ones' window is the caller's call.
 func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 	defer obs.StartSpanCtx(ctx, "pool_finalize", stagePoolFinalize).End()
-	// Assign dense ids to alive items.
-	finalID := make(map[int]int)
-	p := &Pool{}
+	// Location ids are dense in item order; a merged-away item takes its
+	// successor's, and a successor's id is larger than its own.
+	finalID := make([]int32, len(b.succ))
+	p := &Pool{Locations: slices.Grow([]Location(nil), len(b.items))}
 	for i := range b.items {
-		if b.items[i].succ != -1 {
-			continue
-		}
-		id := len(p.Locations)
-		finalID[i] = id
 		it := &b.items[i]
-		loc := Location{ID: id, Loc: it.centroid, NStays: int(it.weight), NCouriers: len(it.couriers)}
+		finalID[it.id] = int32(i)
+		loc := Location{ID: i, Loc: it.centroid, NStays: int(it.weight), NCouriers: len(it.couriers)}
 		if it.weight > 0 {
 			loc.AvgDuration = it.dur / it.weight
-			for h := range it.hist {
-				loc.TimeDist[h] = it.hist[h] / it.weight
+			for h, n := range it.hist {
+				loc.TimeDist[h] = float64(n) / it.weight
 			}
 		}
 		p.Locations = append(p.Locations, loc)
+	}
+	for id := len(b.succ) - 1; id >= 0; id-- {
+		if s := b.succ[id]; s != -1 {
+			finalID[id] = finalID[s]
+		}
 	}
 	sealed := b.visits[:len(b.visits)-len(b.pending)]
 	p.Visits = make([][]StayVisit, len(sealed))
@@ -304,8 +317,8 @@ func (b *IncrementalPoolBuilder) FinalizeCtx(ctx context.Context) *Pool {
 		out := make([]StayVisit, len(vs))
 		for i, v := range vs {
 			out[i] = StayVisit{
-				LocID:   finalID[b.resolve(v.item)],
-				ArriveT: v.arriveT, LeaveT: v.leaveT, MidT: v.midT,
+				LocID:   int(finalID[v.item]),
+				ArriveT: v.arriveT, LeaveT: v.leaveT, MidT: (v.arriveT + v.leaveT) / 2,
 			}
 		}
 		p.Visits[t] = out

@@ -53,7 +53,7 @@ micro() {
     "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
       -test.bench '^(BenchmarkServeQueriesParallel|BenchmarkServeQueriesBatch|BenchmarkFitParallel)$/^(shards|workers)=1$' &&
     "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
-      -test.bench '^(BenchmarkServeStreamIngest|BenchmarkRestoreSnapshot|BenchmarkBatchHandler)$')
+      -test.bench '^(BenchmarkServeStreamIngest|BenchmarkRestoreSnapshot|BenchmarkBatchHandler|BenchmarkPoolSealGrowth)$')
 }
 
 status=0
