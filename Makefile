@@ -2,7 +2,7 @@
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
 # obs metrics/logging layer), the HTTP service twice over; bench regenerates the
 # LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json;
-# bench-regress compares seven of those rows with the parent commit's; cover
+# bench-regress compares eight of those rows with the parent commit's; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
 # bench/run.sh (BENCHMARK.json), not from a target here.
@@ -191,12 +191,13 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Compare this checkout with its parent commit (HEAD~1) on seven
+# Compare this checkout with its parent commit (HEAD~1) on eight
 # micro-benchmark rows — single-shard queries/sec of the parallel and batched
 # reads, ns/key of the batch handler over a 200k-address store, two-shard
 # fixes/sec of the streamed ingest, the process CPU time of a serial training
 # epoch, addrs/s of a 200k-address restore, the bytes a pool builder holds
-# per alive location after 50 windows — over ten alternating pairs of runs
+# per alive location after 50 windows, the process CPU time per record of a
+# two-shard WAL replay — over ten alternating pairs of runs
 # at 1 s benchtime, each side's root test binary built once. Fails when a
 # row's median over this checkout's runs is worse than the parent's by more
 # than 15%, or a row or a run is missing (microGates in cmd/benchjson); a row

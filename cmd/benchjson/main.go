@@ -14,7 +14,7 @@
 // runs is worse than the parent's by more than its bound, or when a run's
 // report or a gated metric is missing:
 //
-//	benchjson -pairs .bench_build/pairs/micro-1
+//	benchjson -pairs .bench_build/pairs/micro-<parent-hash>-1
 package main
 
 import (

@@ -55,6 +55,7 @@ var microGates = []gatedMetric{
 	{Name: "BenchmarkFitParallel/workers=1 cpu-ns/op", Unit: "cpu-ns/op", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkRestoreSnapshot addrs/s", Unit: "addrs/s", Better: "higher", Bound: 0.15},
 	{Name: "BenchmarkPoolSealGrowth B/location", Unit: "B/location", Better: "lower", Bound: 0.15},
+	{Name: "BenchmarkReplayWAL cpu-ns/record", Unit: "cpu-ns/record", Better: "lower", Bound: 0.15},
 }
 
 // procsSuffix is the -GOMAXPROCS suffix `go test` puts on a benchmark's name.

@@ -115,6 +115,7 @@ var microRows = []string{
 	"BenchmarkFitParallel/workers=1-8  26  28470525 ns/op  %g cpu-ns/op  1919970 B/op  2934 allocs/op",
 	"BenchmarkRestoreSnapshot-8  4  277916301 ns/op  %g addrs/s  61684564 B/op  1649 allocs/op",
 	"BenchmarkPoolSealGrowth-8  5  204849556 ns/op  %g B/location  3144113 ns/seal-w1  3829986 ns/seal-w50",
+	"BenchmarkReplayWAL-8  36  32164058 ns/op  %g cpu-ns/record  345.2 ns/record  15425090 B/op  23919 allocs/op",
 }
 
 // writeMicroRuns lays out ten alternating pairs of `go test -bench` outputs
@@ -169,6 +170,7 @@ func TestPairsMicroGate(t *testing.T) {
 		restore  = "BenchmarkRestoreSnapshot addrs/s"
 		handler  = "BenchmarkBatchHandler ns/key"
 		growth   = "BenchmarkPoolSealGrowth B/location"
+		replay   = "BenchmarkReplayWAL cpu-ns/record"
 	)
 	for _, tc := range []struct {
 		name    string
@@ -189,6 +191,8 @@ func TestPairsMicroGate(t *testing.T) {
 			fail: []string{"in no complete pair: " + restore}, notFail: []string{parallel}},
 		{name: "B/location is lower-is-better", factor: map[string]float64{growth: 1.3},
 			fail: []string{growth}, notFail: []string{parallel}},
+		{name: "cpu-ns/record is lower-is-better", factor: map[string]float64{replay: 1.3, parallel: 1.3},
+			fail: []string{replay}, notFail: []string{parallel}},
 		// A row the parent's benchmarks do not report yet has nothing to
 		// compare with; a row only the change lacks is missing.
 		{name: "row new in the change", factor: map[string]float64{growth: -1},

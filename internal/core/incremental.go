@@ -106,9 +106,6 @@ func (b *IncrementalPoolBuilder) AppendTripStays(courier model.CourierID, stays 
 	b.pending = append(b.pending, pendingTrip{slot: slot, courier: courier, stays: stays})
 }
 
-// PendingTrips reports how many appended trips await a SealWindow.
-func (b *IncrementalPoolBuilder) PendingTrips() int { return len(b.pending) }
-
 // SealWindow clusters every pending trip's stay points as one window and
 // merges the window's candidates into the pool: the one window cut, whether
 // the window came as a batch or as a stream. A seal with nothing pending is

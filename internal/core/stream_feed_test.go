@@ -79,12 +79,12 @@ func TestFinalizeLeavesPendingOut(t *testing.T) {
 	b := NewIncrementalPoolBuilder(cfg)
 	trip := dwellTrip(rng, 0, 0, geo.Point{X: 60, Y: 60})
 	b.AppendTripStays(trip.Courier, streamTripStays(trip.Traj, cfg))
-	if b.PendingTrips() != 1 {
-		t.Fatalf("PendingTrips = %d, want 1", b.PendingTrips())
+	if len(b.pending) != 1 {
+		t.Fatalf("pending trips = %d, want 1", len(b.pending))
 	}
 	pool := b.Finalize()
-	if b.PendingTrips() != 1 {
-		t.Fatalf("PendingTrips after Finalize = %d, want 1", b.PendingTrips())
+	if len(b.pending) != 1 {
+		t.Fatalf("pending trips after Finalize = %d, want 1", len(b.pending))
 	}
 	if len(pool.Locations) != 0 || len(pool.Visits) != 0 {
 		t.Fatalf("pending trip in the pool: %d locations, %d visit lists",
@@ -94,8 +94,8 @@ func TestFinalizeLeavesPendingOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool = b.Finalize()
-	if b.PendingTrips() != 0 {
-		t.Fatalf("PendingTrips after SealWindow = %d, want 0", b.PendingTrips())
+	if len(b.pending) != 0 {
+		t.Fatalf("pending trips after SealWindow = %d, want 0", len(b.pending))
 	}
 	if len(pool.Locations) != 1 || len(pool.Visits) != 1 || len(pool.Visits[0]) == 0 {
 		t.Fatalf("sealed trip missing from pool: %d locations, %d visit lists",

@@ -16,7 +16,9 @@
 // Lock order: ingestMu (serializes every mutating ingest operation and
 // every pool-window cut, so WAL append order equals apply order) outside mu
 // (routing state and counters) outside each shard's evidence lock; jobMu
-// guards the background job alone.
+// guards the background job alone. A shard's pool builder has its own
+// owner, the evidence's sealer: a cut hands it the window under ingestMu
+// and returns, and the window is clustered under no other lock.
 // No lock is held across model compute, and the query path takes none.
 //
 // Cancellation contract: every long-running stage (pool build, sample
@@ -262,6 +264,7 @@ func (e *Engine) shardErr(i int, err error) error {
 func (e *Engine) Close() {
 	e.cancel()
 	e.jobWG.Wait()
+	e.settle()
 }
 
 // SetName labels the dataset (used in status and snapshots). Remote shard
@@ -281,13 +284,16 @@ func (e *Engine) SetName(name string) {
 // truth, routed across the shards: addresses and truth by the router's
 // address key, trips replicated to every shard owning one of their waybill
 // addresses (address-less trips by trajectory key). Each shard queues its
-// part, and the engine then seals the window into every shard's candidate
-// pool at once; the served state is not touched until the next Reinfer.
+// part, and the engine then cuts the window on every shard at once; Ingest
+// returns once every shard's candidate pool holds it. The served state is
+// not touched until the next Reinfer.
 // Cancelling ctx mid-window leaves already-ingested shards with the window
 // (sealed) and the rest without; re-inference tolerates the imbalance, but
 // callers wanting a clean window boundary should retry the whole window.
 func (e *Engine) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
-	return e.ingest(ctx, trips, addrs, truth, true)
+	err := e.ingest(ctx, trips, addrs, truth, true)
+	e.settle()
+	return err
 }
 
 // ingest is the shared live/replay core of Ingest. It holds ingestMu across

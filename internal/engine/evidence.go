@@ -13,19 +13,21 @@ import (
 	"dlinfma/internal/traj"
 )
 
-// evidence is what one shard has accumulated to infer from: the pool
-// builder, every ingested trip, the address registry, ground truth, and the
-// backlog the served state does not cover yet. Trips enter one way, queue,
-// whatever path brought them: a batch window's after the shard extracted
-// their stay points outside mu, a streamed one as the engine's stream closes
-// it; only the engine's seal cuts a pool window. Its methods are the only
-// code that takes mu or writes a field, and every mutator republishes counts
-// as it unlocks — so Status, backpressure and the snapshot writer never wait
-// for a window's clustering, which seal holds mu across.
+// evidence is what one shard has accumulated to infer from: every ingested
+// trip, the address registry, ground truth, the backlog the served state
+// does not cover yet, and the candidate pool. It has two owners. mu guards
+// intake: trips enter one way, queue, whatever path brought them — a batch
+// window's after the shard extracted their stay points outside mu, a
+// streamed one as the engine's stream closes it — and wait in the open
+// window until the engine cuts it. sealer owns the pool builder: cut hands
+// the open window to a goroutine that clusters it while ingest goes on,
+// and the shard's next cut waits for that seal, so at most one window is in
+// flight and windows seal in cut order. mu is never held across
+// clustering, and every mutator republishes counts as it unlocks — so
+// Status, backpressure and the snapshot writer never wait for a window.
 type evidence struct {
-	mu      sync.Mutex
-	name    string
-	builder *core.IncrementalPoolBuilder
+	mu   sync.Mutex
+	name string
 	// trips holds every ingested trip without its Traj: the builder has the
 	// stay points, and re-inference reads only courier, times and waybills.
 	trips    []model.Trip
@@ -37,6 +39,23 @@ type evidence struct {
 	pending      int
 	pendingSince time.Time
 	counts       atomic.Pointer[ingestCounts]
+	// open is the window the next cut hands to the sealer: the stay points
+	// of the trips queued since the last cut, in queue order.
+	open []queuedTrip
+
+	// sealer is held from the cut that hands it a window until that window
+	// is sealed (it is unlocked by the sealing goroutine), and by view
+	// across finalizing: it alone guards builder and sealed, the number of
+	// trips the builder holds (the first ones queued, in queue order).
+	sealer  sync.Mutex
+	builder *core.IncrementalPoolBuilder
+	sealed  int
+}
+
+// queuedTrip is one trip of the open window as the pool builder takes it.
+type queuedTrip struct {
+	courier model.CourierID
+	stays   []traj.StayPoint
 }
 
 // ingestCounts is the evidence as last published, immutable once stored.
@@ -79,12 +98,12 @@ func (ev *evidence) addAddrs(addrs []model.AddressInfo, truth map[model.AddressI
 }
 
 // queue is the one trip intake: it records tr, without its fixes, and
-// queues its stay points for the engine's next seal. The builder takes
-// ownership of stays.
+// adds its stay points to the open window. The pool builder takes ownership
+// of stays at the cut.
 func (ev *evidence) queue(tr model.Trip, stays []traj.StayPoint) {
 	ev.mu.Lock()
 	defer ev.unlock()
-	ev.builder.AppendTripStays(tr.Courier, stays)
+	ev.open = append(ev.open, queuedTrip{tr.Courier, stays})
 	if ev.pending == 0 {
 		ev.pendingSince = time.Now()
 	}
@@ -94,17 +113,37 @@ func (ev *evidence) queue(tr model.Trip, stays []traj.StayPoint) {
 	ingestTrips.Inc()
 }
 
-// seal clusters the queued trips into the pool as one window. Nothing
-// queued is a no-op, so the engine's cuts never produce empty pool windows.
-func (ev *evidence) seal(ctx context.Context) {
+// cut ends the open window and hands it to the sealer: once the shard's
+// previous window is sealed, a goroutine feeds the window's trips to the
+// builder in queue order and seals them as one pool window. cut returns as
+// that goroutine starts, without waiting for the clustering; settle and
+// view wait for it. Nothing queued is a no-op, so the engine's cuts never
+// produce empty pool windows.
+func (ev *evidence) cut(ctx context.Context) {
 	ev.mu.Lock()
-	defer ev.unlock()
-	if ev.builder.PendingTrips() == 0 {
+	w := ev.open
+	ev.open = nil
+	ev.mu.Unlock()
+	if len(w) == 0 {
 		return
 	}
-	// SealWindow's ctx carries the trace span only: a seal runs to the end.
-	_ = ev.builder.SealWindow(ctx)
+	ev.sealer.Lock()
 	ingestWindows.Inc()
+	go func() {
+		defer ev.sealer.Unlock()
+		for _, q := range w {
+			ev.builder.AppendTripStays(q.courier, q.stays)
+		}
+		// SealWindow's ctx carries the trace span only: a seal runs to the end.
+		_ = ev.builder.SealWindow(ctx)
+		ev.sealed += len(w)
+	}()
+}
+
+// settle returns once every window cut so far is sealed.
+func (ev *evidence) settle() {
+	ev.sealer.Lock()
+	ev.sealer.Unlock()
 }
 
 // register seeds the evidence from a restored snapshot: its name, unless one
@@ -144,25 +183,30 @@ func (ev *evidence) served(n int) {
 	}
 }
 
-// view is the evidence as a re-inference reads it: the sealed trips (queued
-// ones awaiting the engine's seal are the tail of trips, left out) and the
-// addresses as capped slices of their append-only registries, a copy of the
-// truth, the pool finalized over exactly those trips, and the trip count for
-// served. Without sealed trips it fails with errNoTrips.
+// view is the evidence as a re-inference reads it: the pool finalized over
+// every window cut so far (it waits for the one in flight; trips in the
+// open window are left out), the trips that pool covers and the addresses
+// as capped slices of their append-only registries, a copy of the truth,
+// and the trip count for served. Without sealed trips it fails with
+// errNoTrips.
 func (ev *evidence) view(ctx context.Context) (*model.Dataset, *core.Pool, int, error) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	n := len(ev.trips) - ev.builder.PendingTrips()
+	ev.sealer.Lock()
+	n := ev.sealed
 	if n == 0 {
+		ev.sealer.Unlock()
 		return nil, nil, 0, errNoTrips
 	}
+	pool := ev.builder.FinalizeCtx(ctx)
+	ev.sealer.Unlock()
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
 	ds := &model.Dataset{
 		Name:      ev.name,
 		Trips:     ev.trips[:n:n],
 		Addresses: ev.addrs[:len(ev.addrs):len(ev.addrs)],
 		Truth:     maps.Clone(ev.truth),
 	}
-	return ds, ev.builder.FinalizeCtx(ctx), n, nil
+	return ds, pool, n, nil
 }
 
 // addAddrsLocked registers the addresses not seen before and reports how

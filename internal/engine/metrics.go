@@ -15,7 +15,7 @@ var (
 	ingestAddrs = obs.Default.Counter("dlinfma_engine_ingested_addresses_total",
 		"Distinct new addresses registered during ingest.")
 	ingestWindows = obs.Default.Counter("dlinfma_engine_ingest_windows_total",
-		"Non-empty trip windows merged into the candidate pool.")
+		"Non-empty trip windows cut for the candidate pool, counted as the shard's sealer takes them.")
 
 	reinferDuration = obs.Default.HDRHistogram("dlinfma_engine_reinfer_duration_seconds",
 		"Wall time of one full re-inference (pool finalize, featurize, train, predict, swap); log-linear HDR buckets.")

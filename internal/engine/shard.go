@@ -31,8 +31,9 @@ type serving struct {
 // snapshot layout all belong to the Engine that owns it — and is only ever
 // constructed by one.
 //
-// Its one lock is its evidence's, which the engine's window seal holds
-// across a window's clustering and a re-inference across finalizing the
+// Its locks are its evidence's: mu over intake, never held across
+// clustering, and the sealer, which owns the pool builder from a window's
+// cut until it is sealed and a re-inference holds across finalizing the
 // pool. Everything else is read with one atomic load: the served state, the
 // counts the evidence publishes on every change, and the record of the last
 // re-inference — so queries, Status, backpressure and snapshot writes never
@@ -89,7 +90,7 @@ func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 // new addresses and ground truth are registered, and each trip's stay
 // points are extracted and queued through the evidence's one trip intake.
 // It clusters nothing: the window becomes a pool window when the owning
-// Engine seals it (the paper's bi-weekly pool maintenance), and the served
+// Engine cuts it (the paper's bi-weekly pool maintenance), and the served
 // state is not touched until the next Reinfer. Cancelling ctx mid-window
 // returns ctx.Err() with the evidence unchanged.
 func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -314,38 +313,35 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	}
 }
 
-// sealWindowLocked is the one pool-window cut: it seals the queued trips of
-// every in-process shard (no-op on shards with nothing queued) as one window
-// and resets the streamed window's size counter. A batch window (after its
-// fan-out), the streamed grid and size bound, Reinfer and WAL replay all cut
-// here. The shards seal side by side, each under its own evidence lock and
-// into its own builder, and the call returns when all have: a window's cut
-// is the same whichever shard finishes first. The last shard seals on the
-// calling goroutine, so a one-shard engine starts none. Remote shard
-// processes cut their own windows. Callers hold ingestMu.
+// sealWindowLocked is the one pool-window cut: it hands the queued trips of
+// every in-process shard (no-op on shards with nothing queued) to that
+// shard's sealer as one window and resets the streamed window's size
+// counter. A batch window (after its fan-out), the streamed grid and size
+// bound, Reinfer and WAL replay all cut here. The shards cluster their
+// windows side by side and beside the ingest that follows; a shard whose
+// previous window is still being sealed makes the cut wait for it, so each
+// shard has at most one window in flight and seals them in cut order.
+// settle waits for the seals. Remote shard processes cut their own
+// windows. Callers hold ingestMu.
 func (e *Engine) sealWindowLocked(ctx context.Context) {
 	ctx, tsp := trace.Start(ctx, "engine.seal_window")
 	defer tsp.End()
 	e.ss.winStays = 0
-	var wg sync.WaitGroup
-	var prev *Shard
 	for _, sh := range e.shards {
-		if sh == nil {
-			continue
+		if sh != nil {
+			sh.ev.cut(ctx)
 		}
-		if prev != nil {
-			wg.Add(1)
-			go func(s *Shard) {
-				defer wg.Done()
-				s.ev.seal(ctx)
-			}(prev)
+	}
+}
+
+// settle returns once every in-process shard has sealed every window cut
+// so far.
+func (e *Engine) settle() {
+	for _, sh := range e.shards {
+		if sh != nil {
+			sh.ev.settle()
 		}
-		prev = sh
 	}
-	if prev != nil {
-		prev.ev.seal(ctx)
-	}
-	wg.Wait()
 }
 
 // overloaded reports whether the summed pending-trip backlog across the

@@ -346,12 +346,14 @@ func TestShardedBatchLoadCutsOncePerShard(t *testing.T) {
 	want := 0
 	for i, part := range core.PartitionDataset(ds, nShards, r.AddressShard, r.TripShard) {
 		ref := core.NewIncrementalPoolBuilder(cfg.Core)
+		pending := 0
 		cut := func() {
-			if ref.PendingTrips() > 0 {
+			if pending > 0 {
 				want++
 				if err := ref.SealWindow(ctx); err != nil {
 					t.Fatal(err)
 				}
+				pending = 0
 			}
 		}
 		open := 0
@@ -361,6 +363,7 @@ func TestShardedBatchLoadCutsOncePerShard(t *testing.T) {
 				open = w
 			}
 			ref.AppendTripStays(tr.Courier, traj.ExtractStayPoints(tr.Traj, cfg.Core.Noise, cfg.Core.Stay))
+			pending++
 		}
 		cut()
 		wantPool := ref.Finalize()

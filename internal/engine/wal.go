@@ -140,8 +140,10 @@ func (e *Engine) AttachWAL(w *wal.WAL) {
 // serving state), rebuilding the ingest state — routing, accumulated trips,
 // candidate pool windows, open courier streams — that snapshots deliberately
 // omit. It returns the number of records applied, which with the replay's
-// wall time it also publishes as gauges. Replayed operations bypass
-// backpressure and are not re-logged.
+// wall time it also publishes as gauges. Replayed records do not wait for
+// the windows they cut to be clustered, but ReplayWAL returns with every
+// one of them sealed. Replayed operations bypass backpressure and are not
+// re-logged.
 func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	if e.remote {
 		return 0, errRemoteStreaming
@@ -172,6 +174,7 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 		n++
 		return nil
 	})
+	e.settle()
 	walReplaySeconds.Set(time.Since(start).Seconds())
 	walReplayedRecords.Set(float64(n))
 	tsp.SetAttr("records", n)

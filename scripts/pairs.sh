@@ -23,7 +23,10 @@
 # into a temporary directory that is removed on exit. `scripts/pairs.sh HEAD
 # ...` on a clean tree compares the commit with itself: the A/A noise floor to
 # read a real comparison against. Logs and reports stay in
-# .bench_build/pairs/<workload>-<first-seed>/.
+# .bench_build/pairs/<workload>-<parent-hash>-<first-seed>/, <parent-hash>
+# the short hash <parent-ref> resolves to: a rerun against the same commit
+# and seeds replaces its directory, and a run against another commit (the
+# A/A floor at HEAD beside `make bench-regress` at HEAD~1) keeps its own.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -33,6 +36,7 @@ fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent="$1" first="$3" pairs="$4"
 IFS=, read -ra workloads <<<"$2"
+parent_hash="$(git -C "$root" rev-parse --short "$parent^{commit}")"
 
 tmp="$(mktemp -d)"
 parent_dir="$tmp/parent"
@@ -53,12 +57,12 @@ micro() {
     "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
       -test.bench '^(BenchmarkServeQueriesParallel|BenchmarkServeQueriesBatch|BenchmarkFitParallel)$/^(shards|workers)=1$' &&
     "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
-      -test.bench '^(BenchmarkServeStreamIngest|BenchmarkRestoreSnapshot|BenchmarkBatchHandler|BenchmarkPoolSealGrowth)$')
+      -test.bench '^(BenchmarkServeStreamIngest|BenchmarkRestoreSnapshot|BenchmarkBatchHandler|BenchmarkPoolSealGrowth|BenchmarkReplayWAL)$')
 }
 
 status=0
 for workload in "${workloads[@]}"; do
-  out="$root/.bench_build/pairs/$workload-$first"
+  out="$root/.bench_build/pairs/$workload-$parent_hash-$first"
   rm -rf "$out"
   mkdir -p "$out"
   for ((i = 0; i < pairs; i++)); do
