@@ -147,7 +147,10 @@ smoke-metrics:
 	bash scripts/metrics_smoke.sh
 
 # Boot a WAL-backed server, stream trajectories, SIGKILL it, restart on the
-# same -wal-dir, and verify no acknowledged point was lost.
+# same -wal-dir, and verify no acknowledged point was lost; then cold-start
+# on the tiny dataset with -snapshot and -wal-dir, SIGTERM (the snapshot is
+# saved), restart, and verify the replayed evidence keeps its trip count and
+# re-infers.
 smoke-stream:
 	bash scripts/stream_smoke.sh
 

@@ -364,9 +364,11 @@ func cmdServe(ctx context.Context, args []string) error {
 			fmt.Printf("restored serving state from %s\n", *snap)
 		}
 	}
-	// The WAL replays on top of the restored snapshot, rebuilding the ingest
-	// state (pending trips, open streams) the snapshot omits; from then on
-	// every accepted ingest is logged before it is acknowledged.
+	// The WAL replays on top of the restored snapshot, rebuilding the
+	// evidence the snapshot omits — every logged trip, the candidate pool,
+	// the truth, open streams — so the next re-inference trains on what the
+	// snapshotted one did, and more; a save never truncates the log. From
+	// then on every accepted ingest is logged before it is acknowledged.
 	replayed := 0
 	if *walDir != "" {
 		policy, perr := wal.ParsePolicy(*walFsync)

@@ -137,9 +137,6 @@ type Engine struct {
 	addrShard map[model.AddressID]int
 	nTrips    int
 	reinfers  int
-	// reinferSeq is the WAL position the last fully successful re-inference
-	// covered (safe to truncate through after a durable snapshot).
-	reinferSeq uint64
 	// shardTrips accumulates per-shard routed trip counts; tripGauges and
 	// the skew gauge publish them so a hot geographic shard is visible
 	// before it becomes a slow reinfer.
@@ -425,9 +422,8 @@ func (e *Engine) IngestDataset(ctx context.Context, ds *model.Dataset) error {
 // other shards' swaps or the failing shard's previously served state.
 func (e *Engine) Reinfer(ctx context.Context) error {
 	// Seal every shard's open window (a view covers sealed trips only) and
-	// fix, in the same hold, the trip count and the WAL position the retrain
-	// will cover (held back below any open stream's first point). The cut is
-	// logged before it is made, so a replay cuts where this engine did; a
+	// fix, in the same hold, the trip count the retrain will cover. The cut
+	// is logged before it is made, so a replay cuts where this engine did; a
 	// failed append fails the re-inference before anything changed.
 	e.ingestMu.Lock()
 	if e.wal != nil {
@@ -437,7 +433,6 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 		}
 	}
 	e.sealWindowLocked(ctx)
-	boundary := e.walBoundaryLocked()
 	e.mu.RLock()
 	total := e.nTrips
 	e.mu.RUnlock()
@@ -505,11 +500,6 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 	if swapped {
 		e.mu.Lock()
 		e.reinfers++
-		// Advance the truncation boundary only when every shard that ran
-		// succeeded: a failed shard's trips live nowhere but the WAL.
-		if len(failed) == 0 && boundary > e.reinferSeq {
-			e.reinferSeq = boundary
-		}
 		e.mu.Unlock()
 	}
 	return errors.Join(failed...)

@@ -21,9 +21,11 @@ import (
 // TestServingPathsTakeNoEvidenceLock: a batch lookup and a lookup that misses
 // both ask the engine's Status, a streamed fix checks the backpressure bound,
 // and a snapshot copies the address registry — and all must answer while
-// every shard's evidence lock and the job lock are held, as an ingest holds
-// the evidence across a window's clustering and a re-inference holds it
-// through FinalizeCtx.
+// both of every shard's evidence locks and the job lock are held. A cut
+// takes evidence.mu, as every intake does, to hand over the open window,
+// then evidence.sealer, which the window's seal holds across its
+// clustering; a re-inference's view holds evidence.sealer through
+// FinalizeCtx.
 func TestServingPathsTakeNoEvidenceLock(t *testing.T) {
 	const deadline = 2 * time.Second
 	doc := newTestCity(3, 24).doc(t)
@@ -38,6 +40,7 @@ func TestServingPathsTakeNoEvidenceLock(t *testing.T) {
 
 		for _, sh := range e.shards {
 			sh.ev.mu.Lock()
+			sh.ev.sealer.Lock()
 		}
 		e.jobMu.Lock()
 		type answer struct {
@@ -78,13 +81,14 @@ func TestServingPathsTakeNoEvidenceLock(t *testing.T) {
 					t.Errorf("shards=%d: %s answered %d, want %d", shards, a.name, a.code, want[a.name])
 				}
 			case <-timeout:
-				t.Errorf("shards=%d: %v did not answer within %v while the evidence lock was held",
+				t.Errorf("shards=%d: %v did not answer within %v while the evidence locks were held",
 					shards, sortedKeys(unanswered), deadline)
 				break wait
 			}
 		}
 		e.jobMu.Unlock()
 		for _, sh := range e.shards {
+			sh.ev.sealer.Unlock()
 			sh.ev.mu.Unlock()
 		}
 		wg.Wait() // a stuck request finishes before its engine closes

@@ -37,10 +37,12 @@ const (
 // dataset file format) with their confidence stamps, the address metadata
 // the building and geocode fallbacks are a pure function of, and the trained
 // matcher via core's own serialization. Restoring it rebuilds the frozen
-// store it was written from, answer for answer. The candidate pool is not
-// included — it is derived from trips, which a snapshot deliberately omits;
-// after a restore the engine serves queries immediately but needs fresh
-// ingest before the next re-inference.
+// store it was written from, answer for answer. The evidence — trips,
+// candidate pool, truth — is not included: the WAL is its durable record,
+// and a restart replays the whole log on top of the restored document, so
+// the next re-inference trains on everything the snapshotted one did. A
+// restore without a log serves queries immediately but needs fresh ingest
+// before the next re-inference.
 type snapshot struct {
 	Version   int                   `json:"version"`
 	Name      string                `json:"name"`
@@ -373,20 +375,12 @@ func (e *Engine) newManifest() *shardManifest {
 // (path.<gen>.shardN, each atomic), then the manifest at path that names
 // them, then remove the shard files the manifest no longer names — so a
 // failure or crash at any point leaves the previous generation whole and
-// loadable. Only once everything is durable are the WAL segments the
-// snapshotted state covers dropped; a failed save truncates nothing.
+// loadable. A save touches no WAL segment: the snapshot is the durable
+// serving state and the log the durable evidence, and a restart needs both.
 func (e *Engine) SaveSnapshotFile(path string) error {
 	if e.remote {
 		return errRemoteSnapshotFiles
 	}
-	if err := e.saveSnapshotFiles(path); err != nil {
-		return err
-	}
-	e.maybeTruncateWAL()
-	return nil
-}
-
-func (e *Engine) saveSnapshotFiles(path string) error {
 	if !e.routed() {
 		return writeFileAtomic(path, e.shards[0].WriteSnapshot)
 	}

@@ -27,16 +27,13 @@ const maxWindowStays = 4096
 
 // courierStream is one courier's open trip: the raw fixes accepted so far,
 // the incremental stay-point extractor consuming them, and the stay points
-// it has closed. firstSeq remembers the WAL sequence of the trip's first
-// point so re-inference never truncates a segment a still-open trip needs
-// for crash recovery.
+// it has closed.
 type courierStream struct {
-	courier  model.CourierID
-	ex       *traj.StreamExtractor
-	pts      traj.Trajectory
-	stays    []traj.StayPoint
-	firstSeq uint64
-	lastT    float64
+	courier model.CourierID
+	ex      *traj.StreamExtractor
+	pts     traj.Trajectory
+	stays   []traj.StayPoint
+	lastT   float64
 }
 
 // streamedTrip is one closed trip leaving the stream layer: the assembled
@@ -87,9 +84,8 @@ func newStreamSet(coreCfg core.Config) *streamSet {
 
 // point feeds one fix into the courier's stream, opening one if needed. If
 // the gap rule closes the previous trip, the closed trip is returned (the
-// new fix has already been accepted into a fresh stream). seq is the fix's
-// WAL sequence (0 = not logged); a stream remembers the one it opened on.
-func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint, seq uint64) *streamedTrip {
+// new fix has already been accepted into a fresh stream).
+func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint) *streamedTrip {
 	var closed *streamedTrip
 	cs := ss.streams[courier]
 	if cs != nil && pt.T-cs.lastT >= tripGapSeconds {
@@ -97,7 +93,7 @@ func (ss *streamSet) point(courier model.CourierID, pt traj.GPSPoint, seq uint64
 		cs = nil
 	}
 	if cs == nil {
-		cs = &courierStream{courier: courier, ex: traj.NewStreamExtractor(ss.noise, ss.stay), firstSeq: seq}
+		cs = &courierStream{courier: courier, ex: traj.NewStreamExtractor(ss.noise, ss.stay)}
 		ss.streams[courier] = cs
 		ss.noteOpen()
 	}
@@ -115,22 +111,6 @@ func (ss *streamSet) open() int { return int(ss.nOpen.Load()) }
 func (ss *streamSet) noteOpen() {
 	ss.nOpen.Store(int64(len(ss.streams)))
 	openStreamsGauge.Set(float64(len(ss.streams)))
-}
-
-// minOpenSeq returns the smallest WAL firstSeq across open streams, and
-// whether any open stream has points not yet covered by a sequence (which
-// forbids truncation entirely). ok is true when there are no such holes.
-func (ss *streamSet) minOpenSeq() (min uint64, ok bool) {
-	min, ok = 0, true
-	for _, cs := range ss.streams {
-		if cs.firstSeq == 0 {
-			return 0, false
-		}
-		if min == 0 || cs.firstSeq < min {
-			min = cs.firstSeq
-		}
-	}
-	return min, ok
 }
 
 // finish removes the stream from the set and assembles its closed trip.
@@ -221,24 +201,20 @@ func (e *Engine) IngestBurst(ctx context.Context, ops []deploy.StreamOp) (applie
 			ops, err = ops[:ends], deploy.ErrBackpressure
 		}
 	}
-	var seq uint64
 	if e.wal != nil && len(ops) > 0 {
-		first, werr := e.wal.AppendBatch(e.burst.encode(ops))
-		if werr != nil {
+		if _, werr := e.wal.AppendBatch(e.burst.encode(ops)); werr != nil {
 			return 0, werr
 		}
-		seq = first
 	}
-	e.applyStreamOpsLocked(ctx, ops, seq)
+	e.applyStreamOpsLocked(ctx, ops)
 	return len(ops), err
 }
 
 // applyStreamOpsLocked is the one apply loop of streamed ops, live and
 // replayed: each fix enters its courier's stream, each end marker closes it
 // (a no-op when none is open), and every trip either of them closes is
-// delivered to its shard before the next op runs. seq is the WAL sequence of
-// the first op (0 = not logged); the ops were logged under consecutive ones.
-func (e *Engine) applyStreamOpsLocked(ctx context.Context, ops []deploy.StreamOp, seq uint64) {
+// delivered to its shard before the next op runs.
+func (e *Engine) applyStreamOpsLocked(ctx context.Context, ops []deploy.StreamOp) {
 	points := 0
 	for i := range ops {
 		op := &ops[i]
@@ -248,11 +224,8 @@ func (e *Engine) applyStreamOpsLocked(ctx context.Context, ops []deploy.StreamOp
 				closed = e.ss.finish(cs, streamTripsEnd)
 			}
 		} else {
-			closed = e.ss.point(op.Courier, op.Pt, seq)
+			closed = e.ss.point(op.Courier, op.Pt)
 			points++
-		}
-		if seq != 0 {
-			seq++
 		}
 		if closed != nil {
 			e.deliverStreamedTripLocked(ctx, closed)

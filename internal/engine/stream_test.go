@@ -671,64 +671,178 @@ func TestShardKeepsNoFixes(t *testing.T) {
 	}
 }
 
-// TestWALTruncationAfterSnapshot checks the log-compaction loop: after a
-// re-inference and a durable snapshot, WAL segments wholly covered by the
-// snapshotted state are dropped, and a restart from snapshot + remaining WAL
-// still serves.
-func TestWALTruncationAfterSnapshot(t *testing.T) {
+// TestSnapshotRestartKeepsEvidence is the twin test of a restart: a live
+// engine runs a seeded script — two rounds of batch windows, a re-inference
+// and a snapshot, with one courier's streamed trip open from the first
+// round's windows until after the second round's snapshot — on a log of
+// 4 KiB segments. At every crash point of each round (after its ingest,
+// after its Reinfer, after its SaveSnapshotFile) the synced log directory is
+// copied and a twin restarts from the snapshot on disk, if any, plus a
+// replay of the copy. Right after the restart the twin holds the live
+// engine's trips and addresses, and serves what the last save wrote: the
+// live engine's answers, except after a re-inference the crash beat to
+// disk. From then on every twin runs the rest of the script beside the live
+// engine (the saves excepted); after one more window and a re-inference on
+// all of them, every shard of every twin publishes the live engine's frozen
+// store. PendingTrips and Reinfers are per-process counters — a restart
+// starts them over — so they are not compared.
+func TestSnapshotRestartKeepsEvidence(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testSnapshotRestartKeepsEvidence(t, n) })
+	}
+}
+
+func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	ds, _, err := synth.Generate(synth.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	dir := t.TempDir()
-	// Small segments so ingest spans several and truncation visibly deletes.
-	w, err := wal.Open(dir, wal.Options{SegmentBytes: 4096, Policy: wal.FsyncNever})
+	logDir, snap := filepath.Join(dir, "wal"), filepath.Join(dir, "snap.json")
+	openWAL := func(dir string) *wal.WAL {
+		w, err := wal.Open(dir, wal.Options{SegmentBytes: 4096, Policy: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		return w
+	}
+	w := openWAL(logDir)
+	live := newStreamTestEngine(t, n)
+	defer live.Close()
+	live.AttachWAL(w)
+	engines := []*Engine{live} // the live engine, then every twin
+
+	// The streamed trip is the dataset's last one, under a courier of its
+	// own; the final window is the trips between it and the two rounds.
+	last := len(ds.Trips) - 1
+	stream := ds.Trips[last]
+	stream.Courier = 1 << 20
+	half := len(stream.Traj) / 2
+	rounds := [][]model.Trip{ds.Trips[:9], ds.Trips[9:18]}
+	final := ds.Trips[18:last]
+
+	each := func(step func(e *Engine) error) {
+		t.Helper()
+		for _, e := range engines {
+			if err := step(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest := func(trips []model.Trip) {
+		t.Helper()
+		each(func(e *Engine) error {
+			return core.ForEachWindow(trips, e.cfg.Core.PoolWindowSeconds, func(batch []model.Trip) error {
+				return e.Ingest(ctx, batch, nil, nil)
+			})
+		})
+	}
+	push := func(pts traj.Trajectory) {
+		t.Helper()
+		each(func(e *Engine) error {
+			for _, p := range pts {
+				if err := e.IngestPoint(ctx, stream.Courier, p); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+
+	saved := 0 // Inferred as of the last save: what a restart serves
+	crash := func(point string) {
+		t.Helper()
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		twinDir := filepath.Join(dir, fmt.Sprintf("twin%d", len(engines)))
+		copyDir(t, logDir, twinDir)
+		twin := newStreamTestEngine(t, n)
+		t.Cleanup(twin.Close)
+		if _, err := os.Stat(snap); err == nil {
+			if err := twin.LoadSnapshotFile(snap); err != nil {
+				t.Fatalf("%s: %v", point, err)
+			}
+		}
+		tw := openWAL(twinDir)
+		if _, err := twin.ReplayWAL(ctx, tw); err != nil {
+			t.Fatalf("%s: %v", point, err)
+		}
+		twin.AttachWAL(tw)
+		got, want := twin.Status(), live.Status()
+		if got.Trips != want.Trips || got.Addresses != want.Addresses || got.Inferred != saved {
+			t.Fatalf("%s: restarted twin holds %d trips, %d addresses, %d inferred; want %d, %d, %d",
+				point, got.Trips, got.Addresses, got.Inferred, want.Trips, want.Addresses, saved)
+		}
+		engines = append(engines, twin)
+	}
+
+	each(func(e *Engine) error { return e.Ingest(ctx, nil, ds.Addresses, ds.Truth) })
+	for r, trips := range rounds {
+		ingest(trips)
+		if r == 0 {
+			push(stream.Traj[:half])
+		}
+		crash(fmt.Sprintf("round %d, after ingest", r))
+		each(func(e *Engine) error { return e.Reinfer(ctx) })
+		crash(fmt.Sprintf("round %d, after Reinfer", r))
+		if err := live.SaveSnapshotFile(snap); err != nil {
+			t.Fatal(err)
+		}
+		saved = live.Status().Inferred
+		crash(fmt.Sprintf("round %d, after the snapshot", r))
+	}
+	if got := walSegments(t, logDir); got < 3 {
+		t.Fatalf("the log spans %d segments; the script wants several", got)
+	}
+
+	// One more window, the streamed trip's close, and a re-inference: every
+	// twin now trains on exactly the live engine's evidence.
+	push(stream.Traj[half:])
+	each(func(e *Engine) error { return e.CloseStream(ctx, stream.Courier) })
+	each(func(e *Engine) error { return e.Ingest(ctx, final, nil, nil) })
+	each(func(e *Engine) error { return e.Reinfer(ctx) })
+	if live.Status().Inferred == 0 {
+		t.Fatal("the live engine infers nothing")
+	}
+	for k, twin := range engines[1:] {
+		for i := range live.shards {
+			want, got := live.shards[i].frozen(), twin.shards[i].frozen()
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("twin %d (of %d): shard %d's frozen store differs from the live engine's", k+1, len(engines)-1, i)
+			}
+		}
+	}
+}
+
+// copyDir copies every file of src into a new directory dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	e := New(streamTestConfig())
-	defer e.Close()
-	e.AttachWAL(w)
-	ctx := context.Background()
-	if err := e.IngestDataset(ctx, ds); err != nil {
-		t.Fatal(err)
-	}
-	if walSegments(t, dir) < 2 {
-		t.Fatalf("need several segments to observe truncation, got %d", walSegments(t, dir))
-	}
-	if err := e.Reinfer(ctx); err != nil {
-		t.Fatal(err)
-	}
-	segsBefore := walSegments(t, dir)
-	snap := filepath.Join(dir, "snap.json")
-	if err := e.SaveSnapshotFile(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := walSegments(t, dir); got >= segsBefore {
-		t.Fatalf("snapshot did not truncate the WAL: %d segments before, %d after", segsBefore, got)
-	}
-
-	// Restart: snapshot restores the serving state, the surviving WAL tail
-	// replays without error, and queries answer.
-	e2 := New(streamTestConfig())
-	defer e2.Close()
-	if err := e2.LoadSnapshotFile(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.ReplayWAL(ctx, w); err != nil {
-		t.Fatal(err)
-	}
-	if !e2.Status().Ready {
-		t.Fatal("restarted engine not ready")
+	for _, d := range ents {
+		b, err := os.ReadFile(filepath.Join(src, d.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, d.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestFailedShardSnapshotFailsSave: when one shard's snapshot file cannot be
 // written, SaveSnapshotFile reports it instead of treating the shard as "not
 // ready yet" — no manifest missing that shard is written (the previous
-// generation still loads), and the WAL, which still backs that shard's
-// state, is not truncated.
+// generation still loads), and the WAL keeps every segment, as after any
+// save: it is the evidence's only durable record.
 func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	ds, _, err := synth.Generate(synth.Tiny())
 	if err != nil {

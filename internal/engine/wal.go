@@ -165,7 +165,7 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 		default:
 			ops := [1]deploy.StreamOp{op}
 			e.ingestMu.Lock()
-			e.applyStreamOpsLocked(ctx, ops[:], seq)
+			e.applyStreamOpsLocked(ctx, ops[:])
 			e.ingestMu.Unlock()
 		}
 		if err != nil {
@@ -182,39 +182,4 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 		tsp.RecordError(err)
 	}
 	return n, err
-}
-
-// walBoundaryLocked computes the highest WAL sequence a re-inference
-// starting now will cover: everything appended so far, held back below the
-// first point of any still-open courier stream (those points are not in any
-// shard's dataset and must survive a crash). 0 means nothing may be
-// truncated. Callers hold ingestMu so no append races the reading.
-func (e *Engine) walBoundaryLocked() uint64 {
-	if e.wal == nil {
-		return 0
-	}
-	boundary := e.wal.LastSeq()
-	min, ok := e.ss.minOpenSeq()
-	if !ok {
-		return 0
-	}
-	if min > 0 && min-1 < boundary {
-		boundary = min - 1
-	}
-	return boundary
-}
-
-// maybeTruncateWAL drops WAL segments wholly covered by the last fully
-// successful re-inference, once its serving state reached durable storage.
-// Best effort: a failed truncation only delays space reclamation.
-func (e *Engine) maybeTruncateWAL() {
-	e.ingestMu.Lock()
-	w := e.wal
-	e.ingestMu.Unlock()
-	e.mu.RLock()
-	seq := e.reinferSeq
-	e.mu.RUnlock()
-	if w != nil && seq > 0 {
-		_ = w.TruncateThrough(seq)
-	}
 }

@@ -80,6 +80,19 @@ func prep(t *testing.T) *Prepared {
 	return tinyPrep
 }
 
+// tinyTable2 memoizes the Tiny Table II rows: two tests read the same
+// EvaluateAll, the costliest call in the package.
+var tinyTable2 []MethodResult
+
+func table2Rows(t *testing.T) []MethodResult {
+	t.Helper()
+	if tinyTable2 == nil {
+		p := prep(t)
+		tinyTable2 = EvaluateAll(context.Background(), p.Env, Table2Methods(), p.Split.Train, p.Split.Val, p.Split.Test)
+	}
+	return tinyTable2
+}
+
 func TestTable1(t *testing.T) {
 	row := Table1(prep(t))
 	if row.Trips == 0 || row.Waybills == 0 || row.Addresses == 0 || row.TrajPoints == 0 {
@@ -127,10 +140,9 @@ func TestFig9(t *testing.T) {
 }
 
 func TestEvaluateMethodFallsBackToGeocode(t *testing.T) {
-	p := prep(t)
 	// Geocoding never fails, so evaluate it as a sanity check: MAE must be
 	// positive and finite.
-	rows := EvaluateAll(context.Background(), p.Env, Table2Methods(), p.Split.Train, p.Split.Val, p.Split.Test)
+	rows := table2Rows(t)
 	if len(rows) == 0 {
 		t.Fatal("no results")
 	}
@@ -157,8 +169,7 @@ func TestComparativeShape(t *testing.T) {
 	//   - DLInfMA beats Geocoding on MAE and Beta50,
 	//   - DLInfMA is the best method on Beta50,
 	//   - MinDist beats Geocoding (Table II's observation).
-	p := prep(t)
-	rows := EvaluateAll(context.Background(), p.Env, Table2Methods(), p.Split.Train, p.Split.Val, p.Split.Test)
+	rows := table2Rows(t)
 	byName := map[string]MethodResult{}
 	for _, r := range rows {
 		byName[r.Name] = r

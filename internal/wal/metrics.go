@@ -18,8 +18,6 @@ var (
 		"Wall time of one fsync of the active segment.")
 	rotationsTotal = obs.Default.Counter("dlinfma_wal_rotations_total",
 		"Segment rotations (active segment sealed, fresh one opened).")
-	segmentsDeleted = obs.Default.Counter("dlinfma_wal_segments_deleted_total",
-		"Sealed segments deleted after a snapshot made them redundant.")
 	replayRecords = obs.Default.Counter("dlinfma_wal_replay_records_total",
 		"Records decoded during WAL replay at startup.")
 	tornTailTruncations = obs.Default.Counter("dlinfma_wal_torn_tail_truncations_total",

@@ -2,8 +2,8 @@
 // ingest path. Every mutation is appended as a length-prefixed,
 // CRC32C-checksummed record before it is acknowledged; after a crash the
 // engine replays the log on top of the last snapshot, so no acknowledged
-// write is lost. Segments rotate at a byte bound and sealed segments are
-// deleted once a snapshot has captured everything up to their last record.
+// write is lost. Segments rotate at a byte bound; the log is the one
+// durable record of ingested evidence, so no segment is ever deleted.
 //
 // On-disk format, little-endian, per record:
 //
@@ -526,29 +526,6 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// TruncateThrough deletes sealed segments whose every record has sequence
-// <= seq — called after a snapshot has durably captured state through seq.
-// It deletes oldest first and stops at the first segment it keeps, or fails
-// to delete (a later truncate retries it), so the retained segments stay
-// dense. The active segment is never deleted, so truncation can leave already
-// snapshotted records in place; they are re-applied harmlessly on replay
-// only if the caller replays from a snapshot older than they are.
-func (w *WAL) TruncateThrough(seq uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	for len(w.sealed) > 0 && w.sealed[0].lastSeq != 0 && w.sealed[0].lastSeq <= seq {
-		if err := os.Remove(w.sealed[0].path); err != nil && !os.IsNotExist(err) {
-			break
-		}
-		segmentsDeleted.Inc()
-		w.sealed = w.sealed[1:]
 	}
 	return nil
 }

@@ -76,7 +76,12 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRotationAndTruncate(t *testing.T) {
+// TestRotation: records rotate across segments and replay in order, and a
+// reopened log continues the sequence from the segment names. Logs whose
+// oldest segments are gone — what builds that truncated after a snapshot
+// left behind — stay valid input: numbering and replay start where the
+// surviving segments do.
+func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record larger than 64 bytes forces a rotation.
 	w, err := Open(dir, Options{SegmentBytes: 64, Policy: FsyncNever})
@@ -95,14 +100,39 @@ func TestRotationAndTruncate(t *testing.T) {
 	if got := collect(t, w); len(got) != 10 {
 		t.Fatalf("replayed %d, want 10", len(got))
 	}
-
-	// Truncate through record 5: sealed segments holding only records <= 5
-	// are deleted; replay starts at the first surviving segment.
-	if err := w.TruncateThrough(5); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Remove the oldest segments whose every record is <= 5, as a
+	// truncating build did: each file ends where the next one begins.
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(names); i++ {
+		next, ok := parseSegmentName(filepath.Base(names[i+1]))
+		if !ok {
+			t.Fatalf("bad segment name %s", names[i+1])
+		}
+		if next-1 > 5 {
+			break
+		}
+		if err := os.Remove(names[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if w2.LastSeq() != 10 {
+		t.Fatalf("LastSeq after reopen without the oldest segments = %d, want 10", w2.LastSeq())
+	}
 	var first uint64
-	err = w.Replay(func(seq uint64, p []byte) error {
+	err = w2.Replay(func(seq uint64, p []byte) error {
 		if first == 0 {
 			first = seq
 		}
@@ -112,21 +142,7 @@ func TestRotationAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first == 1 || first > 6 {
-		t.Fatalf("replay after truncate starts at %d, want in (1, 6]", first)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen after truncation: sequence numbering still derives from the
-	// surviving segments' filenames.
-	w2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if w2.LastSeq() != 10 {
-		t.Fatalf("LastSeq after truncate+reopen = %d, want 10", w2.LastSeq())
+		t.Fatalf("replay without the oldest segments starts at %d, want in (1, 6]", first)
 	}
 }
 

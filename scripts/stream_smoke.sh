@@ -6,8 +6,12 @@
 # split across them), kills the server with SIGKILL (no shutdown, no
 # snapshot), restarts it on the same -wal-dir, and asserts the replayed engine
 # still holds every acknowledged point: the same pending trips, the same open
-# stream, and a replay count matching exactly what was acked. Run via
-# `make smoke-stream`.
+# stream, and a replay count matching exactly what was acked. A second leg
+# cold-starts a server on the tiny dataset with a snapshot path and a log,
+# stops it with SIGTERM (which saves the snapshot), restarts it on the same
+# flags, and asserts the log still holds the evidence: the replay line is
+# printed, -data is skipped, the trip count survives, and a re-inference
+# over the replayed evidence ends done. Run via `make smoke-stream`.
 set -euo pipefail
 
 PORT="${PORT:-18081}"
@@ -17,12 +21,15 @@ trap 'kill -9 "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$BIN_DIR" "$WAL_DIR
 
 go build -o "$BIN_DIR/dlinfma" ./cmd/dlinfma
 
+# start_server LOG FLAGS... runs `serve` on $PORT with FLAGS and waits for
+# its listener (a cold start on a dataset trains first).
 start_server() {
-  "$BIN_DIR/dlinfma" serve -data "" -listen "127.0.0.1:$PORT" \
-    -wal-dir "$WAL_DIR" -wal-fsync always >"$1" 2>&1 &
+  local log="$1"
+  shift
+  "$BIN_DIR/dlinfma" serve -listen "127.0.0.1:$PORT" "$@" >"$log" 2>&1 &
   SERVER_PID=$!
   disown "$SERVER_PID" # keep bash from reporting the deliberate SIGKILL
-  for _ in $(seq 1 50); do
+  for _ in $(seq 1 300); do
     # A cold engine answers 503 on /v1/healthz; any response means the
     # listener is up.
     if curl -sS -o /dev/null "http://127.0.0.1:$PORT/v1/healthz" 2>/dev/null; then
@@ -31,11 +38,17 @@ start_server() {
     sleep 0.1
   done
   echo "stream smoke: server never came up" >&2
-  cat "$1" >&2
+  cat "$log" >&2
   exit 1
 }
 
-start_server "$BIN_DIR/server1.log"
+# stop_server SIGNAL sends SIGNAL to the server and waits for it to exit.
+stop_server() {
+  kill "-$1" "$SERVER_PID"
+  while kill -0 "$SERVER_PID" 2>/dev/null; do sleep 0.05; done
+}
+
+start_server "$BIN_DIR/server1.log" -data "" -wal-dir "$WAL_DIR" -wal-fsync always
 
 # Two complete trips (10 fixes each, explicit end), one open stream
 # (3 fixes, no end) and a stray end for a courier that never sent a fix:
@@ -84,10 +97,9 @@ if ! grep -q '"pending_trips":3' <<<"$BEFORE" || ! grep -q '"open_streams":1' <<
 fi
 
 # Crash: no graceful shutdown, no snapshot — the WAL is all that survives.
-kill -9 "$SERVER_PID"
-while kill -0 "$SERVER_PID" 2>/dev/null; do sleep 0.05; done
+stop_server KILL
 
-start_server "$BIN_DIR/server2.log"
+start_server "$BIN_DIR/server2.log" -data "" -wal-dir "$WAL_DIR" -wal-fsync always
 
 if ! grep -q "replayed $ACKED WAL records" "$BIN_DIR/server2.log"; then
   echo "stream smoke: restart did not replay all $ACKED acked records" >&2
@@ -122,6 +134,53 @@ FINAL="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
 # open_streams is omitempty: absence means zero.
 if ! grep -q '"pending_trips":4' <<<"$FINAL" || grep -q '"open_streams"' <<<"$FINAL"; then
   echo "stream smoke: post-recovery close not reflected: $FINAL" >&2
+  exit 1
+fi
+
+stop_server KILL
+
+# Leg two: snapshot, restart, re-inference. The snapshot holds the serving
+# state only; the evidence a re-inference needs survives in the log.
+"$BIN_DIR/dlinfma" generate -profile tiny -out "$BIN_DIR/tiny.json.gz" >/dev/null
+SNAP_FLAGS=(-data "$BIN_DIR/tiny.json.gz" -snapshot "$BIN_DIR/state.json" -wal-dir "$BIN_DIR/wal2")
+start_server "$BIN_DIR/server3.log" "${SNAP_FLAGS[@]}"
+TRIPS="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz" | grep -o '"trips":[0-9]*' | head -1)"
+if [ -z "$TRIPS" ] || [ "$TRIPS" = '"trips":0' ]; then
+  echo "stream smoke: cold start on the tiny dataset holds no trips" >&2
+  exit 1
+fi
+stop_server TERM
+if ! grep -q "saved serving state to $BIN_DIR/state.json" "$BIN_DIR/server3.log"; then
+  echo "stream smoke: SIGTERM did not save the snapshot" >&2
+  cat "$BIN_DIR/server3.log" >&2
+  exit 1
+fi
+
+start_server "$BIN_DIR/server4.log" "${SNAP_FLAGS[@]}"
+if ! grep -q "restored serving state from $BIN_DIR/state.json" "$BIN_DIR/server4.log" ||
+  ! grep -Eq "replayed [0-9]+ WAL records from $BIN_DIR/wal2" "$BIN_DIR/server4.log" ||
+  ! grep -q "skipping -data" "$BIN_DIR/server4.log"; then
+  echo "stream smoke: restart did not restore the snapshot, replay the log and skip -data" >&2
+  cat "$BIN_DIR/server4.log" >&2
+  exit 1
+fi
+TRIPS_AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz" | grep -o '"trips":[0-9]*' | head -1)"
+if [ "$TRIPS_AFTER" != "$TRIPS" ]; then
+  echo "stream smoke: $TRIPS before the restart, ${TRIPS_AFTER:-none} after" >&2
+  exit 1
+fi
+JOB="$(curl -sS -X POST "http://127.0.0.1:$PORT/v1/reinfer")"
+if ! grep -q '"state":"running"' <<<"$JOB"; then
+  echo "stream smoke: reinfer after the restart did not start: $JOB" >&2
+  exit 1
+fi
+for _ in $(seq 1 600); do
+  JOB="$(curl -sS "http://127.0.0.1:$PORT/v1/reinfer")"
+  grep -q '"state":"running"' <<<"$JOB" || break
+  sleep 0.1
+done
+if ! grep -q '"state":"done"' <<<"$JOB"; then
+  echo "stream smoke: reinfer after the restart ended: $JOB" >&2
   exit 1
 fi
 
