@@ -106,7 +106,7 @@ func checkBatchBody(t *testing.T, svc http.Handler, e Engine, body []byte) {
 func codecEngine() Engine {
 	st := populatedStore()
 	st.Put(5, geo.Point{X: math.NaN(), Y: 1})
-	return storeOnlyEngine{st}
+	return storeOnlyEngine{st.Freeze()}
 }
 
 // batchBodies are request bodies on both sides of every rule the scanner
@@ -280,7 +280,7 @@ func TestBatchHandlerAllocs(t *testing.T) {
 	for id := 0; id < 512; id += 2 { // odd keys miss
 		st.Put(model.AddressID(id), geo.Point{X: float64(id) + 0.25, Y: -float64(id) / 3})
 	}
-	svc := NewService(storeOnlyEngine{st}, Options{})
+	svc := NewService(storeOnlyEngine{st.Freeze()}, Options{})
 	var perKeys []float64
 	for _, n := range []int{64, 512} {
 		keys := make([]int64, n)

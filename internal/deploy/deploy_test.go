@@ -18,28 +18,29 @@ func TestStoreFallbackChain(t *testing.T) {
 	s.RegisterAddress(3, 11, geo.Point{X: 500, Y: 500})
 
 	// Unknown address entirely.
-	if _, src := s.Query(99); src != SourceNone {
+	if _, src := s.Freeze().Query(99); src != SourceNone {
 		t.Errorf("unknown address source = %v", src)
 	}
 	// Geocode fallback before any inference.
-	loc, src := s.Query(1)
+	loc, src := s.Freeze().Query(1)
 	if src != SourceGeocode || loc != (geo.Point{X: 100, Y: 100}) {
 		t.Errorf("geocode fallback: %v %v", loc, src)
 	}
 	// Address-level answer after Put.
 	s.Put(1, geo.Point{X: 105, Y: 95})
-	loc, src = s.Query(1)
+	f := s.Freeze()
+	loc, src = f.Query(1)
 	if src != SourceAddress || loc != (geo.Point{X: 105, Y: 95}) {
 		t.Errorf("address answer: %v %v", loc, src)
 	}
 	// Sibling address in the same building falls back to the building
 	// majority.
-	loc, src = s.Query(2)
+	loc, src = f.Query(2)
 	if src != SourceBuilding || loc != (geo.Point{X: 105, Y: 95}) {
 		t.Errorf("building fallback: %v %v", loc, src)
 	}
 	// Address of another building without inference still geocodes.
-	if _, src = s.Query(3); src != SourceGeocode {
+	if _, src = f.Query(3); src != SourceGeocode {
 		t.Errorf("other building source = %v", src)
 	}
 }
@@ -53,11 +54,12 @@ func TestStoreBuildingMajority(t *testing.T) {
 	s.Put(2, geo.Point{X: 2, Y: 2})
 	s.Put(3, geo.Point{X: 1, Y: 1}) // majority at (1,1)
 	s.RegisterAddress(4, 7, geo.Point{X: 9, Y: 9})
-	if loc, src := s.Query(4); src != SourceBuilding || loc != (geo.Point{X: 1, Y: 1}) {
+	f := s.Freeze()
+	if loc, src := f.Query(4); src != SourceBuilding || loc != (geo.Point{X: 1, Y: 1}) {
 		t.Errorf("unlocated address of building 7 = %v %v, want the majority", loc, src)
 	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
+	if f.Inferred() != 3 {
+		t.Errorf("Inferred = %d", f.Inferred())
 	}
 }
 
@@ -72,13 +74,15 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				id := model.AddressID(g*1000 + i)
 				s.RegisterAddress(id, model.BuildingID(g), geo.Point{X: float64(i)})
 				s.Put(id, geo.Point{X: float64(i), Y: float64(g)})
-				s.Query(id)
+				if i%20 == 0 {
+					s.Freeze().Query(id)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Len() != 1600 {
-		t.Errorf("Len = %d, want 1600", s.Len())
+	if f := s.Freeze(); f.Inferred() != 1600 {
+		t.Errorf("Inferred = %d, want 1600", f.Inferred())
 	}
 }
 
@@ -86,7 +90,7 @@ func TestHTTPQueryAPI(t *testing.T) {
 	s := NewStore()
 	s.RegisterAddress(7, 1, geo.Point{X: 10, Y: 20})
 	s.Put(7, geo.Point{X: 12, Y: 22})
-	srv := httptest.NewServer(NewService(storeOnlyEngine{s}, Options{}))
+	srv := httptest.NewServer(NewService(storeOnlyEngine{s.Freeze()}, Options{}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/locations/7")

@@ -105,16 +105,16 @@ func (f *FrozenStore) home(id model.AddressID) uint64 {
 func (s *Store) Freeze() *FrozenStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byBld := s.majoritiesLocked()
+	byBld, answerable, located := s.tallyLocked()
 	size := 1
-	for size*7/8 < s.answerable {
+	for size*7/8 < answerable {
 		size <<= 1
 	}
 	f := &FrozenStore{
 		slots:    make([]slot, size),
 		shift:    uint8(64 - bits.TrailingZeros(uint(size))),
-		n:        s.answerable,
-		inferred: s.located,
+		n:        answerable,
+		inferred: located,
 	}
 	for i := range f.slots {
 		f.slots[i].src = SourceNone

@@ -11,16 +11,52 @@ import (
 	"dlinfma/internal/model"
 )
 
-// referenceFreeze is the FrozenStore the table replaced: the same fallback
-// chain per row, kept in a Go map.
-func referenceFreeze(s *Store) map[model.AddressID]FrozenAnswer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byBld := s.majoritiesLocked()
-	ref := make(map[model.AddressID]FrozenAnswer, len(s.rows))
-	for i := range s.rows {
-		if a, ok := s.rows[i].answer(byBld); ok {
-			ref[s.rows[i].id] = a
+// refRow is what the writes said about one address, kept beside the store.
+type refRow struct {
+	bld                 model.BuildingID
+	geocode, loc        geo.Point
+	conf                float32
+	registered, located bool
+}
+
+// referenceFreeze is the fallback chain of Figure 14 written out apart from
+// the code that fills the table, in a Go map: every building's votes are
+// recounted from its registered and located addresses — most votes wins,
+// equal counts going to the smaller (X, Y) — and each address answers with
+// its own location, else its building's majority, else its geocode.
+func referenceFreeze(rows map[model.AddressID]refRow) map[model.AddressID]FrozenAnswer {
+	votes := map[model.BuildingID]map[geo.Point]int{}
+	for _, r := range rows {
+		if r.registered && r.located {
+			if votes[r.bld] == nil {
+				votes[r.bld] = map[geo.Point]int{}
+			}
+			votes[r.bld][r.loc]++
+		}
+	}
+	majority := map[model.BuildingID]geo.Point{}
+	for bld, v := range votes {
+		var best geo.Point
+		bestN := 0
+		for loc, n := range v {
+			smaller := loc.X < best.X || loc.X == best.X && loc.Y < best.Y
+			if n > bestN || n == bestN && smaller {
+				best, bestN = loc, n
+			}
+		}
+		majority[bld] = best
+	}
+	ref := map[model.AddressID]FrozenAnswer{}
+	for id, r := range rows {
+		maj, ok := majority[r.bld]
+		switch {
+		case r.located:
+			ref[id] = FrozenAnswer{Loc: r.loc, Src: SourceAddress, Conf: r.conf}
+		case !r.registered:
+		case ok:
+			ref[id] = FrozenAnswer{Loc: maj, Src: SourceBuilding}
+		default:
+			ref[id] = FrozenAnswer{Loc: r.geocode, Src: SourceGeocode}
 		}
 	}
 	return ref
@@ -29,7 +65,6 @@ func referenceFreeze(s *Store) map[model.AddressID]FrozenAnswer {
 // reversed returns a store holding s's rows in the opposite order.
 func reversed(s *Store) *Store {
 	r := NewStore()
-	r.located, r.answerable = s.located, s.answerable
 	for i := len(s.rows) - 1; i >= 0; i-- {
 		r.index[s.rows[i].id] = int32(len(r.rows))
 		r.rows = append(r.rows, s.rows[i])
@@ -57,29 +92,35 @@ func fuzzIDs() []model.AddressID {
 
 // FuzzFrozenStore decodes the input, four bytes an op, into RegisterAddress,
 // Put and SetConfidence calls over fuzzIDs, freezes the store, and holds
-// every read of the table to referenceFreeze's map. The same rows frozen in
-// the opposite order must give an equal store.
+// every read of the table to referenceFreeze's map of the same writes. The
+// same rows frozen in the opposite order must give an equal store.
 func FuzzFrozenStore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 1, 0, 2, 2, 2, 0, 200, 0})
 	f.Add([]byte{0, 10, 3, 3, 0, 11, 3, 4, 0, 12, 3, 5, 0, 13, 3, 6, 1, 11, 9, 9, 1, 12, 9, 9})
 	f.Add([]byte{1, 5, 1, 2, 1, 6, 1, 2, 0, 7, 0, 0, 0, 8, 0, 1, 2, 5, 64, 0, 1, 3, 4, 4})
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 0, 2, 1, 0, 1, 0, 3, 3, 1, 1, 2, 1}) // building 1 tied 1-1
 	ids := fuzzIDs()
 	probes := slices.Concat(ids, []model.AddressID{1 << 21}) // 1<<21 is never named
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		s := NewStore()
+		s, rows := NewStore(), map[model.AddressID]refRow{}
 		for ; len(ops) >= 4; ops = ops[4:] {
 			id, v, w := ids[int(ops[1])%len(ids)], ops[2], ops[3]
+			r := rows[id]
 			switch ops[0] % 3 {
 			case 0:
-				s.RegisterAddress(id, model.BuildingID(v%4), geo.Point{X: float64(v), Y: float64(w)})
+				r.bld, r.geocode, r.registered = model.BuildingID(v%4), geo.Point{X: float64(v), Y: float64(w)}, true
+				s.RegisterAddress(id, r.bld, r.geocode)
 			case 1:
-				s.Put(id, geo.Point{X: float64(v % 4), Y: float64(w % 4)})
+				r.loc, r.located = geo.Point{X: float64(v % 4), Y: float64(w % 4)}, true
+				s.Put(id, r.loc)
 			case 2:
-				s.SetConfidence(id, float32(v)/255)
+				r.conf = float32(v) / 255
+				s.SetConfidence(id, r.conf)
 			}
+			rows[id] = r
 		}
-		fz, ref := s.Freeze(), referenceFreeze(s)
+		fz, ref := s.Freeze(), referenceFreeze(rows)
 		inferred := 0
 		for _, a := range ref {
 			if a.Src == SourceAddress {

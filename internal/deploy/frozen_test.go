@@ -24,26 +24,23 @@ func populatedStore() *Store {
 	return s
 }
 
+// TestFrozenStoreMatchesStore: the frozen store answers each of the store's
+// rows at its fallback level. Address 2 answers by building 10's majority;
+// building 11 has none, so address 3 falls through to its geocode.
 func TestFrozenStoreMatchesStore(t *testing.T) {
-	s := populatedStore()
-	f := s.Freeze()
-	for _, addr := range []model.AddressID{1, 2, 3, 99} {
-		wantLoc, wantSrc := s.Query(addr)
-		gotLoc, gotSrc := f.Query(addr)
-		if gotLoc != wantLoc || gotSrc != wantSrc {
-			t.Errorf("addr %d: frozen (%v,%v) != store (%v,%v)", addr, gotLoc, gotSrc, wantLoc, wantSrc)
+	f := populatedStore().Freeze()
+	for addr, want := range map[model.AddressID]FrozenAnswer{
+		1:  {Loc: geo.Point{X: 102, Y: 101}, Src: SourceAddress},
+		2:  {Loc: geo.Point{X: 102, Y: 101}, Src: SourceBuilding},
+		3:  {Loc: geo.Point{X: 500, Y: 500}, Src: SourceGeocode},
+		99: {Src: SourceNone},
+	} {
+		if loc, src := f.Query(addr); loc != want.Loc || src != want.Src {
+			t.Errorf("addr %d: frozen (%v,%v), want (%v,%v)", addr, loc, src, want.Loc, want.Src)
 		}
 	}
-	if f.Len() != 3 {
-		t.Errorf("frozen Len = %d, want 3 (every answerable address)", f.Len())
-	}
-	// Address 2 answers by building 10's majority; building 11 has none, so
-	// address 3 falls through to its geocode.
-	if loc, src := f.Query(2); src != SourceBuilding || loc != (geo.Point{X: 102, Y: 101}) {
-		t.Errorf("frozen addr 2 = %v %v, want building 10's majority", loc, src)
-	}
-	if loc, src := f.Query(3); src != SourceGeocode || loc != (geo.Point{X: 500, Y: 500}) {
-		t.Errorf("frozen addr 3 = %v %v, want its geocode", loc, src)
+	if f.Len() != 3 || f.Inferred() != 1 {
+		t.Errorf("frozen Len = %d, Inferred = %d; want 3 (every answerable address) and 1", f.Len(), f.Inferred())
 	}
 }
 
@@ -113,6 +110,7 @@ func TestStoreMajorityMatchesRecount(t *testing.T) {
 		addr := model.AddressID(rng.Intn(addrs))
 		current[addr] = locs[rng.Intn(len(locs))]
 		s.Put(addr, current[addr])
+		f := s.Freeze()
 
 		votes := [buildings]map[geo.Point]int{}
 		for a, loc := range current {
@@ -131,7 +129,7 @@ func TestStoreMajorityMatchesRecount(t *testing.T) {
 					want, bestN = loc, n
 				}
 			}
-			got, src := s.Query(probe(bld))
+			got, src := f.Query(probe(bld))
 			if ok := src == SourceBuilding; ok != (bestN > 0) || (ok && got != want) {
 				t.Fatalf("step %d: building %d serves %v (%v), recount says %v with %d votes",
 					step, bld, got, ok, want, bestN)
@@ -183,11 +181,8 @@ func TestStoreMajorityIsOfCurrentRows(t *testing.T) {
 			s := NewStore()
 			s.RegisterAddress(9, bld, gc) // answered by the building
 			tc.write(s)
-			f := s.Freeze()
-			for name, q := range map[string]func(model.AddressID) (geo.Point, Source){"store": s.Query, "frozen": f.Query} {
-				if loc, src := q(9); src != SourceBuilding || loc != tc.want {
-					t.Errorf("%s: sibling answered %v %v, want %v by building", name, loc, src, tc.want)
-				}
+			if loc, src := s.Freeze().Query(9); src != SourceBuilding || loc != tc.want {
+				t.Errorf("sibling answered %v %v, want %v by building", loc, src, tc.want)
 			}
 		})
 	}
@@ -252,8 +247,8 @@ func TestBuildingMajorityOrderIndependent(t *testing.T) {
 	}
 }
 
-// storeOnlyEngine adapts a bare Store to the Engine interface.
-type storeOnlyEngine struct{ st *Store }
+// storeOnlyEngine adapts a bare frozen store to the Engine interface.
+type storeOnlyEngine struct{ st *FrozenStore }
 
 func (e storeOnlyEngine) QueryCtx(_ context.Context, addr model.AddressID) (geo.Point, Source) {
 	return e.st.Query(addr)

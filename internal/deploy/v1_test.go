@@ -27,17 +27,14 @@ import (
 
 // stubEngine implements deploy.Engine with directly settable state.
 type stubEngine struct {
-	store    *deploy.Store
+	frozen   *deploy.FrozenStore
 	status   api.EngineStatus
 	job      *api.JobStatus
 	ingested [][]model.Trip
 }
 
 func (s *stubEngine) QueryCtx(_ context.Context, addr model.AddressID) (geo.Point, deploy.Source) {
-	if s.store == nil {
-		return geo.Point{}, deploy.SourceNone
-	}
-	return s.store.Query(addr)
+	return s.frozen.Query(addr)
 }
 
 func (s *stubEngine) QueryBatch(ctx context.Context, addrs []model.AddressID, out []deploy.BatchAnswer) ([]deploy.BatchAnswer, error) {
@@ -83,7 +80,7 @@ func readyStub() *stubEngine {
 	st := deploy.NewStore()
 	st.Put(1, geo.Point{X: 10, Y: 20})
 	st.Put(2, geo.Point{X: 30, Y: 40})
-	return &stubEngine{store: st, status: api.EngineStatus{Ready: true, Inferred: 2}}
+	return &stubEngine{frozen: st.Freeze(), status: api.EngineStatus{Ready: true, Inferred: 2}}
 }
 
 func TestV1LocationAndBatch(t *testing.T) {

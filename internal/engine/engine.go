@@ -333,6 +333,11 @@ func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 		if err != nil {
 			return err
 		}
+		if e.routed() && len(p.Trips) > 0 {
+			e.mu.Lock()
+			e.countShardTripsLocked(i, len(p.Trips))
+			e.mu.Unlock()
+		}
 	}
 	e.mu.Lock()
 	e.nTrips += len(trips)
@@ -368,19 +373,15 @@ func (e *Engine) partition(trips []model.Trip, addrs []model.AddressInfo, truth 
 	if added > 0 {
 		e.publishRoutesLocked()
 	}
-	for i, p := range parts {
-		if len(p.Trips) > 0 {
-			e.countShardTripsLocked(i, len(p.Trips))
-		}
-	}
 	return parts
 }
 
-// countShardTripsLocked adds n > 0 trips routed to shard sh (a batch
-// window's part or one streamed trip) to the cumulative per-shard counts and
-// republishes the skew gauge: max over mean of the per-shard totals (1 =
-// perfectly balanced, len(shards) = everything on one shard). Callers hold
-// mu, with several shards.
+// countShardTripsLocked adds n > 0 trips shard sh has taken (a batch
+// window's part its Ingest accepted, or one streamed trip) to the cumulative
+// per-shard counts and republishes the skew gauge: max over mean of the
+// per-shard totals (1 = perfectly balanced, len(shards) = everything on one
+// shard). A part a shard rejects is not counted, so a producer's retry is
+// counted once. Callers hold mu, with several shards.
 func (e *Engine) countShardTripsLocked(sh, n int) {
 	e.shardTrips[sh] += int64(n)
 	e.tripGauges[sh].Set(float64(e.shardTrips[sh]))

@@ -34,9 +34,10 @@ type evidence struct {
 	addrs    []model.AddressInfo
 	addrSeen map[model.AddressID]bool
 	truth    map[model.AddressID]geo.Point
-	// pending counts trips the served state does not cover; pendingSince is
-	// when that backlog started (zero while empty), the age auto-reinfer watches.
-	pending      int
+	// covered counts the first trips, in ingest order, the served state was
+	// trained on; the trips past it are the backlog, and pendingSince is when
+	// that backlog started (zero while empty), the age auto-reinfer watches.
+	covered      int
 	pendingSince time.Time
 	counts       atomic.Pointer[ingestCounts]
 	// open is the window the next cut hands to the sealer: the stay points
@@ -82,7 +83,7 @@ func newEvidence(cfg core.Config) *evidence {
 // unlock publishes counts for the evidence as it now is and releases mu.
 func (ev *evidence) unlock() {
 	ev.counts.Store(&ingestCounts{name: ev.name, addrs: ev.addrs[:len(ev.addrs):len(ev.addrs)],
-		trips: len(ev.trips), pending: ev.pending, pendingSince: ev.pendingSince})
+		trips: len(ev.trips), pending: max(0, len(ev.trips)-ev.covered), pendingSince: ev.pendingSince})
 	ev.mu.Unlock()
 }
 
@@ -104,10 +105,9 @@ func (ev *evidence) queue(tr model.Trip, stays []traj.StayPoint) {
 	ev.mu.Lock()
 	defer ev.unlock()
 	ev.open = append(ev.open, queuedTrip{tr.Courier, stays})
-	if ev.pending == 0 {
+	if len(ev.trips) == ev.covered { // the first trip the served state does not cover
 		ev.pendingSince = time.Now()
 	}
-	ev.pending++
 	tr.Traj = nil
 	ev.trips = append(ev.trips, tr)
 	ingestTrips.Inc()
@@ -170,15 +170,18 @@ func (ev *evidence) setName(name string) {
 	ev.name = name
 }
 
-// served restarts the backlog after a swap that covered the first n trips.
-// Trips that raced the retrain arrived somewhere during it; restarting their
-// age at the swap slightly underestimates, which only delays the age-based
-// auto-reinfer trigger by at most one training run.
+// served restarts the backlog after a swap that covered the first n trips:
+// a re-inference's, or a restore's whose document says how many of this
+// shard's trips it was trained on — there the log's replay, which follows,
+// brings those trips back without adding them to the backlog. Trips that
+// raced the retrain arrived somewhere during it; restarting their age at the
+// swap slightly underestimates, which only delays the age-based auto-reinfer
+// trigger by at most one training run.
 func (ev *evidence) served(n int) {
 	ev.mu.Lock()
 	defer ev.unlock()
-	ev.pending, ev.pendingSince = len(ev.trips)-n, time.Time{}
-	if ev.pending > 0 {
+	ev.covered, ev.pendingSince = n, time.Time{}
+	if len(ev.trips) > n {
 		ev.pendingSince = time.Now()
 	}
 }

@@ -17,12 +17,15 @@ import (
 
 // serving is what a shard publishes at a hot swap, immutable from then on:
 // the frozen store every query, status report, churn diff, and snapshot write
-// reads, the matcher that produced it, and the size of the candidate pool it
-// was inferred from (0 after a restore: a snapshot carries no pool).
+// reads, the matcher that produced it, the size of the candidate pool it
+// was inferred from (0 after a restore: a snapshot carries no pool), and how
+// many of the shard's trips, the first ones in ingest order, it was trained
+// on (0 when unknown: a restore from a document that does not say).
 type serving struct {
 	frozen   *deploy.FrozenStore
 	matcher  *core.LocMatcher
 	poolLocs int
+	trips    int
 }
 
 // Shard is the in-process peer.ShardBackend: one region's evidence, trained
@@ -207,7 +210,7 @@ func (s *Shard) reinfer(ctx context.Context) error {
 	}
 
 	_, swapSp := trace.Start(ctx, "engine.hot_swap")
-	s.publish(&serving{frozen: freeze(store), matcher: matcher, poolLocs: len(pool.Locations)}, swapKindReinfer)
+	s.publish(&serving{frozen: freeze(store), matcher: matcher, poolLocs: len(pool.Locations), trips: nTrips}, swapKindReinfer)
 	s.reinfers.Add(1)
 	swapSp.End()
 	s.ev.served(nTrips)

@@ -15,6 +15,7 @@ import (
 	"dlinfma/internal/engine"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/obs"
 	"dlinfma/internal/peer"
 	"dlinfma/internal/shard"
 	"dlinfma/internal/traj"
@@ -278,5 +279,85 @@ func TestWriteSnapshotSurfacesShardErrors(t *testing.T) {
 	defer e.Close()
 	if err := e.WriteSnapshot(io.Discard); !errors.Is(err, peer.ErrNotReady) {
 		t.Fatalf("all-cold snapshot: %v, want peer.ErrNotReady", err)
+	}
+}
+
+// ingestStub is a shard backend that answers every Ingest with *err.
+type ingestStub struct {
+	peer.ShardBackend
+	err *error
+}
+
+func (s ingestStub) Ingest(context.Context, []model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) error {
+	return *s.err
+}
+
+// shardTripGauges reads dlinfma_engine_ingest_shard_trips for shards 0 and 1
+// and dlinfma_engine_ingest_skew from the process-wide registry.
+func shardTripGauges(t *testing.T) (per [2]float64, skew float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range fams["dlinfma_engine_ingest_shard_trips"].Samples {
+		switch s.Labels["shard"] {
+		case "0":
+			per[0] = s.Value
+		case "1":
+			per[1] = s.Value
+		}
+	}
+	return per, fams["dlinfma_engine_ingest_skew"].Samples[0].Value
+}
+
+// TestShardTripsCountTakenParts: a window's part counts in
+// dlinfma_engine_ingest_shard_trips and the skew gauge once its shard has
+// taken it. Both stub shards take a first window, which makes both gauges
+// this engine's (the registry is process-wide, so they are read as a
+// change); in the second window the second shard answers
+// deploy.ErrBackpressure, and the gauges move by the first shard's part
+// only, as Status().Trips counts only what a shard applied.
+func TestShardTripsCountTakenParts(t *testing.T) {
+	var err0, err1 error
+	r := testRouter(t, 2)
+	r.AssignAddress = func(a model.AddressInfo) int { return int(a.ID) % 2 }
+	e, err := engine.NewShardedBackends(quickConfig(), r, []peer.ShardBackend{ingestStub{err: &err0}, ingestStub{err: &err1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	if err := e.Ingest(ctx, nil, []model.AddressInfo{{ID: 0}, {ID: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// window has n[i] trips delivering to address i, so to shard i.
+	window := func(n [2]int) []model.Trip {
+		var trips []model.Trip
+		for addr, k := range n {
+			for range k {
+				trips = append(trips, model.Trip{Waybills: []model.Waybill{{Addr: model.AddressID(addr)}}})
+			}
+		}
+		return trips
+	}
+	if err := e.Ingest(ctx, window([2]int{2, 3}), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := shardTripGauges(t)
+	err1 = deploy.ErrBackpressure
+	if err := e.Ingest(ctx, window([2]int{4, 5}), nil, nil); !errors.Is(err, deploy.ErrBackpressure) {
+		t.Fatalf("second window: %v, want the second shard's backpressure", err)
+	}
+	after, skew := shardTripGauges(t)
+	if d := [2]float64{after[0] - before[0], after[1] - before[1]}; d != [2]float64{4, 0} {
+		t.Fatalf("dlinfma_engine_ingest_shard_trips moved %v, want [4 0]: the rejected part counted", d)
+	}
+	if want := max(after[0], after[1]) / ((after[0] + after[1]) / 2); math.Abs(skew-want) > 1e-12 {
+		t.Fatalf("dlinfma_engine_ingest_skew = %g, want %g (max over mean of %v)", skew, want, after)
 	}
 }

@@ -40,8 +40,13 @@ const (
 // store it was written from, answer for answer. The evidence — trips,
 // candidate pool, truth — is not included: the WAL is its durable record,
 // and a restart replays the whole log on top of the restored document, so
-// the next re-inference trains on everything the snapshotted one did. A
-// restore without a log serves queries immediately but needs fresh ingest
+// the next re-inference trains on everything the snapshotted one did. Trips
+// says how many of the shard's trips, the first ones in ingest order, the
+// served state was trained on: a restore starts the shard's backlog there,
+// so the replayed trips it covers are not pending again. Only a snapshot
+// file, which is restored beside the same log, carries it; without it (a
+// stream, a document older than the field) every replayed trip is pending.
+// A restore without a log serves queries immediately but needs fresh ingest
 // before the next re-inference.
 type snapshot struct {
 	Version   int                   `json:"version"`
@@ -52,6 +57,7 @@ type snapshot struct {
 	// Documents written before the field existed restore with confidence 0
 	// (unknown) everywhere.
 	Confidences map[string]float32 `json:"confidences,omitempty"`
+	Trips       int                `json:"trips,omitempty"`
 	Matcher     json.RawMessage    `json:"matcher,omitempty"`
 }
 
@@ -92,9 +98,16 @@ var errNothingToSnapshot = fmt.Errorf("engine: nothing to snapshot before the fi
 var errRemoteSnapshotFiles = errors.New("engine: snapshot restore requires in-process shards; restore each shard process from its own snapshot")
 
 // WriteSnapshot streams the shard's serving state to w as a version-1
-// document. It fails with peer.ErrNotReady before the first completed
-// re-inference or restore.
-func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
+// document, without its trip count: that counts trips of this process's
+// log, and a stream goes to another process. It fails with peer.ErrNotReady
+// before the first completed re-inference or restore.
+func (s *Shard) WriteSnapshot(w io.Writer) error { return s.writeSnapshot(w, false) }
+
+// saveSnapshot writes the document SaveSnapshotFile keeps beside the log,
+// trip count included.
+func (s *Shard) saveSnapshot(w io.Writer) error { return s.writeSnapshot(w, true) }
+
+func (s *Shard) writeSnapshot(w io.Writer, withTrips bool) (err error) {
 	defer func() {
 		if err != nil {
 			snapshotSaveErr.Inc()
@@ -113,6 +126,9 @@ func (s *Shard) WriteSnapshot(w io.Writer) (err error) {
 		Name:      c.name,
 		Addresses: c.addrs,
 		Locations: make(map[string][2]float64, n),
+	}
+	if withTrips {
+		sn.Trips = sv.trips
 	}
 	sv.frozen.Each(func(id model.AddressID, a deploy.FrozenAnswer) {
 		if a.Src != deploy.SourceAddress {
@@ -154,6 +170,9 @@ type snapshotLoad struct {
 	// route pins every routed address to its shard; nil unless only is -1.
 	route map[model.AddressID]int
 	name  string
+	// trips is the document's trip count, which only the shard the document
+	// belongs to (only >= 0) takes.
+	trips int
 	// matcherJSON is the document's matcher as read; matcher is the model
 	// loadMatcher decodes from it.
 	matcherJSON []byte
@@ -163,11 +182,13 @@ type snapshotLoad struct {
 	start   time.Time
 }
 
-// shardLoad is one shard's share of a snapshotLoad: the store to freeze and
-// the addresses that seed the shard's ingest state.
+// shardLoad is one shard's share of a snapshotLoad: the store to freeze, the
+// addresses that seed the shard's ingest state, and the number of locations
+// filed.
 type shardLoad struct {
 	store *deploy.Store
 	addrs []model.AddressInfo
+	locs  int
 }
 
 // newLoad readies a load for about hint addresses.
@@ -208,7 +229,9 @@ func (l *snapshotLoad) location(id model.AddressID, loc geo.Point) {
 			l.route[id] = sh
 		}
 	}
-	l.parts[sh].store.Put(id, loc)
+	p := &l.parts[sh]
+	p.store.Put(id, loc)
+	p.locs++
 }
 
 func (l *snapshotLoad) confidence(id model.AddressID, conf float32) {
@@ -224,7 +247,7 @@ func (l *snapshotLoad) confidence(id model.AddressID, conf float32) {
 
 // fill feeds a document encoding/json decoded.
 func (l *snapshotLoad) fill(sn *snapshot) error {
-	l.name, l.matcherJSON, l.decoder = sn.Name, sn.Matcher, "json"
+	l.name, l.trips, l.matcherJSON, l.decoder = sn.Name, sn.Trips, sn.Matcher, "json"
 	for _, a := range sn.Addresses {
 		l.address(a)
 	}
@@ -275,7 +298,7 @@ func (l *snapshotLoad) loadMatcher() (err error) {
 func (l *snapshotLoad) install() {
 	for i := range l.parts {
 		p := &l.parts[i]
-		if p.store == nil || l.only < 0 && len(p.addrs) == 0 && p.store.Len() == 0 {
+		if p.store == nil || l.only < 0 && len(p.addrs) == 0 && p.locs == 0 {
 			continue
 		}
 		l.e.shards[i].restore(l, p)
@@ -300,13 +323,20 @@ func (e *Engine) pinRoutes(route map[model.AddressID]int) {
 // address-level answers and their confidences as stored, the
 // building/geocode fallbacks recomputed from the address metadata, the
 // trained matcher available again. The restored addresses also seed the
-// shard's evidence so later windows extend the same address universe.
+// shard's evidence so later windows extend the same address universe, and
+// the shard's own document starts its backlog past the trips it was trained
+// on; a routed document's shares say nothing of any one shard's trips.
 func (s *Shard) restore(l *snapshotLoad, p *shardLoad) {
 	s.ev.register(l.name, p.addrs)
-	s.publish(&serving{frozen: freeze(p.store), matcher: l.matcher}, swapKindRestore)
+	sv := &serving{frozen: freeze(p.store), matcher: l.matcher}
+	if l.only >= 0 && l.trips > 0 {
+		sv.trips = l.trips
+		s.ev.served(l.trips)
+	}
+	s.publish(sv, swapKindRestore)
 	snapshotRestoreOK.Inc()
 	s.log.Info("snapshot restored",
-		"dataset", l.name, "addresses", len(p.addrs), "locations", p.store.Len(),
+		"dataset", l.name, "addresses", len(p.addrs), "locations", sv.frozen.Inferred(),
 		"decoder", l.decoder, "dur", time.Since(l.start))
 }
 
@@ -377,12 +407,14 @@ func (e *Engine) newManifest() *shardManifest {
 // failure or crash at any point leaves the previous generation whole and
 // loadable. A save touches no WAL segment: the snapshot is the durable
 // serving state and the log the durable evidence, and a restart needs both.
+// Each shard's document also says how many of the shard's trips in that log
+// its served state was trained on.
 func (e *Engine) SaveSnapshotFile(path string) error {
 	if e.remote {
 		return errRemoteSnapshotFiles
 	}
 	if !e.routed() {
-		return writeFileAtomic(path, e.shards[0].WriteSnapshot)
+		return writeFileAtomic(path, e.shards[0].saveSnapshot)
 	}
 	m := e.newManifest()
 	dir, base := filepath.Split(path)
@@ -391,7 +423,7 @@ func (e *Engine) SaveSnapshotFile(path string) error {
 	ready := false
 	for i, sh := range e.shards {
 		name := fmt.Sprintf("%s.%s.shard%d", base, gen, i)
-		err := writeFileAtomic(filepath.Join(dir, name), sh.WriteSnapshot)
+		err := writeFileAtomic(filepath.Join(dir, name), sh.saveSnapshot)
 		if errors.Is(err, peer.ErrNotReady) {
 			continue // never served: leave its entry empty
 		}

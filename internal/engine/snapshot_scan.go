@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"unicode/utf8"
 
 	"dlinfma/internal/geo"
@@ -17,7 +18,7 @@ import (
 // writers produce for it — Shard.WriteSnapshot's json.Encoder and a plain
 // json.Marshal of the same struct:
 //
-//	{"version":1,"name":S,"addresses":A,"locations":L[,"confidences":C][,"matcher":M]}[\n]
+//	{"version":1,"name":S,"addresses":A,"locations":L[,"confidences":C][,"trips":i][,"matcher":M]}[\n]
 //	A = null | [] | [{"ID":i,"Building":i,"Geocode":{"X":f,"Y":f},"POI":i,"GeocodeMode":i},...]
 //	L, C = null | {} | {"<address id>":[f,f],...} and {"<address id>":f,...}
 //
@@ -173,6 +174,13 @@ func scanSnapshot(doc []byte, l *snapshotLoad) bool {
 		return ok
 	}) {
 		return false
+	}
+	if s.Lit(`,"trips":`) {
+		n, ok := s.Int(strconv.IntSize)
+		if !ok {
+			return false
+		}
+		l.trips = int(n)
 	}
 
 	end := len(doc)

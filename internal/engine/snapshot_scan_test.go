@@ -111,6 +111,9 @@ type restoredState struct {
 	frozen   []*deploy.FrozenStore
 	status   api.EngineStatus
 	matchers [][]byte
+	// trips is each shard's count of trips its served state covers, which
+	// the next snapshot writes back.
+	trips []int
 }
 
 // restoreState restores doc into a fresh engine and reports whether the
@@ -127,19 +130,24 @@ func restoreState(t testing.TB, shards int, doc []byte) (st restoredState, scann
 	for _, sh := range e.shards {
 		st.frozen = append(st.frozen, sh.frozen())
 		var m bytes.Buffer
-		if sv := sh.sv.Load(); sv != nil && sv.matcher != nil {
-			if err := sv.matcher.Save(&m); err != nil {
-				t.Fatal(err)
+		trips := 0
+		if sv := sh.sv.Load(); sv != nil {
+			trips = sv.trips
+			if sv.matcher != nil {
+				if err := sv.matcher.Save(&m); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		st.matchers = append(st.matchers, m.Bytes())
+		st.trips = append(st.trips, trips)
 	}
 	return st, snapshotDecoderFallbacks.Value() == declined, nil
 }
 
 // checkSnapshotDecode holds the reader-with-fallback to encoding/json alone
 // on one document: both fail or both succeed, and a success leaves equal
-// frozen stores, status counts and matcher bytes.
+// frozen stores, status counts, matcher bytes and trip counts.
 func checkSnapshotDecode(t *testing.T, doc []byte) {
 	t.Helper()
 	for _, shards := range []int{1, 3} {
@@ -163,6 +171,9 @@ func checkSnapshotDecode(t *testing.T, doc []byte) {
 			}
 			if !bytes.Equal(got.matchers[i], want.matchers[i]) {
 				t.Fatalf("shards=%d shard %d: restored matcher differs from encoding/json's", shards, i)
+			}
+			if got.trips[i] != want.trips[i] {
+				t.Fatalf("shards=%d shard %d: restored state covers %d trips, encoding/json's %d", shards, i, got.trips[i], want.trips[i])
 			}
 		}
 		// Everything but the ages, which are wall-clock.
@@ -218,6 +229,7 @@ func snapshotSeeds(t testing.TB) [][]byte {
 	for k := range sn.Locations {
 		sn.Confidences[k] = 1 / float32(len(k)+1)
 	}
+	sn.Trips = 28
 	full, err := json.Marshal(sn)
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +245,8 @@ func snapshotSeeds(t testing.TB) [][]byte {
 		[]byte(`{"version":1,"name":"n","addresses":null,"locations":{"1":[1,2],"1":[3,4]}}`),
 		[]byte(`{"version":1,"name":"n","addresses":null,"locations":{"2":[1,2],"10":[3,4]}}`),
 		[]byte(`{"version":1,"name":"n","addresses":[],"locations":{"5":[1,2]},"confidences":{"5":0.25,"6":0.5}}`),
+		[]byte(`{"version":1,"name":"n","addresses":[],"locations":{"5":[1,2]},"trips":7,"matcher":null}`),
+		[]byte(`{"version":2,"shard_count":3,"addr_shards":{"5":1},"shards":[null,{"version":1,"name":"n","addresses":[],"locations":{"5":[1,2]},"trips":3},null]}`),
 		[]byte(`{"version":1,"name":"n","addresses":[{"ID":1,"Building":2,"Geocode":{"X":3,"Y":4},"POI":5,"GeocodeMode":6},{"ID":1,"Building":7,"Geocode":{"X":8,"Y":9},"POI":0,"GeocodeMode":0}],"locations":{}}`),
 		[]byte(`{"version":1,"name":"n","addresses":[{"ID":1,"Building":2,"Geocode":{"X":3,"Y":4},"POI":128,"GeocodeMode":0}],"locations":{}}`),
 		[]byte(`{"version":1,"name":"n","addresses":[],"locations":{},"matcher":{"nope":1}}`),
@@ -248,6 +262,9 @@ func snapshotSeeds(t testing.TB) [][]byte {
 	}
 	for _, key := range []string{"007", "-0", "+1", "2147483647", "2147483648", "-2147483648", "1e3", " 1", ""} {
 		seeds = append(seeds, []byte(`{"version":1,"name":"n","addresses":[],"locations":{"`+key+`":[1,2]}}`))
+	}
+	for _, n := range []string{"0", "-0", "-4", "1.5", "07", `"3"`, "null", "9223372036854775807", "99999999999999999999"} {
+		seeds = append(seeds, []byte(`{"version":1,"name":"n","addresses":[],"locations":{"1":[1,2]},"trips":`+n+`}`))
 	}
 	for _, f := range []string{"1e3", "1E-3", "-0", "0.1234567890123456", "12345678901234567", "1e999", "1e-999", "01", "1.", ".5", "-", "0x10", "NaN", "1e+", `"1"`} {
 		seeds = append(seeds,

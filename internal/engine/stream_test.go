@@ -681,11 +681,13 @@ func TestShardKeepsNoFixes(t *testing.T) {
 // replay of the copy. Right after the restart the twin holds the live
 // engine's trips and addresses, and serves what the last save wrote: the
 // live engine's answers, except after a re-inference the crash beat to
-// disk. From then on every twin runs the rest of the script beside the live
-// engine (the saves excepted); after one more window and a re-inference on
-// all of them, every shard of every twin publishes the live engine's frozen
-// store. PendingTrips and Reinfers are per-process counters — a restart
-// starts them over — so they are not compared.
+// disk. Where it serves the live engine's answers it also has the live
+// engine's backlog: the snapshot says how many trips its state was trained
+// on, so the replayed trips it covers are not pending again. From then on
+// every twin runs the rest of the script beside the live engine (the saves
+// excepted); after one more window and a re-inference on all of them, every
+// shard of every twin publishes the live engine's frozen store. Reinfers is
+// a per-process counter — a restart starts it over — so it is not compared.
 func TestSnapshotRestartKeepsEvidence(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testSnapshotRestartKeepsEvidence(t, n) })
@@ -752,6 +754,9 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	}
 
 	saved := 0 // Inferred as of the last save: what a restart serves
+	// current says the last save holds the live engine's served state: no
+	// re-inference since.
+	current := true
 	crash := func(point string) {
 		t.Helper()
 		if err := w.Sync(); err != nil {
@@ -762,8 +767,12 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 		twin := newStreamTestEngine(t, n)
 		t.Cleanup(twin.Close)
 		if _, err := os.Stat(snap); err == nil {
+			declined := snapshotDecoderFallbacks.Value()
 			if err := twin.LoadSnapshotFile(snap); err != nil {
 				t.Fatalf("%s: %v", point, err)
+			}
+			if snapshotDecoderFallbacks.Value() != declined {
+				t.Fatalf("%s: the saved snapshot fell back to encoding/json", point)
 			}
 		}
 		tw := openWAL(twinDir)
@@ -776,6 +785,9 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 			t.Fatalf("%s: restarted twin holds %d trips, %d addresses, %d inferred; want %d, %d, %d",
 				point, got.Trips, got.Addresses, got.Inferred, want.Trips, want.Addresses, saved)
 		}
+		if current && got.PendingTrips != want.PendingTrips {
+			t.Fatalf("%s: restarted twin has %d pending trips, the live engine %d", point, got.PendingTrips, want.PendingTrips)
+		}
 		engines = append(engines, twin)
 	}
 
@@ -787,11 +799,12 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 		}
 		crash(fmt.Sprintf("round %d, after ingest", r))
 		each(func(e *Engine) error { return e.Reinfer(ctx) })
+		current = false
 		crash(fmt.Sprintf("round %d, after Reinfer", r))
 		if err := live.SaveSnapshotFile(snap); err != nil {
 			t.Fatal(err)
 		}
-		saved = live.Status().Inferred
+		saved, current = live.Status().Inferred, true
 		crash(fmt.Sprintf("round %d, after the snapshot", r))
 	}
 	if got := walSegments(t, logDir); got < 3 {

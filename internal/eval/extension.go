@@ -30,8 +30,9 @@ type BuildingFallbackResult struct {
 
 // BuildingFallback holds out one address from every multi-address building,
 // trains DLInfMA on the rest, loads the inferred locations into a
-// deploy.Store, and evaluates the store's answers for the held-out addresses
-// as if they had never been delivered — exercising the building-majority
+// deploy.Store, and evaluates the answers of its frozen form — the table a
+// shard serves — for the held-out addresses as if they had never been
+// delivered — exercising the building-majority
 // fallback the paper describes for real-time cases. (The spatial test split
 // cannot exercise this chain: it holds out whole buildings, which never have
 // known siblings.)
@@ -72,6 +73,7 @@ func BuildingFallback(ctx context.Context, p *Prepared) (BuildingFallbackResult,
 			store.Put(addr, loc)
 		}
 	}
+	frozen := store.Freeze()
 
 	var bldErrs, geoErrs, chainErrs []float64
 	nBld := 0
@@ -80,7 +82,7 @@ func BuildingFallback(ctx context.Context, p *Prepared) (BuildingFallbackResult,
 		if !ok {
 			continue
 		}
-		loc, src := store.Query(addr)
+		loc, src := frozen.Query(addr)
 		if src == deploy.SourceNone {
 			continue
 		}

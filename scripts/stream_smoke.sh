@@ -7,11 +7,14 @@
 # snapshot), restarts it on the same -wal-dir, and asserts the replayed engine
 # still holds every acknowledged point: the same pending trips, the same open
 # stream, and a replay count matching exactly what was acked. A second leg
-# cold-starts a server on the tiny dataset with a snapshot path and a log,
-# stops it with SIGTERM (which saves the snapshot), restarts it on the same
-# flags, and asserts the log still holds the evidence: the replay line is
-# printed, -data is skipped, the trip count survives, and a re-inference
-# over the replayed evidence ends done. Run via `make smoke-stream`.
+# cold-starts a server on the tiny dataset with a snapshot path, a log and a
+# backlog bound below its trip count, stops it with SIGTERM (which saves the
+# snapshot), restarts it on the same flags, and asserts the log still holds
+# the evidence: the replay line is printed, -data is skipped, the trip count
+# survives, the replayed trips the snapshot was trained on are not pending
+# again (so a streamed fix is taken, not refused with 429), and a
+# re-inference over the replayed evidence ends done. Run via
+# `make smoke-stream`.
 set -euo pipefail
 
 PORT="${PORT:-18081}"
@@ -142,7 +145,7 @@ stop_server KILL
 # Leg two: snapshot, restart, re-inference. The snapshot holds the serving
 # state only; the evidence a re-inference needs survives in the log.
 "$BIN_DIR/dlinfma" generate -profile tiny -out "$BIN_DIR/tiny.json.gz" >/dev/null
-SNAP_FLAGS=(-data "$BIN_DIR/tiny.json.gz" -snapshot "$BIN_DIR/state.json" -wal-dir "$BIN_DIR/wal2")
+SNAP_FLAGS=(-data "$BIN_DIR/tiny.json.gz" -snapshot "$BIN_DIR/state.json" -wal-dir "$BIN_DIR/wal2" -max-pending-trips 20)
 start_server "$BIN_DIR/server3.log" "${SNAP_FLAGS[@]}"
 TRIPS="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz" | grep -o '"trips":[0-9]*' | head -1)"
 if [ -z "$TRIPS" ] || [ "$TRIPS" = '"trips":0' ]; then
@@ -164,9 +167,21 @@ if ! grep -q "restored serving state from $BIN_DIR/state.json" "$BIN_DIR/server4
   cat "$BIN_DIR/server4.log" >&2
   exit 1
 fi
-TRIPS_AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz" | grep -o '"trips":[0-9]*' | head -1)"
+HEALTH_AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
+TRIPS_AFTER="$(grep -o '"trips":[0-9]*' <<<"$HEALTH_AFTER" | head -1)"
 if [ "$TRIPS_AFTER" != "$TRIPS" ]; then
   echo "stream smoke: $TRIPS before the restart, ${TRIPS_AFTER:-none} after" >&2
+  exit 1
+fi
+# The snapshot covers every replayed trip: no backlog, and the bound admits
+# a streamed fix.
+if [ "$(grep -o '"pending_trips":[0-9]*' <<<"$HEALTH_AFTER" | head -1)" != '"pending_trips":0' ]; then
+  echo "stream smoke: the restart counts the snapshotted trips as pending: $HEALTH_AFTER" >&2
+  exit 1
+fi
+FIX_CODE="$(curl -sS -o "$BIN_DIR/fix.json" -w '%{http_code}' -X POST --data-binary '{"courier":77,"x":1,"y":2,"t":3}' "http://127.0.0.1:$PORT/v1/trajectories:stream")"
+if [ "$FIX_CODE" != 200 ]; then
+  echo "stream smoke: a streamed fix after the restart answered $FIX_CODE: $(cat "$BIN_DIR/fix.json")" >&2
   exit 1
 fi
 JOB="$(curl -sS -X POST "http://127.0.0.1:$PORT/v1/reinfer")"
