@@ -198,8 +198,8 @@ bench-read:
 # micro-benchmark rows — single-shard queries/sec of the parallel and batched
 # reads, ns/key of the batch handler over a 200k-address store, two-shard
 # fixes/sec of the streamed ingest, the process CPU time of a serial training
-# epoch, addrs/s of a 200k-address restore, the bytes a pool builder holds
-# per alive location after 50 windows, the process CPU time per record of a
+# epoch and of a 200k-address restore, the bytes a pool builder holds per
+# alive location after 50 windows, the process CPU time per record of a
 # two-shard WAL replay — over ten alternating pairs of runs
 # at 1 s benchtime, each side's root test binary built once. Fails when a
 # row's median over this checkout's runs is worse than the parent's by more

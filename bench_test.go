@@ -753,11 +753,15 @@ func BenchmarkPoolSealGrowth(b *testing.B) {
 }
 
 // BenchmarkRestoreSnapshot is a replica's boot: cityDoc's 200,000-address
-// store restored into a fresh one-shard engine.
+// store restored into a fresh one-shard engine. addrs/s is wall time;
+// cpu-ns/op is the process's CPU time per restore, what make bench-regress
+// gates, since on a shared machine the wall time also counts whatever else
+// ran.
 func BenchmarkRestoreSnapshot(b *testing.B) {
 	doc, n, located := cityDoc(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0, ok := processCPU()
 	for i := 0; i < b.N; i++ {
 		e := engine.New(engine.DefaultConfig())
 		if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
@@ -769,6 +773,9 @@ func BenchmarkRestoreSnapshot(b *testing.B) {
 		e.Close()
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/s")
+	if cpu1, ok1 := processCPU(); ok && ok1 {
+		b.ReportMetric(float64(cpu1-cpu0)/float64(b.N), "cpu-ns/op")
+	}
 }
 
 // BenchmarkBatchHandler is the batch route in this process with no socket:

@@ -63,13 +63,18 @@ func TestStoreBuildingMajority(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentAccess is the concurrency a Store has in production:
+// several goroutines at once — shards re-inferring, a restore loading —
+// each filling and freezing a store of its own, which no other goroutine
+// touches. Under make race any state the stores shared would be reported.
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore()
+	frozen := make([]*FrozenStore, 8)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range frozen {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			s := NewStore()
 			for i := 0; i < 200; i++ {
 				id := model.AddressID(g*1000 + i)
 				s.RegisterAddress(id, model.BuildingID(g), geo.Point{X: float64(i)})
@@ -78,11 +83,21 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					s.Freeze().Query(id)
 				}
 			}
+			frozen[g] = s.Freeze()
 		}(g)
 	}
 	wg.Wait()
-	if f := s.Freeze(); f.Inferred() != 1600 {
-		t.Errorf("Inferred = %d, want 1600", f.Inferred())
+	answers := 0
+	for g, f := range frozen {
+		answers += f.Inferred()
+		for i := 0; i < 200; i++ {
+			if loc, src := f.Query(model.AddressID(g*1000 + i)); src != SourceAddress || loc != (geo.Point{X: float64(i), Y: float64(g)}) {
+				t.Fatalf("store %d answers address %d with %v %v", g, g*1000+i, loc, src)
+			}
+		}
+	}
+	if answers != 1600 {
+		t.Errorf("Inferred sums to %d, want 1600", answers)
 	}
 }
 

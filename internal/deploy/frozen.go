@@ -94,22 +94,15 @@ func evenSpread(a uint64) bool {
 }
 
 // home returns the slot an address's probe starts at.
-func (f *FrozenStore) home(id model.AddressID) uint64 {
-	return (uint64(uint32(id)) * hashMul) >> f.shift
-}
+func (f *FrozenStore) home(id model.AddressID) uint64 { return home(id, f.shift) }
 
 // Freeze evaluates the fallback chain for every address the store knows
 // about — whether it has an inferred location, only a registered building,
 // or only a geocode — into an immutable FrozenStore. The store stays usable
 // and mutable; later writes are invisible to the frozen copy.
 func (s *Store) Freeze() *FrozenStore {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byBld, answerable, located := s.tallyLocked()
-	size := 1
-	for size*7/8 < answerable {
-		size <<= 1
-	}
+	byBld, answerable, located := s.tally()
+	size := tableSize(answerable)
 	f := &FrozenStore{
 		slots:    make([]slot, size),
 		shift:    uint8(64 - bits.TrailingZeros(uint(size))),

@@ -62,12 +62,12 @@ func referenceFreeze(rows map[model.AddressID]refRow) map[model.AddressID]Frozen
 	return ref
 }
 
-// reversed returns a store holding s's rows in the opposite order.
+// reversed returns a store holding s's rows in the opposite order, each
+// filed in the new store's own index.
 func reversed(s *Store) *Store {
 	r := NewStore()
 	for i := len(s.rows) - 1; i >= 0; i-- {
-		r.index[s.rows[i].id] = int32(len(r.rows))
-		r.rows = append(r.rows, s.rows[i])
+		*r.row(s.rows[i].id) = s.rows[i]
 	}
 	return r
 }
@@ -100,6 +100,10 @@ func FuzzFrozenStore(f *testing.F) {
 	f.Add([]byte{0, 10, 3, 3, 0, 11, 3, 4, 0, 12, 3, 5, 0, 13, 3, 6, 1, 11, 9, 9, 1, 12, 9, 9})
 	f.Add([]byte{1, 5, 1, 2, 1, 6, 1, 2, 0, 7, 0, 0, 0, 8, 0, 1, 2, 5, 64, 0, 1, 3, 4, 4})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 0, 2, 1, 0, 1, 0, 3, 3, 1, 1, 2, 1}) // building 1 tied 1-1
+	// Nine ids, eight of them sharing id 0's home slot in a small table:
+	// the store's index grows from 2 slots to 16 on the way, three resizes.
+	f.Add([]byte{0, 0, 1, 1, 0, 10, 1, 2, 0, 11, 2, 3, 0, 12, 2, 4, 0, 14, 3, 5, 0, 15, 3, 6,
+		1, 18, 1, 1, 1, 19, 2, 2, 1, 22, 1, 1, 2, 22, 128, 0, 1, 10, 1, 1})
 	ids := fuzzIDs()
 	probes := slices.Concat(ids, []model.AddressID{1 << 21}) // 1<<21 is never named
 	f.Fuzz(func(t *testing.T, ops []byte) {

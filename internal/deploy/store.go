@@ -8,9 +8,7 @@
 package deploy
 
 import (
-	"cmp"
 	"slices"
-	"sync"
 
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
@@ -68,14 +66,15 @@ func ParseSource(s string) Source {
 // Store is the key-value delivery-location store of Figure 14 in its
 // writable form: what a re-inference or a snapshot restore fills, freezes
 // into the FrozenStore a shard serves, and then drops. It only collects rows,
-// one per address behind one id index; Freeze alone derives the answers, the
+// one per address behind one IDIndex; Freeze alone derives the answers, the
 // building majorities and the counts from the rows as they stand, so nothing
 // depends on the order of RegisterAddress and Put or remembers a location a
-// later Put replaced. It is safe for concurrent use.
+// later Put replaced. A Store has one owner and no lock: a restore's load
+// and a shard's re-inference each fill and freeze their own on one
+// goroutine, and hand on only the FrozenStore.
 type Store struct {
-	mu    sync.Mutex
 	rows  []storeRow
-	index map[model.AddressID]int32
+	index IDIndex
 }
 
 // storeRow is everything the store knows about one address. registered says
@@ -94,27 +93,21 @@ type storeRow struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{index: make(map[model.AddressID]int32)}
+	return &Store{}
 }
 
-// Grow makes room for n more addresses, so a bulk load of known size does
+// grow makes room for n more addresses, so a bulk load of known size does
 // not pay for growing the rows and their index step by step.
-func (s *Store) Grow(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) grow(n int) {
 	s.rows = slices.Grow(s.rows, n)
-	if len(s.index) == 0 {
-		s.index = make(map[model.AddressID]int32, n)
-	}
+	s.index.Grow(n)
 }
 
-// rowLocked returns addr's row, adding an empty one the first time addr is
-// named. The pointer is good until the next call.
-func (s *Store) rowLocked(addr model.AddressID) *storeRow {
-	i, ok := s.index[addr]
-	if !ok {
-		i = int32(len(s.rows))
-		s.index[addr] = i
+// row returns addr's row, adding an empty one the first time addr is named.
+// The pointer is good until the next call.
+func (s *Store) row(addr model.AddressID) *storeRow {
+	i, added := s.index.Add(addr, int32(len(s.rows)))
+	if added {
 		s.rows = append(s.rows, storeRow{id: addr})
 	}
 	return &s.rows[i]
@@ -124,25 +117,40 @@ func (s *Store) rowLocked(addr model.AddressID) *storeRow {
 // inferred location. Freeze stamps it into the served answer so the read
 // path can flag low-confidence serving without touching the matcher.
 func (s *Store) SetConfidence(addr model.AddressID, conf float32) {
-	s.mu.Lock()
-	s.rowLocked(addr).conf = conf
-	s.mu.Unlock()
+	s.row(addr).conf = conf
 }
 
 // RegisterAddress records an address's building and geocode (the fallback
-// levels). Call before or after Put in any order.
+// levels), replacing an earlier registration. Call before or after Put in
+// any order.
 func (s *Store) RegisterAddress(addr model.AddressID, bld model.BuildingID, geocode geo.Point) {
-	s.mu.Lock()
-	r := s.rowLocked(addr)
+	r := s.row(addr)
 	r.bld, r.geocode, r.registered = bld, geocode, true
-	s.mu.Unlock()
+}
+
+// Register records the building and geocode of every address of addrs the
+// store has none for yet — of several naming one address, the first — in
+// one pass over a store grown for all of them, and returns the addresses it
+// recorded: addrs compacted in place, in their order. A snapshot restore
+// registers a shard's addresses with it, and its evidence takes the same
+// list, so the answer a restore serves and the registry the next snapshot
+// writes agree on every address a document names twice.
+func (s *Store) Register(addrs []model.AddressInfo) []model.AddressInfo {
+	s.grow(len(addrs))
+	kept := addrs[:0]
+	for _, a := range addrs {
+		if r := s.row(a.ID); !r.registered {
+			r.bld, r.geocode, r.registered = a.Building, a.Geocode, true
+			kept = append(kept, a)
+		}
+	}
+	return kept
 }
 
 // Put stores the inferred delivery location of an address, replacing any
 // earlier one.
 func (s *Store) Put(addr model.AddressID, loc geo.Point) {
-	s.mu.Lock()
-	r := s.rowLocked(addr)
+	r := s.row(addr)
 	// Read before write: a restore's Puts land on scattered rows (the keys
 	// arrive in byte order), and unconditional stores made
 	// BenchmarkRestoreSnapshot's 200,000 addresses about 5 % slower, in wall
@@ -151,7 +159,6 @@ func (s *Store) Put(addr model.AddressID, loc geo.Point) {
 		r.located = true
 	}
 	r.loc = loc
-	s.mu.Unlock()
 }
 
 // pointLess orders points by X, then Y.
@@ -159,20 +166,29 @@ func pointLess(a, b geo.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
 }
 
-// tallyLocked sweeps the rows once for what Freeze derives from them: the
-// number of rows with anything to answer with (registered or located), the
-// number located, and every building's majority — the location most of the
+// comparePoints is pointLess as a three-way comparison.
+func comparePoints(a, b geo.Point) int {
+	switch {
+	case a == b:
+		return 0
+	case pointLess(a, b):
+		return -1
+	}
+	return 1
+}
+
+// tally sweeps the rows once for what Freeze derives from them: the number
+// of rows with anything to answer with (registered or located), the number
+// located, and every building's majority — the location most of the
 // building's located addresses currently have, as the paper describes, equal
 // counts going to the smaller (X, Y), so the answer depends on the votes and
 // never on the order they were cast in, and a snapshot restore freezes to the
-// same building answers as the re-inference that wrote it. Sorting the votes
-// by (building, X, Y) turns the count into run lengths.
-func (s *Store) tallyLocked() (byBld map[model.BuildingID]geo.Point, answerable, located int) {
-	type vote struct {
-		bld model.BuildingID
-		loc geo.Point
-	}
-	votes := make([]vote, 0, len(s.rows))
+// same building answers as the re-inference that wrote it. Each vote is a
+// packed (building, row) key; one integer sort groups the votes by
+// building, and each building's few points, sorted on their own, turn the
+// count into run lengths.
+func (s *Store) tally() (byBld map[model.BuildingID]geo.Point, answerable, located int) {
+	votes := make([]uint64, 0, len(s.rows))
 	for i := range s.rows {
 		r := &s.rows[i]
 		if r.registered || r.located {
@@ -181,37 +197,34 @@ func (s *Store) tallyLocked() (byBld map[model.BuildingID]geo.Point, answerable,
 		if r.located {
 			located++
 			if r.registered {
-				votes = append(votes, vote{r.bld, r.loc})
+				votes = append(votes, uint64(uint32(r.bld))<<32|uint64(i))
 			}
 		}
 	}
-	slices.SortFunc(votes, func(a, b vote) int {
-		switch {
-		case a.bld != b.bld:
-			return cmp.Compare(a.bld, b.bld)
-		case a.loc == b.loc:
-			return 0
-		case pointLess(a.loc, b.loc):
-			return -1
-		}
-		return 1
-	})
+	slices.Sort(votes)
 	buildings := 0
 	for i := range votes {
-		if i == 0 || votes[i].bld != votes[i-1].bld {
+		if i == 0 || votes[i]>>32 != votes[i-1]>>32 {
 			buildings++
 		}
 	}
 	byBld = make(map[model.BuildingID]geo.Point, buildings)
+	var pts []geo.Point
 	for i := 0; i < len(votes); {
-		bld, bestN := votes[i].bld, 0
-		for i < len(votes) && votes[i].bld == bld {
-			run := i
-			for i < len(votes) && votes[i] == votes[run] {
-				i++
+		bld := votes[i] >> 32
+		pts = pts[:0]
+		for ; i < len(votes) && votes[i]>>32 == bld; i++ {
+			pts = append(pts, s.rows[uint32(votes[i])].loc)
+		}
+		slices.SortFunc(pts, comparePoints)
+		bestN := 0
+		for j := 0; j < len(pts); {
+			run := j
+			for j < len(pts) && pts[j] == pts[run] {
+				j++
 			}
-			if i-run > bestN { // the first of equal runs is the smaller point
-				byBld[bld], bestN = votes[run].loc, i-run
+			if j-run > bestN { // the first of equal runs is the smaller point
+				byBld[model.BuildingID(uint32(bld))], bestN = pts[run], j-run
 			}
 		}
 	}
@@ -238,7 +251,7 @@ func (r *storeRow) answer(byBld map[model.BuildingID]geo.Point) (FrozenAnswer, b
 
 // LoadDataset registers every address of a dataset (buildings + geocodes).
 func (s *Store) LoadDataset(ds *model.Dataset) {
-	s.Grow(len(ds.Addresses))
+	s.grow(len(ds.Addresses))
 	for _, a := range ds.Addresses {
 		s.RegisterAddress(a.ID, a.Building, a.Geocode)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dlinfma/internal/core"
+	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/traj"
@@ -32,7 +33,7 @@ type evidence struct {
 	// stay points, and re-inference reads only courier, times and waybills.
 	trips    []model.Trip
 	addrs    []model.AddressInfo
-	addrSeen map[model.AddressID]bool
+	addrSeen deploy.IDIndex // position of each address in addrs
 	truth    map[model.AddressID]geo.Point
 	// covered counts the first trips, in ingest order, the served state was
 	// trained on; the trips past it are the backlog, and pendingSince is when
@@ -71,9 +72,8 @@ type ingestCounts struct {
 
 func newEvidence(cfg core.Config) *evidence {
 	ev := &evidence{
-		builder:  core.NewIncrementalPoolBuilder(cfg),
-		addrSeen: make(map[model.AddressID]bool),
-		truth:    make(map[model.AddressID]geo.Point),
+		builder: core.NewIncrementalPoolBuilder(cfg),
+		truth:   make(map[model.AddressID]geo.Point),
 	}
 	ev.mu.Lock()
 	ev.unlock() // readers never find counts unset
@@ -147,10 +147,11 @@ func (ev *evidence) settle() {
 }
 
 // register seeds the evidence from a restored snapshot: its name, unless one
-// is set, and its addresses. With nothing registered yet the decoded slice,
-// which nobody else holds, becomes the registry instead of being copied into
-// one; registering it into itself compacts it in place should the document
-// name an address twice (first wins): writes never pass the read position.
+// is set, and its addresses, which the load has already registered once, the
+// first naming of an address winning. With nothing registered yet the
+// decoded slice, which nobody else holds, becomes the registry instead of
+// being copied into one; registering it into itself writes each address
+// back where it stands.
 func (ev *evidence) register(name string, addrs []model.AddressInfo) {
 	ev.mu.Lock()
 	defer ev.unlock()
@@ -158,9 +159,9 @@ func (ev *evidence) register(name string, addrs []model.AddressInfo) {
 		ev.name = name
 	}
 	if len(ev.addrs) == 0 && len(addrs) > 0 {
-		ev.addrSeen = make(map[model.AddressID]bool, len(addrs))
 		ev.addrs = addrs[:0]
 	}
+	ev.addrSeen.Grow(len(addrs))
 	ev.addAddrsLocked(addrs)
 }
 
@@ -217,8 +218,7 @@ func (ev *evidence) view(ctx context.Context) (*model.Dataset, *core.Pool, int, 
 func (ev *evidence) addAddrsLocked(addrs []model.AddressInfo) int {
 	added := 0
 	for _, a := range addrs {
-		if !ev.addrSeen[a.ID] {
-			ev.addrSeen[a.ID] = true
+		if _, ok := ev.addrSeen.Add(a.ID, int32(len(ev.addrs))); ok {
 			ev.addrs = append(ev.addrs, a)
 			added++
 		}

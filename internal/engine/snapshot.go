@@ -156,9 +156,9 @@ func (s *Shard) writeSnapshot(w io.Writer, withTrips bool) (err error) {
 // snapshotLoad is one version-1 document on its way into the engine: its rows
 // filed, as they are decoded, in the writable store of the shard that will
 // serve them, and its matcher decoded once for every shard it goes to.
-// Whichever decoder reads the document feeds address, location and
-// confidence in that order; nothing is installed until install, which
-// cannot fail.
+// Whichever decoder reads the document feeds every address, then calls
+// register, then feeds locations and confidences in that order; nothing is
+// installed until install, which cannot fail.
 type snapshotLoad struct {
 	e *Engine
 	// only is the shard whose own document this is (a manifest entry, or the
@@ -183,8 +183,8 @@ type snapshotLoad struct {
 }
 
 // shardLoad is one shard's share of a snapshotLoad: the store to freeze, the
-// addresses that seed the shard's ingest state, and the number of locations
-// filed.
+// addresses that seed the shard's ingest state — as decoded until register,
+// then as registered — and the number of locations filed.
 type shardLoad struct {
 	store *deploy.Store
 	addrs []model.AddressInfo
@@ -203,7 +203,6 @@ func (e *Engine) newLoad(only, hint int) *snapshotLoad {
 	}
 	for i := range into {
 		into[i] = shardLoad{store: deploy.NewStore(), addrs: make([]model.AddressInfo, 0, hint)}
-		into[i].store.Grow(hint)
 	}
 	return l
 }
@@ -211,12 +210,27 @@ func (e *Engine) newLoad(only, hint int) *snapshotLoad {
 func (l *snapshotLoad) address(a model.AddressInfo) {
 	sh := l.only
 	if sh < 0 {
+		if _, ok := l.route[a.ID]; ok {
+			return // named before: the first naming wins on every shard
+		}
 		sh = l.e.router.AddressShard(a)
 		l.route[a.ID] = sh
 	}
 	p := &l.parts[sh]
 	p.addrs = append(p.addrs, a)
-	p.store.RegisterAddress(a.ID, a.Building, a.Geocode)
+}
+
+// register files every share's addresses in its store, once the document's
+// address array has been read: one pass into a store grown to their count,
+// the first of several naming one address winning. The registered list is
+// what the shard's evidence takes, so the registry the next snapshot writes
+// holds the addresses the restored store answers from.
+func (l *snapshotLoad) register() {
+	for i := range l.parts {
+		if p := &l.parts[i]; p.store != nil {
+			p.addrs = p.store.Register(p.addrs)
+		}
+	}
 }
 
 func (l *snapshotLoad) location(id model.AddressID, loc geo.Point) {
@@ -251,6 +265,7 @@ func (l *snapshotLoad) fill(sn *snapshot) error {
 	for _, a := range sn.Addresses {
 		l.address(a)
 	}
+	l.register()
 	for _, k := range sortedKeys(sn.Locations) {
 		id, err := parseAddressKey(k)
 		if err != nil {

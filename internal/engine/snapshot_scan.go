@@ -156,6 +156,7 @@ func scanSnapshot(doc []byte, l *snapshotLoad) bool {
 			return false
 		}
 	}
+	l.register()
 
 	if !s.Lit(`,"locations":`) || !s.keyed(func(id model.AddressID) bool {
 		p, ok := s.point("[", ",", "]")

@@ -271,6 +271,12 @@ func snapshotSeeds(t testing.TB) [][]byte {
 			[]byte(`{"version":1,"name":"n","addresses":[],"locations":{"1":[`+f+`,2]}}`),
 			[]byte(`{"version":1,"name":"n","addresses":[],"locations":{"1":[1,2]},"confidences":{"1":`+f+`}}`))
 	}
+	// An address named twice with different buildings: the first naming is
+	// the one served and the one the next snapshot writes.
+	seeds = append(seeds, []byte(`{"version":1,"name":"n","addresses":[`+
+		`{"ID":1,"Building":1,"Geocode":{"X":10,"Y":10},"POI":0,"GeocodeMode":0},`+
+		`{"ID":2,"Building":2,"Geocode":{"X":20,"Y":20},"POI":0,"GeocodeMode":0},`+
+		`{"ID":1,"Building":2,"Geocode":{"X":50,"Y":50},"POI":0,"GeocodeMode":0}],"locations":{"2":[7,7]}}`))
 	return seeds
 }
 

@@ -262,3 +262,37 @@ func TestFailedManifestRestoreInstallsNothing(t *testing.T) {
 		t.Errorf("failed restore published a routing table of %d addresses", len(*rt))
 	}
 }
+
+// TestSnapshotDuplicateAddressFirstWins: a document that names an address
+// twice serves the first naming's building and geocode, and the snapshot the
+// restored engine writes names it once, the same way — so every restore of
+// the round trip serves the same answer. The store once kept the last
+// naming and the registry the snapshot writes the first, and the answer
+// flipped across a save.
+func TestSnapshotDuplicateAddressFirstWins(t *testing.T) {
+	doc := `{"version":1,"name":"n","addresses":[` +
+		`{"ID":1,"Building":1,"Geocode":{"X":10,"Y":10},"POI":0,"GeocodeMode":0},` +
+		`{"ID":1,"Building":2,"Geocode":{"X":50,"Y":50},"POI":0,"GeocodeMode":0}],"locations":{}}`
+	want := geo.Point{X: 10, Y: 10}
+	for _, shards := range []int{1, 3} {
+		doc := []byte(doc)
+		for step := 0; step < 3; step++ {
+			e := scanTestEngine(t, shards)
+			if err := e.RestoreSnapshot(bytes.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+			if loc, src := e.Query(1); loc != want || src != deploy.SourceGeocode {
+				t.Fatalf("shards=%d restore %d: address 1 answers %v %v, want the first naming's geocode %v", shards, step, loc, src, want)
+			}
+			var out bytes.Buffer
+			if err := e.WriteSnapshot(&out); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			if n := strings.Count(out.String(), `{"ID":1,`); n != 1 {
+				t.Fatalf("shards=%d save %d names address 1 %d times", shards, step, n)
+			}
+			doc = out.Bytes()
+		}
+	}
+}
