@@ -2,7 +2,7 @@
 # concurrency (tensor engine, pipeline, serving engine, HTTP service, and the
 # obs metrics/logging layer), the HTTP service twice over; bench regenerates the
 # LocMatcher + serving micro-benchmark rows in BENCH_locmatcher.json;
-# bench-regress compares eight of those rows with the parent commit's; cover
+# bench-regress compares nine of those rows with the parent commit's; cover
 # enforces a coverage floor; the smoke-* targets each boot a real server and
 # check one surface end to end. End-to-end performance numbers come from
 # bench/run.sh (BENCHMARK.json), not from a target here.
@@ -43,10 +43,14 @@ examples-smoke:
 #   FuzzFrozenStore         the frozen store's open-addressed table vs a Go
 #                           map of the same answers, and its layout vs the
 #                           same rows frozen in the opposite order
-#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoder (the
-#                           0x06 window cut is exactly its one byte) and,
-#                           for the JSON batch window, json.Unmarshal; every
-#                           other JSON kind is refused
+#   FuzzWALRecordDecode     the WAL record decoder vs its binary encoders (the
+#                           0x06 window cut is exactly its one byte, a 0x07
+#                           window record re-encodes through the engine's
+#                           writer) and, for the JSON batch window,
+#                           json.Unmarshal; every other JSON kind is refused
+#   FuzzWindowRecord        the window log's record codec, both ways: a
+#                           written record decodes to itself, and a decoded
+#                           payload re-encodes to its bytes
 #   FuzzSnapshotDecode      the snapshot reader: whole-engine restores of
 #                           version-1 documents and version-2 manifests vs
 #                           encoding/json alone; other versions, and a
@@ -86,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzStreamLineDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzFrozenStore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWindowRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzRowOps$$' -fuzztime $(FUZZTIME)
@@ -141,16 +146,19 @@ vet:
 		exit 1; \
 	fi
 
-# Boot a server and verify the Prometheus exposition parses with every
-# required family present.
+# Boot a server with a -wal-dir and verify the Prometheus exposition parses
+# with every required family present, the write-ahead-log families once per
+# log (log="fix" and log="window").
 smoke-metrics:
 	bash scripts/metrics_smoke.sh
 
 # Boot a WAL-backed server, stream trajectories, SIGKILL it, restart on the
-# same -wal-dir, and verify no acknowledged point was lost; then cold-start
-# on the tiny dataset with -snapshot and -wal-dir, SIGTERM (the snapshot is
-# saved), restart, and verify the replayed evidence keeps its trip count and
-# re-infers.
+# same -wal-dir, and verify no acknowledged point was lost; then stream four
+# trips over three windows, SIGKILL, and verify the restart applied the two
+# window records, replayed only the fix log past them and kept every trip;
+# then cold-start on the tiny dataset with -snapshot and -wal-dir, SIGTERM
+# (the snapshot is saved), restart, and verify the replayed evidence keeps
+# its trip count and re-infers.
 smoke-stream:
 	bash scripts/stream_smoke.sh
 
@@ -194,14 +202,15 @@ bench-all:
 bench-read:
 	$(GO) test -run '^$$' -bench 'ServeQueriesParallel|ServeQueriesBatch' -benchmem .
 
-# Compare this checkout with its parent commit (HEAD~1) on eight
+# Compare this checkout with its parent commit (HEAD~1) on nine
 # micro-benchmark rows — single-shard queries/sec of the parallel and batched
 # reads, ns/key of the batch handler over a 200k-address store, two-shard
 # fixes/sec of the streamed ingest, the process CPU time of a serial training
 # epoch and of a 200k-address restore, the bytes a pool builder holds per
 # alive location after 50 windows, the process CPU time per record of a
-# two-shard WAL replay — over ten alternating pairs of runs
-# at 1 s benchtime, each side's root test binary built once. Fails when a
+# two-shard WAL replay and of a restart after 16 streamed windows — over ten
+# alternating pairs of runs at 1 s benchtime, each side's root test binary
+# built once. Fails when a
 # row's median over this checkout's runs is worse than the parent's by more
 # than 15%, or a row or a run is missing (microGates in cmd/benchjson); a row
 # no parent run reports yet is printed as new and compared from the next

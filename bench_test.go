@@ -670,6 +670,80 @@ func BenchmarkReplayWAL(b *testing.B) {
 	}
 }
 
+// BenchmarkRestartHistory is a restart of the streaming write path after k
+// sealed windows of history: DowBJ trips streamed as fixes and an end
+// marker (a courier id per trip), its repetitions shifted in space and time
+// as the stream_ingest workload's corpus is, into a two-shard engine whose
+// logs OpenWAL opened, up to the trip that cuts the k-th 14-day window.
+// Each iteration restarts a fresh two-shard engine on those logs with
+// OpenWAL; cpu-ns/op is the process's CPU time per restart, sealing of every
+// window included. What a window adds to it is the slope in k.
+func BenchmarkRestartHistory(b *testing.B) {
+	ctx := context.Background()
+	ds, _ := dowDataset(b)
+	p := synth.DowBJ()
+	engineFor := func() *engine.Engine {
+		r, err := shard.NewRouter(2, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return engine.NewSharded(engine.DefaultConfig(), r)
+	}
+	opts := wal.Options{Policy: wal.FsyncNever}
+	for _, k := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("windows=%d", k), func(b *testing.B) {
+			dir := b.TempDir()
+			src := engineFor()
+			if _, err := src.OpenWAL(ctx, dir, opts); err != nil {
+				b.Fatal(err)
+			}
+			var (
+				ops    []deploy.StreamOp
+				winEnd float64
+				cuts   int
+			)
+			for rep, courier := 0, model.CourierID(1); cuts < k; rep++ {
+				dx, dt := float64(rep)*p.Extent, float64(rep)*float64(p.Days)*86400
+				for _, tr := range ds.Trips {
+					var cut bool
+					if winEnd, cut = core.NextWindow(winEnd, tr.StartT+dt, core.DefaultPoolWindowSeconds); cut {
+						cuts++
+					}
+					ops = ops[:0]
+					for _, pt := range tr.Traj {
+						ops = append(ops, deploy.StreamOp{Courier: courier, Pt: traj.GPSPoint{P: geo.Point{X: pt.P.X + dx, Y: pt.P.Y}, T: pt.T + dt}})
+					}
+					ops = append(ops, deploy.StreamOp{Courier: courier, End: true})
+					if _, err := src.IngestBurst(ctx, ops); err != nil {
+						b.Fatal(err)
+					}
+					if courier++; cuts == k {
+						break
+					}
+				}
+			}
+			src.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var cpu int64
+			for i := 0; i < b.N; i++ {
+				e := engineFor()
+				cpu0, ok := processCPU()
+				if _, err := e.OpenWAL(ctx, dir, opts); err != nil {
+					b.Fatal(err)
+				}
+				if cpu1, ok1 := processCPU(); ok && ok1 {
+					cpu += cpu1 - cpu0
+				}
+				b.StopTimer()
+				e.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(cpu)/float64(b.N), "cpu-ns/op")
+		})
+	}
+}
+
 // BenchmarkPoolSealGrowth seals 50 windows into one pool builder and reports
 // the wall time of the first seal and of the fiftieth. Each window brings
 // 1,000 stay points: five visits (3 m of jitter) to each of 200 locations in

@@ -364,27 +364,23 @@ func cmdServe(ctx context.Context, args []string) error {
 			fmt.Printf("restored serving state from %s\n", *snap)
 		}
 	}
-	// The WAL replays on top of the restored snapshot, rebuilding the
+	// The logs replay on top of the restored snapshot, rebuilding the
 	// evidence the snapshot omits — every logged trip, the candidate pool,
 	// the truth, open streams — so the next re-inference trains on what the
-	// snapshotted one did, and more; a save never truncates the log. From
-	// then on every accepted ingest is logged before it is acknowledged.
+	// snapshotted one did, and more; a save never truncates the logs. The
+	// window log's records come first, then the fix log from the last
+	// record's resume position. From then on every accepted ingest is
+	// logged before it is acknowledged, and every window cut is compacted.
 	replayed := 0
 	if *walDir != "" {
 		policy, perr := wal.ParsePolicy(*walFsync)
 		if perr != nil {
 			return perr
 		}
-		w, werr := wal.Open(*walDir, wal.Options{Policy: policy})
-		if werr != nil {
-			return fmt.Errorf("open wal %s: %w", *walDir, werr)
-		}
-		defer w.Close()
 		start := time.Now()
-		if replayed, err = e.ReplayWAL(ctx, w); err != nil {
+		if replayed, err = e.OpenWAL(ctx, *walDir, wal.Options{Policy: policy}); err != nil {
 			return fmt.Errorf("replay wal %s: %w", *walDir, err)
 		}
-		e.AttachWAL(w)
 		if replayed > 0 {
 			fmt.Printf("replayed %d WAL records from %s in %s\n", replayed, *walDir, time.Since(start).Round(time.Millisecond))
 		}

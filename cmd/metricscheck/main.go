@@ -3,11 +3,14 @@
 // it is well shaped, and asserts a required set of metric families is
 // present. CI boots a dlinfma server and runs it against /v1/metrics so a
 // malformed exposition, a broken bucket sequence or a silently dropped family
-// fails the build instead of the first real scrape in production.
+// fails the build instead of the first real scrape in production. A required
+// name may carry one label, name{key="value"}: a sample of the family must
+// then carry it — how a labelled family, such as one series per log, is
+// required series by series.
 //
 // Usage:
 //
-//	metricscheck -url http://localhost:8080/v1/metrics [-require name1,name2]
+//	metricscheck -url http://localhost:8080/v1/metrics [-require name1,name2{key="value"}]
 package main
 
 import (
@@ -85,7 +88,7 @@ func run(url, require string, timeout time.Duration) error {
 			if name == "" {
 				continue
 			}
-			if _, ok := fams[name]; !ok {
+			if !present(fams, name) {
 				missing = append(missing, name)
 			}
 		}
@@ -110,6 +113,25 @@ func run(url, require string, timeout time.Duration) error {
 		return fmt.Errorf("required families missing: %s", strings.Join(missing, ", "))
 	}
 	return nil
+}
+
+// present reports whether a required name is in the exposition: a family
+// name, or name{key="value"}, a family one of whose samples carries that
+// label.
+func present(fams map[string]*obs.Family, required string) bool {
+	name, label, _ := strings.Cut(required, "{")
+	f, ok := fams[name]
+	if !ok || label == "" {
+		return ok
+	}
+	key, value, _ := strings.Cut(strings.TrimSuffix(label, "}"), "=")
+	value = strings.Trim(value, `"`)
+	for _, s := range f.Samples {
+		if v, ok := s.Labels[key]; ok && v == value {
+			return true
+		}
+	}
+	return false
 }
 
 // checkHistograms checks every histogram series (one per label set, le

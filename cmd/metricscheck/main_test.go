@@ -57,3 +57,23 @@ func TestCheckHistogramsRejectsBrokenSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestPresentMatchesOneLabel: a required family with a label is present only
+// when a sample of the family carries that label.
+func TestPresentMatchesOneLabel(t *testing.T) {
+	fams := parse(t, "# TYPE g gauge\n"+`g{log="fix"} 3`+"\n# TYPE c counter\nc 1\n")
+	for required, want := range map[string]bool{
+		"g":                true,
+		`g{log="fix"}`:     true,
+		`g{log="window"}`:  false,
+		`g{shard="0"}`:     false,
+		"c":                true,
+		`c{log="fix"}`:     false,
+		"missing":          false,
+		`missing{log="x"}`: false,
+	} {
+		if got := present(fams, required); got != want {
+			t.Errorf("present(%s) = %v, want %v", required, got, want)
+		}
+	}
+}

@@ -312,11 +312,12 @@ func transcodeToJSON(t *testing.T, src, dst string) {
 	}
 	out := openBurstWAL(t, dst)
 	err := openBurstWAL(t, src).Replay(func(_ uint64, payload []byte) error {
-		op, window, cut, err := decodeWALRecord(payload)
-		if err != nil || window != nil || cut {
+		ent, err := decodeWALRecord(payload)
+		if err != nil || ent.batch != nil || ent.cut {
 			_, err = out.Append(payload)
 			return err
 		}
+		op := ent.op
 		rec := legacyRecord{Kind: "pt", Courier: op.Courier, X: op.Pt.P.X, Y: op.Pt.P.Y, T: op.Pt.T}
 		if op.End {
 			rec = legacyRecord{Kind: "end", Courier: op.Courier}
@@ -384,26 +385,30 @@ func TestLegacyJSONLogReplays(t *testing.T) {
 }
 
 // TestMalformedWALRecordRefusesReplay: a tag no build wrote, a binary record
-// of the wrong width, and a JSON record of any kind but the batch window —
-// the JSON pt and end records earlier builds wrote among them — stop replay
+// of the wrong width, a JSON record of any kind but the batch window — the
+// JSON pt and end records earlier builds wrote among them — and a window
+// record, whole (it belongs in the window log) or cut short, stop replay
 // with the record's sequence in the error instead of being skipped or
 // misread.
 func TestMalformedWALRecordRefusesReplay(t *testing.T) {
 	point := appendWALOp(nil, &deploy.StreamOp{Courier: 3, Pt: traj.GPSPoint{P: geo.Point{X: 1, Y: 2}, T: 3}})
 	end := appendWALOp(nil, &deploy.StreamOp{Courier: 3, End: true})
 	for name, bad := range map[string][]byte{
-		"unknown tag":      {0x7f, 1, 2, 3, 4},
-		"short point":      point[:len(point)-1],
-		"long point":       append(append([]byte{}, point...), 0),
-		"short end":        end[:len(end)-1],
-		"long end":         append(append([]byte{}, end...), 0),
-		"empty":            {},
-		"unknown JSON":     []byte(`{"k":"waybill","c":3}`),
-		"JSON point":       []byte(`{"k":"pt","c":3,"x":1,"y":2,"t":3}`),
-		"JSON end":         []byte(`{"k":"end","c":3}`),
-		"not JSON at all":  []byte(`{"k":`),
-		"tag zero":         {0x00},
-		"tag only (point)": {walTagPoint},
+		"unknown tag":       {0x7f, 1, 2, 3, 4},
+		"short point":       point[:len(point)-1],
+		"long point":        append(append([]byte{}, point...), 0),
+		"short end":         end[:len(end)-1],
+		"long end":          append(append([]byte{}, end...), 0),
+		"empty":             {},
+		"unknown JSON":      []byte(`{"k":"waybill","c":3}`),
+		"JSON point":        []byte(`{"k":"pt","c":3,"x":1,"y":2,"t":3}`),
+		"JSON end":          []byte(`{"k":"end","c":3}`),
+		"not JSON at all":   []byte(`{"k":`),
+		"tag zero":          {0x00},
+		"tag only (point)":  {walTagPoint},
+		"window record":     sampleWindowRecord(),
+		"short window":      sampleWindowRecord()[:len(sampleWindowRecord())-1],
+		"tag only (window)": {walTagWindow},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

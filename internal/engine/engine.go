@@ -123,12 +123,19 @@ type Engine struct {
 	cancel  context.CancelFunc
 
 	// ingestMu serializes every mutating ingest operation (batch windows,
-	// streamed points, end markers, window cuts, WAL replay). ss and wal
-	// live under it.
+	// streamed points, end markers, window cuts, WAL replay). ss, the logs
+	// and the pending window record live under it: wal is the fix log, and
+	// wins the window log that OpenWAL opens beside it (nil when the fix
+	// log was attached alone), one record per window cut.
 	ingestMu sync.Mutex
 	ss       *streamSet
 	wal      *wal.WAL
+	wins     *wal.WAL
+	win      windowWriter
 	burst    burstEncoder
+	// onCompactStep, when set (tests), runs between the steps of writing a
+	// window record.
+	onCompactStep func(step string)
 
 	// mu guards the counters below and, with several shards, the mutable
 	// routing state (writers: ingest, restore).
@@ -257,11 +264,19 @@ func (e *Engine) shardErr(i int, err error) error {
 // Close cancels the root context and joins any in-flight background
 // re-inference, so after Close returns no goroutine can swap serving state —
 // a subsequent SaveSnapshotFile observes a settled engine. The served state
-// stays queryable.
+// stays queryable. Logs OpenWAL opened are closed; a log given to AttachWAL
+// is its caller's to close.
 func (e *Engine) Close() {
 	e.cancel()
 	e.jobWG.Wait()
 	e.settle()
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	if e.wins != nil {
+		if err := errors.Join(e.wins.Close(), e.wal.Close()); err != nil {
+			e.cfg.Logger.Error("closing the write-ahead logs failed", "err", err)
+		}
+	}
 }
 
 // SetName labels the dataset (used in status and snapshots). Remote shard
@@ -314,8 +329,11 @@ func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 		// exactly the trips it was handed — streamed and batch windows stay
 		// distinct pool windows — and cut this window on the way out, on
 		// every shard that took its part: also when a later shard failed, so
-		// the shards already through end the window all the same.
+		// the shards already through end the window all the same. The
+		// streamed window's record is written before the batch window's
+		// record can pin the fix log.
 		e.sealWindowLocked(ctx)
+		e.writeWindowLocked(ctx)
 		defer e.sealWindowLocked(ctx)
 	}
 	for i, p := range e.partition(trips, addrs, truth) {
@@ -343,6 +361,9 @@ func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 	e.nTrips += len(trips)
 	e.mu.Unlock()
 	if live && e.wal != nil && (len(trips) > 0 || len(addrs) > 0 || len(truth) > 0) {
+		// The record holds the only durable copy of the window's addresses
+		// and truth: no window record may resume the fix log past it.
+		e.stopCompactingLocked()
 		if _, err := e.wal.Append(encodeWALIngest(trips, addrs, truth)); err != nil {
 			return err
 		}
@@ -434,6 +455,7 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 		}
 	}
 	e.sealWindowLocked(ctx)
+	e.writeWindowLocked(ctx)
 	e.mu.RLock()
 	total := e.nTrips
 	e.mu.RUnlock()

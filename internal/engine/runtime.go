@@ -30,10 +30,11 @@ type Runtime interface {
 	RestoreSnapshot(r io.Reader) error
 	SaveSnapshotFile(path string) error
 	LoadSnapshotFile(path string) error
-	// AttachWAL starts logging every accepted ingest operation to w;
-	// ReplayWAL re-applies a log on top of the current (typically
-	// just-restored) state. Boot order: restore snapshot, ReplayWAL,
-	// AttachWAL, serve.
+	// OpenWAL opens, replays and attaches the fix log and the window log
+	// in a directory, on top of the current (typically just-restored)
+	// state; boot order: restore snapshot, OpenWAL, serve. AttachWAL and
+	// ReplayWAL are the same for one fix log the caller owns, uncompacted.
+	OpenWAL(ctx context.Context, dir string, opts wal.Options) (int, error)
 	AttachWAL(w *wal.WAL)
 	ReplayWAL(ctx context.Context, w *wal.WAL) (int, error)
 	Close()

@@ -207,6 +207,7 @@ func (e *Engine) IngestBurst(ctx context.Context, ops []deploy.StreamOp) (applie
 		}
 	}
 	e.applyStreamOpsLocked(ctx, ops)
+	e.writeWindowLocked(ctx)
 	return len(ops), err
 }
 
@@ -257,49 +258,64 @@ func (b *burstEncoder) encode(ops []deploy.StreamOp) [][]byte {
 	return recs
 }
 
-// deliverStreamedTripLocked hands one closed trip to its shard (by
-// trajectory — streamed fixes carry no waybills), driving the streamed
-// window grid: a trip starting past the grid boundary (core.NextWindow, the
-// rule core.ForEachWindow cuts by) or the stay-point size bound seals every
-// shard's pending streamed trips together, so shard pools see the same
-// window cuts one shard over all the data would.
+// deliverStreamedTripLocked hands one closed trip to its shard, driving the
+// streamed window grid: a trip starting past the grid boundary
+// (core.NextWindow, the rule core.ForEachWindow cuts by) or the stay-point
+// size bound seals every shard's pending streamed trips together, so shard
+// pools see the same window cuts one shard over all the data would.
 func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip) {
 	ss := e.ss
 	var cut bool
 	if ss.winEnd, cut = core.NextWindow(ss.winEnd, st.trip.StartT, ss.window); cut {
 		e.sealWindowLocked(ctx)
 	}
+	e.queueTripLocked(&st.trip, st.stays)
+	if ss.winStays >= ss.maxStays {
+		e.sealWindowLocked(ctx)
+	}
+}
+
+// queueTripLocked is the streamed trips' one delivery, live and replayed
+// from either log: it routes the trip by trajectory (streamed fixes carry
+// no waybills), queues it on its shard, counts it, and adds it to the
+// pending window record. Callers hold ingestMu.
+func (e *Engine) queueTripLocked(tr *model.Trip, stays []traj.StayPoint) {
+	if e.compacting() {
+		e.win.trip(tr, stays)
+	}
 	sh := 0
 	if e.routed() {
-		sh = e.router.TripShard(st.trip)
+		sh = e.router.TripShard(*tr)
 	}
-	e.shards[sh].ev.queue(st.trip, st.stays)
-	ss.winStays += len(st.stays)
+	e.shards[sh].ev.queue(*tr, stays)
+	e.ss.winStays += len(stays)
 	e.mu.Lock()
 	e.nTrips++
 	if e.routed() {
 		e.countShardTripsLocked(sh, 1)
 	}
 	e.mu.Unlock()
-	if ss.winStays >= ss.maxStays {
-		e.sealWindowLocked(ctx)
-	}
 }
 
 // sealWindowLocked is the one pool-window cut: it hands the queued trips of
 // every in-process shard (no-op on shards with nothing queued) to that
-// shard's sealer as one window and resets the streamed window's size
-// counter. A batch window (after its fan-out), the streamed grid and size
-// bound, Reinfer and WAL replay all cut here. The shards cluster their
-// windows side by side and beside the ingest that follows; a shard whose
-// previous window is still being sealed makes the cut wait for it, so each
-// shard has at most one window in flight and seals them in cut order.
+// shard's sealer as one window, resets the streamed window's size counter,
+// and notes the cut in the pending window record (the operation that cut
+// writes it, writeWindowLocked). A batch window (after its fan-out), the
+// streamed grid and size bound, Reinfer and WAL replay all cut here. The
+// shards cluster their windows side by side and beside the ingest that
+// follows; a shard whose previous window is still being sealed makes the
+// cut wait for it, so each shard has at most one window in flight and seals
+// them in cut order.
 // settle waits for the seals. Remote shard processes cut their own
 // windows. Callers hold ingestMu.
 func (e *Engine) sealWindowLocked(ctx context.Context) {
 	ctx, tsp := trace.Start(ctx, "engine.seal_window")
 	defer tsp.End()
 	e.ss.winStays = 0
+	if e.compacting() {
+		e.win.cut()
+	}
 	for _, sh := range e.shards {
 		if sh != nil {
 			sh.ev.cut(ctx)

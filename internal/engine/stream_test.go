@@ -554,9 +554,11 @@ func testWALCrashRecovery(t *testing.T, n int) {
 	if st := live.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
 		t.Fatalf("live status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
 	}
-	// Crash: no Close on the engine or the WAL.
-
-	w2, err := wal.Open(dir, wal.Options{})
+	// Crash: no Close on the engine or the WAL. The recovered engine opens a
+	// copy of the log: both engines go on appending, each to its own.
+	recDir := filepath.Join(t.TempDir(), "recovered")
+	copyDir(t, dir, recDir)
+	w2, err := wal.Open(recDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,22 +674,30 @@ func TestShardKeepsNoFixes(t *testing.T) {
 }
 
 // TestSnapshotRestartKeepsEvidence is the twin test of a restart: a live
-// engine runs a seeded script — two rounds of batch windows, a re-inference
-// and a snapshot, with one courier's streamed trip open from the first
-// round's windows until after the second round's snapshot — on a log of
-// 4 KiB segments. At every crash point of each round (after its ingest,
-// after its Reinfer, after its SaveSnapshotFile) the synced log directory is
-// copied and a twin restarts from the snapshot on disk, if any, plus a
-// replay of the copy. Right after the restart the twin holds the live
-// engine's trips and addresses, and serves what the last save wrote: the
-// live engine's answers, except after a re-inference the crash beat to
-// disk. Where it serves the live engine's answers it also has the live
-// engine's backlog: the snapshot says how many trips its state was trained
-// on, so the replayed trips it covers are not pending again. From then on
-// every twin runs the rest of the script beside the live engine (the saves
-// excepted); after one more window and a re-inference on all of them, every
-// shard of every twin publishes the live engine's frozen store. Reinfers is
-// a per-process counter — a restart starts it over — so it is not compared.
+// engine runs a seeded script on logs of 4 KiB segments. First a streamed
+// phase: trips near the dataset's addresses, one burst each, with a small
+// stay bound so windows cut often and one courier's trip open across several
+// cuts; every cut writes a window record and truncates the fix log behind
+// it. Then two rounds of batch windows (the first batch record ends
+// compaction), a re-inference and a snapshot, with one courier's streamed
+// trip open from the first round's windows until after the second round's
+// snapshot. At every crash point — each step of a window record (after the
+// cut, after the record, after its sync, after the truncation it allowed),
+// and after each round's ingest, Reinfer and SaveSnapshotFile — the log
+// directory is copied and a twin restarts from the snapshot on disk, if any,
+// plus the copied logs. Right after the restart the twin holds the live
+// engine's trips, addresses and open streams, and serves what the last save
+// wrote: the live engine's answers, except after a re-inference the crash
+// beat to disk. Where it serves the live engine's answers it also has the
+// live engine's backlog: the snapshot says how many trips its state was
+// trained on, so the replayed trips it covers are not pending again. At each
+// step of the window record a second twin restarts under the other shard
+// count (1 or 3) and follows a reference engine fed the same script at that
+// count. From then on every twin runs the rest of the script beside the
+// live engine (the saves excepted); after one more window and a
+// re-inference on all of them, every shard of every twin publishes its
+// reference's frozen store. Reinfers is a per-process counter — a restart
+// starts it over — so it is not compared.
 func TestSnapshotRestartKeepsEvidence(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testSnapshotRestartKeepsEvidence(t, n) })
@@ -702,19 +712,25 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	logDir, snap := filepath.Join(dir, "wal"), filepath.Join(dir, "snap.json")
-	openWAL := func(dir string) *wal.WAL {
-		w, err := wal.Open(dir, wal.Options{SegmentBytes: 4096, Policy: wal.FsyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		return w
+	opts := wal.Options{SegmentBytes: 4096, Policy: wal.FsyncInterval}
+	const maxStays = 5
+	engineAt := func(n int) *Engine {
+		e := newStreamTestEngine(t, n)
+		e.ss.maxStays = maxStays
+		t.Cleanup(e.Close)
+		return e
 	}
-	w := openWAL(logDir)
-	live := newStreamTestEngine(t, n)
-	defer live.Close()
-	live.AttachWAL(w)
-	engines := []*Engine{live} // the live engine, then every twin
+	other := 3 // the shard count cross twins restart under
+	if n == 3 {
+		other = 1
+	}
+	live := engineAt(n)
+	if _, err := live.OpenWAL(ctx, logDir, opts); err != nil {
+		t.Fatal(err)
+	}
+	// engines are the live engine, then its twins; cross is the reference
+	// engine at the other shard count, then the twins restarted under it.
+	engines, cross := []*Engine{live}, []*Engine{engineAt(other)}
 
 	// The streamed trip is the dataset's last one, under a courier of its
 	// own; the final window is the trips between it and the two rounds.
@@ -727,9 +743,13 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 
 	each := func(step func(e *Engine) error) {
 		t.Helper()
-		for _, e := range engines {
-			if err := step(e); err != nil {
-				t.Fatal(err)
+		// A crash inside the live engine's step adds twins that already
+		// hold the step: ranging over the slices as they stood skips them.
+		for _, group := range [][]*Engine{engines, cross} {
+			for _, e := range group {
+				if err := step(e); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -741,31 +761,32 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 			})
 		})
 	}
-	push := func(pts traj.Trajectory) {
+	burst := func(ops []deploy.StreamOp) {
 		t.Helper()
 		each(func(e *Engine) error {
-			for _, p := range pts {
-				if err := e.IngestPoint(ctx, stream.Courier, p); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := e.IngestBurst(ctx, ops)
+			return err
 		})
+	}
+	push := func(pts traj.Trajectory) {
+		t.Helper()
+		for _, p := range pts {
+			burst([]deploy.StreamOp{{Courier: stream.Courier, Pt: p}})
+		}
 	}
 
 	saved := 0 // Inferred as of the last save: what a restart serves
 	// current says the last save holds the live engine's served state: no
 	// re-inference since.
 	current := true
-	crash := func(point string) {
+	// restart copies the logs as they stand — every append is flushed to
+	// the kernel, which is what a killed process leaves — and restarts a
+	// twin at n shards from the copy.
+	restart := func(point string, n int) *Engine {
 		t.Helper()
-		if err := w.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		twinDir := filepath.Join(dir, fmt.Sprintf("twin%d", len(engines)))
+		twinDir := filepath.Join(dir, fmt.Sprintf("twin%d", len(engines)+len(cross)))
 		copyDir(t, logDir, twinDir)
-		twin := newStreamTestEngine(t, n)
-		t.Cleanup(twin.Close)
+		twin := engineAt(n)
 		if _, err := os.Stat(snap); err == nil {
 			declined := snapshotDecoderFallbacks.Value()
 			if err := twin.LoadSnapshotFile(snap); err != nil {
@@ -775,20 +796,69 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 				t.Fatalf("%s: the saved snapshot fell back to encoding/json", point)
 			}
 		}
-		tw := openWAL(twinDir)
-		if _, err := twin.ReplayWAL(ctx, tw); err != nil {
+		if _, err := twin.OpenWAL(ctx, twinDir, opts); err != nil {
 			t.Fatalf("%s: %v", point, err)
 		}
-		twin.AttachWAL(tw)
 		got, want := twin.Status(), live.Status()
-		if got.Trips != want.Trips || got.Addresses != want.Addresses || got.Inferred != saved {
-			t.Fatalf("%s: restarted twin holds %d trips, %d addresses, %d inferred; want %d, %d, %d",
-				point, got.Trips, got.Addresses, got.Inferred, want.Trips, want.Addresses, saved)
+		if got.Trips != want.Trips || got.Addresses != want.Addresses || got.OpenStreams != want.OpenStreams || got.Inferred != saved {
+			t.Fatalf("%s: restarted twin holds %d trips, %d addresses, %d open streams, %d inferred; want %d, %d, %d, %d",
+				point, got.Trips, got.Addresses, got.OpenStreams, got.Inferred, want.Trips, want.Addresses, want.OpenStreams, saved)
 		}
 		if current && got.PendingTrips != want.PendingTrips {
 			t.Fatalf("%s: restarted twin has %d pending trips, the live engine %d", point, got.PendingTrips, want.PendingTrips)
 		}
-		engines = append(engines, twin)
+		return twin
+	}
+	crash := func(point string) {
+		t.Helper()
+		engines = append(engines, restart(point, n))
+	}
+
+	// The streamed phase: crash at the first occurrence of each step of a
+	// window record, the truncation only where it deleted a segment.
+	crashed := map[string]bool{}
+	prev := ""
+	live.onCompactStep = func(step string) {
+		if step == "truncate" && prev != "durable" {
+			step = "truncate (nothing deleted)"
+		}
+		prev = step
+		if crashed[step] || step == "truncate (nothing deleted)" {
+			return
+		}
+		crashed[step] = true
+		point := "streamed phase, after the window record's " + step
+		crash(point)
+		cross = append(cross, restart(point+fmt.Sprintf(", at %d shards", other), other))
+	}
+	rng := rand.New(rand.NewSource(27))
+	site := func(i int) geo.Point { return ds.Addresses[i%len(ds.Addresses)].Geocode }
+	open := genTrip(rng, 1<<21, 0, site(0), site(1), site(2), site(3))
+	send := func(c model.CourierID, pts traj.Trajectory, end bool) {
+		t.Helper()
+		var ops []deploy.StreamOp
+		for _, p := range pts {
+			ops = append(ops, deploy.StreamOp{Courier: c, Pt: p})
+		}
+		if end {
+			ops = append(ops, deploy.StreamOp{Courier: c, End: true})
+		}
+		burst(ops)
+	}
+	send(open.Courier, open.Traj[:9], false)
+	for i := 0; i < 12; i++ {
+		// Five days apart: the grid cuts too, and a restart must carry it on.
+		tr := genTrip(rng, model.CourierID(1<<21+1+i), float64(i)*5*86400, site(3*i), site(3*i+1), site(3*i+2))
+		send(tr.Courier, tr.Traj, true)
+		if i == 5 {
+			send(open.Courier, open.Traj[9:], true)
+		}
+	}
+	live.onCompactStep = nil
+	for _, step := range []string{"cut", "record", "durable", "truncate"} {
+		if !crashed[step] {
+			t.Fatalf("the streamed phase never reached a window record's %q step", step)
+		}
 	}
 
 	each(func(e *Engine) error { return e.Ingest(ctx, nil, ds.Addresses, ds.Truth) })
@@ -812,7 +882,7 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	}
 
 	// One more window, the streamed trip's close, and a re-inference: every
-	// twin now trains on exactly the live engine's evidence.
+	// twin now trains on exactly its reference's evidence.
 	push(stream.Traj[half:])
 	each(func(e *Engine) error { return e.CloseStream(ctx, stream.Courier) })
 	each(func(e *Engine) error { return e.Ingest(ctx, final, nil, nil) })
@@ -820,17 +890,23 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	if live.Status().Inferred == 0 {
 		t.Fatal("the live engine infers nothing")
 	}
-	for k, twin := range engines[1:] {
-		for i := range live.shards {
-			want, got := live.shards[i].frozen(), twin.shards[i].frozen()
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("twin %d (of %d): shard %d's frozen store differs from the live engine's", k+1, len(engines)-1, i)
+	for _, group := range [][]*Engine{engines, cross} {
+		ref := group[0]
+		for k, twin := range group[1:] {
+			requireSameIngestState(t, ref, twin)
+			for i := range ref.shards {
+				want, got := ref.shards[i].frozen(), twin.shards[i].frozen()
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("twin %d (of %d) at %d shards: shard %d's frozen store differs from its reference's",
+						k+1, len(group)-1, len(ref.shards), i)
+				}
 			}
 		}
 	}
 }
 
-// copyDir copies every file of src into a new directory dst.
+// copyDir copies src, its subdirectories included, into a new directory
+// dst.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	if err := os.MkdirAll(dst, 0o755); err != nil {
@@ -841,6 +917,10 @@ func copyDir(t *testing.T, src, dst string) {
 		t.Fatal(err)
 	}
 	for _, d := range ents {
+		if d.IsDir() {
+			copyDir(t, filepath.Join(src, d.Name()), filepath.Join(dst, d.Name()))
+			continue
+		}
 		b, err := os.ReadFile(filepath.Join(src, d.Name()))
 		if err != nil {
 			t.Fatal(err)

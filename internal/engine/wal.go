@@ -16,19 +16,22 @@ import (
 	"dlinfma/internal/wal"
 )
 
-// A WAL record is one acknowledged ingest operation: a batch window, one
-// streamed fix, one explicit stream end, or a re-inference's window cut.
+// A fix-log record is one acknowledged ingest operation: a batch window,
+// one streamed fix, one explicit stream end, or a re-inference's window cut.
 // Replaying the records through the code paths the live operations took
 // reproduces the ingest state deterministically (the stream extractor and
 // the pool builder are both deterministic functions of their input order,
-// and every window cut is either implied by a record or is one).
+// and every window cut is either implied by a record or is one). The
+// window log (windowlog.go) holds the other kind, one record per window
+// cut, which lets a restart skip the fix log up to the last cut.
 //
 // Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
 // little-endian, the cut is the tag alone; '{' is a JSON walRecord, the
-// batch window. 0x03–0x05 are reserved for waybill, address and truth
-// records. Any other tag, and any JSON kind but the window, refuses replay:
-// it is a log from another build, and refusing beats silently dropping
-// ingest.
+// batch window; 0x07 is a window record. 0x03–0x05 are reserved for
+// waybill, address and truth records. Any other tag, any JSON kind but the
+// window, and a record of the other log's kind refuses replay: it is a log
+// from another build, or not this log, and refusing beats silently
+// dropping ingest.
 const (
 	walTagPoint byte = 0x01 // tag, int32 courier, float64 x, y, t
 	walTagEnd   byte = 0x02 // tag, int32 courier
@@ -78,54 +81,81 @@ func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(op.Pt.T))
 }
 
-// decodeWALRecord reads one payload: a binary streamed op, a window cut
-// (cut true), or — window non-nil — a batch window.
-func decodeWALRecord(payload []byte) (op deploy.StreamOp, window *walRecord, cut bool, err error) {
+// walEntry is one decoded payload: a streamed op, unless one of the other
+// fields says it is a window cut, a batch window or a window record.
+type walEntry struct {
+	op     deploy.StreamOp
+	cut    bool
+	batch  *walRecord
+	window *windowRecord
+}
+
+// kind names the entry's record kind, for errors.
+func (ent *walEntry) kind() string {
+	switch {
+	case ent.window != nil:
+		return "window"
+	case ent.batch != nil:
+		return "batch window"
+	case ent.cut:
+		return "cut"
+	case ent.op.End:
+		return "end"
+	}
+	return "point"
+}
+
+// decodeWALRecord reads one payload of either log.
+func decodeWALRecord(payload []byte) (ent walEntry, err error) {
 	if len(payload) == 0 {
-		return op, nil, false, errors.New("empty wal record")
+		return ent, errors.New("empty wal record")
 	}
 	switch tag := payload[0]; tag {
 	case walTagPoint:
 		if len(payload) != walPointSize {
-			return op, nil, false, fmt.Errorf("wal point record of %d bytes, want %d", len(payload), walPointSize)
+			return ent, fmt.Errorf("wal point record of %d bytes, want %d", len(payload), walPointSize)
 		}
+		op := &ent.op
 		op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
 		op.Pt.P.X = math.Float64frombits(binary.LittleEndian.Uint64(payload[5:]))
 		op.Pt.P.Y = math.Float64frombits(binary.LittleEndian.Uint64(payload[13:]))
 		op.Pt.T = math.Float64frombits(binary.LittleEndian.Uint64(payload[21:]))
-		return op, nil, false, nil
 	case walTagEnd:
 		if len(payload) != walEndSize {
-			return op, nil, false, fmt.Errorf("wal end record of %d bytes, want %d", len(payload), walEndSize)
+			return ent, fmt.Errorf("wal end record of %d bytes, want %d", len(payload), walEndSize)
 		}
-		op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
-		op.End = true
-		return op, nil, false, nil
+		ent.op.Courier = model.CourierID(binary.LittleEndian.Uint32(payload[1:]))
+		ent.op.End = true
 	case walTagCut:
 		if len(payload) != len(walCutRecord) {
-			return op, nil, false, fmt.Errorf("wal cut record of %d bytes, want %d", len(payload), len(walCutRecord))
+			return ent, fmt.Errorf("wal cut record of %d bytes, want %d", len(payload), len(walCutRecord))
 		}
-		return op, nil, true, nil
+		ent.cut = true
+	case walTagWindow:
+		ent.window, err = decodeWindowRecord(payload)
 	case walTagJSON:
 		rec := new(walRecord)
 		if err := json.Unmarshal(payload, rec); err != nil {
-			return op, nil, false, err
+			return ent, err
 		}
 		if rec.Kind != walKindIngest {
-			return op, nil, false, fmt.Errorf("unknown wal record kind %q", rec.Kind)
+			return ent, fmt.Errorf("unknown wal record kind %q", rec.Kind)
 		}
-		return op, rec, false, nil
+		ent.batch = rec
 	default:
-		return op, nil, false, fmt.Errorf("unknown wal record tag %#02x", tag)
+		return ent, fmt.Errorf("unknown wal record tag %#02x", tag)
 	}
+	return ent, err
 }
 
 // AttachWAL makes w the engine's write-ahead log: from now on every accepted
 // ingest operation is appended (points, stream ends and Reinfer's window
 // cuts before they mutate state, batch windows after they apply so a
 // rejected or cancelled window never pollutes the log). Attach after
-// ReplayWAL so replayed records are not re-appended. The remote topology
-// refuses a WAL: durability belongs to each shard process.
+// ReplayWAL so replayed records are not re-appended. A log attached this
+// way is never compacted and the caller closes it; OpenWAL is the
+// compacting form. The remote topology refuses a WAL: durability belongs
+// to each shard process.
 func (e *Engine) AttachWAL(w *wal.WAL) {
 	if e.remote {
 		panic("engine: a remote-sharded engine cannot own a WAL")
@@ -135,15 +165,15 @@ func (e *Engine) AttachWAL(w *wal.WAL) {
 	e.ingestMu.Unlock()
 }
 
-// ReplayWAL re-applies every record of w through the live ingest paths on
-// top of whatever the engine already holds (typically a restored snapshot's
-// serving state), rebuilding the ingest state — routing, accumulated trips,
-// candidate pool windows, open courier streams — that snapshots deliberately
-// omit. It returns the number of records applied, which with the replay's
-// wall time it also publishes as gauges. Replayed records do not wait for
-// the windows they cut to be clustered, but ReplayWAL returns with every
-// one of them sealed. Replayed operations bypass backpressure and are not
-// re-logged.
+// ReplayWAL re-applies every record of the fix log w, from its start,
+// through the live ingest paths on top of whatever the engine already holds
+// (typically a restored snapshot's serving state), rebuilding the ingest
+// state — routing, accumulated trips, candidate pool windows, open courier
+// streams — that snapshots deliberately omit. It returns the number of
+// records applied, which with the replay's wall time it also publishes as
+// gauges. Replayed records do not wait for the windows they cut to be
+// clustered, but ReplayWAL returns with every one of them sealed. Replayed
+// operations bypass backpressure and are not re-logged.
 func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	if e.remote {
 		return 0, errRemoteStreaming
@@ -151,19 +181,39 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 	ctx, tsp := trace.Start(ctx, "engine.wal_replay")
 	defer tsp.End()
 	start := time.Now()
+	n, err := e.replayFixes(ctx, w)
+	e.settle()
+	walReplaySeconds.Set(time.Since(start).Seconds())
+	walReplayedRecords.Set(float64(n))
+	tsp.SetAttr("records", n)
+	if err != nil {
+		tsp.RecordError(err)
+	}
+	return n, err
+}
+
+// replayFixes is the fix log's replay loop, ReplayWAL's and OpenWAL's: it
+// applies w's records from its start and returns how many it applied. A
+// batch window stops compaction, as its live append does.
+func (e *Engine) replayFixes(ctx context.Context, w *wal.WAL) (int, error) {
 	n := 0
 	err := w.Replay(func(seq uint64, payload []byte) error {
-		op, window, cut, err := decodeWALRecord(payload)
+		ent, err := decodeWALRecord(payload)
 		switch {
 		case err != nil:
-		case window != nil:
-			err = e.ingest(ctx, window.Trips, window.Addrs, window.Truth, false)
-		case cut:
+		case ent.window != nil:
+			err = errors.New("window record in the fix log")
+		case ent.batch != nil:
+			e.ingestMu.Lock()
+			e.stopCompactingLocked()
+			e.ingestMu.Unlock()
+			err = e.ingest(ctx, ent.batch.Trips, ent.batch.Addrs, ent.batch.Truth, false)
+		case ent.cut:
 			e.ingestMu.Lock()
 			e.sealWindowLocked(ctx)
 			e.ingestMu.Unlock()
 		default:
-			ops := [1]deploy.StreamOp{op}
+			ops := [1]deploy.StreamOp{ent.op}
 			e.ingestMu.Lock()
 			e.applyStreamOpsLocked(ctx, ops[:])
 			e.ingestMu.Unlock()
@@ -174,12 +224,5 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 		n++
 		return nil
 	})
-	e.settle()
-	walReplaySeconds.Set(time.Since(start).Seconds())
-	walReplayedRecords.Set(float64(n))
-	tsp.SetAttr("records", n)
-	if err != nil {
-		tsp.RecordError(err)
-	}
 	return n, err
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -10,14 +11,35 @@ import (
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/traj"
+	"dlinfma/internal/wal"
 )
+
+// sampleWindowRecord is a window record of every part: two trips (the
+// first with a waybill, the second without stays), a cut between them and
+// one after, and one open stream of two fixes.
+func sampleWindowRecord() []byte {
+	var ww windowWriter
+	fix := func(x, t float64) traj.GPSPoint { return traj.GPSPoint{P: geo.Point{X: x, Y: -x}, T: t} }
+	ww.trip(&model.Trip{Courier: 4, StartT: 10, EndT: 70, Traj: traj.Trajectory{fix(1, 10), fix(2, 40), fix(3, 70)}},
+		[]traj.StayPoint{{Loc: geo.Point{X: 2, Y: -2}, ArriveT: 20, LeaveT: 60, NPoints: 4}})
+	ww.cut()
+	ww.trip(&model.Trip{Courier: -1, StartT: 90, EndT: 90, Traj: traj.Trajectory{fix(5, 90)}}, nil)
+	ww.cut()
+	return ww.record(wal.Position{Seq: 41, Segment: 7, Offset: 1234}, 1209600,
+		[]openStream{{courier: 6, pts: traj.Trajectory{fix(7, 100), fix(8, 110)}}})
+}
 
 // walPayloads are one of every record a log can hold, and the damage around
 // each: widths off by one, tags nobody wrote, JSON of an unknown kind — the
-// JSON pt and end records of earlier builds among them.
+// JSON pt and end records of earlier builds among them — and a window
+// record cut short, lengthened, or claiming more than it holds.
 var walPayloads = func() [][]byte {
 	point := appendWALOp(nil, &deploy.StreamOp{Courier: -7, Pt: traj.GPSPoint{P: geo.Point{X: 116397.53, Y: -0.0}, T: 1622505600.125}})
 	end := appendWALOp(nil, &deploy.StreamOp{Courier: 1 << 30, End: true})
+	window := sampleWindowRecord()
+	huge := bytes.Clone(window)
+	binary.LittleEndian.PutUint32(huge[1+3*8+8:], 1<<30) // the trip count, past tag, resume and window end
+	var empty windowWriter
 	return [][]byte{
 		point, end,
 		point[:len(point)-1], append(bytes.Clone(point), 0), {walTagPoint},
@@ -37,32 +59,40 @@ var walPayloads = func() [][]byte {
 		[]byte(`{"k":"end"}{"k":"end"}`),
 		[]byte(`{"k":`),
 		[]byte(`{}`),
+		window, window[:len(window)-1], append(bytes.Clone(window), 0), huge, {walTagWindow},
+		bytes.Clone(empty.record(wal.Position{}, 0, nil)),
 	}
 }()
 
 // checkWALRecord holds decodeWALRecord to its contract on one payload: no
 // panic; a binary record that decodes re-encodes to the same bytes (a cut is
-// exactly the one-byte cut record); a payload that starts with '{' decodes to
-// the window json.Unmarshal makes of it, and is refused when encoding/json
-// refuses it or its kind is not the window's.
+// exactly the one-byte cut record, a window record re-encodes through
+// windowWriter); a payload that starts with '{' decodes to the window
+// json.Unmarshal makes of it, and is refused when encoding/json refuses it
+// or its kind is not the window's.
 func checkWALRecord(t *testing.T, payload []byte) {
 	t.Helper()
-	op, window, cut, err := decodeWALRecord(payload)
+	ent, err := decodeWALRecord(payload)
 	if len(payload) == 0 || payload[0] != walTagJSON {
 		if err != nil {
 			return
 		}
-		if window != nil {
+		if ent.batch != nil {
 			t.Fatalf("binary payload %x decoded as a batch window", payload)
 		}
-		if cut {
+		switch {
+		case ent.cut:
 			if !bytes.Equal(payload, walCutRecord[:]) {
 				t.Fatalf("payload %x decoded as a window cut", payload)
 			}
-			return
-		}
-		if again := appendWALOp(nil, &op); !bytes.Equal(again, payload) {
-			t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, op, again)
+		case ent.window != nil:
+			if again := encodeWindowRecord(ent.window); !bytes.Equal(again, payload) {
+				t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.window, again)
+			}
+		default:
+			if again := appendWALOp(nil, &ent.op); !bytes.Equal(again, payload) {
+				t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.op, again)
+			}
 		}
 		return
 	}
@@ -71,9 +101,26 @@ func checkWALRecord(t *testing.T, payload []byte) {
 	if (err == nil) != (jsonErr == nil && rec.Kind == walKindIngest) {
 		t.Fatalf("payload %q: decode error %v, encoding/json %v with kind %q", payload, err, jsonErr, rec.Kind)
 	}
-	if err == nil && (cut || window == nil || !reflect.DeepEqual(*window, rec)) {
-		t.Fatalf("payload %q: window %+v, encoding/json %+v", payload, window, rec)
+	if err == nil && (ent.cut || ent.batch == nil || !reflect.DeepEqual(*ent.batch, rec)) {
+		t.Fatalf("payload %q: window %+v, encoding/json %+v", payload, ent.batch, rec)
 	}
+}
+
+// encodeWindowRecord re-encodes a decoded window record through the
+// writer the engine builds records with.
+func encodeWindowRecord(rec *windowRecord) []byte {
+	var ww windowWriter
+	c := 0
+	for i := range rec.trips {
+		for ; c < len(rec.cuts) && rec.cuts[c] == i; c++ {
+			ww.cut()
+		}
+		ww.trip(&rec.trips[i].trip, rec.trips[i].stays)
+	}
+	for ; c < len(rec.cuts); c++ {
+		ww.cut()
+	}
+	return bytes.Clone(ww.record(rec.resume, rec.winEnd, rec.streams))
 }
 
 // TestWALRecordCodec runs the table, pins the widths the design document
@@ -87,12 +134,12 @@ func TestWALRecordCodec(t *testing.T) {
 		t.Fatalf("point and end records are %d and %d bytes, want 29 and 5", len(walPayloads[0]), len(walPayloads[1]))
 	}
 	for i, p := range walPayloads[:2] {
-		if _, _, _, err := decodeWALRecord(p); err != nil {
+		if _, err := decodeWALRecord(p); err != nil {
 			t.Fatalf("record %d does not decode: %v", i, err)
 		}
 	}
-	if _, _, cut, err := decodeWALRecord(walCutRecord[:]); err != nil || !cut {
-		t.Fatalf("the cut record decodes as cut=%v, err %v", cut, err)
+	if ent, err := decodeWALRecord(walCutRecord[:]); err != nil || !ent.cut {
+		t.Fatalf("the cut record decodes as cut=%v, err %v", ent.cut, err)
 	}
 }
 

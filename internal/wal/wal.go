@@ -2,8 +2,11 @@
 // ingest path. Every mutation is appended as a length-prefixed,
 // CRC32C-checksummed record before it is acknowledged; after a crash the
 // engine replays the log on top of the last snapshot, so no acknowledged
-// write is lost. Segments rotate at a byte bound; the log is the one
-// durable record of ingested evidence, so no segment is ever deleted.
+// write is lost. Segments rotate at a byte bound. A log can be compacted:
+// once its owner has durably recorded elsewhere everything before a
+// Position, TruncateThrough makes that position the log's start — a
+// restart opens the log there (OpenFrom) and replays nothing before it —
+// and deletes the segments wholly before it.
 //
 // On-disk format, little-endian, per record:
 //
@@ -12,7 +15,8 @@
 // Segment files are named wal-%016x.log where the hex field is the sequence
 // number of the segment's first record; sequence numbers are global,
 // 1-based, and dense, so (filename, record ordinal) recovers every record's
-// sequence without an index file.
+// sequence without an index file. Open and OpenFrom skip subdirectories, so
+// a second log can live in a subdirectory of the first.
 package wal
 
 import (
@@ -98,6 +102,9 @@ type Options struct {
 	// Interval is the maximum time acknowledged-but-unsynced records can sit
 	// in the OS under FsyncInterval. Zero means 100 ms.
 	Interval time.Duration
+	// Log is the value of the log label on this log's dlinfma_wal_* series,
+	// so that two logs of one process count apart. Empty means "fix".
+	Log string
 }
 
 func (o Options) withDefaults() Options {
@@ -107,7 +114,27 @@ func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 100 * time.Millisecond
 	}
+	if o.Log == "" {
+		o.Log = "fix"
+	}
 	return o
+}
+
+// durable reports whether the policy promises that what an append
+// acknowledges survives a power loss, eventually (FsyncInterval) or at once
+// (FsyncAlways). Where it does, creating and removing a segment also syncs
+// the directory that names it.
+func (o Options) durable() bool { return o.Policy != FsyncNever }
+
+// Position is a point in the log between two records: the sequence of the
+// first record past it, and where that record starts or would start — the
+// segment that holds the position, by its first sequence, and the byte
+// offset in it. A position at the end of a full segment stays in that
+// segment; the next record then opens the segment named Seq.
+type Position struct {
+	Seq     uint64
+	Segment uint64
+	Offset  int64
 }
 
 // ErrCorrupt is wrapped by errors reporting a damaged record that cannot be
@@ -124,14 +151,16 @@ type segmentInfo struct {
 	path     string
 	firstSeq uint64 // sequence of the segment's first record
 	lastSeq  uint64 // sequence of its last record (0 if empty)
+	size     int64  // bytes of its complete records
 }
 
-// records is the number of records the segment held when seg was taken.
-func (seg segmentInfo) records() int {
-	if seg.lastSeq < seg.firstSeq {
+// records is the number of records of seg from sequence from on, when seg
+// was taken.
+func (seg segmentInfo) records(from uint64) int {
+	if seg.lastSeq < from {
 		return 0
 	}
-	return int(seg.lastSeq - seg.firstSeq + 1)
+	return int(seg.lastSeq - from + 1)
 }
 
 // WAL is a segmented write-ahead log. All methods are safe for concurrent
@@ -149,6 +178,13 @@ type WAL struct {
 	sealed   []segmentInfo
 	closed   bool
 	lastSync time.Time // last fsync under FsyncInterval
+	// start is the log's compaction point: Replay begins there, and the
+	// sealed segments before start.Segment hold nothing a restart reads.
+	// live is the bytes of records past it, what the retained-bytes gauge
+	// publishes.
+	start Position
+	live  int64
+	m     *logMetrics
 
 	frames []byte // append scratch: the framed records of one call
 }
@@ -178,7 +214,20 @@ func parseSegmentName(name string) (uint64, bool) {
 // else, a sealed segment cut short at a record boundary included, returns an
 // error wrapping ErrCorrupt. After Open, Replay iterates the surviving records
 // and Append continues the sequence.
-func Open(dir string, opts Options) (*WAL, error) {
+func Open(dir string, opts Options) (*WAL, error) { return OpenFrom(dir, opts, Position{}) }
+
+// OpenFrom is Open of a compacted log: from is a position its owner
+// recorded (End at the time) and now resumes at. Nothing before from is
+// read: the segments wholly before it are listed but not scanned, and the
+// one it is in is scanned from its offset, so they stay in place for
+// TruncateThrough to delete. If the log holds nothing at or past from — its
+// tail before from never reached the disk, as a power loss under a lax
+// policy can leave it, or the directory is empty — the log restarts at
+// from with a fresh segment: what it lost is what from covers. A later
+// OpenFrom at the same from resumes at the start of that segment, so a log
+// restarted and reopened before its owner records a new position opens
+// again. The zero Position is the start of the log.
+func OpenFrom(dir string, opts Options, from Position) (*WAL, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
@@ -198,50 +247,110 @@ func Open(dir string, opts Options) (*WAL, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
 
-	w := &WAL{dir: dir, opts: opts}
-	// Scan every segment to validate it and learn its record count. Only the
-	// last segment may end in a torn record; earlier segments were sealed by
-	// a rotation, after which nothing ever wrote to them again.
-	for i := range segs {
-		last := i == len(segs)-1
-		n, validBytes, err := scanSegment(segs[i].path, last, -1, nil)
+	w := &WAL{dir: dir, opts: opts, m: metricsFor(opts.Log)}
+	if from == (Position{}) && len(segs) > 0 {
+		from = Position{Seq: segs[0].firstSeq, Segment: segs[0].firstSeq}
+	}
+	// The segments wholly before from are dead: sized, never read.
+	dead := 0
+	markDead := func() error {
+		for dead < len(segs) && segs[dead].firstSeq < from.Segment {
+			fi, err := os.Stat(segs[dead].path)
+			if err != nil {
+				return fmt.Errorf("wal: stat segment: %w", err)
+			}
+			segs[dead].size = fi.Size()
+			if dead+1 < len(segs) {
+				segs[dead].lastSeq = segs[dead+1].firstSeq - 1
+			}
+			dead++
+		}
+		return nil
+	}
+	if err := markDead(); err != nil {
+		return nil, err
+	}
+	live := segs[dead:]
+	resumable := len(live) > 0 && live[0].firstSeq == from.Segment
+	if resumable {
+		fi, err := os.Stat(live[0].path)
+		if err != nil {
+			return nil, fmt.Errorf("wal: stat segment: %w", err)
+		}
+		resumable = fi.Size() >= from.Offset
+	}
+	if !resumable && from.Seq > 0 && from.Seq != from.Segment {
+		// An earlier open restarted the log at from (below) and its owner has
+		// recorded no later position: resume at the restart's segment, and
+		// the short segments before it are dead.
+		for _, seg := range live {
+			if seg.firstSeq == from.Seq {
+				from = Position{Seq: from.Seq, Segment: from.Seq}
+				if err := markDead(); err != nil {
+					return nil, err
+				}
+				live, resumable = segs[dead:], true
+				break
+			}
+		}
+	}
+	if !resumable && from.Seq > 0 {
+		if len(live) > 1 || (len(live) == 1 && live[0].firstSeq != from.Segment) {
+			return nil, fmt.Errorf("%w: %s: no segment %s to resume at sequence %d",
+				ErrCorrupt, dir, segmentName(from.Segment), from.Seq)
+		}
+		// Nothing at or past from survived: restart the log there. The old
+		// files hold only records from covers; they go with the next
+		// truncation.
+		w.sealed, w.seq = segs, from.Seq-1
+		w.start = Position{Seq: from.Seq, Segment: from.Seq}
+		if err := w.openSegment(from.Seq); err != nil {
+			return nil, err
+		}
+		w.publish()
+		return w, nil
+	}
+	// Scan the live segments to validate them and learn their record
+	// counts. Only the last may end in a torn record; earlier segments were
+	// sealed by a rotation, after which nothing ever wrote to them again.
+	for i := range live {
+		seg := &live[i]
+		last := i == len(live)-1
+		off, seq0 := int64(0), seg.firstSeq
+		if i == 0 {
+			off, seq0 = from.Offset, from.Seq
+		}
+		n, validBytes, err := scanSegment(seg.path, off, last, -1, nil)
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			segs[i].lastSeq = 0
-		} else {
-			segs[i].lastSeq = segs[i].firstSeq + uint64(n) - 1
-		}
+		seg.size = validBytes
+		seg.lastSeq = seq0 + uint64(n) - 1 // seq0-1 when empty
 		// Sequences are dense, so a sealed segment ends where the next begins.
-		if !last && segs[i].firstSeq+uint64(n) != segs[i+1].firstSeq {
+		if !last && seq0+uint64(n) != live[i+1].firstSeq {
 			return nil, fmt.Errorf("%w: %s: %d records, but the next segment starts at sequence %d",
-				ErrCorrupt, segs[i].path, n, segs[i+1].firstSeq)
+				ErrCorrupt, seg.path, n, live[i+1].firstSeq)
 		}
 		if last {
-			if fi, err := os.Stat(segs[i].path); err == nil && fi.Size() > validBytes {
-				tornTailTruncations.Inc()
-				if err := os.Truncate(segs[i].path, validBytes); err != nil {
-					return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", segs[i].path, err)
+			if fi, err := os.Stat(seg.path); err == nil && fi.Size() > validBytes {
+				w.m.tornTails.Inc()
+				if err := os.Truncate(seg.path, validBytes); err != nil {
+					return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", seg.path, err)
 				}
 			}
 			w.size = validBytes
 		}
-		if n > 0 {
-			w.seq = segs[i].lastSeq
-		} else {
-			// Empty segment (rotation or fresh creation, then crash before
-			// any append): the last sequence is still firstSeq-1.
-			w.seq = segs[i].firstSeq - 1
-		}
+		w.seq = seg.lastSeq
 	}
 
 	if len(segs) == 0 {
 		// Fresh log: first record will be sequence 1.
+		w.start = Position{Seq: 1, Segment: 1}
 		if err := w.openSegment(1); err != nil {
 			return nil, err
 		}
 	} else {
+		w.start = from
 		active := segs[len(segs)-1]
 		f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -252,19 +361,20 @@ func Open(dir string, opts Options) (*WAL, error) {
 		w.firstSeq = active.firstSeq
 		w.sealed = segs[:len(segs)-1]
 	}
+	w.publish()
 	return w, nil
 }
 
 // scanSegment is the log's one frame reader. It reads a segment's records in
-// order, returning how many are valid and the byte offset just past the last
-// one. It stops after limit records (a negative limit reads to the end of the
+// order from byte offset from (a record boundary), returning how many are
+// valid and the byte offset just past the last one. It stops after limit records (a negative limit reads to the end of the
 // file) and, when fn is non-nil, hands it each record's ordinal in the
 // segment and its payload; the payload slice is reused between calls, and
 // fn's first error stops the scan and is returned as is. With tolerateTail
 // set, a partial or checksum-failing record at the very end of the file is
 // treated as a torn write (the scan stops cleanly before it); any other
 // damage, and any damage at all with tolerateTail unset, returns ErrCorrupt.
-func scanSegment(path string, tolerateTail bool, limit int, fn func(i int, payload []byte) error) (records int, validBytes int64, err error) {
+func scanSegment(path string, from int64, tolerateTail bool, limit int, fn func(i int, payload []byte) error) (records int, validBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
@@ -275,11 +385,14 @@ func scanSegment(path string, tolerateTail bool, limit int, fn func(i int, paylo
 		return 0, 0, fmt.Errorf("wal: stat segment: %w", err)
 	}
 	size := fi.Size()
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return 0, 0, fmt.Errorf("wal: seek segment: %w", err)
+	}
 	br := bufio.NewReader(f)
 	var (
 		head [headerSize]byte
 		buf  []byte
-		off  int64
+		off  = from
 	)
 	for records != limit {
 		if _, err := io.ReadFull(br, head[:]); err != nil {
@@ -332,7 +445,8 @@ func scanSegment(path string, tolerateTail bool, limit int, fn func(i int, paylo
 }
 
 // openSegment creates a fresh active segment whose first record will carry
-// the given sequence number.
+// the given sequence number, and syncs the directory where the policy is
+// durable: an acknowledged record in a file no directory entry names is lost.
 func (w *WAL) openSegment(firstSeq uint64) error {
 	path := filepath.Join(w.dir, segmentName(firstSeq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
@@ -343,6 +457,25 @@ func (w *WAL) openSegment(firstSeq uint64) error {
 	w.w = bufio.NewWriter(f)
 	w.firstSeq = firstSeq
 	w.size = 0
+	if w.opts.durable() {
+		if err := w.syncDir(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncDir fsyncs the log's directory, so segment creations and removals
+// are durable.
+func (w *WAL) syncDir() error {
+	d, err := os.Open(w.dir)
+	if err != nil {
+		return fmt.Errorf("wal: open dir: %w", err)
+	}
+	defer d.Close()
+	if err := w.fsync(d); err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
 	return nil
 }
 
@@ -398,14 +531,16 @@ func (w *WAL) appendLocked(payloads [][]byte) (first uint64, err error) {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.size += int64(len(b))
+	w.live += int64(len(b))
 	first = w.seq + 1
 	w.seq += uint64(len(payloads))
 	if err := w.syncLocked(); err != nil {
 		return 0, err
 	}
-	appendsTotal.Add(int64(len(payloads)))
-	appendBytes.Add(int64(len(b)))
-	appendDuration.Record(time.Since(start))
+	w.m.appends.Add(int64(len(payloads)))
+	w.m.appendBytes.Add(int64(len(b)))
+	w.m.retained.Set(float64(w.live))
+	w.m.appendDuration.Record(time.Since(start))
 	return first, nil
 }
 
@@ -416,7 +551,7 @@ func (w *WAL) syncLocked() error {
 		if err := w.w.Flush(); err != nil {
 			return fmt.Errorf("wal: flush: %w", err)
 		}
-		if err := w.fsync(); err != nil {
+		if err := w.fsync(w.f); err != nil {
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
 	case FsyncInterval:
@@ -426,7 +561,7 @@ func (w *WAL) syncLocked() error {
 			return fmt.Errorf("wal: flush: %w", err)
 		}
 		if now := time.Now(); now.Sub(w.lastSync) >= w.opts.Interval {
-			if err := w.fsync(); err != nil {
+			if err := w.fsync(w.f); err != nil {
 				return fmt.Errorf("wal: fsync: %w", err)
 			}
 			w.lastSync = now
@@ -438,14 +573,15 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// fsync syncs the active segment to disk. It is the log's only call to
-// File.Sync, so dlinfma_wal_fsyncs_total and the fsync duration family see
-// every sync: the policy's, rotation's, Sync's and Close's. Callers hold w.mu.
-func (w *WAL) fsync() error {
+// fsync syncs f — the active segment, or the log's directory — to disk. It
+// is the log's only call to File.Sync, so dlinfma_wal_fsyncs_total and the
+// fsync duration family see every sync: the policy's, rotation's, Sync's,
+// Close's and the directory's. Callers hold w.mu, or own w alone (Open).
+func (w *WAL) fsync(f *os.File) error {
 	start := time.Now()
-	err := w.f.Sync()
-	fsyncDuration.Record(time.Since(start))
-	fsyncsTotal.Inc()
+	err := f.Sync()
+	w.m.fsyncDuration.Record(time.Since(start))
+	w.m.fsyncs.Inc()
 	return err
 }
 
@@ -454,7 +590,7 @@ func (w *WAL) rotateLocked() error {
 	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("wal: rotate flush: %w", err)
 	}
-	if err := w.fsync(); err != nil {
+	if err := w.fsync(w.f); err != nil {
 		return fmt.Errorf("wal: rotate fsync: %w", err)
 	}
 	if err := w.f.Close(); err != nil {
@@ -464,8 +600,9 @@ func (w *WAL) rotateLocked() error {
 		path:     w.f.Name(),
 		firstSeq: w.firstSeq,
 		lastSeq:  w.seq,
+		size:     w.size,
 	})
-	rotationsTotal.Inc()
+	w.m.rotations.Inc()
 	return w.openSegment(w.seq + 1)
 }
 
@@ -479,10 +616,88 @@ func (w *WAL) Sync() error {
 	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
-	if err := w.fsync(); err != nil {
+	if err := w.fsync(w.f); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	return nil
+}
+
+// End flushes buffered records to the kernel and returns the position just
+// past the last appended record: a position a process crash cannot leave
+// past the end of the log.
+func (w *WAL) End() (Position, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return Position{}, ErrClosed
+	}
+	if err := w.w.Flush(); err != nil {
+		return Position{}, fmt.Errorf("wal: flush: %w", err)
+	}
+	return Position{Seq: w.seq + 1, Segment: w.firstSeq, Offset: w.size}, nil
+}
+
+// TruncateThrough makes pos, a position not past the log's end, the log's
+// compaction point: Replay starts there, and so does OpenFrom given the
+// same pos. A position before the log's start (the zero Position among
+// them) leaves the start where it is. Every sealed segment wholly before it
+// is deleted, oldest first; durable, if not nil, runs once before the first
+// deletion, so the caller can make durable the record that covers the
+// deleted ones, and its error stops the truncation before anything is
+// deleted. A deletion that fails stops the truncation too; the next one
+// retries it. Where the policy is durable, the directory is synced after
+// the deletions.
+func (w *WAL) TruncateThrough(pos Position, durable func() error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	if pos.Seq < w.start.Seq || pos.Segment < w.start.Segment {
+		pos = w.start
+	}
+	if pos.Seq > w.seq+1 || pos.Segment > w.firstSeq {
+		return fmt.Errorf("wal: truncate to sequence %d in segment %d: outside the log's sequences %d..%d",
+			pos.Seq, pos.Segment, w.start.Seq, w.seq+1)
+	}
+	w.start = pos
+	removed := 0
+	for ; removed < len(w.sealed) && w.sealed[removed].firstSeq < pos.Segment; removed++ {
+		if removed == 0 && durable != nil {
+			if err := durable(); err != nil {
+				return err
+			}
+		}
+		if err := os.Remove(w.sealed[removed].path); err != nil && !os.IsNotExist(err) {
+			break
+		}
+		w.m.segmentsDeleted.Inc()
+	}
+	w.sealed = w.sealed[removed:]
+	w.publish()
+	if removed > 0 && w.opts.durable() {
+		return w.syncDir()
+	}
+	return nil
+}
+
+// publish recomputes the bytes past the compaction point and sets the
+// retained-bytes and compaction gauges. Callers hold w.mu, or own w alone.
+func (w *WAL) publish() {
+	w.live = w.size - w.start.Offset
+	if w.start.Segment != w.firstSeq {
+		w.live = w.size
+		for _, seg := range w.sealed {
+			switch {
+			case seg.firstSeq == w.start.Segment:
+				w.live += seg.size - w.start.Offset
+			case seg.firstSeq > w.start.Segment:
+				w.live += seg.size
+			}
+		}
+	}
+	w.m.retained.Set(float64(w.live))
+	w.m.compacted.Set(float64(w.start.Seq - 1))
 }
 
 // LastSeq returns the sequence number of the most recently appended record
@@ -493,10 +708,10 @@ func (w *WAL) LastSeq() uint64 {
 	return w.seq
 }
 
-// Replay calls fn for every record in sequence order, from the oldest
-// retained segment through the active one. The payload slice is reused
-// between calls; fn must copy it if it retains it. Replay stops at fn's
-// first error and returns it.
+// Replay calls fn for every record in sequence order, from the compaction
+// point through the active segment. The payload slice is reused between
+// calls; fn must copy it if it retains it. Replay stops at fn's first error
+// and returns it.
 func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) error {
 	w.mu.Lock()
 	if w.closed {
@@ -516,12 +731,20 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) error {
 	segs := make([]segmentInfo, 0, len(w.sealed)+1)
 	segs = append(segs, w.sealed...)
 	segs = append(segs, segmentInfo{path: w.f.Name(), firstSeq: w.firstSeq, lastSeq: w.seq})
+	start := w.start
 	w.mu.Unlock()
 
 	for _, seg := range segs {
-		_, _, err := scanSegment(seg.path, false, seg.records(), func(i int, payload []byte) error {
-			replayRecords.Inc()
-			return fn(seg.firstSeq+uint64(i), payload)
+		if seg.firstSeq < start.Segment {
+			continue
+		}
+		off, seq0 := int64(0), seg.firstSeq
+		if seg.firstSeq == start.Segment {
+			off, seq0 = start.Offset, start.Seq
+		}
+		_, _, err := scanSegment(seg.path, off, false, seg.records(seq0), func(i int, payload []byte) error {
+			w.m.replayRecords.Inc()
+			return fn(seq0+uint64(i), payload)
 		})
 		if err != nil {
 			return err
@@ -543,7 +766,7 @@ func (w *WAL) Close() error {
 		w.f.Close()
 		return fmt.Errorf("wal: close flush: %w", err)
 	}
-	if err := w.fsync(); err != nil {
+	if err := w.fsync(w.f); err != nil {
 		w.f.Close()
 		return fmt.Errorf("wal: close fsync: %w", err)
 	}

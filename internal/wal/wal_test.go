@@ -373,8 +373,8 @@ func TestFsyncIntervalFlushesToKernel(t *testing.T) {
 	}
 }
 
-// fsyncsTimed returns the fsync duration family's _count as the process
-// registry exposes it.
+// fsyncsTimed returns the fsync duration family's _count for the fix log as
+// the process registry exposes it.
 func fsyncsTimed(t *testing.T) float64 {
 	t.Helper()
 	var buf bytes.Buffer
@@ -386,7 +386,7 @@ func fsyncsTimed(t *testing.T) float64 {
 		t.Fatal(err)
 	}
 	for _, s := range fams["dlinfma_wal_fsync_duration_seconds"].Samples {
-		if s.Name == "dlinfma_wal_fsync_duration_seconds_count" {
+		if s.Name == "dlinfma_wal_fsync_duration_seconds_count" && s.Labels["log"] == "fix" {
 			return s.Value
 		}
 	}
@@ -402,7 +402,8 @@ func TestEveryFsyncCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncs, timed, rotations := fsyncsTotal.Value(), fsyncsTimed(t), rotationsTotal.Value()
+	fsyncs, rotationsTotal := fsyncsTotal.With("fix"), rotationsTotal.With("fix")
+	syncs, timed, rotations := fsyncs.Value(), fsyncsTimed(t), rotationsTotal.Value()
 	const n = 4
 	for i := 0; i <= n; i++ { // every append after the first rotates
 		if _, err := w.Append([]byte{byte(i)}); err != nil {
@@ -412,13 +413,13 @@ func TestEveryFsyncCounted(t *testing.T) {
 	if got := rotationsTotal.Value() - rotations; got != n {
 		t.Fatalf("%d rotations, want %d", got, n)
 	}
-	if got := fsyncsTotal.Value() - syncs; got != n {
+	if got := fsyncs.Value() - syncs; got != n {
 		t.Errorf("fsyncs_total moved by %d over %d rotations, want %d", got, n, n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsyncsTotal.Value() - syncs; got != n+1 {
+	if got := fsyncs.Value() - syncs; got != n+1 {
 		t.Errorf("fsyncs_total moved by %d after Close, want %d", got, n+1)
 	}
 	if got := fsyncsTimed(t) - timed; got != float64(n+1) {
@@ -690,4 +691,217 @@ func segments(w *WAL) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.sealed) + 1
+}
+
+// appendN appends n records "r<i>" from i = from on and returns the log's
+// end after them.
+func appendN(t *testing.T, w *WAL, from, n int) Position {
+	t.Helper()
+	for i := from; i < from+n; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("r%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end, err := w.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end
+}
+
+// TestOpenFromReadsNothingBefore: a log reopened at a position it recorded
+// replays exactly the records past it and continues the sequence, without
+// reading a byte before it — every byte there is overwritten with garbage
+// first. TruncateThrough then deletes the segments wholly before the
+// position, once the caller's durability hook ran, and the gauges say what
+// is left.
+func TestOpenFromReadsNothingBefore(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 40, Policy: FsyncNever, Log: "open-from"}
+	w, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := appendN(t, w, 0, 7) // 12-byte frames: four to a segment
+	appendN(t, w, 7, 5)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pos.Seq != 8 || pos.Segment != 5 || pos.Offset != 36 {
+		t.Fatalf("End after 7 records = %+v, want {8 5 36}", pos)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		first, _ := parseSegmentName(filepath.Base(name))
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case first < pos.Segment:
+			b = bytes.Repeat([]byte{0xFF}, len(b))
+		case first == pos.Segment:
+			copy(b, bytes.Repeat([]byte{0xFF}, int(pos.Offset)))
+		}
+		if err := os.WriteFile(name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w, err = OpenFrom(dir, opts, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var got []string
+	err = w.Replay(func(seq uint64, p []byte) error {
+		if want := fmt.Sprintf("r%03d", seq-1); string(p) != want {
+			return fmt.Errorf("record %d = %q, want %q", seq, p, want)
+		}
+		got = append(got, string(p))
+		return nil
+	})
+	if err != nil || len(got) != 5 {
+		t.Fatalf("replayed %q, %v; want r007..r011", got, err)
+	}
+	if w.LastSeq() != 12 {
+		t.Fatalf("LastSeq = %d, want 12", w.LastSeq())
+	}
+	retained, compacted := retainedBytes.With("open-from"), compactedSeq.With("open-from")
+	if retained.Value() != 5*12 || compacted.Value() != 7 {
+		t.Fatalf("retained %v bytes, compacted through %v; want 60 and 7", retained.Value(), compacted.Value())
+	}
+
+	deleted := segmentsDeleted.With("open-from").Value()
+	hooked := 0
+	if err := w.TruncateThrough(pos, func() error { hooked++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := segmentsDeleted.With("open-from").Value() - deleted; n != 1 || hooked != 1 {
+		t.Fatalf("truncation deleted %d segments and ran the hook %d times, want 1 and 1", n, hooked)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(left) != len(names)-1 {
+		t.Fatalf("%d segments left of %d", len(left), len(names))
+	}
+	// A truncation with nothing to delete runs no hook; one past the end is
+	// refused.
+	if err := w.TruncateThrough(pos, func() error { return errors.New("hook ran") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.TruncateThrough(Position{Seq: 14, Segment: pos.Segment}, nil); err == nil {
+		t.Fatal("a truncation past the end succeeded")
+	}
+	if seq, err := w.Append([]byte("r012")); err != nil || seq != 13 {
+		t.Fatalf("append after truncation: seq %d, %v", seq, err)
+	}
+	if retained.Value() != 6*12 {
+		t.Fatalf("retained %v bytes after one more append, want 72", retained.Value())
+	}
+}
+
+// TestOpenFromRestartsAShortLog: when the log holds nothing at or past the
+// resume position — its last segment ends before it, or is gone — OpenFrom
+// restarts the log at the position. A resume segment that is gone while a
+// later one exists is corruption.
+func TestOpenFromRestartsAShortLog(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := appendN(t, w, 0, 4)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segmentName(1))
+	if err := os.Truncate(path, pos.Offset-5); err != nil {
+		t.Fatal(err)
+	}
+	w, err = OpenFrom(dir, Options{}, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, w); len(got) != 0 || w.LastSeq() != 4 {
+		t.Fatalf("restarted log replays %d records, LastSeq %d; want 0 and 4", len(got), w.LastSeq())
+	}
+	if seq, err := w.Append([]byte("r004")); err != nil || seq != 5 {
+		t.Fatalf("append to the restarted log: seq %d, %v", seq, err)
+	}
+	// Until its owner records a later position, the restarted log reopens
+	// at the stale one, before the short segment is deleted and after.
+	reopen := func(what string) {
+		t.Helper()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w, err = OpenFrom(dir, Options{}, pos); err != nil {
+			t.Fatalf("reopen the restarted log %s: %v", what, err)
+		}
+		var got []string
+		if err := w.Replay(func(seq uint64, p []byte) error {
+			got = append(got, fmt.Sprintf("%d:%s", seq, p))
+			return nil
+		}); err != nil || len(got) != 1 || got[0] != "5:r004" {
+			t.Fatalf("the restarted log reopened %s replays %q (%v), want r004 at 5", what, got, err)
+		}
+	}
+	reopen("before the truncation")
+	if err := w.TruncateThrough(pos, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the short segment survived the truncation: %v", err)
+	}
+	reopen("after the truncation")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen at a position in a segment that is gone while a later one
+	// exists: corruption.
+	if _, err := OpenFrom(dir, Options{}, Position{Seq: 3, Segment: 1, Offset: 20}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenFrom a missing segment before a live one: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDirectorySyncsCounted pins every fsync a durable policy issues, the
+// directory's among them: creating a segment syncs the directory (a record
+// in a file no entry names is lost with the entry), and so does a
+// truncation that removed segments. Under FsyncNever neither does.
+func TestDirectorySyncsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		policy FsyncPolicy
+		want   int64
+	}{
+		// The directory after Open's segment (1), five appends (5), four
+		// rotations of segment and directory (8), the truncation's directory
+		// (1) and Close (1).
+		{FsyncAlways, 16},
+		// Four rotations' segments and Close.
+		{FsyncNever, 5},
+	} {
+		log := "dirsync-" + tc.policy.String()
+		fsyncs := fsyncsTotal.With(log)
+		before := fsyncs.Value()
+		w, err := Open(t.TempDir(), Options{SegmentBytes: 1, Policy: tc.policy, Log: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := appendN(t, w, 0, 5)
+		if err := w.TruncateThrough(end, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := segments(w); n != 1 {
+			t.Fatalf("%v: %d segments after the truncation, want 1", tc.policy, n)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncs.Value() - before; got != tc.want {
+			t.Errorf("%v: %d fsyncs, want %d", tc.policy, got, tc.want)
+		}
+	}
 }

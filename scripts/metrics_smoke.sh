@@ -4,8 +4,9 @@
 # few requests through the /v1 surface (plus a retired pre-/v1 path, which must
 # answer the 404 envelope and count under route="other"), then scrapes
 # /v1/metrics with metricscheck: the build fails if the exposition doesn't
-# parse or a required family is missing — the baseline HTTP contract plus the
-# per-burst ingest families one streamed session populates. Also sends one
+# parse or a required family is missing — the baseline HTTP contract, the
+# per-burst ingest families one streamed session populates, and the
+# write-ahead-log families of both logs under -wal-dir. Also sends one
 # traced request (synthetic traceparent + X-Request-ID) and asserts the
 # correlation headers echo back and the trace lands in /v1/debug/traces. Run
 # via `make smoke-metrics`.
@@ -24,7 +25,7 @@ go build -o "$BIN_DIR/metricscheck" ./cmd/metricscheck
 # strict reader declines it and encoding/json restores it.
 printf '%s\n' '{ "version":1,"name":"smoke","addresses":[{"ID":1,"Building":1,"Geocode":{"X":1,"Y":2},"POI":0,"GeocodeMode":0}],"locations":{"1":[3,4]}}' >"$BIN_DIR/state.json"
 
-"$BIN_DIR/dlinfma" serve -data "" -snapshot "$BIN_DIR/state.json" -listen "127.0.0.1:$PORT" -log-level debug \
+"$BIN_DIR/dlinfma" serve -data "" -snapshot "$BIN_DIR/state.json" -wal-dir "$BIN_DIR/wal" -listen "127.0.0.1:$PORT" -log-level debug \
   -trace-sample 1 -trace-buffer 64 2>"$BIN_DIR/server.log" &
 SERVER_PID=$!
 
@@ -112,6 +113,16 @@ echo "trace smoke: OK"
 "$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics"
 "$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics" -require \
   "dlinfma_engine_ingest_lock_wait_seconds,dlinfma_engine_ingest_lock_hold_seconds,dlinfma_engine_stream_burst_ops" >/dev/null
+# Each log counts apart: the fix log and the window log, its retained bytes,
+# compaction point and deleted segments among them.
+WAL_FAMILIES=""
+for log in fix window; do
+  for family in dlinfma_wal_appends_total dlinfma_wal_append_bytes_total dlinfma_wal_fsyncs_total \
+    dlinfma_wal_retained_bytes dlinfma_wal_compacted_seq dlinfma_wal_segments_deleted_total; do
+    WAL_FAMILIES+="$family{log=\"$log\"},"
+  done
+done
+"$BIN_DIR/metricscheck" -url "http://127.0.0.1:$PORT/v1/metrics" -require "$WAL_FAMILIES" >/dev/null
 # Each check reads a whole scrape first: grep -q stops reading at its first
 # match, and a curl still writing into the closed pipe fails the pipeline.
 METRICS="$(curl -fsS "http://127.0.0.1:$PORT/v1/metrics")"

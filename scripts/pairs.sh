@@ -55,7 +55,7 @@ micro() {
   local side="$1" dir="$2"
   (cd "$dir" &&
     "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
-      -test.bench '^(BenchmarkServeQueriesParallel|BenchmarkServeQueriesBatch|BenchmarkFitParallel)$/^(shards|workers)=1$' &&
+      -test.bench '^(BenchmarkServeQueriesParallel|BenchmarkServeQueriesBatch|BenchmarkFitParallel|BenchmarkRestartHistory)$/^(shards=1|workers=1|windows=16)$' &&
     "$tmp/$side.test" -test.run '^$' -test.benchtime 1s -test.timeout 2m \
       -test.bench '^(BenchmarkServeStreamIngest|BenchmarkRestoreSnapshot|BenchmarkBatchHandler|BenchmarkPoolSealGrowth|BenchmarkReplayWAL)$')
 }

@@ -7,6 +7,11 @@
 # snapshot), restarts it on the same -wal-dir, and asserts the replayed engine
 # still holds every acknowledged point: the same pending trips, the same open
 # stream, and a replay count matching exactly what was acked. A second leg
+# streams four trips over three 14-day windows, so two window cuts each write
+# a window record, SIGKILLs the server and restarts it: every acknowledged
+# trip is back, the restart applied the two records and replayed only the
+# fix log past the last one, and the fix log retains fewer bytes than it
+# appended. A third leg
 # cold-starts a server on the tiny dataset with a snapshot path, a log and a
 # backlog bound below its trip count, stops it with SIGTERM (which saves the
 # snapshot), restarts it on the same flags, and asserts the log still holds
@@ -142,7 +147,55 @@ fi
 
 stop_server KILL
 
-# Leg two: snapshot, restart, re-inference. The snapshot holds the serving
+# Leg two: bounded history. Four trips of ten fixes at one spot, on days 0,
+# 15, 30 and 31: the second and third trips each start a new 14-day window,
+# so their bursts cut one and write a window record that resumes the fix log
+# past the burst; the fourth stays in the third's window.
+# metric NAME prints the value of the exposition line starting NAME.
+metric() {
+  curl -fsS "http://127.0.0.1:$PORT/v1/metrics" | awk -v name="$1" 'index($0, name " ") == 1 { print $2 }'
+}
+start_server "$BIN_DIR/server-h1.log" -data "" -wal-dir "$BIN_DIR/wal-history" -wal-fsync always
+for day in 0 15 30 31; do
+  TRIP=""
+  for i in $(seq 0 9); do
+    TRIP+="{\"courier\":$((day + 10)),\"x\":$((100 + day)),\"y\":100,\"t\":$((day * 86400 + i * 10))}"$'\n'
+  done
+  TRIP+="{\"courier\":$((day + 10)),\"end\":true}"$'\n'
+  TRIP_ACK="$(curl -sS -X POST --data-binary "$TRIP" "http://127.0.0.1:$PORT/v1/trajectories:stream")"
+  if [ "$TRIP_ACK" != '{"points":10,"ends":1}' ]; then
+    echo "stream smoke: the day-$day trip answered $TRIP_ACK" >&2
+    exit 1
+  fi
+done
+APPENDED="$(metric 'dlinfma_wal_append_bytes_total{log="fix"}')"
+WINDOWS="$(metric 'dlinfma_wal_appends_total{log="window"}')"
+if [ "$APPENDED" != 1532 ] || [ "$WINDOWS" != 2 ]; then
+  echo "stream smoke: the fix log took ${APPENDED:-no} bytes (want 4 x 383) and the window log ${WINDOWS:-no} records (want 2)" >&2
+  exit 1
+fi
+stop_server KILL
+
+start_server "$BIN_DIR/server-h2.log" -data "" -wal-dir "$BIN_DIR/wal-history" -wal-fsync always
+# Two window records, then the fourth trip's eleven fix records.
+if ! grep -q "replayed 13 WAL records from $BIN_DIR/wal-history" "$BIN_DIR/server-h2.log"; then
+  echo "stream smoke: the restart did not replay 2 window records and 11 fix records" >&2
+  cat "$BIN_DIR/server-h2.log" >&2
+  exit 1
+fi
+HISTORY="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
+if ! grep -q '"trips":4' <<<"$HISTORY" || ! grep -q '"pending_trips":4' <<<"$HISTORY"; then
+  echo "stream smoke: acknowledged trips lost across the compacted restart: $HISTORY" >&2
+  exit 1
+fi
+RETAINED="$(metric 'dlinfma_wal_retained_bytes{log="fix"}')"
+if [ -z "$RETAINED" ] || [ "$RETAINED" -ge "$APPENDED" ]; then
+  echo "stream smoke: the fix log retains ${RETAINED:-no} bytes of the $APPENDED it appended" >&2
+  exit 1
+fi
+stop_server KILL
+
+# Leg three: snapshot, restart, re-inference. The snapshot holds the serving
 # state only; the evidence a re-inference needs survives in the log.
 "$BIN_DIR/dlinfma" generate -profile tiny -out "$BIN_DIR/tiny.json.gz" >/dev/null
 SNAP_FLAGS=(-data "$BIN_DIR/tiny.json.gz" -snapshot "$BIN_DIR/state.json" -wal-dir "$BIN_DIR/wal2" -max-pending-trips 20)
