@@ -46,8 +46,7 @@ examples-smoke:
 #   FuzzWALRecordDecode     the WAL record decoder vs its binary encoders (the
 #                           0x06 window cut is exactly its one byte, a 0x07
 #                           window record re-encodes through the engine's
-#                           writer) and, for the JSON batch window,
-#                           json.Unmarshal; every other JSON kind is refused
+#                           writer); a JSON record of any kind is refused
 #   FuzzWindowRecord        the window log's record codec, both ways: a
 #                           written record decodes to itself, and a decoded
 #                           payload re-encodes to its bytes

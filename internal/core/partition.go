@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 )
@@ -50,33 +52,37 @@ func PartitionWindow(
 		}
 		parts[s].Truth[id] = p
 	}
-	var hit []bool
-	if n > 1 {
-		hit = make([]bool, n)
-	}
+	var shards []int
 	for _, tr := range trips {
-		if n == 1 {
-			parts[0].Trips = append(parts[0].Trips, tr)
-			continue
-		}
-		for i := range hit {
-			hit[i] = false
-		}
-		routed := false
-		for _, w := range tr.Waybills {
-			if s, ok := addrShardOf(w.Addr); ok && s >= 0 && s < n && !hit[s] {
-				hit[s] = true
-				routed = true
-				parts[s].Trips = append(parts[s].Trips, tr)
-			}
-		}
-		if !routed {
-			if s := tripShard(tr); s >= 0 && s < n {
-				parts[s].Trips = append(parts[s].Trips, tr)
-			}
+		shards = AppendTripShards(shards[:0], n, &tr, addrShardOf, tripShard)
+		for _, s := range shards {
+			parts[s].Trips = append(parts[s].Trips, tr)
 		}
 	}
 	return parts
+}
+
+// AppendTripShards appends to dst the shards among n that trip tr belongs
+// to, the rule PartitionWindow replicates trips by and the engine delivers
+// every trip by: each shard owning one of its waybill addresses, once, in
+// waybill order, or tripShard's when none does. With one shard it is shard 0
+// and neither callback is consulted.
+func AppendTripShards(dst []int, n int, tr *model.Trip, addrShardOf func(model.AddressID) (int, bool), tripShard func(model.Trip) int) []int {
+	if n == 1 {
+		return append(dst, 0)
+	}
+	start := len(dst)
+	for _, w := range tr.Waybills {
+		if s, ok := addrShardOf(w.Addr); ok && s >= 0 && s < n && !slices.Contains(dst[start:], s) {
+			dst = append(dst, s)
+		}
+	}
+	if len(dst) == start {
+		if s := tripShard(*tr); s >= 0 && s < n {
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 // PartitionDataset splits a whole dataset the same way PartitionWindow splits

@@ -113,8 +113,11 @@ func FuzzFrozenStore(f *testing.F) {
 			r := rows[id]
 			switch ops[0] % 3 {
 			case 0:
-				r.bld, r.geocode, r.registered = model.BuildingID(v%4), geo.Point{X: float64(v), Y: float64(w)}, true
-				s.RegisterAddress(id, r.bld, r.geocode)
+				bld, gc := model.BuildingID(v%4), geo.Point{X: float64(v), Y: float64(w)}
+				if !r.registered { // the first naming wins
+					r.bld, r.geocode, r.registered = bld, gc, true
+				}
+				s.RegisterAddress(id, bld, gc)
 			case 1:
 				r.loc, r.located = geo.Point{X: float64(v % 4), Y: float64(w % 4)}, true
 				s.Put(id, r.loc)

@@ -169,6 +169,11 @@ func TestStoreMajorityIsOfCurrentRows(t *testing.T) {
 			s.Put(1, b)
 			s.Put(2, b) // a: no voter left, b: two
 		}, b},
+		{"a repeated registration keeps the first naming", func(s *Store) {
+			s.RegisterAddress(1, bld, gc)
+			s.RegisterAddress(1, bld+1, gc) // would leave building 10 without a voter
+			s.Put(1, a)
+		}, a},
 		{"re-put of one voter leaves a tie to the smaller point", func(s *Store) {
 			s.RegisterAddress(1, bld, gc)
 			s.RegisterAddress(2, bld, gc)

@@ -121,11 +121,16 @@ func (s *Store) SetConfidence(addr model.AddressID, conf float32) {
 }
 
 // RegisterAddress records an address's building and geocode (the fallback
-// levels), replacing an earlier registration. Call before or after Put in
-// any order.
-func (s *Store) RegisterAddress(addr model.AddressID, bld model.BuildingID, geocode geo.Point) {
+// levels) unless an earlier registration did: the first naming of an
+// address wins, as it does in the evidence's registry. It reports whether
+// it recorded them. Call before or after Put in any order.
+func (s *Store) RegisterAddress(addr model.AddressID, bld model.BuildingID, geocode geo.Point) bool {
 	r := s.row(addr)
+	if r.registered {
+		return false
+	}
 	r.bld, r.geocode, r.registered = bld, geocode, true
+	return true
 }
 
 // Register records the building and geocode of every address of addrs the
@@ -139,8 +144,7 @@ func (s *Store) Register(addrs []model.AddressInfo) []model.AddressInfo {
 	s.grow(len(addrs))
 	kept := addrs[:0]
 	for _, a := range addrs {
-		if r := s.row(a.ID); !r.registered {
-			r.bld, r.geocode, r.registered = a.Building, a.Geocode, true
+		if s.RegisterAddress(a.ID, a.Building, a.Geocode) {
 			kept = append(kept, a)
 		}
 	}

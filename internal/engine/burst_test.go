@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -298,95 +297,10 @@ func TestPerOpIngestDoesNotAllocateABurst(t *testing.T) {
 	}
 }
 
-// transcodeToJSON rewrites the log in src as the JSON records earlier builds
-// wrote for the same operations, into a fresh log in dst: the batch window
-// as it is, each streamed fix and end as a JSON pt or end record.
-func transcodeToJSON(t *testing.T, src, dst string) {
-	t.Helper()
-	type legacyRecord struct {
-		Kind    string          `json:"k"`
-		Courier model.CourierID `json:"c,omitempty"`
-		X       float64         `json:"x,omitempty"`
-		Y       float64         `json:"y,omitempty"`
-		T       float64         `json:"t,omitempty"`
-	}
-	out := openBurstWAL(t, dst)
-	err := openBurstWAL(t, src).Replay(func(_ uint64, payload []byte) error {
-		ent, err := decodeWALRecord(payload)
-		if err != nil || ent.batch != nil || ent.cut {
-			_, err = out.Append(payload)
-			return err
-		}
-		op := ent.op
-		rec := legacyRecord{Kind: "pt", Courier: op.Courier, X: op.Pt.P.X, Y: op.Pt.P.Y, T: op.Pt.T}
-		if op.End {
-			rec = legacyRecord{Kind: "end", Courier: op.Courier}
-		}
-		b, err := json.Marshal(&rec)
-		if err == nil {
-			_, err = out.Append(b)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// legacyWindow is the batch window that precedes burstScript in the legacy
-// log test.
-func legacyWindow() ([]model.Trip, []model.AddressInfo, map[model.AddressID]geo.Point) {
-	rng := rand.New(rand.NewSource(42))
-	a, b := geo.Point{X: 50, Y: 50}, geo.Point{X: 90000, Y: 90000}
-	return []model.Trip{genTrip(rng, 20, -9000, a), genTrip(rng, 21, -8000, b)},
-		[]model.AddressInfo{{ID: 1, Geocode: a}, {ID: 2, Geocode: b}},
-		map[model.AddressID]geo.Point{1: a}
-}
-
-// TestLegacyJSONLogReplays: a log in the form earlier builds wrote — the
-// batch window, then every streamed fix and end as a JSON pt or end record —
-// replays its batch window, the one JSON record still written, and then
-// refuses the first JSON fix or end by its sequence instead of reading or
-// skipping it; the engine holds exactly the window.
-func TestLegacyJSONLogReplays(t *testing.T) {
-	ops := burstScript()
-	trips, addrs, truth := legacyWindow()
-	for _, n := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			ctx := context.Background()
-			binDir := t.TempDir()
-			live := newBurstTestEngine(t, n)
-			defer live.Close()
-			live.AttachWAL(openBurstWAL(t, binDir))
-			if err := live.Ingest(ctx, trips, addrs, truth); err != nil {
-				t.Fatal(err)
-			}
-			feedBursts(t, live, ops, func(remaining int) int { return min(17, remaining) })
-
-			jsonDir := t.TempDir()
-			transcodeToJSON(t, binDir, jsonDir)
-			legacy := newBurstTestEngine(t, n)
-			defer legacy.Close()
-			records, err := legacy.ReplayWAL(ctx, openBurstWAL(t, jsonDir))
-			if err == nil || !strings.Contains(err.Error(), "wal record 2: unknown wal record kind") {
-				t.Fatalf("replay error = %v, want one refusing record 2's kind", err)
-			}
-			if records != 1 {
-				t.Fatalf("replayed %d records before refusing, want the window alone", records)
-			}
-			window := newBurstTestEngine(t, n)
-			defer window.Close()
-			if err := window.Ingest(ctx, trips, addrs, truth); err != nil {
-				t.Fatal(err)
-			}
-			requireSameIngestState(t, window, legacy)
-		})
-	}
-}
-
 // TestMalformedWALRecordRefusesReplay: a tag no build wrote, a binary record
-// of the wrong width, a JSON record of any kind but the batch window — the
-// JSON pt and end records earlier builds wrote among them — and a window
+// of the wrong width, a JSON record of any kind — the batch window, pt and
+// end records earlier builds wrote among them, so a log that old is
+// replayed by the build that wrote it and snapshotted — and a window
 // record, whole (it belongs in the window log) or cut short, stop replay
 // with the record's sequence in the error instead of being skipped or
 // misread.
@@ -401,6 +315,7 @@ func TestMalformedWALRecordRefusesReplay(t *testing.T) {
 		"long end":          append(append([]byte{}, end...), 0),
 		"empty":             {},
 		"unknown JSON":      []byte(`{"k":"waybill","c":3}`),
+		"JSON batch window": legacyBatchRecord,
 		"JSON point":        []byte(`{"k":"pt","c":3,"x":1,"y":2,"t":3}`),
 		"JSON end":          []byte(`{"k":"end","c":3}`),
 		"not JSON at all":   []byte(`{"k":`),

@@ -6,9 +6,10 @@
 //
 // There is one engine shape: an Engine coordinating N >= 1 shards. The
 // Engine owns every lifecycle decision — courier streams and the streamed
-// window grid, every pool-window cut, WAL order, backpressure, the
-// background re-inference job, LC pinning, and the snapshot layout; a Shard
-// is pool builder + dataset + model + frozen store behind peer.ShardBackend.
+// window grid, every trip delivery and pool-window cut, WAL order,
+// backpressure, the background re-inference job, LC pinning, and the
+// snapshot layout; a Shard is pool builder + dataset + model + frozen store
+// behind peer.ShardBackend.
 // New(cfg) is the one-shard case of the same code: with a single shard
 // there is nothing to route, so no routing tables exist and reads go
 // straight to that shard's store.
@@ -21,11 +22,13 @@
 // and returns, and the window is clustered under no other lock.
 // No lock is held across model compute, and the query path takes none.
 //
-// Cancellation contract: every long-running stage (pool build, sample
-// featurization, training, batch inference) threads context.Context into
-// the worker pools and returns ctx.Err() promptly on cancellation, leaving
-// the served state untouched. Close cancels the engine's root context,
-// aborting any background re-inference.
+// Cancellation contract: every long-running stage (stay-point extraction,
+// pool build, sample featurization, training, batch inference) threads
+// context.Context into the worker pools and returns ctx.Err() promptly on
+// cancellation, leaving the served state untouched. A batch window is
+// cancellable only while its stay points are extracted, before anything
+// changes, so a cancelled window changes nothing on any shard. Close
+// cancels the engine's root context, aborting any background re-inference.
 package engine
 
 import (
@@ -126,7 +129,8 @@ type Engine struct {
 	// streamed points, end markers, window cuts, WAL replay). ss, the logs
 	// and the pending window record live under it: wal is the fix log, and
 	// wins the window log that OpenWAL opens beside it (nil when the fix
-	// log was attached alone), one record per window cut.
+	// log was attached alone), one record per operation that cut or
+	// registered.
 	ingestMu sync.Mutex
 	ss       *streamSet
 	wal      *wal.WAL
@@ -142,8 +146,10 @@ type Engine struct {
 	mu        sync.RWMutex
 	name      string
 	addrShard map[model.AddressID]int
-	nTrips    int
-	reinfers  int
+	// tripShards is queueTripLocked's scratch: the shards one trip goes to.
+	tripShards []int
+	nTrips     int
+	reinfers   int
 	// shardTrips accumulates per-shard routed trip counts; tripGauges and
 	// the skew gauge publish them so a hot geographic shard is visible
 	// before it becomes a slow reinfer.
@@ -295,54 +301,114 @@ func (e *Engine) SetName(name string) {
 // Ingest appends one window of trips plus any new addresses and ground
 // truth, routed across the shards: addresses and truth by the router's
 // address key, trips replicated to every shard owning one of their waybill
-// addresses (address-less trips by trajectory key). Each shard queues its
-// part, and the engine then cuts the window on every shard at once; Ingest
+// addresses (address-less trips by trajectory key). Each trip's stay points
+// are extracted once, the trips are queued through the one trip delivery,
+// and the engine then cuts the window on every shard at once; Ingest
 // returns once every shard's candidate pool holds it. The served state is
-// not touched until the next Reinfer.
-// Cancelling ctx mid-window leaves already-ingested shards with the window
-// (sealed) and the rest without; re-inference tolerates the imbalance, but
-// callers wanting a clean window boundary should retry the whole window.
+// not touched until the next Reinfer. Cancelling ctx during the extraction
+// leaves every shard without the window.
 func (e *Engine) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
-	err := e.ingest(ctx, trips, addrs, truth, true)
+	var err error
+	if e.remote {
+		err = e.ingestRemote(ctx, trips, addrs, truth)
+	} else {
+		err = e.ingest(ctx, trips, addrs, truth)
+	}
 	e.settle()
 	return err
 }
 
-// ingest is the shared live/replay core of Ingest. It holds ingestMu across
-// the whole window — including the per-shard fan-out — so the WAL's append
-// order equals the apply order even with streamed points racing batch
-// windows. Live windows are rejected under backpressure before any state
-// changes and logged only after every shard applied: a rejected, cancelled,
-// or partially applied window never enters the log. (A WAL append that
-// itself fails leaves the window applied but unacknowledged; the caller's
-// retry then duplicates it, the same at-least-once edge every
+// errFixLogOnly refuses a batch window on an engine whose fix log was
+// attached alone: the window's durable record belongs in the window log.
+var errFixLogOnly = errors.New("engine: a batch window needs the window log; open the logs with OpenWAL, not AttachWAL")
+
+// ingest is Ingest for in-process shards. The stay points are extracted
+// before anything changes; then, under ingestMu, the window's addresses and
+// truth are registered, its trips delivered through queueTripLocked between
+// two cuts (the first seals the queued streamed trips, so streamed and batch
+// windows stay distinct pool windows), and the window record written, which
+// is the operation's one durable record: a rejected or cancelled window, or
+// one the logs cannot hold, never changes anything. (A window record append
+// that itself fails leaves the window applied but unacknowledged; the
+// caller's retry then duplicates it, the same at-least-once edge every
 // acknowledge-after-apply log has.)
-func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point, live bool) error {
+func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
+	xctx, xsp := trace.Start(ctx, "engine.extract_stays")
+	xsp.SetAttr("trips", len(trips))
+	stays, err := core.ExtractAllStayPoints(xctx, &model.Dataset{Trips: trips}, e.cfg.Core)
+	xsp.RecordError(err)
+	xsp.End()
+	if err != nil {
+		return err
+	}
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	if live && len(trips) > 0 && e.overloaded() {
+	if len(trips) > 0 && e.overloaded() {
 		backpressureRejects.Inc()
 		return deploy.ErrBackpressure
 	}
-	if len(trips) > 0 {
-		// Seal queued streamed trips first so the batch window clusters
-		// exactly the trips it was handed — streamed and batch windows stay
-		// distinct pool windows — and cut this window on the way out, on
-		// every shard that took its part: also when a later shard failed, so
-		// the shards already through end the window all the same. The
-		// streamed window's record is written before the batch window's
-		// record can pin the fix log.
-		e.sealWindowLocked(ctx)
-		e.writeWindowLocked(ctx)
-		defer e.sealWindowLocked(ctx)
+	if e.wal != nil && (len(trips) > 0 || len(addrs) > 0 || len(truth) > 0) {
+		switch {
+		case e.wins == nil:
+			return errFixLogOnly
+		case e.win.failed != nil:
+			return fmt.Errorf("engine: the window log failed, and a batch window has no other durable record: %w", e.win.failed)
+		}
 	}
+	if len(trips) > 0 {
+		e.sealWindowLocked(ctx)
+	}
+	added := e.registerLocked(addrs, truth)
+	for i := range trips {
+		e.queueTripLocked(&trips[i], stays[i])
+	}
+	if len(trips) > 0 {
+		e.sealWindowLocked(ctx)
+	}
+	if e.cfg.Logger.Enabled(obs.LevelDebug) {
+		e.cfg.Logger.WithTrace(ctx).Debug("ingest window", "trips", len(trips), "new_addrs", added)
+	}
+	return e.writeWindowLocked(ctx)
+}
+
+// registerLocked registers addresses and truth on their shards, by
+// core.PartitionWindow's rule, and adds them to the pending window record.
+// It reports how many addresses were new. Callers hold ingestMu.
+func (e *Engine) registerLocked(addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) int {
+	if len(addrs) == 0 && len(truth) == 0 {
+		return 0
+	}
+	if e.compacting() {
+		e.win.register(addrs, truth)
+	}
+	added := 0
+	for i, p := range e.partition(nil, addrs, truth) {
+		if !p.Empty() {
+			added += e.shards[i].ev.addAddrs(p.Addrs, p.Truth)
+		}
+	}
+	return added
+}
+
+// ingestRemote is Ingest for shards in other processes: the window is
+// partitioned here and each shard process ingests, logs and cuts its own
+// part (peer.Ingester). A part a shard refuses is not counted; the shards
+// already through keep theirs, so a caller wanting a clean window boundary
+// retries the whole window.
+func (e *Engine) ingestRemote(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
 	for i, p := range e.partition(trips, addrs, truth) {
 		if p.Empty() {
 			continue
 		}
+		ing, ok := e.backends[i].(peer.Ingester)
+		if !ok {
+			return e.shardErr(i, errors.New("engine: the shard backend takes no ingest"))
+		}
 		sctx, ssp := trace.Start(ctx, "engine.shard_ingest")
 		ssp.SetAttr("shard", i)
-		err := e.backends[i].Ingest(sctx, p.Trips, p.Addrs, p.Truth)
+		err := ing.Ingest(sctx, p.Trips, p.Addrs, p.Truth)
 		if err != nil {
 			err = e.shardErr(i, err)
 			ssp.RecordError(err)
@@ -360,14 +426,6 @@ func (e *Engine) ingest(ctx context.Context, trips []model.Trip, addrs []model.A
 	e.mu.Lock()
 	e.nTrips += len(trips)
 	e.mu.Unlock()
-	if live && e.wal != nil && (len(trips) > 0 || len(addrs) > 0 || len(truth) > 0) {
-		// The record holds the only durable copy of the window's addresses
-		// and truth: no window record may resume the fix log past it.
-		e.stopCompactingLocked()
-		if _, err := e.wal.Append(encodeWALIngest(trips, addrs, truth)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -386,19 +444,22 @@ func (e *Engine) partition(trips []model.Trip, addrs []model.AddressInfo, truth 
 			added++
 		}
 	}
-	lookup := func(id model.AddressID) (int, bool) {
-		sh, ok := e.addrShard[id]
-		return sh, ok
-	}
-	parts := core.PartitionWindow(len(e.backends), trips, addrs, truth, lookup, e.router.TripShard)
+	parts := core.PartitionWindow(len(e.backends), trips, addrs, truth, e.shardOfLocked, e.router.TripShard)
 	if added > 0 {
 		e.publishRoutesLocked()
 	}
 	return parts
 }
 
-// countShardTripsLocked adds n > 0 trips shard sh has taken (a batch
-// window's part its Ingest accepted, or one streamed trip) to the cumulative
+// shardOfLocked is the routing table's answer for one address. Callers
+// hold mu.
+func (e *Engine) shardOfLocked(id model.AddressID) (int, bool) {
+	sh, ok := e.addrShard[id]
+	return sh, ok
+}
+
+// countShardTripsLocked adds n > 0 trips shard sh has taken (one queued
+// trip, or a remote shard's part its Ingest accepted) to the cumulative
 // per-shard counts and republishes the skew gauge: max over mean of the
 // per-shard totals (1 = perfectly balanced, len(shards) = everything on one
 // shard). A part a shard rejects is not counted, so a producer's retry is
@@ -455,7 +516,7 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 		}
 	}
 	e.sealWindowLocked(ctx)
-	e.writeWindowLocked(ctx)
+	_ = e.writeWindowLocked(ctx) // the fix log holds the cut
 	e.mu.RLock()
 	total := e.nTrips
 	e.mu.RUnlock()

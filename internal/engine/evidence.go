@@ -17,13 +17,13 @@ import (
 // evidence is what one shard has accumulated to infer from: every ingested
 // trip, the address registry, ground truth, the backlog the served state
 // does not cover yet, and the candidate pool. It has two owners. mu guards
-// intake: trips enter one way, queue, whatever path brought them — a batch
-// window's after the shard extracted their stay points outside mu, a
-// streamed one as the engine's stream closes it — and wait in the open
-// window until the engine cuts it. sealer owns the pool builder: cut hands
-// the open window to a goroutine that clusters it while ingest goes on,
-// and the shard's next cut waits for that seal, so at most one window is in
-// flight and windows seal in cut order. mu is never held across
+// intake: trips enter one way, queue, from the engine's one delivery — a
+// batch window's with the stay points the engine extracted before taking
+// any lock, a streamed one as the engine's stream closes it — and wait in
+// the open window until the engine cuts it. sealer owns the pool builder:
+// cut hands the open window to a goroutine that clusters it while ingest
+// goes on, and the shard's next cut waits for that seal, so at most one
+// window is in flight and windows seal in cut order. mu is never held across
 // clustering, and every mutator republishes counts as it unlocks — so
 // Status, backpressure and the snapshot writer never wait for a window.
 type evidence struct {
@@ -99,8 +99,9 @@ func (ev *evidence) addAddrs(addrs []model.AddressInfo, truth map[model.AddressI
 }
 
 // queue is the one trip intake: it records tr, without its fixes, and
-// adds its stay points to the open window. The pool builder takes ownership
-// of stays at the cut.
+// adds its stay points to the open window. The pool builder takes stays at
+// the cut; the trip's other shards may hold the same slice, and nobody
+// writes to it.
 func (ev *evidence) queue(tr model.Trip, stays []traj.StayPoint) {
 	ev.mu.Lock()
 	defer ev.unlock()

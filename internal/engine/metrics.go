@@ -60,7 +60,7 @@ var (
 	walReplayedRecords = obs.Default.Gauge("dlinfma_engine_wal_replayed_records",
 		"Records the last write-ahead-log replay applied.")
 	windowRecords = obs.Default.Counter("dlinfma_engine_window_records_total",
-		"Window records appended to the window log: one per operation that cut a pool window while compaction runs.")
+		"Window records appended to the window log: one per operation that cut a pool window or registered addresses or truth while compaction runs.")
 
 	autoReinferTriggers = obs.Default.CounterVec("dlinfma_engine_auto_reinfer_triggers_total",
 		"Re-inferences fired by the auto-reinfer monitor, by tripping condition (backlog size vs backlog age).",

@@ -30,9 +30,9 @@ type serving struct {
 
 // Shard is the in-process peer.ShardBackend: one region's evidence, trained
 // model, frozen store, and swap ring. It makes no lifecycle decisions —
-// courier streams, the WAL, backpressure, the background job, and the
-// snapshot layout all belong to the Engine that owns it — and is only ever
-// constructed by one.
+// courier streams, trip delivery, the WAL, backpressure, the background
+// job, and the snapshot layout all belong to the Engine that owns it — and
+// is only ever constructed by one.
 //
 // Its locks are its evidence's: mu over intake, never held across
 // clustering, and the sealer, which owns the pool builder from a window's
@@ -87,33 +87,6 @@ func newShard(cfg Config, label string, log *obs.Logger) *Shard {
 	}
 	s.lcTotalTrips.Store(int64(cfg.Core.LCTotalTrips))
 	return s
-}
-
-// Ingest applies one already-partitioned window to the shard's evidence:
-// new addresses and ground truth are registered, and each trip's stay
-// points are extracted and queued through the evidence's one trip intake.
-// It clusters nothing: the window becomes a pool window when the owning
-// Engine cuts it (the paper's bi-weekly pool maintenance), and the served
-// state is not touched until the next Reinfer. Cancelling ctx mid-window
-// returns ctx.Err() with the evidence unchanged.
-func (s *Shard) Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error {
-	ctx, tsp := trace.Start(ctx, "engine.ingest")
-	tsp.SetAttr("trips", len(trips))
-	defer tsp.End()
-	stays, err := core.ExtractAllStayPoints(ctx, &model.Dataset{Trips: trips}, s.cfg.Core)
-	if err != nil {
-		tsp.RecordError(err)
-		return err
-	}
-	added := s.ev.addAddrs(addrs, truth)
-	for i := range trips {
-		s.ev.queue(trips[i], stays[i])
-	}
-	if s.log.Enabled(obs.LevelDebug) {
-		s.log.WithTrace(ctx).Debug("ingest window",
-			"trips", len(trips), "new_addrs", added, "total_trips", s.ev.counts.Load().trips)
-	}
-	return nil
 }
 
 // Reinfer runs the full second stage over everything ingested so far:

@@ -207,7 +207,7 @@ func (e *Engine) IngestBurst(ctx context.Context, ops []deploy.StreamOp) (applie
 		}
 	}
 	e.applyStreamOpsLocked(ctx, ops)
-	e.writeWindowLocked(ctx)
+	_ = e.writeWindowLocked(ctx) // the fix log holds the ops
 	return len(ops), err
 }
 
@@ -275,38 +275,41 @@ func (e *Engine) deliverStreamedTripLocked(ctx context.Context, st *streamedTrip
 	}
 }
 
-// queueTripLocked is the streamed trips' one delivery, live and replayed
-// from either log: it routes the trip by trajectory (streamed fixes carry
-// no waybills), queues it on its shard, counts it, and adds it to the
-// pending window record. Callers hold ingestMu.
+// queueTripLocked is the one trip delivery, batch and streamed, live and
+// replayed from either log: it queues the trip on every shard it belongs to
+// (core.AppendTripShards: the shards owning its waybill addresses, or its
+// trajectory's shard when it has none, as a streamed trip never does),
+// counts it, and adds it to the pending window record. Callers hold
+// ingestMu.
 func (e *Engine) queueTripLocked(tr *model.Trip, stays []traj.StayPoint) {
 	if e.compacting() {
 		e.win.trip(tr, stays)
 	}
-	sh := 0
-	if e.routed() {
-		sh = e.router.TripShard(*tr)
-	}
-	e.shards[sh].ev.queue(*tr, stays)
 	e.ss.winStays += len(stays)
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.nTrips++
-	if e.routed() {
+	if !e.routed() {
+		e.shards[0].ev.queue(*tr, stays)
+		return
+	}
+	e.tripShards = core.AppendTripShards(e.tripShards[:0], len(e.shards), tr, e.shardOfLocked, e.router.TripShard)
+	for _, sh := range e.tripShards {
+		e.shards[sh].ev.queue(*tr, stays)
 		e.countShardTripsLocked(sh, 1)
 	}
-	e.mu.Unlock()
 }
 
 // sealWindowLocked is the one pool-window cut: it hands the queued trips of
 // every in-process shard (no-op on shards with nothing queued) to that
 // shard's sealer as one window, resets the streamed window's size counter,
 // and notes the cut in the pending window record (the operation that cut
-// writes it, writeWindowLocked). A batch window (after its fan-out), the
-// streamed grid and size bound, Reinfer and WAL replay all cut here. The
-// shards cluster their windows side by side and beside the ingest that
-// follows; a shard whose previous window is still being sealed makes the
-// cut wait for it, so each shard has at most one window in flight and seals
-// them in cut order.
+// writes it, writeWindowLocked). A batch window (before and after its
+// trips), the streamed grid and size bound, Reinfer and WAL replay all cut
+// here. The shards cluster their windows side by side and beside the
+// ingest that follows; a shard whose previous window is still being sealed
+// makes the cut wait for it, so each shard has at most one window in
+// flight and seals them in cut order.
 // settle waits for the seals. Remote shard processes cut their own
 // windows. Callers hold ingestMu.
 func (e *Engine) sealWindowLocked(ctx context.Context) {

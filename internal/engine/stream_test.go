@@ -483,10 +483,11 @@ func TestBackpressure(t *testing.T) {
 }
 
 // TestWALCrashRecovery is the end-to-end durability contract, for one shard
-// and for several under the one WAL and stream set on top: kill the process
-// mid-session (simulated by abandoning the engine and its WAL without any
-// orderly shutdown) and a fresh engine replaying the WAL holds exactly the
-// state the dead one had, shard by shard — including the still-open stream.
+// and for several under the one pair of logs and stream set on top: kill
+// the process mid-session (simulated by abandoning the engine and its logs
+// without any orderly shutdown) and a fresh engine opening copies of the
+// logs holds exactly the state the dead one had, shard by shard — including
+// the still-open stream.
 func TestWALCrashRecovery(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testWALCrashRecovery(t, n) })
@@ -510,14 +511,13 @@ func testWALCrashRecovery(t *testing.T, n int) {
 	newEngine := func() *Engine { return newStreamTestEngine(t, n) }
 	rng := rand.New(rand.NewSource(24))
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := wal.Options{Policy: wal.FsyncAlways}
 	live := newEngine()
 	defer live.Close()
-	live.AttachWAL(w)
 	ctx := context.Background()
+	if _, err := live.OpenWAL(ctx, dir, opts); err != nil {
+		t.Fatal(err)
+	}
 
 	// Two far-apart regions so several shards see work.
 	siteA, siteB := geo.Point{X: 50, Y: 50}, geo.Point{X: 90000, Y: 90000}
@@ -547,32 +547,26 @@ func testWALCrashRecovery(t *testing.T, n int) {
 	if err := live.CloseStream(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords := 1 + len(t4.Traj) + 1 + len(t5.Traj) + len(t6.Traj) + 1 // ingest + points + ends
-	if got := w.LastSeq(); got != uint64(wantRecords) {
-		t.Fatalf("WAL holds %d records, want %d", got, wantRecords)
+	wantRecords := 1 + len(t4.Traj) + 1 + len(t5.Traj) + len(t6.Traj) + 1 // the window's record + points + ends
+	if got := live.wal.LastSeq(); got != uint64(wantRecords-1) {
+		t.Fatalf("the fix log holds %d records, want %d", got, wantRecords-1)
 	}
 	if st := live.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
 		t.Fatalf("live status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
 	}
-	// Crash: no Close on the engine or the WAL. The recovered engine opens a
-	// copy of the log: both engines go on appending, each to its own.
+	// Crash: no Close on the engine or the logs. The recovered engine opens
+	// a copy of them: both engines go on appending, each to its own.
 	recDir := filepath.Join(t.TempDir(), "recovered")
 	copyDir(t, dir, recDir)
-	w2, err := wal.Open(recDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
 	recovered := newEngine()
 	defer recovered.Close()
-	replayed, err := recovered.ReplayWAL(ctx, w2)
+	replayed, err := recovered.OpenWAL(ctx, recDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replayed != wantRecords {
 		t.Fatalf("replayed %d records, want %d", replayed, wantRecords)
 	}
-	recovered.AttachWAL(w2)
 	requireSameIngestState(t, live, recovered)
 	if st := recovered.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
 		t.Fatalf("recovered status: open=%d pending=%d, want 1/4", st.OpenStreams, st.PendingTrips)
@@ -753,13 +747,25 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 			}
 		}
 	}
+	// retry is the batch operation every engine is running, if any. Its one
+	// durable record is its window record, so a twin restarted before that
+	// record is written (the "cut" step) lacks it, never acknowledged, and
+	// takes it as the producer's retry.
+	var retry func(e *Engine) error
+	batchOp := func(op func(e *Engine) error) {
+		t.Helper()
+		retry = op
+		each(op)
+		retry = nil
+	}
 	ingest := func(trips []model.Trip) {
 		t.Helper()
-		each(func(e *Engine) error {
-			return core.ForEachWindow(trips, e.cfg.Core.PoolWindowSeconds, func(batch []model.Trip) error {
-				return e.Ingest(ctx, batch, nil, nil)
-			})
-		})
+		if err := core.ForEachWindow(trips, live.cfg.Core.PoolWindowSeconds, func(batch []model.Trip) error {
+			batchOp(func(e *Engine) error { return e.Ingest(ctx, batch, nil, nil) })
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	burst := func(ops []deploy.StreamOp) {
 		t.Helper()
@@ -781,8 +787,9 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	current := true
 	// restart copies the logs as they stand — every append is flushed to
 	// the kernel, which is what a killed process leaves — and restarts a
-	// twin at n shards from the copy.
-	restart := func(point string, n int) *Engine {
+	// twin at n shards from the copy, which retries the unrecorded batch
+	// operation, if any.
+	restart := func(point string, n int, unrecorded func(e *Engine) error) *Engine {
 		t.Helper()
 		twinDir := filepath.Join(dir, fmt.Sprintf("twin%d", len(engines)+len(cross)))
 		copyDir(t, logDir, twinDir)
@@ -799,38 +806,65 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 		if _, err := twin.OpenWAL(ctx, twinDir, opts); err != nil {
 			t.Fatalf("%s: %v", point, err)
 		}
+		if unrecorded != nil {
+			if err := unrecorded(twin); err != nil {
+				t.Fatalf("%s, retrying the batch operation: %v", point, err)
+			}
+		}
 		got, want := twin.Status(), live.Status()
 		if got.Trips != want.Trips || got.Addresses != want.Addresses || got.OpenStreams != want.OpenStreams || got.Inferred != saved {
 			t.Fatalf("%s: restarted twin holds %d trips, %d addresses, %d open streams, %d inferred; want %d, %d, %d, %d",
 				point, got.Trips, got.Addresses, got.OpenStreams, got.Inferred, want.Trips, want.Addresses, want.OpenStreams, saved)
 		}
-		if current && got.PendingTrips != want.PendingTrips {
+		// A shard counts every trip queued on it as pending, replicas
+		// included, so only a twin at the live engine's count has its
+		// backlog.
+		if current && len(twin.shards) == len(live.shards) && got.PendingTrips != want.PendingTrips {
 			t.Fatalf("%s: restarted twin has %d pending trips, the live engine %d", point, got.PendingTrips, want.PendingTrips)
 		}
 		return twin
 	}
 	crash := func(point string) {
 		t.Helper()
-		engines = append(engines, restart(point, n))
+		engines = append(engines, restart(point, n, nil))
 	}
 
-	// The streamed phase: crash at the first occurrence of each step of a
-	// window record, the truncation only where it deleted a segment.
-	crashed := map[string]bool{}
-	prev := ""
-	live.onCompactStep = func(step string) {
-		if step == "truncate" && prev != "durable" {
-			step = "truncate (nothing deleted)"
+	// Each phase crashes at the first occurrence of each step of a window
+	// record, the truncation only where it deleted a segment, at n shards
+	// and at the other count.
+	var crashed map[string]bool
+	crashAtSteps := func(phase string) {
+		crashed = map[string]bool{}
+		prev := ""
+		live.onCompactStep = func(step string) {
+			if step == "truncate" && prev != "durable" {
+				step = "truncate (nothing deleted)"
+			}
+			prev = step
+			if crashed[step] || step == "truncate (nothing deleted)" {
+				return
+			}
+			crashed[step] = true
+			point := phase + ", after the window record's " + step
+			var unrecorded func(e *Engine) error
+			if step == "cut" {
+				unrecorded = retry
+			}
+			engines = append(engines, restart(point, n, unrecorded))
+			cross = append(cross, restart(point+fmt.Sprintf(", at %d shards", other), other, unrecorded))
 		}
-		prev = step
-		if crashed[step] || step == "truncate (nothing deleted)" {
-			return
-		}
-		crashed[step] = true
-		point := "streamed phase, after the window record's " + step
-		crash(point)
-		cross = append(cross, restart(point+fmt.Sprintf(", at %d shards", other), other))
 	}
+	requireEverySteps := func(phase string) {
+		t.Helper()
+		live.onCompactStep = nil
+		for _, step := range []string{"cut", "record", "durable", "truncate"} {
+			if !crashed[step] {
+				t.Fatalf("the %s never reached a window record's %q step", phase, step)
+			}
+		}
+	}
+
+	crashAtSteps("streamed phase")
 	rng := rand.New(rand.NewSource(27))
 	site := func(i int) geo.Point { return ds.Addresses[i%len(ds.Addresses)].Geocode }
 	open := genTrip(rng, 1<<21, 0, site(0), site(1), site(2), site(3))
@@ -854,14 +888,29 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 			send(open.Courier, open.Traj[9:], true)
 		}
 	}
-	live.onCompactStep = nil
-	for _, step := range []string{"cut", "record", "durable", "truncate"} {
-		if !crashed[step] {
-			t.Fatalf("the streamed phase never reached a window record's %q step", step)
-		}
-	}
+	requireEverySteps("streamed phase")
 
-	each(func(e *Engine) error { return e.Ingest(ctx, nil, ds.Addresses, ds.Truth) })
+	// The batch phase: every batch window's record compacts the fix log as
+	// a streamed one does. The gauge is process-wide and a twin's restart
+	// sets it too, so the live fix log's own compaction point, where its
+	// replay starts, is read beside it.
+	compacted := func() (gauge float64, start uint64) {
+		t.Helper()
+		for _, s := range familySamples(t, "dlinfma_wal_compacted_seq") {
+			if s.Labels["log"] == "fix" {
+				gauge = s.Value
+			}
+		}
+		start = live.wal.LastSeq() + 1
+		stop := errors.New("stop")
+		if err := live.wal.Replay(func(seq uint64, _ []byte) error { start = seq; return stop }); err != nil && err != stop {
+			t.Fatalf("replaying the live fix log: %v", err)
+		}
+		return gauge, start
+	}
+	gaugeBefore, startBefore := compacted()
+	crashAtSteps("batch phase")
+	batchOp(func(e *Engine) error { return e.Ingest(ctx, nil, ds.Addresses, ds.Truth) })
 	for r, trips := range rounds {
 		ingest(trips)
 		if r == 0 {
@@ -877,8 +926,10 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 		saved, current = live.Status().Inferred, true
 		crash(fmt.Sprintf("round %d, after the snapshot", r))
 	}
-	if got := walSegments(t, logDir); got < 3 {
-		t.Fatalf("the log spans %d segments; the script wants several", got)
+	requireEverySteps("batch phase")
+	if gauge, start := compacted(); gauge <= gaugeBefore || start <= startBefore {
+		t.Fatalf("the fix log's compaction point stayed through the batch phase: the gauge %v (from %v), the live log's replay starts at %d (from %d)",
+			gauge, gaugeBefore, start, startBefore)
 	}
 
 	// One more window, the streamed trip's close, and a re-inference: every
@@ -934,19 +985,16 @@ func copyDir(t *testing.T, src, dst string) {
 // TestFailedShardSnapshotFailsSave: when one shard's snapshot file cannot be
 // written, SaveSnapshotFile reports it instead of treating the shard as "not
 // ready yet" — no manifest missing that shard is written (the previous
-// generation still loads), and the WAL keeps every segment, as after any
-// save: it is the evidence's only durable record.
+// generation still loads), and the window log, which holds the batch
+// windows, keeps every segment, as after any save: it is the evidence's
+// only durable record.
 func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	ds, _, err := synth.Generate(synth.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	w, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: 4096, Policy: wal.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
+	logDir := filepath.Join(dir, "wal")
 	newEngine := func() *Engine {
 		r, err := shard.NewRouter(2, 8)
 		if err != nil {
@@ -956,8 +1004,10 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	}
 	e := newEngine()
 	defer e.Close()
-	e.AttachWAL(w)
 	ctx := context.Background()
+	if _, err := e.OpenWAL(ctx, logDir, wal.Options{SegmentBytes: 4096, Policy: wal.FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
 	snap := filepath.Join(dir, "snap.json")
 	gen := "g1"
 	defer func(orig func() string) { snapshotGeneration = orig }(snapshotGeneration)
@@ -990,14 +1040,14 @@ func TestFailedShardSnapshotFailsSave(t *testing.T) {
 	if err := os.Mkdir(snap+".g2.shard1.tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore := walSegments(t, filepath.Join(dir, "wal"))
+	segsBefore := walSegments(t, filepath.Join(logDir, windowLogDir))
 	if segsBefore < 2 {
 		t.Fatalf("need several WAL segments for a truncation to show, got %d", segsBefore)
 	}
 	if err := e.SaveSnapshotFile(snap); err == nil {
 		t.Fatal("SaveSnapshotFile succeeded although shard 1's file could not be written")
 	}
-	if got := walSegments(t, filepath.Join(dir, "wal")); got != segsBefore {
+	if got := walSegments(t, filepath.Join(logDir, windowLogDir)); got != segsBefore {
 		t.Fatalf("failed save truncated the WAL: %d segments before, %d after", segsBefore, got)
 	}
 

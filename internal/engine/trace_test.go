@@ -1,9 +1,9 @@
 // End-to-end tracing acceptance: a traced request served by a 2-shard
 // engine during a concurrent background re-inference must yield, through
 // the debug API's store, one trace whose span tree links the HTTP root to
-// per-shard ingest spans and core pipeline stage spans — with the same
-// trace id stamped on the log lines and the legacy stage histograms still
-// counting.
+// the window's stay-point extraction and core pipeline stage spans — with
+// the same trace id stamped on the log lines and the legacy stage
+// histograms still counting.
 package engine_test
 
 import (
@@ -123,8 +123,8 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Walk the span tree: HTTP root -> engine.shard_ingest{shard} ->
-	// engine.ingest for each shard's part, and HTTP root ->
+	// Walk the span tree: HTTP root -> engine.extract_stays for the
+	// window's trips, extracted once for every shard, and HTTP root ->
 	// engine.seal_window -> pool_window (a core pipeline stage span) for the
 	// window's cut.
 	byID := map[string]trace.SpanData{}
@@ -132,7 +132,6 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 		byID[sd.SpanID] = sd
 	}
 	var root trace.SpanData
-	shardsSeen := map[int]bool{}
 	for _, sd := range tr.Spans {
 		switch sd.Name {
 		case "/v1/ingest":
@@ -140,18 +139,9 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 			if sd.ParentID != "b7ad6b7169203331" {
 				t.Errorf("HTTP root's parent is %q, want the remote span b7ad6b7169203331", sd.ParentID)
 			}
-		case "engine.shard_ingest":
+		case "engine.extract_stays":
 			if p := byID[sd.ParentID]; p.Name != "/v1/ingest" {
-				t.Errorf("shard_ingest parent is %q, want the HTTP root", p.Name)
-			}
-			for _, a := range sd.Attrs {
-				if a.Key == "shard" {
-					shardsSeen[a.Value.(int)] = true
-				}
-			}
-		case "engine.ingest":
-			if p := byID[sd.ParentID]; p.Name != "engine.shard_ingest" {
-				t.Errorf("engine.ingest parent is %q, want engine.shard_ingest", p.Name)
+				t.Errorf("extract_stays parent is %q, want the HTTP root", p.Name)
 			}
 		case "engine.seal_window":
 			if p := byID[sd.ParentID]; p.Name != "/v1/ingest" {
@@ -166,9 +156,6 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 	if root.Name == "" {
 		t.Fatal("HTTP root span missing from the trace")
 	}
-	if !shardsSeen[0] || !shardsSeen[1] {
-		t.Fatalf("per-shard spans cover shards %v, want both 0 and 1", shardsSeen)
-	}
 	count := func(name string) int {
 		n := 0
 		for _, sd := range tr.Spans {
@@ -177,6 +164,9 @@ func TestTracedRequestThroughShardedEngine(t *testing.T) {
 			}
 		}
 		return n
+	}
+	if count("engine.extract_stays") != 1 {
+		t.Fatalf("%d stay-point extractions in the request trace, want one", count("engine.extract_stays"))
 	}
 	if count("pool_window") == 0 {
 		t.Fatal("no core pipeline stage span in the request trace")

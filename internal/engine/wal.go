@@ -3,40 +3,37 @@ package engine
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"dlinfma/internal/deploy"
-	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/wal"
 )
 
-// A fix-log record is one acknowledged ingest operation: a batch window,
-// one streamed fix, one explicit stream end, or a re-inference's window cut.
-// Replaying the records through the code paths the live operations took
-// reproduces the ingest state deterministically (the stream extractor and
-// the pool builder are both deterministic functions of their input order,
-// and every window cut is either implied by a record or is one). The
-// window log (windowlog.go) holds the other kind, one record per window
-// cut, which lets a restart skip the fix log up to the last cut.
+// A fix-log record is one acknowledged streamed operation: one fix, one
+// explicit stream end, or a re-inference's window cut. Replaying the
+// records through the code paths the live operations took reproduces the
+// ingest state deterministically (the stream extractor and the pool builder
+// are both deterministic functions of their input order, and every window
+// cut is either implied by a record or is one). The window log
+// (windowlog.go) holds the other kind, one record per operation that cut or
+// registered — a batch window's one durable record among them — which lets
+// a restart skip the fix log up to the last one.
 //
 // Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
-// little-endian, the cut is the tag alone; '{' is a JSON walRecord, the
-// batch window; 0x07 is a window record. 0x03–0x05 are reserved for
-// waybill, address and truth records. Any other tag, any JSON kind but the
-// window, and a record of the other log's kind refuses replay: it is a log
-// from another build, or not this log, and refusing beats silently
-// dropping ingest.
+// little-endian, the cut is the tag alone, and 0x07 is a window record.
+// 0x03 is reserved for the waybill line. Any other tag — the JSON records
+// ('{') earlier builds wrote among them — and a record of the other log's
+// kind refuses replay: it is a log from another build, or not this log,
+// and refusing beats silently dropping ingest.
 const (
 	walTagPoint byte = 0x01 // tag, int32 courier, float64 x, y, t
 	walTagEnd   byte = 0x02 // tag, int32 courier
 	walTagCut   byte = 0x06 // tag
-	walTagJSON  byte = '{'
 
 	walPointSize = 1 + 4 + 3*8
 	walEndSize   = 1 + 4
@@ -44,29 +41,6 @@ const (
 
 // walCutRecord is the payload of Reinfer's window cut.
 var walCutRecord = [1]byte{walTagCut}
-
-// walKindIngest is the kind of a batch-window record.
-const walKindIngest = "ingest"
-
-// walRecord is the JSON payload of a batch-window WAL entry. Integer map keys
-// round-trip through JSON's stringified-key encoding exactly like the
-// snapshot format.
-type walRecord struct {
-	Kind  string                        `json:"k"`
-	Trips []model.Trip                  `json:"trips,omitempty"`
-	Addrs []model.AddressInfo           `json:"addrs,omitempty"`
-	Truth map[model.AddressID]geo.Point `json:"truth,omitempty"`
-}
-
-// encodeWALIngest marshals a batch window; every field is a plain value
-// type, so a marshal error is a programming bug, not a runtime condition.
-func encodeWALIngest(trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) []byte {
-	b, err := json.Marshal(&walRecord{Kind: walKindIngest, Trips: trips, Addrs: addrs, Truth: truth})
-	if err != nil {
-		panic(fmt.Sprintf("engine: marshal wal record: %v", err))
-	}
-	return b
-}
 
 // appendWALOp appends the binary record of one streamed op.
 func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
@@ -82,11 +56,10 @@ func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
 }
 
 // walEntry is one decoded payload: a streamed op, unless one of the other
-// fields says it is a window cut, a batch window or a window record.
+// fields says it is a window cut or a window record.
 type walEntry struct {
 	op     deploy.StreamOp
 	cut    bool
-	batch  *walRecord
 	window *windowRecord
 }
 
@@ -95,8 +68,6 @@ func (ent *walEntry) kind() string {
 	switch {
 	case ent.window != nil:
 		return "window"
-	case ent.batch != nil:
-		return "batch window"
 	case ent.cut:
 		return "cut"
 	case ent.op.End:
@@ -133,15 +104,6 @@ func decodeWALRecord(payload []byte) (ent walEntry, err error) {
 		ent.cut = true
 	case walTagWindow:
 		ent.window, err = decodeWindowRecord(payload)
-	case walTagJSON:
-		rec := new(walRecord)
-		if err := json.Unmarshal(payload, rec); err != nil {
-			return ent, err
-		}
-		if rec.Kind != walKindIngest {
-			return ent, fmt.Errorf("unknown wal record kind %q", rec.Kind)
-		}
-		ent.batch = rec
 	default:
 		return ent, fmt.Errorf("unknown wal record tag %#02x", tag)
 	}
@@ -149,13 +111,11 @@ func decodeWALRecord(payload []byte) (ent walEntry, err error) {
 }
 
 // AttachWAL makes w the engine's write-ahead log: from now on every accepted
-// ingest operation is appended (points, stream ends and Reinfer's window
-// cuts before they mutate state, batch windows after they apply so a
-// rejected or cancelled window never pollutes the log). Attach after
-// ReplayWAL so replayed records are not re-appended. A log attached this
-// way is never compacted and the caller closes it; OpenWAL is the
-// compacting form. The remote topology refuses a WAL: durability belongs
-// to each shard process.
+// streamed op and Reinfer's window cut is appended before it mutates state.
+// Attach after ReplayWAL so replayed records are not re-appended. A log
+// attached this way is never compacted and the caller closes it; it has no
+// window log, so a batch window is refused (OpenWAL opens both). The remote
+// topology refuses a WAL: durability belongs to each shard process.
 func (e *Engine) AttachWAL(w *wal.WAL) {
 	if e.remote {
 		panic("engine: a remote-sharded engine cannot own a WAL")
@@ -193,8 +153,7 @@ func (e *Engine) ReplayWAL(ctx context.Context, w *wal.WAL) (int, error) {
 }
 
 // replayFixes is the fix log's replay loop, ReplayWAL's and OpenWAL's: it
-// applies w's records from its start and returns how many it applied. A
-// batch window stops compaction, as its live append does.
+// applies w's records from its start and returns how many it applied.
 func (e *Engine) replayFixes(ctx context.Context, w *wal.WAL) (int, error) {
 	n := 0
 	err := w.Replay(func(seq uint64, payload []byte) error {
@@ -203,11 +162,6 @@ func (e *Engine) replayFixes(ctx context.Context, w *wal.WAL) (int, error) {
 		case err != nil:
 		case ent.window != nil:
 			err = errors.New("window record in the fix log")
-		case ent.batch != nil:
-			e.ingestMu.Lock()
-			e.stopCompactingLocked()
-			e.ingestMu.Unlock()
-			err = e.ingest(ctx, ent.batch.Trips, ent.batch.Addrs, ent.batch.Truth, false)
 		case ent.cut:
 			e.ingestMu.Lock()
 			e.sealWindowLocked(ctx)

@@ -3,8 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"reflect"
 	"testing"
 
 	"dlinfma/internal/deploy"
@@ -14,31 +12,43 @@ import (
 	"dlinfma/internal/wal"
 )
 
-// sampleWindowRecord is a window record of every part: two trips (the
-// first with a waybill, the second without stays), a cut between them and
-// one after, and one open stream of two fixes.
+// sampleWindowRecord is a window record of every part: two addresses and
+// the truth of one, three trips (the first with a waybill, the second
+// without stays, the third without fixes), a cut between the first two and
+// one after the last, and one open stream of two fixes.
 func sampleWindowRecord() []byte {
 	var ww windowWriter
 	fix := func(x, t float64) traj.GPSPoint { return traj.GPSPoint{P: geo.Point{X: x, Y: -x}, T: t} }
-	ww.trip(&model.Trip{Courier: 4, StartT: 10, EndT: 70, Traj: traj.Trajectory{fix(1, 10), fix(2, 40), fix(3, 70)}},
+	ww.register([]model.AddressInfo{{ID: 9, Building: 3, Geocode: geo.Point{X: 1.5, Y: -2}, POI: 4, GeocodeMode: 2}, {ID: -1}},
+		map[model.AddressID]geo.Point{9: {X: 1.25, Y: -2.5}})
+	ww.trip(&model.Trip{Courier: 4, StartT: 10, EndT: 70, Traj: traj.Trajectory{fix(1, 10), fix(2, 40), fix(3, 70)},
+		Waybills: []model.Waybill{{Addr: 9, ReceivedT: 5, RecordedDeliveryT: 65, ActualDeliveryT: 50, ConfirmLag: 3}}},
 		[]traj.StayPoint{{Loc: geo.Point{X: 2, Y: -2}, ArriveT: 20, LeaveT: 60, NPoints: 4}})
 	ww.cut()
 	ww.trip(&model.Trip{Courier: -1, StartT: 90, EndT: 90, Traj: traj.Trajectory{fix(5, 90)}}, nil)
+	ww.trip(&model.Trip{Courier: 8, StartT: 95, EndT: 99, Waybills: []model.Waybill{{Addr: -1}}}, nil)
 	ww.cut()
 	return ww.record(wal.Position{Seq: 41, Segment: 7, Offset: 1234}, 1209600,
 		[]openStream{{courier: 6, pts: traj.Trajectory{fix(7, 100), fix(8, 110)}}})
 }
 
+// legacyBatchRecord is the JSON record earlier builds wrote for one batch
+// window (one trip with a waybill, one address, its truth), which this
+// build refuses.
+var legacyBatchRecord = []byte(`{"k":"ingest","trips":[{"Courier":2,"StartT":1,"EndT":2,"Traj":[{"P":{"X":1,"Y":2},"T":1}],` +
+	`"Waybills":[{"Addr":1,"ReceivedT":0.5,"RecordedDeliveryT":1.5,"ActualDeliveryT":0,"ConfirmLag":0}]}],` +
+	`"addrs":[{"ID":1,"Building":0,"Geocode":{"X":3,"Y":4},"POI":0,"GeocodeMode":0}],"truth":{"1":{"X":5,"Y":6}}}`)
+
 // walPayloads are one of every record a log can hold, and the damage around
-// each: widths off by one, tags nobody wrote, JSON of an unknown kind — the
-// JSON pt and end records of earlier builds among them — and a window
-// record cut short, lengthened, or claiming more than it holds.
+// each: widths off by one, tags nobody wrote, JSON of any kind — the JSON
+// batch window, pt and end records of earlier builds among them — and a
+// window record cut short, lengthened, or claiming more than it holds.
 var walPayloads = func() [][]byte {
 	point := appendWALOp(nil, &deploy.StreamOp{Courier: -7, Pt: traj.GPSPoint{P: geo.Point{X: 116397.53, Y: -0.0}, T: 1622505600.125}})
 	end := appendWALOp(nil, &deploy.StreamOp{Courier: 1 << 30, End: true})
 	window := sampleWindowRecord()
 	huge := bytes.Clone(window)
-	binary.LittleEndian.PutUint32(huge[1+3*8+8:], 1<<30) // the trip count, past tag, resume and window end
+	binary.LittleEndian.PutUint32(huge[1+3*8+8:], 1<<30) // the address count, past tag, resume and window end
 	var empty windowWriter
 	return [][]byte{
 		point, end,
@@ -48,10 +58,7 @@ var walPayloads = func() [][]byte {
 		{}, {0x00}, {0x03, 1, 2, 3, 4}, {0xff},
 		[]byte(`{"k":"pt","c":4,"x":1.5,"y":-2,"t":3}`),
 		[]byte(`{"k":"end","c":4}`),
-		encodeWALIngest(
-			[]model.Trip{{Courier: 2, StartT: 1, EndT: 2, Traj: traj.Trajectory{{P: geo.Point{X: 1, Y: 2}, T: 1}}}},
-			[]model.AddressInfo{{ID: 1, Geocode: geo.Point{X: 3, Y: 4}}},
-			map[model.AddressID]geo.Point{1: {X: 5, Y: 6}}),
+		legacyBatchRecord,
 		[]byte(`{"k":"waybill","c":3}`),
 		[]byte(`{"k":"pt","c":99999999999}`),
 		[]byte(`{"k":"pt","c":1,"x":1e999}`),
@@ -65,44 +72,31 @@ var walPayloads = func() [][]byte {
 }()
 
 // checkWALRecord holds decodeWALRecord to its contract on one payload: no
-// panic; a binary record that decodes re-encodes to the same bytes (a cut is
-// exactly the one-byte cut record, a window record re-encodes through
-// windowWriter); a payload that starts with '{' decodes to the window
-// json.Unmarshal makes of it, and is refused when encoding/json refuses it
-// or its kind is not the window's.
+// panic; a payload starting with '{', the JSON records of earlier builds,
+// is refused; and a record that decodes re-encodes to the same bytes (a cut
+// is exactly the one-byte cut record, a window record re-encodes through
+// windowWriter).
 func checkWALRecord(t *testing.T, payload []byte) {
 	t.Helper()
 	ent, err := decodeWALRecord(payload)
-	if len(payload) == 0 || payload[0] != walTagJSON {
-		if err != nil {
-			return
-		}
-		if ent.batch != nil {
-			t.Fatalf("binary payload %x decoded as a batch window", payload)
-		}
-		switch {
-		case ent.cut:
-			if !bytes.Equal(payload, walCutRecord[:]) {
-				t.Fatalf("payload %x decoded as a window cut", payload)
-			}
-		case ent.window != nil:
-			if again := encodeWindowRecord(ent.window); !bytes.Equal(again, payload) {
-				t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.window, again)
-			}
-		default:
-			if again := appendWALOp(nil, &ent.op); !bytes.Equal(again, payload) {
-				t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.op, again)
-			}
-		}
+	if err != nil {
 		return
 	}
-	var rec walRecord
-	jsonErr := json.Unmarshal(payload, &rec)
-	if (err == nil) != (jsonErr == nil && rec.Kind == walKindIngest) {
-		t.Fatalf("payload %q: decode error %v, encoding/json %v with kind %q", payload, err, jsonErr, rec.Kind)
-	}
-	if err == nil && (ent.cut || ent.batch == nil || !reflect.DeepEqual(*ent.batch, rec)) {
-		t.Fatalf("payload %q: window %+v, encoding/json %+v", payload, ent.batch, rec)
+	switch {
+	case payload[0] == '{':
+		t.Fatalf("JSON payload %q decoded as %+v", payload, ent)
+	case ent.cut:
+		if !bytes.Equal(payload, walCutRecord[:]) {
+			t.Fatalf("payload %x decoded as a window cut", payload)
+		}
+	case ent.window != nil:
+		if again := encodeWindowRecord(ent.window); !bytes.Equal(again, payload) {
+			t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.window, again)
+		}
+	default:
+		if again := appendWALOp(nil, &ent.op); !bytes.Equal(again, payload) {
+			t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.op, again)
+		}
 	}
 }
 
@@ -110,6 +104,7 @@ func checkWALRecord(t *testing.T, payload []byte) {
 // writer the engine builds records with.
 func encodeWindowRecord(rec *windowRecord) []byte {
 	var ww windowWriter
+	ww.register(rec.addrs, rec.truth)
 	c := 0
 	for i := range rec.trips {
 		for ; c < len(rec.cuts) && rec.cuts[c] == i; c++ {

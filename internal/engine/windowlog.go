@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"path/filepath"
 	"slices"
 	"time"
 
 	"dlinfma/internal/geo"
+	"dlinfma/internal/geocode"
 	"dlinfma/internal/model"
 	"dlinfma/internal/obs/trace"
 	"dlinfma/internal/traj"
@@ -20,39 +22,49 @@ import (
 // windowLogDir is the window log's directory under the fix log's.
 const windowLogDir = "windows"
 
-// A window record (tag 0x07) is the window log's one kind: the streamed
-// trips delivered since the previous record, in delivery order, the cuts
-// among them, and the stream layer as it stood when the record was made —
-// the open streams' fixes, the window grid, and the fix-log position just
-// past the last op it covers. It is made at the end of the operation that
-// cut (a burst, a Reinfer, the cut before a batch window, a replay), not at
-// the cut itself: the grid cuts in the middle of an op, between the trip it
-// closed and that trip's delivery. Little-endian:
+// A window record (tag 0x07) is the window log's one kind: the addresses
+// and truth registered and the trips delivered since the previous record,
+// in delivery order, the cuts among them, and the stream layer as it stood
+// when the record was made — the open streams' fixes, the window grid, and
+// the fix-log position just past the last op it covers. It is made at the
+// end of every operation that cut or registered (a burst, a batch window, a
+// Reinfer, a replay), not at the cut itself: the grid cuts in the middle of
+// an op, between the trip it closed and that trip's delivery. An operation
+// that registers writes its record as it ends, so a record's registration
+// precedes every trip of it that routes by waybill. Little-endian:
 //
 //	0x07, resume seq u64, segment u64, offset u64, window end f64,
-//	u32 trips × (courier u32, start f64, end f64, routing fix x y t f64,
+//	u32 addresses × (id u32, building u32, geocode x y f64, poi u8, mode u8),
+//	u32 truth × (address u32, x y f64), ascending by address,
+//	u32 trips × (courier u32, start f64, end f64,
+//	             u8 routing fixes (0 or 1) × (x y t f64),
+//	             u32 waybills × (address u32, received recorded actual lag f64),
 //	             u32 stays × (x y arrive leave f64, points u32)),
 //	u32 cuts × u32 (a cut before trip i; i = trips cuts after the last),
 //	u32 streams × (courier u32, u32 fixes × (x y t f64))
-//
-// A streamed trip carries no waybills, so the record has no place for them.
 const walTagWindow byte = 0x07
 
 // The smallest encoding of each repeated part, which bounds the counts a
 // record can claim.
 const (
-	compactTripSize = 4 + 2*8 + 3*8 + 4 // without stays
-	compactStaySize = 4*8 + 4
-	compactFixSize  = 3 * 8
+	compactAddrSize    = 2*4 + 2*8 + 2
+	compactTruthSize   = 4 + 2*8
+	compactTripSize    = 4 + 2*8 + 1 + 2*4 // without fix, waybills or stays
+	compactWaybillSize = 4 + 4*8
+	compactStaySize    = 4*8 + 4
+	compactFixSize     = 3 * 8
 )
 
 // windowRecord is a decoded window record. Each trip's Traj holds its
 // routing fix alone — the trajectory's midpoint, what shard.Router.TripShard
-// routes by — so a restart under another shard count routes as a live
-// engine at that count does.
+// routes a trip by when no shard owns one of its waybill addresses — or
+// nothing for a trip without fixes, so a restart under another shard count
+// routes as a live engine at that count does.
 type windowRecord struct {
 	resume  wal.Position
 	winEnd  float64
+	addrs   []model.AddressInfo
+	truth   map[model.AddressID]geo.Point
 	trips   []compactTrip
 	cuts    []int
 	streams []openStream
@@ -68,31 +80,59 @@ type openStream struct {
 	pts     traj.Trajectory
 }
 
-// windowWriter builds the next window record under ingestMu: trips are
-// encoded as they are delivered, cuts noted as they are made, and the
-// record is closed and appended at the end of the operation.
+// windowWriter builds the next window record under ingestMu: registrations
+// and trips are encoded as they are made, cuts noted as they are made, and
+// the record is closed and appended at the end of the operation.
 type windowWriter struct {
-	// off stops compaction for the rest of the process: a batch window's
-	// record is in the fix log (it holds the only durable copy of its
-	// addresses and truth, so the resume position must never pass it), or
-	// the window log failed. The fix log then keeps growing, and a restart
-	// replays it from the last resume position.
-	off bool
+	// failed is the error the window log failed with, which stops
+	// compaction for the rest of the process: the fix log keeps growing, a
+	// restart replays it from the last resume position, and a batch window,
+	// whose one durable record is a window record, is refused.
+	failed error
 	// replaying defers the record to the end of a fix-log replay: mid-replay,
 	// the fix log's end is not the position past the record being applied.
 	replaying bool
+	addrs     []byte
+	nAddrs    int
+	truth     map[model.AddressID]geo.Point
 	trips     []byte
 	n         int
 	cuts      []uint32
 	rec       []byte
 }
 
-// trip encodes one delivered trip: courier, times, routing fix and stay
-// points.
+// register encodes one operation's addresses, as given, and its truth.
+func (ww *windowWriter) register(addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) {
+	b := ww.addrs
+	for _, a := range addrs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(a.ID))
+		b = binary.LittleEndian.AppendUint32(b, uint32(a.Building))
+		b = appendFloats(b, a.Geocode.X, a.Geocode.Y)
+		b = append(b, byte(a.POI), byte(a.GeocodeMode))
+	}
+	ww.addrs, ww.nAddrs = b, ww.nAddrs+len(addrs)
+	if len(truth) > 0 && ww.truth == nil {
+		ww.truth = make(map[model.AddressID]geo.Point, len(truth))
+	}
+	maps.Copy(ww.truth, truth)
+}
+
+// trip encodes one delivered trip: courier, times, routing fix, waybills
+// and stay points.
 func (ww *windowWriter) trip(tr *model.Trip, stays []traj.StayPoint) {
-	route := tr.Traj[len(tr.Traj)/2]
 	b := binary.LittleEndian.AppendUint32(ww.trips, uint32(tr.Courier))
-	b = appendFloats(b, tr.StartT, tr.EndT, route.P.X, route.P.Y, route.T)
+	b = appendFloats(b, tr.StartT, tr.EndT)
+	if len(tr.Traj) == 0 {
+		b = append(b, 0)
+	} else {
+		route := tr.Traj[len(tr.Traj)/2]
+		b = appendFloats(append(b, 1), route.P.X, route.P.Y, route.T)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(tr.Waybills)))
+	for _, w := range tr.Waybills {
+		b = binary.LittleEndian.AppendUint32(b, uint32(w.Addr))
+		b = appendFloats(b, w.ReceivedT, w.RecordedDeliveryT, w.ActualDeliveryT, w.ConfirmLag)
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(stays)))
 	for _, sp := range stays {
 		b = appendFloats(b, sp.Loc.X, sp.Loc.Y, sp.ArriveT, sp.LeaveT)
@@ -105,6 +145,12 @@ func (ww *windowWriter) trip(tr *model.Trip, stays []traj.StayPoint) {
 // cut notes a window cut after the trips encoded so far.
 func (ww *windowWriter) cut() { ww.cuts = append(ww.cuts, uint32(ww.n)) }
 
+// pending reports whether the operations since the last record cut or
+// registered anything, so that a record is due.
+func (ww *windowWriter) pending() bool {
+	return len(ww.cuts) > 0 || ww.nAddrs > 0 || len(ww.truth) > 0
+}
+
 // record closes the pending record at resume, with the grid's window end
 // and the open streams, and returns its payload; it is valid until the next
 // call. The writer starts the next record empty.
@@ -114,6 +160,20 @@ func (ww *windowWriter) record(resume wal.Position, winEnd float64, streams []op
 	b = binary.LittleEndian.AppendUint64(b, resume.Segment)
 	b = binary.LittleEndian.AppendUint64(b, uint64(resume.Offset))
 	b = appendFloats(b, winEnd)
+	b = binary.LittleEndian.AppendUint32(b, uint32(ww.nAddrs))
+	b = append(b, ww.addrs...)
+	// Map order is random; the record is not, so equal states log equal
+	// bytes.
+	ids := make([]model.AddressID, 0, len(ww.truth))
+	for id := range ww.truth {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
+	for _, id := range ids {
+		p := ww.truth[id]
+		b = appendFloats(binary.LittleEndian.AppendUint32(b, uint32(id)), p.X, p.Y)
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(ww.n))
 	b = append(b, ww.trips...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ww.cuts)))
@@ -135,6 +195,8 @@ func (ww *windowWriter) record(resume wal.Position, winEnd float64, streams []op
 
 // reset drops the pending record.
 func (ww *windowWriter) reset() {
+	ww.addrs, ww.nAddrs = ww.addrs[:0], 0
+	clear(ww.truth)
 	ww.trips, ww.n, ww.cuts = ww.trips[:0], 0, ww.cuts[:0]
 }
 
@@ -162,6 +224,13 @@ func (r *windowReader) take(n int) []byte {
 	return p
 }
 
+func (r *windowReader) u8() byte {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
 func (r *windowReader) u32() uint32 {
 	if p := r.take(4); p != nil {
 		return binary.LittleEndian.Uint32(p)
@@ -178,6 +247,10 @@ func (r *windowReader) u64() uint64 {
 
 func (r *windowReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+func (r *windowReader) point() geo.Point { return geo.Point{X: r.f64(), Y: r.f64()} }
+
+func (r *windowReader) fix() traj.GPSPoint { return traj.GPSPoint{P: r.point(), T: r.f64()} }
+
 // count reads a u32 count of items of at least size bytes each, refusing
 // one the rest of the record cannot hold before anything is allocated.
 func (r *windowReader) count(size int) int {
@@ -192,26 +265,57 @@ func (r *windowReader) count(size int) int {
 }
 
 // decodeWindowRecord reads a 0x07 payload. Every count must fit in the
-// bytes that follow it, the cuts must ascend within the trips, and nothing
-// may trail the streams.
+// bytes that follow it, the truth must ascend by address, a trip has at
+// most one routing fix, the cuts must ascend within the trips, and nothing
+// may trail the streams. What it accepts, the writer writes byte for byte.
 func decodeWindowRecord(payload []byte) (*windowRecord, error) {
 	r := &windowReader{b: payload}
 	if len(r.take(1)) == 0 || payload[0] != walTagWindow {
 		return nil, errors.New("not a window record")
 	}
 	rec := &windowRecord{resume: wal.Position{Seq: r.u64(), Segment: r.u64(), Offset: int64(r.u64())}, winEnd: r.f64()}
+	if n := r.count(compactAddrSize); n > 0 {
+		rec.addrs = make([]model.AddressInfo, n)
+		for i := range rec.addrs {
+			a := &rec.addrs[i]
+			a.ID, a.Building, a.Geocode = model.AddressID(r.u32()), model.BuildingID(r.u32()), r.point()
+			a.POI, a.GeocodeMode = geocode.POICategory(r.u8()), geocode.ErrorMode(r.u8())
+		}
+	}
+	if n := r.count(compactTruthSize); n > 0 {
+		rec.truth = make(map[model.AddressID]geo.Point, n)
+		for i, prev := 0, int64(math.MinInt64); i < n && r.err == nil; i++ {
+			id := model.AddressID(r.u32())
+			if r.err == nil && int64(id) <= prev {
+				r.err = fmt.Errorf("window record truth for address %d after %d", id, prev)
+			}
+			rec.truth[id], prev = r.point(), int64(id)
+		}
+	}
 	rec.trips = make([]compactTrip, r.count(compactTripSize))
 	for i := range rec.trips {
 		ct := &rec.trips[i]
 		ct.trip.Courier = model.CourierID(r.u32())
 		ct.trip.StartT, ct.trip.EndT = r.f64(), r.f64()
-		route := traj.GPSPoint{P: geo.Point{X: r.f64(), Y: r.f64()}, T: r.f64()}
-		ct.trip.Traj = traj.Trajectory{route}
+		switch fixes := r.u8(); {
+		case fixes == 1:
+			ct.trip.Traj = traj.Trajectory{r.fix()}
+		case fixes > 1 && r.err == nil:
+			r.err = fmt.Errorf("window record trip %d claims %d routing fixes", i, fixes)
+		}
+		if n := r.count(compactWaybillSize); n > 0 {
+			ct.trip.Waybills = make([]model.Waybill, n)
+			for j := range ct.trip.Waybills {
+				w := &ct.trip.Waybills[j]
+				w.Addr = model.AddressID(r.u32())
+				w.ReceivedT, w.RecordedDeliveryT, w.ActualDeliveryT, w.ConfirmLag = r.f64(), r.f64(), r.f64(), r.f64()
+			}
+		}
 		if n := r.count(compactStaySize); n > 0 {
 			ct.stays = make([]traj.StayPoint, n)
 			for j := range ct.stays {
 				sp := &ct.stays[j]
-				sp.Loc.X, sp.Loc.Y, sp.ArriveT, sp.LeaveT = r.f64(), r.f64(), r.f64(), r.f64()
+				sp.Loc, sp.ArriveT, sp.LeaveT = r.point(), r.f64(), r.f64()
 				sp.NPoints = int(r.u32())
 			}
 		}
@@ -232,7 +336,7 @@ func decodeWindowRecord(payload []byte) (*windowRecord, error) {
 			s.courier = model.CourierID(r.u32())
 			s.pts = make(traj.Trajectory, r.count(compactFixSize))
 			for j := range s.pts {
-				s.pts[j] = traj.GPSPoint{P: geo.Point{X: r.f64(), Y: r.f64()}, T: r.f64()}
+				s.pts[j] = r.fix()
 			}
 		}
 	}
@@ -245,25 +349,20 @@ func decodeWindowRecord(payload []byte) (*windowRecord, error) {
 	return rec, nil
 }
 
-// compacting reports whether window cuts are being recorded. Callers hold
-// ingestMu.
-func (e *Engine) compacting() bool { return e.wins != nil && !e.win.off }
+// compacting reports whether window records are being written. Callers
+// hold ingestMu.
+func (e *Engine) compacting() bool { return e.wins != nil && e.win.failed == nil }
 
-// stopCompactingLocked ends compaction for the rest of the process (see
-// windowWriter.off). Callers hold ingestMu.
-func (e *Engine) stopCompactingLocked() {
-	e.win.off = true
-	e.win.reset()
-}
-
-// writeWindowLocked closes the pending window record, if a cut made one,
-// at the end of the operation that cut: the record resumes the fix log at
-// its end, and once the record is durable the fix log deletes the
-// segments wholly before that point. A failing window log stops
-// compaction; the fix log still holds everything. Callers hold ingestMu.
-func (e *Engine) writeWindowLocked(ctx context.Context) {
-	if !e.compacting() || e.win.replaying || len(e.win.cuts) == 0 {
-		return
+// writeWindowLocked closes the pending window record, if the operation cut
+// or registered anything, at the end of the operation: the record resumes
+// the fix log at its end, and once the record is durable the fix log
+// deletes the segments wholly before that point. A failing window log
+// stops compaction (windowWriter.failed); the fix log still holds every
+// streamed op, and the error is returned for the operation whose record
+// was lost. Callers hold ingestMu.
+func (e *Engine) writeWindowLocked(ctx context.Context) error {
+	if !e.compacting() || e.win.replaying || !e.win.pending() {
+		return nil
 	}
 	_, tsp := trace.Start(ctx, "engine.window_record")
 	defer tsp.End()
@@ -271,11 +370,12 @@ func (e *Engine) writeWindowLocked(ctx context.Context) {
 	err := e.appendWindowLocked()
 	if err != nil {
 		tsp.RecordError(err)
-		e.cfg.Logger.Error("window log failed; compaction stops until restart", "err", err)
-		e.stopCompactingLocked()
+		e.cfg.Logger.Error("window log failed; compaction and batch windows stop until restart", "err", err)
+		e.win.failed = err
+		e.win.reset()
 	}
+	return err
 }
-
 func (e *Engine) appendWindowLocked() error {
 	resume, err := e.wal.End()
 	if err != nil {
@@ -386,8 +486,10 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 	if err == nil {
 		// The segments before the resume position: the window record that
 		// covers them was read back, so it reached the disk; sync it first.
+		// A failing window log is logged and stops compaction; the fix log
+		// holds everything the record would have.
 		if err = fix.TruncateThrough(resume, wins.Sync); err == nil {
-			e.writeWindowLocked(ctx)
+			_ = e.writeWindowLocked(ctx)
 		}
 	}
 	e.ingestMu.Unlock()
@@ -401,10 +503,11 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 	return n, err
 }
 
-// replayWindowLocked applies one window record's trips and cuts in their
-// logged order and restores the window grid the record closed on. Callers
-// hold ingestMu, with compaction not yet running.
+// replayWindowLocked applies one window record's registration, then its
+// trips and cuts in their logged order, and restores the window grid the
+// record closed on. Callers hold ingestMu, with compaction not yet running.
 func (e *Engine) replayWindowLocked(ctx context.Context, rec *windowRecord) {
+	e.registerLocked(rec.addrs, rec.truth)
 	c := 0
 	for i := range rec.trips {
 		for ; c < len(rec.cuts) && rec.cuts[c] == i; c++ {

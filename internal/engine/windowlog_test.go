@@ -14,6 +14,7 @@ import (
 
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
+	"dlinfma/internal/geocode"
 	"dlinfma/internal/model"
 	"dlinfma/internal/traj"
 	"dlinfma/internal/wal"
@@ -261,7 +262,9 @@ func TestWindowLogRefusesOtherRecords(t *testing.T) {
 // ways: a record the writer builds from a seeded generator decodes to what
 // was written, and any payload the decoder accepts re-encodes to itself.
 func FuzzWindowRecord(f *testing.F) {
+	// The sample has addresses, truth, a waybill and a trip with no fixes.
 	f.Add(int64(1), uint8(3), sampleWindowRecord()[1:])
+	f.Add(int64(4), uint8(7), sampleWindowRecord()[1:len(sampleWindowRecord())-9])
 	f.Add(int64(2), uint8(0), []byte{})
 	f.Add(int64(3), uint8(9), bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, raw []byte) {
@@ -283,20 +286,38 @@ func FuzzWindowRecord(f *testing.F) {
 	})
 }
 
-// randomWindowRecord builds a record of up to n trips, stays, cuts and
-// open streams, with the fields the decoder fills the way it fills them (a
-// lone routing fix).
+// randomWindowRecord builds a record of up to n addresses, truths, trips,
+// waybills, stays, cuts and open streams, with the fields the decoder fills
+// the way it fills them (a lone routing fix or none, nil for no waybills or
+// truth).
 func randomWindowRecord(rng *rand.Rand, n int) *windowRecord {
 	f := func() float64 { return rng.NormFloat64() * 1e6 }
 	fix := func() traj.GPSPoint { return traj.GPSPoint{P: geo.Point{X: f(), Y: f()}, T: f()} }
+	id := func() model.AddressID { return model.AddressID(rng.Int31() - 1<<30) }
 	rec := &windowRecord{
 		resume: wal.Position{Seq: rng.Uint64(), Segment: rng.Uint64(), Offset: rng.Int63()},
 		winEnd: f(),
 		trips:  make([]compactTrip, rng.Intn(n+1)),
 	}
+	for j := rng.Intn(n + 1); j > 0; j-- {
+		rec.addrs = append(rec.addrs, model.AddressInfo{ID: id(), Building: model.BuildingID(rng.Int31()), Geocode: geo.Point{X: f(), Y: f()},
+			POI: geocode.POICategory(rng.Intn(256) - 128), GeocodeMode: geocode.ErrorMode(rng.Intn(256) - 128)})
+	}
+	for j := rng.Intn(n + 1); j > 0; j-- {
+		if rec.truth == nil {
+			rec.truth = map[model.AddressID]geo.Point{}
+		}
+		rec.truth[id()] = geo.Point{X: f(), Y: f()}
+	}
 	for i := range rec.trips {
 		ct := &rec.trips[i]
-		ct.trip = model.Trip{Courier: model.CourierID(rng.Int31() - 1<<30), StartT: f(), EndT: f(), Traj: traj.Trajectory{fix()}}
+		ct.trip = model.Trip{Courier: model.CourierID(rng.Int31() - 1<<30), StartT: f(), EndT: f()}
+		if rng.Intn(4) > 0 {
+			ct.trip.Traj = traj.Trajectory{fix()}
+		}
+		for j := rng.Intn(n + 1); j > 0; j-- {
+			ct.trip.Waybills = append(ct.trip.Waybills, model.Waybill{Addr: id(), ReceivedT: f(), RecordedDeliveryT: f(), ActualDeliveryT: f(), ConfirmLag: f()})
+		}
 		for j := rng.Intn(n + 1); j > 0; j-- {
 			ct.stays = append(ct.stays, traj.StayPoint{Loc: geo.Point{X: f(), Y: f()}, ArriveT: f(), LeaveT: f(), NPoints: rng.Intn(1 << 20)})
 		}
@@ -313,4 +334,57 @@ func randomWindowRecord(rng *rand.Rand, n int) *windowRecord {
 		rec.streams = append(rec.streams, st)
 	}
 	return rec
+}
+
+// TestBatchTripWithoutFixesReplays: a batch window may carry a trip with no
+// fixes. Its window record says it has no routing fix, so a restart routes
+// it as a live engine does — by its waybill addresses, or, with none, by
+// TripShard's rule for an empty trajectory, to shard 0 — not by a made-up
+// point: at one shard and at three, restarted under the same count and
+// under the other one.
+func TestBatchTripWithoutFixesReplays(t *testing.T) {
+	ctx := context.Background()
+	far := geo.Point{X: 90000, Y: 90000}
+	addrs := []model.AddressInfo{{ID: 1, Geocode: far}}
+	trips := []model.Trip{
+		genTrip(rand.New(rand.NewSource(32)), 1, 0, far),
+		{Courier: 2, StartT: 100, EndT: 200},
+		{Courier: 3, StartT: 300, EndT: 400, Waybills: []model.Waybill{{Addr: 1, RecordedDeliveryT: 350}}},
+	}
+	trips[0].Waybills = []model.Waybill{{Addr: 1, RecordedDeliveryT: 50}}
+	feed := func(e *Engine) {
+		t.Helper()
+		if err := e.Ingest(ctx, nil, addrs, map[model.AddressID]geo.Point{1: far}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Ingest(ctx, trips, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{1, 3} {
+		dir := t.TempDir()
+		live := newStreamTestEngine(t, n)
+		defer live.Close()
+		if _, err := live.OpenWAL(ctx, dir, wal.Options{Policy: wal.FsyncInterval}); err != nil {
+			t.Fatal(err)
+		}
+		feed(live)
+		ref := newStreamTestEngine(t, 4-n) // the other count: 3 or 1
+		defer ref.Close()
+		feed(ref)
+		for _, want := range []*Engine{live, ref} {
+			twinDir := filepath.Join(t.TempDir(), "twin")
+			copyDir(t, dir, twinDir)
+			twin := newStreamTestEngine(t, len(want.shards))
+			defer twin.Close()
+			if _, err := twin.OpenWAL(ctx, twinDir, wal.Options{}); err != nil {
+				t.Fatalf("shards=%d, restarted at %d: %v", n, len(want.shards), err)
+			}
+			requireSameIngestState(t, want, twin)
+			ds, _ := viewEvidence(t, twin, 0)
+			if !slices.ContainsFunc(ds.Trips, func(tr model.Trip) bool { return tr.Courier == 2 }) {
+				t.Fatalf("shards=%d, restarted at %d: the trip with neither fixes nor waybills is not on shard 0", n, len(want.shards))
+			}
+		}
+	}
 }

@@ -23,9 +23,10 @@ import (
 // frozen store — no streams, WAL, or jobs of its own) or a remote process
 // spoken to over HTTP (Client below), which is itself a full coordinator
 // over its own shard. The seam covers exactly the operations that fan out
-// per shard — single query, batch query, window ingest, re-inference,
-// health, and snapshot streaming; stream assembly, the WAL, job state, and
-// snapshot files stay the coordinator's concerns.
+// per shard — single query, batch query, re-inference, health, and snapshot
+// streaming; stream assembly, window ingest, the WAL, job state, and
+// snapshot files stay the coordinator's concerns (a coordinator over remote
+// shards hands each its part of a window through Ingester).
 //
 // Contract notes, written against the in-process implementation so a remote
 // backend cannot drift from it:
@@ -39,13 +40,6 @@ import (
 //     (idx nil: every position), touching no other slot of out — a sharded
 //     scatter/gather hands every backend the same addrs/out pair and
 //     disjoint idx sets.
-//   - Ingest applies one already-partitioned window. An in-process shard
-//     queues the window's trips and its coordinator cuts the pool window
-//     once every shard took its part; a remote shard process's own engine
-//     cuts it. A remote shard process answers deploy.ErrBackpressure
-//     (possibly wrapped) when its own backlog is full; in-process shards
-//     never reject — their coordinator bounds the summed backlog before
-//     fanning out.
 //   - Reinfer blocks until the shard's retrain finished, failed, or ctx
 //     ended.
 //   - Status never fails: a backend that cannot reach its shard reports
@@ -60,14 +54,24 @@ type ShardBackend interface {
 	// QueryBatchIdx answers the idx positions of addrs into the same
 	// positions of out (idx nil: all of addrs).
 	QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx []int32, out []deploy.BatchAnswer) error
-	// Ingest applies one partitioned window of trips, addresses, and truth.
-	Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error
 	// Reinfer retrains the shard and swaps its serving state, synchronously.
 	Reinfer(ctx context.Context) error
 	// Status summarizes the shard's health for /healthz aggregation.
 	Status() api.EngineStatus
 	// WriteSnapshot streams the shard's serving snapshot to w.
 	WriteSnapshot(w io.Writer) error
+}
+
+// Ingester is the window intake of a shard in another process, which the
+// coordinator fans a batch window out through: the remote shard process's
+// own engine extracts, queues, logs and cuts its part. In-process shards
+// have no such method; their coordinator delivers every trip itself.
+//
+// Ingest applies one already-partitioned window, and answers
+// deploy.ErrBackpressure (possibly wrapped) when the shard process's own
+// backlog is full.
+type Ingester interface {
+	Ingest(ctx context.Context, trips []model.Trip, addrs []model.AddressInfo, truth map[model.AddressID]geo.Point) error
 }
 
 // ErrNotReady reports a shard with no serving state yet: nothing re-inferred,

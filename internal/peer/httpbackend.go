@@ -313,7 +313,7 @@ func (c *Client) QueryBatchIdx(ctx context.Context, addrs []model.AddressID, idx
 
 // Ingest posts one partitioned window to EVERY endpoint of the shard — the
 // owner and each replica — because a replica can only answer correctly after
-// failover if it holds the same trips (ShardBackend). Each endpoint gets the
+// failover if it holds the same trips (Ingester). Each endpoint gets the
 // full retry budget; endpoints that still fail are joined into the returned
 // error. A remote backlog-full answer maps back to deploy.ErrBackpressure so
 // sharded ingest keeps its sentinel semantics across the hop. Retrying a
@@ -438,4 +438,7 @@ func (c *Client) WriteSnapshot(w io.Writer) error {
 }
 
 // statically assert the client implements the seam.
-var _ ShardBackend = (*Client)(nil)
+var (
+	_ ShardBackend = (*Client)(nil)
+	_ Ingester     = (*Client)(nil)
+)

@@ -18,7 +18,9 @@
 # the evidence: the replay line is printed, -data is skipped, the trip count
 # survives, the replayed trips the snapshot was trained on are not pending
 # again (so a streamed fix is taken, not refused with 429), and a
-# re-inference over the replayed evidence ends done. Run via
+# re-inference over the replayed evidence ends done; the cold start's batch
+# windows must have written window records, of under a tenth of the bytes
+# their JSON records took. Run via
 # `make smoke-stream`.
 set -euo pipefail
 
@@ -205,6 +207,16 @@ if [ -z "$TRIPS" ] || [ "$TRIPS" = '"trips":0' ]; then
   echo "stream smoke: cold start on the tiny dataset holds no trips" >&2
   exit 1
 fi
+# The dataset's batch windows, addresses and truth are compacted window
+# records: under a tenth of the 490,870 bytes of JSON the fix log took for
+# them while batch windows had a JSON record.
+WINDOW_RECORDS="$(metric dlinfma_engine_window_records_total)"
+WINDOW_BYTES="$(metric 'dlinfma_wal_append_bytes_total{log="window"}')"
+if [ -z "$WINDOW_RECORDS" ] || [ "$WINDOW_RECORDS" -le 0 ] || [ -z "$WINDOW_BYTES" ] || [ "$WINDOW_BYTES" -ge 49087 ]; then
+  echo "stream smoke: the cold start wrote ${WINDOW_RECORDS:-no} window records of ${WINDOW_BYTES:-no} bytes (want some, under 49087)" >&2
+  exit 1
+fi
+echo "stream smoke: the cold start wrote $WINDOW_RECORDS window records, $WINDOW_BYTES bytes"
 stop_server TERM
 if ! grep -q "saved serving state to $BIN_DIR/state.json" "$BIN_DIR/server3.log"; then
   echo "stream smoke: SIGTERM did not save the snapshot" >&2
