@@ -285,6 +285,15 @@ func (e *Engine) Close() {
 	}
 }
 
+// withIngestLock runs fn under ingestMu and releases it however fn ends, so
+// a panic or a runtime.Goexit inside it (a test hook's t.Fatal in a window
+// record's steps) cannot leave Close waiting on the lock.
+func (e *Engine) withIngestLock(fn func()) {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	fn()
+}
+
 // SetName labels the dataset (used in status and snapshots). Remote shard
 // processes keep their own dataset labels.
 func (e *Engine) SetName(name string) {
@@ -508,19 +517,23 @@ func (e *Engine) Reinfer(ctx context.Context) error {
 	// fix, in the same hold, the trip count the retrain will cover. The cut
 	// is logged before it is made, so a replay cuts where this engine did; a
 	// failed append fails the re-inference before anything changed.
-	e.ingestMu.Lock()
-	if e.wal != nil {
-		if _, err := e.wal.Append(walCutRecord[:]); err != nil {
-			e.ingestMu.Unlock()
-			return err
+	var total int
+	var err error
+	e.withIngestLock(func() {
+		if e.wal != nil {
+			if _, err = e.wal.Append(walCutRecord[:]); err != nil {
+				return
+			}
 		}
+		e.sealWindowLocked(ctx)
+		_ = e.writeWindowLocked(ctx) // the fix log holds the cut
+		e.mu.RLock()
+		total = e.nTrips
+		e.mu.RUnlock()
+	})
+	if err != nil {
+		return err
 	}
-	e.sealWindowLocked(ctx)
-	_ = e.writeWindowLocked(ctx) // the fix log holds the cut
-	e.mu.RLock()
-	total := e.nTrips
-	e.mu.RUnlock()
-	e.ingestMu.Unlock()
 
 	if e.lcAuto {
 		// The per-shard trip universe for LC normalization is the global

@@ -448,21 +448,19 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 			return fmt.Errorf("engine: window log record %d: %w", seq, err)
 		}
 		last = ent.window
-		e.ingestMu.Lock()
-		e.replayWindowLocked(ctx, last)
-		e.ingestMu.Unlock()
+		e.withIngestLock(func() { e.replayWindowLocked(ctx, last) })
 		n++
 		return nil
 	})
 	var resume wal.Position
 	if err == nil && last != nil {
-		e.ingestMu.Lock()
-		for _, s := range last.streams {
-			for _, p := range s.pts {
-				e.ss.point(s.courier, p)
+		e.withIngestLock(func() {
+			for _, s := range last.streams {
+				for _, p := range s.pts {
+					e.ss.point(s.courier, p)
+				}
 			}
-		}
-		e.ingestMu.Unlock()
+		})
 		resume = last.resume
 	}
 	var fix *wal.WAL
@@ -475,24 +473,25 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 		tsp.RecordError(err)
 		return n, err
 	}
-	e.ingestMu.Lock()
-	e.wal, e.wins = fix, wins
-	e.win.replaying = true
-	e.ingestMu.Unlock()
+	e.withIngestLock(func() {
+		e.wal, e.wins = fix, wins
+		e.win.replaying = true
+	})
 	m, err := e.replayFixes(ctx, fix)
 	n += m
-	e.ingestMu.Lock()
-	e.win.replaying = false
-	if err == nil {
-		// The segments before the resume position: the window record that
-		// covers them was read back, so it reached the disk; sync it first.
-		// A failing window log is logged and stops compaction; the fix log
-		// holds everything the record would have.
-		if err = fix.TruncateThrough(resume, wins.Sync); err == nil {
-			_ = e.writeWindowLocked(ctx)
+	e.withIngestLock(func() {
+		e.win.replaying = false
+		if err == nil {
+			// The segments before the resume position: the window record
+			// that covers them was read back, so it reached the disk; sync
+			// it first. A failing window log is logged and stops
+			// compaction; the fix log holds everything the record would
+			// have.
+			if err = fix.TruncateThrough(resume, wins.Sync); err == nil {
+				_ = e.writeWindowLocked(ctx)
+			}
 		}
-	}
-	e.ingestMu.Unlock()
+	})
 	e.settle()
 	walReplaySeconds.Set(time.Since(start).Seconds())
 	walReplayedRecords.Set(float64(n))
