@@ -45,11 +45,14 @@ examples-smoke:
 #                           same rows frozen in the opposite order
 #   FuzzWALRecordDecode     the WAL record decoder vs its binary encoders (the
 #                           0x06 window cut is exactly its one byte, a 0x07
-#                           window record re-encodes through the engine's
-#                           writer); a JSON record of any kind is refused
+#                           window record and a 0x04 seal record re-encode
+#                           through the engine's writers); a JSON record of
+#                           any kind is refused
 #   FuzzWindowRecord        the window log's record codec, both ways: a
 #                           written record decodes to itself, and a decoded
 #                           payload re-encodes to its bytes
+#   FuzzSealRecord          the seal record codec (a seal's merge decisions),
+#                           both ways, as FuzzWindowRecord
 #   FuzzSnapshotDecode      the snapshot reader: whole-engine restores of
 #                           version-1 documents and version-2 manifests vs
 #                           encoding/json alone; other versions, and a
@@ -62,7 +65,9 @@ examples-smoke:
 #                           loops, bit for bit
 #   FuzzMergeNear           internal/cluster's window-by-window merge around
 #                           the new centroids vs HierarchicalWeighted over
-#                           everything alive, bit for bit
+#                           everything alive, bit for bit, and a twin index
+#                           replaying the reported merges (ReplayMerges) vs
+#                           the index that searched for them
 #   FuzzPoolBuilder         internal/core's pool builder vs the map-based
 #                           builder that re-clusters every alive item at each
 #                           seal: the same pool after every random window cut
@@ -90,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/deploy -run '^$$' -fuzz '^FuzzFrozenStore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWindowRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSealRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzMatMulKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzRowOps$$' -fuzztime $(FUZZTIME)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 
@@ -27,6 +29,8 @@ import (
 type CentroidIndex struct {
 	d     float64
 	items []mergeItem
+	// cells is nil in an index only ever replayed into (ReplayHierarchical's):
+	// no search reads it.
 	cells map[[2]int32][]int
 }
 
@@ -63,7 +67,7 @@ func (x *CentroidIndex) Add(p WeightedPoint) int {
 	}
 	id := len(x.items)
 	x.items = append(x.items, mergeItem{centroid: p.P, weight: w, alive: true})
-	if x.d > 0 {
+	if x.d > 0 && x.cells != nil {
 		k := x.key(p.P)
 		x.cells[k] = append(x.cells[k], id)
 	}
@@ -73,12 +77,19 @@ func (x *CentroidIndex) Add(p WeightedPoint) int {
 // Len is the number of ids issued so far: the id the next Add returns.
 func (x *CentroidIndex) Len() int { return len(x.items) }
 
+// Pair is one merge decision: the ids of the two alive centroids merged, in
+// the order the merge took them (A's members come first in the merged
+// item). MergeNew reports the pairs it merged, and ReplayMerges makes them
+// again.
+type Pair struct{ A, B int32 }
+
 // MergeNew merges the alive items with ids from first on — the points added
 // since the last call — into the alive set, and reports the items it
-// created that are still alive at the end, in creation order.
-func (x *CentroidIndex) MergeNew(first int) []Merged {
+// created that are still alive at the end, in creation order, and the pairs
+// it merged, in merge order.
+func (x *CentroidIndex) MergeNew(first int) ([]Merged, []Pair) {
 	if x.d <= 0 || first >= len(x.items) {
-		return nil
+		return nil, nil
 	}
 	// The rows that can push a pair: the old items sharing a 3×3 cell block
 	// with a new one, then the new ones, ascending.
@@ -121,46 +132,98 @@ func (x *CentroidIndex) MergeNew(first int) []Merged {
 		}
 	}
 
-	// Ids from start on are created by this call; members[id-start] lists
-	// the ids, alive when the call began, merged into id.
-	start := len(x.items)
-	var members [][]int
+	run := mergeRun{start: len(x.items)}
+	var pairs []Pair
 	for len(h) > 0 {
 		e := h.pop()
-		ia, ib := &x.items[e.a], &x.items[e.b]
-		if !ia.alive || !ib.alive {
+		if !x.items[e.a].alive || !x.items[e.b].alive {
 			continue // stale entry
 		}
-		// Merge a and b into a new item.
-		ia.alive, ib.alive = false, false
-		x.unlink(e.a, ia.centroid)
-		x.unlink(e.b, ib.centroid)
-		w := ia.weight + ib.weight
-		c := geo.Point{
-			X: (ia.centroid.X*ia.weight + ib.centroid.X*ib.weight) / w,
-			Y: (ia.centroid.Y*ia.weight + ib.centroid.Y*ib.weight) / w,
+		pairs = append(pairs, Pair{A: int32(e.a), B: int32(e.b)})
+		x.pushPairs(&h, x.merge(&run, e.a, e.b))
+	}
+	return x.created(&run), pairs
+}
+
+// ReplayMerges makes the merges MergeNew reported as pairs, on an index in
+// the state MergeNew ran on, without searching for them: each goes through
+// the merge step MergeNew takes, so the items, the cells and the Merged it
+// returns are MergeNew's bit for bit. It refuses a pair naming an id not
+// issued or no longer alive, one id twice, or two centroids farther apart
+// than the cutoff; the merges before the refused one stay made.
+func (x *CentroidIndex) ReplayMerges(pairs []Pair) ([]Merged, error) {
+	if len(pairs) > 0 && x.d <= 0 {
+		return nil, errors.New("merges replayed with a non-positive cutoff")
+	}
+	run := mergeRun{start: len(x.items)}
+	for i, p := range pairs {
+		a, b := int(p.A), int(p.B)
+		switch {
+		case a == b:
+			return nil, fmt.Errorf("merge %d pairs id %d with itself", i, a)
+		case a < 0 || b < 0 || a >= len(x.items) || b >= len(x.items):
+			return nil, fmt.Errorf("merge %d names id %d or %d of %d issued", i, a, b, len(x.items))
+		case !x.items[a].alive || !x.items[b].alive:
+			return nil, fmt.Errorf("merge %d names id %d or %d, merged away", i, a, b)
 		}
-		m := make([]int, 0, nMembers(members, e.a, start)+nMembers(members, e.b, start))
-		m = appendMembers(m, members, e.a, start)
-		m = appendMembers(m, members, e.b, start)
-		if e.a >= start {
-			members[e.a-start] = nil
+		if dist := geo.Dist(x.items[a].centroid, x.items[b].centroid); !(dist <= x.d) {
+			return nil, fmt.Errorf("merge %d pairs ids %d and %d, %g apart, past the cutoff %g", i, a, b, dist, x.d)
 		}
-		if e.b >= start {
-			members[e.b-start] = nil
-		}
-		id := len(x.items)
-		x.items = append(x.items, mergeItem{centroid: c, weight: w, alive: true})
-		members = append(members, m)
+		x.merge(&run, a, b)
+	}
+	return x.created(&run), nil
+}
+
+// mergeRun is one MergeNew or ReplayMerges call's record of its merges:
+// ids from start on are created by the call, and members[id-start] lists
+// the ids, alive when the call began, merged into id.
+type mergeRun struct {
+	start   int
+	members [][]int
+}
+
+// merge is the one merge step, MergeNew's and ReplayMerges': it merges the
+// alive items a and b into a new item at their weighted centroid and
+// returns its id.
+func (x *CentroidIndex) merge(run *mergeRun, a, b int) int {
+	ia, ib := &x.items[a], &x.items[b]
+	ia.alive, ib.alive = false, false
+	if x.cells != nil {
+		x.unlink(a, ia.centroid)
+		x.unlink(b, ib.centroid)
+	}
+	w := ia.weight + ib.weight
+	c := geo.Point{
+		X: (ia.centroid.X*ia.weight + ib.centroid.X*ib.weight) / w,
+		Y: (ia.centroid.Y*ia.weight + ib.centroid.Y*ib.weight) / w,
+	}
+	start, members := run.start, run.members
+	m := make([]int, 0, nMembers(members, a, start)+nMembers(members, b, start))
+	m = appendMembers(m, members, a, start)
+	m = appendMembers(m, members, b, start)
+	if a >= start {
+		members[a-start] = nil
+	}
+	if b >= start {
+		members[b-start] = nil
+	}
+	id := len(x.items)
+	x.items = append(x.items, mergeItem{centroid: c, weight: w, alive: true})
+	run.members = append(members, m)
+	if x.cells != nil {
 		k := x.key(c)
 		x.cells[k] = append(x.cells[k], id)
-		x.pushPairs(&h, id)
 	}
+	return id
+}
 
+// created lists the items run created that are still alive, in creation
+// order.
+func (x *CentroidIndex) created(run *mergeRun) []Merged {
 	var out []Merged
-	for id := start; id < len(x.items); id++ {
+	for id := run.start; id < len(x.items); id++ {
 		if it := &x.items[id]; it.alive {
-			out = append(out, Merged{ID: id, Cluster: Cluster{Centroid: it.centroid, Members: members[id-start], Weight: it.weight}})
+			out = append(out, Merged{ID: id, Cluster: Cluster{Centroid: it.centroid, Members: run.members[id-run.start], Weight: it.weight}})
 		}
 	}
 	return out

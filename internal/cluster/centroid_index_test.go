@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -147,9 +148,9 @@ func mergeWindows(seed int64, windows, mode uint8) (float64, [][]WeightedPoint) 
 // HierarchicalWeighted over the alive set (ascending ids alive, before the
 // window) plus the window: the same merged clusters, bit for bit and in the
 // same order, and the same singletons. It returns the alive ids after the
-// merge and whether a merge reached an item outside every new point's 3×3
-// cell block.
-func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoint) ([]int, bool) {
+// merge, whether a merge reached an item outside every new point's 3×3
+// cell block, and what MergeNew returned.
+func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoint) ([]int, bool, []Merged, []Pair) {
 	t.Helper()
 	pts := make([]WeightedPoint, 0, len(alive)+len(win))
 	for _, id := range alive {
@@ -170,8 +171,8 @@ func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoin
 			}
 		}
 	}
-	got := x.MergeNew(first)
-	want := HierarchicalWeighted(pts, x.d)
+	got, pairs := x.MergeNew(first)
+	want, _ := HierarchicalWeighted(pts, x.d)
 
 	var wantAlive []int
 	var wantMerged []Cluster
@@ -225,23 +226,80 @@ func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoin
 	if n != len(gotAlive) {
 		t.Fatalf("cells hold %d ids, %d are alive", n, len(gotAlive))
 	}
-	return gotAlive, far
+	if len(pairs) != len(x.items)-first-len(win) {
+		t.Fatalf("MergeNew reported %d pairs for %d merges", len(pairs), len(x.items)-first-len(win))
+	}
+	return gotAlive, far, got, pairs
 }
 
 // FuzzMergeNear holds CentroidIndex.MergeNew, window after window, to
-// HierarchicalWeighted over everything alive.
+// HierarchicalWeighted over everything alive, and a twin index that adds the
+// same points and replays the pairs MergeNew reported (ReplayMerges) to the
+// index that searched for them: the same Merged, and the same index,
+// after every window.
 func FuzzMergeNear(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, uint8(seed), uint8(seed))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, windows, mode uint8) {
 		d, wins := mergeWindows(seed, windows, mode)
-		x := NewCentroidIndex(d)
+		x, twin := NewCentroidIndex(d), NewCentroidIndex(d)
 		var alive []int
-		for _, win := range wins {
-			alive, _ = mergeWindow(t, x, alive, win)
+		for w, win := range wins {
+			var merged []Merged
+			var pairs []Pair
+			alive, _, merged, pairs = mergeWindow(t, x, alive, win)
+			for _, p := range win {
+				twin.Add(p)
+			}
+			got, err := twin.ReplayMerges(pairs)
+			if err != nil {
+				t.Fatalf("window %d: the reported pairs do not replay: %v", w, err)
+			}
+			if !reflect.DeepEqual(got, merged) {
+				t.Fatalf("window %d: the replay created %+v, the search %+v", w, got, merged)
+			}
+			if !reflect.DeepEqual(twin, x) {
+				t.Fatalf("window %d: the replayed index differs from the searched one", w)
+			}
 		}
 	})
+}
+
+// TestReplayMergesRefuses: a pair naming an id merged away or never issued,
+// one id twice, or centroids past the cutoff is refused, naming the pair.
+func TestReplayMergesRefuses(t *testing.T) {
+	index := func() *CentroidIndex {
+		x := NewCentroidIndex(10)
+		for _, p := range []geo.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 100, Y: 0}} {
+			x.Add(WeightedPoint{P: p, W: 1})
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name  string
+		pairs []Pair
+		want  string
+	}{
+		{"dead id", []Pair{{0, 1}, {1, 3}}, "merge 1 names id 1 or 3, merged away"},
+		{"unknown id", []Pair{{0, 7}}, "merge 0 names id 0 or 7 of 3 issued"},
+		{"negative id", []Pair{{-1, 0}}, "merge 0 names id -1 or 0 of 3 issued"},
+		{"self pair", []Pair{{2, 2}}, "merge 0 pairs id 2 with itself"},
+		{"too far", []Pair{{1, 2}}, "merge 0 pairs ids 1 and 2, 95 apart, past the cutoff 10"},
+	} {
+		_, err := index().ReplayMerges(tc.pairs)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: ReplayMerges(%v) = %v, want %q", tc.name, tc.pairs, err, tc.want)
+		}
+	}
+	x := index()
+	if got, err := x.ReplayMerges([]Pair{{1, 0}}); err != nil || len(got) != 1 || got[0].ID != 3 ||
+		got[0].Centroid != (geo.Point{X: 2.5}) || !slices.Equal(got[0].Members, []int{1, 0}) {
+		t.Fatalf("a pair that applies: %+v, %v", got, err)
+	}
+	if _, err := NewCentroidIndex(0).ReplayMerges([]Pair{{0, 1}}); err == nil {
+		t.Fatal("merges replayed at a zero cutoff")
+	}
 }
 
 func TestMergeNearReachesPastTheBlock(t *testing.T) {
@@ -254,7 +312,7 @@ func TestMergeNearReachesPastTheBlock(t *testing.T) {
 		var alive []int
 		for _, win := range wins {
 			var reached bool
-			alive, reached = mergeWindow(t, x, alive, win)
+			alive, reached, _, _ = mergeWindow(t, x, alive, win)
 			if reached {
 				far++
 			}
@@ -270,7 +328,7 @@ func TestMergeNewNonPositiveCutoff(t *testing.T) {
 	x := NewCentroidIndex(0)
 	x.Add(WeightedPoint{P: geo.Point{}, W: 1})
 	x.Add(WeightedPoint{P: geo.Point{}, W: 1})
-	if got := x.MergeNew(0); got != nil {
+	if got, pairs := x.MergeNew(0); got != nil || pairs != nil {
 		t.Fatalf("d=0 merged %+v", got)
 	}
 }

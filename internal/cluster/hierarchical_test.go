@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,7 +95,7 @@ func TestHierarchicalWeightedCentroid(t *testing.T) {
 		{P: geo.Point{X: 0, Y: 0}, W: 3},
 		{P: geo.Point{X: 20, Y: 0}, W: 1},
 	}
-	cs := HierarchicalWeighted(pts, 40)
+	cs, _ := HierarchicalWeighted(pts, 40)
 	if len(cs) != 1 {
 		t.Fatalf("got %d clusters, want 1", len(cs))
 	}
@@ -107,7 +109,7 @@ func TestHierarchicalWeightedZeroWeightDefaultsToOne(t *testing.T) {
 		{P: geo.Point{X: 0, Y: 0}, W: 0},
 		{P: geo.Point{X: 10, Y: 0}, W: 0},
 	}
-	cs := HierarchicalWeighted(pts, 40)
+	cs, _ := HierarchicalWeighted(pts, 40)
 	if len(cs) != 1 || cs[0].Centroid.X != 5 {
 		t.Errorf("zero weights should default to 1: %+v", cs)
 	}
@@ -145,15 +147,18 @@ func TestHierarchicalMergesClosestFirst(t *testing.T) {
 }
 
 func TestHierarchicalMatchesNaiveImplementation(t *testing.T) {
-	// Compare cluster count against a straightforward O(n^3) reference.
-	naive := func(pts []geo.Point, d float64) int {
-		type cl struct {
-			c geo.Point
-			w float64
-		}
+	// Compare against a straightforward O(n^3) reference: the same clusters,
+	// each with the same centroid bit for bit, weight and member set. The
+	// merge arithmetic is what a replay of recorded merges rests on.
+	type cl struct {
+		c       geo.Point
+		w       float64
+		members []int
+	}
+	naive := func(pts []geo.Point, d float64) []cl {
 		var cs []cl
-		for _, p := range pts {
-			cs = append(cs, cl{p, 1})
+		for i, p := range pts {
+			cs = append(cs, cl{p, 1, []int{i}})
 		}
 		for {
 			bi, bj, bd := -1, -1, d
@@ -172,10 +177,16 @@ func TestHierarchicalMatchesNaiveImplementation(t *testing.T) {
 				X: (cs[bi].c.X*cs[bi].w + cs[bj].c.X*cs[bj].w) / w,
 				Y: (cs[bi].c.Y*cs[bi].w + cs[bj].c.Y*cs[bj].w) / w,
 			}
-			cs[bi] = cl{m, w}
+			cs[bi] = cl{m, w, append(cs[bi].members, cs[bj].members...)}
 			cs = append(cs[:bj], cs[bj+1:]...)
 		}
-		return len(cs)
+		return cs
+	}
+	byCentroid := func(a, b cl) int {
+		if c := cmp.Compare(a.c.X, b.c.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.c.Y, b.c.Y)
 	}
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
@@ -184,10 +195,26 @@ func TestHierarchicalMatchesNaiveImplementation(t *testing.T) {
 		for i := range pts {
 			pts[i] = geo.Point{X: r.Float64() * 300, Y: r.Float64() * 300}
 		}
-		got := len(Hierarchical(pts, 40))
+		var got []cl
+		for _, c := range Hierarchical(pts, 40) {
+			members := slices.Clone(c.Members)
+			slices.Sort(members)
+			got = append(got, cl{c.Centroid, c.Weight, members})
+		}
 		want := naive(pts, 40)
-		if got != want {
-			t.Errorf("trial %d: fast=%d naive=%d", trial, got, want)
+		for i := range want {
+			slices.Sort(want[i].members)
+		}
+		slices.SortFunc(got, byCentroid)
+		slices.SortFunc(want, byCentroid)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: fast=%d clusters naive=%d", trial, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.c != w.c || g.w != w.w || !slices.Equal(g.members, w.members) {
+				t.Fatalf("trial %d: cluster %d is %+v, the naive run's %+v", trial, i, g, w)
+			}
 		}
 	}
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -112,10 +115,62 @@ func (b *IncrementalPoolBuilder) AppendTripStays(courier model.CourierID, stays 
 // a no-op. ctx carries the trace span only; the seal always completes once
 // started.
 func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
-	if len(b.pending) == 0 {
-		return nil
+	_, err := b.SealWindowDecisions(ctx)
+	return err
+}
+
+// SealDecisions are what one seal decided, which ReplayWindow can make
+// again without the search: the merges of the window's own clustering
+// (Window; ids are the window's stay points in trip and stay order, then
+// the clusters the merges created) and of its candidates into the pool
+// (Pool; the pool index's ids), each in merge order. Stays, StaySum and
+// PoolIDs say what they were decided over: the window's stay count, a
+// checksum of its stay locations in order (all the merges depend on), and
+// the ids the pool index had issued before the seal.
+type SealDecisions struct {
+	Stays        int
+	StaySum      uint64
+	PoolIDs      int
+	Window, Pool []cluster.Pair
+}
+
+// SealWindowDecisions is SealWindow, reporting the seal's decisions. Under
+// UseGridMerge there are none to report, and it returns nil.
+func (b *IncrementalPoolBuilder) SealWindowDecisions(ctx context.Context) (*SealDecisions, error) {
+	return b.seal(ctx, nil)
+}
+
+// ReplayWindow seals the pending window by making the merges dec records
+// instead of searching for them. The merges go through the steps the
+// search's merges take, so the pool is the one SealWindow would build, bit
+// for bit. It reports false, and changes nothing, when dec was not decided
+// over this window and pool — its stay count, stay checksum or pool id
+// count differ — or there is nothing to replay into (nothing pending, or
+// UseGridMerge); the caller then seals the window with SealWindow. Merges
+// that do not apply (an id not issued or merged away, one id twice,
+// centroids farther apart than the cutoff) are an error, after which the
+// builder holds a partly merged window and must not be used.
+func (b *IncrementalPoolBuilder) ReplayWindow(ctx context.Context, dec *SealDecisions) (bool, error) {
+	if b.index == nil || len(b.pending) == 0 {
+		return false, nil
 	}
-	defer obs.StartSpanCtx(ctx, "pool_window", stagePoolWindow).End()
+	_, err := b.seal(ctx, dec)
+	if err == errNotDecidedHere {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// errNotDecidedHere is seal's answer to decisions made over another window
+// or pool.
+var errNotDecidedHere = errors.New("core: seal decisions made over another window or pool")
+
+// seal is SealWindowDecisions with replay nil, and otherwise ReplayWindow
+// of replay.
+func (b *IncrementalPoolBuilder) seal(ctx context.Context, replay *SealDecisions) (*SealDecisions, error) {
+	if len(b.pending) == 0 {
+		return nil, nil
+	}
 	type stay struct {
 		sp   traj.StayPoint
 		trip int // index into b.pending
@@ -126,15 +181,33 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 			stays = append(stays, stay{sp: sp, trip: ti})
 		}
 	}
-	pts := make([]geo.Point, len(stays))
+	pts := make([]cluster.WeightedPoint, len(stays))
 	for i, s := range stays {
-		pts[i] = s.sp.Loc
+		pts[i] = cluster.WeightedPoint{P: s.sp.Loc, W: 1}
 	}
+	var dec *SealDecisions
+	if b.index != nil {
+		dec = &SealDecisions{Stays: len(pts), StaySum: staySum(pts), PoolIDs: b.index.Len()}
+		if replay != nil && (replay.Stays != dec.Stays || replay.StaySum != dec.StaySum || replay.PoolIDs != dec.PoolIDs) {
+			return nil, errNotDecidedHere
+		}
+	}
+	defer obs.StartSpanCtx(ctx, "pool_window", stagePoolWindow).End()
 	var windowClusters []cluster.Cluster
-	if b.cfg.UseGridMerge {
-		windowClusters = cluster.GridMerge(pts, b.cfg.ClusterDistance)
-	} else {
-		windowClusters = cluster.Hierarchical(pts, b.cfg.ClusterDistance)
+	switch {
+	case b.cfg.UseGridMerge:
+		locs := make([]geo.Point, len(pts))
+		for i, p := range pts {
+			locs[i] = p.P
+		}
+		windowClusters = cluster.GridMerge(locs, b.cfg.ClusterDistance)
+	case replay != nil:
+		var err error
+		if windowClusters, err = cluster.ReplayHierarchical(pts, b.cfg.ClusterDistance, replay.Window); err != nil {
+			return nil, fmt.Errorf("core: replaying the window's merges: %w", err)
+		}
+	default:
+		windowClusters, dec.Window = cluster.HierarchicalWeighted(pts, b.cfg.ClusterDistance)
 	}
 
 	// Install the window's candidates as new items and record visits.
@@ -143,16 +216,12 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	for ti := range windowVisits {
 		windowVisits[ti] = make([]rawVisit, 0, len(b.pending[ti].stays))
 	}
-	var firstNew int
-	if b.index != nil {
-		firstNew = b.index.Len()
-	}
 	for _, c := range windowClusters {
 		id := len(b.succ)
 		item := incrementalItem{
 			id:       id,
 			centroid: c.Centroid,
-			anchor:   pts[c.Members[0]],
+			anchor:   pts[c.Members[0]].P,
 			weight:   float64(len(c.Members)),
 		}
 		cs := b.couriers[:0]
@@ -182,14 +251,35 @@ func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
 	}
 	b.pending = nil
 
-	if b.index != nil {
-		b.mergeNew(firstNew)
-	} else {
+	switch {
+	case b.index == nil:
 		b.mergeGrid()
+	case replay != nil:
+		merged, err := b.index.ReplayMerges(replay.Pool)
+		if err != nil {
+			return nil, fmt.Errorf("core: replaying the pool's merges: %w", err)
+		}
+		b.absorbMerged(merged)
+	default:
+		var merged []cluster.Merged
+		merged, dec.Pool = b.index.MergeNew(dec.PoolIDs)
+		b.absorbMerged(merged)
 	}
 	// Drop the merged-away profiles, keeping the alive ones in id order.
 	b.items = slices.DeleteFunc(b.items, func(it incrementalItem) bool { return b.succ[it.id] != -1 })
-	return nil
+	return dec, nil
+}
+
+// staySum is the FNV-1a hash, over 64-bit words, of the points' locations
+// in order.
+func staySum(pts []cluster.WeightedPoint) uint64 {
+	h := uint64(14695981039346656037)
+	for _, p := range pts {
+		for _, f := range [2]float64{p.P.X, p.P.Y} {
+			h = (h ^ math.Float64bits(f)) * 1099511628211
+		}
+	}
+	return h
 }
 
 // courierSet returns the sorted, distinct couriers of cs in a slice of its
@@ -199,13 +289,14 @@ func courierSet(cs []model.CourierID) []model.CourierID {
 	return slices.Clone(slices.Compact(cs))
 }
 
-// mergeNew merges the window's candidates — index ids from first on — with
-// each other and with the alive items around them. The pool is
-// cluster.HierarchicalWeighted over every alive item's centroid, without
-// re-clustering the items the window cannot reach (cluster.CentroidIndex).
-func (b *IncrementalPoolBuilder) mergeNew(first int) {
+// absorbMerged takes the centroids the pool index merged — the window's
+// candidates with each other and with the alive items around them — into
+// the items they stand for. The pool is cluster.HierarchicalWeighted over
+// every alive item's centroid, without re-clustering the items the window
+// cannot reach (cluster.CentroidIndex).
+func (b *IncrementalPoolBuilder) absorbMerged(merged []cluster.Merged) {
 	var ids []int
-	for _, m := range b.index.MergeNew(first) {
+	for _, m := range merged {
 		ids = ids[:0]
 		for _, ix := range m.Members {
 			ids = append(ids, int(b.ref[ix]))

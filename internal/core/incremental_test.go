@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dlinfma/internal/cluster"
@@ -352,5 +353,116 @@ func TestIncrementalBuilderSnapshotSemantics(t *testing.T) {
 	p2 := b.Finalize()
 	if len(p1.Locations) != 1 || len(p2.Locations) != 2 {
 		t.Errorf("snapshots: %d then %d locations, want 1 then 2", len(p1.Locations), len(p2.Locations))
+	}
+}
+
+// TestReplayedSealsMatchClustered: a builder that replays the decisions
+// the first k seals of another reported (ReplayWindow) and clusters the rest
+// ends up equal to the one that clustered every seal — the whole builder,
+// under reflect.DeepEqual — for every k. Decisions made over another window
+// or pool are declined without a change, and decisions that do not apply
+// are an error.
+func TestReplayedSealsMatchClustered(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultConfig()
+	sites := make([]geo.Point, 60)
+	for i := range sites {
+		sites[i] = geo.Point{X: rng.Float64() * 1500, Y: rng.Float64() * 1500}
+	}
+	var windows [][][]traj.StayPoint
+	tm := 0.0
+	for w := 0; w < 12; w++ {
+		trips := make([][]traj.StayPoint, 1+rng.Intn(8))
+		for i := range trips {
+			for k := rng.Intn(9); k > 0; k-- {
+				p := sites[rng.Intn(len(sites))]
+				tm += 30 + rng.Float64()*3000
+				trips[i] = append(trips[i], traj.StayPoint{
+					Loc:     geo.Point{X: p.X + rng.NormFloat64()*12, Y: p.Y + rng.NormFloat64()*12},
+					ArriveT: tm, LeaveT: tm + 60 + rng.Float64()*600, NPoints: 4,
+				})
+			}
+		}
+		windows = append(windows, trips)
+	}
+	feed := func(b *IncrementalPoolBuilder, w int) {
+		for i, stays := range windows[w] {
+			b.AppendTripStays(model.CourierID(w*8+i), stays)
+		}
+	}
+	clustered := NewIncrementalPoolBuilder(cfg)
+	var decs []*SealDecisions
+	merges := 0
+	for w := range windows {
+		feed(clustered, w)
+		dec, err := clustered.SealWindowDecisions(ctx)
+		if err != nil || dec == nil {
+			t.Fatalf("window %d: decisions %v, %v", w, dec, err)
+		}
+		decs = append(decs, dec)
+		merges += len(dec.Pool)
+	}
+	if merges == 0 {
+		t.Fatal("no window merged into the pool")
+	}
+	for k := 0; k <= len(windows); k++ {
+		b := NewIncrementalPoolBuilder(cfg)
+		for w := range windows {
+			feed(b, w)
+			if w >= k {
+				if err := b.SealWindow(ctx); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if w+1 < len(decs) {
+				// The next window's decisions were made over another window
+				// and pool; declining them must change nothing, or the
+				// builders below differ.
+				if ok, err := b.ReplayWindow(ctx, decs[w+1]); ok || err != nil {
+					t.Fatalf("k=%d: window %d took window %d's decisions: %v, %v", k, w, w+1, ok, err)
+				}
+			}
+			if ok, err := b.ReplayWindow(ctx, decs[w]); !ok || err != nil {
+				t.Fatalf("k=%d: window %d's own decisions declined: %v, %v", k, w, ok, err)
+			}
+		}
+		if !reflect.DeepEqual(b, clustered) {
+			t.Fatalf("replaying the first %d seals and clustering the rest built another builder", k)
+		}
+	}
+
+	// A pool merge that names a merged-away id: the pool's last decision
+	// repeated.
+	last := len(decs) - 1
+	if len(decs[last].Pool) == 0 {
+		t.Fatal("the last window merged nothing into the pool")
+	}
+	bad := *decs[last]
+	bad.Pool = append(slices.Clone(bad.Pool), bad.Pool[len(bad.Pool)-1])
+	b := NewIncrementalPoolBuilder(cfg)
+	for w := range windows {
+		feed(b, w)
+		if w < last {
+			if err := b.SealWindow(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ok, err := b.ReplayWindow(ctx, &bad); ok || err == nil {
+		t.Fatalf("replaying a merge of merged-away ids: %v, %v", ok, err)
+	}
+
+	grid := cfg
+	grid.UseGridMerge = true
+	g := NewIncrementalPoolBuilder(grid)
+	feed(g, 0)
+	if dec, err := g.SealWindowDecisions(ctx); dec != nil || err != nil {
+		t.Fatalf("grid merging reported decisions %+v, %v", dec, err)
+	}
+	feed(g, 1)
+	if ok, err := g.ReplayWindow(ctx, decs[1]); ok || err != nil {
+		t.Fatalf("grid merging replayed decisions: %v, %v", ok, err)
 	}
 }

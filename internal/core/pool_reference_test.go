@@ -135,7 +135,8 @@ func (b *refPoolBuilder) sealWindow() {
 	for i, id := range alive {
 		wpts[i] = cluster.WeightedPoint{P: b.items[id].centroid, W: b.items[id].weight}
 	}
-	for _, c := range cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance) {
+	cs, _ := cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance)
+	for _, c := range cs {
 		if len(c.Members) < 2 {
 			continue
 		}

@@ -300,8 +300,8 @@ func TestPerOpIngestDoesNotAllocateABurst(t *testing.T) {
 // TestMalformedWALRecordRefusesReplay: a tag no build wrote, a binary record
 // of the wrong width, a JSON record of any kind — the batch window, pt and
 // end records earlier builds wrote among them, so a log that old is
-// replayed by the build that wrote it and snapshotted — and a window
-// record, whole (it belongs in the window log) or cut short, stop replay
+// replayed by the build that wrote it and snapshotted — and a window or
+// seal record, whole (they belong in the window log) or cut short, stop replay
 // with the record's sequence in the error instead of being skipped or
 // misread.
 func TestMalformedWALRecordRefusesReplay(t *testing.T) {
@@ -324,6 +324,8 @@ func TestMalformedWALRecordRefusesReplay(t *testing.T) {
 		"window record":     sampleWindowRecord(),
 		"short window":      sampleWindowRecord()[:len(sampleWindowRecord())-1],
 		"tag only (window)": {walTagWindow},
+		"seal record":       sampleSealRecord(),
+		"short seal":        sampleSealRecord()[:len(sampleSealRecord())-1],
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

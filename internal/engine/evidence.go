@@ -47,11 +47,13 @@ type evidence struct {
 
 	// sealer is held from the cut that hands it a window until that window
 	// is sealed (it is unlocked by the sealing goroutine), and by view
-	// across finalizing: it alone guards builder and sealed, the number of
-	// trips the builder holds (the first ones queued, in queue order).
+	// across finalizing: it alone guards builder, sealed, the number of
+	// trips the builder holds (the first ones queued, in queue order), and
+	// seals, the window log's seal records (nil without a window log).
 	sealer  sync.Mutex
 	builder *core.IncrementalPoolBuilder
 	sealed  int
+	seals   *sealLog
 }
 
 // queuedTrip is one trip of the open window as the pool builder takes it.
@@ -116,7 +118,8 @@ func (ev *evidence) queue(tr model.Trip, stays []traj.StayPoint) {
 
 // cut ends the open window and hands it to the sealer: once the shard's
 // previous window is sealed, a goroutine feeds the window's trips to the
-// builder in queue order and seals them as one pool window. cut returns as
+// builder in queue order and seals them as one pool window (seal: from its
+// seal record on a restart that has one, else by clustering). cut returns as
 // that goroutine starts, without waiting for the clustering; settle and
 // view wait for it. Nothing queued is a no-op, so the engine's cuts never
 // produce empty pool windows.
@@ -135,8 +138,8 @@ func (ev *evidence) cut(ctx context.Context) {
 		for _, q := range w {
 			ev.builder.AppendTripStays(q.courier, q.stays)
 		}
-		// SealWindow's ctx carries the trace span only: a seal runs to the end.
-		_ = ev.builder.SealWindow(ctx)
+		// ctx carries the trace span only: a seal runs to the end.
+		ev.seal(ctx)
 		ev.sealed += len(w)
 	}()
 }

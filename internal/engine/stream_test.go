@@ -676,8 +676,10 @@ func TestShardKeepsNoFixes(t *testing.T) {
 // compaction), a re-inference and a snapshot, with one courier's streamed
 // trip open from the first round's windows until after the second round's
 // snapshot. At every crash point — each step of a window record (after the
-// cut, after the record, after its sync, after the truncation it allowed),
-// and after each round's ingest, Reinfer and SaveSnapshotFile — the log
+// cut, with the cut's seals done and their seal records appended; after the
+// same seals with the seal records past the last window record dropped;
+// after the record, after its sync, after the truncation it allowed), and
+// after each round's ingest, Reinfer and SaveSnapshotFile — the log
 // directory is copied and a twin restarts from the snapshot on disk, if any,
 // plus the copied logs. Right after the restart the twin holds the live
 // engine's trips, addresses and open streams, and serves what the last save
@@ -686,12 +688,14 @@ func TestShardKeepsNoFixes(t *testing.T) {
 // live engine's backlog: the snapshot says how many trips its state was
 // trained on, so the replayed trips it covers are not pending again. At each
 // step of the window record a second twin restarts under the other shard
-// count (1 or 3) and follows a reference engine fed the same script at that
-// count. From then on every twin runs the rest of the script beside the
-// live engine (the saves excepted); after one more window and a
-// re-inference on all of them, every shard of every twin publishes its
-// reference's frozen store. Reinfers is a per-process counter — a restart
-// starts it over — so it is not compared.
+// count (1 or 3), where no seal record applies, and restarts again from its
+// own logs, where every seal must replay its record and none re-cluster; it
+// follows a reference engine fed the same script at that count. From then
+// on every twin runs the rest of the script beside the live engine (the
+// saves excepted); after one more window and a re-inference on all of
+// them, every shard of every twin publishes its reference's frozen store.
+// Reinfers is a per-process counter — a restart starts it over — so it is
+// not compared.
 func TestSnapshotRestartKeepsEvidence(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testSnapshotRestartKeepsEvidence(t, n) })
@@ -789,10 +793,15 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 	// the kernel, which is what a killed process leaves — and restarts a
 	// twin at n shards from the copy, which retries the unrecorded batch
 	// operation, if any.
-	restart := func(point string, n int, unrecorded func(e *Engine) error) *Engine {
+	twins := 0
+	restartFrom := func(src, point string, n int, unrecorded func(e *Engine) error, damage func(dir string)) (*Engine, string) {
 		t.Helper()
-		twinDir := filepath.Join(dir, fmt.Sprintf("twin%d", len(engines)+len(cross)))
-		copyDir(t, logDir, twinDir)
+		twins++
+		twinDir := filepath.Join(dir, fmt.Sprintf("twin%d", twins))
+		copyDir(t, src, twinDir)
+		if damage != nil {
+			damage(twinDir)
+		}
 		twin := engineAt(n)
 		if _, err := os.Stat(snap); err == nil {
 			declined := snapshotDecoderFallbacks.Value()
@@ -822,16 +831,39 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 		if current && len(twin.shards) == len(live.shards) && got.PendingTrips != want.PendingTrips {
 			t.Fatalf("%s: restarted twin has %d pending trips, the live engine %d", point, got.PendingTrips, want.PendingTrips)
 		}
+		return twin, twinDir
+	}
+	restart := func(point string, n int, unrecorded func(e *Engine) error, damage func(dir string)) *Engine {
+		t.Helper()
+		twin, _ := restartFrom(logDir, point, n, unrecorded, damage)
 		return twin
 	}
 	crash := func(point string) {
 		t.Helper()
-		engines = append(engines, restart(point, n, nil))
+		engines = append(engines, restart(point, n, nil, nil))
+	}
+	// crossTwin restarts a twin at the other shard count, where none of the
+	// live engine's seal records apply, then a second twin from the first
+	// one's logs, which hold a seal record for every seal the first made:
+	// the second replays them all and clusters nothing.
+	crossTwin := func(point string, unrecorded func(e *Engine) error, damage func(dir string)) *Engine {
+		t.Helper()
+		first, firstDir := restartFrom(logDir, point, other, unrecorded, damage)
+		first.settle()
+		second, _ := restartFrom(firstDir, point+", restarted again", other, nil, nil)
+		if replayed, clustered := sealCounts(second); clustered != 0 || replayed != sealCountsSum(first) {
+			t.Fatalf("%s, restarted again: %d seals replayed, %d clustered; the first restart made %d", point, replayed, clustered, sealCountsSum(first))
+		}
+		return second
 	}
 
 	// Each phase crashes at the first occurrence of each step of a window
 	// record, the truncation only where it deleted a segment, at n shards
-	// and at the other count.
+	// and at the other count. At the cut the live engine first waits for
+	// the cut's seals, so their seal records are in the log and its window
+	// record is not: a crash there has the seal records, and the crash
+	// before them (step "seal") has them dropped, at the first cut whose
+	// seals wrote any.
 	var crashed map[string]bool
 	crashAtSteps := func(phase string) {
 		crashed = map[string]bool{}
@@ -841,23 +873,36 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 				step = "truncate (nothing deleted)"
 			}
 			prev = step
+			if step == "cut" {
+				live.settle()
+				if !crashed["seal"] && sealTail(t, logDir) > 0 {
+					crashed["seal"] = true
+					point := phase + ", after the cut's seals, before their seal records"
+					drop := func(dir string) { dropSealTail(t, dir) }
+					engines = append(engines, restart(point, n, retry, drop))
+					cross = append(cross, crossTwin(point+fmt.Sprintf(", at %d shards", other), retry, drop))
+				}
+			}
 			if crashed[step] || step == "truncate (nothing deleted)" {
 				return
 			}
 			crashed[step] = true
 			point := phase + ", after the window record's " + step
+			if step == "cut" {
+				point = phase + ", after the cut's seal records"
+			}
 			var unrecorded func(e *Engine) error
 			if step == "cut" {
 				unrecorded = retry
 			}
-			engines = append(engines, restart(point, n, unrecorded))
-			cross = append(cross, restart(point+fmt.Sprintf(", at %d shards", other), other, unrecorded))
+			engines = append(engines, restart(point, n, unrecorded, nil))
+			cross = append(cross, crossTwin(point+fmt.Sprintf(", at %d shards", other), unrecorded, nil))
 		}
 	}
 	requireEverySteps := func(phase string) {
 		t.Helper()
 		live.onCompactStep = nil
-		for _, step := range []string{"cut", "record", "durable", "truncate"} {
+		for _, step := range []string{"seal", "cut", "record", "durable", "truncate"} {
 			if !crashed[step] {
 				t.Fatalf("the %s never reached a window record's %q step", phase, step)
 			}

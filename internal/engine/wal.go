@@ -25,8 +25,9 @@ import (
 // a restart skip the fix log up to the last one.
 //
 // Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
-// little-endian, the cut is the tag alone, and 0x07 is a window record.
-// 0x03 is reserved for the waybill line. Any other tag — the JSON records
+// little-endian, the cut is the tag alone, 0x07 is a window record and 0x04
+// a seal record (seallog.go), the window log's two kinds. 0x03 is reserved
+// for the waybill line. Any other tag — the JSON records
 // ('{') earlier builds wrote among them — and a record of the other log's
 // kind refuses replay: it is a log from another build, or not this log,
 // and refusing beats silently dropping ingest.
@@ -56,11 +57,12 @@ func appendWALOp(b []byte, op *deploy.StreamOp) []byte {
 }
 
 // walEntry is one decoded payload: a streamed op, unless one of the other
-// fields says it is a window cut or a window record.
+// fields says it is a window cut, a window record or a seal record.
 type walEntry struct {
 	op     deploy.StreamOp
 	cut    bool
 	window *windowRecord
+	seal   *sealRecord
 }
 
 // kind names the entry's record kind, for errors.
@@ -68,6 +70,8 @@ func (ent *walEntry) kind() string {
 	switch {
 	case ent.window != nil:
 		return "window"
+	case ent.seal != nil:
+		return "seal"
 	case ent.cut:
 		return "cut"
 	case ent.op.End:
@@ -104,6 +108,8 @@ func decodeWALRecord(payload []byte) (ent walEntry, err error) {
 		ent.cut = true
 	case walTagWindow:
 		ent.window, err = decodeWindowRecord(payload)
+	case walTagSeal:
+		ent.seal, err = decodeSealRecord(payload)
 	default:
 		return ent, fmt.Errorf("unknown wal record tag %#02x", tag)
 	}
@@ -160,8 +166,8 @@ func (e *Engine) replayFixes(ctx context.Context, w *wal.WAL) (int, error) {
 		ent, err := decodeWALRecord(payload)
 		switch {
 		case err != nil:
-		case ent.window != nil:
-			err = errors.New("window record in the fix log")
+		case ent.window != nil || ent.seal != nil:
+			err = fmt.Errorf("%s record in the fix log", ent.kind())
 		case ent.cut:
 			e.ingestMu.Lock()
 			e.sealWindowLocked(ctx)

@@ -42,7 +42,9 @@ var legacyBatchRecord = []byte(`{"k":"ingest","trips":[{"Courier":2,"StartT":1,"
 // walPayloads are one of every record a log can hold, and the damage around
 // each: widths off by one, tags nobody wrote, JSON of any kind — the JSON
 // batch window, pt and end records of earlier builds among them — and a
-// window record cut short, lengthened, or claiming more than it holds.
+// window or seal record cut short, lengthened, or claiming more than it
+// holds, and a seal record with an id in a longer encoding than its
+// shortest.
 var walPayloads = func() [][]byte {
 	point := appendWALOp(nil, &deploy.StreamOp{Courier: -7, Pt: traj.GPSPoint{P: geo.Point{X: 116397.53, Y: -0.0}, T: 1622505600.125}})
 	end := appendWALOp(nil, &deploy.StreamOp{Courier: 1 << 30, End: true})
@@ -50,7 +52,8 @@ var walPayloads = func() [][]byte {
 	huge := bytes.Clone(window)
 	binary.LittleEndian.PutUint32(huge[1+3*8+8:], 1<<30) // the address count, past tag, resume and window end
 	var empty windowWriter
-	return [][]byte{
+	seal, sealDamaged := sealPayloads()
+	return append([][]byte{
 		point, end,
 		point[:len(point)-1], append(bytes.Clone(point), 0), {walTagPoint},
 		end[:len(end)-1], append(bytes.Clone(end), 0), {walTagEnd},
@@ -68,14 +71,28 @@ var walPayloads = func() [][]byte {
 		[]byte(`{}`),
 		window, window[:len(window)-1], append(bytes.Clone(window), 0), huge, {walTagWindow},
 		bytes.Clone(empty.record(wal.Position{}, 0, nil)),
-	}
+		seal, appendSealRecord(nil, &sealRecord{}),
+	}, sealDamaged...)
 }()
+
+// sealPayloads are the sample seal record and its damage: cut short,
+// lengthened, claiming more merges than it holds, an id in a longer
+// encoding than its shortest, and the tag alone.
+func sealPayloads() (whole []byte, damaged [][]byte) {
+	seal := sampleSealRecord()
+	huge := bytes.Clone(seal)
+	// The window merge count, past tag, key, ordinal and guards.
+	binary.LittleEndian.PutUint32(huge[1+3*4+2*8+4+2*8:], 1<<30)
+	// The last id, 0x7fffffff, in six bytes instead of five.
+	long := append(bytes.Clone(seal[:len(seal)-5]), 0xff, 0xff, 0xff, 0xff, 0x87, 0)
+	return seal, [][]byte{seal[:len(seal)-1], append(bytes.Clone(seal), 0), huge, long, {walTagSeal}}
+}
 
 // checkWALRecord holds decodeWALRecord to its contract on one payload: no
 // panic; a payload starting with '{', the JSON records of earlier builds,
 // is refused; and a record that decodes re-encodes to the same bytes (a cut
 // is exactly the one-byte cut record, a window record re-encodes through
-// windowWriter).
+// windowWriter, a seal record through appendSealRecord).
 func checkWALRecord(t *testing.T, payload []byte) {
 	t.Helper()
 	ent, err := decodeWALRecord(payload)
@@ -92,6 +109,10 @@ func checkWALRecord(t *testing.T, payload []byte) {
 	case ent.window != nil:
 		if again := encodeWindowRecord(ent.window); !bytes.Equal(again, payload) {
 			t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.window, again)
+		}
+	case ent.seal != nil:
+		if again := appendSealRecord(nil, ent.seal); !bytes.Equal(again, payload) {
+			t.Fatalf("payload %x decoded to %+v, which encodes to %x", payload, ent.seal, again)
 		}
 	default:
 		if again := appendWALOp(nil, &ent.op); !bytes.Equal(again, payload) {
@@ -145,4 +166,18 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkWALRecord(t, payload)
 	})
+}
+
+// TestSealRecordDecoderRefuses: the damaged seal records are refused, and
+// the whole one decodes.
+func TestSealRecordDecoderRefuses(t *testing.T) {
+	seal, damaged := sealPayloads()
+	if _, err := decodeWALRecord(seal); err != nil {
+		t.Fatalf("the sample seal record does not decode: %v", err)
+	}
+	for i, p := range damaged {
+		if ent, err := decodeWALRecord(p); err == nil {
+			t.Errorf("damaged seal record %d (%x) decoded as %+v", i, p, ent.seal)
+		}
+	}
 }

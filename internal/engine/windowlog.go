@@ -207,8 +207,8 @@ func appendFloats(b []byte, fs ...float64) []byte {
 	return b
 }
 
-// windowReader reads a window record's fields in order; the first short
-// read sets err, and every read after it returns zero.
+// windowReader reads a window or seal record's fields in order; the first
+// short read sets err, and every read after it returns zero.
 type windowReader struct {
 	b   []byte
 	err error
@@ -216,7 +216,7 @@ type windowReader struct {
 
 func (r *windowReader) take(n int) []byte {
 	if r.err != nil || len(r.b) < n {
-		r.err = errors.New("window record cut short")
+		r.err = errors.New("record cut short")
 		return nil
 	}
 	p := r.b[:n]
@@ -256,7 +256,7 @@ func (r *windowReader) fix() traj.GPSPoint { return traj.GPSPoint{P: r.point(), 
 func (r *windowReader) count(size int) int {
 	n := int(r.u32())
 	if r.err == nil && n > len(r.b)/size {
-		r.err = fmt.Errorf("window record claims %d items of %d bytes in %d", n, size, len(r.b))
+		r.err = fmt.Errorf("record claims %d items of %d bytes in %d", n, size, len(r.b))
 	}
 	if r.err != nil {
 		return 0
@@ -414,13 +414,20 @@ func (e *Engine) compactStep(step string) {
 // window log in its "windows" subdirectory — rebuilds the ingest state from
 // them on top of whatever the engine holds (typically a restored
 // snapshot), and attaches both, so every window cut from now on writes a
-// window record and the fix log is truncated behind it. The window log's
-// records are applied first: their trips are delivered through the live
-// queue, route and count path, their cuts made where the live engine made
-// them, and the last record's open streams and window grid restored. The
-// fix log is then opened at the last record's resume position and replayed
-// from there, and none of it before that position is read. It returns the
-// number of records applied from both logs. Close closes the logs.
+// window record, every seal a seal record, and the fix log is truncated
+// behind each window record. The window log is read twice. The first pass
+// indexes its seal records, each shard's by seal ordinal
+// (indexSealRecords); the second applies its window records: their trips
+// are delivered through the live queue, route and count path, their cuts
+// made where the live engine made them, and the last record's open streams
+// and window grid restored. The fix log is then opened at the last
+// record's resume position and replayed from there, and none of it before
+// that position is read. Every seal along the way, the fix log's included,
+// replays its seal record where one decided over the same stays and pool
+// exists, and clusters the window (appending a new record) where none
+// does; a found record whose decisions do not apply fails OpenWAL, naming
+// its sequence. It returns the number of window and fix records applied.
+// Close closes the logs.
 func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int, error) {
 	if e.remote {
 		return 0, errRemoteStreaming
@@ -434,9 +441,19 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 	if err != nil {
 		return 0, err
 	}
+	found, err := e.indexSealRecords(wins)
+	if err != nil {
+		wins.Close()
+		tsp.RecordError(err)
+		return 0, err
+	}
+	e.attachSeals(wins, found)
 	var last *windowRecord
 	n := 0
 	err = wins.Replay(func(seq uint64, payload []byte) error {
+		if len(payload) > 0 && payload[0] == walTagSeal {
+			return nil // indexed by the first pass
+		}
 		ent, err := decodeWALRecord(payload)
 		if err == nil && ent.window == nil {
 			err = fmt.Errorf("%s record in the window log", ent.kind())
@@ -468,8 +485,9 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 		fix, err = wal.OpenFrom(dir, opts, resume)
 	}
 	if err != nil {
-		wins.Close()
 		e.settle()
+		e.attachSeals(nil, nil)
+		wins.Close()
 		tsp.RecordError(err)
 		return n, err
 	}
@@ -493,9 +511,15 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 		}
 	})
 	e.settle()
+	replayed, clustered, serr := e.endSealReplay()
+	if err == nil {
+		err = serr
+	}
 	walReplaySeconds.Set(time.Since(start).Seconds())
 	walReplayedRecords.Set(float64(n))
 	tsp.SetAttr("records", n)
+	tsp.SetAttr("seals_replayed", replayed)
+	tsp.SetAttr("seals_clustered", clustered)
 	if err != nil {
 		tsp.RecordError(err)
 	}

@@ -194,7 +194,8 @@ func retainedBytesOf(t *testing.T, log string) float64 {
 	return 0
 }
 
-// lastWindowRecord decodes the window log's last record in dir.
+// lastWindowRecord decodes the window log's last window record in dir; seal
+// records may follow it.
 func lastWindowRecord(t *testing.T, dir string) *windowRecord {
 	t.Helper()
 	w, err := wal.Open(filepath.Join(dir, windowLogDir), wal.Options{Policy: wal.FsyncNever})
@@ -203,7 +204,12 @@ func lastWindowRecord(t *testing.T, dir string) *windowRecord {
 	}
 	defer w.Close()
 	var last []byte
-	if err := w.Replay(func(_ uint64, p []byte) error { last = bytes.Clone(p); return nil }); err != nil {
+	if err := w.Replay(func(_ uint64, p []byte) error {
+		if p[0] == walTagWindow {
+			last = bytes.Clone(p)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := decodeWindowRecord(last)

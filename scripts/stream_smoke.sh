@@ -8,10 +8,11 @@
 # still holds every acknowledged point: the same pending trips, the same open
 # stream, and a replay count matching exactly what was acked. A second leg
 # streams four trips over three 14-day windows, so two window cuts each write
-# a window record, SIGKILLs the server and restarts it: every acknowledged
-# trip is back, the restart applied the two records and replayed only the
-# fix log past the last one, and the fix log retains fewer bytes than it
-# appended. A third leg
+# a window record and, once sealed, a seal record, SIGKILLs the server and
+# restarts it: every acknowledged trip is back, the restart applied the two
+# window records, replayed both seals from their seal records and replayed
+# only the fix log past the last window record, and the fix log retains
+# fewer bytes than it appended. A third leg
 # cold-starts a server on the tiny dataset with a snapshot path, a log and a
 # backlog bound below its trip count, stops it with SIGTERM (which saves the
 # snapshot), restarts it on the same flags, and asserts the log still holds
@@ -171,9 +172,20 @@ for day in 0 15 30 31; do
   fi
 done
 APPENDED="$(metric 'dlinfma_wal_append_bytes_total{log="fix"}')"
-WINDOWS="$(metric 'dlinfma_wal_appends_total{log="window"}')"
+WINDOWS="$(metric dlinfma_engine_window_records_total)"
 if [ "$APPENDED" != 1532 ] || [ "$WINDOWS" != 2 ]; then
-  echo "stream smoke: the fix log took ${APPENDED:-no} bytes (want 4 x 383) and the window log ${WINDOWS:-no} records (want 2)" >&2
+  echo "stream smoke: the fix log took ${APPENDED:-no} bytes (want 4 x 383) and the window log ${WINDOWS:-no} window records (want 2)" >&2
+  exit 1
+fi
+# Each cut's window is sealed beside ingest, and its sealer then appends a
+# seal record to the window log: wait for both, so the window log holds 4.
+for _ in $(seq 1 100); do
+  WINDOW_APPENDS="$(metric 'dlinfma_wal_appends_total{log="window"}')"
+  [ "$WINDOW_APPENDS" = 4 ] && break
+  sleep 0.05
+done
+if [ "$WINDOW_APPENDS" != 4 ]; then
+  echo "stream smoke: the window log took ${WINDOW_APPENDS:-no} records (want 2 window and 2 seal records)" >&2
   exit 1
 fi
 stop_server KILL
@@ -183,6 +195,12 @@ start_server "$BIN_DIR/server-h2.log" -data "" -wal-dir "$BIN_DIR/wal-history" -
 if ! grep -q "replayed 13 WAL records from $BIN_DIR/wal-history" "$BIN_DIR/server-h2.log"; then
   echo "stream smoke: the restart did not replay 2 window records and 11 fix records" >&2
   cat "$BIN_DIR/server-h2.log" >&2
+  exit 1
+fi
+# Both cuts' seals replay their seal records instead of clustering.
+SEALS="$(metric dlinfma_engine_replayed_seals_total)"
+if [ "$SEALS" != 2 ]; then
+  echo "stream smoke: the restart replayed ${SEALS:-no} seal records (want 2)" >&2
   exit 1
 fi
 HISTORY="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
