@@ -45,14 +45,14 @@ examples-smoke:
 #                           same rows frozen in the opposite order
 #   FuzzWALRecordDecode     the WAL record decoder vs its binary encoders (the
 #                           0x06 window cut is exactly its one byte, a 0x07
-#                           window record and a 0x04 seal record re-encode
+#                           window record and a 0x05 seal record re-encode
 #                           through the engine's writers); a JSON record of
-#                           any kind is refused
+#                           any kind, and a retired 0x04 one, is refused
 #   FuzzWindowRecord        the window log's record codec, both ways: a
 #                           written record decodes to itself, and a decoded
 #                           payload re-encodes to its bytes
-#   FuzzSealRecord          the seal record codec (a seal's merge decisions),
-#                           both ways, as FuzzWindowRecord
+#   FuzzSealRecord          the seal record codec (what a seal made), both
+#                           ways, as FuzzWindowRecord
 #   FuzzSnapshotDecode      the snapshot reader: whole-engine restores of
 #                           version-1 documents and version-2 manifests vs
 #                           encoding/json alone; other versions, and a
@@ -66,11 +66,13 @@ examples-smoke:
 #   FuzzMergeNear           internal/cluster's window-by-window merge around
 #                           the new centroids vs HierarchicalWeighted over
 #                           everything alive, bit for bit, and a twin index
-#                           replaying the reported merges (ReplayMerges) vs
-#                           the index that searched for them
+#                           installing the reported items (Install) vs the
+#                           index that searched for them
 #   FuzzPoolBuilder         internal/core's pool builder vs the map-based
 #                           builder that re-clusters every alive item at each
-#                           seal: the same pool after every random window cut
+#                           seal: the same pool after every random window cut,
+#                           and a twin installing each seal's result
+#                           (InstallWindow) vs the builder that clustered it
 #   FuzzParseExposition     internal/obs's Prometheus text parser, which a
 #                           cluster frontend runs on its peers' /v1/metrics
 #   FuzzWALSegment          internal/wal's frame reader: a damaged segment is

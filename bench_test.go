@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -677,7 +678,9 @@ func BenchmarkReplayWAL(b *testing.B) {
 // logs OpenWAL opened, up to the trip that cuts the k-th 14-day window.
 // Each iteration restarts a fresh two-shard engine on those logs with
 // OpenWAL; cpu-ns/op is the process's CPU time per restart, sealing of every
-// window included. What a window adds to it is the slope in k.
+// window included. What a window adds to it is the slope in k. winlog-B/trip
+// is the window log's bytes on disk, as the streaming engine left them, per
+// trip streamed: its window and seal records with their framing.
 func BenchmarkRestartHistory(b *testing.B) {
 	ctx := context.Background()
 	ds, _ := dowDataset(b)
@@ -702,7 +705,8 @@ func BenchmarkRestartHistory(b *testing.B) {
 				winEnd float64
 				cuts   int
 			)
-			for rep, courier := 0, model.CourierID(1); cuts < k; rep++ {
+			courier := model.CourierID(1)
+			for rep := 0; cuts < k; rep++ {
 				dx, dt := float64(rep)*p.Extent, float64(rep)*float64(p.Days)*86400
 				for _, tr := range ds.Trips {
 					var cut bool
@@ -723,6 +727,7 @@ func BenchmarkRestartHistory(b *testing.B) {
 				}
 			}
 			src.Close()
+			winlog := dirBytes(b, filepath.Join(dir, "windows"))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var cpu int64
@@ -740,8 +745,26 @@ func BenchmarkRestartHistory(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(cpu)/float64(b.N), "cpu-ns/op")
+			b.ReportMetric(float64(winlog)/float64(courier-1), "winlog-B/trip")
 		})
 	}
+}
+
+// dirBytes is the size of the files in dir.
+func dirBytes(b *testing.B, dir string) int64 {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n int64
+	for _, d := range ents {
+		info, err := d.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
 }
 
 // BenchmarkPoolSealGrowth seals 50 windows into one pool builder and reports

@@ -57,6 +57,7 @@ var microGates = []gatedMetric{
 	{Name: "BenchmarkPoolSealGrowth B/location", Unit: "B/location", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkReplayWAL cpu-ns/record", Unit: "cpu-ns/record", Better: "lower", Bound: 0.15},
 	{Name: "BenchmarkRestartHistory/windows=16 cpu-ns/op", Unit: "cpu-ns/op", Better: "lower", Bound: 0.15},
+	{Name: "BenchmarkRestartHistory/windows=16 winlog-B/trip", Unit: "winlog-B/trip", Better: "lower", Bound: 0.15},
 }
 
 // procsSuffix is the -GOMAXPROCS suffix `go test` puts on a benchmark's name.

@@ -117,6 +117,7 @@ var microRows = []string{
 	"BenchmarkPoolSealGrowth-8  5  204849556 ns/op  %g B/location  3144113 ns/seal-w1  3829986 ns/seal-w50",
 	"BenchmarkReplayWAL-8  36  32164058 ns/op  %g cpu-ns/record  345.2 ns/record  15425090 B/op  23919 allocs/op",
 	"BenchmarkRestartHistory/windows=16-8  25  40001588 ns/op  %g cpu-ns/op  25293114 B/op  65903 allocs/op",
+	"BenchmarkRestartHistory/windows=16-8  25  40001588 ns/op  %g winlog-B/trip",
 }
 
 // writeMicroRuns lays out ten alternating pairs of `go test -bench` outputs

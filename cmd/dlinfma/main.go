@@ -378,11 +378,13 @@ func cmdServe(ctx context.Context, args []string) error {
 			return perr
 		}
 		start := time.Now()
-		if replayed, err = e.OpenWAL(ctx, *walDir, wal.Options{Policy: policy}); err != nil {
+		rep, err := e.OpenWAL(ctx, *walDir, wal.Options{Policy: policy})
+		if err != nil {
 			return fmt.Errorf("replay wal %s: %w", *walDir, err)
 		}
-		if replayed > 0 {
-			fmt.Printf("replayed %d WAL records from %s in %s\n", replayed, *walDir, time.Since(start).Round(time.Millisecond))
+		if replayed = rep.Records; replayed > 0 {
+			fmt.Printf("replayed %d WAL records from %s in %s: %d pool-window seals installed, %d clustered\n",
+				replayed, *walDir, time.Since(start).Round(time.Millisecond), rep.SealsInstalled, rep.SealsClustered)
 		}
 	}
 	if *data != "" && replayed > 0 {

@@ -29,13 +29,14 @@ import (
 type CentroidIndex struct {
 	d     float64
 	items []mergeItem
-	// cells is nil in an index only ever replayed into (ReplayHierarchical's):
-	// no search reads it.
+	// cells holds the non-empty cells only: a cell emptied by a merge
+	// leaves the map, so an index's cells depend on its alive items alone.
 	cells map[[2]int32][]int
 }
 
 // mergeItem is one centroid of the index; alive items sit in their cell. A
-// merged-away id keeps its slot, so ids stay the positions of items.
+// merged-away id keeps its slot, zeroed (nothing reads it again), so ids
+// stay the positions of items.
 type mergeItem struct {
 	centroid geo.Point
 	weight   float64
@@ -67,9 +68,8 @@ func (x *CentroidIndex) Add(p WeightedPoint) int {
 	}
 	id := len(x.items)
 	x.items = append(x.items, mergeItem{centroid: p.P, weight: w, alive: true})
-	if x.d > 0 && x.cells != nil {
-		k := x.key(p.P)
-		x.cells[k] = append(x.cells[k], id)
+	if x.d > 0 {
+		x.link(id)
 	}
 	return id
 }
@@ -77,19 +77,12 @@ func (x *CentroidIndex) Add(p WeightedPoint) int {
 // Len is the number of ids issued so far: the id the next Add returns.
 func (x *CentroidIndex) Len() int { return len(x.items) }
 
-// Pair is one merge decision: the ids of the two alive centroids merged, in
-// the order the merge took them (A's members come first in the merged
-// item). MergeNew reports the pairs it merged, and ReplayMerges makes them
-// again.
-type Pair struct{ A, B int32 }
-
 // MergeNew merges the alive items with ids from first on — the points added
 // since the last call — into the alive set, and reports the items it
-// created that are still alive at the end, in creation order, and the pairs
-// it merged, in merge order.
-func (x *CentroidIndex) MergeNew(first int) ([]Merged, []Pair) {
+// created that are still alive at the end, in creation order.
+func (x *CentroidIndex) MergeNew(first int) []Merged {
 	if x.d <= 0 || first >= len(x.items) {
-		return nil, nil
+		return nil
 	}
 	// The rows that can push a pair: the old items sharing a 3×3 cell block
 	// with a new one, then the new ones, ascending.
@@ -132,113 +125,142 @@ func (x *CentroidIndex) MergeNew(first int) ([]Merged, []Pair) {
 		}
 	}
 
-	run := mergeRun{start: len(x.items)}
-	var pairs []Pair
+	// Ids from start on are created by this call; members[id-start] lists
+	// the ids, alive when the call began, merged into id.
+	start := len(x.items)
+	var members [][]int
 	for len(h) > 0 {
 		e := h.pop()
-		if !x.items[e.a].alive || !x.items[e.b].alive {
+		ia, ib := &x.items[e.a], &x.items[e.b]
+		if !ia.alive || !ib.alive {
 			continue // stale entry
 		}
-		pairs = append(pairs, Pair{A: int32(e.a), B: int32(e.b)})
-		x.pushPairs(&h, x.merge(&run, e.a, e.b))
-	}
-	return x.created(&run), pairs
-}
-
-// ReplayMerges makes the merges MergeNew reported as pairs, on an index in
-// the state MergeNew ran on, without searching for them: each goes through
-// the merge step MergeNew takes, so the items, the cells and the Merged it
-// returns are MergeNew's bit for bit. It refuses a pair naming an id not
-// issued or no longer alive, one id twice, or two centroids farther apart
-// than the cutoff; the merges before the refused one stay made.
-func (x *CentroidIndex) ReplayMerges(pairs []Pair) ([]Merged, error) {
-	if len(pairs) > 0 && x.d <= 0 {
-		return nil, errors.New("merges replayed with a non-positive cutoff")
-	}
-	run := mergeRun{start: len(x.items)}
-	for i, p := range pairs {
-		a, b := int(p.A), int(p.B)
-		switch {
-		case a == b:
-			return nil, fmt.Errorf("merge %d pairs id %d with itself", i, a)
-		case a < 0 || b < 0 || a >= len(x.items) || b >= len(x.items):
-			return nil, fmt.Errorf("merge %d names id %d or %d of %d issued", i, a, b, len(x.items))
-		case !x.items[a].alive || !x.items[b].alive:
-			return nil, fmt.Errorf("merge %d names id %d or %d, merged away", i, a, b)
+		// Merge a and b into a new item.
+		x.unlink(e.a, ia.centroid)
+		x.unlink(e.b, ib.centroid)
+		w := ia.weight + ib.weight
+		c := geo.Point{
+			X: (ia.centroid.X*ia.weight + ib.centroid.X*ib.weight) / w,
+			Y: (ia.centroid.Y*ia.weight + ib.centroid.Y*ib.weight) / w,
 		}
-		if dist := geo.Dist(x.items[a].centroid, x.items[b].centroid); !(dist <= x.d) {
-			return nil, fmt.Errorf("merge %d pairs ids %d and %d, %g apart, past the cutoff %g", i, a, b, dist, x.d)
+		*ia, *ib = mergeItem{}, mergeItem{}
+		m := make([]int, 0, nMembers(members, e.a, start)+nMembers(members, e.b, start))
+		m = appendMembers(m, members, e.a, start)
+		m = appendMembers(m, members, e.b, start)
+		if e.a >= start {
+			members[e.a-start] = nil
 		}
-		x.merge(&run, a, b)
+		if e.b >= start {
+			members[e.b-start] = nil
+		}
+		id := len(x.items)
+		x.items = append(x.items, mergeItem{centroid: c, weight: w, alive: true})
+		members = append(members, m)
+		x.link(id)
+		x.pushPairs(&h, id)
 	}
-	return x.created(&run), nil
-}
 
-// mergeRun is one MergeNew or ReplayMerges call's record of its merges:
-// ids from start on are created by the call, and members[id-start] lists
-// the ids, alive when the call began, merged into id.
-type mergeRun struct {
-	start   int
-	members [][]int
-}
-
-// merge is the one merge step, MergeNew's and ReplayMerges': it merges the
-// alive items a and b into a new item at their weighted centroid and
-// returns its id.
-func (x *CentroidIndex) merge(run *mergeRun, a, b int) int {
-	ia, ib := &x.items[a], &x.items[b]
-	ia.alive, ib.alive = false, false
-	if x.cells != nil {
-		x.unlink(a, ia.centroid)
-		x.unlink(b, ib.centroid)
-	}
-	w := ia.weight + ib.weight
-	c := geo.Point{
-		X: (ia.centroid.X*ia.weight + ib.centroid.X*ib.weight) / w,
-		Y: (ia.centroid.Y*ia.weight + ib.centroid.Y*ib.weight) / w,
-	}
-	start, members := run.start, run.members
-	m := make([]int, 0, nMembers(members, a, start)+nMembers(members, b, start))
-	m = appendMembers(m, members, a, start)
-	m = appendMembers(m, members, b, start)
-	if a >= start {
-		members[a-start] = nil
-	}
-	if b >= start {
-		members[b-start] = nil
-	}
-	id := len(x.items)
-	x.items = append(x.items, mergeItem{centroid: c, weight: w, alive: true})
-	run.members = append(members, m)
-	if x.cells != nil {
-		k := x.key(c)
-		x.cells[k] = append(x.cells[k], id)
-	}
-	return id
-}
-
-// created lists the items run created that are still alive, in creation
-// order.
-func (x *CentroidIndex) created(run *mergeRun) []Merged {
 	var out []Merged
-	for id := run.start; id < len(x.items); id++ {
+	for id := start; id < len(x.items); id++ {
 		if it := &x.items[id]; it.alive {
-			out = append(out, Merged{ID: id, Cluster: Cluster{Centroid: it.centroid, Members: run.members[id-run.start], Weight: it.weight}})
+			out = append(out, Merged{ID: id, Cluster: Cluster{Centroid: it.centroid, Members: members[id-start], Weight: it.weight}})
 		}
 	}
 	return out
+}
+
+// Install is Add of every point of pts, then the MergeNew call over them
+// that reported merged, made without searching or merging: each reported
+// item's members leave the alive set (their slots zeroed), the ids the call
+// issued are issued, and each reported item is alive under its id, so the
+// index is the searched one, field for field. An item of k members took k-1
+// merges, each issuing an id, and the call's last id went to a reported
+// item. Install refuses a report that cannot be such a call's: an item of
+// fewer than two members, ids not ascending or past the ids the merges
+// issued, a last id short of them, or a member not issued before the call
+// or merged away (one member twice among them). After a refusal the index
+// is partly installed and must not be used.
+func (x *CentroidIndex) Install(pts []WeightedPoint, merged []Merged) error {
+	if len(merged) > 0 && x.d <= 0 {
+		return errors.New("merges installed with a non-positive cutoff")
+	}
+	// The points go in unlinked: most are members below, and a cell holds
+	// the alive ids only.
+	start := len(x.items)
+	for _, p := range pts {
+		w := p.W
+		if w <= 0 {
+			w = 1
+		}
+		x.items = append(x.items, mergeItem{centroid: p.P, weight: w, alive: true})
+	}
+	added, end := len(x.items), len(x.items)
+	for i, m := range merged {
+		if len(m.Members) < 2 {
+			return fmt.Errorf("item %d absorbed %d ids", i, len(m.Members))
+		}
+		end += len(m.Members) - 1
+	}
+	for i, m := range merged {
+		if m.ID < len(x.items) || m.ID >= end {
+			return fmt.Errorf("item %d has id %d; ids %d to %d are open to it", i, m.ID, len(x.items), end-1)
+		}
+		for _, id := range m.Members {
+			if id < 0 || id >= added {
+				return fmt.Errorf("item %d absorbed id %d of %d issued before", i, id, added)
+			}
+			it := &x.items[id]
+			if !it.alive {
+				return fmt.Errorf("item %d absorbed id %d, merged away", i, id)
+			}
+			if id < start {
+				x.unlink(id, it.centroid)
+			}
+			*it = mergeItem{}
+		}
+		for len(x.items) < m.ID {
+			x.items = append(x.items, mergeItem{}) // merged away within the call
+		}
+		x.items = append(x.items, mergeItem{centroid: m.Centroid, weight: m.Weight, alive: true})
+	}
+	if len(x.items) != end {
+		return fmt.Errorf("the items took %d merges; the last kept one is merge %d", end-added, len(x.items)-added)
+	}
+	if x.d > 0 {
+		// Ascending: the points left alive, then the reported items.
+		for id := start; id < added; id++ {
+			if x.items[id].alive {
+				x.link(id)
+			}
+		}
+		for _, m := range merged {
+			x.link(m.ID)
+		}
+	}
+	return nil
 }
 
 func (x *CentroidIndex) key(p geo.Point) [2]int32 {
 	return [2]int32{int32(math.Floor(p.X / x.d)), int32(math.Floor(p.Y / x.d))}
 }
 
-// unlink removes a merged-away id from its cell, keeping the cell ascending.
+// link puts the alive id in its cell, whose ids it exceeds.
+func (x *CentroidIndex) link(id int) {
+	k := x.key(x.items[id].centroid)
+	x.cells[k] = append(x.cells[k], id)
+}
+
+// unlink removes a merged-away id from its cell, keeping the cell ascending
+// and dropping it once empty.
 func (x *CentroidIndex) unlink(id int, c geo.Point) {
 	k := x.key(c)
 	cell := x.cells[k]
 	if i, ok := slices.BinarySearch(cell, id); ok {
-		x.cells[k] = slices.Delete(cell, i, i+1)
+		if len(cell) == 1 {
+			delete(x.cells, k)
+		} else {
+			x.cells[k] = slices.Delete(cell, i, i+1)
+		}
 	}
 }
 

@@ -150,7 +150,7 @@ func mergeWindows(seed int64, windows, mode uint8) (float64, [][]WeightedPoint) 
 // same order, and the same singletons. It returns the alive ids after the
 // merge, whether a merge reached an item outside every new point's 3×3
 // cell block, and what MergeNew returned.
-func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoint) ([]int, bool, []Merged, []Pair) {
+func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoint) ([]int, bool, []Merged) {
 	t.Helper()
 	pts := make([]WeightedPoint, 0, len(alive)+len(win))
 	for _, id := range alive {
@@ -171,8 +171,8 @@ func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoin
 			}
 		}
 	}
-	got, pairs := x.MergeNew(first)
-	want, _ := HierarchicalWeighted(pts, x.d)
+	got := x.MergeNew(first)
+	want := HierarchicalWeighted(pts, x.d)
 
 	var wantAlive []int
 	var wantMerged []Cluster
@@ -226,17 +226,19 @@ func mergeWindow(t *testing.T, x *CentroidIndex, alive []int, win []WeightedPoin
 	if n != len(gotAlive) {
 		t.Fatalf("cells hold %d ids, %d are alive", n, len(gotAlive))
 	}
-	if len(pairs) != len(x.items)-first-len(win) {
-		t.Fatalf("MergeNew reported %d pairs for %d merges", len(pairs), len(x.items)-first-len(win))
+	// The merged-away slots hold nothing.
+	for id, it := range x.items {
+		if !it.alive && it != (mergeItem{}) {
+			t.Fatalf("merged-away id %d keeps %+v", id, it)
+		}
 	}
-	return gotAlive, far, got, pairs
+	return gotAlive, far, got
 }
 
 // FuzzMergeNear holds CentroidIndex.MergeNew, window after window, to
 // HierarchicalWeighted over everything alive, and a twin index that adds the
-// same points and replays the pairs MergeNew reported (ReplayMerges) to the
-// index that searched for them: the same Merged, and the same index,
-// after every window.
+// same points and installs what MergeNew reported (Install) to the index
+// that searched: the same index, field for field, after every window.
 func FuzzMergeNear(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, uint8(seed), uint8(seed))
@@ -247,58 +249,63 @@ func FuzzMergeNear(f *testing.F) {
 		var alive []int
 		for w, win := range wins {
 			var merged []Merged
-			var pairs []Pair
-			alive, _, merged, pairs = mergeWindow(t, x, alive, win)
-			for _, p := range win {
-				twin.Add(p)
-			}
-			got, err := twin.ReplayMerges(pairs)
-			if err != nil {
-				t.Fatalf("window %d: the reported pairs do not replay: %v", w, err)
-			}
-			if !reflect.DeepEqual(got, merged) {
-				t.Fatalf("window %d: the replay created %+v, the search %+v", w, got, merged)
+			alive, _, merged = mergeWindow(t, x, alive, win)
+			if err := twin.Install(win, merged); err != nil {
+				t.Fatalf("window %d: what MergeNew reported does not install: %v", w, err)
 			}
 			if !reflect.DeepEqual(twin, x) {
-				t.Fatalf("window %d: the replayed index differs from the searched one", w)
+				t.Fatalf("window %d: the installed index differs from the searched one", w)
 			}
 		}
 	})
 }
 
-// TestReplayMergesRefuses: a pair naming an id merged away or never issued,
-// one id twice, or centroids past the cutoff is refused, naming the pair.
-func TestReplayMergesRefuses(t *testing.T) {
+// TestInstallRefuses: an item of one member, an id out of order or past
+// what the members issued, a member never issued, merged away or taken
+// twice are refused, naming the item.
+func TestInstallRefuses(t *testing.T) {
+	// One point before the call and three added by it.
 	index := func() *CentroidIndex {
 		x := NewCentroidIndex(10)
-		for _, p := range []geo.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 100, Y: 0}} {
-			x.Add(WeightedPoint{P: p, W: 1})
-		}
+		x.Add(WeightedPoint{P: geo.Point{X: 0, Y: 0}, W: 1})
 		return x
 	}
+	var pts []WeightedPoint
+	for _, p := range []geo.Point{{X: 5, Y: 0}, {X: 8, Y: 0}, {X: 100, Y: 0}} {
+		pts = append(pts, WeightedPoint{P: p, W: 1})
+	}
+	item := func(id int, w float64, members ...int) Merged {
+		return Merged{ID: id, Cluster: Cluster{Centroid: geo.Point{X: 3}, Members: members, Weight: w}}
+	}
 	for _, tc := range []struct {
-		name  string
-		pairs []Pair
-		want  string
+		name   string
+		merged []Merged
+		want   string
 	}{
-		{"dead id", []Pair{{0, 1}, {1, 3}}, "merge 1 names id 1 or 3, merged away"},
-		{"unknown id", []Pair{{0, 7}}, "merge 0 names id 0 or 7 of 3 issued"},
-		{"negative id", []Pair{{-1, 0}}, "merge 0 names id -1 or 0 of 3 issued"},
-		{"self pair", []Pair{{2, 2}}, "merge 0 pairs id 2 with itself"},
-		{"too far", []Pair{{1, 2}}, "merge 0 pairs ids 1 and 2, 95 apart, past the cutoff 10"},
+		{"one member", []Merged{item(4, 1, 0)}, "item 0 absorbed 1 ids"},
+		{"id past its merges", []Merged{item(5, 2, 0, 1)}, "item 0 has id 5; ids 4 to 4 are open to it"},
+		{"ids out of order", []Merged{item(6, 3, 0, 1, 2), item(5, 2, 3, 3)}, "item 1 has id 5; ids 7 to 6 are open to it"},
+		{"last id short", []Merged{item(4, 2, 0, 1), item(5, 3, 2, 3, 1)}, "item 1 absorbed id 1, merged away"},
+		{"merges left over", []Merged{item(4, 3, 0, 1, 2)}, "the items took 2 merges; the last kept one is merge 1"},
+		{"unknown id", []Merged{item(4, 2, 0, 7)}, "item 0 absorbed id 7 of 4 issued before"},
+		{"negative id", []Merged{item(4, 2, -1, 0)}, "item 0 absorbed id -1 of 4 issued before"},
+		{"twice", []Merged{item(4, 2, 1, 1)}, "item 0 absorbed id 1, merged away"},
+		{"merged away", []Merged{item(4, 2, 0, 1), item(5, 2, 1, 2)}, "item 1 absorbed id 1, merged away"},
+		{"member made by the call", []Merged{item(5, 3, 0, 1, 2), item(6, 2, 3, 5)}, "item 1 absorbed id 5 of 4 issued before"},
 	} {
-		_, err := index().ReplayMerges(tc.pairs)
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s: ReplayMerges(%v) = %v, want %q", tc.name, tc.pairs, err, tc.want)
+		if err := index().Install(pts, tc.merged); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Install = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 	x := index()
-	if got, err := x.ReplayMerges([]Pair{{1, 0}}); err != nil || len(got) != 1 || got[0].ID != 3 ||
-		got[0].Centroid != (geo.Point{X: 2.5}) || !slices.Equal(got[0].Members, []int{1, 0}) {
-		t.Fatalf("a pair that applies: %+v, %v", got, err)
+	if err := x.Install(pts, []Merged{item(5, 3, 1, 0, 2)}); err != nil {
+		t.Fatalf("an item that installs: %v", err)
 	}
-	if _, err := NewCentroidIndex(0).ReplayMerges([]Pair{{0, 1}}); err == nil {
-		t.Fatal("merges replayed at a zero cutoff")
+	if x.Len() != 6 || x.items[4] != (mergeItem{}) || !x.items[5].alive || x.items[1].alive || !reflect.DeepEqual(x.cells, map[[2]int32][]int{{0, 0}: {5}, {10, 0}: {3}}) {
+		t.Fatalf("installed index: %+v, cells %v", x.items, x.cells)
+	}
+	if err := NewCentroidIndex(0).Install(pts, []Merged{item(4, 2, 0, 1)}); err == nil {
+		t.Fatal("merges installed at a zero cutoff")
 	}
 }
 
@@ -312,7 +319,7 @@ func TestMergeNearReachesPastTheBlock(t *testing.T) {
 		var alive []int
 		for _, win := range wins {
 			var reached bool
-			alive, reached, _, _ = mergeWindow(t, x, alive, win)
+			alive, reached, _ = mergeWindow(t, x, alive, win)
 			if reached {
 				far++
 			}
@@ -328,7 +335,7 @@ func TestMergeNewNonPositiveCutoff(t *testing.T) {
 	x := NewCentroidIndex(0)
 	x.Add(WeightedPoint{P: geo.Point{}, W: 1})
 	x.Add(WeightedPoint{P: geo.Point{}, W: 1})
-	if got, pairs := x.MergeNew(0); got != nil || pairs != nil {
+	if got := x.MergeNew(0); got != nil {
 		t.Fatalf("d=0 merged %+v", got)
 	}
 }

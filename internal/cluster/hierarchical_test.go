@@ -95,7 +95,7 @@ func TestHierarchicalWeightedCentroid(t *testing.T) {
 		{P: geo.Point{X: 0, Y: 0}, W: 3},
 		{P: geo.Point{X: 20, Y: 0}, W: 1},
 	}
-	cs, _ := HierarchicalWeighted(pts, 40)
+	cs := HierarchicalWeighted(pts, 40)
 	if len(cs) != 1 {
 		t.Fatalf("got %d clusters, want 1", len(cs))
 	}
@@ -109,7 +109,7 @@ func TestHierarchicalWeightedZeroWeightDefaultsToOne(t *testing.T) {
 		{P: geo.Point{X: 0, Y: 0}, W: 0},
 		{P: geo.Point{X: 10, Y: 0}, W: 0},
 	}
-	cs, _ := HierarchicalWeighted(pts, 40)
+	cs := HierarchicalWeighted(pts, 40)
 	if len(cs) != 1 || cs[0].Centroid.X != 5 {
 		t.Errorf("zero weights should default to 1: %+v", cs)
 	}
@@ -149,7 +149,7 @@ func TestHierarchicalMergesClosestFirst(t *testing.T) {
 func TestHierarchicalMatchesNaiveImplementation(t *testing.T) {
 	// Compare against a straightforward O(n^3) reference: the same clusters,
 	// each with the same centroid bit for bit, weight and member set. The
-	// merge arithmetic is what a replay of recorded merges rests on.
+	// merge arithmetic is what an installed seal record carries.
 	type cl struct {
 		c       geo.Point
 		w       float64

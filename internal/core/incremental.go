@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -115,118 +116,150 @@ func (b *IncrementalPoolBuilder) AppendTripStays(courier model.CourierID, stays 
 // a no-op. ctx carries the trace span only; the seal always completes once
 // started.
 func (b *IncrementalPoolBuilder) SealWindow(ctx context.Context) error {
-	_, err := b.SealWindowDecisions(ctx)
+	_, err := b.SealWindowResult(ctx)
 	return err
 }
 
-// SealDecisions are what one seal decided, which ReplayWindow can make
-// again without the search: the merges of the window's own clustering
-// (Window; ids are the window's stay points in trip and stay order, then
-// the clusters the merges created) and of its candidates into the pool
-// (Pool; the pool index's ids), each in merge order. Stays, StaySum and
-// PoolIDs say what they were decided over: the window's stay count, a
-// checksum of its stay locations in order (all the merges depend on), and
-// the ids the pool index had issued before the seal.
-type SealDecisions struct {
-	Stays        int
-	StaySum      uint64
-	PoolIDs      int
-	Window, Pool []cluster.Pair
+// SealResult is what one seal made, in the form InstallWindow takes back
+// without clustering or merging. Window lists the window's clusters of more
+// than one stay, in the order its clustering created them, each with its
+// centroid, its weight and its stays (indices in trip and stay order) in
+// merge order; every other stay is a cluster of its own. Pool lists the
+// items the pool index created and kept, in creation order, each with its
+// index id, centroid, weight and the index ids, alive before the seal, it
+// took in, in merge order. Stays, StaySum and PoolIDs say what it was made
+// over: the window's stay count, a checksum of its stay locations in order
+// (everything else depends on), and the ids the pool index had issued
+// before the seal.
+type SealResult struct {
+	Stays   int
+	StaySum uint64
+	PoolIDs int
+	Window  []cluster.Cluster
+	Pool    []cluster.Merged
 }
 
-// SealWindowDecisions is SealWindow, reporting the seal's decisions. Under
-// UseGridMerge there are none to report, and it returns nil.
-func (b *IncrementalPoolBuilder) SealWindowDecisions(ctx context.Context) (*SealDecisions, error) {
+// SealWindowResult is SealWindow, reporting what the seal made. Under
+// UseGridMerge there is no result to report, and it returns nil.
+func (b *IncrementalPoolBuilder) SealWindowResult(ctx context.Context) (*SealResult, error) {
 	return b.seal(ctx, nil)
 }
 
-// ReplayWindow seals the pending window by making the merges dec records
-// instead of searching for them. The merges go through the steps the
-// search's merges take, so the pool is the one SealWindow would build, bit
-// for bit. It reports false, and changes nothing, when dec was not decided
-// over this window and pool — its stay count, stay checksum or pool id
-// count differ — or there is nothing to replay into (nothing pending, or
-// UseGridMerge); the caller then seals the window with SealWindow. Merges
-// that do not apply (an id not issued or merged away, one id twice,
-// centroids farther apart than the cutoff) are an error, after which the
-// builder holds a partly merged window and must not be used.
-func (b *IncrementalPoolBuilder) ReplayWindow(ctx context.Context, dec *SealDecisions) (bool, error) {
+// InstallWindow seals the pending window by installing what res says its
+// seal made instead of clustering and merging: the window's items, the
+// visits and the pool's merges are made from res, through the steps the
+// live seal takes after its clustering and its merges, so the pool is the
+// one SealWindow would build, bit for bit. Each new item's profile is summed
+// from its stays, and each merged item's from its members, as the live seal
+// sums them; the merge order is not re-searched. It reports false, and
+// changes nothing, when res was not made over this window and pool — its
+// stay count, stay checksum or pool id count differ — or there is nothing
+// to install into (nothing pending, or UseGridMerge); the caller then seals
+// the window with SealWindow. A res that does not fit (a stay out of range
+// or in two clusters, a cluster of one stay, a pool item the index refuses
+// or whose weight is not its members' sum) is an error, after which the
+// builder may hold a partly installed window and must not be used.
+func (b *IncrementalPoolBuilder) InstallWindow(ctx context.Context, res *SealResult) (bool, error) {
 	if b.index == nil || len(b.pending) == 0 {
 		return false, nil
 	}
-	_, err := b.seal(ctx, dec)
-	if err == errNotDecidedHere {
+	_, err := b.seal(ctx, res)
+	if err == errNotMadeHere {
 		return false, nil
 	}
 	return err == nil, err
 }
 
-// errNotDecidedHere is seal's answer to decisions made over another window
-// or pool.
-var errNotDecidedHere = errors.New("core: seal decisions made over another window or pool")
+// errNotMadeHere is seal's answer to a result made over another window or
+// pool.
+var errNotMadeHere = errors.New("core: seal result made over another window or pool")
 
-// seal is SealWindowDecisions with replay nil, and otherwise ReplayWindow
-// of replay.
-func (b *IncrementalPoolBuilder) seal(ctx context.Context, replay *SealDecisions) (*SealDecisions, error) {
+// seal is SealWindowResult with install nil, and otherwise InstallWindow of
+// install.
+func (b *IncrementalPoolBuilder) seal(ctx context.Context, install *SealResult) (*SealResult, error) {
 	if len(b.pending) == 0 {
 		return nil, nil
 	}
 	type stay struct {
-		sp   traj.StayPoint
+		sp   *traj.StayPoint
 		trip int // index into b.pending
 	}
-	var stays []stay
+	n := 0
 	for ti := range b.pending {
-		for _, sp := range b.pending[ti].stays {
-			stays = append(stays, stay{sp: sp, trip: ti})
+		n += len(b.pending[ti].stays)
+	}
+	stays := make([]stay, 0, n)
+	for ti := range b.pending {
+		for k := range b.pending[ti].stays {
+			stays = append(stays, stay{sp: &b.pending[ti].stays[k], trip: ti})
 		}
 	}
 	pts := make([]cluster.WeightedPoint, len(stays))
 	for i, s := range stays {
 		pts[i] = cluster.WeightedPoint{P: s.sp.Loc, W: 1}
 	}
-	var dec *SealDecisions
+	var res *SealResult
 	if b.index != nil {
-		dec = &SealDecisions{Stays: len(pts), StaySum: staySum(pts), PoolIDs: b.index.Len()}
-		if replay != nil && (replay.Stays != dec.Stays || replay.StaySum != dec.StaySum || replay.PoolIDs != dec.PoolIDs) {
-			return nil, errNotDecidedHere
+		res = &SealResult{Stays: len(pts), StaySum: staySum(pts), PoolIDs: b.index.Len()}
+		if install != nil && (install.Stays != res.Stays || install.StaySum != res.StaySum || install.PoolIDs != res.PoolIDs) {
+			return nil, errNotMadeHere
 		}
 	}
 	defer obs.StartSpanCtx(ctx, "pool_window", stagePoolWindow).End()
-	var windowClusters []cluster.Cluster
+	// The window's clusters: the stays that merged with none, ascending,
+	// then the others in creation order (res.Window); under UseGridMerge,
+	// GridMerge's cells in its order.
+	var (
+		single []int
+		window []cluster.Cluster
+	)
 	switch {
 	case b.cfg.UseGridMerge:
 		locs := make([]geo.Point, len(pts))
 		for i, p := range pts {
 			locs[i] = p.P
 		}
-		windowClusters = cluster.GridMerge(locs, b.cfg.ClusterDistance)
-	case replay != nil:
+		window = cluster.GridMerge(locs, b.cfg.ClusterDistance)
+	case install != nil:
 		var err error
-		if windowClusters, err = cluster.ReplayHierarchical(pts, b.cfg.ClusterDistance, replay.Window); err != nil {
-			return nil, fmt.Errorf("core: replaying the window's merges: %w", err)
+		if single, err = singleStays(len(pts), install.Window); err != nil {
+			return nil, fmt.Errorf("core: installing the window's clusters: %w", err)
 		}
+		window = install.Window
 	default:
-		windowClusters, dec.Window = cluster.HierarchicalWeighted(pts, b.cfg.ClusterDistance)
+		cs := cluster.HierarchicalWeighted(pts, b.cfg.ClusterDistance)
+		n := slices.IndexFunc(cs, func(c cluster.Cluster) bool { return len(c.Members) > 1 })
+		if n < 0 {
+			n = len(cs)
+		}
+		single = make([]int, n)
+		for i := range single {
+			single[i] = cs[i].Members[0]
+		}
+		window = cs[n:]
+	}
+	if res != nil {
+		res.Window = window
 	}
 
-	// Install the window's candidates as new items and record visits.
-	// Every stay joins one candidate: a trip's visits are its stays.
-	windowVisits := make([][]rawVisit, len(b.pending))
-	for ti := range windowVisits {
-		windowVisits[ti] = make([]rawVisit, 0, len(b.pending[ti].stays))
-	}
-	for _, c := range windowClusters {
+	// Install the window's candidates as new items, in cluster order, and
+	// record which item each stay joined, and when (visitAt: the order the
+	// clusters list the stays in).
+	itemOf := make([]int32, len(stays))
+	visitAt := make([]int32, len(stays))
+	nv := int32(0)
+	firstItem := len(b.succ)
+	addItem := func(centroid geo.Point, members []int) {
 		id := len(b.succ)
 		item := incrementalItem{
 			id:       id,
-			centroid: c.Centroid,
-			anchor:   pts[c.Members[0]].P,
-			weight:   float64(len(c.Members)),
+			centroid: centroid,
+			anchor:   pts[members[0]].P,
+			weight:   float64(len(members)),
 		}
 		cs := b.couriers[:0]
-		for _, m := range c.Members {
-			s := stays[m]
+		for _, m := range members {
+			s := &stays[m]
 			item.dur += s.sp.Duration()
 			hour := int(s.sp.MidT()/3600) % 24
 			if hour < 0 {
@@ -234,40 +267,125 @@ func (b *IncrementalPoolBuilder) seal(ctx context.Context, replay *SealDecisions
 			}
 			item.hist[hour]++
 			cs = append(cs, b.pending[s.trip].courier)
-			windowVisits[s.trip] = append(windowVisits[s.trip], rawVisit{
-				item: int32(id), arriveT: s.sp.ArriveT, leaveT: s.sp.LeaveT,
-			})
+			itemOf[m], visitAt[m] = int32(id), nv
+			nv++
 		}
 		item.couriers, b.couriers = courierSet(cs), cs
 		b.items = append(b.items, item)
 		b.succ = append(b.succ, -1)
-		if b.index != nil {
-			b.link(b.index.Add(cluster.WeightedPoint{P: item.centroid, W: item.weight}), id)
-		}
 	}
-	for ti, vs := range windowVisits {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].arriveT < vs[j].arriveT })
+	for _, m := range single {
+		one := [1]int{m}
+		addItem(pts[m].P, one[:])
+	}
+	for _, c := range window {
+		addItem(c.Centroid, c.Members)
+	}
+	// A trip's visits are its stays, each tagged with its item, by arrival.
+	// Stays that arrive in order are already so; otherwise they are sorted
+	// from the order the clusters list them, as they always were.
+	at := 0
+	for ti := range b.pending {
+		n := len(b.pending[ti].stays)
+		vs := make([]rawVisit, n)
+		inOrder := true
+		for k := range vs {
+			s := &stays[at+k]
+			vs[k] = rawVisit{item: itemOf[at+k], arriveT: s.sp.ArriveT, leaveT: s.sp.LeaveT}
+			inOrder = inOrder && (k == 0 || vs[k-1].arriveT < vs[k].arriveT)
+		}
+		if !inOrder {
+			listed := make([]int, n)
+			for k := range listed {
+				listed[k] = at + k
+			}
+			slices.SortFunc(listed, func(x, y int) int { return cmp.Compare(visitAt[x], visitAt[y]) })
+			for k, m := range listed {
+				vs[k] = rawVisit{item: itemOf[m], arriveT: stays[m].sp.ArriveT, leaveT: stays[m].sp.LeaveT}
+			}
+			sort.Slice(vs, func(i, j int) bool { return vs[i].arriveT < vs[j].arriveT })
+		}
 		b.visits[b.pending[ti].slot] = vs
+		at += n
 	}
 	b.pending = nil
 
-	switch {
-	case b.index == nil:
+	if b.index == nil {
 		b.mergeGrid()
-	case replay != nil:
-		merged, err := b.index.ReplayMerges(replay.Pool)
-		if err != nil {
-			return nil, fmt.Errorf("core: replaying the pool's merges: %w", err)
-		}
-		b.absorbMerged(merged)
-	default:
-		var merged []cluster.Merged
-		merged, dec.Pool = b.index.MergeNew(dec.PoolIDs)
-		b.absorbMerged(merged)
+	} else if err := b.mergePool(res, install, firstItem); err != nil {
+		return nil, fmt.Errorf("core: installing the pool's merges: %w", err)
 	}
 	// Drop the merged-away profiles, keeping the alive ones in id order.
 	b.items = slices.DeleteFunc(b.items, func(it incrementalItem) bool { return b.succ[it.id] != -1 })
-	return dec, nil
+	return res, nil
+}
+
+// mergePool merges the window's new items, from item id first on, into the
+// pool: it adds their centroids to the index, then searches for the merges
+// (MergeNew) and reports them in res.Pool, or, with install, installs
+// install.Pool's. The merged centroids' items are absorbed either way, and
+// an installed item whose weight is not its members' sum is an error.
+func (b *IncrementalPoolBuilder) mergePool(res, install *SealResult, first int) error {
+	added := b.items[len(b.items)-(len(b.succ)-first):]
+	pts := make([]cluster.WeightedPoint, len(added))
+	for k := range added {
+		pts[k] = cluster.WeightedPoint{P: added[k].centroid, W: added[k].weight}
+	}
+	if install != nil {
+		if err := b.index.Install(pts, install.Pool); err != nil {
+			return err
+		}
+		res.Pool = install.Pool
+	} else {
+		for _, p := range pts {
+			b.index.Add(p)
+		}
+		res.Pool = b.index.MergeNew(res.PoolIDs)
+	}
+	for k := range added {
+		b.link(res.PoolIDs+k, first+k)
+	}
+	n := len(b.items)
+	b.absorbMerged(res.Pool)
+	if install == nil {
+		return nil
+	}
+	for i, m := range res.Pool {
+		if w := b.items[n+i].weight; w != m.Weight {
+			return fmt.Errorf("item %d weighs %g, its members %g", i, m.Weight, w)
+		}
+	}
+	return nil
+}
+
+// singleStays checks that the clusters of more than one stay, window, take
+// in each of n stays at most once, and returns the stays they do not take
+// in, ascending.
+func singleStays(n int, window []cluster.Cluster) ([]int, error) {
+	taken := make([]bool, n)
+	left := n
+	for i, c := range window {
+		if len(c.Members) < 2 {
+			return nil, fmt.Errorf("cluster %d holds %d stays", i, len(c.Members))
+		}
+		for _, m := range c.Members {
+			switch {
+			case m < 0 || m >= n:
+				return nil, fmt.Errorf("cluster %d holds stay %d of %d", i, m, n)
+			case taken[m]:
+				return nil, fmt.Errorf("stay %d is in two clusters", m)
+			}
+			taken[m] = true
+		}
+		left -= len(c.Members)
+	}
+	single := make([]int, 0, left)
+	for m, t := range taken {
+		if !t {
+			single = append(single, m)
+		}
+	}
+	return single, nil
 }
 
 // staySum is the FNV-1a hash, over 64-bit words, of the points' locations
@@ -283,9 +401,11 @@ func staySum(pts []cluster.WeightedPoint) uint64 {
 }
 
 // courierSet returns the sorted, distinct couriers of cs in a slice of its
-// own, reordering cs.
+// own, reordering cs; most sets are of one stay's courier, sorted already.
 func courierSet(cs []model.CourierID) []model.CourierID {
-	slices.Sort(cs)
+	if !slices.IsSorted(cs) {
+		slices.Sort(cs)
+	}
 	return slices.Clone(slices.Compact(cs))
 }
 

@@ -356,12 +356,11 @@ func TestIncrementalBuilderSnapshotSemantics(t *testing.T) {
 	}
 }
 
-// TestReplayedSealsMatchClustered: a builder that replays the decisions
-// the first k seals of another reported (ReplayWindow) and clusters the rest
-// ends up equal to the one that clustered every seal — the whole builder,
-// under reflect.DeepEqual — for every k. Decisions made over another window
-// or pool are declined without a change, and decisions that do not apply
-// are an error.
+// TestReplayedSealsMatchClustered: a builder that installs what the first k
+// seals of another made (InstallWindow) and clusters the rest ends up equal
+// to the one that clustered every seal — the whole builder, under
+// reflect.DeepEqual — for every k. A result made over another window or
+// pool is declined without a change, and one that does not fit is an error.
 func TestReplayedSealsMatchClustered(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
@@ -386,22 +385,27 @@ func TestReplayedSealsMatchClustered(t *testing.T) {
 		}
 		windows = append(windows, trips)
 	}
+	// One trip's stays arrive out of order, two of them at once: its visits
+	// are sorted from the order its clusters list them.
+	for _, at := range []float64{5, -1, 5} {
+		windows[3][0] = append(windows[3][0], traj.StayPoint{Loc: sites[0], ArriveT: at, LeaveT: at + 60, NPoints: 4})
+	}
 	feed := func(b *IncrementalPoolBuilder, w int) {
 		for i, stays := range windows[w] {
-			b.AppendTripStays(model.CourierID(w*8+i), stays)
+			b.AppendTripStays(model.CourierID(w*8+i), slices.Clone(stays))
 		}
 	}
 	clustered := NewIncrementalPoolBuilder(cfg)
-	var decs []*SealDecisions
+	var results []*SealResult
 	merges := 0
 	for w := range windows {
 		feed(clustered, w)
-		dec, err := clustered.SealWindowDecisions(ctx)
-		if err != nil || dec == nil {
-			t.Fatalf("window %d: decisions %v, %v", w, dec, err)
+		res, err := clustered.SealWindowResult(ctx)
+		if err != nil || res == nil {
+			t.Fatalf("window %d: result %v, %v", w, res, err)
 		}
-		decs = append(decs, dec)
-		merges += len(dec.Pool)
+		results = append(results, res)
+		merges += len(res.Pool)
 	}
 	if merges == 0 {
 		t.Fatal("no window merged into the pool")
@@ -416,53 +420,76 @@ func TestReplayedSealsMatchClustered(t *testing.T) {
 				}
 				continue
 			}
-			if w+1 < len(decs) {
-				// The next window's decisions were made over another window
-				// and pool; declining them must change nothing, or the
-				// builders below differ.
-				if ok, err := b.ReplayWindow(ctx, decs[w+1]); ok || err != nil {
-					t.Fatalf("k=%d: window %d took window %d's decisions: %v, %v", k, w, w+1, ok, err)
+			if w+1 < len(results) {
+				// The next window's result was made over another window and
+				// pool; declining it must change nothing, or the builders
+				// below differ.
+				if ok, err := b.InstallWindow(ctx, results[w+1]); ok || err != nil {
+					t.Fatalf("k=%d: window %d took window %d's result: %v, %v", k, w, w+1, ok, err)
 				}
 			}
-			if ok, err := b.ReplayWindow(ctx, decs[w]); !ok || err != nil {
-				t.Fatalf("k=%d: window %d's own decisions declined: %v, %v", k, w, ok, err)
+			if ok, err := b.InstallWindow(ctx, results[w]); !ok || err != nil {
+				t.Fatalf("k=%d: window %d's own result declined: %v, %v", k, w, ok, err)
 			}
 		}
 		if !reflect.DeepEqual(b, clustered) {
-			t.Fatalf("replaying the first %d seals and clustering the rest built another builder", k)
+			t.Fatalf("installing the first %d seals and clustering the rest built another builder", k)
 		}
 	}
 
-	// A pool merge that names a merged-away id: the pool's last decision
-	// repeated.
-	last := len(decs) - 1
-	if len(decs[last].Pool) == 0 {
-		t.Fatal("the last window merged nothing into the pool")
+	// Results that match the last window but do not fit it.
+	last := len(results) - 1
+	res := *results[last]
+	if len(res.Pool) == 0 || len(res.Window) == 0 {
+		t.Fatal("the last window merged nothing")
 	}
-	bad := *decs[last]
-	bad.Pool = append(slices.Clone(bad.Pool), bad.Pool[len(bad.Pool)-1])
-	b := NewIncrementalPoolBuilder(cfg)
-	for w := range windows {
-		feed(b, w)
-		if w < last {
-			if err := b.SealWindow(ctx); err != nil {
-				t.Fatal(err)
+	pool := func(f func(m *cluster.Merged)) SealResult {
+		bad := res
+		bad.Pool = slices.Clone(res.Pool)
+		m := &bad.Pool[len(bad.Pool)-1]
+		m.Members = slices.Clone(m.Members)
+		f(m)
+		return bad
+	}
+	window := func(f func(c *cluster.Cluster)) SealResult {
+		bad := res
+		bad.Window = slices.Clone(res.Window)
+		c := &bad.Window[0]
+		c.Members = slices.Clone(c.Members)
+		f(c)
+		return bad
+	}
+	for name, bad := range map[string]SealResult{
+		"a stay in two clusters": window(func(c *cluster.Cluster) { c.Members[1] = res.Window[len(res.Window)-1].Members[0] }),
+		"a stay past the window": window(func(c *cluster.Cluster) { c.Members[1] = res.Stays }),
+		"a cluster of one stay":  window(func(c *cluster.Cluster) { c.Members = c.Members[:1] }),
+		"a merged-away member":   pool(func(m *cluster.Merged) { m.Members[1] = m.Members[0] }),
+		"a weight off":           pool(func(m *cluster.Merged) { m.Weight++ }),
+		"an id past the merges":  pool(func(m *cluster.Merged) { m.ID++ }),
+	} {
+		b := NewIncrementalPoolBuilder(cfg)
+		for w := range windows {
+			feed(b, w)
+			if w < last {
+				if err := b.SealWindow(ctx); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if ok, err := b.ReplayWindow(ctx, &bad); ok || err == nil {
-		t.Fatalf("replaying a merge of merged-away ids: %v, %v", ok, err)
+		if ok, err := b.InstallWindow(ctx, &bad); ok || err == nil {
+			t.Errorf("installing a result with %s: %v, %v", name, ok, err)
+		}
 	}
 
 	grid := cfg
 	grid.UseGridMerge = true
 	g := NewIncrementalPoolBuilder(grid)
 	feed(g, 0)
-	if dec, err := g.SealWindowDecisions(ctx); dec != nil || err != nil {
-		t.Fatalf("grid merging reported decisions %+v, %v", dec, err)
+	if res, err := g.SealWindowResult(ctx); res != nil || err != nil {
+		t.Fatalf("grid merging reported a result %+v, %v", res, err)
 	}
 	feed(g, 1)
-	if ok, err := g.ReplayWindow(ctx, decs[1]); ok || err != nil {
-		t.Fatalf("grid merging replayed decisions: %v, %v", ok, err)
+	if ok, err := g.InstallWindow(ctx, results[1]); ok || err != nil {
+		t.Fatalf("grid merging installed a result: %v, %v", ok, err)
 	}
 }

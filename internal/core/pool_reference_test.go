@@ -135,7 +135,7 @@ func (b *refPoolBuilder) sealWindow() {
 	for i, id := range alive {
 		wpts[i] = cluster.WeightedPoint{P: b.items[id].centroid, W: b.items[id].weight}
 	}
-	cs, _ := cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance)
+	cs := cluster.HierarchicalWeighted(wpts, b.cfg.ClusterDistance)
 	for _, c := range cs {
 		if len(c.Members) < 2 {
 			continue
@@ -205,7 +205,10 @@ func (b *refPoolBuilder) finalize() *Pool {
 // or are new, cut into windows at random — and holds every FinalizeCtx, after
 // every seal and once with trips pending, to the reference's pool:
 // locations (centroids, NCouriers, TimeDist and the rest) and every trip's
-// visits, under reflect.DeepEqual.
+// visits, under reflect.DeepEqual. A twin builder fed the same trips
+// installs what each of the live builder's seals made (InstallWindow), and
+// must equal it, the whole builder under reflect.DeepEqual, after every
+// seal; under UseGridMerge there is nothing to install, and it seals.
 func FuzzPoolBuilder(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, uint8(3+seed*7), uint8(seed*5), seed%3 == 2)
@@ -227,7 +230,26 @@ func FuzzPoolBuilder(f *testing.F) {
 			sites[i] = p
 		}
 		jitter := []float64{0, 1, 5, 25}[rng.Intn(4)]
-		got, want := NewIncrementalPoolBuilder(cfg), newRefPoolBuilder(cfg)
+		got, want, twin := NewIncrementalPoolBuilder(cfg), newRefPoolBuilder(cfg), NewIncrementalPoolBuilder(cfg)
+		seal := func() {
+			t.Helper()
+			ctx := context.Background()
+			res, err := got.SealWindowResult(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.sealWindow()
+			if ok, err := twin.InstallWindow(ctx, res); err != nil || ok != (res != nil && !grid) {
+				t.Fatalf("installing a seal's result: %v, %v", ok, err)
+			} else if !ok {
+				if err := twin.SealWindow(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(twin, got) {
+				t.Fatal("the builder that installed the seal differs from the one that clustered it")
+			}
+		}
 		check := func(when string) {
 			t.Helper()
 			g, w := got.FinalizeCtx(context.Background()), want.finalize()
@@ -255,13 +277,11 @@ func FuzzPoolBuilder(f *testing.F) {
 				}
 			}
 			got.AppendTripStays(courier, slices.Clone(stays))
+			twin.AppendTripStays(courier, slices.Clone(stays))
 			want.appendTripStays(courier, stays)
 			switch rng.Intn(4) {
 			case 0:
-				if err := got.SealWindow(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				want.sealWindow()
+				seal()
 				check("after a seal")
 			case 1:
 				if i%7 == 0 {
@@ -269,10 +289,7 @@ func FuzzPoolBuilder(f *testing.F) {
 				}
 			}
 		}
-		if err := got.SealWindow(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		want.sealWindow()
+		seal()
 		check("after the last seal")
 	})
 }

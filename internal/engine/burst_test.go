@@ -326,6 +326,7 @@ func TestMalformedWALRecordRefusesReplay(t *testing.T) {
 		"tag only (window)": {walTagWindow},
 		"seal record":       sampleSealRecord(),
 		"short seal":        sampleSealRecord()[:len(sampleSealRecord())-1],
+		"retired seal":      retiredSealRecord,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

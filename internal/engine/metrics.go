@@ -59,8 +59,8 @@ var (
 		"Wall time of the last write-ahead-log replay: window records, then the fix log past the last one, until every window they cut is sealed.")
 	walReplayedRecords = obs.Default.Gauge("dlinfma_engine_wal_replayed_records",
 		"Records the last write-ahead-log replay applied.")
-	replayedSeals = obs.Default.Counter("dlinfma_engine_replayed_seals_total",
-		"Pool-window seals a restart made from their seal records in the window log instead of clustering the window.")
+	installedSeals = obs.Default.Counter("dlinfma_engine_replayed_seals_total",
+		"Pool-window seals a restart installed from their seal records in the window log instead of clustering the window and merging it into the pool.")
 	windowRecords = obs.Default.Counter("dlinfma_engine_window_records_total",
 		"Window records appended to the window log: one per operation that cut a pool window or registered addresses or truth while compaction runs.")
 

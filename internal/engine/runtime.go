@@ -34,7 +34,7 @@ type Runtime interface {
 	// in a directory, on top of the current (typically just-restored)
 	// state; boot order: restore snapshot, OpenWAL, serve. AttachWAL and
 	// ReplayWAL are the same for one fix log the caller owns, uncompacted.
-	OpenWAL(ctx context.Context, dir string, opts wal.Options) (int, error)
+	OpenWAL(ctx context.Context, dir string, opts wal.Options) (WALReplay, error)
 	AttachWAL(w *wal.WAL)
 	ReplayWAL(ctx context.Context, w *wal.WAL) (int, error)
 	Close()

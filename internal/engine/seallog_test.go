@@ -16,21 +16,23 @@ import (
 	"dlinfma/internal/deploy"
 	"dlinfma/internal/geo"
 	"dlinfma/internal/model"
+	"dlinfma/internal/shard"
+	"dlinfma/internal/synth"
 	"dlinfma/internal/wal"
 )
 
 // sealCounts sums e's seals since its window log was opened, by how they
 // were made.
-func sealCounts(e *Engine) (replayed, clustered int) {
+func sealCounts(e *Engine) (installed, clustered int) {
 	for _, sh := range e.shards {
 		sh.ev.sealer.Lock()
 		if sl := sh.ev.seals; sl != nil {
-			replayed += sl.replayed
+			installed += sl.installed
 			clustered += sl.clustered
 		}
 		sh.ev.sealer.Unlock()
 	}
-	return replayed, clustered
+	return installed, clustered
 }
 
 func sealCountsSum(e *Engine) int {
@@ -100,11 +102,17 @@ func dropSealTail(t *testing.T, dir string) {
 
 // FuzzSealRecord holds the seal record codec to a round trip both ways: a
 // record the writer builds from a seeded generator decodes to what was
-// written, and any payload the decoder accepts re-encodes to itself.
+// written, and any payload the decoder accepts re-encodes to itself. The
+// seeds include counts past the payload, an id past MaxInt32 and trailing
+// bytes, which the decoder must refuse.
 func FuzzSealRecord(f *testing.F) {
 	f.Add(int64(1), uint8(3), sampleSealRecord()[1:])
 	f.Add(int64(2), uint8(0), []byte{})
 	f.Add(int64(3), uint8(9), bytes.Repeat([]byte{0xFF}, 64))
+	_, damaged := sealPayloads()
+	for i, p := range damaged {
+		f.Add(int64(4+i), uint8(i), p[min(1, len(p)):])
+	}
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, raw []byte) {
 		want := randomSealRecord(rand.New(rand.NewSource(seed)), int(size%16))
 		got, err := decodeSealRecord(appendSealRecord(nil, want))
@@ -123,31 +131,50 @@ func FuzzSealRecord(f *testing.F) {
 	})
 }
 
-// sampleSealRecord is a seal record with merges of both kinds, ids of one
-// to five uvarint bytes among them.
+// sampleSealRecord is a seal record with window clusters and pool items,
+// ids of one to five uvarint bytes among them, the last id MaxInt32.
 func sampleSealRecord() []byte {
 	return appendSealRecord(nil, &sealRecord{
 		key:     sealKey{shard: 1, shards: 3, precision: 6, cutoff: 40},
 		ordinal: 17,
-		dec: core.SealDecisions{Stays: 4, StaySum: 0xdeadbeef, PoolIDs: 300,
-			Window: []cluster.Pair{{A: 0, B: 3}, {A: 4, B: 1}},
-			Pool:   []cluster.Pair{{A: 127, B: 128}, {A: 1 << 20, B: 1<<31 - 1}}},
+		res: core.SealResult{Stays: 4, StaySum: 0xdeadbeef, PoolIDs: 300,
+			Window: []cluster.Cluster{
+				{Centroid: geo.Point{X: 1.5, Y: -2}, Members: []int{0, 3}, Weight: 2},
+				{Centroid: geo.Point{X: 9, Y: 9}, Members: []int{2, 1}, Weight: 2},
+			},
+			Pool: []cluster.Merged{
+				{ID: 302, Cluster: cluster.Cluster{Centroid: geo.Point{X: 3, Y: 4}, Members: []int{127, 128}, Weight: 7}},
+				{ID: 300 + 200, Cluster: cluster.Cluster{Centroid: geo.Point{X: -1, Y: 0}, Members: []int{1 << 20, 1<<31 - 1}, Weight: 1 << 16}},
+			}},
 	})
 }
 
-// randomSealRecord builds a record of up to n merges of each kind, with the
-// fields the decoder fills the way it fills them (nil for no merges).
+// randomSealRecord builds a record of up to n window clusters and pool
+// items of up to n members each, with the fields the decoder fills the way
+// it fills them (nil for none, a window cluster weighing its member count).
 func randomSealRecord(rng *rand.Rand, n int) *sealRecord {
-	id := func() int32 { return rng.Int31() >> rng.Intn(31) }
+	id := func() int { return int(rng.Int31() >> rng.Intn(31)) }
+	ids := func() []int {
+		var out []int
+		for j := rng.Intn(n + 1); j > 0; j-- {
+			out = append(out, id())
+		}
+		return out
+	}
+	pt := func() geo.Point { return geo.Point{X: rng.NormFloat64() * 1e4, Y: rng.NormFloat64() * 1e4} }
 	rec := &sealRecord{
 		key:     sealKey{shard: int(rng.Uint32()), shards: int(rng.Uint32()), precision: int(rng.Uint32()), cutoff: rng.NormFloat64() * 100},
 		ordinal: rng.Uint64(),
-		dec:     core.SealDecisions{Stays: int(rng.Int31()), StaySum: rng.Uint64(), PoolIDs: int(rng.Int31())},
+		res:     core.SealResult{Stays: int(rng.Int31()), StaySum: rng.Uint64(), PoolIDs: int(rng.Int31())},
 	}
-	for _, pairs := range []*[]cluster.Pair{&rec.dec.Window, &rec.dec.Pool} {
-		for j := rng.Intn(n + 1); j > 0; j-- {
-			*pairs = append(*pairs, cluster.Pair{A: id(), B: id()})
-		}
+	res := &rec.res
+	for j := rng.Intn(n + 1); j > 0; j-- {
+		c := cluster.Cluster{Centroid: pt(), Members: ids()}
+		c.Weight = float64(len(c.Members))
+		res.Window = append(res.Window, c)
+	}
+	for j := rng.Intn(n + 1); j > 0; j-- {
+		res.Pool = append(res.Pool, cluster.Merged{ID: res.PoolIDs + id(), Cluster: cluster.Cluster{Centroid: pt(), Members: ids(), Weight: float64(id())}})
 	}
 	return rec
 }
@@ -156,7 +183,7 @@ func randomSealRecord(rng *rand.Rand, n int) *sealRecord {
 // until the operation that cut its window has ended, and so written its
 // window record, each seal record lands after that window record. A
 // restart at the same shard count (one and three) still finds every one,
-// replays every seal, clusters none, and holds the live engine's ingest
+// installs every seal, clusters none, and holds the live engine's ingest
 // state; a restart under the other count finds none and clusters every
 // seal.
 func TestSealRecordsReplayWhereverTheyLie(t *testing.T) {
@@ -206,12 +233,12 @@ func TestSealRecordsReplayWhereverTheyLie(t *testing.T) {
 				if _, err := twin.OpenWAL(ctx, twinDir, wal.Options{Policy: wal.FsyncNever}); err != nil {
 					t.Fatal(err)
 				}
-				replayed, clustered := sealCounts(twin)
+				installed, clustered := sealCounts(twin)
 				switch {
-				case m == n && (clustered != 0 || replayed != made):
-					t.Fatalf("restart at %d shards: %d seals replayed, %d clustered; the live engine made %d", m, replayed, clustered, made)
-				case m != n && (replayed != 0 || clustered == 0):
-					t.Fatalf("restart at %d shards of a log written at %d: %d seals replayed, %d clustered", m, n, replayed, clustered)
+				case m == n && (clustered != 0 || installed != made):
+					t.Fatalf("restart at %d shards: %d seals installed, %d clustered; the live engine made %d", m, installed, clustered, made)
+				case m != n && (installed != 0 || clustered == 0):
+					t.Fatalf("restart at %d shards of a log written at %d: %d seals installed, %d clustered", m, n, installed, clustered)
 				case m == n:
 					requireSameIngestState(t, live, twin)
 				}
@@ -222,8 +249,9 @@ func TestSealRecordsReplayWhereverTheyLie(t *testing.T) {
 }
 
 // TestSealRecordThatDoesNotApplyFailsOpenWAL: a seal record whose key and
-// guards match a restart's seal but whose merges do not apply — a pool
-// merge of one id with itself — fails OpenWAL, naming the record's
+// guards match a restart's seal but that does not fit it — a pool item
+// that takes in one id twice, a stay in two window clusters, a pool item
+// whose weight is not its members' sum — fails OpenWAL, naming the record's
 // sequence in the window log.
 func TestSealRecordThatDoesNotApplyFailsOpenWAL(t *testing.T) {
 	ctx := context.Background()
@@ -236,32 +264,141 @@ func TestSealRecordThatDoesNotApplyFailsOpenWAL(t *testing.T) {
 	streamWindows(t, live, 6)
 	live.Close()
 
-	ps := windowLogPayloads(t, dir)
-	bad := 0
-	for i, p := range ps {
-		if p[0] != walTagSeal {
-			continue
-		}
-		rec, err := decodeSealRecord(p)
+	for _, tc := range []struct {
+		name, want string
+		damage     func(res *core.SealResult) bool
+	}{
+		{"a pool item absorbing one id twice", "merged away", func(res *core.SealResult) bool {
+			if len(res.Pool) == 0 {
+				return false
+			}
+			m := &res.Pool[0].Members
+			(*m)[1] = (*m)[0]
+			return true
+		}},
+		{"a stay in two clusters", "in two clusters", func(res *core.SealResult) bool {
+			if len(res.Window) == 0 {
+				return false
+			}
+			m := &res.Window[0].Members
+			(*m)[1] = (*m)[0]
+			return true
+		}},
+		{"a pool item's weight off", "weighs", func(res *core.SealResult) bool {
+			if len(res.Pool) == 0 {
+				return false
+			}
+			res.Pool[0].Weight++
+			return true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := windowLogPayloads(t, dir)
+			bad := 0
+			for i, p := range ps {
+				if p[0] != walTagSeal {
+					continue
+				}
+				rec, err := decodeSealRecord(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.damage(&rec.res) {
+					ps[i], bad = appendSealRecord(nil, rec), i+1
+					break
+				}
+			}
+			if bad == 0 {
+				t.Fatal("no seal record to damage")
+			}
+			twinDir := filepath.Join(t.TempDir(), "twin")
+			copyDir(t, dir, twinDir)
+			rewriteWindowLog(t, twinDir, ps)
+			twin := New(streamTestConfig())
+			defer twin.Close()
+			twin.ss.maxStays = 4
+			_, err := twin.OpenWAL(ctx, twinDir, wal.Options{Policy: wal.FsyncNever})
+			want := fmt.Sprintf("window log record %d: shard 0's seal", bad)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenWAL = %v, want a refusal naming %q and %q", err, want, tc.want)
+			}
+		})
+	}
+}
+
+// TestRetiredSealRecordsAreClusteredOnce restarts on a copy of
+// testdata/wal-0x04: the logs a build that wrote seal records as merge
+// pairs (tag 0x04) left after IngestDataset of synth.Tiny at two shards,
+// precision 7 and 3-day windows. The restart skips every 0x04 record and
+// clusters every seal, then re-infers to the frozen stores of an engine fed
+// the same dataset without logs; a second restart from its own logs
+// installs every seal and clusters none.
+func TestRetiredSealRecordsAreClusteredOnce(t *testing.T) {
+	ctx := context.Background()
+	ds, _, err := synth.Generate(synth.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineAt := func() *Engine {
+		cfg := streamTestConfig()
+		cfg.Core.PoolWindowSeconds = 3 * 86400
+		r, err := shard.NewRouter(2, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.dec.Pool) > 0 {
-			rec.dec.Pool[0].B = rec.dec.Pool[0].A
-			ps[i], bad = appendSealRecord(nil, rec), i+1
-			break
+		e := NewSharded(cfg, r)
+		t.Cleanup(e.Close)
+		return e
+	}
+	dir := filepath.Join(t.TempDir(), "wal")
+	copyDir(t, filepath.Join("testdata", "wal-0x04"), dir)
+	retired := 0
+	for _, p := range windowLogPayloads(t, dir) {
+		if p[0] == walTagRetiredSeal {
+			retired++
+		} else if p[0] != walTagWindow {
+			t.Fatalf("the old window log holds a record of tag %#02x", p[0])
 		}
 	}
-	if bad == 0 {
-		t.Fatal("no seal record merged into the pool")
+	if retired == 0 {
+		t.Fatal("the old window log holds no 0x04 seal record")
 	}
-	rewriteWindowLog(t, dir, ps)
-	twin := New(streamTestConfig())
-	defer twin.Close()
-	twin.ss.maxStays = 4
-	_, err := twin.OpenWAL(ctx, dir, wal.Options{Policy: wal.FsyncNever})
-	want := fmt.Sprintf("window log record %d: shard 0's seal", bad)
-	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "with itself") {
-		t.Fatalf("OpenWAL = %v, want a refusal naming %q", err, want)
+
+	first := engineAt()
+	rep, err := first.OpenWAL(ctx, dir, wal.Options{Policy: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rep.SealsInstalled != 0 || rep.SealsClustered != retired {
+		t.Fatalf("restart on the old logs: %d seals installed, %d clustered; the logs hold %d retired seal records", rep.SealsInstalled, rep.SealsClustered, retired)
+	}
+	ref := engineAt()
+	if err := ref.IngestDataset(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	requireSameIngestState(t, ref, first)
+	for _, e := range []*Engine{ref, first} {
+		if err := e.Reinfer(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range ref.shards {
+		want, got := ref.shards[i].frozen(), first.shards[i].frozen()
+		if want == nil || want.Inferred() == 0 {
+			t.Fatalf("shard %d inferred nothing", i)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("shard %d's frozen store differs from the one an engine fed the dataset publishes", i)
+		}
+	}
+	first.Close()
+
+	second := engineAt()
+	if rep, err = second.OpenWAL(ctx, dir, wal.Options{Policy: wal.FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	if rep.SealsInstalled != retired || rep.SealsClustered != 0 {
+		t.Fatalf("second restart: %d seals installed, %d clustered, want %d and 0", rep.SealsInstalled, rep.SealsClustered, retired)
+	}
+	requireSameIngestState(t, ref, second)
 }

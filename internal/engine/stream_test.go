@@ -560,12 +560,12 @@ func testWALCrashRecovery(t *testing.T, n int) {
 	copyDir(t, dir, recDir)
 	recovered := newEngine()
 	defer recovered.Close()
-	replayed, err := recovered.OpenWAL(ctx, recDir, wal.Options{})
+	rep, err := recovered.OpenWAL(ctx, recDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed != wantRecords {
-		t.Fatalf("replayed %d records, want %d", replayed, wantRecords)
+	if rep.Records != wantRecords {
+		t.Fatalf("replayed %d records, want %d", rep.Records, wantRecords)
 	}
 	requireSameIngestState(t, live, recovered)
 	if st := recovered.Status(); st.OpenStreams != 1 || st.PendingTrips != 4 {
@@ -689,7 +689,7 @@ func TestShardKeepsNoFixes(t *testing.T) {
 // trained on, so the replayed trips it covers are not pending again. At each
 // step of the window record a second twin restarts under the other shard
 // count (1 or 3), where no seal record applies, and restarts again from its
-// own logs, where every seal must replay its record and none re-cluster; it
+// own logs, where every seal must install its record and none re-cluster; it
 // follows a reference engine fed the same script at that count. From then
 // on every twin runs the rest of the script beside the live engine (the
 // saves excepted); after one more window and a re-inference on all of
@@ -851,8 +851,8 @@ func testSnapshotRestartKeepsEvidence(t *testing.T, n int) {
 		first, firstDir := restartFrom(logDir, point, other, unrecorded, damage)
 		first.settle()
 		second, _ := restartFrom(firstDir, point+", restarted again", other, nil, nil)
-		if replayed, clustered := sealCounts(second); clustered != 0 || replayed != sealCountsSum(first) {
-			t.Fatalf("%s, restarted again: %d seals replayed, %d clustered; the first restart made %d", point, replayed, clustered, sealCountsSum(first))
+		if installed, clustered := sealCounts(second); clustered != 0 || installed != sealCountsSum(first) {
+			t.Fatalf("%s, restarted again: %d seals installed, %d clustered; the first restart made %d", point, installed, clustered, sealCountsSum(first))
 		}
 		return second
 	}

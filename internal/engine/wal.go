@@ -25,9 +25,10 @@ import (
 // a restart skip the fix log up to the last one.
 //
 // Byte 0 of a payload is its tag. The streamed kinds are fixed-width and
-// little-endian, the cut is the tag alone, 0x07 is a window record and 0x04
-// a seal record (seallog.go), the window log's two kinds. 0x03 is reserved
-// for the waybill line. Any other tag — the JSON records
+// little-endian, the cut is the tag alone, 0x07 is a window record and 0x05
+// a seal record (seallog.go), the window log's two kinds; the window log
+// also skips 0x04, the retired seal record. 0x03 is reserved for the
+// waybill line. Any other tag — the JSON records
 // ('{') earlier builds wrote among them — and a record of the other log's
 // kind refuses replay: it is a log from another build, or not this log,
 // and refusing beats silently dropping ingest.
@@ -110,6 +111,8 @@ func decodeWALRecord(payload []byte) (ent walEntry, err error) {
 		ent.window, err = decodeWindowRecord(payload)
 	case walTagSeal:
 		ent.seal, err = decodeSealRecord(payload)
+	case walTagRetiredSeal:
+		return ent, errors.New("retired seal record (tag 0x04), which only the window log skips")
 	default:
 		return ent, fmt.Errorf("unknown wal record tag %#02x", tag)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"dlinfma/internal/deploy"
@@ -43,8 +44,8 @@ var legacyBatchRecord = []byte(`{"k":"ingest","trips":[{"Courier":2,"StartT":1,"
 // each: widths off by one, tags nobody wrote, JSON of any kind — the JSON
 // batch window, pt and end records of earlier builds among them — and a
 // window or seal record cut short, lengthened, or claiming more than it
-// holds, and a seal record with an id in a longer encoding than its
-// shortest.
+// holds, a seal record with an id in a longer encoding than its shortest,
+// and a retired seal record.
 var walPayloads = func() [][]byte {
 	point := appendWALOp(nil, &deploy.StreamOp{Courier: -7, Pt: traj.GPSPoint{P: geo.Point{X: 116397.53, Y: -0.0}, T: 1622505600.125}})
 	end := appendWALOp(nil, &deploy.StreamOp{Courier: 1 << 30, End: true})
@@ -71,17 +72,33 @@ var walPayloads = func() [][]byte {
 		[]byte(`{}`),
 		window, window[:len(window)-1], append(bytes.Clone(window), 0), huge, {walTagWindow},
 		bytes.Clone(empty.record(wal.Position{}, 0, nil)),
-		seal, appendSealRecord(nil, &sealRecord{}),
+		seal, appendSealRecord(nil, &sealRecord{}), retiredSealRecord,
 	}, sealDamaged...)
 }()
 
+// retiredSealRecord is a seal record of tag 0x04, which held the seal's
+// merge pairs: shard 1 of 2, precision 7, cutoff 40, ordinal 0, 3 stays
+// over 5 pool ids, one window merge (0, 2) and no pool merge. Only the
+// window log takes it, and skips it.
+var retiredSealRecord = func() []byte {
+	b := []byte{walTagRetiredSeal, 1, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0}
+	b = appendFloats(b, 40)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 3)
+	b = binary.LittleEndian.AppendUint64(b, 0x0123456789abcdef)
+	b = binary.LittleEndian.AppendUint64(b, 5)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = append(b, 0, 2)
+	return binary.LittleEndian.AppendUint32(b, 0)
+}()
+
 // sealPayloads are the sample seal record and its damage: cut short,
-// lengthened, claiming more merges than it holds, an id in a longer
-// encoding than its shortest, and the tag alone.
+// lengthened, claiming more window clusters than it holds, an id in a
+// longer encoding than its shortest, and the tag alone.
 func sealPayloads() (whole []byte, damaged [][]byte) {
 	seal := sampleSealRecord()
 	huge := bytes.Clone(seal)
-	// The window merge count, past tag, key, ordinal and guards.
+	// The window cluster count, past tag, key, ordinal and guards.
 	binary.LittleEndian.PutUint32(huge[1+3*4+2*8+4+2*8:], 1<<30)
 	// The last id, 0x7fffffff, in six bytes instead of five.
 	long := append(bytes.Clone(seal[:len(seal)-5]), 0xff, 0xff, 0xff, 0xff, 0x87, 0)
@@ -168,10 +185,13 @@ func FuzzWALRecordDecode(f *testing.F) {
 	})
 }
 
-// TestSealRecordDecoderRefuses: the damaged seal records are refused, and
-// the whole one decodes.
+// TestSealRecordDecoderRefuses: the damaged seal records and a retired one
+// are refused, and the whole one decodes.
 func TestSealRecordDecoderRefuses(t *testing.T) {
 	seal, damaged := sealPayloads()
+	if _, err := decodeWALRecord(retiredSealRecord); err == nil || !strings.Contains(err.Error(), "retired seal record") {
+		t.Errorf("a retired seal record decodes: %v", err)
+	}
 	if _, err := decodeWALRecord(seal); err != nil {
 		t.Fatalf("the sample seal record does not decode: %v", err)
 	}

@@ -423,14 +423,14 @@ func (e *Engine) compactStep(step string) {
 // and window grid restored. The fix log is then opened at the last
 // record's resume position and replayed from there, and none of it before
 // that position is read. Every seal along the way, the fix log's included,
-// replays its seal record where one decided over the same stays and pool
+// installs its seal record where one made over the same stays and pool
 // exists, and clusters the window (appending a new record) where none
-// does; a found record whose decisions do not apply fails OpenWAL, naming
-// its sequence. It returns the number of window and fix records applied.
-// Close closes the logs.
-func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int, error) {
+// does; a found record that does not fit its seal fails OpenWAL, naming
+// its sequence. It returns the number of window and fix records applied
+// and how the seals were made. Close closes the logs.
+func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (WALReplay, error) {
 	if e.remote {
-		return 0, errRemoteStreaming
+		return WALReplay{}, errRemoteStreaming
 	}
 	ctx, tsp := trace.Start(ctx, "engine.wal_replay")
 	defer tsp.End()
@@ -439,20 +439,20 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 	wopts.Log = "window"
 	wins, err := wal.Open(filepath.Join(dir, windowLogDir), wopts)
 	if err != nil {
-		return 0, err
+		return WALReplay{}, err
 	}
 	found, err := e.indexSealRecords(wins)
 	if err != nil {
 		wins.Close()
 		tsp.RecordError(err)
-		return 0, err
+		return WALReplay{}, err
 	}
 	e.attachSeals(wins, found)
 	var last *windowRecord
 	n := 0
 	err = wins.Replay(func(seq uint64, payload []byte) error {
-		if len(payload) > 0 && payload[0] == walTagSeal {
-			return nil // indexed by the first pass
+		if len(payload) > 0 && (payload[0] == walTagSeal || payload[0] == walTagRetiredSeal) {
+			return nil // indexed or skipped by the first pass
 		}
 		ent, err := decodeWALRecord(payload)
 		if err == nil && ent.window == nil {
@@ -489,7 +489,7 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 		e.attachSeals(nil, nil)
 		wins.Close()
 		tsp.RecordError(err)
-		return n, err
+		return WALReplay{Records: n}, err
 	}
 	e.withIngestLock(func() {
 		e.wal, e.wins = fix, wins
@@ -511,19 +511,29 @@ func (e *Engine) OpenWAL(ctx context.Context, dir string, opts wal.Options) (int
 		}
 	})
 	e.settle()
-	replayed, clustered, serr := e.endSealReplay()
+	rep := WALReplay{Records: n}
+	var serr error
+	rep.SealsInstalled, rep.SealsClustered, serr = e.endSealReplay()
 	if err == nil {
 		err = serr
 	}
 	walReplaySeconds.Set(time.Since(start).Seconds())
 	walReplayedRecords.Set(float64(n))
 	tsp.SetAttr("records", n)
-	tsp.SetAttr("seals_replayed", replayed)
-	tsp.SetAttr("seals_clustered", clustered)
+	tsp.SetAttr("seals_installed", rep.SealsInstalled)
+	tsp.SetAttr("seals_clustered", rep.SealsClustered)
 	if err != nil {
 		tsp.RecordError(err)
 	}
-	return n, err
+	return rep, err
+}
+
+// WALReplay is what OpenWAL replayed: the window and fix records it
+// applied, and the pool-window seals made along the way, by how — installed
+// from their seal records or clustered.
+type WALReplay struct {
+	Records                        int
+	SealsInstalled, SealsClustered int
 }
 
 // replayWindowLocked applies one window record's registration, then its

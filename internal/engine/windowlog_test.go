@@ -98,7 +98,8 @@ func TestOpenWALResumesAtLastCut(t *testing.T) {
 		twin := newStreamTestEngine(t, n)
 		twin.ss.maxStays = 4
 		defer twin.Close()
-		replayed, err := twin.OpenWAL(context.Background(), twinDir, opts)
+		rep, err := twin.OpenWAL(context.Background(), twinDir, opts)
+		replayed := rep.Records
 		if err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
 		}

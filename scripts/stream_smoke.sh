@@ -10,13 +10,14 @@
 # streams four trips over three 14-day windows, so two window cuts each write
 # a window record and, once sealed, a seal record, SIGKILLs the server and
 # restarts it: every acknowledged trip is back, the restart applied the two
-# window records, replayed both seals from their seal records and replayed
-# only the fix log past the last window record, and the fix log retains
-# fewer bytes than it appended. A third leg
+# window records, installed both seals from their seal records and
+# clustered none, and replayed only the fix log past the last window record,
+# and the fix log retains fewer bytes than it appended. A third leg
 # cold-starts a server on the tiny dataset with a snapshot path, a log and a
 # backlog bound below its trip count, stops it with SIGTERM (which saves the
 # snapshot), restarts it on the same flags, and asserts the log still holds
-# the evidence: the replay line is printed, -data is skipped, the trip count
+# the evidence: the replay line is printed and says every seal was installed
+# from its seal record and none clustered, -data is skipped, the trip count
 # survives, the replayed trips the snapshot was trained on are not pending
 # again (so a streamed fix is taken, not refused with 429), and a
 # re-inference over the replayed evidence ends done; the cold start's batch
@@ -197,10 +198,11 @@ if ! grep -q "replayed 13 WAL records from $BIN_DIR/wal-history" "$BIN_DIR/serve
   cat "$BIN_DIR/server-h2.log" >&2
   exit 1
 fi
-# Both cuts' seals replay their seal records instead of clustering.
+# Both cuts' seals install their seal records instead of clustering.
 SEALS="$(metric dlinfma_engine_replayed_seals_total)"
-if [ "$SEALS" != 2 ]; then
-  echo "stream smoke: the restart replayed ${SEALS:-no} seal records (want 2)" >&2
+if [ "$SEALS" != 2 ] || ! grep -q "in [0-9.]*m\?s: 2 pool-window seals installed, 0 clustered" "$BIN_DIR/server-h2.log"; then
+  echo "stream smoke: the restart installed ${SEALS:-no} seal records (want 2, and none clustered)" >&2
+  cat "$BIN_DIR/server-h2.log" >&2
   exit 1
 fi
 HISTORY="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
@@ -244,9 +246,9 @@ fi
 
 start_server "$BIN_DIR/server4.log" "${SNAP_FLAGS[@]}"
 if ! grep -q "restored serving state from $BIN_DIR/state.json" "$BIN_DIR/server4.log" ||
-  ! grep -Eq "replayed [0-9]+ WAL records from $BIN_DIR/wal2" "$BIN_DIR/server4.log" ||
+  ! grep -Eq "replayed [0-9]+ WAL records from $BIN_DIR/wal2 in [0-9.]+m?s: [1-9][0-9]* pool-window seals installed, 0 clustered" "$BIN_DIR/server4.log" ||
   ! grep -q "skipping -data" "$BIN_DIR/server4.log"; then
-  echo "stream smoke: restart did not restore the snapshot, replay the log and skip -data" >&2
+  echo "stream smoke: restart did not restore the snapshot, replay the log installing every seal, and skip -data" >&2
   cat "$BIN_DIR/server4.log" >&2
   exit 1
 fi
