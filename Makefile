@@ -164,8 +164,8 @@ smoke-metrics:
 # trips over three windows, SIGKILL, and verify the restart applied the two
 # window records, replayed only the fix log past them and kept every trip;
 # then cold-start on the tiny dataset with -snapshot and -wal-dir, SIGTERM
-# (the snapshot is saved), restart, and verify the replayed evidence keeps
-# its trip count and re-infers.
+# (the snapshot is saved as one file), restart, and verify the replayed
+# evidence keeps its trip count and re-infers, at -shards 1 and 2.
 smoke-stream:
 	bash scripts/stream_smoke.sh
 

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -550,48 +552,70 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	})
 }
 
+// TestSnapshotFile: at every shard count a save leaves one file, path, and
+// that file restores to the engine's answers. Several shards' file is the
+// manifest GET /v1/snapshot streams, except that each shard document carries
+// the trips its served state was trained on.
 func TestSnapshotFile(t *testing.T) {
-	forShardCounts(t, func(t *testing.T, n int) {
-		ds, e := tinyEngineN(t, n)
-		dir := t.TempDir()
-		path := dir + "/state.json"
-		if err := e.SaveSnapshotFile(path); err != nil {
-			t.Fatal(err)
-		}
-		// Several shards: the manifest sits next to one file per ready
-		// shard. One shard: its document is the whole snapshot.
-		names, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardFiles := 0
-		for _, f := range names {
-			if strings.Contains(f.Name(), ".shard") {
-				shardFiles++
+	for _, n := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			_, e := tinyEngineN(t, n)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "state.json")
+			if err := e.SaveSnapshotFile(path); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if n > 1 && shardFiles == 0 {
-			t.Fatal("no per-shard snapshot files written")
-		}
-		if n == 1 && len(names) != 1 {
-			t.Fatalf("one-shard snapshot left %d files, want just %s", len(names), path)
-		}
+			names, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 1 || names[0].Name() != "state.json" {
+				t.Fatalf("the save left %d files in its directory, want just %s", len(names), path)
+			}
 
-		restored := newTestEngine(t, quickConfig(), n)
-		defer restored.Close()
-		if err := restored.LoadSnapshotFile(path); err != nil {
-			t.Fatal(err)
-		}
-		addr := deliveredAddr(t, ds)
-		a, _ := e.Query(addr)
-		b, _ := restored.Query(addr)
-		if a != b {
-			t.Errorf("file round trip: %v vs %v", a, b)
-		}
-		if err := restored.LoadSnapshotFile(path + ".missing"); err == nil {
-			t.Error("missing snapshot file accepted")
-		}
-	})
+			restored := newTestEngine(t, quickConfig(), n)
+			defer restored.Close()
+			if err := restored.LoadSnapshotFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := restored.InferredLocations(), e.InferredLocations(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("file round trip restored %d answers, the engine serves %d (or they differ)", len(got), len(want))
+			}
+			if err := restored.LoadSnapshotFile(path + ".missing"); err == nil {
+				t.Error("missing snapshot file accepted")
+			}
+			if n == 1 {
+				return
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m struct {
+				Version int               `json:"version"`
+				Shards  []json.RawMessage `json:"shards"`
+			}
+			if err := json.Unmarshal(b, &m); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Status()
+			if m.Version != 2 || len(m.Shards) != n || len(st.Shards) != n {
+				t.Fatalf("a %d-shard file is version %d with %d shard documents", n, m.Version, len(m.Shards))
+			}
+			for i, raw := range m.Shards {
+				var doc struct {
+					Trips int `json:"trips"`
+				}
+				if err := json.Unmarshal(raw, &doc); err != nil {
+					t.Fatal(err)
+				}
+				trained := st.Shards[i].Trips - st.Shards[i].PendingTrips
+				if trained == 0 || doc.Trips != trained {
+					t.Errorf("shard %d's document says it was trained on %d trips, the shard on %d", i, doc.Trips, trained)
+				}
+			}
+		})
+	}
 }
 
 // TestOneShardMatchesDirectPipeline pins what the one-shard engine computes

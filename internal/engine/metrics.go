@@ -71,7 +71,7 @@ var (
 	autoReinferAge     = autoReinferTriggers.With("age")
 
 	snapshotOps = obs.Default.CounterVec("dlinfma_engine_snapshot_ops_total",
-		"Snapshot operations by kind (save/restore) and outcome (ok/error).",
+		"Snapshot operations by kind (save/restore) and outcome (ok/error): one per file save or stream, and one per restore, at any shard count.",
 		"op", "outcome")
 	snapshotSaveOK          = snapshotOps.With("save", "ok")
 	snapshotSaveErr         = snapshotOps.With("save", "error")

@@ -374,7 +374,7 @@ func TestSnapshotRestoreAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		e := New(streamTestConfig()) // a replica booting, as setup_s times it
 		defer e.Close()
-		if err := e.restoreFrom(doc, ""); err != nil {
+		if err := e.restoreFrom(doc); err != nil {
 			t.Fatal(err)
 		}
 	})

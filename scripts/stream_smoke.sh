@@ -14,9 +14,10 @@
 # clustered none, and replayed only the fix log past the last window record,
 # and the fix log retains fewer bytes than it appended. A third leg
 # cold-starts a server on the tiny dataset with a snapshot path, a log and a
-# backlog bound below its trip count, stops it with SIGTERM (which saves the
-# snapshot), restarts it on the same flags, and asserts the log still holds
-# the evidence: the replay line is printed and says every seal was installed
+# backlog bound below its trip count, at one shard and then at two, stops it
+# with SIGTERM (which saves the snapshot as state.json and no other file),
+# restarts it on the same flags, and asserts the log still holds the
+# evidence: the replay line is printed and says every seal was installed
 # from its seal record and none clustered, -data is skipped, the trip count
 # survives, the replayed trips the snapshot was trained on are not pending
 # again (so a streamed fix is taken, not refused with 429), and a
@@ -217,71 +218,102 @@ if [ -z "$RETAINED" ] || [ "$RETAINED" -ge "$APPENDED" ]; then
 fi
 stop_server KILL
 
-# Leg three: snapshot, restart, re-inference. The snapshot holds the serving
-# state only; the evidence a re-inference needs survives in the log.
+# Leg three: snapshot, restart, re-inference, at one shard and at two. The
+# snapshot holds the serving state only; the evidence a re-inference needs
+# survives in the log.
 "$BIN_DIR/dlinfma" generate -profile tiny -out "$BIN_DIR/tiny.json.gz" >/dev/null
-SNAP_FLAGS=(-data "$BIN_DIR/tiny.json.gz" -snapshot "$BIN_DIR/state.json" -wal-dir "$BIN_DIR/wal2" -max-pending-trips 20)
-start_server "$BIN_DIR/server3.log" "${SNAP_FLAGS[@]}"
-TRIPS="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz" | grep -o '"trips":[0-9]*' | head -1)"
-if [ -z "$TRIPS" ] || [ "$TRIPS" = '"trips":0' ]; then
-  echo "stream smoke: cold start on the tiny dataset holds no trips" >&2
-  exit 1
-fi
-# The dataset's batch windows, addresses and truth are compacted window
-# records: under a tenth of the 490,870 bytes of JSON the fix log took for
-# them while batch windows had a JSON record.
-WINDOW_RECORDS="$(metric dlinfma_engine_window_records_total)"
-WINDOW_BYTES="$(metric 'dlinfma_wal_append_bytes_total{log="window"}')"
-if [ -z "$WINDOW_RECORDS" ] || [ "$WINDOW_RECORDS" -le 0 ] || [ -z "$WINDOW_BYTES" ] || [ "$WINDOW_BYTES" -ge 49087 ]; then
-  echo "stream smoke: the cold start wrote ${WINDOW_RECORDS:-no} window records of ${WINDOW_BYTES:-no} bytes (want some, under 49087)" >&2
-  exit 1
-fi
-echo "stream smoke: the cold start wrote $WINDOW_RECORDS window records, $WINDOW_BYTES bytes"
-stop_server TERM
-if ! grep -q "saved serving state to $BIN_DIR/state.json" "$BIN_DIR/server3.log"; then
-  echo "stream smoke: SIGTERM did not save the snapshot" >&2
-  cat "$BIN_DIR/server3.log" >&2
-  exit 1
-fi
 
-start_server "$BIN_DIR/server4.log" "${SNAP_FLAGS[@]}"
-if ! grep -q "restored serving state from $BIN_DIR/state.json" "$BIN_DIR/server4.log" ||
-  ! grep -Eq "replayed [0-9]+ WAL records from $BIN_DIR/wal2 in [0-9.]+m?s: [1-9][0-9]* pool-window seals installed, 0 clustered" "$BIN_DIR/server4.log" ||
-  ! grep -q "skipping -data" "$BIN_DIR/server4.log"; then
-  echo "stream smoke: restart did not restore the snapshot, replay the log installing every seal, and skip -data" >&2
-  cat "$BIN_DIR/server4.log" >&2
-  exit 1
-fi
-HEALTH_AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
-TRIPS_AFTER="$(grep -o '"trips":[0-9]*' <<<"$HEALTH_AFTER" | head -1)"
-if [ "$TRIPS_AFTER" != "$TRIPS" ]; then
-  echo "stream smoke: $TRIPS before the restart, ${TRIPS_AFTER:-none} after" >&2
-  exit 1
-fi
-# The snapshot covers every replayed trip: no backlog, and the bound admits
-# a streamed fix.
-if [ "$(grep -o '"pending_trips":[0-9]*' <<<"$HEALTH_AFTER" | head -1)" != '"pending_trips":0' ]; then
-  echo "stream smoke: the restart counts the snapshotted trips as pending: $HEALTH_AFTER" >&2
-  exit 1
-fi
-FIX_CODE="$(curl -sS -o "$BIN_DIR/fix.json" -w '%{http_code}' -X POST --data-binary '{"courier":77,"x":1,"y":2,"t":3}' "http://127.0.0.1:$PORT/v1/trajectories:stream")"
-if [ "$FIX_CODE" != 200 ]; then
-  echo "stream smoke: a streamed fix after the restart answered $FIX_CODE: $(cat "$BIN_DIR/fix.json")" >&2
-  exit 1
-fi
-JOB="$(curl -sS -X POST "http://127.0.0.1:$PORT/v1/reinfer")"
-if ! grep -q '"state":"running"' <<<"$JOB"; then
-  echo "stream smoke: reinfer after the restart did not start: $JOB" >&2
-  exit 1
-fi
-for _ in $(seq 1 600); do
-  JOB="$(curl -sS "http://127.0.0.1:$PORT/v1/reinfer")"
-  grep -q '"state":"running"' <<<"$JOB" || break
-  sleep 0.1
-done
-if ! grep -q '"state":"done"' <<<"$JOB"; then
-  echo "stream smoke: reinfer after the restart ended: $JOB" >&2
-  exit 1
-fi
+# snapshot_leg SHARDS runs leg three at -shards SHARDS, on a state file and
+# log directory of its own.
+snapshot_leg() {
+  local shards="$1"
+  local dir="$BIN_DIR/snap-shards$shards"
+  mkdir -p "$dir"
+  local SNAP_FLAGS=(-shards "$shards" -data "$BIN_DIR/tiny.json.gz" -snapshot "$dir/state.json" -wal-dir "$dir/wal" -max-pending-trips 20)
+  start_server "$dir/server3.log" "${SNAP_FLAGS[@]}"
+  local TRIPS
+  TRIPS="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz" | grep -o '"trips":[0-9]*' | head -1)"
+  if [ -z "$TRIPS" ] || [ "$TRIPS" = '"trips":0' ]; then
+    echo "stream smoke (-shards $shards): cold start on the tiny dataset holds no trips" >&2
+    exit 1
+  fi
+  # The dataset's batch windows, addresses and truth are compacted window
+  # records: under a tenth of the 490,870 bytes of JSON the fix log took for
+  # them while batch windows had a JSON record.
+  local WINDOW_RECORDS WINDOW_BYTES
+  WINDOW_RECORDS="$(metric dlinfma_engine_window_records_total)"
+  WINDOW_BYTES="$(metric 'dlinfma_wal_append_bytes_total{log="window"}')"
+  if [ -z "$WINDOW_RECORDS" ] || [ "$WINDOW_RECORDS" -le 0 ] || [ -z "$WINDOW_BYTES" ] || [ "$WINDOW_BYTES" -ge 49087 ]; then
+    echo "stream smoke (-shards $shards): the cold start wrote ${WINDOW_RECORDS:-no} window records of ${WINDOW_BYTES:-no} bytes (want some, under 49087)" >&2
+    exit 1
+  fi
+  echo "stream smoke (-shards $shards): the cold start wrote $WINDOW_RECORDS window records, $WINDOW_BYTES bytes"
+  stop_server TERM
+  if ! grep -q "saved serving state to $dir/state.json" "$dir/server3.log"; then
+    echo "stream smoke (-shards $shards): SIGTERM did not save the snapshot" >&2
+    cat "$dir/server3.log" >&2
+    exit 1
+  fi
+  # The snapshot is one file at every shard count, no temp file or
+  # per-shard sibling beside it: the shard's version-1 document, or the
+  # version-2 manifest with every shard's document inline.
+  if [ ! -s "$dir/state.json" ] || compgen -G "$dir/state.json.*" >/dev/null; then
+    echo "stream smoke (-shards $shards): the save left more than state.json:" >&2
+    ls "$dir" >&2
+    exit 1
+  fi
+  local version=1
+  [ "$shards" -gt 1 ] && version=2
+  if [ "$(head -c 12 "$dir/state.json")" != "{\"version\":$version" ]; then
+    echo "stream smoke (-shards $shards): state.json is not a version-$version document: $(head -c 40 "$dir/state.json")" >&2
+    exit 1
+  fi
+
+  start_server "$dir/server4.log" "${SNAP_FLAGS[@]}"
+  if ! grep -q "restored serving state from $dir/state.json" "$dir/server4.log" ||
+    ! grep -Eq "replayed [0-9]+ WAL records from $dir/wal in [0-9.]+m?s: [1-9][0-9]* pool-window seals installed, 0 clustered" "$dir/server4.log" ||
+    ! grep -q "skipping -data" "$dir/server4.log"; then
+    echo "stream smoke (-shards $shards): restart did not restore the snapshot, replay the log installing every seal, and skip -data" >&2
+    cat "$dir/server4.log" >&2
+    exit 1
+  fi
+  local HEALTH_AFTER TRIPS_AFTER
+  HEALTH_AFTER="$(curl -sS "http://127.0.0.1:$PORT/v1/healthz")"
+  TRIPS_AFTER="$(grep -o '"trips":[0-9]*' <<<"$HEALTH_AFTER" | head -1)"
+  if [ "$TRIPS_AFTER" != "$TRIPS" ]; then
+    echo "stream smoke (-shards $shards): $TRIPS before the restart, ${TRIPS_AFTER:-none} after" >&2
+    exit 1
+  fi
+  # The snapshot covers every replayed trip: no backlog, and the bound admits
+  # a streamed fix.
+  if [ "$(grep -o '"pending_trips":[0-9]*' <<<"$HEALTH_AFTER" | head -1)" != '"pending_trips":0' ]; then
+    echo "stream smoke (-shards $shards): the restart counts the snapshotted trips as pending: $HEALTH_AFTER" >&2
+    exit 1
+  fi
+  local FIX_CODE JOB
+  FIX_CODE="$(curl -sS -o "$dir/fix.json" -w '%{http_code}' -X POST --data-binary '{"courier":77,"x":1,"y":2,"t":3}' "http://127.0.0.1:$PORT/v1/trajectories:stream")"
+  if [ "$FIX_CODE" != 200 ]; then
+    echo "stream smoke (-shards $shards): a streamed fix after the restart answered $FIX_CODE: $(cat "$dir/fix.json")" >&2
+    exit 1
+  fi
+  JOB="$(curl -sS -X POST "http://127.0.0.1:$PORT/v1/reinfer")"
+  if ! grep -q '"state":"running"' <<<"$JOB"; then
+    echo "stream smoke (-shards $shards): reinfer after the restart did not start: $JOB" >&2
+    exit 1
+  fi
+  for _ in $(seq 1 600); do
+    JOB="$(curl -sS "http://127.0.0.1:$PORT/v1/reinfer")"
+    grep -q '"state":"running"' <<<"$JOB" || break
+    sleep 0.1
+  done
+  if ! grep -q '"state":"done"' <<<"$JOB"; then
+    echo "stream smoke (-shards $shards): reinfer after the restart ended: $JOB" >&2
+    exit 1
+  fi
+  stop_server KILL
+}
+
+snapshot_leg 1
+snapshot_leg 2
 
 echo "stream smoke: OK"
